@@ -1,0 +1,16 @@
+//! Records the compiler version, one of the host facts printed with every
+//! result (a different rustc is a different benchmark).
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+    println!("cargo:rustc-env=PERF_RUSTC_VERSION={version}");
+    println!("cargo:rerun-if-changed=benches/build.rs");
+}
