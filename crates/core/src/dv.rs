@@ -7,6 +7,17 @@
 //! backbone. Columns grow when vertices are added (the papers' amortized
 //! doubling analysis applies — `Vec` growth is exactly that), and whole rows
 //! migrate between processors during repartitioning.
+//!
+//! Beside each row the matrix keeps a **change log**: one bit per column, set
+//! by whichever write lowers that entry and cleared when the row has been
+//! propagated to its local neighbours. Recombination relaxes a neighbour only
+//! on the logged columns of the row that moved — the receive-side half of the
+//! papers' "send only the updated values of the boundary DVs". That is exact
+//! because of the *propagation invariant* `ProcState` maintains: for every
+//! local edge `(v, u, w)` and every column `c` outside `v`'s log,
+//! `row_u[c] <= row_v[c] + w`. Whatever breaks the invariant without going
+//! through a logging write (raised entries, raw row access, new adjacency,
+//! column growth) marks the row all-columns instead.
 
 use aa_graph::{VertexId, Weight, INF};
 
@@ -26,10 +37,212 @@ pub fn relax_row(dst: &mut [Weight], src: &[Weight], offset: Weight) -> bool {
     changed
 }
 
+/// Columns per change-log word.
+const WORD: usize = u64::BITS as usize;
+
+/// A set of columns of one distance row: one bit per column, or "all of
+/// them". A bitset rather than an index list because its size is fixed at
+/// `cols / 8` bytes per row however many entries move (an index `Vec` per
+/// row cost +12 MB at n = 2,048), and because merging is a word-wise OR.
+#[derive(Debug, Clone)]
+pub struct ColumnSet {
+    /// Bit `c % 64` of word `c / 64` is column `c`. Bits at or beyond the
+    /// column count are never set.
+    words: Vec<u64>,
+    /// Every column is a member, whatever `words` says.
+    all: bool,
+}
+
+impl ColumnSet {
+    /// The empty set over `cols` columns.
+    pub fn empty(cols: usize) -> Self {
+        ColumnSet {
+            words: vec![0; cols.div_ceil(WORD)],
+            all: false,
+        }
+    }
+
+    /// Every column of a row of any width: relaxing on it is a dense sweep.
+    pub const EVERY: ColumnSet = ColumnSet {
+        words: Vec::new(),
+        all: true,
+    };
+
+    /// Every one of `cols` columns, with room to log single columns again
+    /// once cleared.
+    fn all(cols: usize) -> Self {
+        ColumnSet {
+            all: true,
+            ..Self::empty(cols)
+        }
+    }
+
+    /// The columns where `row` is finite — the only ones a relaxation
+    /// through `row` can lower.
+    pub fn finite_of(row: &[Weight]) -> Self {
+        let words = row
+            .chunks(WORD)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |m, (bit, &d)| m | u64::from(d != INF) << bit)
+            })
+            .collect();
+        ColumnSet { words, all: false }
+    }
+
+    /// Adds column `col`; columns beyond the set's width are ignored.
+    pub fn insert(&mut self, col: usize) {
+        if let Some(word) = self.words.get_mut(col / WORD) {
+            *word |= 1 << (col % WORD);
+        }
+    }
+
+    /// Whether `col` is a member.
+    #[cfg(test)]
+    pub(crate) fn contains(&self, col: usize) -> bool {
+        self.all
+            || self
+                .words
+                .get(col / WORD)
+                .is_some_and(|word| word >> (col % WORD) & 1 == 1)
+    }
+
+    /// Whether no column is a member.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        !self.all && self.words.iter().all(|&word| word == 0)
+    }
+
+    fn mark_all(&mut self) {
+        self.all = true;
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+        self.all = false;
+    }
+
+    /// Whether walking the members one by one would cost more than a dense
+    /// sweep: all columns, or more than a quarter of them.
+    fn is_dense(&self, cols: usize) -> bool {
+        self.all
+            || 4 * self
+                .words
+                .iter()
+                .map(|word| word.count_ones() as usize)
+                .sum::<usize>()
+                > cols
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod reference {
+    //! Test-only switch that turns every logged relaxation back into the
+    //! row-granular `relax_row` over all columns — the behaviour before
+    //! change logs existed — so tests can run both side by side.
+    use std::cell::Cell;
+
+    thread_local! {
+        static DENSE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(crate) fn is_dense() -> bool {
+        DENSE.with(Cell::get)
+    }
+
+    /// Runs `f` with every relaxation on this thread row-granular. A matrix
+    /// must live entirely inside or entirely outside such scopes: logs are
+    /// not maintained inside one.
+    pub(crate) fn dense<R>(f: impl FnOnce() -> R) -> R {
+        let before = DENSE.with(|d| d.replace(true));
+        let out = f();
+        DENSE.with(|d| d.set(before));
+        out
+    }
+}
+
+/// `dst[c] = min(dst[c], src[c] + offset)` for every column `c` in `cols`,
+/// recording each lowered column in `log`. Returns whether any entry
+/// decreased. Dense sets take a whole-row sweep, sparse ones a walk over the
+/// set bits; both visit a superset of the columns that can change, so the
+/// rows they leave are identical.
+// aa-lint: allow(AA07, the sparse walk indexes dst/src/log at columns taken from cols, whose bits never reach the column count — every set is built over the matrix width and resized with it)
+fn relax_on(
+    dst: &mut [Weight],
+    log: &mut ColumnSet,
+    src: &[Weight],
+    offset: Weight,
+    cols: &ColumnSet,
+) -> bool {
+    debug_assert_eq!(dst.len(), src.len());
+    debug_assert_eq!(log.words.len(), dst.len().div_ceil(WORD));
+    #[cfg(test)]
+    if reference::is_dense() {
+        return relax_row(dst, src, offset);
+    }
+    let mut changed = false;
+    if cols.is_dense(dst.len()) {
+        let chunks = dst.chunks_mut(WORD).zip(src.chunks(WORD));
+        for ((d64, s64), word) in chunks.zip(&mut log.words) {
+            // Nine sweeps in ten lower nothing: probe read-only first (this
+            // loop vectorizes), and pay for the bit bookkeeping only in a
+            // chunk that has something to lower.
+            let hit = d64
+                .iter()
+                .zip(s64)
+                .fold(false, |hit, (&d, &s)| hit | (s.saturating_add(offset) < d));
+            if !hit {
+                continue;
+            }
+            for (bit, (d, &s)) in d64.iter_mut().zip(s64).enumerate() {
+                let cand = s.saturating_add(offset);
+                if cand < *d {
+                    *d = cand;
+                    *word |= 1 << bit;
+                }
+            }
+            changed = true;
+        }
+    } else {
+        for (wi, &members) in cols.words.iter().enumerate() {
+            let mut rest = members;
+            while rest != 0 {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let c = wi * WORD + bit;
+                let cand = src[c].saturating_add(offset);
+                if cand < dst[c] {
+                    dst[c] = cand;
+                    log.words[wi] |= 1 << bit;
+                    changed = true;
+                }
+            }
+        }
+    }
+    changed
+}
+
+/// `(&mut s[a], &s[b])` for distinct in-range indices.
+// aa-lint: allow(AA07, callers pass two distinct row indices read from row_of, both below the row count; split_at_mut offsets derive from them)
+fn pair_mut<T>(s: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
+    debug_assert_ne!(a, b);
+    if a < b {
+        let (lo, hi) = s.split_at_mut(b);
+        (&mut lo[a], &hi[0])
+    } else {
+        let (lo, hi) = s.split_at_mut(a);
+        (&mut hi[0], &lo[b])
+    }
+}
+
 /// The distance vectors of one processor's owned vertices.
 #[derive(Debug, Clone, Default)]
 pub struct DistanceMatrix {
     rows: Vec<Vec<Weight>>,
+    /// Change log of each row (see the module docs), parallel to `rows`.
+    logs: Vec<ColumnSet>,
     /// Global vertex id of each row.
     vertex_of_row: Vec<VertexId>,
     /// Row index of each global vertex id slot (`u32::MAX` if not owned here).
@@ -44,6 +257,7 @@ impl DistanceMatrix {
     pub fn new(cols: usize) -> Self {
         DistanceMatrix {
             rows: Vec::new(),
+            logs: Vec::new(),
             vertex_of_row: Vec::new(),
             row_of: vec![NO_ROW; cols],
             cols,
@@ -67,6 +281,7 @@ impl DistanceMatrix {
     }
 
     /// Adds a row for vertex `v`, initialized to `INF` except `row[v] = 0`.
+    /// A new row has propagated nothing yet: its log starts all-columns.
     ///
     /// # Panics
     /// Panics if `v` already has a row or lies outside the column range.
@@ -79,10 +294,12 @@ impl DistanceMatrix {
         // aa-lint: allow(AA05, row count is bounded by the u32 vertex-id space)
         self.row_of[v as usize] = self.rows.len() as u32;
         self.rows.push(row);
+        self.logs.push(ColumnSet::all(self.cols));
         self.vertex_of_row.push(v);
     }
 
-    /// Inserts a row with explicit contents (used for migration).
+    /// Inserts a row with explicit contents (migration, checkpoint restore,
+    /// recovery); its log starts all-columns.
     // aa-lint: allow(AA07, documented-panic constructor — same assert-first contract as add_row)
     pub fn insert_row(&mut self, v: VertexId, mut row: Vec<Weight>) {
         assert!((v as usize) < self.cols, "vertex {v} outside column range");
@@ -93,6 +310,7 @@ impl DistanceMatrix {
         // aa-lint: allow(AA05, row count is bounded by the u32 vertex-id space)
         self.row_of[v as usize] = self.rows.len() as u32;
         self.rows.push(row);
+        self.logs.push(ColumnSet::all(self.cols));
         self.vertex_of_row.push(v);
     }
 
@@ -103,6 +321,7 @@ impl DistanceMatrix {
         assert!(idx != NO_ROW, "vertex {v} has no row here");
         let idx = idx as usize;
         let row = self.rows.swap_remove(idx);
+        self.logs.swap_remove(idx);
         self.vertex_of_row.swap_remove(idx);
         self.row_of[v as usize] = NO_ROW;
         if idx < self.rows.len() {
@@ -113,14 +332,17 @@ impl DistanceMatrix {
         row
     }
 
-    /// Grows the column space to `new_cols`, filling new entries with `INF`.
-    /// No-op if `new_cols <= col_count()`.
+    /// Grows the column space to `new_cols`, filling new entries with `INF`
+    /// and marking every row all-columns. No-op if `new_cols <= col_count()`.
     pub fn extend_cols(&mut self, new_cols: usize) {
         if new_cols <= self.cols {
             return;
         }
         for row in &mut self.rows {
             row.resize(new_cols, INF);
+        }
+        for log in &mut self.logs {
+            *log = ColumnSet::all(new_cols);
         }
         self.row_of.resize(new_cols, NO_ROW);
         self.cols = new_cols;
@@ -132,17 +354,61 @@ impl DistanceMatrix {
     /// Panics if `v` has no row here.
     // aa-lint: allow(AA07, documented-panic accessor — callers hold the has_row/ownership invariant and the assert names the violation)
     pub fn row(&self, v: VertexId) -> &[Weight] {
-        let idx = self.row_of[v as usize];
-        assert!(idx != NO_ROW, "vertex {v} has no row here");
-        &self.rows[idx as usize]
+        &self.rows[self.row_index(v)]
     }
 
-    /// Mutable distance vector of vertex `v`.
+    /// Mutable distance vector of vertex `v`. Raw access can write anything,
+    /// so the row is marked all-columns.
     // aa-lint: allow(AA07, documented-panic accessor — same contract as row)
     pub fn row_mut(&mut self, v: VertexId) -> &mut [Weight] {
+        let idx = self.row_index(v);
+        self.logs[idx].mark_all();
+        &mut self.rows[idx]
+    }
+
+    /// Row-table index of vertex `v`.
+    // aa-lint: allow(AA07, documented-panic accessor — same contract as row)
+    fn row_index(&self, v: VertexId) -> usize {
         let idx = self.row_of[v as usize];
         assert!(idx != NO_ROW, "vertex {v} has no row here");
-        &mut self.rows[idx as usize]
+        idx as usize
+    }
+
+    /// The columns of `v`'s row lowered since its log was last cleared.
+    #[cfg(test)]
+    pub(crate) fn log(&self, v: VertexId) -> &ColumnSet {
+        &self.logs[self.row_index(v)]
+    }
+
+    /// Marks every column of `v`'s row as possibly unpropagated.
+    // aa-lint: allow(AA07, documented-panic accessor — same contract as row)
+    pub fn mark_all_columns(&mut self, v: VertexId) {
+        let idx = self.row_index(v);
+        self.logs[idx].mark_all();
+    }
+
+    /// Marks every column of every row as possibly unpropagated.
+    pub fn mark_all_rows(&mut self) {
+        for log in &mut self.logs {
+            log.mark_all();
+        }
+    }
+
+    /// Empties `v`'s log: the row has been propagated to its local
+    /// neighbours on every logged column.
+    // aa-lint: allow(AA07, documented-panic accessor — same contract as row)
+    pub fn clear_log(&mut self, v: VertexId) {
+        let idx = self.row_index(v);
+        self.logs[idx].clear();
+    }
+
+    /// Empties every log. Sound only when the propagation invariant holds
+    /// on all columns, e.g. right after the rows were set to the exact APSP
+    /// of the local sub-graph.
+    pub fn clear_logs(&mut self) {
+        for log in &mut self.logs {
+            log.clear();
+        }
     }
 
     /// Owned vertices in row order.
@@ -150,40 +416,65 @@ impl DistanceMatrix {
         &self.vertex_of_row
     }
 
-    /// `dst_row[t] = min(dst_row[t], src_row[t] + offset)` where both rows
-    /// live in this matrix. Returns whether anything changed; a self-relax is
-    /// a no-op.
-    // aa-lint: allow(AA07, both row indices are asserted owned before use; split_at_mut offsets derive from those checked indices)
+    /// `dst_row[t] = min(dst_row[t], src_row[t] + offset)` for every column,
+    /// where both rows live in this matrix. Returns whether anything changed;
+    /// a self-relax is a no-op.
     pub fn relax_rows(&mut self, dst: VertexId, src: VertexId, offset: Weight) -> bool {
-        let di = self.row_of[dst as usize];
-        let si = self.row_of[src as usize];
-        assert!(di != NO_ROW && si != NO_ROW, "both rows must be owned here");
+        self.relax_rows_on(dst, src, offset, false)
+    }
+
+    /// [`Self::relax_rows`] restricted to the columns in `src`'s log — all
+    /// that can lower `dst` when the propagation invariant holds for the
+    /// edge between them.
+    pub fn relax_rows_logged(&mut self, dst: VertexId, src: VertexId, offset: Weight) -> bool {
+        self.relax_rows_on(dst, src, offset, true)
+    }
+
+    fn relax_rows_on(
+        &mut self,
+        dst: VertexId,
+        src: VertexId,
+        offset: Weight,
+        logged: bool,
+    ) -> bool {
+        let (di, si) = (self.row_index(dst), self.row_index(src));
         if di == si {
             return false;
         }
-        let (di, si) = (di as usize, si as usize);
-        let (lo, hi, dst_is_lo) = if di < si {
-            (di, si, true)
-        } else {
-            (si, di, false)
-        };
-        let (a, b) = self.rows.split_at_mut(hi);
-        let (dst_row, src_row) = if dst_is_lo {
-            (&mut a[lo], &b[0] as &[Weight])
-        } else {
-            (&mut b[0], &a[lo] as &[Weight])
-        };
-        relax_row(dst_row, src_row, offset)
+        let (dst_row, src_row) = pair_mut(&mut self.rows, di, si);
+        let (dst_log, src_log) = pair_mut(&mut self.logs, di, si);
+        let cols = if logged { src_log } else { &ColumnSet::EVERY };
+        relax_on(dst_row, dst_log, src_row, offset, cols)
     }
 
-    /// Relaxes the row of `dst` against an external row slice.
+    /// Relaxes every column of the row of `dst` against an external row.
     pub fn relax_with_external(
         &mut self,
         dst: VertexId,
         src_row: &[Weight],
         offset: Weight,
     ) -> bool {
-        relax_row(self.row_mut(dst), src_row, offset)
+        self.relax_with_external_on(dst, src_row, offset, &ColumnSet::EVERY)
+    }
+
+    /// Relaxes the columns `cols` of the row of `dst` against an external
+    /// row.
+    // aa-lint: allow(AA07, documented-panic accessor — same contract as row)
+    pub fn relax_with_external_on(
+        &mut self,
+        dst: VertexId,
+        src_row: &[Weight],
+        offset: Weight,
+        cols: &ColumnSet,
+    ) -> bool {
+        let idx = self.row_index(dst);
+        relax_on(
+            &mut self.rows[idx],
+            &mut self.logs[idx],
+            src_row,
+            offset,
+            cols,
+        )
     }
 }
 
@@ -211,6 +502,83 @@ mod tests {
         // Saturation caps the candidate at INF, which is never an improvement.
         assert!(!relax_row(&mut dst2, &[u32::MAX - 1], 100));
         assert_eq!(dst2, vec![INF]);
+    }
+
+    /// A row of `n` pseudo-random small distances with some `INF`s.
+    fn noise(n: usize, salt: u32) -> Vec<Weight> {
+        (0..n as u32)
+            .map(|i| match (i.wrapping_mul(2_654_435_761) ^ salt) >> 7 {
+                h if h % 5 == 0 => INF,
+                h => h % 23,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn relax_on_any_column_set_equals_relax_row_on_those_columns() {
+        // 150 columns: two full words and a ragged third.
+        let (n, offset) = (150, 3);
+        let src = noise(n, 1);
+        for (salt, stride) in [(2, 1), (3, 2), (4, 7), (5, 40)] {
+            let before = noise(n, salt);
+            let mut cols = ColumnSet::empty(n);
+            (0..n).step_by(stride).for_each(|c| cols.insert(c));
+            // Stride 1 and 2 are dense sets, 7 and 40 sparse ones.
+            assert_eq!(cols.is_dense(n), stride <= 2);
+
+            let mut want = before.clone();
+            relax_row(&mut want, &src, offset);
+            for c in (0..n).filter(|&c| !cols.contains(c) && !cols.is_dense(n)) {
+                want[c] = before[c]; // a sparse walk leaves the others alone
+            }
+            let mut got = before.clone();
+            let mut log = ColumnSet::empty(n);
+            let changed = relax_on(&mut got, &mut log, &src, offset, &cols);
+            assert_eq!(got, want, "stride {stride}");
+            assert_eq!(changed, got != before);
+            for c in 0..n {
+                assert_eq!(log.contains(c), got[c] < before[c], "log bit {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn finite_of_lists_exactly_the_finite_columns() {
+        let row = noise(150, 9);
+        let cols = ColumnSet::finite_of(&row);
+        for (c, &d) in row.iter().enumerate() {
+            assert_eq!(cols.contains(c), d != INF);
+        }
+        assert!(!cols.contains(150) && !cols.contains(191));
+    }
+
+    #[test]
+    fn logs_follow_the_writes() {
+        let mut m = DistanceMatrix::new(8);
+        m.add_row(0);
+        m.add_row(1);
+        assert!(m.log(0).contains(7), "a new row has propagated nothing");
+        m.clear_logs();
+        assert!(m.log(0).is_empty() && m.log(1).is_empty());
+        // A relaxation logs what it lowered, in the lowered row only.
+        let mut ext = vec![INF; 8];
+        ext[2] = 4;
+        assert!(m.relax_with_external(1, &ext, 0));
+        assert!(m.log(1).contains(2) && !m.log(1).contains(1));
+        assert!(m.log(0).is_empty());
+        // Row 0 learns column 2 from row 1 and nothing else: column 1,
+        // which row 1 could also improve, is not in row 1's log.
+        assert!(m.relax_rows_logged(0, 1, 1));
+        assert_eq!(m.row(0)[..3], [0, INF, 5]);
+        assert!(m.log(0).contains(2) && !m.log(0).contains(1));
+        m.clear_log(1);
+        m.row_mut(1)[0] = 1; // raw access: anything may have changed
+        assert!(m.log(1).contains(0) && m.log(1).contains(7));
+        // The log travels with its row through a swap_remove.
+        m.clear_log(0);
+        m.add_row(2);
+        m.take_row(0);
+        assert!(m.log(2).contains(0) && m.log(1).contains(7));
     }
 
     #[test]

@@ -136,12 +136,8 @@ impl AnytimeEngine {
             let ps = &mut self.procs[rank];
             // Cache the broadcast rows wherever the endpoint is an external
             // boundary vertex, so later invalidations can re-relax from them.
-            if !ps.is_local[u as usize] && !ps.adj[u as usize].is_empty() {
-                ps.ext_rows.insert(u, row_u.clone());
-            }
-            if !ps.is_local[v as usize] && !ps.adj[v as usize].is_empty() {
-                ps.ext_rows.insert(v, row_v.clone());
-            }
+            ps.cache_broadcast_row(u, &row_u);
+            ps.cache_broadcast_row(v, &row_v);
             let mut seeds = Vec::new();
             for x in ps.dv.vertices().to_vec() {
                 let mut changed = false;
@@ -213,9 +209,7 @@ impl AnytimeEngine {
             let t = Stopwatch::start();
             let ps = &mut self.procs[rank];
             for &e in &endpoints {
-                if !ps.is_local[e as usize] && !ps.adj[e as usize].is_empty() {
-                    ps.ext_rows.insert(e, rows[&e].clone());
-                }
+                ps.cache_broadcast_row(e, &rows[&e]);
             }
             let mut seeds = Vec::new();
             for x in ps.dv.vertices().to_vec() {
@@ -472,7 +466,7 @@ impl AnytimeEngine {
                 ps.outstanding.retain(|&(u, _), _| u != v);
             }
             ps.is_local[v as usize] = false;
-            ps.ext_rows.remove(&v);
+            ps.forget_external_row(v);
             invalidate_and_reseed(ps, ia, |row, x| affected_targets_vertex(row, x, v, &row_v));
             self.cluster
                 .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
@@ -561,6 +555,15 @@ where
             row[t] = INF;
         }
         dirtied.push(x);
+    }
+    // A raised entry can sit above what a local neighbour's row offers over
+    // their edge, on columns that neighbour's log does not hold.
+    for &x in &dirtied {
+        for &(u, _) in &ps.adj[x as usize] {
+            if ps.is_local[u as usize] {
+                ps.dv.mark_all_columns(u);
+            }
+        }
     }
     // Cached external rows get the same treatment: reset entries are stale-
     // high (safe); valid entries remain usable for re-relaxation.

@@ -16,7 +16,8 @@
 //! 1. **Domain decomposition** ([`EngineConfig::partitioner`]) — the graph is
 //!    split into `P` balanced sub-graphs minimizing cut edges;
 //! 2. **Initial approximation** — every virtual processor computes all-pairs
-//!    shortest paths *within its local sub-graph* by multithreaded Dijkstra;
+//!    shortest paths *within its local sub-graph* by Dijkstra from each owned
+//!    vertex;
 //! 3. **Recombination** ([`AnytimeEngine::rc_step`]) — processors repeatedly
 //!    exchange the distance vectors of boundary vertices over the papers'
 //!    personalized all-to-all schedule and relax their local vectors until no
@@ -61,6 +62,12 @@ pub mod rebalance;
 pub mod resilience;
 pub mod strategy;
 pub mod supervisor;
+
+// Under `tests/` so that aa-lint classes the file as test code by path (it
+// recognizes in-file `#[cfg(test)]` modules by span, not out-of-line ones).
+#[cfg(test)]
+#[path = "tests/changelog.rs"]
+mod changelog_tests;
 
 pub use aa_obs::{
     decode_jsonl, encode_jsonl, kendall_tau, MetricsRegistry, ProgressSample, SpanLog, SpanRecord,

@@ -7,10 +7,9 @@
 //! neighbouring sub-graphs". External vertices appear in the adjacency view
 //! but are never expanded: their own neighbourhoods are unknown here.
 
-use crate::dv::DistanceMatrix;
+use crate::dv::{ColumnSet, DistanceMatrix};
 use aa_graph::{Graph, VertexId, Weight, INF};
 use aa_partition::Partition;
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
@@ -39,14 +38,20 @@ impl RowUpdate {
 /// The changed `(column, value)` pairs between a previously sent snapshot and
 /// the current row (entries that decreased; increases only happen through
 /// deletion invalidation, which resets both sides consistently).
-// aa-lint: allow(AA07, the filter admits i >= snapshot.len() before snapshot[i] is read — the index is guarded on the same line)
 pub fn diff_rows(snapshot: &[Weight], current: &[Weight]) -> Vec<(u32, Weight)> {
-    current
+    // Columns both rows have: the ones that decreased. Columns grown since
+    // the snapshot: all of them.
+    let lowered = current
         .iter()
+        .zip(snapshot)
         .enumerate()
-        .filter(|&(i, &c)| i >= snapshot.len() || c < snapshot[i])
+        .filter(|&(_, (&c, &s))| c < s)
+        .map(|(i, (&c, _))| (i, c));
+    let grown = current.iter().copied().enumerate().skip(snapshot.len());
+    lowered
+        .chain(grown)
         // aa-lint: allow(AA05, i indexes a distance row whose length is bounded by the u32 vertex-id space)
-        .map(|(i, &c)| (i as u32, c))
+        .map(|(i, c)| (i as u32, c))
         .collect()
 }
 
@@ -86,6 +91,12 @@ pub struct ProcState {
     pub dv: DistanceMatrix,
     /// Cached DV rows of external boundary vertices, as last received.
     pub ext_rows: HashMap<VertexId, Vec<Weight>>,
+    /// Cached external rows whose local neighbours may be behind the cached
+    /// values on any column — a broadcast replaced the cache, or the
+    /// adjacency around it changed. The next update of such a row relaxes
+    /// densely. For every other cached row `b` and local neighbour `u` over
+    /// an edge of weight `w`, `row_u[c] <= ext_rows[b][c] + w` on all columns.
+    pub ext_unrelaxed: HashSet<VertexId>,
     /// Owned vertices whose rows changed since they were last sent.
     pub dirty: HashSet<VertexId>,
     /// Per boundary row: copy of the row as last sent (delta baseline).
@@ -111,6 +122,7 @@ impl ProcState {
             is_local: vec![false; capacity],
             dv: DistanceMatrix::new(capacity),
             ext_rows: HashMap::new(),
+            ext_unrelaxed: HashSet::new(),
             dirty: HashSet::new(),
             sent_snapshot: HashMap::new(),
             sent_to: HashMap::new(),
@@ -178,9 +190,11 @@ impl ProcState {
     }
 
     /// Rebuilds the adjacency view and locality flags from the world graph
-    /// and a partition. Does **not** touch the distance matrix or caches —
+    /// and a partition. Does **not** touch the distance values or caches —
     /// callers decide what survives (everything after initial decomposition,
-    /// migrated rows after repartitioning).
+    /// migrated rows after repartitioning) — but the new adjacency may make
+    /// any two surviving rows neighbours, so every owned row is marked
+    /// all-columns and every cached row unrelaxed.
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
     pub fn rebuild_view(&mut self, world: &Graph, partition: &Partition) {
         let cap = world.capacity();
@@ -203,6 +217,9 @@ impl ProcState {
                 }
             }
         }
+        self.dv.mark_all_rows();
+        // aa-lint: allow(AA04, set-to-set copy of every key; the result is identical for every visit order)
+        self.ext_unrelaxed.extend(self.ext_rows.keys());
         // Local-local edges got pushed once from each side already; external
         // entries were pushed from the local side only. Nothing to dedup: the
         // loop above adds each (local, local) edge to both lists exactly once
@@ -236,7 +253,9 @@ impl ProcState {
     }
 
     /// Records an edge in the adjacency view if at least one endpoint is
-    /// local. Mirrors [`Self::rebuild_view`]'s shape.
+    /// local. Mirrors [`Self::rebuild_view`]'s shape. Nothing has been
+    /// relaxed over the new edge yet, so an owned endpoint is marked
+    /// all-columns and a cached one unrelaxed.
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
     pub fn view_add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
         if !self.is_local[u as usize] && !self.is_local[v as usize] {
@@ -244,6 +263,13 @@ impl ProcState {
         }
         self.adj[u as usize].push((v, w));
         self.adj[v as usize].push((u, w));
+        for x in [u, v] {
+            if self.dv.has_row(x) {
+                self.dv.mark_all_columns(x);
+            } else if self.ext_rows.contains_key(&x) {
+                self.ext_unrelaxed.insert(x);
+            }
+        }
     }
 
     /// Removes an edge from the adjacency view (no-op if absent).
@@ -275,6 +301,24 @@ impl ProcState {
         }
     }
 
+    /// Caches a broadcast copy of `v`'s row if `v` is an external boundary
+    /// vertex here, so later invalidations can re-relax from it. The copy
+    /// replaces the cache without relaxing `v`'s local neighbours against
+    /// it, which marks the cached row unrelaxed.
+    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
+    pub fn cache_broadcast_row(&mut self, v: VertexId, row: &[Weight]) {
+        if !self.is_local[v as usize] && !self.adj[v as usize].is_empty() {
+            self.ext_rows.insert(v, row.to_vec());
+            self.ext_unrelaxed.insert(v);
+        }
+    }
+
+    /// Drops the cached copy of `v`'s row.
+    pub fn forget_external_row(&mut self, v: VertexId) {
+        self.ext_rows.remove(&v);
+        self.ext_unrelaxed.remove(&v);
+    }
+
     /// Applies a received boundary-row update: replaces or patches the cached
     /// copy, then relaxes the adjacent local rows. Returns worklist seeds.
     // aa-lint: allow(AA07, delta columns index a row resized to world capacity first, and senders share the same world whose capacity every processor extends before exchanging)
@@ -285,30 +329,47 @@ impl ProcState {
                 let cap = self.adj.len();
                 let row = self.ext_rows.entry(v).or_insert_with(|| vec![INF; cap]);
                 row.resize(cap, INF);
+                // Every column the sender lists, not only those that lower
+                // the cache: a broadcast may have refreshed the cache with
+                // the same values before the neighbours saw them.
+                let mut cols = ColumnSet::empty(cap);
                 for &(col, val) in &delta {
                     if val < row[col as usize] {
                         row[col as usize] = val;
                     }
+                    cols.insert(col as usize);
                 }
-                let row = row.clone();
-                let mut seeds = Vec::new();
-                for &(u, w) in self.adj[v as usize].clone().iter() {
-                    if self.is_local[u as usize] && self.dv.relax_with_external(u, &row, w) {
-                        seeds.push(u);
-                        self.dirty.insert(u);
-                    }
+                if self.ext_unrelaxed.remove(&v) {
+                    cols = ColumnSet::EVERY;
                 }
-                seeds
+                self.relax_through_cached(v, &cols)
             }
         }
     }
 
+    /// Relaxes every local neighbour of external vertex `v` against its
+    /// cached row on the columns `cols`. Marks improved rows dirty and
+    /// returns them as worklist seeds.
+    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
+    fn relax_through_cached(&mut self, v: VertexId, cols: &ColumnSet) -> Vec<VertexId> {
+        let mut seeds = Vec::new();
+        let Some(row) = self.ext_rows.get(&v) else {
+            return seeds;
+        };
+        for &(u, w) in &self.adj[v as usize] {
+            if self.is_local[u as usize] && self.dv.relax_with_external_on(u, row, w, cols) {
+                seeds.push(u);
+                self.dirty.insert(u);
+            }
+        }
+        seeds
+    }
+
     /// Dijkstra from `source` restricted to the local sub-graph: local
     /// vertices are expanded, external boundary vertices are reached but not
-    /// expanded. Returns a full-width distance row.
+    /// expanded. Fills the full-width, `INF`-initialized row `dist`.
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
-    pub fn local_dijkstra(&self, source: VertexId) -> Vec<Weight> {
-        let mut dist = vec![INF; self.adj.len()];
+    fn local_dijkstra(&self, source: VertexId, dist: &mut [Weight]) {
         dist[source as usize] = 0;
         let mut heap = BinaryHeap::new();
         heap.push(Reverse((0u32, source)));
@@ -327,26 +388,37 @@ impl ProcState {
                 }
             }
         }
-        dist
     }
 
     /// Local single-source shortest paths with the configured algorithm.
     /// All variants treat external boundary vertices as reachable sinks.
     pub fn local_sssp(&self, source: VertexId, algo: crate::config::IaAlgorithm) -> Vec<Weight> {
+        let mut dist = vec![INF; self.adj.len()];
+        self.local_sssp_into(source, algo, &mut dist);
+        dist
+    }
+
+    /// [`Self::local_sssp`] written over the full-width row `dist`.
+    fn local_sssp_into(
+        &self,
+        source: VertexId,
+        algo: crate::config::IaAlgorithm,
+        dist: &mut [Weight],
+    ) {
         use crate::config::IaAlgorithm;
+        dist.fill(INF);
         match algo {
-            IaAlgorithm::Dijkstra => self.local_dijkstra(source),
-            IaAlgorithm::DeltaStepping { delta } => self.local_delta_stepping(source, delta),
-            IaAlgorithm::BellmanFord => self.local_bellman_ford(source),
+            IaAlgorithm::Dijkstra => self.local_dijkstra(source, dist),
+            IaAlgorithm::DeltaStepping { delta } => self.local_delta_stepping(source, delta, dist),
+            IaAlgorithm::BellmanFord => self.local_bellman_ford(source, dist),
         }
     }
 
     /// Δ-stepping restricted to the local sub-graph (see
     /// [`aa_graph::centrality::delta_stepping`] for the sequential analogue).
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time — and the delta precondition is an assert naming its contract)
-    pub fn local_delta_stepping(&self, source: VertexId, delta: Weight) -> Vec<Weight> {
+    fn local_delta_stepping(&self, source: VertexId, delta: Weight, dist: &mut [Weight]) {
         assert!(delta >= 1, "delta must be at least 1");
-        let mut dist = vec![INF; self.adj.len()];
         dist[source as usize] = 0;
         let mut buckets: Vec<Vec<VertexId>> = vec![vec![source]];
         let mut bi = 0usize;
@@ -376,13 +448,11 @@ impl ProcState {
                 bi += 1;
             }
         }
-        dist
     }
 
     /// Bellman–Ford sweeps over the local edges to a fixed point.
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
-    pub fn local_bellman_ford(&self, source: VertexId) -> Vec<Weight> {
-        let mut dist = vec![INF; self.adj.len()];
+    fn local_bellman_ford(&self, source: VertexId, dist: &mut [Weight]) {
         dist[source as usize] = 0;
         let mut changed = true;
         while changed {
@@ -400,67 +470,66 @@ impl ProcState {
                 }
             }
         }
-        dist
     }
 
     /// Initial approximation: computes the local-sub-graph APSP rows for all
-    /// owned vertices (multithreaded over sources — the papers' OpenMP level)
-    /// and installs them as the distance vectors. Marks every row dirty.
-    // aa-lint: allow(AA07, sources come from the matrix's own vertex list and sssp rows are full-width by construction)
+    /// owned vertices, each SSSP running straight into its distance vector.
+    /// Marks every row dirty.
     pub fn initial_approximation(&mut self, algo: crate::config::IaAlgorithm) {
-        let sources: Vec<VertexId> = self.dv.vertices().to_vec();
-        let rows: Vec<(VertexId, Vec<Weight>)> = sources
-            .par_iter()
-            .map(|&s| (s, self.local_sssp(s, algo)))
-            .collect();
-        for (s, row) in rows {
-            let dst = self.dv.row_mut(s);
-            dst.copy_from_slice(&row[..dst.len()]);
+        // The SSSPs read the view while writing the matrix: take the matrix
+        // out of `self` for the duration.
+        let mut dv = std::mem::take(&mut self.dv);
+        for s in dv.vertices().to_vec() {
+            self.local_sssp_into(s, algo, dv.row_mut(s));
             self.dirty.insert(s);
         }
+        // Exact local shortest paths obey the triangle inequality over every
+        // local edge, so the propagation invariant holds on all columns.
+        dv.clear_logs();
+        self.dv = dv;
     }
 
     /// Stores a received external boundary row and relaxes the adjacent local
     /// rows. Returns the local vertices whose rows improved (worklist seeds).
-    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time — short external rows are resized to capacity before any read)
-    pub fn apply_external_row(&mut self, v: VertexId, row: Vec<Weight>) -> Vec<VertexId> {
-        let mut seeds = Vec::new();
+    pub fn apply_external_row(&mut self, v: VertexId, mut row: Vec<Weight>) -> Vec<VertexId> {
         // The sender's column count can momentarily trail ours mid-batch;
         // pad defensively.
-        let mut row = row;
         row.resize(self.adj.len(), INF);
-        for &(u, w) in self.adj[v as usize].clone().iter() {
-            if self.is_local[u as usize] && self.dv.relax_with_external(u, &row, w) {
-                seeds.push(u);
-                self.dirty.insert(u);
-            }
-        }
+        // Only a finite entry can lower anything, so these columns make the
+        // relaxation as good as a dense one whatever the cache held before.
+        let cols = ColumnSet::finite_of(&row);
         self.ext_rows.insert(v, row);
-        seeds
+        self.ext_unrelaxed.remove(&v);
+        self.relax_through_cached(v, &cols)
     }
 
     /// Label-correcting propagation over local edges from the given seeds
-    /// until the local fixed point. Marks improved rows dirty. Returns
-    /// whether anything changed.
+    /// until the local fixed point: a popped row relaxes its local
+    /// neighbours on the columns in its change log, which is then cleared.
+    /// Marks improved rows dirty. Returns whether anything changed.
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
     pub fn propagate_worklist(&mut self, seeds: Vec<VertexId>) -> bool {
         let mut changed = false;
+        let mut queued = vec![false; self.adj.len()];
+        for &v in &seeds {
+            queued[v as usize] = true;
+        }
         let mut queue: VecDeque<VertexId> = seeds.into();
-        let mut queued: HashSet<VertexId> = queue.iter().copied().collect();
         while let Some(v) = queue.pop_front() {
-            queued.remove(&v);
-            for &(u, w) in self.adj[v as usize].clone().iter() {
+            queued[v as usize] = false;
+            for &(u, w) in &self.adj[v as usize] {
                 if !self.is_local[u as usize] {
                     continue;
                 }
-                if self.dv.relax_rows(u, v, w) {
+                if self.dv.relax_rows_logged(u, v, w) {
                     changed = true;
                     self.dirty.insert(u);
-                    if queued.insert(u) {
+                    if !std::mem::replace(&mut queued[u as usize], true) {
                         queue.push_back(u);
                     }
                 }
             }
+            self.dv.clear_log(v);
         }
         changed
     }
@@ -501,13 +570,12 @@ impl ProcState {
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
     pub fn relax_from_cache(&mut self, u: VertexId) -> bool {
         let mut changed = false;
-        for &(b, w) in self.adj[u as usize].clone().iter() {
+        for &(b, w) in &self.adj[u as usize] {
             if self.is_local[b as usize] {
                 continue;
             }
             if let Some(row) = self.ext_rows.get(&b) {
-                let row = row.clone();
-                if self.dv.relax_with_external(u, &row, w) {
+                if self.dv.relax_with_external(u, row, w) {
                     changed = true;
                     self.dirty.insert(u);
                 }
@@ -519,14 +587,7 @@ impl ProcState {
     /// Min-merges a freshly computed local-Dijkstra row into `u`'s stored row
     /// (used when reseeding after invalidation). Marks dirty on change.
     pub fn merge_row_min(&mut self, u: VertexId, fresh: &[Weight]) -> bool {
-        let dst = self.dv.row_mut(u);
-        let mut changed = false;
-        for (d, &f) in dst.iter_mut().zip(fresh) {
-            if f < *d {
-                *d = f;
-                changed = true;
-            }
-        }
+        let changed = self.dv.relax_with_external(u, fresh, 0);
         if changed {
             self.dirty.insert(u);
         }
@@ -585,7 +646,7 @@ mod tests {
     #[test]
     fn local_dijkstra_stops_at_external_vertices() {
         let (_, _, p0, _) = split_path();
-        let d = p0.local_dijkstra(0);
+        let d = p0.local_sssp(0, crate::config::IaAlgorithm::Dijkstra);
         assert_eq!(d[0], 0);
         assert_eq!(d[1], 1);
         assert_eq!(d[2], 2, "external boundary vertex is reachable");

@@ -322,9 +322,7 @@ impl AnytimeEngine {
         for rank in 0..self.procs.len() {
             let t = Stopwatch::start();
             let ps = &mut self.procs[rank];
-            if !ps.is_local[v as usize] && !ps.adj[v as usize].is_empty() {
-                ps.ext_rows.insert(v, row_v.clone());
-            }
+            ps.cache_broadcast_row(v, &row_v);
             for x in ps.dv.vertices().to_vec() {
                 if x == v {
                     continue;
@@ -478,7 +476,7 @@ impl AnytimeEngine {
                     ps.sent_to.insert(v, sent_to.into_iter().collect());
                 }
                 // The new owner no longer needs its cached copy.
-                ps.ext_rows.remove(&v);
+                ps.forget_external_row(v);
             }
         }
 

@@ -1,0 +1,431 @@
+//! Change-log recombination against the row-granular reference.
+//!
+//! Every test here feeds two engines the same calls: one on the production
+//! path, one inside [`reference::dense`], where each relaxation is the old
+//! whole-row `relax_row`. Rows, dirty sets, caches and wire traffic must be
+//! equal after every call — not just at convergence — because the change
+//! logs are only allowed to skip work, never to reorder or defer it.
+
+use crate::config::{
+    EngineConfig, FaultConfig, IaAlgorithm, PartitionerKind, Refinement, RepartitionMode,
+    SupervisorConfig,
+};
+use crate::dv::reference;
+use crate::dynamic::{Endpoint, VertexBatch};
+use crate::strategy::AdditionStrategy;
+use crate::AnytimeEngine;
+use aa_graph::{algo, generators, Graph, VertexId, Weight, INF};
+use aa_partition::Partition;
+use proptest::prelude::*;
+
+/// The engine under test and its row-granular twin.
+struct Pair {
+    logged: AnytimeEngine,
+    dense: AnytimeEngine,
+}
+
+impl Pair {
+    fn new(graph: Graph, config: EngineConfig) -> Self {
+        let mut pair = Pair {
+            logged: AnytimeEngine::new(graph.clone(), config.clone()),
+            dense: AnytimeEngine::new(graph, config),
+        };
+        pair.both("initialize", AnytimeEngine::initialize);
+        pair
+    }
+
+    /// Applies `f` to both engines and checks that nothing tells them apart.
+    fn both<R: PartialEq + std::fmt::Debug>(
+        &mut self,
+        what: &str,
+        f: impl Fn(&mut AnytimeEngine) -> R,
+    ) -> R {
+        let got = f(&mut self.logged);
+        let want = reference::dense(|| f(&mut self.dense));
+        assert_eq!(got, want, "{what}: results differ");
+        self.assert_same(what);
+        got
+    }
+
+    fn assert_same(&self, what: &str) {
+        assert_eq!(self.logged.procs.len(), self.dense.procs.len(), "{what}");
+        for (a, b) in self.logged.procs.iter().zip(&self.dense.procs) {
+            let rank = a.rank;
+            assert_eq!(a.dv.vertices(), b.dv.vertices(), "{what}: rank {rank} rows");
+            for &v in a.dv.vertices() {
+                assert_eq!(a.dv.row(v), b.dv.row(v), "{what}: rank {rank} row {v}");
+            }
+            assert_eq!(a.dirty, b.dirty, "{what}: rank {rank} dirty set");
+            assert_eq!(a.ext_rows, b.ext_rows, "{what}: rank {rank} cached rows");
+            assert_eq!(
+                a.sent_snapshot, b.sent_snapshot,
+                "{what}: rank {rank} delta baselines"
+            );
+        }
+        let (a, b) = (
+            self.logged.cluster().ledger().totals(),
+            self.dense.cluster().ledger().totals(),
+        );
+        assert_eq!(
+            (a.messages, a.bytes, a.dropped_messages),
+            (b.messages, b.bytes, b.dropped_messages),
+            "{what}: wire traffic"
+        );
+        assert_eq!(self.logged.rc_steps(), self.dense.rc_steps(), "{what}");
+    }
+
+    /// Steps both engines to convergence, comparing after every step.
+    fn converge(&mut self) {
+        for _ in 0..4000 {
+            if self.both("rc_step to convergence", AnytimeEngine::rc_step) {
+                return;
+            }
+        }
+        panic!("did not converge");
+    }
+
+    /// [`Self::converge`], then checks the result against the APSP oracle.
+    fn converge_and_check_oracle(&mut self) {
+        self.converge();
+        let dense = self.logged.distances_dense();
+        let oracle = algo::apsp_dijkstra(self.logged.graph());
+        for v in self.logged.graph().vertices() {
+            assert_eq!(dense[v as usize], oracle[v as usize], "row {v} vs oracle");
+        }
+    }
+
+    /// Replaces both engines by what their own checkpoints restore to.
+    fn checkpoint_roundtrip(&mut self) {
+        let restore = |e: &AnytimeEngine| {
+            let mut bytes = Vec::new();
+            e.save_checkpoint(&mut bytes).expect("in-memory write");
+            AnytimeEngine::restore_checkpoint(&mut &bytes[..], e.config().clone())
+                .expect("own checkpoint restores")
+        };
+        self.logged = restore(&self.logged);
+        self.dense = reference::dense(|| restore(&self.dense));
+        self.assert_same("checkpoint restore");
+    }
+}
+
+fn live(e: &AnytimeEngine, pick: u32) -> VertexId {
+    let ids: Vec<VertexId> = e.graph().vertices().collect();
+    ids[pick as usize % ids.len()]
+}
+
+/// One random call, applied to both engines. `kind` selects the event; `a`,
+/// `b`, `w` parameterize it. Returns whether the engine is still bound to
+/// reach the oracle afterwards (see kinds 8 and 10).
+fn apply_op(pair: &mut Pair, kind: u8, a: u32, b: u32, w: Weight) -> bool {
+    let (u, v) = (live(&pair.logged, a), live(&pair.logged, b));
+    let procs = pair.logged.config().num_procs;
+    let rank = a as usize % procs;
+    match kind {
+        // Recombination: full rows on first contact, deltas afterwards.
+        0..=3 => {
+            pair.both("rc_step", AnytimeEngine::rc_step);
+        }
+        4 if u != v => {
+            pair.both("add_edge", |e| e.add_edge(u, v, w));
+        }
+        5 => {
+            let edges: Vec<_> = pair.logged.graph().edges().collect();
+            if let Some(&(x, y, _)) = edges.get(a as usize % edges.len().max(1)) {
+                pair.both("delete_edge", |e| e.delete_edge(x, y));
+            }
+        }
+        6 => {
+            let edges: Vec<_> = pair.logged.graph().edges().collect();
+            if let Some(&(x, y, old)) = edges.get(b as usize % edges.len().max(1)) {
+                // Both directions: a decrease relaxes, an increase invalidates.
+                let new_w = if a.is_multiple_of(2) { old + w } else { 1 };
+                pair.both("change_edge_weight", |e| e.change_edge_weight(x, y, new_w));
+            }
+        }
+        7 => {
+            let x = live(&pair.logged, a.wrapping_add(7));
+            let batch = [(u, v, w), (v, x, 1), (u, x, w + 1)];
+            let batch: Vec<_> = batch.into_iter().filter(|&(p, q, _)| p != q).collect();
+            pair.both("add_edges", |e| e.add_edges(&batch));
+        }
+        8 => {
+            let strategy = [
+                AdditionStrategy::RoundRobinPs,
+                AdditionStrategy::CutEdgePs,
+                AdditionStrategy::RepartitionS,
+            ][b as usize % 3];
+            let mut batch = VertexBatch::new(2);
+            batch.connect(0, Endpoint::Existing(u), w);
+            batch.connect(1, Endpoint::Existing(v), 1);
+            batch.connect(0, Endpoint::New(1), 2);
+            if strategy == AdditionStrategy::RepartitionS {
+                pair.converge(); // it migrates: see the note on kind 10
+            }
+            pair.both("add_vertices", |e| e.add_vertices(&batch, strategy));
+            // Repartition-S never seeds the new rows into a worklist, so a
+            // row on their rank that nothing else moves keeps INF for them —
+            // on both paths alike.
+            return strategy != AdditionStrategy::RepartitionS;
+        }
+        9 if pair.logged.graph().vertex_count() > 8 => {
+            pair.both("delete_vertex", |e| e.delete_vertex(u));
+        }
+        // Migration: rows change owner, edges become local. Only from a
+        // converged state: migrating mid-run can strand an unsent improvement
+        // on both paths alike (rows that become local neighbours are never
+        // relaxed against each other unless one of them moves again), and a
+        // pair of engines that agree on a wrong answer tests nothing.
+        10 => {
+            pair.converge();
+            pair.both("rebalance", AnytimeEngine::rebalance);
+        }
+        // Fail-stop crash; the detector and the ladder pick it up over the
+        // next steps. With periodic checkpoints on, crash only once a
+        // checkpoint of the converged rows exists: restoring one that predates
+        // a migration mixes restored and reseeded rows that, as after a
+        // mid-run migration, never relax each other. Without checkpoints the
+        // ladder reseeds from local SSSP, which is sound at any point.
+        11 if procs > 1 => {
+            let interval = pair.logged.config().supervision.checkpoint_interval;
+            if interval > 0 {
+                pair.converge();
+                for _ in 0..interval {
+                    pair.both("rc_step to a checkpoint", AnytimeEngine::rc_step);
+                }
+            }
+            let at = pair.logged.rc_steps() as u64 + 1;
+            pair.both("schedule_crash", |e| e.schedule_crash(at, rank));
+            for _ in 0..8 {
+                pair.both("rc_step after crash", AnytimeEngine::rc_step);
+            }
+        }
+        12 => {
+            pair.both("fail_and_recover", |e| {
+                let report = e.fail_and_recover_processor(rank).expect("valid rank");
+                report.reseeded_rows
+            });
+        }
+        13 => pair.checkpoint_roundtrip(),
+        _ => {}
+    }
+    true
+}
+
+fn arb_config() -> impl Strategy<Value = EngineConfig> {
+    (2usize..5, 0u8..3, 0u8..4, 0u64..1000).prop_map(|(procs, ia, flavour, seed)| EngineConfig {
+        num_procs: procs,
+        seed,
+        ia: [
+            IaAlgorithm::Dijkstra,
+            IaAlgorithm::DeltaStepping { delta: 2 },
+            IaAlgorithm::BellmanFord,
+        ][ia as usize],
+        refinement: if flavour == 3 {
+            Refinement::PivotPass
+        } else {
+            Refinement::WorklistRelax
+        },
+        // One flavour in four runs over lossy links, so retransmitted full
+        // rows, duplicates and reordered deltas reach the receive side.
+        fault: (flavour == 2).then_some(FaultConfig {
+            p_drop: 0.2,
+            p_dup: 0.1,
+            reorder: true,
+            seed,
+        }),
+        repartition: if seed.is_multiple_of(2) {
+            RepartitionMode::FullRemap
+        } else {
+            RepartitionMode::Adaptive
+        },
+        supervision: SupervisorConfig {
+            checkpoint_interval: if seed.is_multiple_of(3) { 0 } else { 3 },
+            detector_timeout: 2,
+            ..Default::default()
+        },
+        ..Default::default()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn change_log_path_equals_dense_reference_after_every_call(
+        n in 12usize..40,
+        graph_seed in 0u64..1000,
+        config in arb_config(),
+        ops in proptest::collection::vec((0u8..14, 0u32..1000, 0u32..1000, 1u32..6), 4..24),
+    ) {
+        // A panic inside the body does not name its inputs: say which case
+        // it was before passing it on.
+        let case = format!("n={n} graph_seed={graph_seed} ops={ops:?} {config:?}");
+        let run = std::panic::AssertUnwindSafe(|| {
+            let graph = generators::erdos_renyi_gnm(n, 2 * n, 4, graph_seed);
+            let mut pair = Pair::new(graph, config);
+            // Boundary-pivot refinement is not exact under every event here
+            // (interior knowledge never reaches a row that does not move);
+            // for it the property is the equality alone.
+            let mut exact = pair.logged.config().refinement == Refinement::WorklistRelax;
+            for (kind, a, b, w) in ops {
+                exact &= apply_op(&mut pair, kind, a, b, w);
+            }
+            if exact {
+                pair.converge_and_check_oracle();
+            } else {
+                pair.converge();
+            }
+        });
+        if let Err(panic) = std::panic::catch_unwind(run) {
+            eprintln!("failing case: {case}");
+            std::panic::resume_unwind(panic);
+        }
+    }
+}
+
+/// Round-robin over two ranks puts `x`=1 and `u`=3 on rank 1 and `b`=0,
+/// `t`=2, `b2`=4 on rank 0. `x` reaches `t` fastest over its cut edge to
+/// `b2`; `u` reaches everything through `b` and owes nothing to that edge.
+fn relearn_fixture() -> Pair {
+    let mut g = Graph::with_vertices(5);
+    for (p, q, w) in [
+        (1, 3, 1),
+        (3, 0, 1),
+        (0, 2, 2),
+        (0, 4, 1),
+        (1, 4, 2),
+        (4, 2, 1),
+    ] {
+        g.add_edge(p, q, w);
+    }
+    let mut pair = Pair::new(
+        g,
+        EngineConfig {
+            num_procs: 2,
+            partitioner: PartitionerKind::RoundRobin,
+            ..Default::default()
+        },
+    );
+    assert_eq!(pair.logged.procs[1].dv.vertices(), &[1, 3]);
+    pair.converge_and_check_oracle();
+    pair
+}
+
+#[test]
+fn invalidated_entries_are_relearnt_from_an_unaffected_neighbour() {
+    let mut pair = relearn_fixture();
+    assert_eq!(
+        pair.logged.distances_dense()[1][2],
+        3,
+        "x reaches t over b2"
+    );
+    // At quiescence u has propagated everything: nothing in its log.
+    assert!(pair.logged.procs[1].dv.log(3).is_empty());
+    let before_u = pair.logged.procs[1].dv.row(3).to_vec();
+
+    pair.both("delete x-b2", |e| e.delete_edge(1, 4));
+
+    // Row u was not invalidated, and x has no cut edge left to relearn
+    // through: only u's untouched row can give x its new distances, and it
+    // does so inside the deletion itself, before any recombination step.
+    assert_eq!(pair.logged.procs[1].dv.row(3), &before_u[..]);
+    assert_eq!(pair.logged.procs[1].dv.row(1), &[2, 0, 4, 1, 3]);
+    pair.converge_and_check_oracle();
+}
+
+#[test]
+fn delta_after_a_broadcast_refreshed_the_cache_still_reaches_the_neighbours() {
+    // Path 0-1 | 2-3; rank 0 caches row 2 and is at its fixed point.
+    let g = generators::path(4);
+    let mut part = Partition::unassigned(4, 2);
+    for (v, rank) in [(0, 0), (1, 0), (2, 1), (3, 1)] {
+        part.assign(v, rank);
+    }
+    let mut p0 = crate::proc_state::ProcState::new(0, 4);
+    p0.rebuild_view(&g, &part);
+    p0.dv.add_row(0);
+    p0.dv.add_row(1);
+    p0.initial_approximation(IaAlgorithm::Dijkstra);
+    let seeds = p0.apply_external_row(2, vec![2, 1, 0, 5]);
+    p0.propagate_worklist(seeds);
+    assert_eq!(p0.dv.row(1), &[1, 0, 1, 6]);
+
+    // The sender's d(2,3) drops to 1. A broadcast puts the new row in the
+    // cache first; the delta that follows lowers nothing in the cache.
+    p0.cache_broadcast_row(2, &[2, 1, 0, 1]);
+    assert_eq!(p0.dv.row(1)[3], 6, "a broadcast does not relax neighbours");
+    let seeds = p0.apply_row_update(2, crate::proc_state::RowUpdate::Delta(vec![(3, 1)]));
+    assert_eq!(seeds, vec![1]);
+    assert_eq!(p0.dv.row(1)[3], 2);
+    p0.propagate_worklist(seeds);
+    assert_eq!(p0.dv.row(0)[3], 3);
+}
+
+#[test]
+fn rows_colocated_by_a_migration_relax_each_other_on_every_column() {
+    let g = generators::erdos_renyi_gnm(40, 90, 4, 5);
+    let mut pair = Pair::new(
+        g,
+        EngineConfig {
+            num_procs: 3,
+            ..Default::default()
+        },
+    );
+    pair.converge();
+    // Move every third vertex one rank on: old neighbours part, strangers
+    // become local neighbours with rows that never relaxed each other.
+    let mut part = pair.logged.partition().clone();
+    for v in pair.logged.graph().vertices().step_by(3) {
+        let rank = part.part_of(v).expect("assigned");
+        part.assign(v, (rank + 1) % 3);
+    }
+    let moved = pair.both("migrate", |e| e.migrate_to_partition(part.clone()));
+    assert!(moved > 0);
+    for ps in &pair.logged.procs {
+        for &v in ps.dv.vertices() {
+            let log = ps.dv.log(v);
+            assert!(
+                log.contains(0) && log.contains(39),
+                "row {v} not all-columns"
+            );
+        }
+    }
+    pair.converge_and_check_oracle();
+}
+
+#[test]
+fn column_growth_marks_every_row_all_columns() {
+    let g = generators::erdos_renyi_gnm(30, 70, 3, 9);
+    let config = EngineConfig {
+        num_procs: 3,
+        ..Default::default()
+    };
+    // Right after the initial approximation every log is empty; growing the
+    // column space fills them.
+    let mut probe = AnytimeEngine::new(g.clone(), config.clone());
+    probe.initialize();
+    let ps = &mut probe.procs[1];
+    let rows = ps.dv.vertices().to_vec();
+    assert!(rows.iter().all(|&v| ps.dv.log(v).is_empty()));
+    ps.extend_capacity(31);
+    for &v in &rows {
+        let log = ps.dv.log(v);
+        assert!(
+            log.contains(0) && log.contains(30),
+            "row {v} not all-columns"
+        );
+        assert_eq!(ps.dv.row(v)[30], INF);
+    }
+
+    // And vertices added mid-run leave the same rows as the dense path.
+    let mut pair = Pair::new(g, config);
+    pair.both("rc_step", AnytimeEngine::rc_step);
+    let mut batch = VertexBatch::new(2);
+    batch.connect(0, Endpoint::Existing(0), 1);
+    batch.connect(1, Endpoint::New(0), 2);
+    batch.connect(1, Endpoint::Existing(17), 1);
+    pair.both("add_vertices", |e| {
+        e.add_vertices(&batch, AdditionStrategy::RoundRobinPs)
+    });
+    pair.converge_and_check_oracle();
+}

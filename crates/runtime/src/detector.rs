@@ -10,7 +10,11 @@
 //! flagging compares each rank's per-step compute against the live median;
 //! a rank that exceeds `straggler_factor ×` the median (and an absolute
 //! floor, to ignore measurement noise on tiny graphs) for
-//! `straggler_patience` consecutive steps is flagged.
+//! `straggler_patience` consecutive steps is flagged. A step in which the
+//! rank exceeds the multiple but not the floor is no evidence either way: it
+//! neither extends nor resets a streak and leaves a verdict standing, so an
+//! idle or merely fast cluster does not un-flag a straggler; a charge back in
+//! line with the median clears it, however small.
 //!
 //! Steps, not wall seconds, drive the timeout: the simulation's notion of
 //! time is the LogP virtual clock, which advances per recombination step, so
@@ -111,10 +115,17 @@ impl FailureDetector {
         // Lower median: with an even live count the upper median could be
         // the straggler itself, inflating its own threshold.
         let median = live[(live.len() - 1) / 2];
-        let threshold = (median * self.straggler_factor).max(self.straggler_floor_us);
+        let relative = median * self.straggler_factor;
+        let threshold = relative.max(self.straggler_floor_us);
         for (r, (&us, &s)) in per_rank_us.iter().zip(skip).enumerate() {
             if s {
                 self.slow_streak[r] = 0;
+                continue;
+            }
+            if us > relative && us <= threshold {
+                // Out of line with its peers but under the floor: too small
+                // to judge. An idle or merely fast step says nothing about
+                // a slowdown, so streak and verdict stand.
                 continue;
             }
             if us > threshold {
@@ -228,6 +239,24 @@ mod tests {
         assert_eq!(d.health(2, 0), RankHealth::Healthy);
         d.observe_step_compute(&[10.0, 10.0, 200.0], &[false; 3]);
         assert_eq!(d.health(2, 0), RankHealth::Straggling);
+    }
+
+    #[test]
+    fn sub_floor_steps_are_no_evidence_either_way() {
+        let mut d = FailureDetector::new(3, 5, 2.0, 50.0, 2);
+        let skip = [false; 3];
+        d.observe_step_compute(&[60.0, 60.0, 600.0], &skip);
+        // An idle step between two slow ones does not reset the streak...
+        d.observe_step_compute(&[1.0, 1.0, 10.0], &skip);
+        d.observe_step_compute(&[60.0, 60.0, 600.0], &skip);
+        assert_eq!(d.health(2, 0), RankHealth::Straggling);
+        // ...and a quiet cluster does not clear the verdict while the rank
+        // is still out of line with its peers.
+        d.observe_step_compute(&[1.0, 1.0, 10.0], &skip);
+        assert_eq!(d.health(2, 0), RankHealth::Straggling);
+        // A step back in line with the median does, idle or not.
+        d.observe_step_compute(&[1.0, 1.0, 1.5], &skip);
+        assert_eq!(d.health(2, 0), RankHealth::Healthy);
     }
 
     #[test]
