@@ -60,12 +60,9 @@ fn run_once(
     let vertices = graph.vertex_count();
     let edges = graph.edge_count();
     let config = EngineConfig {
-        num_procs: params.procs,
-        seed: params.seed,
-        compute_scale: params.compute_scale,
         backend,
         threads,
-        ..Default::default()
+        ..params.engine_config(0.0)
     };
     let mut engine = AnytimeEngine::new(graph, config);
     // Time the phases the backend parallelizes (IA + RC); domain

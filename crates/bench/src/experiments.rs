@@ -6,7 +6,7 @@
 //! their 16-process MPI runs.
 
 use crate::workload::{community_vertex_batch, scaled, ExperimentParams};
-use aa_core::{AdditionStrategy, AnytimeEngine, EngineConfig};
+use aa_core::{AdditionStrategy, AnytimeEngine};
 use aa_partition::quality;
 use std::time::Instant;
 
@@ -19,13 +19,7 @@ fn minutes(us: f64) -> f64 {
 }
 
 fn engine_for(params: &ExperimentParams) -> AnytimeEngine {
-    let config = EngineConfig {
-        num_procs: params.procs,
-        seed: params.seed,
-        compute_scale: params.compute_scale,
-        ..Default::default()
-    };
-    let mut e = AnytimeEngine::new(params.base_graph(), config);
+    let mut e = AnytimeEngine::new(params.base_graph(), params.engine_config(0.0));
     e.initialize();
     e
 }
@@ -280,15 +274,7 @@ pub fn anytime_quality(params: &ExperimentParams) -> Vec<AnytimeRow> {
     let true_top: std::collections::HashSet<u32> =
         true_top.into_iter().take(25).map(|v| v as u32).collect();
 
-    let mut e = AnytimeEngine::new(
-        graph,
-        EngineConfig {
-            num_procs: params.procs,
-            seed: params.seed,
-            compute_scale: params.compute_scale,
-            ..Default::default()
-        },
-    );
+    let mut e = AnytimeEngine::new(graph, params.engine_config(0.0));
     e.initialize();
     e.enable_progress_probe();
     e.record_progress_sample(); // baseline sample before the first RC step

@@ -11,10 +11,12 @@
 //! directly comparable.
 
 use crate::workload::ExperimentParams;
-use aa_core::{AnytimeEngine, EngineConfig, FaultConfig};
+use aa_core::AnytimeEngine;
+use aa_durable::Storage;
 use aa_graph::rmat::{rmat, RmatParams};
 use aa_graph::{Graph, VertexId, Weight};
-use aa_ingest::{DrainPolicy, IngestConfig, IngestPipeline, UpdateOp};
+use aa_ingest::{IngestConfig, UpdateOp};
+use aa_serve::Session;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -131,6 +133,65 @@ pub fn churn_ops(base: &Graph, updates: usize, seed: u64) -> Vec<UpdateOp> {
     ops
 }
 
+/// A converged session over `base` for one serving pass — plain, or logging
+/// to a WAL on `storage` — sized so the queue never sheds or throttles.
+fn churn_session(
+    base: &Graph,
+    params: &ExperimentParams,
+    ops: usize,
+    drop_rate: f64,
+    storage: Option<Box<dyn Storage>>,
+) -> Result<Session, String> {
+    let engine = AnytimeEngine::new(base.clone(), params.engine_config(drop_rate));
+    let cap = ops.max(16);
+    let ingest = IngestConfig {
+        queue_cap: cap,
+        high_watermark: cap,
+        ..Default::default()
+    };
+    let mut session = match storage {
+        Some(storage) => {
+            Session::open_durable(storage, engine, ingest, None, Default::default())?.0
+        }
+        None => Session::new(engine, ingest, None)?,
+    };
+    session.converge(4 * params.procs + 32);
+    Ok(session)
+}
+
+/// Serves `ops` in batches of `batch`. Serving model: after every batch the
+/// engine reconverges, so queries between updates always see exact
+/// closeness. The baseline (batch 1) therefore pays a full apply +
+/// reconverge cycle per update; batching amortizes that cycle over the
+/// whole batch. Returns the group commits issued (0 without a WAL).
+fn churn(
+    session: &mut Session,
+    params: &ExperimentParams,
+    ops: &[UpdateOp],
+    batch: usize,
+) -> Result<u64, String> {
+    let mut commits = 0;
+    let mut apply = |session: &mut Session| -> Result<(), String> {
+        let applied = session.apply_all()?;
+        if let Some(e) = applied.commit_error {
+            return Err(e);
+        }
+        commits += u64::from(applied.durable_seq.is_some());
+        if applied.flushed.is_some() {
+            session.converge(4 * params.procs + 32);
+        }
+        Ok(())
+    };
+    for op in ops {
+        session.push(op.clone())?;
+        if session.pending_ops() >= batch {
+            apply(session)?;
+        }
+    }
+    apply(session)?;
+    Ok(commits)
+}
+
 fn serve(
     base: &Graph,
     params: &ExperimentParams,
@@ -138,46 +199,12 @@ fn serve(
     batch: usize,
     drop_rate: f64,
 ) -> Result<IngestRow, String> {
-    let config = EngineConfig {
-        num_procs: params.procs,
-        seed: params.seed,
-        compute_scale: params.compute_scale,
-        fault: (drop_rate > 0.0).then(|| FaultConfig {
-            p_drop: drop_rate,
-            ..Default::default()
-        }),
-        ..Default::default()
-    };
-    let mut engine = AnytimeEngine::new(base.clone(), config);
-    engine.initialize();
-    let limit = 4 * params.procs + 32;
-    engine.run_to_convergence(limit);
+    let mut session = churn_session(base, params, ops.len(), drop_rate, None)?;
+    let t0 = session.engine().makespan_us();
+    churn(&mut session, params, ops, batch)?;
+    let cluster_seconds = (session.engine().makespan_us() - t0) / 1e6;
 
-    let cap = ops.len().max(16);
-    let mut pipeline = IngestPipeline::new(IngestConfig {
-        queue_cap: cap,
-        high_watermark: cap,
-        policy: DrainPolicy::SizeTriggered(batch),
-        ..Default::default()
-    })?;
-
-    // Serving model: after every flush the engine reconverges, so queries
-    // between updates always see exact closeness. The baseline (batch 1)
-    // therefore pays a full apply + reconverge cycle per update; batching
-    // amortizes that cycle over the whole batch.
-    let t0 = engine.makespan_us();
-    for op in ops {
-        pipeline.push(&engine, op.clone())?;
-        if pipeline.maybe_flush(&mut engine)?.is_some() {
-            engine.run_to_convergence(limit);
-        }
-    }
-    if pipeline.flush(&mut engine)?.is_some() {
-        engine.run_to_convergence(limit);
-    }
-    let cluster_seconds = (engine.makespan_us() - t0) / 1e6;
-
-    let stats = pipeline.stats();
+    let stats = session.ingest_stats();
     Ok(IngestRow {
         batch,
         drop_rate,
@@ -235,66 +262,21 @@ pub struct DurableOverheadRow {
     pub disk_bytes: u64,
 }
 
-/// One serving pass over `ops`; with `durable` set, every enqueued op is
-/// WAL-logged and group-committed before the flush that applies it (the
-/// serve layer's commit-before-apply ordering). Returns host wall seconds
-/// and the number of commits issued.
+/// One timed serving pass over `ops`; with `storage` set, every enqueued op
+/// is WAL-logged and group-committed before the flush that applies it, and
+/// the pass ends with a checkpoint. Returns host wall seconds and the number
+/// of commits issued.
 fn churn_pass(
     base: &Graph,
     params: &ExperimentParams,
     ops: &[UpdateOp],
     batch: usize,
-    mut durable: Option<(&mut aa_durable::DurableLog, &mut aa_durable::DiskStorage)>,
+    storage: Option<Box<dyn Storage>>,
 ) -> Result<(f64, u64), String> {
-    let config = EngineConfig {
-        num_procs: params.procs,
-        seed: params.seed,
-        compute_scale: params.compute_scale,
-        ..Default::default()
-    };
-    let mut engine = AnytimeEngine::new(base.clone(), config);
-    engine.initialize();
-    let limit = 4 * params.procs + 32;
-    engine.run_to_convergence(limit);
-    let cap = ops.len().max(16);
-    let mut pipeline = IngestPipeline::new(IngestConfig {
-        queue_cap: cap,
-        high_watermark: cap,
-        policy: DrainPolicy::SizeTriggered(batch),
-        ..Default::default()
-    })?;
-    let mut commits = 0u64;
+    let mut session = churn_session(base, params, ops.len(), 0.0, storage)?;
     let t0 = std::time::Instant::now();
-    for op in ops {
-        let outcome = pipeline.push(&engine, op.clone())?;
-        if outcome.enqueued {
-            if let Some((log, _)) = durable.as_mut() {
-                log.append(op);
-            }
-        }
-        if pipeline.pending_ops() >= batch {
-            if let Some((log, storage)) = durable.as_mut() {
-                log.commit(&mut **storage)
-                    .map_err(|e| format!("wal commit: {e}"))?;
-                commits += 1;
-            }
-            if pipeline.flush(&mut engine)?.is_some() {
-                engine.run_to_convergence(limit);
-            }
-        }
-    }
-    if let Some((log, storage)) = durable.as_mut() {
-        log.commit(&mut **storage)
-            .map_err(|e| format!("wal commit: {e}"))?;
-        commits += 1;
-    }
-    if pipeline.flush(&mut engine)?.is_some() {
-        engine.run_to_convergence(limit);
-    }
-    if let Some((log, storage)) = durable.as_mut() {
-        log.checkpoint(&mut **storage, &engine)
-            .map_err(|e| format!("checkpoint: {e}"))?;
-    }
+    let commits = churn(&mut session, params, ops, batch)?;
+    session.close()?;
     Ok((t0.elapsed().as_secs_f64(), commits))
 }
 
@@ -315,13 +297,10 @@ pub fn durable_overhead(
         params.seed
     ));
     std::fs::remove_dir_all(&dir).ok();
-    let mut storage =
+    let storage =
         aa_durable::DiskStorage::open(&dir).map_err(|e| format!("open {}: {e}", dir.display()))?;
-    let mut log =
-        aa_durable::DurableLog::open(&mut storage, 1, aa_durable::DurabilityConfig::default())
-            .map_err(|e| format!("open wal: {e}"))?;
     let (durable_wall_s, commits) =
-        churn_pass(&base, params, &ops, batch, Some((&mut log, &mut storage)))?;
+        churn_pass(&base, params, &ops, batch, Some(Box::new(storage)))?;
     let disk_bytes = std::fs::read_dir(&dir)
         .map(|it| {
             it.flatten()

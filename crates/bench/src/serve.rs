@@ -12,8 +12,8 @@
 
 use crate::ingest::ingest_base_graph;
 use crate::workload::ExperimentParams;
-use aa_core::{AnytimeEngine, EngineConfig, FaultConfig};
-use aa_serve::{ClientOp, LoadGen, ServeConfig, Server, WorkloadConfig};
+use aa_core::AnytimeEngine;
+use aa_serve::{LoadGen, ServeConfig, Server, WorkloadConfig};
 
 /// One (offered load, read fraction) cell of the serving sweep.
 #[derive(Debug, Clone)]
@@ -67,17 +67,7 @@ fn serve_cell(
     turns: usize,
 ) -> Result<ServeRow, String> {
     let base = ingest_base_graph(params);
-    let config = EngineConfig {
-        num_procs: params.procs,
-        seed: params.seed,
-        compute_scale: params.compute_scale,
-        fault: (drop_rate > 0.0).then(|| FaultConfig {
-            p_drop: drop_rate,
-            ..Default::default()
-        }),
-        ..Default::default()
-    };
-    let engine = AnytimeEngine::new(base, config);
+    let engine = AnytimeEngine::new(base, params.engine_config(drop_rate));
     let mut server = Server::new(engine, ServeConfig::default())?;
     let mut gen = LoadGen::new(WorkloadConfig {
         seed: params.seed ^ 0x5e47e,
@@ -86,38 +76,12 @@ fn serve_cell(
         topk_read_mix,
         top_k: 10,
     });
-    let mut topk_exact = 0u64;
-    let mut topk_anytime = 0u64;
-    let mut count_topk = |outcomes: &[aa_serve::ReadOutcome]| {
-        for o in outcomes {
-            if let aa_serve::ReadOutcome::Served {
-                value: aa_serve::ReadValue::TopK(ans),
-                ..
-            } = o
-            {
-                if ans.is_exact() {
-                    topk_exact += 1;
-                } else {
-                    topk_anytime += 1;
-                }
-            }
-        }
-    };
     let t0 = server.engine().makespan_us();
     for _ in 0..turns {
-        for op in gen.turn_ops(server.engine()) {
-            match op {
-                ClientOp::Read(kind) => {
-                    server.submit_read(kind);
-                }
-                ClientOp::Write(op) => {
-                    server.submit_write(op);
-                }
-            }
-        }
-        count_topk(&server.turn()?.served);
+        gen.offer(&mut server);
+        server.turn()?;
     }
-    count_topk(&server.drain(16 * params.procs + 256)?);
+    server.drain(16 * params.procs + 256)?;
     let cluster_seconds = (server.engine().makespan_us() - t0) / 1e6;
 
     let stats = server.stats();
@@ -137,8 +101,8 @@ fn serve_cell(
         p50_us,
         p99_us,
         shed_rate: stats.read_shed_rate(),
-        topk_exact,
-        topk_anytime,
+        topk_exact: stats.topk_exact,
+        topk_anytime: stats.topk_anytime,
         degraded_turns: stats.degraded_turns,
         cluster_seconds,
     })

@@ -3,7 +3,7 @@
 //! how early the top-k answer settles relative to full convergence.
 //!
 //! For each R-MAT scale the sweep runs the engine to static convergence
-//! while a [`TopKTracker`] observes every RC step through the bound-delta
+//! while a `TopKTracker` observes every RC step through the bound-delta
 //! feed. Two step counts matter: the step at which the tracker's answer
 //! became provably exact (every non-member pruned or dominated, member
 //! scores pivot-exact) and the step at which the *engine* finished all
@@ -14,9 +14,10 @@
 //! against the converged snapshot's ranking before the row is reported.
 
 use crate::workload::ExperimentParams;
-use aa_core::{AnytimeEngine, EngineConfig};
+use aa_core::AnytimeEngine;
 use aa_graph::rmat::{rmat, RmatParams};
-use aa_query::{TopKConfig, TopKTracker};
+use aa_query::TopKConfig;
+use aa_serve::Session;
 
 /// One R-MAT scale of the top-k pruning sweep.
 #[derive(Debug, Clone)]
@@ -57,45 +58,33 @@ fn topk_cell(
     let graph = rmat(scale, n * 4, RmatParams::default(), 4, params.seed);
     let vertices = graph.vertex_count();
     let edges = graph.edge_count();
-    let config = EngineConfig {
-        num_procs: params.procs,
-        seed: params.seed,
-        compute_scale: params.compute_scale,
-        ..Default::default()
+    let engine = AnytimeEngine::new(graph, params.engine_config(0.0));
+    let topk = Some(TopKConfig { k, max_pivots });
+    let mut session = Session::new(engine, Default::default(), topk)?;
+    // One observation per superstep, with the tracker's statistics read in
+    // between — `Session::converge` with a look after every step.
+    let observe = |session: &mut Session| {
+        session.publish();
+        let t = session.tracker();
+        t.map_or((false, 0.0), |t| (t.is_exact(), t.pruned_fraction()))
     };
-    let mut engine = AnytimeEngine::new(graph, config);
-    engine.enable_bound_feed();
-    engine.initialize();
-    let mut tracker = TopKTracker::new(TopKConfig { k, max_pivots });
-
-    let observe = |engine: &mut AnytimeEngine, tracker: &mut TopKTracker| {
-        let frame = engine.publish_snapshot();
-        let deltas = engine.drain_bound_deltas();
-        tracker.observe(&frame, engine.graph(), &deltas);
-    };
-    observe(&mut engine, &mut tracker);
+    let (mut exact, mut peak_pruned) = observe(&mut session);
+    let mut pruned_at_exact = if exact { peak_pruned } else { 0.0 };
 
     let budget = 16 * params.procs + 64;
-    let mut peak_pruned: f64 = tracker.pruned_fraction();
-    let mut pruned_at_exact: f64 = if tracker.is_exact() {
-        tracker.pruned_fraction()
-    } else {
-        0.0
-    };
     let mut steps = 0usize;
-    while !engine.is_converged() && steps < budget {
-        engine.rc_step();
+    while steps < budget && session.step(1) == 1 {
         steps += 1;
-        let was_exact = tracker.is_exact();
-        observe(&mut engine, &mut tracker);
-        if !engine.is_converged() && tracker.pruned_fraction() > peak_pruned {
-            peak_pruned = tracker.pruned_fraction();
+        let (now_exact, pruned) = observe(&mut session);
+        if !session.engine().is_converged() && pruned > peak_pruned {
+            peak_pruned = pruned;
         }
-        if !was_exact && tracker.is_exact() {
-            pruned_at_exact = tracker.pruned_fraction();
+        if !exact && now_exact {
+            pruned_at_exact = pruned;
         }
+        exact = now_exact;
     }
-    if !engine.is_converged() {
+    if !session.engine().is_converged() {
         return Err(format!(
             "scale {scale} did not converge within {budget} steps"
         ));
@@ -103,6 +92,7 @@ fn topk_cell(
 
     // Oracle check: the converged snapshot's ranking is ground truth and
     // the tracker must agree exactly, both in membership and order.
+    let tracker = session.tracker().ok_or("the session has no tracker")?;
     let ans = tracker
         .answer(k)
         .ok_or_else(|| format!("scale {scale}: tracker never produced an answer"))?;
@@ -111,7 +101,8 @@ fn topk_cell(
             "scale {scale}: converged but tracker confidence is still anytime"
         ));
     }
-    let oracle = engine.snapshot().top_k(k);
+    let (pivots, steps_to_exact) = (tracker.pivots().len(), tracker.resolution_step());
+    let oracle = session.engine_mut().snapshot().top_k(k);
     let oracle_ids: Vec<_> = oracle.iter().map(|&(v, _)| v).collect();
     if ans.ids() != oracle_ids {
         return Err(format!(
@@ -126,9 +117,9 @@ fn topk_cell(
         vertices,
         edges,
         k,
-        pivots: tracker.pivots().len(),
-        steps_to_exact: tracker.resolution_step(),
-        steps_to_converge: engine.rc_steps(),
+        pivots,
+        steps_to_exact,
+        steps_to_converge: session.engine().rc_steps(),
         pruned_at_exact,
         peak_pruned,
         oracle_match: true,

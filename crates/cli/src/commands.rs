@@ -1,35 +1,149 @@
-//! Subcommand implementations for the `aa` binary.
+//! Subcommand implementations for the `aa` binary: each parses its options,
+//! drives one [`Session`] (or a [`Server`] over one) and prints.
 
 use crate::{load_graph, save_graph, Format};
 use aa_core::{
     AdditionStrategy, AnytimeEngine, EngineConfig, FaultConfig, ProcFaultConfig, SupervisorConfig,
 };
 use aa_durable::atomic_write_file;
+use aa_ingest::{DrainPolicy, IngestConfig};
 use aa_partition::{
     quality, BfsGrowPartitioner, HashPartitioner, MultilevelKWay, Partitioner,
     RoundRobinPartitioner,
 };
+use aa_query::TopKConfig;
 use aa_runtime::{threads_available, BackendKind};
+use aa_serve::{Server, Session};
 use std::path::{Path, PathBuf};
 
 /// Validates a `--backend`/`--threads` combination up front, so a
 /// misconfiguration fails with a clear CLI error instead of a
 /// construction-time panic deep inside the engine. Two loud failure modes:
-/// the simulator is strictly sequential (the vendored rayon stub has no real
-/// thread pool, so `--threads N > 1` would silently run on one core), and
-/// the threads backend needs the host to actually spawn OS threads.
+/// the simulator is single-threaded (`--threads N > 1` would silently run on
+/// one core), and the threads backend needs the host to actually spawn OS
+/// threads.
 pub fn validate_backend(backend: BackendKind, threads: usize) -> Result<(), String> {
     match backend {
         BackendKind::Sim if threads > 1 => Err(format!(
             "--threads {threads} is incompatible with --backend sim: the simulator is \
-             single-threaded and the vendored rayon stub has no real thread pool, so the run \
-             would silently execute sequentially; use --backend threads for real parallelism"
+             single-threaded, so the run would silently execute sequentially; use \
+             --backend threads for real parallelism"
         )),
         BackendKind::Threads if !threads_available() => Err(
             "--backend threads: this host cannot spawn OS threads; use --backend sim".to_string(),
         ),
         _ => Ok(()),
     }
+}
+
+/// Validates the fault-injection and backend options every engine-building
+/// subcommand shares and assembles the engine configuration from them.
+fn engine_config(
+    procs: usize,
+    drop_rate: f64,
+    crash_at: &[(u64, usize)],
+    stragglers: &[(usize, f64)],
+    backend: BackendKind,
+    threads: usize,
+) -> Result<EngineConfig, String> {
+    if !(0.0..1.0).contains(&drop_rate) {
+        return Err(format!(
+            "drop rate {drop_rate} must lie in [0, 1) — a network that drops everything can never converge"
+        ));
+    }
+    for &(step, rank) in crash_at {
+        if rank >= procs {
+            return Err(format!(
+                "--crash-at {step}:{rank}: rank {rank} out of range (cluster has {procs} processors)"
+            ));
+        }
+    }
+    for &(rank, scale) in stragglers {
+        if rank >= procs {
+            return Err(format!(
+                "--straggler {rank}:{scale}: rank {rank} out of range (cluster has {procs} processors)"
+            ));
+        }
+        if scale <= 0.0 || scale.is_nan() {
+            return Err(format!(
+                "--straggler {rank}:{scale}: scale must be positive"
+            ));
+        }
+    }
+    validate_backend(backend, threads)?;
+    Ok(EngineConfig {
+        num_procs: procs,
+        fault: (drop_rate > 0.0).then(|| FaultConfig {
+            p_drop: drop_rate,
+            ..Default::default()
+        }),
+        proc_fault: (!crash_at.is_empty() || !stragglers.is_empty()).then(|| ProcFaultConfig {
+            crashes: crash_at.to_vec(),
+            stragglers: stragglers.to_vec(),
+        }),
+        backend,
+        threads,
+        ..Default::default()
+    })
+}
+
+/// The tracker configuration behind `--top-k`.
+fn topk_config(top_k: Option<usize>) -> Result<Option<TopKConfig>, String> {
+    match top_k {
+        Some(0) => Err("--top-k must be at least 1".to_string()),
+        Some(k) => Ok(Some(TopKConfig {
+            k,
+            max_pivots: 16.max(k),
+        })),
+        None => Ok(None),
+    }
+}
+
+/// Runs the static analysis to convergence and reports it.
+fn converge_static(session: &mut Session, budget: usize, out: &mut String) {
+    let steps = session.converge(budget);
+    let graph = session.engine().graph();
+    out.push_str(&format!(
+        "graph: {} vertices, {} edges — converged in {steps} RC steps\n",
+        graph.vertex_count(),
+        graph.edge_count()
+    ));
+}
+
+/// Appends the closeness ranking and, with a tracker attached, the anytime
+/// top-k section with its confidence.
+fn push_ranking(out: &mut String, session: &mut Session, top: usize) {
+    let snap = session.engine_mut().snapshot();
+    out.push_str(&format!(
+        "\ntop-{top} closeness (cluster time {:.1} ms over {} RC steps):\n",
+        snap.makespan_us / 1000.0,
+        session.engine().rc_steps()
+    ));
+    for (v, c) in snap.top_k(top) {
+        out.push_str(&format!("  vertex {v:>8}  closeness {c:.6e}\n"));
+    }
+    let Some(t) = session.tracker() else { return };
+    let k = t.config().k;
+    if let Some(ans) = t.answer(k) {
+        out.push_str(&format!(
+            "\nanytime top-{k} ({} pivots, {:.1}% of non-member candidates pruned):\n",
+            t.pivots().len(),
+            t.pruned_fraction() * 100.0
+        ));
+        for (v, c) in &ans.members {
+            out.push_str(&format!("  vertex {v:>8}  closeness {c:.6e}\n"));
+        }
+        out.push_str(&format!("  {}\n", crate::stream::confidence_line(t, &ans)));
+    }
+}
+
+/// Publishes an output file atomically — a crash mid-write must never leave
+/// a torn file where a good one (or nothing) should be — and reports it as
+/// "`what` written to `path`".
+fn write_out(out: &mut String, path: &Path, bytes: &[u8], what: &str) -> Result<(), String> {
+    atomic_write_file(path, bytes).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    out.push_str(&format!("{what} written to {}\n", path.display()));
+    Ok(())
 }
 
 /// Options shared by the analysis subcommands.
@@ -143,162 +257,71 @@ impl Default for AnalyzeOpts {
 /// update stream, print the ranking and cost ledger. Returns the printed
 /// report (also printed to stdout by the binary).
 pub fn analyze(opts: &AnalyzeOpts) -> Result<String, String> {
-    if !(0.0..1.0).contains(&opts.drop_rate) {
-        return Err(format!(
-            "drop rate {} must lie in [0, 1) — a network that drops everything can never converge",
-            opts.drop_rate
-        ));
-    }
-    for &(step, rank) in &opts.crash_at {
-        if rank >= opts.procs {
-            return Err(format!(
-                "--crash-at {step}:{rank}: rank {rank} out of range (cluster has {} processors)",
-                opts.procs
-            ));
-        }
-    }
-    for &(rank, scale) in &opts.stragglers {
-        if rank >= opts.procs {
-            return Err(format!(
-                "--straggler {rank}:{scale}: rank {rank} out of range (cluster has {} processors)",
-                opts.procs
-            ));
-        }
-        if scale <= 0.0 || scale.is_nan() {
-            return Err(format!(
-                "--straggler {rank}:{scale}: scale must be positive"
-            ));
-        }
-    }
-    let fault = (opts.drop_rate > 0.0).then(|| FaultConfig {
-        p_drop: opts.drop_rate,
-        ..Default::default()
-    });
-    let proc_fault =
-        (!opts.crash_at.is_empty() || !opts.stragglers.is_empty()).then(|| ProcFaultConfig {
-            crashes: opts.crash_at.clone(),
-            stragglers: opts.stragglers.clone(),
-        });
     if opts.detector_timeout == Some(0) {
         return Err("--detector-timeout must be at least 1 RC step".to_string());
     }
-    validate_backend(opts.backend, opts.threads)?;
-    let supervision = SupervisorConfig {
-        detector_timeout: opts
-            .detector_timeout
-            .unwrap_or(SupervisorConfig::default().detector_timeout),
-        checkpoint_interval: opts
-            .checkpoint_interval
-            .unwrap_or(SupervisorConfig::default().checkpoint_interval),
-        ..Default::default()
-    };
+    let topk = topk_config(opts.top_k)?;
+    let supervision = SupervisorConfig::default();
     let config = EngineConfig {
-        num_procs: opts.procs,
-        fault,
-        proc_fault,
-        supervision,
-        backend: opts.backend,
-        threads: opts.threads,
-        ..Default::default()
+        supervision: SupervisorConfig {
+            detector_timeout: opts
+                .detector_timeout
+                .unwrap_or(supervision.detector_timeout),
+            checkpoint_interval: opts
+                .checkpoint_interval
+                .unwrap_or(supervision.checkpoint_interval),
+            ..supervision
+        },
+        ..engine_config(
+            opts.procs,
+            opts.drop_rate,
+            &opts.crash_at,
+            &opts.stragglers,
+            opts.backend,
+            opts.threads,
+        )?
     };
-    let mut engine = if let Some(ckpt) = &opts.resume {
+    let engine = if let Some(ckpt) = &opts.resume {
         let mut file = std::fs::File::open(ckpt)
             .map_err(|e| format!("cannot open checkpoint {}: {e}", ckpt.display()))?;
         AnytimeEngine::restore_checkpoint(&mut file, config)
             .map_err(|e| format!("cannot restore checkpoint: {e}"))?
     } else {
-        let graph = load_graph(&opts.input, opts.format)?;
-        let mut e = AnytimeEngine::new(graph, config);
-        e.initialize();
-        e
+        AnytimeEngine::new(load_graph(&opts.input, opts.format)?, config)
     };
-
+    // Stream replay goes through the same ingest path as `aa stream`; a
+    // batch target of 1 keeps per-command semantics (every op is applied as
+    // it is pushed, so warnings and effects land in command order).
+    let ingest = IngestConfig {
+        policy: DrainPolicy::SizeTriggered(1),
+        strategy: opts.strategy,
+        ..Default::default()
+    };
+    let mut session = Session::new(engine, ingest, topk)?;
     if opts.trace.is_some() {
-        engine.cluster_mut().enable_trace();
+        session.engine_mut().cluster_mut().enable_trace();
     }
     if opts.progress_out.is_some() {
-        engine.enable_progress_probe();
+        session.engine_mut().enable_progress_probe();
     }
-    if opts.top_k == Some(0) {
-        return Err("--top-k must be at least 1".to_string());
-    }
-    let mut tracker = opts.top_k.map(|k| {
-        engine.enable_bound_feed();
-        aa_query::TopKTracker::new(aa_query::TopKConfig {
-            k,
-            max_pivots: 16.max(k),
-        })
-    });
     let mut out = String::new();
     let budget = 16 * opts.procs + 64;
-    let steps = match tracker.as_mut() {
-        Some(t) => crate::stream::run_observed(&mut engine, t, budget),
-        None => engine.run_to_convergence(budget),
-    };
-    out.push_str(&format!(
-        "graph: {} vertices, {} edges — converged in {steps} RC steps\n",
-        engine.graph().vertex_count(),
-        engine.graph().edge_count()
-    ));
+    converge_static(&mut session, budget, &mut out);
 
     if let Some(stream_path) = &opts.stream {
         let text = std::fs::read_to_string(stream_path)
             .map_err(|e| format!("cannot read stream {}: {e}", stream_path.display()))?;
         let cmds = crate::stream::parse_stream(&text)?;
         out.push_str(&format!("applying {} stream commands…\n", cmds.len()));
-        // Replay goes through the same ingest path as `aa stream`; a batch
-        // target of 1 keeps per-command semantics (every op flushes
-        // immediately, so warnings and effects land in command order).
-        let mut pipeline = aa_ingest::IngestPipeline::new(aa_ingest::IngestConfig {
-            policy: aa_ingest::DrainPolicy::SizeTriggered(1),
-            strategy: opts.strategy,
-            ..Default::default()
-        })?;
-        let lines = crate::stream::apply_batch(
-            &mut engine,
-            &mut pipeline,
-            &cmds,
-            opts.strategy,
-            tracker.as_mut(),
-        )?;
-        for line in lines {
+        for line in crate::stream::apply_batch(&mut session, &cmds)? {
             out.push_str(&line);
             out.push('\n');
         }
-        match tracker.as_mut() {
-            Some(t) => {
-                crate::stream::run_observed(&mut engine, t, budget);
-            }
-            None => {
-                engine.run_to_convergence(budget);
-            }
-        }
+        session.converge(budget);
     }
 
-    let snap = engine.snapshot();
-    out.push_str(&format!(
-        "\ntop-{} closeness (cluster time {:.1} ms over {} RC steps):\n",
-        opts.top,
-        snap.makespan_us / 1000.0,
-        engine.rc_steps()
-    ));
-    for (v, c) in snap.top_k(opts.top) {
-        out.push_str(&format!("  vertex {v:>8}  closeness {c:.6e}\n"));
-    }
-    if let Some(t) = &tracker {
-        let k = t.config().k;
-        if let Some(ans) = t.answer(k) {
-            out.push_str(&format!(
-                "\nanytime top-{k} ({} pivots, {:.1}% of non-member candidates pruned):\n",
-                t.pivots().len(),
-                t.pruned_fraction() * 100.0
-            ));
-            for (v, c) in &ans.members {
-                out.push_str(&format!("  vertex {v:>8}  closeness {c:.6e}\n"));
-            }
-            out.push_str(&format!("  {}\n", crate::stream::confidence_line(t, &ans)));
-        }
-    }
+    push_ranking(&mut out, &mut session, opts.top);
+    let engine = session.engine_mut();
     for measure in &opts.measures {
         match measure {
             Measure::Degree => {
@@ -385,45 +408,36 @@ pub fn analyze(opts: &AnalyzeOpts) -> Result<String, String> {
         ));
     }
 
+    let engine = session.engine();
     if let Some(path) = &opts.metrics_out {
-        let mut registry = engine.metrics_registry();
-        if let Some(t) = &tracker {
-            registry.merge(&t.metrics_registry());
-        }
-        atomic_write_file(path, registry.to_json().as_bytes())
-            .map_err(|e| format!("cannot write metrics {}: {e}", path.display()))?;
-        out.push_str(&format!("metrics written to {}\n", path.display()));
+        write_out(
+            &mut out,
+            path,
+            session.metrics_registry().to_json().as_bytes(),
+            "metrics",
+        )?;
     }
     if let Some(path) = &opts.progress_out {
         let samples = engine.progress_samples();
-        atomic_write_file(path, aa_core::encode_jsonl(samples).as_bytes())
-            .map_err(|e| format!("cannot write progress {}: {e}", path.display()))?;
-        out.push_str(&format!(
-            "progress probe ({} samples) written to {}\n",
-            samples.len(),
-            path.display()
-        ));
+        let what = format!("progress probe ({} samples)", samples.len());
+        write_out(
+            &mut out,
+            path,
+            aa_core::encode_jsonl(samples).as_bytes(),
+            &what,
+        )?;
     }
     if let Some(path) = &opts.spans_out {
         let spans = engine.spans();
-        atomic_write_file(path, spans.to_jsonl().as_bytes())
-            .map_err(|e| format!("cannot write spans {}: {e}", path.display()))?;
-        out.push_str(&format!(
-            "phase spans ({} records) written to {}\n",
-            spans.len(),
-            path.display()
-        ));
+        let what = format!("phase spans ({} records)", spans.len());
+        write_out(&mut out, path, spans.to_jsonl().as_bytes(), &what)?;
     }
     if let Some(path) = &opts.save_checkpoint {
-        // Buffer then publish atomically: a crash mid-save must never leave
-        // a torn checkpoint where a good one (or nothing) should be.
         let mut bytes = Vec::new();
         engine
             .save_checkpoint(&mut bytes)
             .map_err(|e| format!("cannot encode checkpoint: {e}"))?;
-        atomic_write_file(path, &bytes)
-            .map_err(|e| format!("cannot write checkpoint {}: {e}", path.display()))?;
-        out.push_str(&format!("checkpoint written to {}\n", path.display()));
+        write_out(&mut out, path, &bytes, "checkpoint")?;
     }
     Ok(out)
 }
@@ -519,85 +533,43 @@ pub fn parse_drain_policy(
 /// bounded admission queue, coalescing buffer, policy-driven batch flushes —
 /// then report the post-convergence ranking plus ingest statistics.
 pub fn stream_serve(opts: &StreamOpts) -> Result<String, String> {
-    if !(0.0..1.0).contains(&opts.drop_rate) {
-        return Err(format!(
-            "drop rate {} must lie in [0, 1) — a network that drops everything can never converge",
-            opts.drop_rate
-        ));
-    }
     let policy = parse_drain_policy(&opts.drain_policy, opts.batch, opts.queue_cap)?;
-    validate_backend(opts.backend, opts.threads)?;
-    let fault = (opts.drop_rate > 0.0).then(|| FaultConfig {
-        p_drop: opts.drop_rate,
-        ..Default::default()
-    });
-    let config = EngineConfig {
-        num_procs: opts.procs,
-        fault,
-        backend: opts.backend,
-        threads: opts.threads,
-        ..Default::default()
-    };
-    if opts.top_k == Some(0) {
-        return Err("--top-k must be at least 1".to_string());
-    }
-    let graph = load_graph(&opts.input, opts.format)?;
-    let mut engine = AnytimeEngine::new(graph, config);
-    engine.initialize();
-    let mut tracker = opts.top_k.map(|k| {
-        engine.enable_bound_feed();
-        aa_query::TopKTracker::new(aa_query::TopKConfig {
-            k,
-            max_pivots: 16.max(k),
-        })
-    });
-    let budget = 16 * opts.procs + 64;
-    let steps = match tracker.as_mut() {
-        Some(t) => crate::stream::run_observed(&mut engine, t, budget),
-        None => engine.run_to_convergence(budget),
-    };
-    let mut out = String::new();
-    out.push_str(&format!(
-        "graph: {} vertices, {} edges — converged in {steps} RC steps\n",
-        engine.graph().vertex_count(),
-        engine.graph().edge_count()
-    ));
-
-    let text = std::fs::read_to_string(&opts.updates)
-        .map_err(|e| format!("cannot read stream {}: {e}", opts.updates.display()))?;
-    let cmds = crate::stream::parse_stream(&text)?;
-    let mut pipeline = aa_ingest::IngestPipeline::new(aa_ingest::IngestConfig {
+    let topk = topk_config(opts.top_k)?;
+    let config = engine_config(
+        opts.procs,
+        opts.drop_rate,
+        &[],
+        &[],
+        opts.backend,
+        opts.threads,
+    )?;
+    let ingest = IngestConfig {
         queue_cap: opts.queue_cap,
         high_watermark: opts.queue_cap - opts.queue_cap / 4,
         policy,
         strategy: opts.strategy,
-    })?;
+    };
+    let graph = load_graph(&opts.input, opts.format)?;
+    let mut session = Session::new(AnytimeEngine::new(graph, config), ingest, topk)?;
+    let budget = 16 * opts.procs + 64;
+    let mut out = String::new();
+    converge_static(&mut session, budget, &mut out);
+
+    let text = std::fs::read_to_string(&opts.updates)
+        .map_err(|e| format!("cannot read stream {}: {e}", opts.updates.display()))?;
+    let cmds = crate::stream::parse_stream(&text)?;
     out.push_str(&format!(
         "serving {} stream commands (drain {policy}, queue cap {})…\n",
         cmds.len(),
         opts.queue_cap
     ));
-    let lines = crate::stream::apply_batch(
-        &mut engine,
-        &mut pipeline,
-        &cmds,
-        opts.strategy,
-        tracker.as_mut(),
-    )?;
-    for line in lines {
+    for line in crate::stream::apply_batch(&mut session, &cmds)? {
         out.push_str(&line);
         out.push('\n');
     }
-    match tracker.as_mut() {
-        Some(t) => {
-            crate::stream::run_observed(&mut engine, t, budget);
-        }
-        None => {
-            engine.run_to_convergence(budget);
-        }
-    }
+    session.converge(budget);
 
-    let stats = pipeline.stats();
+    let stats = session.ingest_stats();
     out.push_str(&format!(
         "ingest: {} accepted, {} throttled, {} shed, {} no-ops, {} rejected\n",
         stats.accepted, stats.throttled, stats.shed, stats.noops, stats.rejected
@@ -609,39 +581,14 @@ pub fn stream_serve(opts: &StreamOpts) -> Result<String, String> {
         stats.flushes,
         stats.coalesce_ratio()
     ));
-    let snap = engine.snapshot();
-    out.push_str(&format!(
-        "\ntop-{} closeness (cluster time {:.1} ms over {} RC steps):\n",
-        opts.top,
-        snap.makespan_us / 1000.0,
-        engine.rc_steps()
-    ));
-    for (v, c) in snap.top_k(opts.top) {
-        out.push_str(&format!("  vertex {v:>8}  closeness {c:.6e}\n"));
-    }
-    if let Some(t) = &tracker {
-        let k = t.config().k;
-        if let Some(ans) = t.answer(k) {
-            out.push_str(&format!(
-                "\nanytime top-{k} ({} pivots, {:.1}% of non-member candidates pruned):\n",
-                t.pivots().len(),
-                t.pruned_fraction() * 100.0
-            ));
-            for (v, c) in &ans.members {
-                out.push_str(&format!("  vertex {v:>8}  closeness {c:.6e}\n"));
-            }
-            out.push_str(&format!("  {}\n", crate::stream::confidence_line(t, &ans)));
-        }
-    }
+    push_ranking(&mut out, &mut session, opts.top);
     if let Some(path) = &opts.metrics_out {
-        let mut registry = engine.metrics_registry();
-        registry.merge(&pipeline.metrics_registry());
-        if let Some(t) = &tracker {
-            registry.merge(&t.metrics_registry());
-        }
-        atomic_write_file(path, registry.to_json().as_bytes())
-            .map_err(|e| format!("cannot write metrics {}: {e}", path.display()))?;
-        out.push_str(&format!("metrics written to {}\n", path.display()));
+        write_out(
+            &mut out,
+            path,
+            session.metrics_registry().to_json().as_bytes(),
+            "metrics",
+        )?;
     }
     Ok(out)
 }
@@ -723,12 +670,6 @@ impl Default for ServeOpts {
 /// writes, degraded-mode service under injected faults — then report
 /// latency quantiles, outcome totals, and the final ranking.
 pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
-    if !(0.0..1.0).contains(&opts.drop_rate) {
-        return Err(format!(
-            "drop rate {} must lie in [0, 1) — a network that drops everything can never converge",
-            opts.drop_rate
-        ));
-    }
     if !(0.0..=1.0).contains(&opts.read_fraction) {
         return Err(format!(
             "read fraction {} must lie in [0, 1]",
@@ -741,65 +682,40 @@ pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
             opts.topk_read_mix
         ));
     }
-    for &(step, rank) in &opts.crash_at {
-        if rank >= opts.procs {
-            return Err(format!(
-                "--crash-at {step}:{rank}: rank {rank} out of range (cluster has {} processors)",
-                opts.procs
-            ));
-        }
-    }
-    for &(rank, scale) in &opts.stragglers {
-        if rank >= opts.procs {
-            return Err(format!(
-                "--straggler {rank}:{scale}: rank {rank} out of range (cluster has {} processors)",
-                opts.procs
-            ));
-        }
-        if scale <= 0.0 || scale.is_nan() {
-            return Err(format!(
-                "--straggler {rank}:{scale}: scale must be positive"
-            ));
-        }
-    }
-    let fault = (opts.drop_rate > 0.0).then(|| FaultConfig {
-        p_drop: opts.drop_rate,
-        ..Default::default()
-    });
-    let proc_fault =
-        (!opts.crash_at.is_empty() || !opts.stragglers.is_empty()).then(|| ProcFaultConfig {
-            crashes: opts.crash_at.clone(),
-            stragglers: opts.stragglers.clone(),
-        });
     if opts.verify_recovery && opts.data_dir.is_none() {
         return Err("--verify-recovery requires --data-dir".to_string());
     }
-    validate_backend(opts.backend, opts.threads)?;
-    let config = EngineConfig {
-        num_procs: opts.procs,
-        fault,
-        proc_fault,
-        backend: opts.backend,
-        threads: opts.threads,
-        ..Default::default()
-    };
+    let config = engine_config(
+        opts.procs,
+        opts.drop_rate,
+        &opts.crash_at,
+        &opts.stragglers,
+        opts.backend,
+        opts.threads,
+    )?;
     let serve_config = aa_serve::ServeConfig {
         default_deadline_us: opts.deadline_us,
         ..Default::default()
     };
-    let graph = load_graph(&opts.input, opts.format)?;
-    let mut engine = AnytimeEngine::new(graph, config.clone());
-    engine.initialize();
+    // Left uninitialized: a restart that loads a checkpoint never needs the
+    // base's domain decomposition or initial approximation.
+    let base = AnytimeEngine::new(load_graph(&opts.input, opts.format)?, config.clone());
     let mut out = String::new();
     let mut recovery_metrics = None;
     let mut server = if let Some(dir) = &opts.data_dir {
         // Recover whatever a previous (possibly killed) run left behind,
         // then reopen the WAL at the recovered sequence.
         let t0 = std::time::Instant::now();
-        let mut storage = aa_durable::DiskStorage::open(dir)
+        let storage = aa_durable::DiskStorage::open(dir)
             .map_err(|e| format!("cannot open data dir {}: {e}", dir.display()))?;
-        let recovered = aa_durable::recover(&mut storage, engine, serve_config.ingest)?;
-        let r = &recovered.report;
+        let durability = aa_durable::DurabilityConfig {
+            checkpoint_every_turns: opts.checkpoint_every,
+            ..Default::default()
+        };
+        let (server, recovery) =
+            Server::open_durable(Box::new(storage), base, serve_config, durability)
+                .map_err(|e| format!("data dir {}: {e}", dir.display()))?;
+        let r = &recovery.report;
         out.push_str(&format!(
             "recovery: checkpoint seq {} ({}), {} records replayed, {} uncommitted dropped, \
              {} frames quarantined ({} B), next seq {}\n",
@@ -813,12 +729,12 @@ pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
             r.records_uncommitted,
             r.frames_quarantined,
             r.bytes_quarantined,
-            recovered.next_seq
+            recovery.next_seq
         ));
         for note in &r.notes {
             out.push_str(&format!("  recovery note: {note}\n"));
         }
-        let mut metrics = recovered.metrics;
+        let mut metrics = recovery.metrics;
         metrics.set_help(
             "aa_recovery_duration_us",
             "Wall-clock duration of the last startup recovery",
@@ -829,20 +745,9 @@ pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
             t0.elapsed().as_micros() as f64,
         );
         recovery_metrics = Some(metrics);
-        let log = aa_durable::DurableLog::open(
-            &mut storage,
-            recovered.next_seq,
-            aa_durable::DurabilityConfig {
-                checkpoint_every_turns: opts.checkpoint_every,
-                ..Default::default()
-            },
-        )
-        .map_err(|e| format!("cannot open WAL in {}: {e}", dir.display()))?;
-        let mut server = aa_serve::Server::new(recovered.engine, serve_config)?;
-        server.attach_durability(Box::new(storage), log);
         server
     } else {
-        aa_serve::Server::new(engine, serve_config)?
+        Server::new(base, serve_config)?
     };
     let mut gen = aa_serve::LoadGen::new(aa_serve::WorkloadConfig {
         seed: opts.seed,
@@ -861,52 +766,16 @@ pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
         (opts.read_fraction * 100.0).round()
     ));
     let mut degraded_turns = 0usize;
-    let mut topk_exact = 0u64;
-    let mut topk_anytime = 0u64;
-    let mut count_topk = |outcomes: &[aa_serve::ReadOutcome]| {
-        for o in outcomes {
-            if let aa_serve::ReadOutcome::Served {
-                value: aa_serve::ReadValue::TopK(ans),
-                ..
-            } = o
-            {
-                if ans.is_exact() {
-                    topk_exact += 1;
-                } else {
-                    topk_anytime += 1;
-                }
-            }
-        }
-    };
     for _ in 0..opts.turns {
-        for op in gen.turn_ops(server.engine()) {
-            match op {
-                aa_serve::ClientOp::Read(kind) => {
-                    server.submit_read(kind);
-                }
-                aa_serve::ClientOp::Write(op) => {
-                    server.submit_write(op);
-                }
-            }
-        }
-        let report = server.turn()?;
-        count_topk(&report.served);
-        if report.mode == aa_serve::ServeMode::Degraded {
+        gen.offer(&mut server);
+        if server.turn()?.mode == aa_serve::ServeMode::Degraded {
             degraded_turns += 1;
         }
     }
     // Resolve everything still queued; nothing may hang. A durable server
     // additionally commits stragglers and takes a final covering checkpoint.
     let drain_turns = 16 * opts.procs + 256;
-    let final_ckpt = if server.is_durable() {
-        let (outcomes, seq) = server.shutdown(drain_turns)?;
-        count_topk(&outcomes);
-        seq
-    } else {
-        let outcomes = server.drain(drain_turns)?;
-        count_topk(&outcomes);
-        None
-    };
+    let (_, final_ckpt) = server.shutdown(drain_turns)?;
 
     let stats = server.stats();
     out.push_str(&format!(
@@ -918,10 +787,12 @@ pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
         stats.reads_shed_capacity,
         stats.reads_shed_deadline
     ));
-    if topk_exact + topk_anytime > 0 {
+    if stats.topk_exact + stats.topk_anytime > 0 {
         out.push_str(&format!(
-            "top-k reads: {topk_exact} exact, {topk_anytime} anytime ({} resident pivots)\n",
-            server.topk_tracker().pivots().len()
+            "top-k reads: {} exact, {} anytime ({} resident pivots)\n",
+            stats.topk_exact,
+            stats.topk_anytime,
+            server.topk_tracker().map_or(0, |t| t.pivots().len())
         ));
     }
     out.push_str(&format!(
@@ -980,9 +851,7 @@ pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
             .ok_or("--verify-recovery requires --data-dir")?;
         // Simulated restart: recover a fresh engine from disk alone and
         // check it reproduces the ranking the live server ended on.
-        let graph = load_graph(&opts.input, opts.format)?;
-        let mut base = AnytimeEngine::new(graph, config);
-        base.initialize();
+        let base = AnytimeEngine::new(load_graph(&opts.input, opts.format)?, config);
         let mut storage = aa_durable::DiskStorage::open(dir)
             .map_err(|e| format!("cannot reopen data dir {}: {e}", dir.display()))?;
         let recovered = aa_durable::recover(&mut storage, base, server.config().ingest)?;
@@ -1014,9 +883,7 @@ pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
         if let Some(rm) = &recovery_metrics {
             registry.merge(rm);
         }
-        atomic_write_file(path, registry.to_json().as_bytes())
-            .map_err(|e| format!("cannot write metrics {}: {e}", path.display()))?;
-        out.push_str(&format!("metrics written to {}\n", path.display()));
+        write_out(&mut out, path, registry.to_json().as_bytes(), "metrics")?;
     }
     Ok(out)
 }
@@ -1503,9 +1370,9 @@ mod tests {
 
     #[test]
     fn sim_backend_with_threads_fails_loudly_everywhere() {
-        // The vendored rayon stub is silently single-threaded, so asking the
-        // sim for parallelism must be a hard CLI error — on every subcommand
-        // that builds an engine, and before any file I/O happens.
+        // The simulator is single-threaded, so asking it for parallelism must
+        // be a hard CLI error — on every subcommand that builds an engine,
+        // and before any file I/O happens.
         let err = analyze(&AnalyzeOpts {
             input: PathBuf::from("/nope.txt"),
             threads: 8,
@@ -1534,6 +1401,44 @@ mod tests {
         for threads in [0, 1] {
             assert!(validate_backend(BackendKind::Sim, threads).is_ok());
         }
+    }
+
+    #[test]
+    fn bad_flags_fail_before_the_graph_is_loaded() {
+        // The input does not exist: reaching `load_graph` would report
+        // "cannot open" instead of the flag.
+        let input = PathBuf::from("/nope.txt");
+        let err = analyze(&AnalyzeOpts {
+            input: input.clone(),
+            top_k: Some(0),
+            ..Default::default()
+        })
+        .unwrap_err();
+        assert!(err.contains("--top-k"), "{err}");
+        let err = analyze(&AnalyzeOpts {
+            input: input.clone(),
+            detector_timeout: Some(0),
+            ..Default::default()
+        })
+        .unwrap_err();
+        assert!(err.contains("--detector-timeout"), "{err}");
+        let err = stream_serve(&StreamOpts {
+            input: input.clone(),
+            top_k: Some(0),
+            ..Default::default()
+        })
+        .unwrap_err();
+        assert!(err.contains("--top-k"), "{err}");
+        let err = serve_cmd(&ServeOpts {
+            input,
+            verify_recovery: true,
+            ..Default::default()
+        })
+        .unwrap_err();
+        assert!(
+            err.contains("--verify-recovery requires --data-dir"),
+            "{err}"
+        );
     }
 
     #[test]

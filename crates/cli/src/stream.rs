@@ -1,9 +1,10 @@
 //! The dynamic-update stream language: parsing and application.
 
-use aa_core::{AdditionStrategy, AnytimeEngine, Endpoint, VertexBatch};
+use aa_core::AnytimeEngine;
 use aa_graph::{VertexId, Weight};
-use aa_ingest::{Admission, IngestPipeline, UpdateOp};
+use aa_ingest::{Admission, UpdateOp};
 use aa_query::{Confidence, TopKAnswer, TopKTracker};
+use aa_serve::Session;
 
 /// One parsed stream command.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,7 +88,7 @@ fn tokenize(line: &str) -> Result<Vec<String>, String> {
 }
 
 /// Parses a stream file's contents. Returns `(line number, command)` pairs —
-/// the line numbers let [`apply`] failures point back at the offending
+/// the line numbers let [`apply_batch`] failures point back at the offending
 /// source line — or a message naming the line that failed to parse.
 /// Unconsumed tokens after a complete command are an error, never silently
 /// ignored.
@@ -156,89 +157,14 @@ pub fn parse_stream(text: &str) -> Result<Vec<(usize, Command)>, String> {
     Ok(out)
 }
 
-/// Rejects vertex ids that are out of range or deleted before they reach
-/// graph-layer operations that would panic on them.
-fn check_vertex(engine: &AnytimeEngine, v: VertexId) -> Result<(), String> {
-    if engine.graph().is_alive(v) {
-        Ok(())
-    } else {
-        Err(format!("vertex {v} is out of range or not alive"))
-    }
-}
-
-/// Applies one command to a running engine. Returns lines to print (empty
-/// for silent commands), or an error for commands whose arguments are
-/// invalid for the current engine state — bad ranks, dead endpoints, zero
-/// weights. Harmless no-ops (deleting a missing edge, re-adding an existing
-/// one) stay warnings, not errors.
-pub fn apply(
-    engine: &mut AnytimeEngine,
-    cmd: &Command,
-    strategy: AdditionStrategy,
-) -> Result<Vec<String>, String> {
+/// Runs one control command (`step`, `converge`, `rebalance`, `fail`,
+/// `chaos`, `snapshot`) against the engine. Returns lines to print (empty
+/// for silent commands), or an error for arguments invalid for the current
+/// engine state, such as a bad rank. Updates (`ae`/`de`/`cw`/`dv`/`av`) are
+/// not control commands: [`apply_batch`] pushes them through the session's
+/// ingest pipeline, which validates and phrases their warnings.
+pub fn apply(engine: &mut AnytimeEngine, cmd: &Command) -> Result<Vec<String>, String> {
     let out = match cmd {
-        Command::AddEdge(u, v, w) => {
-            check_vertex(engine, *u)?;
-            check_vertex(engine, *v)?;
-            if u == v {
-                return Err(format!("self-loop ({u},{u}) is not a valid edge"));
-            }
-            if *w == 0 {
-                return Err(format!("edge ({u},{v}) weight must be at least 1"));
-            }
-            let added = engine.add_edge(*u, *v, *w);
-            if added {
-                vec![]
-            } else {
-                vec![format!("warning: edge ({u},{v}) already present")]
-            }
-        }
-        Command::DeleteEdge(u, v) => {
-            check_vertex(engine, *u)?;
-            check_vertex(engine, *v)?;
-            if engine.delete_edge(*u, *v) {
-                vec![]
-            } else {
-                vec![format!("warning: edge ({u},{v}) not found")]
-            }
-        }
-        Command::ChangeWeight(u, v, w) => {
-            check_vertex(engine, *u)?;
-            check_vertex(engine, *v)?;
-            if *w == 0 {
-                return Err(format!("edge ({u},{v}) weight must be at least 1"));
-            }
-            if engine.change_edge_weight(*u, *v, *w) {
-                vec![]
-            } else {
-                vec![format!("warning: weight change on ({u},{v}) was a no-op")]
-            }
-        }
-        Command::DeleteVertex(v) => {
-            if engine.graph().is_alive(*v) {
-                engine.delete_vertex(*v);
-                vec![]
-            } else {
-                vec![format!("warning: vertex {v} not alive")]
-            }
-        }
-        Command::AddVertex(anchors) => {
-            let mut batch = VertexBatch::new(1);
-            let mut dropped = Vec::new();
-            for &a in anchors {
-                if engine.graph().is_alive(a) {
-                    batch.connect(0, Endpoint::Existing(a), 1);
-                } else {
-                    dropped.push(a);
-                }
-            }
-            let ids = engine.add_vertices(&batch, strategy);
-            let mut out = vec![format!("added vertex {}", ids[0])];
-            if !dropped.is_empty() {
-                out.push(format!("warning: dead anchors skipped: {dropped:?}"));
-            }
-            out
-        }
         Command::Step => {
             engine.rc_step();
             vec![]
@@ -283,36 +209,9 @@ pub fn apply(
             }
             out
         }
+        update => return Err(format!("{update:?} is an update, not a control command")),
     };
     Ok(out)
-}
-
-/// Folds the engine's current published frame and drained bound deltas into
-/// the top-k tracker, keeping its bounds current with whatever the stream
-/// just applied or stepped.
-pub(crate) fn observe_frame(engine: &mut AnytimeEngine, tracker: &mut TopKTracker) {
-    let frame = engine.publish_snapshot();
-    let deltas = engine.drain_bound_deltas();
-    tracker.observe(&frame, engine.graph(), &deltas);
-}
-
-/// Advances the engine to convergence (or the step budget), observing every
-/// superstep so the tracker's pruning statistics cover the whole run rather
-/// than just the terminal state. Returns the steps taken, matching
-/// `run_to_convergence`.
-pub(crate) fn run_observed(
-    engine: &mut AnytimeEngine,
-    tracker: &mut TopKTracker,
-    budget: usize,
-) -> usize {
-    observe_frame(engine, tracker);
-    let mut steps = 0;
-    while !engine.is_converged() && steps < budget {
-        engine.rc_step();
-        steps += 1;
-        observe_frame(engine, tracker);
-    }
-    steps
 }
 
 /// One-line confidence summary of a top-k answer.
@@ -356,41 +255,36 @@ fn to_update_op(cmd: &Command) -> Option<UpdateOp> {
     }
 }
 
-/// Applies a parsed command run through the shared ingest path — the single
-/// application route used by both `aa analyze --stream` replay and
-/// `aa stream` serving.
+/// Applies a parsed command run to a session — the single application
+/// route of both `aa analyze --stream` replay and `aa stream` serving.
 ///
-/// Mutation commands are pushed into `pipeline` (validated against the
-/// projected state, coalesced, and drained per its policy); control
-/// commands are barriers — the buffer is flushed before they run through
-/// [`apply`]. A trailing flush guarantees nothing stays buffered. Errors
+/// Updates are pushed into the session (validated against the projected
+/// state, coalesced, and drained per its policy); control commands are
+/// barriers — everything buffered is applied before they run through
+/// [`apply`]. A trailing barrier guarantees nothing stays buffered. Errors
 /// carry the offending stream line number; backpressure decisions surface
 /// as printed lines, never as errors.
 ///
-/// When a [`TopKTracker`] is attached it is re-observed after every flush
-/// and control command, so its bounds stay current across batched ingest —
-/// `snapshot k` commands then also print the tracker's confidence for the
-/// requested k.
+/// A session with a tracker re-observes after every update and control
+/// command, so its bounds stay current across batched ingest — `snapshot k`
+/// commands then also print the tracker's confidence for the requested k.
 pub fn apply_batch(
-    engine: &mut AnytimeEngine,
-    pipeline: &mut IngestPipeline,
+    session: &mut Session,
     cmds: &[(usize, Command)],
-    strategy: AdditionStrategy,
-    mut tracker: Option<&mut TopKTracker>,
 ) -> Result<Vec<String>, String> {
     let mut out = Vec::new();
     for (lineno, cmd) in cmds {
         let ctx = |e: String| format!("stream line {lineno}: {e}");
         match to_update_op(cmd) {
             Some(op) => {
-                let outcome = pipeline.push(engine, op).map_err(ctx)?;
+                let (outcome, _) = session.push(op).map_err(ctx)?;
                 if let Some(id) = outcome.new_vertex {
                     out.push(format!("added vertex {id}"));
                 }
                 out.extend(outcome.warnings);
                 match outcome.admission {
                     Admission::Accepted => {
-                        pipeline.maybe_flush(engine).map_err(ctx)?;
+                        session.apply_due().map_err(ctx)?;
                     }
                     Admission::Throttled { retry_after } => {
                         out.push(format!(
@@ -399,52 +293,70 @@ pub fn apply_batch(
                         ));
                         // Honor the retry hint instead of busy-resubmitting
                         // into a queue above its watermark: one barrier
-                        // flush drains the whole buffer (≥ retry_after
-                        // ops), so the next push is admitted below the
-                        // watermark again. Bounded backoff — at most one
-                        // flush per throttle decision.
-                        pipeline.flush(engine).map_err(ctx)?;
+                        // drains the whole buffer (≥ retry_after ops), so
+                        // the next push is admitted below the watermark
+                        // again. Bounded backoff — at most one barrier per
+                        // throttle decision.
+                        session.apply_all().map_err(ctx)?;
                     }
                     Admission::Shed => {
                         out.push(format!(
                             "warning: line {lineno} shed — ingest queue at capacity ({})",
-                            pipeline.config().queue_cap
+                            session.ingest_config().queue_cap
                         ));
-                        pipeline.maybe_flush(engine).map_err(ctx)?;
+                        session.apply_due().map_err(ctx)?;
                     }
                 }
-                if let Some(t) = tracker.as_deref_mut() {
-                    observe_frame(engine, t);
-                }
+                session.observe();
             }
             None => {
-                pipeline.flush(engine).map_err(ctx)?;
-                out.extend(apply(engine, cmd, strategy).map_err(ctx)?);
-                if let Some(t) = tracker.as_deref_mut() {
-                    observe_frame(engine, t);
-                    if let Command::Snapshot(k) = cmd {
-                        if let Some(ans) = t.answer(*k) {
-                            out.push(format!("  {}", confidence_line(t, &ans)));
-                        }
+                session.apply_all().map_err(ctx)?;
+                out.extend(apply(session.engine_mut(), cmd).map_err(ctx)?);
+                session.observe();
+                if let (Command::Snapshot(k), Some(t)) = (cmd, session.tracker()) {
+                    if let Some(ans) = t.answer(*k) {
+                        out.push(format!("  {}", confidence_line(t, &ans)));
                     }
                 }
             }
         }
     }
-    pipeline
-        .flush(engine)
+    session
+        .apply_all()
         .map_err(|e| format!("stream flush: {e}"))?;
-    if let Some(t) = tracker {
-        observe_frame(engine, t);
-    }
+    session.observe();
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aa_core::EngineConfig;
-    use aa_graph::generators;
+    use aa_core::{AdditionStrategy, EngineConfig};
+    use aa_graph::{generators, Graph};
+    use aa_ingest::{DrainPolicy, IngestConfig};
+    use aa_query::TopKConfig;
+
+    fn ingest(policy: DrainPolicy) -> IngestConfig {
+        IngestConfig {
+            policy,
+            strategy: AdditionStrategy::RoundRobinPs,
+            ..Default::default()
+        }
+    }
+
+    /// A session over `g`; `SizeTriggered(1)` applies every update as it is
+    /// pushed — the one-command-at-a-time replay `aa analyze --stream` runs.
+    fn session(g: Graph, procs: usize, ingest: IngestConfig, topk: Option<TopKConfig>) -> Session {
+        let config = EngineConfig {
+            num_procs: procs,
+            ..Default::default()
+        };
+        Session::new(AnytimeEngine::new(g, config), ingest, topk).unwrap()
+    }
+
+    fn one_at_a_time(g: Graph, procs: usize) -> Session {
+        session(g, procs, ingest(DrainPolicy::SizeTriggered(1)), None)
+    }
 
     #[test]
     fn parse_full_language() {
@@ -522,46 +434,26 @@ converge
 snapshot 3
 ";
         let cmds = parse_stream(text).unwrap();
-        let build = || {
-            // A path graph pins the edge set: (0,30) is absent, (1,2) exists.
-            let g = generators::path(40);
-            let mut e = AnytimeEngine::new(
-                g,
-                EngineConfig {
-                    num_procs: 3,
-                    ..Default::default()
-                },
-            );
-            e.initialize();
-            e.run_to_convergence(256);
-            e
+        // A path graph pins the edge set: (0,30) is absent, (1,2) exists.
+        let build = |policy| {
+            let mut s = session(generators::path(40), 3, ingest(policy), None);
+            s.converge(256);
+            s
         };
-        // Unbatched replay: one `apply` per command.
-        let mut unbatched = build();
-        for (_, cmd) in &cmds {
-            apply(&mut unbatched, cmd, AdditionStrategy::RoundRobinPs).unwrap();
-        }
-        unbatched.run_to_convergence(256);
-        // Batched replay through the shared ingest path.
-        let mut batched = build();
-        let mut pipeline = aa_ingest::IngestPipeline::new(aa_ingest::IngestConfig {
-            strategy: AdditionStrategy::RoundRobinPs,
-            ..Default::default()
-        })
-        .unwrap();
-        let printed = apply_batch(
-            &mut batched,
-            &mut pipeline,
-            &cmds,
-            AdditionStrategy::RoundRobinPs,
-            None,
-        )
-        .unwrap();
-        batched.run_to_convergence(256);
+        // Unbatched replay: every command applied as it is pushed.
+        let mut unbatched = build(DrainPolicy::SizeTriggered(1));
+        apply_batch(&mut unbatched, &cmds).unwrap();
+        unbatched.converge(256);
+        assert_eq!(unbatched.ingest_stats().coalesce_ratio(), 0.0);
+        // Batched replay through the same path at the default batch target.
+        let mut batched = build(IngestConfig::default().policy);
+        let printed = apply_batch(&mut batched, &cmds).unwrap();
+        batched.converge(256);
         assert!(printed.iter().any(|l| l.contains("added vertex 40")));
         // The coalescer absorbed the add/delete pair and one reweight.
-        assert!(pipeline.stats().coalesce_ratio() > 0.0);
+        assert!(batched.ingest_stats().coalesce_ratio() > 0.0);
         // Same final graph, same exact distances.
+        let (unbatched, batched) = (unbatched.engine(), batched.engine());
         let (du, db) = (unbatched.distances_dense(), batched.distances_dense());
         let oracle = aa_graph::algo::apsp_dijkstra(unbatched.graph());
         for v in unbatched.graph().vertices() {
@@ -574,35 +466,18 @@ snapshot 3
     #[test]
     fn apply_batch_keeps_tracker_current_and_snapshot_prints_confidence() {
         let g = generators::barabasi_albert(60, 2, 1, 11);
-        let mut e = AnytimeEngine::new(
-            g,
-            EngineConfig {
-                num_procs: 3,
-                ..Default::default()
-            },
-        );
-        e.initialize();
-        e.enable_bound_feed();
-        let mut tracker = TopKTracker::new(aa_query::TopKConfig {
+        let topk = TopKConfig {
             k: 3,
             max_pivots: 8,
-        });
-        run_observed(&mut e, &mut tracker, 256);
-        assert!(tracker.is_exact(), "converged run must resolve the top-k");
+        };
+        let mut s = session(g, 3, ingest(IngestConfig::default().policy), Some(topk));
+        s.converge(256);
+        assert!(
+            s.tracker().unwrap().is_exact(),
+            "converged run must resolve the top-k"
+        );
         let cmds = parse_stream("snapshot 3\nae 0 30 1\nde 0 1\nconverge\nsnapshot 3\n").unwrap();
-        let mut pipeline = aa_ingest::IngestPipeline::new(aa_ingest::IngestConfig {
-            strategy: AdditionStrategy::RoundRobinPs,
-            ..Default::default()
-        })
-        .unwrap();
-        let printed = apply_batch(
-            &mut e,
-            &mut pipeline,
-            &cmds,
-            AdditionStrategy::RoundRobinPs,
-            Some(&mut tracker),
-        )
-        .unwrap();
+        let printed = apply_batch(&mut s, &cmds).unwrap();
         let confidence_lines: Vec<&String> = printed
             .iter()
             .filter(|l| l.contains("top-3 confidence"))
@@ -618,9 +493,10 @@ snapshot 3
             confidence_lines[1].contains("exact"),
             "{confidence_lines:?}"
         );
+        let tracker = s.tracker().unwrap();
         assert!(tracker.is_exact());
         let ans = tracker.answer(3).unwrap();
-        let exact = aa_graph::algo::exact_closeness(e.graph());
+        let exact = aa_graph::algo::exact_closeness(s.engine().graph());
         let mut ranked: Vec<(VertexId, f64)> = exact
             .iter()
             .enumerate()
@@ -637,37 +513,20 @@ snapshot 3
 
     #[test]
     fn apply_batch_backs_off_on_throttle_instead_of_shedding() {
-        let g = generators::path(40);
-        let mut e = AnytimeEngine::new(
-            g,
-            EngineConfig {
-                num_procs: 3,
-                ..Default::default()
-            },
-        );
-        e.initialize();
-        e.run_to_convergence(256);
         // Tiny queue, drain policy that never triggers on its own: without
         // the backoff, pushes 9..12 would hit hard capacity and be shed.
-        let mut pipeline = aa_ingest::IngestPipeline::new(aa_ingest::IngestConfig {
+        let tiny = IngestConfig {
             queue_cap: 8,
             high_watermark: 4,
-            policy: aa_ingest::DrainPolicy::SizeTriggered(64),
-            strategy: AdditionStrategy::RoundRobinPs,
-        })
-        .unwrap();
+            ..ingest(DrainPolicy::SizeTriggered(64))
+        };
+        let mut s = session(generators::path(40), 3, tiny, None);
+        s.converge(256);
         let cmds: Vec<(usize, Command)> = (0..12)
             .map(|i| (i + 1, Command::AddEdge(i as u32, i as u32 + 2, 1)))
             .collect();
-        let printed = apply_batch(
-            &mut e,
-            &mut pipeline,
-            &cmds,
-            AdditionStrategy::RoundRobinPs,
-            None,
-        )
-        .unwrap();
-        let stats = pipeline.stats();
+        let printed = apply_batch(&mut s, &cmds).unwrap();
+        let stats = s.ingest_stats();
         assert_eq!(stats.shed, 0, "backoff must prevent shedding");
         assert!(stats.throttled >= 1, "the tiny watermark must throttle");
         assert!(
@@ -676,30 +535,21 @@ snapshot 3
         );
         assert!(printed.iter().any(|l| l.contains("backing off")));
         // Nothing was lost: every edge made it into the engine.
-        e.run_to_convergence(256);
+        s.converge(256);
         for i in 0..12u32 {
-            assert!(e.graph().edge_weight(i, i + 2).is_some(), "edge ({i},..)");
+            let g = s.engine().graph();
+            assert!(g.edge_weight(i, i + 2).is_some(), "edge ({i},..)");
         }
     }
 
     #[test]
     fn apply_stream_end_to_end() {
-        let g = generators::barabasi_albert(40, 2, 1, 3);
-        let mut e = AnytimeEngine::new(
-            g,
-            EngineConfig {
-                num_procs: 3,
-                ..Default::default()
-            },
-        );
-        e.initialize();
+        let mut s = one_at_a_time(generators::barabasi_albert(40, 2, 1, 3), 3);
         let cmds =
             parse_stream("converge\nae 0 20 1\nav 5,6\nstep\nde 0 1\nconverge\nsnapshot 3\n")
                 .unwrap();
-        let mut printed = Vec::new();
-        for (_, cmd) in &cmds {
-            printed.extend(apply(&mut e, cmd, AdditionStrategy::RoundRobinPs).unwrap());
-        }
+        let printed = apply_batch(&mut s, &cmds).unwrap();
+        let e = s.engine();
         assert!(e.is_converged());
         assert!(printed.iter().any(|l| l.contains("added vertex 40")));
         assert!(printed.iter().any(|l| l.contains("snapshot")));
@@ -713,57 +563,48 @@ snapshot 3
 
     #[test]
     fn apply_warns_on_noops() {
-        let g = generators::path(5);
-        let mut e = AnytimeEngine::new(
-            g,
-            EngineConfig {
-                num_procs: 2,
-                ..Default::default()
-            },
-        );
-        e.initialize();
-        let warn = apply(
-            &mut e,
-            &Command::DeleteEdge(0, 4),
-            AdditionStrategy::RoundRobinPs,
-        )
-        .unwrap();
-        assert!(warn[0].contains("not found"));
-        let warn = apply(
-            &mut e,
-            &Command::DeleteVertex(99),
-            AdditionStrategy::RoundRobinPs,
-        )
-        .unwrap();
-        assert!(warn[0].contains("not alive"));
+        let mut s = one_at_a_time(generators::path(5), 2);
+        let noop = |s: &mut Session, cmd| apply_batch(s, &[(1, cmd)]).unwrap();
+        assert!(noop(&mut s, Command::DeleteEdge(0, 4))[0].contains("not found"));
+        assert!(noop(&mut s, Command::DeleteVertex(99))[0].contains("not alive"));
+        assert!(noop(&mut s, Command::AddEdge(0, 1, 3))[0].contains("already present"));
+        assert!(noop(&mut s, Command::ChangeWeight(0, 1, 1))[0].contains("was a no-op"));
+        let warn = noop(&mut s, Command::AddVertex(vec![0, 77]));
+        assert!(warn[0].contains("added vertex 5"), "{warn:?}");
+        assert!(warn[1].contains("dead anchors skipped: [77]"), "{warn:?}");
     }
 
     #[test]
     fn apply_rejects_invalid_commands_without_panicking() {
-        let g = generators::path(6);
-        let mut e = AnytimeEngine::new(
-            g,
-            EngineConfig {
-                num_procs: 2,
-                ..Default::default()
-            },
-        );
-        e.initialize();
-        let s = AdditionStrategy::RoundRobinPs;
+        let mut s = one_at_a_time(generators::path(6), 2);
         // Out-of-range crash target used to panic deep inside resilience.rs.
-        let err = apply(&mut e, &Command::Fail(999_999), s).unwrap_err();
+        let err = apply(s.engine_mut(), &Command::Fail(999_999)).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
+        // An update is not a control command.
+        assert!(apply(s.engine_mut(), &Command::DeleteVertex(0)).is_err());
+        let reject = |s: &mut Session, cmd| apply_batch(s, &[(7, cmd)]).unwrap_err();
         // Edge commands touching dead or out-of-range vertices.
-        assert!(apply(&mut e, &Command::AddEdge(0, 500, 1), s).is_err());
-        assert!(apply(&mut e, &Command::DeleteEdge(700, 0), s).is_err());
-        assert!(apply(&mut e, &Command::ChangeWeight(0, 99, 3), s).is_err());
+        for cmd in [
+            Command::AddEdge(0, 500, 1),
+            Command::DeleteEdge(700, 0),
+            Command::ChangeWeight(0, 99, 3),
+        ] {
+            let err = reject(&mut s, cmd);
+            assert!(
+                err.contains("stream line 7") && err.contains("out of range or not alive"),
+                "{err}"
+            );
+        }
         // Zero weights and self-loops are rejected before the graph asserts.
-        assert!(apply(&mut e, &Command::AddEdge(0, 3, 0), s).is_err());
-        assert!(apply(&mut e, &Command::ChangeWeight(0, 1, 0), s).is_err());
-        assert!(apply(&mut e, &Command::AddEdge(2, 2, 1), s).is_err());
+        assert!(reject(&mut s, Command::AddEdge(0, 3, 0)).contains("weight must be at least 1"));
+        assert!(
+            reject(&mut s, Command::ChangeWeight(0, 1, 0)).contains("weight must be at least 1")
+        );
+        assert!(reject(&mut s, Command::AddEdge(2, 2, 1)).contains("self-loop (2,2)"));
+        assert_eq!(s.ingest_stats().rejected, 6);
         // The engine is still usable afterwards.
-        e.run_to_convergence(64);
-        assert!(e.is_converged());
+        s.converge(64);
+        assert!(s.engine().is_converged());
     }
 
     #[test]
@@ -777,14 +618,13 @@ snapshot 3
             },
         );
         e.initialize();
-        let s = AdditionStrategy::RoundRobinPs;
-        let msg = apply(&mut e, &Command::Chaos(0.3, 0.1), s).unwrap();
+        let msg = apply(&mut e, &Command::Chaos(0.3, 0.1)).unwrap();
         assert!(msg[0].contains("chaos enabled"));
-        apply(&mut e, &Command::Converge, s).unwrap();
+        apply(&mut e, &Command::Converge).unwrap();
         assert!(e.is_converged());
         let totals = e.cluster().ledger().totals();
         assert!(totals.dropped_messages > 0, "chaos should drop something");
-        let msg = apply(&mut e, &Command::Chaos(0.0, 0.0), s).unwrap();
+        let msg = apply(&mut e, &Command::Chaos(0.0, 0.0)).unwrap();
         assert!(msg[0].contains("chaos disabled"));
         // Exactness survives the lossy phase.
         let dense = e.distances_dense();

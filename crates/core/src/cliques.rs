@@ -10,15 +10,13 @@
 //! processors that border them — after it, the owner of `v` knows every edge
 //! among `{v} ∪ N(v)` (an edge between two external members is listed in
 //! either endpoint's shipped adjacency) — and each processor then runs
-//! pivoted Bron–Kerbosch on its owned roots in parallel (rayon, the papers'
-//! intra-processor threading level).
+//! pivoted Bron–Kerbosch on its owned roots, one after the other.
 
 use crate::engine::AnytimeEngine;
 use aa_graph::{cliques, Graph, VertexId};
 use aa_logp::Phase;
 use aa_obs::Stopwatch;
 use aa_runtime::TransferOut;
-use rayon::prelude::*;
 
 impl AnytimeEngine {
     /// Enumerates all maximal cliques of the current graph, distributed over
@@ -92,8 +90,8 @@ impl AnytimeEngine {
             }
             let roots: Vec<VertexId> = ps.dv.vertices().to_vec();
             let mut local: Vec<Vec<VertexId>> = roots
-                .par_iter()
-                .flat_map_iter(|&v| cliques::cliques_rooted_at(&aug, v))
+                .iter()
+                .flat_map(|&v| cliques::cliques_rooted_at(&aug, v))
                 .collect();
             self.cluster
                 .compute_measured(rank, Phase::Recombination, t.elapsed());

@@ -295,7 +295,7 @@ impl Builder {
 fn is_external_path(path: &str) -> bool {
     matches!(
         path.split("::").next().unwrap_or(""),
-        "std" | "core" | "alloc" | "rayon" | "rand" | "rand_chacha" | "proptest"
+        "std" | "core" | "alloc" | "rand" | "rand_chacha" | "proptest"
     )
 }
 

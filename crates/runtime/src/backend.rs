@@ -138,8 +138,7 @@ impl Cluster {
                 if threads > 1 {
                     return Err(format!(
                         "backend 'sim' is single-threaded: --threads {threads} would silently \
-                         run sequentially (the vendored rayon stub has no real thread pool); \
-                         use --backend threads for real parallelism"
+                         run sequentially; use --backend threads for real parallelism"
                     ));
                 }
                 Ok(Cluster::Sim(SimCluster::new(p, params, mode)))

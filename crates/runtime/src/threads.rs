@@ -28,10 +28,10 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Whether this host can actually spawn OS threads. The vendored `rayon`
-/// stub is silently single-threaded, so backend selection must probe the
-/// real `std::thread` machinery and fail loudly instead of quietly running
-/// sequentially (ISSUE 9 satellite: no silent downgrade).
+/// Whether this host can actually spawn OS threads. The simulator is
+/// single-threaded, so backend selection must probe the real `std::thread`
+/// machinery and fail loudly instead of quietly running sequentially
+/// (ISSUE 9 satellite: no silent downgrade).
 pub fn threads_available() -> bool {
     std::thread::Builder::new()
         .name("aa-thread-probe".into())

@@ -4,10 +4,13 @@
 //!
 //! The paper's *anytime* property promises centrality estimates with
 //! bounded error at any point mid-computation; this crate is where that
-//! promise meets concurrent load. A [`Server`] owns an
-//! [`AnytimeEngine`](aa_core::AnytimeEngine) plus an
-//! [`IngestPipeline`](aa_ingest::IngestPipeline) and advances in
-//! deterministic turns, giving three guarantees:
+//! promise meets concurrent load. A [`Session`] owns the
+//! [`AnytimeEngine`](aa_core::AnytimeEngine), the
+//! [`IngestPipeline`](aa_ingest::IngestPipeline), the top-k tracker and the
+//! write-ahead log, and is the one place that orders their calls; every
+//! front-end (`aa analyze`, `aa stream`, the benches) drives it. A
+//! [`Server`] is a session plus a read queue, token budgets and a mode
+//! machine, advancing in deterministic turns with three guarantees:
 //!
 //! * **Snapshot isolation** — every read is answered from a published
 //!   [`SnapshotFrame`](aa_core::SnapshotFrame): an `Arc`-shared, epoch-
@@ -32,6 +35,7 @@
 mod admission;
 mod request;
 mod server;
+mod session;
 mod workload;
 
 pub use admission::{ServeConfig, TokenBucket};
@@ -39,4 +43,5 @@ pub use request::{
     ClientOp, ReadKind, ReadOutcome, ReadTicket, ReadValue, ShedReason, WriteOutcome,
 };
 pub use server::{ServeMode, ServeStats, Server, TurnReport};
+pub use session::{Applied, Recovery, Session};
 pub use workload::{LoadGen, WorkloadConfig};

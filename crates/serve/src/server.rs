@@ -37,22 +37,21 @@
 
 //! # Durability
 //!
-//! With [`Server::attach_durability`] the server becomes crash-consistent:
-//! `submit_write` records every enqueued op in a write-ahead log and
-//! returns [`WriteOutcome::Logged`]; the turn loop group-commits the WAL
-//! (one fsync per turn) **before** flushing the pipeline, so the set of
-//! applied ops never runs ahead of the durable set. A failed commit aborts
-//! the exact uncommitted ops ([`IngestPipeline::abort_pending`]) — possible
-//! only because the durable turn barrier-flushes after every successful
-//! commit, keeping the pipeline buffer equal to the uncommitted tail.
-//! Checkpoints are taken every `checkpoint_every_turns` turns and on
-//! [`Server::shutdown`].
+//! With a WAL attached ([`Server::open_durable`], or
+//! [`Server::attach_durability`] after the caller's own recovery) the server
+//! is crash-consistent: `submit_write` resolves every enqueued op to
+//! [`WriteOutcome::Logged`], and each turn's apply is one group commit (one
+//! fsync) followed by a barrier flush, so the applied set never runs ahead
+//! of the durable set and a failed commit aborts exactly the un-acked ops.
+//! The ordering itself lives in [`Session`]. Checkpoints are taken every
+//! `checkpoint_every_turns` turns and on [`Server::shutdown`].
 
 use crate::admission::{ServeConfig, TokenBucket};
 use crate::request::{ReadKind, ReadOutcome, ReadTicket, ReadValue, ShedReason, WriteOutcome};
+use crate::session::{Recovery, Session};
 use aa_core::{AnytimeEngine, SnapshotFrame};
-use aa_durable::{DurableLog, Storage};
-use aa_ingest::{Admission, FlushReport, IngestPipeline, IngestStats, UpdateOp};
+use aa_durable::{DurabilityConfig, DurableLog, Storage};
+use aa_ingest::{Admission, FlushReport, IngestStats, UpdateOp};
 use aa_obs::MetricsRegistry;
 use aa_query::{Confidence, TopKAnswer, TopKConfig, TopKTracker};
 use std::collections::VecDeque;
@@ -90,6 +89,10 @@ pub struct ServeStats {
     pub reads_submitted: u64,
     /// Reads served from a published frame.
     pub reads_served: u64,
+    /// Served top-k reads whose answer was exact.
+    pub topk_exact: u64,
+    /// Served top-k reads answered with an anytime confidence.
+    pub topk_anytime: u64,
     /// Reads admitted above the read-queue high watermark.
     pub reads_throttled: u64,
     /// Reads shed at read-queue hard capacity.
@@ -159,13 +162,6 @@ pub struct TurnReport {
     pub checkpointed: Option<u64>,
 }
 
-/// Durable attachments: the storage root plus the WAL/checkpoint log.
-struct Durability {
-    storage: Box<dyn Storage>,
-    log: DurableLog,
-    turns_since_checkpoint: usize,
-}
-
 /// A queued (admitted, not yet resolved) read.
 #[derive(Debug, Clone, Copy)]
 struct QueuedRead {
@@ -177,8 +173,7 @@ struct QueuedRead {
 
 /// The resident query/update server. See the module docs.
 pub struct Server {
-    engine: AnytimeEngine,
-    pipeline: IngestPipeline,
+    session: Session,
     config: ServeConfig,
     read_q: VecDeque<QueuedRead>,
     read_tokens: TokenBucket,
@@ -193,28 +188,40 @@ pub struct Server {
     latencies: Vec<f64>,
     stats: ServeStats,
     metrics: MetricsRegistry,
-    durability: Option<Durability>,
-    topk: TopKTracker,
+    turns_since_checkpoint: usize,
 }
 
 impl Server {
     /// Builds a server around an engine, initializing it if the caller has
     /// not. Validates the configuration.
-    pub fn new(mut engine: AnytimeEngine, config: ServeConfig) -> Result<Self, String> {
+    pub fn new(engine: AnytimeEngine, config: ServeConfig) -> Result<Self, String> {
         config.validate()?;
-        let pipeline = IngestPipeline::new(config.ingest)?;
-        if !engine.is_initialized() {
-            engine.initialize();
-        }
+        let session = Session::new(engine, config.ingest, Some(TopKConfig::default()))?;
+        Ok(Server::over(session, config))
+    }
+
+    /// Builds a crash-consistent server over `storage`: recovers what a
+    /// previous run left there (`base`, passed uninitialized, is used only
+    /// when no checkpoint decodes), reopens the WAL at the recovered
+    /// sequence and serves from the recovered engine.
+    pub fn open_durable(
+        storage: Box<dyn Storage>,
+        base: AnytimeEngine,
+        config: ServeConfig,
+        durability: DurabilityConfig,
+    ) -> Result<(Self, Recovery), String> {
+        config.validate()?;
+        let topk = Some(TopKConfig::default());
+        let (session, recovery) =
+            Session::open_durable(storage, base, config.ingest, topk, durability)?;
+        Ok((Server::over(session, config), recovery))
+    }
+
+    fn over(mut session: Session, config: ServeConfig) -> Self {
         // Seed the top-k tracker from the initial frame so every TopK read
         // — even one served before the first turn's observation — has sound
-        // bounds behind it. The feed stays enabled for the server's life.
-        engine.enable_bound_feed();
-        let mut topk = TopKTracker::new(TopKConfig::default());
-        let frame = engine.publish_snapshot();
-        let deltas = engine.drain_bound_deltas();
-        topk.observe(&frame, engine.graph(), &deltas);
-        drop(frame);
+        // bounds behind it.
+        session.publish();
         let mut metrics = MetricsRegistry::new();
         metrics.set_help(
             "aa_serve_requests_total",
@@ -249,11 +256,10 @@ impl Server {
             "aa_serve_read_latency_p99_us",
             "99th-percentile served read latency (virtual µs)",
         );
-        Ok(Server {
+        Server {
             read_tokens: TokenBucket::new(config.read_tokens_per_turn, config.read_burst),
             write_tokens: TokenBucket::new(config.write_tokens_per_turn, config.write_burst),
-            engine,
-            pipeline,
+            session,
             config,
             read_q: VecDeque::new(),
             mode: ServeMode::Normal,
@@ -264,32 +270,28 @@ impl Server {
             latencies: Vec::new(),
             stats: ServeStats::default(),
             metrics,
-            durability: None,
-            topk,
-        })
+            turns_since_checkpoint: 0,
+        }
     }
 
     /// Attaches a write-ahead log and its storage, making the server
     /// crash-consistent from this point on: enqueued writes resolve to
     /// [`WriteOutcome::Logged`] and become durable at the next turn's group
     /// commit. The caller runs recovery first and opens the log at the
-    /// recovered sequence (see `aa_durable::recover`).
+    /// recovered sequence ([`Server::open_durable`] does both).
     pub fn attach_durability(&mut self, storage: Box<dyn Storage>, log: DurableLog) {
-        self.durability = Some(Durability {
-            storage,
-            log,
-            turns_since_checkpoint: 0,
-        });
+        self.session.attach_durability(storage, log);
+        self.turns_since_checkpoint = 0;
     }
 
     /// True when a WAL is attached.
     pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
+        self.session.durable_log().is_some()
     }
 
     /// Highest WAL sequence known durable (`None` without a WAL).
     pub fn durable_committed_seq(&self) -> Option<u64> {
-        self.durability.as_ref().map(|d| d.log.committed_seq())
+        self.session.durable_log().map(DurableLog::committed_seq)
     }
 
     /// Submits a read with the default deadline.
@@ -302,7 +304,7 @@ impl Server {
     /// capacity, or the deadline is provably unmeetable given the queue
     /// depth and the measured turn duration); a shed read is never queued.
     pub fn submit_read_with_deadline(&mut self, kind: ReadKind, deadline_us: f64) -> ReadTicket {
-        let now = self.engine.makespan_us();
+        let now = self.session.engine().makespan_us();
         let id = self.next_id;
         self.next_id += 1;
         self.stats.reads_submitted += 1;
@@ -365,9 +367,8 @@ impl Server {
             self.count_write("shed-budget");
             return WriteOutcome::Shed(ShedReason::WriteBudget);
         }
-        let to_log = self.durability.is_some().then(|| op.clone());
-        match self.pipeline.push(&self.engine, op) {
-            Ok(outcome) => {
+        match self.session.push(op) {
+            Ok((outcome, seq)) => {
                 match outcome.admission {
                     Admission::Accepted => {
                         self.stats.writes_accepted += 1;
@@ -382,18 +383,18 @@ impl Server {
                         self.count_write("shed-queue");
                     }
                 }
-                if outcome.enqueued {
-                    if let (Some(d), Some(op)) = (&mut self.durability, to_log) {
-                        let seq = d.log.append(&op);
+                match seq {
+                    Some(seq) => {
                         self.stats.writes_logged += 1;
                         self.count_write("logged");
-                        return WriteOutcome::Logged {
+                        // aa-lint: allow(AA09, the sequence number exists only because Session::push appended the op to the WAL before returning it)
+                        WriteOutcome::Logged {
                             seq,
                             admission: outcome.admission,
-                        };
+                        }
                     }
+                    None => WriteOutcome::Ingest(outcome.admission),
                 }
-                WriteOutcome::Ingest(outcome.admission)
             }
             Err(e) => {
                 self.stats.writes_rejected += 1;
@@ -405,7 +406,7 @@ impl Server {
 
     /// Runs one turn; see the module docs for the sequence.
     pub fn turn(&mut self) -> Result<TurnReport, String> {
-        let t0 = self.engine.makespan_us();
+        let t0 = self.session.engine().makespan_us();
         self.stats.turns += 1;
         self.read_tokens.refill();
         let write_refill = match self.mode {
@@ -416,42 +417,8 @@ impl Server {
         };
         self.write_tokens.refill_by(write_refill);
 
-        // Durable: group-commit the WAL before anything is applied, so the
-        // applied set never runs ahead of the durable set. On commit failure
-        // the pipeline buffer is exactly the uncommitted ops (each prior
-        // successful commit was followed by a barrier flush), so aborting it
-        // drops precisely the un-acked work.
-        let mut durable_seq = None;
-        let mut commit_error = None;
-        if let Some(d) = &mut self.durability {
-            match d.log.commit(d.storage.as_mut()) {
-                Ok(seq) => durable_seq = Some(seq),
-                Err(e) => {
-                    let dropped = self.pipeline.abort_pending();
-                    self.stats.writes_aborted += dropped as u64;
-                    self.stats.wal_commit_errors += 1;
-                    commit_error =
-                        Some(format!("wal commit failed ({dropped} op(s) aborted): {e}"));
-                }
-            }
-        }
-        let flushed = if self.durability.is_some() {
-            // Barrier flush: apply every committed op this turn, keeping the
-            // buffer/WAL-pending correspondence exact.
-            self.pipeline.flush(&mut self.engine)?
-        } else {
-            self.pipeline.maybe_flush(&mut self.engine)?
-        };
-
-        let mut rc_steps = 0usize;
-        if !self.engine.is_converged() {
-            for _ in 0..self.config.steps_per_turn {
-                rc_steps += 1;
-                if self.engine.rc_step() {
-                    break;
-                }
-            }
-        }
+        let applied = self.session.apply_due()?;
+        let rc_steps = self.session.step(self.config.steps_per_turn);
 
         self.update_mode();
         if self.mode == ServeMode::Degraded {
@@ -460,31 +427,31 @@ impl Server {
                 .inc_counter("aa_serve_degraded_turns_total", &[], 1);
         }
 
-        let frame = self.engine.publish_snapshot();
-        let deltas = self.engine.drain_bound_deltas();
-        self.topk.observe(&frame, self.engine.graph(), &deltas);
+        let frame = self.session.publish();
         let served = self.serve_reads(&frame);
 
-        // Checkpoint cadence: the engine now holds exactly the committed
-        // prefix (commit → barrier flush above), so the image is coverable
-        // by `committed_seq` even when this turn's commit failed.
+        // Checkpoint cadence: the engine holds exactly the committed prefix
+        // after the apply above, even when this turn's commit failed.
         let mut checkpointed = None;
-        if let Some(d) = &mut self.durability {
-            d.turns_since_checkpoint += 1;
-            let every = d.log.config().checkpoint_every_turns;
-            if every > 0 && d.turns_since_checkpoint >= every {
+        let cadence = self
+            .session
+            .durable_log()
+            .map(|log| log.config().checkpoint_every_turns);
+        if let Some(every) = cadence {
+            self.turns_since_checkpoint += 1;
+            if every > 0 && self.turns_since_checkpoint >= every {
                 // Reset either way: a failed write is already counted in the
                 // log's metrics, and backing off to the next full cadence
                 // beats hammering a sick disk every turn.
-                d.turns_since_checkpoint = 0;
-                if let Ok(seq) = d.log.checkpoint(d.storage.as_mut(), &self.engine) {
+                self.turns_since_checkpoint = 0;
+                if let Ok(Some(seq)) = self.session.checkpoint() {
                     self.stats.checkpoints_taken += 1;
                     checkpointed = Some(seq);
                 }
             }
         }
 
-        let dt = (self.engine.makespan_us() - t0).max(0.0);
+        let dt = (self.session.engine().makespan_us() - t0).max(0.0);
         self.ewma_turn_us = if self.ewma_turn_us > 0.0 {
             0.75 * self.ewma_turn_us + 0.25 * dt
         } else {
@@ -502,11 +469,11 @@ impl Server {
         );
         Ok(TurnReport {
             served,
-            flushed,
+            flushed: applied.flushed,
             mode: self.mode,
             rc_steps,
-            durable_seq,
-            commit_error,
+            durable_seq: applied.durable_seq,
+            commit_error: applied.commit_error,
             checkpointed,
         })
     }
@@ -519,15 +486,14 @@ impl Server {
         let mut out = Vec::new();
         for _ in 0..max_turns {
             if self.read_q.is_empty()
-                && self.pipeline.pending_ops() == 0
-                && self.engine.is_converged()
+                && self.session.pending_ops() == 0
+                && self.session.engine().is_converged()
             {
                 break;
             }
-            // Durable: never flush ahead of the WAL commit — the turn
-            // itself commits then barrier-flushes.
-            if self.durability.is_none() && self.pipeline.pending_ops() > 0 {
-                self.pipeline.flush(&mut self.engine)?;
+            // A durable turn's apply is already a barrier.
+            if !self.is_durable() && self.session.pending_ops() > 0 {
+                self.session.apply_all()?;
             }
             out.extend(self.turn()?.served);
         }
@@ -535,46 +501,27 @@ impl Server {
     }
 
     /// Graceful shutdown: drains reads and pending writes (committing and
-    /// applying them turn by turn), then takes a final checkpoint so restart
-    /// needs no WAL replay. Returns the drained read outcomes and the final
-    /// checkpoint's covered sequence (`None` without a WAL). A failed final
-    /// checkpoint is an error — the WAL still holds everything, so nothing
-    /// acknowledged is lost, but the caller should surface it.
+    /// applying them turn by turn), then closes the session — stragglers
+    /// committed and applied, a final checkpoint taken so restart needs no
+    /// WAL replay. Returns the drained read outcomes and the final
+    /// checkpoint's covered sequence (`None` without a WAL). A failed close
+    /// is an error — the WAL still holds everything, so nothing acknowledged
+    /// is lost, but the caller should surface it.
     pub fn shutdown(
         &mut self,
         max_turns: usize,
     ) -> Result<(Vec<ReadOutcome>, Option<u64>), String> {
         let served = self.drain(max_turns)?;
-        let Some(d) = &mut self.durability else {
-            return Ok((served, None));
-        };
-        // Stragglers logged after the last drain turn: commit, then apply.
-        if d.log.pending_records() > 0 {
-            match d.log.commit(d.storage.as_mut()) {
-                Ok(_) => {
-                    self.pipeline.flush(&mut self.engine)?;
-                }
-                Err(e) => {
-                    let dropped = self.pipeline.abort_pending();
-                    self.stats.writes_aborted += dropped as u64;
-                    self.stats.wal_commit_errors += 1;
-                    return Err(format!(
-                        "shutdown commit failed ({dropped} op(s) aborted): {e}"
-                    ));
-                }
-            }
+        let seq = self.session.close()?;
+        if seq.is_some() {
+            self.stats.checkpoints_taken += 1;
         }
-        let seq = d
-            .log
-            .checkpoint(d.storage.as_mut(), &self.engine)
-            .map_err(|e| format!("final checkpoint failed (WAL remains authoritative): {e}"))?;
-        self.stats.checkpoints_taken += 1;
-        Ok((served, Some(seq)))
+        Ok((served, seq))
     }
 
     /// Publishes (or reuses) the current snapshot frame.
     pub fn frame(&mut self) -> Arc<SnapshotFrame> {
-        self.engine.publish_snapshot()
+        self.session.publish()
     }
 
     /// Current serving mode.
@@ -582,14 +529,20 @@ impl Server {
         self.mode
     }
 
-    /// Lifetime serve counters.
+    /// Lifetime serve counters. Aborts are counted where they happen: the
+    /// pipeline counts the ops a failed commit dropped, the session the
+    /// failed commits.
     pub fn stats(&self) -> ServeStats {
-        self.stats
+        ServeStats {
+            writes_aborted: self.session.ingest_stats().aborted,
+            wal_commit_errors: self.session.commit_failures(),
+            ..self.stats
+        }
     }
 
     /// Lifetime ingest counters.
     pub fn ingest_stats(&self) -> IngestStats {
-        self.pipeline.stats()
+        self.session.ingest_stats()
     }
 
     /// Admitted reads awaiting service.
@@ -604,19 +557,19 @@ impl Server {
 
     /// The owned engine.
     pub fn engine(&self) -> &AnytimeEngine {
-        &self.engine
+        self.session.engine()
     }
 
     /// The resident top-k tracker (read-only; the turn loop keeps it
-    /// observed).
-    pub fn topk_tracker(&self) -> &TopKTracker {
-        &self.topk
+    /// observed). Every server carries one.
+    pub fn topk_tracker(&self) -> Option<&TopKTracker> {
+        self.session.tracker()
     }
 
     /// Mutable engine access (chaos injection in tests and the CLI; the
     /// server re-observes engine state at the next turn boundary).
     pub fn engine_mut(&mut self) -> &mut AnytimeEngine {
-        &mut self.engine
+        self.session.engine_mut()
     }
 
     /// Served-read latency quantiles `(p50, p99)` in virtual µs, when at
@@ -634,12 +587,7 @@ impl Server {
     /// with the read latency quantile gauges computed from every served
     /// read so far.
     pub fn metrics_registry(&self) -> MetricsRegistry {
-        let mut r = self.engine.metrics_registry();
-        r.merge(&self.pipeline.metrics_registry());
-        r.merge(&self.topk.metrics_registry());
-        if let Some(d) = &self.durability {
-            r.merge(d.log.metrics_registry());
-        }
+        let mut r = self.session.metrics_registry();
         let mut s = self.metrics.clone();
         if let Some((p50, p99)) = self.latency_quantiles() {
             s.set_gauge("aa_serve_read_latency_p50_us", &[], p50);
@@ -663,8 +611,8 @@ impl Server {
     }
 
     fn update_mode(&mut self) {
-        let down = !self.engine.cluster().down_ranks().is_empty();
-        let ingest_over = self.pipeline.pending_ops() > self.pipeline.config().high_watermark;
+        let down = !self.session.engine().cluster().down_ranks().is_empty();
+        let ingest_over = self.session.pending_ops() > self.config.ingest.high_watermark;
         let read_over = self.read_q.len() > self.config.read_queue_hwm;
         let pressured = down || ingest_over || read_over;
         match self.mode {
@@ -700,7 +648,7 @@ impl Server {
     /// Sheds expired reads, then serves the queue front under the token
     /// budget, all from the one published frame.
     fn serve_reads(&mut self, frame: &SnapshotFrame) -> Vec<ReadOutcome> {
-        let now = self.engine.makespan_us();
+        let now = self.session.engine().makespan_us();
         let mut out = Vec::new();
         let mut still_queued = VecDeque::with_capacity(self.read_q.len());
         while let Some(req) = self.read_q.pop_front() {
@@ -725,12 +673,20 @@ impl Server {
                 self.metrics
                     .observe("aa_serve_read_latency_us", &[], latency_us);
                 self.latencies.push(latency_us);
+                let value = answer(frame, self.session.tracker(), req.kind);
+                if let ReadValue::TopK(ans) = &value {
+                    if ans.is_exact() {
+                        self.stats.topk_exact += 1;
+                    } else {
+                        self.stats.topk_anytime += 1;
+                    }
+                }
                 out.push(ReadOutcome::Served {
                     id: req.id,
                     latency_us,
                     degraded,
                     meta: frame.meta,
-                    value: answer(frame, &self.topk, req.kind),
+                    value,
                 });
             }
         }
@@ -758,10 +714,11 @@ impl Server {
 /// the tracker's bound state; the snapshot fallback only fires if the
 /// tracker has never observed a frame (it is seeded at construction, so in
 /// practice every answer carries real bounds).
-fn answer(frame: &SnapshotFrame, topk: &TopKTracker, kind: ReadKind) -> ReadValue {
+fn answer(frame: &SnapshotFrame, topk: Option<&TopKTracker>, kind: ReadKind) -> ReadValue {
     let snap = &frame.snapshot;
+    let tracked = |k| topk.and_then(|t| t.answer(k));
     match kind {
-        ReadKind::TopK(k) => ReadValue::TopK(Box::new(topk.answer(k).unwrap_or_else(|| {
+        ReadKind::TopK(k) => ReadValue::TopK(Box::new(tracked(k).unwrap_or_else(|| {
             let members = snap.top_k(k);
             let unresolved = snap
                 .closeness
@@ -810,7 +767,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 mod tests {
     use super::*;
     use aa_core::EngineConfig;
-    use aa_durable::{recover, DurabilityConfig, SimStorage, StorageFaultPlan, StorageFaults};
+    use aa_durable::{recover, SimStorage, StorageFaultPlan, StorageFaults};
     use aa_graph::generators;
 
     fn sim_engine(n: usize, procs: usize) -> AnytimeEngine {
@@ -830,18 +787,18 @@ mod tests {
 
     /// A server with a WAL over `sim`, checkpointing every 4 turns.
     fn durable_server(n: usize, procs: usize, config: ServeConfig, sim: &SimStorage) -> Server {
-        let mut s = Server::new(sim_engine(n, procs), config).unwrap();
-        let mut storage: Box<dyn Storage> = Box::new(sim.clone());
-        let log = DurableLog::open(
-            storage.as_mut(),
-            1,
-            DurabilityConfig {
-                checkpoint_every_turns: 4,
-                ..Default::default()
-            },
+        let durability = DurabilityConfig {
+            checkpoint_every_turns: 4,
+            ..Default::default()
+        };
+        let (s, recovery) = Server::open_durable(
+            Box::new(sim.clone()),
+            sim_engine(n, procs),
+            config,
+            durability,
         )
         .unwrap();
-        s.attach_durability(storage, log);
+        assert_eq!(recovery.next_seq, 1, "empty storage starts the log at 1");
         s
     }
 
@@ -885,7 +842,7 @@ mod tests {
         // chosen above the tracker's pivot budget so the member scores
         // cannot all be structurally exact — exactness can then only come
         // from a fresh frame or fully reconverged rows.
-        let k = s.topk_tracker().config().max_pivots + 4;
+        let k = s.topk_tracker().unwrap().config().max_pivots + 4;
         let (u, v, _) = s.engine().graph().edges().next().unwrap();
         assert!(s.engine_mut().delete_edge(u, v));
         s.submit_read(ReadKind::TopK(k));

@@ -9,6 +9,7 @@
 //! every run.
 
 use crate::request::{ClientOp, ReadKind};
+use crate::server::Server;
 use aa_core::AnytimeEngine;
 use aa_graph::VertexId;
 use aa_ingest::UpdateOp;
@@ -84,6 +85,20 @@ impl LoadGen {
     /// The generator's config.
     pub fn config(&self) -> &WorkloadConfig {
         &self.config
+    }
+
+    /// Submits one turn's worth of offered requests to `server`.
+    pub fn offer(&mut self, server: &mut Server) {
+        for op in self.turn_ops(server.engine()) {
+            match op {
+                ClientOp::Read(kind) => {
+                    server.submit_read(kind);
+                }
+                ClientOp::Write(op) => {
+                    server.submit_write(op);
+                }
+            }
+        }
     }
 
     /// Produces one turn's worth of offered requests against the engine's

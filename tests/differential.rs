@@ -25,6 +25,8 @@
 //! the brute-force APSP is the oracle for the sim). Failures shrink through
 //! the same ddmin pass.
 
+mod support;
+
 use aa_core::{
     AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, FaultConfig, PartitionerKind,
     ProcFaultConfig, ProgressSample, SupervisorConfig, VertexBatch,
@@ -33,6 +35,7 @@ use aa_graph::{algo, Graph, VertexId, Weight};
 use aa_runtime::BackendKind;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use support::ddmin;
 
 /// One mutation of a random schedule. Vertex/edge picks are modulo-indexed
 /// into the *live* vertex/edge lists at apply time, so any subsequence of a
@@ -214,42 +217,6 @@ fn run_case(case: &Case) -> (Option<String>, Vec<ProgressSample>) {
 
 fn fails(case: &Case) -> bool {
     run_case(case).0.is_some()
-}
-
-/// ddmin over a vector-valued field: greedily removes chunks (halving the
-/// chunk size) for as long as `still_fails` keeps holding. The predicate is
-/// a parameter so the same shrinker serves both the engine-vs-brute-force
-/// harness and the sim-vs-threads cross-backend harness.
-fn ddmin<T: Clone>(
-    case: &Case,
-    still_fails: &dyn Fn(&Case) -> bool,
-    get: fn(&Case) -> &Vec<T>,
-    get_mut: fn(&mut Case) -> &mut Vec<T>,
-) -> Case {
-    let mut best = case.clone();
-    let mut chunk = (get(&best).len() / 2).max(1);
-    loop {
-        let mut shrunk = false;
-        let mut i = 0;
-        while i < get(&best).len() {
-            let mut candidate = best.clone();
-            let upper = (i + chunk).min(get(&candidate).len());
-            get_mut(&mut candidate).drain(i..upper);
-            if still_fails(&candidate) {
-                best = candidate;
-                shrunk = true;
-            } else {
-                i += chunk;
-            }
-        }
-        if chunk == 1 {
-            if !shrunk {
-                return best;
-            }
-        } else {
-            chunk = (chunk / 2).max(1);
-        }
-    }
 }
 
 /// Minimizes a case that fails `still_fails`: first the operation schedule,

@@ -17,7 +17,7 @@
 use aa_core::{AnytimeEngine, EngineConfig};
 use aa_durable::{
     decode_record, encode_commit, encode_record, recover, scan_segment, DurabilityConfig,
-    DurableLog, SimStorage, Storage, StorageFaultPlan, StorageFaults, WalRecord,
+    SimStorage, Storage, StorageFaultPlan, StorageFaults, WalRecord,
 };
 use aa_graph::generators;
 use aa_ingest::UpdateOp;
@@ -51,18 +51,17 @@ fn serve_config() -> ServeConfig {
 /// A durable server over `sim`, checkpointing every 3 turns so a multi-turn
 /// run exercises checkpoint + WAL-suffix recovery, not just replay.
 fn durable_server(sim: &SimStorage) -> Server {
-    let mut s = Server::new(fresh_engine(), serve_config()).unwrap();
-    let mut storage: Box<dyn Storage> = Box::new(sim.clone());
-    let log = DurableLog::open(
-        storage.as_mut(),
-        1,
-        DurabilityConfig {
-            checkpoint_every_turns: 3,
-            ..Default::default()
-        },
+    let durability = DurabilityConfig {
+        checkpoint_every_turns: 3,
+        ..Default::default()
+    };
+    let (s, _) = Server::open_durable(
+        Box::new(sim.clone()),
+        fresh_engine(),
+        serve_config(),
+        durability,
     )
     .unwrap();
-    s.attach_durability(storage, log);
     s
 }
 
@@ -74,19 +73,6 @@ fn workload(seed: u64) -> LoadGen {
         top_k: 4,
         topk_read_mix: 0.5,
     })
-}
-
-fn offer_turn(s: &mut Server, gen: &mut LoadGen) {
-    for op in gen.turn_ops(s.engine()) {
-        match op {
-            ClientOp::Read(kind) => {
-                s.submit_read(kind);
-            }
-            ClientOp::Write(w) => {
-                s.submit_write(w);
-            }
-        }
-    }
 }
 
 fn assert_closeness_equal(live: &mut AnytimeEngine, recovered: &mut AnytimeEngine, ctx: &str) {
@@ -114,7 +100,7 @@ fn kill_sweep(faults: StorageFaults, fault_seed: u64, turns: usize) {
         let mut gen = workload(0xD17A);
         let mut committed = 0u64;
         for _ in 0..kill_after {
-            offer_turn(&mut s, &mut gen);
+            gen.offer(&mut s);
             let rep = s.turn().expect("serve turn");
             if let Some(seq) = rep.durable_seq {
                 committed = seq;
@@ -183,7 +169,7 @@ fn corrupt_newest_checkpoint_falls_back_to_wal_replay() {
     let mut s = durable_server(&sim);
     let mut gen = workload(0xFA11);
     for _ in 0..8 {
-        offer_turn(&mut s, &mut gen);
+        gen.offer(&mut s);
         s.turn().expect("serve turn");
     }
     sim.kill();
@@ -218,7 +204,7 @@ fn truncated_wal_tail_is_quarantined_never_fatal() {
     let mut s = durable_server(&sim);
     let mut gen = workload(0xBEEF);
     for _ in 0..4 {
-        offer_turn(&mut s, &mut gen);
+        gen.offer(&mut s);
         s.turn().expect("serve turn");
     }
     sim.kill();

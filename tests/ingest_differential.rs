@@ -17,11 +17,14 @@
 //! `AA_DIFF_SEED=<n> cargo test --test ingest_differential seeded` replays
 //! one pinned deterministic schedule.
 
+mod support;
+
 use aa_core::{AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, FaultConfig, VertexBatch};
 use aa_graph::{algo, Graph, VertexId, Weight};
 use aa_ingest::{DrainPolicy, IngestConfig, IngestPipeline, UpdateOp};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use support::ddmin;
 
 /// One raw mutation; vertex/edge picks are modulo-indexed into the live
 /// lists at resolve time so every subsequence is still a valid schedule.
@@ -300,30 +303,7 @@ fn fails(case: &Case) -> bool {
 
 /// ddmin over the raw schedule: greedily removes chunks while still failing.
 fn shrink(case: &Case) -> Case {
-    let mut best = case.clone();
-    let mut chunk = (best.ops.len() / 2).max(1);
-    loop {
-        let mut shrunk = false;
-        let mut i = 0;
-        while i < best.ops.len() {
-            let mut candidate = best.clone();
-            let upper = (i + chunk).min(candidate.ops.len());
-            candidate.ops.drain(i..upper);
-            if fails(&candidate) {
-                best = candidate;
-                shrunk = true;
-            } else {
-                i += chunk;
-            }
-        }
-        if chunk == 1 {
-            if !shrunk {
-                return best;
-            }
-        } else {
-            chunk = (chunk / 2).max(1);
-        }
-    }
+    ddmin(case, &fails, |c| &c.ops, |c| &mut c.ops)
 }
 
 fn check_case(case: Case) -> Result<(), TestCaseError> {

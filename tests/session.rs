@@ -1,0 +1,345 @@
+//! One driver: the same seeded update schedule pushed through a bare
+//! [`Session`], through a [`Server`] fed only writes, and through the
+//! `aa stream` front-end (its `apply_batch` loop and the whole
+//! `stream_serve` command) must end in the same state — distances,
+//! closeness, RC steps, ingest flushes and actions, tracker partition — on
+//! both backends. The durable variant adds: a session and a server over
+//! `SimStorage` write byte-identical WAL segments, and recovery from either
+//! equals the live engine.
+//!
+//! The front-ends differ in *when* they look (the server observes once per
+//! turn, the stream after every update, the bare session every superstep)
+//! and must not differ in what they end up with: none of them owns a step,
+//! a flush or a commit of its own.
+
+use aa_cli::commands::{stream_serve, StreamOpts};
+use aa_cli::stream::{apply_batch, parse_stream};
+use aa_cli::{load_graph, save_graph, Format};
+use aa_core::{AnytimeEngine, EngineConfig};
+use aa_durable::{recover, DurabilityConfig, SimStorage, Storage};
+use aa_graph::{generators, Graph, VertexId, Weight};
+use aa_ingest::{DrainPolicy, IngestConfig, IngestStats, UpdateOp};
+use aa_query::{TopKConfig, TopKTracker};
+use aa_runtime::BackendKind;
+use aa_serve::{ServeConfig, Server, Session};
+use rand::prelude::*;
+use rand_chacha::ChaCha8Rng;
+use std::path::{Path, PathBuf};
+
+const PROCS: usize = 3;
+const BATCH: usize = 4;
+const ROUNDS: usize = 5;
+const BUDGET: usize = 16 * PROCS + 64;
+
+/// Writes the base graph where `aa stream` can load it and hands back what
+/// the loader makes of it, so every driver starts from the very same graph.
+fn base_graph(dir: &Path) -> (PathBuf, Graph) {
+    std::fs::create_dir_all(dir).unwrap();
+    let path = dir.join("base.txt");
+    let g = generators::barabasi_albert(48, 2, 1, 19);
+    save_graph(&g, &path, Some(Format::EdgeList)).unwrap();
+    let loaded = load_graph(&path, Some(Format::EdgeList)).unwrap();
+    (path, loaded)
+}
+
+fn engine(g: &Graph, backend: BackendKind) -> AnytimeEngine {
+    let threads = match backend {
+        BackendKind::Sim => 0,
+        BackendKind::Threads => 2,
+    };
+    AnytimeEngine::new(
+        g.clone(),
+        EngineConfig {
+            num_procs: PROCS,
+            backend,
+            threads,
+            ..Default::default()
+        },
+    )
+}
+
+/// The drain policy `aa stream --batch BATCH` assembles.
+fn ingest() -> IngestConfig {
+    IngestConfig {
+        policy: DrainPolicy::SizeTriggered(BATCH),
+        ..Default::default()
+    }
+}
+
+fn serve_config() -> ServeConfig {
+    ServeConfig {
+        ingest: ingest(),
+        ..Default::default()
+    }
+}
+
+/// `ROUNDS` rounds of `BATCH` updates, every one effective against the
+/// evolving graph and no two in a round touching the same pair — so each
+/// round is exactly one flush of `BATCH` actions however it is driven.
+fn schedule(g: &Graph, seed: u64) -> Vec<Vec<UpdateOp>> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut shadow = g.clone();
+    let mut rounds = Vec::new();
+    for _ in 0..ROUNDS {
+        let mut round = Vec::new();
+        let mut touched: Vec<(VertexId, VertexId)> = Vec::new();
+        let alive: Vec<VertexId> = shadow.vertices().collect();
+        while round.len() < BATCH {
+            if round.is_empty() {
+                let a = alive[rng.gen_range(0..alive.len())];
+                let b = alive[rng.gen_range(0..alive.len())];
+                let mut anchors = vec![(a, 1)];
+                if b != a {
+                    anchors.push((b, 1));
+                }
+                round.push(UpdateOp::AddVertex { anchors });
+                continue;
+            }
+            let u = alive[rng.gen_range(0..alive.len())];
+            let v = alive[rng.gen_range(0..alive.len())];
+            let pair = (u.min(v), u.max(v));
+            if u == v || touched.contains(&pair) {
+                continue;
+            }
+            touched.push(pair);
+            round.push(match shadow.edge_weight(u, v) {
+                None => UpdateOp::AddEdge(u, v, rng.gen_range(1..=4)),
+                Some(w) if shadow.degree(u) > 1 && shadow.degree(v) > 1 && w % 2 == 0 => {
+                    UpdateOp::DeleteEdge(u, v)
+                }
+                Some(w) => UpdateOp::Reweight(u, v, w % 4 + 1),
+            });
+        }
+        for op in &round {
+            match op {
+                UpdateOp::AddEdge(u, v, w) => {
+                    shadow.add_edge(*u, *v, *w);
+                }
+                UpdateOp::DeleteEdge(u, v) => {
+                    shadow.remove_edge(*u, *v);
+                }
+                UpdateOp::Reweight(u, v, w) => {
+                    shadow.set_edge_weight(*u, *v, *w);
+                }
+                UpdateOp::AddVertex { anchors } => {
+                    let id = shadow.add_vertex();
+                    for &(a, w) in anchors {
+                        shadow.add_edge(id, a, w);
+                    }
+                }
+                UpdateOp::DeleteVertex(_) => unreachable!("the schedule deletes no vertex"),
+            }
+        }
+        rounds.push(round);
+    }
+    rounds
+}
+
+/// The schedule in the stream language, one `converge` barrier per round.
+fn stream_text(rounds: &[Vec<UpdateOp>]) -> String {
+    let mut text = String::new();
+    for round in rounds {
+        for op in round {
+            text.push_str(&match op {
+                UpdateOp::AddEdge(u, v, w) => format!("ae {u} {v} {w}\n"),
+                UpdateOp::DeleteEdge(u, v) => format!("de {u} {v}\n"),
+                UpdateOp::Reweight(u, v, w) => format!("cw {u} {v} {w}\n"),
+                UpdateOp::AddVertex { anchors } => {
+                    let ids: Vec<String> = anchors.iter().map(|(a, _)| a.to_string()).collect();
+                    format!("av {}\n", ids.join(","))
+                }
+                UpdateOp::DeleteVertex(v) => format!("dv {v}\n"),
+            });
+        }
+        text.push_str("converge\n");
+    }
+    text
+}
+
+/// Where a driver ended.
+#[derive(Debug, PartialEq)]
+struct End {
+    distances: Vec<Vec<Weight>>,
+    closeness: Vec<f64>,
+    rc_steps: usize,
+    flushes: u64,
+    actions_out: u64,
+    partition: Option<(Vec<VertexId>, Vec<VertexId>, Vec<VertexId>)>,
+}
+
+fn end(engine: &mut AnytimeEngine, ingest: IngestStats, tracker: Option<&TopKTracker>) -> End {
+    assert!(engine.is_converged());
+    let k = TopKConfig::default().k;
+    End {
+        distances: engine.distances_dense(),
+        closeness: engine.snapshot().closeness,
+        rc_steps: engine.rc_steps(),
+        flushes: ingest.flushes,
+        actions_out: ingest.actions_out,
+        partition: tracker.and_then(|t| t.partition(k)),
+    }
+}
+
+fn session_end(s: &mut Session) -> End {
+    let (stats, tracker) = (s.ingest_stats(), s.tracker().cloned());
+    end(s.engine_mut(), stats, tracker.as_ref())
+}
+
+fn server_end(s: &mut Server) -> End {
+    let (stats, tracker) = (s.ingest_stats(), s.topk_tracker().cloned());
+    end(s.engine_mut(), stats, tracker.as_ref())
+}
+
+/// The bare session: a round is pushed, applied at once, and converged.
+fn drive_session(s: &mut Session, rounds: &[Vec<UpdateOp>]) {
+    s.converge(BUDGET);
+    for round in rounds {
+        for op in round {
+            let (outcome, _) = s.push(op.clone()).unwrap();
+            assert!(outcome.enqueued, "{op:?} must be effective");
+        }
+        assert!(s.apply_all().unwrap().commit_error.is_none());
+        s.converge(BUDGET);
+    }
+}
+
+/// The server sees writes only; `drain` runs turns until it has converged.
+fn drive_server(s: &mut Server, rounds: &[Vec<UpdateOp>]) {
+    s.drain(BUDGET).unwrap();
+    for round in rounds {
+        for op in round {
+            assert!(s.submit_write(op.clone()).is_admitted(), "{op:?}");
+        }
+        s.drain(BUDGET).unwrap();
+    }
+}
+
+fn one_schedule_three_front_ends(backend: BackendKind, name: &str) {
+    let dir = std::env::temp_dir().join(format!("aa_session_{name}"));
+    let (graph_path, g) = base_graph(&dir);
+    let rounds = schedule(&g, 0x5E55);
+    let topk = Some(TopKConfig::default());
+
+    let mut bare = Session::new(engine(&g, backend), ingest(), topk).unwrap();
+    drive_session(&mut bare, &rounds);
+    let want = session_end(&mut bare);
+    assert_eq!(want.flushes, ROUNDS as u64);
+    assert_eq!(want.actions_out, (ROUNDS * BATCH) as u64);
+    assert!(want.partition.is_some(), "the tracker must have an answer");
+
+    let mut server = Server::new(engine(&g, backend), serve_config()).unwrap();
+    drive_server(&mut server, &rounds);
+    assert_eq!(server_end(&mut server), want, "server fed only writes");
+
+    let text = stream_text(&rounds);
+    let mut streamed = Session::new(engine(&g, backend), ingest(), topk).unwrap();
+    streamed.converge(BUDGET);
+    apply_batch(&mut streamed, &parse_stream(&text).unwrap()).unwrap();
+    streamed.converge(BUDGET);
+    assert_eq!(session_end(&mut streamed), want, "aa stream's apply_batch");
+
+    // The command itself prints what the bare session ended on.
+    let updates = dir.join("updates.stream");
+    std::fs::write(&updates, &text).unwrap();
+    let report = stream_serve(&StreamOpts {
+        input: graph_path,
+        format: Some(Format::EdgeList),
+        updates,
+        procs: PROCS,
+        top: 5,
+        top_k: Some(TopKConfig::default().k),
+        batch: BATCH,
+        backend,
+        threads: engine(&g, backend).config().threads,
+        ..Default::default()
+    })
+    .unwrap();
+    let expect = [
+        format!(
+            "→ {} engine actions in {} flushes",
+            want.actions_out, want.flushes
+        ),
+        format!("over {} RC steps)", want.rc_steps),
+    ];
+    for line in &expect {
+        assert!(report.contains(line), "missing {line:?} in:\n{report}");
+    }
+    for (v, c) in bare.engine_mut().snapshot().top_k(5) {
+        let line = format!("  vertex {v:>8}  closeness {c:.6e}");
+        assert!(report.contains(&line), "missing {line:?} in:\n{report}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn one_schedule_three_front_ends_on_sim() {
+    one_schedule_three_front_ends(BackendKind::Sim, "sim");
+}
+
+#[test]
+fn one_schedule_three_front_ends_on_threads() {
+    one_schedule_three_front_ends(BackendKind::Threads, "threads");
+}
+
+/// Every WAL segment on `sim` after a `kill -9`, by name.
+fn wal_segments(sim: &SimStorage) -> Vec<(String, Vec<u8>)> {
+    sim.kill();
+    let mut st = sim.clone();
+    let mut names = Storage::list(&st).unwrap();
+    names.retain(|n| n.ends_with(".aawl"));
+    names.sort();
+    names
+        .into_iter()
+        .map(|n| {
+            let bytes = st.read(&n).unwrap();
+            (n, bytes)
+        })
+        .collect()
+}
+
+#[test]
+fn durable_session_and_server_write_the_same_wal_and_recover_to_live() {
+    let dir = std::env::temp_dir().join("aa_session_durable");
+    let (_, g) = base_graph(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    let rounds = schedule(&g, 0xD0_5E55);
+    let base = || engine(&g, BackendKind::Sim);
+    // Checkpoints only at close: the comparison is killed before either.
+    let durability = DurabilityConfig {
+        checkpoint_every_turns: 0,
+        ..Default::default()
+    };
+
+    let sim_a = SimStorage::new();
+    let topk = Some(TopKConfig::default());
+    let (mut bare, recovery) =
+        Session::open_durable(Box::new(sim_a.clone()), base(), ingest(), topk, durability).unwrap();
+    assert_eq!(recovery.next_seq, 1);
+    drive_session(&mut bare, &rounds);
+    let want = session_end(&mut bare);
+
+    let sim_b = SimStorage::new();
+    let (mut server, _) =
+        Server::open_durable(Box::new(sim_b.clone()), base(), serve_config(), durability).unwrap();
+    drive_server(&mut server, &rounds);
+    assert_eq!(server_end(&mut server), want);
+    assert_eq!(
+        server.durable_committed_seq(),
+        bare.durable_log().map(|log| log.committed_seq())
+    );
+
+    let (wal_a, wal_b) = (wal_segments(&sim_a), wal_segments(&sim_b));
+    assert!(wal_a.iter().any(|(_, bytes)| bytes.len() > 16));
+    assert_eq!(wal_a, wal_b, "same ops, same group commits, same bytes");
+
+    for sim in [&sim_a, &sim_b] {
+        let mut st = sim.clone();
+        let rec = recover(&mut st, base(), ingest()).unwrap();
+        assert!(!rec.report.used_checkpoint);
+        assert_eq!(rec.report.records_replayed, (ROUNDS * BATCH) as u64);
+        let mut recovered = rec.engine;
+        recovered.run_to_convergence(BUDGET);
+        assert_eq!(recovered.distances_dense(), want.distances);
+        assert_eq!(recovered.snapshot().closeness, want.closeness);
+    }
+}

@@ -22,12 +22,15 @@
 //! differential harness uses, and `AA_DIFF_SEED=<n> cargo test
 //! topk_seeded_replay` pins one deterministic schedule, as there.
 
+mod support;
+
 use aa_core::{AnytimeEngine, EngineConfig, FaultConfig, ProcFaultConfig, SupervisorConfig};
 use aa_graph::{algo, Graph, VertexId};
 use aa_query::{TopKConfig, TopKTracker};
 use aa_runtime::BackendKind;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use support::ddmin;
 
 /// One edge mutation; indices are modulo-resolved against live state at
 /// apply time so any subsequence of a schedule is still a valid schedule.
@@ -257,42 +260,10 @@ fn fails(case: &Case) -> bool {
     run_case(case).is_some()
 }
 
-/// ddmin over a vector-valued field (same shape as the main harness).
-fn ddmin<T: Clone>(
-    case: &Case,
-    get: fn(&Case) -> &Vec<T>,
-    get_mut: fn(&mut Case) -> &mut Vec<T>,
-) -> Case {
-    let mut best = case.clone();
-    let mut chunk = (get(&best).len() / 2).max(1);
-    loop {
-        let mut shrunk = false;
-        let mut i = 0;
-        while i < get(&best).len() {
-            let mut candidate = best.clone();
-            let upper = (i + chunk).min(get(&candidate).len());
-            get_mut(&mut candidate).drain(i..upper);
-            if fails(&candidate) {
-                best = candidate;
-                shrunk = true;
-            } else {
-                i += chunk;
-            }
-        }
-        if chunk == 1 {
-            if !shrunk {
-                return best;
-            }
-        } else {
-            chunk = (chunk / 2).max(1);
-        }
-    }
-}
-
 /// Minimizes a failing case: first the op schedule, then the extra edges.
 fn shrink(case: &Case) -> Case {
-    let best = ddmin(case, |c| &c.ops, |c| &mut c.ops);
-    ddmin(&best, |c| &c.extra_edges, |c| &mut c.extra_edges)
+    let best = ddmin(case, &fails, |c| &c.ops, |c| &mut c.ops);
+    ddmin(&best, &fails, |c| &c.extra_edges, |c| &mut c.extra_edges)
 }
 
 /// Checks a case; on failure, prints the ddmin-minimal schedule and fails.
