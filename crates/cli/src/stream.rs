@@ -25,7 +25,8 @@ pub enum Command {
     Converge,
     /// `rebalance` — migrate rows to rebalance load.
     Rebalance,
-    /// `fail r` — crash and recover processor `r`.
+    /// `fail r` — crash processor `r` and recover it through the ladder
+    /// (its last checkpoint if one is usable, a local reseed otherwise).
     Fail(usize),
     /// `chaos p_drop p_dup` — set lossy-link fault injection rates
     /// (both zero disables chaos).
@@ -178,12 +179,10 @@ pub fn apply(engine: &mut AnytimeEngine, cmd: &Command) -> Result<Vec<String>, S
             vec![format!("rebalanced: {moved} vertices migrated")]
         }
         Command::Fail(rank) => {
-            let report = engine
-                .fail_and_recover_processor(*rank)
-                .map_err(|e| e.to_string())?;
+            let report = engine.recover_rank(*rank).map_err(|e| e.to_string())?;
             vec![format!(
-                "processor {rank} crashed and recovered via {}: {} rows reseeded, {} rows resent",
-                report.method, report.reseeded_rows, report.resent_rows
+                "processor {rank} crashed and recovered via {}: {} rows restored, {} reseeded, {} resent",
+                report.method, report.restored_rows, report.reseeded_rows, report.resent_rows
             )]
         }
         Command::Chaos(p_drop, p_dup) => {

@@ -303,6 +303,13 @@ impl AnytimeEngine {
                 ps.dv.insert_row(v, row);
                 ps.dirty.insert(v);
             }
+            if converged {
+                // Only an empty frontier votes "converged", so these rows
+                // were saved with empty logs, and the view they are put back
+                // into is rebuilt from the world and partition saved beside
+                // them: the propagation invariant holds on every column.
+                ps.dv.clear_logs();
+            }
             states.push(ps);
         }
         if !r.is_empty() {

@@ -138,7 +138,7 @@ impl AnytimeEngine {
             // boundary vertex, so later invalidations can re-relax from them.
             ps.cache_broadcast_row(u, &row_u);
             ps.cache_broadcast_row(v, &row_v);
-            let mut seeds = Vec::new();
+            // The owners learn the direct edge here too: `D[u][u] = 0`.
             for x in ps.dv.vertices().to_vec() {
                 let mut changed = false;
                 let a = ps.dv.row(x)[u as usize];
@@ -151,16 +151,12 @@ impl AnytimeEngine {
                 }
                 if changed {
                     ps.dirty.insert(x);
-                    seeds.push(x);
                 }
             }
-            ps.propagate_worklist(seeds);
+            ps.propagate();
             self.cluster
                 .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
         }
-        // The owners also learn the direct edge immediately.
-        self.procs[ou].dv.relax_with_external(u, &row_v, w);
-        self.procs[ov].dv.relax_with_external(v, &row_u, w);
     }
 
     /// Adds a batch of edges at once — the edge-additions paper's "new
@@ -211,7 +207,6 @@ impl AnytimeEngine {
             for &e in &endpoints {
                 ps.cache_broadcast_row(e, &rows[&e]);
             }
-            let mut seeds = Vec::new();
             for x in ps.dv.vertices().to_vec() {
                 let mut changed = false;
                 for &(u, v, w) in &inserted {
@@ -226,10 +221,9 @@ impl AnytimeEngine {
                 }
                 if changed {
                     ps.dirty.insert(x);
-                    seeds.push(x);
                 }
             }
-            ps.propagate_worklist(seeds);
+            ps.propagate();
             self.cluster
                 .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
         }
@@ -251,11 +245,7 @@ impl AnytimeEngine {
     /// every row is marked dirty so the first recombination steps re-exchange
     /// boundary state.
     fn deletion_barrier(&mut self) {
-        let quiescent = self.converged
-            && self
-                .procs
-                .iter()
-                .all(|ps| ps.outstanding.is_empty() && ps.dirty.is_empty());
+        let quiescent = self.converged && self.procs.iter().all(ProcState::is_quiescent);
         if !quiescent {
             self.run_to_convergence(64 * self.procs.len() + 256);
             assert!(self.converged, "deletion barrier failed to converge");
@@ -335,8 +325,8 @@ impl AnytimeEngine {
 
     /// Dynamically deletes edge `(u, v)`. Converges pending updates first
     /// (deletion barrier, see module docs), invalidates every pair supported
-    /// by the edge, reseeds from local Dijkstra, and leaves reconvergence to
-    /// subsequent recombination steps. Returns `false` if the edge is absent.
+    /// by the edge, rebuilds them from local Dijkstra, and leaves reconvergence
+    /// to subsequent recombination steps. Returns `false` if the edge is absent.
     // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> bool {
         assert!(self.initialized, "call initialize() first");
@@ -424,8 +414,8 @@ impl AnytimeEngine {
 
     /// Dynamically deletes vertex `v` and all its incident edges (the papers'
     /// named future work). Applies the deletion barrier, invalidates every
-    /// pair whose path ran through `v`, and reseeds. Returns the removed
-    /// incident edges.
+    /// pair whose path ran through `v`, and rebuilds them from local Dijkstra.
+    /// Returns the removed incident edges.
     // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
     pub fn delete_vertex(&mut self, v: VertexId) -> Vec<(VertexId, Weight)> {
         assert!(self.initialized, "call initialize() first");
@@ -537,8 +527,10 @@ fn affected_targets_vertex(
 }
 
 /// Applies an invalidation rule to every owned row and every cached external
-/// row of `ps`, reseeds affected owned rows from local Dijkstra, re-relaxes
-/// them through cached boundary rows, and propagates locally.
+/// row of `ps`, reseeding affected owned rows from local Dijkstra, re-relaxes
+/// them through cached boundary rows, and propagates locally: the raised
+/// rows and their local neighbours are on the frontier, so reset entries are
+/// re-learnt from unaffected neighbour rows too.
 // aa-lint: allow(AA07, rows are full-width (world capacity) and every indexed id comes from the same world)
 fn invalidate_and_reseed<F>(ps: &mut ProcState, ia: crate::config::IaAlgorithm, affected: F)
 where
@@ -596,13 +588,7 @@ where
         ps.relax_from_cache(x);
         ps.dirty.insert(x);
     }
-    if !dirtied.is_empty() {
-        // Reset entries must also be re-learnable from *unaffected* neighbour
-        // rows, so the worklist is seeded with every owned vertex (a full
-        // local fixed-point pass), not just the dirtied ones.
-        let all = ps.dv.vertices().to_vec();
-        ps.propagate_worklist(all);
-    }
+    ps.propagate();
 }
 
 #[cfg(test)]

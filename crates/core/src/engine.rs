@@ -260,7 +260,13 @@ impl AnytimeEngine {
                     ps.outstanding.retain(|&(v, _), _| v != u);
                     let ranks = ps.neighbor_ranks(u, partition);
                     if ranks.is_empty() {
-                        continue; // interior vertex: no neighbour processor needs it
+                        // Interior vertex: no neighbour processor needs it.
+                        // One that held a copy while the row had a cut edge
+                        // misses this update, so it is up to date no longer:
+                        // should it border the row again, it gets a full one.
+                        ps.sent_to.remove(&u);
+                        ps.sent_snapshot.remove(&u);
+                        continue;
                     }
                     let mut trivial = Vec::new();
                     for &dst in &ranks {
@@ -481,26 +487,20 @@ impl AnytimeEngine {
             &no_skip,
             |_, ps, (received, pending): (Vec<(usize, RcPayload)>, bool)| {
                 let mut contacts: Vec<usize> = Vec::new();
-                let mut seeds = Vec::new();
                 for (src, payload) in received {
                     contacts.push(src);
                     if let RcPayload::Row(v, update) = payload {
-                        seeds.extend(ps.apply_row_update(v, update));
+                        ps.apply_row_update(v, update);
                     }
                 }
-                let pending = match refinement {
-                    Refinement::WorklistRelax => {
-                        ps.propagate_worklist(seeds);
-                        pending
-                    }
-                    Refinement::PivotPass => {
-                        if !seeds.is_empty() || pending {
-                            ps.pivot_pass()
-                        } else {
-                            pending
-                        }
-                    }
-                };
+                // The frontier holds what the inbound rows just lowered and
+                // whatever a dynamic event, a migration or a recovery
+                // installed since the last step. Both refinements drain it;
+                // the pivot pass is a further closure on top, owed whenever
+                // the drain had something to move.
+                let moved = ps.propagate();
+                let pending =
+                    refinement == Refinement::PivotPass && (moved || pending) && ps.pivot_pass();
                 (contacts, pending)
             },
         );
@@ -537,14 +537,14 @@ impl AnytimeEngine {
         }
 
         // 4. Global termination test. Flags are computed *after* recovery so
-        // freshly re-dirtied rows count as pending work; a down rank always
-        // votes "pending" — its frozen state is not the fixed point.
+        // freshly installed rows (dirty, and on the frontier) count as
+        // pending work; a down rank always votes "pending" — its frozen
+        // state is not the fixed point.
         let mut flags = vec![false; p];
         for (rank, flag) in flags.iter_mut().enumerate() {
             *flag = self.cluster.is_down(rank)
-                || !self.procs[rank].dirty.is_empty()
                 || self.pivot_pending[rank]
-                || !self.procs[rank].outstanding.is_empty();
+                || !self.procs[rank].is_quiescent();
         }
         let any = self.cluster.all_reduce_or(Phase::Recombination, &flags);
         self.converged = !any;
@@ -744,7 +744,8 @@ impl AnytimeEngine {
     }
 
     /// Internal consistency checks (tests): every live vertex has exactly one
-    /// owning row; views agree with the partition.
+    /// owning row; views agree with the partition; a converged engine has
+    /// every change log empty and no cached row unrelaxed.
     // aa-lint: allow(AA07, the diagnostic tables are sized to world capacity and row vertex ids are below it)
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut owned = vec![0usize; self.world.capacity()];
@@ -757,6 +758,10 @@ impl AnytimeEngine {
                 if self.partition.part_of(v) != Some(ps.rank) {
                     return Err(format!("proc {} owns {v} against the partition", ps.rank));
                 }
+            }
+            let mut frontier = ps.dv.frontier().chain(ps.ext_unrelaxed.iter().copied());
+            if let Some(v) = frontier.next().filter(|_| self.converged) {
+                return Err(format!("converged, but row {v} is on the frontier"));
             }
         }
         for v in 0..self.world.capacity() as VertexId {

@@ -93,9 +93,11 @@ pub struct ProcState {
     pub ext_rows: HashMap<VertexId, Vec<Weight>>,
     /// Cached external rows whose local neighbours may be behind the cached
     /// values on any column — a broadcast replaced the cache, or the
-    /// adjacency around it changed. The next update of such a row relaxes
-    /// densely. For every other cached row `b` and local neighbour `u` over
-    /// an edge of weight `w`, `row_u[c] <= ext_rows[b][c] + w` on all columns.
+    /// adjacency around it changed. They are the cached half of the
+    /// frontier: [`Self::propagate`] relaxes their neighbours densely, unless
+    /// an update of the row gets there first. For every other cached row `b`
+    /// and local neighbour `u` over an edge of weight `w`,
+    /// `row_u[c] <= ext_rows[b][c] + w` on all columns.
     pub ext_unrelaxed: HashSet<VertexId>,
     /// Owned vertices whose rows changed since they were last sent.
     pub dirty: HashSet<VertexId>,
@@ -320,9 +322,9 @@ impl ProcState {
     }
 
     /// Applies a received boundary-row update: replaces or patches the cached
-    /// copy, then relaxes the adjacent local rows. Returns worklist seeds.
+    /// copy, then relaxes the adjacent local rows.
     // aa-lint: allow(AA07, delta columns index a row resized to world capacity first, and senders share the same world whose capacity every processor extends before exchanging)
-    pub fn apply_row_update(&mut self, v: VertexId, update: RowUpdate) -> Vec<VertexId> {
+    pub fn apply_row_update(&mut self, v: VertexId, update: RowUpdate) {
         match update {
             RowUpdate::Full(row) => self.apply_external_row(v, row),
             RowUpdate::Delta(delta) => {
@@ -348,21 +350,18 @@ impl ProcState {
     }
 
     /// Relaxes every local neighbour of external vertex `v` against its
-    /// cached row on the columns `cols`. Marks improved rows dirty and
-    /// returns them as worklist seeds.
+    /// cached row on the columns `cols`, marking improved rows dirty (their
+    /// logs put them on the frontier).
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
-    fn relax_through_cached(&mut self, v: VertexId, cols: &ColumnSet) -> Vec<VertexId> {
-        let mut seeds = Vec::new();
+    fn relax_through_cached(&mut self, v: VertexId, cols: &ColumnSet) {
         let Some(row) = self.ext_rows.get(&v) else {
-            return seeds;
+            return;
         };
         for &(u, w) in &self.adj[v as usize] {
             if self.is_local[u as usize] && self.dv.relax_with_external_on(u, row, w, cols) {
-                seeds.push(u);
                 self.dirty.insert(u);
             }
         }
-        seeds
     }
 
     /// Dijkstra from `source` restricted to the local sub-graph: local
@@ -490,8 +489,8 @@ impl ProcState {
     }
 
     /// Stores a received external boundary row and relaxes the adjacent local
-    /// rows. Returns the local vertices whose rows improved (worklist seeds).
-    pub fn apply_external_row(&mut self, v: VertexId, mut row: Vec<Weight>) -> Vec<VertexId> {
+    /// rows against it.
+    pub fn apply_external_row(&mut self, v: VertexId, mut row: Vec<Weight>) {
         // The sender's column count can momentarily trail ours mid-batch;
         // pad defensively.
         row.resize(self.adj.len(), INF);
@@ -503,18 +502,37 @@ impl ProcState {
         self.relax_through_cached(v, &cols)
     }
 
-    /// Label-correcting propagation over local edges from the given seeds
-    /// until the local fixed point: a popped row relaxes its local
-    /// neighbours on the columns in its change log, which is then cleared.
-    /// Marks improved rows dirty. Returns whether anything changed.
+    /// Whether this processor has nothing left to do or to say: no row on
+    /// the frontier, owned or cached, none waiting to be sent, no send
+    /// unacknowledged.
+    pub fn is_quiescent(&self) -> bool {
+        self.dirty.is_empty()
+            && self.outstanding.is_empty()
+            && self.ext_unrelaxed.is_empty()
+            && self.dv.frontier().next().is_none()
+    }
+
+    /// Label-correcting propagation over local edges until the frontier is
+    /// empty, which is the local fixed point. Unrelaxed cached rows go first
+    /// (what they lower joins the frontier); then a popped row relaxes its
+    /// local neighbours on the columns in its change log, which is then
+    /// cleared, and a neighbour it lowers joins the queue. Marks improved
+    /// rows dirty. Returns whether anything was on the frontier.
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
-    pub fn propagate_worklist(&mut self, seeds: Vec<VertexId>) -> bool {
-        let mut changed = false;
+    pub fn propagate(&mut self) -> bool {
+        // aa-lint: allow(AA04, each cached row min-relaxes its own neighbours; the rows left behind are the same for every visit order)
+        let unrelaxed: Vec<VertexId> = self.ext_unrelaxed.drain().collect();
+        for &b in &unrelaxed {
+            self.relax_through_cached(b, &ColumnSet::EVERY);
+        }
+        let mut queue: VecDeque<VertexId> = self.dv.frontier().collect();
+        if queue.is_empty() {
+            return !unrelaxed.is_empty();
+        }
         let mut queued = vec![false; self.adj.len()];
-        for &v in &seeds {
+        for &v in &queue {
             queued[v as usize] = true;
         }
-        let mut queue: VecDeque<VertexId> = seeds.into();
         while let Some(v) = queue.pop_front() {
             queued[v as usize] = false;
             for &(u, w) in &self.adj[v as usize] {
@@ -522,7 +540,6 @@ impl ProcState {
                     continue;
                 }
                 if self.dv.relax_rows_logged(u, v, w) {
-                    changed = true;
                     self.dirty.insert(u);
                     if !std::mem::replace(&mut queued[u as usize], true) {
                         queue.push_back(u);
@@ -531,7 +548,7 @@ impl ProcState {
             }
             self.dv.clear_log(v);
         }
-        changed
+        true
     }
 
     /// The papers' Floyd–Warshall refinement variant: one pass relaxing every
@@ -622,6 +639,10 @@ mod tests {
         (g, part, p0, p1)
     }
 
+    fn frontier(ps: &ProcState) -> Vec<VertexId> {
+        ps.dv.frontier().collect()
+    }
+
     #[test]
     fn view_contains_local_and_boundary_edges() {
         let (_, _, p0, p1) = split_path();
@@ -670,13 +691,16 @@ mod tests {
         // p1 sends row of vertex 2 to p0.
         let row2 = p1.dv.row(2).to_vec();
         p0.dirty.clear();
-        let seeds = p0.apply_external_row(2, row2);
-        assert_eq!(seeds, vec![1]);
+        p0.apply_external_row(2, row2);
+        assert_eq!(frontier(&p0), vec![1]);
         assert_eq!(p0.dv.row(1), &[1, 0, 1, 2]);
-        // Worklist propagation carries it to vertex 0.
-        p0.propagate_worklist(seeds);
+        assert!(!p0.is_quiescent());
+        // Propagation carries it to vertex 0 and leaves the frontier empty.
+        assert!(p0.propagate());
         assert_eq!(p0.dv.row(0), &[0, 1, 2, 3]);
         assert!(p0.dirty.contains(&0) && p0.dirty.contains(&1));
+        assert_eq!(frontier(&p0), vec![]);
+        assert!(!p0.propagate(), "nothing left to drain");
     }
 
     #[test]
@@ -808,17 +832,14 @@ mod tests {
         p0.apply_external_row(2, row2);
         // p1 learns d(2,0) = 2 and ships only the delta.
         p1.dv.row_mut(2)[0] = 2;
-        let seeds = p0.apply_row_update(2, RowUpdate::Delta(vec![(0, 2)]));
+        p0.propagate();
+        p0.apply_row_update(2, RowUpdate::Delta(vec![(0, 2)]));
         assert_eq!(p0.ext_rows[&2][0], 2);
-        assert_eq!(
-            seeds,
-            Vec::<VertexId>::new(),
-            "no local row improves from this"
-        );
+        assert_eq!(frontier(&p0), vec![], "no local row improves from this");
         // A useful delta: d(2,3) drops to 1 (already known) then d(2,3)=0 fake
         // improvement must relax local vertex 1.
-        let seeds = p0.apply_row_update(2, RowUpdate::Delta(vec![(3, 0)]));
-        assert_eq!(seeds, vec![1]);
+        p0.apply_row_update(2, RowUpdate::Delta(vec![(3, 0)]));
+        assert_eq!(frontier(&p0), vec![1]);
         assert_eq!(p0.dv.row(1)[3], 1);
     }
 
@@ -826,10 +847,10 @@ mod tests {
     fn apply_delta_without_cache_starts_from_inf() {
         let (_, _, mut p0, _) = split_path();
         p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        let seeds = p0.apply_row_update(2, RowUpdate::Delta(vec![(3, 1)]));
+        p0.apply_row_update(2, RowUpdate::Delta(vec![(3, 1)]));
         assert_eq!(p0.ext_rows[&2][3], 1);
         assert_eq!(p0.ext_rows[&2][0], INF);
-        assert_eq!(seeds, vec![1], "local 1 learns d(1,3) = 2");
+        assert_eq!(frontier(&p0), vec![1], "local 1 learns d(1,3) = 2");
         assert_eq!(p0.dv.row(1)[3], 2);
     }
 

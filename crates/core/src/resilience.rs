@@ -8,8 +8,9 @@
 //! sub-graph assignment. Recovery leans on the anytime property instead of a
 //! global restart:
 //!
-//! 1. the replacement rebuilds its sub-graph view and reseeds its rows from
-//!    local SSSP (the initial-approximation step, but only for one rank);
+//! 1. the replacement rebuilds its sub-graph view and its rows, from its
+//!    last checkpoint or from local SSSP (the initial-approximation step, but
+//!    only for one rank);
 //! 2. every *surviving* processor forgets the failed rank in its delta
 //!    baselines (the replacement's caches are gone, so deltas would
 //!    under-inform it) and marks its rows that border the failed rank dirty,
@@ -17,7 +18,6 @@
 //! 3. ordinary recombination steps reconverge — surviving partial results are
 //!    reused untouched.
 
-use crate::config::Refinement;
 use crate::engine::AnytimeEngine;
 use aa_graph::{VertexId, Weight, INF};
 use aa_logp::Phase;
@@ -90,39 +90,8 @@ pub struct RecoveryReport {
 }
 
 impl AnytimeEngine {
-    /// Kills processor `rank` and immediately brings up a blank replacement
-    /// with the same rank and vertex assignment, then runs the anytime
-    /// recovery protocol described in the module docs (always the SSSP
-    /// reseed — this is the manual injection path; detected crashes go
-    /// through the supervisor's checkpoint-assisted ladder, see
-    /// `crate::supervisor`). The engine is left unconverged; subsequent
-    /// recombination steps restore exactness.
-    pub fn fail_and_recover_processor(
-        &mut self,
-        rank: usize,
-    ) -> Result<RecoveryReport, RecoveryError> {
-        if !self.initialized {
-            return Err(RecoveryError::NotInitialized);
-        }
-        if rank >= self.config.num_procs {
-            return Err(RecoveryError::InvalidRank {
-                rank,
-                num_procs: self.config.num_procs,
-            });
-        }
-        let span = self.span_open();
-        let report = self.replace_rank(rank, None);
-        self.obs.note_recovery();
-        self.span_close(
-            span,
-            "recovery",
-            format!("{} rank={rank} (manual)", report.method),
-        );
-        Ok(report)
-    }
-
-    /// The crash-and-replace protocol shared by manual injection and
-    /// detected-crash recovery: discards `rank`'s state, rebuilds it from
+    /// The crash-and-replace protocol behind the recovery ladder
+    /// (`crate::supervisor`): discards `rank`'s state, rebuilds it from
     /// `checkpoint_rows` when given (padding each restored row to the
     /// current capacity and reseeding rows the checkpoint misses) or from a
     /// full local SSSP reseed otherwise, then has every survivor downgrade
@@ -220,11 +189,6 @@ impl AnytimeEngine {
                 .compute_measured(survivor, Phase::Recovery, t.elapsed());
         }
         self.cluster.barrier();
-        if self.config.refinement == Refinement::PivotPass {
-            // Force a pivot pass on the replacement even if the inbound
-            // flood happens to seed nothing.
-            self.pivot_pending[rank] = true;
-        }
         self.converged = false;
         RecoveryReport {
             rank,
@@ -270,7 +234,7 @@ mod tests {
     fn recovery_restores_exactness() {
         let mut e = engine(80, 4, 3);
         e.run_to_convergence(64);
-        let report = e.fail_and_recover_processor(2).unwrap();
+        let report = e.recover_rank(2).unwrap();
         assert_eq!(report.rank, 2);
         assert_eq!(report.method, RecoveryMethod::SsspReseed);
         assert_eq!(report.restored_rows, 0);
@@ -286,7 +250,7 @@ mod tests {
     fn recovery_mid_run_still_converges() {
         let mut e = engine(70, 4, 5);
         e.rc_step(); // crash before the static analysis finished
-        e.fail_and_recover_processor(0).unwrap();
+        e.recover_rank(0).unwrap();
         e.run_to_convergence(64);
         assert_oracle(&e);
     }
@@ -296,7 +260,7 @@ mod tests {
         let mut e = engine(60, 4, 7);
         e.run_to_convergence(64);
         for rank in [0usize, 1, 2, 3, 1] {
-            e.fail_and_recover_processor(rank).unwrap();
+            e.recover_rank(rank).unwrap();
             e.rc_step();
         }
         e.run_to_convergence(64);
@@ -314,7 +278,7 @@ mod tests {
         batch.connect(2, Endpoint::Existing(10), 2);
         e.add_vertices(&batch, AdditionStrategy::CutEdgePs);
         e.rc_step();
-        e.fail_and_recover_processor(3).unwrap();
+        e.recover_rank(3).unwrap();
         e.rc_step();
         e.add_edge(0, 40, 1);
         e.run_to_convergence(96);
@@ -330,7 +294,7 @@ mod tests {
         let mut recovered = engine(100, 4, 11);
         recovered.run_to_convergence(64);
         let before = recovered.cluster().ledger().totals().bytes;
-        recovered.fail_and_recover_processor(1).unwrap();
+        recovered.recover_rank(1).unwrap();
         recovered.run_to_convergence(64);
         let recovery_bytes = recovered.cluster().ledger().totals().bytes - before;
 
@@ -350,7 +314,7 @@ mod tests {
     #[test]
     fn invalid_rank_rejected() {
         let mut e = engine(20, 2, 13);
-        let err = e.fail_and_recover_processor(5).unwrap_err();
+        let err = e.recover_rank(5).unwrap_err();
         assert_eq!(
             err,
             RecoveryError::InvalidRank {
@@ -375,7 +339,7 @@ mod tests {
             },
         );
         assert_eq!(
-            e.fail_and_recover_processor(0).unwrap_err(),
+            e.recover_rank(0).unwrap_err(),
             RecoveryError::NotInitialized
         );
     }

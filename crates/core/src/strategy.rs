@@ -246,16 +246,14 @@ impl AnytimeEngine {
             }
         }
 
-        let mut seeds: Vec<Vec<VertexId>> = vec![Vec::new(); p];
         for (idx, &v) in ids.iter().enumerate() {
-            self.attach_new_vertex(v, &incident[idx], &mut seeds);
+            self.attach_new_vertex(v, &incident[idx]);
         }
         // One local propagation pass per processor closes the intra-partition
         // chains; recombination steps carry the rest across boundaries.
         for rank in 0..p {
             let t = Stopwatch::start();
-            let s = std::mem::take(&mut seeds[rank]);
-            self.procs[rank].propagate_worklist(s);
+            self.procs[rank].propagate();
             self.cluster
                 .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
         }
@@ -264,13 +262,8 @@ impl AnytimeEngine {
     }
 
     /// Attaches one new vertex `v` with its incident edges (endpoints already
-    /// present in the world). Accumulates worklist seeds per processor.
-    fn attach_new_vertex(
-        &mut self,
-        v: VertexId,
-        edges: &[(VertexId, Weight)],
-        seeds: &mut [Vec<VertexId>],
-    ) {
+    /// present in the world).
+    fn attach_new_vertex(&mut self, v: VertexId, edges: &[(VertexId, Weight)]) {
         let ov = self.owner_of(v);
         let mut attached: Vec<(VertexId, Weight)> = Vec::with_capacity(edges.len());
         for &(u, w) in edges {
@@ -310,7 +303,6 @@ impl AnytimeEngine {
             self.procs[ov].dv.relax_with_external(v, &row_u, w);
         }
         self.procs[ov].dirty.insert(v);
-        seeds[ov].push(v);
         self.cluster
             .compute_measured(ov, Phase::DynamicUpdate, t.elapsed());
         self.cluster.exchange(Phase::DynamicUpdate, gather);
@@ -336,7 +328,6 @@ impl AnytimeEngine {
                 }
                 if a != aa_graph::INF && ps.dv.relax_with_external(x, &row_v, a) {
                     ps.dirty.insert(x);
-                    seeds[rank].push(x);
                 }
             }
             self.cluster

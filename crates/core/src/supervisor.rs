@@ -1,21 +1,23 @@
 //! Self-healing supervision: heartbeat failure detection, periodic per-rank
 //! checkpoints, and the checkpoint-assisted recovery ladder.
 //!
-//! Where [`crate::resilience`] provides *manual* crash injection and
-//! recovery, this module closes the loop: [`crate::config::ProcFaultConfig`]
+//! [`crate::resilience`] holds the crash-and-replace protocol; this module
+//! decides when it runs and from what. [`crate::config::ProcFaultConfig`]
 //! schedules fail-stop crashes and stragglers, the recombination step
 //! piggybacks one-byte heartbeats on every exchange, a
 //! [`FailureDetector`](aa_runtime::FailureDetector) turns silence into
-//! suspicion, and suspicion triggers the recovery ladder — without any
-//! manual `fail_and_recover_processor` call:
+//! suspicion, and suspicion triggers the recovery ladder. The same ladder is
+//! the one way to replace a rank by hand ([`AnytimeEngine::recover_rank`]):
 //!
 //! 1. **Checkpoint restore.** Every `checkpoint_interval` recombination
 //!    steps each live rank serializes its rows (same CRC32-footed envelope
 //!    as the whole-engine checkpoint, magic `AARK`) to its stable store. A
 //!    replacement rank restores those rows — exact upper bounds of the
-//!    pre-crash state — and reseeds only rows the checkpoint misses. One
-//!    full boundary re-flood later the cluster is caught up: restored rows
-//!    cannot improve, so no extra correction rounds flow.
+//!    pre-crash state — and reseeds only rows the checkpoint misses (rows a
+//!    migration brought in since; rows it took away are dropped). Installed
+//!    rows are on the frontier, so restored and reseeded ones relax each
+//!    other at the next step; one full boundary re-flood later the cluster
+//!    is caught up.
 //! 2. **SSSP reseed.** When the checkpoint is missing, fails its CRC, or
 //!    predates a deletion (the `invalidation_epoch` changed — deletions are
 //!    the one mutation that makes old rows unsafe lower-side), recovery
@@ -237,11 +239,14 @@ impl AnytimeEngine {
         }
     }
 
-    /// Manually runs the recovery ladder for `rank` (checkpoint restore when
-    /// a valid same-epoch checkpoint exists, SSSP reseed otherwise). The
-    /// automatic path — heartbeat timeout inside `rc_step` — calls the same
-    /// ladder; this entry point exists for supervision policies with
-    /// `auto_recover` off.
+    /// Replaces `rank` by a blank node with the same assignment and runs the
+    /// recovery ladder for it (checkpoint restore when a valid same-epoch
+    /// checkpoint exists, SSSP reseed otherwise), whether or not the rank
+    /// was down: this is the crash injection of the `fail` stream command
+    /// and the tests as much as the entry point for supervision policies
+    /// with `auto_recover` off. The automatic path — heartbeat timeout
+    /// inside `rc_step` — runs the same ladder. The engine is left
+    /// unconverged; subsequent recombination steps restore exactness.
     pub fn recover_rank(&mut self, rank: usize) -> Result<RecoveryReport, RecoveryError> {
         if !self.initialized {
             return Err(RecoveryError::NotInitialized);

@@ -55,6 +55,10 @@ impl Pair {
             for &v in a.dv.vertices() {
                 assert_eq!(a.dv.row(v), b.dv.row(v), "{what}: rank {rank} row {v}");
             }
+            assert!(
+                a.dv.frontier().eq(b.dv.frontier()),
+                "{what}: rank {rank} frontier"
+            );
             assert_eq!(a.dirty, b.dirty, "{what}: rank {rank} dirty set");
             assert_eq!(a.ext_rows, b.ext_rows, "{what}: rank {rank} cached rows");
             assert_eq!(
@@ -114,9 +118,8 @@ fn live(e: &AnytimeEngine, pick: u32) -> VertexId {
 }
 
 /// One random call, applied to both engines. `kind` selects the event; `a`,
-/// `b`, `w` parameterize it. Returns whether the engine is still bound to
-/// reach the oracle afterwards (see kinds 8 and 10).
-fn apply_op(pair: &mut Pair, kind: u8, a: u32, b: u32, w: Weight) -> bool {
+/// `b`, `w` parameterize it.
+fn apply_op(pair: &mut Pair, kind: u8, a: u32, b: u32, w: Weight) {
     let (u, v) = (live(&pair.logged, a), live(&pair.logged, b));
     let procs = pair.logged.config().num_procs;
     let rank = a as usize % procs;
@@ -158,41 +161,19 @@ fn apply_op(pair: &mut Pair, kind: u8, a: u32, b: u32, w: Weight) -> bool {
             batch.connect(0, Endpoint::Existing(u), w);
             batch.connect(1, Endpoint::Existing(v), 1);
             batch.connect(0, Endpoint::New(1), 2);
-            if strategy == AdditionStrategy::RepartitionS {
-                pair.converge(); // it migrates: see the note on kind 10
-            }
             pair.both("add_vertices", |e| e.add_vertices(&batch, strategy));
-            // Repartition-S never seeds the new rows into a worklist, so a
-            // row on their rank that nothing else moves keeps INF for them —
-            // on both paths alike.
-            return strategy != AdditionStrategy::RepartitionS;
         }
         9 if pair.logged.graph().vertex_count() > 8 => {
             pair.both("delete_vertex", |e| e.delete_vertex(u));
         }
-        // Migration: rows change owner, edges become local. Only from a
-        // converged state: migrating mid-run can strand an unsent improvement
-        // on both paths alike (rows that become local neighbours are never
-        // relaxed against each other unless one of them moves again), and a
-        // pair of engines that agree on a wrong answer tests nothing.
+        // Migration: rows change owner, edges become local, mid-run or not.
         10 => {
-            pair.converge();
             pair.both("rebalance", AnytimeEngine::rebalance);
         }
         // Fail-stop crash; the detector and the ladder pick it up over the
-        // next steps. With periodic checkpoints on, crash only once a
-        // checkpoint of the converged rows exists: restoring one that predates
-        // a migration mixes restored and reseeded rows that, as after a
-        // mid-run migration, never relax each other. Without checkpoints the
-        // ladder reseeds from local SSSP, which is sound at any point.
+        // next steps, restoring whatever checkpoint the rank last took —
+        // one that predates a migration included.
         11 if procs > 1 => {
-            let interval = pair.logged.config().supervision.checkpoint_interval;
-            if interval > 0 {
-                pair.converge();
-                for _ in 0..interval {
-                    pair.both("rc_step to a checkpoint", AnytimeEngine::rc_step);
-                }
-            }
             let at = pair.logged.rc_steps() as u64 + 1;
             pair.both("schedule_crash", |e| e.schedule_crash(at, rank));
             for _ in 0..8 {
@@ -200,15 +181,13 @@ fn apply_op(pair: &mut Pair, kind: u8, a: u32, b: u32, w: Weight) -> bool {
             }
         }
         12 => {
-            pair.both("fail_and_recover", |e| {
-                let report = e.fail_and_recover_processor(rank).expect("valid rank");
-                report.reseeded_rows
+            pair.both("recover_rank", |e| {
+                e.recover_rank(rank).expect("valid rank")
             });
         }
         13 => pair.checkpoint_roundtrip(),
         _ => {}
     }
-    true
 }
 
 fn arb_config() -> impl Strategy<Value = EngineConfig> {
@@ -247,8 +226,15 @@ fn arb_config() -> impl Strategy<Value = EngineConfig> {
     })
 }
 
+/// 48 cases in the tier-1 run; the nightly workflow asks for 3,000 through
+/// `PROPTEST_CASES`, which the vendored runner does not read by itself.
+fn cases() -> u32 {
+    let asked = std::env::var("PROPTEST_CASES").ok();
+    asked.and_then(|n| n.parse().ok()).unwrap_or(48)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(), ..ProptestConfig::default() })]
 
     #[test]
     fn change_log_path_equals_dense_reference_after_every_call(
@@ -263,18 +249,10 @@ proptest! {
         let run = std::panic::AssertUnwindSafe(|| {
             let graph = generators::erdos_renyi_gnm(n, 2 * n, 4, graph_seed);
             let mut pair = Pair::new(graph, config);
-            // Boundary-pivot refinement is not exact under every event here
-            // (interior knowledge never reaches a row that does not move);
-            // for it the property is the equality alone.
-            let mut exact = pair.logged.config().refinement == Refinement::WorklistRelax;
             for (kind, a, b, w) in ops {
-                exact &= apply_op(&mut pair, kind, a, b, w);
+                apply_op(&mut pair, kind, a, b, w);
             }
-            if exact {
-                pair.converge_and_check_oracle();
-            } else {
-                pair.converge();
-            }
+            pair.converge_and_check_oracle();
         });
         if let Err(panic) = std::panic::catch_unwind(run) {
             eprintln!("failing case: {case}");
@@ -346,18 +324,18 @@ fn delta_after_a_broadcast_refreshed_the_cache_still_reaches_the_neighbours() {
     p0.dv.add_row(0);
     p0.dv.add_row(1);
     p0.initial_approximation(IaAlgorithm::Dijkstra);
-    let seeds = p0.apply_external_row(2, vec![2, 1, 0, 5]);
-    p0.propagate_worklist(seeds);
+    p0.apply_external_row(2, vec![2, 1, 0, 5]);
+    p0.propagate();
     assert_eq!(p0.dv.row(1), &[1, 0, 1, 6]);
 
     // The sender's d(2,3) drops to 1. A broadcast puts the new row in the
     // cache first; the delta that follows lowers nothing in the cache.
     p0.cache_broadcast_row(2, &[2, 1, 0, 1]);
     assert_eq!(p0.dv.row(1)[3], 6, "a broadcast does not relax neighbours");
-    let seeds = p0.apply_row_update(2, crate::proc_state::RowUpdate::Delta(vec![(3, 1)]));
-    assert_eq!(seeds, vec![1]);
+    p0.apply_row_update(2, crate::proc_state::RowUpdate::Delta(vec![(3, 1)]));
+    assert_eq!(p0.dv.frontier().collect::<Vec<_>>(), [1]);
     assert_eq!(p0.dv.row(1)[3], 2);
-    p0.propagate_worklist(seeds);
+    p0.propagate();
     assert_eq!(p0.dv.row(0)[3], 3);
 }
 
@@ -394,27 +372,65 @@ fn rows_colocated_by_a_migration_relax_each_other_on_every_column() {
 }
 
 #[test]
-fn column_growth_marks_every_row_all_columns() {
+fn a_row_that_migrates_in_meets_the_rows_cached_there() {
+    // Star around b = 0, round-robin over three ranks: rank 0 owns b and t = 3,
+    // rank 1 owns u = 1, rank 2 owns y = 2. b's row is final after the
+    // initial approximation, so its first send is also its last.
+    let lossy = |seed| EngineConfig {
+        num_procs: 3,
+        partitioner: PartitionerKind::RoundRobin,
+        fault: Some(FaultConfig {
+            p_drop: 0.5,
+            p_dup: 0.0,
+            reorder: false,
+            seed,
+        }),
+        ..Default::default()
+    };
+    // A fault seed under which that send reaches rank 2 and not rank 1.
+    let mut pair = (0..)
+        .map(|seed| {
+            let mut pair = Pair::new(generators::star(4), lossy(seed));
+            pair.both("rc_step", AnytimeEngine::rc_step);
+            pair
+        })
+        .find(|pair| {
+            let procs = &pair.logged.procs;
+            !procs[1].ext_rows.contains_key(&0) && procs[2].ext_rows.contains_key(&0)
+        })
+        .expect("one seed in four does it");
+    // u moves in with y before the retransmit: rank 2 already holds b's row
+    // and rank 0 has nothing new to tell it, so only the copy cached on rank
+    // 2 can teach u the way to t.
+    let mut part = pair.logged.partition().clone();
+    part.assign(1, 2);
+    pair.both("migrate", |e| e.migrate_to_partition(part.clone()));
+    assert!(pair.logged.procs[2].ext_unrelaxed.contains(&0));
+    pair.converge_and_check_oracle();
+    assert_eq!(pair.logged.distances_dense()[1][3], 2);
+}
+
+#[test]
+fn column_growth_leaves_every_log_as_it_was() {
     let g = generators::erdos_renyi_gnm(30, 70, 3, 9);
     let config = EngineConfig {
         num_procs: 3,
         ..Default::default()
     };
-    // Right after the initial approximation every log is empty; growing the
-    // column space fills them.
+    // Right after the initial approximation every log is empty. A new column
+    // is INF in every row, which no edge can improve on: growing the column
+    // space puts nothing on the frontier, and a marked row stays marked.
     let mut probe = AnytimeEngine::new(g.clone(), config.clone());
     probe.initialize();
     let ps = &mut probe.procs[1];
     let rows = ps.dv.vertices().to_vec();
-    assert!(rows.iter().all(|&v| ps.dv.log(v).is_empty()));
-    ps.extend_capacity(31);
+    assert_eq!(ps.dv.frontier().count(), 0);
+    ps.dv.mark_all_columns(rows[0]);
+    ps.extend_capacity(70);
+    assert!(ps.dv.frontier().eq([rows[0]]));
+    assert!(ps.dv.log(rows[0]).contains(69));
     for &v in &rows {
-        let log = ps.dv.log(v);
-        assert!(
-            log.contains(0) && log.contains(30),
-            "row {v} not all-columns"
-        );
-        assert_eq!(ps.dv.row(v)[30], INF);
+        assert_eq!(ps.dv.row(v)[30..], [INF; 40]);
     }
 
     // And vertices added mid-run leave the same rows as the dense path.

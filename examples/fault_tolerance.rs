@@ -37,7 +37,7 @@ fn main() {
 
     // A node dies. Recovery reuses all surviving distance vectors.
     let before = engine.cluster().ledger().totals().bytes;
-    let report = engine.fail_and_recover_processor(3).unwrap();
+    let report = engine.recover_rank(3).unwrap();
     let steps = engine.run_to_convergence(64);
     let recovery_bytes = engine.cluster().ledger().totals().bytes - before;
     println!(
@@ -55,9 +55,9 @@ fn main() {
 
     // Cascading failures while updates keep arriving.
     engine.add_edge(0, 500, 1);
-    engine.fail_and_recover_processor(0).unwrap();
+    engine.recover_rank(0).unwrap();
     engine.rc_step();
-    engine.fail_and_recover_processor(7).unwrap();
+    engine.recover_rank(7).unwrap();
     engine.run_to_convergence(96);
     let snap = engine.snapshot();
     let exact_now = algo::exact_closeness(engine.graph());
@@ -77,7 +77,7 @@ fn main() {
     // inboxes reordered — composed with yet another crash for good measure.
     engine.set_chaos(0.3, 0.1);
     engine.add_edge(1, 400, 2);
-    engine.fail_and_recover_processor(5).unwrap();
+    engine.recover_rank(5).unwrap();
     let steps = engine.run_to_convergence(4000);
     assert_eq!(engine.outstanding_rows(), 0);
     let totals = engine.cluster().ledger().totals();

@@ -210,7 +210,7 @@ fn crash_recovery_composes_with_lossy_links(backend: BackendKind) {
     let g = generators::barabasi_albert(50, 2, 2, 23);
     let mut e = faulty_engine(g, 4, 23, 0.2, 0.1, backend);
     converge_checked(&mut e, 4000);
-    e.fail_and_recover_processor(1).unwrap();
+    e.recover_rank(1).unwrap();
     converge_checked(&mut e, 4000);
     assert_oracle(&e);
     e.check_invariants().unwrap();

@@ -3,7 +3,8 @@
 //! to exactly the oracle APSP of the final graph.
 
 use aa_core::{
-    AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, RepartitionMode, VertexBatch,
+    AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, RepartitionMode, SupervisorConfig,
+    VertexBatch,
 };
 use aa_graph::{algo, generators, VertexId};
 use rand::prelude::*;
@@ -229,4 +230,94 @@ fn dynamic_closeness_tracks_graph_evolution() {
         snap_before.closeness[periph as usize],
         snap_after.closeness[periph as usize]
     );
+}
+
+/// The three sequences below used to converge *above* the oracle: rows that
+/// a migration, a repartition or a checkpoint restore installed were marked
+/// as owing their local neighbours every column, and nothing ever relaxed
+/// them. Each runs on `erdos_renyi_gnm(30, 60, 4, seed)` for P in {2, 3, 4};
+/// the seed lists are ones on which at least one P went wrong.
+fn mid_run_engine(seed: u64, procs: usize, supervision: SupervisorConfig) -> AnytimeEngine {
+    let mut e = AnytimeEngine::new(
+        generators::erdos_renyi_gnm(30, 60, 4, seed),
+        EngineConfig {
+            num_procs: procs,
+            seed,
+            supervision,
+            ..Default::default()
+        },
+    );
+    e.initialize();
+    e
+}
+
+/// The first absent edge of the sequence `(k, 7k + 11) mod 30`, `k = seed, …`.
+fn absent_edge(e: &AnytimeEngine, seed: u64) -> (VertexId, VertexId) {
+    (seed..)
+        .map(|k| ((k % 30) as VertexId, ((k * 7 + 11) % 30) as VertexId))
+        .find(|&(u, v)| u != v && !e.graph().has_edge(u, v))
+        .unwrap()
+}
+
+fn assert_converges_to_oracle(e: &mut AnytimeEngine, what: &str) {
+    e.run_to_convergence(400);
+    assert!(e.is_converged(), "{what}: did not converge");
+    let dense = e.distances_dense();
+    let oracle = algo::apsp_dijkstra(e.graph());
+    for v in e.graph().vertices() {
+        assert_eq!(dense[v as usize], oracle[v as usize], "{what}: row {v}");
+    }
+    e.check_invariants().unwrap();
+}
+
+#[test]
+fn rebalance_mid_run_after_an_edge_addition_reaches_the_oracle() {
+    for seed in [48, 129, 130] {
+        for procs in 2..=4 {
+            let mut e = mid_run_engine(seed, procs, SupervisorConfig::default());
+            e.rc_step();
+            let (u, v) = absent_edge(&e, seed);
+            assert!(e.add_edge(u, v, 1));
+            e.rebalance();
+            assert_converges_to_oracle(&mut e, &format!("seed {seed} P={procs}"));
+        }
+    }
+}
+
+#[test]
+fn repartition_s_mid_run_reaches_the_oracle() {
+    for seed in [29, 51, 54, 125] {
+        for procs in 2..=4 {
+            let mut e = mid_run_engine(seed, procs, SupervisorConfig::default());
+            e.rc_step();
+            let mut batch = VertexBatch::new(2);
+            batch.connect(0, Endpoint::Existing((seed % 30) as VertexId), 1);
+            batch.connect(1, Endpoint::New(0), 2);
+            batch.connect(1, Endpoint::Existing(((seed * 7 + 11) % 30) as VertexId), 1);
+            e.add_vertices(&batch, AdditionStrategy::RepartitionS);
+            assert_converges_to_oracle(&mut e, &format!("seed {seed} P={procs}"));
+        }
+    }
+}
+
+#[test]
+fn recovery_from_a_checkpoint_older_than_a_migration_reaches_the_oracle() {
+    let supervision = SupervisorConfig {
+        checkpoint_interval: 2,
+        detector_timeout: 2,
+        ..Default::default()
+    };
+    for seed in [11, 32, 51, 129] {
+        for procs in 2..=4 {
+            let mut e = mid_run_engine(seed, procs, supervision);
+            e.rc_step();
+            e.rc_step(); // every rank checkpoints here
+            let (u, v) = absent_edge(&e, seed);
+            assert!(e.add_edge(u, v, 1));
+            e.rebalance();
+            e.schedule_crash(e.rc_steps() as u64 + 1, seed as usize % procs);
+            assert_converges_to_oracle(&mut e, &format!("seed {seed} P={procs}"));
+            assert!(!e.recovery_log().is_empty(), "seed {seed} P={procs}");
+        }
+    }
 }

@@ -317,7 +317,7 @@ proptest! {
         } else {
             e.rc_step();
         }
-        e.fail_and_recover_processor(fail_rank).unwrap();
+        e.recover_rank(fail_rank).unwrap();
         e.run_to_convergence(16 * procs + 64);
         prop_assert!(e.is_converged());
         let dense = e.distances_dense();

@@ -58,7 +58,7 @@ fn supervised_config(
 }
 
 /// The issue's headline acceptance: a crash scheduled in the fault plan — no
-/// manual `fail_and_recover_processor` call anywhere — fires mid-run, is
+/// manual `recover_rank` call anywhere — fires mid-run, is
 /// detected by heartbeat timeout, is recovered from the last valid periodic
 /// checkpoint, and the engine converges to the exact oracle.
 fn scheduled_crash_detected_and_recovered_via_checkpoint(backend: BackendKind) {

@@ -94,7 +94,7 @@ fn hundred_operation_soak() {
                 e.rebalance_if_needed(1.3);
             }
             8 => {
-                e.fail_and_recover_processor(rng.gen_range(0..5)).unwrap();
+                e.recover_rank(rng.gen_range(0..5)).unwrap();
             }
             _ => {
                 let victims: Vec<_> = e
@@ -129,7 +129,7 @@ fn hundred_operation_soak() {
 /// Combined-adversity soak: lossy links, scheduled fail-stop crashes, an
 /// injected straggler and a stream of dynamic updates, all at once. The
 /// supervisor must detect and recover every crash on its own (no manual
-/// `fail_and_recover_processor` anywhere) and the end state must still be
+/// `recover_rank` anywhere) and the end state must still be
 /// the exact oracle.
 #[test]
 fn combined_adversity_soak() {
