@@ -123,6 +123,14 @@ impl ColumnSet {
         self.all = true;
     }
 
+    /// Adds every member of `other`, a set over the same columns.
+    fn merge(&mut self, other: &ColumnSet) {
+        self.all |= other.all;
+        for (word, &more) in self.words.iter_mut().zip(&other.words) {
+            *word |= more;
+        }
+    }
+
     fn clear(&mut self) {
         self.words.fill(0);
         self.all = false;
@@ -402,6 +410,46 @@ impl DistanceMatrix {
     pub fn mark_all_columns(&mut self, v: VertexId) {
         let idx = self.row_index(v);
         self.logs[idx].mark_all();
+    }
+
+    /// Raises the entries `cols` of `v`'s row to `INF` (deletion
+    /// invalidation). The log stays as it is: with `v` on the right of
+    /// `row_u[c] <= row_v[c] + w` a raised entry keeps the inequality, and
+    /// with `v` on the left it is the neighbour's log that has to hold the
+    /// column — [`Self::mark_columns`] on each local neighbour of `v`.
+    pub fn raise_entries(&mut self, v: VertexId, cols: &[usize]) {
+        let idx = self.row_index(v);
+        if let Some(row) = self.rows.get_mut(idx) {
+            for &c in cols {
+                if let Some(d) = row.get_mut(c) {
+                    *d = INF;
+                }
+            }
+        }
+    }
+
+    /// Adds `cols` to `v`'s log: on these columns a local neighbour may sit
+    /// above what `v`'s row offers it.
+    pub fn mark_columns(&mut self, v: VertexId, cols: &ColumnSet) {
+        let idx = self.row_index(v);
+        if let Some(log) = self.logs.get_mut(idx) {
+            log.merge(cols);
+        }
+    }
+
+    /// `row_v[col] = min(row_v[col], value)`, logged like any lowering
+    /// write. Returns whether the entry decreased.
+    pub fn lower_entry(&mut self, v: VertexId, col: usize, value: Weight) -> bool {
+        let idx = self.row_index(v);
+        let entry = self.rows.get_mut(idx).and_then(|row| row.get_mut(col));
+        let Some(d) = entry.filter(|d| value < **d) else {
+            return false;
+        };
+        *d = value;
+        if let Some(log) = self.logs.get_mut(idx) {
+            log.insert(col);
+        }
+        true
     }
 
     /// Marks every column of every row as possibly unpropagated.

@@ -6,8 +6,8 @@
 //!   relaxation `D[x][t] > D[x][u] + w + D[v][t]` to its local rows, and
 //!   subsequent recombination steps propagate the improvements.
 //! * **Edge deletions** (the titled paper's contribution) invalidate the
-//!   entries supported by the deleted edge, reseed the affected rows from
-//!   local Dijkstra, and reconverge. Deletions are applied at a *quiesced*
+//!   entries supported by the deleted edge, recompute them from the entries
+//!   that were kept, and reconverge. Deletions are applied at a *quiesced*
 //!   point: if the engine has pending updates it first converges, so the
 //!   equality-based support test is exact (see `DESIGN.md`).
 //! * **Vertex additions** extend every distance vector with new columns
@@ -17,12 +17,16 @@
 //! * **Vertex deletions** — the papers' named future work — remove the vertex
 //!   and invalidate every pair whose path ran through it.
 
+use crate::dv::ColumnSet;
 use crate::engine::AnytimeEngine;
+use crate::obs::InvalidationTally;
 use crate::proc_state::ProcState;
 use aa_graph::{VertexId, Weight, INF};
 use aa_logp::Phase;
 use aa_obs::Stopwatch;
 use aa_partition::partition::UNASSIGNED;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// An endpoint of a batch edge: either another new vertex (by batch index) or
 /// an existing vertex (by id).
@@ -140,16 +144,7 @@ impl AnytimeEngine {
             ps.cache_broadcast_row(v, &row_v);
             // The owners learn the direct edge here too: `D[u][u] = 0`.
             for x in ps.dv.vertices().to_vec() {
-                let mut changed = false;
-                let a = ps.dv.row(x)[u as usize];
-                if a != INF {
-                    changed |= ps.dv.relax_with_external(x, &row_v, a.saturating_add(w));
-                }
-                let b = ps.dv.row(x)[v as usize];
-                if b != INF {
-                    changed |= ps.dv.relax_with_external(x, &row_u, b.saturating_add(w));
-                }
-                if changed {
+                if relax_row_through_edge(ps, x, (u, v, w), &row_u, &row_v) {
                     ps.dirty.insert(x);
                 }
             }
@@ -210,14 +205,7 @@ impl AnytimeEngine {
             for x in ps.dv.vertices().to_vec() {
                 let mut changed = false;
                 for &(u, v, w) in &inserted {
-                    let a = ps.dv.row(x)[u as usize];
-                    if a != INF {
-                        changed |= ps.dv.relax_with_external(x, &rows[&v], a.saturating_add(w));
-                    }
-                    let b = ps.dv.row(x)[v as usize];
-                    if b != INF {
-                        changed |= ps.dv.relax_with_external(x, &rows[&u], b.saturating_add(w));
-                    }
+                    changed |= relax_row_through_edge(ps, x, (u, v, w), &rows[&u], &rows[&v]);
                 }
                 if changed {
                     ps.dirty.insert(x);
@@ -237,51 +225,51 @@ impl AnytimeEngine {
         inserted.len()
     }
 
-    /// Deletion barrier: bring the engine to a genuinely quiescent fixed
-    /// point before a structural deletion. The support test each deletion
-    /// runs is only exact at a fixed point, and `sync_snapshots_to_rows`
-    /// requires drained dirty/outstanding sets — the `converged` flag alone
-    /// is not enough: a freshly restored checkpoint reports converged while
-    /// every row is marked dirty so the first recombination steps re-exchange
-    /// boundary state.
-    fn deletion_barrier(&mut self) {
+    /// Deletion barrier, and the preamble every structural deletion shares:
+    /// bring the engine to a genuinely quiescent fixed point, then open the
+    /// update's span, note the mutation and start a new invalidation epoch.
+    /// The support test and its row filter are only exact at a fixed point —
+    /// the `converged` flag alone is not enough: a freshly restored checkpoint
+    /// reports converged while every row is marked dirty so the first
+    /// recombination steps re-exchange boundary state.
+    fn deletion_barrier(&mut self) -> crate::obs::SpanStart {
         let quiescent = self.converged && self.procs.iter().all(ProcState::is_quiescent);
         if !quiescent {
             self.run_to_convergence(64 * self.procs.len() + 256);
             assert!(self.converged, "deletion barrier failed to converge");
         }
+        let span = self.span_open();
+        self.obs.note_mutation();
+        // Deletion can make pre-deletion rows underestimates; per-rank
+        // checkpoints from before this point are no longer restorable.
+        self.invalidation_epoch += 1;
+        span
     }
 
     /// Deletes a batch of edges at once: one deletion barrier, one broadcast
     /// per distinct endpoint, one combined invalidation sweep (a pair is
     /// invalidated if *any* deleted edge supports its current value), one
-    /// reseed. Returns the number of edges actually removed.
+    /// reseed. An edge named twice, in either orientation, counts once.
+    /// Returns the number of edges actually removed.
     // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
     pub fn delete_edges(&mut self, edges: &[(VertexId, VertexId)]) -> usize {
         assert!(self.initialized, "call initialize() first");
-        let present: Vec<(VertexId, VertexId, Weight)> = edges
-            .iter()
-            .filter_map(|&(u, v)| self.world.edge_weight(u, v).map(|w| (u, v, w)))
-            .collect();
+        let present = edges.iter().filter_map(|&(u, v)| {
+            let w = self.world.edge_weight(u, v)?;
+            Some((u.min(v), u.max(v), w))
+        });
+        let mut present: Vec<(VertexId, VertexId, Weight)> = present.collect();
+        present.sort_unstable();
+        present.dedup();
         if present.is_empty() {
             return 0;
         }
-        self.deletion_barrier();
-        // At quiescence every receiver cache equals the current row, but
-        // lossy-run retransmit acks can leave delta baselines at older
-        // values; align them so the invalidation below resets identical
-        // values on both sides (a no-op on fault-free runs).
-        for ps in &mut self.procs {
-            ps.sync_snapshots_to_rows();
-        }
-        let span = self.span_open();
-        self.obs.note_mutation();
-        // Capture pre-deletion rows of every distinct endpoint.
+        let span = self.deletion_barrier();
+        // Pre-deletion rows of every distinct endpoint (exact: converged).
         let mut endpoints: Vec<VertexId> = present.iter().flat_map(|&(u, v, _)| [u, v]).collect();
         endpoints.sort_unstable();
         endpoints.dedup();
-        let mut rows: std::collections::HashMap<VertexId, Vec<Weight>> =
-            std::collections::HashMap::with_capacity(endpoints.len());
+        let mut rows = std::collections::HashMap::with_capacity(endpoints.len());
         for &e in &endpoints {
             let owner = self.owner_of(e);
             let row = self.procs[owner].dv.row(e).to_vec();
@@ -292,87 +280,37 @@ impl AnytimeEngine {
         for &(u, v, _) in &present {
             self.world.remove_edge(u, v);
         }
-        // Deletion can make pre-deletion rows underestimates; per-rank
-        // checkpoints from before this point are no longer restorable.
-        self.invalidation_epoch += 1;
-        let ia = self.config.ia;
         for rank in 0..self.procs.len() {
             let t = Stopwatch::start();
             for &(u, v, _) in &present {
                 self.procs[rank].view_remove_edge(u, v);
             }
-            invalidate_and_reseed(&mut self.procs[rank], ia, |row, x| {
+            let tally = &mut self.obs.invalidation;
+            invalidate_and_reseed(&mut self.procs[rank], tally, |row, x, exact| {
                 let mut targets = Vec::new();
-                for &(u, v, w) in &present {
-                    targets.extend(affected_targets_edge(row, x, u, v, w, &rows[&u], &rows[&v]));
+                for &edge in &present {
+                    let (row_u, row_v) = (&rows[&edge.0], &rows[&edge.1]);
+                    targets.extend(affected_targets_edge(row, x, edge, row_u, row_v, exact));
                 }
-                targets.sort_unstable();
-                targets.dedup();
+                if present.len() > 1 {
+                    targets.sort_unstable();
+                    targets.dedup();
+                }
                 targets
             });
             self.cluster
                 .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
         }
         self.converged = false;
-        self.span_close(
-            span,
-            "dynamic-update",
-            format!("delete-edges n={}", present.len()),
-        );
+        let n = present.len();
+        self.span_close(span, "dynamic-update", format!("delete-edges n={n}"));
         self.feed_capture(true);
-        present.len()
+        n
     }
 
-    /// Dynamically deletes edge `(u, v)`. Converges pending updates first
-    /// (deletion barrier, see module docs), invalidates every pair supported
-    /// by the edge, rebuilds them from local Dijkstra, and leaves reconvergence
-    /// to subsequent recombination steps. Returns `false` if the edge is absent.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
+    /// [`Self::delete_edges`] for one edge; `false` if the edge is absent.
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        assert!(self.initialized, "call initialize() first");
-        if self.world.edge_weight(u, v).is_none() {
-            return false;
-        }
-        self.deletion_barrier();
-        // At quiescence every receiver cache equals the current row, but
-        // lossy-run retransmit acks can leave delta baselines at older
-        // values; align them so the invalidation below resets identical
-        // values on both sides (a no-op on fault-free runs).
-        for ps in &mut self.procs {
-            ps.sync_snapshots_to_rows();
-        }
-        let span = self.span_open();
-        self.obs.note_mutation();
-        // aa-lint: allow(AA01, presence established by the has-edge early-return a few lines up, with no mutation in between)
-        let w = self.world.remove_edge(u, v).expect("edge checked above");
-        // Deletion can make pre-deletion rows underestimates; per-rank
-        // checkpoints from before this point are no longer restorable.
-        self.invalidation_epoch += 1;
-        let ou = self.owner_of(u);
-        let ov = self.owner_of(v);
-        // Pre-deletion endpoint rows (exact, since we are converged).
-        let row_u = self.procs[ou].dv.row(u).to_vec();
-        let row_v = self.procs[ov].dv.row(v).to_vec();
-        let row_bytes = 4 + 4 * row_u.len();
-        self.cluster
-            .broadcast_cost(Phase::DynamicUpdate, ou, row_bytes);
-        self.cluster
-            .broadcast_cost(Phase::DynamicUpdate, ov, row_bytes);
-
-        for rank in 0..self.procs.len() {
-            let t = Stopwatch::start();
-            self.procs[rank].view_remove_edge(u, v);
-            let ia = self.config.ia;
-            invalidate_and_reseed(&mut self.procs[rank], ia, |row, x| {
-                affected_targets_edge(row, x, u, v, w, &row_u, &row_v)
-            });
-            self.cluster
-                .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
-        }
-        self.converged = false;
-        self.span_close(span, "dynamic-update", format!("delete-edge {u}-{v}"));
-        self.feed_capture(true);
-        true
+        self.delete_edges(&[(u, v)]) == 1
     }
 
     /// Changes the weight of edge `(u, v)`. Decreases are incorporated like
@@ -414,32 +352,19 @@ impl AnytimeEngine {
 
     /// Dynamically deletes vertex `v` and all its incident edges (the papers'
     /// named future work). Applies the deletion barrier, invalidates every
-    /// pair whose path ran through `v`, and rebuilds them from local Dijkstra.
-    /// Returns the removed incident edges.
+    /// pair whose path ran through `v`, and recomputes them like an edge
+    /// deletion does. Returns the removed incident edges.
     // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
     pub fn delete_vertex(&mut self, v: VertexId) -> Vec<(VertexId, Weight)> {
         assert!(self.initialized, "call initialize() first");
         assert!(self.world.is_alive(v), "vertex {v} is not alive");
-        self.deletion_barrier();
-        // At quiescence every receiver cache equals the current row, but
-        // lossy-run retransmit acks can leave delta baselines at older
-        // values; align them so the invalidation below resets identical
-        // values on both sides (a no-op on fault-free runs).
-        for ps in &mut self.procs {
-            ps.sync_snapshots_to_rows();
-        }
-        let span = self.span_open();
-        self.obs.note_mutation();
-        // Deletion can make pre-deletion rows underestimates; per-rank
-        // checkpoints from before this point are no longer restorable.
-        self.invalidation_epoch += 1;
+        let span = self.deletion_barrier();
         let owner = self.owner_of(v);
         let row_v = self.procs[owner].dv.row(v).to_vec();
         self.cluster
             .broadcast_cost(Phase::DynamicUpdate, owner, 4 + 4 * row_v.len());
 
         let removed = self.world.remove_vertex(v);
-        let ia = self.config.ia;
         for rank in 0..self.procs.len() {
             let t = Stopwatch::start();
             for &(x, _) in &removed {
@@ -457,7 +382,9 @@ impl AnytimeEngine {
             }
             ps.is_local[v as usize] = false;
             ps.forget_external_row(v);
-            invalidate_and_reseed(ps, ia, |row, x| affected_targets_vertex(row, x, v, &row_v));
+            invalidate_and_reseed(ps, &mut self.obs.invalidation, |row, x, _| {
+                affected_targets_vertex(row, x, v, &row_v)
+            });
             self.cluster
                 .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
         }
@@ -469,28 +396,65 @@ impl AnytimeEngine {
     }
 }
 
+/// Relaxes owned row `x` through the new edge `(u, v, w)`, given both
+/// endpoint rows. Level filter (Sarıyüce et al.): going `x → u → v` can only
+/// lower an entry if it lowers `d(x, v)` itself, so a row with
+/// `d(x,u) + w >= d(x,v)` skips that direction — exact when the rows obey
+/// the triangle inequality, and mid-run it only withholds a shortcut that
+/// the endpoint rows, relaxed unconditionally and on the frontier, deliver.
+fn relax_row_through_edge(
+    ps: &mut ProcState,
+    x: VertexId,
+    (u, v, w): (VertexId, VertexId, Weight),
+    row_u: &[Weight],
+    row_v: &[Weight],
+) -> bool {
+    let row = ps.dv.row(x);
+    let (Some(&a), Some(&b)) = (row.get(u as usize), row.get(v as usize)) else {
+        return false;
+    };
+    let (via_u, via_v) = (a.saturating_add(w), b.saturating_add(w));
+    let endpoint = x == u || x == v;
+    let mut changed = false;
+    if a != INF && (endpoint || via_u < b) {
+        changed |= ps.dv.relax_with_external(x, row_v, via_u);
+    }
+    if b != INF && (endpoint || via_v < a) {
+        changed |= ps.dv.relax_with_external(x, row_u, via_v);
+    }
+    changed
+}
+
 /// Targets of row `x` (owner vertex `x`) invalidated by deleting edge
 /// `(u, v, w)`: entries whose value is ≥ the best path through the edge in
 /// either direction. `t == x` is never affected (`d(x,x)=0 < w ≥ 1`).
+///
+/// Tightness filter: on an `exact` row the scan can only find something if
+/// the edge is tight for `x`, `d(x,u) + w = d(x,v)` or the mirror image.
+/// Otherwise `d(x,u) + w > d(x,v)`, so `d(x,u) + w + d(v,t) > d(x,v) + d(v,t)
+/// >= d(x,t)` for every `t` by the triangle inequality, and likewise through
+/// `v` first: no entry reaches its threshold, and two lookups say so.
 // aa-lint: allow(AA07, rows are full-width (world capacity) and every indexed id comes from the same world)
 fn affected_targets_edge(
     row: &[Weight],
     x: VertexId,
-    u: VertexId,
-    v: VertexId,
-    w: Weight,
+    (u, v, w): (VertexId, VertexId, Weight),
     row_u: &[Weight],
     row_v: &[Weight],
+    exact: bool,
 ) -> Vec<usize> {
-    let a = row[u as usize]; // d(x, u)
-    let b = row[v as usize]; // d(x, v)
+    let a = row[u as usize].saturating_add(w); // d(x, u) + w
+    let b = row[v as usize].saturating_add(w); // d(x, v) + w
     let mut out = Vec::new();
+    if exact && a > row[v as usize] && b > row[u as usize] {
+        return out;
+    }
     for (t, &d) in row.iter().enumerate() {
         if d == INF || t == x as usize {
             continue;
         }
-        let via_uv = a.saturating_add(w).saturating_add(row_v[t]);
-        let via_vu = b.saturating_add(w).saturating_add(row_u[t]);
+        let via_uv = a.saturating_add(row_v[t]);
+        let via_vu = b.saturating_add(row_u[t]);
         if d >= via_uv.min(via_vu) {
             out.push(t);
         }
@@ -527,68 +491,213 @@ fn affected_targets_vertex(
 }
 
 /// Applies an invalidation rule to every owned row and every cached external
-/// row of `ps`, reseeding affected owned rows from local Dijkstra, re-relaxes
-/// them through cached boundary rows, and propagates locally: the raised
-/// rows and their local neighbours are on the frontier, so reset entries are
-/// re-learnt from unaffected neighbour rows too.
+/// row of `ps` and repairs the owned rows it raised, at a cost that follows
+/// the affected set: `affected(row, x, exact)` is asked once per row, only
+/// the raised columns are recomputed, and only they join the frontier.
 // aa-lint: allow(AA07, rows are full-width (world capacity) and every indexed id comes from the same world)
-fn invalidate_and_reseed<F>(ps: &mut ProcState, ia: crate::config::IaAlgorithm, affected: F)
+fn invalidate_and_reseed<F>(ps: &mut ProcState, tally: &mut InvalidationTally, affected: F)
 where
-    F: Fn(&[Weight], VertexId) -> Vec<usize>,
+    F: Fn(&[Weight], VertexId, bool) -> Vec<usize>,
 {
-    let mut dirtied = Vec::new();
+    #[cfg(test)]
+    if reference::is_whole_row() {
+        return reference::invalidate_and_reseed(ps, tally, affected);
+    }
+    // One decision per owned row, on the exact row the barrier left. The
+    // receivers hold the same row and decide the same, so the delta baseline
+    // of a raised row is the raised row — which re-aligns one that retransmit
+    // acks left at an older, larger snapshot. Any other baseline stays where
+    // it is, an upper bound of what each receiver caches.
+    let mut raised: Vec<(VertexId, Vec<usize>)> = Vec::new();
     for x in ps.dv.vertices().to_vec() {
-        let targets = affected(ps.dv.row(x), x);
+        let targets = affected(ps.dv.row(x), x, true);
+        tally.owned.note(targets.len());
         if targets.is_empty() {
             continue;
         }
-        let row = ps.dv.row_mut(x);
-        for &t in &targets {
-            row[t] = INF;
+        #[cfg(test)]
+        reference::note_reset(ps.rank, true, x, &targets);
+        ps.dv.raise_entries(x, &targets);
+        if let Some(baseline) = ps.sent_snapshot.get_mut(&x) {
+            baseline.clear();
+            baseline.extend_from_slice(ps.dv.row(x));
         }
-        dirtied.push(x);
-    }
-    // A raised entry can sit above what a local neighbour's row offers over
-    // their edge, on columns that neighbour's log does not hold.
-    for &x in &dirtied {
-        for &(u, _) in &ps.adj[x as usize] {
-            if ps.is_local[u as usize] {
-                ps.dv.mark_all_columns(u);
-            }
-        }
+        raised.push((x, targets));
     }
     // Cached external rows get the same treatment: reset entries are stale-
-    // high (safe); valid entries remain usable for re-relaxation.
+    // high (safe); valid entries remain usable for re-relaxation. A copy in
+    // use — its vertex still borders this rank — equals its owner's row at
+    // quiescence: every change dirtied the row, a dirty row goes to every
+    // bordering rank, and the barrier waited for each ack (DESIGN §8). A copy
+    // nothing borders any more is as old as its last delivery: whole scan.
     let cached: Vec<VertexId> = ps.ext_rows.keys().copied().collect();
     for b in cached {
+        let in_use = !ps.adj[b as usize].is_empty();
         let Some(row) = ps.ext_rows.get_mut(&b) else {
             continue;
         };
-        for t in affected(row, b) {
+        let targets = affected(row, b, in_use);
+        tally.cached.note(targets.len());
+        #[cfg(test)]
+        reference::note_reset(ps.rank, false, b, &targets);
+        for t in targets {
             row[t] = INF;
         }
     }
-    // Delta baselines must track what the receivers' caches now hold: apply
-    // the identical rule to every sent snapshot (receivers reset the same
-    // entries of the same values), keeping future deltas consistent.
-    let snapshots: Vec<VertexId> = ps.sent_snapshot.keys().copied().collect();
-    for b in snapshots {
-        let Some(row) = ps.sent_snapshot.get_mut(&b) else {
-            continue;
-        };
-        for t in affected(row, b) {
-            row[t] = INF;
+    // Bounded recompute (SSSP-Del): the kept entries of a raised row are
+    // exact on the graph as it is now — no deleted edge supported them — and
+    // every `adj` edge exists in it, so `row[t] = min(row[y] + w)` over the
+    // edges `(y, t, w)` known here, settled Dijkstra-style among the raised
+    // columns, is an upper bound; and at most what a local Dijkstra from `x`
+    // finds (follow its path back from `t` to the last kept vertex).
+    let mut heap = BinaryHeap::new();
+    for &(x, ref targets) in &raised {
+        let mut cols = ColumnSet::empty(ps.dv.col_count());
+        targets.iter().for_each(|&t| cols.insert(t));
+        // A raised entry can sit above what a local neighbour's row offers
+        // over their edge: the neighbour owes the row those columns again.
+        for &(u, _) in &ps.adj[x as usize] {
+            if ps.is_local[u as usize] {
+                ps.dv.mark_columns(u, &cols);
+            }
         }
-    }
-    // Reseed affected rows with post-deletion local paths and cached
-    // boundary knowledge.
-    for &x in &dirtied {
-        let fresh = ps.local_sssp(x, ia);
-        ps.merge_row_min(x, &fresh);
-        ps.relax_from_cache(x);
+        ps.relax_from_cache(x, &cols);
+        for &t in targets {
+            for &(y, w) in &ps.adj[t] {
+                let offer = ps.dv.row(x)[y as usize].saturating_add(w);
+                ps.dv.lower_entry(x, t, offer);
+            }
+            heap.push(Reverse((ps.dv.row(x)[t], t)));
+        }
+        while let Some(Reverse((d, t))) = heap.pop() {
+            if d > ps.dv.row(x)[t] {
+                continue;
+            }
+            for &(y, w) in &ps.adj[t] {
+                let nd = d.saturating_add(w);
+                if ps.dv.lower_entry(x, y as usize, nd) {
+                    heap.push(Reverse((nd, y as usize)));
+                }
+            }
+        }
         ps.dirty.insert(x);
     }
     ps.propagate();
+}
+
+#[cfg(test)]
+pub(crate) mod reference {
+    //! Test-only switch back to the invalidation this module used to run —
+    //! every baseline re-aligned, every owned row, cached copy and baseline
+    //! scanned whole, every raised row rebuilt by a full local Dijkstra and
+    //! a dense cache sweep, raised rows and their neighbours marked
+    //! all-columns — plus a record of what either path reset, so tests can
+    //! run both side by side.
+    use super::*;
+    use std::cell::{Cell, RefCell};
+
+    /// `(rank, owned row rather than cached copy, row vertex, reset columns)`.
+    pub(crate) type Reset = (usize, bool, VertexId, Vec<usize>);
+
+    thread_local! {
+        static WHOLE_ROW: Cell<bool> = const { Cell::new(false) };
+        static RESETS: RefCell<Option<Vec<Reset>>> = const { RefCell::new(None) };
+    }
+
+    pub(crate) fn is_whole_row() -> bool {
+        WHOLE_ROW.with(Cell::get)
+    }
+
+    /// Runs `f` with every deletion on this thread invalidating the old way.
+    pub(crate) fn whole_row<R>(f: impl FnOnce() -> R) -> R {
+        let before = WHOLE_ROW.with(|w| w.replace(true));
+        let out = f();
+        WHOLE_ROW.with(|w| w.set(before));
+        out
+    }
+
+    /// Records a row's reset columns, if it has any and [`recording`] is on.
+    pub(crate) fn note_reset(rank: usize, owned: bool, row: VertexId, cols: &[usize]) {
+        if cols.is_empty() {
+            return;
+        }
+        RESETS.with(|r| {
+            if let Some(log) = r.borrow_mut().as_mut() {
+                log.push((rank, owned, row, cols.to_vec()));
+            }
+        });
+    }
+
+    /// Runs `f` and returns, with its result, what the deletions in it reset
+    /// — sorted, since cached copies are visited in hash order.
+    pub(crate) fn recording<R>(f: impl FnOnce() -> R) -> (R, Vec<Reset>) {
+        RESETS.with(|r| r.replace(Some(Vec::new())));
+        let out = f();
+        let mut resets = RESETS.with(RefCell::take).unwrap_or_default();
+        resets.sort_unstable();
+        (out, resets)
+    }
+
+    pub(crate) fn invalidate_and_reseed<F>(
+        ps: &mut ProcState,
+        tally: &mut InvalidationTally,
+        affected: F,
+    ) where
+        F: Fn(&[Weight], VertexId, bool) -> Vec<usize>,
+    {
+        // Retransmit acks leave baselines at older values; align all of them
+        // so the scans below reset identical values on both sides.
+        let baselines: Vec<VertexId> = ps.sent_snapshot.keys().copied().collect();
+        for &u in baselines.iter().filter(|&&u| ps.dv.has_row(u)) {
+            ps.sent_snapshot.insert(u, ps.dv.row(u).to_vec());
+        }
+        let mut dirtied = Vec::new();
+        for x in ps.dv.vertices().to_vec() {
+            let targets = affected(ps.dv.row(x), x, false);
+            tally.owned.note(targets.len());
+            if targets.is_empty() {
+                continue;
+            }
+            note_reset(ps.rank, true, x, &targets);
+            let row = ps.dv.row_mut(x);
+            for &t in &targets {
+                row[t] = INF;
+            }
+            dirtied.push(x);
+        }
+        for &x in &dirtied {
+            for &(u, _) in &ps.adj[x as usize] {
+                if ps.is_local[u as usize] {
+                    ps.dv.mark_all_columns(u);
+                }
+            }
+        }
+        let cached: Vec<VertexId> = ps.ext_rows.keys().copied().collect();
+        for b in cached {
+            let row = ps.ext_rows.get_mut(&b).expect("key just listed");
+            let targets = affected(row, b, false);
+            tally.cached.note(targets.len());
+            note_reset(ps.rank, false, b, &targets);
+            for t in targets {
+                row[t] = INF;
+            }
+        }
+        for b in baselines {
+            let Some(row) = ps.sent_snapshot.get_mut(&b) else {
+                continue;
+            };
+            for t in affected(row, b, false) {
+                row[t] = INF;
+            }
+        }
+        for &x in &dirtied {
+            let fresh = ps.local_sssp(x, crate::config::IaAlgorithm::Dijkstra);
+            ps.merge_row_min(x, &fresh);
+            ps.relax_from_cache(x, &ColumnSet::EVERY);
+            ps.dirty.insert(x);
+        }
+        ps.propagate();
+    }
 }
 
 #[cfg(test)]
@@ -853,6 +962,24 @@ mod tests {
             0,
             "isolated middle vertex intact"
         );
+    }
+
+    #[test]
+    fn a_pair_named_twice_is_deleted_and_counted_once() {
+        let mut e = engine(generators::path(6), 2);
+        e.run_to_convergence(16);
+        for batch in [[(2, 3), (3, 2)], [(4, 5), (4, 5)]] {
+            let before = e.graph().edge_count();
+            let returned = e.delete_edges(&batch);
+            let removed = before - e.graph().edge_count();
+            assert_eq!(
+                (returned, removed),
+                (1, 1),
+                "returned {returned}, removed {removed}"
+            );
+        }
+        e.run_to_convergence(32);
+        assert_oracle(&e);
     }
 
     #[test]

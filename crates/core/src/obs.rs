@@ -39,6 +39,36 @@ struct Oracle {
     closeness: Vec<f64>,
 }
 
+/// Rows one kind of container offered to deletion invalidation, and what it
+/// raised in them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RowTally {
+    /// Rows asked whether the update can have changed them.
+    pub(crate) examined: u64,
+    /// Rows with at least one entry reset to `INF`.
+    pub(crate) reset: u64,
+    /// Entries reset to `INF`.
+    pub(crate) entries: u64,
+}
+
+impl RowTally {
+    /// One more row examined, `targets` of its entries reset.
+    pub(crate) fn note(&mut self, targets: usize) {
+        self.examined += 1;
+        self.reset += u64::from(targets > 0);
+        self.entries += targets as u64;
+    }
+}
+
+/// Deletion invalidation's work so far, summed over updates and ranks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct InvalidationTally {
+    /// Owned distance rows.
+    pub(crate) owned: RowTally,
+    /// Cached copies of external boundary rows.
+    pub(crate) cached: RowTally,
+}
+
 /// Observability state carried by the engine.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EngineObs {
@@ -52,6 +82,8 @@ pub(crate) struct EngineObs {
     pub(crate) acked_sends: u64,
     /// Row sends negatively acknowledged (dropped; queued for retransmit).
     pub(crate) failed_sends: u64,
+    /// Rows examined and raised by deletion invalidation.
+    pub(crate) invalidation: InvalidationTally,
     oracle: Option<Oracle>,
     /// Dense estimate matrix at the previous sample, for regression counts.
     prev_dense: Option<Vec<Vec<Weight>>>,
@@ -321,6 +353,18 @@ impl AnytimeEngine {
             "aa_recoveries_total",
             "Recovery-ladder invocations, by rung",
         );
+        r.set_help(
+            "aa_invalidation_rows_examined_total",
+            "Rows a deletion asked whether it can have changed them, by container",
+        );
+        r.set_help(
+            "aa_invalidation_rows_reset_total",
+            "Rows in which a deletion reset at least one entry, by container",
+        );
+        r.set_help(
+            "aa_invalidation_entries_reset_total",
+            "Distance entries a deletion reset to INF, by container",
+        );
         r.set_help("aa_makespan_us", "LogP virtual cluster time (µs)");
         r.set_help(
             "aa_outstanding_rows",
@@ -379,6 +423,14 @@ impl AnytimeEngine {
         );
         r.inc_counter("aa_acked_sends_total", &[], self.obs.acked_sends);
         r.inc_counter("aa_failed_sends_total", &[], self.obs.failed_sends);
+
+        let tally = self.obs.invalidation;
+        for (rows, t) in [("owned", tally.owned), ("cached", tally.cached)] {
+            let labels = [("rows", rows)];
+            r.inc_counter("aa_invalidation_rows_examined_total", &labels, t.examined);
+            r.inc_counter("aa_invalidation_rows_reset_total", &labels, t.reset);
+            r.inc_counter("aa_invalidation_entries_reset_total", &labels, t.entries);
+        }
 
         let mut by_method: BTreeMap<String, u64> = BTreeMap::new();
         for ev in &self.supervision.log {

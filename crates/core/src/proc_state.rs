@@ -142,24 +142,6 @@ impl ProcState {
         self.outstanding.clear();
     }
 
-    /// Re-aligns every delta baseline with the current row values. Only
-    /// sound at quiescence (no dirty rows, no outstanding retransmits),
-    /// where every receiver's cached copy equals the current row. Retransmit
-    /// acks deliberately leave the baseline at an older (pointwise larger)
-    /// snapshot; the deletion barrier calls this before invalidation so both
-    /// sides of the baseline see identical values. A no-op on fault-free
-    /// runs.
-    pub fn sync_snapshots_to_rows(&mut self) {
-        debug_assert!(self.outstanding.is_empty() && self.dirty.is_empty());
-        // aa-lint: allow(AA04, per-key overwrite; the result is identical for every visit order)
-        let rows: Vec<VertexId> = self.sent_snapshot.keys().copied().collect();
-        for u in rows {
-            if self.dv.has_row(u) {
-                self.sent_snapshot.insert(u, self.dv.row(u).to_vec());
-            }
-        }
-    }
-
     /// Builds the update message for row `u` towards processor `dst`, or
     /// `None` if `dst` is already up to date. Does not record the send — call
     /// [`Self::record_sent`] once all destinations are served.
@@ -581,18 +563,19 @@ impl ProcState {
         changed
     }
 
-    /// Re-relaxes local vertex `u` through all cached external rows of its
-    /// external neighbours (used after deletion invalidation). Returns
-    /// whether the row improved.
+    /// Re-relaxes the columns `cols` of local vertex `u` through the cached
+    /// rows of its external neighbours (deletion invalidation raised those
+    /// entries; on every other column the cached-row invariant still holds).
+    /// Returns whether the row improved.
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
-    pub fn relax_from_cache(&mut self, u: VertexId) -> bool {
+    pub fn relax_from_cache(&mut self, u: VertexId, cols: &ColumnSet) -> bool {
         let mut changed = false;
         for &(b, w) in &self.adj[u as usize] {
             if self.is_local[b as usize] {
                 continue;
             }
             if let Some(row) = self.ext_rows.get(&b) {
-                if self.dv.relax_with_external(u, row, w) {
+                if self.dv.relax_with_external_on(u, row, w, cols) {
                     changed = true;
                     self.dirty.insert(u);
                 }
@@ -753,7 +736,9 @@ mod tests {
         // Wipe row 1's knowledge of vertex 3 and recover it from the cache.
         p0.dv.row_mut(1)[3] = INF;
         p0.dirty.clear();
-        assert!(p0.relax_from_cache(1));
+        let mut wiped = ColumnSet::empty(4);
+        wiped.insert(3);
+        assert!(p0.relax_from_cache(1, &wiped));
         assert_eq!(p0.dv.row(1)[3], 2);
         assert!(p0.dirty.contains(&1));
     }

@@ -5,12 +5,20 @@
 //! whole-row `relax_row`. Rows, dirty sets, caches and wire traffic must be
 //! equal after every call — not just at convergence — because the change
 //! logs are only allowed to skip work, never to reorder or defer it.
+//!
+//! The second half does the same for deletions: the production path (row
+//! filter, one decision per row, bounded recompute of the raised columns)
+//! beside [`whole_row`], the scan-everything, local-Dijkstra invalidation it
+//! replaced. There the twins are allowed to differ, in one direction: both
+//! must reset the same entries, and what the production path rebuilds must
+//! lie between the oracle and what the reference rebuilds.
 
 use crate::config::{
     EngineConfig, FaultConfig, IaAlgorithm, PartitionerKind, Refinement, RepartitionMode,
     SupervisorConfig,
 };
 use crate::dv::reference;
+use crate::dynamic::reference as whole_row;
 use crate::dynamic::{Endpoint, VertexBatch};
 use crate::strategy::AdditionStrategy;
 use crate::AnytimeEngine;
@@ -444,4 +452,435 @@ fn column_growth_leaves_every_log_as_it_was() {
         e.add_vertices(&batch, AdditionStrategy::RoundRobinPs)
     });
     pair.converge_and_check_oracle();
+}
+
+/// The engine under test and a twin whose deletions invalidate the old way.
+struct DeletionPair {
+    bounded: AnytimeEngine,
+    whole: AnytimeEngine,
+}
+
+impl DeletionPair {
+    fn new(graph: Graph, config: EngineConfig) -> Self {
+        let mut pair = DeletionPair {
+            bounded: AnytimeEngine::new(graph.clone(), config.clone()),
+            whole: AnytimeEngine::new(graph, config),
+        };
+        pair.both("initialize", AnytimeEngine::initialize);
+        pair
+    }
+
+    /// Applies `f` to both engines; they must answer alike.
+    fn both<R: PartialEq + std::fmt::Debug>(
+        &mut self,
+        what: &str,
+        f: impl Fn(&mut AnytimeEngine) -> R,
+    ) -> R {
+        let got = f(&mut self.bounded);
+        let want = whole_row::whole_row(|| f(&mut self.whole));
+        assert_eq!(got, want, "{what}: results differ");
+        got
+    }
+
+    /// Applies a deleting call to both engines and holds the production path
+    /// to the reference: equal results, reset sets and tallies, and no entry
+    /// below the oracle. Returns what the call returned and what it reset.
+    fn delete<R: PartialEq + std::fmt::Debug>(
+        &mut self,
+        what: &str,
+        f: impl Fn(&mut AnytimeEngine) -> R,
+    ) -> (R, Vec<whole_row::Reset>) {
+        let (got, resets) = whole_row::recording(|| f(&mut self.bounded));
+        let (want, reference) =
+            whole_row::recording(|| whole_row::whole_row(|| f(&mut self.whole)));
+        assert_eq!(got, want, "{what}: results differ");
+        assert_eq!(resets, reference, "{what}: reset sets");
+        assert_eq!(
+            self.bounded.obs.invalidation, self.whole.obs.invalidation,
+            "{what}: tallies"
+        );
+        let oracle = algo::apsp_dijkstra(self.bounded.graph());
+        for ps in &self.bounded.procs {
+            for &v in ps.dv.vertices() {
+                let row = ps.dv.row(v).iter().zip(&oracle[v as usize]);
+                for (t, (&new, &exact)) in row.enumerate() {
+                    assert!(
+                        new >= exact,
+                        "{what}: row {v}[{t}] {new} below oracle {exact}"
+                    );
+                }
+            }
+        }
+        (got, resets)
+    }
+
+    /// [`Self::delete`] for a call that only deletes, where the twins are
+    /// ordered afterwards: what the production path rebuilt is no higher than
+    /// what the reference rebuilt, in the rows and in the cached copies, the
+    /// same rows wait to be sent, and the baseline of a raised row is the
+    /// raised row on both sides. (A weight increase ends in an insertion,
+    /// whose level filter withholds shortcuts by the state it finds — after
+    /// it neither twin need be the lower one.)
+    fn delete_only<R: PartialEq + std::fmt::Debug>(
+        &mut self,
+        what: &str,
+        f: impl Fn(&mut AnytimeEngine) -> R,
+    ) -> (R, Vec<whole_row::Reset>) {
+        let (got, resets) = self.delete(what, f);
+        for (a, b) in self.bounded.procs.iter().zip(&self.whole.procs) {
+            let rank = a.rank;
+            assert_eq!(a.dv.vertices(), b.dv.vertices(), "{what}: rank {rank} rows");
+            for &v in a.dv.vertices() {
+                let rows = a.dv.row(v).iter().zip(b.dv.row(v));
+                for (t, (&new, &old)) in rows.enumerate() {
+                    assert!(
+                        new <= old,
+                        "{what}: row {v}[{t}] {new} above reference {old}"
+                    );
+                }
+                let (base, aligned) = (a.sent_snapshot.get(&v), b.sent_snapshot.get(&v));
+                if is_raised(&resets, rank, v) {
+                    assert_eq!(base, aligned, "{what}: baseline of raised row {v}");
+                }
+                // Aligned or not, a baseline is an upper bound of its row.
+                let trails = |s: &Vec<Weight>| s.iter().zip(a.dv.row(v)).all(|(s, d)| s >= d);
+                assert!(base.is_none_or(trails), "{what}: baseline under row {v}");
+            }
+            assert_eq!(a.dirty, b.dirty, "{what}: rank {rank} dirty set");
+            let (mut ka, mut kb): (Vec<_>, Vec<_>) =
+                (a.ext_rows.keys().collect(), b.ext_rows.keys().collect());
+            ka.sort_unstable();
+            kb.sort_unstable();
+            assert_eq!(ka, kb, "{what}: rank {rank} cached rows");
+            for (v, copy) in &a.ext_rows {
+                let lower = copy.iter().zip(&b.ext_rows[v]).all(|(new, old)| new <= old);
+                assert!(lower, "{what}: rank {rank} copy of row {v} above reference");
+            }
+        }
+        (got, resets)
+    }
+
+    /// Converges each twin and checks both against the APSP oracle.
+    fn converge_and_check_oracle(&mut self) {
+        let oracle = algo::apsp_dijkstra(self.bounded.graph());
+        for e in [&mut self.bounded, &mut self.whole] {
+            e.run_to_convergence(4000);
+            assert!(e.is_converged(), "did not converge");
+            let dense = e.distances_dense();
+            for v in e.graph().vertices() {
+                assert_eq!(dense[v as usize], oracle[v as usize], "row {v} vs oracle");
+            }
+        }
+    }
+}
+
+/// Whether the owned row `v` of `rank` is among the resets.
+fn is_raised(resets: &[whole_row::Reset], rank: usize, v: VertexId) -> bool {
+    let mut owned = resets.iter().filter(|r| r.1);
+    owned.any(|r| r.0 == rank && r.2 == v)
+}
+
+/// An edge on the shortest path between its endpoints, the `pick`-th such.
+fn tight_edge(e: &AnytimeEngine, pick: u32) -> Option<(VertexId, VertexId, Weight)> {
+    let oracle = algo::apsp_dijkstra(e.graph());
+    let tight: Vec<_> = e
+        .graph()
+        .edges()
+        .filter(|&(u, v, w)| oracle[u as usize][v as usize] == w)
+        .collect();
+    tight.get(pick as usize % tight.len().max(1)).copied()
+}
+
+/// Up to three edges at the vertex of highest degree, the second one named
+/// in both orientations, plus a pair that is no edge.
+fn batch_sharing_an_endpoint(e: &AnytimeEngine) -> Vec<(VertexId, VertexId)> {
+    let g = e.graph();
+    let hub = g
+        .vertices()
+        .max_by_key(|&v| g.degree(v))
+        .expect("non-empty");
+    let mut batch: Vec<_> = g
+        .neighbors(hub)
+        .iter()
+        .take(3)
+        .map(|&(y, _)| (hub, y))
+        .collect();
+    batch.extend(batch.get(1).map(|&(u, v)| (v, u)));
+    batch.push((hub, hub));
+    batch
+}
+
+/// Every deleting call once, each held to the reference and followed by a
+/// convergence to the oracle: a single edge (`first`, or a tight one), a
+/// batch sharing an endpoint, a weight increase, a vertex.
+fn every_deletion_kind(graph: Graph, procs: usize, first: Option<(VertexId, VertexId)>) {
+    let config = EngineConfig {
+        num_procs: procs,
+        ..Default::default()
+    };
+    let mut pair = DeletionPair::new(graph, config);
+    pair.converge_and_check_oracle();
+
+    let (u, v) = first.unwrap_or_else(|| {
+        let (u, v, _) = tight_edge(&pair.bounded, 0).expect("has edges");
+        (u, v)
+    });
+    let (deleted, resets) = pair.delete_only("delete_edge", |e| e.delete_edge(u, v));
+    assert!(
+        deleted && !resets.is_empty(),
+        "a tight edge supports something"
+    );
+    pair.converge_and_check_oracle();
+
+    let batch = batch_sharing_an_endpoint(&pair.bounded);
+    let distinct = batch.len() - 2;
+    let (removed, _) = pair.delete_only("delete_edges", |e| e.delete_edges(&batch));
+    assert_eq!(
+        removed, distinct,
+        "the repeat and the non-edge count for nothing"
+    );
+    pair.converge_and_check_oracle();
+
+    if let Some((u, v, w)) = tight_edge(&pair.bounded, 1) {
+        pair.delete("weight increase", |e| e.change_edge_weight(u, v, w + 3));
+        pair.converge_and_check_oracle();
+    }
+
+    let g = pair.bounded.graph();
+    let hub = g
+        .vertices()
+        .max_by_key(|&v| g.degree(v))
+        .expect("non-empty");
+    pair.delete_only("delete_vertex", |e| e.delete_vertex(hub));
+    pair.converge_and_check_oracle();
+    pair.bounded.check_invariants().expect("invariants");
+}
+
+#[test]
+fn bounded_deletions_stay_between_the_oracle_and_the_whole_row_reference() {
+    // Two rings joined by one bridge, which goes first; and a ring beside a
+    // path that nothing connects, so every row has `INF` columns.
+    let mut barbell = Graph::with_vertices(12);
+    let mut islands = Graph::with_vertices(14);
+    for i in 0..6 {
+        barbell.add_edge(i, (i + 1) % 6, 1);
+        barbell.add_edge(6 + i, 6 + (i + 1) % 6, 2);
+        islands.add_edge(i, (i + 1) % 6, 1);
+    }
+    barbell.add_edge(2, 9, 3);
+    for i in 6..13 {
+        islands.add_edge(i, i + 1, 1 + i % 2);
+    }
+    let fixtures = [
+        // Unit weights: every other pair has several shortest paths.
+        ("grid", generators::grid(5, 6), None),
+        (
+            "unit-weight G(n,m)",
+            generators::erdos_renyi_gnm(36, 80, 1, 3),
+            None,
+        ),
+        (
+            "weighted G(n,m)",
+            generators::erdos_renyi_gnm(40, 90, 4, 5),
+            None,
+        ),
+        ("scale-free", generators::barabasi_albert(45, 2, 3, 7), None),
+        ("bridge", barbell, Some((2, 9))),
+        ("disconnected", islands, None),
+    ];
+    for (name, graph, first) in fixtures {
+        for procs in 1..=4 {
+            eprintln!("{name}, P = {procs}");
+            every_deletion_kind(graph.clone(), procs, first);
+        }
+    }
+}
+
+#[test]
+fn deleting_an_edge_on_no_shortest_path_examines_every_row_and_resets_none() {
+    // A unit-weight path on six vertices and a chord of weight 9 across it:
+    // no pair is closer through the chord.
+    let mut g = generators::path(6);
+    g.add_edge(0, 5, 9);
+    let config = EngineConfig {
+        num_procs: 2,
+        ..Default::default()
+    };
+    let mut pair = DeletionPair::new(g, config);
+    pair.converge_and_check_oracle();
+    let before = pair.bounded.distances_dense();
+    let cached: usize = pair.bounded.procs.iter().map(|ps| ps.ext_rows.len()).sum();
+    assert!(
+        cached > 0,
+        "two ranks on a path cache each other's boundary"
+    );
+
+    let (deleted, resets) = pair.delete_only("delete chord", |e| e.delete_edge(0, 5));
+    assert!(deleted && resets.is_empty());
+    assert_eq!(pair.bounded.distances_dense(), before);
+    assert!(pair.bounded.procs.iter().all(|ps| ps.is_quiescent()));
+    let r = pair.bounded.metrics_registry();
+    let count = |name: &str, rows| r.counter_value(name, &[("rows", rows)]);
+    assert_eq!(count("aa_invalidation_rows_examined_total", "owned"), 6);
+    assert_eq!(
+        count("aa_invalidation_rows_examined_total", "cached"),
+        cached as u64
+    );
+    for rows in ["owned", "cached"] {
+        assert_eq!(count("aa_invalidation_rows_reset_total", rows), 0);
+        assert_eq!(count("aa_invalidation_entries_reset_total", rows), 0);
+    }
+    pair.converge_and_check_oracle();
+}
+
+#[test]
+fn a_baseline_left_trailing_by_retransmit_acks_is_realigned_when_its_row_is_raised() {
+    let lossy = |seed| EngineConfig {
+        num_procs: 4,
+        fault: Some(FaultConfig {
+            p_drop: 0.3,
+            p_dup: 0.0,
+            reorder: false,
+            seed,
+        }),
+        ..Default::default()
+    };
+    // Rows whose baseline is not the row: a send was dropped on the way to
+    // one rank, and the retransmit's ack deliberately refreshed nothing.
+    let trailing = |e: &AnytimeEngine| -> Vec<(usize, VertexId)> {
+        let per_rank = e.procs.iter().map(|ps| {
+            let rows = ps.dv.vertices().iter().copied();
+            rows.filter(|v| ps.sent_snapshot.get(v).is_some_and(|s| s != ps.dv.row(*v)))
+                .map(|v| (ps.rank, v))
+        });
+        per_rank.flatten().collect()
+    };
+    let mut pair = (0..)
+        .map(|seed| {
+            let g = generators::barabasi_albert(40, 2, 3, 9);
+            let mut pair = DeletionPair::new(g, lossy(seed));
+            pair.converge_and_check_oracle();
+            pair
+        })
+        .find(|pair| trailing(&pair.bounded).len() >= 2)
+        .expect("three sends in ten are dropped");
+    let behind = trailing(&pair.bounded);
+    assert_eq!(behind, trailing(&pair.whole), "same history so far");
+
+    // Delete a tight edge at the first of them: its row is raised.
+    let (rank, x) = behind[0];
+    let oracle = algo::apsp_dijkstra(pair.bounded.graph());
+    let &(y, _) = pair
+        .bounded
+        .graph()
+        .neighbors(x)
+        .iter()
+        .find(|&&(y, w)| oracle[x as usize][y as usize] == w)
+        .expect("some edge at x is a shortest path");
+    let (_, resets) = pair.delete_only("delete at a trailing row", |e| e.delete_edge(x, y));
+    assert!(is_raised(&resets, rank, x));
+    // `delete_only` saw the raised baselines equal the reference's, which
+    // aligns every one of them. The rows that kept every entry keep their
+    // trailing baseline here, and lose it there.
+    let kept: Vec<_> = behind
+        .iter()
+        .filter(|&&(r, v)| !is_raised(&resets, r, v))
+        .collect();
+    assert!(!kept.is_empty(), "one deletion does not raise every row");
+    for &&(r, v) in &kept {
+        assert_ne!(
+            pair.bounded.procs[r].sent_snapshot[&v],
+            pair.bounded.procs[r].dv.row(v)
+        );
+        assert_eq!(
+            pair.whole.procs[r].sent_snapshot[&v],
+            pair.whole.procs[r].dv.row(v)
+        );
+    }
+    pair.converge_and_check_oracle();
+}
+
+/// One random call of the deletion property. Additions and steps keep the
+/// twins busy between deletions; every deletion starts from the barrier,
+/// where they agree again.
+fn apply_deletion_op(pair: &mut DeletionPair, kind: u8, a: u32, b: u32, w: Weight) {
+    let (u, v) = (live(&pair.bounded, a), live(&pair.bounded, b));
+    match kind {
+        0..=2 => {
+            pair.bounded.rc_step();
+            whole_row::whole_row(|| pair.whole.rc_step());
+        }
+        3 if u != v => {
+            pair.both("add_edge", |e| e.add_edge(u, v, w));
+        }
+        4 => {
+            let x = live(&pair.bounded, a.wrapping_add(7));
+            let batch = [(u, v, w), (v, x, 1), (u, x, w + 1)];
+            let batch: Vec<_> = batch.into_iter().filter(|&(p, q, _)| p != q).collect();
+            pair.both("add_edges", |e| e.add_edges(&batch));
+        }
+        5 => {
+            if let Some((x, y, _)) = tight_edge(&pair.bounded, a) {
+                pair.delete_only("delete_edge", |e| e.delete_edge(x, y));
+            }
+        }
+        6 => {
+            let edges: Vec<_> = pair.bounded.graph().edges().collect();
+            if let Some(&(x, y, _)) = edges.get(a as usize % edges.len().max(1)) {
+                pair.delete_only("delete_edge", |e| e.delete_edge(x, y));
+            }
+        }
+        7 => {
+            let batch = batch_sharing_an_endpoint(&pair.bounded);
+            pair.delete_only("delete_edges", |e| e.delete_edges(&batch));
+        }
+        8 => {
+            if let Some((x, y, old)) = tight_edge(&pair.bounded, b) {
+                pair.delete("weight increase", |e| e.change_edge_weight(x, y, old + w));
+            }
+        }
+        9 if pair.bounded.graph().vertex_count() > 8 => {
+            pair.delete_only("delete_vertex", |e| e.delete_vertex(u));
+        }
+        _ => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: cases(), ..ProptestConfig::default() })]
+
+    #[test]
+    fn bounded_deletion_path_stays_within_whole_row_reference_after_every_call(
+        n in 12usize..40,
+        graph_seed in 0u64..1000,
+        max_weight in 1u32..5,
+        procs in 1usize..5,
+        lossy in proptest::bool::ANY,
+        ops in proptest::collection::vec((0u8..10, 0u32..1000, 0u32..1000, 1u32..6), 4..20),
+    ) {
+        let case = format!(
+            "n={n} graph_seed={graph_seed} max_weight={max_weight} procs={procs} lossy={lossy} ops={ops:?}"
+        );
+        let run = std::panic::AssertUnwindSafe(|| {
+            // Weight 1 everywhere is the tie-heavy end; m = 3n/2 leaves some
+            // graphs in pieces, so rows carry `INF` columns.
+            let graph = generators::erdos_renyi_gnm(n, 3 * n / 2, max_weight, graph_seed);
+            let fault = lossy.then_some(FaultConfig {
+                p_drop: 0.3,
+                p_dup: 0.1,
+                reorder: true,
+                seed: graph_seed,
+            });
+            let config = EngineConfig { num_procs: procs, seed: graph_seed, fault, ..Default::default() };
+            let mut pair = DeletionPair::new(graph, config);
+            for (kind, a, b, w) in ops {
+                apply_deletion_op(&mut pair, kind, a, b, w);
+            }
+            pair.converge_and_check_oracle();
+        });
+        if let Err(panic) = std::panic::catch_unwind(run) {
+            eprintln!("failing case: {case}");
+            std::panic::resume_unwind(panic);
+        }
+    }
 }
