@@ -23,33 +23,77 @@
 //! that still owe their local neighbours a relaxation. The frontier is the
 //! only worklist — `ProcState::propagate` drains it and nobody hands it
 //! seeds — so a row cannot be marked and then forgotten.
+//!
+//! A second set per row, the **unsent log**, holds the columns lowered since
+//! the row's last fully acknowledged send — the send-side half of the same
+//! sentence: a delta is a walk over its bits, and no copy of the row as sent
+//! is kept to diff against. The same lowering writes set it, and nothing
+//! else does: the marks that put a row back on the frontier because its
+//! *adjacency* changed say nothing about what a remote copy of the row
+//! holds, and must not reach it. Raw row access marks it all-columns, which
+//! makes the next send a full row.
 
 use aa_graph::{VertexId, Weight, INF};
 
 /// Relaxes `dst[t] = min(dst[t], src[t] + offset)` for every column.
-/// Returns whether any entry decreased. `INF` saturates.
+/// Returns whether any entry decreased. `INF` saturates. This is the dense
+/// kernel recombination runs, without the change-log bookkeeping.
 #[inline]
 pub fn relax_row(dst: &mut [Weight], src: &[Weight], offset: Weight) -> bool {
-    debug_assert_eq!(dst.len(), src.len());
-    let mut changed = false;
-    for (d, &s) in dst.iter_mut().zip(src) {
-        let cand = s.saturating_add(offset);
-        if cand < *d {
-            *d = cand;
-            changed = true;
-        }
-    }
-    changed
+    relax_chunks(dst, src, offset, |_, _| {})
 }
 
 /// Columns per change-log word.
 const WORD: usize = u64::BITS as usize;
 
+/// The dense kernel: `dst[c] = min(dst[c], src[c] + offset)` over every
+/// column, one change-log word (64 columns) at a time. `lowered(w, bits)` is
+/// told which columns of word `w` decreased, for the chunks where any did.
+/// Returns whether any entry decreased.
+#[inline]
+fn relax_chunks(
+    dst: &mut [Weight],
+    src: &[Weight],
+    offset: Weight,
+    mut lowered: impl FnMut(usize, u64),
+) -> bool {
+    debug_assert_eq!(dst.len(), src.len());
+    let mut changed = false;
+    for (w, (d64, s64)) in dst.chunks_mut(WORD).zip(src.chunks(WORD)).enumerate() {
+        // Nine sweeps in ten lower nothing: probe read-only first, and write
+        // only a chunk that has something to lower.
+        let hit = d64
+            .iter()
+            .zip(s64)
+            .fold(false, |hit, (&d, &s)| hit | (s.saturating_add(offset) < d));
+        if !hit {
+            continue;
+        }
+        // No branch on the comparison, so this loop vectorizes like the
+        // probe: a flag byte per lane, eight lanes packed into eight bits by
+        // one multiply (byte `i` of the lane lands on bit `56 + i` of the
+        // product, and no two partial products share a bit).
+        let mut flags = [[0u8; 8]; WORD / 8];
+        let lanes = flags.as_flattened_mut().iter_mut();
+        for ((d, &s), flag) in d64.iter_mut().zip(s64).zip(lanes) {
+            let cand = s.saturating_add(offset);
+            *flag = u8::from(cand < *d);
+            *d = cand.min(*d);
+        }
+        let bits = flags.iter().rev().fold(0u64, |bits, &lane| {
+            bits << 8 | u64::from_le_bytes(lane).wrapping_mul(0x0102_0408_1020_4080) >> 56
+        });
+        lowered(w, bits);
+        changed = true;
+    }
+    changed
+}
+
 /// A set of columns of one distance row: one bit per column, or "all of
 /// them". A bitset rather than an index list because its size is fixed at
 /// `cols / 8` bytes per row however many entries move (an index `Vec` per
 /// row cost +12 MB at n = 2,048), and because merging is a word-wise OR.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnSet {
     /// Bit `c % 64` of word `c / 64` is column `c`. Bits at or beyond the
     /// column count are never set.
@@ -136,16 +180,15 @@ impl ColumnSet {
         self.all = false;
     }
 
+    /// How many single columns are logged (whatever `all` says).
+    fn logged(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
     /// Whether walking the members one by one would cost more than a dense
     /// sweep: all columns, or more than a quarter of them.
     fn is_dense(&self, cols: usize) -> bool {
-        self.all
-            || 4 * self
-                .words
-                .iter()
-                .map(|word| word.count_ones() as usize)
-                .sum::<usize>()
-                > cols
+        self.all || 4 * self.logged() > cols
     }
 }
 
@@ -177,64 +220,48 @@ pub(crate) mod reference {
 }
 
 /// `dst[c] = min(dst[c], src[c] + offset)` for every column `c` in `cols`,
-/// recording each lowered column in `log`. Returns whether any entry
-/// decreased. Dense sets take a whole-row sweep, sparse ones a walk over the
-/// set bits; both visit a superset of the columns that can change, so the
-/// rows they leave are identical.
-// aa-lint: allow(AA07, the sparse walk indexes dst/src/log at columns taken from cols, whose bits never reach the column count — every set is built over the matrix width and resized with it)
+/// recording each lowered column in `log` and in `unsent`. Returns whether
+/// any entry decreased. Dense sets take a whole-row sweep, sparse ones a walk
+/// over the set bits; both visit a superset of the columns that can change,
+/// so the rows they leave are identical.
+// aa-lint: allow(AA07, the sparse walk indexes dst/src/log/unsent at columns taken from cols, whose bits never reach the column count — every set is built over the matrix width and resized with it; the dense sweep is handed word indices below dst.len().div_ceil(64), the length of both logs)
 fn relax_on(
     dst: &mut [Weight],
-    log: &mut ColumnSet,
+    (log, unsent): (&mut ColumnSet, &mut ColumnSet),
     src: &[Weight],
     offset: Weight,
     cols: &ColumnSet,
 ) -> bool {
     debug_assert_eq!(dst.len(), src.len());
     debug_assert_eq!(log.words.len(), dst.len().div_ceil(WORD));
+    debug_assert_eq!(unsent.words.len(), log.words.len());
     #[cfg(test)]
     if reference::is_dense() {
-        let changed = relax_row(dst, src, offset);
+        let changed = relax_chunks(dst, src, offset, |w, bits| unsent.words[w] |= bits);
         if changed {
             log.mark_all();
         }
         return changed;
     }
-    let mut changed = false;
     if cols.is_dense(dst.len()) {
-        let chunks = dst.chunks_mut(WORD).zip(src.chunks(WORD));
-        for ((d64, s64), word) in chunks.zip(&mut log.words) {
-            // Nine sweeps in ten lower nothing: probe read-only first (this
-            // loop vectorizes), and pay for the bit bookkeeping only in a
-            // chunk that has something to lower.
-            let hit = d64
-                .iter()
-                .zip(s64)
-                .fold(false, |hit, (&d, &s)| hit | (s.saturating_add(offset) < d));
-            if !hit {
-                continue;
-            }
-            for (bit, (d, &s)) in d64.iter_mut().zip(s64).enumerate() {
-                let cand = s.saturating_add(offset);
-                if cand < *d {
-                    *d = cand;
-                    *word |= 1 << bit;
-                }
-            }
-            changed = true;
-        }
-    } else {
-        for (wi, &members) in cols.words.iter().enumerate() {
-            let mut rest = members;
-            while rest != 0 {
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let c = wi * WORD + bit;
-                let cand = src[c].saturating_add(offset);
-                if cand < dst[c] {
-                    dst[c] = cand;
-                    log.words[wi] |= 1 << bit;
-                    changed = true;
-                }
+        return relax_chunks(dst, src, offset, |w, bits| {
+            log.words[w] |= bits;
+            unsent.words[w] |= bits;
+        });
+    }
+    let mut changed = false;
+    for (wi, &members) in cols.words.iter().enumerate() {
+        let mut rest = members;
+        while rest != 0 {
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let c = wi * WORD + bit;
+            let cand = src[c].saturating_add(offset);
+            if cand < dst[c] {
+                dst[c] = cand;
+                log.words[wi] |= 1 << bit;
+                unsent.words[wi] |= 1 << bit;
+                changed = true;
             }
         }
     }
@@ -260,6 +287,8 @@ pub struct DistanceMatrix {
     rows: Vec<Vec<Weight>>,
     /// Change log of each row (see the module docs), parallel to `rows`.
     logs: Vec<ColumnSet>,
+    /// Unsent log of each row (see the module docs), parallel to `rows`.
+    unsent: Vec<ColumnSet>,
     /// Global vertex id of each row.
     vertex_of_row: Vec<VertexId>,
     /// Row index of each global vertex id slot (`u32::MAX` if not owned here).
@@ -275,6 +304,7 @@ impl DistanceMatrix {
         DistanceMatrix {
             rows: Vec::new(),
             logs: Vec::new(),
+            unsent: Vec::new(),
             vertex_of_row: Vec::new(),
             row_of: vec![NO_ROW; cols],
             cols,
@@ -298,7 +328,8 @@ impl DistanceMatrix {
     }
 
     /// Adds a row for vertex `v`, initialized to `INF` except `row[v] = 0`.
-    /// A new row has propagated nothing yet: its log starts all-columns.
+    /// A new row has propagated nothing yet, and nobody holds a copy: both
+    /// its logs start all-columns.
     ///
     /// # Panics
     /// Panics if `v` already has a row or lies outside the column range.
@@ -312,11 +343,12 @@ impl DistanceMatrix {
         self.row_of[v as usize] = self.rows.len() as u32;
         self.rows.push(row);
         self.logs.push(ColumnSet::all(self.cols));
+        self.unsent.push(ColumnSet::all(self.cols));
         self.vertex_of_row.push(v);
     }
 
     /// Inserts a row with explicit contents (migration, checkpoint restore,
-    /// recovery); its log starts all-columns.
+    /// recovery); both its logs start all-columns.
     // aa-lint: allow(AA07, documented-panic constructor — same assert-first contract as add_row)
     pub fn insert_row(&mut self, v: VertexId, mut row: Vec<Weight>) {
         assert!((v as usize) < self.cols, "vertex {v} outside column range");
@@ -328,17 +360,20 @@ impl DistanceMatrix {
         self.row_of[v as usize] = self.rows.len() as u32;
         self.rows.push(row);
         self.logs.push(ColumnSet::all(self.cols));
+        self.unsent.push(ColumnSet::all(self.cols));
         self.vertex_of_row.push(v);
     }
 
-    /// Removes and returns the row of vertex `v` (used for migration).
+    /// Removes and returns the row of vertex `v` with its unsent log (used
+    /// for migration).
     // aa-lint: allow(AA07, migration path — the NO_ROW assert fires before the swap_remove indexes and row_of covers every id the owning engine hands in)
-    pub fn take_row(&mut self, v: VertexId) -> Vec<Weight> {
+    pub fn take_row(&mut self, v: VertexId) -> (Vec<Weight>, ColumnSet) {
         let idx = self.row_of[v as usize];
         assert!(idx != NO_ROW, "vertex {v} has no row here");
         let idx = idx as usize;
         let row = self.rows.swap_remove(idx);
         self.logs.swap_remove(idx);
+        let unsent = self.unsent.swap_remove(idx);
         self.vertex_of_row.swap_remove(idx);
         self.row_of[v as usize] = NO_ROW;
         if idx < self.rows.len() {
@@ -346,7 +381,18 @@ impl DistanceMatrix {
             // aa-lint: allow(AA05, idx indexes the row table, bounded by the u32 vertex-id space)
             self.row_of[moved as usize] = idx as u32;
         }
-        row
+        (row, unsent)
+    }
+
+    /// Replaces the unsent log of `v`'s row by the one that travelled with
+    /// it: the receivers' copies stay valid across a migration, so the new
+    /// owner goes on sending them deltas.
+    pub fn restore_unsent(&mut self, v: VertexId, mut unsent: ColumnSet) {
+        unsent.words.resize(self.cols.div_ceil(WORD), 0);
+        let idx = self.row_index(v);
+        if let Some(slot) = self.unsent.get_mut(idx) {
+            *slot = unsent;
+        }
     }
 
     /// Grows the column space to `new_cols`, filling new entries with `INF`.
@@ -361,7 +407,7 @@ impl DistanceMatrix {
             row.resize(new_cols, INF);
         }
         let words = new_cols.div_ceil(WORD);
-        for log in &mut self.logs {
+        for log in self.logs.iter_mut().chain(&mut self.unsent) {
             // A fresh zeroed buffer, not `words.resize`: reallocating the
             // small buffers right after the row reallocations above left
             // `churn_single`'s peak RSS 5 % higher.
@@ -383,11 +429,12 @@ impl DistanceMatrix {
     }
 
     /// Mutable distance vector of vertex `v`. Raw access can write anything,
-    /// so the row is marked all-columns.
+    /// so the row is marked all-columns in both logs.
     // aa-lint: allow(AA07, documented-panic accessor — same contract as row)
     pub fn row_mut(&mut self, v: VertexId) -> &mut [Weight] {
         let idx = self.row_index(v);
         self.logs[idx].mark_all();
+        self.unsent[idx].mark_all();
         &mut self.rows[idx]
     }
 
@@ -405,7 +452,49 @@ impl DistanceMatrix {
         &self.logs[self.row_index(v)]
     }
 
-    /// Marks every column of `v`'s row as possibly unpropagated.
+    /// The columns of `v`'s row lowered since its last fully acknowledged
+    /// send.
+    #[cfg(test)]
+    pub(crate) fn unsent(&self, v: VertexId) -> &ColumnSet {
+        &self.unsent[self.row_index(v)]
+    }
+
+    /// What a rank holding `v`'s row as of its last fully acknowledged send
+    /// is missing: the `(column, value)` pairs on the unsent columns — or
+    /// `None` if they are all-columns, and only the full row will do.
+    // aa-lint: allow(AA07, the one pragma the send side adds: the bit walk indexes the row at columns taken from its own unsent log, whose bits never reach the column count — the argument relax_on's sparse walk already makes; rows and unsent are parallel, indexed by row_index like row)
+    pub fn unsent_entries(&self, v: VertexId) -> Option<Vec<(u32, Weight)>> {
+        let idx = self.row_index(v);
+        let (row, unsent) = (&self.rows[idx], &self.unsent[idx]);
+        if unsent.all {
+            return None;
+        }
+        let mut entries = Vec::with_capacity(unsent.logged());
+        for (wi, &word) in unsent.words.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let c = wi * WORD + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                // aa-lint: allow(AA05, c indexes a distance row whose length is bounded by the u32 vertex-id space)
+                entries.push((c as u32, row[c]));
+            }
+        }
+        Some(entries)
+    }
+
+    /// Empties `v`'s unsent log: every rank the row goes to holds it as it
+    /// stands.
+    pub fn clear_unsent(&mut self, v: VertexId) {
+        let idx = self.row_index(v);
+        if let Some(unsent) = self.unsent.get_mut(idx) {
+            unsent.clear();
+        }
+    }
+
+    /// Marks every column of `v`'s row as possibly unpropagated. This is a
+    /// statement about `v`'s local neighbours (new adjacency, say), not
+    /// about the row's values: the unsent log is not touched, here or in
+    /// [`Self::mark_columns`] and [`Self::mark_all_rows`].
     // aa-lint: allow(AA07, documented-panic accessor — same contract as row)
     pub fn mark_all_columns(&mut self, v: VertexId) {
         let idx = self.row_index(v);
@@ -416,14 +505,20 @@ impl DistanceMatrix {
     /// invalidation). The log stays as it is: with `v` on the right of
     /// `row_u[c] <= row_v[c] + w` a raised entry keeps the inequality, and
     /// with `v` on the left it is the neighbour's log that has to hold the
-    /// column — [`Self::mark_columns`] on each local neighbour of `v`.
+    /// column — [`Self::mark_columns`] on each local neighbour of `v`. The
+    /// unsent log loses the raised columns: every rank that holds the row
+    /// takes the same decision on the same values (the deletion barrier), so
+    /// on these columns both sides now read `INF` and nothing is owed until
+    /// a write lowers the entry again — and logs it.
     pub fn raise_entries(&mut self, v: VertexId, cols: &[usize]) {
         let idx = self.row_index(v);
-        if let Some(row) = self.rows.get_mut(idx) {
-            for &c in cols {
-                if let Some(d) = row.get_mut(c) {
-                    *d = INF;
-                }
+        let (Some(row), Some(unsent)) = (self.rows.get_mut(idx), self.unsent.get_mut(idx)) else {
+            return;
+        };
+        for &c in cols {
+            if let (Some(d), Some(word)) = (row.get_mut(c), unsent.words.get_mut(c / WORD)) {
+                *d = INF;
+                *word &= !(1 << (c % WORD));
             }
         }
     }
@@ -446,8 +541,10 @@ impl DistanceMatrix {
             return false;
         };
         *d = value;
-        if let Some(log) = self.logs.get_mut(idx) {
-            log.insert(col);
+        for log in [&mut self.logs, &mut self.unsent] {
+            if let Some(log) = log.get_mut(idx) {
+                log.insert(col);
+            }
         }
         true
     }
@@ -512,10 +609,13 @@ impl DistanceMatrix {
         if di == si {
             return false;
         }
+        let Some(dst_unsent) = self.unsent.get_mut(di) else {
+            return false;
+        };
         let (dst_row, src_row) = pair_mut(&mut self.rows, di, si);
         let (dst_log, src_log) = pair_mut(&mut self.logs, di, si);
         let cols = if logged { src_log } else { &ColumnSet::EVERY };
-        relax_on(dst_row, dst_log, src_row, offset, cols)
+        relax_on(dst_row, (dst_log, dst_unsent), src_row, offset, cols)
     }
 
     /// Relaxes every column of the row of `dst` against an external row.
@@ -539,13 +639,8 @@ impl DistanceMatrix {
         cols: &ColumnSet,
     ) -> bool {
         let idx = self.row_index(dst);
-        relax_on(
-            &mut self.rows[idx],
-            &mut self.logs[idx],
-            src_row,
-            offset,
-            cols,
-        )
+        let logs = (&mut self.logs[idx], &mut self.unsent[idx]);
+        relax_on(&mut self.rows[idx], logs, src_row, offset, cols)
     }
 }
 
@@ -603,12 +698,81 @@ mod tests {
                 want[c] = before[c]; // a sparse walk leaves the others alone
             }
             let mut got = before.clone();
-            let mut log = ColumnSet::empty(n);
-            let changed = relax_on(&mut got, &mut log, &src, offset, &cols);
+            let (mut log, mut unsent) = (ColumnSet::empty(n), ColumnSet::empty(n));
+            let changed = relax_on(&mut got, (&mut log, &mut unsent), &src, offset, &cols);
             assert_eq!(got, want, "stride {stride}");
             assert_eq!(changed, got != before);
             for c in 0..n {
                 assert_eq!(log.contains(c), got[c] < before[c], "log bit {c}");
+            }
+            assert_eq!(unsent, log, "both logs hold the lowered columns");
+        }
+    }
+
+    /// The hit-chunk loop the dense kernel replaced: rows and bits.
+    fn scalar_relax(dst: &mut [Weight], src: &[Weight], offset: Weight) -> Vec<u64> {
+        let mut words = vec![0u64; dst.len().div_ceil(WORD)];
+        for (c, (d, &s)) in dst.iter_mut().zip(src).enumerate() {
+            let cand = s.saturating_add(offset);
+            if cand < *d {
+                *d = cand;
+                words[c / WORD] |= 1 << (c % WORD);
+            }
+        }
+        words
+    }
+
+    #[test]
+    fn packed_flag_kernel_equals_the_scalar_loop_in_rows_and_bits() {
+        // 150 columns: two full words and a ragged third.
+        let (n, offset) = (150usize, 3);
+        let mut src = noise(n, 11);
+        src[7] = u32::MAX - 1; // saturates to INF: never an improvement
+        for hit_pct in [0u32, 2, 50, 100] {
+            // `dst` sits above `src + offset` on `hit_pct` % of the finite
+            // columns and at or below it on the rest; some are `INF`.
+            let dst: Vec<Weight> = (0..n as u32)
+                .map(|i| {
+                    let cand = src[i as usize].saturating_add(offset);
+                    let hit = i.wrapping_mul(2_654_435_761) % 100 < hit_pct;
+                    match (hit, i % 9) {
+                        (true, 0) => INF,
+                        (true, _) => cand.saturating_add(1 + i % 4),
+                        (false, _) => cand - i % 3,
+                    }
+                })
+                .collect();
+            let mut want = dst.clone();
+            let want_bits = scalar_relax(&mut want, &src, offset);
+            assert_eq!(want_bits.iter().any(|&w| w != 0), hit_pct > 0);
+
+            let (mut got, mut got_bits) = (dst.clone(), vec![0u64; n.div_ceil(WORD)]);
+            let changed = relax_chunks(&mut got, &src, offset, |w, bits| got_bits[w] |= bits);
+            assert_eq!(got, want, "{hit_pct} %: rows");
+            assert_eq!(got_bits, want_bits, "{hit_pct} %: bits");
+            assert_eq!(changed, hit_pct > 0);
+            assert_eq!(got[7], dst[7], "INF saturation");
+
+            // `relax_row` and both branches of `relax_on` are that kernel.
+            let mut row = dst.clone();
+            assert_eq!(relax_row(&mut row, &src, offset), changed);
+            assert_eq!(row, want);
+            for dense_twin in [false, true] {
+                let mut row = dst.clone();
+                let (mut log, mut unsent) = (ColumnSet::empty(n), ColumnSet::empty(n));
+                let logs = (&mut log, &mut unsent);
+                let relax = || relax_on(&mut row, logs, &src, offset, &ColumnSet::EVERY);
+                let changed = if dense_twin {
+                    reference::dense(relax)
+                } else {
+                    relax()
+                };
+                assert_eq!((row, changed), (want.clone(), hit_pct > 0));
+                // The twin says "all columns" to its neighbours, and still
+                // exactly the lowered ones to the wire.
+                assert_eq!(unsent.words, want_bits);
+                assert_eq!(log.all, dense_twin && changed);
+                assert!(dense_twin || log.words == want_bits);
             }
         }
     }
@@ -629,8 +793,12 @@ mod tests {
         m.add_row(0);
         m.add_row(1);
         assert!(m.log(0).contains(7), "a new row has propagated nothing");
+        assert!(m.unsent_entries(0).is_none(), "and nobody holds a copy");
         m.clear_logs();
         assert!(m.log(0).is_empty() && m.log(1).is_empty());
+        assert!(m.unsent(0).contains(7), "clearing one log leaves the other");
+        m.clear_unsent(0);
+        m.clear_unsent(1);
         // A relaxation logs what it lowered, in the lowered row only.
         let mut ext = vec![INF; 8];
         ext[2] = 4;
@@ -642,14 +810,40 @@ mod tests {
         assert!(m.relax_rows_logged(0, 1, 1));
         assert_eq!(m.row(0)[..3], [0, INF, 5]);
         assert!(m.log(0).contains(2) && !m.log(0).contains(1));
+        // The unsent log saw the same writes, and outlives the propagation.
+        m.clear_log(1);
+        assert_eq!(m.unsent_entries(1), Some(vec![(2, 4)]));
+        assert_eq!(m.unsent_entries(0), Some(vec![(2, 5)]));
+        // Marks about the neighbourhood leave it alone.
+        m.mark_all_columns(0);
+        m.mark_columns(0, &ColumnSet::EVERY);
+        m.mark_all_rows();
+        assert_eq!(m.unsent_entries(0), Some(vec![(2, 5)]));
+        // A raised entry leaves it, and comes back when lowered again.
+        assert!(m.lower_entry(0, 5, 9));
+        m.raise_entries(0, &[2]);
+        assert_eq!(m.unsent_entries(0), Some(vec![(5, 9)]));
+        assert!(m.lower_entry(0, 2, 6));
+        assert_eq!(m.unsent_entries(0), Some(vec![(2, 6), (5, 9)]));
         m.clear_log(1);
         m.row_mut(1)[0] = 1; // raw access: anything may have changed
         assert!(m.log(1).contains(0) && m.log(1).contains(7));
-        // The log travels with its row through a swap_remove.
+        assert!(m.unsent_entries(1).is_none());
+        // Both logs travel with their row: through a swap_remove, through
+        // column growth, and the unsent one on to the next owner.
         m.clear_log(0);
         m.add_row(2);
-        m.take_row(0);
+        m.extend_cols(70);
+        let (_, unsent) = m.take_row(0);
         assert!(m.log(2).contains(0) && m.log(1).contains(7));
+        assert!(m.unsent_entries(2).is_none() && m.unsent_entries(1).is_none());
+        let mut next = DistanceMatrix::new(130);
+        next.insert_row(0, vec![0, INF, 6, INF, INF, 9]);
+        assert!(next.unsent_entries(0).is_none());
+        next.restore_unsent(0, unsent);
+        assert_eq!(next.unsent_entries(0), Some(vec![(2, 6), (5, 9)]));
+        assert!(next.lower_entry(0, 129, 3), "and grows to the new width");
+        assert_eq!(next.unsent_entries(0).map(|e| e.len()), Some(3));
     }
 
     #[test]
@@ -676,7 +870,7 @@ mod tests {
         m.add_row(0);
         m.add_row(1);
         m.add_row(2);
-        let r = m.take_row(0); // row 2 swaps into slot 0
+        let (r, _) = m.take_row(0); // row 2 swaps into slot 0
         assert_eq!(r[0], 0);
         assert!(!m.has_row(0));
         assert_eq!(m.row(2)[2], 0, "swapped row still reachable");
@@ -689,7 +883,7 @@ mod tests {
         let mut a = DistanceMatrix::new(3);
         a.add_row(1);
         a.row_mut(1)[0] = 7;
-        let row = a.take_row(1);
+        let (row, _) = a.take_row(1);
         let mut b = DistanceMatrix::new(3);
         b.insert_row(1, row);
         assert_eq!(b.row(1), &[7, 0, INF]);

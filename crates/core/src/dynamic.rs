@@ -374,8 +374,7 @@ impl AnytimeEngine {
             if ps.dv.has_row(v) {
                 ps.dv.take_row(v);
                 ps.dirty.remove(&v);
-                ps.sent_snapshot.remove(&v);
-                ps.sent_to.remove(&v);
+                ps.forget_receivers(v);
                 // Defensive: the barrier above guarantees quiescence, so no
                 // retransmit of the deleted row can still be pending.
                 ps.outstanding.retain(|&(u, _), _| u != v);
@@ -504,10 +503,9 @@ where
         return reference::invalidate_and_reseed(ps, tally, affected);
     }
     // One decision per owned row, on the exact row the barrier left. The
-    // receivers hold the same row and decide the same, so the delta baseline
-    // of a raised row is the raised row — which re-aligns one that retransmit
-    // acks left at an older, larger snapshot. Any other baseline stays where
-    // it is, an upper bound of what each receiver caches.
+    // receivers hold the same row and decide the same, so a raised entry
+    // leaves the row's unsent log; the write that lowers it again logs it,
+    // whatever retransmit acks left in the log before.
     let mut raised: Vec<(VertexId, Vec<usize>)> = Vec::new();
     for x in ps.dv.vertices().to_vec() {
         let targets = affected(ps.dv.row(x), x, true);
@@ -518,10 +516,8 @@ where
         #[cfg(test)]
         reference::note_reset(ps.rank, true, x, &targets);
         ps.dv.raise_entries(x, &targets);
-        if let Some(baseline) = ps.sent_snapshot.get_mut(&x) {
-            baseline.clear();
-            baseline.extend_from_slice(ps.dv.row(x));
-        }
+        #[cfg(test)]
+        ps.mirror_raise(x, &targets);
         raised.push((x, targets));
     }
     // Cached external rows get the same treatment: reset entries are stale-
@@ -588,11 +584,11 @@ where
 #[cfg(test)]
 pub(crate) mod reference {
     //! Test-only switch back to the invalidation this module used to run —
-    //! every baseline re-aligned, every owned row, cached copy and baseline
-    //! scanned whole, every raised row rebuilt by a full local Dijkstra and
-    //! a dense cache sweep, raised rows and their neighbours marked
-    //! all-columns — plus a record of what either path reset, so tests can
-    //! run both side by side.
+    //! every owned row and cached copy scanned whole, every raised row
+    //! rebuilt by a full local Dijkstra and a dense cache sweep, raised rows
+    //! and their neighbours marked all-columns (a raised row's next send is
+    //! therefore a full row) — plus a record of what either path reset, so
+    //! tests can run both side by side.
     use super::*;
     use std::cell::{Cell, RefCell};
 
@@ -645,12 +641,6 @@ pub(crate) mod reference {
     ) where
         F: Fn(&[Weight], VertexId, bool) -> Vec<usize>,
     {
-        // Retransmit acks leave baselines at older values; align all of them
-        // so the scans below reset identical values on both sides.
-        let baselines: Vec<VertexId> = ps.sent_snapshot.keys().copied().collect();
-        for &u in baselines.iter().filter(|&&u| ps.dv.has_row(u)) {
-            ps.sent_snapshot.insert(u, ps.dv.row(u).to_vec());
-        }
         let mut dirtied = Vec::new();
         for x in ps.dv.vertices().to_vec() {
             let targets = affected(ps.dv.row(x), x, false);
@@ -679,14 +669,6 @@ pub(crate) mod reference {
             tally.cached.note(targets.len());
             note_reset(ps.rank, false, b, &targets);
             for t in targets {
-                row[t] = INF;
-            }
-        }
-        for b in baselines {
-            let Some(row) = ps.sent_snapshot.get_mut(&b) else {
-                continue;
-            };
-            for t in affected(row, b, false) {
                 row[t] = INF;
             }
         }

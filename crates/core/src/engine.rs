@@ -264,13 +264,14 @@ impl AnytimeEngine {
                         // One that held a copy while the row had a cut edge
                         // misses this update, so it is up to date no longer:
                         // should it border the row again, it gets a full one.
-                        ps.sent_to.remove(&u);
-                        ps.sent_snapshot.remove(&u);
+                        ps.forget_receivers(u);
                         continue;
                     }
+                    // One walk of the unsent bits serves every destination.
+                    let delta = ps.unsent_delta(u);
                     let mut trivial = Vec::new();
                     for &dst in &ranks {
-                        if let Some(update) = ps.build_row_update(u, dst) {
+                        if let Some(update) = ps.build_row_update(u, dst, delta.as_deref()) {
                             outbox.push(TransferOut {
                                 dst,
                                 bytes: update.bytes(),
@@ -294,7 +295,7 @@ impl AnytimeEngine {
                     .collect();
                 due.sort_unstable();
                 for (u, dst) in due {
-                    match ps.build_row_update(u, dst) {
+                    match ps.build_row_update(u, dst, ps.unsent_delta(u).as_deref()) {
                         Some(update) => {
                             outbox.push(TransferOut {
                                 dst,
@@ -328,6 +329,16 @@ impl AnytimeEngine {
             .flatten()
             .filter(|&&(_, _, retry)| retry)
             .count() as u64;
+        for transfer in outbox.iter().flatten() {
+            match &transfer.payload {
+                RcPayload::Row(_, RowUpdate::Full(_)) => self.obs.full_rows_sent += 1,
+                RcPayload::Row(_, RowUpdate::Delta(delta)) => {
+                    self.obs.delta_rows_sent += 1;
+                    self.obs.delta_entries_sent += delta.len() as u64;
+                }
+                RcPayload::Heartbeat => {}
+            }
+        }
 
         // 1b. Piggyback one-byte heartbeats from every live rank to every
         // other rank on the same exchange, so silent-but-alive ranks remain
@@ -365,10 +376,10 @@ impl AnytimeEngine {
         }
 
         // 3a. Settle receipts *before* applying received rows: each row
-        // still equals its value at send time, so an all-acked row's delta
-        // baseline can be refreshed to exactly what every receiver now
-        // holds. Positive receipts double as liveness evidence: an ack
-        // proves the destination was up this step.
+        // still equals its value at send time, so emptying an all-acked
+        // row's unsent log says exactly what every receiver now holds.
+        // Positive receipts double as liveness evidence: an ack proves the
+        // destination was up this step.
         // Every rank (down ranks have nothing to settle — empty descs and
         // receipts) settles on the backend; liveness contacts and protocol
         // counters are returned and applied centrally in rank order, since
@@ -413,11 +424,10 @@ impl AnytimeEngine {
                     if is_retry {
                         if ok {
                             // The receiver now caches the row as it was at
-                            // send time, which is ≤ the (older) baseline
-                            // snapshot, so future deltas against that
-                            // snapshot stay a superset of what the receiver
-                            // needs. Deliberately no baseline refresh: other
-                            // members may still be on the older snapshot.
+                            // send time, so future deltas off the (older)
+                            // unsent log stay a superset of what it needs.
+                            // Deliberately not emptied: other members may
+                            // still be waiting for those entries.
                             ps.sent_to.entry(u).or_default().insert(dst);
                             ps.outstanding.remove(&(u, dst));
                         } else {
@@ -438,18 +448,7 @@ impl AnytimeEngine {
                     let mut delivered: HashSet<usize> = trivial.into_iter().collect();
                     delivered.extend(acked.remove(&u).unwrap_or_default());
                     let failures = failed.remove(&u).unwrap_or_default();
-                    // Destinations that missed this send (dropped, or their
-                    // cut edges to `u` came and went) are out of the
-                    // up-to-date set: they get a full row on next contact.
-                    ps.sent_to.insert(u, delivered);
-                    // Refresh the delta baseline only when every destination
-                    // got this send; otherwise keep the old baseline (an
-                    // upper bound of every member's cache) so deltas remain
-                    // supersets of what each member still needs. First sends
-                    // always refresh — there is no older member to protect.
-                    if failures.is_empty() || !ps.sent_snapshot.contains_key(&u) {
-                        ps.sent_snapshot.insert(u, ps.dv.row(u).to_vec());
-                    }
+                    ps.record_sent(u, delivered, failures.is_empty());
                     for dst in failures {
                         ps.outstanding.insert(
                             (u, dst),

@@ -82,6 +82,12 @@ pub(crate) struct EngineObs {
     pub(crate) acked_sends: u64,
     /// Row sends negatively acknowledged (dropped; queued for retransmit).
     pub(crate) failed_sends: u64,
+    /// Row sends that carried the whole row (first contact, retransmits).
+    pub(crate) full_rows_sent: u64,
+    /// Row sends that carried only the row's unsent entries.
+    pub(crate) delta_rows_sent: u64,
+    /// `(column, value)` pairs carried by those delta sends.
+    pub(crate) delta_entries_sent: u64,
     /// Rows examined and raised by deletion invalidation.
     pub(crate) invalidation: InvalidationTally,
     oracle: Option<Oracle>,
@@ -350,6 +356,18 @@ impl AnytimeEngine {
             "Row sends negatively acknowledged and queued for retransmit",
         );
         r.set_help(
+            "aa_rc_full_rows_sent_total",
+            "Boundary-row sends that carried the whole row",
+        );
+        r.set_help(
+            "aa_rc_delta_rows_sent_total",
+            "Boundary-row sends that carried only the entries lowered since the last acknowledged send",
+        );
+        r.set_help(
+            "aa_rc_delta_entries_sent_total",
+            "(column, value) pairs carried by delta sends",
+        );
+        r.set_help(
             "aa_recoveries_total",
             "Recovery-ladder invocations, by rung",
         );
@@ -423,6 +441,17 @@ impl AnytimeEngine {
         );
         r.inc_counter("aa_acked_sends_total", &[], self.obs.acked_sends);
         r.inc_counter("aa_failed_sends_total", &[], self.obs.failed_sends);
+        let sent = [
+            ("aa_rc_full_rows_sent_total", self.obs.full_rows_sent),
+            ("aa_rc_delta_rows_sent_total", self.obs.delta_rows_sent),
+            (
+                "aa_rc_delta_entries_sent_total",
+                self.obs.delta_entries_sent,
+            ),
+        ];
+        for (name, count) in sent {
+            r.inc_counter(name, &[], count);
+        }
 
         let tally = self.obs.invalidation;
         for (rows, t) in [("owned", tally.owned), ("cached", tally.cached)] {

@@ -37,8 +37,10 @@ impl RowUpdate {
 
 /// The changed `(column, value)` pairs between a previously sent snapshot and
 /// the current row (entries that decreased; increases only happen through
-/// deletion invalidation, which resets both sides consistently).
-pub fn diff_rows(snapshot: &[Weight], current: &[Weight]) -> Vec<(u32, Weight)> {
+/// deletion invalidation, which resets both sides consistently). The
+/// reference the unsent log is held to: production keeps no snapshot.
+#[cfg(test)]
+pub(crate) fn diff_rows(snapshot: &[Weight], current: &[Weight]) -> Vec<(u32, Weight)> {
     // Columns both rows have: the ones that decreased. Columns grown since
     // the snapshot: all of them.
     let lowered = current
@@ -101,13 +103,16 @@ pub struct ProcState {
     pub ext_unrelaxed: HashSet<VertexId>,
     /// Owned vertices whose rows changed since they were last sent.
     pub dirty: HashSet<VertexId>,
-    /// Per boundary row: copy of the row as last sent (delta baseline).
-    pub sent_snapshot: HashMap<VertexId, Vec<Weight>>,
     /// Per boundary row: processors that already hold a copy (and can
-    /// therefore accept deltas). Under the ack-based protocol a destination
-    /// joins this set only once a delivery receipt confirms it actually
-    /// received the row.
+    /// therefore accept deltas — the row's unsent log in `dv` says of which
+    /// entries). Under the ack-based protocol a destination joins this set
+    /// only once a delivery receipt confirms it actually received the row.
     pub sent_to: HashMap<VertexId, HashSet<usize>>,
+    /// What `sent_snapshot` used to be: a copy of each boundary row as of
+    /// the send that last emptied its unsent log. Every delta is checked
+    /// against the diff with it.
+    #[cfg(test)]
+    pub(crate) shadow: HashMap<VertexId, Vec<Weight>>,
     /// Sends that were dropped by the (faulty) network and must be
     /// retransmitted, keyed by `(row, destination rank)`. Always empty on a
     /// fault-free cluster. A processor may not vote "no more updates" while
@@ -126,51 +131,87 @@ impl ProcState {
             ext_rows: HashMap::new(),
             ext_unrelaxed: HashSet::new(),
             dirty: HashSet::new(),
-            sent_snapshot: HashMap::new(),
             sent_to: HashMap::new(),
+            #[cfg(test)]
+            shadow: HashMap::new(),
             outstanding: HashMap::new(),
         }
     }
 
-    /// Forgets all delta baselines (used when ownership changes under the
+    /// Forgets who holds which row (used when ownership changes under the
     /// receivers, e.g. repartitioning): the next send of every row is full.
     /// Pending retransmits are dropped too — callers re-dirty every affected
     /// row, so the data goes out again as full rows.
     pub fn reset_send_state(&mut self) {
-        self.sent_snapshot.clear();
         self.sent_to.clear();
         self.outstanding.clear();
+        #[cfg(test)]
+        self.shadow.clear();
     }
 
-    /// Builds the update message for row `u` towards processor `dst`, or
-    /// `None` if `dst` is already up to date. Does not record the send — call
-    /// [`Self::record_sent`] once all destinations are served.
-    pub fn build_row_update(&self, u: VertexId, dst: usize) -> Option<RowUpdate> {
-        let row = self.dv.row(u);
-        if self.sent_to.get(&u).is_some_and(|s| s.contains(&dst)) {
-            let snapshot = self
-                .sent_snapshot
-                .get(&u)
-                // aa-lint: allow(AA01, record_sent inserts sent_snapshot and sent_to together, so membership in sent_to implies the snapshot)
-                .expect("snapshot exists for sent row");
-            let delta = diff_rows(snapshot, row);
-            if delta.is_empty() {
-                return None;
+    /// Forgets who holds row `u`: the next send to any rank is a full row.
+    pub fn forget_receivers(&mut self, u: VertexId) {
+        self.sent_to.remove(&u);
+        #[cfg(test)]
+        self.shadow.remove(&u);
+    }
+
+    /// The entries of row `u` on its unsent columns — the delta every rank
+    /// in `sent_to` is missing — or `None` if only the full row will do.
+    /// Walked once per row, however many destinations the row has.
+    pub fn unsent_delta(&self, u: VertexId) -> Option<Vec<(u32, Weight)>> {
+        let delta = self.dv.unsent_entries(u);
+        #[cfg(test)]
+        if let (Some(delta), Some(shadow)) = (&delta, self.shadow.get(&u)) {
+            assert_eq!(*delta, diff_rows(shadow, self.dv.row(u)), "row {u}");
+        }
+        delta
+    }
+
+    /// Builds the update message for row `u` towards processor `dst` out of
+    /// the row's [`Self::unsent_delta`]: the delta if `dst` holds a copy, the
+    /// full row otherwise, `None` if `dst` is already up to date. Does not
+    /// record the send — call [`Self::record_sent`] once all destinations
+    /// are served.
+    pub fn build_row_update(
+        &self,
+        u: VertexId,
+        dst: usize,
+        delta: Option<&[(u32, Weight)]>,
+    ) -> Option<RowUpdate> {
+        match delta {
+            Some(delta) if self.sent_to.get(&u).is_some_and(|s| s.contains(&dst)) => {
+                (!delta.is_empty()).then(|| RowUpdate::Delta(delta.to_vec()))
             }
-            Some(RowUpdate::Delta(delta))
-        } else {
-            Some(RowUpdate::Full(row.to_vec()))
+            _ => Some(RowUpdate::Full(self.dv.row(u).to_vec())),
         }
     }
 
-    /// Records that row `u` was just sent to exactly `dsts`, refreshing the
-    /// delta baseline. Ranks *not* in `dsts` are dropped from the up-to-date
-    /// set: a processor that misses an update (its cut edges to `u` came and
-    /// went) gets a full row on next contact rather than an under-informed
-    /// delta.
-    pub fn record_sent(&mut self, u: VertexId, dsts: &[usize]) {
-        self.sent_snapshot.insert(u, self.dv.row(u).to_vec());
-        self.sent_to.insert(u, dsts.iter().copied().collect());
+    /// Records that row `u` was just sent and reached exactly `delivered`.
+    /// Ranks *not* among them are dropped from the up-to-date set: a
+    /// processor that misses an update (the send was dropped, or its cut
+    /// edges to `u` came and went) gets a full row on next contact rather
+    /// than an under-informed delta. The unsent log is emptied only when no
+    /// rank can be left behind by that: the send was `complete` (every
+    /// destination got it), or nobody held the row before it (every
+    /// destination got a full row). Otherwise it stays, so later deltas
+    /// remain supersets of what each member still needs.
+    pub fn record_sent(&mut self, u: VertexId, delivered: HashSet<usize>, complete: bool) {
+        if complete || !self.sent_to.contains_key(&u) {
+            self.dv.clear_unsent(u);
+            #[cfg(test)]
+            self.shadow.insert(u, self.dv.row(u).to_vec());
+        }
+        self.sent_to.insert(u, delivered);
+    }
+
+    /// Mirrors [`DistanceMatrix::raise_entries`] in the shadow baseline: the
+    /// receivers raise the same entries of their copies.
+    #[cfg(test)]
+    pub(crate) fn mirror_raise(&mut self, u: VertexId, cols: &[usize]) {
+        if let Some(shadow) = self.shadow.get_mut(&u) {
+            cols.iter().for_each(|&c| shadow[c] = INF);
+        }
     }
 
     /// Rebuilds the adjacency view and locality flags from the world graph
@@ -279,8 +320,9 @@ impl ProcState {
         for row in self.ext_rows.values_mut() {
             row.resize(new_cap, INF);
         }
+        #[cfg(test)]
         // aa-lint: allow(AA04, independent per-row resize; no cross-row state, order cannot leak)
-        for row in self.sent_snapshot.values_mut() {
+        for row in self.shadow.values_mut() {
             row.resize(new_cap, INF);
         }
     }
@@ -348,24 +390,26 @@ impl ProcState {
 
     /// Dijkstra from `source` restricted to the local sub-graph: local
     /// vertices are expanded, external boundary vertices are reached but not
-    /// expanded. Fills the full-width, `INF`-initialized row `dist`.
+    /// expanded — their distance is written and they never enter the heap
+    /// (with most edges cut, that is most of what it used to hold). Fills
+    /// the full-width, `INF`-initialized row `dist`.
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
     fn local_dijkstra(&self, source: VertexId, dist: &mut [Weight]) {
         dist[source as usize] = 0;
         let mut heap = BinaryHeap::new();
         heap.push(Reverse((0u32, source)));
         while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u as usize] {
+            // Only an external `source` can be popped without being local.
+            if d > dist[u as usize] || !self.is_local[u as usize] {
                 continue;
-            }
-            if !self.is_local[u as usize] {
-                continue; // external: reachable, not expandable
             }
             for &(v, w) in &self.adj[u as usize] {
                 let nd = d.saturating_add(w);
                 if nd < dist[v as usize] {
                     dist[v as usize] = nd;
-                    heap.push(Reverse((nd, v)));
+                    if self.is_local[v as usize] {
+                        heap.push(Reverse((nd, v)));
+                    }
                 }
             }
         }
@@ -410,12 +454,15 @@ impl ProcState {
                     continue;
                 }
                 if !self.is_local[v as usize] {
-                    continue; // external boundary: reachable, not expandable
+                    continue; // an external `source`: reachable, not expandable
                 }
                 for &(u, w) in &self.adj[v as usize] {
                     let nd = dv.saturating_add(w);
                     if nd < dist[u as usize] {
                         dist[u as usize] = nd;
+                        if !self.is_local[u as usize] {
+                            continue; // written, never bucketed
+                        }
                         let b = (nd / delta) as usize;
                         if buckets.len() <= b {
                             buckets.resize(b + 1, Vec::new());
@@ -626,6 +673,11 @@ mod tests {
         ps.dv.frontier().collect()
     }
 
+    /// The message that takes row `u` to `dst`, as a retransmit builds it.
+    fn update(ps: &ProcState, u: VertexId, dst: usize) -> Option<RowUpdate> {
+        ps.build_row_update(u, dst, ps.unsent_delta(u).as_deref())
+    }
+
     #[test]
     fn view_contains_local_and_boundary_edges() {
         let (_, _, p0, p1) = split_path();
@@ -655,6 +707,57 @@ mod tests {
         assert_eq!(d[1], 1);
         assert_eq!(d[2], 2, "external boundary vertex is reachable");
         assert_eq!(d[3], INF, "but not expanded");
+    }
+
+    /// The local Dijkstra as it was before externals stopped entering the
+    /// heap: pushed like any vertex, popped, skipped.
+    fn dijkstra_enqueueing_externals(ps: &ProcState, source: VertexId) -> Vec<Weight> {
+        let mut dist = vec![INF; ps.adj.len()];
+        dist[source as usize] = 0;
+        let mut heap = BinaryHeap::from([Reverse((0u32, source))]);
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > dist[u as usize] || !ps.is_local[u as usize] {
+                continue;
+            }
+            for &(v, w) in &ps.adj[u as usize] {
+                let nd = d.saturating_add(w);
+                if nd < dist[v as usize] {
+                    dist[v as usize] = nd;
+                    heap.push(Reverse((nd, v)));
+                }
+            }
+        }
+        dist
+    }
+
+    #[test]
+    fn ia_rows_agree_across_algorithms_on_an_rmat_part_with_externals() {
+        use crate::config::IaAlgorithm;
+        let algos = [
+            IaAlgorithm::Dijkstra,
+            IaAlgorithm::DeltaStepping { delta: 2 },
+            IaAlgorithm::BellmanFord,
+        ];
+        let g = aa_graph::rmat::rmat(8, 1024, Default::default(), 4, 7);
+        let part = RoundRobinPartitioner.partition(&g, 4);
+        let mut ps = ProcState::new(1, g.capacity());
+        ps.rebuild_view(&g, &part);
+        let bordering = |v: &usize| !ps.is_local[*v] && !ps.adj[*v].is_empty();
+        let externals: Vec<usize> = (0..g.capacity()).filter(bordering).collect();
+        let owned = g.vertices().filter(|&v| ps.is_local[v as usize]);
+        let owned: Vec<VertexId> = owned.collect();
+        assert!(externals.len() > owned.len(), "most edges are cut");
+        for &s in &owned {
+            let before = dijkstra_enqueueing_externals(&ps, s);
+            for algo in algos {
+                assert_eq!(ps.local_sssp(s, algo), before, "{algo:?} from {s}");
+            }
+        }
+        // A source that is external here is reached and not expanded.
+        for algo in algos {
+            let row = ps.local_sssp(externals[0] as VertexId, algo);
+            assert_eq!(row.iter().filter(|&&d| d != INF).count(), 1, "{algo:?}");
+        }
     }
 
     #[test]
@@ -774,38 +877,55 @@ mod tests {
     fn first_send_is_full_then_delta() {
         let (_, _, mut p0, _) = split_path();
         p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        let upd = p0.build_row_update(1, 1).unwrap();
-        assert!(matches!(upd, RowUpdate::Full(_)));
-        p0.record_sent(1, &[1]);
-        assert!(
-            p0.build_row_update(1, 1).is_none(),
-            "unchanged row sends nothing"
-        );
-        // Improve one entry: next update is a one-entry delta.
-        p0.dv.row_mut(1)[3] = 2;
-        match p0.build_row_update(1, 1).unwrap() {
+        // Nobody holds the row, and the raw writes of the initial
+        // approximation say nothing about which entries moved.
+        assert!(p0.unsent_delta(1).is_none());
+        assert!(matches!(update(&p0, 1, 1).unwrap(), RowUpdate::Full(_)));
+        p0.record_sent(1, HashSet::from([1]), true);
+        assert!(p0.dv.unsent(1).is_empty());
+        assert!(update(&p0, 1, 1).is_none(), "unchanged row sends nothing");
+        // Improve one entry: next update is a one-entry delta, and the
+        // adjacency-only marks add nothing to it.
+        assert!(p0.dv.lower_entry(1, 3, 2));
+        p0.dv.mark_all_columns(1);
+        p0.dv.mark_all_rows();
+        match update(&p0, 1, 1).unwrap() {
             RowUpdate::Delta(d) => assert_eq!(d, vec![(3, 2)]),
             other => panic!("expected delta, got {other:?}"),
         }
         // A new destination still gets the full row.
-        assert!(matches!(
-            p0.build_row_update(1, 0).unwrap(),
-            RowUpdate::Full(_)
-        ));
+        assert!(matches!(update(&p0, 1, 0).unwrap(), RowUpdate::Full(_)));
+        // Raw access could have written anything: full rows all round.
+        p0.dv.row_mut(1)[3] = 1;
+        assert!(matches!(update(&p0, 1, 1).unwrap(), RowUpdate::Full(_)));
     }
 
     #[test]
     fn record_sent_drops_missed_destinations() {
         let (_, _, mut p0, _) = split_path();
         p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p0.record_sent(1, &[1, 0]);
-        p0.dv.row_mut(1)[3] = 2;
-        p0.record_sent(1, &[1]); // rank 0 missed this update
+        p0.record_sent(1, HashSet::from([1, 0]), true);
+        assert!(p0.dv.lower_entry(1, 3, 2));
+        // Rank 0 missed this update: it leaves the up-to-date set, and the
+        // unsent log stays as it is.
+        p0.record_sent(1, HashSet::from([1]), false);
         assert!(
-            matches!(p0.build_row_update(1, 0).unwrap(), RowUpdate::Full(_)),
+            matches!(update(&p0, 1, 0).unwrap(), RowUpdate::Full(_)),
             "a rank that missed an update must get a full row"
         );
-        assert!(p0.build_row_update(1, 1).is_none());
+        match update(&p0, 1, 1).unwrap() {
+            RowUpdate::Delta(d) => assert_eq!(d, vec![(3, 2)], "a superset of what 1 needs"),
+            other => panic!("expected delta, got {other:?}"),
+        }
+        // The next complete send empties it.
+        p0.record_sent(1, HashSet::from([1, 0]), true);
+        assert!(update(&p0, 1, 1).is_none() && update(&p0, 1, 0).is_none());
+        // A send after which nobody held the row was full rows all round:
+        // whatever became of them, no rank is left on an older copy.
+        p0.forget_receivers(1);
+        assert!(p0.dv.lower_entry(1, 3, 1));
+        p0.record_sent(1, HashSet::from([1]), false);
+        assert!(update(&p0, 1, 1).is_none());
     }
 
     #[test]
@@ -843,12 +963,9 @@ mod tests {
     fn reset_send_state_forces_full_rows() {
         let (_, _, mut p0, _) = split_path();
         p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p0.record_sent(1, &[1]);
+        p0.record_sent(1, HashSet::from([1]), true);
         p0.reset_send_state();
-        assert!(matches!(
-            p0.build_row_update(1, 1).unwrap(),
-            RowUpdate::Full(_)
-        ));
+        assert!(matches!(update(&p0, 1, 1).unwrap(), RowUpdate::Full(_)));
     }
 
     #[test]

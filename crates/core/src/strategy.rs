@@ -17,6 +17,7 @@
 //! * [`AdditionStrategy::BaselineRestart`] — discard everything and rerun the
 //!   full pipeline (the comparison baseline).
 
+use crate::dv::ColumnSet;
 use crate::dynamic::{Endpoint, VertexBatch};
 use crate::engine::AnytimeEngine;
 use crate::proc_state::ProcState;
@@ -25,6 +26,7 @@ use aa_logp::Phase;
 use aa_obs::Stopwatch;
 use aa_partition::{MultilevelKWay, Partitioner};
 use aa_runtime::TransferOut;
+use std::collections::HashSet;
 
 /// How a batch of new vertices is incorporated into the running analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -407,7 +409,7 @@ impl AnytimeEngine {
     }
 
     /// Installs `new_partition`: migrates the distance-vector rows (plus
-    /// their delta baselines) of every relocated vertex to its new owner,
+    /// their unsent logs) of every relocated vertex to its new owner,
     /// rebuilds the processor views and marks every row dirty so the new
     /// neighbourhoods receive what they are missing. Returns the number of
     /// migrated vertices. Shared by Repartition-S, [`Self::rebalance`] and
@@ -422,7 +424,9 @@ impl AnytimeEngine {
         for ps in &mut self.procs {
             ps.extend_capacity(cap);
         }
-        type Migrated = (VertexId, Vec<Weight>, Option<Vec<Weight>>, Vec<usize>);
+        type Migrated = (VertexId, Vec<Weight>, ColumnSet, Option<HashSet<usize>>);
+        #[cfg(test)]
+        let mut shadows = std::collections::HashMap::new();
         let mut outbox: Vec<Vec<TransferOut<Migrated>>> = (0..p).map(|_| Vec::new()).collect();
         let mut migrated = 0usize;
         for old_rank in 0..p {
@@ -432,39 +436,42 @@ impl AnytimeEngine {
                 if new_rank != old_rank {
                     migrated += 1;
                     let ps = &mut self.procs[old_rank];
-                    let row = ps.dv.take_row(v);
-                    let snapshot = ps.sent_snapshot.remove(&v);
-                    let sent_to: Vec<usize> = ps
-                        .sent_to
-                        .remove(&v)
-                        .map(|s| s.into_iter().collect())
-                        .unwrap_or_default();
+                    let (row, unsent) = ps.dv.take_row(v);
+                    let sent_to = ps.sent_to.remove(&v);
+                    #[cfg(test)]
+                    shadows.extend(ps.shadow.remove_entry(&v));
                     ps.dirty.remove(&v);
                     // Pending retransmits of the migrated row die with the
                     // old ownership: every row is re-marked dirty below, so
                     // the new owner resends to all current neighbourhoods.
                     ps.outstanding.retain(|&(u, _), _| u != v);
-                    let bytes = 4
-                        + 4 * row.len()
-                        + snapshot.as_ref().map_or(0, |s| 4 * s.len())
-                        + 4 * sent_to.len();
+                    // The unsent log is one bit per column, and only worth
+                    // shipping with a list of ranks it is about.
+                    let send_state = sent_to
+                        .as_ref()
+                        .map_or(0, |s| row.len().div_ceil(8) + 4 * s.len());
                     outbox[old_rank].push(TransferOut {
                         dst: new_rank,
-                        bytes,
-                        payload: (v, row, snapshot, sent_to),
+                        bytes: 4 + 4 * row.len() + send_state,
+                        payload: (v, row, unsent, sent_to),
                     });
                 }
             }
         }
         let inbox = self.cluster.exchange(Phase::Migration, outbox);
         for (rank, received) in inbox.into_iter().enumerate() {
-            for (_src, (v, row, snapshot, sent_to)) in received {
+            for (_src, (v, row, unsent, sent_to)) in received {
                 let ps = &mut self.procs[rank];
                 ps.dv.insert_row(v, row);
-                if let Some(mut s) = snapshot {
-                    s.resize(cap, aa_graph::INF);
-                    ps.sent_snapshot.insert(v, s);
-                    ps.sent_to.insert(v, sent_to.into_iter().collect());
+                if let Some(mut sent_to) = sent_to {
+                    // The new owner held a copy and drops it below: should
+                    // the row move on before its next send prunes the set,
+                    // this rank must not pass for up to date.
+                    sent_to.remove(&rank);
+                    ps.dv.restore_unsent(v, unsent);
+                    ps.sent_to.insert(v, sent_to);
+                    #[cfg(test)]
+                    ps.shadow.extend(shadows.remove_entry(&v));
                 }
                 // The new owner no longer needs its cached copy.
                 ps.forget_external_row(v);

@@ -2,9 +2,16 @@
 //!
 //! Every test here feeds two engines the same calls: one on the production
 //! path, one inside [`reference::dense`], where each relaxation is the old
-//! whole-row `relax_row`. Rows, dirty sets, caches and wire traffic must be
-//! equal after every call — not just at convergence — because the change
-//! logs are only allowed to skip work, never to reorder or defer it.
+//! whole-row `relax_row`. Rows, dirty sets, caches, unsent logs and wire
+//! traffic must be equal after every call — not just at convergence —
+//! because the change logs are only allowed to skip work, never to reorder
+//! or defer it.
+//!
+//! The send side is held to its own reference on the way: each `ProcState`
+//! of a test build keeps the full-row baseline production used to keep
+//! (`shadow`), and every delta walked off an unsent log — in either twin, on
+//! every `rc_step` of every sequence here — is asserted equal to the
+//! `diff_rows` against it (`ProcState::unsent_delta`).
 //!
 //! The second half does the same for deletions: the production path (row
 //! filter, one decision per row, bounded recompute of the raised columns)
@@ -20,6 +27,7 @@ use crate::config::{
 use crate::dv::reference;
 use crate::dynamic::reference as whole_row;
 use crate::dynamic::{Endpoint, VertexBatch};
+use crate::proc_state::ProcState;
 use crate::strategy::AdditionStrategy;
 use crate::AnytimeEngine;
 use aa_graph::{algo, generators, Graph, VertexId, Weight, INF};
@@ -69,10 +77,16 @@ impl Pair {
             );
             assert_eq!(a.dirty, b.dirty, "{what}: rank {rank} dirty set");
             assert_eq!(a.ext_rows, b.ext_rows, "{what}: rank {rank} cached rows");
-            assert_eq!(
-                a.sent_snapshot, b.sent_snapshot,
-                "{what}: rank {rank} delta baselines"
-            );
+            // The twin logs a lowered row all-columns for its neighbours and
+            // exactly the lowered columns for the wire: same deltas, same
+            // receivers, same baselines had they been kept.
+            for &v in a.dv.vertices() {
+                let (ours, twins) = (a.dv.unsent(v), b.dv.unsent(v));
+                assert_eq!(ours, twins, "{what}: rank {rank} row {v} unsent log");
+            }
+            assert_eq!(a.sent_to, b.sent_to, "{what}: rank {rank} receivers");
+            assert_eq!(a.shadow, b.shadow, "{what}: rank {rank} shadow baselines");
+            check_shadow(a, what);
         }
         let (a, b) = (
             self.logged.cluster().ledger().totals(),
@@ -96,13 +110,28 @@ impl Pair {
         panic!("did not converge");
     }
 
-    /// [`Self::converge`], then checks the result against the APSP oracle.
+    /// [`Self::converge`], then checks the result against the APSP oracle —
+    /// the rows, and every cached copy a rank still borders: at quiescence
+    /// it is its owner's row, which is what lets a deletion decide on it.
     fn converge_and_check_oracle(&mut self) {
         self.converge();
         let dense = self.logged.distances_dense();
         let oracle = algo::apsp_dijkstra(self.logged.graph());
         for v in self.logged.graph().vertices() {
             assert_eq!(dense[v as usize], oracle[v as usize], "row {v} vs oracle");
+        }
+        for ps in &self.logged.procs {
+            let in_use = ps
+                .ext_rows
+                .iter()
+                .filter(|(&b, _)| !ps.adj[b as usize].is_empty());
+            for (&b, copy) in in_use {
+                assert_eq!(
+                    copy, &oracle[b as usize],
+                    "rank {} copy of row {b}",
+                    ps.rank
+                );
+            }
         }
     }
 
@@ -117,6 +146,32 @@ impl Pair {
         self.logged = restore(&self.logged);
         self.dense = reference::dense(|| restore(&self.dense));
         self.assert_same("checkpoint restore");
+    }
+}
+
+/// What the unsent log stands in for, row by row: a baseline exists exactly
+/// for the rows somebody holds, it is an upper bound of its row, and — unless
+/// raw access marked the log all-columns — the row sits below it on exactly
+/// the unsent columns.
+fn check_shadow(ps: &ProcState, what: &str) {
+    let mut held: Vec<_> = ps.sent_to.keys().collect();
+    let mut shadowed: Vec<_> = ps.shadow.keys().collect();
+    held.sort_unstable();
+    shadowed.sort_unstable();
+    assert_eq!(held, shadowed, "{what}: rank {} baselines", ps.rank);
+    for (&v, shadow) in &ps.shadow {
+        let row = ps.dv.row(v);
+        assert_eq!(shadow.len(), row.len(), "{what}: baseline width of row {v}");
+        let below = row.iter().zip(shadow).enumerate();
+        for (c, (&d, &s)) in below {
+            assert!(d <= s, "{what}: row {v}[{c}] {d} above its baseline {s}");
+            let unsent = ps.dv.unsent(v);
+            assert!(
+                unsent.contains(c) == (d < s) || ps.dv.unsent_entries(v).is_none(),
+                "{what}: row {v}[{c}] = {d}, baseline {s}, unsent bit {}",
+                unsent.contains(c)
+            );
+        }
     }
 }
 
@@ -419,6 +474,38 @@ fn a_row_that_migrates_in_meets_the_rows_cached_there() {
 }
 
 #[test]
+fn a_rank_that_owned_a_row_between_two_migrations_gets_the_full_row() {
+    // Path 0-1 | 2-3 | 4-5 over three ranks; rank 0 borders vertex 2 and
+    // holds its row, so rank 1 lists it as up to date.
+    let mut pair = Pair::new(
+        generators::path(6),
+        EngineConfig {
+            num_procs: 3,
+            partitioner: PartitionerKind::BfsGrow,
+            ..Default::default()
+        },
+    );
+    pair.converge_and_check_oracle();
+    let home = pair.logged.partition().clone();
+    let (there, back) = (home.part_of(1).expect("0"), home.part_of(2).expect("1"));
+    assert_ne!(there, back, "the cut runs between 1 and 2");
+    assert!(pair.logged.procs[back].sent_to[&2].contains(&there));
+    // Vertex 2 moves in with 1 and straight back, no step in between. The
+    // rank it visited dropped its copy on becoming the owner, and is listed
+    // as a receiver no more: one step brings it the whole row again.
+    let mut away = home.clone();
+    away.assign(2, there);
+    pair.both("migrate there", |e| e.migrate_to_partition(away.clone()));
+    assert!(!pair.logged.procs[there].sent_to[&2].contains(&there));
+    pair.both("migrate back", |e| e.migrate_to_partition(home.clone()));
+    assert!(!pair.logged.procs[there].ext_rows.contains_key(&2));
+    pair.both("rc_step", AnytimeEngine::rc_step);
+    let owners = pair.logged.procs[back].dv.row(2).to_vec();
+    assert_eq!(pair.logged.procs[there].ext_rows.get(&2), Some(&owners));
+    pair.converge_and_check_oracle();
+}
+
+#[test]
 fn column_growth_leaves_every_log_as_it_was() {
     let g = generators::erdos_renyi_gnm(30, 70, 3, 9);
     let config = EngineConfig {
@@ -517,10 +604,10 @@ impl DeletionPair {
     /// [`Self::delete`] for a call that only deletes, where the twins are
     /// ordered afterwards: what the production path rebuilt is no higher than
     /// what the reference rebuilt, in the rows and in the cached copies, the
-    /// same rows wait to be sent, and the baseline of a raised row is the
-    /// raised row on both sides. (A weight increase ends in an insertion,
-    /// whose level filter withholds shortcuts by the state it finds — after
-    /// it neither twin need be the lower one.)
+    /// same rows wait to be sent, and every entry that was raised and lowered
+    /// again is in its row's unsent log. (A weight increase ends in an
+    /// insertion, whose level filter withholds shortcuts by the state it
+    /// finds — after it neither twin need be the lower one.)
     fn delete_only<R: PartialEq + std::fmt::Debug>(
         &mut self,
         what: &str,
@@ -538,14 +625,18 @@ impl DeletionPair {
                         "{what}: row {v}[{t}] {new} above reference {old}"
                     );
                 }
-                let (base, aligned) = (a.sent_snapshot.get(&v), b.sent_snapshot.get(&v));
-                if is_raised(&resets, rank, v) {
-                    assert_eq!(base, aligned, "{what}: baseline of raised row {v}");
+                // The receivers raised the same entries: what the row holds
+                // there now, they have yet to hear.
+                for &c in raised_columns(&resets, rank, v) {
+                    assert!(
+                        a.dv.row(v)[c] == INF || a.dv.unsent(v).contains(c),
+                        "{what}: row {v}[{c}] lowered again and not logged as unsent"
+                    );
                 }
-                // Aligned or not, a baseline is an upper bound of its row.
-                let trails = |s: &Vec<Weight>| s.iter().zip(a.dv.row(v)).all(|(s, d)| s >= d);
-                assert!(base.is_none_or(trails), "{what}: baseline under row {v}");
             }
+            // Trailing or not, a baseline is an upper bound of its row, and
+            // the unsent columns are where they differ.
+            check_shadow(a, what);
             assert_eq!(a.dirty, b.dirty, "{what}: rank {rank} dirty set");
             let (mut ka, mut kb): (Vec<_>, Vec<_>) =
                 (a.ext_rows.keys().collect(), b.ext_rows.keys().collect());
@@ -574,10 +665,12 @@ impl DeletionPair {
     }
 }
 
-/// Whether the owned row `v` of `rank` is among the resets.
-fn is_raised(resets: &[whole_row::Reset], rank: usize, v: VertexId) -> bool {
+/// The columns reset in the owned row `v` of `rank`.
+fn raised_columns(resets: &[whole_row::Reset], rank: usize, v: VertexId) -> &[usize] {
     let mut owned = resets.iter().filter(|r| r.1);
-    owned.any(|r| r.0 == rank && r.2 == v)
+    owned
+        .find(|r| r.0 == rank && r.2 == v)
+        .map_or(&[], |r| &r.3)
 }
 
 /// An edge on the shortest path between its endpoints, the `pick`-th such.
@@ -734,7 +827,7 @@ fn deleting_an_edge_on_no_shortest_path_examines_every_row_and_resets_none() {
 }
 
 #[test]
-fn a_baseline_left_trailing_by_retransmit_acks_is_realigned_when_its_row_is_raised() {
+fn a_raised_entry_lowered_again_reaches_receivers_despite_retransmit_acks() {
     let lossy = |seed| EngineConfig {
         num_procs: 4,
         fault: Some(FaultConfig {
@@ -745,59 +838,74 @@ fn a_baseline_left_trailing_by_retransmit_acks_is_realigned_when_its_row_is_rais
         }),
         ..Default::default()
     };
-    // Rows whose baseline is not the row: a send was dropped on the way to
-    // one rank, and the retransmit's ack deliberately refreshed nothing.
+    // Rows with something unsent at quiescence: a send was dropped on the
+    // way to one rank, and the retransmit's ack deliberately emptied nothing.
+    // A full-row baseline in that state sat above the row on those columns.
     let trailing = |e: &AnytimeEngine| -> Vec<(usize, VertexId)> {
         let per_rank = e.procs.iter().map(|ps| {
             let rows = ps.dv.vertices().iter().copied();
-            rows.filter(|v| ps.sent_snapshot.get(v).is_some_and(|s| s != ps.dv.row(*v)))
+            rows.filter(|&v| ps.sent_to.contains_key(&v) && !ps.dv.unsent(v).is_empty())
                 .map(|v| (ps.rank, v))
         });
         per_rank.flatten().collect()
     };
-    let mut pair = (0..)
-        .map(|seed| {
-            let g = generators::barabasi_albert(40, 2, 3, 9);
-            let mut pair = DeletionPair::new(g, lossy(seed));
-            pair.converge_and_check_oracle();
-            pair
-        })
-        .find(|pair| trailing(&pair.bounded).len() >= 2)
-        .expect("three sends in ten are dropped");
-    let behind = trailing(&pair.bounded);
-    assert_eq!(behind, trailing(&pair.whole), "same history so far");
-
-    // Delete a tight edge at the first of them: its row is raised.
-    let (rank, x) = behind[0];
-    let oracle = algo::apsp_dijkstra(pair.bounded.graph());
-    let &(y, _) = pair
-        .bounded
-        .graph()
-        .neighbors(x)
-        .iter()
-        .find(|&&(y, w)| oracle[x as usize][y as usize] == w)
-        .expect("some edge at x is a shortest path");
-    let (_, resets) = pair.delete_only("delete at a trailing row", |e| e.delete_edge(x, y));
-    assert!(is_raised(&resets, rank, x));
-    // `delete_only` saw the raised baselines equal the reference's, which
-    // aligns every one of them. The rows that kept every entry keep their
-    // trailing baseline here, and lose it there.
-    let kept: Vec<_> = behind
-        .iter()
-        .filter(|&&(r, v)| !is_raised(&resets, r, v))
-        .collect();
-    assert!(!kept.is_empty(), "one deletion does not raise every row");
-    for &&(r, v) in &kept {
-        assert_ne!(
-            pair.bounded.procs[r].sent_snapshot[&v],
-            pair.bounded.procs[r].dv.row(v)
-        );
+    // Failed send, ack by retransmit, delete a tight edge at such a row — and
+    // some entry of it comes back *above* where the old baseline stood, the
+    // case a baseline that was not re-aligned would have diffed away.
+    let mut found = None;
+    for seed in 0..200 {
+        let g = generators::barabasi_albert(40, 2, 3, 9);
+        let mut pair = DeletionPair::new(g, lossy(seed));
+        pair.converge_and_check_oracle();
+        let behind = trailing(&pair.bounded);
+        assert_eq!(behind, trailing(&pair.whole), "same history so far");
+        let Some(&(rank, x)) = behind.first() else {
+            continue;
+        };
+        let baseline = pair.bounded.procs[rank].shadow[&x].clone();
+        assert_ne!(baseline, pair.bounded.procs[rank].dv.row(x), "it trails");
+        let oracle = algo::apsp_dijkstra(pair.bounded.graph());
+        let &(y, _) = pair
+            .bounded
+            .graph()
+            .neighbors(x)
+            .iter()
+            .find(|&&(y, w)| oracle[x as usize][y as usize] == w)
+            .expect("some edge at x is a shortest path");
+        let (_, resets) = pair.delete_only("delete at a trailing row", |e| e.delete_edge(x, y));
+        let ps = &pair.bounded.procs[rank];
+        let row = ps.dv.row(x);
+        let above = raised_columns(&resets, rank, x)
+            .iter()
+            .copied()
+            .find(|&c| row[c] != INF && row[c] > baseline[c]);
+        if let Some(c) = above {
+            // `delete_only` saw it logged; the rows that kept every entry
+            // keep what they had unsent, nothing re-aligns them.
+            assert!(ps.dv.unsent(x).contains(c));
+            let kept = behind
+                .iter()
+                .filter(|&&(r, v)| raised_columns(&resets, r, v).is_empty());
+            for &(r, v) in kept {
+                assert!(!pair.bounded.procs[r].dv.unsent(v).is_empty());
+            }
+            found = Some((pair, rank, x, c));
+            break;
+        }
+    }
+    let (mut pair, rank, x, c) = found.expect("three sends in ten are dropped");
+    pair.converge_and_check_oracle();
+    // Every rank that borders the row holds its final value on that column.
+    let e = &pair.bounded;
+    let exact = e.procs[rank].dv.row(x)[c];
+    let holders = e.procs[rank].neighbor_ranks(x, e.partition());
+    assert!(!holders.is_empty(), "a row with receivers");
+    for r in holders {
         assert_eq!(
-            pair.whole.procs[r].sent_snapshot[&v],
-            pair.whole.procs[r].dv.row(v)
+            e.procs[r].ext_rows[&x][c], exact,
+            "rank {r} copy of {x}[{c}]"
         );
     }
-    pair.converge_and_check_oracle();
 }
 
 /// One random call of the deletion property. Additions and steps keep the

@@ -369,7 +369,7 @@ proptest! {
         for (i, &v) in values.iter().enumerate() {
             a.row_mut(1)[i] = v;
         }
-        let taken = a.take_row(1);
+        let (taken, _unsent) = a.take_row(1);
         prop_assert!(!a.has_row(1));
         let mut b = DistanceMatrix::new(cols + 3);
         b.insert_row(1, taken);
