@@ -92,15 +92,15 @@ fn topk_cell(
 
     // Oracle check: the converged snapshot's ranking is ground truth and
     // the tracker must agree exactly, both in membership and order.
-    let tracker = session.tracker().ok_or("the session has no tracker")?;
-    let ans = tracker
-        .answer(k)
+    let ans = session
+        .top_k(k)
         .ok_or_else(|| format!("scale {scale}: tracker never produced an answer"))?;
     if !ans.is_exact() {
         return Err(format!(
             "scale {scale}: converged but tracker confidence is still anytime"
         ));
     }
+    let tracker = session.tracker().ok_or("the session has no tracker")?;
     let (pivots, steps_to_exact) = (tracker.pivots().len(), tracker.resolution_step());
     let oracle = session.engine_mut().snapshot().top_k(k);
     let oracle_ids: Vec<_> = oracle.iter().map(|&(v, _)| v).collect();

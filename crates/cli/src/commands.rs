@@ -122,9 +122,11 @@ fn push_ranking(out: &mut String, session: &mut Session, top: usize) {
     for (v, c) in snap.top_k(top) {
         out.push_str(&format!("  vertex {v:>8}  closeness {c:.6e}\n"));
     }
-    let Some(t) = session.tracker() else { return };
-    let k = t.config().k;
-    if let Some(ans) = t.answer(k) {
+    let Some(k) = session.tracker().map(|t| t.config().k) else {
+        return;
+    };
+    let ans = session.top_k(k);
+    if let (Some(ans), Some(t)) = (ans, session.tracker()) {
         out.push_str(&format!(
             "\nanytime top-{k} ({} pivots, {:.1}% of non-member candidates pruned):\n",
             t.pivots().len(),

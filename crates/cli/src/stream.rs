@@ -312,8 +312,9 @@ pub fn apply_batch(
                 session.apply_all().map_err(ctx)?;
                 out.extend(apply(session.engine_mut(), cmd).map_err(ctx)?);
                 session.observe();
-                if let (Command::Snapshot(k), Some(t)) = (cmd, session.tracker()) {
-                    if let Some(ans) = t.answer(*k) {
+                if let Command::Snapshot(k) = cmd {
+                    let ans = session.top_k(*k);
+                    if let (Some(ans), Some(t)) = (ans, session.tracker()) {
                         out.push(format!("  {}", confidence_line(t, &ans)));
                     }
                 }
@@ -492,9 +493,8 @@ snapshot 3
             confidence_lines[1].contains("exact"),
             "{confidence_lines:?}"
         );
-        let tracker = s.tracker().unwrap();
-        assert!(tracker.is_exact());
-        let ans = tracker.answer(3).unwrap();
+        assert!(s.tracker().unwrap().is_exact());
+        let ans = s.top_k(3).unwrap();
         let exact = aa_graph::algo::exact_closeness(s.engine().graph());
         let mut ranked: Vec<(VertexId, f64)> = exact
             .iter()

@@ -54,30 +54,12 @@ impl Snapshot {
     /// The `k` vertices with the highest closeness, descending (ties broken
     /// by lower vertex id for determinism).
     pub fn top_k(&self, k: usize) -> Vec<(VertexId, f64)> {
-        let mut ranked: Vec<(VertexId, f64)> = self
-            .closeness
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0.0)
-            .map(|(v, &c)| (v as VertexId, c))
-            .collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(k);
-        ranked
+        top_k_by_score(&self.closeness, k)
     }
 
     /// The `k` vertices with the highest harmonic closeness, descending.
     pub fn top_k_harmonic(&self, k: usize) -> Vec<(VertexId, f64)> {
-        let mut ranked: Vec<(VertexId, f64)> = self
-            .harmonic
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0.0)
-            .map(|(v, &c)| (v as VertexId, c))
-            .collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(k);
-        ranked
+        top_k_by_score(&self.harmonic, k)
     }
 
     /// Whether any estimate in the snapshot is stale (a rank was down when
@@ -110,6 +92,30 @@ impl Snapshot {
     }
 }
 
+/// The `k` highest positive scores with their id slots, descending, ties by
+/// lower id. The comparator is a total order over distinct ids, so selecting
+/// the k best and sorting only those gives exactly the prefix a full sort
+/// would — in `O(n + k log k)`.
+fn top_k_by_score(scores: &[f64], k: usize) -> Vec<(VertexId, f64)> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let by_score =
+        |a: &(VertexId, f64), b: &(VertexId, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    let mut ranked: Vec<(VertexId, f64)> = scores
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c > 0.0)
+        .map(|(v, &c)| (v as VertexId, c))
+        .collect();
+    if k < ranked.len() {
+        ranked.select_nth_unstable_by(k - 1, by_score);
+        ranked.truncate(k);
+    }
+    ranked.sort_by(by_score);
+    ranked
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,6 +142,25 @@ mod tests {
         let top = s.top_k(3);
         assert_eq!(top, vec![(1, 0.5), (3, 0.5), (4, 0.3)]);
         assert_eq!(s.top_k_harmonic(1), vec![(1, 0.5)]);
+    }
+
+    #[test]
+    fn partial_selection_equals_the_full_sort_for_every_k() {
+        // Heavy ties and zeros, so the id tie-break and the filter both bite.
+        let scores: Vec<f64> = (0..97u32).map(|i| f64::from(i * 7 % 5) / 4.0).collect();
+        let mut full: Vec<(VertexId, f64)> = scores
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0.0)
+            .map(|(v, &c)| (v as VertexId, c))
+            .collect();
+        full.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let s = snap(scores);
+        for k in 0..=full.len() + 5 {
+            let want = &full[..k.min(full.len())];
+            assert_eq!(s.top_k(k), want, "k = {k}");
+            assert_eq!(s.top_k_harmonic(k), want, "harmonic k = {k}");
+        }
     }
 
     #[test]

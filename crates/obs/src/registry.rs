@@ -146,14 +146,14 @@ impl MetricsRegistry {
     /// Records one observation into a declared histogram. Observations on an
     /// undeclared name are dropped (again: no panics in lib code).
     pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let Some(bounds) = self.hist_bounds.get(name).cloned() else {
+        let Some(bounds) = self.hist_bounds.get(name) else {
             return;
         };
         let key = MetricKey::new(name, labels);
         if let MetricValue::Histogram(h) = self
             .metrics
             .entry(key)
-            .or_insert_with(|| MetricValue::Histogram(HistogramData::new(bounds)))
+            .or_insert_with(|| MetricValue::Histogram(HistogramData::new(bounds.clone())))
         {
             h.observe(v);
         }

@@ -44,6 +44,11 @@
 
 pub mod pivots;
 
+// Under `tests/` so that aa-lint classes the file as test code by path.
+#[cfg(test)]
+#[path = "tests/equivalence.rs"]
+mod equivalence_tests;
+
 use aa_core::{BoundDelta, Snapshot, SnapshotFrame, SnapshotMeta};
 use aa_graph::{Graph, VertexId};
 use aa_obs::MetricsRegistry;
@@ -53,8 +58,9 @@ use std::sync::Arc;
 /// Tracker configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopKConfig {
-    /// The k the tracker keys its pruning metrics to. [`TopKTracker::answer`]
-    /// still serves any k on demand.
+    /// The k the tracker keys its pruning metrics, its degree seeds and its
+    /// exploration cut to. [`TopKTracker::answer`] serves any k on demand
+    /// and raises this one to the largest k it was asked.
     pub k: usize,
     /// Pivot budget for the structural upper bounds (degree seeds +
     /// component cover + greedy k-center fill). More pivots prune harder at
@@ -118,29 +124,52 @@ impl TopKAnswer {
     }
 }
 
-/// Internal result of ranking candidates by their bound state.
-struct Ranking {
+/// What the bound test says about one ranking: the members are a prefix of
+/// the tracker's candidate order, everyone behind them is pruned or not.
+struct Standing<'a> {
     /// `(lb denominator, id)` of the members, best (smallest denominator)
     /// first.
-    members: Vec<(u64, VertexId)>,
+    members: &'a [(u64, VertexId)],
     /// Denominator of the k-th member (`u64::MAX` when fewer than k
     /// candidates exist — then nothing is prunable).
     kth_den: u64,
     /// Candidates with positive possible closeness.
     candidates: usize,
     /// Non-members whose upper bound cannot beat the k-th lower bound.
-    pruned: Vec<VertexId>,
+    pruned: usize,
     /// Non-members still in the running.
-    unresolved: Vec<VertexId>,
+    unresolved: usize,
     /// Largest closeness upper bound among the unresolved (0 when none).
     max_unresolved_ub: f64,
     /// Every member's lower bound equals its pivot-exact sum.
     members_exact: bool,
 }
 
+impl Standing<'_> {
+    /// The member set is settled and every member's score is pivot-exact.
+    fn exact(&self) -> bool {
+        self.unresolved == 0 && self.members_exact
+    }
+
+    /// How far the best unresolved upper bound sits above the k-th lower
+    /// bound (0 when nobody is unresolved).
+    fn gap(&self) -> f64 {
+        if self.unresolved == 0 {
+            0.0
+        } else {
+            (self.max_unresolved_ub - den_to_score(self.kth_den)).max(0.0)
+        }
+    }
+}
+
 /// Maintains sound per-vertex closeness bounds from published snapshot
 /// frames and the engine's bound-delta feed, and answers anytime top-k
 /// queries. See the crate docs for the bound derivation.
+///
+/// Candidates are ranked **once per observation**: [`TopKTracker::observe`]
+/// sorts them by lower bound, and every ranking asked for until the next
+/// observation is a prefix of that order, classified against the stored
+/// floors without sorting or allocating anything the size of the graph.
 #[derive(Debug, Clone, Default)]
 pub struct TopKTracker {
     config: TopKConfig,
@@ -148,8 +177,15 @@ pub struct TopKTracker {
     /// Upper bound on the final distance sum per id slot (`u64::MAX` =
     /// nothing known yet); `1/lb_den` is the closeness lower bound.
     lb_den: Vec<u64>,
+    /// Every candidate as `(lb denominator, id)`, best first (smaller
+    /// denominator = larger closeness, ties by lower id as in the
+    /// snapshot/oracle ordering), as of the last observation.
+    order: Vec<(u64, VertexId)>,
     /// The last observed frame, for answer metadata and the fresh path.
     last: Option<Arc<SnapshotFrame>>,
+    /// Exact top-`config.k` of `last` when it is fresh, selected by the
+    /// first answer that needs it and dropped with the frame.
+    fresh_top: Option<Vec<(VertexId, f64)>>,
     observes: u64,
     rebuilds: u64,
     rows_updated: u64,
@@ -172,7 +208,8 @@ impl TopKTracker {
         }
     }
 
-    /// The configuration.
+    /// The configuration. `k` is the tracked k: the configured one, raised
+    /// to the largest k answered so far.
     pub fn config(&self) -> TopKConfig {
         self.config
     }
@@ -182,9 +219,14 @@ impl TopKTracker {
     /// the frame's `(epoch, state_version)` moved, or a widened delta
     /// arrived — all structural bounds are rebuilt from the graph and every
     /// row is retightened; otherwise only the rows the deltas name (plus
-    /// rows the frame flags as still moving) are touched.
+    /// rows the frame flags as still moving) are touched. Handed the frame
+    /// it already holds and no deltas — an idle engine reuses its
+    /// publication — it only counts the observation.
     pub fn observe(&mut self, frame: &Arc<SnapshotFrame>, graph: &Graph, deltas: &[BoundDelta]) {
         self.observes += 1;
+        if deltas.is_empty() && self.last.as_ref().is_some_and(|l| Arc::ptr_eq(l, frame)) {
+            return;
+        }
         let meta = frame.meta;
         let gen_changed = !self
             .structural
@@ -235,33 +277,25 @@ impl TopKTracker {
             }
         }
         self.last = Some(Arc::clone(frame));
+        self.fresh_top = None;
 
-        // Refresh the configured-k pruning metrics.
-        let fresh = meta.fresh;
-        match self.rank(self.config.k) {
-            Some(r) => {
-                self.last_candidates = r.candidates;
-                self.last_pruned = r.pruned.len();
-                self.last_unresolved = r.unresolved.len();
-                let kth_lb = den_to_score(r.kth_den);
-                self.last_gap = if r.unresolved.is_empty() {
-                    0.0
-                } else {
-                    (r.max_unresolved_ub - kth_lb).max(0.0)
-                };
-                self.last_exact = fresh || (r.unresolved.is_empty() && r.members_exact);
-            }
-            None => {
-                self.last_candidates = 0;
-                self.last_pruned = 0;
-                self.last_unresolved = 0;
-                self.last_gap = 0.0;
-                self.last_exact = fresh;
-            }
+        // The one ranking of this observation.
+        self.order.clear();
+        if let Some(s) = &self.structural {
+            let lb_den = &self.lb_den;
+            self.order.extend(
+                s.comp_size
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &cs)| cs >= 2)
+                    .map(|(i, _)| {
+                        let den = lb_den.get(i).copied().unwrap_or(u64::MAX);
+                        (den, i as VertexId)
+                    }),
+            );
         }
-        if self.last_exact && self.resolution_step.is_none() {
-            self.resolution_step = Some(meta.rc_step as u64);
-        }
+        self.order.sort_unstable();
+        self.refresh_stats();
     }
 
     /// Retightens one row's closeness lower bound from the snapshot's
@@ -292,77 +326,102 @@ impl TopKTracker {
         }
     }
 
-    /// Ranks candidates by lower bound and applies the pruning rule. `None`
-    /// before the first observation.
-    fn rank(&self, k: usize) -> Option<Ranking> {
+    /// Applies the pruning rule to the ranking for `k` — the first `k` of
+    /// the candidate order — calling `visit(v, pruned)` for every candidate
+    /// behind the members, in order. `None` before the first observation.
+    fn classify(&self, k: usize, mut visit: impl FnMut(VertexId, bool)) -> Option<Standing<'_>> {
         let s = self.structural.as_ref()?;
-        let mut cands: Vec<(u64, VertexId)> = Vec::new();
-        for (i, &cs) in s.comp_size.iter().enumerate() {
-            if cs >= 2 {
-                let den = self.lb_den.get(i).copied().unwrap_or(u64::MAX);
-                cands.push((den, i as VertexId));
-            }
-        }
-        // Best lower bound first: smaller denominator = larger closeness;
-        // ties by lower id, matching the snapshot/oracle ordering.
-        cands.sort_unstable();
-        let members: Vec<(u64, VertexId)> = cands.iter().take(k).copied().collect();
+        let (members, outside) = self.order.split_at(k.min(self.order.len()));
         let kth_den = if members.len() < k {
             u64::MAX
         } else {
-            members.last().map(|&(d, _)| d).unwrap_or(u64::MAX)
+            members.last().map_or(u64::MAX, |&(d, _)| d)
         };
-        let mut pruned = Vec::new();
-        let mut unresolved = Vec::new();
-        let mut max_ub = 0.0f64;
-        for &(_, v) in cands.iter().skip(k) {
+        let (mut pruned, mut unresolved, mut max_ub) = (0, 0, 0.0f64);
+        for &(_, v) in outside {
             let floor = s.ub_sum.get(v as usize).copied().unwrap_or(0);
             // Prune iff UB(v) < kth lower bound, as integers: the floor on
             // v's final distance sum strictly exceeds the k-th member's
             // denominator. `floor == 0` means "no structural bound".
-            if floor > kth_den && kth_den != u64::MAX {
-                pruned.push(v);
+            let is_pruned = floor > kth_den;
+            if is_pruned {
+                pruned += 1;
             } else {
-                unresolved.push(v);
+                unresolved += 1;
                 let ub = if floor == 0 { 1.0 } else { den_to_score(floor) };
                 if ub > max_ub {
                     max_ub = ub;
                 }
             }
+            visit(v, is_pruned);
         }
         let members_exact = members.iter().all(|&(den, v)| {
             s.exact_sum
                 .get(v as usize)
                 .is_some_and(|&e| e != u64::MAX && e == den)
         });
-        Some(Ranking {
+        Some(Standing {
+            members,
             kth_den,
-            candidates: cands.len(),
+            candidates: self.order.len(),
             pruned,
             unresolved,
             max_unresolved_ub: max_ub,
             members_exact,
-            members,
         })
     }
 
+    /// Refreshes the tracked-k pruning metrics from the current ranking.
+    fn refresh_stats(&mut self) {
+        let Some(meta) = self.last.as_ref().map(|frame| frame.meta) else {
+            return;
+        };
+        let Some(r) = self.classify(self.config.k, |_, _| {}) else {
+            return;
+        };
+        let (candidates, pruned, unresolved) = (r.candidates, r.pruned, r.unresolved);
+        let (gap, exact) = (r.gap(), meta.fresh || r.exact());
+        self.last_candidates = candidates;
+        self.last_pruned = pruned;
+        self.last_unresolved = unresolved;
+        self.last_gap = gap;
+        self.last_exact = exact;
+        if exact && self.resolution_step.is_none() {
+            self.resolution_step = Some(meta.rc_step as u64);
+        }
+    }
+
     /// The current top-k answer for any `k`, from the last observed frame.
-    /// `None` until the first [`TopKTracker::observe`].
-    pub fn answer(&self, k: usize) -> Option<TopKAnswer> {
+    /// `None` until the first [`TopKTracker::observe`]. A `k` above the
+    /// tracked one raises it: the metrics follow at once, the degree seeds
+    /// and the exploration cut from the next rebuild (until then the larger
+    /// ranking is sound but may report more unresolved candidates than
+    /// bounds built for it would).
+    pub fn answer(&mut self, k: usize) -> Option<TopKAnswer> {
+        if k > self.config.k {
+            self.config.k = k;
+            self.fresh_top = None;
+            self.resolution_step = None;
+            self.refresh_stats();
+        }
         let frame = self.last.as_ref()?;
         let meta = frame.meta;
         if meta.fresh {
             // The frame is exact (converged, nothing in flight, nobody
-            // down): the snapshot's own ranking is the oracle's.
+            // down): the snapshot's own ranking is the oracle's. Selected
+            // once per frame; a read copies its k entries.
+            let tracked = self.config.k;
+            let top = self
+                .fresh_top
+                .get_or_insert_with(|| frame.snapshot.top_k(tracked));
             return Some(TopKAnswer {
                 k,
-                members: frame.snapshot.top_k(k),
+                members: top.iter().take(k).copied().collect(),
                 confidence: Confidence::Exact,
                 meta,
             });
         }
-        let r = self.rank(k)?;
-        let exact = r.unresolved.is_empty() && r.members_exact;
+        let r = self.classify(k, |_, _| {})?;
         let mut members: Vec<(VertexId, f64)> = r
             .members
             .iter()
@@ -371,17 +430,12 @@ impl TopKTracker {
             .collect();
         // Present in the oracle's order: score descending, ties by id.
         members.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let confidence = if exact {
+        let confidence = if r.exact() {
             Confidence::Exact
         } else {
-            let kth_lb = den_to_score(r.kth_den);
             Confidence::Anytime {
-                kth_bound_gap: if r.unresolved.is_empty() {
-                    0.0
-                } else {
-                    (r.max_unresolved_ub - kth_lb).max(0.0)
-                },
-                unresolved_candidates: r.unresolved.len(),
+                kth_bound_gap: r.gap(),
+                unresolved_candidates: r.unresolved,
             }
         };
         Some(TopKAnswer {
@@ -399,12 +453,16 @@ impl TopKTracker {
     /// re-enter the true top-k within this generation. `None` before the
     /// first observation.
     pub fn partition(&self, k: usize) -> Option<(Vec<VertexId>, Vec<VertexId>, Vec<VertexId>)> {
-        let r = self.rank(k)?;
-        Some((
-            r.members.iter().map(|&(_, v)| v).collect(),
-            r.unresolved,
-            r.pruned,
-        ))
+        let (mut unresolved, mut pruned) = (Vec::new(), Vec::new());
+        let r = self.classify(k, |v, is_pruned| {
+            if is_pruned {
+                pruned.push(v);
+            } else {
+                unresolved.push(v);
+            }
+        })?;
+        let members = r.members.iter().map(|&(_, v)| v).collect();
+        Some((members, unresolved, pruned))
     }
 
     /// Fraction of candidates outside the members already pruned for the
@@ -709,6 +767,79 @@ mod tests {
         let ans = t.answer(3).unwrap();
         assert!(ans.members.is_empty());
         assert!(ans.is_exact());
+    }
+
+    #[test]
+    fn fresh_answers_are_the_full_sort_prefix_under_ties() {
+        // A 4 x 4 grid: closeness ties in orbits of 4 (corners, centre) and
+        // 8 (edges), so the id tie-break decides most of the order.
+        let n = 16;
+        let mut e = AnytimeEngine::new(
+            generators::grid(4, 4),
+            EngineConfig {
+                num_procs: 3,
+                ..Default::default()
+            },
+        );
+        e.enable_bound_feed();
+        e.initialize();
+        e.run_to_convergence(64);
+        let frame = e.publish_snapshot();
+        assert!(frame.meta.fresh);
+        let mut full: Vec<(VertexId, f64)> = frame
+            .snapshot
+            .closeness
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0.0)
+            .map(|(v, &c)| (v as VertexId, c))
+            .collect();
+        full.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        assert!(full.windows(2).any(|w| w[0].1 == w[1].1), "no ties");
+        let config = TopKConfig {
+            k: 5,
+            max_pivots: 8,
+        };
+        let mut t = TopKTracker::new(config);
+        let deltas = e.drain_bound_deltas();
+        t.observe(&frame, e.graph(), &deltas);
+        // Ascending, so n and n + 5 each raise the tracked k and reselect;
+        // config.k again at the end reads a prefix of the larger selection.
+        for k in [0, 1, config.k, n, n + 5, config.k] {
+            let ans = t.answer(k).unwrap();
+            assert!(ans.is_exact());
+            assert_eq!(ans.members, full[..k.min(full.len())], "k = {k}");
+        }
+        assert_eq!(t.config().k, n + 5);
+    }
+
+    #[test]
+    fn observing_a_reused_frame_only_counts_the_observation() {
+        let mut e = engine(60, 3, 5);
+        e.enable_bound_feed();
+        let mut t = TopKTracker::new(TopKConfig::default());
+        // Mid-run, so some rows are still flagged as moving: those are the
+        // rows a re-observation used to retighten to no effect.
+        e.rc_step();
+        let frame = e.publish_snapshot();
+        let deltas = e.drain_bound_deltas();
+        t.observe(&frame, e.graph(), &deltas);
+        let before = t.metrics_registry();
+        let answer = t.answer(8);
+        let again = e.publish_snapshot();
+        assert!(
+            Arc::ptr_eq(&frame, &again),
+            "an idle engine reuses its frame"
+        );
+        let deltas = e.drain_bound_deltas();
+        assert!(deltas.is_empty());
+        t.observe(&again, e.graph(), &deltas);
+        let after = t.metrics_registry();
+        let rows = |r: &MetricsRegistry| r.counter_value("aa_topk_rows_updated_total", &[]);
+        assert!(rows(&before) > 0);
+        assert_eq!(rows(&after), rows(&before));
+        assert_eq!(after.counter_value("aa_topk_observes_total", &[]), 2);
+        assert_eq!(t.answer(8), answer);
     }
 
     #[test]

@@ -26,6 +26,14 @@
 //!   tracks neighbourhood expansion — precisely the quantity that separates
 //!   peripheral vertices from the top-k in graphs where absolute distances
 //!   barely spread. `ub_sum` keeps the larger of the two floors per vertex.
+//!   The floor is non-decreasing in the settled count `s` —
+//!   `floor_{s+1} − floor_s = (reach − s)(d_{s+1} − d_s) ≥ 0` — so a search
+//!   stops the moment its floor passes the k-th smallest pivot exact sum
+//!   `T`: pivots carry their exact sums as lower-bound denominators for the
+//!   whole generation, hence the k-th best denominator never rises above
+//!   `T`, and a floor above `T` already prunes the vertex for every `k' ≤ k`
+//!   (the cut Bisenius et al. use for dynamic top-k closeness). Floors at or
+//!   below `T` are the ones an unbounded search would reach, bit for bit.
 //!
 //! Component membership also falls out exactly: a pivot reaches precisely
 //! its component, pinning the reachable-target count every lower bound needs.
@@ -81,17 +89,36 @@ impl StructuralBounds {
     }
 
     /// Builds bounds for the graph as it stands, stamped with the given
-    /// generation. `seed_count` pivots are seeded by highest degree (the
-    /// likely top-k anchors), every component of size ≥ 2 gets at least one
-    /// pivot, and the remaining budget up to `max_pivots` is spent on
-    /// greedy k-center spread (each new pivot is the vertex farthest from
-    /// all existing pivots).
+    /// generation, for rankings up to `k`. `k` pivots are seeded by highest
+    /// degree (the likely top-k anchors), every component of size ≥ 2 gets
+    /// at least one pivot, and the remaining budget up to `max_pivots` is
+    /// spent on greedy k-center spread (each new pivot is the vertex
+    /// farthest from all existing pivots). Exploration floors are cut at
+    /// the k-th smallest pivot exact sum (see the module docs): a ranking
+    /// for any `k' ≤ k` classifies every vertex exactly as uncut floors
+    /// would; a larger `k'` stays sound but may leave more unresolved.
     pub fn build(
+        g: &Graph,
+        epoch: u64,
+        state_version: u64,
+        k: usize,
+        max_pivots: usize,
+    ) -> StructuralBounds {
+        Self::build_cut(g, epoch, state_version, k, max_pivots, k)
+    }
+
+    /// The build proper. `cut_rank` picks the exploration threshold: the
+    /// `cut_rank`-th smallest pivot exact sum. Production always passes the
+    /// rank it seeds for; the tests also pass a rank no pivot set reaches —
+    /// no threshold, every exploration run to [`BALL_CAP`] — as the
+    /// reference they hold the cut to.
+    pub(crate) fn build_cut(
         g: &Graph,
         epoch: u64,
         state_version: u64,
         seed_count: usize,
         max_pivots: usize,
+        cut_rank: usize,
     ) -> StructuralBounds {
         let cap = g.capacity();
         let (comp_of, comp_count) = algo::connected_components(g);
@@ -217,26 +244,33 @@ impl StructuralBounds {
         // Exploration floors: one bounded Dijkstra per candidate (see the
         // module docs). Scratch state is reused across candidates; only the
         // touched slots are reset between runs.
+        let cut = bounds.kth_pivot_sum(cut_rank);
         let mut dist = vec![INF; cap];
         let mut touched: Vec<VertexId> = Vec::new();
         let mut heap: BinaryHeap<Reverse<(u64, VertexId)>> = BinaryHeap::new();
         for &v in &candidates {
+            // A pivot's floor is already its exact sum, and a triangle floor
+            // above the cut has pruned the vertex before any search.
+            if is_pivot[v as usize] || bounds.ub_sum[v as usize] > cut {
+                continue;
+            }
             let reach = bounds.comp_size[v as usize].saturating_sub(1);
             dist[v as usize] = 0;
             touched.push(v);
             heap.push(Reverse((0, v)));
             let mut settled = 0u64;
             let mut sum = 0u64;
-            let mut last = 0u64;
+            let mut floor = 0u64;
             while let Some(Reverse((d, u))) = heap.pop() {
                 if d > u64::from(dist[u as usize]) {
                     continue; // stale entry
                 }
-                last = d;
                 if u != v {
                     sum += d;
                     settled += 1;
-                    if settled >= BALL_CAP as u64 {
+                    // Unsettled component members settle later, hence at ≥ d.
+                    floor = sum + reach.saturating_sub(settled).saturating_mul(d);
+                    if settled >= BALL_CAP as u64 || floor > cut {
                         break;
                     }
                 }
@@ -251,8 +285,6 @@ impl StructuralBounds {
                     }
                 }
             }
-            // Unsettled component members settle later, hence at d ≥ last.
-            let floor = sum + reach.saturating_sub(settled).saturating_mul(last);
             if floor > bounds.ub_sum[v as usize] {
                 bounds.ub_sum[v as usize] = floor;
             }
@@ -263,6 +295,21 @@ impl StructuralBounds {
             touched.clear();
         }
         bounds
+    }
+
+    /// The `rank`-th smallest pivot exact sum — a ceiling on the `rank`-th
+    /// best lower-bound denominator for as long as these bounds live.
+    /// `u64::MAX` (no ceiling) with fewer than `rank` pivots or `rank` 0.
+    fn kth_pivot_sum(&self, rank: usize) -> u64 {
+        if rank == 0 || rank > self.pivots.len() {
+            return u64::MAX;
+        }
+        let mut sums: Vec<u64> = self
+            .pivots
+            .iter()
+            .map(|&p| self.exact_sum[p as usize])
+            .collect();
+        *sums.select_nth_unstable(rank - 1).1
     }
 
     /// Folds one pivot's exact distance row into the bounds: exact sum for

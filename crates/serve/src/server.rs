@@ -162,6 +162,12 @@ pub struct TurnReport {
     pub checkpointed: Option<u64>,
 }
 
+/// Served-read latencies kept for [`Server::latency_quantiles`]: the
+/// quantiles describe the most recent 65,536 served reads (every read, for
+/// a run shorter than that), so a resident server's memory and the cost of
+/// a metrics scrape stay bounded.
+const LATENCY_WINDOW: usize = 1 << 16;
+
 /// A queued (admitted, not yet resolved) read.
 #[derive(Debug, Clone, Copy)]
 struct QueuedRead {
@@ -185,7 +191,8 @@ pub struct Server {
     /// EWMA of per-turn virtual duration, for deadline feasibility
     /// estimates; zero until the first turn completes.
     ewma_turn_us: f64,
-    latencies: Vec<f64>,
+    /// Latency of the most recent `LATENCY_WINDOW` served reads.
+    latencies: VecDeque<f64>,
     stats: ServeStats,
     metrics: MetricsRegistry,
     turns_since_checkpoint: usize,
@@ -267,7 +274,7 @@ impl Server {
             clear_turns: 0,
             next_id: 0,
             ewma_turn_us: 0.0,
-            latencies: Vec::new(),
+            latencies: VecDeque::new(),
             stats: ServeStats::default(),
             metrics,
             turns_since_checkpoint: 0,
@@ -310,7 +317,7 @@ impl Server {
         self.stats.reads_submitted += 1;
         if self.read_q.len() >= self.config.read_queue_cap {
             self.stats.reads_shed_capacity += 1;
-            self.count_read("shed-capacity");
+            self.count_reads("shed-capacity", 1);
             return ReadTicket {
                 id,
                 admission: Admission::Shed,
@@ -320,7 +327,7 @@ impl Server {
         if let Some(est) = self.estimated_service_us(now) {
             if est > deadline {
                 self.stats.reads_shed_deadline += 1;
-                self.count_read("shed-deadline");
+                self.count_reads("shed-deadline", 1);
                 return ReadTicket {
                     id,
                     admission: Admission::Shed,
@@ -338,7 +345,7 @@ impl Server {
             .set_gauge("aa_serve_read_queue_depth", &[], depth as f64);
         if depth > self.config.read_queue_hwm {
             self.stats.reads_throttled += 1;
-            self.count_read("throttled");
+            self.count_reads("throttled", 1);
             ReadTicket {
                 id,
                 admission: Admission::Throttled {
@@ -346,7 +353,7 @@ impl Server {
                 },
             }
         } else {
-            self.count_read("accepted");
+            self.count_reads("accepted", 1);
             ReadTicket {
                 id,
                 admission: Admission::Accepted,
@@ -572,20 +579,21 @@ impl Server {
         self.session.engine_mut()
     }
 
-    /// Served-read latency quantiles `(p50, p99)` in virtual µs, when at
-    /// least one read has been served.
+    /// Served-read latency quantiles `(p50, p99)` in virtual µs over the
+    /// most recent 65,536 served reads (`LATENCY_WINDOW`), when at least
+    /// one read has been served.
     pub fn latency_quantiles(&self) -> Option<(f64, f64)> {
         if self.latencies.is_empty() {
             return None;
         }
-        let mut sorted = self.latencies.clone();
+        let mut sorted: Vec<f64> = self.latencies.iter().copied().collect();
         sorted.sort_by(|a, b| a.total_cmp(b));
         Some((quantile(&sorted, 0.50), quantile(&sorted, 0.99)))
     }
 
     /// Merged metrics: engine + ingest + durability + serve registries,
-    /// with the read latency quantile gauges computed from every served
-    /// read so far.
+    /// with the read latency quantile gauges computed over the latency
+    /// window.
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let mut r = self.session.metrics_registry();
         let mut s = self.metrics.clone();
@@ -650,30 +658,32 @@ impl Server {
     fn serve_reads(&mut self, frame: &SnapshotFrame) -> Vec<ReadOutcome> {
         let now = self.session.engine().makespan_us();
         let mut out = Vec::new();
-        let mut still_queued = VecDeque::with_capacity(self.read_q.len());
-        while let Some(req) = self.read_q.pop_front() {
-            if req.deadline_us < now {
-                self.stats.reads_shed_deadline += 1;
-                self.count_read("shed-deadline");
+        self.read_q.retain(|req| {
+            let live = req.deadline_us >= now;
+            if !live {
                 out.push(ReadOutcome::Shed {
                     id: req.id,
                     reason: ShedReason::Deadline,
                 });
-            } else {
-                still_queued.push_back(req);
             }
-        }
-        self.read_q = still_queued;
+            live
+        });
+        let expired = out.len() as u64;
+        self.stats.reads_shed_deadline += expired;
+        self.count_reads("shed-deadline", expired);
         let degraded = self.mode == ServeMode::Degraded;
+        let mut served = 0;
         while !self.read_q.is_empty() && self.read_tokens.take() {
             if let Some(req) = self.read_q.pop_front() {
                 let latency_us = (now - req.submitted_us).max(0.0);
-                self.stats.reads_served += 1;
-                self.count_read("served");
+                served += 1;
                 self.metrics
                     .observe("aa_serve_read_latency_us", &[], latency_us);
-                self.latencies.push(latency_us);
-                let value = answer(frame, self.session.tracker(), req.kind);
+                if self.latencies.len() == LATENCY_WINDOW {
+                    self.latencies.pop_front();
+                }
+                self.latencies.push_back(latency_us);
+                let value = answer(frame, &mut self.session, req.kind);
                 if let ReadValue::TopK(ans) = &value {
                     if ans.is_exact() {
                         self.stats.topk_exact += 1;
@@ -690,15 +700,20 @@ impl Server {
                 });
             }
         }
+        self.stats.reads_served += served;
+        self.count_reads("served", served);
         out
     }
 
-    fn count_read(&mut self, outcome: &str) {
-        self.metrics.inc_counter(
-            "aa_serve_requests_total",
-            &[("class", "read"), ("outcome", outcome)],
-            1,
-        );
+    /// Counts `by` reads resolved the same way (a turn's worth at once).
+    fn count_reads(&mut self, outcome: &str, by: u64) {
+        if by > 0 {
+            self.metrics.inc_counter(
+                "aa_serve_requests_total",
+                &[("class", "read"), ("outcome", outcome)],
+                by,
+            );
+        }
     }
 
     fn count_write(&mut self, outcome: &str) {
@@ -714,11 +729,10 @@ impl Server {
 /// the tracker's bound state; the snapshot fallback only fires if the
 /// tracker has never observed a frame (it is seeded at construction, so in
 /// practice every answer carries real bounds).
-fn answer(frame: &SnapshotFrame, topk: Option<&TopKTracker>, kind: ReadKind) -> ReadValue {
+fn answer(frame: &SnapshotFrame, session: &mut Session, kind: ReadKind) -> ReadValue {
     let snap = &frame.snapshot;
-    let tracked = |k| topk.and_then(|t| t.answer(k));
     match kind {
-        ReadKind::TopK(k) => ReadValue::TopK(Box::new(tracked(k).unwrap_or_else(|| {
+        ReadKind::TopK(k) => ReadValue::TopK(Box::new(session.top_k(k).unwrap_or_else(|| {
             let members = snap.top_k(k);
             let unresolved = snap
                 .closeness

@@ -33,7 +33,7 @@ use aa_core::{AnytimeEngine, SnapshotFrame};
 use aa_durable::{recover, DurabilityConfig, DurableLog, RecoveryReport, Storage};
 use aa_ingest::{FlushReport, IngestConfig, IngestPipeline, IngestStats, PushOutcome, UpdateOp};
 use aa_obs::MetricsRegistry;
-use aa_query::{TopKConfig, TopKTracker};
+use aa_query::{TopKAnswer, TopKConfig, TopKTracker};
 use std::sync::Arc;
 
 /// What one [`Session::apply_due`] / [`Session::apply_all`] did.
@@ -276,6 +276,13 @@ impl Session {
         self.tracker.as_ref()
     }
 
+    /// The tracker's answer for `k` as of the last publication; `None`
+    /// without a tracker or before its first observation. Answering is what
+    /// tells the tracker which k to keep resolved, hence `&mut`.
+    pub fn top_k(&mut self, k: usize) -> Option<TopKAnswer> {
+        self.tracker.as_mut()?.answer(k)
+    }
+
     /// The attached WAL/checkpoint log.
     pub fn durable_log(&self) -> Option<&DurableLog> {
         self.durable.as_ref().map(|(_, log)| log)
@@ -413,7 +420,7 @@ mod tests {
         let mut t =
             Session::new(base(), IngestConfig::default(), Some(TopKConfig::default())).unwrap();
         assert!(t.engine().bound_feed_enabled());
-        assert!(t.tracker().is_some_and(|t| t.answer(3).is_none()));
+        assert!(t.top_k(3).is_none());
         let steps = t.converge(1000);
         let (fresh, _) = t.engine().snapshot_publication_counts();
         assert_eq!(fresh as usize, steps + 1, "one frame per superstep");

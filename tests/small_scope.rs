@@ -308,6 +308,7 @@ fn epoch(e: &AnytimeEngine) -> (u64, usize) {
 /// `at` names the superstep in failures.
 fn check(s: &mut Session, watch: &mut Watch, verify: bool, at: &str) -> Result<(), String> {
     s.observe();
+    let answer = s.top_k(K);
     let e = s.engine();
     let g = e.graph();
     let dist = e.distances_dense();
@@ -358,7 +359,7 @@ fn check(s: &mut Session, watch: &mut Watch, verify: bool, at: &str) -> Result<(
             ));
         }
     }
-    let answer = tracker.answer(K).ok_or(format!("{at}: no top-k answer"))?;
+    let answer = answer.ok_or(format!("{at}: no top-k answer"))?;
     if answer.is_exact() && answer.members != truth {
         return Err(format!(
             "{at}: Exact answer {:?} is not the oracle's {truth:?}",

@@ -169,7 +169,7 @@ fn observe(e: &mut AnytimeEngine, tracker: &mut TopKTracker) {
 /// failure messages.
 fn superstep_check(
     e: &AnytimeEngine,
-    tracker: &TopKTracker,
+    tracker: &mut TopKTracker,
     k: usize,
     where_: &str,
 ) -> Option<String> {
@@ -214,19 +214,20 @@ fn run_case(case: &Case) -> Option<String> {
         max_pivots: 8,
     });
     observe(&mut e, &mut tracker);
-    if let Some(msg) = superstep_check(&e, &tracker, case.k, "after init") {
+    if let Some(msg) = superstep_check(&e, &mut tracker, case.k, "after init") {
         return Some(msg);
     }
     let budget = 16 * case.procs + 128;
     for (i, &op) in case.ops.iter().enumerate() {
         apply(&mut e, op);
         observe(&mut e, &mut tracker);
-        if let Some(msg) = superstep_check(&e, &tracker, case.k, &format!("after op[{i}]")) {
+        if let Some(msg) = superstep_check(&e, &mut tracker, case.k, &format!("after op[{i}]")) {
             return Some(msg);
         }
         e.rc_step();
         observe(&mut e, &mut tracker);
-        if let Some(msg) = superstep_check(&e, &tracker, case.k, &format!("after op[{i}]+rc_step"))
+        if let Some(msg) =
+            superstep_check(&e, &mut tracker, case.k, &format!("after op[{i}]+rc_step"))
         {
             return Some(msg);
         }
@@ -236,9 +237,12 @@ fn run_case(case: &Case) -> Option<String> {
         e.rc_step();
         steps += 1;
         observe(&mut e, &mut tracker);
-        if let Some(msg) =
-            superstep_check(&e, &tracker, case.k, &format!("convergence step {steps}"))
-        {
+        if let Some(msg) = superstep_check(
+            &e,
+            &mut tracker,
+            case.k,
+            &format!("convergence step {steps}"),
+        ) {
             return Some(msg);
         }
     }
