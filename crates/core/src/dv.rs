@@ -1,23 +1,26 @@
-//! Distance vectors and the distance matrix owned by one virtual processor.
+//! Distance vectors and the distance matrices of one virtual processor.
 //!
-//! Every processor stores one **distance vector** (DV) per vertex it owns:
-//! the current shortest-path estimates from that vertex to *every* vertex id
-//! slot in the graph. Estimates start at `INF` and only ever decrease
+//! Every processor stores one **distance vector** (DV) per vertex it owns,
+//! and a copy of the one of each external boundary vertex as its owner last
+//! sent it — two [`DistanceMatrix`] instances, one row type: the current
+//! shortest-path estimates from that vertex to *every* vertex id slot in the
+//! graph. Estimates start at `INF` and only ever decrease
 //! (except during deletion invalidation), which is the anytime property's
 //! backbone. Columns grow when vertices are added (the papers' amortized
 //! doubling analysis applies — `Vec` growth is exactly that), and whole rows
 //! migrate between processors during repartitioning.
 //!
-//! Beside each row the matrix keeps a **change log**: one bit per column, set
+//! Beside each row a matrix keeps a **change log**: one bit per column, set
 //! by whichever write lowers that entry and cleared when the row has been
 //! propagated to its local neighbours. Recombination relaxes a neighbour only
 //! on the logged columns of the row that moved — the receive-side half of the
 //! papers' "send only the updated values of the boundary DVs". That is exact
-//! because of the *propagation invariant* `ProcState` maintains: for every
-//! local edge `(v, u, w)` and every column `c` outside `v`'s log,
-//! `row_u[c] <= row_v[c] + w`. Whatever breaks the invariant without going
-//! through a logging write (raised entries, raw row access, new adjacency, a
-//! row installed from elsewhere) marks the row all-columns instead.
+//! because of the *propagation invariant* `ProcState` maintains: **for every
+//! edge `(v, u, w)` the processor knows with `u` local — `v` owned or cached
+//! — and every column `c` outside `v`'s log, `row_u[c] <= row_v[c] + w`.**
+//! Whatever breaks the invariant without going through a logging write
+//! (raised entries, raw row access, new adjacency, a row installed from
+//! elsewhere) marks the row all-columns instead.
 //!
 //! The rows whose log is non-empty are the **frontier**: exactly the rows
 //! that still owe their local neighbours a relaxation. The frontier is the
@@ -100,6 +103,9 @@ pub struct ColumnSet {
     words: Vec<u64>,
     /// Every column is a member, whatever `words` says.
     all: bool,
+    /// `false` only while every word is zero: an empty set — most change
+    /// logs, between steps — says so without a walk over its words.
+    marked: bool,
 }
 
 impl ColumnSet {
@@ -108,6 +114,7 @@ impl ColumnSet {
         ColumnSet {
             words: vec![0; cols.div_ceil(WORD)],
             all: false,
+            marked: false,
         }
     }
 
@@ -115,6 +122,7 @@ impl ColumnSet {
     pub const EVERY: ColumnSet = ColumnSet {
         words: Vec::new(),
         all: true,
+        marked: false,
     };
 
     /// Every one of `cols` columns, with room to log single columns again
@@ -138,13 +146,18 @@ impl ColumnSet {
                     .fold(0u64, |m, (bit, &d)| m | u64::from(d != INF) << bit)
             })
             .collect();
-        ColumnSet { words, all: false }
+        ColumnSet {
+            words,
+            all: false,
+            marked: true,
+        }
     }
 
     /// Adds column `col`; columns beyond the set's width are ignored.
     pub fn insert(&mut self, col: usize) {
         if let Some(word) = self.words.get_mut(col / WORD) {
             *word |= 1 << (col % WORD);
+            self.marked = true;
         }
     }
 
@@ -160,7 +173,7 @@ impl ColumnSet {
 
     /// Whether no column is a member.
     pub(crate) fn is_empty(&self) -> bool {
-        !self.all && self.words.iter().all(|&word| word == 0)
+        !self.all && (!self.marked || self.words.iter().all(|&word| word == 0))
     }
 
     fn mark_all(&mut self) {
@@ -170,6 +183,7 @@ impl ColumnSet {
     /// Adds every member of `other`, a set over the same columns.
     fn merge(&mut self, other: &ColumnSet) {
         self.all |= other.all;
+        self.marked |= other.marked;
         for (word, &more) in self.words.iter_mut().zip(&other.words) {
             *word |= more;
         }
@@ -177,7 +191,7 @@ impl ColumnSet {
 
     fn clear(&mut self) {
         self.words.fill(0);
-        self.all = false;
+        (self.all, self.marked) = (false, false);
     }
 
     /// How many single columns are logged (whatever `all` says).
@@ -240,6 +254,7 @@ fn relax_on(
         let changed = relax_chunks(dst, src, offset, |w, bits| unsent.words[w] |= bits);
         if changed {
             log.mark_all();
+            unsent.marked = true;
         }
         return changed;
     }
@@ -247,6 +262,7 @@ fn relax_on(
         return relax_chunks(dst, src, offset, |w, bits| {
             log.words[w] |= bits;
             unsent.words[w] |= bits;
+            (log.marked, unsent.marked) = (true, true);
         });
     }
     let mut changed = false;
@@ -261,7 +277,7 @@ fn relax_on(
                 dst[c] = cand;
                 log.words[wi] |= 1 << bit;
                 unsent.words[wi] |= 1 << bit;
-                changed = true;
+                (log.marked, unsent.marked, changed) = (true, true, true);
             }
         }
     }
@@ -281,7 +297,10 @@ fn pair_mut<T>(s: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
     }
 }
 
-/// The distance vectors of one processor's owned vertices.
+/// Distance vectors held by one processor: those of the vertices it owns, or
+/// the copies it caches of its external boundary vertices'. One type for
+/// both, with no switch between them: a cached row's unsent log (`cols / 8`
+/// bytes) is written by the same lowering writes and never read.
 #[derive(Debug, Clone, Default)]
 pub struct DistanceMatrix {
     rows: Vec<Vec<Weight>>,
@@ -291,7 +310,7 @@ pub struct DistanceMatrix {
     unsent: Vec<ColumnSet>,
     /// Global vertex id of each row.
     vertex_of_row: Vec<VertexId>,
-    /// Row index of each global vertex id slot (`u32::MAX` if not owned here).
+    /// Row index of each global vertex id slot (`u32::MAX` if not held here).
     row_of: Vec<u32>,
     cols: usize,
 }
@@ -311,7 +330,7 @@ impl DistanceMatrix {
         }
     }
 
-    /// Number of owned rows.
+    /// Number of rows.
     pub fn row_count(&self) -> usize {
         self.rows.len()
     }
@@ -321,7 +340,7 @@ impl DistanceMatrix {
         self.cols
     }
 
-    /// Whether this matrix owns a row for vertex `v`.
+    /// Whether this matrix holds a row for vertex `v`.
     // aa-lint: allow(AA07, the index is range-checked by the && short-circuit on the same line)
     pub fn has_row(&self, v: VertexId) -> bool {
         (v as usize) < self.row_of.len() && self.row_of[v as usize] != NO_ROW
@@ -336,15 +355,9 @@ impl DistanceMatrix {
     // aa-lint: allow(AA07, documented-panic constructor — the asserts above every index state the contract and fire before any index can miss)
     pub fn add_row(&mut self, v: VertexId) {
         assert!((v as usize) < self.cols, "vertex {v} outside column range");
-        assert!(!self.has_row(v), "vertex {v} already has a row");
         let mut row = vec![INF; self.cols];
         row[v as usize] = 0;
-        // aa-lint: allow(AA05, row count is bounded by the u32 vertex-id space)
-        self.row_of[v as usize] = self.rows.len() as u32;
-        self.rows.push(row);
-        self.logs.push(ColumnSet::all(self.cols));
-        self.unsent.push(ColumnSet::all(self.cols));
-        self.vertex_of_row.push(v);
+        self.insert_row(v, row);
     }
 
     /// Inserts a row with explicit contents (migration, checkpoint restore,
@@ -362,6 +375,24 @@ impl DistanceMatrix {
         self.logs.push(ColumnSet::all(self.cols));
         self.unsent.push(ColumnSet::all(self.cols));
         self.vertex_of_row.push(v);
+    }
+
+    /// Installs `row` as `v`'s row, in place of the one it has if any, with
+    /// `log` as its change log: the columns on which the new values may
+    /// undercut what `v`'s local neighbours hold. The unsent log is
+    /// all-columns, as for any row installed from elsewhere.
+    pub fn replace_row(&mut self, v: VertexId, mut row: Vec<Weight>, mut log: ColumnSet) {
+        if self.has_row(v) {
+            row.resize(self.cols, INF);
+            self.row_mut(v).copy_from_slice(&row);
+        } else {
+            self.insert_row(v, row);
+        }
+        log.words.resize(self.cols.div_ceil(WORD), 0);
+        let idx = self.row_index(v);
+        if let Some(slot) = self.logs.get_mut(idx) {
+            *slot = log;
+        }
     }
 
     /// Removes and returns the row of vertex `v` with its unsent log (used
@@ -436,6 +467,12 @@ impl DistanceMatrix {
         self.logs[idx].mark_all();
         self.unsent[idx].mark_all();
         &mut self.rows[idx]
+    }
+
+    /// `v`'s row with its change log, if `v` has a row here.
+    pub fn logged_row(&self, v: VertexId) -> Option<(&[Weight], &ColumnSet)> {
+        let idx = *self.row_of.get(v as usize)? as usize;
+        Some((self.rows.get(idx)?, self.logs.get(idx)?))
     }
 
     /// Row-table index of vertex `v`.
@@ -535,18 +572,29 @@ impl DistanceMatrix {
     /// `row_v[col] = min(row_v[col], value)`, logged like any lowering
     /// write. Returns whether the entry decreased.
     pub fn lower_entry(&mut self, v: VertexId, col: usize, value: Weight) -> bool {
+        u32::try_from(col).is_ok_and(|col| self.lower_entries(v, &[(col, value)]))
+    }
+
+    /// [`Self::lower_entry`] for each `(column, value)` of `entries` (a
+    /// received delta). Returns whether any entry decreased.
+    pub fn lower_entries(&mut self, v: VertexId, entries: &[(u32, Weight)]) -> bool {
         let idx = self.row_index(v);
-        let entry = self.rows.get_mut(idx).and_then(|row| row.get_mut(col));
-        let Some(d) = entry.filter(|d| value < **d) else {
+        let row = self.rows.get_mut(idx);
+        let (Some(row), Some(log), Some(unsent)) =
+            (row, self.logs.get_mut(idx), self.unsent.get_mut(idx))
+        else {
             return false;
         };
-        *d = value;
-        for log in [&mut self.logs, &mut self.unsent] {
-            if let Some(log) = log.get_mut(idx) {
-                log.insert(col);
+        let mut changed = false;
+        for &(col, value) in entries {
+            if let Some(d) = row.get_mut(col as usize).filter(|d| value < **d) {
+                *d = value;
+                log.insert(col as usize);
+                unsent.insert(col as usize);
+                changed = true;
             }
         }
-        true
+        changed
     }
 
     /// Marks every column of every row as possibly unpropagated.
@@ -573,32 +621,23 @@ impl DistanceMatrix {
         }
     }
 
-    /// Owned vertices in row order.
+    /// The vertices that have a row, in row order.
     pub fn vertices(&self) -> &[VertexId] {
         &self.vertex_of_row
     }
 
-    /// The frontier: owned vertices whose log is non-empty, in row order.
+    /// The frontier: vertices whose log is non-empty, in row order.
     pub fn frontier(&self) -> impl Iterator<Item = VertexId> + '_ {
         let logged = self.logs.iter().zip(&self.vertex_of_row);
         logged.filter(|(log, _)| !log.is_empty()).map(|(_, &v)| v)
     }
 
-    /// `dst_row[t] = min(dst_row[t], src_row[t] + offset)` for every column,
-    /// where both rows live in this matrix. Returns whether anything changed;
-    /// a self-relax is a no-op.
-    pub fn relax_rows(&mut self, dst: VertexId, src: VertexId, offset: Weight) -> bool {
-        self.relax_rows_on(dst, src, offset, false)
-    }
-
-    /// [`Self::relax_rows`] restricted to the columns in `src`'s log — all
-    /// that can lower `dst` when the propagation invariant holds for the
-    /// edge between them.
-    pub fn relax_rows_logged(&mut self, dst: VertexId, src: VertexId, offset: Weight) -> bool {
-        self.relax_rows_on(dst, src, offset, true)
-    }
-
-    fn relax_rows_on(
+    /// `dst_row[t] = min(dst_row[t], src_row[t] + offset)` where both rows
+    /// live in this matrix: for every column, or if `logged` for those in
+    /// `src`'s log — all that can lower `dst` when the propagation invariant
+    /// holds for the edge between them. Returns whether anything changed; a
+    /// self-relax is a no-op.
+    pub fn relax_rows_on(
         &mut self,
         dst: VertexId,
         src: VertexId,
@@ -807,7 +846,7 @@ mod tests {
         assert!(m.log(0).is_empty());
         // Row 0 learns column 2 from row 1 and nothing else: column 1,
         // which row 1 could also improve, is not in row 1's log.
-        assert!(m.relax_rows_logged(0, 1, 1));
+        assert!(m.relax_rows_on(0, 1, 1, true));
         assert_eq!(m.row(0)[..3], [0, INF, 5]);
         assert!(m.log(0).contains(2) && !m.log(0).contains(1));
         // The unsent log saw the same writes, and outlives the propagation.
@@ -844,6 +883,34 @@ mod tests {
         assert_eq!(next.unsent_entries(0), Some(vec![(2, 6), (5, 9)]));
         assert!(next.lower_entry(0, 129, 3), "and grows to the new width");
         assert_eq!(next.unsent_entries(0).map(|e| e.len()), Some(3));
+    }
+
+    #[test]
+    fn an_emptied_set_is_empty_whichever_way_it_was_emptied() {
+        let mut m = DistanceMatrix::new(70);
+        m.add_row(0);
+        m.clear_logs();
+        m.clear_unsent(0);
+        assert!(m.log(0).is_empty() && m.unsent(0).is_empty());
+        assert!(m.frontier().next().is_none());
+        assert!(m.lower_entry(0, 69, 4));
+        assert!(!m.log(0).is_empty() && !m.unsent(0).is_empty());
+        // Bit by bit (only the words can say so), or wholesale.
+        m.raise_entries(0, &[69]);
+        assert!(m.unsent(0).is_empty() && m.frontier().eq([0]));
+        m.clear_log(0);
+        assert!(m.log(0).is_empty() && m.frontier().next().is_none());
+        // Both relaxation kernels mark what they lower, and only then.
+        let mut src = vec![INF; 70];
+        assert!(!m.relax_with_external(0, &src, 1) && m.log(0).is_empty());
+        src[3] = 2;
+        assert!(m.relax_with_external(0, &src, 1) && m.frontier().eq([0]));
+        m.clear_log(0);
+        src[4] = 2;
+        let sparse = ColumnSet::finite_of(&src);
+        assert!(m.relax_with_external_on(0, &src, 1, &sparse));
+        assert!(m.log(0).contains(4) && !m.log(0).contains(3));
+        assert!(!m.unsent(0).is_empty());
     }
 
     #[test]
@@ -915,12 +982,41 @@ mod tests {
         m.add_row(0);
         m.add_row(1);
         m.row_mut(1)[2] = 4;
-        assert!(m.relax_rows(0, 1, 1)); // d(0,*) <= 1 + d(1,*)
+        assert!(m.relax_rows_on(0, 1, 1, false)); // d(0,*) <= 1 + d(1,*)
         assert_eq!(m.row(0), &[0, 1, 5]);
-        assert!(!m.relax_rows(0, 0, 1), "self relax is a no-op");
+        assert!(!m.relax_rows_on(0, 0, 1, false), "self relax is a no-op");
         // Reverse direction with the dst stored after src.
-        assert!(m.relax_rows(1, 0, 1));
+        assert!(m.relax_rows_on(1, 0, 1, false));
         assert_eq!(m.row(1)[0], 1);
+    }
+
+    #[test]
+    fn replace_row_installs_the_values_and_the_log_it_is_given() {
+        let mut cache = DistanceMatrix::new(70);
+        // Absent: the row is inserted (and padded), its log the one given.
+        let first = vec![INF, 4, INF, 0];
+        cache.replace_row(3, first.clone(), ColumnSet::finite_of(&first));
+        cache.replace_row(5, vec![INF; 70], ColumnSet::empty(70));
+        assert_eq!(cache.vertices(), &[3, 5]);
+        assert_eq!(cache.row(3).len(), 70);
+        assert!(cache.log(3).contains(1) && cache.log(3).contains(3));
+        assert!(!cache.log(3).contains(0) && !cache.log(3).contains(69));
+        assert!(cache.frontier().eq([3]), "an all-INF row owes nothing");
+        // Present: same slot, new values, new log — whatever the old one held.
+        cache.replace_row(3, vec![7; 70], ColumnSet::EVERY);
+        assert_eq!(cache.vertices(), &[3, 5]);
+        assert_eq!(cache.row(3), &[7; 70]);
+        assert!(cache.log(3).contains(0) && cache.log(3).contains(69));
+        cache.clear_log(3);
+        // A log given as "all columns" still has room for single ones.
+        assert!(cache.lower_entry(3, 69, 2) && cache.log(3).contains(69));
+        assert!(!cache.log(3).contains(0));
+        // An owned row relaxes through a cached one on the cached log only.
+        let mut dv = DistanceMatrix::new(70);
+        dv.add_row(0);
+        let (row, log) = cache.logged_row(3).expect("held");
+        assert!(dv.relax_with_external_on(0, row, 1, log) && cache.logged_row(0).is_none());
+        assert_eq!((dv.row(0)[69], dv.row(0)[1]), (3, INF));
     }
 
     #[test]

@@ -100,7 +100,6 @@ impl AnytimeEngine {
     /// if the edge already exists. The change is incorporated immediately
     /// (endpoint-row broadcast + relaxation) and fully propagated by
     /// subsequent recombination steps.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
     pub fn add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) -> bool {
         assert!(self.initialized, "call initialize() first");
         if !self.world.add_edge(u, v, w) {
@@ -108,43 +107,61 @@ impl AnytimeEngine {
         }
         let span = self.span_open();
         self.obs.note_mutation();
-        let ou = self.owner_of(u);
-        let ov = self.owner_of(v);
-        self.procs[ou].view_add_edge(u, v, w);
-        if ov != ou {
-            self.procs[ov].view_add_edge(u, v, w);
-        }
-        self.relax_through_edge(u, v, w);
+        self.view_add_edge(u, v, w);
+        self.relax_through_edges(&[u, v], &[(u, v, w)]);
         self.converged = false;
         self.span_close(span, "dynamic-update", format!("add-edge {u}-{v}"));
         self.feed_capture(false);
         true
     }
 
-    /// The edge-addition relaxation kernel: broadcast both endpoint rows,
-    /// relax every owned row on every processor, propagate locally.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
-    pub(crate) fn relax_through_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
-        let ou = self.owner_of(u);
-        let ov = self.owner_of(v);
-        let row_u = self.procs[ou].dv.row(u).to_vec();
-        let row_v = self.procs[ov].dv.row(v).to_vec();
-        let row_bytes = 4 + 4 * row_u.len();
-        self.cluster
-            .broadcast_cost(Phase::DynamicUpdate, ou, row_bytes);
-        self.cluster
-            .broadcast_cost(Phase::DynamicUpdate, ov, row_bytes);
+    /// Records a new world edge in the views of its endpoints' owners.
+    pub(crate) fn view_add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
+        let owners = [self.owner_of(u), self.owner_of(v)];
+        let views = self.procs.iter_mut().filter(|ps| owners.contains(&ps.rank));
+        views.for_each(|ps| ps.view_add_edge(u, v, w));
+    }
 
+    /// Tree-broadcasts the rows of `endpoints` from their owners and returns
+    /// them, both in the order given: it feeds the virtual clocks.
+    fn broadcast_rows(&mut self, endpoints: &[VertexId]) -> Vec<Vec<Weight>> {
+        let broadcast = endpoints.iter().map(|&e| {
+            let owner = self.owner_of(e);
+            let row = self.procs.get(owner).map(|ps| ps.dv.row(e).to_vec());
+            let row = row.unwrap_or_default();
+            self.cluster
+                .broadcast_cost(Phase::DynamicUpdate, owner, 4 + 4 * row.len());
+            row
+        });
+        broadcast.collect()
+    }
+
+    /// The edge-addition relaxation kernel, for `edges` already in the world
+    /// and the views: broadcast the row of each of their distinct
+    /// `endpoints` once; every processor caches those it borders (so later
+    /// invalidations can re-relax from them), relaxes every owned row through
+    /// every edge — the owners learn the direct edge here too: `D[u][u] = 0`
+    /// — and propagates locally.
+    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
+    fn relax_through_edges(
+        &mut self,
+        endpoints: &[VertexId],
+        edges: &[(VertexId, VertexId, Weight)],
+    ) {
+        let rows = self.broadcast_rows(endpoints);
+        let via = rows_of_edges(edges, endpoints, &rows);
         for rank in 0..self.procs.len() {
             let t = Stopwatch::start();
             let ps = &mut self.procs[rank];
-            // Cache the broadcast rows wherever the endpoint is an external
-            // boundary vertex, so later invalidations can re-relax from them.
-            ps.cache_broadcast_row(u, &row_u);
-            ps.cache_broadcast_row(v, &row_v);
-            // The owners learn the direct edge here too: `D[u][u] = 0`.
+            for (&e, row) in endpoints.iter().zip(&rows) {
+                ps.cache_broadcast_row(e, row);
+            }
             for x in ps.dv.vertices().to_vec() {
-                if relax_row_through_edge(ps, x, (u, v, w), &row_u, &row_v) {
+                let mut changed = false;
+                for (&edge, &(row_u, row_v)) in edges.iter().zip(&via) {
+                    changed |= relax_row_through_edge(ps, x, edge, row_u, row_v);
+                }
+                if changed {
                     ps.dirty.insert(x);
                 }
             }
@@ -160,61 +177,21 @@ impl AnytimeEngine {
     /// applies all relaxations in one sweep, and local propagation runs once
     /// at the end. Returns the number of edges actually inserted (duplicates
     /// and self-loops are skipped).
-    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
     pub fn add_edges(&mut self, edges: &[(VertexId, VertexId, Weight)]) -> usize {
         assert!(self.initialized, "call initialize() first");
         let mut inserted: Vec<(VertexId, VertexId, Weight)> = Vec::with_capacity(edges.len());
         for &(u, v, w) in edges {
-            if !self.world.add_edge(u, v, w) {
-                continue;
+            if self.world.add_edge(u, v, w) {
+                self.view_add_edge(u, v, w);
+                inserted.push((u, v, w));
             }
-            let ou = self.owner_of(u);
-            let ov = self.owner_of(v);
-            self.procs[ou].view_add_edge(u, v, w);
-            if ov != ou {
-                self.procs[ov].view_add_edge(u, v, w);
-            }
-            inserted.push((u, v, w));
         }
         if inserted.is_empty() {
             return 0;
         }
         let span = self.span_open();
         self.obs.note_mutation();
-
-        // One broadcast per distinct endpoint.
-        let mut endpoints: Vec<VertexId> = inserted.iter().flat_map(|&(u, v, _)| [u, v]).collect();
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        let mut rows: std::collections::HashMap<VertexId, Vec<Weight>> =
-            std::collections::HashMap::with_capacity(endpoints.len());
-        for &e in &endpoints {
-            let owner = self.owner_of(e);
-            let row = self.procs[owner].dv.row(e).to_vec();
-            self.cluster
-                .broadcast_cost(Phase::DynamicUpdate, owner, 4 + 4 * row.len());
-            rows.insert(e, row);
-        }
-
-        for rank in 0..self.procs.len() {
-            let t = Stopwatch::start();
-            let ps = &mut self.procs[rank];
-            for &e in &endpoints {
-                ps.cache_broadcast_row(e, &rows[&e]);
-            }
-            for x in ps.dv.vertices().to_vec() {
-                let mut changed = false;
-                for &(u, v, w) in &inserted {
-                    changed |= relax_row_through_edge(ps, x, (u, v, w), &rows[&u], &rows[&v]);
-                }
-                if changed {
-                    ps.dirty.insert(x);
-                }
-            }
-            ps.propagate();
-            self.cluster
-                .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
-        }
+        self.relax_through_edges(&distinct_endpoints(&inserted), &inserted);
         self.converged = false;
         self.span_close(
             span,
@@ -266,17 +243,9 @@ impl AnytimeEngine {
         }
         let span = self.deletion_barrier();
         // Pre-deletion rows of every distinct endpoint (exact: converged).
-        let mut endpoints: Vec<VertexId> = present.iter().flat_map(|&(u, v, _)| [u, v]).collect();
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        let mut rows = std::collections::HashMap::with_capacity(endpoints.len());
-        for &e in &endpoints {
-            let owner = self.owner_of(e);
-            let row = self.procs[owner].dv.row(e).to_vec();
-            self.cluster
-                .broadcast_cost(Phase::DynamicUpdate, owner, 4 + 4 * row.len());
-            rows.insert(e, row);
-        }
+        let endpoints = distinct_endpoints(&present);
+        let rows = self.broadcast_rows(&endpoints);
+        let via = rows_of_edges(&present, &endpoints, &rows);
         for &(u, v, _) in &present {
             self.world.remove_edge(u, v);
         }
@@ -288,8 +257,7 @@ impl AnytimeEngine {
             let tally = &mut self.obs.invalidation;
             invalidate_and_reseed(&mut self.procs[rank], tally, |row, x, exact| {
                 let mut targets = Vec::new();
-                for &edge in &present {
-                    let (row_u, row_v) = (&rows[&edge.0], &rows[&edge.1]);
+                for (&edge, &(row_u, row_v)) in present.iter().zip(&via) {
                     targets.extend(affected_targets_edge(row, x, edge, row_u, row_v, exact));
                 }
                 if present.len() > 1 {
@@ -335,7 +303,7 @@ impl AnytimeEngine {
                 self.procs[rank].view_remove_edge(u, v);
                 self.procs[rank].view_add_edge(u, v, new_w);
             }
-            self.relax_through_edge(u, v, new_w);
+            self.relax_through_edges(&[u, v], &[(u, v, new_w)]);
             self.converged = false;
             self.span_close(span, "dynamic-update", format!("decrease-weight {u}-{v}"));
             self.feed_capture(false);
@@ -359,10 +327,7 @@ impl AnytimeEngine {
         assert!(self.initialized, "call initialize() first");
         assert!(self.world.is_alive(v), "vertex {v} is not alive");
         let span = self.deletion_barrier();
-        let owner = self.owner_of(v);
-        let row_v = self.procs[owner].dv.row(v).to_vec();
-        self.cluster
-            .broadcast_cost(Phase::DynamicUpdate, owner, 4 + 4 * row_v.len());
+        let row_v = self.broadcast_rows(&[v]).swap_remove(0);
 
         let removed = self.world.remove_vertex(v);
         for rank in 0..self.procs.len() {
@@ -393,6 +358,29 @@ impl AnytimeEngine {
         self.feed_capture(true);
         removed
     }
+}
+
+/// The distinct endpoints of `edges`, in ascending order.
+fn distinct_endpoints(edges: &[(VertexId, VertexId, Weight)]) -> Vec<VertexId> {
+    let mut endpoints: Vec<VertexId> = edges.iter().flat_map(|&(u, v, _)| [u, v]).collect();
+    endpoints.sort_unstable();
+    endpoints.dedup();
+    endpoints
+}
+
+/// The broadcast rows of each edge's two endpoints, where `rows` is parallel
+/// to `endpoints` and every endpoint of `edges` is among them.
+fn rows_of_edges<'a>(
+    edges: &[(VertexId, VertexId, Weight)],
+    endpoints: &[VertexId],
+    rows: &'a [Vec<Weight>],
+) -> Vec<(&'a [Weight], &'a [Weight])> {
+    let row_of = |x: VertexId| {
+        let found = endpoints.iter().zip(rows).find(|&(&e, _)| e == x);
+        found.map(|(_, row)| row.as_slice()).unwrap_or_default()
+    };
+    let pairs = edges.iter().map(|&(u, v, _)| (row_of(u), row_of(v)));
+    pairs.collect()
 }
 
 /// Relaxes owned row `x` through the new edge `(u, v, w)`, given both
@@ -489,10 +477,10 @@ fn affected_targets_vertex(
     out
 }
 
-/// Applies an invalidation rule to every owned row and every cached external
-/// row of `ps` and repairs the owned rows it raised, at a cost that follows
-/// the affected set: `affected(row, x, exact)` is asked once per row, only
-/// the raised columns are recomputed, and only they join the frontier.
+/// Applies an invalidation rule to every row of `ps`, owned then cached, and
+/// repairs the owned rows it raised, at a cost that follows the affected set:
+/// `affected(row, x, exact)` is asked once per row, only the raised columns
+/// are recomputed, and only they join the frontier.
 // aa-lint: allow(AA07, rows are full-width (world capacity) and every indexed id comes from the same world)
 fn invalidate_and_reseed<F>(ps: &mut ProcState, tally: &mut InvalidationTally, affected: F)
 where
@@ -502,43 +490,41 @@ where
     if reference::is_whole_row() {
         return reference::invalidate_and_reseed(ps, tally, affected);
     }
-    // One decision per owned row, on the exact row the barrier left. The
-    // receivers hold the same row and decide the same, so a raised entry
-    // leaves the row's unsent log; the write that lowers it again logs it,
-    // whatever retransmit acks left in the log before.
+    // One decision per row, on the exact row the barrier left. The receivers
+    // of an owned row hold the same row and decide the same, so a raised
+    // entry leaves the row's unsent log; the write that lowers it again logs
+    // it, whatever retransmit acks left in the log before. A cached copy is
+    // one of those receivers: its reset entries are stale-high (safe), the
+    // kept ones remain usable for re-relaxation. A copy in use — its vertex
+    // still borders this rank — equals its owner's row at quiescence: every
+    // change dirtied the row, a dirty row goes to every bordering rank, and
+    // the barrier waited for each ack (DESIGN §8; `check_invariants`). A
+    // copy nothing borders any more is as old as its last delivery: whole
+    // scan.
     let mut raised: Vec<(VertexId, Vec<usize>)> = Vec::new();
-    for x in ps.dv.vertices().to_vec() {
-        let targets = affected(ps.dv.row(x), x, true);
-        tally.owned.note(targets.len());
-        if targets.is_empty() {
-            continue;
-        }
-        #[cfg(test)]
-        reference::note_reset(ps.rank, true, x, &targets);
-        ps.dv.raise_entries(x, &targets);
-        #[cfg(test)]
-        ps.mirror_raise(x, &targets);
-        raised.push((x, targets));
-    }
-    // Cached external rows get the same treatment: reset entries are stale-
-    // high (safe); valid entries remain usable for re-relaxation. A copy in
-    // use — its vertex still borders this rank — equals its owner's row at
-    // quiescence: every change dirtied the row, a dirty row goes to every
-    // bordering rank, and the barrier waited for each ack (DESIGN §8). A copy
-    // nothing borders any more is as old as its last delivery: whole scan.
-    let cached: Vec<VertexId> = ps.ext_rows.keys().copied().collect();
-    for b in cached {
-        let in_use = !ps.adj[b as usize].is_empty();
-        let Some(row) = ps.ext_rows.get_mut(&b) else {
-            continue;
+    for owned in [true, false] {
+        let (store, tally) = match owned {
+            true => (&mut ps.dv, &mut tally.owned),
+            false => (&mut ps.cache, &mut tally.cached),
         };
-        let targets = affected(row, b, in_use);
-        tally.cached.note(targets.len());
-        #[cfg(test)]
-        reference::note_reset(ps.rank, false, b, &targets);
-        for t in targets {
-            row[t] = INF;
+        for x in store.vertices().to_vec() {
+            let exact = owned || !ps.adj[x as usize].is_empty();
+            let targets = affected(store.row(x), x, exact);
+            tally.note(targets.len());
+            if targets.is_empty() {
+                continue;
+            }
+            #[cfg(test)]
+            reference::note_reset(ps.rank, owned, x, &targets);
+            store.raise_entries(x, &targets);
+            if owned {
+                raised.push((x, targets));
+            }
         }
+    }
+    #[cfg(test)]
+    for (x, targets) in &raised {
+        ps.mirror_raise(*x, targets);
     }
     // Bounded recompute (SSSP-Del): the kept entries of a raised row are
     // exact on the graph as it is now — no deleted edge supported them — and
@@ -624,14 +610,13 @@ pub(crate) mod reference {
         });
     }
 
-    /// Runs `f` and returns, with its result, what the deletions in it reset
-    /// — sorted, since cached copies are visited in hash order.
+    /// Runs `f` and returns, with its result, what the deletions in it
+    /// reset, in the order they reset it: rank by rank, owned rows then
+    /// cached copies, each store in row order.
     pub(crate) fn recording<R>(f: impl FnOnce() -> R) -> (R, Vec<Reset>) {
         RESETS.with(|r| r.replace(Some(Vec::new())));
         let out = f();
-        let mut resets = RESETS.with(RefCell::take).unwrap_or_default();
-        resets.sort_unstable();
-        (out, resets)
+        (out, RESETS.with(RefCell::take).unwrap_or_default())
     }
 
     pub(crate) fn invalidate_and_reseed<F>(
@@ -662,19 +647,15 @@ pub(crate) mod reference {
                 }
             }
         }
-        let cached: Vec<VertexId> = ps.ext_rows.keys().copied().collect();
-        for b in cached {
-            let row = ps.ext_rows.get_mut(&b).expect("key just listed");
-            let targets = affected(row, b, false);
+        for b in ps.cache.vertices().to_vec() {
+            let targets = affected(ps.cache.row(b), b, false);
             tally.cached.note(targets.len());
             note_reset(ps.rank, false, b, &targets);
-            for t in targets {
-                row[t] = INF;
-            }
+            ps.cache.raise_entries(b, &targets);
         }
         for &x in &dirtied {
             let fresh = ps.local_sssp(x, crate::config::IaAlgorithm::Dijkstra);
-            ps.merge_row_min(x, &fresh);
+            ps.dv.relax_with_external(x, &fresh, 0);
             ps.relax_from_cache(x, &ColumnSet::EVERY);
             ps.dirty.insert(x);
         }

@@ -743,8 +743,10 @@ impl AnytimeEngine {
     }
 
     /// Internal consistency checks (tests): every live vertex has exactly one
-    /// owning row; views agree with the partition; a converged engine has
-    /// every change log empty and no cached row unrelaxed.
+    /// owning row, which no rank also caches; views agree with the partition;
+    /// a converged engine has every change log empty, and every cached copy
+    /// whose vertex still borders its rank equals the owner's row — the
+    /// premise deletions decide on (`dynamic::invalidate_and_reseed`).
     // aa-lint: allow(AA07, the diagnostic tables are sized to world capacity and row vertex ids are below it)
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut owned = vec![0usize; self.world.capacity()];
@@ -758,8 +760,7 @@ impl AnytimeEngine {
                     return Err(format!("proc {} owns {v} against the partition", ps.rank));
                 }
             }
-            let mut frontier = ps.dv.frontier().chain(ps.ext_unrelaxed.iter().copied());
-            if let Some(v) = frontier.next().filter(|_| self.converged) {
+            if let Some(v) = ps.frontier().next().filter(|_| self.converged) {
                 return Err(format!("converged, but row {v} is on the frontier"));
             }
         }
@@ -770,6 +771,19 @@ impl AnytimeEngine {
                     "vertex {v}: {} owners, expected {expect}",
                     owned[v as usize]
                 ));
+            }
+        }
+        for ps in &self.procs {
+            for &b in ps.cache.vertices() {
+                if ps.dv.has_row(b) {
+                    return Err(format!("proc {} owns row {b} and caches it", ps.rank));
+                }
+                let in_use = self.converged && !ps.adj[b as usize].is_empty();
+                let owner = self.partition.part_of(b).filter(|_| in_use);
+                if owner.is_some_and(|rank| self.procs[rank].dv.row(b) != ps.cache.row(b)) {
+                    let rank = ps.rank;
+                    return Err(format!("converged, but proc {rank} holds a stale row {b}"));
+                }
             }
         }
         Ok(())

@@ -6,6 +6,12 @@
 //! of cut edges owned elsewhere, which "act as bridges that connect the
 //! neighbouring sub-graphs". External vertices appear in the adjacency view
 //! but are never expanded: their own neighbourhoods are unknown here.
+//!
+//! Both kinds of vertex have the one kind of distance vector: `dv` holds the
+//! owned rows, `cache` the copies of external boundary rows as last received,
+//! and the propagation invariant stated in `dv.rs` covers an edge out of
+//! either. The frontier is therefore `cache.frontier()` then `dv.frontier()`,
+//! and whatever walks the rows walks both stores, in row order.
 
 use crate::dv::{ColumnSet, DistanceMatrix};
 use aa_graph::{Graph, VertexId, Weight, INF};
@@ -91,16 +97,9 @@ pub struct ProcState {
     pub is_local: Vec<bool>,
     /// Distance vectors of owned vertices.
     pub dv: DistanceMatrix,
-    /// Cached DV rows of external boundary vertices, as last received.
-    pub ext_rows: HashMap<VertexId, Vec<Weight>>,
-    /// Cached external rows whose local neighbours may be behind the cached
-    /// values on any column — a broadcast replaced the cache, or the
-    /// adjacency around it changed. They are the cached half of the
-    /// frontier: [`Self::propagate`] relaxes their neighbours densely, unless
-    /// an update of the row gets there first. For every other cached row `b`
-    /// and local neighbour `u` over an edge of weight `w`,
-    /// `row_u[c] <= ext_rows[b][c] + w` on all columns.
-    pub ext_unrelaxed: HashSet<VertexId>,
+    /// Copies of the distance vectors of external boundary vertices, as last
+    /// received. Never the row of a vertex `dv` holds.
+    pub cache: DistanceMatrix,
     /// Owned vertices whose rows changed since they were last sent.
     pub dirty: HashSet<VertexId>,
     /// Per boundary row: processors that already hold a copy (and can
@@ -128,8 +127,7 @@ impl ProcState {
             adj: vec![Vec::new(); capacity],
             is_local: vec![false; capacity],
             dv: DistanceMatrix::new(capacity),
-            ext_rows: HashMap::new(),
-            ext_unrelaxed: HashSet::new(),
+            cache: DistanceMatrix::new(capacity),
             dirty: HashSet::new(),
             sent_to: HashMap::new(),
             #[cfg(test)]
@@ -218,8 +216,8 @@ impl ProcState {
     /// and a partition. Does **not** touch the distance values or caches —
     /// callers decide what survives (everything after initial decomposition,
     /// migrated rows after repartitioning) — but the new adjacency may make
-    /// any two surviving rows neighbours, so every owned row is marked
-    /// all-columns and every cached row unrelaxed.
+    /// any two surviving rows neighbours, so every row, owned or cached, is
+    /// marked all-columns.
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
     pub fn rebuild_view(&mut self, world: &Graph, partition: &Partition) {
         let cap = world.capacity();
@@ -243,8 +241,7 @@ impl ProcState {
             }
         }
         self.dv.mark_all_rows();
-        // aa-lint: allow(AA04, set-to-set copy of every key; the result is identical for every visit order)
-        self.ext_unrelaxed.extend(self.ext_rows.keys());
+        self.cache.mark_all_rows();
         // Local-local edges got pushed once from each side already; external
         // entries were pushed from the local side only. Nothing to dedup: the
         // loop above adds each (local, local) edge to both lists exactly once
@@ -279,8 +276,8 @@ impl ProcState {
 
     /// Records an edge in the adjacency view if at least one endpoint is
     /// local. Mirrors [`Self::rebuild_view`]'s shape. Nothing has been
-    /// relaxed over the new edge yet, so an owned endpoint is marked
-    /// all-columns and a cached one unrelaxed.
+    /// relaxed over the new edge yet, so an endpoint with a row, owned or
+    /// cached, is marked all-columns.
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
     pub fn view_add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
         if !self.is_local[u as usize] && !self.is_local[v as usize] {
@@ -288,11 +285,11 @@ impl ProcState {
         }
         self.adj[u as usize].push((v, w));
         self.adj[v as usize].push((u, w));
-        for x in [u, v] {
-            if self.dv.has_row(x) {
-                self.dv.mark_all_columns(x);
-            } else if self.ext_rows.contains_key(&x) {
-                self.ext_unrelaxed.insert(x);
+        for store in [&mut self.dv, &mut self.cache] {
+            for x in [u, v] {
+                if store.has_row(x) {
+                    store.mark_all_columns(x);
+                }
             }
         }
     }
@@ -316,10 +313,7 @@ impl ProcState {
         self.adj.resize(new_cap, Vec::new());
         self.is_local.resize(new_cap, false);
         self.dv.extend_cols(new_cap);
-        // aa-lint: allow(AA04, independent per-row resize; no cross-row state, order cannot leak)
-        for row in self.ext_rows.values_mut() {
-            row.resize(new_cap, INF);
-        }
+        self.cache.extend_cols(new_cap);
         #[cfg(test)]
         // aa-lint: allow(AA04, independent per-row resize; no cross-row state, order cannot leak)
         for row in self.shadow.values_mut() {
@@ -329,61 +323,41 @@ impl ProcState {
 
     /// Caches a broadcast copy of `v`'s row if `v` is an external boundary
     /// vertex here, so later invalidations can re-relax from it. The copy
-    /// replaces the cache without relaxing `v`'s local neighbours against
-    /// it, which marks the cached row unrelaxed.
+    /// replaces the cached row with values `v`'s local neighbours have not
+    /// been relaxed against on any column: its log is all-columns.
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
     pub fn cache_broadcast_row(&mut self, v: VertexId, row: &[Weight]) {
         if !self.is_local[v as usize] && !self.adj[v as usize].is_empty() {
-            self.ext_rows.insert(v, row.to_vec());
-            self.ext_unrelaxed.insert(v);
+            self.cache.replace_row(v, row.to_vec(), ColumnSet::EVERY);
         }
     }
 
     /// Drops the cached copy of `v`'s row.
     pub fn forget_external_row(&mut self, v: VertexId) {
-        self.ext_rows.remove(&v);
-        self.ext_unrelaxed.remove(&v);
-    }
-
-    /// Applies a received boundary-row update: replaces or patches the cached
-    /// copy, then relaxes the adjacent local rows.
-    // aa-lint: allow(AA07, delta columns index a row resized to world capacity first, and senders share the same world whose capacity every processor extends before exchanging)
-    pub fn apply_row_update(&mut self, v: VertexId, update: RowUpdate) {
-        match update {
-            RowUpdate::Full(row) => self.apply_external_row(v, row),
-            RowUpdate::Delta(delta) => {
-                let cap = self.adj.len();
-                let row = self.ext_rows.entry(v).or_insert_with(|| vec![INF; cap]);
-                row.resize(cap, INF);
-                // Every column the sender lists, not only those that lower
-                // the cache: a broadcast may have refreshed the cache with
-                // the same values before the neighbours saw them.
-                let mut cols = ColumnSet::empty(cap);
-                for &(col, val) in &delta {
-                    if val < row[col as usize] {
-                        row[col as usize] = val;
-                    }
-                    cols.insert(col as usize);
-                }
-                if self.ext_unrelaxed.remove(&v) {
-                    cols = ColumnSet::EVERY;
-                }
-                self.relax_through_cached(v, &cols)
-            }
+        if self.cache.has_row(v) {
+            self.cache.take_row(v);
         }
     }
 
-    /// Relaxes every local neighbour of external vertex `v` against its
-    /// cached row on the columns `cols`, marking improved rows dirty (their
-    /// logs put them on the frontier).
-    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
-    fn relax_through_cached(&mut self, v: VertexId, cols: &ColumnSet) {
-        let Some(row) = self.ext_rows.get(&v) else {
-            return;
-        };
-        for &(u, w) in &self.adj[v as usize] {
-            if self.is_local[u as usize] && self.dv.relax_with_external_on(u, row, w, cols) {
-                self.dirty.insert(u);
+    /// Applies a received boundary-row update to the cached copy, which logs
+    /// what its local neighbours now owe it — the next [`Self::propagate`]
+    /// relaxes them. A full row replaces the copy; only a finite entry can
+    /// lower anything, so those columns are the log whatever the copy held
+    /// before. A delta is a batch of lowering writes, onto an all-`INF` row
+    /// if no copy is held, and logs exactly the entries it lowered.
+    pub fn apply_row_update(&mut self, v: VertexId, update: RowUpdate) {
+        match update {
+            RowUpdate::Full(row) => {
+                let finite = ColumnSet::finite_of(&row);
+                self.cache.replace_row(v, row, finite);
+            }
+            RowUpdate::Delta(delta) => {
+                if !self.cache.has_row(v) {
+                    let cap = self.adj.len();
+                    self.cache
+                        .replace_row(v, vec![INF; cap], ColumnSet::empty(cap));
+                }
+                self.cache.lower_entries(v, &delta);
             }
         }
     }
@@ -500,84 +474,83 @@ impl ProcState {
         }
     }
 
-    /// Initial approximation: computes the local-sub-graph APSP rows for all
-    /// owned vertices, each SSSP running straight into its distance vector.
-    /// Marks every row dirty.
-    pub fn initial_approximation(&mut self, algo: crate::config::IaAlgorithm) {
-        // The SSSPs read the view while writing the matrix: take the matrix
+    /// Runs the local SSSP from owned vertex `s` straight into its distance
+    /// vector, and marks the row dirty.
+    pub fn seed_row(&mut self, s: VertexId, algo: crate::config::IaAlgorithm) {
+        // The SSSP reads the view while writing the matrix: take the matrix
         // out of `self` for the duration.
         let mut dv = std::mem::take(&mut self.dv);
-        for s in dv.vertices().to_vec() {
-            self.local_sssp_into(s, algo, dv.row_mut(s));
-            self.dirty.insert(s);
+        self.local_sssp_into(s, algo, dv.row_mut(s));
+        self.dv = dv;
+        self.dirty.insert(s);
+    }
+
+    /// Initial approximation: computes the local-sub-graph APSP rows for all
+    /// owned vertices ([`Self::seed_row`]).
+    pub fn initial_approximation(&mut self, algo: crate::config::IaAlgorithm) {
+        for s in self.dv.vertices().to_vec() {
+            self.seed_row(s, algo);
         }
         // Exact local shortest paths obey the triangle inequality over every
         // local edge, so the propagation invariant holds on all columns.
-        dv.clear_logs();
-        self.dv = dv;
+        self.dv.clear_logs();
     }
 
-    /// Stores a received external boundary row and relaxes the adjacent local
-    /// rows against it.
-    pub fn apply_external_row(&mut self, v: VertexId, mut row: Vec<Weight>) {
-        // The sender's column count can momentarily trail ours mid-batch;
-        // pad defensively.
-        row.resize(self.adj.len(), INF);
-        // Only a finite entry can lower anything, so these columns make the
-        // relaxation as good as a dense one whatever the cache held before.
-        let cols = ColumnSet::finite_of(&row);
-        self.ext_rows.insert(v, row);
-        self.ext_unrelaxed.remove(&v);
-        self.relax_through_cached(v, &cols)
+    /// The frontier: the rows, cached then owned, that still owe their
+    /// local neighbours a relaxation.
+    pub fn frontier(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.cache.frontier().chain(self.dv.frontier())
     }
 
     /// Whether this processor has nothing left to do or to say: no row on
-    /// the frontier, owned or cached, none waiting to be sent, no send
-    /// unacknowledged.
+    /// the frontier, none waiting to be sent, no send unacknowledged.
     pub fn is_quiescent(&self) -> bool {
-        self.dirty.is_empty()
-            && self.outstanding.is_empty()
-            && self.ext_unrelaxed.is_empty()
-            && self.dv.frontier().next().is_none()
+        self.dirty.is_empty() && self.outstanding.is_empty() && self.frontier().next().is_none()
     }
 
     /// Label-correcting propagation over local edges until the frontier is
-    /// empty, which is the local fixed point. Unrelaxed cached rows go first
-    /// (what they lower joins the frontier); then a popped row relaxes its
-    /// local neighbours on the columns in its change log, which is then
-    /// cleared, and a neighbour it lowers joins the queue. Marks improved
-    /// rows dirty. Returns whether anything was on the frontier.
+    /// empty, which is the local fixed point: a popped row, owned or cached,
+    /// relaxes its local neighbours on the columns in its change log, which
+    /// is then cleared, and a neighbour it lowers joins the queue. Marks
+    /// improved rows dirty. Returns whether an owned row was on the frontier
+    /// or joined it.
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
     pub fn propagate(&mut self) -> bool {
-        // aa-lint: allow(AA04, each cached row min-relaxes its own neighbours; the rows left behind are the same for every visit order)
-        let unrelaxed: Vec<VertexId> = self.ext_unrelaxed.drain().collect();
-        for &b in &unrelaxed {
-            self.relax_through_cached(b, &ColumnSet::EVERY);
-        }
-        let mut queue: VecDeque<VertexId> = self.dv.frontier().collect();
+        let mut queue: VecDeque<VertexId> = self.frontier().collect();
         if queue.is_empty() {
-            return !unrelaxed.is_empty();
+            return false;
         }
         let mut queued = vec![false; self.adj.len()];
         for &v in &queue {
             queued[v as usize] = true;
         }
+        let mut moved = false;
         while let Some(v) = queue.pop_front() {
             queued[v as usize] = false;
+            let cached = self.cache.logged_row(v);
             for &(u, w) in &self.adj[v as usize] {
                 if !self.is_local[u as usize] {
                     continue;
                 }
-                if self.dv.relax_rows_logged(u, v, w) {
+                let lowered = match cached {
+                    Some((row, log)) => self.dv.relax_with_external_on(u, row, w, log),
+                    None => self.dv.relax_rows_on(u, v, w, true),
+                };
+                if lowered {
                     self.dirty.insert(u);
                     if !std::mem::replace(&mut queued[u as usize], true) {
                         queue.push_back(u);
                     }
                 }
             }
-            self.dv.clear_log(v);
+            if cached.is_some() {
+                self.cache.clear_log(v);
+            } else {
+                self.dv.clear_log(v);
+                moved = true;
+            }
         }
-        true
+        moved
     }
 
     /// The papers' Floyd–Warshall refinement variant: one pass relaxing every
@@ -601,7 +574,7 @@ impl ProcState {
                     continue;
                 }
                 let offset = self.dv.row(u)[l as usize];
-                if offset != INF && self.dv.relax_rows(u, l, offset) {
+                if offset != INF && self.dv.relax_rows_on(u, l, offset, false) {
                     changed = true;
                     self.dirty.insert(u);
                 }
@@ -612,7 +585,7 @@ impl ProcState {
 
     /// Re-relaxes the columns `cols` of local vertex `u` through the cached
     /// rows of its external neighbours (deletion invalidation raised those
-    /// entries; on every other column the cached-row invariant still holds).
+    /// entries; on every other column the propagation invariant still holds).
     /// Returns whether the row improved.
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
     pub fn relax_from_cache(&mut self, u: VertexId, cols: &ColumnSet) -> bool {
@@ -621,22 +594,13 @@ impl ProcState {
             if self.is_local[b as usize] {
                 continue;
             }
-            if let Some(row) = self.ext_rows.get(&b) {
-                if self.dv.relax_with_external_on(u, row, w, cols) {
-                    changed = true;
-                    self.dirty.insert(u);
-                }
+            let Some((row, _)) = self.cache.logged_row(b) else {
+                continue;
+            };
+            if self.dv.relax_with_external_on(u, row, w, cols) {
+                changed = true;
+                self.dirty.insert(u);
             }
-        }
-        changed
-    }
-
-    /// Min-merges a freshly computed local-Dijkstra row into `u`'s stored row
-    /// (used when reseeding after invalidation). Marks dirty on change.
-    pub fn merge_row_min(&mut self, u: VertexId, fresh: &[Weight]) -> bool {
-        let changed = self.dv.relax_with_external(u, fresh, 0);
-        if changed {
-            self.dirty.insert(u);
         }
         changed
     }
@@ -670,7 +634,18 @@ mod tests {
     }
 
     fn frontier(ps: &ProcState) -> Vec<VertexId> {
-        ps.dv.frontier().collect()
+        ps.frontier().collect()
+    }
+
+    /// Rank 0 of [`split_path`] after its initial approximation, holding
+    /// rank 1's row of vertex 2 and at its local fixed point.
+    fn split_path_with_copy_of_2() -> ProcState {
+        let (_, _, mut p0, mut p1) = split_path();
+        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p1.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.apply_row_update(2, RowUpdate::Full(p1.dv.row(2).to_vec()));
+        p0.propagate();
+        p0
     }
 
     /// The message that takes row `u` to `dst`, as a retransmit builds it.
@@ -774,15 +749,18 @@ mod tests {
         let (_, _, mut p0, mut p1) = split_path();
         p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
         p1.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        // p1 sends row of vertex 2 to p0.
+        // p1 sends row of vertex 2 to p0: the copy joins the frontier, on
+        // its finite columns.
         let row2 = p1.dv.row(2).to_vec();
         p0.dirty.clear();
-        p0.apply_external_row(2, row2);
-        assert_eq!(frontier(&p0), vec![1]);
-        assert_eq!(p0.dv.row(1), &[1, 0, 1, 2]);
+        p0.apply_row_update(2, RowUpdate::Full(row2));
+        assert_eq!(frontier(&p0), vec![2]);
+        assert!(p0.cache.log(2).contains(3) && !p0.cache.log(2).contains(0));
         assert!(!p0.is_quiescent());
-        // Propagation carries it to vertex 0 and leaves the frontier empty.
+        // Propagation carries it to vertex 1, on to vertex 0, and leaves the
+        // frontier empty.
         assert!(p0.propagate());
+        assert_eq!(p0.dv.row(1), &[1, 0, 1, 2]);
         assert_eq!(p0.dv.row(0), &[0, 1, 2, 3]);
         assert!(p0.dirty.contains(&0) && p0.dirty.contains(&1));
         assert_eq!(frontier(&p0), vec![]);
@@ -795,7 +773,8 @@ mod tests {
         p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
         p1.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
         let row2 = p1.dv.row(2).to_vec();
-        p0.apply_external_row(2, row2);
+        p0.apply_row_update(2, RowUpdate::Full(row2));
+        assert!(p0.relax_from_cache(1, &ColumnSet::EVERY));
         // Row 1 now knows d(1,3)=2; a pivot pass through boundary vertex 1
         // must teach row 0.
         assert!(p0.pivot_pass());
@@ -821,21 +800,17 @@ mod tests {
     fn extend_capacity_grows_everything() {
         let (_, _, mut p0, _) = split_path();
         p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p0.ext_rows.insert(2, vec![2, 1, 0, 1]);
+        p0.cache_broadcast_row(2, &[2, 1, 0, 1]);
         p0.extend_capacity(6);
         assert_eq!(p0.adj.len(), 6);
         assert_eq!(p0.dv.col_count(), 6);
         assert_eq!(p0.dv.row(0)[5], INF);
-        assert_eq!(p0.ext_rows[&2].len(), 6);
+        assert_eq!(p0.cache.row(2), &[2, 1, 0, 1, INF, INF]);
     }
 
     #[test]
     fn relax_from_cache_uses_stored_rows() {
-        let (_, _, mut p0, mut p1) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p1.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        let row2 = p1.dv.row(2).to_vec();
-        p0.apply_external_row(2, row2);
+        let mut p0 = split_path_with_copy_of_2();
         // Wipe row 1's knowledge of vertex 3 and recover it from the cache.
         p0.dv.row_mut(1)[3] = INF;
         p0.dirty.clear();
@@ -847,13 +822,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_row_min_takes_pointwise_minimum() {
+    fn reseed_overwrites_and_offset_zero_relax_takes_the_minimum() {
         let (_, _, mut p0, _) = split_path();
         p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
         p0.dv.row_mut(0)[1] = INF;
-        assert!(p0.merge_row_min(0, &[9, 1, 9, 9]));
+        assert!(p0.dv.relax_with_external(0, &[9, 1, 9, 9], 0));
         assert_eq!(p0.dv.row(0), &[0, 1, 2, 9]);
-        assert!(!p0.merge_row_min(0, &[9, 9, 9, 9]));
+        assert!(!p0.dv.relax_with_external(0, &[9, 9, 9, 9], 0));
+        // A reseed is the local SSSP itself, not a merge into what was there.
+        p0.dirty.clear();
+        p0.seed_row(0, crate::config::IaAlgorithm::Dijkstra);
+        assert_eq!(p0.dv.row(0), &[0, 1, 2, INF]);
+        assert!(p0.dirty.contains(&0) && frontier(&p0) == [0]);
     }
 
     #[test]
@@ -930,22 +910,70 @@ mod tests {
 
     #[test]
     fn apply_delta_patches_cache_and_relaxes() {
-        let (_, _, mut p0, mut p1) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p1.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        let row2 = p1.dv.row(2).to_vec();
-        p0.apply_external_row(2, row2);
+        let mut p0 = split_path_with_copy_of_2();
         // p1 learns d(2,0) = 2 and ships only the delta.
-        p1.dv.row_mut(2)[0] = 2;
-        p0.propagate();
         p0.apply_row_update(2, RowUpdate::Delta(vec![(0, 2)]));
-        assert_eq!(p0.ext_rows[&2][0], 2);
-        assert_eq!(frontier(&p0), vec![], "no local row improves from this");
+        assert_eq!(p0.cache.row(2)[0], 2);
+        assert!(!p0.propagate(), "no local row improves from this");
+        assert_eq!(frontier(&p0), vec![]);
         // A useful delta: d(2,3) drops to 1 (already known) then d(2,3)=0 fake
         // improvement must relax local vertex 1.
         p0.apply_row_update(2, RowUpdate::Delta(vec![(3, 0)]));
-        assert_eq!(frontier(&p0), vec![1]);
+        assert_eq!(frontier(&p0), vec![2]);
+        assert!(p0.propagate());
         assert_eq!(p0.dv.row(1)[3], 1);
+    }
+
+    #[test]
+    fn a_delta_logs_exactly_what_it_lowers_and_propagates_only_there() {
+        let mut p0 = split_path_with_copy_of_2();
+        assert_eq!(p0.cache.row(2), &[INF, 1, 0, 1]);
+        assert_eq!(
+            (p0.dv.row(0), p0.dv.row(1)),
+            (&[0, 1, 2, 3][..], &[1, 0, 1, 2][..])
+        );
+        // Three entries: one lowers the copy, one equals it, one is above it.
+        p0.dirty.clear();
+        p0.apply_row_update(2, RowUpdate::Delta(vec![(0, 2), (3, 1), (2, 5)]));
+        assert_eq!(p0.cache.row(2), &[2, 1, 0, 1]);
+        let log = p0.cache.log(2);
+        assert!(log.contains(0) && !log.contains(1) && !log.contains(2) && !log.contains(3));
+        // Give the neighbour something to gain on an unlogged column too: the
+        // drain must not look there.
+        p0.dv.raise_entries(1, &[0, 3]);
+        p0.propagate();
+        assert_eq!(
+            p0.dv.row(1),
+            &[3, 0, 1, INF],
+            "column 0 relaxed, column 3 left"
+        );
+        assert_eq!(p0.dv.row(0), &[0, 1, 2, 3], "nothing beats d(0,0) = 0");
+        assert!(p0.dirty.contains(&1) && frontier(&p0).is_empty());
+    }
+
+    #[test]
+    fn a_duplicated_delivery_lowers_and_logs_nothing() {
+        let mut p0 = split_path_with_copy_of_2();
+        p0.apply_row_update(2, RowUpdate::Delta(vec![(0, 2)]));
+        p0.propagate();
+        p0.dirty.clear(); // as a fully acknowledged send leaves it
+        assert!(p0.is_quiescent());
+        let rows = (
+            p0.dv.row(0).to_vec(),
+            p0.dv.row(1).to_vec(),
+            p0.cache.row(2).to_vec(),
+        );
+        // The network delivers the same delta again.
+        p0.apply_row_update(2, RowUpdate::Delta(vec![(0, 2)]));
+        assert!(p0.cache.log(2).is_empty() && p0.is_quiescent());
+        assert!(!p0.propagate());
+        let after = (
+            p0.dv.row(0).to_vec(),
+            p0.dv.row(1).to_vec(),
+            p0.cache.row(2).to_vec(),
+        );
+        assert_eq!(after, rows);
+        assert!(p0.dirty.is_empty());
     }
 
     #[test]
@@ -953,10 +981,14 @@ mod tests {
         let (_, _, mut p0, _) = split_path();
         p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
         p0.apply_row_update(2, RowUpdate::Delta(vec![(3, 1)]));
-        assert_eq!(p0.ext_rows[&2][3], 1);
-        assert_eq!(p0.ext_rows[&2][0], INF);
-        assert_eq!(frontier(&p0), vec![1], "local 1 learns d(1,3) = 2");
-        assert_eq!(p0.dv.row(1)[3], 2);
+        assert_eq!(
+            p0.cache.row(2),
+            &[INF, INF, INF, 1],
+            "not add_row's d(2,2) = 0"
+        );
+        assert_eq!(frontier(&p0), vec![2]);
+        assert!(p0.propagate());
+        assert_eq!(p0.dv.row(1)[3], 2, "local 1 learns d(1,3) = 2");
     }
 
     #[test]

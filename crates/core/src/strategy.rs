@@ -273,11 +273,7 @@ impl AnytimeEngine {
                 continue; // duplicate inside the batch
             }
             attached.push((u, w));
-            let oupd = self.owner_of(u);
-            self.procs[ov].view_add_edge(v, u, w);
-            if oupd != ov {
-                self.procs[oupd].view_add_edge(v, u, w);
-            }
+            self.view_add_edge(v, u, w);
         }
         if attached.is_empty() {
             return;
@@ -396,9 +392,7 @@ impl AnytimeEngine {
             for &id in &ids {
                 if self.partition.part_of(id) == Some(rank) {
                     self.procs[rank].dv.add_row(id);
-                    let fresh = self.procs[rank].local_sssp(id, self.config.ia);
-                    self.procs[rank].merge_row_min(id, &fresh);
-                    self.procs[rank].dirty.insert(id);
+                    self.procs[rank].seed_row(id, self.config.ia);
                 }
             }
             self.cluster

@@ -72,11 +72,20 @@ impl Pair {
                 assert_eq!(a.dv.row(v), b.dv.row(v), "{what}: rank {rank} row {v}");
             }
             assert!(
-                a.dv.frontier().eq(b.dv.frontier()),
+                a.frontier().eq(b.frontier()),
                 "{what}: rank {rank} frontier"
             );
             assert_eq!(a.dirty, b.dirty, "{what}: rank {rank} dirty set");
-            assert_eq!(a.ext_rows, b.ext_rows, "{what}: rank {rank} cached rows");
+            let cached = a.cache.vertices();
+            assert_eq!(
+                cached,
+                b.cache.vertices(),
+                "{what}: rank {rank} cached rows"
+            );
+            for &v in cached {
+                let (ours, twins) = (a.cache.row(v), b.cache.row(v));
+                assert_eq!(ours, twins, "{what}: rank {rank} copy of row {v}");
+            }
             // The twin logs a lowered row all-columns for its neighbours and
             // exactly the lowered columns for the wire: same deltas, same
             // receivers, same baselines had they been kept.
@@ -121,13 +130,11 @@ impl Pair {
             assert_eq!(dense[v as usize], oracle[v as usize], "row {v} vs oracle");
         }
         for ps in &self.logged.procs {
-            let in_use = ps
-                .ext_rows
-                .iter()
-                .filter(|(&b, _)| !ps.adj[b as usize].is_empty());
-            for (&b, copy) in in_use {
+            let cached = ps.cache.vertices().iter();
+            for &b in cached.filter(|&&b| !ps.adj[b as usize].is_empty()) {
                 assert_eq!(
-                    copy, &oracle[b as usize],
+                    ps.cache.row(b),
+                    &oracle[b as usize][..],
                     "rank {} copy of row {b}",
                     ps.rank
                 );
@@ -387,19 +394,23 @@ fn delta_after_a_broadcast_refreshed_the_cache_still_reaches_the_neighbours() {
     p0.dv.add_row(0);
     p0.dv.add_row(1);
     p0.initial_approximation(IaAlgorithm::Dijkstra);
-    p0.apply_external_row(2, vec![2, 1, 0, 5]);
+    use crate::proc_state::RowUpdate;
+    p0.apply_row_update(2, RowUpdate::Full(vec![2, 1, 0, 5]));
     p0.propagate();
     assert_eq!(p0.dv.row(1), &[1, 0, 1, 6]);
 
     // The sender's d(2,3) drops to 1. A broadcast puts the new row in the
-    // cache first; the delta that follows lowers nothing in the cache.
+    // cache first; the delta that follows lowers nothing in the cache and
+    // logs nothing. What takes the new value to the neighbours is the
+    // all-columns mark the broadcast left on the copy.
     p0.cache_broadcast_row(2, &[2, 1, 0, 1]);
     assert_eq!(p0.dv.row(1)[3], 6, "a broadcast does not relax neighbours");
-    p0.apply_row_update(2, crate::proc_state::RowUpdate::Delta(vec![(3, 1)]));
-    assert_eq!(p0.dv.frontier().collect::<Vec<_>>(), [1]);
-    assert_eq!(p0.dv.row(1)[3], 2);
+    p0.apply_row_update(2, RowUpdate::Delta(vec![(3, 1)]));
+    assert_eq!(p0.frontier().collect::<Vec<_>>(), [2]);
+    assert!(p0.cache.log(2).contains(3) && p0.cache.log(2).contains(0));
     p0.propagate();
-    assert_eq!(p0.dv.row(0)[3], 3);
+    assert_eq!((p0.dv.row(1)[3], p0.dv.row(0)[3]), (2, 3));
+    assert!(p0.frontier().next().is_none());
 }
 
 #[test]
@@ -459,7 +470,7 @@ fn a_row_that_migrates_in_meets_the_rows_cached_there() {
         })
         .find(|pair| {
             let procs = &pair.logged.procs;
-            !procs[1].ext_rows.contains_key(&0) && procs[2].ext_rows.contains_key(&0)
+            !procs[1].cache.has_row(0) && procs[2].cache.has_row(0)
         })
         .expect("one seed in four does it");
     // u moves in with y before the retransmit: rank 2 already holds b's row
@@ -468,7 +479,8 @@ fn a_row_that_migrates_in_meets_the_rows_cached_there() {
     let mut part = pair.logged.partition().clone();
     part.assign(1, 2);
     pair.both("migrate", |e| e.migrate_to_partition(part.clone()));
-    assert!(pair.logged.procs[2].ext_unrelaxed.contains(&0));
+    let copy = pair.logged.procs[2].cache.log(0);
+    assert!(copy.contains(0) && copy.contains(3), "all-columns");
     pair.converge_and_check_oracle();
     assert_eq!(pair.logged.distances_dense()[1][3], 2);
 }
@@ -495,13 +507,20 @@ fn a_rank_that_owned_a_row_between_two_migrations_gets_the_full_row() {
     // as a receiver no more: one step brings it the whole row again.
     let mut away = home.clone();
     away.assign(2, there);
+    assert!(pair.logged.procs[there].cache.has_row(2));
     pair.both("migrate there", |e| e.migrate_to_partition(away.clone()));
-    assert!(!pair.logged.procs[there].sent_to[&2].contains(&there));
+    // The row arrives where its copy was: one owned row, and the copy gone.
+    let visited = &pair.logged.procs[there];
+    assert!(visited.dv.has_row(2) && !visited.cache.has_row(2));
+    pair.logged
+        .check_invariants()
+        .expect("no row owned and cached");
+    assert!(!visited.sent_to[&2].contains(&there));
     pair.both("migrate back", |e| e.migrate_to_partition(home.clone()));
-    assert!(!pair.logged.procs[there].ext_rows.contains_key(&2));
+    assert!(!pair.logged.procs[there].cache.has_row(2));
     pair.both("rc_step", AnytimeEngine::rc_step);
-    let owners = pair.logged.procs[back].dv.row(2).to_vec();
-    assert_eq!(pair.logged.procs[there].ext_rows.get(&2), Some(&owners));
+    let owners = pair.logged.procs[back].dv.row(2);
+    assert_eq!(pair.logged.procs[there].cache.row(2), owners);
     pair.converge_and_check_oracle();
 }
 
@@ -581,7 +600,25 @@ impl DeletionPair {
         let (want, reference) =
             whole_row::recording(|| whole_row::whole_row(|| f(&mut self.whole)));
         assert_eq!(got, want, "{what}: results differ");
-        assert_eq!(resets, reference, "{what}: reset sets");
+        assert_eq!(
+            resets, reference,
+            "{what}: reset sets, in the order visited"
+        );
+        // Rank by rank, owned rows then cached copies, each in row order.
+        let visited = self.bounded.procs.iter().flat_map(|ps| {
+            let owned = ps.dv.vertices().iter().map(|&v| (ps.rank, true, v));
+            owned.chain(ps.cache.vertices().iter().map(|&v| (ps.rank, false, v)))
+        });
+        let mut visited = visited.peekable();
+        for (rank, owned, v, _) in &resets {
+            let reset = (*rank, *owned, *v);
+            while visited.next_if(|&row| row != reset).is_some() {}
+            assert_eq!(
+                visited.next(),
+                Some(reset),
+                "{what}: reset out of row order"
+            );
+        }
         assert_eq!(
             self.bounded.obs.invalidation, self.whole.obs.invalidation,
             "{what}: tallies"
@@ -638,13 +675,15 @@ impl DeletionPair {
             // the unsent columns are where they differ.
             check_shadow(a, what);
             assert_eq!(a.dirty, b.dirty, "{what}: rank {rank} dirty set");
-            let (mut ka, mut kb): (Vec<_>, Vec<_>) =
-                (a.ext_rows.keys().collect(), b.ext_rows.keys().collect());
-            ka.sort_unstable();
-            kb.sort_unstable();
-            assert_eq!(ka, kb, "{what}: rank {rank} cached rows");
-            for (v, copy) in &a.ext_rows {
-                let lower = copy.iter().zip(&b.ext_rows[v]).all(|(new, old)| new <= old);
+            let cached = a.cache.vertices();
+            assert_eq!(
+                cached,
+                b.cache.vertices(),
+                "{what}: rank {rank} cached rows"
+            );
+            for &v in cached {
+                let mut copies = a.cache.row(v).iter().zip(b.cache.row(v));
+                let lower = copies.all(|(new, old)| new <= old);
                 assert!(lower, "{what}: rank {rank} copy of row {v} above reference");
             }
         }
@@ -802,7 +841,8 @@ fn deleting_an_edge_on_no_shortest_path_examines_every_row_and_resets_none() {
     let mut pair = DeletionPair::new(g, config);
     pair.converge_and_check_oracle();
     let before = pair.bounded.distances_dense();
-    let cached: usize = pair.bounded.procs.iter().map(|ps| ps.ext_rows.len()).sum();
+    let caches = pair.bounded.procs.iter().map(|ps| ps.cache.row_count());
+    let cached: usize = caches.sum();
     assert!(
         cached > 0,
         "two ranks on a path cache each other's boundary"
@@ -902,7 +942,8 @@ fn a_raised_entry_lowered_again_reaches_receivers_despite_retransmit_acks() {
     assert!(!holders.is_empty(), "a row with receivers");
     for r in holders {
         assert_eq!(
-            e.procs[r].ext_rows[&x][c], exact,
+            e.procs[r].cache.row(x)[c],
+            exact,
             "rank {r} copy of {x}[{c}]"
         );
     }
