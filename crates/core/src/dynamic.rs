@@ -242,33 +242,40 @@ impl AnytimeEngine {
             return 0;
         }
         let span = self.deletion_barrier();
-        // Pre-deletion rows of every distinct endpoint (exact: converged).
+        // Pre-deletion rows of every distinct endpoint (exact: converged),
+        // and from them each edge's candidate columns, once for all ranks.
         let endpoints = distinct_endpoints(&present);
         let rows = self.broadcast_rows(&endpoints);
         let via = rows_of_edges(&present, &endpoints, &rows);
+        let deleted: Vec<DeletedEdge> = (present.iter().zip(&via))
+            .map(|(&edge, &(row_u, row_v))| DeletedEdge::new(edge, row_u, row_v))
+            .collect();
         for &(u, v, _) in &present {
             self.world.remove_edge(u, v);
         }
+        let mut tested = 0u64;
         for rank in 0..self.procs.len() {
             let t = Stopwatch::start();
             for &(u, v, _) in &present {
                 self.procs[rank].view_remove_edge(u, v);
             }
+            self.evict_unbordered(rank);
             let tally = &mut self.obs.invalidation;
-            invalidate_and_reseed(&mut self.procs[rank], tally, |row, x, exact| {
+            invalidate_and_reseed(&mut self.procs[rank], tally, |row, x| {
                 let mut targets = Vec::new();
-                for (&edge, &(row_u, row_v)) in present.iter().zip(&via) {
-                    targets.extend(affected_targets_edge(row, x, edge, row_u, row_v, exact));
+                for edge in &deleted {
+                    tested += edge.affected_targets(row, x, &mut targets);
                 }
-                if present.len() > 1 {
-                    targets.sort_unstable();
-                    targets.dedup();
-                }
+                // Ascending, each once, whichever edges and directions
+                // contributed.
+                targets.sort_unstable();
+                targets.dedup();
                 targets
             });
             self.cluster
                 .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
         }
+        self.obs.candidate_columns += tested;
         self.converged = false;
         let n = present.len();
         self.span_close(span, "dynamic-update", format!("delete-edges n={n}"));
@@ -345,8 +352,11 @@ impl AnytimeEngine {
                 ps.outstanding.retain(|&(u, _), _| u != v);
             }
             ps.is_local[v as usize] = false;
-            ps.forget_external_row(v);
-            invalidate_and_reseed(ps, &mut self.obs.invalidation, |row, x, _| {
+            // `v`'s copies go, and with them the neighbours' copies on the
+            // ranks that bordered them only through `v`.
+            self.evict_unbordered(rank);
+            let (ps, tally) = (&mut self.procs[rank], &mut self.obs.invalidation);
+            invalidate_and_reseed(ps, tally, |row, x| {
                 affected_targets_vertex(row, x, v, &row_v)
             });
             self.cluster
@@ -412,41 +422,85 @@ fn relax_row_through_edge(
     changed
 }
 
-/// Targets of row `x` (owner vertex `x`) invalidated by deleting edge
-/// `(u, v, w)`: entries whose value is ≥ the best path through the edge in
-/// either direction. `t == x` is never affected (`d(x,x)=0 < w ≥ 1`).
+/// A deleted edge `(u, v, w)` with the pre-deletion rows of its endpoints
+/// and, per direction, its **candidate columns**: the only entries any row
+/// can lose to the deletion.
 ///
-/// Tightness filter: on an `exact` row the scan can only find something if
-/// the edge is tight for `x`, `d(x,u) + w = d(x,v)` or the mirror image.
-/// Otherwise `d(x,u) + w > d(x,v)`, so `d(x,u) + w + d(v,t) > d(x,v) + d(v,t)
-/// >= d(x,t)` for every `t` by the triangle inequality, and likewise through
-/// `v` first: no entry reaches its threshold, and two lookups say so.
-// aa-lint: allow(AA07, rows are full-width (world capacity) and every indexed id comes from the same world)
-fn affected_targets_edge(
-    row: &[Weight],
-    x: VertexId,
-    (u, v, w): (VertexId, VertexId, Weight),
-    row_u: &[Weight],
-    row_v: &[Weight],
-    exact: bool,
-) -> Vec<usize> {
-    let a = row[u as usize].saturating_add(w); // d(x, u) + w
-    let b = row[v as usize].saturating_add(w); // d(x, v) + w
-    let mut out = Vec::new();
-    if exact && a > row[v as usize] && b > row[u as usize] {
-        return out;
-    }
-    for (t, &d) in row.iter().enumerate() {
-        if d == INF || t == x as usize {
-            continue;
+/// On exact rows, `d(x,t) = d(x,u) + w + d(v,t)` — `x` reaches `t` over
+/// `u → v` — implies `d(u,t) = w + d(v,t)`, because sub-paths of shortest
+/// paths are shortest. So whatever `x` is, `t` lies in `B_uv = {t : row_u[t]
+/// = w + row_v[t]}`, which the two broadcast rows give every rank once per
+/// edge; and on those columns the threshold `d(x,u) + w + d(v,t)` reads
+/// `d(x,u) + row_u[t]`, kept beside the column.
+struct DeletedEdge {
+    edge: (VertexId, VertexId, Weight),
+    /// `B_uv` as `(t, row_u[t])`, ascending in `t`.
+    beyond_v: Vec<(u32, Weight)>,
+    /// `B_vu` as `(t, row_v[t])`, ascending in `t`.
+    beyond_u: Vec<(u32, Weight)>,
+    /// The endpoint rows themselves, which the whole-row reference scans by.
+    #[cfg(test)]
+    rows: (Vec<Weight>, Vec<Weight>),
+}
+
+impl DeletedEdge {
+    fn new(edge: (VertexId, VertexId, Weight), row_u: &[Weight], row_v: &[Weight]) -> Self {
+        let w = edge.2;
+        // The columns `near` reaches over the edge, through `far`.
+        let beyond = |near: &[Weight], far: &[Weight]| {
+            let columns = near.iter().zip(far).enumerate();
+            columns
+                .filter(|&(_, (&n, &f))| n != INF && n == f.saturating_add(w))
+                .filter_map(|(t, (&n, _))| Some((u32::try_from(t).ok()?, n)))
+                .collect()
+        };
+        DeletedEdge {
+            edge,
+            beyond_v: beyond(row_u, row_v),
+            beyond_u: beyond(row_v, row_u),
+            #[cfg(test)]
+            rows: (row_u.to_vec(), row_v.to_vec()),
         }
-        let via_uv = a.saturating_add(row_v[t]);
-        let via_vu = b.saturating_add(row_u[t]);
-        if d >= via_uv.min(via_vu) {
-            out.push(t);
-        }
     }
-    out
+
+    /// Appends to `out` the targets of row `x` (owner vertex `x`) the
+    /// deletion invalidates — entries whose value is ≥ the best path through
+    /// the edge in either direction; `t == x` is never affected (`d(x,x) = 0
+    /// < w ≥ 1`) — and returns how many candidate entries it tested.
+    ///
+    /// Tightness filter: a direction can only find something if the edge is
+    /// tight for `x` that way, `d(x,u) + w = d(x,v)`. Otherwise `d(x,u) + w >
+    /// d(x,v)`, so `d(x,u) + w + d(v,t) > d(x,v) + d(v,t) >= d(x,t)` for
+    /// every `t` by the triangle inequality: two lookups say so. With `w ≥ 1`
+    /// at most one direction is tight.
+    fn affected_targets(&self, row: &[Weight], x: VertexId, out: &mut Vec<usize>) -> u64 {
+        let (u, v, w) = self.edge;
+        #[cfg(test)]
+        if reference::is_whole_row() {
+            let (row_u, row_v) = &self.rows;
+            out.extend(reference::affected_targets_edge(
+                row, x, self.edge, row_u, row_v,
+            ));
+            return 0;
+        }
+        let (Some(&du), Some(&dv)) = (row.get(u as usize), row.get(v as usize)) else {
+            return 0;
+        };
+        let mut tested = 0;
+        for (near, far, beyond) in [(du, dv, &self.beyond_v), (dv, du, &self.beyond_u)] {
+            if near == INF || near.saturating_add(w) > far {
+                continue;
+            }
+            tested += beyond.len() as u64;
+            for &(t, through) in beyond {
+                let reset = |&d: &Weight| d != INF && d >= near.saturating_add(through);
+                if t != x && row.get(t as usize).is_some_and(reset) {
+                    out.push(t as usize);
+                }
+            }
+        }
+        tested
+    }
 }
 
 /// Targets of row `x` invalidated by deleting vertex `v`: the column `v`
@@ -479,12 +533,12 @@ fn affected_targets_vertex(
 
 /// Applies an invalidation rule to every row of `ps`, owned then cached, and
 /// repairs the owned rows it raised, at a cost that follows the affected set:
-/// `affected(row, x, exact)` is asked once per row, only the raised columns
-/// are recomputed, and only they join the frontier.
+/// `affected(row, x)` is asked once per row, only the raised columns are
+/// recomputed, and only they join the frontier.
 // aa-lint: allow(AA07, rows are full-width (world capacity) and every indexed id comes from the same world)
-fn invalidate_and_reseed<F>(ps: &mut ProcState, tally: &mut InvalidationTally, affected: F)
+fn invalidate_and_reseed<F>(ps: &mut ProcState, tally: &mut InvalidationTally, mut affected: F)
 where
-    F: Fn(&[Weight], VertexId, bool) -> Vec<usize>,
+    F: FnMut(&[Weight], VertexId) -> Vec<usize>,
 {
     #[cfg(test)]
     if reference::is_whole_row() {
@@ -495,12 +549,11 @@ where
     // entry leaves the row's unsent log; the write that lowers it again logs
     // it, whatever retransmit acks left in the log before. A cached copy is
     // one of those receivers: its reset entries are stale-high (safe), the
-    // kept ones remain usable for re-relaxation. A copy in use — its vertex
-    // still borders this rank — equals its owner's row at quiescence: every
-    // change dirtied the row, a dirty row goes to every bordering rank, and
-    // the barrier waited for each ack (DESIGN §8; `check_invariants`). A
-    // copy nothing borders any more is as old as its last delivery: whole
-    // scan.
+    // kept ones remain usable for re-relaxation. Every copy is exact here: a
+    // copy exists only while its vertex borders this rank (eviction), and
+    // then it equals its owner's row at quiescence — every change dirtied
+    // the row, a dirty row goes to every bordering rank, and the barrier
+    // waited for each ack (DESIGN §8; `check_invariants`).
     let mut raised: Vec<(VertexId, Vec<usize>)> = Vec::new();
     for owned in [true, false] {
         let (store, tally) = match owned {
@@ -508,8 +561,7 @@ where
             false => (&mut ps.cache, &mut tally.cached),
         };
         for x in store.vertices().to_vec() {
-            let exact = owned || !ps.adj[x as usize].is_empty();
-            let targets = affected(store.row(x), x, exact);
+            let targets = affected(store.row(x), x);
             tally.note(targets.len());
             if targets.is_empty() {
                 continue;
@@ -619,16 +671,41 @@ pub(crate) mod reference {
         (out, RESETS.with(RefCell::take).unwrap_or_default())
     }
 
+    /// The whole-row scan [`DeletedEdge::affected_targets`] replaced: every
+    /// entry of the row held to both directions' thresholds, no filter.
+    pub(crate) fn affected_targets_edge(
+        row: &[Weight],
+        x: VertexId,
+        (u, v, w): (VertexId, VertexId, Weight),
+        row_u: &[Weight],
+        row_v: &[Weight],
+    ) -> Vec<usize> {
+        let a = row[u as usize].saturating_add(w); // d(x, u) + w
+        let b = row[v as usize].saturating_add(w); // d(x, v) + w
+        let mut out = Vec::new();
+        for (t, &d) in row.iter().enumerate() {
+            if d == INF || t == x as usize {
+                continue;
+            }
+            let via_uv = a.saturating_add(row_v[t]);
+            let via_vu = b.saturating_add(row_u[t]);
+            if d >= via_uv.min(via_vu) {
+                out.push(t);
+            }
+        }
+        out
+    }
+
     pub(crate) fn invalidate_and_reseed<F>(
         ps: &mut ProcState,
         tally: &mut InvalidationTally,
-        affected: F,
+        mut affected: F,
     ) where
-        F: Fn(&[Weight], VertexId, bool) -> Vec<usize>,
+        F: FnMut(&[Weight], VertexId) -> Vec<usize>,
     {
         let mut dirtied = Vec::new();
         for x in ps.dv.vertices().to_vec() {
-            let targets = affected(ps.dv.row(x), x, false);
+            let targets = affected(ps.dv.row(x), x);
             tally.owned.note(targets.len());
             if targets.is_empty() {
                 continue;
@@ -648,7 +725,7 @@ pub(crate) mod reference {
             }
         }
         for b in ps.cache.vertices().to_vec() {
-            let targets = affected(ps.cache.row(b), b, false);
+            let targets = affected(ps.cache.row(b), b);
             tally.cached.note(targets.len());
             note_reset(ps.rank, false, b, &targets);
             ps.cache.raise_entries(b, &targets);
@@ -668,6 +745,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use aa_graph::{algo, generators, Graph};
+    use std::collections::HashSet;
 
     fn engine(g: Graph, p: usize) -> AnytimeEngine {
         let mut e = AnytimeEngine::new(
@@ -943,6 +1021,86 @@ mod tests {
         }
         e.run_to_convergence(32);
         assert_oracle(&e);
+    }
+
+    /// Every row of the exact APSP of `g` held to both paths for a `batch`
+    /// of deleted edges: per row and edge the candidate-column test and the
+    /// whole-row scan name the same targets, none outside `B_uv ∪ B_vu`; and
+    /// what no edge of the batch names is still exact once the batch is gone.
+    /// Returns how many entries the batch supports.
+    fn candidate_columns_equal_the_whole_row_scan(
+        g: &Graph,
+        batch: &[(VertexId, VertexId)],
+    ) -> usize {
+        let exact = algo::apsp_dijkstra(g);
+        let mut reset = vec![HashSet::new(); g.capacity()];
+        let mut after = g.clone();
+        for &(u, v) in batch {
+            let w = after.remove_edge(u, v).expect("an edge of g");
+            let (row_u, row_v) = (&exact[u as usize], &exact[v as usize]);
+            let deleted = DeletedEdge::new((u, v, w), row_u, row_v);
+            let columns = deleted.beyond_v.iter().chain(&deleted.beyond_u);
+            let candidates: HashSet<usize> = columns.map(|&(t, _)| t as usize).collect();
+            // Brute force over the definition, not over the stored lists.
+            let on_a_path =
+                |near: Weight, far: Weight| near != INF && near == far.saturating_add(w);
+            for t in 0..g.capacity() {
+                let expected = on_a_path(row_u[t], row_v[t]) || on_a_path(row_v[t], row_u[t]);
+                assert_eq!(candidates.contains(&t), expected, "edge {u}-{v} column {t}");
+            }
+            for x in g.vertices() {
+                let row = &exact[x as usize];
+                let whole = reference::affected_targets_edge(row, x, (u, v, w), row_u, row_v);
+                let mut ours = Vec::new();
+                deleted.affected_targets(row, x, &mut ours);
+                assert_eq!(ours, whole, "edge {u}-{v} row {x}");
+                let inside = whole.iter().all(|t| candidates.contains(t));
+                assert!(inside, "edge {u}-{v} row {x}: a target outside B_uv ∪ B_vu");
+                reset[x as usize].extend(whole);
+            }
+        }
+        let post = algo::apsp_dijkstra(&after);
+        for x in g.vertices().map(|x| x as usize) {
+            for t in (0..g.capacity()).filter(|t| !reset[x].contains(t)) {
+                assert_eq!(post[x][t], exact[x][t], "{batch:?}: kept entry {x}→{t}");
+            }
+        }
+        reset.iter().map(HashSet::len).sum()
+    }
+
+    #[test]
+    fn candidate_columns_hold_every_target_of_the_whole_row_scan() {
+        // Unit weights on a grid: ties everywhere. Weights > 1. Two pieces,
+        // so both endpoint rows carry `INF`. Each with every edge on its own
+        // and with the edges at its hub as one batch sharing an endpoint,
+        // every one judged on the pre-deletion rows as `delete_edges` does.
+        let mut islands = generators::grid(3, 4);
+        for (a, b, w) in [(12, 13, 2), (13, 14, 1), (12, 14, 3), (14, 15, 1)] {
+            while islands.capacity() <= b as usize {
+                islands.add_vertex();
+            }
+            islands.add_edge(a, b, w);
+        }
+        let fixtures = [
+            ("grid", generators::grid(5, 6)),
+            ("weighted G(n,m)", generators::erdos_renyi_gnm(40, 90, 7, 5)),
+            ("scale-free", generators::barabasi_albert(45, 2, 4, 7)),
+            ("islands", islands),
+        ];
+        for (name, g) in fixtures {
+            let single = g.edges().map(|(u, v, _)| [(u, v)]);
+            let supported: usize = single
+                .map(|edge| candidate_columns_equal_the_whole_row_scan(&g, &edge))
+                .sum();
+            assert!(supported > 0, "{name}: some edge is on some shortest path");
+            let hub = g
+                .vertices()
+                .max_by_key(|&v| g.degree(v))
+                .expect("non-empty");
+            let batch: Vec<_> = g.neighbors(hub).iter().map(|&(y, _)| (hub, y)).collect();
+            assert!(batch.len() > 1, "{name}");
+            candidate_columns_equal_the_whole_row_scan(&g, &batch);
+        }
     }
 
     #[test]

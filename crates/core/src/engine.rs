@@ -118,6 +118,22 @@ impl AnytimeEngine {
             .expect("vertex assigned at initialize/add-vertex time")
     }
 
+    /// Eviction, after `rank`'s view lost edges: every cached copy whose
+    /// vertex no longer borders the rank goes, and the rank leaves each
+    /// owner's receiver set with it — so a copy is held only while its vertex
+    /// borders the rank, every copy is exact at a deletion barrier, and an
+    /// edge that returns brings a full row.
+    pub(crate) fn evict_unbordered(&mut self, rank: usize) {
+        let gone = self.procs.get_mut(rank).map(ProcState::evict_unbordered);
+        for b in gone.unwrap_or_default() {
+            self.obs.note_evicted(rank);
+            let owner = self.partition.part_of(b);
+            if let Some(owner) = owner.and_then(|owner| self.procs.get_mut(owner)) {
+                owner.forget_receiver(b, rank);
+            }
+        }
+    }
+
     /// Domain decomposition + initial approximation. Also used by the
     /// baseline-restart strategy to rebuild from scratch (accounting
     /// accumulates across restarts; use [`Cluster::reset_accounting`]
@@ -744,9 +760,11 @@ impl AnytimeEngine {
 
     /// Internal consistency checks (tests): every live vertex has exactly one
     /// owning row, which no rank also caches; views agree with the partition;
-    /// a converged engine has every change log empty, and every cached copy
-    /// whose vertex still borders its rank equals the owner's row — the
-    /// premise deletions decide on (`dynamic::invalidate_and_reseed`).
+    /// a rank caches a row only while the row's vertex borders it, and every
+    /// rank an owner lists as holding a row does hold it; a converged engine
+    /// has every change log empty and every cached copy equal to its owner's
+    /// row — the premise deletions decide on
+    /// (`dynamic::invalidate_and_reseed`).
     // aa-lint: allow(AA07, the diagnostic tables are sized to world capacity and row vertex ids are below it)
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut owned = vec![0usize; self.world.capacity()];
@@ -758,6 +776,13 @@ impl AnytimeEngine {
                 }
                 if self.partition.part_of(v) != Some(ps.rank) {
                     return Err(format!("proc {} owns {v} against the partition", ps.rank));
+                }
+                // In rank order, not the set's: the first one reported repeats.
+                let copyless = |r: &usize| !self.procs[*r].cache.has_row(v);
+                let listed = ps.sent_to.get(&v).into_iter().flatten();
+                if let Some(r) = listed.filter(|r| copyless(r)).min() {
+                    let rank = ps.rank;
+                    return Err(format!("proc {rank} lists {r} as holding row {v}: no copy"));
                 }
             }
             if let Some(v) = ps.frontier().next().filter(|_| self.converged) {
@@ -774,14 +799,16 @@ impl AnytimeEngine {
             }
         }
         for ps in &self.procs {
+            let rank = ps.rank;
             for &b in ps.cache.vertices() {
                 if ps.dv.has_row(b) {
-                    return Err(format!("proc {} owns row {b} and caches it", ps.rank));
+                    return Err(format!("proc {rank} owns row {b} and caches it"));
                 }
-                let in_use = self.converged && !ps.adj[b as usize].is_empty();
-                let owner = self.partition.part_of(b).filter(|_| in_use);
-                if owner.is_some_and(|rank| self.procs[rank].dv.row(b) != ps.cache.row(b)) {
-                    let rank = ps.rank;
+                if ps.adj[b as usize].is_empty() {
+                    return Err(format!("proc {rank} caches row {b}, which borders nothing"));
+                }
+                let owner = self.partition.part_of(b).filter(|_| self.converged);
+                if owner.is_some_and(|owner| self.procs[owner].dv.row(b) != ps.cache.row(b)) {
                     return Err(format!("converged, but proc {rank} holds a stale row {b}"));
                 }
             }

@@ -90,6 +90,12 @@ pub(crate) struct EngineObs {
     pub(crate) delta_entries_sent: u64,
     /// Rows examined and raised by deletion invalidation.
     pub(crate) invalidation: InvalidationTally,
+    /// Candidate-column entries edge deletions tested in the rows a deleted
+    /// edge was tight for — what the sweep read instead of those rows whole.
+    pub(crate) candidate_columns: u64,
+    /// Cached copies evicted because their vertex stopped bordering the
+    /// rank, by rank (grown on first use).
+    pub(crate) cache_evicted: Vec<u64>,
     oracle: Option<Oracle>,
     /// Dense estimate matrix at the previous sample, for regression counts.
     prev_dense: Option<Vec<Vec<Weight>>>,
@@ -119,6 +125,16 @@ impl EngineObs {
         self.oracle = None;
         self.prev_dense = None;
         self.state_version += 1;
+    }
+
+    /// `rank` evicted one cached copy.
+    pub(crate) fn note_evicted(&mut self, rank: usize) {
+        if self.cache_evicted.len() <= rank {
+            self.cache_evicted.resize(rank + 1, 0);
+        }
+        if let Some(evicted) = self.cache_evicted.get_mut(rank) {
+            *evicted += 1;
+        }
     }
 
     /// A recovery ladder invocation ran; the next probe sample is flagged so
@@ -383,6 +399,18 @@ impl AnytimeEngine {
             "aa_invalidation_entries_reset_total",
             "Distance entries a deletion reset to INF, by container",
         );
+        r.set_help(
+            "aa_invalidation_candidate_columns_total",
+            "Candidate-column entries edge deletions tested in the rows a deleted edge was tight for",
+        );
+        r.set_help(
+            "aa_cache_rows",
+            "Cached copies of external boundary rows held, by rank",
+        );
+        r.set_help(
+            "aa_cache_evicted_total",
+            "Cached copies dropped because their vertex stopped bordering the rank, by rank",
+        );
         r.set_help("aa_makespan_us", "LogP virtual cluster time (µs)");
         r.set_help(
             "aa_outstanding_rows",
@@ -459,6 +487,19 @@ impl AnytimeEngine {
             r.inc_counter("aa_invalidation_rows_examined_total", &labels, t.examined);
             r.inc_counter("aa_invalidation_rows_reset_total", &labels, t.reset);
             r.inc_counter("aa_invalidation_entries_reset_total", &labels, t.entries);
+        }
+
+        r.inc_counter(
+            "aa_invalidation_candidate_columns_total",
+            &[],
+            self.obs.candidate_columns,
+        );
+        for ps in &self.procs {
+            let rank = ps.rank.to_string();
+            let labels = [("rank", rank.as_str())];
+            r.set_gauge("aa_cache_rows", &labels, ps.cache.row_count() as f64);
+            let evicted = self.obs.cache_evicted.get(ps.rank).copied().unwrap_or(0);
+            r.inc_counter("aa_cache_evicted_total", &labels, evicted);
         }
 
         let mut by_method: BTreeMap<String, u64> = BTreeMap::new();

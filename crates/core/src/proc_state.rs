@@ -98,7 +98,9 @@ pub struct ProcState {
     /// Distance vectors of owned vertices.
     pub dv: DistanceMatrix,
     /// Copies of the distance vectors of external boundary vertices, as last
-    /// received. Never the row of a vertex `dv` holds.
+    /// received. Never the row of a vertex `dv` holds, and never that of a
+    /// vertex with no edge into this rank: when the last one goes, so does
+    /// the copy ([`Self::evict_unbordered`]).
     pub cache: DistanceMatrix,
     /// Owned vertices whose rows changed since they were last sent.
     pub dirty: HashSet<VertexId>,
@@ -215,9 +217,9 @@ impl ProcState {
     /// Rebuilds the adjacency view and locality flags from the world graph
     /// and a partition. Does **not** touch the distance values or caches —
     /// callers decide what survives (everything after initial decomposition,
-    /// migrated rows after repartitioning) — but the new adjacency may make
-    /// any two surviving rows neighbours, so every row, owned or cached, is
-    /// marked all-columns.
+    /// migrated rows after repartitioning, the copies the new view still
+    /// borders) — but the new adjacency may make any two surviving rows
+    /// neighbours, so every row, owned or cached, is marked all-columns.
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
     pub fn rebuild_view(&mut self, world: &Graph, partition: &Partition) {
         let cap = world.capacity();
@@ -337,6 +339,30 @@ impl ProcState {
         if self.cache.has_row(v) {
             self.cache.take_row(v);
         }
+    }
+
+    /// Eviction: drops the cached copy of every vertex the view no longer
+    /// gives a local edge — a copy is held only while its vertex borders
+    /// this rank — and returns those vertices, in row order. The caller owes
+    /// each one's owner a [`Self::forget_receiver`].
+    pub fn evict_unbordered(&mut self) -> Vec<VertexId> {
+        let cached = self.cache.vertices().iter().copied();
+        let unbordered = |b: &VertexId| self.adj.get(*b as usize).is_none_or(Vec::is_empty);
+        let gone: Vec<VertexId> = cached.filter(unbordered).collect();
+        for &b in &gone {
+            self.cache.take_row(b);
+        }
+        gone
+    }
+
+    /// Rank `dst` no longer holds a copy of row `u`: it gets a full row on
+    /// next contact, never a delta onto a copy that is not there, and a
+    /// retransmit still addressed to it has nobody to reach.
+    pub fn forget_receiver(&mut self, u: VertexId, dst: usize) {
+        if let Some(receivers) = self.sent_to.get_mut(&u) {
+            receivers.remove(&dst);
+        }
+        self.outstanding.remove(&(u, dst));
     }
 
     /// Applies a received boundary-row update to the cached copy, which logs

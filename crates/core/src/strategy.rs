@@ -476,6 +476,8 @@ impl AnytimeEngine {
         for rank in 0..p {
             let t = Stopwatch::start();
             self.procs[rank].rebuild_view(&self.world, &self.partition);
+            // Copies of rows that bordered the old neighbourhood only.
+            self.evict_unbordered(rank);
             // Every row must flow to the (possibly new) neighbourhoods.
             for v in self.procs[rank].dv.vertices().to_vec() {
                 self.procs[rank].dirty.insert(v);

@@ -107,6 +107,9 @@ impl Pair {
             "{what}: wire traffic"
         );
         assert_eq!(self.logged.rc_steps(), self.dense.rc_steps(), "{what}");
+        if let Err(broken) = self.logged.check_invariants() {
+            panic!("{what}: {broken}");
+        }
     }
 
     /// Steps both engines to convergence, comparing after every step.
@@ -623,6 +626,9 @@ impl DeletionPair {
             self.bounded.obs.invalidation, self.whole.obs.invalidation,
             "{what}: tallies"
         );
+        if let Err(broken) = self.bounded.check_invariants() {
+            panic!("{what}: {broken}");
+        }
         let oracle = algo::apsp_dijkstra(self.bounded.graph());
         for ps in &self.bounded.procs {
             for &v in ps.dv.vertices() {

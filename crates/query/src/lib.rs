@@ -42,6 +42,7 @@
 //! trusting anything. Pruning compares *integer distance sums*, never
 //! floats, so there is no epsilon to get wrong.
 
+mod monotone;
 pub mod pivots;
 
 // Under `tests/` so that aa-lint classes the file as test code by path.

@@ -44,15 +44,38 @@
 //! arithmetic on distance sums; floats only appear when a caller converts a
 //! sum to a closeness score.
 
-use aa_graph::{algo, Graph, VertexId, INF};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::monotone::MonotoneQueue;
+use aa_graph::{algo, Graph, VertexId, Weight, INF};
 
 /// Settled-target budget of the per-vertex exploration floor: this many
 /// nearest targets are settled at their exact distance, every farther
 /// component member is charged the last settled distance. Components at or
 /// below the budget get their exact distance sums as floors.
 pub const BALL_CAP: usize = 256;
+
+/// The adjacency lists of a graph laid end to end, for one build's searches.
+struct Csr {
+    /// `edges[offsets[v]..offsets[v + 1]]` are `v`'s neighbours.
+    offsets: Vec<usize>,
+    edges: Vec<(VertexId, Weight)>,
+}
+
+impl Csr {
+    fn of(g: &Graph) -> Csr {
+        let mut offsets = Vec::with_capacity(g.capacity() + 1);
+        let mut edges = Vec::with_capacity(2 * g.edge_count());
+        offsets.push(0);
+        for v in 0..g.capacity() as VertexId {
+            edges.extend_from_slice(g.neighbors(v));
+            offsets.push(edges.len());
+        }
+        Csr { offsets, edges }
+    }
+
+    fn neighbors(&self, v: VertexId) -> &[(VertexId, Weight)] {
+        &self.edges[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+    }
+}
 
 /// Per-generation structural bound state: component geometry, pivot rows
 /// collapsed into per-vertex distance-sum lower bounds, and exact sums for
@@ -244,10 +267,17 @@ impl StructuralBounds {
         // Exploration floors: one bounded Dijkstra per candidate (see the
         // module docs). Scratch state is reused across candidates; only the
         // touched slots are reset between runs.
+        // The searches read the adjacency some hundred thousand times
+        // between them: one contiguous copy, and a queue that knows the keys
+        // it is handed never fall (see `monotone`). A floor is a function of
+        // the settled distances in nondecreasing order — which vertex of two
+        // at equal distance settles first changes neither `sum` nor `d` at
+        // any settled count — so it does not depend on how ties pop.
         let cut = bounds.kth_pivot_sum(cut_rank);
+        let adjacency = Csr::of(g);
         let mut dist = vec![INF; cap];
         let mut touched: Vec<VertexId> = Vec::new();
-        let mut heap: BinaryHeap<Reverse<(u64, VertexId)>> = BinaryHeap::new();
+        let mut queue = MonotoneQueue::new();
         for &v in &candidates {
             // A pivot's floor is already its exact sum, and a triangle floor
             // above the cut has pruned the vertex before any search.
@@ -257,38 +287,39 @@ impl StructuralBounds {
             let reach = bounds.comp_size[v as usize].saturating_sub(1);
             dist[v as usize] = 0;
             touched.push(v);
-            heap.push(Reverse((0, v)));
+            queue.push(0, v);
             let mut settled = 0u64;
             let mut sum = 0u64;
             let mut floor = 0u64;
-            while let Some(Reverse((d, u))) = heap.pop() {
-                if d > u64::from(dist[u as usize]) {
+            while let Some((d, u)) = queue.pop() {
+                if d > dist[u as usize] {
                     continue; // stale entry
                 }
                 if u != v {
-                    sum += d;
+                    sum += u64::from(d);
                     settled += 1;
                     // Unsettled component members settle later, hence at ≥ d.
-                    floor = sum + reach.saturating_sub(settled).saturating_mul(d);
+                    floor = sum + reach.saturating_sub(settled).saturating_mul(u64::from(d));
                     if settled >= BALL_CAP as u64 || floor > cut {
                         break;
                     }
                 }
-                for &(t, w) in g.neighbors(u) {
-                    let nd = d + u64::from(w);
-                    if nd < u64::from(dist[t as usize]) {
+                for &(t, w) in adjacency.neighbors(u) {
+                    // At `INF` and beyond there is nothing to lower.
+                    let nd = d.saturating_add(w);
+                    if nd < dist[t as usize] {
                         if dist[t as usize] == INF {
                             touched.push(t);
                         }
-                        dist[t as usize] = nd as u32;
-                        heap.push(Reverse((nd, t)));
+                        dist[t as usize] = nd;
+                        queue.push(nd, t);
                     }
                 }
             }
             if floor > bounds.ub_sum[v as usize] {
                 bounds.ub_sum[v as usize] = floor;
             }
-            heap.clear();
+            queue.clear();
             for &t in &touched {
                 dist[t as usize] = INF;
             }
@@ -447,6 +478,83 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The floor an exploration run to [`BALL_CAP`] must reach, from an exact
+    /// distance row: the nearest targets at their distance, the rest at the
+    /// last of them.
+    fn brute_exploration_floor(row: &[u32], v: usize) -> u64 {
+        let finite = row.iter().enumerate().filter(|&(t, &d)| t != v && d != INF);
+        let mut ds: Vec<u64> = finite.map(|(_, &d)| u64::from(d)).collect();
+        ds.sort_unstable();
+        let settled = ds.len().min(BALL_CAP);
+        let last = settled.checked_sub(1).map_or(0, |i| ds[i]);
+        ds[..settled].iter().sum::<u64>() + (ds.len() - settled) as u64 * last
+    }
+
+    /// A connected-ish G(n, m) whose weights are 1 or 10^6, a third of them
+    /// the latter.
+    fn one_or_a_million(n: usize, seed: u64) -> Graph {
+        let shape = generators::erdos_renyi_gnm(n, 3 * n, 1, seed);
+        let mut g = Graph::with_vertices(n);
+        for (u, v, _) in shape.edges() {
+            g.add_edge(u, v, if (u + v) % 3 == 0 { 1_000_000 } else { 1 });
+        }
+        g
+    }
+
+    #[test]
+    fn floors_hold_on_weights_up_to_a_million() {
+        // Weights the generators' callers never ask for: 32-bit keys that
+        // differ in their high bits, and keys a million apart beside ties.
+        let fixtures = [
+            (
+                "G(n,m), w ≤ 10^6",
+                generators::erdos_renyi_gnm(120, 300, 1_000_000, 5),
+            ),
+            (
+                "scale-free, w ≤ 10^6",
+                generators::barabasi_albert(200, 2, 1_000_000, 9),
+            ),
+            ("1 or 10^6", one_or_a_million(150, 3)),
+            ("1 or 10^6, past the ball cap", one_or_a_million(400, 11)),
+        ];
+        let mut stopped_early = 0;
+        for (name, g) in fixtures {
+            let k = 6;
+            let cut = StructuralBounds::build(&g, 0, 0, k, 12);
+            let uncut = StructuralBounds::build_cut(&g, 0, 0, k, 12, usize::MAX);
+            let threshold = cut.kth_pivot_sum(k);
+            assert_eq!(cut.pivots, uncut.pivots, "{name}");
+            let dist = algo::apsp_dijkstra(&g);
+            for v in g.vertices().map(|v| v as usize) {
+                if uncut.comp_size[v] < 2 {
+                    continue;
+                }
+                let true_sum: u64 = dist[v]
+                    .iter()
+                    .filter(|&&d| d != INF)
+                    .map(|&d| u64::from(d))
+                    .sum();
+                let explored = brute_exploration_floor(&dist[v], v);
+                let (c, u) = (cut.ub_sum[v], uncut.ub_sum[v]);
+                assert!(u >= explored, "{name}: vertex {v} floor {u} < {explored}");
+                assert!(
+                    u <= true_sum,
+                    "{name}: vertex {v} floor {u} > sum {true_sum}"
+                );
+                if uncut.comp_size[v] as usize <= BALL_CAP + 1 {
+                    assert_eq!(u, true_sum, "{name}: vertex {v} settles its component");
+                }
+                if u <= threshold {
+                    assert_eq!(c, u, "{name}: vertex {v} under the cut");
+                } else {
+                    assert!(threshold < c && c <= u, "{name}: vertex {v} cut at {c}");
+                    stopped_early += usize::from(c < u);
+                }
+            }
+        }
+        assert!(stopped_early > 0, "the cut stopped no search");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! to exactly the oracle APSP of the final graph.
 
 use aa_core::{
-    AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, RepartitionMode, SupervisorConfig,
-    VertexBatch,
+    AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, FaultConfig, PartitionerKind,
+    RepartitionMode, SupervisorConfig, VertexBatch,
 };
-use aa_graph::{algo, generators, VertexId};
+use aa_graph::{algo, generators, Graph, VertexId};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -319,5 +319,120 @@ fn recovery_from_a_checkpoint_older_than_a_migration_reaches_the_oracle() {
             assert_converges_to_oracle(&mut e, &format!("seed {seed} P={procs}"));
             assert!(!e.recovery_log().is_empty(), "seed {seed} P={procs}");
         }
+    }
+}
+
+/// Round-robin over three ranks puts `b` = 0 with 3 and 6 on rank 0, `x` = 1
+/// with 4 and 7 on rank `r` = 1, and 2, 5, 8 on rank 2. The one edge between
+/// `b` and rank `r` is `b`–`x`; rank 2 borders `b` over `b`–2 throughout.
+fn engine_with_one_cut_edge_to_b(fault: Option<FaultConfig>) -> AnytimeEngine {
+    let mut g = Graph::with_vertices(9);
+    for (u, v, w) in [
+        (0, 1, 1),
+        (0, 2, 1),
+        (0, 3, 3),
+        (3, 6, 1),
+        (1, 4, 1),
+        (4, 7, 1),
+        (2, 5, 1),
+        (5, 8, 1),
+        (4, 5, 2),
+        (7, 8, 1),
+        (6, 7, 2),
+        (3, 8, 4),
+    ] {
+        g.add_edge(u, v, w);
+    }
+    let mut e = AnytimeEngine::new(
+        g,
+        EngineConfig {
+            num_procs: 3,
+            partitioner: PartitionerKind::RoundRobin,
+            fault,
+            ..Default::default()
+        },
+    );
+    e.initialize();
+    assert_eq!(e.partition().part_of(0), Some(0));
+    assert_eq!(e.partition().part_of(1), Some(1));
+    e
+}
+
+/// The only cut edge from rank `r` to `b` goes, `b`'s row changes twice, the
+/// edge comes back. `r`'s copy of `b` must go with the edge — and `r` with it
+/// from the receivers `b`'s owner sends deltas to (`check_invariants` after
+/// every call: a listed receiver holds a copy, a copy borders its rank) — so
+/// that the returning edge brings `r` the full row.
+fn evicted_copy_comes_back_as_a_full_row(fault: Option<FaultConfig>) {
+    let lossy = fault.is_some();
+    let mut e = engine_with_one_cut_edge_to_b(fault);
+    let what = format!("{:?}", e.config().fault);
+    assert_converges_to_oracle(&mut e, &what);
+    let count = |e: &AnytimeEngine, name: &str| e.metrics_registry().counter_value(name, &[]);
+    let copies = |e: &AnytimeEngine, rank: &str| {
+        let r = e.metrics_registry();
+        let held = r.gauge_value("aa_cache_rows", &[("rank", rank)]);
+        let evicted = r.counter_value("aa_cache_evicted_total", &[("rank", rank)]);
+        (held.expect("one gauge per rank"), evicted)
+    };
+    // r holds b, 5, 6 and 8; rank 0 holds x, 2, 7 and 8.
+    assert_eq!(
+        (copies(&e, "0"), copies(&e, "1")),
+        ((4.0, 0), (4.0, 0)),
+        "{what}"
+    );
+
+    assert!(e.delete_edge(0, 1));
+    e.check_invariants().expect("copy and receiver go together");
+    // x bordered rank 0 over the same edge: its copy there goes too.
+    assert_eq!(
+        (copies(&e, "0"), copies(&e, "1")),
+        ((3.0, 1), (3.0, 1)),
+        "{what}"
+    );
+    assert_eq!(copies(&e, "2").1, 0, "{what}: rank 2 borders what it did");
+
+    // An insertion lowers b's row (b-6 beats b-3-6), a deletion raises part
+    // of it (b reached 5 over 2-5); rank 2 hears both as b's receiver.
+    assert!(e.add_edge(0, 6, 1));
+    e.check_invariants().unwrap();
+    e.rc_step();
+    assert!(e.delete_edge(2, 5));
+    e.check_invariants().unwrap();
+    assert_converges_to_oracle(&mut e, &what);
+    assert_eq!(copies(&e, "1"), (3.0, 1), "{what}: nothing brought b back");
+
+    let full = count(&e, "aa_rc_full_rows_sent_total");
+    assert!(e.add_edge(0, 1, 1));
+    e.check_invariants().unwrap();
+    assert_converges_to_oracle(&mut e, &what);
+    // b to r and x to rank 0, whole: neither rank had anything to patch.
+    // Every other row that moved went to ranks that hold it, as deltas.
+    let full = count(&e, "aa_rc_full_rows_sent_total") - full;
+    assert!(
+        if lossy { full >= 2 } else { full == 2 },
+        "{what}: {full} full rows after the edge came back"
+    );
+    assert_eq!(
+        (copies(&e, "0"), copies(&e, "1")),
+        ((4.0, 1), (4.0, 1)),
+        "{what}"
+    );
+}
+
+#[test]
+fn a_returning_cut_edge_brings_the_evicted_rank_a_full_row() {
+    evicted_copy_comes_back_as_a_full_row(None);
+}
+
+#[test]
+fn a_returning_cut_edge_brings_the_evicted_rank_a_full_row_over_lossy_links() {
+    for seed in 0..12 {
+        evicted_copy_comes_back_as_a_full_row(Some(FaultConfig {
+            p_drop: 0.3,
+            p_dup: 0.1,
+            reorder: true,
+            seed,
+        }));
     }
 }
