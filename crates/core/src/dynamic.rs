@@ -212,7 +212,8 @@ impl AnytimeEngine {
     fn deletion_barrier(&mut self) -> crate::obs::SpanStart {
         let quiescent = self.converged && self.procs.iter().all(ProcState::is_quiescent);
         if !quiescent {
-            self.run_to_convergence(64 * self.procs.len() + 256);
+            let steps = self.run_to_convergence(self.deletion_barrier_budget());
+            self.obs.barrier_steps += steps as u64;
             assert!(self.converged, "deletion barrier failed to converge");
         }
         let span = self.span_open();
@@ -221,6 +222,13 @@ impl AnytimeEngine {
         // checkpoints from before this point are no longer restorable.
         self.invalidation_epoch += 1;
         span
+    }
+
+    /// Recombination steps the deletion barrier runs at most before it gives
+    /// up on reaching a fixed point: `64·P + 256`. A front-end that settles
+    /// the engine after a deletion holds itself to the same bound.
+    pub fn deletion_barrier_budget(&self) -> usize {
+        64 * self.procs.len() + 256
     }
 
     /// Deletes a batch of edges at once: one deletion barrier, one broadcast

@@ -96,6 +96,8 @@ pub(crate) struct EngineObs {
     /// Cached copies evicted because their vertex stopped bordering the
     /// rank, by rank (grown on first use).
     pub(crate) cache_evicted: Vec<u64>,
+    /// Recombination steps the deletion barrier ran to reach a fixed point.
+    pub(crate) barrier_steps: u64,
     oracle: Option<Oracle>,
     /// Dense estimate matrix at the previous sample, for regression counts.
     prev_dense: Option<Vec<Vec<Weight>>>,
@@ -360,6 +362,10 @@ impl AnytimeEngine {
         );
         r.set_help("aa_rc_steps_total", "Recombination steps executed");
         r.set_help(
+            "aa_deletion_barrier_steps_total",
+            "Recombination steps the deletion barrier ran before a deletion could apply",
+        );
+        r.set_help(
             "aa_retransmits_total",
             "Row retransmissions assembled after negative receipts",
         );
@@ -456,6 +462,11 @@ impl AnytimeEngine {
             totals.heartbeat_messages,
         );
         r.inc_counter("aa_rc_steps_total", &[], self.rc_steps_done as u64);
+        r.inc_counter(
+            "aa_deletion_barrier_steps_total",
+            &[],
+            self.obs.barrier_steps,
+        );
         r.inc_counter("aa_retransmits_total", &[], self.obs.retransmit_sends);
         r.inc_counter(
             "aa_snapshot_publications_total",

@@ -39,8 +39,9 @@
 //! same epoch, and deletions rewrite even frozen state). Upper bounds are
 //! structural per generation; any graph change bumps the frame's
 //! `(epoch, state_version)` stamp and the tracker rebuilds them before
-//! trusting anything. Pruning compares *integer distance sums*, never
-//! floats, so there is no epsilon to get wrong.
+//! trusting anything — at the generation's first stale frame, since a fresh
+//! frame is exact on its own and needs none. Pruning compares *integer
+//! distance sums*, never floats, so there is no epsilon to get wrong.
 
 mod monotone;
 pub mod pivots;
@@ -174,6 +175,8 @@ impl Standing<'_> {
 #[derive(Debug, Clone, Default)]
 pub struct TopKTracker {
     config: TopKConfig,
+    /// Bounds of the generation they are stamped with; `None` while the
+    /// frames of the current generation have all been fresh.
     structural: Option<StructuralBounds>,
     /// Upper bound on the final distance sum per id slot (`u64::MAX` =
     /// nothing known yet); `1/lb_den` is the closeness lower bound.
@@ -216,48 +219,44 @@ impl TopKTracker {
     }
 
     /// Folds one published frame (and the bound deltas drained since the
-    /// previous observation) into the tracker. On a new graph generation —
-    /// the frame's `(epoch, state_version)` moved, or a widened delta
-    /// arrived — all structural bounds are rebuilt from the graph and every
-    /// row is retightened; otherwise only the rows the deltas name (plus
-    /// rows the frame flags as still moving) are touched. Handed the frame
-    /// it already holds and no deltas — an idle engine reuses its
-    /// publication — it only counts the observation.
+    /// previous observation) into the tracker. Bounds are built only for a
+    /// stale frame: one with no bounds for its graph generation — the
+    /// frame's `(epoch, state_version)` moved, or a widened delta arrived —
+    /// gets structural bounds built from the graph and every row
+    /// retightened, while a fresh frame in that position is answered from
+    /// its own exact snapshot and builds nothing (the first stale frame of
+    /// the generation builds, if one ever comes). With bounds in place only
+    /// the rows the deltas name (plus rows the frame flags as still moving)
+    /// are touched. Handed the frame it already holds and no deltas — an
+    /// idle engine reuses its publication — it only counts the observation.
     pub fn observe(&mut self, frame: &Arc<SnapshotFrame>, graph: &Graph, deltas: &[BoundDelta]) {
         self.observes += 1;
         if deltas.is_empty() && self.last.as_ref().is_some_and(|l| Arc::ptr_eq(l, frame)) {
             return;
         }
         let meta = frame.meta;
-        let gen_changed = !self
-            .structural
-            .as_ref()
-            .is_some_and(|s| s.epoch == meta.epoch && s.state_version == meta.state_version);
         let widened = deltas.iter().any(|d| d.widened);
         let overflowed = deltas.iter().any(|d| d.full);
-        if gen_changed || widened {
-            let s = StructuralBounds::build(
-                graph,
-                meta.epoch,
-                meta.state_version,
-                self.config.k,
-                self.config.max_pivots,
-            );
-            let mut lb_den = vec![u64::MAX; graph.capacity()];
-            for &p in &s.pivots {
-                if let (Some(slot), Some(&exact)) =
-                    (lb_den.get_mut(p as usize), s.exact_sum.get(p as usize))
-                {
-                    *slot = exact;
-                }
-            }
-            self.lb_den = lb_den;
-            self.structural = Some(s);
+        let stamp = |m: &SnapshotMeta| (m.epoch, m.state_version);
+        if widened || self.last.as_ref().map(|l| stamp(&l.meta)) != Some(stamp(&meta)) {
             self.resolution_step = None;
-            self.rebuilds += 1;
         }
+        let unbounded = widened
+            || self
+                .structural
+                .as_ref()
+                .is_none_or(|s| (s.epoch, s.state_version) != stamp(&meta));
         let snap = &frame.snapshot;
-        if gen_changed || widened || overflowed {
+        if unbounded && meta.fresh {
+            // Ceilings are running minima of sums that only fall within a
+            // generation, so bounds a later stale frame of this generation
+            // builds from its own sums equal bounds built here and tightened
+            // since.
+            self.structural = None;
+        } else if unbounded || overflowed {
+            if unbounded {
+                self.build(graph, meta);
+            }
             for v in graph.vertices() {
                 self.update_row(v, snap);
             }
@@ -297,6 +296,29 @@ impl TopKTracker {
         }
         self.order.sort_unstable();
         self.refresh_stats();
+    }
+
+    /// Builds the structural bounds of `meta`'s generation, with the pivots'
+    /// exact sums as their first ceilings.
+    fn build(&mut self, graph: &Graph, meta: SnapshotMeta) {
+        let s = StructuralBounds::build(
+            graph,
+            meta.epoch,
+            meta.state_version,
+            self.config.k,
+            self.config.max_pivots,
+        );
+        let mut lb_den = vec![u64::MAX; graph.capacity()];
+        for &p in &s.pivots {
+            if let (Some(slot), Some(&exact)) =
+                (lb_den.get_mut(p as usize), s.exact_sum.get(p as usize))
+            {
+                *slot = exact;
+            }
+        }
+        self.lb_den = lb_den;
+        self.structural = Some(s);
+        self.rebuilds += 1;
     }
 
     /// Retightens one row's closeness lower bound from the snapshot's
@@ -372,16 +394,23 @@ impl TopKTracker {
         })
     }
 
-    /// Refreshes the tracked-k pruning metrics from the current ranking.
+    /// Refreshes the tracked-k pruning metrics from the current ranking — or,
+    /// on a fresh frame without bounds, from the exact split.
     fn refresh_stats(&mut self) {
-        let Some(meta) = self.last.as_ref().map(|frame| frame.meta) else {
-            return;
+        let Some(frame) = &self.last else { return };
+        let (meta, k) = (frame.meta, self.config.k);
+        let (candidates, pruned, unresolved, gap, exact) = match self.classify(k, |_, _| {}) {
+            Some(r) => {
+                let exact = meta.fresh || r.exact();
+                (r.candidates, r.pruned, r.unresolved, r.gap(), exact)
+            }
+            None if meta.fresh => {
+                let snap = &frame.snapshot;
+                let candidates = snap.closeness.iter().filter(|&&c| c > 0.0).count();
+                (candidates, candidates.saturating_sub(k), 0, 0.0, true)
+            }
+            None => return,
         };
-        let Some(r) = self.classify(self.config.k, |_, _| {}) else {
-            return;
-        };
-        let (candidates, pruned, unresolved) = (r.candidates, r.pruned, r.unresolved);
-        let (gap, exact) = (r.gap(), meta.fresh || r.exact());
         self.last_candidates = candidates;
         self.last_pruned = pruned;
         self.last_unresolved = unresolved;
@@ -451,9 +480,18 @@ impl TopKTracker {
     /// unresolved, pruned)` vertex ids. The soundness contract — checked
     /// every superstep by the differential harness — is that the true top-k
     /// is a subset of members ∪ unresolved, i.e. a pruned vertex can never
-    /// re-enter the true top-k within this generation. `None` before the
-    /// first observation.
+    /// re-enter the true top-k within this generation. On a fresh frame the
+    /// split is exact, as the answer is: the snapshot's top k, nobody
+    /// unresolved, every other candidate pruned in ranking order. `None`
+    /// before the first observation.
     pub fn partition(&self, k: usize) -> Option<(Vec<VertexId>, Vec<VertexId>, Vec<VertexId>)> {
+        let frame = self.last.as_ref()?;
+        if frame.meta.fresh {
+            let ranking = frame.snapshot.top_k(usize::MAX);
+            let mut members: Vec<VertexId> = ranking.iter().map(|&(v, _)| v).collect();
+            let pruned = members.split_off(k.min(members.len()));
+            return Some((members, Vec::new(), pruned));
+        }
         let (mut unresolved, mut pruned) = (Vec::new(), Vec::new());
         let r = self.classify(k, |v, is_pruned| {
             if is_pruned {
@@ -467,7 +505,8 @@ impl TopKTracker {
     }
 
     /// Fraction of candidates outside the members already pruned for the
-    /// configured k (0 when there is nothing to prune).
+    /// configured k (0 when there is nothing to prune); 1 on a fresh frame
+    /// without bounds, whose split is exact.
     pub fn pruned_fraction(&self) -> f64 {
         let outside = self.last_candidates.saturating_sub(self.config.k);
         if outside == 0 {
@@ -507,7 +546,7 @@ impl TopKTracker {
         r.set_help("aa_topk_observes_total", "Snapshot frames observed");
         r.set_help(
             "aa_topk_rebuilds_total",
-            "Structural bound rebuilds (one per graph generation)",
+            "Structural bound builds (at most one per graph generation, made by its first stale frame)",
         );
         r.set_help(
             "aa_topk_rows_updated_total",
@@ -618,6 +657,14 @@ mod tests {
         assert_eq!(ans.members, frame.snapshot.top_k(5));
         assert!(t.is_exact());
         assert!(t.resolution_step().is_some());
+        // No bounds were built for the fresh frame, and the split is exact.
+        assert!(t.pivots().is_empty());
+        let (members, unresolved, pruned) = t.partition(5).unwrap();
+        assert_eq!(members, ans.ids());
+        assert!(unresolved.is_empty());
+        let candidates = frame.snapshot.closeness.iter().filter(|&&c| c > 0.0);
+        assert_eq!(members.len() + pruned.len(), candidates.count());
+        assert_eq!(t.unresolved_candidates(), 0);
     }
 
     #[test]
@@ -854,9 +901,15 @@ mod tests {
         t.observe(&frame, e.graph(), &deltas);
         let r = t.metrics_registry();
         assert_eq!(r.counter_value("aa_topk_observes_total", &[]), 1);
-        assert_eq!(r.counter_value("aa_topk_rebuilds_total", &[]), 1);
+        // The only frame is fresh: it answers from its own snapshot, so no
+        // bounds are built and there are no pivots.
+        assert_eq!(r.counter_value("aa_topk_rebuilds_total", &[]), 0);
+        assert_eq!(r.gauge_value("aa_topk_pivots", &[]), Some(0.0));
         assert_eq!(r.gauge_value("aa_topk_exact", &[]), Some(1.0));
-        assert!(r.gauge_value("aa_topk_pivots", &[]).unwrap_or(0.0) > 0.0);
+        assert_eq!(
+            r.gauge_value("aa_topk_unresolved_candidates", &[]),
+            Some(0.0)
+        );
         let prom = r.to_prometheus_text();
         assert!(prom.contains("aa_topk_pruned_fraction"));
     }

@@ -78,7 +78,10 @@ pub struct ServeConfig {
     pub overload_turns: usize,
     /// Consecutive clear turns before leaving degraded mode.
     pub recovery_turns: usize,
-    /// RC steps attempted per turn while unconverged.
+    /// RC steps attempted per turn while unconverged. A turn whose flush
+    /// applied a deletion steps on past this to convergence (bounded by the
+    /// deletion barrier's budget, stopped by a down rank): the next deletion
+    /// barrier would run those steps anyway.
     pub steps_per_turn: usize,
     /// Ingest pipeline configuration (write queue bounds, drain policy).
     pub ingest: IngestConfig,

@@ -9,7 +9,12 @@
 //!    [`ServeConfig::degraded_write_divisor`] in degraded mode),
 //! 2. lets the ingest pipeline drain if its policy is due,
 //! 3. runs up to [`ServeConfig::steps_per_turn`] recombination steps while
-//!    unconverged,
+//!    unconverged — and, when this turn's flush applied a deletion (the
+//!    delete half of a weight increase included), keeps stepping until the
+//!    engine converges, a rank is down, or the deletion barrier's own budget
+//!    runs out. Those are the steps the next turn's barrier would have run
+//!    anyway; run here, the turn answers from a fresh frame and the barrier
+//!    finds the engine quiescent,
 //! 4. updates the degraded-mode state machine,
 //! 5. publishes a snapshot frame (allocation-stable when nothing changed)
 //!    and folds it — together with the engine's drained bound-delta feed —
@@ -148,7 +153,7 @@ pub struct TurnReport {
     pub flushed: Option<FlushReport>,
     /// Mode after the turn's state-machine update.
     pub mode: ServeMode,
-    /// Recombination steps run this turn.
+    /// Recombination steps run this turn, settling steps included.
     pub rc_steps: usize,
     /// Highest WAL sequence made durable by this turn's group commit
     /// (durable server only). Every [`WriteOutcome::Logged`] op with
@@ -254,6 +259,10 @@ impl Server {
         metrics.set_help(
             "aa_serve_degraded_entries_total",
             "Transitions into degraded mode",
+        );
+        metrics.set_help(
+            "aa_serve_settle_steps_total",
+            "RC steps turns that applied a deletion ran past steps_per_turn",
         );
         metrics.set_help(
             "aa_serve_read_latency_p50_us",
@@ -425,7 +434,17 @@ impl Server {
         self.write_tokens.refill_by(write_refill);
 
         let applied = self.session.apply_due()?;
-        let rc_steps = self.session.step(self.config.steps_per_turn);
+        let mut rc_steps = self.session.step(self.config.steps_per_turn);
+        let deleted = applied
+            .flushed
+            .as_ref()
+            .is_some_and(|f| f.edge_deletes + f.vertex_deletes > 0);
+        if deleted {
+            let settled = self.settle();
+            rc_steps += settled;
+            self.metrics
+                .inc_counter("aa_serve_settle_steps_total", &[], settled as u64);
+        }
 
         self.update_mode();
         if self.mode == ServeMode::Degraded {
@@ -618,6 +637,23 @@ impl Server {
         }
     }
 
+    /// Steps a turn that applied a deletion runs past `steps_per_turn`: on
+    /// to convergence, so the turn publishes a fresh frame and the next
+    /// deletion barrier finds nothing left to do. These are the steps that
+    /// barrier would have run; the same budget bounds them. Stops at a down
+    /// rank, which the mode machine must see before recovery hides it.
+    fn settle(&mut self) -> usize {
+        let budget = self.session.engine().deletion_barrier_budget();
+        let mut steps = 0;
+        while steps < budget
+            && self.session.engine().cluster().down_ranks().is_empty()
+            && self.session.step(1) == 1
+        {
+            steps += 1;
+        }
+        steps
+    }
+
     fn update_mode(&mut self) {
         let down = !self.session.engine().cluster().down_ranks().is_empty();
         let ingest_over = self.session.pending_ops() > self.config.ingest.high_watermark;
@@ -782,7 +818,7 @@ mod tests {
     use super::*;
     use aa_core::EngineConfig;
     use aa_durable::{recover, SimStorage, StorageFaultPlan, StorageFaults};
-    use aa_graph::generators;
+    use aa_graph::{algo, generators, VertexId};
 
     fn sim_engine(n: usize, procs: usize) -> AnytimeEngine {
         let g = generators::barabasi_albert(n, 2, 1, 7);
@@ -901,6 +937,71 @@ mod tests {
         let r = s.metrics_registry();
         assert!(r.counter_value("aa_topk_observes_total", &[]) > 0);
         assert!(r.counter_value("aa_topk_rebuilds_total", &[]) >= 2);
+    }
+
+    #[test]
+    fn a_turn_that_deletes_settles_before_it_answers() {
+        let sim = SimStorage::new();
+        let mut s = durable_server(60, 3, ServeConfig::default(), &sim);
+        let count = |s: &Server, name: &str| s.metrics_registry().counter_value(name, &[]);
+        let barrier = |s: &Server| count(s, "aa_deletion_barrier_steps_total");
+        let settled = |s: &Server| count(s, "aa_serve_settle_steps_total");
+        let steps_per_turn = s.config().steps_per_turn;
+
+        // Additions alone keep the anytime pace from the unconverged start:
+        // `steps_per_turn` steps, still unconverged, nothing settled.
+        let g = s.engine().graph();
+        let (a, b) = (0, g.vertices().last().unwrap());
+        assert_eq!(g.edge_weight(a, b), None);
+        assert!(s.submit_write(UpdateOp::AddEdge(a, b, 1)).is_admitted());
+        let rep = s.turn().unwrap();
+        assert_eq!(rep.rc_steps, steps_per_turn);
+        assert!(!s.engine().is_converged());
+        assert_eq!(settled(&s), 0);
+
+        // A deletion: its barrier first finishes what the addition left,
+        // then the turn settles and answers from a fresh frame.
+        let k = 5;
+        let (u, v, _) = s.engine().graph().edges().nth(3).unwrap();
+        assert!(s.submit_write(UpdateOp::DeleteEdge(u, v)).is_admitted());
+        s.submit_read(ReadKind::TopK(k));
+        let rep = s.turn().unwrap();
+        assert_eq!(rep.flushed.as_ref().map(|f| f.edge_deletes), Some(1));
+        assert!(barrier(&s) > 0, "the barrier had the addition to finish");
+        assert!(s.engine().is_converged());
+        assert!(
+            rep.rc_steps > steps_per_turn,
+            "one step does not reconverge"
+        );
+        assert_eq!(settled(&s), (rep.rc_steps - steps_per_turn) as u64);
+        let exact = algo::exact_closeness(s.engine().graph());
+        let mut oracle: Vec<(VertexId, f64)> = (exact.iter().enumerate())
+            .filter(|&(_, &c)| c > 0.0)
+            .map(|(v, &c)| (v as VertexId, c))
+            .collect();
+        oracle.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+        oracle.truncate(k);
+        match &rep.served[..] {
+            [ReadOutcome::Served {
+                meta,
+                value: ReadValue::TopK(ans),
+                ..
+            }] => {
+                assert!(meta.fresh, "a turn that deleted answers from a fresh frame");
+                assert!(ans.is_exact());
+                assert_eq!(ans.members, oracle, "bit for bit the oracle's top-{k}");
+            }
+            other => panic!("expected one served top-k read, got {other:?}"),
+        }
+
+        // The next deletion's barrier finds the engine quiescent.
+        let before = barrier(&s);
+        let (u, v, _) = s.engine().graph().edges().nth(7).unwrap();
+        assert!(s.submit_write(UpdateOp::DeleteEdge(u, v)).is_admitted());
+        let rep = s.turn().unwrap();
+        assert_eq!(rep.flushed.as_ref().map(|f| f.edge_deletes), Some(1));
+        assert_eq!(barrier(&s), before, "the barrier took no step");
+        assert!(s.engine().is_converged());
     }
 
     #[test]
