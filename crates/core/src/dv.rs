@@ -155,8 +155,14 @@ impl ColumnSet {
 
     /// Adds column `col`; columns beyond the set's width are ignored.
     pub fn insert(&mut self, col: usize) {
-        if let Some(word) = self.words.get_mut(col / WORD) {
-            *word |= 1 << (col % WORD);
+        self.insert_word(col / WORD, 1 << (col % WORD));
+    }
+
+    /// Adds the columns `bits` names in word `wi`; a word beyond the set's
+    /// width is ignored.
+    fn insert_word(&mut self, wi: usize, bits: u64) {
+        if let Some(word) = self.words.get_mut(wi) {
+            *word |= bits;
             self.marked = true;
         }
     }
@@ -203,6 +209,63 @@ impl ColumnSet {
     /// sweep: all columns, or more than a quarter of them.
     fn is_dense(&self, cols: usize) -> bool {
         self.all || 4 * self.logged() > cols
+    }
+}
+
+/// The entries of one row that its holders are missing, as one buffer: the
+/// unsent columns as a bitset, and the row's values on them in ascending
+/// column order. That is `cols / 8 + 4 · len` bytes where `(column, value)`
+/// pairs take `8 · len`, and it is built once per row however many ranks it
+/// goes to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowDelta {
+    /// The columns, never "all of them".
+    cols: ColumnSet,
+    /// One value per member of `cols`, in column order.
+    values: Vec<Weight>,
+}
+
+impl RowDelta {
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Whether the delta carries no entry.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Bytes the buffer holds in memory: the bitset and the values.
+    pub(crate) fn buffer_bytes(&self) -> usize {
+        8 * self.cols.words.len() + 4 * self.values.len()
+    }
+
+    /// The entries as wire pairs, in ascending column order.
+    #[cfg(test)]
+    pub(crate) fn pairs(&self) -> Vec<(u32, Weight)> {
+        let words = self.cols.words.iter().enumerate();
+        let bits = words.flat_map(|(wi, &w)| {
+            (0..WORD)
+                .filter(move |b| w >> b & 1 == 1)
+                .map(move |b| wi * WORD + b)
+        });
+        bits.map(|c| c as u32)
+            .zip(self.values.iter().copied())
+            .collect()
+    }
+
+    /// The delta carrying `entries`, given in any column order.
+    #[cfg(test)]
+    pub(crate) fn from_pairs(entries: &[(u32, Weight)]) -> Self {
+        let width = entries.iter().map(|&(c, _)| c as usize + 1).max();
+        let mut cols = ColumnSet::empty(width.unwrap_or(0));
+        entries.iter().for_each(|&(c, _)| cols.insert(c as usize));
+        let mut sorted = entries.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(sorted.len(), cols.logged(), "one value per column");
+        let values = sorted.into_iter().map(|(_, d)| d).collect();
+        RowDelta { cols, values }
     }
 }
 
@@ -497,26 +560,25 @@ impl DistanceMatrix {
     }
 
     /// What a rank holding `v`'s row as of its last fully acknowledged send
-    /// is missing: the `(column, value)` pairs on the unsent columns — or
-    /// `None` if they are all-columns, and only the full row will do.
+    /// is missing: the row's values on its unsent columns — or `None` if
+    /// they are all-columns, and only the full row will do.
     // aa-lint: allow(AA07, the one pragma the send side adds: the bit walk indexes the row at columns taken from its own unsent log, whose bits never reach the column count — the argument relax_on's sparse walk already makes; rows and unsent are parallel, indexed by row_index like row)
-    pub fn unsent_entries(&self, v: VertexId) -> Option<Vec<(u32, Weight)>> {
+    pub fn unsent_entries(&self, v: VertexId) -> Option<RowDelta> {
         let idx = self.row_index(v);
         let (row, unsent) = (&self.rows[idx], &self.unsent[idx]);
         if unsent.all {
             return None;
         }
-        let mut entries = Vec::with_capacity(unsent.logged());
+        let mut values = Vec::with_capacity(unsent.logged());
         for (wi, &word) in unsent.words.iter().enumerate() {
             let mut rest = word;
             while rest != 0 {
-                let c = wi * WORD + rest.trailing_zeros() as usize;
+                values.push(row[wi * WORD + rest.trailing_zeros() as usize]);
                 rest &= rest - 1;
-                // aa-lint: allow(AA05, c indexes a distance row whose length is bounded by the u32 vertex-id space)
-                entries.push((c as u32, row[c]));
             }
         }
-        Some(entries)
+        let cols = unsent.clone();
+        Some(RowDelta { cols, values })
     }
 
     /// Empties `v`'s unsent log: every rank the row goes to holds it as it
@@ -572,12 +634,61 @@ impl DistanceMatrix {
     /// `row_v[col] = min(row_v[col], value)`, logged like any lowering
     /// write. Returns whether the entry decreased.
     pub fn lower_entry(&mut self, v: VertexId, col: usize, value: Weight) -> bool {
-        u32::try_from(col).is_ok_and(|col| self.lower_entries(v, &[(col, value)]))
+        let idx = self.row_index(v);
+        let entry = self.rows.get_mut(idx).and_then(|row| row.get_mut(col));
+        let (Some(d), Some(log), Some(unsent)) =
+            (entry, self.logs.get_mut(idx), self.unsent.get_mut(idx))
+        else {
+            return false;
+        };
+        if value >= *d {
+            return false;
+        }
+        *d = value;
+        log.insert(col);
+        unsent.insert(col);
+        true
     }
 
-    /// [`Self::lower_entry`] for each `(column, value)` of `entries` (a
-    /// received delta). Returns whether any entry decreased.
-    pub fn lower_entries(&mut self, v: VertexId, entries: &[(u32, Weight)]) -> bool {
+    /// [`Self::lower_entry`] for each entry of a received delta, walking its
+    /// column bits in step with its values. Returns whether any entry
+    /// decreased.
+    pub fn lower_delta(&mut self, v: VertexId, delta: &RowDelta) -> bool {
+        let idx = self.row_index(v);
+        let row = self.rows.get_mut(idx);
+        let (Some(row), Some(log), Some(unsent)) =
+            (row, self.logs.get_mut(idx), self.unsent.get_mut(idx))
+        else {
+            return false;
+        };
+        let mut values = delta.values.iter();
+        let mut changed = false;
+        for (wi, &word) in delta.cols.words.iter().enumerate() {
+            let (mut rest, mut lowered) = (word, 0u64);
+            while rest != 0 {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let Some(&value) = values.next() else {
+                    break; // one value per bit: never taken
+                };
+                if let Some(d) = row.get_mut(wi * WORD + bit).filter(|d| value < **d) {
+                    *d = value;
+                    lowered |= 1 << bit;
+                }
+            }
+            if lowered != 0 {
+                log.insert_word(wi, lowered);
+                unsent.insert_word(wi, lowered);
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    /// [`Self::lower_delta`] for a delta given as `(column, value)` pairs,
+    /// the wire format: the reference the bit walk is held to.
+    #[cfg(test)]
+    pub(crate) fn lower_entries(&mut self, v: VertexId, entries: &[(u32, Weight)]) -> bool {
         let idx = self.row_index(v);
         let row = self.rows.get_mut(idx);
         let (Some(row), Some(log), Some(unsent)) =
@@ -686,6 +797,68 @@ impl DistanceMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `v`'s unsent entries as wire pairs.
+    fn pairs(m: &DistanceMatrix, v: VertexId) -> Option<Vec<(u32, Weight)>> {
+        m.unsent_entries(v).map(|delta| delta.pairs())
+    }
+
+    /// `0..40` as a distance, `40..48` as `INF`.
+    fn distance(d: u32) -> Weight {
+        if d < 40 {
+            d
+        } else {
+            INF
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn lower_delta_leaves_what_the_pair_reference_leaves(
+            width in (0usize..6).prop_map(|i| [1, 63, 64, 65, 130, 199][i]),
+            sent in proptest::collection::vec(0u32..48, 199..200),
+            offers in proptest::collection::vec((0usize..199, 0u32..48), 0..64),
+            held in proptest::collection::vec(0u32..48, 199..200),
+            logged in proptest::bool::ANY,
+        ) {
+            // The sender's row, as its holders have it, then lowered at
+            // random: the delta is what it logged.
+            let mut sender = DistanceMatrix::new(width);
+            let sent: Vec<Weight> = sent[..width].iter().map(|&d| distance(d)).collect();
+            sender.insert_row(0, sent.clone());
+            sender.clear_unsent(0);
+            for &(c, d) in &offers {
+                sender.lower_entry(0, c % width, distance(d));
+            }
+            let delta = sender.unsent_entries(0).expect("logged column by column");
+            let lowered = sender.row(0).iter().zip(&sent).enumerate();
+            let lowered = lowered.filter(|(_, (now, was))| now < was);
+            let want: Vec<(u32, Weight)> = lowered.map(|(c, (&d, _))| (c as u32, d)).collect();
+            prop_assert_eq!(delta.pairs(), want.clone());
+            prop_assert_eq!(delta.len(), want.len());
+            prop_assert_eq!(delta.buffer_bytes(), 8 * width.div_ceil(WORD) + 4 * want.len());
+
+            // A receiver's copy, its logs fresh from an install or empty.
+            let mut reference = DistanceMatrix::new(width);
+            reference.insert_row(0, held[..width].iter().map(|&d| distance(d)).collect());
+            if !logged {
+                reference.clear_logs();
+                reference.clear_unsent(0);
+            }
+            let (mut walked, mut rebuilt) = (reference.clone(), reference.clone());
+            let changed = reference.lower_entries(0, &want);
+            prop_assert_eq!(walked.lower_delta(0, &delta), changed);
+            prop_assert_eq!(rebuilt.lower_delta(0, &RowDelta::from_pairs(&want)), changed);
+            for m in [&walked, &rebuilt] {
+                prop_assert_eq!(m.row(0), reference.row(0));
+                prop_assert_eq!(m.log(0), reference.log(0));
+                prop_assert_eq!(m.unsent(0), reference.unsent(0));
+            }
+        }
+    }
 
     #[test]
     fn relax_row_basics() {
@@ -832,7 +1005,7 @@ mod tests {
         m.add_row(0);
         m.add_row(1);
         assert!(m.log(0).contains(7), "a new row has propagated nothing");
-        assert!(m.unsent_entries(0).is_none(), "and nobody holds a copy");
+        assert!(pairs(&m, 0).is_none(), "and nobody holds a copy");
         m.clear_logs();
         assert!(m.log(0).is_empty() && m.log(1).is_empty());
         assert!(m.unsent(0).contains(7), "clearing one log leaves the other");
@@ -851,23 +1024,23 @@ mod tests {
         assert!(m.log(0).contains(2) && !m.log(0).contains(1));
         // The unsent log saw the same writes, and outlives the propagation.
         m.clear_log(1);
-        assert_eq!(m.unsent_entries(1), Some(vec![(2, 4)]));
-        assert_eq!(m.unsent_entries(0), Some(vec![(2, 5)]));
+        assert_eq!(pairs(&m, 1), Some(vec![(2, 4)]));
+        assert_eq!(pairs(&m, 0), Some(vec![(2, 5)]));
         // Marks about the neighbourhood leave it alone.
         m.mark_all_columns(0);
         m.mark_columns(0, &ColumnSet::EVERY);
         m.mark_all_rows();
-        assert_eq!(m.unsent_entries(0), Some(vec![(2, 5)]));
+        assert_eq!(pairs(&m, 0), Some(vec![(2, 5)]));
         // A raised entry leaves it, and comes back when lowered again.
         assert!(m.lower_entry(0, 5, 9));
         m.raise_entries(0, &[2]);
-        assert_eq!(m.unsent_entries(0), Some(vec![(5, 9)]));
+        assert_eq!(pairs(&m, 0), Some(vec![(5, 9)]));
         assert!(m.lower_entry(0, 2, 6));
-        assert_eq!(m.unsent_entries(0), Some(vec![(2, 6), (5, 9)]));
+        assert_eq!(pairs(&m, 0), Some(vec![(2, 6), (5, 9)]));
         m.clear_log(1);
         m.row_mut(1)[0] = 1; // raw access: anything may have changed
         assert!(m.log(1).contains(0) && m.log(1).contains(7));
-        assert!(m.unsent_entries(1).is_none());
+        assert!(pairs(&m, 1).is_none());
         // Both logs travel with their row: through a swap_remove, through
         // column growth, and the unsent one on to the next owner.
         m.clear_log(0);
@@ -875,14 +1048,14 @@ mod tests {
         m.extend_cols(70);
         let (_, unsent) = m.take_row(0);
         assert!(m.log(2).contains(0) && m.log(1).contains(7));
-        assert!(m.unsent_entries(2).is_none() && m.unsent_entries(1).is_none());
+        assert!(pairs(&m, 2).is_none() && pairs(&m, 1).is_none());
         let mut next = DistanceMatrix::new(130);
         next.insert_row(0, vec![0, INF, 6, INF, INF, 9]);
-        assert!(next.unsent_entries(0).is_none());
+        assert!(pairs(&next, 0).is_none());
         next.restore_unsent(0, unsent);
-        assert_eq!(next.unsent_entries(0), Some(vec![(2, 6), (5, 9)]));
+        assert_eq!(pairs(&next, 0), Some(vec![(2, 6), (5, 9)]));
         assert!(next.lower_entry(0, 129, 3), "and grows to the new width");
-        assert_eq!(next.unsent_entries(0).map(|e| e.len()), Some(3));
+        assert_eq!(pairs(&next, 0).map(|e| e.len()), Some(3));
     }
 
     #[test]

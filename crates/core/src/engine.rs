@@ -12,6 +12,7 @@ use aa_obs::Stopwatch;
 use aa_partition::Partition;
 use aa_runtime::{Cluster, TransferOut};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// What a recombination exchange carries: boundary-row updates, plus the
 /// supervision layer's piggybacked one-byte heartbeats.
@@ -283,11 +284,12 @@ impl AnytimeEngine {
                         ps.forget_receivers(u);
                         continue;
                     }
-                    // One walk of the unsent bits serves every destination.
+                    // One walk of the unsent bits, into one buffer that every
+                    // destination shares.
                     let delta = ps.unsent_delta(u);
                     let mut trivial = Vec::new();
                     for &dst in &ranks {
-                        if let Some(update) = ps.build_row_update(u, dst, delta.as_deref()) {
+                        if let Some(update) = ps.build_row_update(u, dst, delta.as_ref()) {
                             outbox.push(TransferOut {
                                 dst,
                                 bytes: update.bytes(),
@@ -311,7 +313,7 @@ impl AnytimeEngine {
                     .collect();
                 due.sort_unstable();
                 for (u, dst) in due {
-                    match ps.build_row_update(u, dst, ps.unsent_delta(u).as_deref()) {
+                    match ps.build_row_update(u, dst, ps.unsent_delta(u).as_ref()) {
                         Some(update) => {
                             outbox.push(TransferOut {
                                 dst,
@@ -345,16 +347,24 @@ impl AnytimeEngine {
             .flatten()
             .filter(|&&(_, _, retry)| retry)
             .count() as u64;
+        // Delta buffers this step holds, each shared one counted once.
+        let mut buffers = HashSet::new();
+        let mut buffer_bytes = 0;
         for transfer in outbox.iter().flatten() {
             match &transfer.payload {
                 RcPayload::Row(_, RowUpdate::Full(_)) => self.obs.full_rows_sent += 1,
                 RcPayload::Row(_, RowUpdate::Delta(delta)) => {
                     self.obs.delta_rows_sent += 1;
                     self.obs.delta_entries_sent += delta.len() as u64;
+                    if buffers.insert(Arc::as_ptr(delta)) {
+                        buffer_bytes += delta.buffer_bytes();
+                    }
                 }
                 RcPayload::Heartbeat => {}
             }
         }
+        let max = &mut self.obs.delta_buffer_bytes_max;
+        *max = (*max).max(buffer_bytes);
 
         // 1b. Piggyback one-byte heartbeats from every live rank to every
         // other rank on the same exchange, so silent-but-alive ranks remain
@@ -983,6 +993,46 @@ mod tests {
         let ledger = e.cluster().ledger();
         assert!(ledger.phase(Phase::InitialApproximation).compute_us > 0.0);
         assert!(ledger.phase(Phase::Recombination).bytes > 0);
+    }
+
+    #[test]
+    fn a_row_bordering_two_ranks_sends_them_one_buffer() {
+        // Round-robin over three ranks: 0 and 3 on rank 0, 1 on rank 1, 2 on
+        // rank 2. Row 1 borders ranks 0 and 2, and the first exchange teaches
+        // it d(1,3) through 0's row: its second send is a delta to both.
+        let mut g = Graph::with_vertices(4);
+        for (p, q) in [(0, 1), (1, 2), (0, 3)] {
+            g.add_edge(p, q, 1);
+        }
+        let config = EngineConfig {
+            num_procs: 3,
+            partitioner: PartitionerKind::RoundRobin,
+            ..Default::default()
+        };
+        let mut e = AnytimeEngine::new(g, config);
+        e.initialize();
+        assert!(!e.rc_step());
+        let ps = &e.procs[1];
+        assert_eq!(ps.neighbor_ranks(1, &e.partition), [0, 2]);
+        let delta = ps.unsent_delta(1);
+        let sends = [0, 2].map(|dst| ps.build_row_update(1, dst, delta.as_ref()));
+        match sends {
+            [Some(RowUpdate::Delta(a)), Some(RowUpdate::Delta(b))] => {
+                assert!(Arc::ptr_eq(&a, &b));
+                assert_eq!(a.pairs(), [(3, 2)]);
+            }
+            other => panic!("expected two deltas, got {other:?}"),
+        }
+        // That step stages three one-entry deltas over one bitset word —
+        // rows 0, 1 and 2 — and is the largest: row 1's is counted once, not
+        // once per destination.
+        e.run_to_convergence(16);
+        assert!(e.is_converged());
+        let r = e.metrics_registry();
+        assert_eq!(r.counter_value("aa_rc_delta_rows_sent_total", &[]), 5);
+        let staged = r.gauge_value("aa_rc_delta_buffer_bytes_max", &[]);
+        assert_eq!(staged, Some(3.0 * (8.0 + 4.0)));
+        assert_matches_oracle(&e);
     }
 
     #[test]

@@ -88,6 +88,9 @@ pub(crate) struct EngineObs {
     pub(crate) delta_rows_sent: u64,
     /// `(column, value)` pairs carried by those delta sends.
     pub(crate) delta_entries_sent: u64,
+    /// The most delta buffer bytes one recombination step held, a buffer
+    /// its row's destinations share counted once.
+    pub(crate) delta_buffer_bytes_max: usize,
     /// Rows examined and raised by deletion invalidation.
     pub(crate) invalidation: InvalidationTally,
     /// Candidate-column entries edge deletions tested in the rows a deleted
@@ -390,6 +393,10 @@ impl AnytimeEngine {
             "(column, value) pairs carried by delta sends",
         );
         r.set_help(
+            "aa_rc_delta_buffer_bytes_max",
+            "Most delta buffer bytes one recombination step held, each buffer shared by a row's destinations counted once",
+        );
+        r.set_help(
             "aa_recoveries_total",
             "Recovery-ladder invocations, by rung",
         );
@@ -491,6 +498,8 @@ impl AnytimeEngine {
         for (name, count) in sent {
             r.inc_counter(name, &[], count);
         }
+        let staged = self.obs.delta_buffer_bytes_max as f64;
+        r.set_gauge("aa_rc_delta_buffer_bytes_max", &[], staged);
 
         let tally = self.obs.invalidation;
         for (rows, t) in [("owned", tally.owned), ("cached", tally.cached)] {

@@ -13,11 +13,12 @@
 //! either. The frontier is therefore `cache.frontier()` then `dv.frontier()`,
 //! and whatever walks the rows walks both stores, in row order.
 
-use crate::dv::{ColumnSet, DistanceMatrix};
+use crate::dv::{ColumnSet, DistanceMatrix, RowDelta};
 use aa_graph::{Graph, VertexId, Weight, INF};
 use aa_partition::Partition;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// A boundary-row update on the wire: the full distance vector on first
 /// contact, or only the entries that changed since the last send — the
@@ -25,19 +26,28 @@ use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 /// DVs" optimization.
 #[derive(Debug, Clone)]
 pub enum RowUpdate {
-    /// The complete row (first send to a given processor).
+    /// The complete row (first send to a given processor). Owned by its one
+    /// destination: it becomes the cached copy there without another copy.
     Full(Vec<Weight>),
-    /// Changed `(column, new_value)` pairs since the receiver's copy.
-    Delta(Vec<(u32, Weight)>),
+    /// The entries changed since the receiver's copy. One buffer per row,
+    /// shared by every destination the row's delta goes to.
+    Delta(Arc<RowDelta>),
 }
 
 impl RowUpdate {
-    /// Wire size in bytes (4-byte vertex id header + payload).
+    /// Wire size in bytes (4-byte vertex id header + payload). A delta is
+    /// modelled as `(column, value)` pairs, whatever it takes in memory.
     pub fn bytes(&self) -> usize {
         4 + match self {
             RowUpdate::Full(row) => 4 * row.len(),
             RowUpdate::Delta(d) => 8 * d.len(),
         }
+    }
+
+    /// A delta carrying `entries`, given in any column order.
+    #[cfg(test)]
+    pub(crate) fn delta(entries: &[(u32, Weight)]) -> Self {
+        RowUpdate::Delta(Arc::new(RowDelta::from_pairs(entries)))
     }
 }
 
@@ -158,14 +168,14 @@ impl ProcState {
 
     /// The entries of row `u` on its unsent columns — the delta every rank
     /// in `sent_to` is missing — or `None` if only the full row will do.
-    /// Walked once per row, however many destinations the row has.
-    pub fn unsent_delta(&self, u: VertexId) -> Option<Vec<(u32, Weight)>> {
+    /// Built once per row, into the one buffer all its destinations share.
+    pub fn unsent_delta(&self, u: VertexId) -> Option<Arc<RowDelta>> {
         let delta = self.dv.unsent_entries(u);
         #[cfg(test)]
         if let (Some(delta), Some(shadow)) = (&delta, self.shadow.get(&u)) {
-            assert_eq!(*delta, diff_rows(shadow, self.dv.row(u)), "row {u}");
+            assert_eq!(delta.pairs(), diff_rows(shadow, self.dv.row(u)), "row {u}");
         }
-        delta
+        delta.map(Arc::new)
     }
 
     /// Builds the update message for row `u` towards processor `dst` out of
@@ -177,11 +187,11 @@ impl ProcState {
         &self,
         u: VertexId,
         dst: usize,
-        delta: Option<&[(u32, Weight)]>,
+        delta: Option<&Arc<RowDelta>>,
     ) -> Option<RowUpdate> {
         match delta {
             Some(delta) if self.sent_to.get(&u).is_some_and(|s| s.contains(&dst)) => {
-                (!delta.is_empty()).then(|| RowUpdate::Delta(delta.to_vec()))
+                (!delta.is_empty()).then(|| RowUpdate::Delta(Arc::clone(delta)))
             }
             _ => Some(RowUpdate::Full(self.dv.row(u).to_vec())),
         }
@@ -383,7 +393,7 @@ impl ProcState {
                     self.cache
                         .replace_row(v, vec![INF; cap], ColumnSet::empty(cap));
                 }
-                self.cache.lower_entries(v, &delta);
+                self.cache.lower_delta(v, &delta);
             }
         }
     }
@@ -676,7 +686,7 @@ mod tests {
 
     /// The message that takes row `u` to `dst`, as a retransmit builds it.
     fn update(ps: &ProcState, u: VertexId, dst: usize) -> Option<RowUpdate> {
-        ps.build_row_update(u, dst, ps.unsent_delta(u).as_deref())
+        ps.build_row_update(u, dst, ps.unsent_delta(u).as_ref())
     }
 
     #[test]
@@ -876,7 +886,7 @@ mod tests {
     #[test]
     fn row_update_bytes() {
         assert_eq!(RowUpdate::Full(vec![1, 2, 3]).bytes(), 4 + 12);
-        assert_eq!(RowUpdate::Delta(vec![(0, 1), (5, 2)]).bytes(), 4 + 16);
+        assert_eq!(RowUpdate::delta(&[(0, 1), (5, 2)]).bytes(), 4 + 16);
     }
 
     #[test]
@@ -896,7 +906,7 @@ mod tests {
         p0.dv.mark_all_columns(1);
         p0.dv.mark_all_rows();
         match update(&p0, 1, 1).unwrap() {
-            RowUpdate::Delta(d) => assert_eq!(d, vec![(3, 2)]),
+            RowUpdate::Delta(d) => assert_eq!(d.pairs(), vec![(3, 2)]),
             other => panic!("expected delta, got {other:?}"),
         }
         // A new destination still gets the full row.
@@ -920,7 +930,9 @@ mod tests {
             "a rank that missed an update must get a full row"
         );
         match update(&p0, 1, 1).unwrap() {
-            RowUpdate::Delta(d) => assert_eq!(d, vec![(3, 2)], "a superset of what 1 needs"),
+            RowUpdate::Delta(d) => {
+                assert_eq!(d.pairs(), vec![(3, 2)], "a superset of what 1 needs")
+            }
             other => panic!("expected delta, got {other:?}"),
         }
         // The next complete send empties it.
@@ -938,13 +950,13 @@ mod tests {
     fn apply_delta_patches_cache_and_relaxes() {
         let mut p0 = split_path_with_copy_of_2();
         // p1 learns d(2,0) = 2 and ships only the delta.
-        p0.apply_row_update(2, RowUpdate::Delta(vec![(0, 2)]));
+        p0.apply_row_update(2, RowUpdate::delta(&[(0, 2)]));
         assert_eq!(p0.cache.row(2)[0], 2);
         assert!(!p0.propagate(), "no local row improves from this");
         assert_eq!(frontier(&p0), vec![]);
         // A useful delta: d(2,3) drops to 1 (already known) then d(2,3)=0 fake
         // improvement must relax local vertex 1.
-        p0.apply_row_update(2, RowUpdate::Delta(vec![(3, 0)]));
+        p0.apply_row_update(2, RowUpdate::delta(&[(3, 0)]));
         assert_eq!(frontier(&p0), vec![2]);
         assert!(p0.propagate());
         assert_eq!(p0.dv.row(1)[3], 1);
@@ -960,7 +972,7 @@ mod tests {
         );
         // Three entries: one lowers the copy, one equals it, one is above it.
         p0.dirty.clear();
-        p0.apply_row_update(2, RowUpdate::Delta(vec![(0, 2), (3, 1), (2, 5)]));
+        p0.apply_row_update(2, RowUpdate::delta(&[(0, 2), (3, 1), (2, 5)]));
         assert_eq!(p0.cache.row(2), &[2, 1, 0, 1]);
         let log = p0.cache.log(2);
         assert!(log.contains(0) && !log.contains(1) && !log.contains(2) && !log.contains(3));
@@ -980,7 +992,14 @@ mod tests {
     #[test]
     fn a_duplicated_delivery_lowers_and_logs_nothing() {
         let mut p0 = split_path_with_copy_of_2();
-        p0.apply_row_update(2, RowUpdate::Delta(vec![(0, 2)]));
+        // The network's duplicate is a clone of the message: the same buffer.
+        let delivered = RowUpdate::delta(&[(0, 2)]);
+        let duplicate = delivered.clone();
+        assert!(matches!(
+            (&delivered, &duplicate),
+            (RowUpdate::Delta(a), RowUpdate::Delta(b)) if Arc::ptr_eq(a, b)
+        ));
+        p0.apply_row_update(2, delivered);
         p0.propagate();
         p0.dirty.clear(); // as a fully acknowledged send leaves it
         assert!(p0.is_quiescent());
@@ -990,7 +1009,7 @@ mod tests {
             p0.cache.row(2).to_vec(),
         );
         // The network delivers the same delta again.
-        p0.apply_row_update(2, RowUpdate::Delta(vec![(0, 2)]));
+        p0.apply_row_update(2, duplicate);
         assert!(p0.cache.log(2).is_empty() && p0.is_quiescent());
         assert!(!p0.propagate());
         let after = (
@@ -1006,7 +1025,7 @@ mod tests {
     fn apply_delta_without_cache_starts_from_inf() {
         let (_, _, mut p0, _) = split_path();
         p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p0.apply_row_update(2, RowUpdate::Delta(vec![(3, 1)]));
+        p0.apply_row_update(2, RowUpdate::delta(&[(3, 1)]));
         assert_eq!(
             p0.cache.row(2),
             &[INF, INF, INF, 1],

@@ -408,7 +408,7 @@ fn delta_after_a_broadcast_refreshed_the_cache_still_reaches_the_neighbours() {
     // all-columns mark the broadcast left on the copy.
     p0.cache_broadcast_row(2, &[2, 1, 0, 1]);
     assert_eq!(p0.dv.row(1)[3], 6, "a broadcast does not relax neighbours");
-    p0.apply_row_update(2, RowUpdate::Delta(vec![(3, 1)]));
+    p0.apply_row_update(2, RowUpdate::delta(&[(3, 1)]));
     assert_eq!(p0.frontier().collect::<Vec<_>>(), [2]);
     assert!(p0.cache.log(2).contains(3) && p0.cache.log(2).contains(0));
     p0.propagate();
