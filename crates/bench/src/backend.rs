@@ -62,7 +62,7 @@ fn run_once(
     let config = EngineConfig {
         backend,
         threads,
-        ..params.engine_config(0.0)
+        ..params.engine_config()
     };
     let mut engine = AnytimeEngine::new(graph, config);
     // Time the phases the backend parallelizes (IA + RC); domain

@@ -150,8 +150,8 @@ fn print_anytime(rows: &[AnytimeRow]) {
 }
 
 /// `figures replay <progress.jsonl>`: renders a progress file written by
-/// `aa analyze --progress-out` (or the nightly chaos workflow) as the same
-/// anytime-quality table, without re-running anything.
+/// `aa analyze --progress-out` as the same anytime-quality table, without
+/// re-running anything.
 fn print_replay(path: &str) {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -172,29 +172,19 @@ fn print_replay(path: &str) {
     println!();
     println!("=== Replay: {path} ({} samples) ===", samples.len());
     println!(
-        "{:<8} {:>14} {:>10} {:>10} {:>8} {:>10} {:>10} {:>6} {:>10}",
-        "RC step",
-        "cluster ms",
-        "max over",
-        "mean over",
-        "tau",
-        "conv rows",
-        "in flight",
-        "down",
-        "recovering"
+        "{:<8} {:>14} {:>10} {:>10} {:>8} {:>10} {:>10}",
+        "RC step", "cluster ms", "max over", "mean over", "tau", "conv rows", "dirty"
     );
     for s in &samples {
         println!(
-            "{:<8} {:>14.1} {:>10.1} {:>10.3} {:>8.3} {:>9.0}% {:>10} {:>6} {:>10}",
+            "{:<8} {:>14.1} {:>10.1} {:>10.3} {:>8.3} {:>9.0}% {:>10}",
             s.rc_step,
             s.makespan_us / 1000.0,
             s.max_overestimate,
             s.mean_overestimate,
             s.kendall_tau,
             s.converged_row_fraction * 100.0,
-            s.outstanding_rows,
-            s.down_ranks,
-            if s.recovering { "yes" } else { "no" }
+            s.dirty_rows
         );
     }
 }
@@ -219,18 +209,17 @@ fn print_scaling(rows: &[ScalingRow]) {
 
 fn print_ingest(rows: &[IngestRow]) {
     println!(
-        "{:<8} {:>6} {:>9} {:>14} {:>12} {:>10} {:>9} {:>6}",
-        "batch", "drop", "updates", "updates/sec", "speedup", "coalesce", "flushes", "shed"
+        "{:<8} {:>9} {:>14} {:>12} {:>10} {:>9} {:>6}",
+        "batch", "updates", "updates/sec", "speedup", "coalesce", "flushes", "shed"
     );
     for r in rows {
         let baseline = rows
             .iter()
-            .find(|b| b.batch == 1 && b.drop_rate == r.drop_rate)
+            .find(|b| b.batch == 1)
             .map_or(r.updates_per_cluster_sec, |b| b.updates_per_cluster_sec);
         println!(
-            "{:<8} {:>6.2} {:>9} {:>14.1} {:>11.2}x {:>9.1}% {:>9} {:>6}",
+            "{:<8} {:>9} {:>14.1} {:>11.2}x {:>9.1}% {:>9} {:>6}",
             r.batch,
-            r.drop_rate,
             r.updates,
             r.updates_per_cluster_sec,
             r.updates_per_cluster_sec / baseline,
@@ -363,7 +352,7 @@ fn run_topk(params: &ExperimentParams, json_out: Option<&str>) {
 
 fn run_ingest(params: &ExperimentParams, json_out: Option<&str>) {
     let updates = (params.n / 2).clamp(128, 512);
-    let rows = match ingest_throughput(params, &[1, 8, 64, 256], &[0.0, 0.2], updates) {
+    let rows = match ingest_throughput(params, &[1, 8, 64, 256], updates) {
         Ok(rows) => rows,
         Err(e) => {
             eprintln!("ingest experiment failed: {e}");

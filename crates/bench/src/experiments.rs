@@ -19,7 +19,7 @@ fn minutes(us: f64) -> f64 {
 }
 
 fn engine_for(params: &ExperimentParams) -> AnytimeEngine {
-    let mut e = AnytimeEngine::new(params.base_graph(), params.engine_config(0.0));
+    let mut e = AnytimeEngine::new(params.base_graph(), params.engine_config());
     e.initialize();
     e
 }
@@ -274,7 +274,7 @@ pub fn anytime_quality(params: &ExperimentParams) -> Vec<AnytimeRow> {
     let true_top: std::collections::HashSet<u32> =
         true_top.into_iter().take(25).map(|v| v as u32).collect();
 
-    let mut e = AnytimeEngine::new(graph, params.engine_config(0.0));
+    let mut e = AnytimeEngine::new(graph, params.engine_config());
     e.initialize();
     e.enable_progress_probe();
     e.record_progress_sample(); // baseline sample before the first RC step

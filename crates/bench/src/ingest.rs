@@ -1,6 +1,6 @@
 //! Ingest throughput experiment (beyond-paper): sustained updates per
 //! cluster-second through the `aa-ingest` coalescing pipeline, swept over
-//! batch size and lossy-link drop rate, against the one-at-a-time baseline
+//! batch size, against the one-at-a-time baseline
 //! (batch size 1: every update flushes and reconverges individually).
 //!
 //! The workload is an R-MAT graph — the papers' dynamic experiments use
@@ -20,13 +20,11 @@ use aa_serve::Session;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-/// One (batch size, drop rate) cell of the throughput sweep.
+/// One batch-size cell of the throughput sweep.
 #[derive(Debug, Clone)]
 pub struct IngestRow {
     /// Drain batch size (1 = the one-at-a-time baseline).
     pub batch: usize,
-    /// Per-transfer link drop probability during recombination.
-    pub drop_rate: f64,
     /// Updates pushed through the pipeline.
     pub updates: usize,
     /// Cluster-seconds of LogP makespan consumed serving the stream
@@ -139,10 +137,9 @@ fn churn_session(
     base: &Graph,
     params: &ExperimentParams,
     ops: usize,
-    drop_rate: f64,
     storage: Option<Box<dyn Storage>>,
 ) -> Result<Session, String> {
-    let engine = AnytimeEngine::new(base.clone(), params.engine_config(drop_rate));
+    let engine = AnytimeEngine::new(base.clone(), params.engine_config());
     let cap = ops.max(16);
     let ingest = IngestConfig {
         queue_cap: cap,
@@ -197,9 +194,8 @@ fn serve(
     params: &ExperimentParams,
     ops: &[UpdateOp],
     batch: usize,
-    drop_rate: f64,
 ) -> Result<IngestRow, String> {
-    let mut session = churn_session(base, params, ops.len(), drop_rate, None)?;
+    let mut session = churn_session(base, params, ops.len(), None)?;
     let t0 = session.engine().makespan_us();
     churn(&mut session, params, ops, batch)?;
     let cluster_seconds = (session.engine().makespan_us() - t0) / 1e6;
@@ -207,7 +203,6 @@ fn serve(
     let stats = session.ingest_stats();
     Ok(IngestRow {
         batch,
-        drop_rate,
         updates: ops.len(),
         cluster_seconds,
         updates_per_cluster_sec: ops.len() as f64 / cluster_seconds.max(1e-12),
@@ -217,23 +212,19 @@ fn serve(
     })
 }
 
-/// Runs the full sweep: every `batch_sizes` × `drop_rates` cell serves the
-/// same `updates`-op churn schedule from a fresh converged engine.
+/// Runs the full sweep: every `batch_sizes` cell serves the same
+/// `updates`-op churn schedule from a fresh converged engine.
 pub fn ingest_throughput(
     params: &ExperimentParams,
     batch_sizes: &[usize],
-    drop_rates: &[f64],
     updates: usize,
 ) -> Result<Vec<IngestRow>, String> {
     let base = ingest_base_graph(params);
     let ops = churn_ops(&base, updates, params.seed);
-    let mut rows = Vec::new();
-    for &drop in drop_rates {
-        for &batch in batch_sizes {
-            rows.push(serve(&base, params, &ops, batch, drop)?);
-        }
-    }
-    Ok(rows)
+    let rows = batch_sizes
+        .iter()
+        .map(|&batch| serve(&base, params, &ops, batch));
+    rows.collect()
 }
 
 /// Wall-clock cost of write-ahead durability on the ingest path.
@@ -273,7 +264,7 @@ fn churn_pass(
     batch: usize,
     storage: Option<Box<dyn Storage>>,
 ) -> Result<(f64, u64), String> {
-    let mut session = churn_session(base, params, ops.len(), 0.0, storage)?;
+    let mut session = churn_session(base, params, ops.len(), storage)?;
     let t0 = std::time::Instant::now();
     let commits = churn(&mut session, params, ops, batch)?;
     session.close()?;
@@ -336,11 +327,10 @@ pub fn rows_to_json(rows: &[IngestRow]) -> String {
     let mut out = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "  {{\"batch\": {}, \"drop_rate\": {}, \"updates\": {}, \
+            "  {{\"batch\": {}, \"updates\": {}, \
              \"cluster_seconds\": {:.6}, \"updates_per_cluster_sec\": {:.3}, \
              \"coalesce_ratio\": {:.4}, \"flushes\": {}, \"shed\": {}}}{}",
             r.batch,
-            r.drop_rate,
             r.updates,
             r.cluster_seconds,
             r.updates_per_cluster_sec,
@@ -404,7 +394,7 @@ mod tests {
         let params = tiny_params();
         // Long enough that per-update serving cost dominates the fixed
         // final-reconvergence cost in both runs.
-        let rows = ingest_throughput(&params, &[1, 64], &[0.0], 256).unwrap();
+        let rows = ingest_throughput(&params, &[1, 64], 256).unwrap();
         let base = &rows[0];
         let batched = &rows[1];
         assert_eq!(base.batch, 1);
@@ -422,6 +412,9 @@ mod tests {
         if !cfg!(debug_assertions) {
             assert!(speedup >= 5.0, "expected >= 5x, got {speedup:.2}x");
         }
+        let json = rows_to_json(&rows);
+        assert!(json.starts_with('[') && json.ends_with(']'));
+        assert!(json.contains("\"batch\": 64"));
     }
 
     #[test]
@@ -446,7 +439,7 @@ mod tests {
         let base = ingest_base_graph(&params);
         let ops = churn_ops(&base, 96, params.seed);
         let end = |storage: Option<Box<dyn Storage>>| {
-            let mut session = churn_session(&base, &params, ops.len(), 0.0, storage).unwrap();
+            let mut session = churn_session(&base, &params, ops.len(), storage).unwrap();
             churn(&mut session, &params, &ops, 64).unwrap();
             session.engine().distances_dense()
         };
@@ -454,17 +447,5 @@ mod tests {
             end(Some(Box::new(aa_durable::SimStorage::new()))),
             end(None)
         );
-    }
-
-    #[test]
-    fn lossy_links_slow_serving_but_do_not_shed() {
-        let params = tiny_params();
-        let rows = ingest_throughput(&params, &[64], &[0.0, 0.2], 48).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r.shed == 0));
-        assert!(rows.iter().all(|r| r.updates_per_cluster_sec > 0.0));
-        let json = rows_to_json(&rows);
-        assert!(json.contains("\"drop_rate\": 0.2"));
-        assert!(json.starts_with('[') && json.ends_with(']'));
     }
 }

@@ -20,6 +20,6 @@ pub use experiments::{
     fig4, fig5, fig6, fig7, fig8, Fig4Row, Fig8Row, SingleStepRow, StrategyChoice,
 };
 pub use ingest::{churn_ops, ingest_throughput, rows_to_json, IngestRow};
-pub use serve::{serve_load, serve_rows_to_json, serve_topk_mix, serve_under_faults, ServeRow};
+pub use serve::{serve_load, serve_rows_to_json, serve_topk_mix, ServeRow};
 pub use topk::{topk_rows_to_json, topk_sweep, TopkRow};
 pub use workload::{community_vertex_batch, scaled, ExperimentParams};

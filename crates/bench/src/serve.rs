@@ -24,8 +24,6 @@ pub struct ServeRow {
     pub read_fraction: f64,
     /// Top-k share of the reads (the rest are single-vertex lookups).
     pub topk_read_mix: f64,
-    /// Per-transfer link drop probability during recombination.
-    pub drop_rate: f64,
     /// Serving turns driven.
     pub turns: usize,
     /// Reads submitted / served / throttled / shed.
@@ -63,11 +61,10 @@ fn serve_cell(
     offered: usize,
     read_fraction: f64,
     topk_read_mix: f64,
-    drop_rate: f64,
     turns: usize,
 ) -> Result<ServeRow, String> {
     let base = ingest_base_graph(params);
-    let engine = AnytimeEngine::new(base, params.engine_config(drop_rate));
+    let engine = AnytimeEngine::new(base, params.engine_config());
     let mut server = Server::new(engine, ServeConfig::default())?;
     let mut gen = LoadGen::new(WorkloadConfig {
         seed: params.seed ^ 0x5e47e,
@@ -90,7 +87,6 @@ fn serve_cell(
         offered_per_turn: offered,
         read_fraction,
         topk_read_mix,
-        drop_rate,
         turns,
         reads_submitted: stats.reads_submitted,
         reads_served: stats.reads_served,
@@ -109,7 +105,7 @@ fn serve_cell(
 }
 
 /// Runs the full sweep: every `offered_loads` × `read_fractions` cell
-/// serves `turns` turns of deterministic mixed traffic, healthy links.
+/// serves `turns` turns of deterministic mixed traffic.
 pub fn serve_load(
     params: &ExperimentParams,
     offered_loads: &[usize],
@@ -119,7 +115,7 @@ pub fn serve_load(
     let mut rows = Vec::new();
     for &offered in offered_loads {
         for &rf in read_fractions {
-            rows.push(serve_cell(params, offered, rf, 0.7, 0.0, turns)?);
+            rows.push(serve_cell(params, offered, rf, 0.7, turns)?);
         }
     }
     Ok(rows)
@@ -137,20 +133,9 @@ pub fn serve_topk_mix(
 ) -> Result<Vec<ServeRow>, String> {
     let mut rows = Vec::new();
     for &mix in mixes {
-        rows.push(serve_cell(params, offered, 0.8, mix, 0.0, turns)?);
+        rows.push(serve_cell(params, offered, 0.8, mix, turns)?);
     }
     Ok(rows)
-}
-
-/// One chaos cell at fixed offered load: lossy links at `drop_rate` under
-/// the default 80/20 read/write mix.
-pub fn serve_under_faults(
-    params: &ExperimentParams,
-    offered: usize,
-    drop_rate: f64,
-    turns: usize,
-) -> Result<ServeRow, String> {
-    serve_cell(params, offered, 0.8, 0.7, drop_rate, turns)
 }
 
 /// Serializes the sweep as a JSON array (the committed `BENCH_serve.json`
@@ -160,7 +145,6 @@ pub fn serve_rows_to_json(rows: &[ServeRow]) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "  {{\"offered_per_turn\": {}, \"read_fraction\": {}, \"topk_read_mix\": {}, \
-             \"drop_rate\": {}, \
              \"turns\": {}, \"reads_submitted\": {}, \"reads_served\": {}, \
              \"reads_throttled\": {}, \"reads_shed\": {}, \"writes_accepted\": {}, \
              \"writes_shed\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
@@ -169,7 +153,6 @@ pub fn serve_rows_to_json(rows: &[ServeRow]) -> String {
             r.offered_per_turn,
             r.read_fraction,
             r.topk_read_mix,
-            r.drop_rate,
             r.turns,
             r.reads_submitted,
             r.reads_served,
@@ -274,13 +257,5 @@ mod tests {
         let json = serve_rows_to_json(&rows);
         assert!(json.contains("\"topk_read_mix\": 1"), "{json}");
         assert!(json.contains("\"topk_exact\""), "{json}");
-    }
-
-    #[test]
-    fn lossy_links_degrade_service_without_hanging() {
-        let params = tiny_params();
-        let row = serve_under_faults(&params, 32, 0.2, 24).unwrap();
-        assert_eq!(row.reads_submitted, row.reads_served + row.reads_shed);
-        assert!(row.reads_served > 0);
     }
 }

@@ -58,7 +58,7 @@ fn topk_cell(
     let graph = rmat(scale, n * 4, RmatParams::default(), 4, params.seed);
     let vertices = graph.vertex_count();
     let edges = graph.edge_count();
-    let engine = AnytimeEngine::new(graph, params.engine_config(0.0));
+    let engine = AnytimeEngine::new(graph, params.engine_config());
     let topk = Some(TopKConfig { k, max_pivots });
     let mut session = Session::new(engine, Default::default(), topk)?;
     // One observation per superstep, with the tracker's statistics read in

@@ -9,7 +9,7 @@
 //! communities into the batch, attaching them to the existing graph by
 //! preferential attachment.
 
-use aa_core::{Endpoint, EngineConfig, FaultConfig, VertexBatch};
+use aa_core::{Endpoint, EngineConfig, VertexBatch};
 use aa_graph::{community, generators, Graph, VertexId};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -48,17 +48,12 @@ impl ExperimentParams {
         generators::barabasi_albert(self.n, self.ba_m, 1, self.seed)
     }
 
-    /// The engine configuration every experiment starts from; a positive
-    /// `drop_rate` makes the recombination links lossy.
-    pub fn engine_config(&self, drop_rate: f64) -> EngineConfig {
+    /// The engine configuration every experiment starts from.
+    pub fn engine_config(&self) -> EngineConfig {
         EngineConfig {
             num_procs: self.procs,
             seed: self.seed,
             compute_scale: self.compute_scale,
-            fault: (drop_rate > 0.0).then(|| FaultConfig {
-                p_drop: drop_rate,
-                ..Default::default()
-            }),
             ..Default::default()
         }
     }

@@ -28,14 +28,9 @@ usage:
               [--strategy roundrobin|cutedge|repartition|restart]
               [--stream FILE] [--save-checkpoint FILE] [--resume FILE]
               [--measure degree|eigenvector|pagerank|cliques]... [--trace CSV]
-              [--drop-rate P]   (inject lossy links: drop each transfer w.p. P)
-              [--crash-at STEP:RANK]...   (fail-stop RANK at RC step STEP)
-              [--straggler RANK:SCALE]... (RANK's compute runs SCALE x slower)
-              [--detector-timeout N]      (RC steps of silence before suspicion)
-              [--checkpoint-interval N]   (per-rank checkpoint every N RC steps)
               [--metrics-out JSON]        (dump the metrics registry)
               [--progress-out JSONL]      (anytime progress probe samples)
-              [--spans-out JSONL]         (phase spans: DD/IA/RC/recovery)
+              [--spans-out JSONL]         (phase spans: DD/IA/RC/updates)
               [--backend sim|threads]     (execution backend, default sim)
               [--threads N]               (threads-backend workers, 0 = per rank)
   aa stream   <graph> <updates> [--format F] [--procs P] [--top K]
@@ -43,8 +38,8 @@ usage:
               [--strategy roundrobin|cutedge|repartition|restart]
               [--batch N]         (size-policy batch target, default 64)
               [--queue-cap N]     (ingest queue hard capacity, default 4096)
-              [--drain-policy size|steps:K|adaptive]
-              [--drop-rate P] [--metrics-out JSON]
+              [--drain-policy size|steps:K]
+              [--metrics-out JSON]
               [--backend sim|threads] [--threads N]
   aa serve    <graph> [--format F] [--procs P] [--top K]
               [--turns N]         (serving turns to drive, default 64)
@@ -53,7 +48,6 @@ usage:
               [--topk-read-mix R] (top-k share of reads, default 0.7)
               [--deadline-us D]   (read deadline in virtual microseconds)
               [--seed S]          (workload seed)
-              [--drop-rate P] [--crash-at STEP:RANK]... [--straggler RANK:SCALE]...
               [--metrics-out JSON]
               [--data-dir DIR]    (crash-consistent: recover, WAL, checkpoints)
               [--checkpoint-every N] (durable checkpoint cadence in turns)
@@ -67,13 +61,6 @@ fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("{USAGE}");
     exit(2)
-}
-
-/// Parses a `"A:B"` pair where both halves parse via `FromStr`
-/// (e.g. `--crash-at 12:3`, `--straggler 2:50.0`).
-fn parse_pair<A: std::str::FromStr, B: std::str::FromStr>(s: &str) -> Option<(A, B)> {
-    let (a, b) = s.split_once(':')?;
-    Some((a.parse().ok()?, b.parse().ok()?))
 }
 
 fn parse_strategy(s: &str) -> AdditionStrategy {
@@ -139,37 +126,6 @@ fn run_analyze(args: &[String]) -> Result<String, String> {
             "--resume" => opts.resume = Some(PathBuf::from(value("--resume"))),
             "--measure" => opts.measures.push(Measure::parse(&value("--measure"))?),
             "--trace" => opts.trace = Some(PathBuf::from(value("--trace"))),
-            "--drop-rate" => {
-                opts.drop_rate = value("--drop-rate")
-                    .parse()
-                    .map_err(|_| "invalid --drop-rate")?
-            }
-            "--crash-at" => {
-                let v = value("--crash-at");
-                let (step, rank) = parse_pair(&v)
-                    .ok_or_else(|| format!("invalid --crash-at {v:?} (expected STEP:RANK)"))?;
-                opts.crash_at.push((step, rank));
-            }
-            "--straggler" => {
-                let v = value("--straggler");
-                let (rank, scale) = parse_pair(&v)
-                    .ok_or_else(|| format!("invalid --straggler {v:?} (expected RANK:SCALE)"))?;
-                opts.stragglers.push((rank, scale));
-            }
-            "--detector-timeout" => {
-                opts.detector_timeout = Some(
-                    value("--detector-timeout")
-                        .parse()
-                        .map_err(|_| "invalid --detector-timeout")?,
-                )
-            }
-            "--checkpoint-interval" => {
-                opts.checkpoint_interval = Some(
-                    value("--checkpoint-interval")
-                        .parse()
-                        .map_err(|_| "invalid --checkpoint-interval")?,
-                )
-            }
             "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out"))),
             "--progress-out" => opts.progress_out = Some(PathBuf::from(value("--progress-out"))),
             "--spans-out" => opts.spans_out = Some(PathBuf::from(value("--spans-out"))),
@@ -216,11 +172,6 @@ fn run_stream(args: &[String]) -> Result<String, String> {
                     .map_err(|_| "invalid --queue-cap")?
             }
             "--drain-policy" => opts.drain_policy = value("--drain-policy"),
-            "--drop-rate" => {
-                opts.drop_rate = value("--drop-rate")
-                    .parse()
-                    .map_err(|_| "invalid --drop-rate")?
-            }
             "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out"))),
             "--backend" => opts.backend = value("--backend").parse()?,
             "--threads" => {
@@ -276,23 +227,6 @@ fn run_serve(args: &[String]) -> Result<String, String> {
                     .map_err(|_| "invalid --deadline-us")?
             }
             "--seed" => opts.seed = value("--seed").parse().map_err(|_| "invalid --seed")?,
-            "--drop-rate" => {
-                opts.drop_rate = value("--drop-rate")
-                    .parse()
-                    .map_err(|_| "invalid --drop-rate")?
-            }
-            "--crash-at" => {
-                let v = value("--crash-at");
-                let (step, rank) = parse_pair(&v)
-                    .ok_or_else(|| format!("invalid --crash-at {v:?} (expected STEP:RANK)"))?;
-                opts.crash_at.push((step, rank));
-            }
-            "--straggler" => {
-                let v = value("--straggler");
-                let (rank, scale) = parse_pair(&v)
-                    .ok_or_else(|| format!("invalid --straggler {v:?} (expected RANK:SCALE)"))?;
-                opts.stragglers.push((rank, scale));
-            }
             "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out"))),
             "--data-dir" => opts.data_dir = Some(PathBuf::from(value("--data-dir"))),
             "--checkpoint-every" => {

@@ -14,7 +14,6 @@
 //! step             # run one recombination step
 //! converge         # run recombination to convergence
 //! rebalance        # migrate rows to rebalance load
-//! fail r           # crash processor r; recover it from its checkpoint, else reseed
 //! snapshot k       # print the current top-k closeness ranking
 //! ```
 //!

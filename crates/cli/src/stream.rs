@@ -25,12 +25,6 @@ pub enum Command {
     Converge,
     /// `rebalance` — migrate rows to rebalance load.
     Rebalance,
-    /// `fail r` — crash processor `r` and recover it through the ladder
-    /// (its last checkpoint if one is usable, a local reseed otherwise).
-    Fail(usize),
-    /// `chaos p_drop p_dup` — set lossy-link fault injection rates
-    /// (both zero disables chaos).
-    Chaos(f64, f64),
     /// `snapshot k` — print the top-k closeness ranking.
     Snapshot(usize),
 }
@@ -131,22 +125,6 @@ pub fn parse_stream(text: &str) -> Result<Vec<(usize, Command)>, String> {
             "step" => Command::Step,
             "converge" => Command::Converge,
             "rebalance" => Command::Rebalance,
-            "fail" => Command::Fail(num_arg::<u32>(&mut toks, lineno, "rank")? as usize),
-            "chaos" => {
-                let p_drop: f64 = num_arg(&mut toks, lineno, "p_drop")?;
-                let p_dup: f64 = num_arg(&mut toks, lineno, "p_dup")?;
-                if !(0.0..=1.0).contains(&p_drop) || !(0.0..=1.0).contains(&p_dup) {
-                    return Err(format!(
-                        "line {lineno}: chaos probabilities must lie in [0, 1]"
-                    ));
-                }
-                if p_drop >= 1.0 {
-                    return Err(format!(
-                        "line {lineno}: p_drop must be below 1 (a network that drops everything can never converge)"
-                    ));
-                }
-                Command::Chaos(p_drop, p_dup)
-            }
             "snapshot" => Command::Snapshot(num_arg::<u32>(&mut toks, lineno, "k")? as usize),
             other => return Err(format!("line {lineno}: unknown command {other:?}")),
         };
@@ -158,12 +136,12 @@ pub fn parse_stream(text: &str) -> Result<Vec<(usize, Command)>, String> {
     Ok(out)
 }
 
-/// Runs one control command (`step`, `converge`, `rebalance`, `fail`,
-/// `chaos`, `snapshot`) against the engine. Returns lines to print (empty
-/// for silent commands), or an error for arguments invalid for the current
-/// engine state, such as a bad rank. Updates (`ae`/`de`/`cw`/`dv`/`av`) are
-/// not control commands: [`apply_batch`] pushes them through the session's
-/// ingest pipeline, which validates and phrases their warnings.
+/// Runs one control command (`step`, `converge`, `rebalance`, `snapshot`)
+/// against the engine. Returns lines to print (empty for silent commands),
+/// or an error for a command that is not a control command. Updates
+/// (`ae`/`de`/`cw`/`dv`/`av`) are not control commands: [`apply_batch`]
+/// pushes them through the session's ingest pipeline, which validates and
+/// phrases their warnings.
 pub fn apply(engine: &mut AnytimeEngine, cmd: &Command) -> Result<Vec<String>, String> {
     let out = match cmd {
         Command::Step => {
@@ -177,24 +155,6 @@ pub fn apply(engine: &mut AnytimeEngine, cmd: &Command) -> Result<Vec<String>, S
         Command::Rebalance => {
             let moved = engine.rebalance();
             vec![format!("rebalanced: {moved} vertices migrated")]
-        }
-        Command::Fail(rank) => {
-            let report = engine.recover_rank(*rank).map_err(|e| e.to_string())?;
-            vec![format!(
-                "processor {rank} crashed and recovered via {}: {} rows restored, {} reseeded, {} resent",
-                report.method, report.restored_rows, report.reseeded_rows, report.resent_rows
-            )]
-        }
-        Command::Chaos(p_drop, p_dup) => {
-            engine.set_chaos(*p_drop, *p_dup);
-            // aa-lint: allow(AA03, exact echo of the user-typed "chaos off" zeros, not a computed estimate)
-            if *p_drop == 0.0 && *p_dup == 0.0 {
-                vec!["chaos disabled: links are reliable again".to_string()]
-            } else {
-                vec![format!(
-                    "chaos enabled: p_drop {p_drop}, p_dup {p_dup} on recombination links"
-                )]
-            }
         }
         Command::Snapshot(k) => {
             let snap = engine.snapshot();
@@ -240,7 +200,7 @@ pub(crate) fn confidence_line(tracker: &TopKTracker, ans: &TopKAnswer) -> String
 }
 
 /// Converts a mutation command into its ingest op; `None` for control
-/// commands (steps, barriers, chaos, snapshots), which don't buffer.
+/// commands (steps, barriers, snapshots), which don't buffer.
 fn to_update_op(cmd: &Command) -> Option<UpdateOp> {
     match cmd {
         Command::AddEdge(u, v, w) => Some(UpdateOp::AddEdge(*u, *v, *w)),
@@ -370,16 +330,14 @@ av 1,2,3
 step
 converge
 rebalance
-fail 2
-chaos 0.25 0.1
 snapshot 10
 ";
         let cmds = parse_stream(text).unwrap();
-        assert_eq!(cmds.len(), 11);
+        assert_eq!(cmds.len(), 9);
         assert_eq!(cmds[0], (2, Command::AddEdge(0, 5, 2)));
         assert_eq!(cmds[4], (6, Command::AddVertex(vec![1, 2, 3])));
-        assert_eq!(cmds[8], (10, Command::Fail(2)));
-        assert_eq!(cmds[9], (11, Command::Chaos(0.25, 0.1)));
+        assert_eq!(cmds[7], (9, Command::Rebalance));
+        assert_eq!(cmds[8], (10, Command::Snapshot(10)));
     }
 
     #[test]
@@ -388,12 +346,18 @@ snapshot 10
         assert!(parse_stream("\nxx 1").unwrap_err().contains("line 2"));
         assert!(parse_stream("ae 0 1 2 3").unwrap_err().contains("trailing"));
         assert!(parse_stream("av one,two").unwrap_err().contains("anchor"));
-        assert!(parse_stream("chaos 0.5").unwrap_err().contains("p_dup"));
-        assert!(parse_stream("chaos -0.1 0").unwrap_err().contains("[0, 1]"));
-        assert!(parse_stream("chaos 0.1 1.5")
-            .unwrap_err()
-            .contains("[0, 1]"));
-        assert!(parse_stream("chaos 1.0 0").unwrap_err().contains("below 1"));
+        // The fault-injection commands went with the fault layer: each is an
+        // unknown command on its own line, whatever its arguments.
+        for text in [
+            "chaos 0.5",
+            "chaos -0.1 0",
+            "chaos 0.1 1.5",
+            "chaos 1.0 0",
+            "fail 1",
+        ] {
+            let err = parse_stream(&format!("step\n{text}")).unwrap_err();
+            assert!(err.contains("line 2: unknown command"), "{err}");
+        }
     }
 
     #[test]
@@ -576,9 +540,6 @@ snapshot 3
     #[test]
     fn apply_rejects_invalid_commands_without_panicking() {
         let mut s = one_at_a_time(generators::path(6), 2);
-        // Out-of-range crash target used to panic deep inside resilience.rs.
-        let err = apply(s.engine_mut(), &Command::Fail(999_999)).unwrap_err();
-        assert!(err.contains("out of range"), "{err}");
         // An update is not a control command.
         assert!(apply(s.engine_mut(), &Command::DeleteVertex(0)).is_err());
         let reject = |s: &mut Session, cmd| apply_batch(s, &[(7, cmd)]).unwrap_err();
@@ -604,32 +565,5 @@ snapshot 3
         // The engine is still usable afterwards.
         s.converge(64);
         assert!(s.engine().is_converged());
-    }
-
-    #[test]
-    fn apply_chaos_toggles_fault_injection() {
-        let g = generators::barabasi_albert(30, 2, 1, 5);
-        let mut e = AnytimeEngine::new(
-            g,
-            EngineConfig {
-                num_procs: 3,
-                ..Default::default()
-            },
-        );
-        e.initialize();
-        let msg = apply(&mut e, &Command::Chaos(0.3, 0.1)).unwrap();
-        assert!(msg[0].contains("chaos enabled"));
-        apply(&mut e, &Command::Converge).unwrap();
-        assert!(e.is_converged());
-        let totals = e.cluster().ledger().totals();
-        assert!(totals.dropped_messages > 0, "chaos should drop something");
-        let msg = apply(&mut e, &Command::Chaos(0.0, 0.0)).unwrap();
-        assert!(msg[0].contains("chaos disabled"));
-        // Exactness survives the lossy phase.
-        let dense = e.distances_dense();
-        let oracle = aa_graph::algo::apsp_dijkstra(e.graph());
-        for v in e.graph().vertices() {
-            assert_eq!(dense[v as usize], oracle[v as usize]);
-        }
     }
 }

@@ -1,14 +1,13 @@
 //! Engine checkpointing: save and restore the complete analysis state.
 //!
-//! Complements the processor-failure recovery in [`crate::resilience`]: a
-//! periodic checkpoint bounds the recomputation after a *whole-cluster*
-//! failure, the remaining fault-tolerance scenario the papers' future work
-//! names. The format is a small self-contained little-endian binary layout
-//! (magic + version header) holding the world graph, the partition and every
-//! distance-vector row. Volatile state (boundary caches, delta baselines,
-//! dirty sets, pending retransmits) is intentionally *not* saved: restore
-//! marks every row dirty and downgrades all sends to full rows, which is
-//! always safe and costs one re-exchange.
+//! A periodic checkpoint bounds the recomputation after the process dies —
+//! the failure model this system handles, through `aa-durable`'s write-ahead
+//! log and on-disk checkpoints (DESIGN §9, §14). The format is a small
+//! self-contained little-endian binary layout (magic + version header)
+//! holding the world graph, the partition and every distance-vector row.
+//! Volatile state (boundary caches, delta baselines, dirty sets) is
+//! intentionally *not* saved: restore marks every row dirty and downgrades
+//! all sends to full rows, which is always safe and costs one re-exchange.
 //!
 //! Integrity: the header declares the body length, and the byte stream ends
 //! in a CRC32 (IEEE) footer over the body (everything between the length
@@ -19,9 +18,9 @@
 //! blob instead of restoring a silently wrong analysis state.
 //!
 //! The framing helpers ([`write_framed`], [`read_framed`], [`crc32`]) are
-//! public: the supervisor's per-rank checkpoints and the `aa-durable`
-//! crash-consistency layer (write-ahead log + on-disk checkpoints) reuse
-//! the same envelope with their own magic/version pairs.
+//! public: the `aa-durable` crash-consistency layer (write-ahead log +
+//! on-disk checkpoints) reuses the same envelope with its own magic/version
+//! pairs.
 
 use crate::config::EngineConfig;
 use crate::engine::AnytimeEngine;
@@ -106,8 +105,7 @@ pub const FRAME_OVERHEAD: usize = 20;
 
 /// Frames `body` in the v3 checkpoint envelope: magic, version, declared
 /// body length, body, CRC32 footer over the body. Shared by the
-/// whole-engine checkpoint, the supervisor's per-rank checkpoints, and the
-/// `aa-durable` on-disk checkpoint wrapper.
+/// whole-engine checkpoint and the `aa-durable` on-disk checkpoint wrapper.
 pub fn write_framed(magic: &[u8; 4], version: u32, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(body.len() + FRAME_OVERHEAD);
     out.extend_from_slice(magic);
@@ -318,14 +316,6 @@ impl AnytimeEngine {
 
         let p = config.num_procs;
         let cluster = crate::engine::build_cluster(&config);
-        // Supervision restarts fresh: the whole-cluster checkpoint does not
-        // carry per-rank checkpoints (they describe volatile replica state),
-        // and the detector's clocks re-anchor to the restored step counter —
-        // without the re-anchor every rank would look "silent since step 0".
-        let mut supervision = crate::supervisor::Supervision::new(p, &config.supervision);
-        for rank in 0..p {
-            supervision.detector.mark_up(rank, rc_steps as u64);
-        }
         let engine = AnytimeEngine {
             world,
             partition,
@@ -337,7 +327,6 @@ impl AnytimeEngine {
             initialized: true,
             rr_cursor,
             pivot_pending: vec![false; p],
-            supervision,
             invalidation_epoch: 0,
             obs: crate::obs::EngineObs::default(),
         };
@@ -496,8 +485,8 @@ mod tests {
                 "cut at {keep}: error must carry the declared length, got {msg:?}"
             );
         }
-        // The same cuts through the shared framing helper (the supervisor's
-        // per-rank blobs and aa-durable's checkpoint wrapper ride on it).
+        // The same cuts through the shared framing helper (aa-durable's
+        // checkpoint wrapper rides on it).
         let framed = write_framed(b"AATT", 1, b"some body bytes");
         let err = read_framed(&framed[..framed.len() - 3], b"AATT", 1)
             .map(|_| ())

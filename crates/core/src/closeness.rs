@@ -27,27 +27,11 @@ pub struct Snapshot {
     /// Number of finite non-self targets per vertex id slot: how many
     /// vertices this row has found *some* path to so far.
     pub finite_targets: Vec<u32>,
-    /// Per vertex id slot: the row has no scheduled (dirty) or in-flight
-    /// (unacknowledged send) refinement work and its owner is up. Unlike the
-    /// frame-global `max_overestimate_bound`, this lets a bound consumer
-    /// widen only the rows that are actually still moving instead of
-    /// widening every row whenever anything in the cluster is busy.
+    /// Per vertex id slot: the row has no scheduled (dirty) refinement work.
+    /// Unlike the frame-global `max_overestimate_bound`, this lets a bound
+    /// consumer widen only the rows that are actually still moving instead
+    /// of widening every row whenever anything in the cluster is busy.
     pub row_quiescent: Vec<bool>,
-    /// Per vertex id slot: whether the estimate is served from the frozen
-    /// state of a currently-down processor (graceful degradation — still a
-    /// valid upper-bound-derived estimate for the graph as it stood, but not
-    /// being refined until the rank recovers).
-    pub stale: Vec<bool>,
-    /// Row sends in flight (sent but unacknowledged) when the snapshot was
-    /// taken. Non-zero means the convergence test cannot pass yet — this is
-    /// the figure the engine consults internally, surfaced so callers stop
-    /// reaching into engine internals for it.
-    pub outstanding_rows: usize,
-    /// Processors up when the snapshot was taken.
-    pub live_ranks: usize,
-    /// Processors down when the snapshot was taken (every `stale` flag is
-    /// owned by one of them).
-    pub down_ranks: usize,
 }
 
 impl Snapshot {
@@ -62,13 +46,7 @@ impl Snapshot {
         top_k_by_score(&self.harmonic, k)
     }
 
-    /// Whether any estimate in the snapshot is stale (a rank was down when
-    /// it was taken).
-    pub fn any_stale(&self) -> bool {
-        self.stale.iter().any(|&s| s)
-    }
-
-    /// Rows with no pending or in-flight refinement work on a live rank.
+    /// Rows with no pending refinement work.
     pub fn quiescent_rows(&self) -> usize {
         self.row_quiescent.iter().filter(|&&q| q).count()
     }
@@ -125,14 +103,10 @@ mod tests {
             rc_step: 0,
             makespan_us: 0.0,
             harmonic: closeness.clone(),
-            stale: vec![false; closeness.len()],
             dist_sum: vec![0; closeness.len()],
             finite_targets: vec![0; closeness.len()],
             row_quiescent: vec![true; closeness.len()],
             closeness,
-            outstanding_rows: 0,
-            live_ranks: 1,
-            down_ranks: 0,
         }
     }
 

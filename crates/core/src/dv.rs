@@ -28,7 +28,7 @@
 //! seeds — so a row cannot be marked and then forgotten.
 //!
 //! A second set per row, the **unsent log**, holds the columns lowered since
-//! the row's last fully acknowledged send — the send-side half of the same
+//! the row's last send — the send-side half of the same
 //! sentence: a delta is a walk over its bits, and no copy of the row as sent
 //! is kept to diff against. The same lowering writes set it, and nothing
 //! else does: the marks that put a row back on the frontier because its
@@ -552,16 +552,15 @@ impl DistanceMatrix {
         &self.logs[self.row_index(v)]
     }
 
-    /// The columns of `v`'s row lowered since its last fully acknowledged
-    /// send.
+    /// The columns of `v`'s row lowered since its last send.
     #[cfg(test)]
     pub(crate) fn unsent(&self, v: VertexId) -> &ColumnSet {
         &self.unsent[self.row_index(v)]
     }
 
-    /// What a rank holding `v`'s row as of its last fully acknowledged send
-    /// is missing: the row's values on its unsent columns — or `None` if
-    /// they are all-columns, and only the full row will do.
+    /// What a rank holding `v`'s row as of its last send is missing: the
+    /// row's values on its unsent columns — or `None` if they are
+    /// all-columns, and only the full row will do.
     // aa-lint: allow(AA07, the one pragma the send side adds: the bit walk indexes the row at columns taken from its own unsent log, whose bits never reach the column count — the argument relax_on's sparse walk already makes; rows and unsent are parallel, indexed by row_index like row)
     pub fn unsent_entries(&self, v: VertexId) -> Option<RowDelta> {
         let idx = self.row_index(v);

@@ -142,7 +142,7 @@ impl AnytimeEngine {
     /// invalidations can re-relax from them), relaxes every owned row through
     /// every edge — the owners learn the direct edge here too: `D[u][u] = 0`
     /// — and propagates locally.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
+    // aa-lint: allow(AA07, processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity)
     fn relax_through_edges(
         &mut self,
         endpoints: &[VertexId],
@@ -218,8 +218,7 @@ impl AnytimeEngine {
         }
         let span = self.span_open();
         self.obs.note_mutation();
-        // Deletion can make pre-deletion rows underestimates; per-rank
-        // checkpoints from before this point are no longer restorable.
+        // Deletion can make pre-deletion rows underestimates.
         self.invalidation_epoch += 1;
         span
     }
@@ -236,7 +235,7 @@ impl AnytimeEngine {
     /// invalidated if *any* deleted edge supports its current value), one
     /// reseed. An edge named twice, in either orientation, counts once.
     /// Returns the number of edges actually removed.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
+    // aa-lint: allow(AA07, processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity)
     pub fn delete_edges(&mut self, edges: &[(VertexId, VertexId)]) -> usize {
         assert!(self.initialized, "call initialize() first");
         let present = edges.iter().filter_map(|&(u, v)| {
@@ -300,7 +299,7 @@ impl AnytimeEngine {
     /// additions (pure relaxation); increases like deletions (invalidate +
     /// reseed, with the deletion barrier). Returns `false` if the edge is
     /// absent or the weight unchanged.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
+    // aa-lint: allow(AA07, processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity)
     pub fn change_edge_weight(&mut self, u: VertexId, v: VertexId, new_w: Weight) -> bool {
         assert!(self.initialized, "call initialize() first");
         assert!(new_w != INF, "weight must be finite");
@@ -337,7 +336,7 @@ impl AnytimeEngine {
     /// named future work). Applies the deletion barrier, invalidates every
     /// pair whose path ran through `v`, and recomputes them like an edge
     /// deletion does. Returns the removed incident edges.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
+    // aa-lint: allow(AA07, processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity)
     pub fn delete_vertex(&mut self, v: VertexId) -> Vec<(VertexId, Weight)> {
         assert!(self.initialized, "call initialize() first");
         assert!(self.world.is_alive(v), "vertex {v} is not alive");
@@ -355,9 +354,6 @@ impl AnytimeEngine {
                 ps.dv.take_row(v);
                 ps.dirty.remove(&v);
                 ps.forget_receivers(v);
-                // Defensive: the barrier above guarantees quiescence, so no
-                // retransmit of the deleted row can still be pending.
-                ps.outstanding.retain(|&(u, _), _| u != v);
             }
             ps.is_local[v as usize] = false;
             // `v`'s copies go, and with them the neighbours' copies on the
@@ -555,13 +551,13 @@ where
     // One decision per row, on the exact row the barrier left. The receivers
     // of an owned row hold the same row and decide the same, so a raised
     // entry leaves the row's unsent log; the write that lowers it again logs
-    // it, whatever retransmit acks left in the log before. A cached copy is
+    // it. A cached copy is
     // one of those receivers: its reset entries are stale-high (safe), the
     // kept ones remain usable for re-relaxation. Every copy is exact here: a
     // copy exists only while its vertex borders this rank (eviction), and
     // then it equals its owner's row at quiescence — every change dirtied
-    // the row, a dirty row goes to every bordering rank, and the barrier
-    // waited for each ack (DESIGN §8; `check_invariants`).
+    // the row, a dirty row goes to every bordering rank, and every send
+    // arrives (DESIGN §8; `check_invariants`).
     let mut raised: Vec<(VertexId, Vec<usize>)> = Vec::new();
     for owned in [true, false] {
         let (store, tally) = match owned {

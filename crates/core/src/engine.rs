@@ -2,35 +2,16 @@
 //! the recombination loop, orchestrated over the simulated cluster.
 
 use crate::closeness::Snapshot;
-use crate::config::{EngineConfig, FaultConfig, Refinement};
+use crate::config::{EngineConfig, Refinement};
 use crate::obs::EngineObs;
-use crate::proc_state::{retry_backoff, Outstanding, ProcState, RowUpdate};
-use crate::supervisor::Supervision;
+use crate::proc_state::{ProcState, RowUpdate};
 use aa_graph::{Graph, VertexId, Weight, INF};
 use aa_logp::Phase;
 use aa_obs::Stopwatch;
 use aa_partition::Partition;
 use aa_runtime::{Cluster, TransferOut};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
-
-/// What a recombination exchange carries: boundary-row updates, plus the
-/// supervision layer's piggybacked one-byte heartbeats.
-#[derive(Debug, Clone)]
-pub(crate) enum RcPayload {
-    Row(VertexId, RowUpdate),
-    Heartbeat,
-}
-
-/// Per-rank input to the receipt-settlement stage: row-send descriptors
-/// `(row, dst, is_retransmit)`, heartbeat destinations, delivery receipts in
-/// send order, and per-dirty-row trivially-delivered destinations.
-type SettleInput = (
-    Vec<(VertexId, usize, bool)>,
-    Vec<usize>,
-    Vec<bool>,
-    Vec<(VertexId, Vec<usize>)>,
-);
 
 /// The distributed anytime-anywhere closeness-centrality engine.
 ///
@@ -53,10 +34,8 @@ pub struct AnytimeEngine {
     /// another pass is owed even if no new boundary rows arrive
     /// (PivotPass refinement only).
     pub(crate) pivot_pending: Vec<bool>,
-    /// Failure detector, per-rank checkpoint store and recovery log.
-    pub(crate) supervision: Supervision,
-    /// Bumped by every deletion (and weight increase): per-rank checkpoints
-    /// from an older epoch may hold underestimates and are unusable.
+    /// Bumped by every deletion (and weight increase): estimates from an
+    /// older epoch may be underestimates of the current graph.
     pub(crate) invalidation_epoch: u64,
     /// Span log, progress-probe state and protocol counters (see
     /// [`crate::obs`]).
@@ -64,7 +43,7 @@ pub struct AnytimeEngine {
 }
 
 /// Builds the execution backend an [`EngineConfig`] asks for, with the
-/// configured fault plan and compute calibration installed. Shared by
+/// configured compute calibration installed. Shared by
 /// [`AnytimeEngine::new`] and the whole-cluster checkpoint restore path.
 pub(crate) fn build_cluster(config: &EngineConfig) -> Cluster {
     let mut cluster = Cluster::build(
@@ -77,7 +56,6 @@ pub(crate) fn build_cluster(config: &EngineConfig) -> Cluster {
     // aa-lint: allow(AA01, backend availability is probed at CLI/config time via threads_available; failing here is construction-time misconfiguration, same contract as the num_procs assert)
     .unwrap_or_else(|e| panic!("cannot build execution backend: {e}"));
     cluster.set_compute_scale(config.compute_scale);
-    cluster.set_fault_plan(config.build_fault_plan());
     cluster
 }
 
@@ -88,7 +66,6 @@ impl AnytimeEngine {
         assert!(config.num_procs >= 1, "need at least one processor");
         let p = config.num_procs;
         let cluster = build_cluster(&config);
-        let supervision = Supervision::new(p, &config.supervision);
         AnytimeEngine {
             partition: Partition::unassigned(graph.capacity(), p),
             world: graph,
@@ -100,7 +77,6 @@ impl AnytimeEngine {
             initialized: false,
             rr_cursor: 0,
             pivot_pending: vec![false; p],
-            supervision,
             invalidation_epoch: 0,
             obs: EngineObs::default(),
         }
@@ -202,7 +178,6 @@ impl AnytimeEngine {
             Phase::InitialApproximation,
             &mut self.procs,
             vec![(); p],
-            &vec![false; p],
             |_, ps, ()| ps.initial_approximation(ia),
         );
         self.cluster.barrier();
@@ -212,10 +187,6 @@ impl AnytimeEngine {
         self.converged = false;
         self.initialized = true;
         self.pivot_pending = vec![false; p];
-        // A (re)initialization resets supervision: old checkpoints describe
-        // state the rebuild just discarded, and the detector's clocks restart
-        // with the step counter.
-        self.supervision = Supervision::new(p, &self.config.supervision);
     }
 
     /// One recombination step: exchange the distance vectors of boundary
@@ -223,58 +194,30 @@ impl AnytimeEngine {
     /// termination. Returns `true` when no processor has pending updates
     /// (the solution is the exact APSP of the current graph).
     ///
-    /// Sends are ack-based: a destination is marked as holding a row only
-    /// when the exchange's delivery receipt confirms it, and dropped sends
-    /// are queued for retransmission with capped exponential backoff. A
-    /// processor keeps voting "more updates pending" while any of its sends
-    /// is unacknowledged, so [`Self::is_converged`] can never report `true`
-    /// with data still in flight — this is what makes convergence loss-safe
-    /// under the injected network faults (see `FaultConfig`).
+    /// The network is reliable, as MPI's is: a row's sends are recorded as
+    /// they are built, because every one arrives.
     pub fn rc_step(&mut self) -> bool {
         assert!(self.initialized, "call initialize() first");
         let rc_span = self.span_open();
         let p = self.config.num_procs;
         self.rc_steps_done += 1;
         let now = self.rc_steps_done as u64;
-        // Heartbeats (and with them automatic crash detection) need peers.
-        let supervise = self.config.supervision.heartbeats && p > 1;
 
-        // 0. Scheduled fail-stop crashes fire; then every live rank takes
-        // its periodic checkpoint if one is due. A rank that crashes this
-        // step keeps only its previous checkpoint — exactly what a real
-        // fail-stop leaves behind.
-        self.cluster.fire_crashes_due(now);
-        self.take_periodic_checkpoints(now);
-        // Per-step compute baseline for the straggler detector.
-        let compute_before: Vec<f64> = self.cluster.compute_us_by_rank().to_vec();
-
-        // 1. Assemble boundary-row sends: full rows on first contact, only
-        // the changed entries afterwards (the papers' "send only the updated
-        // values of the boundary DVs"), plus due retransmits of previously
-        // dropped rows. `descs[rank][i]` describes `outbox[rank][i]`:
-        // (row, destination, is_retransmit). Down ranks assemble nothing —
-        // their dirty sets and retransmit queues stay frozen until recovery.
-        // Each live rank assembles its sends on the execution backend (the
-        // threads backend runs these closures on real workers); down ranks
-        // are skipped and contribute empty plans without a compute charge.
-        let down: Vec<bool> = (0..p).map(|r| self.cluster.is_down(r)).collect();
+        // 1. Assemble and record boundary-row sends: full rows on first
+        // contact, only the changed entries afterwards (the papers' "send
+        // only the updated values of the boundary DVs"). Each rank assembles
+        // its sends on the execution backend (the threads backend runs these
+        // closures on real workers).
         let partition = &self.partition;
-        let plans = self.cluster.run_on_ranks(
+        let outbox = self.cluster.run_on_ranks(
             Phase::Recombination,
             &mut self.procs,
             vec![(); p],
-            &down,
             |_, ps, ()| {
-                let mut outbox: Vec<TransferOut<RcPayload>> = Vec::new();
-                let mut descs: Vec<(VertexId, usize, bool)> = Vec::new();
-                let mut dirty_meta: Vec<(VertexId, Vec<usize>)> = Vec::new();
+                let mut outbox: Vec<TransferOut<(VertexId, RowUpdate)>> = Vec::new();
                 let mut dirty: Vec<VertexId> = ps.dirty.drain().collect();
                 dirty.sort_unstable(); // deterministic order
                 for u in dirty {
-                    // A fresh send supersedes any pending retransmit of the
-                    // same row: destinations still neighbouring get the new
-                    // data below, the rest no longer need the row at all.
-                    ps.outstanding.retain(|&(v, _), _| v != u);
                     let ranks = ps.neighbor_ranks(u, partition);
                     if ranks.is_empty() {
                         // Interior vertex: no neighbour processor needs it.
@@ -287,290 +230,70 @@ impl AnytimeEngine {
                     // One walk of the unsent bits, into one buffer that every
                     // destination shares.
                     let delta = ps.unsent_delta(u);
-                    let mut trivial = Vec::new();
                     for &dst in &ranks {
                         if let Some(update) = ps.build_row_update(u, dst, delta.as_ref()) {
                             outbox.push(TransferOut {
                                 dst,
                                 bytes: update.bytes(),
-                                payload: RcPayload::Row(u, update),
+                                payload: (u, update),
                             });
-                            descs.push((u, dst, false));
-                        } else {
-                            trivial.push(dst);
                         }
                     }
-                    dirty_meta.push((u, trivial));
+                    ps.record_sent(u, &ranks);
                 }
-                // Due retransmits. The destination was removed from `sent_to`
-                // when its receipt came back negative, so these are always
-                // full rows.
-                let mut due: Vec<(VertexId, usize)> = ps
-                    .outstanding
-                    .iter()
-                    .filter(|(_, o)| o.next_step <= now)
-                    .map(|(&key, _)| key)
-                    .collect();
-                due.sort_unstable();
-                for (u, dst) in due {
-                    match ps.build_row_update(u, dst, ps.unsent_delta(u).as_ref()) {
-                        Some(update) => {
-                            outbox.push(TransferOut {
-                                dst,
-                                bytes: update.bytes(),
-                                payload: RcPayload::Row(u, update),
-                            });
-                            descs.push((u, dst, true));
-                        }
-                        None => {
-                            // dst already holds the current row (it was acked
-                            // through another path); nothing left to deliver.
-                            ps.outstanding.remove(&(u, dst));
-                        }
-                    }
-                }
-                (outbox, descs, dirty_meta)
+                outbox
             },
         );
-        let mut outbox: Vec<Vec<TransferOut<RcPayload>>> = Vec::with_capacity(p);
-        let mut descs: Vec<Vec<(VertexId, usize, bool)>> = Vec::with_capacity(p);
-        // Per dirty row: destinations that were already up to date (no bytes
-        // needed — trivially delivered).
-        let mut dirty_meta: Vec<Vec<(VertexId, Vec<usize>)>> = Vec::with_capacity(p);
-        for (ob, ds, dm) in plans {
-            outbox.push(ob);
-            descs.push(ds);
-            dirty_meta.push(dm);
-        }
-        self.obs.retransmit_sends += descs
-            .iter()
-            .flatten()
-            .filter(|&&(_, _, retry)| retry)
-            .count() as u64;
         // Delta buffers this step holds, each shared one counted once.
         let mut buffers = HashSet::new();
         let mut buffer_bytes = 0;
         for transfer in outbox.iter().flatten() {
-            match &transfer.payload {
-                RcPayload::Row(_, RowUpdate::Full(_)) => self.obs.full_rows_sent += 1,
-                RcPayload::Row(_, RowUpdate::Delta(delta)) => {
+            match &transfer.payload.1 {
+                RowUpdate::Full(_) => self.obs.full_rows_sent += 1,
+                RowUpdate::Delta(delta) => {
                     self.obs.delta_rows_sent += 1;
                     self.obs.delta_entries_sent += delta.len() as u64;
                     if buffers.insert(Arc::as_ptr(delta)) {
                         buffer_bytes += delta.buffer_bytes();
                     }
                 }
-                RcPayload::Heartbeat => {}
             }
         }
         let max = &mut self.obs.delta_buffer_bytes_max;
         *max = (*max).max(buffer_bytes);
 
-        // 1b. Piggyback one-byte heartbeats from every live rank to every
-        // other rank on the same exchange, so silent-but-alive ranks remain
-        // distinguishable from crashed ones. Heartbeats ride the same faulty
-        // network as the data: chaos drops them too, which is why suspicion
-        // needs `detector_timeout` consecutive silent steps.
-        let mut hb_dsts: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
-        if supervise {
-            for rank in 0..p {
-                if self.cluster.is_down(rank) {
-                    continue;
-                }
-                for dst in 0..p {
-                    if dst != rank {
-                        outbox[rank].push(TransferOut {
-                            dst,
-                            bytes: 1,
-                            payload: RcPayload::Heartbeat,
-                        });
-                        hb_dsts[rank].push(dst);
-                    }
-                }
-            }
-        }
+        // 2. Personalized all-to-all exchange.
+        let inbox = self.cluster.exchange(Phase::Recombination, outbox);
 
-        // 2. Personalized all-to-all exchange, through the (possibly faulty)
-        // network, with per-sender delivery receipts.
-        let (inbox, receipts) = self
-            .cluster
-            .exchange_with_receipts(Phase::Recombination, outbox);
-        if supervise {
-            let sent: u64 = hb_dsts.iter().map(|d| d.len() as u64).sum();
-            self.cluster
-                .note_heartbeats(Phase::Recombination, sent, sent);
-        }
-
-        // 3a. Settle receipts *before* applying received rows: each row
-        // still equals its value at send time, so emptying an all-acked
-        // row's unsent log says exactly what every receiver now holds.
-        // Positive receipts double as liveness evidence: an ack proves the
-        // destination was up this step.
-        // Every rank (down ranks have nothing to settle — empty descs and
-        // receipts) settles on the backend; liveness contacts and protocol
-        // counters are returned and applied centrally in rank order, since
-        // the detector and `obs` are coordinator-side state.
-        let no_skip = vec![false; p];
-        let settle_inputs: Vec<SettleInput> = descs
-            .into_iter()
-            .zip(hb_dsts)
-            .zip(receipts)
-            .zip(dirty_meta)
-            .map(|(((ds, hb), rc), dm)| (ds, hb, rc, dm))
-            .collect();
-        let settled = self.cluster.run_on_ranks(
-            Phase::Recombination,
-            &mut self.procs,
-            settle_inputs,
-            &no_skip,
-            |_, ps, (descs_r, hb_r, receipts_r, dirty_r): SettleInput| {
-                debug_assert_eq!(descs_r.len() + hb_r.len(), receipts_r.len());
-                let mut contacts: Vec<usize> = Vec::new();
-                let (mut acked_sends, mut failed_sends) = (0u64, 0u64);
-                for (&dst, &ok) in hb_r.iter().zip(&receipts_r[descs_r.len()..]) {
-                    if ok {
-                        contacts.push(dst);
-                    }
-                }
-                for (&(_, dst, _), &ok) in descs_r.iter().zip(&receipts_r) {
-                    if ok {
-                        contacts.push(dst);
-                    }
-                }
-                for &ok in receipts_r.iter().take(descs_r.len()) {
-                    if ok {
-                        acked_sends += 1;
-                    } else {
-                        failed_sends += 1;
-                    }
-                }
-                let mut acked: HashMap<VertexId, Vec<usize>> = HashMap::new();
-                let mut failed: HashMap<VertexId, Vec<usize>> = HashMap::new();
-                for (&(u, dst, is_retry), &ok) in descs_r.iter().zip(&receipts_r) {
-                    if is_retry {
-                        if ok {
-                            // The receiver now caches the row as it was at
-                            // send time, so future deltas off the (older)
-                            // unsent log stay a superset of what it needs.
-                            // Deliberately not emptied: other members may
-                            // still be waiting for those entries.
-                            ps.sent_to.entry(u).or_default().insert(dst);
-                            ps.outstanding.remove(&(u, dst));
-                        } else {
-                            let o = ps
-                                .outstanding
-                                .get_mut(&(u, dst))
-                                .expect("retransmit has an outstanding entry");
-                            o.attempts += 1;
-                            o.next_step = now + retry_backoff(o.attempts);
-                        }
-                    } else if ok {
-                        acked.entry(u).or_default().push(dst);
-                    } else {
-                        failed.entry(u).or_default().push(dst);
-                    }
-                }
-                for (u, trivial) in dirty_r {
-                    let mut delivered: HashSet<usize> = trivial.into_iter().collect();
-                    delivered.extend(acked.remove(&u).unwrap_or_default());
-                    let failures = failed.remove(&u).unwrap_or_default();
-                    ps.record_sent(u, delivered, failures.is_empty());
-                    for dst in failures {
-                        ps.outstanding.insert(
-                            (u, dst),
-                            Outstanding {
-                                attempts: 1,
-                                next_step: now + 1,
-                            },
-                        );
-                    }
-                }
-                (contacts, acked_sends, failed_sends)
-            },
-        );
-        for (contacts, acked_sends, failed_sends) in settled {
-            for dst in contacts {
-                self.supervision.detector.observe_contact(dst, now);
-            }
-            self.obs.acked_sends += acked_sends;
-            self.obs.failed_sends += failed_sends;
-        }
-
-        // 3b. Apply received rows and refine locally, one closure per rank
-        // on the backend. Every inbound message (row or heartbeat) is
-        // liveness evidence for its sender, reported back as contacts and
-        // observed centrally.
+        // 3. Apply received rows and refine locally, one closure per rank
+        // on the backend.
         let refinement = self.config.refinement;
-        let apply_inputs: Vec<(Vec<(usize, RcPayload)>, bool)> = inbox
+        let apply_inputs: Vec<_> = inbox
             .into_iter()
             .zip(self.pivot_pending.iter().copied())
             .collect();
-        let applied = self.cluster.run_on_ranks(
+        self.pivot_pending = self.cluster.run_on_ranks(
             Phase::Recombination,
             &mut self.procs,
             apply_inputs,
-            &no_skip,
-            |_, ps, (received, pending): (Vec<(usize, RcPayload)>, bool)| {
-                let mut contacts: Vec<usize> = Vec::new();
-                for (src, payload) in received {
-                    contacts.push(src);
-                    if let RcPayload::Row(v, update) = payload {
-                        ps.apply_row_update(v, update);
-                    }
+            |_, ps, (received, pending)| {
+                for (_, (v, update)) in received {
+                    ps.apply_row_update(v, update);
                 }
                 // The frontier holds what the inbound rows just lowered and
-                // whatever a dynamic event, a migration or a recovery
-                // installed since the last step. Both refinements drain it;
-                // the pivot pass is a further closure on top, owed whenever
-                // the drain had something to move.
+                // whatever a dynamic event or a migration installed since the
+                // last step. Both refinements drain it; the pivot pass is a
+                // further closure on top, owed whenever the drain had
+                // something to move.
                 let moved = ps.propagate();
-                let pending =
-                    refinement == Refinement::PivotPass && (moved || pending) && ps.pivot_pass();
-                (contacts, pending)
+                refinement == Refinement::PivotPass && (moved || pending) && ps.pivot_pass()
             },
         );
-        for (rank, (contacts, pending)) in applied.into_iter().enumerate() {
-            for src in contacts {
-                self.supervision.detector.observe_contact(src, now);
-            }
-            self.pivot_pending[rank] = pending;
-        }
 
-        // 3c. Failure detection. Stragglers: compare this step's per-rank
-        // compute deltas against the live median. Crashes: any rank silent
-        // for more than the timeout is suspected; the supervisor confirms it
-        // down and (policy permitting) runs the recovery ladder — no manual
-        // call anywhere.
-        let skip: Vec<bool> = (0..p).map(|r| self.cluster.is_down(r)).collect();
-        let deltas: Vec<f64> = self
-            .cluster
-            .compute_us_by_rank()
-            .iter()
-            .zip(&compute_before)
-            .map(|(a, b)| a - b)
+        // 4. Global termination test.
+        let flags: Vec<bool> = (self.pivot_pending.iter().zip(&self.procs))
+            .map(|(&pending, ps)| pending || !ps.is_quiescent())
             .collect();
-        self.supervision
-            .detector
-            .observe_step_compute(&deltas, &skip);
-        if supervise {
-            for rank in self.supervision.detector.suspects(now) {
-                self.supervision.detector.mark_down(rank);
-                if self.config.supervision.auto_recover {
-                    self.recover_rank_ladder(rank, now);
-                }
-            }
-        }
-
-        // 4. Global termination test. Flags are computed *after* recovery so
-        // freshly installed rows (dirty, and on the frontier) count as
-        // pending work; a down rank always votes "pending" — its frozen
-        // state is not the fixed point.
-        let mut flags = vec![false; p];
-        for (rank, flag) in flags.iter_mut().enumerate() {
-            *flag = self.cluster.is_down(rank)
-                || self.pivot_pending[rank]
-                || !self.procs[rank].is_quiescent();
-        }
         let any = self.cluster.all_reduce_or(Phase::Recombination, &flags);
         self.converged = !any;
         self.span_close(rc_span, "recombination", format!("step {now}"));
@@ -634,34 +357,11 @@ impl AnytimeEngine {
         self.initialized
     }
 
-    /// Row sends that are currently unacknowledged (dropped by the network
-    /// and awaiting retransmission), totalled across processors. While this
-    /// is non-zero the convergence test cannot report convergence.
-    pub fn outstanding_rows(&self) -> usize {
-        self.procs.iter().map(|ps| ps.outstanding.len()).sum()
-    }
-
-    /// Enables lossy-link chaos injection on the recombination data plane
-    /// (drop rate `p_drop`, duplication rate `p_dup`); both zero disables
-    /// it. Reordering and the fault seed keep their configured (or default)
-    /// values. Takes effect from the next exchange; outstanding
-    /// retransmissions keep running either way.
-    pub fn set_chaos(&mut self, p_drop: f64, p_dup: f64) {
-        // aa-lint: allow(AA03, exact zero is the user-set "chaos off" sentinel, not a computed estimate)
-        if p_drop == 0.0 && p_dup == 0.0 {
-            self.config.fault = None;
-        } else {
-            let fc = FaultConfig {
-                p_drop,
-                p_dup,
-                ..self.config.fault.unwrap_or_default()
-            };
-            self.config.fault = Some(fc);
-        }
-        // Rebuild the combined plan so any configured processor faults
-        // (crash schedule, stragglers) survive the link-rate change.
-        let plan = self.config.build_fault_plan();
-        self.cluster.set_fault_plan(plan);
+    /// Deletions (and weight increases, which route through deletion) since
+    /// engine creation: an estimate from an older epoch may be an
+    /// underestimate of the current graph.
+    pub fn invalidation_epoch(&self) -> u64 {
+        self.invalidation_epoch
     }
 
     /// The engine configuration.
@@ -671,35 +371,22 @@ impl AnytimeEngine {
 
     /// An anytime snapshot: closeness estimates from the current (possibly
     /// partial) distance vectors. Charges the small result gather.
-    ///
-    /// Graceful degradation: while a rank is down, estimates for its
-    /// vertices are served from its frozen pre-crash state and flagged
-    /// [`Snapshot::stale`] — still valid anytime upper-bound-derived
-    /// estimates, just not improving until recovery.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or down_ranks and procs has one entry per rank from initialize; vertex ids are below world capacity)
+    // aa-lint: allow(AA07, processor ranks enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity)
     pub fn snapshot(&mut self) -> Snapshot {
         let snap_span = self.span_open();
         let cap = self.world.capacity();
         let mut closeness = vec![0.0f64; cap];
         let mut harmonic = vec![0.0f64; cap];
-        let mut stale = vec![false; cap];
         let mut dist_sum = vec![0u64; cap];
         let mut finite_targets = vec![0u32; cap];
-        // A slot is quiescent when its owning row has no scheduled or
-        // in-flight refinement work and its rank is up; dead/unowned slots
-        // stay non-quiescent so consumers never treat them as settled.
+        // A slot is quiescent when its owning row has no scheduled
+        // refinement work; dead/unowned slots stay non-quiescent so consumers
+        // never treat them as settled.
         let mut row_quiescent = vec![false; cap];
-        for rank in self.cluster.down_ranks() {
-            for &v in self.procs[rank].dv.vertices() {
-                stale[v as usize] = true;
-            }
-        }
         let p = self.config.num_procs;
         let mut outbox: Vec<Vec<TransferOut<()>>> = (0..p).map(|_| Vec::new()).collect();
         for (rank, ps) in self.procs.iter().enumerate() {
             let t = Stopwatch::start();
-            let rank_down = self.cluster.is_down(rank);
-            let in_flight: HashSet<VertexId> = ps.outstanding.keys().map(|&(v, _)| v).collect();
             for &v in ps.dv.vertices() {
                 let row = ps.dv.row(v);
                 let mut sum = 0u64;
@@ -716,8 +403,7 @@ impl AnytimeEngine {
                 harmonic[v as usize] = h;
                 dist_sum[v as usize] = sum;
                 finite_targets[v as usize] = finite;
-                row_quiescent[v as usize] =
-                    !rank_down && !ps.dirty.contains(&v) && !in_flight.contains(&v);
+                row_quiescent[v as usize] = !ps.dirty.contains(&v);
             }
             self.cluster
                 .compute_measured(rank, Phase::Recombination, t.elapsed());
@@ -731,7 +417,6 @@ impl AnytimeEngine {
             }
         }
         self.cluster.exchange(Phase::Recombination, outbox);
-        let down_ranks = self.cluster.down_ranks().len();
         let snap = Snapshot {
             rc_step: self.rc_steps_done,
             makespan_us: self.cluster.makespan_us(),
@@ -740,10 +425,6 @@ impl AnytimeEngine {
             dist_sum,
             finite_targets,
             row_quiescent,
-            stale,
-            outstanding_rows: self.outstanding_rows(),
-            live_ranks: self.cluster.live_count(),
-            down_ranks,
         };
         self.span_close(
             snap_span,

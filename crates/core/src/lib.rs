@@ -59,30 +59,25 @@ pub mod obs;
 pub mod proc_state;
 pub mod publish;
 pub mod rebalance;
-pub mod resilience;
 pub mod strategy;
-pub mod supervisor;
 
 // Under `tests/` so that aa-lint classes the file as test code by path (it
 // recognizes in-file `#[cfg(test)]` modules by span, not out-of-line ones).
 #[cfg(test)]
 #[path = "tests/changelog.rs"]
 mod changelog_tests;
+#[cfg(test)]
+#[path = "tests/resilience.rs"]
+mod resilience;
 
 pub use aa_obs::{
     decode_jsonl, encode_jsonl, kendall_tau, MetricsRegistry, ProgressSample, SpanLog, SpanRecord,
 };
-pub use aa_runtime::RankHealth;
 pub use closeness::Snapshot;
-pub use config::{
-    EngineConfig, FaultConfig, IaAlgorithm, PartitionerKind, ProcFaultConfig, Refinement,
-    RepartitionMode, SupervisorConfig,
-};
+pub use config::{EngineConfig, IaAlgorithm, PartitionerKind, Refinement, RepartitionMode};
 pub use dynamic::{Endpoint, VertexBatch};
 pub use engine::AnytimeEngine;
 pub use feed::BoundDelta;
 pub use publish::{SnapshotFrame, SnapshotMeta};
 pub use rebalance::ImbalanceReport;
-pub use resilience::{RecoveryError, RecoveryMethod, RecoveryReport};
 pub use strategy::AdditionStrategy;
-pub use supervisor::{HealthReport, RecoveryEvent};

@@ -2,11 +2,11 @@
 //! the metrics export, all backed by the dependency-free `aa-obs` layer.
 //!
 //! The engine computes every number here from state it already owns — the
-//! LogP virtual clock, the cost ledger, the distance vectors, the supervision
-//! log — and feeds plain data into `aa-obs` types. Nothing reads a wall
-//! clock: the modeled cost of a span is the virtual-makespan delta across
-//! it, and the "measured" cost is the ledger's `compute_us` delta (which the
-//! cluster charged from measured execution at record time).
+//! LogP virtual clock, the cost ledger, the distance vectors — and feeds
+//! plain data into `aa-obs` types. Nothing reads a wall clock: the modeled
+//! cost of a span is the virtual-makespan delta across it, and the
+//! "measured" cost is the ledger's `compute_us` delta (which the cluster
+//! charged from measured execution at record time).
 //!
 //! The progress probe is opt-in ([`AnytimeEngine::enable_progress_probe`])
 //! because each sample compares the full distance state against an exact
@@ -18,7 +18,6 @@ use crate::engine::AnytimeEngine;
 use aa_graph::{algo, VertexId, Weight, INF};
 use aa_logp::PhaseStats;
 use aa_obs::{kendall_tau, MetricsRegistry, ProgressSample, SpanLog, SpanRecord};
-use std::collections::BTreeMap;
 
 /// Bucket bounds for the per-step recombination payload histogram (bytes).
 const RC_BYTES_BOUNDS: [f64; 7] = [256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0, 1048576.0];
@@ -76,13 +75,7 @@ pub(crate) struct EngineObs {
     probe_enabled: bool,
     pub(crate) spans: SpanLog,
     pub(crate) samples: Vec<ProgressSample>,
-    /// Retransmit sends assembled (satellite of the ack-based protocol).
-    pub(crate) retransmit_sends: u64,
-    /// Row sends positively acknowledged by a delivery receipt.
-    pub(crate) acked_sends: u64,
-    /// Row sends negatively acknowledged (dropped; queued for retransmit).
-    pub(crate) failed_sends: u64,
-    /// Row sends that carried the whole row (first contact, retransmits).
+    /// Row sends that carried the whole row (first contact).
     pub(crate) full_rows_sent: u64,
     /// Row sends that carried only the row's unsent entries.
     pub(crate) delta_rows_sent: u64,
@@ -104,9 +97,7 @@ pub(crate) struct EngineObs {
     oracle: Option<Oracle>,
     /// Dense estimate matrix at the previous sample, for regression counts.
     prev_dense: Option<Vec<Vec<Weight>>>,
-    /// A recovery ran at or since the previous sample.
-    recovering: bool,
-    /// Monotone version bumped on every mutation or recovery; part of the
+    /// Monotone version bumped on every mutation; part of the
     /// snapshot publication cache key (the invalidation epoch alone misses
     /// relaxing changes, and the RC-step counter misses between-step ops).
     pub(crate) state_version: u64,
@@ -140,13 +131,6 @@ impl EngineObs {
         if let Some(evicted) = self.cache_evicted.get_mut(rank) {
             *evicted += 1;
         }
-    }
-
-    /// A recovery ladder invocation ran; the next probe sample is flagged so
-    /// monotonicity assertions skip it (restores may legitimately regress).
-    pub(crate) fn note_recovery(&mut self) {
-        self.recovering = true;
-        self.state_version += 1;
     }
 }
 
@@ -197,9 +181,6 @@ impl AnytimeEngine {
             compute_us: (t.compute_us - b.compute_us).max(0.0),
             bytes: t.bytes.saturating_sub(b.bytes),
             messages: t.messages.saturating_sub(b.messages),
-            dropped_messages: t.dropped_messages.saturating_sub(b.dropped_messages),
-            dup_messages: t.dup_messages.saturating_sub(b.dup_messages),
-            heartbeat_messages: t.heartbeat_messages.saturating_sub(b.heartbeat_messages),
         });
     }
 
@@ -325,21 +306,17 @@ impl AnytimeEngine {
                 converged_rows as f64 / live.len() as f64
             },
             unreached_pairs: unreached,
-            outstanding_rows: self.outstanding_rows() as u64,
             dirty_rows: dirty_rows as u64,
             estimate_regressions: regressions,
-            down_ranks: self.cluster.down_ranks().len() as u64,
-            recovering: self.obs.recovering,
         };
         self.obs.samples.push(sample);
         self.obs.prev_dense = Some(dense);
-        self.obs.recovering = false;
     }
 
     /// Exports the engine's current state as a metrics registry: phase
-    /// counters from the cost ledger, protocol counters from the ack-based
-    /// retransmission machinery, recovery counts by ladder rung, liveness
-    /// gauges, and per-RC-step histograms derived from the span log.
+    /// counters from the cost ledger, protocol counters from the
+    /// recombination sends and deletion invalidation, state gauges, and
+    /// per-RC-step histograms derived from the span log.
     ///
     /// The registry is rebuilt on each call (cheap: one pass over ledger and
     /// spans), so it always reflects the state at the call.
@@ -351,34 +328,10 @@ impl AnytimeEngine {
             "aa_phase_compute_us",
             "Virtual compute charged, by phase (µs)",
         );
-        r.set_help(
-            "aa_dropped_messages_total",
-            "Messages lost to injected network faults",
-        );
-        r.set_help(
-            "aa_dup_messages_total",
-            "Duplicate deliveries injected by the network",
-        );
-        r.set_help(
-            "aa_heartbeat_messages_total",
-            "Failure-detector heartbeat messages",
-        );
         r.set_help("aa_rc_steps_total", "Recombination steps executed");
         r.set_help(
             "aa_deletion_barrier_steps_total",
             "Recombination steps the deletion barrier ran before a deletion could apply",
-        );
-        r.set_help(
-            "aa_retransmits_total",
-            "Row retransmissions assembled after negative receipts",
-        );
-        r.set_help(
-            "aa_acked_sends_total",
-            "Row sends confirmed by a positive delivery receipt",
-        );
-        r.set_help(
-            "aa_failed_sends_total",
-            "Row sends negatively acknowledged and queued for retransmit",
         );
         r.set_help(
             "aa_rc_full_rows_sent_total",
@@ -386,7 +339,7 @@ impl AnytimeEngine {
         );
         r.set_help(
             "aa_rc_delta_rows_sent_total",
-            "Boundary-row sends that carried only the entries lowered since the last acknowledged send",
+            "Boundary-row sends that carried only the entries lowered since the row's last send",
         );
         r.set_help(
             "aa_rc_delta_entries_sent_total",
@@ -395,10 +348,6 @@ impl AnytimeEngine {
         r.set_help(
             "aa_rc_delta_buffer_bytes_max",
             "Most delta buffer bytes one recombination step held, each buffer shared by a row's destinations counted once",
-        );
-        r.set_help(
-            "aa_recoveries_total",
-            "Recovery-ladder invocations, by rung",
         );
         r.set_help(
             "aa_invalidation_rows_examined_total",
@@ -425,13 +374,7 @@ impl AnytimeEngine {
             "Cached copies dropped because their vertex stopped bordering the rank, by rank",
         );
         r.set_help("aa_makespan_us", "LogP virtual cluster time (µs)");
-        r.set_help(
-            "aa_outstanding_rows",
-            "Row sends in flight awaiting acknowledgement",
-        );
         r.set_help("aa_dirty_rows", "Rows scheduled for the next exchange");
-        r.set_help("aa_live_ranks", "Processors currently up");
-        r.set_help("aa_down_ranks", "Processors currently down");
         r.set_help(
             "aa_converged",
             "1 when the last RC step reported convergence",
@@ -460,21 +403,12 @@ impl AnytimeEngine {
             r.inc_counter("aa_phase_bytes_total", &labels, s.bytes);
             r.set_gauge("aa_phase_compute_us", &labels, s.compute_us);
         }
-        let totals = ledger.totals();
-        r.inc_counter("aa_dropped_messages_total", &[], totals.dropped_messages);
-        r.inc_counter("aa_dup_messages_total", &[], totals.dup_messages);
-        r.inc_counter(
-            "aa_heartbeat_messages_total",
-            &[],
-            totals.heartbeat_messages,
-        );
         r.inc_counter("aa_rc_steps_total", &[], self.rc_steps_done as u64);
         r.inc_counter(
             "aa_deletion_barrier_steps_total",
             &[],
             self.obs.barrier_steps,
         );
-        r.inc_counter("aa_retransmits_total", &[], self.obs.retransmit_sends);
         r.inc_counter(
             "aa_snapshot_publications_total",
             &[("kind", "fresh")],
@@ -485,8 +419,6 @@ impl AnytimeEngine {
             &[("kind", "reused")],
             self.obs.publish_reused,
         );
-        r.inc_counter("aa_acked_sends_total", &[], self.obs.acked_sends);
-        r.inc_counter("aa_failed_sends_total", &[], self.obs.failed_sends);
         let sent = [
             ("aa_rc_full_rows_sent_total", self.obs.full_rows_sent),
             ("aa_rc_delta_rows_sent_total", self.obs.delta_rows_sent),
@@ -522,20 +454,9 @@ impl AnytimeEngine {
             r.inc_counter("aa_cache_evicted_total", &labels, evicted);
         }
 
-        let mut by_method: BTreeMap<String, u64> = BTreeMap::new();
-        for ev in &self.supervision.log {
-            *by_method.entry(ev.report.method.to_string()).or_insert(0) += 1;
-        }
-        for (method, count) in &by_method {
-            r.inc_counter("aa_recoveries_total", &[("method", method)], *count);
-        }
-
         r.set_gauge("aa_makespan_us", &[], self.cluster.makespan_us());
-        r.set_gauge("aa_outstanding_rows", &[], self.outstanding_rows() as f64);
         let dirty_rows: usize = self.procs.iter().map(|ps| ps.dirty.len()).sum();
         r.set_gauge("aa_dirty_rows", &[], dirty_rows as f64);
-        r.set_gauge("aa_live_ranks", &[], self.cluster.live_count() as f64);
-        r.set_gauge("aa_down_ranks", &[], self.cluster.down_ranks().len() as f64);
         r.set_gauge("aa_converged", &[], if self.converged { 1.0 } else { 0.0 });
         r.set_gauge("aa_graph_vertices", &[], self.world.vertex_count() as f64);
         r.set_gauge("aa_graph_edges", &[], self.world.edge_count() as f64);
@@ -587,7 +508,6 @@ mod tests {
             "tau at exactness: {}",
             last.kendall_tau
         );
-        assert_eq!(last.outstanding_rows, 0);
     }
 
     #[test]
@@ -597,8 +517,6 @@ mod tests {
         e.run_to_convergence(32);
         for s in e.progress_samples() {
             assert_eq!(s.estimate_regressions, 0, "step {}", s.rc_step);
-            assert!(!s.recovering);
-            assert_eq!(s.down_ranks, 0);
         }
         for w in e.progress_samples().windows(2) {
             assert!(
@@ -650,9 +568,7 @@ mod tests {
         assert_eq!(r.counter_value("aa_rc_steps_total", &[]), steps as u64);
         assert!(r.counter_value("aa_phase_bytes_total", &[("phase", "recombination")]) > 0);
         assert_eq!(r.gauge_value("aa_converged", &[]), Some(1.0));
-        assert_eq!(r.gauge_value("aa_outstanding_rows", &[]), Some(0.0));
-        assert_eq!(r.gauge_value("aa_down_ranks", &[]), Some(0.0));
-        assert_eq!(r.gauge_value("aa_live_ranks", &[]), Some(4.0));
+        assert_eq!(r.gauge_value("aa_dirty_rows", &[]), Some(0.0));
         let prom = r.to_prometheus_text();
         assert!(prom.contains("aa_rc_step_bytes_bucket"));
         assert!(prom.contains("# TYPE aa_rc_steps_total counter"));
@@ -673,30 +589,5 @@ mod tests {
             "probe must track the post-deletion oracle"
         );
         assert_eq!(last.converged_row_fraction, 1.0);
-    }
-
-    #[test]
-    fn recovery_spans_and_counters_appear_under_faults() {
-        let g = generators::barabasi_albert(80, 2, 1, 23);
-        let mut e = AnytimeEngine::new(
-            g,
-            EngineConfig {
-                num_procs: 4,
-                ..Default::default()
-            },
-        );
-        e.initialize();
-        e.schedule_crash(2, 1);
-        e.run_to_convergence(64);
-        assert!(e.is_converged());
-        assert!(!e.recovery_log().is_empty(), "crash must trigger recovery");
-        let names: Vec<&str> = e.spans().iter().map(|s| s.name.as_str()).collect();
-        assert!(names.contains(&"recovery"));
-        let r = e.metrics_registry();
-        let total: u64 = ["checkpoint-restore", "sssp-reseed"]
-            .iter()
-            .map(|m| r.counter_value("aa_recoveries_total", &[("method", m)]))
-            .sum();
-        assert_eq!(total, e.recovery_log().len() as u64);
     }
 }

@@ -73,28 +73,6 @@ pub(crate) fn diff_rows(snapshot: &[Weight], current: &[Weight]) -> Vec<(u32, We
         .collect()
 }
 
-/// A boundary-row send whose delivery receipt came back negative: the
-/// network dropped it and it awaits retransmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Outstanding {
-    /// Failed delivery attempts so far (≥ 1).
-    pub attempts: u32,
-    /// Earliest recombination step at which the next retransmit may go out.
-    pub next_step: u64,
-}
-
-/// Longest backoff between retransmits of the same row, in rc steps.
-pub const RETRY_BACKOFF_CAP: u64 = 8;
-
-/// Backoff delay before the next retransmit after `attempts` failed
-/// deliveries: 1, 2, 4, then capped at [`RETRY_BACKOFF_CAP`] steps. The
-/// retry count itself is unbounded — min-merge delivery is idempotent, so
-/// retrying forever is safe, and capping the *interval* keeps the expected
-/// time-to-convergence finite for any drop rate below 1.
-pub fn retry_backoff(attempts: u32) -> u64 {
-    1u64 << (attempts.saturating_sub(1)).min(3)
-}
-
 /// State of one virtual processor.
 #[derive(Debug, Clone)]
 pub struct ProcState {
@@ -116,19 +94,13 @@ pub struct ProcState {
     pub dirty: HashSet<VertexId>,
     /// Per boundary row: processors that already hold a copy (and can
     /// therefore accept deltas — the row's unsent log in `dv` says of which
-    /// entries). Under the ack-based protocol a destination joins this set
-    /// only once a delivery receipt confirms it actually received the row.
+    /// entries).
     pub sent_to: HashMap<VertexId, HashSet<usize>>,
     /// What `sent_snapshot` used to be: a copy of each boundary row as of
     /// the send that last emptied its unsent log. Every delta is checked
     /// against the diff with it.
     #[cfg(test)]
     pub(crate) shadow: HashMap<VertexId, Vec<Weight>>,
-    /// Sends that were dropped by the (faulty) network and must be
-    /// retransmitted, keyed by `(row, destination rank)`. Always empty on a
-    /// fault-free cluster. A processor may not vote "no more updates" while
-    /// this is non-empty — undelivered rows count as in-flight work.
-    pub outstanding: HashMap<(VertexId, usize), Outstanding>,
 }
 
 impl ProcState {
@@ -144,17 +116,13 @@ impl ProcState {
             sent_to: HashMap::new(),
             #[cfg(test)]
             shadow: HashMap::new(),
-            outstanding: HashMap::new(),
         }
     }
 
     /// Forgets who holds which row (used when ownership changes under the
     /// receivers, e.g. repartitioning): the next send of every row is full.
-    /// Pending retransmits are dropped too — callers re-dirty every affected
-    /// row, so the data goes out again as full rows.
     pub fn reset_send_state(&mut self) {
         self.sent_to.clear();
-        self.outstanding.clear();
         #[cfg(test)]
         self.shadow.clear();
     }
@@ -197,22 +165,16 @@ impl ProcState {
         }
     }
 
-    /// Records that row `u` was just sent and reached exactly `delivered`.
-    /// Ranks *not* among them are dropped from the up-to-date set: a
-    /// processor that misses an update (the send was dropped, or its cut
-    /// edges to `u` came and went) gets a full row on next contact rather
-    /// than an under-informed delta. The unsent log is emptied only when no
-    /// rank can be left behind by that: the send was `complete` (every
-    /// destination got it), or nobody held the row before it (every
-    /// destination got a full row). Otherwise it stays, so later deltas
-    /// remain supersets of what each member still needs.
-    pub fn record_sent(&mut self, u: VertexId, delivered: HashSet<usize>, complete: bool) {
-        if complete || !self.sent_to.contains_key(&u) {
-            self.dv.clear_unsent(u);
-            #[cfg(test)]
-            self.shadow.insert(u, self.dv.row(u).to_vec());
-        }
-        self.sent_to.insert(u, delivered);
+    /// Records that row `u` was just brought up to date on exactly `ranks`
+    /// — every send arrives — so its unsent log empties. Ranks *not* among
+    /// them leave the up-to-date set: a processor whose cut edges to `u`
+    /// came and went in between gets a full row on next contact rather
+    /// than an under-informed delta.
+    pub fn record_sent(&mut self, u: VertexId, ranks: &[usize]) {
+        self.dv.clear_unsent(u);
+        #[cfg(test)]
+        self.shadow.insert(u, self.dv.row(u).to_vec());
+        self.sent_to.insert(u, ranks.iter().copied().collect());
     }
 
     /// Mirrors [`DistanceMatrix::raise_entries`] in the shadow baseline: the
@@ -366,13 +328,11 @@ impl ProcState {
     }
 
     /// Rank `dst` no longer holds a copy of row `u`: it gets a full row on
-    /// next contact, never a delta onto a copy that is not there, and a
-    /// retransmit still addressed to it has nobody to reach.
+    /// next contact, never a delta onto a copy that is not there.
     pub fn forget_receiver(&mut self, u: VertexId, dst: usize) {
         if let Some(receivers) = self.sent_to.get_mut(&u) {
             receivers.remove(&dst);
         }
-        self.outstanding.remove(&(u, dst));
     }
 
     /// Applies a received boundary-row update to the cached copy, which logs
@@ -539,9 +499,9 @@ impl ProcState {
     }
 
     /// Whether this processor has nothing left to do or to say: no row on
-    /// the frontier, none waiting to be sent, no send unacknowledged.
+    /// the frontier, none waiting to be sent.
     pub fn is_quiescent(&self) -> bool {
-        self.dirty.is_empty() && self.outstanding.is_empty() && self.frontier().next().is_none()
+        self.dirty.is_empty() && self.frontier().next().is_none()
     }
 
     /// Label-correcting propagation over local edges until the frontier is
@@ -684,7 +644,7 @@ mod tests {
         p0
     }
 
-    /// The message that takes row `u` to `dst`, as a retransmit builds it.
+    /// The message that takes row `u` to `dst`, built off a fresh delta.
     fn update(ps: &ProcState, u: VertexId, dst: usize) -> Option<RowUpdate> {
         ps.build_row_update(u, dst, ps.unsent_delta(u).as_ref())
     }
@@ -897,7 +857,7 @@ mod tests {
         // approximation say nothing about which entries moved.
         assert!(p0.unsent_delta(1).is_none());
         assert!(matches!(update(&p0, 1, 1).unwrap(), RowUpdate::Full(_)));
-        p0.record_sent(1, HashSet::from([1]), true);
+        p0.record_sent(1, &[1]);
         assert!(p0.dv.unsent(1).is_empty());
         assert!(update(&p0, 1, 1).is_none(), "unchanged row sends nothing");
         // Improve one entry: next update is a one-entry delta, and the
@@ -920,30 +880,22 @@ mod tests {
     fn record_sent_drops_missed_destinations() {
         let (_, _, mut p0, _) = split_path();
         p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p0.record_sent(1, HashSet::from([1, 0]), true);
+        p0.record_sent(1, &[1, 0]);
         assert!(p0.dv.lower_entry(1, 3, 2));
-        // Rank 0 missed this update: it leaves the up-to-date set, and the
-        // unsent log stays as it is.
-        p0.record_sent(1, HashSet::from([1]), false);
+        // Rank 0 no longer borders the row when it next goes out: it leaves
+        // the up-to-date set, and the send empties the unsent log.
+        p0.record_sent(1, &[1]);
         assert!(
             matches!(update(&p0, 1, 0).unwrap(), RowUpdate::Full(_)),
             "a rank that missed an update must get a full row"
         );
+        assert!(update(&p0, 1, 1).is_none(), "rank 1 is up to date");
+        // The next change goes to rank 1 as a one-entry delta.
+        assert!(p0.dv.lower_entry(1, 3, 1));
         match update(&p0, 1, 1).unwrap() {
-            RowUpdate::Delta(d) => {
-                assert_eq!(d.pairs(), vec![(3, 2)], "a superset of what 1 needs")
-            }
+            RowUpdate::Delta(d) => assert_eq!(d.pairs(), vec![(3, 1)]),
             other => panic!("expected delta, got {other:?}"),
         }
-        // The next complete send empties it.
-        p0.record_sent(1, HashSet::from([1, 0]), true);
-        assert!(update(&p0, 1, 1).is_none() && update(&p0, 1, 0).is_none());
-        // A send after which nobody held the row was full rows all round:
-        // whatever became of them, no rank is left on an older copy.
-        p0.forget_receivers(1);
-        assert!(p0.dv.lower_entry(1, 3, 1));
-        p0.record_sent(1, HashSet::from([1]), false);
-        assert!(update(&p0, 1, 1).is_none());
     }
 
     #[test]
@@ -992,7 +944,7 @@ mod tests {
     #[test]
     fn a_duplicated_delivery_lowers_and_logs_nothing() {
         let mut p0 = split_path_with_copy_of_2();
-        // The network's duplicate is a clone of the message: the same buffer.
+        // A second delivery is a clone of the message: the same buffer.
         let delivered = RowUpdate::delta(&[(0, 2)]);
         let duplicate = delivered.clone();
         assert!(matches!(
@@ -1001,14 +953,14 @@ mod tests {
         ));
         p0.apply_row_update(2, delivered);
         p0.propagate();
-        p0.dirty.clear(); // as a fully acknowledged send leaves it
+        p0.dirty.clear(); // as a send leaves it
         assert!(p0.is_quiescent());
         let rows = (
             p0.dv.row(0).to_vec(),
             p0.dv.row(1).to_vec(),
             p0.cache.row(2).to_vec(),
         );
-        // The network delivers the same delta again.
+        // The same delta arrives again.
         p0.apply_row_update(2, duplicate);
         assert!(p0.cache.log(2).is_empty() && p0.is_quiescent());
         assert!(!p0.propagate());
@@ -1040,7 +992,7 @@ mod tests {
     fn reset_send_state_forces_full_rows() {
         let (_, _, mut p0, _) = split_path();
         p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p0.record_sent(1, HashSet::from([1]), true);
+        p0.record_sent(1, &[1]);
         p0.reset_send_state();
         assert!(matches!(update(&p0, 1, 1).unwrap(), RowUpdate::Full(_)));
     }

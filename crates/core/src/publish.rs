@@ -4,7 +4,7 @@
 //! takes one *per read*, and most reads arrive between state changes. This
 //! module gives the engine a publication cache: [`AnytimeEngine::
 //! publish_snapshot`] returns an [`Arc`]-shared [`SnapshotFrame`] — the
-//! snapshot plus a [`SnapshotMeta`] stamp (invalidation epoch, freshness,
+//! snapshot plus a [`SnapshotMeta`] stamp (invalidation epoch, convergence,
 //! quiescent-row fraction, max-overestimate bound) — and rebuilds it only
 //! when the engine's observable state has actually moved. Re-published
 //! frames are allocation-stable: the same `Arc` is handed out, no per-read
@@ -12,8 +12,8 @@
 //!
 //! The cache key covers every input a snapshot is derived from: the RC-step
 //! counter, the invalidation epoch (deletions / weight increases), the
-//! mutation/recovery state version maintained by [`EngineObs`], in-flight
-//! row counts, down-rank count, and the convergence flag. A reader can
+//! mutation state version maintained by [`EngineObs`], and the convergence
+//! flag. A reader can
 //! therefore never observe a torn frame: either the key matched and the
 //! frame is byte-identical to the previous publication, or the whole frame
 //! was rebuilt from quiesced engine state in one place.
@@ -29,8 +29,6 @@ pub(crate) struct PublishKey {
     rc_step: usize,
     epoch: u64,
     state_version: u64,
-    outstanding: usize,
-    down: usize,
     converged: bool,
 }
 
@@ -50,28 +48,22 @@ pub struct SnapshotMeta {
     pub epoch: u64,
     /// Recombination step at publication.
     pub rc_step: usize,
-    /// Monotone mutation/recovery version at publication (bumped by every
-    /// graph mutation and every recovery-ladder run). Two frames with equal
+    /// Monotone mutation version at publication (bumped by every graph
+    /// mutation). Two frames with equal
     /// `(epoch, state_version)` were built over the identical world graph —
     /// the stamp a consumer keys *structural* caches (pivot rows, component
     /// membership) on, where the epoch alone misses additions.
     pub state_version: u64,
     /// Virtual cluster time at publication (µs).
     pub published_at_us: f64,
-    /// Whether the engine had declared convergence.
+    /// Whether the engine had declared convergence: the frame is exact.
     pub converged: bool,
-    /// Row sends in flight at publication; non-zero forbids freshness.
-    pub outstanding_rows: usize,
-    /// Ranks down at publication (their rows are served frozen, stale).
-    pub down_ranks: usize,
-    /// The frame is exact: converged, nothing in flight, nobody down.
-    pub fresh: bool,
-    /// Fraction of owned rows with no scheduled or in-flight refinement work
-    /// and not frozen on a down rank — the engine's cheap converged-row
-    /// proxy (exact row convergence needs the oracle probe).
+    /// Fraction of owned rows with no scheduled refinement work — the
+    /// engine's cheap converged-row proxy (exact row convergence needs the
+    /// oracle probe).
     pub quiescent_row_fraction: f64,
     /// Upper bound on how far any finite distance estimate in the frame can
-    /// sit above the true distance. Zero when fresh; otherwise the
+    /// sit above the true distance. Zero when converged; otherwise the
     /// structural bound `(live vertices − 1) · w_max − 1` (a finite estimate
     /// is the length of a real path, and a true distance is at least 1).
     /// Always finite: degraded service stays bounded.
@@ -100,8 +92,6 @@ impl AnytimeEngine {
             rc_step: self.rc_steps_done,
             epoch: self.invalidation_epoch,
             state_version: self.obs.state_version,
-            outstanding: self.outstanding_rows(),
-            down: self.cluster.down_ranks().len(),
             converged: self.converged,
         };
         if let Some(published) = &self.obs.published {
@@ -112,7 +102,7 @@ impl AnytimeEngine {
         }
         let epoch = self.invalidation_epoch;
         let quiescent = self.quiescent_row_fraction();
-        let bound = self.overestimate_bound(key.converged, key.outstanding, key.down);
+        let bound = self.overestimate_bound(key.converged);
         let snapshot = self.snapshot();
         let meta = SnapshotMeta {
             epoch,
@@ -120,9 +110,6 @@ impl AnytimeEngine {
             state_version: key.state_version,
             published_at_us: snapshot.makespan_us,
             converged: key.converged,
-            outstanding_rows: snapshot.outstanding_rows,
-            down_ranks: snapshot.down_ranks,
-            fresh: key.converged && key.outstanding == 0 && key.down == 0,
             quiescent_row_fraction: quiescent,
             max_overestimate_bound: bound,
         };
@@ -141,20 +128,10 @@ impl AnytimeEngine {
         (self.obs.publish_fresh, self.obs.publish_reused)
     }
 
-    /// Fraction of owned rows with no dirty or in-flight refinement work and
-    /// not frozen on a down rank.
+    /// Fraction of owned rows with no dirty refinement work.
     fn quiescent_row_fraction(&self) -> f64 {
-        let mut rows = 0usize;
-        let mut busy = 0usize;
-        let down = self.cluster.down_ranks();
-        for (rank, ps) in self.procs.iter().enumerate() {
-            rows += ps.dv.row_count();
-            if down.contains(&rank) {
-                busy += ps.dv.row_count();
-            } else {
-                busy += ps.dirty.len() + ps.outstanding.len();
-            }
-        }
+        let rows: usize = self.procs.iter().map(|ps| ps.dv.row_count()).sum();
+        let busy: usize = self.procs.iter().map(|ps| ps.dirty.len()).sum();
         if rows == 0 {
             1.0
         } else {
@@ -164,9 +141,9 @@ impl AnytimeEngine {
     }
 
     /// Structural max-overestimate bound for the current graph; zero when
-    /// the state is fresh.
-    fn overestimate_bound(&self, converged: bool, outstanding: usize, down: usize) -> f64 {
-        if converged && outstanding == 0 && down == 0 {
+    /// converged.
+    fn overestimate_bound(&self, converged: bool) -> f64 {
+        if converged {
             return 0.0;
         }
         let n = self.world.vertex_count();
@@ -222,18 +199,18 @@ mod tests {
         let mut e = engine(4, 9);
         e.run_to_convergence(64);
         let a = e.publish_snapshot();
-        assert!(a.meta.fresh);
+        assert!(a.meta.converged);
         assert_eq!(a.meta.max_overestimate_bound, 0.0);
         assert_eq!(a.meta.quiescent_row_fraction, 1.0);
         e.add_edge(0, 40, 1);
         let b = e.publish_snapshot();
         assert!(!Arc::ptr_eq(&a, &b), "mutation must force a fresh frame");
-        assert!(!b.meta.fresh, "post-mutation frame cannot be fresh");
+        assert!(!b.meta.converged, "post-mutation frame cannot be converged");
         assert!(b.meta.max_overestimate_bound.is_finite());
         assert!(b.meta.max_overestimate_bound > 0.0);
         e.run_to_convergence(64);
         let c = e.publish_snapshot();
-        assert!(c.meta.fresh);
+        assert!(c.meta.converged);
         assert_eq!(e.snapshot_publication_counts(), (3, 0));
     }
 
@@ -249,35 +226,26 @@ mod tests {
         assert!(after > before, "deletion must advance the published epoch");
     }
 
+    /// A row whose updates are still in flight is dirty: no frame may claim
+    /// to be fresh (converged) while one exists.
     #[test]
     fn frames_never_claim_fresh_with_rows_in_flight() {
-        let g = generators::barabasi_albert(80, 2, 1, 23);
-        let mut e = AnytimeEngine::new(
-            g,
-            EngineConfig {
-                num_procs: 4,
-                fault: Some(crate::config::FaultConfig {
-                    p_drop: 0.3,
-                    p_dup: 0.0,
-                    reorder: false,
-                    seed: 9,
-                }),
-                ..Default::default()
-            },
-        );
-        e.initialize();
+        let mut e = engine(4, 23);
         for _ in 0..6 {
-            e.rc_step();
+            let converged = e.rc_step();
             let f = e.publish_snapshot();
-            if f.snapshot.outstanding_rows > 0 {
-                assert!(!f.meta.fresh);
+            assert_eq!(f.meta.converged, converged);
+            if !converged {
                 assert!(f.meta.max_overestimate_bound > 0.0);
+            }
+            if f.snapshot.quiescent_rows() < e.graph().vertex_count() {
+                assert!(!f.meta.converged, "a dirty row forbids convergence");
                 assert!(f.meta.quiescent_row_fraction < 1.0);
             }
         }
         e.run_to_convergence(512);
         let f = e.publish_snapshot();
-        assert!(f.meta.fresh);
-        assert_eq!(f.meta.outstanding_rows, 0);
+        assert!(f.meta.converged);
+        assert_eq!(f.meta.quiescent_row_fraction, 1.0);
     }
 }

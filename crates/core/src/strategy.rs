@@ -406,8 +406,7 @@ impl AnytimeEngine {
     /// their unsent logs) of every relocated vertex to its new owner,
     /// rebuilds the processor views and marks every row dirty so the new
     /// neighbourhoods receive what they are missing. Returns the number of
-    /// migrated vertices. Shared by Repartition-S, [`Self::rebalance`] and
-    /// processor-failure recovery.
+    /// migrated vertices. Shared by Repartition-S and [`Self::rebalance`].
     ///
     /// The receivers' caches of a migrated row stay valid, so the new owner
     /// can keep sending deltas instead of full rows ("communicating the
@@ -435,10 +434,6 @@ impl AnytimeEngine {
                     #[cfg(test)]
                     shadows.extend(ps.shadow.remove_entry(&v));
                     ps.dirty.remove(&v);
-                    // Pending retransmits of the migrated row die with the
-                    // old ownership: every row is re-marked dirty below, so
-                    // the new owner resends to all current neighbourhoods.
-                    ps.outstanding.retain(|&(u, _), _| u != v);
                     // The unsent log is one bit per column, and only worth
                     // shipping with a list of ranks it is about.
                     let send_state = sent_to

@@ -1,11 +1,10 @@
 //! Deterministic storage-fault injection.
 //!
-//! Extends the runtime `FaultPlan` idiom (seeded, replayable decisions keyed
-//! by operation index) from message-passing to I/O. Every fault decision is
-//! a pure function of `(seed, fault-class salt, per-class op counter)`
-//! through a SplitMix64 finalizer, so a failing storage schedule replays
-//! bit-for-bit from its seed — no RNG state is shared between fault classes,
-//! and adding a new class never perturbs existing draws.
+//! Seeded, replayable decisions keyed by operation index. Every fault
+//! decision is a pure function of `(seed, fault-class salt, per-class op
+//! counter)` through a SplitMix64 finalizer, so a failing storage schedule
+//! replays bit-for-bit from its seed — no RNG state is shared between fault
+//! classes, and adding a new class never perturbs existing draws.
 //!
 //! Supported fault classes:
 //!

@@ -26,8 +26,8 @@
 //!   (durable vs. not-yet-fsynced bytes) whose [`SimStorage::kill`]
 //!   simulates `kill -9` at any point.
 //! * [`fault`] — [`StorageFaultPlan`], a seeded deterministic fault
-//!   injector (torn writes, short reads, bit flips, failed fsync/rename)
-//!   extending the runtime FaultPlan idiom to I/O.
+//!   injector for I/O (torn writes, short reads, bit flips, failed
+//!   fsync/rename).
 //!
 //! Everything in this crate is deterministic: no wall clocks, no unseeded
 //! randomness, `BTreeMap` for all keyed state. Recovery decisions are pure

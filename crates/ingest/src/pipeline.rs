@@ -306,12 +306,11 @@ impl IngestPipeline {
     ) -> Result<Option<FlushReport>, String> {
         let base = *self.last_flush_rc_step.get_or_insert(engine.rc_steps());
         let steps_since = engine.rc_steps().saturating_sub(base);
-        let due = self.config.policy.should_flush(
-            self.queue.depth(),
-            steps_since,
-            engine.outstanding_rows(),
-        );
-        if due {
+        if self
+            .config
+            .policy
+            .should_flush(self.queue.depth(), steps_since)
+        {
             let trigger = self.config.policy.trigger_label();
             Ok(Some(self.flush_inner(engine, trigger)?))
         } else {

@@ -11,16 +11,6 @@ pub enum DrainPolicy {
     /// last flush (and something is buffered) — updates ride the natural
     /// recombination cadence.
     RcStepInterleaved(usize),
-    /// Flush when the engine's outstanding-row pressure (the
-    /// `Snapshot::outstanding_rows` gauge) has drained to at most
-    /// `max_outstanding`, i.e. the cluster has spare capacity; `max_pending`
-    /// bounds staleness by forcing a flush regardless of pressure.
-    Adaptive {
-        /// Flush when `outstanding_rows` is at or below this.
-        max_outstanding: usize,
-        /// Force a flush once this many raw ops are buffered.
-        max_pending: usize,
-    },
 }
 
 impl DrainPolicy {
@@ -33,32 +23,20 @@ impl DrainPolicy {
             DrainPolicy::RcStepInterleaved(0) => {
                 Err("rc-step-interleaved drain needs a step interval of at least 1".to_string())
             }
-            DrainPolicy::Adaptive { max_pending: 0, .. } => {
-                Err("adaptive drain needs a max_pending bound of at least 1".to_string())
-            }
             _ => Ok(()),
         }
     }
 
-    /// Decides whether to flush given the current queue depth, RC steps
-    /// since the last flush, and outstanding-row pressure. A flush is never
-    /// requested with an empty buffer.
-    pub fn should_flush(
-        &self,
-        pending: usize,
-        steps_since_flush: usize,
-        outstanding: usize,
-    ) -> bool {
+    /// Decides whether to flush given the current queue depth and RC steps
+    /// since the last flush. A flush is never requested with an empty
+    /// buffer.
+    pub fn should_flush(&self, pending: usize, steps_since_flush: usize) -> bool {
         if pending == 0 {
             return false;
         }
         match *self {
             DrainPolicy::SizeTriggered(n) => pending >= n,
             DrainPolicy::RcStepInterleaved(k) => steps_since_flush >= k,
-            DrainPolicy::Adaptive {
-                max_outstanding,
-                max_pending,
-            } => outstanding <= max_outstanding || pending >= max_pending,
         }
     }
 
@@ -67,7 +45,6 @@ impl DrainPolicy {
         match self {
             DrainPolicy::SizeTriggered(_) => "size",
             DrainPolicy::RcStepInterleaved(_) => "steps",
-            DrainPolicy::Adaptive { .. } => "adaptive",
         }
     }
 }
@@ -77,10 +54,6 @@ impl fmt::Display for DrainPolicy {
         match self {
             DrainPolicy::SizeTriggered(n) => write!(f, "size:{n}"),
             DrainPolicy::RcStepInterleaved(k) => write!(f, "steps:{k}"),
-            DrainPolicy::Adaptive {
-                max_outstanding,
-                max_pending,
-            } => write!(f, "adaptive:{max_outstanding}:{max_pending}"),
         }
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! The framework's correctness rests on invariants the compiler cannot see:
 //! distance estimates are monotone upper bounds, recombination is
-//! deterministic so seeded fault plans replay exactly, and rankings are
+//! deterministic so seeded runs replay exactly, and rankings are
 //! NaN-safe. This crate enforces those invariants mechanically on every
 //! build, with its own comment/string-aware lexer (the environment is
 //! offline; no syn, no regex):

@@ -87,7 +87,7 @@ impl RuleId {
             RuleId::AA01 => "the anytime core must degrade, not abort: partial results stay valid",
             RuleId::AA02 => "rankings must be NaN-safe: estimates and exact values mix freely",
             RuleId::AA03 => "distance/centrality estimates are bounds, not exact values",
-            RuleId::AA04 => "recombination must be deterministic so fault plans replay exactly",
+            RuleId::AA04 => "recombination must be deterministic so seeded runs replay exactly",
             RuleId::AA05 => "silent truncation corrupts distance bounds instead of failing loudly",
             RuleId::AA06 => "the memory-safety argument is workspace-wide, not per-review",
             RuleId::AA07 => {

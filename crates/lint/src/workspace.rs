@@ -34,7 +34,6 @@ const HOT_PATHS: &[&str] = &[
     "crates/core/src/dv.rs",
     "crates/core/src/dynamic.rs",
     "crates/runtime/src/cluster.rs",
-    "crates/runtime/src/fault.rs",
 ];
 
 /// Collects every `.rs` file under `root` that the analyzer owns, classified.

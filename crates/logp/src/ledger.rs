@@ -16,20 +16,16 @@ pub enum Phase {
     DynamicUpdate,
     /// Partial-result migration during repartitioning.
     Migration,
-    /// Failure detection and repair: checkpoint writes/restores, replacement
-    /// reseeds and the survivors' reaction to a detected crash.
-    Recovery,
 }
 
 impl Phase {
     /// All phases in reporting order.
-    pub const ALL: [Phase; 6] = [
+    pub const ALL: [Phase; 5] = [
         Phase::DomainDecomposition,
         Phase::InitialApproximation,
         Phase::Recombination,
         Phase::DynamicUpdate,
         Phase::Migration,
-        Phase::Recovery,
     ];
 }
 
@@ -41,18 +37,12 @@ impl fmt::Display for Phase {
             Phase::Recombination => "recombination",
             Phase::DynamicUpdate => "dynamic-update",
             Phase::Migration => "migration",
-            Phase::Recovery => "recovery",
         };
         f.write_str(s)
     }
 }
 
 /// Accumulated costs for one phase.
-///
-/// `messages`/`bytes` count *all* network traffic, including transfers the
-/// fault-injection layer dropped or duplicated (the network was occupied
-/// either way); the `dropped_*`/`dup_*` counters additionally single out the
-/// faulted subset, so they are always ≤ the corresponding totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseStats {
     /// Number of model messages sent.
@@ -61,18 +51,6 @@ pub struct PhaseStats {
     pub bytes: u64,
     /// Virtual compute time charged (µs, summed over processors).
     pub compute_us: f64,
-    /// Model messages lost to injected network faults.
-    pub dropped_messages: u64,
-    /// Payload bytes lost to injected network faults.
-    pub dropped_bytes: u64,
-    /// Model messages injected as duplicates.
-    pub dup_messages: u64,
-    /// Payload bytes injected as duplicates.
-    pub dup_bytes: u64,
-    /// Failure-detector heartbeat messages (a subset of `messages`).
-    pub heartbeat_messages: u64,
-    /// Failure-detector heartbeat bytes (a subset of `bytes`).
-    pub heartbeat_bytes: u64,
 }
 
 /// Ledger of communication and computation per phase.
@@ -108,34 +86,6 @@ impl CostLedger {
         self.stats[Self::idx(phase)].compute_us += us;
     }
 
-    /// Records a transfer lost to injected network faults. Only the fault
-    /// counters are touched: the lost transfer's share of `messages`/`bytes`
-    /// is charged by the normal [`CostLedger::record_transfer`] path, since
-    /// a dropped message still occupies the network.
-    pub fn record_drop(&mut self, phase: Phase, messages: u64, bytes: u64) {
-        let s = &mut self.stats[Self::idx(phase)];
-        s.dropped_messages += messages;
-        s.dropped_bytes += bytes;
-    }
-
-    /// Records an injected duplicate copy of a transfer (fault counters
-    /// only; the copy's traffic is charged via
-    /// [`CostLedger::record_transfer`] like any other transfer).
-    pub fn record_duplicate(&mut self, phase: Phase, messages: u64, bytes: u64) {
-        let s = &mut self.stats[Self::idx(phase)];
-        s.dup_messages += messages;
-        s.dup_bytes += bytes;
-    }
-
-    /// Records failure-detector heartbeat traffic (detector counters only;
-    /// the heartbeats' traffic is charged via
-    /// [`CostLedger::record_transfer`] like any other transfer).
-    pub fn record_heartbeat(&mut self, phase: Phase, messages: u64, bytes: u64) {
-        let s = &mut self.stats[Self::idx(phase)];
-        s.heartbeat_messages += messages;
-        s.heartbeat_bytes += bytes;
-    }
-
     /// Stats for one phase.
     pub fn phase(&self, phase: Phase) -> PhaseStats {
         self.stats[Self::idx(phase)]
@@ -148,12 +98,6 @@ impl CostLedger {
             t.messages += s.messages;
             t.bytes += s.bytes;
             t.compute_us += s.compute_us;
-            t.dropped_messages += s.dropped_messages;
-            t.dropped_bytes += s.dropped_bytes;
-            t.dup_messages += s.dup_messages;
-            t.dup_bytes += s.dup_bytes;
-            t.heartbeat_messages += s.heartbeat_messages;
-            t.heartbeat_bytes += s.heartbeat_bytes;
         }
         t
     }
@@ -164,31 +108,20 @@ impl CostLedger {
             self.stats[i].messages += s.messages;
             self.stats[i].bytes += s.bytes;
             self.stats[i].compute_us += s.compute_us;
-            self.stats[i].dropped_messages += s.dropped_messages;
-            self.stats[i].dropped_bytes += s.dropped_bytes;
-            self.stats[i].dup_messages += s.dup_messages;
-            self.stats[i].dup_bytes += s.dup_bytes;
-            self.stats[i].heartbeat_messages += s.heartbeat_messages;
-            self.stats[i].heartbeat_bytes += s.heartbeat_bytes;
         }
     }
 
-    /// A human-readable multi-line report. The fault columns (`dropped_b`,
-    /// `dup_b`) stay all-zero unless network fault injection is active.
+    /// A human-readable multi-line report.
     pub fn report(&self) -> String {
         let mut out = String::new();
-        out.push_str(
-            "phase                      messages        bytes   compute_ms    dropped_b        dup_b\n",
-        );
+        out.push_str("phase                      messages        bytes   compute_ms\n");
         let mut row = |name: &str, s: PhaseStats| {
             out.push_str(&format!(
-                "{:<24} {:>10} {:>12} {:>12.2} {:>12} {:>12}\n",
+                "{:<24} {:>10} {:>12} {:>12.2}\n",
                 name,
                 s.messages,
                 s.bytes,
-                s.compute_us / 1000.0,
-                s.dropped_bytes,
-                s.dup_bytes
+                s.compute_us / 1000.0
             ));
         };
         for &p in &Phase::ALL {
@@ -249,49 +182,5 @@ mod tests {
             assert!(r.contains(&p.to_string()), "missing {p}");
         }
         assert!(r.contains("total"));
-        assert!(r.contains("dropped_b") && r.contains("dup_b"));
-    }
-
-    #[test]
-    fn fault_counters_accumulate_merge_and_total() {
-        let mut a = CostLedger::new();
-        a.record_transfer(Phase::Recombination, 4, 400);
-        a.record_drop(Phase::Recombination, 1, 100);
-        a.record_duplicate(Phase::Recombination, 2, 50);
-        let s = a.phase(Phase::Recombination);
-        assert_eq!((s.dropped_messages, s.dropped_bytes), (1, 100));
-        assert_eq!((s.dup_messages, s.dup_bytes), (2, 50));
-        // record_drop/record_duplicate never touch the traffic totals.
-        assert_eq!((s.messages, s.bytes), (4, 400));
-        let mut b = CostLedger::new();
-        b.record_drop(Phase::DynamicUpdate, 3, 30);
-        a.merge(&b);
-        let t = a.totals();
-        assert_eq!((t.dropped_messages, t.dropped_bytes), (4, 130));
-        assert_eq!((t.dup_messages, t.dup_bytes), (2, 50));
-    }
-
-    #[test]
-    fn heartbeat_counters_accumulate_merge_and_total() {
-        let mut a = CostLedger::new();
-        a.record_transfer(Phase::Recombination, 6, 6);
-        a.record_heartbeat(Phase::Recombination, 6, 6);
-        let s = a.phase(Phase::Recombination);
-        assert_eq!((s.heartbeat_messages, s.heartbeat_bytes), (6, 6));
-        // Heartbeat counters never touch the traffic totals on their own.
-        assert_eq!((s.messages, s.bytes), (6, 6));
-        let mut b = CostLedger::new();
-        b.record_heartbeat(Phase::Recovery, 2, 2);
-        a.merge(&b);
-        let t = a.totals();
-        assert_eq!((t.heartbeat_messages, t.heartbeat_bytes), (8, 8));
-    }
-
-    #[test]
-    fn recovery_phase_is_reported() {
-        let mut l = CostLedger::new();
-        l.record_transfer(Phase::Recovery, 1, 64);
-        assert_eq!(l.phase(Phase::Recovery).bytes, 64);
-        assert!(l.report().contains("recovery"));
     }
 }

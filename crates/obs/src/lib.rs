@@ -9,9 +9,9 @@
 //!   all with stable ordering so outputs can be golden-file tested.
 //! * [`trace`] — span-style phase tracing: one [`trace::SpanRecord`] per
 //!   engine activity (domain decomposition, initial approximation, each
-//!   recombination step, dynamic updates, recoveries, snapshots) carrying
-//!   the LogP-modeled makespan delta alongside the measured compute charged
-//!   during the span, plus the ledger's byte/message/drop/heartbeat deltas.
+//!   recombination step, dynamic updates, snapshots) carrying the
+//!   LogP-modeled makespan delta alongside the measured compute charged
+//!   during the span, plus the ledger's byte and message deltas.
 //! * [`progress`] — the anytime progress probe's sample type: per-step
 //!   distance-overestimate statistics, closeness Kendall tau against an
 //!   exact oracle, converged-row fraction and in-flight row counts, with a

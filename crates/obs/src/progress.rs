@@ -30,19 +30,12 @@ pub struct ProgressSample {
     /// Pairs the estimate still thinks are unreachable but the oracle does
     /// not (plus the reverse); nonzero means coverage gaps, not just error.
     pub unreached_pairs: u64,
-    /// Rows sent but not yet acknowledged (in flight across the cluster).
-    pub outstanding_rows: u64,
     /// Rows marked dirty (scheduled for the next exchange).
     pub dirty_rows: u64,
-    /// Entries whose estimate *increased* since the previous sample. Must be
-    /// zero in fault-free runs (anytime monotonicity); recovery restores may
-    /// legitimately regress.
+    /// Entries whose estimate *increased* since the previous sample. Zero
+    /// between mutations (anytime monotonicity); a mutation resets the
+    /// comparison.
     pub estimate_regressions: u64,
-    /// Ranks currently marked down.
-    pub down_ranks: u64,
-    /// True while a recovery happened at or since the previous sample —
-    /// monotonicity assertions are suspended for these samples.
-    pub recovering: bool,
 }
 
 impl ProgressSample {
@@ -68,15 +61,12 @@ impl ProgressSample {
             fmt_f64(self.converged_row_fraction)
         );
         let _ = write!(out, ", \"unreached_pairs\": {}", self.unreached_pairs);
-        let _ = write!(out, ", \"outstanding_rows\": {}", self.outstanding_rows);
         let _ = write!(out, ", \"dirty_rows\": {}", self.dirty_rows);
         let _ = write!(
             out,
             ", \"estimate_regressions\": {}",
             self.estimate_regressions
         );
-        let _ = write!(out, ", \"down_ranks\": {}", self.down_ranks);
-        let _ = write!(out, ", \"recovering\": {}", self.recovering);
         out.push('}');
         out
     }
@@ -92,13 +82,8 @@ impl ProgressSample {
             kendall_tau: num_field(&pairs, "kendall_tau")?,
             converged_row_fraction: num_field(&pairs, "converged_row_fraction")?,
             unreached_pairs: uint_field(&pairs, "unreached_pairs")?,
-            outstanding_rows: uint_field(&pairs, "outstanding_rows")?,
             dirty_rows: uint_field(&pairs, "dirty_rows")?,
             estimate_regressions: uint_field(&pairs, "estimate_regressions")?,
-            down_ranks: uint_field(&pairs, "down_ranks")?,
-            recovering: crate::json::field(&pairs, "recovering")
-                .and_then(crate::json::Scalar::as_bool)
-                .ok_or_else(|| "missing or non-bool field \"recovering\"".to_string())?,
         })
     }
 }
@@ -176,11 +161,8 @@ mod tests {
             kendall_tau: 0.5,
             converged_row_fraction: 0.25 * step as f64,
             unreached_pairs: 2,
-            outstanding_rows: 5,
             dirty_rows: 3,
             estimate_regressions: 0,
-            down_ranks: 0,
-            recovering: false,
         }
     }
 

@@ -393,7 +393,7 @@ mod tests {
             &[("phase", "domain-decomposition")],
             40,
         );
-        r.set_gauge("aa_outstanding_rows", &[], 2.0);
+        r.set_gauge("aa_dirty_rows", &[], 2.0);
         r.declare_histogram("aa_rc_step_bytes", &[10.0, 100.0]);
         r.observe("aa_rc_step_bytes", &[], 5.0);
         r.observe("aa_rc_step_bytes", &[], 50.0);
@@ -445,7 +445,7 @@ mod tests {
         let bytes_rc = json.find("recombination").unwrap();
         assert!(bytes_dd < bytes_rc, "label values must sort");
         assert_eq!(json, r.clone().to_json(), "export must be deterministic");
-        assert!(json.contains("\"aa_outstanding_rows\": 2"));
+        assert!(json.contains("\"aa_dirty_rows\": 2"));
         assert!(json.contains("[\"+Inf\", 1]"));
     }
 
@@ -472,7 +472,7 @@ mod tests {
             panic!("histogram missing");
         };
         assert_eq!(h.counts, vec![2, 2, 2]);
-        assert_eq!(a.gauge_value("aa_outstanding_rows", &[]), Some(2.0));
+        assert_eq!(a.gauge_value("aa_dirty_rows", &[]), Some(2.0));
     }
 
     #[test]

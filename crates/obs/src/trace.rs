@@ -2,10 +2,9 @@
 //!
 //! A [`SpanRecord`] covers one engine activity — domain decomposition,
 //! initial approximation, a single recombination step, a dynamic-update
-//! batch, a recovery-ladder invocation, or a snapshot — and carries both the
-//! LogP-*modeled* cost (the virtual-clock makespan delta across the span)
-//! and the *measured* compute charged inside it, plus the ledger's
-//! byte/message/drop/duplicate/heartbeat deltas. This subsumes the
+//! batch, or a snapshot — and carries both the LogP-*modeled* cost (the
+//! virtual-clock makespan delta across the span) and the *measured* compute
+//! charged inside it, plus the ledger's byte and message deltas. This subsumes the
 //! event-level `SimCluster::TraceEvent` stream: events say what each rank
 //! did, spans say what each engine phase cost.
 
@@ -15,9 +14,9 @@ use std::fmt::Write as _;
 /// One traced span. All costs are deltas over the span, not totals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    /// Span kind, e.g. `domain-decomposition`, `recombination`, `recovery`.
+    /// Span kind, e.g. `domain-decomposition`, `recombination`, `snapshot`.
     pub name: String,
-    /// Free-form detail, e.g. the recovery method or update description.
+    /// Free-form detail, e.g. the step number or update description.
     pub detail: String,
     /// Engine RC step counter when the span closed.
     pub rc_step: u64,
@@ -31,12 +30,6 @@ pub struct SpanRecord {
     pub bytes: u64,
     /// Messages sent during the span.
     pub messages: u64,
-    /// Messages lost to injected faults during the span.
-    pub dropped_messages: u64,
-    /// Duplicate deliveries during the span.
-    pub dup_messages: u64,
-    /// Heartbeat messages during the span.
-    pub heartbeat_messages: u64,
 }
 
 impl SpanRecord {
@@ -56,9 +49,6 @@ impl SpanRecord {
         let _ = write!(out, ", \"compute_us\": {}", fmt_f64(self.compute_us));
         let _ = write!(out, ", \"bytes\": {}", self.bytes);
         let _ = write!(out, ", \"messages\": {}", self.messages);
-        let _ = write!(out, ", \"dropped_messages\": {}", self.dropped_messages);
-        let _ = write!(out, ", \"dup_messages\": {}", self.dup_messages);
-        let _ = write!(out, ", \"heartbeat_messages\": {}", self.heartbeat_messages);
         out.push('}');
         out
     }
@@ -81,9 +71,6 @@ impl SpanRecord {
             compute_us: num_field(&pairs, "compute_us")?,
             bytes: uint_field(&pairs, "bytes")?,
             messages: uint_field(&pairs, "messages")?,
-            dropped_messages: uint_field(&pairs, "dropped_messages")?,
-            dup_messages: uint_field(&pairs, "dup_messages")?,
-            heartbeat_messages: uint_field(&pairs, "heartbeat_messages")?,
         })
     }
 }
@@ -159,9 +146,6 @@ mod tests {
             compute_us: 42.0,
             bytes: 1024,
             messages: 12,
-            dropped_messages: 1,
-            dup_messages: 0,
-            heartbeat_messages: 4,
         }
     }
 
@@ -185,8 +169,8 @@ mod tests {
         let mut log = SpanLog::new();
         log.push(span());
         let mut other = span();
-        other.name = "recovery".to_string();
-        other.detail = "checkpoint-restore rank=1".to_string();
+        other.name = "dynamic-update".to_string();
+        other.detail = "add-edges n=3".to_string();
         log.push(other);
         let text = format!("\n{}\n", log.to_jsonl());
         let decoded = SpanLog::from_jsonl(&text).unwrap();

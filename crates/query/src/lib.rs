@@ -21,22 +21,19 @@
 //!
 //! * [`Confidence::Exact`] — the members *are* the true top-k of the
 //!   current graph, bit-for-bit what the brute-force oracle would return.
-//!   Reported when the frame is fresh (converged, nothing in flight,
-//!   nobody down), or earlier, when every surviving candidate outside the
-//!   members is pruned and every member's score is pivot-exact.
+//!   Reported when the frame is fresh (the engine converged), or earlier,
+//!   when every surviving candidate outside the members is pruned and every
+//!   member's score is pivot-exact.
 //! * [`Confidence::Anytime`] — the true top-k is guaranteed to be a subset
 //!   of {members ∪ unresolved candidates}; `kth_bound_gap` says how far the
 //!   best unresolved challenger's upper bound still sits above the k-th
 //!   member's lower bound.
 //!
-//! ## Soundness under dynamics and faults
+//! ## Soundness under dynamics
 //!
 //! Lower bounds derive from the anytime invariant `d̂(v,t) ≥ d(v,t)`, which
-//! the engine maintains through additions (only shorten true distances),
-//! deletions (invalidate-and-reseed before serving), crash recovery
-//! (checkpoints stamped with the invalidation epoch; stale ones are
-//! rejected), and down ranks (frozen rows are pre-crash estimates for the
-//! same epoch, and deletions rewrite even frozen state). Upper bounds are
+//! the engine maintains through additions (only shorten true distances) and
+//! deletions (invalidate-and-reseed before serving). Upper bounds are
 //! structural per generation; any graph change bumps the frame's
 //! `(epoch, state_version)` stamp and the tracker rebuilds them before
 //! trusting anything — at the generation's first stale frame, since a fresh
@@ -247,7 +244,7 @@ impl TopKTracker {
                 .as_ref()
                 .is_none_or(|s| (s.epoch, s.state_version) != stamp(&meta));
         let snap = &frame.snapshot;
-        if unbounded && meta.fresh {
+        if unbounded && meta.converged {
             // Ceilings are running minima of sums that only fall within a
             // generation, so bounds a later stale frame of this generation
             // builds from its own sums equal bounds built here and tightened
@@ -401,10 +398,10 @@ impl TopKTracker {
         let (meta, k) = (frame.meta, self.config.k);
         let (candidates, pruned, unresolved, gap, exact) = match self.classify(k, |_, _| {}) {
             Some(r) => {
-                let exact = meta.fresh || r.exact();
+                let exact = meta.converged || r.exact();
                 (r.candidates, r.pruned, r.unresolved, r.gap(), exact)
             }
-            None if meta.fresh => {
+            None if meta.converged => {
                 let snap = &frame.snapshot;
                 let candidates = snap.closeness.iter().filter(|&&c| c > 0.0).count();
                 (candidates, candidates.saturating_sub(k), 0, 0.0, true)
@@ -436,7 +433,7 @@ impl TopKTracker {
         }
         let frame = self.last.as_ref()?;
         let meta = frame.meta;
-        if meta.fresh {
+        if meta.converged {
             // The frame is exact (converged, nothing in flight, nobody
             // down): the snapshot's own ranking is the oracle's. Selected
             // once per frame; a read copies its k entries.
@@ -486,7 +483,7 @@ impl TopKTracker {
     /// before the first observation.
     pub fn partition(&self, k: usize) -> Option<(Vec<VertexId>, Vec<VertexId>, Vec<VertexId>)> {
         let frame = self.last.as_ref()?;
-        if frame.meta.fresh {
+        if frame.meta.converged {
             let ranking = frame.snapshot.top_k(usize::MAX);
             let mut members: Vec<VertexId> = ranking.iter().map(|&(v, _)| v).collect();
             let pruned = members.split_off(k.min(members.len()));
@@ -833,7 +830,7 @@ mod tests {
         e.initialize();
         e.run_to_convergence(64);
         let frame = e.publish_snapshot();
-        assert!(frame.meta.fresh);
+        assert!(frame.meta.converged);
         let mut full: Vec<(VertexId, f64)> = frame
             .snapshot
             .closeness

@@ -84,7 +84,7 @@ impl Csr {
 pub struct StructuralBounds {
     /// Invalidation epoch of the graph these bounds were built from.
     pub epoch: u64,
-    /// Mutation/recovery state version of that graph.
+    /// Mutation state version of that graph.
     pub state_version: u64,
     /// Maximum edge weight in the graph (≥ 1), for the per-component
     /// distance ceiling `(|comp| − 1) · w_max`.

@@ -13,14 +13,14 @@
 //! `(members, unresolved, pruned)`, the k-th bound gap and the confidence
 //! for every k up to the tracked one; a k above it must stay sound against
 //! the APSP oracle. The property runs 24 small cases in tier 1 and whatever
-//! `PROPTEST_CASES` asks for in the nightly, over lossy links, a crash and
-//! turns that settle before they are observed as a server's do; the R-MAT
+//! `PROPTEST_CASES` asks for in the nightly, with turns that settle before
+//! they are observed as a server's do; the R-MAT
 //! schedule is n = 512 in a release build (`cargo test --release -p
 //! aa-query`, a CI step) and n = 64 in the debug build tier 1 runs.
 
 use crate::pivots::StructuralBounds;
 use crate::{den_to_score, Confidence, TopKConfig, TopKTracker};
-use aa_core::{AnytimeEngine, EngineConfig, FaultConfig, Snapshot};
+use aa_core::{AnytimeEngine, EngineConfig, Snapshot};
 use aa_graph::rmat::{rmat, RmatParams};
 use aa_graph::{algo, Graph, VertexId};
 use proptest::prelude::*;
@@ -130,7 +130,7 @@ fn mismatch(
     lb_den: &[u64],
     uncut: &StructuralBounds,
 ) -> Option<String> {
-    let fresh = t.last.as_ref().is_some_and(|f| f.meta.fresh);
+    let fresh = t.last.as_ref().is_some_and(|f| f.meta.converged);
     (0..=t.config().k).find_map(|k| {
         let want = if fresh {
             oracle_split(ranking, k)
@@ -203,18 +203,12 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(graph: Graph, procs: usize, config: TopKConfig, drop_rate: f64, seed: u64) -> Rig {
-        let fault = (drop_rate > 0.0).then(|| FaultConfig {
-            p_drop: drop_rate,
-            seed: seed ^ 0x5eed,
-            ..Default::default()
-        });
+    fn new(graph: Graph, procs: usize, config: TopKConfig, seed: u64) -> Rig {
         let mut engine = AnytimeEngine::new(
             graph,
             EngineConfig {
                 num_procs: procs,
                 seed,
-                fault,
                 ..Default::default()
             },
         );
@@ -260,7 +254,7 @@ impl Rig {
             }
         }
         if self.tracker.rebuilds != rebuilds {
-            if meta.fresh {
+            if meta.converged {
                 return Err(format!("{at}: a fresh frame built bounds"));
             }
             self.lazy_builds += usize::from(self.saw_fresh);
@@ -277,7 +271,7 @@ impl Rig {
                 .filter(|(c, u)| c < u)
                 .count();
         }
-        self.saw_fresh |= meta.fresh;
+        self.saw_fresh |= meta.converged;
         let ranking = oracle_ranking(g);
         if let Some(m) = mismatch(&mut self.tracker, &ranking, &self.lb_den, uncut) {
             return Err(format!("{at}: {m}"));
@@ -391,24 +385,15 @@ proptest! {
         extra in proptest::collection::vec((0u32..24, 0u32..24, 1u32..6), 0..12),
         procs in 2usize..4,
         k in 1usize..6,
-        lossy in proptest::bool::ANY,
-        crash_step in 0u64..6,
         settle in proptest::bool::ANY,
         seed in 0u64..10_000,
         ops in proptest::collection::vec(arb_op(), 1..6),
     ) {
-        let drop_rate = if lossy { 0.2 } else { 0.0 };
         let config = TopKConfig { k, max_pivots: 8 };
-        let mut rig = Rig::new(spine(n, &extra), procs, config, drop_rate, seed);
-        // Step 0 never comes: no crash.
-        let crash = (crash_step > 0).then_some(crash_step);
-        if let Some(step) = crash {
-            rig.engine.schedule_crash(step, 1);
-        }
+        let mut rig = Rig::new(spine(n, &extra), procs, config, seed);
         if let Err(e) = rig.run(&ops, settle) {
             prop_assert!(false, "n={n} extra={extra:?} procs={procs} k={k} \
-                drop_rate={drop_rate} crash={crash:?} settle={settle} seed={seed} \
-                ops={ops:?}: {e}");
+                settle={settle} seed={seed} ops={ops:?}: {e}");
         }
     }
 }
@@ -425,7 +410,7 @@ fn cut_equals_reference_on_an_rmat_churn_schedule() {
         k: 10,
         max_pivots: 16,
     };
-    let mut rig = Rig::new(graph, 4, config, 0.0, 7);
+    let mut rig = Rig::new(graph, 4, config, 7);
     let ops: Vec<Op> = (0..12u32)
         .map(|i| match i % 3 {
             0 => Op::AddEdge(i * 37, i * 101 + 5, 1 + i % 4),
@@ -441,10 +426,9 @@ fn cut_equals_reference_on_an_rmat_churn_schedule() {
 }
 
 /// The lazy build has teeth to show: a generation opened by a fresh frame —
-/// a deletion settled before anyone looked, over lossy links — builds
-/// nothing, and a crash in the same generation makes the next frame stale,
-/// whose build must then equal bounds built at the fresh frame and
-/// tightened through it.
+/// a deletion settled before anyone looked — builds nothing, and a
+/// rebalance in the same generation makes the next frame stale, whose build
+/// must then equal bounds built at the fresh frame and tightened through it.
 #[test]
 fn a_stale_frame_after_a_fresh_one_builds_what_an_eager_tracker_held() {
     let graph = rmat(6, 256, RmatParams::default(), 4, 7);
@@ -452,7 +436,7 @@ fn a_stale_frame_after_a_fresh_one_builds_what_an_eager_tracker_held() {
         k: 5,
         max_pivots: 8,
     };
-    let mut rig = Rig::new(graph, 4, config, 0.2, 7);
+    let mut rig = Rig::new(graph, 4, config, 7);
     rig.observe_and_check("after init").unwrap();
     rig.converge("init").unwrap();
     for (i, op) in [Op::DeleteEdge(11), Op::ChangeWeight(5, 6)]
@@ -463,22 +447,22 @@ fn a_stale_frame_after_a_fresh_one_builds_what_an_eager_tracker_held() {
         rig.engine.run_to_convergence(1024);
         let rebuilds = rig.tracker.rebuilds;
         rig.observe_and_check(&format!("settled op[{i}]")).unwrap();
-        assert!(rig.tracker.last.as_ref().is_some_and(|f| f.meta.fresh));
+        assert!(rig.tracker.last.as_ref().is_some_and(|f| f.meta.converged));
         assert_eq!(
             rig.tracker.rebuilds, rebuilds,
             "a fresh frame builds nothing"
         );
         assert!(rig.tracker.pivots().is_empty());
-        let step = rig.engine.rc_steps() as u64 + 1;
-        rig.engine.schedule_crash(step, 1 + i);
-        rig.engine.rc_step();
-        rig.observe_and_check(&format!("crash after op[{i}]"))
+        // Every row goes out again to its neighbourhood: not converged, and
+        // the graph is the one the fresh frame described.
+        rig.engine.rebalance();
+        rig.observe_and_check(&format!("rebalance after op[{i}]"))
             .unwrap();
-        rig.converge(&format!("recovery after op[{i}]")).unwrap();
+        rig.converge(&format!("settle after op[{i}]")).unwrap();
     }
     assert_eq!(
         rig.lazy_builds, 2,
-        "each crash frame built the skipped bounds"
+        "each rebalance frame built the skipped bounds"
     );
 }
 
@@ -492,7 +476,7 @@ fn a_threshold_for_a_smaller_k_is_caught() {
         k: 8,
         max_pivots: 16,
     };
-    let mut rig = Rig::new(graph, 4, config, 0.0, 7);
+    let mut rig = Rig::new(graph, 4, config, 7);
     rig.observe_and_check("after init").unwrap();
     let g = rig.engine.graph();
     let s = rig.tracker.structural.as_ref().unwrap();

@@ -1,7 +1,7 @@
 //! Execution-backend selection: the deterministic simulator vs real threads.
 //!
 //! [`Cluster`] is the handle `aa-core`'s engine drives. It dispatches every
-//! collective, charge and fault operation to either the in-process
+//! collective and charge to either the in-process
 //! [`SimCluster`] oracle or the [`ThreadCluster`] (real OS threads + bounded
 //! channels) without the engine knowing which one it has. Both backends
 //! funnel all accounting through the same `SimCluster` core, so a run is
@@ -12,9 +12,9 @@
 //! implementations (the generic exchanges can't be trait methods because
 //! payload types are chosen by the algorithm layer).
 
-use crate::cluster::{ExchangeReceipts, SimCluster, TraceEvent, TransferOut};
+use crate::cluster::{SimCluster, TraceEvent, TransferOut};
 use crate::threads::ThreadCluster;
-use crate::{ExchangeMode, FaultPlan};
+use crate::ExchangeMode;
 use aa_logp::{CostLedger, LogPParams, Phase};
 use aa_obs::Stopwatch;
 use std::time::Duration;
@@ -56,10 +56,6 @@ pub trait ExecutionBackend {
     fn kind(&self) -> BackendKind;
     /// Number of virtual processors.
     fn proc_count(&self) -> usize;
-    /// Whether `rank` is currently fail-stopped.
-    fn is_down(&self, rank: usize) -> bool;
-    /// Number of live ranks.
-    fn live_count(&self) -> usize;
     /// Synchronizes all virtual clocks.
     fn barrier(&mut self);
     /// Cluster makespan so far (µs of virtual time).
@@ -72,12 +68,6 @@ impl ExecutionBackend for SimCluster {
     }
     fn proc_count(&self) -> usize {
         SimCluster::proc_count(self)
-    }
-    fn is_down(&self, rank: usize) -> bool {
-        SimCluster::is_down(self, rank)
-    }
-    fn live_count(&self) -> usize {
-        SimCluster::live_count(self)
     }
     fn barrier(&mut self) {
         SimCluster::barrier(self)
@@ -94,12 +84,6 @@ impl ExecutionBackend for ThreadCluster {
     fn proc_count(&self) -> usize {
         self.sim().proc_count()
     }
-    fn is_down(&self, rank: usize) -> bool {
-        self.sim().is_down(rank)
-    }
-    fn live_count(&self) -> usize {
-        self.sim().live_count()
-    }
     fn barrier(&mut self) {
         self.sim_mut().barrier()
     }
@@ -109,9 +93,9 @@ impl ExecutionBackend for ThreadCluster {
 }
 
 /// The execution backend handle the engine drives. Mirrors the full
-/// [`SimCluster`] API; only the exchange judge and the per-rank compute
-/// stages differ between variants — all accounting goes through the shared
-/// simulator core either way.
+/// [`SimCluster`] API; only the per-rank compute stages differ between
+/// variants — exchanges and all accounting go through the shared simulator
+/// core either way.
 #[derive(Debug)]
 pub enum Cluster {
     /// Deterministic superstep simulator.
@@ -157,7 +141,7 @@ impl Cluster {
         }
     }
 
-    /// The simulator core carrying clocks, ledger and fault state.
+    /// The simulator core carrying clocks and ledger.
     pub fn sim(&self) -> &SimCluster {
         match self {
             Cluster::Sim(c) => c,
@@ -173,23 +157,8 @@ impl Cluster {
         }
     }
 
-    /// Like [`SimCluster::exchange_with_receipts`]: the simulator judges
-    /// sequentially, the threaded backend judges per sender on its worker
-    /// pool; settlement is the shared simulator path either way.
-    pub fn exchange_with_receipts<T: Clone + Send>(
-        &mut self,
-        phase: Phase,
-        outbox: Vec<Vec<TransferOut<T>>>,
-    ) -> ExchangeReceipts<T> {
-        match self {
-            Cluster::Sim(c) => c.exchange_with_receipts(phase, outbox),
-            Cluster::Threads(t) => t.exchange_with_receipts(phase, outbox),
-        }
-    }
-
     /// Runs `f` once per rank with exclusive access to that rank's state
     /// slot, charging each rank's measured wall time to its virtual clock.
-    /// Ranks with `skip[rank]` set contribute `R::default()` and no charge.
     /// The simulator runs ranks sequentially in order; the threaded backend
     /// fans out to its worker pool and merges results (and charges) back in
     /// rank order, so downstream state never observes completion order.
@@ -198,28 +167,22 @@ impl Cluster {
         phase: Phase,
         states: &mut [S],
         inputs: Vec<I>,
-        skip: &[bool],
         f: F,
     ) -> Vec<R>
     where
         S: Send,
         I: Send,
-        R: Default + Send,
+        R: Send,
         F: Fn(usize, &mut S, I) -> R + Sync,
     {
         match self {
             Cluster::Sim(c) => {
                 assert_eq!(inputs.len(), states.len(), "one input per rank");
-                assert_eq!(skip.len(), states.len(), "one skip flag per rank");
                 states
                     .iter_mut()
                     .zip(inputs)
                     .enumerate()
                     .map(|(rank, (state, input))| {
-                        // aa-lint: allow(AA07, skip is asserted to states.len() above and rank enumerates states)
-                        if skip[rank] {
-                            return R::default();
-                        }
                         let t = Stopwatch::start();
                         let r = f(rank, state, input);
                         c.compute_measured(rank, phase, t.elapsed());
@@ -227,71 +190,11 @@ impl Cluster {
                     })
                     .collect()
             }
-            Cluster::Threads(t) => t.run_on_ranks(phase, states, inputs, skip, f),
+            Cluster::Threads(t) => t.run_on_ranks(phase, states, inputs, f),
         }
     }
 
     // ----- delegated SimCluster surface ---------------------------------
-
-    /// See [`SimCluster::set_fault_plan`].
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.sim_mut().set_fault_plan(plan)
-    }
-
-    /// See [`SimCluster::fault_plan`].
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.sim().fault_plan()
-    }
-
-    /// See [`SimCluster::fault_plan_mut`].
-    pub fn fault_plan_mut(&mut self) -> Option<&mut FaultPlan> {
-        self.sim_mut().fault_plan_mut()
-    }
-
-    /// See [`SimCluster::refresh_stragglers`].
-    pub fn refresh_stragglers(&mut self) {
-        self.sim_mut().refresh_stragglers()
-    }
-
-    /// See [`SimCluster::fire_crashes_due`].
-    pub fn fire_crashes_due(&mut self, step: u64) -> Vec<usize> {
-        self.sim_mut().fire_crashes_due(step)
-    }
-
-    /// See [`SimCluster::is_down`].
-    pub fn is_down(&self, rank: usize) -> bool {
-        self.sim().is_down(rank)
-    }
-
-    /// See [`SimCluster::down_ranks`].
-    pub fn down_ranks(&self) -> Vec<usize> {
-        self.sim().down_ranks()
-    }
-
-    /// See [`SimCluster::live_count`].
-    pub fn live_count(&self) -> usize {
-        self.sim().live_count()
-    }
-
-    /// See [`SimCluster::mark_down`].
-    pub fn mark_down(&mut self, rank: usize) {
-        self.sim_mut().mark_down(rank)
-    }
-
-    /// See [`SimCluster::mark_up`].
-    pub fn mark_up(&mut self, rank: usize) {
-        self.sim_mut().mark_up(rank)
-    }
-
-    /// See [`SimCluster::compute_us_by_rank`].
-    pub fn compute_us_by_rank(&self) -> &[f64] {
-        self.sim().compute_us_by_rank()
-    }
-
-    /// See [`SimCluster::proc_time_us`].
-    pub fn proc_time_us(&self, p: usize) -> f64 {
-        self.sim().proc_time_us(p)
-    }
 
     /// See [`SimCluster::set_compute_scale`].
     pub fn set_compute_scale(&mut self, scale: f64) {
@@ -343,16 +246,6 @@ impl Cluster {
         self.sim_mut().broadcast_cost(phase, root, bytes)
     }
 
-    /// See [`SimCluster::point_to_point_cost`].
-    pub fn point_to_point_cost(&mut self, phase: Phase, src: usize, dst: usize, bytes: usize) {
-        self.sim_mut().point_to_point_cost(phase, src, dst, bytes)
-    }
-
-    /// See [`SimCluster::note_heartbeats`].
-    pub fn note_heartbeats(&mut self, phase: Phase, messages: u64, bytes: u64) {
-        self.sim_mut().note_heartbeats(phase, messages, bytes)
-    }
-
     /// See [`SimCluster::barrier`].
     pub fn barrier(&mut self) {
         self.sim_mut().barrier()
@@ -393,12 +286,6 @@ impl ExecutionBackend for Cluster {
     }
     fn proc_count(&self) -> usize {
         Cluster::proc_count(self)
-    }
-    fn is_down(&self, rank: usize) -> bool {
-        Cluster::is_down(self, rank)
-    }
-    fn live_count(&self) -> usize {
-        Cluster::live_count(self)
     }
     fn barrier(&mut self) {
         Cluster::barrier(self)
@@ -467,8 +354,6 @@ mod tests {
         for cluster in &mut backends {
             let b: &mut dyn ExecutionBackend = cluster;
             assert_eq!(b.proc_count(), 3);
-            assert_eq!(b.live_count(), 3);
-            assert!(!b.is_down(1));
             b.barrier();
             assert_eq!(b.makespan_us(), 0.0);
         }

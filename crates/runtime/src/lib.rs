@@ -6,6 +6,7 @@
 //! supersteps; the algorithm layer keeps one state object per processor and
 //! moves data between them exclusively through [`SimCluster`], which charges
 //! every transfer to per-processor LogP virtual clocks and a cost ledger.
+//! The network is reliable, as MPI's is: every transfer arrives, once.
 //!
 //! Why keep the simulator at all: the algorithms under study are defined
 //! entirely by *which bytes move when* and *what each processor may know*; a
@@ -23,12 +24,8 @@
 
 pub mod backend;
 pub mod cluster;
-pub mod detector;
-pub mod fault;
 pub mod threads;
 
 pub use backend::{BackendKind, Cluster, ExecutionBackend};
-pub use cluster::{DeliveryKind, ExchangeMode, SimCluster, TraceEvent, TransferOut};
-pub use detector::{FailureDetector, RankHealth};
-pub use fault::{CrashFault, Delivery, FaultPlan, LinkFaults, StragglerFault};
+pub use cluster::{ExchangeMode, SimCluster, TraceEvent, TransferOut};
 pub use threads::{threads_available, ThreadCluster};

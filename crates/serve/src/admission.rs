@@ -72,7 +72,7 @@ pub struct ServeConfig {
     /// Default read deadline, relative to submission (virtual µs).
     pub default_deadline_us: f64,
     /// In degraded mode the write refill is divided by this factor, so
-    /// recovery work is not starved by update traffic. Must be at least 1.
+    /// refinement work is not starved by update traffic. Must be at least 1.
     pub degraded_write_divisor: u32,
     /// Consecutive overloaded turns before entering degraded mode.
     pub overload_turns: usize,
@@ -80,8 +80,8 @@ pub struct ServeConfig {
     pub recovery_turns: usize,
     /// RC steps attempted per turn while unconverged. A turn whose flush
     /// applied a deletion steps on past this to convergence (bounded by the
-    /// deletion barrier's budget, stopped by a down rank): the next deletion
-    /// barrier would run those steps anyway.
+    /// deletion barrier's budget): the next deletion barrier would run those
+    /// steps anyway.
     pub steps_per_turn: usize,
     /// Ingest pipeline configuration (write queue bounds, drain policy).
     pub ingest: IngestConfig,

@@ -16,18 +16,17 @@
 //!   [`SnapshotFrame`](aa_core::SnapshotFrame): an `Arc`-shared, epoch-
 //!   stamped snapshot rebuilt only when engine state changes (double-
 //!   buffered publication, allocation-stable on reuse). A reader can never
-//!   observe a torn mid-`rc_step` state or a frame claiming freshness
-//!   while rows are in flight.
+//!   observe a torn mid-`rc_step` state or a frame claiming convergence
+//!   while rows are dirty.
 //! * **Admission control** — reads and writes share the aa-ingest
 //!   `Accepted / Throttled{retry_after} / Shed` backpressure contract,
 //!   with per-class token budgets, queue watermarks, and deadline-aware
 //!   shedding. Every admitted request resolves at a turn boundary;
 //!   nothing hangs.
-//! * **Graceful degradation** — under overload or with ranks down the
-//!   server enters an explicit degraded mode: reads keep being served
-//!   from stale-but-bounded frames (finite max-overestimate bound, epoch
-//!   consistency preserved), the write budget tightens, and recovery is
-//!   visible to clients only as widened staleness bounds.
+//! * **Graceful degradation** — under sustained overload the server
+//!   enters an explicit degraded mode: reads keep being served from
+//!   stale-but-bounded frames (finite max-overestimate bound, epoch
+//!   consistency preserved) and the write budget tightens.
 //!
 //! [`LoadGen`] provides the deterministic mixed-workload generator used by
 //! the `figures serve` bench and the `aa serve` CLI subcommand.

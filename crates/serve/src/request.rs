@@ -36,8 +36,6 @@ pub enum ReadValue {
         closeness: f64,
         /// Harmonic closeness estimate.
         harmonic: f64,
-        /// Whether this row is frozen on a currently-down rank.
-        stale: bool,
     },
 }
 

@@ -11,10 +11,10 @@
 //! 3. runs up to [`ServeConfig::steps_per_turn`] recombination steps while
 //!    unconverged — and, when this turn's flush applied a deletion (the
 //!    delete half of a weight increase included), keeps stepping until the
-//!    engine converges, a rank is down, or the deletion barrier's own budget
-//!    runs out. Those are the steps the next turn's barrier would have run
-//!    anyway; run here, the turn answers from a fresh frame and the barrier
-//!    finds the engine quiescent,
+//!    engine converges or the deletion barrier's own budget runs out. Those
+//!    are the steps the next turn's barrier would have run anyway; run here,
+//!    the turn answers from a fresh frame and the barrier finds the engine
+//!    quiescent,
 //! 4. updates the degraded-mode state machine,
 //! 5. publishes a snapshot frame (allocation-stable when nothing changed)
 //!    and folds it — together with the engine's drained bound-delta feed —
@@ -27,18 +27,18 @@
 //!
 //! Every admitted request resolves at a turn boundary — served or shed —
 //! so nothing ever hangs, and every served response carries the frame's
-//! [`SnapshotMeta`](aa_core::SnapshotMeta) stamp (epoch, freshness,
+//! [`SnapshotMeta`](aa_core::SnapshotMeta) stamp (epoch, convergence,
 //! quiescent-row fraction, finite max-overestimate bound).
 //!
 //! # Degraded mode
 //!
-//! The server enters degraded mode immediately when a rank is down, or
-//! after [`ServeConfig::overload_turns`] consecutive turns with the ingest
-//! queue or read queue above its high watermark; it leaves after
-//! [`ServeConfig::recovery_turns`] consecutive clear turns. Degraded mode
-//! never stops serving: reads are answered from the latest published frame
-//! (stale but epoch-consistent, with finite bounds) and the write budget is
-//! tightened so recovery and refinement work is not starved.
+//! The server enters degraded mode after [`ServeConfig::overload_turns`]
+//! consecutive turns with the ingest queue or read queue above its high
+//! watermark, and leaves after [`ServeConfig::recovery_turns`] consecutive
+//! clear turns. Degraded mode never stops serving: reads are answered from
+//! the latest published frame (stale but epoch-consistent, with finite
+//! bounds) and the write budget is tightened so refinement work is not
+//! starved.
 
 //! # Durability
 //!
@@ -62,12 +62,12 @@ use aa_query::{Confidence, TopKAnswer, TopKConfig, TopKTracker};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Serving state: normal, or degraded (overloaded / ranks down).
+/// Serving state: normal, or degraded (overloaded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
     /// Full service.
     Normal,
-    /// Stale-but-bounded service under overload or recovery.
+    /// Stale-but-bounded service under overload.
     Degraded,
 }
 
@@ -592,7 +592,7 @@ impl Server {
         self.session.tracker()
     }
 
-    /// Mutable engine access (chaos injection in tests and the CLI; the
+    /// Mutable engine access (direct mutations in tests and the CLI; the
     /// server re-observes engine state at the next turn boundary).
     pub fn engine_mut(&mut self) -> &mut AnytimeEngine {
         self.session.engine_mut()
@@ -640,31 +640,26 @@ impl Server {
     /// Steps a turn that applied a deletion runs past `steps_per_turn`: on
     /// to convergence, so the turn publishes a fresh frame and the next
     /// deletion barrier finds nothing left to do. These are the steps that
-    /// barrier would have run; the same budget bounds them. Stops at a down
-    /// rank, which the mode machine must see before recovery hides it.
+    /// barrier would have run; the same budget bounds them.
     fn settle(&mut self) -> usize {
         let budget = self.session.engine().deletion_barrier_budget();
         let mut steps = 0;
-        while steps < budget
-            && self.session.engine().cluster().down_ranks().is_empty()
-            && self.session.step(1) == 1
-        {
+        while steps < budget && self.session.step(1) == 1 {
             steps += 1;
         }
         steps
     }
 
     fn update_mode(&mut self) {
-        let down = !self.session.engine().cluster().down_ranks().is_empty();
         let ingest_over = self.session.pending_ops() > self.config.ingest.high_watermark;
         let read_over = self.read_q.len() > self.config.read_queue_hwm;
-        let pressured = down || ingest_over || read_over;
+        let pressured = ingest_over || read_over;
         match self.mode {
             ServeMode::Normal => {
                 if pressured {
                     self.pressured_turns += 1;
                 }
-                if down || self.pressured_turns >= self.config.overload_turns {
+                if self.pressured_turns >= self.config.overload_turns {
                     self.mode = ServeMode::Degraded;
                     self.clear_turns = 0;
                     self.stats.degraded_entries += 1;
@@ -776,7 +771,7 @@ fn answer(frame: &SnapshotFrame, session: &mut Session, kind: ReadKind) -> ReadV
                 .filter(|&&c| c > 0.0)
                 .count()
                 .saturating_sub(members.len());
-            let confidence = if frame.meta.fresh {
+            let confidence = if frame.meta.converged {
                 Confidence::Exact
             } else {
                 // Claim nothing: every other candidate is unresolved and
@@ -798,7 +793,6 @@ fn answer(frame: &SnapshotFrame, session: &mut Session, kind: ReadKind) -> ReadV
             ReadValue::Vertex {
                 closeness: snap.closeness.get(slot).copied().unwrap_or(0.0),
                 harmonic: snap.harmonic.get(slot).copied().unwrap_or(0.0),
-                stale: snap.stale.get(slot).copied().unwrap_or(false),
             }
         }
     }
@@ -862,8 +856,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         match &out[0] {
             ReadOutcome::Served { meta, value, .. } => {
-                assert!(meta.fresh);
-                assert_eq!(meta.outstanding_rows, 0);
+                assert!(meta.converged);
                 match value {
                     ReadValue::TopK(ans) => {
                         assert!(ans.is_exact(), "fresh frame must yield an exact answer");
@@ -907,7 +900,10 @@ mod tests {
             .collect();
         assert_eq!(served.len(), 1);
         let (meta, value) = &served[0];
-        assert!(!meta.fresh, "frame right after a deletion cannot be fresh");
+        assert!(
+            !meta.converged,
+            "frame right after a deletion cannot be converged"
+        );
         match value {
             ReadValue::TopK(ans) => {
                 assert_eq!(ans.k, k);
@@ -926,7 +922,7 @@ mod tests {
         let out = s.drain(64).unwrap();
         match &out[0] {
             ReadOutcome::Served { value, meta, .. } => {
-                assert!(meta.fresh);
+                assert!(meta.converged);
                 match value {
                     ReadValue::TopK(ans) => assert!(ans.is_exact()),
                     other => panic!("wrong value: {other:?}"),
@@ -987,7 +983,10 @@ mod tests {
                 value: ReadValue::TopK(ans),
                 ..
             }] => {
-                assert!(meta.fresh, "a turn that deleted answers from a fresh frame");
+                assert!(
+                    meta.converged,
+                    "a turn that deleted answers from a converged frame"
+                );
                 assert!(ans.is_exact());
                 assert_eq!(ans.members, oracle, "bit for bit the oracle's top-{k}");
             }
@@ -1055,34 +1054,48 @@ mod tests {
     }
 
     #[test]
-    fn degraded_mode_enters_on_down_rank_and_recovers_with_hysteresis() {
-        let mut s = server(80, 4, ServeConfig::default());
-        assert_eq!(s.mode(), ServeMode::Normal);
-        // Crash fires inside an upcoming rc_step (while unconverged);
-        // detection + recovery happen via the supervisor.
-        s.engine_mut().schedule_crash(1, 1);
-        let mut saw_degraded = false;
-        for _ in 0..40 {
-            s.submit_read(ReadKind::TopK(3));
+    fn sustained_read_pressure_enters_degraded_mode_and_clear_turns_leave_it() {
+        // One read served a turn, so a backlog stays above the watermark for
+        // as many turns as it is deep beyond it.
+        let cfg = ServeConfig {
+            read_queue_hwm: 2,
+            read_tokens_per_turn: 1,
+            read_burst: 1,
+            ..Default::default()
+        };
+        let (overload, recovery) = (cfg.overload_turns, cfg.recovery_turns);
+        let (hwm, backlog) = (cfg.read_queue_hwm, 12);
+        let mut s = server(60, 3, cfg);
+        for _ in 0..backlog {
+            assert!(s.submit_read(ReadKind::TopK(3)).admission.is_admitted());
+        }
+        // The mode is decided on the depth a turn starts with: above the
+        // watermark for the first `pressured` turns, clear after.
+        let pressured = backlog - hwm;
+        let (mut modes, mut degraded_reads) = (Vec::new(), 0);
+        for turn in 0..pressured + recovery {
+            let depth = s.read_queue_depth();
             let rep = s.turn().unwrap();
-            if rep.mode == ServeMode::Degraded {
-                saw_degraded = true;
-            }
-            if saw_degraded && rep.mode == ServeMode::Normal {
-                break;
+            modes.push(rep.mode);
+            let want = if turn + 1 < overload || turn + 1 >= pressured + recovery {
+                ServeMode::Normal
+            } else {
+                ServeMode::Degraded
+            };
+            assert_eq!(rep.mode, want, "turn {turn} at depth {depth}: {modes:?}");
+            for out in &rep.served {
+                if let ReadOutcome::Served { degraded, .. } = out {
+                    assert_eq!(*degraded, rep.mode == ServeMode::Degraded);
+                    degraded_reads += usize::from(*degraded);
+                }
             }
         }
-        assert!(
-            saw_degraded,
-            "crash must push the server into degraded mode"
-        );
-        assert_eq!(
-            s.mode(),
-            ServeMode::Normal,
-            "recovery must bring the server back to normal"
-        );
-        assert!(s.stats().degraded_entries >= 1);
-        assert!(s.stats().degraded_turns >= 1);
+        let stats = s.stats();
+        assert_eq!(stats.degraded_entries, 1, "{modes:?}");
+        let degraded = modes.iter().filter(|&&m| m == ServeMode::Degraded).count();
+        assert_eq!(stats.degraded_turns, degraded as u64);
+        assert_eq!(degraded_reads, degraded, "one read a turn, each flagged");
+        assert_eq!(s.mode(), ServeMode::Normal);
     }
 
     #[test]

@@ -183,7 +183,6 @@ impl Session {
 
     /// Runs up to `max` recombination steps while unconverged; returns the
     /// steps taken. Publishes nothing.
-    // aa-lint: allow(AA07, Session::new initializes the engine before any step can run so rc_step's initialized assert cannot fire; its other site is the engine-internal retransmit expect carried as AA01 debt in core/engine.rs)
     pub fn step(&mut self, max: usize) -> usize {
         let mut steps = 0;
         while steps < max && !self.engine.is_converged() {
@@ -216,7 +215,6 @@ impl Session {
     /// taken. With a tracker every superstep is observed, so its pruning
     /// statistics cover the whole run; without one this is
     /// `run_to_convergence`.
-    // aa-lint: allow(AA07, same containment as step — the engine was initialized by Session::new and the remaining panic site is core's baselined retransmit expect)
     pub fn converge(&mut self, budget: usize) -> usize {
         if self.tracker.is_none() {
             return self.engine.run_to_convergence(budget);
@@ -264,8 +262,8 @@ impl Session {
         &self.engine
     }
 
-    /// Mutable engine access for what is not an ingest op: control commands,
-    /// fault injection, probes. Follow a mutation with
+    /// Mutable engine access for what is not an ingest op: control commands
+    /// and probes. Follow a mutation with
     /// [`observe`](Session::observe).
     pub fn engine_mut(&mut self) -> &mut AnytimeEngine {
         &mut self.engine

@@ -3,8 +3,7 @@
 //! Drives random dynamic-update schedules (edge additions/deletions, vertex
 //! additions/deletions) against a running [`AnytimeEngine`] and, after
 //! convergence, checks every closeness estimate and every distance row
-//! against a brute-force sequential oracle — across two partitioners and
-//! with and without lossy links.
+//! against a brute-force sequential oracle — across two partitioners.
 //!
 //! The vendored `proptest` stand-in has no shrinking, so failures here run a
 //! hand-rolled delta-debugging pass: the failing operation schedule is
@@ -20,16 +19,16 @@
 //!
 //! Since ISSUE 9 the harness is also *cross-backend*: every case can run on
 //! the deterministic simulator and on the real threaded backend, and the two
-//! must produce identical post-convergence distances, closeness scores and
-//! recovery logs (the sim is the oracle for the threads backend, exactly as
+//! must produce identical post-convergence distances and closeness scores
+//! (the sim is the oracle for the threads backend, exactly as
 //! the brute-force APSP is the oracle for the sim). Failures shrink through
 //! the same ddmin pass.
 
 mod support;
 
 use aa_core::{
-    AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, FaultConfig, PartitionerKind,
-    ProcFaultConfig, ProgressSample, SupervisorConfig, VertexBatch,
+    AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, PartitionerKind, ProgressSample,
+    VertexBatch,
 };
 use aa_graph::{algo, Graph, VertexId, Weight};
 use aa_runtime::BackendKind;
@@ -62,15 +61,8 @@ struct Case {
     extra_edges: Vec<(u32, u32, u32)>,
     procs: usize,
     partitioner: PartitionerKind,
-    drop_rate: f64,
     seed: u64,
     ops: Vec<Op>,
-    /// Scheduled fail-stop crash `(step, rank)`, auto-recovered by the
-    /// supervisor (used by the cross-backend chaos matrix).
-    crash: Option<(u64, usize)>,
-    /// Injected straggler `(rank, scale)` — advisory-only, must not change
-    /// any result on either backend.
-    straggler: Option<(usize, f64)>,
 }
 
 /// Spine + extra edges, like the proptests generator: the spine keeps the
@@ -132,39 +124,16 @@ fn apply(e: &mut AnytimeEngine, op: Op) {
 }
 
 /// Builds the case's engine on the requested execution backend. All other
-/// configuration (seeds, fault schedule, partitioner) is identical, so any
-/// difference in the outcome is the backend's fault.
+/// configuration (seeds, partitioner) is identical, so any difference in the
+/// outcome is the backend's fault.
 fn engine_for(case: &Case, backend: BackendKind, threads: usize) -> AnytimeEngine {
     let graph = build_graph(case.n, &case.extra_edges);
-    let fault = (case.drop_rate > 0.0).then(|| FaultConfig {
-        p_drop: case.drop_rate,
-        seed: case.seed ^ 0x5eed,
-        ..Default::default()
-    });
-    let proc_fault = (case.crash.is_some() || case.straggler.is_some()).then(|| ProcFaultConfig {
-        crashes: case.crash.into_iter().collect(),
-        stragglers: case.straggler.into_iter().collect(),
-    });
-    // A scheduled crash needs the supervisor: tight detection and frequent
-    // checkpoints keep the recovery inside the convergence budget.
-    let supervision = if case.crash.is_some() {
-        SupervisorConfig {
-            checkpoint_interval: 2,
-            detector_timeout: 2,
-            ..Default::default()
-        }
-    } else {
-        SupervisorConfig::default()
-    };
     AnytimeEngine::new(
         graph,
         EngineConfig {
             num_procs: case.procs,
             seed: case.seed,
             partitioner: case.partitioner,
-            fault,
-            proc_fault,
-            supervision,
             backend,
             threads,
             ..Default::default()
@@ -248,9 +217,8 @@ fn check_case(case: Case) -> Result<(), TestCaseError> {
     eprintln!("=== differential failure ===");
     eprintln!("original failure: {msg}");
     eprintln!(
-        "minimal failing case: n={} procs={} partitioner={:?} drop_rate={} seed={} extra_edges={:?}",
-        minimal.n, minimal.procs, minimal.partitioner, minimal.drop_rate, minimal.seed,
-        minimal.extra_edges
+        "minimal failing case: n={} procs={} partitioner={:?} seed={} extra_edges={:?}",
+        minimal.n, minimal.procs, minimal.partitioner, minimal.seed, minimal.extra_edges
     );
     for (i, op) in minimal.ops.iter().enumerate() {
         eprintln!("  op[{i}] = {op:?}");
@@ -258,14 +226,8 @@ fn check_case(case: Case) -> Result<(), TestCaseError> {
     eprintln!("progress timeline of the minimal case:");
     for s in &timeline {
         eprintln!(
-            "  RC{:<4} max_over={:<6.1} tau={:<6.3} conv_rows={:<6.3} outstanding={} down={} recovering={}",
-            s.rc_step,
-            s.max_overestimate,
-            s.kendall_tau,
-            s.converged_row_fraction,
-            s.outstanding_rows,
-            s.down_ranks,
-            s.recovering
+            "  RC{:<4} max_over={:<6.1} tau={:<6.3} conv_rows={:<6.3} dirty={}",
+            s.rc_step, s.max_overestimate, s.kendall_tau, s.converged_row_fraction, s.dirty_rows
         );
     }
     prop_assert!(
@@ -306,7 +268,7 @@ fn arb_vertex_op() -> impl Strategy<Value = Op> {
     })
 }
 
-fn arb_case<O: Strategy<Value = Op>>(op: O, drop_rate: f64) -> impl Strategy<Value = Case> {
+fn arb_case<O: Strategy<Value = Op>>(op: O) -> impl Strategy<Value = Case> {
     (
         4usize..20,
         proptest::collection::vec((0u32..20, 0u32..20, 1u32..6), 0..12),
@@ -319,11 +281,8 @@ fn arb_case<O: Strategy<Value = Op>>(op: O, drop_rate: f64) -> impl Strategy<Val
             extra_edges,
             procs,
             partitioner: partitioner_for(seed),
-            drop_rate,
             seed,
             ops,
-            crash: None,
-            straggler: None,
         })
 }
 
@@ -331,22 +290,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     #[test]
-    fn edge_churn_matches_oracle_reliable_links(case in arb_case(arb_edge_op(), 0.0)) {
+    fn edge_churn_matches_oracle_reliable_links(case in arb_case(arb_edge_op())) {
         check_case(case)?;
     }
 
     #[test]
-    fn edge_churn_matches_oracle_lossy_links(case in arb_case(arb_edge_op(), 0.2)) {
-        check_case(case)?;
-    }
-
-    #[test]
-    fn vertex_churn_matches_oracle_reliable_links(case in arb_case(arb_vertex_op(), 0.0)) {
-        check_case(case)?;
-    }
-
-    #[test]
-    fn vertex_churn_matches_oracle_lossy_links(case in arb_case(arb_vertex_op(), 0.2)) {
+    fn vertex_churn_matches_oracle_reliable_links(case in arb_case(arb_vertex_op())) {
         check_case(case)?;
     }
 }
@@ -409,11 +358,8 @@ fn differential_seeded_replay() {
             extra_edges,
             procs: 2 + (round % 2) as usize,
             partitioner: partitioner_for(round),
-            drop_rate: if round % 2 == 0 { 0.0 } else { 0.2 },
             seed: seed ^ round,
             ops,
-            crash: None,
-            straggler: None,
         };
         let (failure, _) = run_case(&case);
         if let Some(msg) = failure {
@@ -433,21 +379,12 @@ fn differential_seeded_replay() {
 const CROSS_THREADS: usize = 3;
 
 /// Everything the determinism contract covers, gathered from one converged
-/// run: dense distances, closeness, stale flags and the recovery log.
-/// Measured wall time (makespan, per-rank `compute_us`) and straggler
-/// *health* flags — which derive from measured compute — are deliberately
-/// excluded: they are the sanctioned cross-backend differences (DESIGN.md
-/// §16). Recovery logs stay in because crash suspicion is silence-based and
-/// therefore deterministic.
-type Fingerprint = (
-    Vec<Vec<Weight>>,
-    Vec<f64>,
-    Vec<bool>,
-    Vec<(u64, usize, String, usize, usize)>,
-);
+/// run: dense distances, closeness and the ledger's message and byte totals.
+/// Measured wall time (makespan, per-rank `compute_us`) is deliberately
+/// excluded: it is the sanctioned cross-backend difference (DESIGN.md §16).
+type Fingerprint = (Vec<Vec<Weight>>, Vec<f64>, (u64, u64));
 
 /// Runs a case on one backend and extracts its determinism fingerprint.
-/// The convergence budget is generous (drop 0.5 cells retransmit a lot).
 fn fingerprint_on(
     case: &Case,
     backend: BackendKind,
@@ -466,21 +403,12 @@ fn fingerprint_on(
     if let Err(err) = e.check_invariants() {
         return Err(format!("{backend:?} backend invariant violated: {err}"));
     }
-    let snap = e.snapshot();
-    let recoveries = e
-        .recovery_log()
-        .iter()
-        .map(|ev| {
-            (
-                ev.step,
-                ev.report.rank,
-                ev.report.method.to_string(),
-                ev.report.restored_rows,
-                ev.report.reseeded_rows,
-            )
-        })
-        .collect();
-    Ok((e.distances_dense(), snap.closeness, snap.stale, recoveries))
+    let t = e.cluster().ledger().totals();
+    Ok((
+        e.distances_dense(),
+        e.snapshot().closeness,
+        (t.messages, t.bytes),
+    ))
 }
 
 /// Compares the sim fingerprint against the threaded one; `None` means they
@@ -503,13 +431,7 @@ fn cross_backend_failure(case: &Case) -> Option<String> {
         return Some(format!("closeness diverges (first at vertex {v:?})"));
     }
     if sim.2 != thr.2 {
-        return Some("stale flags diverge".into());
-    }
-    if sim.3 != thr.3 {
-        return Some(format!(
-            "recovery logs diverge: sim {:?} vs threads {:?}",
-            sim.3, thr.3
-        ));
+        return Some(format!("ledger totals diverge: {:?} vs {:?}", sim.2, thr.2));
     }
     None
 }
@@ -530,16 +452,8 @@ fn check_cross_case(case: Case) -> Result<(), TestCaseError> {
     eprintln!("=== cross-backend divergence (sim vs threads) ===");
     eprintln!("original divergence: {msg}");
     eprintln!(
-        "minimal divergent case: n={} procs={} partitioner={:?} drop_rate={} seed={} \
-         crash={:?} straggler={:?} extra_edges={:?}",
-        minimal.n,
-        minimal.procs,
-        minimal.partitioner,
-        minimal.drop_rate,
-        minimal.seed,
-        minimal.crash,
-        minimal.straggler,
-        minimal.extra_edges
+        "minimal divergent case: n={} procs={} partitioner={:?} seed={} extra_edges={:?}",
+        minimal.n, minimal.procs, minimal.partitioner, minimal.seed, minimal.extra_edges
     );
     for (i, op) in minimal.ops.iter().enumerate() {
         eprintln!("  op[{i}] = {op:?}");
@@ -552,57 +466,64 @@ fn check_cross_case(case: Case) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// The ISSUE 9 chaos matrix: drop rate {0.0, 0.2, 0.5} × processor fault
-/// {none, crash, straggler}, every cell run on both backends with identical
-/// seeds and compared field-by-field. Deterministic (no proptest), so a red
-/// cell names itself.
+/// One fixed schedule run on both backends with identical seeds and
+/// compared field-by-field. Deterministic (no proptest), so a red run names
+/// its case.
 #[test]
-fn cross_backend_chaos_matrix() {
-    let drops = [0.0, 0.2, 0.5];
-    type ProcFaultCell = (&'static str, Option<(u64, usize)>, Option<(usize, f64)>);
-    let proc_faults: [ProcFaultCell; 3] = [
-        ("none", None, None),
-        ("crash", Some((2, 1)), None),
-        ("straggler", None, Some((1, 3.0))),
-    ];
-    for (di, &drop_rate) in drops.iter().enumerate() {
-        for (fault_name, crash, straggler) in proc_faults {
-            let case = Case {
-                n: 14,
-                extra_edges: vec![(0, 7, 2), (3, 11, 1), (5, 13, 3)],
-                procs: 4,
-                partitioner: partitioner_for(di as u64),
-                drop_rate,
-                seed: 0x9 ^ (di as u64) << 8,
-                ops: vec![Op::AddEdge(2, 9, 2), Op::AddVertex(4, 1), Op::DeleteEdge(6)],
-                crash,
-                straggler,
-            };
-            if let Some(msg) = cross_backend_failure(&case) {
-                let minimal = shrink_with(&case, &cross_fails);
-                panic!(
-                    "chaos-matrix cell drop={drop_rate} fault={fault_name} diverged ({msg}); \
-                     minimal case: {minimal:?}"
-                );
-            }
-        }
+fn cross_backend_fixed_schedule() {
+    let case = Case {
+        n: 14,
+        extra_edges: vec![(0, 7, 2), (3, 11, 1), (5, 13, 3)],
+        procs: 4,
+        partitioner: partitioner_for(0),
+        seed: 0x9,
+        ops: vec![Op::AddEdge(2, 9, 2), Op::AddVertex(4, 1), Op::DeleteEdge(6)],
+    };
+    if let Some(msg) = cross_backend_failure(&case) {
+        let minimal = shrink_with(&case, &cross_fails);
+        panic!("fixed schedule diverged ({msg}); minimal case: {minimal:?}");
     }
+}
+
+/// Eight worker threads on eight ranks, one rank per thread, run the same
+/// schedule twice: thread scheduling may reorder execution, never the
+/// distances, the closeness scores or the ledger's totals.
+#[test]
+fn threaded_backend_is_deterministic_across_runs() {
+    let case = Case {
+        n: 60,
+        extra_edges: (0..40).map(|i| (7 * i, 13 * i + 5, 1 + i % 4)).collect(),
+        procs: 8,
+        partitioner: partitioner_for(1),
+        seed: 47,
+        ops: vec![
+            Op::AddEdge(3, 40, 1),
+            Op::DeleteEdge(11),
+            Op::AddVertex(20, 2),
+            Op::ChangeWeight(5, 4),
+            Op::DeleteVertex(30),
+        ],
+    };
+    let first = fingerprint_on(&case, BackendKind::Threads, 8).unwrap();
+    let second = fingerprint_on(&case, BackendKind::Threads, 8).unwrap();
+    assert!(first.2 .0 > 0, "no recombination traffic");
+    assert_eq!(first, second, "two threaded runs of one schedule differ");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Random churn schedules over lossy links must land both backends on
-    /// bit-identical results — the property form of the chaos matrix.
+    /// Random churn schedules must land both backends on bit-identical
+    /// results — the property form of the fixed schedule.
     #[test]
-    fn vertex_churn_matches_across_backends(case in arb_case(arb_vertex_op(), 0.2)) {
+    fn vertex_churn_matches_across_backends(case in arb_case(arb_vertex_op())) {
         check_cross_case(case)?;
     }
 }
 
 /// `AA_DIFF_SEED`-pinned replay for the cross-backend comparison: four
-/// deterministic rounds cycling through the processor-fault matrix on top of
-/// a seed-derived schedule, each compared sim-vs-threads.
+/// deterministic rounds of seed-derived schedules, each compared
+/// sim-vs-threads.
 #[test]
 fn cross_backend_seeded_replay() {
     let seed: u64 = std::env::var("AA_DIFF_SEED")
@@ -632,17 +553,13 @@ fn cross_backend_seeded_replay() {
                 _ => Op::ChangeWeight(rng.below(64) as u32, 1 + rng.below(5) as u32),
             })
             .collect();
-        let procs = 3 + (round % 2) as usize;
         let case = Case {
             n,
             extra_edges,
-            procs,
+            procs: 3 + (round % 2) as usize,
             partitioner: partitioner_for(round),
-            drop_rate: [0.0, 0.2, 0.5, 0.2][round as usize % 4],
             seed: seed ^ (round << 16),
             ops,
-            crash: (round % 4 == 1).then(|| (2, 1 + rng.below(procs as u64 - 1) as usize)),
-            straggler: (round % 4 == 2).then(|| (rng.below(procs as u64) as usize, 2.5)),
         };
         if let Some(msg) = cross_backend_failure(&case) {
             let minimal = shrink_with(&case, &cross_fails);

@@ -3,8 +3,8 @@
 //! to exactly the oracle APSP of the final graph.
 
 use aa_core::{
-    AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, FaultConfig, PartitionerKind,
-    RepartitionMode, SupervisorConfig, VertexBatch,
+    AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, PartitionerKind, RepartitionMode,
+    VertexBatch,
 };
 use aa_graph::{algo, generators, Graph, VertexId};
 use rand::prelude::*;
@@ -237,13 +237,12 @@ fn dynamic_closeness_tracks_graph_evolution() {
 /// as owing their local neighbours every column, and nothing ever relaxed
 /// them. Each runs on `erdos_renyi_gnm(30, 60, 4, seed)` for P in {2, 3, 4};
 /// the seed lists are ones on which at least one P went wrong.
-fn mid_run_engine(seed: u64, procs: usize, supervision: SupervisorConfig) -> AnytimeEngine {
+fn mid_run_engine(seed: u64, procs: usize) -> AnytimeEngine {
     let mut e = AnytimeEngine::new(
         generators::erdos_renyi_gnm(30, 60, 4, seed),
         EngineConfig {
             num_procs: procs,
             seed,
-            supervision,
             ..Default::default()
         },
     );
@@ -274,7 +273,7 @@ fn assert_converges_to_oracle(e: &mut AnytimeEngine, what: &str) {
 fn rebalance_mid_run_after_an_edge_addition_reaches_the_oracle() {
     for seed in [48, 129, 130] {
         for procs in 2..=4 {
-            let mut e = mid_run_engine(seed, procs, SupervisorConfig::default());
+            let mut e = mid_run_engine(seed, procs);
             e.rc_step();
             let (u, v) = absent_edge(&e, seed);
             assert!(e.add_edge(u, v, 1));
@@ -288,7 +287,7 @@ fn rebalance_mid_run_after_an_edge_addition_reaches_the_oracle() {
 fn repartition_s_mid_run_reaches_the_oracle() {
     for seed in [29, 51, 54, 125] {
         for procs in 2..=4 {
-            let mut e = mid_run_engine(seed, procs, SupervisorConfig::default());
+            let mut e = mid_run_engine(seed, procs);
             e.rc_step();
             let mut batch = VertexBatch::new(2);
             batch.connect(0, Endpoint::Existing((seed % 30) as VertexId), 1);
@@ -301,31 +300,68 @@ fn repartition_s_mid_run_reaches_the_oracle() {
 }
 
 #[test]
-fn recovery_from_a_checkpoint_older_than_a_migration_reaches_the_oracle() {
-    let supervision = SupervisorConfig {
-        checkpoint_interval: 2,
-        detector_timeout: 2,
-        ..Default::default()
-    };
+fn a_checkpoint_restore_mid_run_after_a_migration_reaches_the_oracle() {
     for seed in [11, 32, 51, 129] {
         for procs in 2..=4 {
-            let mut e = mid_run_engine(seed, procs, supervision);
+            let mut e = mid_run_engine(seed, procs);
             e.rc_step();
-            e.rc_step(); // every rank checkpoints here
+            e.rc_step();
             let (u, v) = absent_edge(&e, seed);
             assert!(e.add_edge(u, v, 1));
             e.rebalance();
-            e.schedule_crash(e.rc_steps() as u64 + 1, seed as usize % procs);
+            // The process dies here; its restart restores the checkpoint.
+            let mut bytes = Vec::new();
+            e.save_checkpoint(&mut bytes).unwrap();
+            let mut e =
+                AnytimeEngine::restore_checkpoint(&mut bytes.as_slice(), e.config().clone())
+                    .expect("a mid-run checkpoint restores");
             assert_converges_to_oracle(&mut e, &format!("seed {seed} P={procs}"));
-            assert!(!e.recovery_log().is_empty(), "seed {seed} P={procs}");
         }
     }
+}
+
+/// The checkpoint predates the migration: the process dies after the edge
+/// and the rebalance, and its restart restores rows laid out for the old
+/// partition, then replays both, migrating them again.
+#[test]
+fn recovery_from_a_checkpoint_older_than_a_migration_reaches_the_oracle() {
+    let mut migrated = 0;
+    for seed in [11, 32, 51, 129] {
+        for procs in 2..=4 {
+            let what = format!("seed {seed} P={procs}");
+            let mut live = mid_run_engine(seed, procs);
+            live.rc_step();
+            live.rc_step();
+            let mut bytes = Vec::new();
+            live.save_checkpoint(&mut bytes).unwrap();
+            let (u, v) = absent_edge(&live, seed);
+            assert!(live.add_edge(u, v, 1));
+            let moved = live.rebalance();
+            migrated += moved;
+            live.rc_step();
+
+            let mut e =
+                AnytimeEngine::restore_checkpoint(&mut bytes.as_slice(), live.config().clone())
+                    .expect("a checkpoint from before the migration restores");
+            assert!(e.add_edge(u, v, 1));
+            assert_eq!(e.rebalance(), moved, "{what}");
+            assert_eq!(
+                e.partition().assignment,
+                live.partition().assignment,
+                "{what}"
+            );
+            assert_converges_to_oracle(&mut e, &what);
+            assert_converges_to_oracle(&mut live, &what);
+            assert_eq!(e.distances_dense(), live.distances_dense(), "{what}");
+        }
+    }
+    assert!(migrated > 0, "no rebalance moved a row");
 }
 
 /// Round-robin over three ranks puts `b` = 0 with 3 and 6 on rank 0, `x` = 1
 /// with 4 and 7 on rank `r` = 1, and 2, 5, 8 on rank 2. The one edge between
 /// `b` and rank `r` is `b`–`x`; rank 2 borders `b` over `b`–2 throughout.
-fn engine_with_one_cut_edge_to_b(fault: Option<FaultConfig>) -> AnytimeEngine {
+fn engine_with_one_cut_edge_to_b() -> AnytimeEngine {
     let mut g = Graph::with_vertices(9);
     for (u, v, w) in [
         (0, 1, 1),
@@ -348,7 +384,6 @@ fn engine_with_one_cut_edge_to_b(fault: Option<FaultConfig>) -> AnytimeEngine {
         EngineConfig {
             num_procs: 3,
             partitioner: PartitionerKind::RoundRobin,
-            fault,
             ..Default::default()
         },
     );
@@ -363,11 +398,11 @@ fn engine_with_one_cut_edge_to_b(fault: Option<FaultConfig>) -> AnytimeEngine {
 /// from the receivers `b`'s owner sends deltas to (`check_invariants` after
 /// every call: a listed receiver holds a copy, a copy borders its rank) — so
 /// that the returning edge brings `r` the full row.
-fn evicted_copy_comes_back_as_a_full_row(fault: Option<FaultConfig>) {
-    let lossy = fault.is_some();
-    let mut e = engine_with_one_cut_edge_to_b(fault);
-    let what = format!("{:?}", e.config().fault);
-    assert_converges_to_oracle(&mut e, &what);
+#[test]
+fn a_returning_cut_edge_brings_the_evicted_rank_a_full_row() {
+    let mut e = engine_with_one_cut_edge_to_b();
+    let what = "one cut edge to b";
+    assert_converges_to_oracle(&mut e, what);
     let count = |e: &AnytimeEngine, name: &str| e.metrics_registry().counter_value(name, &[]);
     let copies = |e: &AnytimeEngine, rank: &str| {
         let r = e.metrics_registry();
@@ -399,40 +434,20 @@ fn evicted_copy_comes_back_as_a_full_row(fault: Option<FaultConfig>) {
     e.rc_step();
     assert!(e.delete_edge(2, 5));
     e.check_invariants().unwrap();
-    assert_converges_to_oracle(&mut e, &what);
+    assert_converges_to_oracle(&mut e, what);
     assert_eq!(copies(&e, "1"), (3.0, 1), "{what}: nothing brought b back");
 
     let full = count(&e, "aa_rc_full_rows_sent_total");
     assert!(e.add_edge(0, 1, 1));
     e.check_invariants().unwrap();
-    assert_converges_to_oracle(&mut e, &what);
+    assert_converges_to_oracle(&mut e, what);
     // b to r and x to rank 0, whole: neither rank had anything to patch.
     // Every other row that moved went to ranks that hold it, as deltas.
     let full = count(&e, "aa_rc_full_rows_sent_total") - full;
-    assert!(
-        if lossy { full >= 2 } else { full == 2 },
-        "{what}: {full} full rows after the edge came back"
-    );
+    assert_eq!(full, 2, "{what}: full rows after the edge came back");
     assert_eq!(
         (copies(&e, "0"), copies(&e, "1")),
         ((4.0, 1), (4.0, 1)),
         "{what}"
     );
-}
-
-#[test]
-fn a_returning_cut_edge_brings_the_evicted_rank_a_full_row() {
-    evicted_copy_comes_back_as_a_full_row(None);
-}
-
-#[test]
-fn a_returning_cut_edge_brings_the_evicted_rank_a_full_row_over_lossy_links() {
-    for seed in 0..12 {
-        evicted_copy_comes_back_as_a_full_row(Some(FaultConfig {
-            p_drop: 0.3,
-            p_dup: 0.1,
-            reorder: true,
-            seed,
-        }));
-    }
 }

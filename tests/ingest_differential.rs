@@ -6,9 +6,7 @@
 //! pipeline under a randomly chosen drain policy, with RC steps running
 //! while ops sit in the buffer — and checks that after final flush and
 //! convergence both paths produce the *identical* graph, identical dense
-//! distances, and closeness values matching the brute-force oracle. Runs
-//! with reliable and lossy (`drop_rate = 0.2`) links; the latter is the
-//! nightly chaos configuration.
+//! distances, and closeness values matching the brute-force oracle.
 //!
 //! Schedules are generated once against a sequential shadow graph, so both
 //! paths consume byte-identical ops (including the predicted ids of vertex
@@ -19,7 +17,7 @@
 
 mod support;
 
-use aa_core::{AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, FaultConfig, VertexBatch};
+use aa_core::{AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, VertexBatch};
 use aa_graph::{algo, Graph, VertexId, Weight};
 use aa_ingest::{DrainPolicy, IngestConfig, IngestPipeline, UpdateOp};
 use proptest::prelude::*;
@@ -42,7 +40,6 @@ struct Case {
     n: usize,
     extra_edges: Vec<(u32, u32, u32)>,
     procs: usize,
-    drop_rate: f64,
     seed: u64,
     /// Selects the batched run's drain policy (see [`policy_for`]).
     policy_sel: u8,
@@ -50,16 +47,12 @@ struct Case {
 }
 
 fn policy_for(sel: u8) -> DrainPolicy {
-    match sel % 5 {
+    match sel % 4 {
         0 => DrainPolicy::SizeTriggered(1),
         1 => DrainPolicy::SizeTriggered(3),
         // Larger than any schedule: everything rides the final barrier flush.
         2 => DrainPolicy::SizeTriggered(64),
-        3 => DrainPolicy::RcStepInterleaved(2),
-        _ => DrainPolicy::Adaptive {
-            max_outstanding: 4,
-            max_pending: 3,
-        },
+        _ => DrainPolicy::RcStepInterleaved(2),
     }
 }
 
@@ -139,17 +132,11 @@ fn resolve_schedule(base: &Graph, raw: &[Op]) -> Vec<UpdateOp> {
 }
 
 fn engine_for(case: &Case) -> AnytimeEngine {
-    let fault = (case.drop_rate > 0.0).then(|| FaultConfig {
-        p_drop: case.drop_rate,
-        seed: case.seed ^ 0x5eed,
-        ..Default::default()
-    });
     let mut e = AnytimeEngine::new(
         build_graph(case.n, &case.extra_edges),
         EngineConfig {
             num_procs: case.procs,
             seed: case.seed,
-            fault,
             ..Default::default()
         },
     );
@@ -315,10 +302,9 @@ fn check_case(case: Case) -> Result<(), TestCaseError> {
     eprintln!("=== ingest differential failure ===");
     eprintln!("original failure: {msg}");
     eprintln!(
-        "minimal failing case: n={} procs={} drop_rate={} seed={} policy={} extra_edges={:?}",
+        "minimal failing case: n={} procs={} seed={} policy={} extra_edges={:?}",
         minimal.n,
         minimal.procs,
-        minimal.drop_rate,
         minimal.seed,
         policy_for(minimal.policy_sel),
         minimal.extra_edges
@@ -351,20 +337,19 @@ fn arb_op() -> impl Strategy<Value = Op> {
     })
 }
 
-fn arb_case(drop_rate: f64) -> impl Strategy<Value = Case> {
+fn arb_case() -> impl Strategy<Value = Case> {
     (
         4usize..20,
         proptest::collection::vec((0u32..20, 0u32..20, 1u32..6), 0..12),
         2usize..4,
         0u64..10_000,
-        0u8..5,
+        0u8..4,
         proptest::collection::vec(arb_op(), 1..8),
     )
         .prop_map(move |(n, extra_edges, procs, seed, policy_sel, ops)| Case {
             n,
             extra_edges,
             procs,
-            drop_rate,
             seed,
             policy_sel,
             ops,
@@ -375,12 +360,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     #[test]
-    fn ingest_matches_unbatched_reliable_links(case in arb_case(0.0)) {
-        check_case(case)?;
-    }
-
-    #[test]
-    fn ingest_matches_unbatched_lossy_links(case in arb_case(0.2)) {
+    fn ingest_matches_unbatched_reliable_links(case in arb_case()) {
         check_case(case)?;
     }
 }
@@ -404,7 +384,7 @@ impl Rng {
 }
 
 /// Replays deterministic schedules derived from `AA_DIFF_SEED` (default
-/// 0xAA) across every drain policy, alternating reliable and lossy links.
+/// 0xAA) across every drain policy.
 #[test]
 fn ingest_differential_seeded_replay() {
     let seed: u64 = std::env::var("AA_DIFF_SEED")
@@ -412,7 +392,7 @@ fn ingest_differential_seeded_replay() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0xAA);
     let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1));
-    for round in 0..5u64 {
+    for round in 0..4u64 {
         let n = 6 + rng.below(12) as usize;
         let extra_edges: Vec<(u32, u32, u32)> = (0..rng.below(8))
             .map(|_| {
@@ -440,7 +420,6 @@ fn ingest_differential_seeded_replay() {
             n,
             extra_edges,
             procs: 2 + (round % 2) as usize,
-            drop_rate: if round % 2 == 0 { 0.0 } else { 0.2 },
             seed: seed ^ round,
             policy_sel: round as u8,
             ops,

@@ -300,34 +300,6 @@ proptest! {
     }
 
     #[test]
-    fn recovery_from_any_rank_restores_oracle(
-        graph in arb_graph(28),
-        procs in 2usize..5,
-        fail_rank in 0usize..5,
-        mid_run in proptest::bool::ANY
-    ) {
-        let fail_rank = fail_rank % procs;
-        let mut e = AnytimeEngine::new(
-            graph,
-            EngineConfig { num_procs: procs, ..Default::default() },
-        );
-        e.initialize();
-        if !mid_run {
-            e.run_to_convergence(16 * procs + 64);
-        } else {
-            e.rc_step();
-        }
-        e.recover_rank(fail_rank).unwrap();
-        e.run_to_convergence(16 * procs + 64);
-        prop_assert!(e.is_converged());
-        let dense = e.distances_dense();
-        let want = oracle_rows(e.graph());
-        for v in e.graph().vertices() {
-            prop_assert_eq!(&dense[v as usize], &want[v as usize]);
-        }
-    }
-
-    #[test]
     fn rebalance_never_corrupts_results(graph in arb_graph(30), procs in 2usize..5) {
         let mut e = AnytimeEngine::new(
             graph,

@@ -1,28 +1,28 @@
-//! Self-healing runtime tests: scheduled fail-stop crashes are *detected* by
-//! the heartbeat failure detector (no manual trigger anywhere), recovered
-//! through the three-rung ladder — checkpoint restore, SSSP reseed, baseline
-//! restart — and the engine reconverges to the exact oracle every time.
+//! Self-healing after process death: the restarted process recovers on its
+//! own from what the dead one left on storage, walking a three-rung ladder —
+//! the newest valid checkpoint, an older one, and, when no checkpoint
+//! survives, a reseed from the graph — and replays the write-ahead log past
+//! whichever rung it lands on. Every rung must reach the exact oracle and
+//! the state of a process that never died.
 //!
-//! The cost claim being exercised: each rung of the ladder moves strictly
-//! fewer recombination bytes than the next. A checkpoint hands the
-//! replacement rank exact rows (one re-flood, no correction rounds); an SSSP
-//! reseed hands it local upper bounds that keep improving as boundary rows
-//! arrive (re-flood plus correction deltas); a baseline restart re-floods
-//! every boundary row of every rank.
+//! The cost claim being exercised: each rung moves strictly fewer
+//! recombination bytes than the next. A checkpoint hands the restart exact
+//! rows for a prefix of the log (one re-flood, then corrections for the
+//! replayed suffix); an older checkpoint leaves a longer suffix to correct;
+//! a reseed re-runs the whole analysis.
 //!
 //! Every scenario runs on both execution backends (`mod on_sim`,
-//! `mod on_threads`): crash suspicion is silence-based and straggler
-//! flagging is advisory, so detection, the ladder, and the recovery log must
-//! behave identically whether ranks run sequentially in the simulator or on
-//! real OS threads.
+//! `mod on_threads`): recovery is a pure function of the bytes on storage,
+//! so it must behave identically whether ranks run sequentially in the
+//! simulator or on real OS threads.
 
-use aa_core::{
-    AdditionStrategy, AnytimeEngine, EngineConfig, FaultConfig, ProcFaultConfig, RankHealth,
-    RecoveryMethod, SupervisorConfig, VertexBatch,
-};
-use aa_graph::{algo, generators};
-use aa_logp::Phase;
+use aa_core::{AnytimeEngine, EngineConfig};
+use aa_durable::{recover, DurabilityConfig, DurableLog, Recovered, SimStorage, Storage};
+use aa_graph::{algo, generators, VertexId};
+use aa_ingest::{IngestConfig, IngestPipeline, UpdateOp};
 use aa_runtime::BackendKind;
+
+const STEPS: usize = 100_000;
 
 fn assert_oracle(e: &AnytimeEngine) {
     let dense = e.distances_dense();
@@ -41,458 +41,253 @@ fn threads_for(backend: BackendKind) -> usize {
     }
 }
 
-fn supervised_config(
-    procs: usize,
-    seed: u64,
-    supervision: SupervisorConfig,
-    backend: BackendKind,
-) -> EngineConfig {
-    EngineConfig {
-        num_procs: procs,
-        seed,
-        supervision,
-        backend,
-        threads: threads_for(backend),
-        ..Default::default()
-    }
-}
-
-/// The issue's headline acceptance: a crash scheduled in the fault plan — no
-/// manual `recover_rank` call anywhere — fires mid-run, is
-/// detected by heartbeat timeout, is recovered from the last valid periodic
-/// checkpoint, and the engine converges to the exact oracle.
-fn scheduled_crash_detected_and_recovered_via_checkpoint(backend: BackendKind) {
-    let g = generators::barabasi_albert(60, 2, 2, 41);
-    let mut e = AnytimeEngine::new(
+/// The engine the dead process started from and the restart reseeds from.
+fn base(backend: BackendKind) -> AnytimeEngine {
+    let g = generators::barabasi_albert(50, 2, 1, 53);
+    AnytimeEngine::new(
         g,
         EngineConfig {
             num_procs: 4,
-            seed: 41,
-            proc_fault: Some(ProcFaultConfig {
-                crashes: vec![(3, 1)],
-                stragglers: vec![],
-            }),
-            supervision: SupervisorConfig {
-                checkpoint_interval: 1,
-                detector_timeout: 2,
-                ..Default::default()
-            },
+            seed: 53,
             backend,
             threads: threads_for(backend),
             ..Default::default()
         },
-    );
-    e.initialize();
-    let steps = e.run_to_convergence(256);
-    assert!(e.is_converged(), "no convergence within 256 steps");
-    assert!(steps > 3, "the crash must fire mid-run");
-
-    // The supervisor did everything on its own.
-    let log = e.recovery_log();
-    assert_eq!(log.len(), 1, "exactly one recovery expected");
-    assert_eq!(log[0].report.rank, 1);
-    assert_eq!(log[0].report.method, RecoveryMethod::CheckpointRestore);
-    assert!(log[0].report.restored_rows > 0);
-    // Detection needs silence > timeout: crash at 3, last heard at 2,
-    // suspicion strictly after step 4.
-    assert!(log[0].step > 4, "recovery before the timeout could elapse");
-
-    let health = e.health_report();
-    assert!(health.down_ranks.is_empty());
-    assert_eq!(health.recoveries, 1);
-    assert!(health.statuses.iter().all(|s| *s == RankHealth::Healthy));
-
-    // Recovery work is visible in the ledger under its own phase.
-    let recovery = e.cluster().ledger().phase(Phase::Recovery);
-    assert!(
-        recovery.compute_us > 0.0,
-        "recovery compute must be charged"
-    );
-    let totals = e.cluster().ledger().totals();
-    assert!(
-        totals.heartbeat_messages > 0,
-        "heartbeats must actually flow"
-    );
-
-    assert_oracle(&e);
-    e.check_invariants().unwrap();
+    )
 }
 
-/// Runs converge → scheduled crash of rank 1 → recover, and returns the
-/// recombination bytes moved from the crash onward. `checkpoint_interval`
-/// selects the ladder rung; `restart` instead measures the baseline
-/// (detect the crash, then rebuild the whole computation from scratch).
-fn crash_recovery_bytes(checkpoint_interval: usize, restart: bool, backend: BackendKind) -> u64 {
-    let g = generators::barabasi_albert(60, 2, 2, 77);
-    let mut e = AnytimeEngine::new(
-        g,
-        supervised_config(
-            4,
-            77,
-            SupervisorConfig {
-                checkpoint_interval,
-                detector_timeout: 2,
-                auto_recover: !restart,
-                ..Default::default()
-            },
-            backend,
-        ),
-    );
-    e.initialize();
-    e.run_to_convergence(256);
-    assert!(e.is_converged());
+/// Batch `i` of the dead process's updates, chosen against its current
+/// graph: insertions between absent pairs, a vertex, a deletion and a
+/// weight change on distinct edges.
+fn batch(e: &AnytimeEngine, i: usize) -> Vec<UpdateOp> {
+    let ids: Vec<VertexId> = e.graph().vertices().collect();
+    let x = ids[(5 * i) % ids.len()];
+    let y = *ids
+        .iter()
+        .find(|&&y| y != x && e.graph().edge_weight(x, y).is_none())
+        .unwrap();
+    let edges: Vec<_> = e.graph().edges().collect();
+    let (a, b, _) = edges[(7 * i + 3) % edges.len()];
+    let (c, d, w) = edges[(7 * i + 4) % edges.len()];
+    vec![
+        UpdateOp::AddEdge(x, y, 1 + i as u32),
+        UpdateOp::AddVertex {
+            anchors: vec![(ids[i], 1), (ids[ids.len() / 2 + i], 2)],
+        },
+        UpdateOp::DeleteEdge(a, b),
+        UpdateOp::Reweight(c, d, w + 3),
+    ]
+}
 
-    let crash_step = e.rc_steps() as u64 + 1;
-    e.schedule_crash(crash_step, 1);
-    let before = e.cluster().ledger().phase(Phase::Recombination).bytes;
+/// Batches the dead process applied; the last was logged and committed
+/// but not yet checkpointed when it died.
+const BATCHES: usize = 3;
+/// Ops per batch (all enqueued: see `batch`).
+const OPS: u64 = 4;
 
-    if restart {
-        // Let the detector confirm the crash, then rebuild everything —
-        // the papers' baseline strategy, with repaired hardware.
-        for _ in 0..16 {
-            e.rc_step();
-            if e.health_report().statuses[1] == RankHealth::Down {
-                break;
-            }
+/// The process that dies: it writes a startup checkpoint, then logs,
+/// commits and applies `BATCHES` batches, checkpointing after every batch
+/// but the last, and is killed. Returns its storage and its engine — the
+/// state recovery must reproduce.
+fn run_and_kill(backend: BackendKind) -> (SimStorage, AnytimeEngine) {
+    let sim = SimStorage::new();
+    let mut s = sim.clone();
+    let mut live = base(backend);
+    live.initialize();
+    live.run_to_convergence(STEPS);
+    let durability = DurabilityConfig {
+        keep_checkpoints: BATCHES + 1,
+        ..Default::default()
+    };
+    let mut log = DurableLog::open(&mut s, 1, durability).unwrap();
+    let mut pipeline = IngestPipeline::new(IngestConfig::default()).unwrap();
+    // The startup image covers no record, and every checkpoint is retained,
+    // so compaction keeps the whole log behind the oldest one.
+    log.checkpoint(&mut s, &live).unwrap();
+    for i in 0..BATCHES {
+        for op in batch(&live, i) {
+            let outcome = pipeline.push(&live, op.clone()).unwrap();
+            assert!(outcome.enqueued, "batch {i}: {op:?} was a no-op");
+            log.append(&op);
         }
-        assert_eq!(e.health_report().statuses[1], RankHealth::Down);
-        e.cluster_mut().mark_up(1);
-        e.add_vertices(&VertexBatch::new(0), AdditionStrategy::BaselineRestart);
+        log.commit(&mut s).unwrap();
+        pipeline.flush(&mut live).unwrap();
+        live.run_to_convergence(STEPS);
+        if i + 1 < BATCHES {
+            log.checkpoint(&mut s, &live).unwrap();
+        }
     }
-
-    e.run_to_convergence(512);
-    assert!(e.is_converged());
-    if !restart {
-        let log = e.recovery_log();
-        assert_eq!(log.len(), 1);
-        let expected = if checkpoint_interval > 0 {
-            RecoveryMethod::CheckpointRestore
-        } else {
-            RecoveryMethod::SsspReseed
-        };
-        assert_eq!(log[0].report.method, expected);
-    }
-    assert_oracle(&e);
-    e.check_invariants().unwrap();
-    e.cluster().ledger().phase(Phase::Recombination).bytes - before
+    sim.kill();
+    (sim, live)
 }
 
-/// The issue's cost acceptance: checkpoint-assisted recovery moves strictly
-/// fewer recombination bytes than SSSP-reseed recovery, which moves strictly
-/// fewer than a baseline restart.
+/// Checkpoint files on `sim`, oldest first.
+fn checkpoints(sim: &SimStorage) -> Vec<String> {
+    let mut names: Vec<String> = Storage::list(sim)
+        .unwrap()
+        .into_iter()
+        .filter(|n| n.ends_with(".aadc"))
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), BATCHES, "{names:?}");
+    names
+}
+
+/// The restart: recovery from `sim` alone, then convergence. Checks the
+/// recovered engine against the oracle and against the process that died.
+fn restart(sim: &SimStorage, backend: BackendKind, dead: &mut AnytimeEngine) -> Recovered {
+    let mut st = sim.clone();
+    let mut rec = recover(&mut st, base(backend), IngestConfig::default())
+        .unwrap_or_else(|e| panic!("recovery failed: {e}"));
+    assert_eq!(rec.next_seq, BATCHES as u64 * OPS + 1);
+    assert!(
+        !rec.engine.is_converged(),
+        "the replayed suffix must leave work to do"
+    );
+    rec.engine.run_to_convergence(STEPS);
+    assert!(rec.engine.is_converged());
+    assert_oracle(&rec.engine);
+    rec.engine.check_invariants().unwrap();
+    dead.run_to_convergence(STEPS);
+    assert_eq!(rec.engine.distances_dense(), dead.distances_dense());
+    rec
+}
+
+/// The headline scenario: a crash at a scheduled point — after a batch the
+/// log made durable but no checkpoint covers — is detected at restart by
+/// the committed suffix past the newest checkpoint, which is loaded and
+/// the suffix replayed, with no manual step anywhere.
+fn scheduled_crash_detected_and_recovered_via_checkpoint(backend: BackendKind) {
+    let (sim, mut dead) = run_and_kill(backend);
+    let rec = restart(&sim, backend, &mut dead);
+    let r = &rec.report;
+    assert!(r.used_checkpoint);
+    assert_eq!(r.checkpoint_seq, (BATCHES as u64 - 1) * OPS);
+    assert_eq!(r.records_replayed, OPS, "exactly the uncovered batch");
+    assert_eq!(r.checkpoints_quarantined, 0);
+    assert_eq!(r.frames_quarantined, 0);
+}
+
+/// Recombination bytes the restart moves to converge, after recovering
+/// from the dead process's storage with its newest `damaged` checkpoints
+/// bit-flipped.
+fn restart_bytes(backend: BackendKind, damaged: usize) -> u64 {
+    let (sim, mut dead) = run_and_kill(backend);
+    for name in checkpoints(&sim).iter().rev().take(damaged) {
+        let len = sim.durable_len(name).unwrap();
+        assert!(sim.flip_durable_bit(name, len * 4 + 3));
+    }
+    let rec = restart(&sim, backend, &mut dead);
+    assert_eq!(rec.report.checkpoints_quarantined, damaged as u64);
+    assert_eq!(rec.report.used_checkpoint, damaged < BATCHES);
+    // Each damaged checkpoint hands one more batch to the replay.
+    let replayed = (damaged + 1).min(BATCHES) as u64 * OPS;
+    assert_eq!(rec.report.records_replayed, replayed);
+    rec.engine.cluster().ledger().totals().bytes
+}
+
+/// The ladder's cost ordering: the newest checkpoint moves strictly fewer
+/// recombination bytes than an older one, which moves strictly fewer than a
+/// reseed from the graph.
 fn recovery_ladder_byte_ordering(backend: BackendKind) {
-    let checkpoint = crash_recovery_bytes(1, false, backend);
-    let reseed = crash_recovery_bytes(0, false, backend);
-    let restart = crash_recovery_bytes(0, true, backend);
+    let newest = restart_bytes(backend, 0);
+    let older = restart_bytes(backend, 1);
+    let reseed = restart_bytes(backend, BATCHES);
     assert!(
-        checkpoint < reseed,
-        "checkpoint restore ({checkpoint} B) must move fewer recombination \
-         bytes than SSSP reseed ({reseed} B)"
+        newest < older,
+        "the newest checkpoint ({newest} B) must move fewer recombination \
+         bytes than an older one ({older} B)"
     );
     assert!(
-        reseed < restart,
-        "SSSP reseed ({reseed} B) must move fewer recombination bytes than \
-         baseline restart ({restart} B)"
+        older < reseed,
+        "an older checkpoint ({older} B) must move fewer recombination bytes \
+         than a reseed ({reseed} B)"
     );
 }
 
-/// Converges with periodic checkpoints, corrupts rank 1's stored checkpoint
-/// with `mutate`, crashes rank 1 — recovery must detect the damage (CRC or
-/// framing) and fall back to the SSSP reseed, still reaching the oracle.
-fn corrupt_and_recover(backend: BackendKind, mutate: impl FnOnce(&mut Vec<u8>)) {
-    let g = generators::barabasi_albert(50, 2, 1, 53);
-    let mut e = AnytimeEngine::new(
-        g,
-        supervised_config(
-            4,
-            53,
-            SupervisorConfig {
-                checkpoint_interval: 1,
-                detector_timeout: 2,
-                ..Default::default()
-            },
-            backend,
-        ),
-    );
-    e.initialize();
-    e.run_to_convergence(256);
-    assert!(e.is_converged());
-    assert!(e.has_rank_checkpoint(1));
-
-    mutate(e.rank_checkpoint_mut(1).expect("checkpoint present"));
-    let crash_step = e.rc_steps() as u64 + 1;
-    e.schedule_crash(crash_step, 1);
-    e.run_to_convergence(512);
-    assert!(e.is_converged());
-
-    let log = e.recovery_log();
-    assert_eq!(log.len(), 1);
+/// Damages every checkpoint the dead process left with `mutate` — recovery
+/// must reject each (CRC, framing or stamp) and fall back to reseeding the
+/// graph and replaying the whole log, still reaching the oracle.
+fn corrupt_and_recover(backend: BackendKind, mutate: impl Fn(&SimStorage, &[String])) {
+    let (sim, mut dead) = run_and_kill(backend);
+    mutate(&sim, &checkpoints(&sim));
+    let rec = restart(&sim, backend, &mut dead);
+    let r = &rec.report;
     assert_eq!(
-        log[0].report.method,
-        RecoveryMethod::SsspReseed,
-        "a damaged checkpoint must not be trusted"
+        r.checkpoints_quarantined, BATCHES as u64,
+        "a damaged checkpoint must not be trusted: {:?}",
+        r.notes
     );
-    assert_eq!(log[0].report.restored_rows, 0);
-    assert!(log[0].report.reseeded_rows > 0);
-    assert_oracle(&e);
-    e.check_invariants().unwrap();
+    assert!(!r.used_checkpoint);
+    assert_eq!(r.checkpoint_seq, 0);
+    assert_eq!(r.records_replayed, BATCHES as u64 * OPS, "the whole log");
 }
 
 fn bit_flipped_checkpoint_falls_back_to_reseed(backend: BackendKind) {
-    // Flip one payload bit: the CRC32 footer must reject the blob.
-    corrupt_and_recover(backend, |blob| {
-        let mid = blob.len() / 2;
-        blob[mid] ^= 0x10;
+    // Flip one payload bit: the CRC32 footer must reject the image.
+    corrupt_and_recover(backend, |sim, names| {
+        for name in names {
+            let mid = sim.durable_len(name).unwrap() / 2;
+            assert!(sim.flip_durable_bit(name, mid * 8 + 4));
+        }
     });
 }
 
 fn truncated_checkpoint_falls_back_to_reseed(backend: BackendKind) {
-    // Cut the blob short: framing must reject it before any row is read.
-    corrupt_and_recover(backend, |blob| {
-        let half = blob.len() / 2;
-        blob.truncate(half);
+    // Cut the image short: framing must reject it before any row is read.
+    corrupt_and_recover(backend, |sim, names| {
+        for name in names {
+            let half = sim.durable_len(name).unwrap() / 2;
+            assert!(sim.truncate_durable(name, half));
+        }
     });
 }
 
-/// A checkpoint taken before a deletion describes distances the deletion may
-/// have invalidated (rows are only guaranteed upper bounds for the graph
-/// they were computed on). Recovery must notice the epoch mismatch and
-/// reseed instead of restoring.
+/// A checkpoint from another point of the log — a stale image under a newer
+/// name, well-formed and checksummed — describes distances for a graph the
+/// log says is not the one at that name. Recovery must notice the stamp
+/// disagreeing with the name and reseed instead of restoring.
 fn stale_epoch_checkpoint_falls_back_to_reseed(backend: BackendKind) {
-    let g = generators::barabasi_albert(50, 2, 1, 67);
-    let mut e = AnytimeEngine::new(
-        g,
-        supervised_config(
-            4,
-            67,
-            SupervisorConfig {
-                checkpoint_interval: 1,
-                detector_timeout: 2,
-                ..Default::default()
-            },
-            backend,
-        ),
-    );
-    e.initialize();
-    e.run_to_convergence(256);
-    assert!(e.is_converged());
-    assert_eq!(e.invalidation_epoch(), 0);
-
-    // The deletion bumps the invalidation epoch; every stored checkpoint is
-    // now from a previous epoch.
-    let (u, v) = {
-        let g = e.graph();
-        let u = g.vertices().next().unwrap();
-        let v = g.neighbors(u).first().unwrap().0;
-        (u, v)
-    };
-    e.delete_edge(u, v);
-    assert_eq!(e.invalidation_epoch(), 1);
-
-    let crash_step = e.rc_steps() as u64 + 1;
-    e.schedule_crash(crash_step, 1);
-    e.run_to_convergence(512);
-    assert!(e.is_converged());
-
-    let log = e.recovery_log();
-    assert_eq!(log.len(), 1);
-    assert_eq!(log[0].report.method, RecoveryMethod::SsspReseed);
-    assert_oracle(&e);
-    e.check_invariants().unwrap();
-}
-
-/// With automatic recovery off, a detected crash degrades gracefully: the
-/// engine keeps answering closeness queries, flagging exactly the down
-/// rank's vertices as stale, until a manual recovery is requested.
-fn down_rank_degrades_gracefully_with_stale_flags(backend: BackendKind) {
-    let g = generators::barabasi_albert(50, 2, 1, 29);
-    let mut e = AnytimeEngine::new(
-        g,
-        supervised_config(
-            4,
-            29,
-            SupervisorConfig {
-                detector_timeout: 2,
-                auto_recover: false,
-                ..Default::default()
-            },
-            backend,
-        ),
-    );
-    e.initialize();
-    e.run_to_convergence(256);
-    assert!(e.is_converged());
-
-    let crash_step = e.rc_steps() as u64 + 1;
-    e.schedule_crash(crash_step, 1);
-    for _ in 0..16 {
-        e.rc_step();
-        if e.health_report().statuses[1] == RankHealth::Down {
-            break;
+    corrupt_and_recover(backend, |sim, names| {
+        let mut st = sim.clone();
+        let images: Vec<Vec<u8>> = names.iter().map(|n| st.read(n).unwrap()).collect();
+        for (i, name) in names.iter().enumerate() {
+            let stale = &images[(i + names.len() - 1) % names.len()];
+            st.write_atomic(name, stale).unwrap();
         }
-    }
-    let health = e.health_report();
-    assert_eq!(health.statuses[1], RankHealth::Down);
-    assert_eq!(health.down_ranks, vec![1]);
-    assert_eq!(health.recoveries, 0, "auto_recover off must not recover");
-
-    // Queries still work; exactly rank 1's vertices are flagged stale.
-    let owned: Vec<u32> = e.partition().members()[1].clone();
-    assert!(!owned.is_empty());
-    let snap = e.snapshot();
-    assert!(snap.any_stale());
-    for v in e.graph().vertices() {
-        let expected = owned.contains(&v);
-        assert_eq!(
-            snap.stale[v as usize], expected,
-            "stale flag wrong for vertex {v}"
-        );
-    }
-    // Surviving ranks' scores are still the pre-crash exact values.
-    let oracle = algo::exact_closeness(e.graph());
-    for v in e.graph().vertices() {
-        if !snap.stale[v as usize] {
-            assert!((snap.closeness[v as usize] - oracle[v as usize]).abs() < 1e-12);
-        }
-    }
-
-    // Manual recovery (the `auto_recover: false` workflow) heals the cluster.
-    let report = e.recover_rank(1).unwrap();
-    assert_eq!(report.method, RecoveryMethod::SsspReseed);
-    e.run_to_convergence(256);
-    assert!(e.is_converged());
-    assert!(!e.snapshot().any_stale());
-    assert_oracle(&e);
-    e.check_invariants().unwrap();
+    });
 }
 
-/// An injected straggler slows down but never corrupts: the detector flags
-/// it in the health report while the answer stays oracle-exact.
-fn straggler_is_flagged_but_harmless(backend: BackendKind) {
-    let g = generators::barabasi_albert(80, 2, 2, 59);
-    let mut e = AnytimeEngine::new(
-        g,
-        EngineConfig {
-            num_procs: 4,
-            seed: 59,
-            proc_fault: Some(ProcFaultConfig {
-                crashes: vec![],
-                stragglers: vec![(2, 10_000.0)],
-            }),
-            backend,
-            threads: threads_for(backend),
-            ..Default::default()
-        },
-    );
-    e.initialize();
-    // Step past the patience window; rc_step keeps running (and keeps
-    // feeding the detector) even after convergence.
-    for _ in 0..12 {
-        e.rc_step();
-    }
-    let health = e.health_report();
-    assert_eq!(health.statuses[2], RankHealth::Straggling);
-    assert_eq!(health.stragglers, vec![2]);
-    assert!(health.down_ranks.is_empty());
-
-    assert!(e.is_converged());
-    assert_oracle(&e);
-
-    // Clearing the fault heals the flag after the streak resets.
-    e.set_straggler(2, 1.0);
-    for _ in 0..4 {
-        e.rc_step();
-    }
-    assert_eq!(e.health_report().statuses[2], RankHealth::Healthy);
-    e.check_invariants().unwrap();
-}
-
-/// Crash detection and checkpoint recovery compose with lossy links: the
-/// heartbeats ride the same faulty network, yet a real crash is still told
-/// apart from dropped heartbeats and the engine reconverges exactly.
-fn scheduled_crash_composes_with_chaos_links(backend: BackendKind) {
-    let g = generators::barabasi_albert(50, 2, 2, 83);
-    let mut e = AnytimeEngine::new(
-        g,
-        EngineConfig {
-            num_procs: 4,
-            seed: 83,
-            fault: Some(FaultConfig {
-                p_drop: 0.2,
-                p_dup: 0.1,
-                reorder: true,
-                seed: 83 ^ 0xC4A05,
-            }),
-            proc_fault: Some(ProcFaultConfig {
-                crashes: vec![(4, 2)],
-                stragglers: vec![],
-            }),
-            supervision: SupervisorConfig {
-                checkpoint_interval: 2,
-                ..Default::default()
-            },
-            backend,
-            threads: threads_for(backend),
-            ..Default::default()
-        },
-    );
-    e.initialize();
-    e.run_to_convergence(4000);
-    assert!(e.is_converged());
-    assert_eq!(e.outstanding_rows(), 0);
-
-    let log = e.recovery_log();
-    assert_eq!(log.len(), 1);
-    assert_eq!(log[0].report.rank, 2);
-    assert!(e.cluster().ledger().totals().dropped_messages > 0);
-    assert_oracle(&e);
-    e.check_invariants().unwrap();
-}
-
-/// Processor faults are seeded and replayable: two runs with the same
-/// schedule produce identical traffic counters, recovery logs and distances.
+/// Recovery is a pure function of storage: two deaths at the same point,
+/// one with its newest checkpoint damaged, restart with identical reports,
+/// traffic counters and distances each time.
 fn self_healing_is_deterministic(backend: BackendKind) {
-    let run = || {
-        let g = generators::barabasi_albert(50, 2, 1, 31);
-        let mut e = AnytimeEngine::new(
-            g,
-            EngineConfig {
-                num_procs: 4,
-                seed: 31,
-                proc_fault: Some(ProcFaultConfig {
-                    crashes: vec![(3, 1)],
-                    stragglers: vec![],
-                }),
-                supervision: SupervisorConfig {
-                    checkpoint_interval: 1,
-                    detector_timeout: 2,
-                    ..Default::default()
-                },
-                backend,
-                threads: threads_for(backend),
-                ..Default::default()
-            },
-        );
-        e.initialize();
-        e.run_to_convergence(256);
-        assert!(e.is_converged());
-        let t = e.cluster().ledger().totals();
-        let log: Vec<(u64, usize)> = e
-            .recovery_log()
-            .iter()
-            .map(|ev| (ev.step, ev.report.rank))
-            .collect();
+    let run = |damaged: bool| {
+        let (sim, mut dead) = run_and_kill(backend);
+        if damaged {
+            let newest = checkpoints(&sim).pop().unwrap();
+            assert!(sim.flip_durable_bit(&newest, 999));
+        }
+        let rec = restart(&sim, backend, &mut dead);
+        let r = &rec.report;
+        let t = rec.engine.cluster().ledger().totals();
         (
-            (t.messages, t.bytes, t.heartbeat_messages),
-            log,
-            e.distances_dense(),
+            (
+                r.checkpoint_seq,
+                r.records_replayed,
+                r.checkpoints_quarantined,
+            ),
+            (t.messages, t.bytes),
+            rec.engine.distances_dense(),
         )
     };
-    let (t1, l1, d1) = run();
-    let (t2, l2, d2) = run();
-    assert_eq!(t1, t2, "same schedule must replay the same traffic");
-    assert_eq!(l1, l2, "same schedule must replay the same recoveries");
-    assert_eq!(d1, d2);
+    for damaged in [false, true] {
+        let (r1, t1, d1) = run(damaged);
+        let (r2, t2, d2) = run(damaged);
+        assert_eq!(r1, r2, "same storage must recover the same way");
+        assert_eq!(t1, t2, "same storage must replay the same traffic");
+        assert_eq!(d1, d2);
+    }
 }
 
 macro_rules! backend_tests {
@@ -523,21 +318,6 @@ macro_rules! backend_tests {
         }
 
         #[test]
-        fn down_rank_degrades_gracefully_with_stale_flags() {
-            super::down_rank_degrades_gracefully_with_stale_flags($backend);
-        }
-
-        #[test]
-        fn straggler_is_flagged_but_harmless() {
-            super::straggler_is_flagged_but_harmless($backend);
-        }
-
-        #[test]
-        fn scheduled_crash_composes_with_chaos_links() {
-            super::scheduled_crash_composes_with_chaos_links($backend);
-        }
-
-        #[test]
         fn self_healing_is_deterministic() {
             super::self_healing_is_deterministic($backend);
         }
@@ -549,8 +329,8 @@ mod on_sim {
     backend_tests!(aa_runtime::BackendKind::Sim);
 }
 
-/// The identical scenarios on real OS threads: silence-based detection and
-/// the recovery ladder must behave exactly as they do on the simulator.
+/// The identical scenarios on real OS threads: recovery and the ladder must
+/// behave exactly as they do on the simulator.
 mod on_threads {
     backend_tests!(aa_runtime::BackendKind::Threads);
 }

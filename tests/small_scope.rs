@@ -1,7 +1,7 @@
 //! Small-scope enumerator: every small graph × every short op sequence.
 //!
 //! The random harnesses missed three sequences on which the engine converged
-//! above the oracle (a mid-run migration, a checkpoint older than one,
+//! above the oracle (a mid-run migration, a checkpoint restore after one,
 //! Repartition-S); all three fit in a handful of vertices and three calls.
 //! This file walks that whole space instead of sampling it:
 //!
@@ -11,8 +11,8 @@
 //!   assignment of {1, 2}; the full weight set on the larger ones is 3,700
 //!   graphs, half an hour of release build);
 //! * **ops** — every sequence of three calls out of `rc_step`, add / delete /
-//!   reweight edge, add vertex, delete vertex, `rebalance` and crash +
-//!   `recover_rank`, the vertex additions under each of the three strategies
+//!   reweight edge, add vertex, delete vertex and `rebalance`, the vertex
+//!   additions under each of the three strategies
 //!   (one strategy per sequence: a session's ingest pipeline has one). A
 //!   shorter sequence is the same run as itself followed by `rc_step`s, so
 //!   none is enumerated;
@@ -20,8 +20,8 @@
 //!
 //! Each case runs through a [`Session`] with a top-k tracker, and after
 //! every call and every superstep checks that estimates are upper bounds of
-//! the true distances and only fall between invalidation epochs (a deletion,
-//! or a recovery that rebuilds rows), and that no true top-k vertex is pruned
+//! the true distances and only fall between invalidation epochs (a
+//! deletion), and that no true top-k vertex is pruned
 //! and `Exact` answers equal the oracle ranking. At convergence the distances
 //! are the oracle's, `check_invariants` holds and the tracker is exact. Every
 //! 16th case runs a second time on the threads backend over a write-ahead
@@ -38,7 +38,7 @@
 
 mod support;
 
-use aa_core::{AdditionStrategy, AnytimeEngine, EngineConfig, SupervisorConfig};
+use aa_core::{AdditionStrategy, AnytimeEngine, EngineConfig};
 use aa_durable::{recover, SimStorage};
 use aa_graph::{algo, Graph, VertexId, Weight};
 use aa_ingest::{DrainPolicy, IngestConfig, UpdateOp};
@@ -64,17 +64,15 @@ enum Op {
     AddVertex,
     DeleteVertex,
     Rebalance,
-    Crash,
 }
 
-const OPS: [Op; 8] = [
+const OPS: [Op; 7] = [
     Op::Step,
     Op::AddEdge,
     Op::DeleteEdge,
     Op::AddVertex,
     Op::DeleteVertex,
     Op::Rebalance,
-    Op::Crash,
     Op::Reweight,
 ];
 
@@ -188,7 +186,7 @@ fn graphs() -> Vec<(usize, Edges)> {
 /// Every sequence of three ops, paired with each strategy it can tell
 /// apart (all three if it adds a vertex, else the first).
 fn sequences() -> Vec<(Vec<Op>, AdditionStrategy)> {
-    let ops = &OPS[..if FULL { 8 } else { 7 }];
+    let ops = &OPS[..if FULL { 7 } else { 6 }];
     let mut out = Vec::new();
     for &a in ops {
         for &b in ops {
@@ -216,12 +214,6 @@ fn base_engine(case: &Case, backend: BackendKind) -> AnytimeEngine {
                 2
             } else {
                 0
-            },
-            // A checkpoint every step, so a crash after a step restores one —
-            // older than whatever migrated or was added in between.
-            supervision: SupervisorConfig {
-                checkpoint_interval: 1,
-                ..Default::default()
             },
             ..Default::default()
         },
@@ -251,13 +243,6 @@ fn apply(s: &mut Session, op: Op, i: usize) -> Result<(), String> {
         }
         Op::Rebalance => {
             s.engine_mut().rebalance();
-            None
-        }
-        Op::Crash => {
-            let rank = i % s.engine().config().num_procs;
-            s.engine_mut()
-                .recover_rank(rank)
-                .map_err(|e| e.to_string())?;
             None
         }
         Op::AddEdge => {
@@ -297,11 +282,7 @@ fn apply(s: &mut Session, op: Op, i: usize) -> Result<(), String> {
 struct Watch {
     dist: Vec<Vec<Weight>>,
     /// Changes whenever rows may legitimately rise.
-    epoch: (u64, usize),
-}
-
-fn epoch(e: &AnytimeEngine) -> (u64, usize) {
-    (e.invalidation_epoch(), e.recovery_log().len())
+    epoch: u64,
 }
 
 /// Observes a superstep and, with `verify`, runs the per-superstep checks;
@@ -313,7 +294,7 @@ fn check(s: &mut Session, watch: &mut Watch, verify: bool, at: &str) -> Result<(
     let g = e.graph();
     let dist = e.distances_dense();
     if !verify {
-        let epoch = epoch(e);
+        let epoch = e.invalidation_epoch();
         *watch = Watch { dist, epoch };
         return Ok(());
     }
@@ -329,14 +310,14 @@ fn check(s: &mut Session, watch: &mut Watch, verify: bool, at: &str) -> Result<(
         let before = watch
             .dist
             .get(v as usize)
-            .filter(|_| epoch(e) == watch.epoch);
+            .filter(|_| e.invalidation_epoch() == watch.epoch);
         if let Some(t) = before.and_then(|b| (0..b.len()).find(|&t| row[t] > b[t])) {
             return Err(format!("{at}: d({v},{t}) rose to {}", row[t]));
         }
     }
     *watch = Watch {
         dist,
-        epoch: epoch(e),
+        epoch: e.invalidation_epoch(),
     };
 
     // Top-k soundness, as in `topk_differential`.
@@ -387,7 +368,7 @@ fn run(case: &Case) -> Result<(), String> {
     };
     let mut watch = Watch {
         dist: Vec::new(),
-        epoch: epoch(s.engine()),
+        epoch: s.engine().invalidation_epoch(),
     };
     // The state after `i` calls is verified by the sequence that only steps
     // from there on; the others reach it through the same calls.
@@ -475,11 +456,11 @@ fn the_scope_is_what_it_says() {
     assert_eq!([count(4, false), count(5, false)], [38, 728]);
     assert_eq!(count(5, true), 21);
     // 1, 2 and 3·4 + 8 weighted graphs on 1, 2 and 3 vertices, (38 + 21)·2
-    // above; 8³ sequences, the 8³ − 7³ that add a vertex counted three times.
+    // above; 7³ sequences, the 7³ − 6³ that add a vertex counted three times.
     let want = if FULL {
-        [1 + 2 + 20 + 118, 343 + 3 * 169]
+        [1 + 2 + 20 + 118, 216 + 3 * 127]
     } else {
-        [1 + 1 + 4 + 38 + 21, 216 + 3 * 127]
+        [1 + 1 + 4 + 38 + 21, 125 + 3 * 91]
     };
     assert_eq!([graphs().len(), sequences().len()], want);
 }

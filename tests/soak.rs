@@ -1,13 +1,14 @@
 //! Soak test: a long deterministic stream of mixed operations — every dynamic
-//! update type, strategy switches, rebalances, processor failures and a
-//! checkpoint round-trip — with oracle verification at multiple points. This
-//! is the "leave it running for a week" scenario compressed.
+//! update type, strategy switches, rebalances and checkpoint round-trips —
+//! with oracle verification at multiple points, and the durable server
+//! through storage faults and repeated process deaths. This is the "leave
+//! it running for a week" scenario compressed.
 
-use aa_core::{
-    AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, FaultConfig, ProcFaultConfig,
-    Refinement, SupervisorConfig, VertexBatch,
-};
+use aa_core::{AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, Refinement, VertexBatch};
+use aa_durable::{DurabilityConfig, SimStorage, StorageFaultPlan, StorageFaults};
 use aa_graph::{algo, generators, VertexId};
+use aa_ingest::UpdateOp;
+use aa_serve::{ServeConfig, Server};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -94,7 +95,12 @@ fn hundred_operation_soak() {
                 e.rebalance_if_needed(1.3);
             }
             8 => {
-                e.recover_rank(rng.gen_range(0..5)).unwrap();
+                // The process dies and restarts from a whole-cluster
+                // checkpoint, mid-run: the one failure model.
+                let mut buf = Vec::new();
+                e.save_checkpoint(&mut buf).unwrap();
+                e = AnytimeEngine::restore_checkpoint(&mut buf.as_slice(), e.config().clone())
+                    .expect("a mid-run checkpoint restores");
             }
             _ => {
                 let victims: Vec<_> = e
@@ -126,95 +132,118 @@ fn hundred_operation_soak() {
     assert_oracle(&e);
 }
 
-/// Combined-adversity soak: lossy links, scheduled fail-stop crashes, an
-/// injected straggler and a stream of dynamic updates, all at once. The
-/// supervisor must detect and recover every crash on its own (no manual
-/// `recover_rank` anywhere) and the end state must still be
-/// the exact oracle.
+/// Every adversity of the one failure model at once: a durable server on
+/// storage that fails fsyncs and renames and tears what a kill leaves
+/// pending, under a churn of every update type, killed four times — each
+/// restart recovering from storage that the previous restart wrote. After
+/// every death the restarted process must hold exactly what the dead one
+/// did (the ops whose group commit succeeded), and the end state must be
+/// the oracle.
 #[test]
 fn combined_adversity_soak() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xADE5);
-    let graph = generators::barabasi_albert(70, 2, 2, 31);
-    let mut e = AnytimeEngine::new(
-        graph,
-        EngineConfig {
-            num_procs: 5,
-            seed: 31,
-            fault: Some(FaultConfig {
-                p_drop: 0.15,
-                p_dup: 0.05,
-                reorder: true,
-                seed: 0xADE5,
-            }),
-            proc_fault: Some(ProcFaultConfig {
-                crashes: vec![(8, 1), (45, 3)],
-                stragglers: vec![(2, 200.0)],
-            }),
-            supervision: SupervisorConfig {
-                checkpoint_interval: 4,
-                detector_timeout: 4,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    e.initialize();
-
-    for op in 0..40u64 {
-        match op % 8 {
-            0 | 1 => {
-                let (u, v) = random_live_pair(&e, &mut rng);
-                e.add_edge(u, v, rng.gen_range(1..6));
+    let sim = SimStorage::with_faults(StorageFaultPlan::new(
+        0xADE5,
+        StorageFaults::write_side(0.25),
+    ));
+    let durability = DurabilityConfig {
+        checkpoint_every_turns: 3,
+        ..Default::default()
+    };
+    let config = ServeConfig {
+        write_tokens_per_turn: 32,
+        write_burst: 32,
+        ..Default::default()
+    };
+    // A restart whose WAL cannot be opened (an injected rename failure)
+    // tries again, as a supervisor restarting the process would.
+    let start = || {
+        let mut why = String::new();
+        for _ in 0..16 {
+            let engine = AnytimeEngine::new(
+                generators::barabasi_albert(70, 2, 2, 31),
+                EngineConfig {
+                    num_procs: 5,
+                    seed: 31,
+                    ..Default::default()
+                },
+            );
+            match Server::open_durable(Box::new(sim.clone()), engine, config, durability) {
+                Ok((s, _)) => return s,
+                Err(e) => why = e,
             }
-            2 => {
-                let edges: Vec<_> = e.graph().edges().collect();
-                let (u, v, _) = edges[rng.gen_range(0..edges.len())];
-                e.delete_edge(u, v);
-            }
-            3 => {
-                let mut batch = VertexBatch::new(1);
-                let ids: Vec<VertexId> = e.graph().vertices().collect();
-                batch.connect(0, Endpoint::Existing(ids[rng.gen_range(0..ids.len())]), 2);
-                e.add_vertices(&batch, AdditionStrategy::CutEdgePs);
-            }
-            4 => {
-                let edges: Vec<_> = e.graph().edges().collect();
-                let (u, v, w) = edges[rng.gen_range(0..edges.len())];
-                let new_w = if rng.gen_bool(0.5) { w + 2 } else { 1 };
-                e.change_edge_weight(u, v, new_w);
-            }
-            5 if op == 21 => {
-                // One more crash scheduled on the fly, mid-churn.
-                e.schedule_crash(e.rc_steps() as u64 + 3, 4);
-            }
-            _ => {}
         }
-        e.rc_step();
+        panic!("sixteen restarts failed: {why}");
+    };
+    let mut s = start();
+
+    let mut kills = 0;
+    let mut acked = 0u64;
+    for turn in 0..48u64 {
+        for _ in 0..3 {
+            let e = s.engine();
+            let edges: Vec<_> = e.graph().edges().collect();
+            let ids: Vec<VertexId> = e.graph().vertices().collect();
+            let op = match rng.gen_range(0..8) {
+                0..=2 => {
+                    let (u, v) = random_live_pair(e, &mut rng);
+                    UpdateOp::AddEdge(u, v, rng.gen_range(1..6))
+                }
+                3 | 4 => {
+                    let (u, v, _) = edges[rng.gen_range(0..edges.len())];
+                    UpdateOp::DeleteEdge(u, v)
+                }
+                5 => {
+                    let (u, v) = random_live_pair(e, &mut rng);
+                    UpdateOp::AddVertex {
+                        anchors: vec![(u, 1), (v, 2)],
+                    }
+                }
+                6 => {
+                    let (u, v, w) = edges[rng.gen_range(0..edges.len())];
+                    UpdateOp::Reweight(u, v, if rng.gen_bool(0.5) { w + 2 } else { 1 })
+                }
+                _ if ids.len() > 60 => UpdateOp::DeleteVertex(ids[rng.gen_range(0..ids.len())]),
+                _ => continue,
+            };
+            s.submit_write(op);
+        }
+        if let Some(seq) = s.turn().unwrap().durable_seq {
+            acked = acked.max(seq);
+        }
+        if turn % 12 == 11 {
+            // kill -9 with a write logged but not yet committed: it must
+            // not surface after the restart.
+            let (u, v) = random_live_pair(s.engine(), &mut rng);
+            s.submit_write(UpdateOp::AddEdge(u, v, 1));
+            sim.kill();
+            let mut next = start();
+            s.engine_mut().run_to_convergence(100_000);
+            next.engine_mut().run_to_convergence(100_000);
+            assert_eq!(
+                next.engine().distances_dense(),
+                s.engine().distances_dense(),
+                "restart after turn {turn} diverged from the process that died"
+            );
+            s = next;
+            kills += 1;
+        }
     }
-
-    e.run_to_convergence(6000);
-    assert!(e.is_converged(), "combined adversity must still converge");
-    assert_eq!(e.outstanding_rows(), 0);
-
-    // Every scheduled crash was detected and recovered automatically.
-    let recovered: Vec<usize> = e.recovery_log().iter().map(|ev| ev.report.rank).collect();
-    assert!(recovered.contains(&1), "crash of rank 1 not recovered");
-    assert!(recovered.contains(&3), "crash of rank 3 not recovered");
-    assert!(recovered.contains(&4), "crash of rank 4 not recovered");
-    let health = e.health_report();
-    assert!(health.down_ranks.is_empty());
-    assert_eq!(
-        health.stragglers,
-        vec![2],
-        "straggler flag lost in the noise"
+    s.drain(512).unwrap();
+    assert!(
+        s.engine().is_converged(),
+        "combined adversity must converge"
     );
+    assert_oracle(s.engine());
+    s.engine().check_invariants().unwrap();
 
-    let totals = e.cluster().ledger().totals();
-    assert!(totals.dropped_messages > 0, "chaos must actually drop");
-    assert!(totals.heartbeat_messages > 0);
-
-    assert_oracle(&e);
-    e.check_invariants().unwrap();
+    assert_eq!(kills, 4);
+    assert!(acked >= 48, "only {acked} writes were ever acknowledged");
+    let stats = sim.stats();
+    assert!(
+        stats.fsync_failures > 0 && stats.rename_failures > 0,
+        "the storage never failed: {stats:?}"
+    );
 }
 
 #[test]

@@ -16,15 +16,14 @@
 //! * **Convergence terminates the anytime phase.** Once the engine is
 //!   converged the answer must be exact.
 //!
-//! The chaos matrix crosses drop rate {0, 0.2} × processor fault
-//! {none, crash} × backend {sim, threads} over the same edge-churn
-//! schedule. Failures shrink through the same ddmin pass the main
+//! The backend matrix runs one edge-churn schedule on {sim, threads}.
+//! Failures shrink through the same ddmin pass the main
 //! differential harness uses, and `AA_DIFF_SEED=<n> cargo test
 //! topk_seeded_replay` pins one deterministic schedule, as there.
 
 mod support;
 
-use aa_core::{AnytimeEngine, EngineConfig, FaultConfig, ProcFaultConfig, SupervisorConfig};
+use aa_core::{AnytimeEngine, EngineConfig};
 use aa_graph::{algo, Graph, VertexId};
 use aa_query::{TopKConfig, TopKTracker};
 use aa_runtime::BackendKind;
@@ -51,10 +50,7 @@ struct Case {
     extra_edges: Vec<(u32, u32, u32)>,
     procs: usize,
     k: usize,
-    drop_rate: f64,
     backend: BackendKind,
-    /// Scheduled fail-stop crash `(step, rank)`, supervisor-recovered.
-    crash: Option<(u64, usize)>,
     seed: u64,
     ops: Vec<Op>,
 }
@@ -106,32 +102,11 @@ fn apply(e: &mut AnytimeEngine, op: Op) {
 
 fn engine_for(case: &Case) -> AnytimeEngine {
     let graph = build_graph(case.n, &case.extra_edges);
-    let fault = (case.drop_rate > 0.0).then(|| FaultConfig {
-        p_drop: case.drop_rate,
-        seed: case.seed ^ 0x5eed,
-        ..Default::default()
-    });
-    let proc_fault = case.crash.is_some().then(|| ProcFaultConfig {
-        crashes: case.crash.into_iter().collect(),
-        ..Default::default()
-    });
-    let supervision = if case.crash.is_some() {
-        SupervisorConfig {
-            checkpoint_interval: 2,
-            detector_timeout: 2,
-            ..Default::default()
-        }
-    } else {
-        SupervisorConfig::default()
-    };
     AnytimeEngine::new(
         graph,
         EngineConfig {
             num_procs: case.procs,
             seed: case.seed,
-            fault,
-            proc_fault,
-            supervision,
             backend: case.backend,
             threads: if case.backend == BackendKind::Threads {
                 3
@@ -280,16 +255,8 @@ fn check_case(case: Case) -> Result<(), TestCaseError> {
     eprintln!("=== top-k differential failure ===");
     eprintln!("original failure: {msg}");
     eprintln!(
-        "minimal failing case: n={} procs={} k={} drop_rate={} backend={:?} crash={:?} \
-         seed={} extra_edges={:?}",
-        minimal.n,
-        minimal.procs,
-        minimal.k,
-        minimal.drop_rate,
-        minimal.backend,
-        minimal.crash,
-        minimal.seed,
-        minimal.extra_edges
+        "minimal failing case: n={} procs={} k={} backend={:?} seed={} extra_edges={:?}",
+        minimal.n, minimal.procs, minimal.k, minimal.backend, minimal.seed, minimal.extra_edges
     );
     for (i, op) in minimal.ops.iter().enumerate() {
         eprintln!("  op[{i}] = {op:?}");
@@ -310,7 +277,7 @@ fn arb_edge_op() -> impl Strategy<Value = Op> {
     })
 }
 
-fn arb_case(backend: BackendKind, drop_rate: f64) -> impl Strategy<Value = Case> {
+fn arb_case(backend: BackendKind) -> impl Strategy<Value = Case> {
     (
         5usize..18,
         proptest::collection::vec((0u32..20, 0u32..20, 1u32..6), 0..10),
@@ -324,9 +291,7 @@ fn arb_case(backend: BackendKind, drop_rate: f64) -> impl Strategy<Value = Case>
             extra_edges,
             procs,
             k,
-            drop_rate,
             backend,
-            crash: None,
             seed,
             ops,
         })
@@ -336,56 +301,39 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     #[test]
-    fn topk_sound_every_superstep_sim(case in arb_case(BackendKind::Sim, 0.0)) {
+    fn topk_sound_every_superstep_sim(case in arb_case(BackendKind::Sim)) {
         check_case(case)?;
     }
 
     #[test]
-    fn topk_sound_every_superstep_sim_lossy(case in arb_case(BackendKind::Sim, 0.2)) {
-        check_case(case)?;
-    }
-
-    #[test]
-    fn topk_sound_every_superstep_threads(case in arb_case(BackendKind::Threads, 0.2)) {
+    fn topk_sound_every_superstep_threads(case in arb_case(BackendKind::Threads)) {
         check_case(case)?;
     }
 }
 
-/// The chaos matrix: drop {0, 0.2} × fault {none, crash} × backend
-/// {sim, threads} over one edge-churn schedule with deletions (the
-/// bound-widening path). Deterministic — a red cell names itself.
+/// The backend matrix: one edge-churn schedule with deletions (the
+/// bound-widening path) on {sim, threads}. Deterministic — a red cell names
+/// itself.
 #[test]
-fn topk_chaos_matrix() {
-    let drops = [0.0, 0.2];
-    let faults: [(&str, Option<(u64, usize)>); 2] = [("none", None), ("crash", Some((2, 1)))];
-    let backends = [BackendKind::Sim, BackendKind::Threads];
-    for (di, &drop_rate) in drops.iter().enumerate() {
-        for &(fault_name, crash) in &faults {
-            for &backend in &backends {
-                let case = Case {
-                    n: 14,
-                    extra_edges: vec![(0, 7, 2), (3, 11, 1), (5, 13, 3)],
-                    procs: 4,
-                    k: 4,
-                    drop_rate,
-                    backend,
-                    crash,
-                    seed: 0xA ^ ((di as u64) << 8),
-                    ops: vec![
-                        Op::AddEdge(2, 9, 2),
-                        Op::DeleteEdge(6),
-                        Op::ChangeWeight(3, 4),
-                        Op::DeleteEdge(1),
-                    ],
-                };
-                if let Some(msg) = run_case(&case) {
-                    let minimal = shrink(&case);
-                    panic!(
-                        "top-k chaos cell drop={drop_rate} fault={fault_name} \
-                         backend={backend:?} failed ({msg}); minimal case: {minimal:?}"
-                    );
-                }
-            }
+fn topk_backend_matrix() {
+    for backend in [BackendKind::Sim, BackendKind::Threads] {
+        let case = Case {
+            n: 14,
+            extra_edges: vec![(0, 7, 2), (3, 11, 1), (5, 13, 3)],
+            procs: 4,
+            k: 4,
+            backend,
+            seed: 0xA,
+            ops: vec![
+                Op::AddEdge(2, 9, 2),
+                Op::DeleteEdge(6),
+                Op::ChangeWeight(3, 4),
+                Op::DeleteEdge(1),
+            ],
+        };
+        if let Some(msg) = run_case(&case) {
+            let minimal = shrink(&case);
+            panic!("top-k cell backend={backend:?} failed ({msg}); minimal case: {minimal:?}");
         }
     }
 }
@@ -408,8 +356,8 @@ impl Rng {
     }
 }
 
-/// `AA_DIFF_SEED`-pinned replay: four deterministic rounds alternating
-/// backend and drop rate on a seed-derived edge-churn schedule.
+/// `AA_DIFF_SEED`-pinned replay: four deterministic rounds, two per
+/// backend, on a seed-derived edge-churn schedule.
 #[test]
 fn topk_seeded_replay() {
     let seed: u64 = std::env::var("AA_DIFF_SEED")
@@ -444,13 +392,11 @@ fn topk_seeded_replay() {
             extra_edges,
             procs: 2 + (round % 2) as usize,
             k: 2 + rng.below(4) as usize,
-            drop_rate: if round % 2 == 0 { 0.0 } else { 0.2 },
             backend: if round < 2 {
                 BackendKind::Sim
             } else {
                 BackendKind::Threads
             },
-            crash: (round == 3).then_some((2, 1)),
             seed: seed ^ round,
             ops,
         };
