@@ -10,10 +10,12 @@
 //!   that were kept, and reconverge. Deletions are applied at a *quiesced*
 //!   point: if the engine has pending updates it first converges, so the
 //!   equality-based support test is exact (see `DESIGN.md`).
-//! * **Vertex additions** extend every distance vector with new columns
-//!   (amortized-doubling growth, as analyzed in the paper), add an owner row,
-//!   and then run the batch's edges through the edge-addition kernel. The
-//!   owning processor is chosen by an [`crate::AdditionStrategy`].
+//! * **Vertex additions** extend every distance vector with new columns, add
+//!   an owner row, and then run the batch's edges through the edge-addition
+//!   kernel. The owning processor is chosen by an [`crate::AdditionStrategy`].
+//!   Growth is the paper's amortized analysis with ratio `1 + 1/16` in place
+//!   of 2 (`dv.rs`): a row of `n` columns keeps fewer than `n/16 + 64` spare
+//!   ones and is copied once per at least `n/16` arrivals.
 //! * **Vertex deletions** — the papers' named future work — remove the vertex
 //!   and invalidate every pair whose path ran through it.
 
@@ -360,9 +362,7 @@ impl AnytimeEngine {
             // ranks that bordered them only through `v`.
             self.evict_unbordered(rank);
             let (ps, tally) = (&mut self.procs[rank], &mut self.obs.invalidation);
-            invalidate_and_reseed(ps, tally, |row, x| {
-                affected_targets_vertex(row, x, v, &row_v)
-            });
+            invalidate_and_reseed(ps, tally, |row, x| affected_by_vertex(row, x, v, &row_v));
             self.cluster
                 .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
         }
@@ -436,19 +436,19 @@ fn relax_row_through_edge(
 /// = w + row_v[t]}`, which the two broadcast rows give every rank once per
 /// edge; and on those columns the threshold `d(x,u) + w + d(v,t)` reads
 /// `d(x,u) + row_u[t]`, kept beside the column.
-struct DeletedEdge {
+struct DeletedEdge<'a> {
     edge: (VertexId, VertexId, Weight),
+    /// `(row_u, row_v)`. Exact at the barrier, on an undirected graph they
+    /// also give each row `x` its distances to the endpoints: `d(x,u) = row_u[x]`.
+    rows: (&'a [Weight], &'a [Weight]),
     /// `B_uv` as `(t, row_u[t])`, ascending in `t`.
     beyond_v: Vec<(u32, Weight)>,
     /// `B_vu` as `(t, row_v[t])`, ascending in `t`.
     beyond_u: Vec<(u32, Weight)>,
-    /// The endpoint rows themselves, which the whole-row reference scans by.
-    #[cfg(test)]
-    rows: (Vec<Weight>, Vec<Weight>),
 }
 
-impl DeletedEdge {
-    fn new(edge: (VertexId, VertexId, Weight), row_u: &[Weight], row_v: &[Weight]) -> Self {
+impl<'a> DeletedEdge<'a> {
+    fn new(edge: (VertexId, VertexId, Weight), row_u: &'a [Weight], row_v: &'a [Weight]) -> Self {
         let w = edge.2;
         // The columns `near` reaches over the edge, through `far`.
         let beyond = |near: &[Weight], far: &[Weight]| {
@@ -460,10 +460,9 @@ impl DeletedEdge {
         };
         DeletedEdge {
             edge,
+            rows: (row_u, row_v),
             beyond_v: beyond(row_u, row_v),
             beyond_u: beyond(row_v, row_u),
-            #[cfg(test)]
-            rows: (row_u.to_vec(), row_v.to_vec()),
         }
     }
 
@@ -475,21 +474,22 @@ impl DeletedEdge {
     /// Tightness filter: a direction can only find something if the edge is
     /// tight for `x` that way, `d(x,u) + w = d(x,v)`. Otherwise `d(x,u) + w >
     /// d(x,v)`, so `d(x,u) + w + d(v,t) > d(x,v) + d(v,t) >= d(x,t)` for
-    /// every `t` by the triangle inequality: two lookups say so. With `w ≥ 1`
-    /// at most one direction is tight.
+    /// every `t` by the triangle inequality: two lookups into the endpoint
+    /// rows say so, and `row` is not read. With `w ≥ 1` at most one direction
+    /// is tight.
     fn affected_targets(&self, row: &[Weight], x: VertexId, out: &mut Vec<usize>) -> u64 {
-        let (u, v, w) = self.edge;
+        let (row_u, row_v) = self.rows;
         #[cfg(test)]
         if reference::is_whole_row() {
-            let (row_u, row_v) = &self.rows;
             out.extend(reference::affected_targets_edge(
                 row, x, self.edge, row_u, row_v,
             ));
             return 0;
         }
-        let (Some(&du), Some(&dv)) = (row.get(u as usize), row.get(v as usize)) else {
-            return 0;
-        };
+        let at = |r: &[Weight]| r.get(x as usize).copied().unwrap_or(INF);
+        let (du, dv, w) = (at(row_u), at(row_v), self.edge.2);
+        #[cfg(test)]
+        reference::assert_row_agrees(row, x, &[(self.edge.0, du), (self.edge.1, dv)]);
         let mut tested = 0;
         for (near, far, beyond) in [(du, dv, &self.beyond_v), (dv, du, &self.beyond_u)] {
             if near == INF || near.saturating_add(w) > far {
@@ -508,31 +508,24 @@ impl DeletedEdge {
 }
 
 /// Targets of row `x` invalidated by deleting vertex `v`: the column `v`
-/// itself plus every entry whose value routes through `v`.
-// aa-lint: allow(AA07, rows are full-width (world capacity) and every indexed id comes from the same world)
-fn affected_targets_vertex(
-    row: &[Weight],
-    x: VertexId,
-    v: VertexId,
-    row_v: &[Weight],
-) -> Vec<usize> {
-    let a = row[v as usize]; // d(x, v)
-    let mut out = Vec::new();
-    if row[v as usize] != INF {
-        out.push(v as usize);
-    }
+/// itself plus every entry whose value routes through `v`. `d(x,v)` is
+/// `row_v[x]` (the graph is undirected), so a row that does not reach `v`
+/// is not read.
+fn affected_by_vertex(row: &[Weight], x: VertexId, v: VertexId, row_v: &[Weight]) -> Vec<usize> {
+    let a = row_v.get(x as usize).copied().unwrap_or(INF); // d(x, v)
+    #[cfg(test)]
+    reference::assert_row_agrees(row, x, &[(v, a)]);
     if a == INF {
-        return out;
+        return Vec::new();
     }
-    for (t, &d) in row.iter().enumerate() {
-        if d == INF || t == x as usize || t == v as usize {
-            continue;
-        }
-        if d >= a.saturating_add(row_v[t]) && a.saturating_add(row_v[t]) != INF {
-            out.push(t);
-        }
-    }
-    out
+    let through_v = row.iter().zip(row_v).enumerate().filter(|&(t, (&d, &dv))| {
+        let via = a.saturating_add(dv);
+        d != INF && via != INF && d >= via && t != x as usize && t != v as usize
+    });
+    [v as usize]
+        .into_iter()
+        .chain(through_v.map(|(t, _)| t))
+        .collect()
 }
 
 /// Applies an invalidation rule to every row of `ps`, owned then cached, and
@@ -587,7 +580,8 @@ where
     // every `adj` edge exists in it, so `row[t] = min(row[y] + w)` over the
     // edges `(y, t, w)` known here, settled Dijkstra-style among the raised
     // columns, is an upper bound; and at most what a local Dijkstra from `x`
-    // finds (follow its path back from `t` to the last kept vertex).
+    // finds (follow its path back from `t` to the last kept vertex). Nothing
+    // lowers an exact entry: the search relaxes raised columns only.
     let mut heap = BinaryHeap::new();
     for &(x, ref targets) in &raised {
         let mut cols = ColumnSet::empty(ps.dv.col_count());
@@ -601,17 +595,20 @@ where
         }
         ps.relax_from_cache(x, &cols);
         for &t in targets {
-            for &(y, w) in &ps.adj[t] {
-                let offer = ps.dv.row(x)[y as usize].saturating_add(w);
-                ps.dv.lower_entry(x, t, offer);
-            }
+            let offers = ps.adj[t]
+                .iter()
+                .map(|&(y, w)| ps.dv.row(x)[y as usize].saturating_add(w));
+            ps.dv.lower_entry(x, t, offers.min().unwrap_or(INF));
             heap.push(Reverse((ps.dv.row(x)[t], t)));
         }
         while let Some(Reverse((d, t))) = heap.pop() {
             if d > ps.dv.row(x)[t] {
                 continue;
             }
-            for &(y, w) in &ps.adj[t] {
+            for &(y, w) in ps.adj[t]
+                .iter()
+                .filter(|&&(y, _)| cols.contains(y as usize))
+            {
                 let nd = d.saturating_add(w);
                 if ps.dv.lower_entry(x, y as usize, nd) {
                     heap.push(Reverse((nd, y as usize)));
@@ -675,6 +672,15 @@ pub(crate) mod reference {
         (out, RESETS.with(RefCell::take).unwrap_or_default())
     }
 
+    /// The deletion filters' shadow check: each `d(x,e) = row_e[x]` read off
+    /// a broadcast row is what row `x` holds, so both keep the same rows.
+    pub(crate) fn assert_row_agrees(row: &[Weight], x: VertexId, ends: &[(VertexId, Weight)]) {
+        for &(e, d) in ends {
+            let held = row.get(e as usize).copied();
+            assert_eq!(Some(d), held, "row {x}: d({x},{e}) off the broadcast row");
+        }
+    }
+
     /// The whole-row scan [`DeletedEdge::affected_targets`] replaced: every
     /// entry of the row held to both directions' thresholds, no filter.
     pub(crate) fn affected_targets_edge(
@@ -684,16 +690,15 @@ pub(crate) mod reference {
         row_u: &[Weight],
         row_v: &[Weight],
     ) -> Vec<usize> {
-        let a = row[u as usize].saturating_add(w); // d(x, u) + w
-        let b = row[v as usize].saturating_add(w); // d(x, v) + w
+        // `d(x,u) + w`, `d(x,v) + w`. No indexing: aa-lint walks in from production.
+        let plus_w = |e: VertexId| row.get(e as usize).map_or(INF, |d| d.saturating_add(w));
+        let (a, b) = (plus_w(u), plus_w(v));
         let mut out = Vec::new();
-        for (t, &d) in row.iter().enumerate() {
+        for (t, ((&d, &du), &dv)) in row.iter().zip(row_u).zip(row_v).enumerate() {
             if d == INF || t == x as usize {
                 continue;
             }
-            let via_uv = a.saturating_add(row_v[t]);
-            let via_vu = b.saturating_add(row_u[t]);
-            if d >= via_uv.min(via_vu) {
+            if d >= a.saturating_add(dv).min(b.saturating_add(du)) {
                 out.push(t);
             }
         }

@@ -13,7 +13,7 @@
 //! either. The frontier is therefore `cache.frontier()` then `dv.frontier()`,
 //! and whatever walks the rows walks both stores, in row order.
 
-use crate::dv::{ColumnSet, DistanceMatrix, RowDelta};
+use crate::dv::{grow, ColumnSet, DistanceMatrix, RowDelta};
 use aa_graph::{Graph, VertexId, Weight, INF};
 use aa_partition::Partition;
 use std::cmp::Reverse;
@@ -222,11 +222,6 @@ impl ProcState {
         // and each (local, external) edge to both lists exactly once.
     }
 
-    /// Owned vertices in row order.
-    pub fn local_vertices(&self) -> &[VertexId] {
-        self.dv.vertices()
-    }
-
     /// Whether local vertex `u` has a cut edge (is a local boundary vertex).
     // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
     pub fn is_boundary(&self, u: VertexId) -> bool {
@@ -279,13 +274,14 @@ impl ProcState {
         }
     }
 
-    /// Grows all capacity-indexed structures to `new_cap` slots.
+    /// Grows all capacity-indexed structures to `new_cap` slots, each by
+    /// the step `dv.rs` states.
     pub fn extend_capacity(&mut self, new_cap: usize) {
         if new_cap <= self.adj.len() {
             return;
         }
-        self.adj.resize(new_cap, Vec::new());
-        self.is_local.resize(new_cap, false);
+        grow(&mut self.adj, new_cap, Vec::new());
+        grow(&mut self.is_local, new_cap, false);
         self.dv.extend_cols(new_cap);
         self.cache.extend_cols(new_cap);
         #[cfg(test)]
