@@ -17,8 +17,8 @@
 use crate::workload::ExperimentParams;
 use aa_core::{AnytimeEngine, EngineConfig};
 use aa_graph::rmat::{rmat, RmatParams};
+use aa_obs::Stopwatch;
 use aa_runtime::BackendKind;
-use std::time::Instant;
 
 /// One (scale, backend, threads) cell of the sweep.
 #[derive(Debug, Clone)]
@@ -68,7 +68,7 @@ fn run_once(
     // Time the phases the backend parallelizes (IA + RC); domain
     // decomposition is identical sequential work on both and would only
     // dilute the comparison.
-    let wall = Instant::now();
+    let wall = Stopwatch::start();
     engine.initialize();
     engine.run_to_convergence(16 * params.procs + 64);
     let wall_s = wall.elapsed().as_secs_f64();
@@ -106,6 +106,10 @@ pub fn backend_sweep(
         for &threads in thread_counts {
             let (row, closeness) = run_once(params, scale, BackendKind::Threads, threads)?;
             if closeness != oracle {
+                #[expect(
+                    clippy::float_cmp,
+                    reason = "the threads backend must reproduce the oracle bit for bit"
+                )]
                 let diverged = closeness
                     .iter()
                     .zip(oracle.iter())

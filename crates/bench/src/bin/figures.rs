@@ -11,6 +11,11 @@
 //! scaled from the papers' 50 000-vertex setup to the chosen `--n` at the
 //! same fraction of |V| (the paper-scale size is shown alongside).
 
+#![expect(
+    clippy::exit,
+    reason = "a harness entry point: a usage or I/O error exits non-zero, the shell contract"
+)]
+
 use aa_bench::backend::{backend_rows_to_json, backend_sweep, host_parallelism, speedup_at};
 use aa_bench::experiments::{self, AnytimeRow, Fig4Row, Fig8Row, ScalingRow, SingleStepRow};
 use aa_bench::ingest::{
@@ -48,9 +53,6 @@ fn parse_args() -> (Vec<String>, ExperimentParams, Option<String>) {
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!("usage: figures [fig4|fig5|fig6|fig7|fig8|scaling|anytime|ingest|serve|backend|topk|replay FILE|all] [--n N] [--procs P] [--seed S] [--compute-scale X] [--json PATH]");
-                // CLI entry point: a usage error is the one place an abrupt
-                // exit is the right interface.
-                #[allow(clippy::exit)]
                 std::process::exit(2);
             }
         }
@@ -157,7 +159,6 @@ fn print_replay(path: &str) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
-            #[allow(clippy::exit)]
             std::process::exit(1);
         }
     };
@@ -165,7 +166,6 @@ fn print_replay(path: &str) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("cannot decode {path}: {e}");
-            #[allow(clippy::exit)]
             std::process::exit(1);
         }
     };
@@ -272,7 +272,6 @@ fn run_serve(params: &ExperimentParams, json_out: Option<&str>) {
         Ok(rows) => rows,
         Err(e) => {
             eprintln!("serve experiment failed: {e}");
-            #[allow(clippy::exit)]
             std::process::exit(1);
         }
     };
@@ -283,7 +282,6 @@ fn run_serve(params: &ExperimentParams, json_out: Option<&str>) {
         Ok(mix_rows) => rows.extend(mix_rows),
         Err(e) => {
             eprintln!("serve top-k mix sweep failed: {e}");
-            #[allow(clippy::exit)]
             std::process::exit(1);
         }
     }
@@ -291,7 +289,6 @@ fn run_serve(params: &ExperimentParams, json_out: Option<&str>) {
     if let Some(path) = json_out {
         if let Err(e) = std::fs::write(path, serve_rows_to_json(&rows)) {
             eprintln!("cannot write {path}: {e}");
-            #[allow(clippy::exit)]
             std::process::exit(1);
         }
         println!("wrote {path}");
@@ -335,7 +332,6 @@ fn run_topk(params: &ExperimentParams, json_out: Option<&str>) {
         Ok(rows) => rows,
         Err(e) => {
             eprintln!("top-k sweep failed: {e}");
-            #[allow(clippy::exit)]
             std::process::exit(1);
         }
     };
@@ -343,7 +339,6 @@ fn run_topk(params: &ExperimentParams, json_out: Option<&str>) {
     if let Some(path) = json_out {
         if let Err(e) = std::fs::write(path, topk_rows_to_json(&rows)) {
             eprintln!("cannot write {path}: {e}");
-            #[allow(clippy::exit)]
             std::process::exit(1);
         }
         println!("wrote {path}");
@@ -356,7 +351,6 @@ fn run_ingest(params: &ExperimentParams, json_out: Option<&str>) {
         Ok(rows) => rows,
         Err(e) => {
             eprintln!("ingest experiment failed: {e}");
-            #[allow(clippy::exit)]
             std::process::exit(1);
         }
     };
@@ -368,7 +362,6 @@ fn run_ingest(params: &ExperimentParams, json_out: Option<&str>) {
         Ok(row) => row,
         Err(e) => {
             eprintln!("durable overhead experiment failed: {e}");
-            #[allow(clippy::exit)]
             std::process::exit(1);
         }
     };
@@ -390,7 +383,6 @@ fn run_ingest(params: &ExperimentParams, json_out: Option<&str>) {
         );
         if let Err(e) = std::fs::write(path, json) {
             eprintln!("cannot write {path}: {e}");
-            #[allow(clippy::exit)]
             std::process::exit(1);
         }
         println!("wrote {path}");
@@ -403,7 +395,6 @@ fn run_backend(params: &ExperimentParams, json_out: Option<&str>) {
         Ok(rows) => rows,
         Err(e) => {
             eprintln!("backend sweep failed: {e}");
-            #[allow(clippy::exit)]
             std::process::exit(1);
         }
     };
@@ -462,7 +453,6 @@ fn run_backend(params: &ExperimentParams, json_out: Option<&str>) {
     if let Some(path) = json_out {
         if let Err(e) = std::fs::write(path, backend_rows_to_json(&rows)) {
             eprintln!("cannot write {path}: {e}");
-            #[allow(clippy::exit)]
             std::process::exit(1);
         }
         println!("wrote {path}");

@@ -7,8 +7,8 @@
 
 use crate::workload::{community_vertex_batch, scaled, ExperimentParams};
 use aa_core::{AdditionStrategy, AnytimeEngine};
+use aa_obs::Stopwatch;
 use aa_partition::quality;
-use std::time::Instant;
 
 /// Strategy under test (alias kept for harness readability).
 pub type StrategyChoice = AdditionStrategy;
@@ -55,7 +55,7 @@ pub fn run_single_injection(
     paper_batch: usize,
     strategy: StrategyChoice,
 ) -> SingleStepRow {
-    let wall = Instant::now();
+    let wall = Stopwatch::start();
     let mut e = engine_for(params);
     for _ in 0..inject_step {
         e.rc_step();
@@ -184,7 +184,7 @@ pub fn fig8(params: &ExperimentParams) -> Vec<Fig8Row> {
     for &paper_per_step in &FIG8_PAPER_PER_STEP {
         let per_step = scaled(paper_per_step, params.n);
         for &strategy in &FIG8_STRATEGIES {
-            let wall = Instant::now();
+            let wall = Stopwatch::start();
             let mut e = engine_for(params);
             for round in 0..10 {
                 let batch = community_vertex_batch(

@@ -265,7 +265,7 @@ fn churn_pass(
     storage: Option<Box<dyn Storage>>,
 ) -> Result<(f64, u64), String> {
     let mut session = churn_session(base, params, ops.len(), storage)?;
-    let t0 = std::time::Instant::now();
+    let t0 = aa_obs::Stopwatch::start();
     let commits = churn(&mut session, params, ops, batch)?;
     session.close()?;
     Ok((t0.elapsed().as_secs_f64(), commits))

@@ -8,9 +8,10 @@
 //! aa convert  <in> <out> [--from F] [--to F]
 //! ```
 
-// CLI entry point: nonzero process exits on usage/runtime errors are the
-// shell contract, unlike in library code where the workspace denies them.
-#![allow(clippy::exit)]
+#![expect(
+    clippy::exit,
+    reason = "CLI entry point: nonzero process exits on usage/runtime errors are the shell contract, unlike in library code where the workspace denies them"
+)]
 
 use aa_cli::commands::{
     analyze, convert, partition_report, serve_cmd, stream_serve, AnalyzeOpts, Measure, ServeOpts,

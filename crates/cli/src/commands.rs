@@ -283,7 +283,10 @@ pub fn analyze(opts: &AnalyzeOpts) -> Result<String, String> {
     if let Some(path) = &opts.trace {
         use std::io::Write;
         let events = engine.cluster_mut().take_trace();
-        // aa-lint: allow(AA09, streamed diagnostic trace — overwritten on every run and never read back by recovery; a torn file cannot corrupt a restart)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "streamed diagnostic trace — overwritten on every run and never read back by recovery; a torn file cannot corrupt a restart"
+        )]
         let raw = std::fs::File::create(path)
             .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
         let mut file = std::io::BufWriter::new(raw);
@@ -564,7 +567,7 @@ pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
     let mut server = if let Some(dir) = &opts.data_dir {
         // Recover whatever a previous (possibly killed) run left behind,
         // then reopen the WAL at the recovered sequence.
-        let t0 = std::time::Instant::now();
+        let t0 = aa_obs::Stopwatch::start();
         let storage = aa_durable::DiskStorage::open(dir)
             .map_err(|e| format!("cannot open data dir {}: {e}", dir.display()))?;
         let durability = aa_durable::DurabilityConfig {

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Library backing the `aa` command-line tool: argument parsing, graph file
 //! loading in three formats, and the dynamic-update stream language.
 //!
@@ -22,6 +21,8 @@
 //! ([`stream::apply_batch`]): `aa analyze --stream` flushes every command
 //! for per-op semantics, while `aa stream` coalesces and batches updates
 //! under a drain policy with bounded-queue backpressure (see `aa-ingest`).
+
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod commands;
 pub mod stream;

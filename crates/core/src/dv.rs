@@ -41,6 +41,9 @@
 //! holds, and must not reach it. Raw row access marks it all-columns, which
 //! makes the next send a full row.
 
+#![deny(clippy::indexing_slicing)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use aa_graph::{VertexId, Weight, INF};
 
 /// Relaxes `dst[t] = min(dst[t], src[t] + offset)` for every column.
@@ -305,7 +308,10 @@ pub(crate) mod reference {
 /// any entry decreased. Dense sets take a whole-row sweep, sparse ones a walk
 /// over the set bits; both visit a superset of the columns that can change,
 /// so the rows they leave are identical.
-// aa-lint: allow(AA07, the sparse walk indexes dst/src/log/unsent at columns taken from cols, whose bits never reach the column count — every set is built over the matrix width and resized with it; the dense sweep is handed word indices below dst.len().div_ceil(64), the length of both logs)
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the sparse walk indexes dst/src/log/unsent at columns taken from cols, whose bits never reach the column count — every set is built over the matrix width and resized with it; the dense sweep is handed word indices below dst.len().div_ceil(64), the length of both logs"
+)]
 fn relax_on(
     dst: &mut [Weight],
     (log, unsent): (&mut ColumnSet, &mut ColumnSet),
@@ -362,7 +368,10 @@ pub(crate) fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
 }
 
 /// `(&mut s[a], &s[b])` for distinct in-range indices.
-// aa-lint: allow(AA07, callers pass two distinct row indices read from row_of, both below the row count; split_at_mut offsets derive from them)
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers pass two distinct row indices read from row_of, both below the row count; split_at_mut offsets derive from them"
+)]
 fn pair_mut<T>(s: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
     debug_assert_ne!(a, b);
     if a < b {
@@ -418,7 +427,10 @@ impl DistanceMatrix {
     }
 
     /// Whether this matrix holds a row for vertex `v`.
-    // aa-lint: allow(AA07, the index is range-checked by the && short-circuit on the same line)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the index is range-checked by the && short-circuit on the same line"
+    )]
     pub fn has_row(&self, v: VertexId) -> bool {
         (v as usize) < self.row_of.len() && self.row_of[v as usize] != NO_ROW
     }
@@ -429,7 +441,10 @@ impl DistanceMatrix {
     ///
     /// # Panics
     /// Panics if `v` already has a row or lies outside the column range.
-    // aa-lint: allow(AA07, documented-panic constructor — the asserts above every index state the contract and fire before any index can miss)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented-panic constructor — the asserts above every index state the contract and fire before any index can miss"
+    )]
     pub fn add_row(&mut self, v: VertexId) {
         assert!((v as usize) < self.cols, "vertex {v} outside column range");
         let mut row = vec![INF; self.cols];
@@ -439,14 +454,20 @@ impl DistanceMatrix {
 
     /// Inserts a row with explicit contents (migration, checkpoint restore,
     /// recovery); both its logs start all-columns.
-    // aa-lint: allow(AA07, documented-panic constructor — same assert-first contract as add_row)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented-panic constructor — same assert-first contract as add_row"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "row count is bounded by the u32 vertex-id space"
+    )]
     pub fn insert_row(&mut self, v: VertexId, mut row: Vec<Weight>) {
         assert!((v as usize) < self.cols, "vertex {v} outside column range");
         assert!(!self.has_row(v), "vertex {v} already has a row");
         // A migrated row may predate recent column extensions.
         assert!(row.len() <= self.cols, "row longer than column count");
         grow(&mut row, self.cols, INF);
-        // aa-lint: allow(AA05, row count is bounded by the u32 vertex-id space)
         self.row_of[v as usize] = self.rows.len() as u32;
         self.rows.push(row);
         self.logs.push(ColumnSet::all(self.cols));
@@ -474,7 +495,14 @@ impl DistanceMatrix {
 
     /// Removes and returns the row of vertex `v` with its unsent log (used
     /// for migration).
-    // aa-lint: allow(AA07, migration path — the NO_ROW assert fires before the swap_remove indexes and row_of covers every id the owning engine hands in)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "migration path — the NO_ROW assert fires before the swap_remove indexes and row_of covers every id the owning engine hands in"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "idx indexes the row table, bounded by the u32 vertex-id space"
+    )]
     pub fn take_row(&mut self, v: VertexId) -> (Vec<Weight>, ColumnSet) {
         let idx = self.row_of[v as usize];
         assert!(idx != NO_ROW, "vertex {v} has no row here");
@@ -486,7 +514,6 @@ impl DistanceMatrix {
         self.row_of[v as usize] = NO_ROW;
         if idx < self.rows.len() {
             let moved = self.vertex_of_row[idx];
-            // aa-lint: allow(AA05, idx indexes the row table, bounded by the u32 vertex-id space)
             self.row_of[moved as usize] = idx as u32;
         }
         (row, unsent)
@@ -534,14 +561,20 @@ impl DistanceMatrix {
     ///
     /// # Panics
     /// Panics if `v` has no row here.
-    // aa-lint: allow(AA07, documented-panic accessor — callers hold the has_row/ownership invariant and the assert names the violation)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented-panic accessor — callers hold the has_row/ownership invariant and the assert names the violation"
+    )]
     pub fn row(&self, v: VertexId) -> &[Weight] {
         &self.rows[self.row_index(v)]
     }
 
     /// Mutable distance vector of vertex `v`. Raw access can write anything,
     /// so the row is marked all-columns in both logs.
-    // aa-lint: allow(AA07, documented-panic accessor — same contract as row)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented-panic accessor — same contract as row"
+    )]
     pub fn row_mut(&mut self, v: VertexId) -> &mut [Weight] {
         let idx = self.row_index(v);
         self.logs[idx].mark_all();
@@ -556,7 +589,10 @@ impl DistanceMatrix {
     }
 
     /// Row-table index of vertex `v`.
-    // aa-lint: allow(AA07, documented-panic accessor — same contract as row)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented-panic accessor — same contract as row"
+    )]
     fn row_index(&self, v: VertexId) -> usize {
         let idx = self.row_of[v as usize];
         assert!(idx != NO_ROW, "vertex {v} has no row here");
@@ -578,7 +614,10 @@ impl DistanceMatrix {
     /// What a rank holding `v`'s row as of its last send is missing: the
     /// row's values on its unsent columns — or `None` if they are
     /// all-columns, and only the full row will do.
-    // aa-lint: allow(AA07, the one pragma the send side adds: the bit walk indexes the row at columns taken from its own unsent log, whose bits never reach the column count — the argument relax_on's sparse walk already makes; rows and unsent are parallel, indexed by row_index like row)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the one pragma the send side adds: the bit walk indexes the row at columns taken from its own unsent log, whose bits never reach the column count — the argument relax_on's sparse walk already makes; rows and unsent are parallel, indexed by row_index like row"
+    )]
     pub fn unsent_entries(&self, v: VertexId) -> Option<RowDelta> {
         let idx = self.row_index(v);
         let (row, unsent) = (&self.rows[idx], &self.unsent[idx]);
@@ -610,7 +649,10 @@ impl DistanceMatrix {
     /// statement about `v`'s local neighbours (new adjacency, say), not
     /// about the row's values: the unsent log is not touched, here or in
     /// [`Self::mark_columns`] and [`Self::mark_all_rows`].
-    // aa-lint: allow(AA07, documented-panic accessor — same contract as row)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented-panic accessor — same contract as row"
+    )]
     pub fn mark_all_columns(&mut self, v: VertexId) {
         let idx = self.row_index(v);
         self.logs[idx].mark_all();
@@ -710,7 +752,10 @@ impl DistanceMatrix {
 
     /// Empties `v`'s log: the row has been propagated to its local
     /// neighbours on every logged column.
-    // aa-lint: allow(AA07, documented-panic accessor — same contract as row)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented-panic accessor — same contract as row"
+    )]
     pub fn clear_log(&mut self, v: VertexId) {
         let idx = self.row_index(v);
         self.logs[idx].clear();
@@ -773,7 +818,10 @@ impl DistanceMatrix {
 
     /// Relaxes the columns `cols` of the row of `dst` against an external
     /// row.
-    // aa-lint: allow(AA07, documented-panic accessor — same contract as row)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented-panic accessor — same contract as row"
+    )]
     pub fn relax_with_external_on(
         &mut self,
         dst: VertexId,

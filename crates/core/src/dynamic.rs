@@ -19,6 +19,9 @@
 //! * **Vertex deletions** — the papers' named future work — remove the vertex
 //!   and invalidate every pair whose path ran through it.
 
+#![deny(clippy::indexing_slicing)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::dv::ColumnSet;
 use crate::engine::AnytimeEngine;
 use crate::obs::InvalidationTally;
@@ -144,7 +147,10 @@ impl AnytimeEngine {
     /// invalidations can re-relax from them), relaxes every owned row through
     /// every edge — the owners learn the direct edge here too: `D[u][u] = 0`
     /// — and propagates locally.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity"
+    )]
     fn relax_through_edges(
         &mut self,
         endpoints: &[VertexId],
@@ -237,7 +243,10 @@ impl AnytimeEngine {
     /// invalidated if *any* deleted edge supports its current value), one
     /// reseed. An edge named twice, in either orientation, counts once.
     /// Returns the number of edges actually removed.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity"
+    )]
     pub fn delete_edges(&mut self, edges: &[(VertexId, VertexId)]) -> usize {
         assert!(self.initialized, "call initialize() first");
         let present = edges.iter().filter_map(|&(u, v)| {
@@ -301,7 +310,10 @@ impl AnytimeEngine {
     /// additions (pure relaxation); increases like deletions (invalidate +
     /// reseed, with the deletion barrier). Returns `false` if the edge is
     /// absent or the weight unchanged.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity"
+    )]
     pub fn change_edge_weight(&mut self, u: VertexId, v: VertexId, new_w: Weight) -> bool {
         assert!(self.initialized, "call initialize() first");
         assert!(new_w != INF, "weight must be finite");
@@ -338,7 +350,10 @@ impl AnytimeEngine {
     /// named future work). Applies the deletion barrier, invalidates every
     /// pair whose path ran through `v`, and recomputes them like an edge
     /// deletion does. Returns the removed incident edges.
-    // aa-lint: allow(AA07, processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity"
+    )]
     pub fn delete_vertex(&mut self, v: VertexId) -> Vec<(VertexId, Weight)> {
         assert!(self.initialized, "call initialize() first");
         assert!(self.world.is_alive(v), "vertex {v} is not alive");
@@ -532,7 +547,10 @@ fn affected_by_vertex(row: &[Weight], x: VertexId, v: VertexId, row_v: &[Weight]
 /// repairs the owned rows it raised, at a cost that follows the affected set:
 /// `affected(row, x)` is asked once per row, only the raised columns are
 /// recomputed, and only they join the frontier.
-// aa-lint: allow(AA07, rows are full-width (world capacity) and every indexed id comes from the same world)
+#[expect(
+    clippy::indexing_slicing,
+    reason = "rows are full-width (world capacity) and every indexed id comes from the same world"
+)]
 fn invalidate_and_reseed<F>(ps: &mut ProcState, tally: &mut InvalidationTally, mut affected: F)
 where
     F: FnMut(&[Weight], VertexId) -> Vec<usize>,
@@ -690,7 +708,7 @@ pub(crate) mod reference {
         row_u: &[Weight],
         row_v: &[Weight],
     ) -> Vec<usize> {
-        // `d(x,u) + w`, `d(x,v) + w`. No indexing: aa-lint walks in from production.
+        // `d(x,u) + w`, `d(x,v) + w`.
         let plus_w = |e: VertexId| row.get(e as usize).map_or(INF, |d| d.saturating_add(w));
         let (a, b) = (plus_w(u), plus_w(v));
         let mut out = Vec::new();

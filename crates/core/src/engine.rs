@@ -1,6 +1,9 @@
 //! The [`AnytimeEngine`]: domain decomposition, initial approximation, and
 //! the recombination loop, orchestrated over the simulated cluster.
 
+#![deny(clippy::indexing_slicing)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::closeness::Snapshot;
 use crate::config::{EngineConfig, Refinement};
 use crate::obs::EngineObs;
@@ -46,6 +49,10 @@ pub struct AnytimeEngine {
 /// configured compute calibration installed. Shared by
 /// [`AnytimeEngine::new`] and the whole-cluster checkpoint restore path.
 pub(crate) fn build_cluster(config: &EngineConfig) -> Cluster {
+    #[expect(
+        clippy::panic,
+        reason = "backend availability is probed at CLI/config time via threads_available; failing here is construction-time misconfiguration, same contract as the num_procs assert"
+    )]
     let mut cluster = Cluster::build(
         config.backend,
         config.num_procs,
@@ -53,7 +60,6 @@ pub(crate) fn build_cluster(config: &EngineConfig) -> Cluster {
         config.exchange,
         config.threads,
     )
-    // aa-lint: allow(AA01, backend availability is probed at CLI/config time via threads_available; failing here is construction-time misconfiguration, same contract as the num_procs assert)
     .unwrap_or_else(|e| panic!("cannot build execution backend: {e}"));
     cluster.set_compute_scale(config.compute_scale);
     cluster
@@ -87,11 +93,13 @@ impl AnytimeEngine {
     /// the whole world, and the vertex-addition strategies assign before
     /// attaching edges. An unassigned vertex here is a partition/world
     /// desync — a bug, not a runtime condition to degrade on.
-    // aa-lint: allow(AA07, structural invariant — callers inherit the assignment guarantee rather than re-proving it at every use)
+    #[expect(
+        clippy::expect_used,
+        reason = "partition assignment is a structural invariant — initialize covers the world and add-vertex strategies assign before wiring edges"
+    )]
     pub(crate) fn owner_of(&self, v: VertexId) -> usize {
         self.partition
             .part_of(v)
-            // aa-lint: allow(AA01, partition assignment is a structural invariant — initialize covers the world and add-vertex strategies assign before wiring edges)
             .expect("vertex assigned at initialize/add-vertex time")
     }
 
@@ -115,7 +123,10 @@ impl AnytimeEngine {
     /// baseline-restart strategy to rebuild from scratch (accounting
     /// accumulates across restarts; use [`Cluster::reset_accounting`]
     /// via [`Self::cluster_mut`] to zero it).
-    // aa-lint: allow(AA07, outbox is sized to num_procs which is asserted >= 1 at construction)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "outbox is sized to num_procs which is asserted >= 1 at construction"
+    )]
     pub fn initialize(&mut self) {
         let p = self.config.num_procs;
 
@@ -128,8 +139,11 @@ impl AnytimeEngine {
         // The papers partition in parallel (ParMETIS); approximate by
         // spreading the measured cost evenly and synchronizing.
         for rank in 0..p {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "p is the processor count, far below u32::MAX"
+            )]
             self.cluster
-                // aa-lint: allow(AA05, p is the processor count, far below u32::MAX)
                 .compute_measured(rank, Phase::DomainDecomposition, elapsed / p as u32);
         }
         self.cluster.barrier();
@@ -371,7 +385,10 @@ impl AnytimeEngine {
 
     /// An anytime snapshot: closeness estimates from the current (possibly
     /// partial) distance vectors. Charges the small result gather.
-    // aa-lint: allow(AA07, processor ranks enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "processor ranks enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity"
+    )]
     pub fn snapshot(&mut self) -> Snapshot {
         let snap_span = self.span_open();
         let cap = self.world.capacity();
@@ -436,7 +453,10 @@ impl AnytimeEngine {
 
     /// Gathers the full distance matrix by source vertex id (test/debug
     /// helper; free of cluster charges). Unowned/dead slots yield `INF` rows.
-    // aa-lint: allow(AA07, the dense output is sized to world capacity and row vertex ids are below it)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the dense output is sized to world capacity and row vertex ids are below it"
+    )]
     pub fn distances_dense(&self) -> Vec<Vec<Weight>> {
         let cap = self.world.capacity();
         let mut out = vec![vec![INF; cap]; cap];
@@ -456,7 +476,14 @@ impl AnytimeEngine {
     /// has every change log empty and every cached copy equal to its owner's
     /// row — the premise deletions decide on
     /// (`dynamic::invalidate_and_reseed`).
-    // aa-lint: allow(AA07, the diagnostic tables are sized to world capacity and row vertex ids are below it)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the diagnostic tables are sized to world capacity and row vertex ids are below it"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "world capacity is bounded by the u32 vertex-id space"
+    )]
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut owned = vec![0usize; self.world.capacity()];
         for ps in &self.procs {

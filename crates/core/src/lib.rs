@@ -1,4 +1,10 @@
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 //! Anytime-anywhere closeness centrality for large and dynamic graphs.
 //!
 //! This crate is the reproduction of the papers' contribution: a
@@ -41,10 +47,10 @@
 //! assert!(engine.graph().is_alive(top));
 //! ```
 
-// Per-rank engine loops index `self.procs[rank]` while also borrowing the
-// cluster for cost charging; the iterator form the lint suggests cannot
-// express that without splitting borrows.
-#![allow(clippy::needless_range_loop)]
+#![expect(
+    clippy::needless_range_loop,
+    reason = "per-rank engine loops index `self.procs[rank]` while also borrowing the cluster for cost charging; the iterator form cannot express that without splitting borrows"
+)]
 
 pub mod checkpoint;
 pub mod cliques;
@@ -61,8 +67,6 @@ pub mod publish;
 pub mod rebalance;
 pub mod strategy;
 
-// Under `tests/` so that aa-lint classes the file as test code by path (it
-// recognizes in-file `#[cfg(test)]` modules by span, not out-of-line ones).
 #[cfg(test)]
 #[path = "tests/changelog.rs"]
 mod changelog_tests;

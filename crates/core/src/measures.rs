@@ -85,7 +85,6 @@ impl AnytimeEngine {
                 .cluster
                 .all_reduce_f64(Phase::Recombination, &sq, |a, b| a + b)
                 .sqrt();
-            // aa-lint: allow(AA03, exact-zero guard against dividing by a zero norm; any nonzero norm is fine)
             if norm == 0.0 {
                 return x;
             }

@@ -13,6 +13,9 @@
 //! either. The frontier is therefore `cache.frontier()` then `dv.frontier()`,
 //! and whatever walks the rows walks both stores, in row order.
 
+#![deny(clippy::indexing_slicing)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::dv::{grow, ColumnSet, DistanceMatrix, RowDelta};
 use aa_graph::{Graph, VertexId, Weight, INF};
 use aa_partition::Partition;
@@ -66,11 +69,7 @@ pub(crate) fn diff_rows(snapshot: &[Weight], current: &[Weight]) -> Vec<(u32, We
         .filter(|&(_, (&c, &s))| c < s)
         .map(|(i, (&c, _))| (i, c));
     let grown = current.iter().copied().enumerate().skip(snapshot.len());
-    lowered
-        .chain(grown)
-        // aa-lint: allow(AA05, i indexes a distance row whose length is bounded by the u32 vertex-id space)
-        .map(|(i, c)| (i as u32, c))
-        .collect()
+    lowered.chain(grown).map(|(i, c)| (i as u32, c)).collect()
 }
 
 /// State of one virtual processor.
@@ -192,7 +191,10 @@ impl ProcState {
     /// migrated rows after repartitioning, the copies the new view still
     /// borders) — but the new adjacency may make any two surviving rows
     /// neighbours, so every row, owned or cached, is marked all-columns.
-    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
+    )]
     pub fn rebuild_view(&mut self, world: &Graph, partition: &Partition) {
         let cap = world.capacity();
         self.adj = vec![Vec::new(); cap];
@@ -223,7 +225,10 @@ impl ProcState {
     }
 
     /// Whether local vertex `u` has a cut edge (is a local boundary vertex).
-    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
+    )]
     pub fn is_boundary(&self, u: VertexId) -> bool {
         self.adj[u as usize]
             .iter()
@@ -231,7 +236,10 @@ impl ProcState {
     }
 
     /// The distinct owner ranks of `u`'s external neighbours.
-    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
+    )]
     pub fn neighbor_ranks(&self, u: VertexId, partition: &Partition) -> Vec<usize> {
         let mut ranks: Vec<usize> = self.adj[u as usize]
             .iter()
@@ -247,7 +255,10 @@ impl ProcState {
     /// local. Mirrors [`Self::rebuild_view`]'s shape. Nothing has been
     /// relaxed over the new edge yet, so an endpoint with a row, owned or
     /// cached, is marked all-columns.
-    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
+    )]
     pub fn view_add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
         if !self.is_local[u as usize] && !self.is_local[v as usize] {
             return;
@@ -264,7 +275,10 @@ impl ProcState {
     }
 
     /// Removes an edge from the adjacency view (no-op if absent).
-    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
+    )]
     pub fn view_remove_edge(&mut self, u: VertexId, v: VertexId) {
         if let Some(p) = self.adj[u as usize].iter().position(|&(x, _)| x == v) {
             self.adj[u as usize].swap_remove(p);
@@ -285,7 +299,10 @@ impl ProcState {
         self.dv.extend_cols(new_cap);
         self.cache.extend_cols(new_cap);
         #[cfg(test)]
-        // aa-lint: allow(AA04, independent per-row resize; no cross-row state, order cannot leak)
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "independent per-row resize; no cross-row state, order cannot leak"
+        )]
         for row in self.shadow.values_mut() {
             row.resize(new_cap, INF);
         }
@@ -295,7 +312,10 @@ impl ProcState {
     /// vertex here, so later invalidations can re-relax from it. The copy
     /// replaces the cached row with values `v`'s local neighbours have not
     /// been relaxed against on any column: its log is all-columns.
-    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
+    )]
     pub fn cache_broadcast_row(&mut self, v: VertexId, row: &[Weight]) {
         if !self.is_local[v as usize] && !self.adj[v as usize].is_empty() {
             self.cache.replace_row(v, row.to_vec(), ColumnSet::EVERY);
@@ -359,7 +379,10 @@ impl ProcState {
     /// expanded — their distance is written and they never enter the heap
     /// (with most edges cut, that is most of what it used to hold). Fills
     /// the full-width, `INF`-initialized row `dist`.
-    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
+    )]
     fn local_dijkstra(&self, source: VertexId, dist: &mut [Weight]) {
         dist[source as usize] = 0;
         let mut heap = BinaryHeap::new();
@@ -407,7 +430,10 @@ impl ProcState {
 
     /// Δ-stepping restricted to the local sub-graph (see
     /// [`aa_graph::centrality::delta_stepping`] for the sequential analogue).
-    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time — and the delta precondition is an assert naming its contract)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time — and the delta precondition is an assert naming its contract"
+    )]
     fn local_delta_stepping(&self, source: VertexId, delta: Weight, dist: &mut [Weight]) {
         assert!(delta >= 1, "delta must be at least 1");
         dist[source as usize] = 0;
@@ -445,7 +471,10 @@ impl ProcState {
     }
 
     /// Bellman–Ford sweeps over the local edges to a fixed point.
-    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
+    )]
     fn local_bellman_ford(&self, source: VertexId, dist: &mut [Weight]) {
         dist[source as usize] = 0;
         let mut changed = true;
@@ -506,7 +535,10 @@ impl ProcState {
     /// is then cleared, and a neighbour it lowers joins the queue. Marks
     /// improved rows dirty. Returns whether an owned row was on the frontier
     /// or joined it.
-    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
+    )]
     pub fn propagate(&mut self) -> bool {
         let mut queue: VecDeque<VertexId> = self.frontier().collect();
         if queue.is_empty() {
@@ -549,7 +581,10 @@ impl ProcState {
     /// owned row through every local *boundary* pivot (`D[u][*] = min(D[u][*],
     /// D[u][l] + D[l][*])`). Marks improved rows dirty. Returns whether
     /// anything changed.
-    // aa-lint: allow(AA07, pivots and rows both come from the matrix's own vertex list and row width equals capacity, so row(u)[l] is in range)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "pivots and rows both come from the matrix's own vertex list and row width equals capacity, so row(u)[l] is in range"
+    )]
     pub fn pivot_pass(&mut self) -> bool {
         let pivots: Vec<VertexId> = self
             .dv
@@ -579,7 +614,10 @@ impl ProcState {
     /// rows of its external neighbours (deletion invalidation raised those
     /// entries; on every other column the propagation invariant still holds).
     /// Returns whether the row improved.
-    // aa-lint: allow(AA07, vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
+    )]
     pub fn relax_from_cache(&mut self, u: VertexId, cols: &ColumnSet) -> bool {
         let mut changed = false;
         for &(b, w) in &self.adj[u as usize] {

@@ -41,12 +41,15 @@ impl AnytimeEngine {
         let p = self.config.num_procs;
         let vertex_counts = self.partition.part_sizes();
         let cut_sizes = quality::per_part_cut(&self.world, &self.partition);
+        #[expect(
+            clippy::unwrap_used,
+            reason = "counts has one slot per processor and num_procs is asserted >= 1 at construction"
+        )]
         let ratio = |counts: &[usize]| -> f64 {
             let total: usize = counts.iter().sum();
             if total == 0 {
                 return 1.0;
             }
-            // aa-lint: allow(AA01, counts has one slot per processor and num_procs is asserted >= 1 at construction)
             *counts.iter().max().unwrap() as f64 * p as f64 / total as f64
         };
         ImbalanceReport {

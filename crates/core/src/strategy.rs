@@ -64,9 +64,12 @@ impl AnytimeEngine {
         strategy: AdditionStrategy,
     ) -> Vec<VertexId> {
         assert!(self.initialized, "call initialize() first");
+        #[expect(
+            clippy::expect_used,
+            reason = "caller-contract precondition like the initialize assert above — a malformed batch is a harness bug and must fail loudly at the boundary"
+        )]
         batch
             .validate(self.world.capacity())
-            // aa-lint: allow(AA01, caller-contract precondition like the initialize assert above — a malformed batch is a harness bug and must fail loudly at the boundary)
             .expect("invalid vertex batch");
         let span = self.span_open();
         self.obs.note_mutation();
@@ -137,7 +140,10 @@ impl AnytimeEngine {
         // broadcast back (count bytes of assignments).
         self.cluster
             .broadcast_cost(Phase::DynamicUpdate, 0, 4 * batch.count);
-        // aa-lint: allow(AA01, num_procs >= 1 is asserted at construction so the scoring loop sets best on its first iteration)
+        #[expect(
+            clippy::expect_used,
+            reason = "num_procs >= 1 is asserted at construction so the scoring loop sets best on its first iteration"
+        )]
         best.expect("at least one candidate").1
     }
 
@@ -424,7 +430,10 @@ impl AnytimeEngine {
         let mut migrated = 0usize;
         for old_rank in 0..p {
             for v in self.procs[old_rank].dv.vertices().to_vec() {
-                // aa-lint: allow(AA01, every caller repartitions the same world whose rows are walked here, so each live vertex has an assignment in new_partition)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every caller repartitions the same world whose rows are walked here, so each live vertex has an assignment in new_partition"
+                )]
                 let new_rank = new_partition.part_of(v).expect("live vertex assigned");
                 if new_rank != old_rank {
                     migrated += 1;

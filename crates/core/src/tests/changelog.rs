@@ -166,7 +166,8 @@ fn check_shadow(ps: &ProcState, what: &str) {
     held.sort_unstable();
     shadowed.sort_unstable();
     assert_eq!(held, shadowed, "{what}: rank {} baselines", ps.rank);
-    for (&v, shadow) in &ps.shadow {
+    for &v in shadowed {
+        let shadow = &ps.shadow[&v];
         let row = ps.dv.row(v);
         assert_eq!(shadow.len(), row.len(), "{what}: baseline width of row {v}");
         let below = row.iter().zip(shadow).enumerate();

@@ -33,7 +33,13 @@
 //! randomness, `BTreeMap` for all keyed state. Recovery decisions are pure
 //! functions of the bytes on storage.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod fault;
 pub mod recover;

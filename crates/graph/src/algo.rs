@@ -104,7 +104,10 @@ pub fn apsp_floyd_warshall(g: &Graph) -> Vec<Vec<Weight>> {
                 continue; // k == i relaxes through d[i][i] = 0: a no-op
             }
             let (before_i, from_i) = d.split_at_mut(i);
-            // aa-lint: allow(AA01, from_i is the suffix starting at i < n, so it has at least one row)
+            #[expect(
+                clippy::expect_used,
+                reason = "from_i is the suffix starting at i < n, so it has at least one row"
+            )]
             let (row_i, after_i) = from_i.split_first_mut().expect("i < n");
             let row_k: &[u32] = if k < i {
                 &before_i[k]

@@ -94,7 +94,6 @@ pub fn eigenvector_centrality(g: &Graph, max_iters: usize, tol: f64) -> Option<V
             }
         }
         let norm = next.iter().map(|a| a * a).sum::<f64>().sqrt();
-        // aa-lint: allow(AA03, exact-zero guard against dividing by a zero norm; any nonzero norm is fine)
         if norm == 0.0 {
             return Some(x); // no edges: the uniform vector is as good as any
         }
@@ -276,7 +275,6 @@ pub fn approx_closeness(g: &Graph, k: usize, seed: u64) -> Vec<f64> {
     let scale = n as f64 / pivots.len() as f64;
     (0..cap)
         .map(|v| {
-            // aa-lint: allow(AA03, an unreached vertex has an exactly-zero distance sum by construction)
             if reached[v] == 0 || sums[v] == 0.0 {
                 0.0
             } else {

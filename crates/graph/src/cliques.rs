@@ -45,6 +45,10 @@ fn bron_kerbosch(
         return;
     }
     // Pivot: the vertex of P ∪ X with the most neighbours in P.
+    #[expect(
+        clippy::expect_used,
+        reason = "guarded by the is_empty early-return at the top of the recursion"
+    )]
     let pivot = p
         .iter()
         .chain(x.iter())
@@ -54,7 +58,6 @@ fn bron_kerbosch(
             let count = p.intersection(&nu).count();
             (count, std::cmp::Reverse(u)) // deterministic tie-break
         })
-        // aa-lint: allow(AA01, guarded by the is_empty early-return at the top of the recursion)
         .expect("P ∪ X non-empty");
     let pivot_nbrs = neighbors_set(g, pivot);
     let candidates: Vec<VertexId> = {

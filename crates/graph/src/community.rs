@@ -38,7 +38,6 @@ impl Communities {
 /// `Q = Σ_c (in_c / 2m - (tot_c / 2m)^2)`.
 pub fn modularity(g: &Graph, label: &[usize]) -> f64 {
     let two_m = 2.0 * g.total_edge_weight() as f64;
-    // aa-lint: allow(AA03, 2m is exactly zero only for an edgeless graph; guard against dividing by it)
     if two_m == 0.0 {
         return 0.0;
     }
@@ -113,7 +112,6 @@ impl WorkGraph {
         let mut comm: Vec<usize> = (0..n).collect();
         let mut comm_tot: Vec<f64> = (0..n).map(|v| self.weighted_degree(v)).collect();
         let mut improved = false;
-        // aa-lint: allow(AA03, 2m is exactly zero only for an edgeless graph; guard against dividing by it)
         if two_m == 0.0 {
             return (comm, false);
         }
@@ -127,6 +125,10 @@ impl WorkGraph {
                 let k_v = self.weighted_degree(v);
                 // Weight from v to each neighbouring community.
                 let mut to_comm: HashMap<usize, f64> = HashMap::new();
+                #[expect(
+                    clippy::iter_over_hash_type,
+                    reason = "integer-weighted f64 sums are exact in any order"
+                )]
                 for (&u, &w) in &self.adj[v] {
                     *to_comm.entry(comm[u]).or_insert(0.0) += w;
                 }
@@ -175,6 +177,10 @@ impl WorkGraph {
         for v in 0..self.n() {
             let cv = dense_comm[v];
             self_loop[cv] += self.self_loop[v];
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "integer-weighted f64 sums are exact in any order"
+            )]
             for (&u, &w) in &self.adj[v] {
                 if u < v {
                     continue; // each undirected edge once

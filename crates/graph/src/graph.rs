@@ -126,6 +126,10 @@ impl Graph {
             .iter()
             .position(|&(x, _)| x == v)?;
         let (_, w) = self.adj[u as usize].swap_remove(pos);
+        #[expect(
+            clippy::expect_used,
+            reason = "graph invariant: an undirected edge is in both endpoints' adjacency lists"
+        )]
         let pos_v = self.adj[v as usize]
             .iter()
             .position(|&(x, _)| x == u)
@@ -141,6 +145,10 @@ impl Graph {
         assert!(self.is_alive(v), "remove_vertex: vertex {v} is not alive");
         let neighbors = std::mem::take(&mut self.adj[v as usize]);
         for &(u, _) in &neighbors {
+            #[expect(
+                clippy::expect_used,
+                reason = "graph invariant: an undirected edge is in both endpoints' adjacency lists"
+            )]
             let pos = self.adj[u as usize]
                 .iter()
                 .position(|&(x, _)| x == v)
@@ -188,6 +196,10 @@ impl Graph {
             let e = self.adj[u as usize].iter_mut().find(|(x, _)| *x == v)?;
             std::mem::replace(&mut e.1, w)
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "graph invariant: an undirected edge is in both endpoints' adjacency lists"
+        )]
         let e = self.adj[v as usize]
             .iter_mut()
             .find(|(x, _)| *x == u)

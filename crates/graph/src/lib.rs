@@ -1,4 +1,10 @@
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 //! Graph substrate for the anytime-anywhere closeness-centrality reproduction.
 //!
 //! The papers' experiments run on undirected, weighted, *dynamic* scale-free

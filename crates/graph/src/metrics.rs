@@ -27,9 +27,8 @@ pub fn degree_stats(g: &Graph) -> DegreeStats {
             histogram: Vec::new(),
         };
     }
-    // aa-lint: allow(AA01, the empty-graph early-return above guarantees degrees is non-empty; covers max on the next line)
-    let min = *degrees.iter().min().unwrap();
-    let max = *degrees.iter().max().unwrap();
+    let min = degrees.iter().copied().min().unwrap_or(0);
+    let max = degrees.iter().copied().max().unwrap_or(0);
     let mean = degrees.iter().sum::<usize>() as f64 / degrees.len() as f64;
     let mut histogram = vec![0usize; max + 1];
     for d in degrees {

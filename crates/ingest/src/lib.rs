@@ -20,7 +20,13 @@
 //! Everything is deterministic: ordered containers, virtual LogP time for
 //! latency accounting, no wall clocks and no randomness.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 mod coalesce;
 mod op;

@@ -65,13 +65,12 @@ impl CostLedger {
         Self::default()
     }
 
-    // aa-lint: allow(AA07, Phase::ALL enumerates every variant so the position lookup cannot miss)
+    #[expect(
+        clippy::unwrap_used,
+        reason = "Phase::ALL lists every Phase variant by definition"
+    )]
     fn idx(phase: Phase) -> usize {
-        Phase::ALL
-            .iter()
-            .position(|&p| p == phase)
-            // aa-lint: allow(AA01, Phase::ALL lists every Phase variant by definition)
-            .unwrap()
+        Phase::ALL.iter().position(|&p| p == phase).unwrap()
     }
 
     /// Records `messages` model messages carrying `bytes` payload bytes.

@@ -1,4 +1,10 @@
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 //! LogP/LogGP cost model and communication schedules.
 //!
 //! The papers analyze their algorithms in the LogP model (Culler et al.) and

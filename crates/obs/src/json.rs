@@ -58,7 +58,6 @@ impl Scalar {
     /// The value as a `u64`, if numeric and integral.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            // aa-lint: allow(AA03, fract()==0.0 tests exact integrality of a parsed JSON number, not an estimate)
             Scalar::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
                 Some(*v as u64)
             }

@@ -1,4 +1,10 @@
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 //! Dependency-free observability for the anytime-anywhere engine.
 //!
 //! Three pieces, all deterministic and allocation-light:

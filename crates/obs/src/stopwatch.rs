@@ -1,16 +1,15 @@
 //! The one sanctioned wall-clock boundary in the workspace.
 //!
-//! The deterministic core (aa-core / aa-runtime / aa-durable) may not touch
-//! `Instant` directly: sim-as-oracle differential testing replays the same
-//! seeded run twice and diffs every byte of state, so any clock read that
-//! leaks into control flow or stored state breaks the oracle. Measured
-//! compute still has to be *charged* somewhere, though — the LogP ledger
-//! records how long each phase really took. [`Stopwatch`] is that boundary:
-//! it reads the clock, hands back an opaque `Duration`, and its contract
-//! (enforced by review, vouched for by the `allow(AA08)` pragmas below) is
-//! that the value flows only into observability sinks — span logs, the
-//! measured-compute ledger, progress samples — never into branches, seeds,
-//! or recombination state.
+//! No crate may touch `Instant` directly (clippy.toml's `disallowed-types`):
+//! sim-as-oracle differential testing replays the same seeded run twice and
+//! diffs every byte of state, so any clock read that leaks into control flow
+//! or stored state breaks the oracle. Measured compute still has to be
+//! *charged* somewhere, though — the LogP ledger records how long each phase
+//! really took. [`Stopwatch`] is that boundary: it reads the clock, hands
+//! back an opaque `Duration`, and its contract (enforced by review, vouched
+//! for by the `#[expect]` below) is that the value flows only into
+//! observability sinks — span logs, the measured-compute ledger, progress
+//! samples — never into branches, seeds, or recombination state.
 //!
 //! Call sites read exactly like the `Instant` idiom they replace:
 //!
@@ -19,6 +18,11 @@
 //! // ... work ...
 //! let took = t.elapsed();
 //! ```
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "observability boundary — the clock value is charged to the LogP ledger and span logs only and never feeds control flow or replayable state"
+)]
 
 use std::time::{Duration, Instant};
 
@@ -30,7 +34,6 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Starts timing now.
-    // aa-lint: allow(AA08, observability boundary — the clock value is charged to the LogP ledger and span logs only and never feeds control flow or replayable state)
     pub fn start() -> Self {
         Stopwatch {
             started: Instant::now(),
@@ -38,7 +41,6 @@ impl Stopwatch {
     }
 
     /// Wall time since [`Stopwatch::start`].
-    // aa-lint: allow(AA08, observability boundary — same contract as start)
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()
     }

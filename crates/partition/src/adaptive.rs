@@ -77,9 +77,15 @@ impl AdaptiveMultilevel {
         let stop_at = (self.coarse_factor * k).max(200);
         let mut levels = vec![base];
         let mut part = fine_part.clone();
-        // aa-lint: allow(AA01, levels starts with one element and only grows — last() cannot be empty)
+        #[expect(
+            clippy::unwrap_used,
+            reason = "levels starts with one element and only grows — last() cannot be empty"
+        )]
         while levels.last().unwrap().n() > stop_at {
-            // aa-lint: allow(AA01, same non-empty invariant as the loop condition)
+            #[expect(
+                clippy::unwrap_used,
+                reason = "same non-empty invariant as the loop condition"
+            )]
             let last = levels.last().unwrap();
             let matched = labeled_matching(last, &part, &mut rng);
             let next = contract(last, &matched);
@@ -104,7 +110,10 @@ impl AdaptiveMultilevel {
 
         // Fix unlabelled coarse vertices (all-new regions): lightest part.
         {
-            // aa-lint: allow(AA01, levels is never emptied after its seeded first element)
+            #[expect(
+                clippy::unwrap_used,
+                reason = "levels is never emptied after its seeded first element"
+            )]
             let coarsest = levels.last().unwrap();
             let mut weight = vec![0u64; k];
             for (v, &lbl) in part.iter().enumerate() {
@@ -124,10 +133,16 @@ impl AdaptiveMultilevel {
 
         // Repair any imbalance (growth may have landed unevenly), then refine
         // on the way back up.
-        // aa-lint: allow(AA01, levels is never emptied after its seeded first element)
+        #[expect(
+            clippy::unwrap_used,
+            reason = "levels is never emptied after its seeded first element"
+        )]
         balance_pass(levels.last().unwrap(), &mut part, k, max_weight);
         for _ in 0..self.refine_passes {
-            // aa-lint: allow(AA01, levels is never emptied after its seeded first element)
+            #[expect(
+                clippy::unwrap_used,
+                reason = "levels is never emptied after its seeded first element"
+            )]
             if !refine_pass(levels.last().unwrap(), &mut part, k, max_weight) {
                 break;
             }

@@ -1,4 +1,10 @@
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 //! Graph partitioning substrate — the reproduction's METIS/ParMETIS substitute.
 //!
 //! The anytime-anywhere papers use ParMETIS for domain decomposition, METIS

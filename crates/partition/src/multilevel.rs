@@ -253,7 +253,10 @@ fn initial_partition(level: &Level, k: usize, max_weight: u64, rng: &mut ChaCha8
     let mut sizes = sizes;
     for (v, lbl) in part.iter_mut().enumerate() {
         if *lbl == usize::MAX {
-            // aa-lint: allow(AA01, k is at least 1 so the 0..k range is non-empty)
+            #[expect(
+                clippy::unwrap_used,
+                reason = "k is at least 1 so the 0..k range is non-empty"
+            )]
             let p = (0..k).min_by_key(|&p| sizes[p]).unwrap();
             *lbl = p;
             sizes[p] += level.vw[v];
@@ -336,9 +339,15 @@ impl Partitioner for MultilevelKWay {
         // Coarsen.
         let stop_at = (self.coarse_factor * k).max(200);
         let mut levels: Vec<Level> = vec![base];
-        // aa-lint: allow(AA01, levels starts with one element and only grows — last() cannot be empty)
+        #[expect(
+            clippy::unwrap_used,
+            reason = "levels starts with one element and only grows — last() cannot be empty"
+        )]
         while levels.last().unwrap().n() > stop_at {
-            // aa-lint: allow(AA01, same non-empty invariant as the loop condition)
+            #[expect(
+                clippy::unwrap_used,
+                reason = "same non-empty invariant as the loop condition"
+            )]
             let last = levels.last().unwrap();
             let matched = heavy_edge_matching(last, &mut rng);
             let next = contract(last, &matched);
@@ -349,7 +358,10 @@ impl Partitioner for MultilevelKWay {
         }
 
         // Initial partition on the coarsest level.
-        // aa-lint: allow(AA01, levels is never emptied after its seeded first element)
+        #[expect(
+            clippy::unwrap_used,
+            reason = "levels is never emptied after its seeded first element"
+        )]
         let coarsest = levels.last().unwrap();
         let mut part = initial_partition(coarsest, k, max_weight, &mut rng);
         for _ in 0..self.refine_passes {

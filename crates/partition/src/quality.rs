@@ -50,7 +50,10 @@ pub fn balance(p: &Partition) -> f64 {
     if total == 0 {
         return 1.0;
     }
-    // aa-lint: allow(AA01, the empty-partition early-return above guarantees sizes is non-empty)
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the empty-partition early-return above guarantees sizes is non-empty"
+    )]
     let max = *sizes.iter().max().unwrap();
     max as f64 * p.num_parts as f64 / total as f64
 }

@@ -1,4 +1,10 @@
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 //! Anytime top-k closeness queries over the running engine.
 //!
 //! Production traffic asks "who are the k most central vertices?", not
@@ -43,7 +49,6 @@
 mod monotone;
 pub mod pivots;
 
-// Under `tests/` so that aa-lint classes the file as test code by path.
 #[cfg(test)]
 #[path = "tests/equivalence.rs"]
 mod equivalence_tests;

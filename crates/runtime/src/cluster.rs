@@ -1,5 +1,8 @@
 //! The [`SimCluster`]: byte-accounted collectives over LogP virtual clocks.
 
+#![deny(clippy::indexing_slicing)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use aa_logp::{schedule, CostLedger, LogPParams, Phase, VirtualClocks};
 use std::time::Duration;
 
@@ -131,7 +134,10 @@ impl SimCluster {
     /// deterministic order. Transfers are charged per the configured
     /// [`ExchangeMode`]. `outbox.len()` must equal the processor count, and
     /// self-sends are forbidden (local data never touches the network).
-    // aa-lint: allow(AA07, every dst is asserted below proc_count before the p*p pair table sized from proc_count is touched)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every dst is asserted below proc_count before the p*p pair table sized from proc_count is touched"
+    )]
     pub fn exchange<T>(
         &mut self,
         phase: Phase,
@@ -158,7 +164,10 @@ impl SimCluster {
 
     /// Charges aggregated per-(src, dst) byte counts to the clocks and
     /// ledger along the configured schedule, tracing each model transfer.
-    // aa-lint: allow(AA07, the schedule enumerates src and dst below p and per_pair_bytes is p*p by construction in exchange)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the schedule enumerates src and dst below p and per_pair_bytes is p*p by construction in exchange"
+    )]
     fn charge_pairs(&mut self, phase: Phase, per_pair_bytes: &[usize]) {
         let p = self.proc_count();
         match self.mode {
@@ -243,6 +252,10 @@ impl SimCluster {
     /// All-reduce over one `f64` per processor with the given combiner
     /// (sum, max, …). Charges a tree gather + broadcast of 8-byte values and
     /// synchronizes clocks.
+    #[expect(
+        clippy::expect_used,
+        reason = "proc_count is asserted >= 1 at construction so the reduce has at least one element"
+    )]
     pub fn all_reduce_f64<F>(&mut self, phase: Phase, values: &[f64], combine: F) -> f64
     where
         F: Fn(f64, f64) -> f64,
@@ -260,7 +273,6 @@ impl SimCluster {
             .iter()
             .copied()
             .reduce(&combine)
-            // aa-lint: allow(AA01, proc_count is asserted >= 1 at construction so the reduce has at least one element)
             .expect("at least one processor")
     }
 

@@ -1,4 +1,10 @@
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 //! A deterministic simulated message-passing cluster — the MPI substitute.
 //!
 //! The papers run on a 32-node MPI cluster. This runtime replaces it with a

@@ -95,7 +95,6 @@ impl ThreadCluster {
     /// that rank's state slot, charging each rank's measured wall time to
     /// the virtual clocks afterwards in rank order. Semantics match the
     /// simulator's sequential loop.
-    // aa-lint: allow(AA07, per-rank vectors are sized to states.len() and every rank comes from enumerate over them)
     pub(crate) fn run_on_ranks<S, I, R, F>(
         &mut self,
         phase: Phase,
@@ -126,8 +125,11 @@ impl ThreadCluster {
                     for (rank, state, input) in lane {
                         let t = Stopwatch::start();
                         let r = f(rank, state, input);
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the coordinator drains the channel until every worker hangs up; a dead receiver is a panic already in flight"
+                        )]
                         tx.send((rank, (r, t.elapsed())))
-                            // aa-lint: allow(AA01, the coordinator drains the channel until every worker hangs up; a dead receiver is a panic already in flight)
                             .expect("rank-stage receiver alive until workers finish");
                     }
                 });
@@ -143,7 +145,10 @@ impl ThreadCluster {
             .into_iter()
             .enumerate()
             .map(|(rank, slot)| {
-                // aa-lint: allow(AA01, every rank 0..p was assigned to exactly one lane above, so every slot is filled once the scope joins)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every rank 0..p was assigned to exactly one lane above, so every slot is filled once the scope joins"
+                )]
                 let (r, elapsed) = slot.expect("every rank ran exactly once");
                 self.sim.compute_measured(rank, phase, elapsed);
                 r

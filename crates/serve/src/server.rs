@@ -403,7 +403,6 @@ impl Server {
                     Some(seq) => {
                         self.stats.writes_logged += 1;
                         self.count_write("logged");
-                        // aa-lint: allow(AA09, the sequence number exists only because Session::push appended the op to the WAL before returning it)
                         WriteOutcome::Logged {
                             seq,
                             admission: outcome.admission,

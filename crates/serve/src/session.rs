@@ -100,7 +100,6 @@ impl Session {
     /// is the engine over the graph file, used only when no checkpoint
     /// decodes — pass it uninitialized, so a restart from a checkpoint pays
     /// for neither domain decomposition nor initial approximation.
-    // aa-lint: allow(AA07, start-up path that runs once before any request is admitted; the panic recover can reach — a checkpoint that passes its CRC yet decodes inconsistently — aborts a start not a serving loop and stays recorded as AA07 debt at durable/recover.rs)
     pub fn open_durable(
         mut storage: Box<dyn Storage>,
         base: AnytimeEngine,
