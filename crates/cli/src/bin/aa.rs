@@ -4,6 +4,7 @@
 //! aa analyze  <graph> [--format F] [--procs P] [--top K] [--strategy S]
 //!                     [--stream FILE] [--save-checkpoint FILE] [--resume FILE]
 //! aa stream   <graph> <updates> [--batch N] [--queue-cap N] [--drain-policy P]
+//! aa serve    <graph> [--turns N] [--offered N] [--data-dir DIR] [--verify-recovery]
 //! aa partition <graph> --parts K [--format F]
 //! aa convert  <in> <out> [--from F] [--to F]
 //! ```
@@ -62,6 +63,16 @@ fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("{USAGE}");
     exit(2)
+}
+
+/// Takes the one graph path `cmd` accepts: a second is a usage error, not a
+/// silent override of the first.
+fn set_graph(slot: &mut Option<PathBuf>, arg: &str, cmd: &str) {
+    if slot.replace(PathBuf::from(arg)).is_some() {
+        fail(&format!(
+            "{cmd} takes one graph file, got a second: {arg:?}"
+        ));
+    }
 }
 
 fn parse_strategy(s: &str) -> AdditionStrategy {
@@ -136,7 +147,7 @@ fn run_analyze(args: &[String]) -> Result<String, String> {
                     .parse()
                     .map_err(|_| "invalid --threads")?
             }
-            other if !other.starts_with('-') => positional = Some(PathBuf::from(other)),
+            other if !other.starts_with('-') => set_graph(&mut positional, other, "analyze"),
             other => fail(&format!("unknown flag {other:?}")),
         }
     }
@@ -242,7 +253,7 @@ fn run_serve(args: &[String]) -> Result<String, String> {
                     .parse()
                     .map_err(|_| "invalid --threads")?
             }
-            other if !other.starts_with('-') => positional = Some(PathBuf::from(other)),
+            other if !other.starts_with('-') => set_graph(&mut positional, other, "serve"),
             other => fail(&format!("unknown flag {other:?}")),
         }
     }
@@ -264,7 +275,7 @@ fn run_partition(args: &[String]) -> Result<String, String> {
         match a.as_str() {
             "--parts" => parts = value("--parts").parse().map_err(|_| "invalid --parts")?,
             "--format" => format = Some(Format::parse(&value("--format"))?),
-            other if !other.starts_with('-') => input = Some(PathBuf::from(other)),
+            other if !other.starts_with('-') => set_graph(&mut input, other, "partition"),
             other => fail(&format!("unknown flag {other:?}")),
         }
     }

@@ -314,7 +314,6 @@ impl AnytimeEngine {
             return Err(bad("checkpoint has trailing bytes"));
         }
 
-        let p = config.num_procs;
         let cluster = crate::engine::build_cluster(&config);
         let engine = AnytimeEngine {
             world,
@@ -326,7 +325,6 @@ impl AnytimeEngine {
             converged,
             initialized: true,
             rr_cursor,
-            pivot_pending: vec![false; p],
             invalidation_epoch: 0,
             obs: crate::obs::EngineObs::default(),
         };

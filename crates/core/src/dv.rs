@@ -782,17 +782,10 @@ impl DistanceMatrix {
     }
 
     /// `dst_row[t] = min(dst_row[t], src_row[t] + offset)` where both rows
-    /// live in this matrix: for every column, or if `logged` for those in
-    /// `src`'s log — all that can lower `dst` when the propagation invariant
-    /// holds for the edge between them. Returns whether anything changed; a
-    /// self-relax is a no-op.
-    pub fn relax_rows_on(
-        &mut self,
-        dst: VertexId,
-        src: VertexId,
-        offset: Weight,
-        logged: bool,
-    ) -> bool {
+    /// live in this matrix, for the columns `t` in `src`'s log — all that can
+    /// lower `dst` when the propagation invariant holds for the edge between
+    /// them. Returns whether anything changed; a self-relax is a no-op.
+    pub fn relax_rows_on(&mut self, dst: VertexId, src: VertexId, offset: Weight) -> bool {
         let (di, si) = (self.row_index(dst), self.row_index(src));
         if di == si {
             return false;
@@ -802,8 +795,7 @@ impl DistanceMatrix {
         };
         let (dst_row, src_row) = pair_mut(&mut self.rows, di, si);
         let (dst_log, src_log) = pair_mut(&mut self.logs, di, si);
-        let cols = if logged { src_log } else { &ColumnSet::EVERY };
-        relax_on(dst_row, (dst_log, dst_unsent), src_row, offset, cols)
+        relax_on(dst_row, (dst_log, dst_unsent), src_row, offset, src_log)
     }
 
     /// Relaxes every column of the row of `dst` against an external row.
@@ -1064,7 +1056,7 @@ mod tests {
         assert!(m.log(0).is_empty());
         // Row 0 learns column 2 from row 1 and nothing else: column 1,
         // which row 1 could also improve, is not in row 1's log.
-        assert!(m.relax_rows_on(0, 1, 1, true));
+        assert!(m.relax_rows_on(0, 1, 1));
         assert_eq!(m.row(0)[..3], [0, INF, 5]);
         assert!(m.log(0).contains(2) && !m.log(0).contains(1));
         // The unsent log saw the same writes, and outlives the propagation.
@@ -1245,11 +1237,12 @@ mod tests {
         m.add_row(0);
         m.add_row(1);
         m.row_mut(1)[2] = 4;
-        assert!(m.relax_rows_on(0, 1, 1, false)); // d(0,*) <= 1 + d(1,*)
+        // Fresh rows log every column, so every column is relaxed.
+        assert!(m.relax_rows_on(0, 1, 1)); // d(0,*) <= 1 + d(1,*)
         assert_eq!(m.row(0), &[0, 1, 5]);
-        assert!(!m.relax_rows_on(0, 0, 1, false), "self relax is a no-op");
+        assert!(!m.relax_rows_on(0, 0, 1), "self relax is a no-op");
         // Reverse direction with the dst stored after src.
-        assert!(m.relax_rows_on(1, 0, 1, false));
+        assert!(m.relax_rows_on(1, 0, 1));
         assert_eq!(m.row(1)[0], 1);
     }
 

@@ -758,7 +758,7 @@ pub(crate) mod reference {
             ps.cache.raise_entries(b, &targets);
         }
         for &x in &dirtied {
-            let fresh = ps.local_sssp(x, crate::config::IaAlgorithm::Dijkstra);
+            let fresh = ps.local_sssp(x);
             ps.dv.relax_with_external(x, &fresh, 0);
             ps.relax_from_cache(x, &ColumnSet::EVERY);
             ps.dirty.insert(x);

@@ -5,7 +5,7 @@
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use crate::closeness::Snapshot;
-use crate::config::{EngineConfig, Refinement};
+use crate::config::EngineConfig;
 use crate::obs::EngineObs;
 use crate::proc_state::{ProcState, RowUpdate};
 use aa_graph::{Graph, VertexId, Weight, INF};
@@ -33,10 +33,6 @@ pub struct AnytimeEngine {
     pub(crate) initialized: bool,
     /// Cursor for round-robin processor assignment of new vertices.
     pub(crate) rr_cursor: usize,
-    /// Per-processor flag: a pivot pass improved something last step, so
-    /// another pass is owed even if no new boundary rows arrive
-    /// (PivotPass refinement only).
-    pub(crate) pivot_pending: Vec<bool>,
     /// Bumped by every deletion (and weight increase): estimates from an
     /// older epoch may be underestimates of the current graph.
     pub(crate) invalidation_epoch: u64,
@@ -57,7 +53,6 @@ pub(crate) fn build_cluster(config: &EngineConfig) -> Cluster {
         config.backend,
         config.num_procs,
         config.logp,
-        config.exchange,
         config.threads,
     )
     .unwrap_or_else(|e| panic!("cannot build execution backend: {e}"));
@@ -82,7 +77,6 @@ impl AnytimeEngine {
             converged: false,
             initialized: false,
             rr_cursor: 0,
-            pivot_pending: vec![false; p],
             invalidation_epoch: 0,
             obs: EngineObs::default(),
         }
@@ -187,12 +181,11 @@ impl AnytimeEngine {
         // execution backend (sequential on the simulator, worker threads on
         // the threads backend).
         let ia_span = self.span_open();
-        let ia = self.config.ia;
         self.cluster.run_on_ranks(
             Phase::InitialApproximation,
             &mut self.procs,
             vec![(); p],
-            |_, ps, ()| ps.initial_approximation(ia),
+            |_, ps, ()| ps.initial_approximation(),
         );
         self.cluster.barrier();
         self.span_close(ia_span, "initial-approximation", format!("p={p}"));
@@ -200,7 +193,6 @@ impl AnytimeEngine {
         self.rc_steps_done = 0;
         self.converged = false;
         self.initialized = true;
-        self.pivot_pending = vec![false; p];
     }
 
     /// One recombination step: exchange the distance vectors of boundary
@@ -281,33 +273,23 @@ impl AnytimeEngine {
 
         // 3. Apply received rows and refine locally, one closure per rank
         // on the backend.
-        let refinement = self.config.refinement;
-        let apply_inputs: Vec<_> = inbox
-            .into_iter()
-            .zip(self.pivot_pending.iter().copied())
-            .collect();
-        self.pivot_pending = self.cluster.run_on_ranks(
+        self.cluster.run_on_ranks(
             Phase::Recombination,
             &mut self.procs,
-            apply_inputs,
-            |_, ps, (received, pending)| {
+            inbox,
+            |_, ps, received| {
                 for (_, (v, update)) in received {
                     ps.apply_row_update(v, update);
                 }
                 // The frontier holds what the inbound rows just lowered and
                 // whatever a dynamic event or a migration installed since the
-                // last step. Both refinements drain it; the pivot pass is a
-                // further closure on top, owed whenever the drain had
-                // something to move.
-                let moved = ps.propagate();
-                refinement == Refinement::PivotPass && (moved || pending) && ps.pivot_pass()
+                // last step; draining it reaches the local fixed point.
+                ps.propagate();
             },
         );
 
         // 4. Global termination test.
-        let flags: Vec<bool> = (self.pivot_pending.iter().zip(&self.procs))
-            .map(|(&pending, ps)| pending || !ps.is_quiescent())
-            .collect();
+        let flags: Vec<bool> = self.procs.iter().map(|ps| !ps.is_quiescent()).collect();
         let any = self.cluster.all_reduce_or(Phase::Recombination, &flags);
         self.converged = !any;
         self.span_close(rc_span, "recombination", format!("step {now}"));
@@ -608,23 +590,6 @@ mod tests {
         assert_matches_oracle(&e);
         let d = e.distances_dense();
         assert_eq!(d[0][19], INF);
-    }
-
-    #[test]
-    fn pivot_pass_refinement_also_converges_to_oracle() {
-        let g = generators::barabasi_albert(120, 2, 2, 9);
-        let mut e = AnytimeEngine::new(
-            g,
-            EngineConfig {
-                num_procs: 4,
-                refinement: Refinement::PivotPass,
-                ..Default::default()
-            },
-        );
-        e.initialize();
-        e.run_to_convergence(200);
-        assert!(e.is_converged(), "pivot-pass refinement failed to converge");
-        assert_matches_oracle(&e);
     }
 
     #[test]

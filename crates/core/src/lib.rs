@@ -78,7 +78,7 @@ pub use aa_obs::{
     decode_jsonl, encode_jsonl, kendall_tau, MetricsRegistry, ProgressSample, SpanLog, SpanRecord,
 };
 pub use closeness::Snapshot;
-pub use config::{EngineConfig, IaAlgorithm, PartitionerKind, Refinement, RepartitionMode};
+pub use config::{EngineConfig, PartitionerKind};
 pub use dynamic::{Endpoint, VertexBatch};
 pub use engine::AnytimeEngine;
 pub use feed::BoundDelta;

@@ -404,113 +404,32 @@ impl ProcState {
         }
     }
 
-    /// Local single-source shortest paths with the configured algorithm.
-    /// All variants treat external boundary vertices as reachable sinks.
-    pub fn local_sssp(&self, source: VertexId, algo: crate::config::IaAlgorithm) -> Vec<Weight> {
+    /// Local single-source shortest paths (the local Dijkstra, into a fresh
+    /// row): external boundary vertices are reachable sinks.
+    pub fn local_sssp(&self, source: VertexId) -> Vec<Weight> {
         let mut dist = vec![INF; self.adj.len()];
-        self.local_sssp_into(source, algo, &mut dist);
+        self.local_dijkstra(source, &mut dist);
         dist
-    }
-
-    /// [`Self::local_sssp`] written over the full-width row `dist`.
-    fn local_sssp_into(
-        &self,
-        source: VertexId,
-        algo: crate::config::IaAlgorithm,
-        dist: &mut [Weight],
-    ) {
-        use crate::config::IaAlgorithm;
-        dist.fill(INF);
-        match algo {
-            IaAlgorithm::Dijkstra => self.local_dijkstra(source, dist),
-            IaAlgorithm::DeltaStepping { delta } => self.local_delta_stepping(source, delta, dist),
-            IaAlgorithm::BellmanFord => self.local_bellman_ford(source, dist),
-        }
-    }
-
-    /// Δ-stepping restricted to the local sub-graph (see
-    /// [`aa_graph::centrality::delta_stepping`] for the sequential analogue).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time — and the delta precondition is an assert naming its contract"
-    )]
-    fn local_delta_stepping(&self, source: VertexId, delta: Weight, dist: &mut [Weight]) {
-        assert!(delta >= 1, "delta must be at least 1");
-        dist[source as usize] = 0;
-        let mut buckets: Vec<Vec<VertexId>> = vec![vec![source]];
-        let mut bi = 0usize;
-        while bi < buckets.len() {
-            while let Some(v) = buckets[bi].pop() {
-                let dv = dist[v as usize];
-                if dv == INF || (dv / delta) as usize != bi {
-                    continue;
-                }
-                if !self.is_local[v as usize] {
-                    continue; // an external `source`: reachable, not expandable
-                }
-                for &(u, w) in &self.adj[v as usize] {
-                    let nd = dv.saturating_add(w);
-                    if nd < dist[u as usize] {
-                        dist[u as usize] = nd;
-                        if !self.is_local[u as usize] {
-                            continue; // written, never bucketed
-                        }
-                        let b = (nd / delta) as usize;
-                        if buckets.len() <= b {
-                            buckets.resize(b + 1, Vec::new());
-                        }
-                        buckets[b].push(u);
-                    }
-                }
-            }
-            bi += 1;
-            while bi < buckets.len() && buckets[bi].is_empty() {
-                bi += 1;
-            }
-        }
-    }
-
-    /// Bellman–Ford sweeps over the local edges to a fixed point.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
-    )]
-    fn local_bellman_ford(&self, source: VertexId, dist: &mut [Weight]) {
-        dist[source as usize] = 0;
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for v in 0..self.adj.len() {
-                if !self.is_local[v] || dist[v] == INF {
-                    continue;
-                }
-                for &(u, w) in &self.adj[v] {
-                    let nd = dist[v].saturating_add(w);
-                    if nd < dist[u as usize] {
-                        dist[u as usize] = nd;
-                        changed = true;
-                    }
-                }
-            }
-        }
     }
 
     /// Runs the local SSSP from owned vertex `s` straight into its distance
     /// vector, and marks the row dirty.
-    pub fn seed_row(&mut self, s: VertexId, algo: crate::config::IaAlgorithm) {
+    pub fn seed_row(&mut self, s: VertexId) {
         // The SSSP reads the view while writing the matrix: take the matrix
         // out of `self` for the duration.
         let mut dv = std::mem::take(&mut self.dv);
-        self.local_sssp_into(s, algo, dv.row_mut(s));
+        let row = dv.row_mut(s);
+        row.fill(INF);
+        self.local_dijkstra(s, row);
         self.dv = dv;
         self.dirty.insert(s);
     }
 
     /// Initial approximation: computes the local-sub-graph APSP rows for all
     /// owned vertices ([`Self::seed_row`]).
-    pub fn initial_approximation(&mut self, algo: crate::config::IaAlgorithm) {
+    pub fn initial_approximation(&mut self) {
         for s in self.dv.vertices().to_vec() {
-            self.seed_row(s, algo);
+            self.seed_row(s);
         }
         // Exact local shortest paths obey the triangle inequality over every
         // local edge, so the propagation invariant holds on all columns.
@@ -558,7 +477,7 @@ impl ProcState {
                 }
                 let lowered = match cached {
                     Some((row, log)) => self.dv.relax_with_external_on(u, row, w, log),
-                    None => self.dv.relax_rows_on(u, v, w, true),
+                    None => self.dv.relax_rows_on(u, v, w),
                 };
                 if lowered {
                     self.dirty.insert(u);
@@ -575,39 +494,6 @@ impl ProcState {
             }
         }
         moved
-    }
-
-    /// The papers' Floyd–Warshall refinement variant: one pass relaxing every
-    /// owned row through every local *boundary* pivot (`D[u][*] = min(D[u][*],
-    /// D[u][l] + D[l][*])`). Marks improved rows dirty. Returns whether
-    /// anything changed.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "pivots and rows both come from the matrix's own vertex list and row width equals capacity, so row(u)[l] is in range"
-    )]
-    pub fn pivot_pass(&mut self) -> bool {
-        let pivots: Vec<VertexId> = self
-            .dv
-            .vertices()
-            .iter()
-            .copied()
-            .filter(|&l| self.is_boundary(l))
-            .collect();
-        let rows: Vec<VertexId> = self.dv.vertices().to_vec();
-        let mut changed = false;
-        for &l in &pivots {
-            for &u in &rows {
-                if u == l {
-                    continue;
-                }
-                let offset = self.dv.row(u)[l as usize];
-                if offset != INF && self.dv.relax_rows_on(u, l, offset, false) {
-                    changed = true;
-                    self.dirty.insert(u);
-                }
-            }
-        }
-        changed
     }
 
     /// Re-relaxes the columns `cols` of local vertex `u` through the cached
@@ -671,8 +557,8 @@ mod tests {
     /// rank 1's row of vertex 2 and at its local fixed point.
     fn split_path_with_copy_of_2() -> ProcState {
         let (_, _, mut p0, mut p1) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p1.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
+        p1.initial_approximation();
         p0.apply_row_update(2, RowUpdate::Full(p1.dv.row(2).to_vec()));
         p0.propagate();
         p0
@@ -707,7 +593,7 @@ mod tests {
     #[test]
     fn local_dijkstra_stops_at_external_vertices() {
         let (_, _, p0, _) = split_path();
-        let d = p0.local_sssp(0, crate::config::IaAlgorithm::Dijkstra);
+        let d = p0.local_sssp(0);
         assert_eq!(d[0], 0);
         assert_eq!(d[1], 1);
         assert_eq!(d[2], 2, "external boundary vertex is reachable");
@@ -736,13 +622,7 @@ mod tests {
     }
 
     #[test]
-    fn ia_rows_agree_across_algorithms_on_an_rmat_part_with_externals() {
-        use crate::config::IaAlgorithm;
-        let algos = [
-            IaAlgorithm::Dijkstra,
-            IaAlgorithm::DeltaStepping { delta: 2 },
-            IaAlgorithm::BellmanFord,
-        ];
+    fn local_dijkstra_matches_the_enqueueing_reference_on_an_rmat_part() {
         let g = aa_graph::rmat::rmat(8, 1024, Default::default(), 4, 7);
         let part = RoundRobinPartitioner.partition(&g, 4);
         let mut ps = ProcState::new(1, g.capacity());
@@ -754,21 +634,17 @@ mod tests {
         assert!(externals.len() > owned.len(), "most edges are cut");
         for &s in &owned {
             let before = dijkstra_enqueueing_externals(&ps, s);
-            for algo in algos {
-                assert_eq!(ps.local_sssp(s, algo), before, "{algo:?} from {s}");
-            }
+            assert_eq!(ps.local_sssp(s), before, "from {s}");
         }
         // A source that is external here is reached and not expanded.
-        for algo in algos {
-            let row = ps.local_sssp(externals[0] as VertexId, algo);
-            assert_eq!(row.iter().filter(|&&d| d != INF).count(), 1, "{algo:?}");
-        }
+        let row = ps.local_sssp(externals[0] as VertexId);
+        assert_eq!(row.iter().filter(|&&d| d != INF).count(), 1);
     }
 
     #[test]
     fn initial_approximation_fills_rows_and_dirties() {
         let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
         assert_eq!(p0.dv.row(0), &[0, 1, 2, INF]);
         assert_eq!(p0.dv.row(1), &[1, 0, 1, INF]);
         assert_eq!(p0.dirty.len(), 2);
@@ -777,8 +653,8 @@ mod tests {
     #[test]
     fn external_row_application_relaxes_neighbors() {
         let (_, _, mut p0, mut p1) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p1.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
+        p1.initial_approximation();
         // p1 sends row of vertex 2 to p0: the copy joins the frontier, on
         // its finite columns.
         let row2 = p1.dv.row(2).to_vec();
@@ -798,21 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn pivot_pass_spreads_boundary_knowledge() {
-        let (_, _, mut p0, mut p1) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        p1.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
-        let row2 = p1.dv.row(2).to_vec();
-        p0.apply_row_update(2, RowUpdate::Full(row2));
-        assert!(p0.relax_from_cache(1, &ColumnSet::EVERY));
-        // Row 1 now knows d(1,3)=2; a pivot pass through boundary vertex 1
-        // must teach row 0.
-        assert!(p0.pivot_pass());
-        assert_eq!(p0.dv.row(0)[3], 3);
-        assert!(!p0.pivot_pass(), "second pass is a fixed point");
-    }
-
-    #[test]
     fn view_edge_updates() {
         let (_, _, mut p0, _) = split_path();
         p0.view_add_edge(0, 3, 5); // 3 is external: recorded from both sides
@@ -829,7 +690,7 @@ mod tests {
     #[test]
     fn extend_capacity_grows_everything() {
         let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
         p0.cache_broadcast_row(2, &[2, 1, 0, 1]);
         p0.extend_capacity(6);
         assert_eq!(p0.adj.len(), 6);
@@ -854,14 +715,14 @@ mod tests {
     #[test]
     fn reseed_overwrites_and_offset_zero_relax_takes_the_minimum() {
         let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
         p0.dv.row_mut(0)[1] = INF;
         assert!(p0.dv.relax_with_external(0, &[9, 1, 9, 9], 0));
         assert_eq!(p0.dv.row(0), &[0, 1, 2, 9]);
         assert!(!p0.dv.relax_with_external(0, &[9, 9, 9, 9], 0));
         // A reseed is the local SSSP itself, not a merge into what was there.
         p0.dirty.clear();
-        p0.seed_row(0, crate::config::IaAlgorithm::Dijkstra);
+        p0.seed_row(0);
         assert_eq!(p0.dv.row(0), &[0, 1, 2, INF]);
         assert!(p0.dirty.contains(&0) && frontier(&p0) == [0]);
     }
@@ -886,7 +747,7 @@ mod tests {
     #[test]
     fn first_send_is_full_then_delta() {
         let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
         // Nobody holds the row, and the raw writes of the initial
         // approximation say nothing about which entries moved.
         assert!(p0.unsent_delta(1).is_none());
@@ -913,7 +774,7 @@ mod tests {
     #[test]
     fn record_sent_drops_missed_destinations() {
         let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
         p0.record_sent(1, &[1, 0]);
         assert!(p0.dv.lower_entry(1, 3, 2));
         // Rank 0 no longer borders the row when it next goes out: it leaves
@@ -1010,7 +871,7 @@ mod tests {
     #[test]
     fn apply_delta_without_cache_starts_from_inf() {
         let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
         p0.apply_row_update(2, RowUpdate::delta(&[(3, 1)]));
         assert_eq!(
             p0.cache.row(2),
@@ -1025,7 +886,7 @@ mod tests {
     #[test]
     fn reset_send_state_forces_full_rows() {
         let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation(crate::config::IaAlgorithm::Dijkstra);
+        p0.initial_approximation();
         p0.record_sent(1, &[1]);
         p0.reset_send_state();
         assert!(matches!(update(&p0, 1, 1).unwrap(), RowUpdate::Full(_)));

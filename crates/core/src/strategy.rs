@@ -353,33 +353,16 @@ impl AnytimeEngine {
             };
             self.world.add_edge(u, v, w);
         }
-        // Repartition the grown graph. The default (FullRemap) reruns the
-        // full DD partitioner — as the papers do — and remaps the part
-        // labels onto the old partition so migration reflects structural
-        // moves only; the Adaptive ablation refines the current assignment
-        // in place (ParMETIS adaptive-repartitioning style). Parallel cost
+        // Repartition the grown graph the way the papers reuse ParMETIS:
+        // adaptive multilevel repartitioning from the current assignment, so
+        // vertices move only for cut gain or balance. Parallel cost
         // approximation as in initialize().
         let t = Stopwatch::start();
-        let new_partition = match self.config.repartition {
-            crate::config::RepartitionMode::AdaptiveMultilevel => {
-                aa_partition::AdaptiveMultilevel {
-                    seed: self.config.seed ^ 0xADA9,
-                    ..Default::default()
-                }
-                .repartition(&self.world, &self.partition, p)
-            }
-            crate::config::RepartitionMode::FullRemap => {
-                let fresh = self
-                    .config
-                    .partitioner
-                    .build(self.config.seed ^ (0xDEAD + self.world.capacity() as u64))
-                    .partition(&self.world, p);
-                aa_partition::adaptive::remap_labels(&self.partition, &fresh)
-            }
-            crate::config::RepartitionMode::Adaptive => {
-                aa_partition::AdaptiveRefine::default().repartition(&self.world, &self.partition, p)
-            }
-        };
+        let new_partition = aa_partition::AdaptiveMultilevel {
+            seed: self.config.seed ^ 0xADA9,
+            ..Default::default()
+        }
+        .repartition(&self.world, &self.partition, p);
         let elapsed = t.elapsed();
         for rank in 0..p {
             self.cluster
@@ -398,7 +381,7 @@ impl AnytimeEngine {
             for &id in &ids {
                 if self.partition.part_of(id) == Some(rank) {
                     self.procs[rank].dv.add_row(id);
-                    self.procs[rank].seed_row(id, self.config.ia);
+                    self.procs[rank].seed_row(id);
                 }
             }
             self.cluster

@@ -20,7 +20,7 @@
 //! must reset the same entries, and what the production path rebuilds must
 //! lie between the oracle and what the reference rebuilds.
 
-use crate::config::{EngineConfig, IaAlgorithm, PartitionerKind, Refinement, RepartitionMode};
+use crate::config::{EngineConfig, PartitionerKind};
 use crate::dv::reference;
 use crate::dynamic::reference as whole_row;
 use crate::dynamic::{Endpoint, VertexBatch};
@@ -244,25 +244,18 @@ fn apply_op(pair: &mut Pair, kind: u8, a: u32, b: u32, w: Weight) {
     }
 }
 
+/// The partitioner draw gives Repartition-S and the deletion sweep
+/// different boundary shapes to start from.
 fn arb_config() -> impl Strategy<Value = EngineConfig> {
-    (2usize..5, 0u8..3, 0u8..4, 0u64..1000).prop_map(|(procs, ia, flavour, seed)| EngineConfig {
+    (2usize..5, 0usize..4, 0u64..1000).prop_map(|(procs, kind, seed)| EngineConfig {
         num_procs: procs,
         seed,
-        ia: [
-            IaAlgorithm::Dijkstra,
-            IaAlgorithm::DeltaStepping { delta: 2 },
-            IaAlgorithm::BellmanFord,
-        ][ia as usize],
-        refinement: if flavour == 3 {
-            Refinement::PivotPass
-        } else {
-            Refinement::WorklistRelax
-        },
-        repartition: if seed.is_multiple_of(2) {
-            RepartitionMode::FullRemap
-        } else {
-            RepartitionMode::Adaptive
-        },
+        partitioner: [
+            PartitionerKind::RoundRobin,
+            PartitionerKind::Hash,
+            PartitionerKind::BfsGrow,
+            PartitionerKind::Multilevel,
+        ][kind],
         ..Default::default()
     })
 }
@@ -364,7 +357,7 @@ fn delta_after_a_broadcast_refreshed_the_cache_still_reaches_the_neighbours() {
     p0.rebuild_view(&g, &part);
     p0.dv.add_row(0);
     p0.dv.add_row(1);
-    p0.initial_approximation(IaAlgorithm::Dijkstra);
+    p0.initial_approximation();
     use crate::proc_state::RowUpdate;
     p0.apply_row_update(2, RowUpdate::Full(vec![2, 1, 0, 5]));
     p0.propagate();

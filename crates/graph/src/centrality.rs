@@ -5,7 +5,7 @@
 //! serve as oracles for the distributed measures in `aa-core` and as
 //! comparison baselines in examples.
 
-use crate::graph::{Graph, VertexId, Weight, INF};
+use crate::graph::{Graph, VertexId, INF};
 use std::collections::VecDeque;
 
 /// Degree centrality: `deg(v) / (n - 1)` over live vertices.
@@ -195,50 +195,6 @@ pub fn k_core(g: &Graph) -> Vec<usize> {
         }
     }
     core
-}
-
-/// Weighted single-source Δ-stepping (Meyer & Sanders): bucketed label
-/// correcting, the classic parallel-friendly SSSP. Sequential reference used
-/// to validate the engine's Δ-stepping initial-approximation option.
-pub fn delta_stepping(g: &Graph, source: VertexId, delta: Weight) -> Vec<Weight> {
-    assert!(delta >= 1, "delta must be at least 1");
-    let cap = g.capacity();
-    let mut dist = vec![INF; cap];
-    if !g.is_alive(source) {
-        return dist;
-    }
-    dist[source as usize] = 0;
-    let mut buckets: Vec<Vec<VertexId>> = vec![vec![source]];
-    let mut bi = 0usize;
-    while bi < buckets.len() {
-        // Settle the current bucket to a fixed point (light edges may
-        // reinsert into it).
-        let mut settled: Vec<VertexId> = Vec::new();
-        while let Some(v) = buckets[bi].pop() {
-            let dv = dist[v as usize];
-            if dv == INF || (dv / delta) as usize != bi {
-                continue; // stale entry
-            }
-            settled.push(v);
-            for &(u, w) in g.neighbors(v) {
-                let nd = dv.saturating_add(w);
-                if nd < dist[u as usize] {
-                    dist[u as usize] = nd;
-                    let b = (nd / delta) as usize;
-                    if buckets.len() <= b {
-                        buckets.resize(b + 1, Vec::new());
-                    }
-                    buckets[b].push(u);
-                }
-            }
-        }
-        // Advance past any holes.
-        bi += 1;
-        while bi < buckets.len() && buckets[bi].is_empty() {
-            bi += 1;
-        }
-    }
-    dist
 }
 
 /// Sampled approximate closeness (Eppstein-Wang style): estimates
@@ -440,28 +396,5 @@ mod tests {
         let g = Graph::with_vertices(3); // no edges
         let a = approx_closeness(&g, 3, 1);
         assert_eq!(a, vec![0.0; 3]);
-    }
-
-    #[test]
-    fn delta_stepping_matches_dijkstra() {
-        let g = generators::erdos_renyi_gnm(120, 400, 9, 31);
-        for delta in [1u32, 3, 8, 100] {
-            for s in [0u32, 60, 119] {
-                assert_eq!(
-                    delta_stepping(&g, s, delta),
-                    algo::dijkstra(&g, s),
-                    "delta={delta} source={s}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn delta_stepping_on_disconnected() {
-        let mut g = generators::path(6);
-        g.remove_edge(2, 3);
-        let d = delta_stepping(&g, 0, 2);
-        assert_eq!(d[2], 2);
-        assert_eq!(d[5], INF);
     }
 }

@@ -25,7 +25,7 @@
 //!   distributed results are validated against;
 //! * [`centrality`] — sequential references for the other standard SNA
 //!   measures the papers name (degree, betweenness via Brandes, eigenvector,
-//!   PageRank, k-core) plus a Δ-stepping SSSP reference;
+//!   PageRank, k-core);
 //! * [`io`] — edge-list, Pajek `.net` and METIS `.graph` readers/writers (the
 //!   paper generated its inputs with Pajek and partitioned with METIS);
 //! * [`metrics`] — degree distributions, clustering coefficients, modularity.

@@ -20,8 +20,6 @@
 //! * [`schedule::serialized_all_to_all`] — the paper's personalized all-to-all
 //!   schedule that "ensures only one message traverses the network at any
 //!   given time" (Θ(P²) sequential transfers, flood-free);
-//! * [`schedule::one_factorization`] — the classic round-based alternative
-//!   (P−1 rounds, pairwise exchanges) used in ablations;
 //! * [`schedule::tree_broadcast`] — the binomial-tree broadcast used for
 //!   distance-vector row distribution during edge additions.
 

@@ -3,10 +3,9 @@
 //! The papers use a *personalized all-to-all* schedule in which "only one
 //! message traverses the network at any given time … Although our
 //! communication schedule takes Θ(P²) steps for P processors, it mitigates
-//! network flooding." [`serialized_all_to_all`] reproduces that schedule.
-//! [`one_factorization`] is the classic P−1-round tournament alternative used
-//! in ablations, and [`tree_broadcast`] is the binomial-tree broadcast used to
-//! distribute distance-vector rows during edge additions.
+//! network flooding." [`serialized_all_to_all`] reproduces that schedule, and
+//! [`tree_broadcast`] is the binomial-tree broadcast used to distribute
+//! distance-vector rows during edge additions.
 
 /// The paper's serialized personalized all-to-all: every ordered pair `(src,
 /// dst)` with `src != dst`, in an order that cycles senders so no processor
@@ -20,39 +19,6 @@ pub fn serialized_all_to_all(p: usize) -> Vec<(usize, usize)> {
         }
     }
     out
-}
-
-/// Round-based pairwise exchange via the circle method (round-robin
-/// tournament): `P−1` rounds for even `P`, `P` rounds (one bye each) for odd
-/// `P`. In each round every processor is in at most one pair, and over all
-/// rounds every unordered pair meets exactly once. Each pair performs a
-/// bidirectional exchange within its round.
-pub fn one_factorization(p: usize) -> Vec<Vec<(usize, usize)>> {
-    if p < 2 {
-        return Vec::new();
-    }
-    // Circle method on n = p (even) or p+1 (odd, extra index = bye).
-    let n = if p.is_multiple_of(2) { p } else { p + 1 };
-    let mut rounds = Vec::with_capacity(n - 1);
-    let mut ring: Vec<usize> = (1..n).collect(); // index 0 is fixed
-    for _ in 0..n - 1 {
-        let mut pairs = Vec::with_capacity(n / 2);
-        let a = 0usize;
-        let b = ring[n - 2];
-        if a < p && b < p {
-            pairs.push((a.min(b), a.max(b)));
-        }
-        for i in 0..(n / 2 - 1) {
-            let x = ring[i];
-            let y = ring[n - 3 - i];
-            if x < p && y < p {
-                pairs.push((x.min(y), x.max(y)));
-            }
-        }
-        rounds.push(pairs);
-        ring.rotate_right(1);
-    }
-    rounds
 }
 
 /// Binomial-tree broadcast from `root`: returns rounds of `(src, dst)`
@@ -97,26 +63,6 @@ mod tests {
     fn serialized_trivial_cases() {
         assert!(serialized_all_to_all(0).is_empty());
         assert!(serialized_all_to_all(1).is_empty());
-    }
-
-    #[test]
-    fn one_factorization_is_valid() {
-        for p in [2usize, 3, 4, 5, 8, 16, 17] {
-            let rounds = one_factorization(p);
-            let expected_rounds = if p % 2 == 0 { p - 1 } else { p };
-            assert_eq!(rounds.len(), expected_rounds, "p={p}");
-            let mut seen = HashSet::new();
-            for round in &rounds {
-                let mut used = HashSet::new();
-                for &(a, b) in round {
-                    assert!(a < b && b < p);
-                    assert!(used.insert(a), "p={p}: {a} busy twice in a round");
-                    assert!(used.insert(b), "p={p}: {b} busy twice in a round");
-                    assert!(seen.insert((a, b)), "p={p}: pair ({a},{b}) repeated");
-                }
-            }
-            assert_eq!(seen.len(), p * (p - 1) / 2, "p={p}: pairs missing");
-        }
     }
 
     #[test]

@@ -4,16 +4,18 @@
 //! The papers' Repartition-S strategy repartitions the grown graph and then
 //! migrates the partial results of every relocated vertex; the repartitioner
 //! they reuse (ParMETIS) minimizes *migration* as well as cut when invoked
-//! adaptively. [`AdaptiveRefine`] reproduces that contract: it starts from
-//! the current assignment, places unassigned (new) vertices by neighbour
-//! affinity under the balance constraint, and then runs bounded FM boundary
-//! refinement. Vertices move only when the refinement finds a cut gain, so
-//! migration volume stays proportional to how much the graph actually
-//! changed.
+//! adaptively. [`AdaptiveMultilevel`] reproduces that contract: it coarsens
+//! without mixing the current parts (an unassigned, new vertex merges into a
+//! labelled neighbour's coarse vertex), projects the current assignment onto
+//! the coarsest level, gives the all-new coarse vertices left over to the
+//! lightest part, and refines on the way back up under the balance
+//! constraint. Vertices move only when the refinement finds a cut gain or
+//! balance demands it, so migration volume stays proportional to how much
+//! the graph actually changed.
 
 use crate::multilevel::{build_base, contract, refine_pass};
 use crate::partition::Partition;
-use aa_graph::{Graph, VertexId};
+use aa_graph::Graph;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -247,147 +249,16 @@ fn balance_pass(level: &crate::multilevel::Level, part: &mut [usize], k: usize, 
     }
 }
 
-/// Permutes the part labels of `new` to maximize agreement with `old`
-/// (greedy maximum-overlap matching). Fresh repartitioning runs produce
-/// structurally similar partitions under arbitrary label permutations; the
-/// remap keeps migration counts meaningful — only *structural* moves remain.
-pub fn remap_labels(old: &Partition, new: &Partition) -> Partition {
-    assert_eq!(old.num_parts, new.num_parts, "part counts must match");
-    let k = new.num_parts;
-    let mut overlap = vec![0usize; k * k]; // [new_label][old_label]
-    for (v, &np) in new.assignment.iter().enumerate() {
-        if np == crate::partition::UNASSIGNED {
-            continue;
-        }
-        if let Some(op) = old.part_of(v as VertexId) {
-            overlap[np * k + op] += 1;
-        }
-    }
-    let mut pairs: Vec<(usize, usize, usize)> = (0..k)
-        .flat_map(|np| (0..k).map(move |op| (np, op, 0)))
-        .map(|(np, op, _)| (np, op, overlap[np * k + op]))
-        .collect();
-    pairs.sort_by_key(|&(np, op, ov)| (std::cmp::Reverse(ov), np, op));
-    let mut label_map = vec![usize::MAX; k];
-    let mut used = vec![false; k];
-    for (np, op, _) in pairs {
-        if label_map[np] == usize::MAX && !used[op] {
-            label_map[np] = op;
-            used[op] = true;
-        }
-    }
-    // Any leftover labels (k small corner cases) take the free slots.
-    for slot in label_map.iter_mut() {
-        if *slot == usize::MAX {
-            // One free slot per unmapped label by counting; 0 is unreachable.
-            let op = used.iter().position(|&u| !u).unwrap_or(0);
-            *slot = op;
-            used[op] = true;
-        }
-    }
-    let mut out = Partition::unassigned(new.assignment.len(), k);
-    for (v, &np) in new.assignment.iter().enumerate() {
-        if np != crate::partition::UNASSIGNED {
-            out.assignment[v] = label_map[np];
-        }
-    }
-    out
-}
-
-/// Stability-aware repartitioner: refine an existing assignment instead of
-/// partitioning from scratch.
-#[derive(Debug, Clone)]
-pub struct AdaptiveRefine {
-    /// Allowed imbalance ε: part weight may reach `(1+ε)·total/k`.
-    pub epsilon: f64,
-    /// FM refinement passes.
-    pub refine_passes: usize,
-}
-
-impl Default for AdaptiveRefine {
-    fn default() -> Self {
-        AdaptiveRefine {
-            epsilon: 0.10,
-            refine_passes: 2,
-        }
-    }
-}
-
-impl AdaptiveRefine {
-    /// Produces a new `k`-way partition of `g`, starting from `current`.
-    /// Vertices with no assignment in `current` (e.g. newly added) are placed
-    /// first; existing assignments are preserved except where refinement
-    /// finds a cut improvement within the balance bound.
-    pub fn repartition(&self, g: &Graph, current: &Partition, k: usize) -> Partition {
-        assert!(k >= 1);
-        let mut out = Partition::unassigned(g.capacity(), k);
-        let n = g.vertex_count();
-        if n == 0 {
-            return out;
-        }
-        let total = n as u64;
-        let max_weight = ((total as f64 / k as f64) * (1.0 + self.epsilon))
-            .ceil()
-            .max(1.0) as u64;
-
-        let (base, orig_of) = build_base(g);
-        let dense_of = {
-            let mut m = vec![u32::MAX; g.capacity()];
-            for (d, &v) in orig_of.iter().enumerate() {
-                m[v as usize] = d as u32;
-            }
-            m
-        };
-
-        // Start from the current assignment.
-        let mut part = vec![usize::MAX; orig_of.len()];
-        let mut weight = vec![0u64; k];
-        for (d, &v) in orig_of.iter().enumerate() {
-            if let Some(p) = current.part_of(v) {
-                if p < k {
-                    part[d] = p;
-                    weight[p] += 1;
-                }
-            }
-        }
-
-        // Place unassigned vertices by neighbour affinity, respecting the
-        // balance bound; isolated or over-budget vertices go to the lightest
-        // part.
-        for d in 0..part.len() {
-            if part[d] != usize::MAX {
-                continue;
-            }
-            let mut affinity = vec![0u64; k];
-            for &(u, w) in &base.adj[d] {
-                if part[u as usize] != usize::MAX {
-                    affinity[part[u as usize]] += w;
-                }
-            }
-            let choice = (0..k)
-                .filter(|&p| weight[p] < max_weight)
-                .max_by_key(|&p| (affinity[p], std::cmp::Reverse(weight[p])))
-                .unwrap_or_else(|| (0..k).min_by_key(|&p| weight[p]).unwrap_or(0));
-            part[d] = choice;
-            weight[choice] += 1;
-        }
-
-        for _ in 0..self.refine_passes {
-            if !refine_pass(&base, &mut part, k, max_weight) {
-                break;
-            }
-        }
-
-        for (d, &v) in orig_of.iter().enumerate() {
-            debug_assert!(dense_of[v as usize] as usize == d);
-            out.assign(v, part[d]);
-        }
-        out
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::quality::balance;
+    use crate::{MultilevelKWay, Partitioner};
+    use aa_graph::{generators, VertexId};
 
     /// Number of vertices whose assignment differs between two partitions
     /// (the migration volume Repartition-S will pay).
-    pub fn migration_count(old: &Partition, new: &Partition) -> usize {
+    fn migration_count(old: &Partition, new: &Partition) -> usize {
         let slots = old.assignment.len().max(new.assignment.len());
         (0..slots as VertexId)
             .filter(|&v| {
@@ -397,125 +268,6 @@ impl AdaptiveRefine {
             })
             .count()
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::quality::{balance, edge_cut};
-    use crate::{MultilevelKWay, Partitioner};
-    use aa_graph::generators;
-
-    #[test]
-    fn preserves_assignment_when_nothing_changed() {
-        let g = generators::planted_partition(4, 30, 0.4, 0.01, 1, 3);
-        let current = MultilevelKWay::default().partition(&g, 4);
-        let new = AdaptiveRefine::default().repartition(&g, &current, 4);
-        new.validate(&g).unwrap();
-        let moved = AdaptiveRefine::migration_count(&current, &new);
-        assert!(
-            moved <= g.vertex_count() / 10,
-            "a good partition should barely move: {moved} migrations"
-        );
-    }
-
-    #[test]
-    fn places_new_vertices_by_affinity() {
-        let mut g = generators::planted_partition(2, 20, 0.5, 0.02, 1, 5);
-        let current = MultilevelKWay::default().partition(&g, 2);
-        // New vertex strongly tied to community 0 (vertices 0..20).
-        let v = g.add_vertex();
-        for u in 0..5u32 {
-            g.add_edge(v, u, 1);
-        }
-        let new = AdaptiveRefine::default().repartition(&g, &current, 2);
-        new.validate(&g).unwrap();
-        assert_eq!(
-            new.part_of(v),
-            new.part_of(0),
-            "new vertex must join its neighbours' part"
-        );
-    }
-
-    #[test]
-    fn repairs_badly_skewed_input() {
-        let g = generators::barabasi_albert(120, 2, 1, 7);
-        // Everything in part 0: the refinement cannot fix balance (FM only
-        // moves boundary vertices toward gain), but new placements respect
-        // the bound and validation still holds.
-        let mut current = Partition::unassigned(g.capacity(), 3);
-        for v in g.vertices() {
-            current.assign(v, 0);
-        }
-        let new = AdaptiveRefine::default().repartition(&g, &current, 3);
-        new.validate(&g).unwrap();
-    }
-
-    #[test]
-    fn handles_unassigned_start() {
-        let g = generators::barabasi_albert(100, 2, 1, 9);
-        let empty = Partition::unassigned(g.capacity(), 4);
-        let new = AdaptiveRefine::default().repartition(&g, &empty, 4);
-        new.validate(&g).unwrap();
-        assert!(balance(&new) <= 1.15, "balance {}", balance(&new));
-    }
-
-    #[test]
-    fn refinement_does_not_worsen_cut() {
-        let g = generators::planted_partition(4, 25, 0.4, 0.02, 1, 11);
-        let current = MultilevelKWay::default().partition(&g, 4);
-        let before = edge_cut(&g, &current);
-        let new = AdaptiveRefine::default().repartition(&g, &current, 4);
-        let after = edge_cut(&g, &new);
-        assert!(after <= before, "cut got worse: {before} -> {after}");
-    }
-
-    #[test]
-    fn remap_labels_undoes_a_permutation() {
-        let g = generators::planted_partition(3, 10, 0.6, 0.01, 1, 2);
-        let p = MultilevelKWay::default().partition(&g, 3);
-        // Permute labels 0->1->2->0.
-        let mut permuted = p.clone();
-        for a in permuted.assignment.iter_mut() {
-            if *a != usize::MAX {
-                *a = (*a + 1) % 3;
-            }
-        }
-        let remapped = remap_labels(&p, &permuted);
-        assert_eq!(remapped.assignment, p.assignment);
-        assert_eq!(AdaptiveRefine::migration_count(&p, &remapped), 0);
-    }
-
-    #[test]
-    fn remap_labels_reduces_migration_for_fresh_partitions() {
-        let g = generators::planted_partition(4, 25, 0.4, 0.01, 1, 21);
-        let a = MultilevelKWay {
-            seed: 1,
-            ..Default::default()
-        }
-        .partition(&g, 4);
-        let b = MultilevelKWay {
-            seed: 2,
-            ..Default::default()
-        }
-        .partition(&g, 4);
-        let raw = AdaptiveRefine::migration_count(&a, &b);
-        let remapped = remap_labels(&a, &b);
-        let after = AdaptiveRefine::migration_count(&a, &remapped);
-        assert!(
-            after <= raw,
-            "remap must not increase migration: {raw} -> {after}"
-        );
-        assert!(
-            after < g.vertex_count() / 2,
-            "structurally similar partitions should mostly agree after remap: {after}"
-        );
-        assert_eq!(
-            edge_cut(&g, &b),
-            edge_cut(&g, &remapped),
-            "cut unchanged by relabel"
-        );
-    }
 
     #[test]
     fn adaptive_multilevel_valid_and_stable() {
@@ -524,7 +276,7 @@ mod tests {
         let new = AdaptiveMultilevel::default().repartition(&g, &current, 8);
         new.validate(&g).unwrap();
         assert!(balance(&new) <= 1.20, "balance {}", balance(&new));
-        let moved = AdaptiveRefine::migration_count(&current, &new);
+        let moved = migration_count(&current, &new);
         assert!(
             moved < g.vertex_count() / 3,
             "adaptive multilevel must be far more stable than a fresh run: moved {moved}"
@@ -565,6 +317,6 @@ mod tests {
         b.assign(0, 1); // moved
         b.assign(1, 1); // stayed
         b.assign(2, 0); // new in b: not a migration
-        assert_eq!(AdaptiveRefine::migration_count(&a, &b), 1);
+        assert_eq!(migration_count(&a, &b), 1);
     }
 }

@@ -27,7 +27,7 @@ pub mod partition;
 pub mod partitioners;
 pub mod quality;
 
-pub use adaptive::{AdaptiveMultilevel, AdaptiveRefine};
+pub use adaptive::AdaptiveMultilevel;
 pub use multilevel::MultilevelKWay;
 pub use partition::Partition;
 pub use partitioners::{BfsGrowPartitioner, HashPartitioner, Partitioner, RoundRobinPartitioner};

@@ -14,7 +14,6 @@
 
 use crate::cluster::{SimCluster, TraceEvent, TransferOut};
 use crate::threads::ThreadCluster;
-use crate::ExchangeMode;
 use aa_logp::{CostLedger, LogPParams, Phase};
 use aa_obs::Stopwatch;
 use std::time::Duration;
@@ -114,7 +113,6 @@ impl Cluster {
         kind: BackendKind,
         p: usize,
         params: LogPParams,
-        mode: ExchangeMode,
         threads: usize,
     ) -> Result<Self, String> {
         match kind {
@@ -125,11 +123,9 @@ impl Cluster {
                          run sequentially; use --backend threads for real parallelism"
                     ));
                 }
-                Ok(Cluster::Sim(SimCluster::new(p, params, mode)))
+                Ok(Cluster::Sim(SimCluster::new(p, params)))
             }
-            BackendKind::Threads => {
-                ThreadCluster::new(p, params, mode, threads).map(Cluster::Threads)
-            }
+            BackendKind::Threads => ThreadCluster::new(p, params, threads).map(Cluster::Threads),
         }
     }
 
@@ -309,47 +305,21 @@ mod tests {
 
     #[test]
     fn sim_backend_rejects_parallelism_loudly() {
-        let err = Cluster::build(
-            BackendKind::Sim,
-            4,
-            LogPParams::ethernet_1gbe(),
-            ExchangeMode::Serialized,
-            8,
-        )
-        .unwrap_err();
+        let err = Cluster::build(BackendKind::Sim, 4, LogPParams::ethernet_1gbe(), 8).unwrap_err();
         assert!(err.contains("single-threaded"), "unhelpful error: {err}");
         // threads <= 1 is the sequential contract the sim satisfies.
         for threads in [0, 1] {
-            assert!(Cluster::build(
-                BackendKind::Sim,
-                4,
-                LogPParams::ethernet_1gbe(),
-                ExchangeMode::Serialized,
-                threads,
-            )
-            .is_ok());
+            assert!(
+                Cluster::build(BackendKind::Sim, 4, LogPParams::ethernet_1gbe(), threads).is_ok()
+            );
         }
     }
 
     #[test]
     fn both_backends_expose_the_trait_surface() {
         let mut backends = vec![
-            Cluster::build(
-                BackendKind::Sim,
-                3,
-                LogPParams::ethernet_1gbe(),
-                ExchangeMode::Serialized,
-                0,
-            )
-            .unwrap(),
-            Cluster::build(
-                BackendKind::Threads,
-                3,
-                LogPParams::ethernet_1gbe(),
-                ExchangeMode::Serialized,
-                2,
-            )
-            .unwrap(),
+            Cluster::build(BackendKind::Sim, 3, LogPParams::ethernet_1gbe(), 0).unwrap(),
+            Cluster::build(BackendKind::Threads, 3, LogPParams::ethernet_1gbe(), 2).unwrap(),
         ];
         for cluster in &mut backends {
             let b: &mut dyn ExecutionBackend = cluster;

@@ -6,17 +6,6 @@
 use aa_logp::{schedule, CostLedger, LogPParams, Phase, VirtualClocks};
 use std::time::Duration;
 
-/// How personalized all-to-all exchanges are scheduled and charged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExchangeMode {
-    /// The papers' schedule: one message on the network at a time
-    /// (Θ(P²) sequential transfers, flood-free).
-    Serialized,
-    /// Round-based pairwise exchange (P−1 rounds, links independent).
-    /// Used by ablations.
-    RoundBased,
-}
-
 /// One outgoing transfer: destination processor, payload, and its size in
 /// bytes (the algorithm layer knows its own serialization; the cluster only
 /// needs the byte count for charging).
@@ -49,10 +38,10 @@ pub struct TraceEvent {
 /// owns the per-processor state and calls these to move data/time.
 ///
 /// ```
-/// use aa_runtime::{ExchangeMode, SimCluster, TransferOut};
+/// use aa_runtime::{SimCluster, TransferOut};
 /// use aa_logp::{LogPParams, Phase};
 ///
-/// let mut cluster = SimCluster::new(2, LogPParams::ethernet_1gbe(), ExchangeMode::Serialized);
+/// let mut cluster = SimCluster::new(2, LogPParams::ethernet_1gbe());
 /// let inbox = cluster.exchange(
 ///     Phase::Recombination,
 ///     vec![vec![TransferOut { dst: 1, bytes: 64, payload: "hello" }], vec![]],
@@ -65,20 +54,18 @@ pub struct SimCluster {
     params: LogPParams,
     clocks: VirtualClocks,
     ledger: CostLedger,
-    mode: ExchangeMode,
     trace: Option<Vec<TraceEvent>>,
     compute_scale: f64,
 }
 
 impl SimCluster {
     /// Creates a cluster of `p` processors with the given LogP parameters.
-    pub fn new(p: usize, params: LogPParams, mode: ExchangeMode) -> Self {
+    pub fn new(p: usize, params: LogPParams) -> Self {
         assert!(p >= 1, "cluster needs at least one processor");
         SimCluster {
             params,
             clocks: VirtualClocks::new(p),
             ledger: CostLedger::new(),
-            mode,
             trace: None,
             compute_scale: 1.0,
         }
@@ -131,8 +118,9 @@ impl SimCluster {
 
     /// Personalized all-to-all: every processor sends zero or more transfers;
     /// returns each processor's inbox as `(src, payload)` pairs, in a
-    /// deterministic order. Transfers are charged per the configured
-    /// [`ExchangeMode`]. `outbox.len()` must equal the processor count, and
+    /// deterministic order. Transfers are charged along the papers'
+    /// serialized schedule (one message on the network at a time, Θ(P²)
+    /// sequential transfers). `outbox.len()` must equal the processor count, and
     /// self-sends are forbidden (local data never touches the network).
     #[expect(
         clippy::indexing_slicing,
@@ -163,64 +151,35 @@ impl SimCluster {
     }
 
     /// Charges aggregated per-(src, dst) byte counts to the clocks and
-    /// ledger along the configured schedule, tracing each model transfer.
+    /// ledger along the serialized schedule, tracing each model transfer.
     #[expect(
         clippy::indexing_slicing,
         reason = "the schedule enumerates src and dst below p and per_pair_bytes is p*p by construction in exchange"
     )]
     fn charge_pairs(&mut self, phase: Phase, per_pair_bytes: &[usize]) {
         let p = self.proc_count();
-        match self.mode {
-            ExchangeMode::Serialized => {
-                for (src, dst) in schedule::serialized_all_to_all(p) {
-                    let bytes = per_pair_bytes[src * p + dst];
-                    if bytes > 0 {
-                        self.clocks
-                            .transfer_serialized(src, dst, bytes, &self.params);
-                        self.record(phase, bytes);
-                        self.trace_transfer(src, dst, bytes, phase);
-                    }
-                }
-            }
-            ExchangeMode::RoundBased => {
-                for round in schedule::one_factorization(p) {
-                    for (a, b) in round {
-                        for (src, dst) in [(a, b), (b, a)] {
-                            let bytes = per_pair_bytes[src * p + dst];
-                            if bytes > 0 {
-                                self.clocks
-                                    .transfer_concurrent(src, dst, bytes, &self.params);
-                                self.record(phase, bytes);
-                                self.trace_transfer(src, dst, bytes, phase);
-                            }
-                        }
-                    }
-                    self.clocks.barrier();
-                }
+        for (src, dst) in schedule::serialized_all_to_all(p) {
+            let bytes = per_pair_bytes[src * p + dst];
+            if bytes > 0 {
+                self.clocks
+                    .transfer_serialized(src, dst, bytes, &self.params);
+                self.record(phase, bytes);
+                self.trace_transfer(src, dst, bytes, phase);
             }
         }
     }
 
     /// Binomial-tree broadcast of a `bytes`-byte payload from `root`.
     /// Only the *cost* is simulated; the caller clones the payload itself.
-    /// Transfers respect the configured network discipline: under the
-    /// papers' serialized schedule every tree edge contends for the single
-    /// shared network.
+    /// As in the papers' serialized schedule, every tree edge contends for
+    /// the single shared network.
     pub fn broadcast_cost(&mut self, phase: Phase, root: usize, bytes: usize) {
         let p = self.proc_count();
         assert!(root < p);
         for round in schedule::tree_broadcast(p, root) {
             for (src, dst) in round {
-                match self.mode {
-                    ExchangeMode::Serialized => {
-                        self.clocks
-                            .transfer_serialized(src, dst, bytes, &self.params);
-                    }
-                    ExchangeMode::RoundBased => {
-                        self.clocks
-                            .transfer_concurrent(src, dst, bytes, &self.params);
-                    }
-                }
+                self.clocks
+                    .transfer_serialized(src, dst, bytes, &self.params);
                 self.record(phase, bytes);
                 self.trace_transfer(src, dst, bytes, phase);
             }
@@ -315,13 +274,13 @@ impl SimCluster {
 mod tests {
     use super::*;
 
-    fn cluster(p: usize, mode: ExchangeMode) -> SimCluster {
-        SimCluster::new(p, LogPParams::ethernet_1gbe(), mode)
+    fn cluster(p: usize) -> SimCluster {
+        SimCluster::new(p, LogPParams::ethernet_1gbe())
     }
 
     #[test]
     fn exchange_delivers_payloads() {
-        let mut c = cluster(3, ExchangeMode::Serialized);
+        let mut c = cluster(3);
         let outbox = vec![
             vec![TransferOut {
                 dst: 1,
@@ -356,62 +315,32 @@ mod tests {
     }
 
     #[test]
-    fn exchange_modes_deliver_identically() {
-        for mode in [ExchangeMode::Serialized, ExchangeMode::RoundBased] {
-            let mut c = cluster(4, mode);
-            let outbox = vec![
-                vec![TransferOut {
-                    dst: 3,
-                    bytes: 8,
-                    payload: 1u32,
-                }],
-                vec![],
-                vec![TransferOut {
-                    dst: 3,
-                    bytes: 8,
-                    payload: 2u32,
-                }],
-                vec![],
-            ];
-            let inbox = c.exchange(Phase::Recombination, outbox);
-            let mut got = inbox[3].clone();
-            got.sort_unstable();
-            assert_eq!(got, vec![(0, 1u32), (2, 2u32)], "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn serialized_costs_more_than_round_based_for_dense_exchange() {
-        let dense_outbox = |p: usize| -> Vec<Vec<TransferOut<()>>> {
-            (0..p)
-                .map(|src| {
-                    (0..p)
-                        .filter(|&d| d != src)
-                        .map(|dst| TransferOut {
-                            dst,
-                            bytes: 100_000,
-                            payload: (),
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        let mut ser = cluster(8, ExchangeMode::Serialized);
-        ser.exchange(Phase::Recombination, dense_outbox(8));
-        let mut rb = cluster(8, ExchangeMode::RoundBased);
-        rb.exchange(Phase::Recombination, dense_outbox(8));
-        assert!(
-            ser.makespan_us() > 2.0 * rb.makespan_us(),
-            "serialized {} vs round-based {}",
-            ser.makespan_us(),
-            rb.makespan_us()
-        );
+    fn exchange_delivers_two_senders_to_one_inbox() {
+        let mut c = cluster(4);
+        let outbox = vec![
+            vec![TransferOut {
+                dst: 3,
+                bytes: 8,
+                payload: 1u32,
+            }],
+            vec![],
+            vec![TransferOut {
+                dst: 3,
+                bytes: 8,
+                payload: 2u32,
+            }],
+            vec![],
+        ];
+        let inbox = c.exchange(Phase::Recombination, outbox);
+        let mut got = inbox[3].clone();
+        got.sort_unstable();
+        assert_eq!(got, vec![(0, 1u32), (2, 2u32)]);
     }
 
     #[test]
     #[should_panic(expected = "self-send")]
     fn self_send_rejected() {
-        let mut c = cluster(2, ExchangeMode::Serialized);
+        let mut c = cluster(2);
         c.exchange(
             Phase::Recombination,
             vec![
@@ -427,7 +356,7 @@ mod tests {
 
     #[test]
     fn broadcast_cost_charges_p_minus_1_messages() {
-        let mut c = cluster(8, ExchangeMode::Serialized);
+        let mut c = cluster(8);
         c.broadcast_cost(Phase::DynamicUpdate, 3, 500);
         let s = c.ledger().phase(Phase::DynamicUpdate);
         assert_eq!(s.messages, 7);
@@ -436,14 +365,14 @@ mod tests {
 
     #[test]
     fn all_reduce_or_semantics() {
-        let mut c = cluster(5, ExchangeMode::Serialized);
+        let mut c = cluster(5);
         assert!(!c.all_reduce_or(Phase::Recombination, &[false; 5]));
         assert!(c.all_reduce_or(Phase::Recombination, &[false, false, true, false, false]));
     }
 
     #[test]
     fn compute_charges_clock_and_ledger() {
-        let mut c = cluster(2, ExchangeMode::Serialized);
+        let mut c = cluster(2);
         c.compute_modeled(1, Phase::InitialApproximation, 250.0);
         assert_eq!(c.makespan_us(), 250.0);
         assert_eq!(
@@ -456,7 +385,7 @@ mod tests {
 
     #[test]
     fn reset_accounting_zeroes_state() {
-        let mut c = cluster(2, ExchangeMode::Serialized);
+        let mut c = cluster(2);
         c.compute_modeled(0, Phase::Recombination, 10.0);
         c.reset_accounting();
         assert_eq!(c.makespan_us(), 0.0);
@@ -465,7 +394,7 @@ mod tests {
 
     #[test]
     fn trace_records_transfers_in_time_order() {
-        let mut c = cluster(3, ExchangeMode::Serialized);
+        let mut c = cluster(3);
         c.enable_trace();
         c.exchange(
             Phase::Recombination,
@@ -501,7 +430,7 @@ mod tests {
 
     #[test]
     fn single_proc_cluster_is_degenerate_but_valid() {
-        let mut c = cluster(1, ExchangeMode::Serialized);
+        let mut c = cluster(1);
         let inbox = c.exchange::<()>(Phase::Recombination, vec![vec![]]);
         assert_eq!(inbox.len(), 1);
         assert!(inbox[0].is_empty());

@@ -33,5 +33,5 @@ pub mod cluster;
 pub mod threads;
 
 pub use backend::{BackendKind, Cluster, ExecutionBackend};
-pub use cluster::{ExchangeMode, SimCluster, TraceEvent, TransferOut};
+pub use cluster::{SimCluster, TraceEvent, TransferOut};
 pub use threads::{threads_available, ThreadCluster};

@@ -18,7 +18,6 @@
 //!   simulator's `Stopwatch` usage already obeys).
 
 use crate::cluster::SimCluster;
-use crate::ExchangeMode;
 use aa_logp::{LogPParams, Phase};
 use aa_obs::Stopwatch;
 use std::sync::mpsc;
@@ -51,12 +50,7 @@ impl ThreadCluster {
     /// worker pool per parallel stage (`0` means one worker per rank).
     /// Returns an error when the host cannot spawn OS threads — callers must
     /// surface it rather than fall back to sequential execution silently.
-    pub fn new(
-        p: usize,
-        params: LogPParams,
-        mode: ExchangeMode,
-        threads: usize,
-    ) -> Result<Self, String> {
+    pub fn new(p: usize, params: LogPParams, threads: usize) -> Result<Self, String> {
         if !threads_available() {
             return Err(
                 "threads backend unavailable: this host cannot spawn OS threads \
@@ -65,7 +59,7 @@ impl ThreadCluster {
             );
         }
         Ok(ThreadCluster {
-            sim: SimCluster::new(p, params, mode),
+            sim: SimCluster::new(p, params),
             threads,
         })
     }
@@ -162,13 +156,8 @@ mod tests {
     use super::*;
 
     fn threaded(p: usize, threads: usize) -> ThreadCluster {
-        ThreadCluster::new(
-            p,
-            LogPParams::ethernet_1gbe(),
-            ExchangeMode::Serialized,
-            threads,
-        )
-        .expect("test host spawns threads")
+        ThreadCluster::new(p, LogPParams::ethernet_1gbe(), threads)
+            .expect("test host spawns threads")
     }
 
     #[test]

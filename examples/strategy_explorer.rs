@@ -1,13 +1,13 @@
-//! Strategy explorer: a small CLI for playing with the moving parts —
-//! partitioner, refinement, exchange schedule, processor count, batch size
-//! and injection step — and seeing how each combination affects cluster
-//! time, cut edges, and balance.
+//! Strategy explorer: a small CLI for playing with the moving parts — it
+//! sweeps partitioner × vertex-addition strategy at a given processor count,
+//! batch size and injection step, and shows how each combination affects
+//! cluster time, cut edges, and balance.
 //!
 //! ```text
 //! cargo run --release --example strategy_explorer -- --n 800 --procs 8 --batch 40 --inject 4
 //! ```
 
-use aa_core::{AdditionStrategy, AnytimeEngine, EngineConfig, PartitionerKind, Refinement};
+use aa_core::{AdditionStrategy, AnytimeEngine, EngineConfig, PartitionerKind};
 use aa_core::{Endpoint, VertexBatch};
 use aa_graph::{generators, Graph, VertexId};
 use rand::prelude::*;
@@ -73,53 +73,50 @@ fn main() {
         o.n, o.procs, o.batch, o.inject
     );
     println!(
-        "{:<14} {:<16} {:<14} {:>12} {:>10} {:>9} {:>8}",
-        "partitioner", "refinement", "strategy", "cluster ms", "new cut", "balance", "steps"
+        "{:<14} {:<14} {:>12} {:>10} {:>9} {:>8}",
+        "partitioner", "strategy", "cluster ms", "new cut", "balance", "steps"
     );
 
     for partitioner in [
         PartitionerKind::Multilevel,
         PartitionerKind::BfsGrow,
+        PartitionerKind::Hash,
         PartitionerKind::RoundRobin,
     ] {
-        for refinement in [Refinement::WorklistRelax, Refinement::PivotPass] {
-            for strategy in [
-                AdditionStrategy::RoundRobinPs,
-                AdditionStrategy::CutEdgePs,
-                AdditionStrategy::RepartitionS,
-            ] {
-                let graph = generators::barabasi_albert(o.n, 2, 1, o.seed);
-                let mut engine = AnytimeEngine::new(
-                    graph,
-                    EngineConfig {
-                        num_procs: o.procs,
-                        partitioner,
-                        refinement,
-                        seed: o.seed,
-                        ..Default::default()
-                    },
-                );
-                engine.initialize();
-                for _ in 0..o.inject {
-                    engine.rc_step();
-                }
-                let batch = make_batch(o.batch, engine.graph(), o.seed ^ 77);
-                let ids = engine.add_vertices(&batch, strategy);
-                engine.run_to_convergence(16 * o.procs + 64);
-                assert!(engine.is_converged(), "failed to converge");
-                let new_cut =
-                    aa_partition::quality::new_cut_edges(engine.graph(), engine.partition(), &ids);
-                println!(
-                    "{:<14} {:<16} {:<14} {:>12.1} {:>10} {:>9.3} {:>8}",
-                    format!("{partitioner:?}"),
-                    format!("{refinement:?}"),
-                    strategy.to_string(),
-                    engine.makespan_us() / 1000.0,
-                    new_cut,
-                    aa_partition::quality::balance(engine.partition()),
-                    engine.rc_steps(),
-                );
+        for strategy in [
+            AdditionStrategy::RoundRobinPs,
+            AdditionStrategy::CutEdgePs,
+            AdditionStrategy::RepartitionS,
+        ] {
+            let graph = generators::barabasi_albert(o.n, 2, 1, o.seed);
+            let mut engine = AnytimeEngine::new(
+                graph,
+                EngineConfig {
+                    num_procs: o.procs,
+                    partitioner,
+                    seed: o.seed,
+                    ..Default::default()
+                },
+            );
+            engine.initialize();
+            for _ in 0..o.inject {
+                engine.rc_step();
             }
+            let batch = make_batch(o.batch, engine.graph(), o.seed ^ 77);
+            let ids = engine.add_vertices(&batch, strategy);
+            engine.run_to_convergence(16 * o.procs + 64);
+            assert!(engine.is_converged(), "failed to converge");
+            let new_cut =
+                aa_partition::quality::new_cut_edges(engine.graph(), engine.partition(), &ids);
+            println!(
+                "{:<14} {:<14} {:>12.1} {:>10} {:>9.3} {:>8}",
+                format!("{partitioner:?}"),
+                strategy.to_string(),
+                engine.makespan_us() / 1000.0,
+                new_cut,
+                aa_partition::quality::balance(engine.partition()),
+                engine.rc_steps(),
+            );
         }
     }
 }

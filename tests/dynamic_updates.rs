@@ -3,8 +3,7 @@
 //! to exactly the oracle APSP of the final graph.
 
 use aa_core::{
-    AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, PartitionerKind, RepartitionMode,
-    VertexBatch,
+    AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, PartitionerKind, VertexBatch,
 };
 use aa_graph::{algo, generators, Graph, VertexId};
 use rand::prelude::*;
@@ -128,30 +127,23 @@ fn vertex_deletions_interleaved_with_additions() {
 }
 
 #[test]
-fn repartition_modes_all_converge_to_oracle() {
-    for mode in [
-        RepartitionMode::AdaptiveMultilevel,
-        RepartitionMode::FullRemap,
-        RepartitionMode::Adaptive,
-    ] {
-        let graph = generators::barabasi_albert(60, 2, 2, 25);
-        let mut e = AnytimeEngine::new(
-            graph,
-            EngineConfig {
-                num_procs: 4,
-                repartition: mode,
-                ..Default::default()
-            },
-        );
-        e.initialize();
-        e.run_to_convergence(64);
-        let batch = random_batch(e.graph(), 10, 31);
-        e.add_vertices(&batch, AdditionStrategy::RepartitionS);
-        e.run_to_convergence(96);
-        assert!(e.is_converged(), "{mode:?} did not converge");
-        assert_oracle(&e);
-        e.check_invariants().unwrap();
-    }
+fn repartition_s_batch_converges_to_oracle() {
+    let graph = generators::barabasi_albert(60, 2, 2, 25);
+    let mut e = AnytimeEngine::new(
+        graph,
+        EngineConfig {
+            num_procs: 4,
+            ..Default::default()
+        },
+    );
+    e.initialize();
+    e.run_to_convergence(64);
+    let batch = random_batch(e.graph(), 10, 31);
+    e.add_vertices(&batch, AdditionStrategy::RepartitionS);
+    e.run_to_convergence(96);
+    assert!(e.is_converged());
+    assert_oracle(&e);
+    e.check_invariants().unwrap();
 }
 
 #[test]

@@ -1,11 +1,10 @@
 //! End-to-end integration tests: the full distributed pipeline against the
-//! sequential oracle across graph families, processor counts, partitioners
-//! and refinement strategies.
+//! sequential oracle across graph families, processor counts and
+//! partitioners.
 
-use aa_core::{AnytimeEngine, EngineConfig, PartitionerKind, Refinement};
+use aa_core::{AnytimeEngine, EngineConfig, PartitionerKind};
 use aa_graph::{algo, generators, Graph, VertexId, INF};
 use aa_logp::LogPParams;
-use aa_runtime::ExchangeMode;
 
 fn assert_oracle(engine: &AnytimeEngine) {
     let dense = engine.distances_dense();
@@ -60,52 +59,6 @@ fn every_graph_family_times_every_proc_count() {
             let oracle = algo::apsp_dijkstra(engine.graph());
             assert_eq!(dense, oracle, "{name} with P={procs}");
         }
-    }
-}
-
-#[test]
-fn refinements_and_schedules_agree() {
-    let graph = generators::barabasi_albert(100, 2, 2, 5);
-    for refinement in [Refinement::WorklistRelax, Refinement::PivotPass] {
-        for exchange in [ExchangeMode::Serialized, ExchangeMode::RoundBased] {
-            let engine = run(
-                graph.clone(),
-                EngineConfig {
-                    num_procs: 4,
-                    refinement,
-                    exchange,
-                    ..Default::default()
-                },
-            );
-            assert_oracle(&engine);
-        }
-    }
-}
-
-#[test]
-fn all_ia_algorithms_converge_to_oracle() {
-    use aa_core::IaAlgorithm;
-    let graph = generators::erdos_renyi_gnm(90, 260, 7, 6);
-    for ia in [
-        IaAlgorithm::Dijkstra,
-        IaAlgorithm::DeltaStepping { delta: 3 },
-        IaAlgorithm::DeltaStepping { delta: 50 },
-        IaAlgorithm::BellmanFord,
-    ] {
-        let mut engine = run(
-            graph.clone(),
-            EngineConfig {
-                num_procs: 4,
-                ia,
-                ..Default::default()
-            },
-        );
-        assert_oracle(&engine);
-        // Dynamic updates also use the configured SSSP for reseeds.
-        let (u, v, _) = engine.graph().edges().nth(5).unwrap();
-        assert!(engine.delete_edge(u, v));
-        engine.run_to_convergence(64);
-        assert_oracle(&engine);
     }
 }
 

@@ -4,7 +4,7 @@
 //! through storage faults and repeated process deaths. This is the "leave
 //! it running for a week" scenario compressed.
 
-use aa_core::{AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, Refinement, VertexBatch};
+use aa_core::{AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, VertexBatch};
 use aa_durable::{DurabilityConfig, SimStorage, StorageFaultPlan, StorageFaults};
 use aa_graph::{algo, generators, VertexId};
 use aa_ingest::UpdateOp;
@@ -244,36 +244,6 @@ fn combined_adversity_soak() {
         stats.fsync_failures > 0 && stats.rename_failures > 0,
         "the storage never failed: {stats:?}"
     );
-}
-
-#[test]
-fn pivot_pass_refinement_survives_dynamic_updates() {
-    let graph = generators::erdos_renyi_gnm(70, 180, 3, 88);
-    let mut e = AnytimeEngine::new(
-        graph,
-        EngineConfig {
-            num_procs: 4,
-            refinement: Refinement::PivotPass,
-            ..Default::default()
-        },
-    );
-    e.initialize();
-    e.run_to_convergence(200);
-    assert!(e.is_converged());
-    e.add_edge(0, 50, 1);
-    e.rc_step();
-    let (u, v, _) = e.graph().edges().nth(8).unwrap();
-    e.delete_edge(u, v);
-    let mut batch = VertexBatch::new(2);
-    batch.connect(0, Endpoint::Existing(10), 1);
-    batch.connect(1, Endpoint::New(0), 1);
-    e.add_vertices(&batch, AdditionStrategy::CutEdgePs);
-    e.run_to_convergence(300);
-    assert!(
-        e.is_converged(),
-        "pivot-pass + dynamic updates must converge"
-    );
-    assert_oracle(&e);
 }
 
 #[test]
