@@ -5,9 +5,10 @@
 //! log and on-disk checkpoints (DESIGN §9, §14). The format is a small
 //! self-contained little-endian binary layout (magic + version header)
 //! holding the world graph, the partition and every distance-vector row.
-//! Volatile state (boundary caches, delta baselines, dirty sets) is
-//! intentionally *not* saved: restore marks every row dirty and downgrades
-//! all sends to full rows, which is always safe and costs one re-exchange.
+//! Volatile state (which rank was sent which row, unsent logs, dirty sets)
+//! is intentionally *not* saved: restore marks every row dirty and
+//! downgrades all sends to full rows, which is always safe and costs one
+//! re-exchange.
 //!
 //! Integrity: the header declares the body length, and the byte stream ends
 //! in a CRC32 (IEEE) footer over the body (everything between the length

@@ -1,13 +1,13 @@
-//! Distance vectors and the distance matrices of one virtual processor.
+//! Distance vectors and the distance matrix of one virtual processor.
 //!
-//! Every processor stores one **distance vector** (DV) per vertex it owns,
-//! and a copy of the one of each external boundary vertex as its owner last
-//! sent it — two [`DistanceMatrix`] instances, one row type: the current
-//! shortest-path estimates from that vertex to *every* vertex id slot in the
-//! graph. Estimates start at `INF` and only ever decrease
-//! (except during deletion invalidation), which is the anytime property's
-//! backbone. Columns grow when vertices are added, and whole rows migrate
-//! between processors during repartitioning.
+//! Every processor stores one **distance vector** (DV) per vertex it owns, in
+//! one [`DistanceMatrix`]: the current shortest-path estimates from that
+//! vertex to *every* vertex id slot in the graph. It keeps no copy of anyone
+//! else's: a boundary row it receives is relaxed into its local neighbours on
+//! arrival and dropped, as a distance-vector router does. Estimates start at
+//! `INF` and only ever decrease (except during deletion invalidation), which
+//! is the anytime property's backbone. Columns grow when vertices are added,
+//! and whole rows migrate between processors during repartitioning.
 //!
 //! Column growth is the papers' amortized argument with ratio `1 + 1/16` in
 //! place of 2 (`grow`): a row of `n` columns carries fewer than `n/16 + 64`
@@ -21,11 +21,12 @@
 //! on the logged columns of the row that moved — the receive-side half of the
 //! papers' "send only the updated values of the boundary DVs". That is exact
 //! because of the *propagation invariant* `ProcState` maintains: **for every
-//! edge `(v, u, w)` the processor knows with `u` local — `v` owned or cached
-//! — and every column `c` outside `v`'s log, `row_u[c] <= row_v[c] + w`.**
-//! Whatever breaks the invariant without going through a logging write
-//! (raised entries, raw row access, new adjacency, a row installed from
-//! elsewhere) marks the row all-columns instead.
+//! edge `(v, u, w)` between owned vertices and every column `c` outside
+//! `v`'s log, `row_u[c] <= row_v[c] + w`.** Whatever breaks the invariant
+//! without going through a logging write (raised entries, raw row access,
+//! new adjacency, a row installed from elsewhere) marks the row all-columns
+//! instead. (Over a cut edge the same inequality holds against the row as
+//! its owner last sent it, which is what `ProcState::sent_to` vouches for.)
 //!
 //! The rows whose log is non-empty are the **frontier**: exactly the rows
 //! that still owe their local neighbours a relaxation. The frontier is the
@@ -37,9 +38,9 @@
 //! sentence: a delta is a walk over its bits, and no copy of the row as sent
 //! is kept to diff against. The same lowering writes set it, and nothing
 //! else does: the marks that put a row back on the frontier because its
-//! *adjacency* changed say nothing about what a remote copy of the row
-//! holds, and must not reach it. Raw row access marks it all-columns, which
-//! makes the next send a full row.
+//! *adjacency* changed say nothing about what the receivers of the row have
+//! been relaxed against, and must not reach it. Raw row access marks it
+//! all-columns, which makes the next send a full row.
 
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
@@ -208,7 +209,7 @@ impl ColumnSet {
     }
 
     /// How many single columns are logged (whatever `all` says).
-    fn logged(&self) -> usize {
+    pub(crate) fn logged(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
@@ -383,10 +384,7 @@ fn pair_mut<T>(s: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
     }
 }
 
-/// Distance vectors held by one processor: those of the vertices it owns, or
-/// the copies it caches of its external boundary vertices'. One type for
-/// both, with no switch between them: a cached row's unsent log (`cols / 8`
-/// bytes) is written by the same lowering writes and never read.
+/// Distance vectors held by one processor: those of the vertices it owns.
 #[derive(Debug, Clone, Default)]
 pub struct DistanceMatrix {
     rows: Vec<Vec<Weight>>,
@@ -473,24 +471,6 @@ impl DistanceMatrix {
         self.logs.push(ColumnSet::all(self.cols));
         self.unsent.push(ColumnSet::all(self.cols));
         self.vertex_of_row.push(v);
-    }
-
-    /// Installs `row` as `v`'s row, in place of the one it has if any, with
-    /// `log` as its change log: the columns on which the new values may
-    /// undercut what `v`'s local neighbours hold. The unsent log is
-    /// all-columns, as for any row installed from elsewhere.
-    pub fn replace_row(&mut self, v: VertexId, mut row: Vec<Weight>, mut log: ColumnSet) {
-        if self.has_row(v) {
-            grow(&mut row, self.cols, INF);
-            self.row_mut(v).copy_from_slice(&row);
-        } else {
-            self.insert_row(v, row);
-        }
-        log.words.resize(self.cols.div_ceil(WORD), 0);
-        let idx = self.row_index(v);
-        if let Some(slot) = self.logs.get_mut(idx) {
-            *slot = log;
-        }
     }
 
     /// Removes and returns the row of vertex `v` with its unsent log (used
@@ -582,10 +562,11 @@ impl DistanceMatrix {
         &mut self.rows[idx]
     }
 
-    /// `v`'s row with its change log, if `v` has a row here.
-    pub fn logged_row(&self, v: VertexId) -> Option<(&[Weight], &ColumnSet)> {
-        let idx = *self.row_of.get(v as usize)? as usize;
-        Some((self.rows.get(idx)?, self.logs.get(idx)?))
+    /// Whether `v`'s row is on the frontier: its log is non-empty, so some
+    /// local neighbour may still sit above it.
+    pub fn owes(&self, v: VertexId) -> bool {
+        let idx = self.row_index(v);
+        self.logs.get(idx).is_some_and(|log| !log.is_empty())
     }
 
     /// Row-table index of vertex `v`.
@@ -614,26 +595,35 @@ impl DistanceMatrix {
     /// What a rank holding `v`'s row as of its last send is missing: the
     /// row's values on its unsent columns — or `None` if they are
     /// all-columns, and only the full row will do.
+    pub fn unsent_entries(&self, v: VertexId) -> Option<RowDelta> {
+        let unsent = self.unsent.get(self.row_index(v))?;
+        (!unsent.all).then(|| self.entries_on(v, unsent.clone()))
+    }
+
+    /// The finite entries of `v`'s row among the columns `cols` names one
+    /// by one (its `all` flag aside), as one buffer — an `INF` lowers
+    /// nothing. (An unsent column is always finite: a write that lowers an
+    /// entry lowers it below `INF`.)
     #[expect(
         clippy::indexing_slicing,
-        reason = "the one pragma the send side adds: the bit walk indexes the row at columns taken from its own unsent log, whose bits never reach the column count — the argument relax_on's sparse walk already makes; rows and unsent are parallel, indexed by row_index like row"
+        reason = "the one pragma the send side adds: the bit walk indexes the row at columns taken from a set built over the matrix width, whose bits never reach the column count — the argument relax_on's sparse walk already makes"
     )]
-    pub fn unsent_entries(&self, v: VertexId) -> Option<RowDelta> {
-        let idx = self.row_index(v);
-        let (row, unsent) = (&self.rows[idx], &self.unsent[idx]);
-        if unsent.all {
-            return None;
-        }
-        let mut values = Vec::with_capacity(unsent.logged());
-        for (wi, &word) in unsent.words.iter().enumerate() {
-            let mut rest = word;
+    pub fn entries_on(&self, v: VertexId, mut cols: ColumnSet) -> RowDelta {
+        let row = &self.rows[self.row_index(v)];
+        let mut values = Vec::with_capacity(cols.logged());
+        for (wi, word) in cols.words.iter_mut().enumerate() {
+            let mut rest = *word;
             while rest != 0 {
-                values.push(row[wi * WORD + rest.trailing_zeros() as usize]);
+                let bit = rest.trailing_zeros() as usize;
                 rest &= rest - 1;
+                match row[wi * WORD + bit] {
+                    INF => *word &= !(1 << bit),
+                    d => values.push(d),
+                }
             }
         }
-        let cols = unsent.clone();
-        Some(RowDelta { cols, values })
+        cols.all = false;
+        RowDelta { cols, values }
     }
 
     /// Empties `v`'s unsent log: every rank the row goes to holds it as it
@@ -708,10 +698,17 @@ impl DistanceMatrix {
         true
     }
 
-    /// [`Self::lower_entry`] for each entry of a received delta, walking its
-    /// column bits in step with its values. Returns whether any entry
-    /// decreased.
-    pub fn lower_delta(&mut self, v: VertexId, delta: &RowDelta) -> bool {
+    /// `row_v[c] = min(row_v[c], value + offset)` for each entry of a
+    /// received delta on a column in `cols`, walking its column bits in step
+    /// with its values, and logged like any lowering write. Returns whether
+    /// any entry decreased.
+    pub fn relax_with_delta(
+        &mut self,
+        v: VertexId,
+        delta: &RowDelta,
+        offset: Weight,
+        cols: &ColumnSet,
+    ) -> bool {
         let idx = self.row_index(v);
         let row = self.rows.get_mut(idx);
         let (Some(row), Some(log), Some(unsent)) =
@@ -719,26 +716,42 @@ impl DistanceMatrix {
         else {
             return false;
         };
-        let mut values = delta.values.iter();
-        let mut changed = false;
+        // The values of word `wi` start at `first`: one per bit before it.
+        let (mut first, mut changed) = (0, false);
         for (wi, &word) in delta.cols.words.iter().enumerate() {
-            let (mut rest, mut lowered) = (word, 0u64);
+            let mask = match cols.all {
+                true => u64::MAX,
+                false => cols.words.get(wi).copied().unwrap_or(0),
+            };
+            let (mut rest, mut lowered, mut at) = (word & mask, 0u64, first);
             while rest != 0 {
                 let bit = rest.trailing_zeros() as usize;
                 rest &= rest - 1;
-                let Some(&value) = values.next() else {
+                // Walking every bit, the values come in order; walking some,
+                // a bit's value follows one per lower bit of the word.
+                if mask != u64::MAX {
+                    at = first + (word & ((1 << bit) - 1)).count_ones() as usize;
+                }
+                let Some(&value) = delta.values.get(at) else {
                     break; // one value per bit: never taken
                 };
-                if let Some(d) = row.get_mut(wi * WORD + bit).filter(|d| value < **d) {
-                    *d = value;
+                at += 1;
+                let cand = value.saturating_add(offset);
+                if let Some(d) = row.get_mut(wi * WORD + bit).filter(|d| cand < **d) {
+                    *d = cand;
                     lowered |= 1 << bit;
                 }
             }
+            first += word.count_ones() as usize;
             if lowered != 0 {
                 log.insert_word(wi, lowered);
                 unsent.insert_word(wi, lowered);
                 changed = true;
             }
+        }
+        #[cfg(test)]
+        if changed && reference::is_dense() {
+            log.mark_all();
         }
         changed
     }
@@ -850,12 +863,14 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
         #[test]
-        fn lower_delta_leaves_what_the_pair_reference_leaves(
+        fn relax_with_delta_leaves_what_the_pair_reference_leaves(
             width in (0usize..6).prop_map(|i| [1, 63, 64, 65, 130, 199][i]),
             sent in proptest::collection::vec(0u32..48, 199..200),
             offers in proptest::collection::vec((0usize..199, 0u32..48), 0..64),
             held in proptest::collection::vec(0u32..48, 199..200),
             logged in proptest::bool::ANY,
+            offset in 0u32..3,
+            stride in 1usize..4,
         ) {
             // The sender's row, as its holders have it, then lowered at
             // random: the delta is what it logged.
@@ -874,7 +889,8 @@ mod tests {
             prop_assert_eq!(delta.len(), want.len());
             prop_assert_eq!(delta.buffer_bytes(), 8 * width.div_ceil(WORD) + 4 * want.len());
 
-            // A receiver's copy, its logs fresh from an install or empty.
+            // A neighbour's row at the receiver, its logs fresh from an
+            // install or empty.
             let mut reference = DistanceMatrix::new(width);
             reference.insert_row(0, held[..width].iter().map(|&d| distance(d)).collect());
             if !logged {
@@ -882,13 +898,19 @@ mod tests {
                 reference.clear_unsent(0);
             }
             let (mut walked, mut rebuilt) = (reference.clone(), reference.clone());
-            // The reference: one lowering write per wire pair.
+            // Every column, or every `stride`-th one.
+            let mut cols = ColumnSet::empty(width);
+            (0..width).step_by(stride).for_each(|c| cols.insert(c));
+            let cols = if stride == 1 { ColumnSet::EVERY } else { cols };
+            // The reference: one lowering write per wire pair on those.
             let lower = |changed, &(c, d): &(u32, Weight)| {
-                reference.lower_entry(0, c as usize, d) | changed
+                let on = cols.contains(c as usize);
+                (on && reference.lower_entry(0, c as usize, d.saturating_add(offset))) | changed
             };
             let changed = want.iter().fold(false, lower);
-            prop_assert_eq!(walked.lower_delta(0, &delta), changed);
-            prop_assert_eq!(rebuilt.lower_delta(0, &RowDelta::from_pairs(&want)), changed);
+            prop_assert_eq!(walked.relax_with_delta(0, &delta, offset, &cols), changed);
+            let rebuilt_delta = RowDelta::from_pairs(&want);
+            prop_assert_eq!(rebuilt.relax_with_delta(0, &rebuilt_delta, offset, &cols), changed);
             for m in [&walked, &rebuilt] {
                 prop_assert_eq!(m.row(0), reference.row(0));
                 prop_assert_eq!(m.log(0), reference.log(0));
@@ -1188,11 +1210,11 @@ mod tests {
 
     #[test]
     fn columns_grow_by_a_sixteenth_and_logs_only_with_their_word_count() {
-        // An added row, a short migrated one and an installed copy.
+        // An added row, a short migrated one and a full-width one.
         let mut m = DistanceMatrix::new(130);
         m.add_row(0);
         m.insert_row(1, vec![0; 40]);
-        m.replace_row(2, vec![INF; 130], ColumnSet::empty(130));
+        m.insert_row(2, vec![INF; 130]);
         let bound = |cols: usize| (cols + cols / 16).next_multiple_of(WORD);
         let mut copies = 0;
         for cols in 131..=430 {
@@ -1247,32 +1269,37 @@ mod tests {
     }
 
     #[test]
-    fn replace_row_installs_the_values_and_the_log_it_is_given() {
-        let mut cache = DistanceMatrix::new(70);
-        // Absent: the row is inserted (and padded), its log the one given.
-        let first = vec![INF, 4, INF, 0];
-        cache.replace_row(3, first.clone(), ColumnSet::finite_of(&first));
-        cache.replace_row(5, vec![INF; 70], ColumnSet::empty(70));
-        assert_eq!(cache.vertices(), &[3, 5]);
-        assert_eq!(cache.row(3).len(), 70);
-        assert!(cache.log(3).contains(1) && cache.log(3).contains(3));
-        assert!(!cache.log(3).contains(0) && !cache.log(3).contains(69));
-        assert!(cache.frontier().eq([3]), "an all-INF row owes nothing");
-        // Present: same slot, new values, new log — whatever the old one held.
-        cache.replace_row(3, vec![7; 70], ColumnSet::EVERY);
-        assert_eq!(cache.vertices(), &[3, 5]);
-        assert_eq!(cache.row(3), &[7; 70]);
-        assert!(cache.log(3).contains(0) && cache.log(3).contains(69));
-        cache.clear_log(3);
-        // A log given as "all columns" still has room for single ones.
-        assert!(cache.lower_entry(3, 69, 2) && cache.log(3).contains(69));
-        assert!(!cache.log(3).contains(0));
-        // An owned row relaxes through a cached one on the cached log only.
+    fn a_row_on_some_columns_relaxes_a_neighbour_on_those_only() {
+        // The owner's row on three columns, as a kept-values answer carries it.
+        let mut owner = DistanceMatrix::new(70);
+        owner.insert_row(3, (0..70).collect());
+        let mut cols = ColumnSet::empty(70);
+        [1, 5, 69].into_iter().for_each(|c| cols.insert(c));
+        let kept = owner.entries_on(3, cols);
+        assert_eq!(kept.pairs(), [(1, 1), (5, 5), (69, 69)]);
+        // A neighbour two away relaxes through it on exactly those columns,
+        // and logs what it lowered: column 5 already sits below 5 + 2.
         let mut dv = DistanceMatrix::new(70);
         dv.add_row(0);
-        let (row, log) = cache.logged_row(3).expect("held");
-        assert!(dv.relax_with_external_on(0, row, 1, log) && cache.logged_row(0).is_none());
-        assert_eq!((dv.row(0)[69], dv.row(0)[1]), (3, INF));
+        dv.clear_logs();
+        dv.clear_unsent(0);
+        assert!(dv.lower_entry(0, 5, 4));
+        dv.clear_log(0);
+        assert!(dv.relax_with_delta(0, &kept, 2, &ColumnSet::EVERY));
+        assert_eq!((dv.row(0)[1], dv.row(0)[5], dv.row(0)[69]), (3, 4, 71));
+        assert_eq!((dv.row(0)[0], dv.row(0)[2]), (0, INF));
+        let log = dv.log(0);
+        assert!(log.contains(1) && log.contains(69) && !log.contains(5));
+        assert!(dv.owes(0) && dv.unsent(0).contains(69));
+        // The same buffer again lowers nothing.
+        dv.clear_log(0);
+        assert!(!dv.relax_with_delta(0, &kept, 2, &ColumnSet::EVERY) && !dv.owes(0));
+        // On some columns only: column 69 lowers, column 1 is not asked.
+        dv.raise_entries(0, &[1, 69]);
+        let mut cols = ColumnSet::empty(70);
+        cols.insert(69);
+        assert!(dv.relax_with_delta(0, &kept, 2, &cols));
+        assert_eq!((dv.row(0)[1], dv.row(0)[69]), (INF, 71));
     }
 
     #[test]

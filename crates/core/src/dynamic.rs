@@ -7,9 +7,10 @@
 //!   subsequent recombination steps propagate the improvements.
 //! * **Edge deletions** (the titled paper's contribution) invalidate the
 //!   entries supported by the deleted edge, recompute them from the entries
-//!   that were kept, and reconverge. Deletions are applied at a *quiesced*
-//!   point: if the engine has pending updates it first converges, so the
-//!   equality-based support test is exact (see `DESIGN.md`).
+//!   that were kept — a rank's own, and its external neighbours', which it
+//!   fetches from their owners — and reconverge. Deletions are applied at a
+//!   *quiesced* point: if the engine has pending updates it first converges,
+//!   so the equality-based support test is exact (see `DESIGN.md`).
 //! * **Vertex additions** extend every distance vector with new columns, add
 //!   an owner row, and then run the batch's edges through the edge-addition
 //!   kernel. The owning processor is chosen by an [`crate::AdditionStrategy`].
@@ -22,7 +23,7 @@
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-use crate::dv::ColumnSet;
+use crate::dv::{ColumnSet, RowDelta};
 use crate::engine::AnytimeEngine;
 use crate::obs::InvalidationTally;
 use crate::proc_state::ProcState;
@@ -30,8 +31,17 @@ use aa_graph::{VertexId, Weight, INF};
 use aa_logp::Phase;
 use aa_obs::Stopwatch;
 use aa_partition::partition::UNASSIGNED;
+use aa_runtime::TransferOut;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
+
+/// What phase 1 of a deletion raised on one rank: each owned row with its
+/// raised columns, ascending, in row order.
+type Raised = Vec<(VertexId, Vec<usize>)>;
+
+/// What phase 2 fetched for one rank: each external neighbour of a raised
+/// row with its owner's values on the columns asked, ascending in vertex.
+type Kept = Vec<(VertexId, RowDelta)>;
 
 /// An endpoint of a batch edge: either another new vertex (by batch index) or
 /// an existing vertex (by id).
@@ -143,10 +153,10 @@ impl AnytimeEngine {
 
     /// The edge-addition relaxation kernel, for `edges` already in the world
     /// and the views: broadcast the row of each of their distinct
-    /// `endpoints` once; every processor caches those it borders (so later
-    /// invalidations can re-relax from them), relaxes every owned row through
+    /// `endpoints` once; every processor relaxes every owned row through
     /// every edge — the owners learn the direct edge here too: `D[u][u] = 0`
-    /// — and propagates locally.
+    /// — then the local neighbours of each endpoint it borders through that
+    /// endpoint's row, and propagates locally.
     #[expect(
         clippy::indexing_slicing,
         reason = "processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity"
@@ -161,9 +171,6 @@ impl AnytimeEngine {
         for rank in 0..self.procs.len() {
             let t = Stopwatch::start();
             let ps = &mut self.procs[rank];
-            for (&e, row) in endpoints.iter().zip(&rows) {
-                ps.cache_broadcast_row(e, row);
-            }
             for x in ps.dv.vertices().to_vec() {
                 let mut changed = false;
                 for (&edge, &(row_u, row_v)) in edges.iter().zip(&via) {
@@ -172,6 +179,9 @@ impl AnytimeEngine {
                 if changed {
                     ps.dirty.insert(x);
                 }
+            }
+            for (&e, row) in endpoints.iter().zip(&rows) {
+                ps.relax_through_external(e, row);
             }
             ps.propagate();
             self.cluster
@@ -241,12 +251,8 @@ impl AnytimeEngine {
     /// Deletes a batch of edges at once: one deletion barrier, one broadcast
     /// per distinct endpoint, one combined invalidation sweep (a pair is
     /// invalidated if *any* deleted edge supports its current value), one
-    /// reseed. An edge named twice, in either orientation, counts once.
-    /// Returns the number of edges actually removed.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity"
-    )]
+    /// fetch of kept values, one reseed. An edge named twice, in either
+    /// orientation, counts once. Returns the number of edges actually removed.
     pub fn delete_edges(&mut self, edges: &[(VertexId, VertexId)]) -> usize {
         assert!(self.initialized, "call initialize() first");
         let present = edges.iter().filter_map(|&(u, v)| {
@@ -272,27 +278,23 @@ impl AnytimeEngine {
             self.world.remove_edge(u, v);
         }
         let mut tested = 0u64;
-        for rank in 0..self.procs.len() {
-            let t = Stopwatch::start();
+        let views = |ps: &mut ProcState| {
             for &(u, v, _) in &present {
-                self.procs[rank].view_remove_edge(u, v);
+                ps.view_remove_edge(u, v);
             }
-            self.evict_unbordered(rank);
-            let tally = &mut self.obs.invalidation;
-            invalidate_and_reseed(&mut self.procs[rank], tally, |row, x| {
-                let mut targets = Vec::new();
-                for edge in &deleted {
-                    tested += edge.affected_targets(row, x, &mut targets);
-                }
-                // Ascending, each once, whichever edges and directions
-                // contributed.
-                targets.sort_unstable();
-                targets.dedup();
-                targets
-            });
-            self.cluster
-                .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
-        }
+        };
+        self.invalidate_and_recompute(views, |row, x| {
+            let mut targets = Vec::new();
+            for edge in &deleted {
+                tested += edge.affected_targets(row, x, &mut targets);
+            }
+            // Ascending, each once, whichever edges and directions
+            // contributed.
+            targets.sort_unstable();
+            targets.dedup();
+            targets
+        });
+        self.forget_unbordered(endpoints);
         self.obs.candidate_columns += tested;
         self.converged = false;
         let n = present.len();
@@ -361,31 +363,117 @@ impl AnytimeEngine {
         let row_v = self.broadcast_rows(&[v]).swap_remove(0);
 
         let removed = self.world.remove_vertex(v);
-        for rank in 0..self.procs.len() {
-            let t = Stopwatch::start();
+        let views = |ps: &mut ProcState| {
             for &(x, _) in &removed {
-                self.procs[rank].view_remove_edge(v, x);
+                ps.view_remove_edge(v, x);
             }
-            let ps = &mut self.procs[rank];
             if ps.dv.has_row(v) {
                 ps.dv.take_row(v);
                 ps.dirty.remove(&v);
                 ps.forget_receivers(v);
             }
             ps.is_local[v as usize] = false;
-            // `v`'s copies go, and with them the neighbours' copies on the
-            // ranks that bordered them only through `v`.
-            self.evict_unbordered(rank);
-            let (ps, tally) = (&mut self.procs[rank], &mut self.obs.invalidation);
-            invalidate_and_reseed(ps, tally, |row, x| affected_by_vertex(row, x, v, &row_v));
-            self.cluster
-                .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
-        }
+        };
+        self.invalidate_and_recompute(views, |row, x| affected_by_vertex(row, x, v, &row_v));
+        // The ranks that bordered a neighbour of `v` only through `v`.
+        self.forget_unbordered(removed.iter().map(|&(x, _)| x));
         self.partition.assignment[v as usize] = UNASSIGNED;
         self.converged = false;
         self.span_close(span, "dynamic-update", format!("delete-vertex {v}"));
         self.feed_capture(true);
         removed
+    }
+
+    /// What every deletion does, in three phases at a cost that follows the
+    /// affected set: every rank takes the deletion into its view (`views`)
+    /// and raises, in each owned row `x`, the entries `affected(row, x)`
+    /// names; one exchange fetches the external values the raised columns
+    /// can be re-derived from ([`Self::fetch_kept_values`]), since no rank
+    /// keeps a copy of its external neighbours' rows; every rank recomputes
+    /// the raised columns only, and propagates.
+    fn invalidate_and_recompute<F>(&mut self, views: impl Fn(&mut ProcState), mut affected: F)
+    where
+        F: FnMut(&[Weight], VertexId) -> Vec<usize>,
+    {
+        let mut raised = Vec::with_capacity(self.procs.len());
+        for (rank, ps) in self.procs.iter_mut().enumerate() {
+            let t = Stopwatch::start();
+            views(ps);
+            raised.push(raise(ps, &mut self.obs.invalidation, &mut affected));
+            self.cluster
+                .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
+        }
+        let kept = self.fetch_kept_values(&raised);
+        let work = raised.into_iter().zip(kept).collect();
+        let recompute = |_, ps: &mut ProcState, (raised, kept)| recompute(ps, raised, &kept);
+        self.cluster
+            .run_on_ranks(Phase::DynamicUpdate, &mut self.procs, work, recompute);
+    }
+
+    /// Phase 2 of a deletion, one `DynamicUpdate` exchange there and back:
+    /// each rank asks the owner of every external neighbour `b` of a row it
+    /// raised for `b`'s values on the columns raised there, and the owner
+    /// answers from its row, raised already — what a copy of `b` kept at the
+    /// barrier would hold now, less the `INF`s, which lower nothing. An ask
+    /// is a vertex id and the columns as a list or a bitset, whichever is
+    /// shorter; an answer a vertex id, a finite-or-not bit per column asked,
+    /// and the finite values.
+    fn fetch_kept_values(&mut self, raised: &[Raised]) -> Vec<Kept> {
+        let (cols, partition) = (self.world.capacity(), &self.partition);
+        let ask = |_, ps: &mut ProcState, rows: &Raised| {
+            let mut wanted: BTreeMap<VertexId, ColumnSet> = BTreeMap::new();
+            for (x, targets) in rows {
+                for &(b, _) in ps.adj.get(*x as usize).into_iter().flatten() {
+                    if ps.is_local.get(b as usize) == Some(&false) {
+                        let want = wanted.entry(b).or_insert_with(|| ColumnSet::empty(cols));
+                        targets.iter().for_each(|&t| want.insert(t));
+                    }
+                }
+            }
+            #[cfg(test)]
+            if reference::reads_whole_rows() {
+                let every = |want: &mut ColumnSet| (0..cols).for_each(|c| want.insert(c));
+                wanted.values_mut().for_each(every);
+            }
+            let asks = wanted.into_iter().filter_map(|(b, want)| {
+                let bytes = 4 + (4 * want.logged()).min(cols.div_ceil(8));
+                let payload = (b, want);
+                Some(TransferOut {
+                    dst: partition.part_of(b)?,
+                    bytes,
+                    payload,
+                })
+            });
+            asks.collect::<Vec<_>>()
+        };
+        let rows = raised.iter().collect();
+        let asks = self
+            .cluster
+            .run_on_ranks(Phase::DynamicUpdate, &mut self.procs, rows, ask);
+        let asked = self.cluster.exchange(Phase::DynamicUpdate, asks);
+        let answer = |_, ps: &mut ProcState, asked: Vec<(usize, (VertexId, ColumnSet))>| {
+            let answers = asked.into_iter().map(|(dst, (b, want))| {
+                let mask = want.logged().div_ceil(8);
+                let payload = (b, ps.dv.entries_on(b, want));
+                let bytes = 4 + mask + 4 * payload.1.len();
+                TransferOut {
+                    dst,
+                    bytes,
+                    payload,
+                }
+            });
+            answers.collect::<Vec<_>>()
+        };
+        let answers =
+            self.cluster
+                .run_on_ranks(Phase::DynamicUpdate, &mut self.procs, asked, answer);
+        let fetched = self.cluster.exchange(Phase::DynamicUpdate, answers);
+        let sorted = fetched.into_iter().map(|inbox| {
+            let mut kept: Kept = inbox.into_iter().map(|(_, answer)| answer).collect();
+            kept.sort_unstable_by_key(|&(b, _)| b);
+            kept
+        });
+        sorted.collect()
     }
 }
 
@@ -543,55 +631,49 @@ fn affected_by_vertex(row: &[Weight], x: VertexId, v: VertexId, row_v: &[Weight]
         .collect()
 }
 
-/// Applies an invalidation rule to every row of `ps`, owned then cached, and
-/// repairs the owned rows it raised, at a cost that follows the affected set:
-/// `affected(row, x)` is asked once per row, only the raised columns are
-/// recomputed, and only they join the frontier.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "rows are full-width (world capacity) and every indexed id comes from the same world"
-)]
-fn invalidate_and_reseed<F>(ps: &mut ProcState, tally: &mut InvalidationTally, mut affected: F)
+/// Phase 1 of a deletion on one rank: asks `affected(row, x)` once per owned
+/// row `x`, on the exact row the barrier left, and raises those entries. A
+/// raised entry leaves the row's unsent log: the row as last sent is the row
+/// itself at the barrier, the receivers' neighbours are recomputed against
+/// it raised (phase 2 fetches it so), and the write that lowers the entry
+/// again logs it.
+fn raise<F>(ps: &mut ProcState, tally: &mut InvalidationTally, affected: &mut F) -> Raised
 where
     F: FnMut(&[Weight], VertexId) -> Vec<usize>,
 {
     #[cfg(test)]
     if reference::is_whole_row() {
-        return reference::invalidate_and_reseed(ps, tally, affected);
+        return reference::raise(ps, tally, affected);
     }
-    // One decision per row, on the exact row the barrier left. The receivers
-    // of an owned row hold the same row and decide the same, so a raised
-    // entry leaves the row's unsent log; the write that lowers it again logs
-    // it. A cached copy is
-    // one of those receivers: its reset entries are stale-high (safe), the
-    // kept ones remain usable for re-relaxation. Every copy is exact here: a
-    // copy exists only while its vertex borders this rank (eviction), and
-    // then it equals its owner's row at quiescence — every change dirtied
-    // the row, a dirty row goes to every bordering rank, and every send
-    // arrives (DESIGN §8; `check_invariants`).
-    let mut raised: Vec<(VertexId, Vec<usize>)> = Vec::new();
-    for owned in [true, false] {
-        let (store, tally) = match owned {
-            true => (&mut ps.dv, &mut tally.owned),
-            false => (&mut ps.cache, &mut tally.cached),
-        };
-        for x in store.vertices().to_vec() {
-            let targets = affected(store.row(x), x);
-            tally.note(targets.len());
-            if targets.is_empty() {
-                continue;
-            }
-            #[cfg(test)]
-            reference::note_reset(ps.rank, owned, x, &targets);
-            store.raise_entries(x, &targets);
-            if owned {
-                raised.push((x, targets));
-            }
+    let mut raised = Vec::new();
+    for x in ps.dv.vertices().to_vec() {
+        let targets = affected(ps.dv.row(x), x);
+        tally.note(targets.len());
+        if targets.is_empty() {
+            continue;
         }
+        #[cfg(test)]
+        reference::note_reset(ps.rank, x, &targets);
+        ps.dv.raise_entries(x, &targets);
+        #[cfg(test)]
+        ps.mirror_raise(x, &targets);
+        raised.push((x, targets));
     }
+    raised
+}
+
+/// Phase 3 of a deletion on one rank: repairs the raised rows on their
+/// raised columns only, from `kept` — the external neighbours' values
+/// phase 2 fetched — and the rows' own kept entries, and only those columns
+/// join the frontier.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "rows are full-width (world capacity) and every indexed id comes from the same world"
+)]
+fn recompute(ps: &mut ProcState, raised: Raised, kept: &Kept) {
     #[cfg(test)]
-    for (x, targets) in &raised {
-        ps.mirror_raise(*x, targets);
+    if reference::is_whole_row() {
+        return reference::recompute(ps, raised, kept);
     }
     // Bounded recompute (SSSP-Del): the kept entries of a raised row are
     // exact on the graph as it is now — no deleted edge supported them — and
@@ -601,7 +683,7 @@ where
     // finds (follow its path back from `t` to the last kept vertex). Nothing
     // lowers an exact entry: the search relaxes raised columns only.
     let mut heap = BinaryHeap::new();
-    for &(x, ref targets) in &raised {
+    for (x, targets) in raised {
         let mut cols = ColumnSet::empty(ps.dv.col_count());
         targets.iter().for_each(|&t| cols.insert(t));
         // A raised entry can sit above what a local neighbour's row offers
@@ -611,8 +693,15 @@ where
                 ps.dv.mark_columns(u, &cols);
             }
         }
-        ps.relax_from_cache(x, &cols);
-        for &t in targets {
+        // Through each external neighbour, on `x`'s raised columns among
+        // those fetched for it.
+        for &(b, w) in &ps.adj[x as usize] {
+            let found = kept.binary_search_by_key(&b, |&(b, _)| b);
+            if let Some((_, values)) = found.ok().and_then(|i| kept.get(i)) {
+                ps.dv.relax_with_delta(x, values, w, &cols);
+            }
+        }
+        for &t in &targets {
             let offers = ps.adj[t]
                 .iter()
                 .map(|&(y, w)| ps.dv.row(x)[y as usize].saturating_add(w));
@@ -639,133 +728,8 @@ where
 }
 
 #[cfg(test)]
-pub(crate) mod reference {
-    //! Test-only switch back to the invalidation this module used to run —
-    //! every owned row and cached copy scanned whole, every raised row
-    //! rebuilt by a full local Dijkstra and a dense cache sweep, raised rows
-    //! and their neighbours marked all-columns (a raised row's next send is
-    //! therefore a full row) — plus a record of what either path reset, so
-    //! tests can run both side by side.
-    use super::*;
-    use std::cell::{Cell, RefCell};
-
-    /// `(rank, owned row rather than cached copy, row vertex, reset columns)`.
-    pub(crate) type Reset = (usize, bool, VertexId, Vec<usize>);
-
-    thread_local! {
-        static WHOLE_ROW: Cell<bool> = const { Cell::new(false) };
-        static RESETS: RefCell<Option<Vec<Reset>>> = const { RefCell::new(None) };
-    }
-
-    pub(crate) fn is_whole_row() -> bool {
-        WHOLE_ROW.with(Cell::get)
-    }
-
-    /// Runs `f` with every deletion on this thread invalidating the old way.
-    pub(crate) fn whole_row<R>(f: impl FnOnce() -> R) -> R {
-        let before = WHOLE_ROW.with(|w| w.replace(true));
-        let out = f();
-        WHOLE_ROW.with(|w| w.set(before));
-        out
-    }
-
-    /// Records a row's reset columns, if it has any and [`recording`] is on.
-    pub(crate) fn note_reset(rank: usize, owned: bool, row: VertexId, cols: &[usize]) {
-        if cols.is_empty() {
-            return;
-        }
-        RESETS.with(|r| {
-            if let Some(log) = r.borrow_mut().as_mut() {
-                log.push((rank, owned, row, cols.to_vec()));
-            }
-        });
-    }
-
-    /// Runs `f` and returns, with its result, what the deletions in it
-    /// reset, in the order they reset it: rank by rank, owned rows then
-    /// cached copies, each store in row order.
-    pub(crate) fn recording<R>(f: impl FnOnce() -> R) -> (R, Vec<Reset>) {
-        RESETS.with(|r| r.replace(Some(Vec::new())));
-        let out = f();
-        (out, RESETS.with(RefCell::take).unwrap_or_default())
-    }
-
-    /// The deletion filters' shadow check: each `d(x,e) = row_e[x]` read off
-    /// a broadcast row is what row `x` holds, so both keep the same rows.
-    pub(crate) fn assert_row_agrees(row: &[Weight], x: VertexId, ends: &[(VertexId, Weight)]) {
-        for &(e, d) in ends {
-            let held = row.get(e as usize).copied();
-            assert_eq!(Some(d), held, "row {x}: d({x},{e}) off the broadcast row");
-        }
-    }
-
-    /// The whole-row scan [`DeletedEdge::affected_targets`] replaced: every
-    /// entry of the row held to both directions' thresholds, no filter.
-    pub(crate) fn affected_targets_edge(
-        row: &[Weight],
-        x: VertexId,
-        (u, v, w): (VertexId, VertexId, Weight),
-        row_u: &[Weight],
-        row_v: &[Weight],
-    ) -> Vec<usize> {
-        // `d(x,u) + w`, `d(x,v) + w`.
-        let plus_w = |e: VertexId| row.get(e as usize).map_or(INF, |d| d.saturating_add(w));
-        let (a, b) = (plus_w(u), plus_w(v));
-        let mut out = Vec::new();
-        for (t, ((&d, &du), &dv)) in row.iter().zip(row_u).zip(row_v).enumerate() {
-            if d == INF || t == x as usize {
-                continue;
-            }
-            if d >= a.saturating_add(dv).min(b.saturating_add(du)) {
-                out.push(t);
-            }
-        }
-        out
-    }
-
-    pub(crate) fn invalidate_and_reseed<F>(
-        ps: &mut ProcState,
-        tally: &mut InvalidationTally,
-        mut affected: F,
-    ) where
-        F: FnMut(&[Weight], VertexId) -> Vec<usize>,
-    {
-        let mut dirtied = Vec::new();
-        for x in ps.dv.vertices().to_vec() {
-            let targets = affected(ps.dv.row(x), x);
-            tally.owned.note(targets.len());
-            if targets.is_empty() {
-                continue;
-            }
-            note_reset(ps.rank, true, x, &targets);
-            let row = ps.dv.row_mut(x);
-            for &t in &targets {
-                row[t] = INF;
-            }
-            dirtied.push(x);
-        }
-        for &x in &dirtied {
-            for &(u, _) in &ps.adj[x as usize] {
-                if ps.is_local[u as usize] {
-                    ps.dv.mark_all_columns(u);
-                }
-            }
-        }
-        for b in ps.cache.vertices().to_vec() {
-            let targets = affected(ps.cache.row(b), b);
-            tally.cached.note(targets.len());
-            note_reset(ps.rank, false, b, &targets);
-            ps.cache.raise_entries(b, &targets);
-        }
-        for &x in &dirtied {
-            let fresh = ps.local_sssp(x);
-            ps.dv.relax_with_external(x, &fresh, 0);
-            ps.relax_from_cache(x, &ColumnSet::EVERY);
-            ps.dirty.insert(x);
-        }
-        ps.propagate();
-    }
-}
+#[path = "tests/deletion_reference.rs"]
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {

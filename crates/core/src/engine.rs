@@ -97,18 +97,22 @@ impl AnytimeEngine {
             .expect("vertex assigned at initialize/add-vertex time")
     }
 
-    /// Eviction, after `rank`'s view lost edges: every cached copy whose
-    /// vertex no longer borders the rank goes, and the rank leaves each
-    /// owner's receiver set with it — so a copy is held only while its vertex
-    /// borders the rank, every copy is exact at a deletion barrier, and an
-    /// edge that returns brings a full row.
-    pub(crate) fn evict_unbordered(&mut self, rank: usize) {
-        let gone = self.procs.get_mut(rank).map(ProcState::evict_unbordered);
-        for b in gone.unwrap_or_default() {
-            self.obs.note_evicted(rank);
-            let owner = self.partition.part_of(b);
-            if let Some(owner) = owner.and_then(|owner| self.procs.get_mut(owner)) {
-                owner.forget_receiver(b, rank);
+    /// After views lost edges: every rank left with no local edge to one of
+    /// `candidates` leaves its owner's `sent_to` — so every member borders
+    /// the row, and an edge that returns brings a full row, not a delta onto
+    /// neighbours that were never relaxed against the rest of it.
+    pub(crate) fn forget_unbordered(&mut self, candidates: impl IntoIterator<Item = VertexId>) {
+        for v in candidates {
+            let Some(owner) = self.partition.part_of(v) else {
+                continue;
+            };
+            let apart = |ps: &&ProcState| {
+                ps.rank != owner && ps.adj.get(v as usize).is_none_or(Vec::is_empty)
+            };
+            let gone: Vec<usize> = self.procs.iter().filter(apart).map(|ps| ps.rank).collect();
+            if let Some(owner) = self.procs.get_mut(owner) {
+                gone.into_iter()
+                    .for_each(|rank| owner.forget_receiver(v, rank));
             }
         }
     }
@@ -227,23 +231,20 @@ impl AnytimeEngine {
                     let ranks = ps.neighbor_ranks(u, partition);
                     if ranks.is_empty() {
                         // Interior vertex: no neighbour processor needs it.
-                        // One that held a copy while the row had a cut edge
+                        // One relaxed against it while the row had a cut edge
                         // misses this update, so it is up to date no longer:
                         // should it border the row again, it gets a full one.
                         ps.forget_receivers(u);
                         continue;
                     }
-                    // One walk of the unsent bits, into one buffer that every
-                    // destination shares.
-                    let delta = ps.unsent_delta(u);
-                    for &dst in &ranks {
-                        if let Some(update) = ps.build_row_update(u, dst, delta.as_ref()) {
-                            outbox.push(TransferOut {
-                                dst,
-                                bytes: update.bytes(),
-                                payload: (u, update),
-                            });
-                        }
+                    // One walk of the unsent bits, and at most one full row,
+                    // into buffers that every destination shares.
+                    for (dst, update) in ps.row_updates(u, &ranks) {
+                        outbox.push(TransferOut {
+                            dst,
+                            bytes: update.bytes(),
+                            payload: (u, update),
+                        });
                     }
                     ps.record_sent(u, &ranks);
                 }
@@ -271,8 +272,8 @@ impl AnytimeEngine {
         // 2. Personalized all-to-all exchange.
         let inbox = self.cluster.exchange(Phase::Recombination, outbox);
 
-        // 3. Apply received rows and refine locally, one closure per rank
-        // on the backend.
+        // 3. Relax each received row into its local neighbours, drop it, and
+        // refine locally, one closure per rank on the backend.
         self.cluster.run_on_ranks(
             Phase::Recombination,
             &mut self.procs,
@@ -283,7 +284,8 @@ impl AnytimeEngine {
                 }
                 // The frontier holds what the inbound rows just lowered and
                 // whatever a dynamic event or a migration installed since the
-                // last step; draining it reaches the local fixed point.
+                // last step; draining it reaches the local fixed point, which
+                // does not depend on the order the rows arrived in.
                 ps.propagate();
             },
         );
@@ -433,6 +435,17 @@ impl AnytimeEngine {
         snap
     }
 
+    /// The ranks `v`'s owner lists as relaxed against `v`'s row as last
+    /// sent — the ranks it sends deltas of the row to — ascending. Empty for
+    /// an unassigned vertex (test/debug helper).
+    pub fn receivers(&self, v: VertexId) -> Vec<usize> {
+        let owner = self.partition.part_of(v).and_then(|r| self.procs.get(r));
+        let listed = owner.and_then(|ps| ps.sent_to.get(&v)).into_iter();
+        let mut ranks: Vec<usize> = listed.flatten().copied().collect();
+        ranks.sort_unstable();
+        ranks
+    }
+
     /// Gathers the full distance matrix by source vertex id (test/debug
     /// helper; free of cluster charges). Unowned/dead slots yield `INF` rows.
     #[expect(
@@ -452,12 +465,9 @@ impl AnytimeEngine {
     }
 
     /// Internal consistency checks (tests): every live vertex has exactly one
-    /// owning row, which no rank also caches; views agree with the partition;
-    /// a rank caches a row only while the row's vertex borders it, and every
-    /// rank an owner lists as holding a row does hold it; a converged engine
-    /// has every change log empty and every cached copy equal to its owner's
-    /// row — the premise deletions decide on
-    /// (`dynamic::invalidate_and_reseed`).
+    /// owning row; views agree with the partition; every rank an owner lists
+    /// in a row's `sent_to` borders the row's vertex; a converged engine has
+    /// every change log empty.
     #[expect(
         clippy::indexing_slicing,
         reason = "the diagnostic tables are sized to world capacity and row vertex ids are below it"
@@ -478,14 +488,14 @@ impl AnytimeEngine {
                     return Err(format!("proc {} owns {v} against the partition", ps.rank));
                 }
                 // In rank order, not the set's: the first one reported repeats.
-                let copyless = |r: &usize| !self.procs[*r].cache.has_row(v);
+                let apart = |r: &&usize| self.procs[**r].adj[v as usize].is_empty();
                 let listed = ps.sent_to.get(&v).into_iter().flatten();
-                if let Some(r) = listed.filter(|r| copyless(r)).min() {
+                if let Some(r) = listed.filter(apart).min() {
                     let rank = ps.rank;
-                    return Err(format!("proc {rank} lists {r} as holding row {v}: no copy"));
+                    return Err(format!("proc {rank} lists {r} for row {v}: no edge there"));
                 }
             }
-            if let Some(v) = ps.frontier().next().filter(|_| self.converged) {
+            if let Some(v) = ps.dv.frontier().next().filter(|_| self.converged) {
                 return Err(format!("converged, but row {v} is on the frontier"));
             }
         }
@@ -496,21 +506,6 @@ impl AnytimeEngine {
                     "vertex {v}: {} owners, expected {expect}",
                     owned[v as usize]
                 ));
-            }
-        }
-        for ps in &self.procs {
-            let rank = ps.rank;
-            for &b in ps.cache.vertices() {
-                if ps.dv.has_row(b) {
-                    return Err(format!("proc {rank} owns row {b} and caches it"));
-                }
-                if ps.adj[b as usize].is_empty() {
-                    return Err(format!("proc {rank} caches row {b}, which borders nothing"));
-                }
-                let owner = self.partition.part_of(b).filter(|_| self.converged);
-                if owner.is_some_and(|owner| self.procs[owner].dv.row(b) != ps.cache.row(b)) {
-                    return Err(format!("converged, but proc {rank} holds a stale row {b}"));
-                }
             }
         }
         Ok(())
@@ -687,11 +682,9 @@ mod tests {
         assert!(!e.rc_step());
         let ps = &e.procs[1];
         assert_eq!(ps.neighbor_ranks(1, &e.partition), [0, 2]);
-        let delta = ps.unsent_delta(1);
-        let sends = [0, 2].map(|dst| ps.build_row_update(1, dst, delta.as_ref()));
-        match sends {
-            [Some(RowUpdate::Delta(a)), Some(RowUpdate::Delta(b))] => {
-                assert!(Arc::ptr_eq(&a, &b));
+        match &ps.row_updates(1, &[0, 2])[..] {
+            [(0, RowUpdate::Delta(a)), (2, RowUpdate::Delta(b))] => {
+                assert!(Arc::ptr_eq(a, b));
                 assert_eq!(a.pairs(), [(3, 2)]);
             }
             other => panic!("expected two deltas, got {other:?}"),

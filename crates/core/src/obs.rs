@@ -38,10 +38,10 @@ struct Oracle {
     closeness: Vec<f64>,
 }
 
-/// Rows one kind of container offered to deletion invalidation, and what it
-/// raised in them.
+/// Deletion invalidation's work so far, summed over updates and ranks: the
+/// owned rows it examined, and what it raised in them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct RowTally {
+pub(crate) struct InvalidationTally {
     /// Rows asked whether the update can have changed them.
     pub(crate) examined: u64,
     /// Rows with at least one entry reset to `INF`.
@@ -50,22 +50,13 @@ pub(crate) struct RowTally {
     pub(crate) entries: u64,
 }
 
-impl RowTally {
+impl InvalidationTally {
     /// One more row examined, `targets` of its entries reset.
     pub(crate) fn note(&mut self, targets: usize) {
         self.examined += 1;
         self.reset += u64::from(targets > 0);
         self.entries += targets as u64;
     }
-}
-
-/// Deletion invalidation's work so far, summed over updates and ranks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct InvalidationTally {
-    /// Owned distance rows.
-    pub(crate) owned: RowTally,
-    /// Cached copies of external boundary rows.
-    pub(crate) cached: RowTally,
 }
 
 /// Observability state carried by the engine.
@@ -89,9 +80,6 @@ pub(crate) struct EngineObs {
     /// Candidate-column entries edge deletions tested in the rows a deleted
     /// edge was tight for — what the sweep read instead of those rows whole.
     pub(crate) candidate_columns: u64,
-    /// Cached copies evicted because their vertex stopped bordering the
-    /// rank, by rank (grown on first use).
-    pub(crate) cache_evicted: Vec<u64>,
     /// Recombination steps the deletion barrier ran to reach a fixed point.
     pub(crate) barrier_steps: u64,
     oracle: Option<Oracle>,
@@ -121,16 +109,6 @@ impl EngineObs {
         self.oracle = None;
         self.prev_dense = None;
         self.state_version += 1;
-    }
-
-    /// `rank` evicted one cached copy.
-    pub(crate) fn note_evicted(&mut self, rank: usize) {
-        if self.cache_evicted.len() <= rank {
-            self.cache_evicted.resize(rank + 1, 0);
-        }
-        if let Some(evicted) = self.cache_evicted.get_mut(rank) {
-            *evicted += 1;
-        }
     }
 }
 
@@ -351,27 +329,19 @@ impl AnytimeEngine {
         );
         r.set_help(
             "aa_invalidation_rows_examined_total",
-            "Rows a deletion asked whether it can have changed them, by container",
+            "Owned rows a deletion asked whether it can have changed them",
         );
         r.set_help(
             "aa_invalidation_rows_reset_total",
-            "Rows in which a deletion reset at least one entry, by container",
+            "Owned rows in which a deletion reset at least one entry",
         );
         r.set_help(
             "aa_invalidation_entries_reset_total",
-            "Distance entries a deletion reset to INF, by container",
+            "Distance entries a deletion reset to INF",
         );
         r.set_help(
             "aa_invalidation_candidate_columns_total",
             "Candidate-column entries edge deletions tested in the rows a deleted edge was tight for",
-        );
-        r.set_help(
-            "aa_cache_rows",
-            "Cached copies of external boundary rows held, by rank",
-        );
-        r.set_help(
-            "aa_cache_evicted_total",
-            "Cached copies dropped because their vertex stopped bordering the rank, by rank",
         );
         r.set_help("aa_makespan_us", "LogP virtual cluster time (µs)");
         r.set_help("aa_dirty_rows", "Rows scheduled for the next exchange");
@@ -433,26 +403,17 @@ impl AnytimeEngine {
         let staged = self.obs.delta_buffer_bytes_max as f64;
         r.set_gauge("aa_rc_delta_buffer_bytes_max", &[], staged);
 
-        let tally = self.obs.invalidation;
-        for (rows, t) in [("owned", tally.owned), ("cached", tally.cached)] {
-            let labels = [("rows", rows)];
-            r.inc_counter("aa_invalidation_rows_examined_total", &labels, t.examined);
-            r.inc_counter("aa_invalidation_rows_reset_total", &labels, t.reset);
-            r.inc_counter("aa_invalidation_entries_reset_total", &labels, t.entries);
-        }
+        let t = self.obs.invalidation;
+        let labels = [("rows", "owned")];
+        r.inc_counter("aa_invalidation_rows_examined_total", &labels, t.examined);
+        r.inc_counter("aa_invalidation_rows_reset_total", &labels, t.reset);
+        r.inc_counter("aa_invalidation_entries_reset_total", &labels, t.entries);
 
         r.inc_counter(
             "aa_invalidation_candidate_columns_total",
             &[],
             self.obs.candidate_columns,
         );
-        for ps in &self.procs {
-            let rank = ps.rank.to_string();
-            let labels = [("rank", rank.as_str())];
-            r.set_gauge("aa_cache_rows", &labels, ps.cache.row_count() as f64);
-            let evicted = self.obs.cache_evicted.get(ps.rank).copied().unwrap_or(0);
-            r.inc_counter("aa_cache_evicted_total", &labels, evicted);
-        }
 
         r.set_gauge("aa_makespan_us", &[], self.cluster.makespan_us());
         let dirty_rows: usize = self.procs.iter().map(|ps| ps.dirty.len()).sum();

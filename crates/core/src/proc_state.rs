@@ -7,11 +7,12 @@
 //! neighbouring sub-graphs". External vertices appear in the adjacency view
 //! but are never expanded: their own neighbourhoods are unknown here.
 //!
-//! Both kinds of vertex have the one kind of distance vector: `dv` holds the
-//! owned rows, `cache` the copies of external boundary rows as last received,
-//! and the propagation invariant stated in `dv.rs` covers an edge out of
-//! either. The frontier is therefore `cache.frontier()` then `dv.frontier()`,
-//! and whatever walks the rows walks both stores, in row order.
+//! Only owned vertices have a distance vector here (`dv`). An external
+//! boundary vertex's row is what its owner sends: it is relaxed into the
+//! vertex's local neighbours on arrival and dropped, as in distance-vector
+//! routing, where a router stores its own table and not its neighbours'. So
+//! the frontier is `dv.frontier()`, and [`ProcState::sent_to`] is what says,
+//! per owned row, which ranks have been relaxed against it.
 
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
@@ -29,10 +30,10 @@ use std::sync::Arc;
 /// DVs" optimization.
 #[derive(Debug, Clone)]
 pub enum RowUpdate {
-    /// The complete row (first send to a given processor). Owned by its one
-    /// destination: it becomes the cached copy there without another copy.
-    Full(Vec<Weight>),
-    /// The entries changed since the receiver's copy. One buffer per row,
+    /// The complete row (first send to a given processor). One buffer per
+    /// row, shared by every destination the row goes to whole.
+    Full(Arc<[Weight]>),
+    /// The entries lowered since the row's last send. One buffer per row,
     /// shared by every destination the row's delta goes to.
     Delta(Arc<RowDelta>),
 }
@@ -84,16 +85,14 @@ pub struct ProcState {
     pub is_local: Vec<bool>,
     /// Distance vectors of owned vertices.
     pub dv: DistanceMatrix,
-    /// Copies of the distance vectors of external boundary vertices, as last
-    /// received. Never the row of a vertex `dv` holds, and never that of a
-    /// vertex with no edge into this rank: when the last one goes, so does
-    /// the copy ([`Self::evict_unbordered`]).
-    pub cache: DistanceMatrix,
     /// Owned vertices whose rows changed since they were last sent.
     pub dirty: HashSet<VertexId>,
-    /// Per boundary row: processors that already hold a copy (and can
-    /// therefore accept deltas — the row's unsent log in `dv` says of which
-    /// entries).
+    /// Per boundary row `v`: the ranks whose local neighbours of `v` have
+    /// been relaxed against `v`'s row as last sent, and can therefore take
+    /// a delta — the row's unsent log in `dv` says of which entries. Every
+    /// member borders `v`: a rank whose last edge to `v` goes leaves the set
+    /// (`AnytimeEngine::forget_unbordered`), and so does a rank a migration
+    /// gives a local neighbour of `v` not relaxed against that row.
     pub sent_to: HashMap<VertexId, HashSet<usize>>,
     /// What `sent_snapshot` used to be: a copy of each boundary row as of
     /// the send that last emptied its unsent log. Every delta is checked
@@ -110,20 +109,11 @@ impl ProcState {
             adj: vec![Vec::new(); capacity],
             is_local: vec![false; capacity],
             dv: DistanceMatrix::new(capacity),
-            cache: DistanceMatrix::new(capacity),
             dirty: HashSet::new(),
             sent_to: HashMap::new(),
             #[cfg(test)]
             shadow: HashMap::new(),
         }
-    }
-
-    /// Forgets who holds which row (used when ownership changes under the
-    /// receivers, e.g. repartitioning): the next send of every row is full.
-    pub fn reset_send_state(&mut self) {
-        self.sent_to.clear();
-        #[cfg(test)]
-        self.shadow.clear();
     }
 
     /// Forgets who holds row `u`: the next send to any rank is a full row.
@@ -145,23 +135,29 @@ impl ProcState {
         delta.map(Arc::new)
     }
 
-    /// Builds the update message for row `u` towards processor `dst` out of
-    /// the row's [`Self::unsent_delta`]: the delta if `dst` holds a copy, the
-    /// full row otherwise, `None` if `dst` is already up to date. Does not
-    /// record the send — call [`Self::record_sent`] once all destinations
-    /// are served.
-    pub fn build_row_update(
-        &self,
-        u: VertexId,
-        dst: usize,
-        delta: Option<&Arc<RowDelta>>,
-    ) -> Option<RowUpdate> {
-        match delta {
-            Some(delta) if self.sent_to.get(&u).is_some_and(|s| s.contains(&dst)) => {
-                (!delta.is_empty()).then(|| RowUpdate::Delta(Arc::clone(delta)))
-            }
-            _ => Some(RowUpdate::Full(self.dv.row(u).to_vec())),
+    /// The messages that bring the ranks `ranks` up to date on row `u`: the
+    /// row's [`Self::unsent_delta`] to each one in `sent_to` (none if it is
+    /// empty), the full row to the others. At most one buffer of each kind,
+    /// built once and shared by every destination. Does not record the
+    /// send — call [`Self::record_sent`] once all destinations are served.
+    pub fn row_updates(&self, u: VertexId, ranks: &[usize]) -> Vec<(usize, RowUpdate)> {
+        let delta = self.unsent_delta(u);
+        let listed = |dst: &usize| self.sent_to.get(&u).is_some_and(|s| s.contains(dst));
+        let mut full: Option<Arc<[Weight]>> = None;
+        let mut updates = Vec::with_capacity(ranks.len());
+        for &dst in ranks {
+            let update = match &delta {
+                Some(delta) if listed(&dst) => match delta.is_empty() {
+                    true => continue,
+                    false => RowUpdate::Delta(Arc::clone(delta)),
+                },
+                _ => RowUpdate::Full(Arc::clone(
+                    full.get_or_insert_with(|| Arc::from(self.dv.row(u))),
+                )),
+            };
+            updates.push((dst, update));
         }
+        updates
     }
 
     /// Records that row `u` was just brought up to date on exactly `ranks`
@@ -177,7 +173,7 @@ impl ProcState {
     }
 
     /// Mirrors [`DistanceMatrix::raise_entries`] in the shadow baseline: the
-    /// receivers raise the same entries of their copies.
+    /// row as last sent is raised on the same entries.
     #[cfg(test)]
     pub(crate) fn mirror_raise(&mut self, u: VertexId, cols: &[usize]) {
         if let Some(shadow) = self.shadow.get_mut(&u) {
@@ -186,11 +182,10 @@ impl ProcState {
     }
 
     /// Rebuilds the adjacency view and locality flags from the world graph
-    /// and a partition. Does **not** touch the distance values or caches —
-    /// callers decide what survives (everything after initial decomposition,
-    /// migrated rows after repartitioning, the copies the new view still
-    /// borders) — but the new adjacency may make any two surviving rows
-    /// neighbours, so every row, owned or cached, is marked all-columns.
+    /// and a partition. Does **not** touch the distance values — callers
+    /// decide what survives (everything after initial decomposition,
+    /// migrated rows after repartitioning) — but the new adjacency may make
+    /// any two surviving rows neighbours, so every row is marked all-columns.
     #[expect(
         clippy::indexing_slicing,
         reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
@@ -217,7 +212,6 @@ impl ProcState {
             }
         }
         self.dv.mark_all_rows();
-        self.cache.mark_all_rows();
         // Local-local edges got pushed once from each side already; external
         // entries were pushed from the local side only. Nothing to dedup: the
         // loop above adds each (local, local) edge to both lists exactly once
@@ -253,8 +247,9 @@ impl ProcState {
 
     /// Records an edge in the adjacency view if at least one endpoint is
     /// local. Mirrors [`Self::rebuild_view`]'s shape. Nothing has been
-    /// relaxed over the new edge yet, so an endpoint with a row, owned or
-    /// cached, is marked all-columns.
+    /// relaxed over the new edge yet, so an owned endpoint is marked
+    /// all-columns; an external one owes its new neighbour what its broadcast
+    /// row brings ([`Self::relax_through_external`]).
     #[expect(
         clippy::indexing_slicing,
         reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
@@ -265,11 +260,9 @@ impl ProcState {
         }
         self.adj[u as usize].push((v, w));
         self.adj[v as usize].push((u, w));
-        for store in [&mut self.dv, &mut self.cache] {
-            for x in [u, v] {
-                if store.has_row(x) {
-                    store.mark_all_columns(x);
-                }
+        for x in [u, v] {
+            if self.dv.has_row(x) {
+                self.dv.mark_all_columns(x);
             }
         }
     }
@@ -297,7 +290,6 @@ impl ProcState {
         grow(&mut self.adj, new_cap, Vec::new());
         grow(&mut self.is_local, new_cap, false);
         self.dv.extend_cols(new_cap);
-        self.cache.extend_cols(new_cap);
         #[cfg(test)]
         #[expect(
             clippy::iter_over_hash_type,
@@ -308,69 +300,56 @@ impl ProcState {
         }
     }
 
-    /// Caches a broadcast copy of `v`'s row if `v` is an external boundary
-    /// vertex here, so later invalidations can re-relax from it. The copy
-    /// replaces the cached row with values `v`'s local neighbours have not
-    /// been relaxed against on any column: its log is all-columns.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
-    )]
-    pub fn cache_broadcast_row(&mut self, v: VertexId, row: &[Weight]) {
-        if !self.is_local[v as usize] && !self.adj[v as usize].is_empty() {
-            self.cache.replace_row(v, row.to_vec(), ColumnSet::EVERY);
-        }
-    }
-
-    /// Drops the cached copy of `v`'s row.
-    pub fn forget_external_row(&mut self, v: VertexId) {
-        if self.cache.has_row(v) {
-            self.cache.take_row(v);
-        }
-    }
-
-    /// Eviction: drops the cached copy of every vertex the view no longer
-    /// gives a local edge — a copy is held only while its vertex borders
-    /// this rank — and returns those vertices, in row order. The caller owes
-    /// each one's owner a [`Self::forget_receiver`].
-    pub fn evict_unbordered(&mut self) -> Vec<VertexId> {
-        let cached = self.cache.vertices().iter().copied();
-        let unbordered = |b: &VertexId| self.adj.get(*b as usize).is_none_or(Vec::is_empty);
-        let gone: Vec<VertexId> = cached.filter(unbordered).collect();
-        for &b in &gone {
-            self.cache.take_row(b);
-        }
-        gone
-    }
-
-    /// Rank `dst` no longer holds a copy of row `u`: it gets a full row on
-    /// next contact, never a delta onto a copy that is not there.
+    /// Rank `dst` leaves the ranks relaxed against row `u`: it gets a full
+    /// row on next contact, never a delta it cannot complete.
     pub fn forget_receiver(&mut self, u: VertexId, dst: usize) {
         if let Some(receivers) = self.sent_to.get_mut(&u) {
             receivers.remove(&dst);
         }
     }
 
-    /// Applies a received boundary-row update to the cached copy, which logs
-    /// what its local neighbours now owe it — the next [`Self::propagate`]
-    /// relaxes them. A full row replaces the copy; only a finite entry can
-    /// lower anything, so those columns are the log whatever the copy held
-    /// before. A delta is a batch of lowering writes, onto an all-`INF` row
-    /// if no copy is held, and logs exactly the entries it lowered.
+    /// Relaxes the local neighbours of external vertex `v` here through a
+    /// row of `v` — `relax(dv, u, w)` relaxes neighbour `u` over weight `w`
+    /// — and marks the ones it lowers dirty. They join the frontier through
+    /// the lowering writes' logs.
+    fn relax_neighbours_of(
+        &mut self,
+        v: VertexId,
+        relax: impl Fn(&mut DistanceMatrix, VertexId, Weight) -> bool,
+    ) {
+        for &(u, w) in self.adj.get(v as usize).into_iter().flatten() {
+            if self.is_local.get(u as usize) == Some(&true) && relax(&mut self.dv, u, w) {
+                self.dirty.insert(u);
+            }
+        }
+    }
+
+    /// Applies a received boundary-row update: `v`'s local neighbours here
+    /// relax through it on the update's columns — a full row's finite ones,
+    /// the only ones it can lower anything on, or a delta's — and the buffer
+    /// is dropped. The next [`Self::propagate`] carries what it lowered on.
     pub fn apply_row_update(&mut self, v: VertexId, update: RowUpdate) {
         match update {
             RowUpdate::Full(row) => {
                 let finite = ColumnSet::finite_of(&row);
-                self.cache.replace_row(v, row, finite);
+                self.relax_neighbours_of(v, |dv, u, w| {
+                    dv.relax_with_external_on(u, &row, w, &finite)
+                });
             }
             RowUpdate::Delta(delta) => {
-                if !self.cache.has_row(v) {
-                    let cap = self.adj.len();
-                    self.cache
-                        .replace_row(v, vec![INF; cap], ColumnSet::empty(cap));
-                }
-                self.cache.lower_delta(v, &delta);
+                self.relax_neighbours_of(v, |dv, u, w| {
+                    dv.relax_with_delta(u, &delta, w, &ColumnSet::EVERY)
+                });
             }
+        }
+    }
+
+    /// Relaxes the local neighbours here of `v`, if it is external, through
+    /// its broadcast row on every column: a new edge's endpoint row is
+    /// current, and may undercut what its neighbours were relaxed against.
+    pub fn relax_through_external(&mut self, v: VertexId, row: &[Weight]) {
+        if self.is_local.get(v as usize) == Some(&false) {
+            self.relax_neighbours_of(v, |dv, u, w| dv.relax_with_external(u, row, w));
         }
     }
 
@@ -436,30 +415,23 @@ impl ProcState {
         self.dv.clear_logs();
     }
 
-    /// The frontier: the rows, cached then owned, that still owe their
-    /// local neighbours a relaxation.
-    pub fn frontier(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.cache.frontier().chain(self.dv.frontier())
-    }
-
     /// Whether this processor has nothing left to do or to say: no row on
     /// the frontier, none waiting to be sent.
     pub fn is_quiescent(&self) -> bool {
-        self.dirty.is_empty() && self.frontier().next().is_none()
+        self.dirty.is_empty() && self.dv.frontier().next().is_none()
     }
 
     /// Label-correcting propagation over local edges until the frontier is
-    /// empty, which is the local fixed point: a popped row, owned or cached,
-    /// relaxes its local neighbours on the columns in its change log, which
-    /// is then cleared, and a neighbour it lowers joins the queue. Marks
-    /// improved rows dirty. Returns whether an owned row was on the frontier
-    /// or joined it.
+    /// empty, which is the local fixed point: a popped row relaxes its local
+    /// neighbours on the columns in its change log, which is then cleared,
+    /// and a neighbour it lowers joins the queue. Marks improved rows dirty.
+    /// Returns whether the frontier held anything.
     #[expect(
         clippy::indexing_slicing,
         reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
     )]
     pub fn propagate(&mut self) -> bool {
-        let mut queue: VecDeque<VertexId> = self.frontier().collect();
+        let mut queue: VecDeque<VertexId> = self.dv.frontier().collect();
         if queue.is_empty() {
             return false;
         }
@@ -467,58 +439,19 @@ impl ProcState {
         for &v in &queue {
             queued[v as usize] = true;
         }
-        let mut moved = false;
         while let Some(v) = queue.pop_front() {
             queued[v as usize] = false;
-            let cached = self.cache.logged_row(v);
             for &(u, w) in &self.adj[v as usize] {
-                if !self.is_local[u as usize] {
-                    continue;
-                }
-                let lowered = match cached {
-                    Some((row, log)) => self.dv.relax_with_external_on(u, row, w, log),
-                    None => self.dv.relax_rows_on(u, v, w),
-                };
-                if lowered {
+                if self.is_local[u as usize] && self.dv.relax_rows_on(u, v, w) {
                     self.dirty.insert(u);
                     if !std::mem::replace(&mut queued[u as usize], true) {
                         queue.push_back(u);
                     }
                 }
             }
-            if cached.is_some() {
-                self.cache.clear_log(v);
-            } else {
-                self.dv.clear_log(v);
-                moved = true;
-            }
+            self.dv.clear_log(v);
         }
-        moved
-    }
-
-    /// Re-relaxes the columns `cols` of local vertex `u` through the cached
-    /// rows of its external neighbours (deletion invalidation raised those
-    /// entries; on every other column the propagation invariant still holds).
-    /// Returns whether the row improved.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
-    )]
-    pub fn relax_from_cache(&mut self, u: VertexId, cols: &ColumnSet) -> bool {
-        let mut changed = false;
-        for &(b, w) in &self.adj[u as usize] {
-            if self.is_local[b as usize] {
-                continue;
-            }
-            let Some((row, _)) = self.cache.logged_row(b) else {
-                continue;
-            };
-            if self.dv.relax_with_external_on(u, row, w, cols) {
-                changed = true;
-                self.dirty.insert(u);
-            }
-        }
-        changed
+        true
     }
 }
 
@@ -550,23 +483,27 @@ mod tests {
     }
 
     fn frontier(ps: &ProcState) -> Vec<VertexId> {
-        ps.frontier().collect()
+        ps.dv.frontier().collect()
     }
 
-    /// Rank 0 of [`split_path`] after its initial approximation, holding
-    /// rank 1's row of vertex 2 and at its local fixed point.
-    fn split_path_with_copy_of_2() -> ProcState {
+    fn full(row: &[Weight]) -> RowUpdate {
+        RowUpdate::Full(Arc::from(row))
+    }
+
+    /// Rank 0 of [`split_path`] after its initial approximation, relaxed
+    /// against rank 1's row of vertex 2 and at its local fixed point.
+    fn split_path_relaxed_against_2() -> ProcState {
         let (_, _, mut p0, mut p1) = split_path();
         p0.initial_approximation();
         p1.initial_approximation();
-        p0.apply_row_update(2, RowUpdate::Full(p1.dv.row(2).to_vec()));
+        p0.apply_row_update(2, full(p1.dv.row(2)));
         p0.propagate();
         p0
     }
 
     /// The message that takes row `u` to `dst`, built off a fresh delta.
     fn update(ps: &ProcState, u: VertexId, dst: usize) -> Option<RowUpdate> {
-        ps.build_row_update(u, dst, ps.unsent_delta(u).as_ref())
+        ps.row_updates(u, &[dst]).pop().map(|(_, update)| update)
     }
 
     #[test]
@@ -655,16 +592,16 @@ mod tests {
         let (_, _, mut p0, mut p1) = split_path();
         p0.initial_approximation();
         p1.initial_approximation();
-        // p1 sends row of vertex 2 to p0: the copy joins the frontier, on
-        // its finite columns.
-        let row2 = p1.dv.row(2).to_vec();
+        // p1 sends row of vertex 2 to p0: 2's neighbour 1 relaxes through it
+        // on arrival and joins the frontier with what it learnt, d(1,3).
         p0.dirty.clear();
-        p0.apply_row_update(2, RowUpdate::Full(row2));
-        assert_eq!(frontier(&p0), vec![2]);
-        assert!(p0.cache.log(2).contains(3) && !p0.cache.log(2).contains(0));
+        p0.apply_row_update(2, full(p1.dv.row(2)));
+        assert_eq!(p0.dv.row(1), &[1, 0, 1, 2]);
+        assert_eq!(frontier(&p0), vec![1]);
+        assert!(p0.dv.log(1).contains(3) && !p0.dv.log(1).contains(0));
         assert!(!p0.is_quiescent());
-        // Propagation carries it to vertex 1, on to vertex 0, and leaves the
-        // frontier empty.
+        // Propagation carries it on to vertex 0, and leaves the frontier
+        // empty.
         assert!(p0.propagate());
         assert_eq!(p0.dv.row(1), &[1, 0, 1, 2]);
         assert_eq!(p0.dv.row(0), &[0, 1, 2, 3]);
@@ -691,25 +628,29 @@ mod tests {
     fn extend_capacity_grows_everything() {
         let (_, _, mut p0, _) = split_path();
         p0.initial_approximation();
-        p0.cache_broadcast_row(2, &[2, 1, 0, 1]);
+        p0.record_sent(1, &[1]);
         p0.extend_capacity(6);
         assert_eq!(p0.adj.len(), 6);
+        assert_eq!(p0.is_local.len(), 6);
         assert_eq!(p0.dv.col_count(), 6);
         assert_eq!(p0.dv.row(0)[5], INF);
-        assert_eq!(p0.cache.row(2), &[2, 1, 0, 1, INF, INF]);
+        assert_eq!(p0.shadow[&1], [1, 0, 1, INF, INF, INF]);
     }
 
     #[test]
-    fn relax_from_cache_uses_stored_rows() {
-        let mut p0 = split_path_with_copy_of_2();
-        // Wipe row 1's knowledge of vertex 3 and recover it from the cache.
-        p0.dv.row_mut(1)[3] = INF;
+    fn a_broadcast_row_relaxes_the_neighbours_of_an_external_vertex_only() {
+        let (_, _, mut p0, _) = split_path();
+        p0.initial_approximation();
         p0.dirty.clear();
-        let mut wiped = ColumnSet::empty(4);
-        wiped.insert(3);
-        assert!(p0.relax_from_cache(1, &wiped));
-        assert_eq!(p0.dv.row(1)[3], 2);
-        assert!(p0.dirty.contains(&1));
+        // A broadcast of the owned row 1 is nothing to relax here.
+        p0.relax_through_external(1, &[0, 0, 0, 0]);
+        assert!(p0.dirty.is_empty() && frontier(&p0).is_empty());
+        // Row 2 as broadcast undercuts row 1 on every column it carries.
+        p0.relax_through_external(2, &[2, 1, 0, 1]);
+        assert_eq!(p0.dv.row(1), &[1, 0, 1, 2]);
+        assert!(p0.dirty.contains(&1) && frontier(&p0) == [1]);
+        p0.propagate();
+        assert_eq!(p0.dv.row(0), &[0, 1, 2, 3]);
     }
 
     #[test]
@@ -740,7 +681,7 @@ mod tests {
 
     #[test]
     fn row_update_bytes() {
-        assert_eq!(RowUpdate::Full(vec![1, 2, 3]).bytes(), 4 + 12);
+        assert_eq!(full(&[1, 2, 3]).bytes(), 4 + 12);
         assert_eq!(RowUpdate::delta(&[(0, 1), (5, 2)]).bytes(), 4 + 16);
     }
 
@@ -764,8 +705,14 @@ mod tests {
             RowUpdate::Delta(d) => assert_eq!(d.pairs(), vec![(3, 2)]),
             other => panic!("expected delta, got {other:?}"),
         }
-        // A new destination still gets the full row.
+        // A new destination still gets the full row; two of them share it.
         assert!(matches!(update(&p0, 1, 0).unwrap(), RowUpdate::Full(_)));
+        match &p0.row_updates(1, &[0, 1, 2])[..] {
+            [(0, RowUpdate::Full(a)), (1, RowUpdate::Delta(_)), (2, RowUpdate::Full(b))] => {
+                assert!(Arc::ptr_eq(a, b) && a[..] == *p0.dv.row(1));
+            }
+            other => panic!("expected full, delta, full, got {other:?}"),
+        }
         // Raw access could have written anything: full rows all round.
         p0.dv.row_mut(1)[3] = 1;
         assert!(matches!(update(&p0, 1, 1).unwrap(), RowUpdate::Full(_)));
@@ -794,51 +741,49 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_patches_cache_and_relaxes() {
-        let mut p0 = split_path_with_copy_of_2();
-        // p1 learns d(2,0) = 2 and ships only the delta.
+    fn apply_delta_relaxes_the_neighbours() {
+        let mut p0 = split_path_relaxed_against_2();
+        // p1 learns d(2,0) = 2 and ships only the delta: nothing here gains.
         p0.apply_row_update(2, RowUpdate::delta(&[(0, 2)]));
-        assert_eq!(p0.cache.row(2)[0], 2);
         assert!(!p0.propagate(), "no local row improves from this");
         assert_eq!(frontier(&p0), vec![]);
-        // A useful delta: d(2,3) drops to 1 (already known) then d(2,3)=0 fake
-        // improvement must relax local vertex 1.
+        // A useful one: a (fake) d(2,3) = 0 must relax local vertex 1, and
+        // propagation takes it on to 0.
         p0.apply_row_update(2, RowUpdate::delta(&[(3, 0)]));
-        assert_eq!(frontier(&p0), vec![2]);
+        assert_eq!(frontier(&p0), vec![1]);
         assert!(p0.propagate());
-        assert_eq!(p0.dv.row(1)[3], 1);
+        assert_eq!((p0.dv.row(1)[3], p0.dv.row(0)[3]), (1, 2));
     }
 
     #[test]
     fn a_delta_logs_exactly_what_it_lowers_and_propagates_only_there() {
-        let mut p0 = split_path_with_copy_of_2();
-        assert_eq!(p0.cache.row(2), &[INF, 1, 0, 1]);
+        let mut p0 = split_path_relaxed_against_2();
         assert_eq!(
             (p0.dv.row(0), p0.dv.row(1)),
             (&[0, 1, 2, 3][..], &[1, 0, 1, 2][..])
         );
-        // Three entries: one lowers the copy, one equals it, one is above it.
-        p0.dirty.clear();
-        p0.apply_row_update(2, RowUpdate::delta(&[(0, 2), (3, 1), (2, 5)]));
-        assert_eq!(p0.cache.row(2), &[2, 1, 0, 1]);
-        let log = p0.cache.log(2);
-        assert!(log.contains(0) && !log.contains(1) && !log.contains(2) && !log.contains(3));
-        // Give the neighbour something to gain on an unlogged column too: the
-        // drain must not look there.
+        // Give the neighbour something to gain on two columns; a delta
+        // carries one of them, and one entry above what it holds.
+        p0.dv.clear_unsent(1);
         p0.dv.raise_entries(1, &[0, 3]);
-        p0.propagate();
+        p0.dirty.clear();
+        p0.apply_row_update(2, RowUpdate::delta(&[(0, 2), (2, 5)]));
         assert_eq!(
             p0.dv.row(1),
             &[3, 0, 1, INF],
             "column 0 relaxed, column 3 left"
         );
+        let log = p0.dv.log(1);
+        assert!(log.contains(0) && !log.contains(2) && !log.contains(3));
+        assert!(p0.dv.unsent(1).contains(0) && !p0.dv.unsent(1).contains(3));
+        p0.propagate();
         assert_eq!(p0.dv.row(0), &[0, 1, 2, 3], "nothing beats d(0,0) = 0");
         assert!(p0.dirty.contains(&1) && frontier(&p0).is_empty());
     }
 
     #[test]
     fn a_duplicated_delivery_lowers_and_logs_nothing() {
-        let mut p0 = split_path_with_copy_of_2();
+        let mut p0 = split_path_relaxed_against_2();
         // A second delivery is a clone of the message: the same buffer.
         let delivered = RowUpdate::delta(&[(0, 2)]);
         let duplicate = delivered.clone();
@@ -850,46 +795,14 @@ mod tests {
         p0.propagate();
         p0.dirty.clear(); // as a send leaves it
         assert!(p0.is_quiescent());
-        let rows = (
-            p0.dv.row(0).to_vec(),
-            p0.dv.row(1).to_vec(),
-            p0.cache.row(2).to_vec(),
-        );
+        let rows = (p0.dv.row(0).to_vec(), p0.dv.row(1).to_vec());
         // The same delta arrives again.
         p0.apply_row_update(2, duplicate);
-        assert!(p0.cache.log(2).is_empty() && p0.is_quiescent());
+        assert!(p0.is_quiescent());
         assert!(!p0.propagate());
-        let after = (
-            p0.dv.row(0).to_vec(),
-            p0.dv.row(1).to_vec(),
-            p0.cache.row(2).to_vec(),
-        );
+        let after = (p0.dv.row(0).to_vec(), p0.dv.row(1).to_vec());
         assert_eq!(after, rows);
         assert!(p0.dirty.is_empty());
-    }
-
-    #[test]
-    fn apply_delta_without_cache_starts_from_inf() {
-        let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation();
-        p0.apply_row_update(2, RowUpdate::delta(&[(3, 1)]));
-        assert_eq!(
-            p0.cache.row(2),
-            &[INF, INF, INF, 1],
-            "not add_row's d(2,2) = 0"
-        );
-        assert_eq!(frontier(&p0), vec![2]);
-        assert!(p0.propagate());
-        assert_eq!(p0.dv.row(1)[3], 2, "local 1 learns d(1,3) = 2");
-    }
-
-    #[test]
-    fn reset_send_state_forces_full_rows() {
-        let (_, _, mut p0, _) = split_path();
-        p0.initial_approximation();
-        p0.record_sent(1, &[1]);
-        p0.reset_send_state();
-        assert!(matches!(update(&p0, 1, 1).unwrap(), RowUpdate::Full(_)));
     }
 
     #[test]

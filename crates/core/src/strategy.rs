@@ -311,14 +311,15 @@ impl AnytimeEngine {
             .compute_measured(ov, Phase::DynamicUpdate, t.elapsed());
         self.cluster.exchange(Phase::DynamicUpdate, gather);
 
-        // Broadcast v's row; every processor folds v into its own rows.
+        // Broadcast v's row; every processor folds v into its own rows —
+        // v's neighbours among them through v's row plus at most the edge,
+        // which is all a rank bordering v owes them.
         let row_v = self.procs[ov].dv.row(v).to_vec();
         self.cluster
             .broadcast_cost(Phase::DynamicUpdate, ov, row_bytes);
         for rank in 0..self.procs.len() {
             let t = Stopwatch::start();
             let ps = &mut self.procs[rank];
-            ps.cache_broadcast_row(v, &row_v);
             for x in ps.dv.vertices().to_vec() {
                 if x == v {
                     continue;
@@ -397,15 +398,17 @@ impl AnytimeEngine {
     /// neighbourhoods receive what they are missing. Returns the number of
     /// migrated vertices. Shared by Repartition-S and [`Self::rebalance`].
     ///
-    /// The receivers' caches of a migrated row stay valid, so the new owner
-    /// can keep sending deltas instead of full rows ("communicating the
-    /// vertex information and its partial results", as the paper describes).
+    /// A migrated row's receivers stay relaxed against it, so the new owner
+    /// can keep sending them deltas instead of full rows ("communicating the
+    /// vertex information and its partial results", as the paper describes)
+    /// — all but those [`Self::unrelaxed_receivers`] names.
     pub(crate) fn migrate_to_partition(&mut self, new_partition: aa_partition::Partition) -> usize {
         let p = self.config.num_procs;
         let cap = self.world.capacity();
         for ps in &mut self.procs {
             ps.extend_capacity(cap);
         }
+        let unrelaxed = self.unrelaxed_receivers(&new_partition);
         type Migrated = (VertexId, Vec<Weight>, ColumnSet, Option<HashSet<usize>>);
         #[cfg(test)]
         let mut shadows = std::collections::HashMap::new();
@@ -445,17 +448,15 @@ impl AnytimeEngine {
                 let ps = &mut self.procs[rank];
                 ps.dv.insert_row(v, row);
                 if let Some(mut sent_to) = sent_to {
-                    // The new owner held a copy and drops it below: should
-                    // the row move on before its next send prunes the set,
-                    // this rank must not pass for up to date.
+                    // The new owner is no receiver of its own row: should the
+                    // row move on before its next send prunes the set, this
+                    // rank must not pass for relaxed against it.
                     sent_to.remove(&rank);
                     ps.dv.restore_unsent(v, unsent);
                     ps.sent_to.insert(v, sent_to);
                     #[cfg(test)]
                     ps.shadow.extend(shadows.remove_entry(&v));
                 }
-                // The new owner no longer needs its cached copy.
-                ps.forget_external_row(v);
             }
         }
 
@@ -463,8 +464,6 @@ impl AnytimeEngine {
         for rank in 0..p {
             let t = Stopwatch::start();
             self.procs[rank].rebuild_view(&self.world, &self.partition);
-            // Copies of rows that bordered the old neighbourhood only.
-            self.evict_unbordered(rank);
             // Every row must flow to the (possibly new) neighbourhoods.
             for v in self.procs[rank].dv.vertices().to_vec() {
                 self.procs[rank].dirty.insert(v);
@@ -472,8 +471,47 @@ impl AnytimeEngine {
             self.cluster
                 .compute_measured(rank, Phase::Migration, t.elapsed());
         }
+        // Ranks that border a row no more, and ranks whose new neighbours of
+        // it were never relaxed against it, get it whole next time.
+        self.forget_unbordered(self.world.vertices().collect::<Vec<_>>());
+        for (v, rank) in unrelaxed {
+            if let Some(owner) = self.partition.part_of(v) {
+                self.procs[owner].forget_receiver(v, rank);
+            }
+        }
         self.converged = false;
         migrated
+    }
+
+    /// The `(v, r)` pairs for which installing `next` gives rank `r` a local
+    /// neighbour `u` of an external `v` that was never relaxed against `v`'s
+    /// row as last sent — so `r` cannot take a delta of it. `u` was, if its
+    /// old rank held that row's content with nothing left to relax: it owned
+    /// `v` and `v` owed its neighbours nothing, or it was itself in `v`'s
+    /// `sent_to`. A vertex new to the partition was relaxed against nothing.
+    fn unrelaxed_receivers(&self, next: &aa_partition::Partition) -> Vec<(VertexId, usize)> {
+        let relaxed = |q: usize, v: VertexId| match self.partition.part_of(v) {
+            Some(owner) if owner == q => !self.procs[q].dv.owes(v),
+            Some(owner) => self.procs[owner]
+                .sent_to
+                .get(&v)
+                .is_some_and(|s| s.contains(&q)),
+            None => false,
+        };
+        let mut unrelaxed = Vec::new();
+        for u in self.world.vertices() {
+            let (was, now) = (self.partition.part_of(u), next.part_of(u));
+            let Some(r) = now.filter(|&r| was != Some(r)) else {
+                continue;
+            };
+            for &(v, _) in self.world.neighbors(u) {
+                let external = next.part_of(v) != Some(r);
+                if external && !was.is_some_and(|q| relaxed(q, v)) {
+                    unrelaxed.push((v, r));
+                }
+            }
+        }
+        unrelaxed
     }
 
     /// Baseline restart: add the batch to the world and rerun the full

@@ -2,7 +2,7 @@
 //!
 //! Every test here feeds two engines the same calls: one on the production
 //! path, one inside [`reference::dense`], where each relaxation is the old
-//! whole-row `relax_row`. Rows, dirty sets, caches, unsent logs and wire
+//! whole-row `relax_row`. Rows, frontiers, dirty sets, unsent logs and wire
 //! traffic must be equal after every call — not just at convergence —
 //! because the change logs are only allowed to skip work, never to reorder
 //! or defer it.
@@ -18,16 +18,21 @@
 //! beside [`whole_row`], the scan-everything, local-Dijkstra invalidation it
 //! replaced. There the twins are allowed to differ, in one direction: both
 //! must reset the same entries, and what the production path rebuilds must
-//! lie between the oracle and what the reference rebuilds.
+//! lie between the oracle and what the reference rebuilds. And beside
+//! [`copy_based`], the same invalidation reading each external neighbour's
+//! row whole from its owner, as a kept copy of it would have, production —
+//! which fetches only the raised columns — must leave the very same rows.
 
 use crate::config::{EngineConfig, PartitionerKind};
 use crate::dv::reference;
 use crate::dynamic::reference as whole_row;
+use crate::dynamic::reference::copy_based;
 use crate::dynamic::{Endpoint, VertexBatch};
 use crate::proc_state::ProcState;
 use crate::strategy::AdditionStrategy;
 use crate::AnytimeEngine;
 use aa_graph::{algo, generators, Graph, VertexId, Weight, INF};
+use aa_logp::Phase;
 use aa_partition::Partition;
 use proptest::prelude::*;
 
@@ -69,20 +74,10 @@ impl Pair {
                 assert_eq!(a.dv.row(v), b.dv.row(v), "{what}: rank {rank} row {v}");
             }
             assert!(
-                a.frontier().eq(b.frontier()),
+                a.dv.frontier().eq(b.dv.frontier()),
                 "{what}: rank {rank} frontier"
             );
             assert_eq!(a.dirty, b.dirty, "{what}: rank {rank} dirty set");
-            let cached = a.cache.vertices();
-            assert_eq!(
-                cached,
-                b.cache.vertices(),
-                "{what}: rank {rank} cached rows"
-            );
-            for &v in cached {
-                let (ours, twins) = (a.cache.row(v), b.cache.row(v));
-                assert_eq!(ours, twins, "{what}: rank {rank} copy of row {v}");
-            }
             // The twin logs a lowered row all-columns for its neighbours and
             // exactly the lowered columns for the wire: same deltas, same
             // receivers, same baselines had they been kept.
@@ -119,26 +114,13 @@ impl Pair {
         panic!("did not converge");
     }
 
-    /// [`Self::converge`], then checks the result against the APSP oracle —
-    /// the rows, and every cached copy a rank still borders: at quiescence
-    /// it is its owner's row, which is what lets a deletion decide on it.
+    /// [`Self::converge`], then checks the rows against the APSP oracle.
     fn converge_and_check_oracle(&mut self) {
         self.converge();
         let dense = self.logged.distances_dense();
         let oracle = algo::apsp_dijkstra(self.logged.graph());
         for v in self.logged.graph().vertices() {
             assert_eq!(dense[v as usize], oracle[v as usize], "row {v} vs oracle");
-        }
-        for ps in &self.logged.procs {
-            let cached = ps.cache.vertices().iter();
-            for &b in cached.filter(|&&b| !ps.adj[b as usize].is_empty()) {
-                assert_eq!(
-                    ps.cache.row(b),
-                    &oracle[b as usize][..],
-                    "rank {} copy of row {b}",
-                    ps.rank
-                );
-            }
         }
     }
 
@@ -346,8 +328,9 @@ fn invalidated_entries_are_relearnt_from_an_unaffected_neighbour() {
 }
 
 #[test]
-fn delta_after_a_broadcast_refreshed_the_cache_still_reaches_the_neighbours() {
-    // Path 0-1 | 2-3; rank 0 caches row 2 and is at its fixed point.
+fn delta_after_a_broadcast_still_reaches_the_neighbours() {
+    // Path 0-1 | 2-3; rank 0 has relaxed against row 2 and is at its fixed
+    // point.
     let g = generators::path(4);
     let mut part = Partition::unassigned(4, 2);
     for (v, rank) in [(0, 0), (1, 0), (2, 1), (3, 1)] {
@@ -359,22 +342,45 @@ fn delta_after_a_broadcast_refreshed_the_cache_still_reaches_the_neighbours() {
     p0.dv.add_row(1);
     p0.initial_approximation();
     use crate::proc_state::RowUpdate;
-    p0.apply_row_update(2, RowUpdate::Full(vec![2, 1, 0, 5]));
+    p0.apply_row_update(2, RowUpdate::Full(std::sync::Arc::from([2, 1, 0, 5])));
     p0.propagate();
     assert_eq!(p0.dv.row(1), &[1, 0, 1, 6]);
 
-    // The sender's d(2,3) drops to 1. A broadcast puts the new row in the
-    // cache first; the delta that follows lowers nothing in the cache and
-    // logs nothing. What takes the new value to the neighbours is the
-    // all-columns mark the broadcast left on the copy.
-    p0.cache_broadcast_row(2, &[2, 1, 0, 1]);
-    assert_eq!(p0.dv.row(1)[3], 6, "a broadcast does not relax neighbours");
-    p0.apply_row_update(2, RowUpdate::delta(&[(3, 1)]));
-    assert_eq!(p0.frontier().collect::<Vec<_>>(), [2]);
-    assert!(p0.cache.log(2).contains(3) && p0.cache.log(2).contains(0));
+    // The sender's d(2,3) drops to 1. A broadcast carries the new row
+    // first, an edge addition's: the neighbours relax through it there and
+    // then, and the delta that follows lowers nothing more and logs nothing.
+    p0.relax_through_external(2, &[2, 1, 0, 1]);
+    assert_eq!(p0.dv.row(1)[3], 2, "a broadcast relaxes the neighbours");
+    assert!(p0.dv.frontier().eq([1]));
     p0.propagate();
     assert_eq!((p0.dv.row(1)[3], p0.dv.row(0)[3]), (2, 3));
-    assert!(p0.frontier().next().is_none());
+    p0.apply_row_update(2, RowUpdate::delta(&[(3, 1)]));
+    assert!(p0.dv.frontier().next().is_none());
+}
+
+/// Path 0-1 | 2-3, right after the initial approximation: nothing has been
+/// sent, and rank 1's row of 2 knows d(2,3) = 1, which rank 0 has not heard.
+/// An edge 0-2 is added: 2's broadcast row reaches its old neighbour 1 on
+/// rank 0 there and then — through the edge 1-2, not the new one — as a
+/// copy of it, marked all-columns, used to on the propagation that closes
+/// the call.
+#[test]
+fn an_added_edge_relaxes_the_external_endpoints_neighbours_through_its_broadcast_row() {
+    let mut pair = Pair::new(
+        generators::path(4),
+        EngineConfig {
+            num_procs: 2,
+            partitioner: PartitionerKind::BfsGrow,
+            ..Default::default()
+        },
+    );
+    assert_eq!(pair.logged.procs[0].dv.vertices(), &[0, 1], "split 2 | 2");
+    assert_eq!(pair.logged.procs[0].dv.row(1)[3], INF);
+    assert!(pair.both("add 0-2", |e| e.add_edge(0, 2, 7)));
+    let rank0 = &pair.logged.procs[0];
+    assert_eq!((rank0.dv.row(1)[3], rank0.dv.row(0)[3]), (2, 3));
+    assert!(rank0.dirty.contains(&1));
+    pair.converge_and_check_oracle();
 }
 
 #[test]
@@ -411,8 +417,8 @@ fn rows_colocated_by_a_migration_relax_each_other_on_every_column() {
 
 #[test]
 fn a_rank_that_owned_a_row_between_two_migrations_gets_the_full_row() {
-    // Path 0-1 | 2-3 | 4-5 over three ranks; rank 0 borders vertex 2 and
-    // holds its row, so rank 1 lists it as up to date.
+    // Path 0-1 | 2-3 | 4-5 over three ranks; rank 0 borders vertex 2 and has
+    // been relaxed against its row, so rank 1 lists it.
     let mut pair = Pair::new(
         generators::path(6),
         EngineConfig {
@@ -427,24 +433,23 @@ fn a_rank_that_owned_a_row_between_two_migrations_gets_the_full_row() {
     assert_ne!(there, back, "the cut runs between 1 and 2");
     assert!(pair.logged.procs[back].sent_to[&2].contains(&there));
     // Vertex 2 moves in with 1 and straight back, no step in between. The
-    // rank it visited dropped its copy on becoming the owner, and is listed
-    // as a receiver no more: one step brings it the whole row again.
+    // rank it visited is no receiver of its own row; once it is the owner no
+    // more, its row 1 has not been relaxed against row 2 since the first
+    // move marked it, so it is listed no more: one step brings it the
+    // whole row again.
     let mut away = home.clone();
     away.assign(2, there);
-    assert!(pair.logged.procs[there].cache.has_row(2));
     pair.both("migrate there", |e| e.migrate_to_partition(away.clone()));
-    // The row arrives where its copy was: one owned row, and the copy gone.
     let visited = &pair.logged.procs[there];
-    assert!(visited.dv.has_row(2) && !visited.cache.has_row(2));
-    pair.logged
-        .check_invariants()
-        .expect("no row owned and cached");
+    assert!(visited.dv.has_row(2) && visited.dv.owes(2));
     assert!(!visited.sent_to[&2].contains(&there));
     pair.both("migrate back", |e| e.migrate_to_partition(home.clone()));
-    assert!(!pair.logged.procs[there].cache.has_row(2));
+    assert!(!pair.logged.procs[back].sent_to[&2].contains(&there));
+    let full = |e: &AnytimeEngine| e.obs.full_rows_sent;
+    let before = full(&pair.logged);
     pair.both("rc_step", AnytimeEngine::rc_step);
-    let owners = pair.logged.procs[back].dv.row(2);
-    assert_eq!(pair.logged.procs[there].cache.row(2), owners);
+    assert!(full(&pair.logged) > before);
+    assert!(pair.logged.procs[back].sent_to[&2].contains(&there));
     pair.converge_and_check_oracle();
 }
 
@@ -528,14 +533,15 @@ impl DeletionPair {
             resets, reference,
             "{what}: reset sets, in the order visited"
         );
-        // Rank by rank, owned rows then cached copies, each in row order.
-        let visited = self.bounded.procs.iter().flat_map(|ps| {
-            let owned = ps.dv.vertices().iter().map(|&v| (ps.rank, true, v));
-            owned.chain(ps.cache.vertices().iter().map(|&v| (ps.rank, false, v)))
-        });
+        // Rank by rank, each in row order.
+        let visited = self
+            .bounded
+            .procs
+            .iter()
+            .flat_map(|ps| ps.dv.vertices().iter().map(|&v| (ps.rank, v)));
         let mut visited = visited.peekable();
-        for (rank, owned, v, _) in &resets {
-            let reset = (*rank, *owned, *v);
+        for (rank, v, _) in &resets {
+            let reset = (*rank, *v);
             while visited.next_if(|&row| row != reset).is_some() {}
             assert_eq!(
                 visited.next(),
@@ -567,9 +573,9 @@ impl DeletionPair {
 
     /// [`Self::delete`] for a call that only deletes, where the twins are
     /// ordered afterwards: what the production path rebuilt is no higher than
-    /// what the reference rebuilt, in the rows and in the cached copies, the
-    /// same rows wait to be sent, and every entry that was raised and lowered
-    /// again is in its row's unsent log. (A weight increase ends in an
+    /// what the reference rebuilt, both frontiers are drained, the same rows
+    /// wait to be sent, and every entry that was raised and lowered again is
+    /// in its row's unsent log. (A weight increase ends in an
     /// insertion, whose level filter withholds shortcuts by the state it
     /// finds — after it neither twin need be the lower one.)
     fn delete_only<R: PartialEq + std::fmt::Debug>(
@@ -601,18 +607,9 @@ impl DeletionPair {
             // Trailing or not, a baseline is an upper bound of its row, and
             // the unsent columns are where they differ.
             check_shadow(a, what);
+            let drained = a.dv.frontier().chain(b.dv.frontier()).next();
+            assert_eq!(drained, None, "{what}: rank {rank} frontier");
             assert_eq!(a.dirty, b.dirty, "{what}: rank {rank} dirty set");
-            let cached = a.cache.vertices();
-            assert_eq!(
-                cached,
-                b.cache.vertices(),
-                "{what}: rank {rank} cached rows"
-            );
-            for &v in cached {
-                let mut copies = a.cache.row(v).iter().zip(b.cache.row(v));
-                let lower = copies.all(|(new, old)| new <= old);
-                assert!(lower, "{what}: rank {rank} copy of row {v} above reference");
-            }
         }
         (got, resets)
     }
@@ -633,10 +630,10 @@ impl DeletionPair {
 
 /// The columns reset in the owned row `v` of `rank`.
 fn raised_columns(resets: &[whole_row::Reset], rank: usize, v: VertexId) -> &[usize] {
-    let mut owned = resets.iter().filter(|r| r.1);
-    owned
-        .find(|r| r.0 == rank && r.2 == v)
-        .map_or(&[], |r| &r.3)
+    let mut reset = resets.iter();
+    reset
+        .find(|r| r.0 == rank && r.1 == v)
+        .map_or(&[], |r| &r.2)
 }
 
 /// An edge on the shortest path between its endpoints, the `pick`-th such.
@@ -768,29 +765,77 @@ fn deleting_an_edge_on_no_shortest_path_examines_every_row_and_resets_none() {
     let mut pair = DeletionPair::new(g, config);
     pair.converge_and_check_oracle();
     let before = pair.bounded.distances_dense();
-    let caches = pair.bounded.procs.iter().map(|ps| ps.cache.row_count());
-    let cached: usize = caches.sum();
-    assert!(
-        cached > 0,
-        "two ranks on a path cache each other's boundary"
-    );
+    let updates = |e: &AnytimeEngine| e.cluster().ledger().phase(Phase::DynamicUpdate).bytes;
+    let updated = updates(&pair.bounded);
 
     let (deleted, resets) = pair.delete_only("delete chord", |e| e.delete_edge(0, 5));
     assert!(deleted && resets.is_empty());
     assert_eq!(pair.bounded.distances_dense(), before);
     assert!(pair.bounded.procs.iter().all(|ps| ps.is_quiescent()));
     let r = pair.bounded.metrics_registry();
-    let count = |name: &str, rows| r.counter_value(name, &[("rows", rows)]);
-    assert_eq!(count("aa_invalidation_rows_examined_total", "owned"), 6);
-    assert_eq!(
-        count("aa_invalidation_rows_examined_total", "cached"),
-        cached as u64
-    );
-    for rows in ["owned", "cached"] {
-        assert_eq!(count("aa_invalidation_rows_reset_total", rows), 0);
-        assert_eq!(count("aa_invalidation_entries_reset_total", rows), 0);
-    }
+    let count = |name: &str| r.counter_value(name, &[("rows", "owned")]);
+    assert_eq!(count("aa_invalidation_rows_examined_total"), 6);
+    assert_eq!(count("aa_invalidation_rows_reset_total"), 0);
+    assert_eq!(count("aa_invalidation_entries_reset_total"), 0);
+    // Nothing raised, nothing to fetch: the two endpoint rows' broadcast,
+    // one transfer each between two ranks, is all the update moved.
+    assert_eq!(updates(&pair.bounded) - updated, 2 * (4 + 4 * 6));
     pair.converge_and_check_oracle();
+}
+
+/// A 4-cycle `0-1-2-3-0` split 2 | 2: the local edge 0-1 goes, and row 0
+/// loses `d(0,2)` — both its shortest paths are tied at 2, and the one over
+/// the deleted edge counts — and `d(0,1)`. Neither comes back from rank 0's
+/// own rows: only remote neighbour 3's kept `d(3,2) = 1`, fetched, gives
+/// row 0 its column 2, and the bounded search then column 1 over 2-1.
+#[test]
+fn a_distance_lost_to_a_local_deletion_comes_back_through_a_remote_neighbour() {
+    let mut g = Graph::with_vertices(4);
+    for v in 0..4 {
+        g.add_edge(v, (v + 1) % 4, 1);
+    }
+    let config = EngineConfig {
+        num_procs: 2,
+        partitioner: PartitionerKind::BfsGrow,
+        ..Default::default()
+    };
+    let build = || {
+        let mut e = AnytimeEngine::new(g.clone(), config.clone());
+        e.initialize();
+        e.run_to_convergence(16);
+        e
+    };
+    let (mut e, mut twin) = (build(), build());
+    assert_eq!(e.procs[0].dv.vertices(), &[0, 1], "split 2 | 2");
+    let updates = |e: &AnytimeEngine| e.cluster().ledger().phase(Phase::DynamicUpdate).bytes;
+    let updated = updates(&e);
+
+    assert!(e.delete_edge(0, 1));
+    assert!(copy_based(|| twin.delete_edge(0, 1)));
+    for (ps, reference) in e.procs.iter().zip(&twin.procs) {
+        for &v in ps.dv.vertices() {
+            assert_eq!(ps.dv.row(v), reference.dv.row(v), "row {v}");
+            assert_eq!(ps.dv.unsent(v), reference.dv.unsent(v), "row {v}");
+        }
+        assert!(ps.dv.frontier().eq(reference.dv.frontier()));
+        assert_eq!(ps.dirty, reference.dirty);
+    }
+    assert_eq!(e.distances_dense()[0], [0, 3, 2, 1]);
+    // Rows 0, 1 | 2, 3 raised {1, 2}, {0, 3} | {0}, {1}, and each has one
+    // external neighbour: four asks, each a vertex id and a one-byte bitset,
+    // and four answers, each a vertex id, a one-byte mask and the finite
+    // values — d(3,2) = 1 and d(2,3) = 1 — beside the two endpoint rows'
+    // broadcasts. The twin asks for whole rows, and is sent 3, 3, 2 and 2
+    // finite values.
+    let broadcasts = 2 * (4 + 4 * 4);
+    let asks = 4 * (4 + 1);
+    assert_eq!(updates(&e) - updated, broadcasts + asks + 4 * 5 + 2 * 4);
+    assert_eq!(updates(&twin) - updated, broadcasts + asks + 4 * 5 + 10 * 4);
+
+    e.run_to_convergence(16);
+    assert!(e.is_converged());
+    assert_eq!(e.distances_dense(), algo::apsp_dijkstra(e.graph()));
+    e.check_invariants().expect("invariants");
 }
 
 /// One random call of the deletion property. Additions and steps keep the

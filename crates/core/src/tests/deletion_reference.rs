@@ -1,0 +1,157 @@
+//! Deletion references: test-only switches back to what `dynamic.rs`'s
+//! deletions used to run, and a record of what either path reset, so tests
+//! can run them side by side (`changelog.rs`):
+//!
+//! * [`whole_row`]: the old invalidation — every owned row scanned whole,
+//!   every raised row rebuilt by a full local Dijkstra and a dense sweep
+//!   through its external neighbours' rows, raised rows and their
+//!   neighbours marked all-columns (a raised row's next send is therefore a
+//!   full row);
+//! * [`copy_based`]: the production invalidation as it ran while every rank
+//!   kept copies of its external neighbours' rows — each neighbour's row
+//!   read whole, as its owner holds it, where production fetches only the
+//!   raised columns.
+
+use super::{InvalidationTally, Kept, ProcState, Raised};
+use crate::dv::ColumnSet;
+use aa_graph::{VertexId, Weight, INF};
+use std::cell::{Cell, RefCell};
+
+/// `(rank, owned row, reset columns)`.
+pub(crate) type Reset = (usize, VertexId, Vec<usize>);
+
+thread_local! {
+    static WHOLE_ROW: Cell<bool> = const { Cell::new(false) };
+    static COPY_BASED: Cell<bool> = const { Cell::new(false) };
+    static RESETS: RefCell<Option<Vec<Reset>>> = const { RefCell::new(None) };
+}
+
+pub(crate) fn is_whole_row() -> bool {
+    WHOLE_ROW.with(Cell::get)
+}
+
+/// Whether phase 2 fetches external neighbours' rows whole.
+pub(crate) fn reads_whole_rows() -> bool {
+    is_whole_row() || COPY_BASED.with(Cell::get)
+}
+
+fn with_flag<R>(flag: &'static std::thread::LocalKey<Cell<bool>>, f: impl FnOnce() -> R) -> R {
+    let before = flag.with(|w| w.replace(true));
+    let out = f();
+    flag.with(|w| w.set(before));
+    out
+}
+
+/// Runs `f` with every deletion on this thread invalidating the old way.
+pub(crate) fn whole_row<R>(f: impl FnOnce() -> R) -> R {
+    with_flag(&WHOLE_ROW, f)
+}
+
+/// Runs `f` with every deletion on this thread reading its external
+/// neighbours' rows whole, as a kept copy of each would have held them.
+pub(crate) fn copy_based<R>(f: impl FnOnce() -> R) -> R {
+    with_flag(&COPY_BASED, f)
+}
+
+/// Records a row's reset columns, if it has any and [`recording`] is on.
+pub(crate) fn note_reset(rank: usize, row: VertexId, cols: &[usize]) {
+    if cols.is_empty() {
+        return;
+    }
+    RESETS.with(|r| {
+        if let Some(log) = r.borrow_mut().as_mut() {
+            log.push((rank, row, cols.to_vec()));
+        }
+    });
+}
+
+/// Runs `f` and returns, with its result, what the deletions in it
+/// reset, in the order they reset it: rank by rank, each in row order.
+pub(crate) fn recording<R>(f: impl FnOnce() -> R) -> (R, Vec<Reset>) {
+    RESETS.with(|r| r.replace(Some(Vec::new())));
+    let out = f();
+    (out, RESETS.with(RefCell::take).unwrap_or_default())
+}
+
+/// The deletion filters' shadow check: each `d(x,e) = row_e[x]` read off
+/// a broadcast row is what row `x` holds, so both keep the same rows.
+pub(crate) fn assert_row_agrees(row: &[Weight], x: VertexId, ends: &[(VertexId, Weight)]) {
+    for &(e, d) in ends {
+        let held = row.get(e as usize).copied();
+        assert_eq!(Some(d), held, "row {x}: d({x},{e}) off the broadcast row");
+    }
+}
+
+/// The whole-row scan `DeletedEdge::affected_targets` replaced: every
+/// entry of the row held to both directions' thresholds, no filter.
+pub(crate) fn affected_targets_edge(
+    row: &[Weight],
+    x: VertexId,
+    (u, v, w): (VertexId, VertexId, Weight),
+    row_u: &[Weight],
+    row_v: &[Weight],
+) -> Vec<usize> {
+    // `d(x,u) + w`, `d(x,v) + w`.
+    let plus_w = |e: VertexId| row.get(e as usize).map_or(INF, |d| d.saturating_add(w));
+    let (a, b) = (plus_w(u), plus_w(v));
+    let mut out = Vec::new();
+    for (t, ((&d, &du), &dv)) in row.iter().zip(row_u).zip(row_v).enumerate() {
+        if d == INF || t == x as usize {
+            continue;
+        }
+        if d >= a.saturating_add(dv).min(b.saturating_add(du)) {
+            out.push(t);
+        }
+    }
+    out
+}
+
+/// The old phase 1: raised rows written through raw access, and their
+/// local neighbours marked all-columns.
+pub(crate) fn raise<F>(
+    ps: &mut ProcState,
+    tally: &mut InvalidationTally,
+    affected: &mut F,
+) -> Raised
+where
+    F: FnMut(&[Weight], VertexId) -> Vec<usize>,
+{
+    let mut raised = Vec::new();
+    for x in ps.dv.vertices().to_vec() {
+        let targets = affected(ps.dv.row(x), x);
+        tally.note(targets.len());
+        if targets.is_empty() {
+            continue;
+        }
+        note_reset(ps.rank, x, &targets);
+        let row = ps.dv.row_mut(x);
+        for &t in &targets {
+            row[t] = INF;
+        }
+        raised.push((x, targets));
+    }
+    for (x, _) in &raised {
+        for &(u, _) in &ps.adj[*x as usize] {
+            if ps.is_local[u as usize] {
+                ps.dv.mark_all_columns(u);
+            }
+        }
+    }
+    raised
+}
+
+/// The old phase 3: each raised row rebuilt whole by a local Dijkstra,
+/// then swept through every external neighbour's row on every column.
+pub(crate) fn recompute(ps: &mut ProcState, raised: Raised, kept: &Kept) {
+    for (x, _) in raised {
+        let fresh = ps.local_sssp(x);
+        ps.dv.relax_with_external(x, &fresh, 0);
+        for &(b, w) in &ps.adj[x as usize] {
+            if let Some((_, row)) = kept.iter().find(|&&(k, _)| k == b) {
+                ps.dv.relax_with_delta(x, row, w, &ColumnSet::EVERY);
+            }
+        }
+        ps.dirty.insert(x);
+    }
+    ps.propagate();
+}

@@ -386,38 +386,31 @@ fn engine_with_one_cut_edge_to_b() -> AnytimeEngine {
 }
 
 /// The only cut edge from rank `r` to `b` goes, `b`'s row changes twice, the
-/// edge comes back. `r`'s copy of `b` must go with the edge — and `r` with it
-/// from the receivers `b`'s owner sends deltas to (`check_invariants` after
-/// every call: a listed receiver holds a copy, a copy borders its rank) — so
-/// that the returning edge brings `r` the full row.
+/// edge comes back. `r` must leave the ranks `b`'s owner sends deltas to
+/// with the edge (`check_invariants` after every call: every listed rank
+/// borders the row), so that the returning edge brings `r` the full row
+/// rather than a delta onto neighbours never relaxed against the rest of it.
 #[test]
 fn a_returning_cut_edge_brings_the_evicted_rank_a_full_row() {
     let mut e = engine_with_one_cut_edge_to_b();
     let what = "one cut edge to b";
     assert_converges_to_oracle(&mut e, what);
-    let count = |e: &AnytimeEngine, name: &str| e.metrics_registry().counter_value(name, &[]);
-    let copies = |e: &AnytimeEngine, rank: &str| {
+    let full_rows = |e: &AnytimeEngine| {
         let r = e.metrics_registry();
-        let held = r.gauge_value("aa_cache_rows", &[("rank", rank)]);
-        let evicted = r.counter_value("aa_cache_evicted_total", &[("rank", rank)]);
-        (held.expect("one gauge per rank"), evicted)
+        r.counter_value("aa_rc_full_rows_sent_total", &[])
     };
-    // r holds b, 5, 6 and 8; rank 0 holds x, 2, 7 and 8.
-    assert_eq!(
-        (copies(&e, "0"), copies(&e, "1")),
-        ((4.0, 0), (4.0, 0)),
-        "{what}"
-    );
+    // b goes to r and to rank 2, x to rank 0 (over b–x) alone.
+    assert_eq!((e.receivers(0), e.receivers(1)), (vec![1, 2], vec![0]));
 
     assert!(e.delete_edge(0, 1));
-    e.check_invariants().expect("copy and receiver go together");
-    // x bordered rank 0 over the same edge: its copy there goes too.
+    e.check_invariants()
+        .expect("every listed rank borders the row");
+    // x bordered rank 0 over the same edge: rank 0 leaves x's list too.
     assert_eq!(
-        (copies(&e, "0"), copies(&e, "1")),
-        ((3.0, 1), (3.0, 1)),
+        (e.receivers(0), e.receivers(1)),
+        (vec![2], vec![]),
         "{what}"
     );
-    assert_eq!(copies(&e, "2").1, 0, "{what}: rank 2 borders what it did");
 
     // An insertion lowers b's row (b-6 beats b-3-6), a deletion raises part
     // of it (b reached 5 over 2-5); rank 2 hears both as b's receiver.
@@ -427,19 +420,107 @@ fn a_returning_cut_edge_brings_the_evicted_rank_a_full_row() {
     assert!(e.delete_edge(2, 5));
     e.check_invariants().unwrap();
     assert_converges_to_oracle(&mut e, what);
-    assert_eq!(copies(&e, "1"), (3.0, 1), "{what}: nothing brought b back");
+    assert_eq!(e.receivers(0), [2], "{what}: nothing brought b back to r");
 
-    let full = count(&e, "aa_rc_full_rows_sent_total");
+    let full = full_rows(&e);
     assert!(e.add_edge(0, 1, 1));
     e.check_invariants().unwrap();
     assert_converges_to_oracle(&mut e, what);
-    // b to r and x to rank 0, whole: neither rank had anything to patch.
-    // Every other row that moved went to ranks that hold it, as deltas.
-    let full = count(&e, "aa_rc_full_rows_sent_total") - full;
-    assert_eq!(full, 2, "{what}: full rows after the edge came back");
+    // b to r and x to rank 0, whole: neither rank had been relaxed against
+    // them. Every other row that moved went as a delta to ranks that had.
     assert_eq!(
-        (copies(&e, "0"), copies(&e, "1")),
-        ((4.0, 1), (4.0, 1)),
-        "{what}"
+        full_rows(&e) - full,
+        2,
+        "{what}: full rows after the edge came back"
     );
+    assert_eq!((e.receivers(0), e.receivers(1)), (vec![1, 2], vec![0]));
+}
+
+/// The `(u, v, r)` of every vertex `u` that `after` moves onto a rank `r`
+/// which, under `before`, already bordered a neighbour `v` of `u` that
+/// `after` owns elsewhere: `r` gains a local neighbour of a row it may take
+/// deltas of.
+fn moves_onto_a_bordering_rank(
+    g: &Graph,
+    before: &aa_partition::Partition,
+    after: &aa_partition::Partition,
+) -> Vec<(VertexId, VertexId, usize)> {
+    let borders = |r: usize, v: VertexId| {
+        before.part_of(v) != Some(r)
+            && g.neighbors(v)
+                .iter()
+                .any(|&(y, _)| before.part_of(y) == Some(r))
+    };
+    let mut moves = Vec::new();
+    for u in g.vertices() {
+        let Some(r) = after.part_of(u).filter(|&r| before.part_of(u) != Some(r)) else {
+            continue;
+        };
+        for &(v, _) in g.neighbors(u) {
+            if after.part_of(v) != Some(r) && borders(r, v) {
+                moves.push((u, v, r));
+            }
+        }
+    }
+    moves
+}
+
+/// Steps to convergence, checking the invariants after every step, and
+/// compares the rows with the oracle.
+fn converge_checked(e: &mut AnytimeEngine, what: &str) {
+    for _ in 0..400 {
+        let done = e.rc_step();
+        e.check_invariants()
+            .unwrap_or_else(|err| panic!("{what}: {err}"));
+        if done {
+            break;
+        }
+    }
+    assert_converges_to_oracle(e, what);
+}
+
+/// A migrated vertex lands on a rank that already takes deltas of one of its
+/// remote neighbours' rows. Unless the rank it came from had been relaxed
+/// against that row as last sent, the new rank leaves the row's receivers
+/// and is sent it whole; otherwise the deltas complete the moved row too.
+/// Both through Repartition-S and through `rebalance`, converged and
+/// mid-run, from a round-robin decomposition the repartitioner reshapes.
+#[test]
+fn a_migration_onto_a_rank_bordering_the_moved_vertexs_neighbour_reaches_the_oracle() {
+    let mut seen = [0usize; 2];
+    for seed in 0..4u64 {
+        for procs in [3, 4] {
+            for (call, mid_run) in [(0, false), (0, true), (1, false), (1, true)] {
+                let what = format!("seed {seed} P={procs} call {call} mid-run {mid_run}");
+                let mut e = AnytimeEngine::new(
+                    generators::barabasi_albert(48, 2, 3, seed),
+                    EngineConfig {
+                        num_procs: procs,
+                        seed,
+                        partitioner: PartitionerKind::RoundRobin,
+                        ..Default::default()
+                    },
+                );
+                e.initialize();
+                e.check_invariants().unwrap();
+                if mid_run {
+                    e.rc_step();
+                    e.check_invariants().unwrap();
+                } else {
+                    converge_checked(&mut e, &what);
+                }
+                let before = e.partition().clone();
+                if call == 0 {
+                    let batch = random_batch(e.graph(), 6, seed);
+                    e.add_vertices(&batch, AdditionStrategy::RepartitionS);
+                } else {
+                    e.rebalance();
+                }
+                e.check_invariants().unwrap();
+                seen[call] += moves_onto_a_bordering_rank(e.graph(), &before, e.partition()).len();
+                converge_checked(&mut e, &what);
+            }
+        }
+    }
+    assert!(seen.iter().all(|&n| n > 0), "no such move: {seen:?}");
 }
