@@ -1,13 +1,4 @@
-//! The `aa` command-line tool.
-//!
-//! ```text
-//! aa analyze  <graph> [--format F] [--procs P] [--top K] [--strategy S]
-//!                     [--stream FILE] [--save-checkpoint FILE] [--resume FILE]
-//! aa stream   <graph> <updates> [--batch N] [--queue-cap N] [--drain-policy P]
-//! aa serve    <graph> [--turns N] [--offered N] [--data-dir DIR] [--verify-recovery]
-//! aa partition <graph> --parts K [--format F]
-//! aa convert  <in> <out> [--from F] [--to F]
-//! ```
+//! The `aa` command-line tool; `aa --help` prints its usage.
 
 #![expect(
     clippy::exit,
@@ -15,8 +6,7 @@
 )]
 
 use aa_cli::commands::{
-    analyze, convert, partition_report, serve_cmd, stream_serve, AnalyzeOpts, Measure, ServeOpts,
-    StreamOpts,
+    analyze, convert, partition_report, serve_cmd, stream_serve, AnalyzeOpts, ServeOpts, StreamOpts,
 };
 use aa_cli::Format;
 use aa_core::AdditionStrategy;
@@ -29,7 +19,7 @@ usage:
               [--top-k K]  (anytime top-k tracker: bound-based pruning + confidence)
               [--strategy roundrobin|cutedge|repartition|restart]
               [--stream FILE] [--save-checkpoint FILE] [--resume FILE]
-              [--measure degree|eigenvector|pagerank|cliques]... [--trace CSV]
+              [--trace CSV]               (communication trace)
               [--metrics-out JSON]        (dump the metrics registry)
               [--progress-out JSONL]      (anytime progress probe samples)
               [--spans-out JSONL]         (phase spans: DD/IA/RC/updates)
@@ -72,6 +62,15 @@ fn set_graph(slot: &mut Option<PathBuf>, arg: &str, cmd: &str) {
         fail(&format!(
             "{cmd} takes one graph file, got a second: {arg:?}"
         ));
+    }
+}
+
+/// A `--procs` value: zero processors is a usage error, as `--parts 0` is.
+fn parse_procs(s: &str) -> Result<usize, String> {
+    match s.parse() {
+        Ok(0) => fail("--procs must be at least 1"),
+        Ok(p) => Ok(p),
+        Err(_) => Err("invalid --procs".to_string()),
     }
 }
 
@@ -125,7 +124,7 @@ fn run_analyze(args: &[String]) -> Result<String, String> {
         };
         match a.as_str() {
             "--format" => opts.format = Some(Format::parse(&value("--format"))?),
-            "--procs" => opts.procs = value("--procs").parse().map_err(|_| "invalid --procs")?,
+            "--procs" => opts.procs = parse_procs(&value("--procs"))?,
             "--top" => opts.top = value("--top").parse().map_err(|_| "invalid --top")?,
             "--top-k" => {
                 opts.top_k = Some(value("--top-k").parse().map_err(|_| "invalid --top-k")?)
@@ -136,7 +135,6 @@ fn run_analyze(args: &[String]) -> Result<String, String> {
                 opts.save_checkpoint = Some(PathBuf::from(value("--save-checkpoint")))
             }
             "--resume" => opts.resume = Some(PathBuf::from(value("--resume"))),
-            "--measure" => opts.measures.push(Measure::parse(&value("--measure"))?),
             "--trace" => opts.trace = Some(PathBuf::from(value("--trace"))),
             "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out"))),
             "--progress-out" => opts.progress_out = Some(PathBuf::from(value("--progress-out"))),
@@ -171,7 +169,7 @@ fn run_stream(args: &[String]) -> Result<String, String> {
         };
         match a.as_str() {
             "--format" => opts.format = Some(Format::parse(&value("--format"))?),
-            "--procs" => opts.procs = value("--procs").parse().map_err(|_| "invalid --procs")?,
+            "--procs" => opts.procs = parse_procs(&value("--procs"))?,
             "--top" => opts.top = value("--top").parse().map_err(|_| "invalid --top")?,
             "--top-k" => {
                 opts.top_k = Some(value("--top-k").parse().map_err(|_| "invalid --top-k")?)
@@ -215,7 +213,7 @@ fn run_serve(args: &[String]) -> Result<String, String> {
         };
         match a.as_str() {
             "--format" => opts.format = Some(Format::parse(&value("--format"))?),
-            "--procs" => opts.procs = value("--procs").parse().map_err(|_| "invalid --procs")?,
+            "--procs" => opts.procs = parse_procs(&value("--procs"))?,
             "--top" => opts.top = value("--top").parse().map_err(|_| "invalid --top")?,
             "--turns" => opts.turns = value("--turns").parse().map_err(|_| "invalid --turns")?,
             "--offered" => {

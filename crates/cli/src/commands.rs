@@ -134,8 +134,6 @@ pub struct AnalyzeOpts {
     pub save_checkpoint: Option<PathBuf>,
     /// Optional checkpoint file to resume from (skips loading `input`).
     pub resume: Option<PathBuf>,
-    /// Extra measures to report alongside closeness.
-    pub measures: Vec<Measure>,
     /// Optional CSV file to dump the communication trace to.
     pub trace: Option<PathBuf>,
     /// Optional JSON file to dump the metrics registry to.
@@ -152,34 +150,6 @@ pub struct AnalyzeOpts {
     pub threads: usize,
 }
 
-/// Additional measures the `analyze` subcommand can report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Measure {
-    /// Distributed degree centrality.
-    Degree,
-    /// Distributed eigenvector centrality.
-    Eigenvector,
-    /// Distributed PageRank (d = 0.85).
-    Pagerank,
-    /// Distributed maximal clique enumeration (summary only).
-    Cliques,
-}
-
-impl Measure {
-    /// Parses a measure name.
-    pub fn parse(name: &str) -> Result<Measure, String> {
-        match name.to_ascii_lowercase().as_str() {
-            "degree" => Ok(Measure::Degree),
-            "eigenvector" | "eigen" => Ok(Measure::Eigenvector),
-            "pagerank" | "pr" => Ok(Measure::Pagerank),
-            "cliques" => Ok(Measure::Cliques),
-            other => Err(format!(
-                "unknown measure {other:?} (degree|eigenvector|pagerank|cliques)"
-            )),
-        }
-    }
-}
-
 impl Default for AnalyzeOpts {
     fn default() -> Self {
         AnalyzeOpts {
@@ -192,7 +162,6 @@ impl Default for AnalyzeOpts {
             stream: None,
             save_checkpoint: None,
             resume: None,
-            measures: Vec::new(),
             trace: None,
             metrics_out: None,
             progress_out: None,
@@ -250,34 +219,6 @@ pub fn analyze(opts: &AnalyzeOpts) -> Result<String, String> {
 
     push_ranking(&mut out, &mut session, opts.top);
     let engine = session.engine_mut();
-    for measure in &opts.measures {
-        match measure {
-            Measure::Degree => {
-                out.push_str(&format!("\ntop-{} degree centrality:\n", opts.top));
-                push_top(&mut out, &engine.degree_centrality(), opts.top);
-            }
-            Measure::Eigenvector => {
-                out.push_str(&format!("\ntop-{} eigenvector centrality:\n", opts.top));
-                push_top(
-                    &mut out,
-                    &engine.eigenvector_centrality(300, 1e-10),
-                    opts.top,
-                );
-            }
-            Measure::Pagerank => {
-                out.push_str(&format!("\ntop-{} pagerank:\n", opts.top));
-                push_top(&mut out, &engine.pagerank(0.85, 200, 1e-12), opts.top);
-            }
-            Measure::Cliques => {
-                let cliques = engine.maximal_cliques();
-                let largest = cliques.iter().map(|c| c.len()).max().unwrap_or(0);
-                out.push_str(&format!(
-                    "\nmaximal cliques: {} found, largest size {largest}\n",
-                    cliques.len()
-                ));
-            }
-        }
-    }
     out.push_str(&format!("\n{}", engine.cluster().ledger().report()));
 
     if let Some(path) = &opts.trace {
@@ -745,15 +686,6 @@ pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
         write_out(&mut out, path, registry.to_json().as_bytes(), "metrics")?;
     }
     Ok(out)
-}
-
-/// Appends a top-k listing of a score vector to the report.
-fn push_top(out: &mut String, scores: &[f64], k: usize) {
-    let mut idx: Vec<usize> = (0..scores.len()).filter(|&v| scores[v] > 0.0).collect();
-    idx.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-    for v in idx.into_iter().take(k) {
-        out.push_str(&format!("  vertex {v:>8}  score {:.6e}\n", scores[v]));
-    }
 }
 
 /// `aa partition`: compare all partitioners on a graph file.

@@ -1,5 +1,7 @@
-//! Every `aa` subcommand takes a fixed number of positional paths; one too
-//! many is a usage error (exit 2 and the usage text), never a silent pick.
+//! Usage errors: each exits 2 with the usage text, never a panic or a silent
+//! pick. Every `aa` subcommand takes a fixed number of positional paths (one
+//! too many is refused), a run needs at least one processor, and an unknown
+//! flag is refused rather than ignored.
 
 use std::process::Command;
 
@@ -48,4 +50,29 @@ fn stream_and_convert_reject_a_wrong_path_count() {
 fn one_graph_path_still_runs() {
     let (code, stderr) = aa(&["partition", GRAPH, "--parts", "4"]);
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
+fn zero_procs_is_a_usage_error() {
+    for args in [
+        &["analyze", GRAPH, "--procs", "0"][..],
+        &["stream", GRAPH, GRAPH, "--procs", "0"],
+        &["serve", GRAPH, "--procs", "0"],
+    ] {
+        let (code, stderr) = aa(args);
+        assert_eq!(code, Some(2), "{}: {stderr}", args[0]);
+        assert!(
+            stderr.contains("--procs must be at least 1"),
+            "{}: {stderr}",
+            args[0]
+        );
+        assert!(stderr.contains("usage:"), "{}: {stderr}", args[0]);
+    }
+}
+
+#[test]
+fn the_removed_measure_flag_is_refused() {
+    let (code, stderr) = aa(&["analyze", GRAPH, "--measure", "pagerank"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag"), "{stderr}");
 }

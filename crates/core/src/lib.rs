@@ -53,14 +53,12 @@
 )]
 
 pub mod checkpoint;
-pub mod cliques;
 pub mod closeness;
 pub mod config;
 pub mod dv;
 pub mod dynamic;
 pub mod engine;
 pub mod feed;
-pub mod measures;
 pub mod obs;
 pub mod proc_state;
 pub mod publish;

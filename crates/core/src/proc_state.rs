@@ -218,17 +218,6 @@ impl ProcState {
         // and each (local, external) edge to both lists exactly once.
     }
 
-    /// Whether local vertex `u` has a cut edge (is a local boundary vertex).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
-    )]
-    pub fn is_boundary(&self, u: VertexId) -> bool {
-        self.adj[u as usize]
-            .iter()
-            .any(|&(v, _)| !self.is_local[v as usize])
-    }
-
     /// The distinct owner ranks of `u`'s external neighbours.
     #[expect(
         clippy::indexing_slicing,
@@ -521,8 +510,6 @@ mod tests {
     #[test]
     fn boundary_detection() {
         let (_, part, p0, _) = split_path();
-        assert!(!p0.is_boundary(0));
-        assert!(p0.is_boundary(1));
         assert_eq!(p0.neighbor_ranks(1, &part), vec![1]);
         assert!(p0.neighbor_ranks(0, &part).is_empty());
     }

@@ -20,7 +20,6 @@
 use crate::dv::ColumnSet;
 use crate::dynamic::{Endpoint, VertexBatch};
 use crate::engine::AnytimeEngine;
-use crate::proc_state::ProcState;
 use aa_graph::{Graph, VertexId, Weight};
 use aa_logp::Phase;
 use aa_obs::Stopwatch;
@@ -532,21 +531,6 @@ impl AnytimeEngine {
         self.procs = Vec::new();
         self.initialize();
         ids
-    }
-
-    /// Convenience for tests and examples: the local boundary row counts per
-    /// processor (how many owned vertices have cut edges).
-    pub fn boundary_counts(&self) -> Vec<usize> {
-        self.procs
-            .iter()
-            .map(|ps: &ProcState| {
-                ps.dv
-                    .vertices()
-                    .iter()
-                    .filter(|&&v| ps.is_boundary(v))
-                    .count()
-            })
-            .collect()
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! These are the oracles the distributed anytime-anywhere engine is validated
 //! against: single-source Dijkstra, full APSP via repeated Dijkstra or
-//! Floyd–Warshall, BFS, connected components, and exact closeness centrality.
+//! Floyd–Warshall, connected components, and exact closeness centrality.
 
 use crate::graph::{Graph, VertexId, Weight, INF};
 use std::cmp::Reverse;
@@ -29,35 +29,6 @@ pub fn dijkstra(g: &Graph, source: VertexId) -> Vec<Weight> {
             continue; // stale entry
         }
         for &(v, w) in g.neighbors(u) {
-            let nd = d.saturating_add(w);
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                heap.push(Reverse((nd, v)));
-            }
-        }
-    }
-    dist
-}
-
-/// Dijkstra restricted to a subset of allowed vertices (used for local
-/// sub-graph computations in tests). Vertices outside `allowed` are treated as
-/// absent.
-pub fn dijkstra_restricted(g: &Graph, source: VertexId, allowed: &[bool]) -> Vec<Weight> {
-    let mut dist = vec![INF; g.capacity()];
-    if !g.is_alive(source) || !allowed[source as usize] {
-        return dist;
-    }
-    dist[source as usize] = 0;
-    let mut heap = BinaryHeap::new();
-    heap.push(Reverse((0u32, source)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u as usize] {
-            continue;
-        }
-        for &(v, w) in g.neighbors(u) {
-            if !allowed[v as usize] {
-                continue;
-            }
             let nd = d.saturating_add(w);
             if nd < dist[v as usize] {
                 dist[v as usize] = nd;
@@ -123,25 +94,6 @@ pub fn apsp_floyd_warshall(g: &Graph) -> Vec<Vec<Weight>> {
         }
     }
     d
-}
-
-/// Unweighted BFS distances (hop counts) from `source`.
-pub fn bfs(g: &Graph, source: VertexId) -> Vec<Weight> {
-    let mut dist = vec![INF; g.capacity()];
-    if !g.is_alive(source) {
-        return dist;
-    }
-    dist[source as usize] = 0;
-    let mut queue = std::collections::VecDeque::from([source]);
-    while let Some(u) = queue.pop_front() {
-        for &(v, _) in g.neighbors(u) {
-            if dist[v as usize] == INF {
-                dist[v as usize] = dist[u as usize] + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
 }
 
 /// Connected components. Returns `(component_of, component_count)`;
@@ -251,16 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn dijkstra_restricted_blocks_paths() {
-        let g = generators::path(5);
-        let mut allowed = vec![true; 5];
-        allowed[2] = false;
-        let d = dijkstra_restricted(&g, 0, &allowed);
-        assert_eq!(d[1], 1);
-        assert_eq!(d[3], INF, "path blocked by disallowed vertex 2");
-    }
-
-    #[test]
     fn apsp_oracles_agree() {
         let g = generators::barabasi_albert(40, 2, 5, 17);
         let a = apsp_dijkstra(&g);
@@ -274,14 +216,6 @@ mod tests {
         g.remove_vertex(7);
         g.remove_vertex(12);
         assert_eq!(apsp_dijkstra(&g), apsp_floyd_warshall(&g));
-    }
-
-    #[test]
-    fn bfs_is_dijkstra_on_unit_weights() {
-        let g = generators::barabasi_albert(60, 2, 1, 23);
-        for s in [0u32, 5, 59] {
-            assert_eq!(bfs(&g, s), dijkstra(&g, s));
-        }
     }
 
     #[test]

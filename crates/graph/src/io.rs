@@ -4,7 +4,7 @@
 //! Pajek format is supported for interoperability; edge lists cover everything
 //! else (SNAP-style datasets, ad-hoc dumps).
 
-use crate::graph::{Graph, VertexId, Weight};
+use crate::graph::{Graph, VertexId, Weight, INF};
 use std::io::{BufRead, Write};
 
 /// Errors produced by the readers.
@@ -38,6 +38,18 @@ fn parse<T: std::str::FromStr>(tok: &str, line: usize, what: &str) -> Result<T, 
         line,
         msg: format!("invalid {what}: {tok:?}"),
     })
+}
+
+/// An integer edge weight: 0 and `INF` (which means "no path") are refused,
+/// as the update stream refuses them.
+fn parse_weight(tok: &str, line: usize) -> Result<Weight, IoError> {
+    match parse(tok, line, "weight")? {
+        0 | INF => Err(IoError::Parse {
+            line,
+            msg: format!("weight {tok} is outside 1..{INF}"),
+        }),
+        w => Ok(w),
+    }
 }
 
 /// Unwraps the next whitespace token of a line, turning "token missing" into
@@ -76,7 +88,7 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Graph, IoError> {
             "target id",
         )?;
         let w: Weight = match toks.next() {
-            Some(t) => parse(t, lineno, "weight")?,
+            Some(t) => parse_weight(t, lineno)?,
             None => 1,
         };
         while g.capacity() <= u.max(v) as usize {
@@ -96,8 +108,9 @@ pub fn write_edge_list<W: Write>(g: &Graph, mut writer: W) -> std::io::Result<()
 }
 
 /// Reads a Pajek `.net` file (`*Vertices n` then `*Edges` / `*Arcs` sections
-/// with 1-based ids and optional weights). Arcs are treated as undirected
-/// edges, matching the papers' undirected experiments.
+/// with 1-based ids and optional weights, rounded and raised to at least 1).
+/// Arcs are treated as undirected edges, matching the papers' undirected
+/// experiments.
 pub fn read_pajek<R: BufRead>(reader: R) -> Result<Graph, IoError> {
     let mut g = Graph::new();
     let mut in_edges = false;
@@ -146,8 +159,24 @@ pub fn read_pajek<R: BufRead>(reader: R) -> Result<Graph, IoError> {
                 msg: "pajek ids are 1-based".into(),
             });
         }
+        let n = g.capacity();
+        if u.max(v) as usize > n {
+            return Err(IoError::Parse {
+                line: lineno,
+                msg: format!("vertex id {} out of range: {n} vertices declared", u.max(v)),
+            });
+        }
         let w: Weight = match toks.next() {
-            Some(t) => parse::<f64>(t, lineno, "weight")?.round().max(1.0) as Weight,
+            Some(t) => {
+                let w = parse::<f64>(t, lineno, "weight")?.round();
+                if !w.is_finite() || w >= f64::from(INF) {
+                    return Err(IoError::Parse {
+                        line: lineno,
+                        msg: format!("weight {t} is outside 1..{INF}"),
+                    });
+                }
+                w.max(1.0) as Weight
+            }
             None => 1,
         };
         g.add_edge(u - 1, v - 1, w);
@@ -167,8 +196,9 @@ pub fn write_pajek<W: Write>(g: &Graph, mut writer: W) -> std::io::Result<()> {
 
 /// Reads a METIS `.graph` file: header `n m [fmt]`, then one line per vertex
 /// listing its 1-based neighbours (`fmt` ending in 1 ⇒ `neighbour weight`
-/// pairs). `%`-comment lines are skipped. Vertex-weight formats (`fmt` 10x)
-/// are not supported.
+/// pairs). `%`-comment lines are skipped. `fmt` is at most three `0`/`1`
+/// digits; the vertex-size and vertex-weight digits (`1xx`, `x1x`) are not
+/// supported.
 pub fn read_metis<R: BufRead>(reader: R) -> Result<Graph, IoError> {
     let mut g = Graph::new();
     let mut expected_edges = 0usize;
@@ -199,13 +229,7 @@ pub fn read_metis<R: BufRead>(reader: R) -> Result<Graph, IoError> {
                 "edge count",
             )?;
             if let Some(fmt) = toks.next() {
-                if fmt.len() >= 2 && &fmt[..fmt.len() - 1] != "0" && fmt.starts_with('1') {
-                    return Err(IoError::Parse {
-                        line: lineno,
-                        msg: format!("unsupported METIS fmt {fmt:?} (vertex weights)"),
-                    });
-                }
-                has_edge_weights = fmt.ends_with('1');
+                has_edge_weights = metis_edge_weights(fmt, lineno)?;
             }
             g = Graph::with_vertices(n);
             continue;
@@ -229,14 +253,7 @@ pub fn read_metis<R: BufRead>(reader: R) -> Result<Graph, IoError> {
                 });
             }
             let w: Weight = if has_edge_weights {
-                parse(
-                    toks.next().ok_or(IoError::Parse {
-                        line: lineno,
-                        msg: "missing edge weight".into(),
-                    })?,
-                    lineno,
-                    "edge weight",
-                )?
+                parse_weight(next_tok(&mut toks, lineno, "edge weight")?, lineno)?
             } else {
                 1
             };
@@ -257,6 +274,23 @@ pub fn read_metis<R: BufRead>(reader: R) -> Result<Graph, IoError> {
         });
     }
     Ok(g)
+}
+
+/// Decodes a METIS `fmt` field, whose digits are right-aligned flags for
+/// vertex sizes, vertex weights and edge weights, into whether neighbours
+/// carry edge weights.
+fn metis_edge_weights(fmt: &str, line: usize) -> Result<bool, IoError> {
+    let err = |why: &str| IoError::Parse {
+        line,
+        msg: format!("unsupported METIS fmt {fmt:?} ({why})"),
+    };
+    if fmt.len() > 3 || !fmt.bytes().all(|b| b == b'0' || b == b'1') {
+        return Err(err("expected at most three 0/1 digits"));
+    }
+    match fmt.as_bytes().split_last() {
+        Some((_, vertex)) if vertex.contains(&b'1') => Err(err("vertex sizes or weights")),
+        last => Ok(matches!(last, Some((b'1', _)))),
+    }
 }
 
 /// Writes a METIS `.graph` file (fmt `001`: edge weights, 1-based ids).
@@ -377,6 +411,72 @@ mod tests {
         let input = "2 1\n0\n\n";
         let err = read_metis(Cursor::new(input)).unwrap_err();
         assert!(err.to_string().contains("1-based"));
+    }
+
+    /// The line a reader's error names, or a panic if it is not a parse error.
+    fn parse_error_line(err: IoError) -> usize {
+        match err {
+            IoError::Parse { line, .. } => line,
+            other => panic!("unexpected error {other}"),
+        }
+    }
+
+    #[test]
+    fn pajek_id_past_the_vertex_count_is_an_error() {
+        let err = read_pajek(Cursor::new("*Vertices 3\n*Edges\n1 5\n")).unwrap_err();
+        assert_eq!(parse_error_line(err), 3);
+    }
+
+    #[test]
+    fn pajek_edges_before_vertices_are_an_error() {
+        let err = read_pajek(Cursor::new("% no header\n*Edges\n1 2\n")).unwrap_err();
+        assert_eq!(parse_error_line(err), 3);
+    }
+
+    #[test]
+    fn pajek_weight_that_rounds_to_inf_is_an_error() {
+        for w in ["1e12", "inf", "NaN"] {
+            let input = format!("*Vertices 2\n*Edges\n1 2 {w}\n");
+            let err = read_pajek(Cursor::new(input)).unwrap_err();
+            assert_eq!(parse_error_line(err), 3, "weight {w}");
+        }
+    }
+
+    #[test]
+    fn edge_list_weight_outside_one_to_inf_is_an_error() {
+        for w in ["4294967295", "0"] {
+            let input = format!("0 1 2\n1 2 {w}\n");
+            let err = read_edge_list(Cursor::new(input)).unwrap_err();
+            assert_eq!(parse_error_line(err), 2, "weight {w}");
+        }
+    }
+
+    #[test]
+    fn metis_fmt_with_a_multibyte_char_is_an_error() {
+        let err = read_metis(Cursor::new("3 2 1é\n2 3\n1\n1\n")).unwrap_err();
+        assert_eq!(parse_error_line(err), 1);
+    }
+
+    #[test]
+    fn metis_vertex_weight_formats_are_an_error() {
+        for fmt in ["010", "011", "10", "11", "100", "1111", "2"] {
+            let input = format!("% header on line 2\n3 2 {fmt}\n2 3\n1\n1\n");
+            let err = read_metis(Cursor::new(input)).unwrap_err();
+            assert!(
+                err.to_string().contains("unsupported METIS fmt"),
+                "{fmt}: {err}"
+            );
+            assert_eq!(parse_error_line(err), 2, "fmt {fmt}");
+        }
+        for fmt in ["0", "1", "00", "01", "000", "001"] {
+            let weights = if fmt.ends_with('1') {
+                "2 4 3 4\n1 4\n1 4\n"
+            } else {
+                "2 3\n1\n1\n"
+            };
+            let g = read_metis(Cursor::new(format!("3 2 {fmt}\n{weights}"))).unwrap();
+            assert_eq!(g.edge_count(), 2, "fmt {fmt}");
+        }
     }
 
     #[test]

@@ -20,24 +20,17 @@
 //! * [`community`] — a from-scratch Louvain modularity optimizer, used to
 //!   extract community-structured vertex batches exactly as the paper's
 //!   experimental setup does with Pajek's Louvain tool;
-//! * [`algo`] — sequential reference algorithms (Dijkstra, BFS, connected
+//! * [`algo`] — sequential reference algorithms (Dijkstra, connected
 //!   components, Floyd–Warshall) and the exact closeness-centrality oracle the
 //!   distributed results are validated against;
-//! * [`centrality`] — sequential references for the other standard SNA
-//!   measures the papers name (degree, betweenness via Brandes, eigenvector,
-//!   PageRank, k-core);
 //! * [`io`] — edge-list, Pajek `.net` and METIS `.graph` readers/writers (the
-//!   paper generated its inputs with Pajek and partitioned with METIS);
-//! * [`metrics`] — degree distributions, clustering coefficients, modularity.
+//!   paper generated its inputs with Pajek and partitioned with METIS).
 
 pub mod algo;
-pub mod centrality;
-pub mod cliques;
 pub mod community;
 pub mod generators;
 pub mod graph;
 pub mod io;
-pub mod metrics;
 pub mod rmat;
 
 pub use graph::{Graph, VertexId, Weight, INF};

@@ -10,11 +10,11 @@ use aa_graph::{VertexId, Weight};
 /// by a buffered [`UpdateOp::DeleteVertex`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UpdateOp {
-    /// Add an undirected edge `(u, v)` with weight `w >= 1`.
+    /// Add an undirected edge `(u, v)` with weight `1 <= w < INF`.
     AddEdge(VertexId, VertexId, Weight),
     /// Delete the undirected edge `(u, v)`.
     DeleteEdge(VertexId, VertexId),
-    /// Change the weight of the existing edge `(u, v)` to `w >= 1`.
+    /// Change the weight of the existing edge `(u, v)` to `1 <= w < INF`.
     Reweight(VertexId, VertexId, Weight),
     /// Add one vertex with weighted edges to the listed anchor vertices.
     /// The assigned id is predictable (ids are never reused): it is returned

@@ -21,7 +21,7 @@ use crate::op::UpdateOp;
 use crate::policy::DrainPolicy;
 use crate::queue::{Admission, IngestQueue};
 use aa_core::{AdditionStrategy, AnytimeEngine, Endpoint, VertexBatch};
-use aa_graph::{VertexId, Weight};
+use aa_graph::{VertexId, Weight, INF};
 use aa_obs::MetricsRegistry;
 
 /// Configuration for an [`IngestPipeline`].
@@ -235,9 +235,7 @@ impl IngestPipeline {
                 if u == v {
                     return Err(format!("self-loop ({u},{u}) is not a valid edge"));
                 }
-                if w == 0 {
-                    return Err(format!("edge ({u},{v}) weight must be at least 1"));
-                }
+                check_weight(w, || format!("edge ({u},{v}) weight"))?;
                 if self.projected_weight(engine, u, v).is_some() {
                     return Ok(self.noop(vec![format!("warning: edge ({u},{v}) already present")]));
                 }
@@ -254,9 +252,7 @@ impl IngestPipeline {
             UpdateOp::Reweight(u, v, w) => {
                 self.check_vertex(engine, u)?;
                 self.check_vertex(engine, v)?;
-                if w == 0 {
-                    return Err(format!("edge ({u},{v}) weight must be at least 1"));
-                }
+                check_weight(w, || format!("edge ({u},{v}) weight"))?;
                 match self.projected_weight(engine, u, v) {
                     Some(w0) if w0 != w => Ok(self.admit_fold(engine, |c| c.reweight(u, v, w))),
                     _ => Ok(self.noop(vec![format!(
@@ -274,9 +270,7 @@ impl IngestPipeline {
                 let mut kept: Vec<(VertexId, Weight)> = Vec::new();
                 let mut dropped: Vec<VertexId> = Vec::new();
                 for (a, w) in anchors {
-                    if w == 0 {
-                        return Err(format!("anchor edge to {a} must have weight at least 1"));
-                    }
+                    check_weight(w, || format!("anchor edge to {a} weight"))?;
                     if !self.projected_alive(engine, a) {
                         dropped.push(a);
                     } else if !kept.iter().any(|&(k, _)| k == a) {
@@ -528,5 +522,15 @@ impl IngestPipeline {
             .inc_counter("aa_ingest_aborted_total", &[], dropped as u64);
         self.metrics.set_gauge("aa_ingest_queue_depth", &[], 0.0);
         dropped
+    }
+}
+
+/// Rejects the weights no edge may carry: 0, and `INF`, which means "no
+/// path" and which the graph refuses to store.
+fn check_weight(w: Weight, what: impl FnOnce() -> String) -> Result<(), String> {
+    match w {
+        0 => Err(format!("{} must be at least 1", what())),
+        INF => Err(format!("{} must be below {INF}", what())),
+        _ => Ok(()),
     }
 }

@@ -252,14 +252,6 @@ impl Cluster {
         self.sim_mut().all_reduce_or(phase, flags)
     }
 
-    /// See [`SimCluster::all_reduce_f64`].
-    pub fn all_reduce_f64<F>(&mut self, phase: Phase, values: &[f64], combine: F) -> f64
-    where
-        F: Fn(f64, f64) -> f64,
-    {
-        self.sim_mut().all_reduce_f64(phase, values, combine)
-    }
-
     /// See [`SimCluster::makespan_us`].
     pub fn makespan_us(&self) -> f64 {
         self.sim().makespan_us()

@@ -208,33 +208,6 @@ impl SimCluster {
         flags.iter().any(|&f| f)
     }
 
-    /// All-reduce over one `f64` per processor with the given combiner
-    /// (sum, max, …). Charges a tree gather + broadcast of 8-byte values and
-    /// synchronizes clocks.
-    #[expect(
-        clippy::expect_used,
-        reason = "proc_count is asserted >= 1 at construction so the reduce has at least one element"
-    )]
-    pub fn all_reduce_f64<F>(&mut self, phase: Phase, values: &[f64], combine: F) -> f64
-    where
-        F: Fn(f64, f64) -> f64,
-    {
-        assert_eq!(values.len(), self.proc_count());
-        for round in schedule::tree_broadcast(self.proc_count(), 0) {
-            for (src, dst) in round {
-                self.clocks.transfer_concurrent(src, dst, 8, &self.params);
-                self.clocks.transfer_concurrent(dst, src, 8, &self.params);
-                self.record(phase, 16);
-            }
-        }
-        self.clocks.barrier();
-        values
-            .iter()
-            .copied()
-            .reduce(&combine)
-            .expect("at least one processor")
-    }
-
     fn record(&mut self, phase: Phase, bytes: usize) {
         self.ledger
             .record_transfer(phase, self.params.message_count(bytes) as u64, bytes as u64);

@@ -46,11 +46,6 @@ impl TokenBucket {
     pub fn available(&self) -> u32 {
         self.tokens
     }
-
-    /// The configured per-turn refill.
-    pub fn refill_rate(&self) -> u32 {
-        self.refill
-    }
 }
 
 /// Server configuration: queue bounds, per-class token budgets, deadlines,

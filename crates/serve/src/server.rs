@@ -128,11 +128,6 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Reads resolved (served or shed after admission).
-    pub fn reads_resolved(&self) -> u64 {
-        self.reads_served + self.reads_shed_deadline + self.reads_shed_capacity
-    }
-
     /// Fraction of submitted reads shed (any reason).
     pub fn read_shed_rate(&self) -> f64 {
         if self.reads_submitted == 0 {

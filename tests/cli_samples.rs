@@ -2,7 +2,7 @@
 //! `data/collaboration.txt` and `data/updates.stream` exactly as the README
 //! suggests.
 
-use aa_cli::commands::{analyze, partition_report, AnalyzeOpts, Measure};
+use aa_cli::commands::{analyze, partition_report, AnalyzeOpts};
 use std::path::{Path, PathBuf};
 
 fn data(file: &str) -> PathBuf {
@@ -12,13 +12,12 @@ fn data(file: &str) -> PathBuf {
 }
 
 #[test]
-fn sample_analyze_with_stream_and_measures() {
+fn sample_analyze_with_stream() {
     let report = analyze(&AnalyzeOpts {
         input: data("collaboration.txt"),
         procs: 8,
         top: 5,
         stream: Some(data("updates.stream")),
-        measures: vec![Measure::Pagerank, Measure::Degree],
         ..Default::default()
     })
     .expect("sample analysis must succeed");
@@ -28,8 +27,7 @@ fn sample_analyze_with_stream_and_measures() {
         "stream adds researcher 120"
     );
     assert!(report.contains("rebalanced:"));
-    assert!(report.contains("top-5 pagerank"));
-    assert!(report.contains("top-5 degree centrality"));
+    assert!(report.contains("top-5 closeness"));
 }
 
 #[test]
@@ -103,6 +101,7 @@ fn malformed_streams_fail_cleanly() {
         ("ae 0 999999 1", "not alive"),     // out-of-range endpoint
         ("ae 0 1 0", "at least 1"),         // zero-weight edge
         ("cw 0 1 0", "at least 1"),         // zero-weight reweight
+        ("ae 0 1 4294967295", "must be below"), // INF-weight edge
         ("de 424242 0", "not alive"),       // out-of-range delete
     ];
     let dir = std::env::temp_dir().join("aa_cli_fuzz_streams");

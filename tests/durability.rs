@@ -19,9 +19,9 @@ use aa_durable::{
     decode_record, encode_commit, encode_record, recover, scan_segment, DurabilityConfig,
     SimStorage, Storage, StorageFaultPlan, StorageFaults, WalRecord,
 };
-use aa_graph::generators;
+use aa_graph::{generators, INF};
 use aa_ingest::UpdateOp;
-use aa_serve::{ClientOp, LoadGen, ServeConfig, Server, WorkloadConfig};
+use aa_serve::{ClientOp, LoadGen, ServeConfig, Server, WorkloadConfig, WriteOutcome};
 use proptest::prelude::*;
 
 const N: usize = 60;
@@ -234,6 +234,46 @@ fn truncated_wal_tail_is_quarantined_never_fatal() {
     );
     let mut recovered = rec.engine;
     recovered.run_to_convergence(100_000);
+}
+
+/// A weight of `INF` (the "no path" sentinel, which no edge may carry) is
+/// refused at push, before the WAL sees it. Logged, it would panic the next
+/// turn's flush and every later replay, so the data dir could never reopen.
+#[test]
+fn infinite_weight_write_is_refused_before_the_log() {
+    let sim = SimStorage::new();
+    let mut s = durable_server(&sim);
+    let (u, v, _) = s.engine().graph().edges().next().expect("an edge");
+    let last = (N - 1) as u32;
+    for op in [
+        UpdateOp::AddEdge(0, last, INF),
+        UpdateOp::Reweight(u, v, INF),
+        UpdateOp::AddVertex {
+            anchors: vec![(0, 1), (1, INF)],
+        },
+    ] {
+        match s.submit_write(op.clone()) {
+            WriteOutcome::Rejected(e) => assert!(e.contains("must be below"), "{op:?}: {e}"),
+            other => panic!("{op:?} must be rejected, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        s.stats().writes_logged,
+        0,
+        "a refused write is never logged"
+    );
+    // A valid write beside them still logs, commits and replays.
+    let logged = s.submit_write(UpdateOp::AddEdge(0, last, 3));
+    assert!(matches!(logged, WriteOutcome::Logged { .. }), "{logged:?}");
+    let rep = s.turn().expect("the turn after a refused write");
+    assert!(rep.durable_seq.is_some());
+    sim.kill();
+    let mut st = sim.clone();
+    let rec = recover(&mut st, fresh_engine(), s.config().ingest)
+        .expect("recovery after a refused write");
+    assert_eq!(rec.report.records_replayed, 1, "{:?}", rec.report);
+    let mut recovered = rec.engine;
+    assert_closeness_equal(s.engine_mut(), &mut recovered, "refused INF write");
 }
 
 // ---------------------------------------------------------------------------

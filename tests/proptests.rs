@@ -201,53 +201,6 @@ proptest! {
     }
 
     #[test]
-    fn k_core_members_have_k_neighbors_in_core(graph in arb_graph(40)) {
-        let core = aa_graph::centrality::k_core(&graph);
-        for v in graph.vertices() {
-            let k = core[v as usize];
-            let in_core = graph
-                .neighbors(v)
-                .iter()
-                .filter(|&&(u, _)| core[u as usize] >= k)
-                .count();
-            prop_assert!(
-                in_core >= k,
-                "vertex {} claims core {} but has only {} qualifying neighbours",
-                v, k, in_core
-            );
-        }
-    }
-
-    #[test]
-    fn pagerank_conserves_mass(graph in arb_graph(30), d in 0.05f64..0.95) {
-        let pr = aa_graph::centrality::pagerank(&graph, d, 150, 1e-12);
-        let total: f64 = pr.iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-6, "mass {}", total);
-    }
-
-    #[test]
-    fn clique_rooted_decomposition_is_exact(graph in arb_graph(20)) {
-        let all = aa_graph::cliques::maximal_cliques(&graph);
-        let mut rooted: Vec<Vec<VertexId>> = Vec::new();
-        for v in graph.vertices() {
-            rooted.extend(aa_graph::cliques::cliques_rooted_at(&graph, v));
-        }
-        rooted.sort();
-        prop_assert_eq!(rooted, all);
-    }
-
-    #[test]
-    fn distributed_cliques_equal_oracle(graph in arb_graph(20), procs in 1usize..4) {
-        let want = aa_graph::cliques::maximal_cliques(&graph);
-        let mut e = AnytimeEngine::new(
-            graph,
-            EngineConfig { num_procs: procs, ..Default::default() },
-        );
-        e.initialize();
-        prop_assert_eq!(e.maximal_cliques(), want);
-    }
-
-    #[test]
     fn checkpoint_roundtrips_any_state(
         graph in arb_graph(24),
         procs in 1usize..4,
