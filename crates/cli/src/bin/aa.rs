@@ -10,8 +10,10 @@ use aa_cli::commands::{
 };
 use aa_cli::Format;
 use aa_core::AdditionStrategy;
+use aa_runtime::BackendKind;
 use std::path::PathBuf;
 use std::process::exit;
+use std::str::FromStr;
 
 const USAGE: &str = "\
 usage:
@@ -112,9 +114,15 @@ fn main() {
     }
 }
 
-fn run_analyze(args: &[String]) -> Result<String, String> {
-    let mut opts = AnalyzeOpts::default();
-    let mut positional: Option<PathBuf> = None;
+/// Walks a subcommand's arguments in order. A flag goes to `flag(name,
+/// value)`, which takes the flag's value from `value` if it has one and
+/// answers whether it knows the flag; a bare argument goes to `bare`. An
+/// unknown flag or a missing value is a usage error.
+fn walk(
+    args: &[String],
+    mut flag: impl FnMut(&str, &mut dyn FnMut(&str) -> String) -> Result<bool, String>,
+    mut bare: impl FnMut(&str),
+) -> Result<(), String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |what: &str| -> String {
@@ -122,33 +130,86 @@ fn run_analyze(args: &[String]) -> Result<String, String> {
                 .unwrap_or_else(|| fail(&format!("{what} needs a value")))
                 .clone()
         };
-        match a.as_str() {
-            "--format" => opts.format = Some(Format::parse(&value("--format"))?),
-            "--procs" => opts.procs = parse_procs(&value("--procs"))?,
-            "--top" => opts.top = value("--top").parse().map_err(|_| "invalid --top")?,
-            "--top-k" => {
-                opts.top_k = Some(value("--top-k").parse().map_err(|_| "invalid --top-k")?)
-            }
-            "--strategy" => opts.strategy = parse_strategy(&value("--strategy")),
-            "--stream" => opts.stream = Some(PathBuf::from(value("--stream"))),
-            "--save-checkpoint" => {
-                opts.save_checkpoint = Some(PathBuf::from(value("--save-checkpoint")))
-            }
-            "--resume" => opts.resume = Some(PathBuf::from(value("--resume"))),
-            "--trace" => opts.trace = Some(PathBuf::from(value("--trace"))),
-            "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out"))),
-            "--progress-out" => opts.progress_out = Some(PathBuf::from(value("--progress-out"))),
-            "--spans-out" => opts.spans_out = Some(PathBuf::from(value("--spans-out"))),
-            "--backend" => opts.backend = value("--backend").parse()?,
-            "--threads" => {
-                opts.threads = value("--threads")
-                    .parse()
-                    .map_err(|_| "invalid --threads")?
-            }
-            other if !other.starts_with('-') => set_graph(&mut positional, other, "analyze"),
-            other => fail(&format!("unknown flag {other:?}")),
+        if !a.starts_with('-') {
+            bare(a);
+        } else if !flag(a, &mut value)? {
+            fail(&format!("unknown flag {a:?}"));
         }
     }
+    Ok(())
+}
+
+/// `flag`'s value from `value`, parsed; one that does not parse is an error.
+fn parsed<T: FromStr>(flag: &str, value: &mut dyn FnMut(&str) -> String) -> Result<T, String> {
+    value(flag).parse().map_err(|_| format!("invalid {flag}"))
+}
+
+/// The flags analyze, stream and serve share, each the field of one
+/// command's options it sets; `None` where the command refuses the flag.
+struct Shared<'a> {
+    format: &'a mut Option<Format>,
+    procs: &'a mut usize,
+    top: &'a mut usize,
+    top_k: Option<&'a mut Option<usize>>,
+    strategy: Option<&'a mut AdditionStrategy>,
+    metrics_out: &'a mut Option<PathBuf>,
+    backend: &'a mut BackendKind,
+    threads: &'a mut usize,
+}
+
+/// The [`Shared`] fields of `$opts`, with `top_k` and `strategy` as given.
+macro_rules! shared {
+    ($opts:ident, $top_k:expr, $strategy:expr) => {
+        Shared {
+            format: &mut $opts.format,
+            procs: &mut $opts.procs,
+            top: &mut $opts.top,
+            top_k: $top_k,
+            strategy: $strategy,
+            metrics_out: &mut $opts.metrics_out,
+            backend: &mut $opts.backend,
+            threads: &mut $opts.threads,
+        }
+    };
+}
+
+impl Shared<'_> {
+    /// Sets `flag`'s field from `value`, or answers `false` if the command
+    /// takes no such shared flag.
+    fn set(&mut self, flag: &str, value: &mut dyn FnMut(&str) -> String) -> Result<bool, String> {
+        match (flag, &mut self.top_k, &mut self.strategy) {
+            ("--format", ..) => *self.format = Some(Format::parse(&value(flag))?),
+            ("--procs", ..) => *self.procs = parse_procs(&value(flag))?,
+            ("--top", ..) => *self.top = parsed(flag, value)?,
+            ("--top-k", Some(top_k), _) => **top_k = Some(parsed(flag, value)?),
+            ("--strategy", _, Some(strategy)) => **strategy = parse_strategy(&value(flag)),
+            ("--metrics-out", ..) => *self.metrics_out = Some(PathBuf::from(value(flag))),
+            ("--backend", ..) => *self.backend = value(flag).parse()?,
+            ("--threads", ..) => *self.threads = parsed(flag, value)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+fn run_analyze(args: &[String]) -> Result<String, String> {
+    let mut opts = AnalyzeOpts::default();
+    let mut shared = shared!(opts, Some(&mut opts.top_k), Some(&mut opts.strategy));
+    let mut positional: Option<PathBuf> = None;
+    let own = |flag: &str, value: &mut dyn FnMut(&str) -> String| {
+        let slot = match flag {
+            "--stream" => &mut opts.stream,
+            "--save-checkpoint" => &mut opts.save_checkpoint,
+            "--resume" => &mut opts.resume,
+            "--trace" => &mut opts.trace,
+            "--progress-out" => &mut opts.progress_out,
+            "--spans-out" => &mut opts.spans_out,
+            _ => return shared.set(flag, value),
+        };
+        *slot = Some(PathBuf::from(value(flag)));
+        Ok(true)
+    };
+    walk(args, own, |a| set_graph(&mut positional, a, "analyze"))?;
     match positional {
         Some(p) => opts.input = p,
         None if opts.resume.is_some() => {}
@@ -159,40 +220,18 @@ fn run_analyze(args: &[String]) -> Result<String, String> {
 
 fn run_stream(args: &[String]) -> Result<String, String> {
     let mut opts = StreamOpts::default();
+    let mut shared = shared!(opts, Some(&mut opts.top_k), Some(&mut opts.strategy));
     let mut positional: Vec<PathBuf> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{what} needs a value")))
-                .clone()
-        };
-        match a.as_str() {
-            "--format" => opts.format = Some(Format::parse(&value("--format"))?),
-            "--procs" => opts.procs = parse_procs(&value("--procs"))?,
-            "--top" => opts.top = value("--top").parse().map_err(|_| "invalid --top")?,
-            "--top-k" => {
-                opts.top_k = Some(value("--top-k").parse().map_err(|_| "invalid --top-k")?)
-            }
-            "--strategy" => opts.strategy = parse_strategy(&value("--strategy")),
-            "--batch" => opts.batch = value("--batch").parse().map_err(|_| "invalid --batch")?,
-            "--queue-cap" => {
-                opts.queue_cap = value("--queue-cap")
-                    .parse()
-                    .map_err(|_| "invalid --queue-cap")?
-            }
-            "--drain-policy" => opts.drain_policy = value("--drain-policy"),
-            "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out"))),
-            "--backend" => opts.backend = value("--backend").parse()?,
-            "--threads" => {
-                opts.threads = value("--threads")
-                    .parse()
-                    .map_err(|_| "invalid --threads")?
-            }
-            other if !other.starts_with('-') => positional.push(PathBuf::from(other)),
-            other => fail(&format!("unknown flag {other:?}")),
+    let own = |flag: &str, value: &mut dyn FnMut(&str) -> String| {
+        match flag {
+            "--batch" => opts.batch = parsed(flag, value)?,
+            "--queue-cap" => opts.queue_cap = parsed(flag, value)?,
+            "--drain-policy" => opts.drain_policy = value(flag),
+            _ => return shared.set(flag, value),
         }
-    }
+        Ok(true)
+    };
+    walk(args, own, |a| positional.push(PathBuf::from(a)))?;
     if positional.len() != 2 {
         fail("stream needs <graph> and <updates>");
     }
@@ -203,80 +242,39 @@ fn run_stream(args: &[String]) -> Result<String, String> {
 
 fn run_serve(args: &[String]) -> Result<String, String> {
     let mut opts = ServeOpts::default();
+    let mut shared = shared!(opts, None, None);
     let mut positional: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{what} needs a value")))
-                .clone()
-        };
-        match a.as_str() {
-            "--format" => opts.format = Some(Format::parse(&value("--format"))?),
-            "--procs" => opts.procs = parse_procs(&value("--procs"))?,
-            "--top" => opts.top = value("--top").parse().map_err(|_| "invalid --top")?,
-            "--turns" => opts.turns = value("--turns").parse().map_err(|_| "invalid --turns")?,
-            "--offered" => {
-                opts.offered = value("--offered")
-                    .parse()
-                    .map_err(|_| "invalid --offered")?
-            }
-            "--read-fraction" => {
-                opts.read_fraction = value("--read-fraction")
-                    .parse()
-                    .map_err(|_| "invalid --read-fraction")?
-            }
-            "--topk-read-mix" => {
-                opts.topk_read_mix = value("--topk-read-mix")
-                    .parse()
-                    .map_err(|_| "invalid --topk-read-mix")?
-            }
-            "--deadline-us" => {
-                opts.deadline_us = value("--deadline-us")
-                    .parse()
-                    .map_err(|_| "invalid --deadline-us")?
-            }
-            "--seed" => opts.seed = value("--seed").parse().map_err(|_| "invalid --seed")?,
-            "--metrics-out" => opts.metrics_out = Some(PathBuf::from(value("--metrics-out"))),
-            "--data-dir" => opts.data_dir = Some(PathBuf::from(value("--data-dir"))),
-            "--checkpoint-every" => {
-                opts.checkpoint_every = value("--checkpoint-every")
-                    .parse()
-                    .map_err(|_| "invalid --checkpoint-every")?
-            }
+    let own = |flag: &str, value: &mut dyn FnMut(&str) -> String| {
+        match flag {
+            "--turns" => opts.turns = parsed(flag, value)?,
+            "--offered" => opts.offered = parsed(flag, value)?,
+            "--read-fraction" => opts.read_fraction = parsed(flag, value)?,
+            "--topk-read-mix" => opts.topk_read_mix = parsed(flag, value)?,
+            "--deadline-us" => opts.deadline_us = parsed(flag, value)?,
+            "--seed" => opts.seed = parsed(flag, value)?,
+            "--data-dir" => opts.data_dir = Some(PathBuf::from(value(flag))),
+            "--checkpoint-every" => opts.checkpoint_every = parsed(flag, value)?,
             "--verify-recovery" => opts.verify_recovery = true,
-            "--backend" => opts.backend = value("--backend").parse()?,
-            "--threads" => {
-                opts.threads = value("--threads")
-                    .parse()
-                    .map_err(|_| "invalid --threads")?
-            }
-            other if !other.starts_with('-') => set_graph(&mut positional, other, "serve"),
-            other => fail(&format!("unknown flag {other:?}")),
+            _ => return shared.set(flag, value),
         }
-    }
+        Ok(true)
+    };
+    walk(args, own, |a| set_graph(&mut positional, a, "serve"))?;
     opts.input = positional.unwrap_or_else(|| fail("serve needs a graph file"));
     serve_cmd(&opts)
 }
 
 fn run_partition(args: &[String]) -> Result<String, String> {
-    let mut input: Option<PathBuf> = None;
-    let mut format = None;
-    let mut parts = 0usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{what} needs a value")))
-                .clone()
-        };
-        match a.as_str() {
-            "--parts" => parts = value("--parts").parse().map_err(|_| "invalid --parts")?,
-            "--format" => format = Some(Format::parse(&value("--format"))?),
-            other if !other.starts_with('-') => set_graph(&mut input, other, "partition"),
-            other => fail(&format!("unknown flag {other:?}")),
+    let (mut input, mut format, mut parts) = (None, None, 0usize);
+    let own = |flag: &str, value: &mut dyn FnMut(&str) -> String| {
+        match flag {
+            "--parts" => parts = parsed(flag, value)?,
+            "--format" => format = Some(Format::parse(&value(flag))?),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    };
+    walk(args, own, |a| set_graph(&mut input, a, "partition"))?;
     let input = input.unwrap_or_else(|| fail("partition needs a graph file"));
     if parts == 0 {
         fail("partition needs --parts K");
@@ -285,23 +283,16 @@ fn run_partition(args: &[String]) -> Result<String, String> {
 }
 
 fn run_convert(args: &[String]) -> Result<String, String> {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut from = None;
-    let mut to = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{what} needs a value")))
-                .clone()
-        };
-        match a.as_str() {
-            "--from" => from = Some(Format::parse(&value("--from"))?),
-            "--to" => to = Some(Format::parse(&value("--to"))?),
-            other if !other.starts_with('-') => paths.push(PathBuf::from(other)),
-            other => fail(&format!("unknown flag {other:?}")),
+    let (mut paths, mut from, mut to) = (Vec::new(), None, None);
+    let own = |flag: &str, value: &mut dyn FnMut(&str) -> String| {
+        match flag {
+            "--from" => from = Some(Format::parse(&value(flag))?),
+            "--to" => to = Some(Format::parse(&value(flag))?),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    };
+    walk(args, own, |a| paths.push(PathBuf::from(a)))?;
     if paths.len() != 2 {
         fail("convert needs <in> and <out>");
     }

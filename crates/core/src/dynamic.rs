@@ -27,13 +27,13 @@ use crate::dv::{ColumnSet, RowDelta};
 use crate::engine::AnytimeEngine;
 use crate::obs::InvalidationTally;
 use crate::proc_state::ProcState;
+use aa_graph::search::{Search, Settle};
 use aa_graph::{VertexId, Weight, INF};
 use aa_logp::Phase;
 use aa_obs::Stopwatch;
 use aa_partition::partition::UNASSIGNED;
 use aa_runtime::TransferOut;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// What phase 1 of a deletion raised on one rank: each owned row with its
 /// raised columns, ascending, in row order.
@@ -682,7 +682,7 @@ fn recompute(ps: &mut ProcState, raised: Raised, kept: &Kept) {
     // columns, is an upper bound; and at most what a local Dijkstra from `x`
     // finds (follow its path back from `t` to the last kept vertex). Nothing
     // lowers an exact entry: the search relaxes raised columns only.
-    let mut heap = BinaryHeap::new();
+    let (mut search, mut seeds) = (Search::default(), Vec::new());
     for (x, targets) in raised {
         let mut cols = ColumnSet::empty(ps.dv.col_count());
         targets.iter().for_each(|&t| cols.insert(t));
@@ -706,22 +706,18 @@ fn recompute(ps: &mut ProcState, raised: Raised, kept: &Kept) {
                 .iter()
                 .map(|&(y, w)| ps.dv.row(x)[y as usize].saturating_add(w));
             ps.dv.lower_entry(x, t, offers.min().unwrap_or(INF));
-            heap.push(Reverse((ps.dv.row(x)[t], t)));
+            seeds.extend(VertexId::try_from(t).map(|t| (t, ps.dv.row(x)[t as usize])));
         }
-        while let Some(Reverse((d, t))) = heap.pop() {
-            if d > ps.dv.row(x)[t] {
-                continue;
-            }
-            for &(y, w) in ps.adj[t]
-                .iter()
-                .filter(|&&(y, _)| cols.contains(y as usize))
-            {
-                let nd = d.saturating_add(w);
-                if ps.dv.lower_entry(x, y as usize, nd) {
-                    heap.push(Reverse((nd, y as usize)));
-                }
-            }
-        }
+        search.run(
+            &mut ps.dv,
+            seeds.drain(..),
+            |t| &ps.adj[t as usize],
+            |dv, y, d| cols.contains(y as usize) && dv.lower_entry(x, y as usize, d),
+            |dv, t, d| match d > dv.row(x)[t as usize] {
+                true => Settle::Skip,
+                false => Settle::Expand,
+            },
+        );
         ps.dirty.insert(x);
     }
     ps.propagate();

@@ -5,7 +5,8 @@
 //! endpoint in `V_i`, and `B_i` the *external boundary vertices* — endpoints
 //! of cut edges owned elsewhere, which "act as bridges that connect the
 //! neighbouring sub-graphs". External vertices appear in the adjacency view
-//! but are never expanded: their own neighbourhoods are unknown here.
+//! but are never expanded, their neighbourhoods being unknown here: IA's
+//! search ([`ProcState::seed_rows`]) labels them and never queues them.
 //!
 //! Only owned vertices have a distance vector here (`dv`). An external
 //! boundary vertex's row is what its owner sends: it is relaxed into the
@@ -18,10 +19,10 @@
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use crate::dv::{grow, ColumnSet, DistanceMatrix, RowDelta};
+use aa_graph::search::{lower, unless_stale, Search};
 use aa_graph::{Graph, VertexId, Weight, INF};
 use aa_partition::Partition;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// A boundary-row update on the wire: the full distance vector on first
@@ -342,63 +343,32 @@ impl ProcState {
         }
     }
 
-    /// Dijkstra from `source` restricted to the local sub-graph: local
-    /// vertices are expanded, external boundary vertices are reached but not
-    /// expanded — their distance is written and they never enter the heap
-    /// (with most edges cut, that is most of what it used to hold). Fills
-    /// the full-width, `INF`-initialized row `dist`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
-    )]
-    fn local_dijkstra(&self, source: VertexId, dist: &mut [Weight]) {
-        dist[source as usize] = 0;
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse((0u32, source)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            // Only an external `source` can be popped without being local.
-            if d > dist[u as usize] || !self.is_local[u as usize] {
-                continue;
-            }
-            for &(v, w) in &self.adj[u as usize] {
-                let nd = d.saturating_add(w);
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    if self.is_local[v as usize] {
-                        heap.push(Reverse((nd, v)));
-                    }
-                }
-            }
+    /// Runs Dijkstra from each owned vertex of `rows` straight into its
+    /// distance vector, restricted to the local sub-graph, and marks the row
+    /// dirty. Local vertices are expanded; external boundary vertices are
+    /// reached but not expanded — their distance is written and they never
+    /// enter the queue (with most edges cut, that is most of what it would
+    /// hold).
+    pub fn seed_rows(&mut self, rows: &[VertexId]) {
+        let mut search = Search::default();
+        let neighbors = |v: VertexId| self.adj.get(v as usize).map_or(&[][..], Vec::as_slice);
+        let sink = |row: &mut [Weight], v: VertexId, d| {
+            lower(row, v, d) && self.is_local.get(v as usize) == Some(&true)
+        };
+        for &s in rows {
+            let row = self.dv.row_mut(s);
+            row.fill(INF);
+            lower(row, s, 0); // the source's label
+            search.run(row, [(s, 0)], neighbors, sink, unless_stale);
+            self.dirty.insert(s);
         }
-    }
-
-    /// Local single-source shortest paths (the local Dijkstra, into a fresh
-    /// row): external boundary vertices are reachable sinks.
-    pub fn local_sssp(&self, source: VertexId) -> Vec<Weight> {
-        let mut dist = vec![INF; self.adj.len()];
-        self.local_dijkstra(source, &mut dist);
-        dist
-    }
-
-    /// Runs the local SSSP from owned vertex `s` straight into its distance
-    /// vector, and marks the row dirty.
-    pub fn seed_row(&mut self, s: VertexId) {
-        // The SSSP reads the view while writing the matrix: take the matrix
-        // out of `self` for the duration.
-        let mut dv = std::mem::take(&mut self.dv);
-        let row = dv.row_mut(s);
-        row.fill(INF);
-        self.local_dijkstra(s, row);
-        self.dv = dv;
-        self.dirty.insert(s);
     }
 
     /// Initial approximation: computes the local-sub-graph APSP rows for all
-    /// owned vertices ([`Self::seed_row`]).
+    /// owned vertices ([`Self::seed_rows`]).
     pub fn initial_approximation(&mut self) {
-        for s in self.dv.vertices().to_vec() {
-            self.seed_row(s);
-        }
+        let owned = self.dv.vertices().to_vec();
+        self.seed_rows(&owned);
         // Exact local shortest paths obey the triangle inequality over every
         // local edge, so the propagation invariant holds on all columns.
         self.dv.clear_logs();
@@ -447,8 +417,11 @@ impl ProcState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamic::reference::local_sssp;
     use aa_graph::generators;
     use aa_partition::{Partitioner, RoundRobinPartitioner};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     /// Path 0-1-2-3 split as {0,1} | {2,3}.
     fn split_path() -> (Graph, Partition, ProcState, ProcState) {
@@ -517,7 +490,7 @@ mod tests {
     #[test]
     fn local_dijkstra_stops_at_external_vertices() {
         let (_, _, p0, _) = split_path();
-        let d = p0.local_sssp(0);
+        let d = local_sssp(&p0, 0);
         assert_eq!(d[0], 0);
         assert_eq!(d[1], 1);
         assert_eq!(d[2], 2, "external boundary vertex is reachable");
@@ -558,11 +531,8 @@ mod tests {
         assert!(externals.len() > owned.len(), "most edges are cut");
         for &s in &owned {
             let before = dijkstra_enqueueing_externals(&ps, s);
-            assert_eq!(ps.local_sssp(s), before, "from {s}");
+            assert_eq!(local_sssp(&ps, s), before, "from {s}");
         }
-        // A source that is external here is reached and not expanded.
-        let row = ps.local_sssp(externals[0] as VertexId);
-        assert_eq!(row.iter().filter(|&&d| d != INF).count(), 1);
     }
 
     #[test]
@@ -650,7 +620,7 @@ mod tests {
         assert!(!p0.dv.relax_with_external(0, &[9, 9, 9, 9], 0));
         // A reseed is the local SSSP itself, not a merge into what was there.
         p0.dirty.clear();
-        p0.seed_row(0);
+        p0.seed_rows(&[0]);
         assert_eq!(p0.dv.row(0), &[0, 1, 2, INF]);
         assert!(p0.dirty.contains(&0) && frontier(&p0) == [0]);
     }

@@ -381,7 +381,7 @@ impl AnytimeEngine {
             for &id in &ids {
                 if self.partition.part_of(id) == Some(rank) {
                     self.procs[rank].dv.add_row(id);
-                    self.procs[rank].seed_row(id);
+                    self.procs[rank].seed_rows(&[id]);
                 }
             }
             self.cluster

@@ -891,7 +891,7 @@ proptest! {
     fn bounded_deletion_path_stays_within_whole_row_reference_after_every_call(
         n in 12usize..40,
         graph_seed in 0u64..1000,
-        max_weight in 1u32..5,
+        max_weight in prop_oneof![1u32..5, Just(1_000_000)],
         procs in 1usize..5,
         ops in proptest::collection::vec((0u8..10, 0u32..1000, 0u32..1000, 1u32..6), 4..20),
     ) {
@@ -899,7 +899,8 @@ proptest! {
             "n={n} graph_seed={graph_seed} max_weight={max_weight} procs={procs} ops={ops:?}"
         );
         let run = std::panic::AssertUnwindSafe(|| {
-            // Weight 1 everywhere is the tie-heavy end; m = 3n/2 leaves some
+            // Weight 1 everywhere is the tie-heavy end, weights up to 10^6
+            // reach the search queue's upper buckets; m = 3n/2 leaves some
             // graphs in pieces, so rows carry `INF` columns.
             let graph = generators::erdos_renyi_gnm(n, 3 * n / 2, max_weight, graph_seed);
             let config = EngineConfig { num_procs: procs, seed: graph_seed, ..Default::default() };

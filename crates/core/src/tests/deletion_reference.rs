@@ -140,11 +140,23 @@ where
     raised
 }
 
+/// The row [`ProcState::seed_rows`] gives `source` on `ps`'s view, owned
+/// there or not, leaving `ps` as it is: external boundary vertices are
+/// reachable sinks.
+pub(crate) fn local_sssp(ps: &ProcState, source: VertexId) -> Vec<Weight> {
+    let mut scratch = ps.clone();
+    if !scratch.dv.has_row(source) {
+        scratch.dv.add_row(source);
+    }
+    scratch.seed_rows(&[source]);
+    scratch.dv.row(source).to_vec()
+}
+
 /// The old phase 3: each raised row rebuilt whole by a local Dijkstra,
 /// then swept through every external neighbour's row on every column.
 pub(crate) fn recompute(ps: &mut ProcState, raised: Raised, kept: &Kept) {
     for (x, _) in raised {
-        let fresh = ps.local_sssp(x);
+        let fresh = local_sssp(ps, x);
         ps.dv.relax_with_external(x, &fresh, 0);
         for &(b, w) in &ps.adj[x as usize] {
             if let Some((_, row)) = kept.iter().find(|&&(k, _)| k == b) {

@@ -22,7 +22,8 @@
 //!   experimental setup does with Pajek's Louvain tool;
 //! * [`algo`] — sequential reference algorithms (Dijkstra, connected
 //!   components, Floyd–Warshall) and the exact closeness-centrality oracle the
-//!   distributed results are validated against;
+//!   distributed results are validated against; [`search`] is the radix-queue
+//!   Dijkstra kernel the engine and the top-k bounds run;
 //! * [`io`] — edge-list, Pajek `.net` and METIS `.graph` readers/writers (the
 //!   paper generated its inputs with Pajek and partitioned with METIS).
 
@@ -31,6 +32,8 @@ pub mod community;
 pub mod generators;
 pub mod graph;
 pub mod io;
+mod monotone;
 pub mod rmat;
+pub mod search;
 
 pub use graph::{Graph, VertexId, Weight, INF};

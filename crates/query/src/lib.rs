@@ -12,7 +12,8 @@
 //! question answerable *mid-computation*: every in-flight distance estimate
 //! is an upper bound on a true distance, so every partially-filled row
 //! yields a sound **lower bound** on its vertex's closeness, and a few exact
-//! pivot Dijkstras yield sound **upper bounds** (see [`pivots`]). A vertex
+//! pivot searches on `aa_graph::search`, the engine's own shortest-path
+//! kernel, yield sound **upper bounds** (see [`pivots`]). A vertex
 //! whose upper bound cannot beat the current k-th lower bound can never
 //! enter the top-k of this graph generation — it is pruned without ever
 //! waiting for its row to converge.
@@ -46,7 +47,6 @@
 //! frame is exact on its own and needs none. Pruning compares *integer
 //! distance sums*, never floats, so there is no epsilon to get wrong.
 
-mod monotone;
 pub mod pivots;
 
 #[cfg(test)]

@@ -44,7 +44,7 @@
 //! arithmetic on distance sums; floats only appear when a caller converts a
 //! sum to a closeness score.
 
-use crate::monotone::MonotoneQueue;
+use aa_graph::search::{lower, unless_stale, Search, Settle};
 use aa_graph::{algo, Graph, VertexId, Weight, INF};
 
 /// Settled-target budget of the per-vertex exploration floor: this many
@@ -52,30 +52,6 @@ use aa_graph::{algo, Graph, VertexId, Weight, INF};
 /// component member is charged the last settled distance. Components at or
 /// below the budget get their exact distance sums as floors.
 pub const BALL_CAP: usize = 256;
-
-/// The adjacency lists of a graph laid end to end, for one build's searches.
-struct Csr {
-    /// `edges[offsets[v]..offsets[v + 1]]` are `v`'s neighbours.
-    offsets: Vec<usize>,
-    edges: Vec<(VertexId, Weight)>,
-}
-
-impl Csr {
-    fn of(g: &Graph) -> Csr {
-        let mut offsets = Vec::with_capacity(g.capacity() + 1);
-        let mut edges = Vec::with_capacity(2 * g.edge_count());
-        offsets.push(0);
-        for v in 0..g.capacity() as VertexId {
-            edges.extend_from_slice(g.neighbors(v));
-            offsets.push(edges.len());
-        }
-        Csr { offsets, edges }
-    }
-
-    fn neighbors(&self, v: VertexId) -> &[(VertexId, Weight)] {
-        &self.edges[self.offsets[v as usize]..self.offsets[v as usize + 1]]
-    }
-}
 
 /// Per-generation structural bound state: component geometry, pivot rows
 /// collapsed into per-vertex distance-sum lower bounds, and exact sums for
@@ -188,29 +164,31 @@ impl StructuralBounds {
         let mut by_degree = candidates.clone();
         by_degree.sort_by(|&a, &b| g.degree(b).cmp(&g.degree(a)).then(a.cmp(&b)));
         let mut is_pivot = vec![false; cap];
-        let mut rows: Vec<Vec<u32>> = Vec::new();
         // Min distance to any existing pivot, for the k-center fill.
         let mut mind = vec![INF; cap];
-        let add_pivot = |v: VertexId,
-                         is_pivot: &mut Vec<bool>,
-                         rows: &mut Vec<Vec<u32>>,
-                         mind: &mut Vec<u32>,
-                         bounds: &mut StructuralBounds| {
+        let mut search = Search::default();
+        let neighbors = |v| g.neighbors(v);
+        // Each pivot's row is folded into the bounds as it is found (see
+        // `apply_pivot`): every fold only raises entries, so in any order.
+        let mut add_pivot = |v: VertexId,
+                             is_pivot: &mut Vec<bool>,
+                             mind: &mut Vec<u32>,
+                             bounds: &mut StructuralBounds| {
             if is_pivot[v as usize] {
                 return;
             }
             is_pivot[v as usize] = true;
-            let row = algo::dijkstra(g, v);
-            for (t, &d) in row.iter().enumerate() {
-                if d < mind[t] {
-                    mind[t] = d;
-                }
-            }
+            let mut row = vec![INF; cap];
+            row[v as usize] = 0;
+            search.run(&mut row[..], [(v, 0)], neighbors, lower, unless_stale);
+            mind.iter_mut()
+                .zip(&row)
+                .for_each(|(m, &d)| *m = (*m).min(d));
             bounds.pivots.push(v);
-            rows.push(row);
+            bounds.apply_pivot(v, &row, &comp_of, unit);
         };
         for &v in by_degree.iter().take(seed_count.min(budget)) {
-            add_pivot(v, &mut is_pivot, &mut rows, &mut mind, &mut bounds);
+            add_pivot(v, &mut is_pivot, &mut mind, &mut bounds);
         }
         // Component cover: every component of size ≥ 2 gets its lowest-id
         // vertex as a pivot if the degree seeds missed it. Coverage is what
@@ -226,7 +204,7 @@ impl StructuralBounds {
             let comp = comp_of[v as usize];
             if !covered.get(comp).copied().unwrap_or(true) {
                 covered[comp] = true;
-                add_pivot(v, &mut is_pivot, &mut rows, &mut mind, &mut bounds);
+                add_pivot(v, &mut is_pivot, &mut mind, &mut bounds);
             }
         }
         // Greedy k-center fill: repeatedly take the vertex farthest from
@@ -241,43 +219,26 @@ impl StructuralBounds {
                 if d == 0 {
                     continue;
                 }
-                let better = match best {
-                    None => true,
-                    Some((bd, _)) => d > bd,
-                };
-                if better {
+                if best.is_none_or(|(bd, _)| d > bd) {
                     best = Some((d, v));
                 }
             }
             match best {
-                Some((_, v)) => add_pivot(v, &mut is_pivot, &mut rows, &mut mind, &mut bounds),
+                Some((_, v)) => add_pivot(v, &mut is_pivot, &mut mind, &mut bounds),
                 None => break,
             }
         }
 
-        // Collapse pivot rows into per-vertex distance-sum floors.
-        for (i, &p) in bounds.pivots.clone().iter().enumerate() {
-            let row = match rows.get(i) {
-                Some(r) => r,
-                None => continue, // unreachable: rows grows with pivots
-            };
-            bounds.apply_pivot(p, row, &comp_of, unit);
-        }
-
-        // Exploration floors: one bounded Dijkstra per candidate (see the
-        // module docs). Scratch state is reused across candidates; only the
-        // touched slots are reset between runs.
-        // The searches read the adjacency some hundred thousand times
-        // between them: one contiguous copy, and a queue that knows the keys
-        // it is handed never fall (see `monotone`). A floor is a function of
-        // the settled distances in nondecreasing order — which vertex of two
-        // at equal distance settles first changes neither `sum` nor `d` at
-        // any settled count — so it does not depend on how ties pop.
+        // Exploration floors: one bounded search per candidate (see the
+        // module docs), its settle hook keeping the floor. Scratch state is
+        // reused across candidates; only the touched slots are reset between
+        // runs. A floor is a function of the settled distances in
+        // nondecreasing order — which vertex of two at equal distance
+        // settles first changes neither `sum` nor `d` at any settled count —
+        // so it does not depend on how ties pop.
         let cut = bounds.kth_pivot_sum(cut_rank);
-        let adjacency = Csr::of(g);
         let mut dist = vec![INF; cap];
         let mut touched: Vec<VertexId> = Vec::new();
-        let mut queue = MonotoneQueue::new();
         for &v in &candidates {
             // A pivot's floor is already its exact sum, and a triangle floor
             // above the cut has pruned the vertex before any search.
@@ -287,39 +248,30 @@ impl StructuralBounds {
             let reach = bounds.comp_size[v as usize].saturating_sub(1);
             dist[v as usize] = 0;
             touched.push(v);
-            queue.push(0, v);
-            let mut settled = 0u64;
-            let mut sum = 0u64;
-            let mut floor = 0u64;
-            while let Some((d, u)) = queue.pop() {
-                if d > dist[u as usize] {
-                    continue; // stale entry
+            let (mut settled, mut sum, mut floor) = (0u64, 0u64, 0u64);
+            let sink = |dist: &mut [Weight], t: VertexId, d| {
+                let first = dist[t as usize] == INF;
+                let lowered = lower(dist, t, d);
+                if lowered && first {
+                    touched.push(t);
                 }
-                if u != v {
+                lowered
+            };
+            let settle = |dist: &mut [Weight], u, d| match unless_stale(dist, u, d) {
+                Settle::Expand if u != v => {
                     sum += u64::from(d);
                     settled += 1;
                     // Unsettled component members settle later, hence at ≥ d.
                     floor = sum + reach.saturating_sub(settled).saturating_mul(u64::from(d));
-                    if settled >= BALL_CAP as u64 || floor > cut {
-                        break;
+                    match settled >= BALL_CAP as u64 || floor > cut {
+                        true => Settle::Stop,
+                        false => Settle::Expand,
                     }
                 }
-                for &(t, w) in adjacency.neighbors(u) {
-                    // At `INF` and beyond there is nothing to lower.
-                    let nd = d.saturating_add(w);
-                    if nd < dist[t as usize] {
-                        if dist[t as usize] == INF {
-                            touched.push(t);
-                        }
-                        dist[t as usize] = nd;
-                        queue.push(nd, t);
-                    }
-                }
-            }
-            if floor > bounds.ub_sum[v as usize] {
-                bounds.ub_sum[v as usize] = floor;
-            }
-            queue.clear();
+                other => other,
+            };
+            search.run(&mut dist[..], [(v, 0)], neighbors, sink, settle);
+            bounds.ub_sum[v as usize] = bounds.ub_sum[v as usize].max(floor);
             for &t in &touched {
                 dist[t as usize] = INF;
             }

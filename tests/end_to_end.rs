@@ -34,6 +34,10 @@ fn every_graph_family_times_every_proc_count() {
         ("barabasi_albert", generators::barabasi_albert(120, 2, 3, 1)),
         ("erdos_renyi", generators::erdos_renyi_gnm(100, 300, 5, 2)),
         (
+            "erdos_renyi_wide_weights",
+            generators::erdos_renyi_gnm(100, 300, 1_000_000, 2),
+        ),
+        (
             "watts_strogatz",
             generators::watts_strogatz(100, 3, 0.2, 2, 3),
         ),
