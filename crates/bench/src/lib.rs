@@ -9,18 +9,12 @@
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
-pub mod backend;
 pub mod experiments;
-pub mod ingest;
-pub mod serve;
 pub mod topk;
 pub mod workload;
 
-pub use backend::{backend_rows_to_json, backend_sweep, host_parallelism, speedup_at, BackendRow};
 pub use experiments::{
     fig4, fig5, fig6, fig7, fig8, Fig4Row, Fig8Row, SingleStepRow, StrategyChoice,
 };
-pub use ingest::{churn_ops, ingest_throughput, rows_to_json, IngestRow};
-pub use serve::{serve_load, serve_rows_to_json, serve_topk_mix, ServeRow};
 pub use topk::{topk_rows_to_json, topk_sweep, TopkRow};
 pub use workload::{community_vertex_batch, scaled, ExperimentParams};

@@ -243,6 +243,11 @@ impl AnytimeEngine {
 
         // World graph.
         let cap = read_u64(r)? as usize;
+        // Each vertex has one alive byte, so a capacity past the bytes left
+        // is forged; refusing it here bounds every `cap`-sized allocation.
+        if cap > r.len() {
+            return Err(bad("vertex count exceeds the checkpoint body"));
+        }
         let mut alive = vec![false; cap];
         for flag in alive.iter_mut() {
             let mut b = [0u8; 1];
@@ -560,6 +565,16 @@ mod tests {
         assert!(
             AnytimeEngine::restore_checkpoint(&mut padded.as_slice(), e.config().clone()).is_err()
         );
+        // A valid frame around a body whose vertex count (bytes 24..32)
+        // reads 2^40 is refused before anything is sized from it.
+        let mut forged = read_framed(&buf, MAGIC, VERSION).unwrap().to_vec();
+        forged[24..32].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let forged = write_framed(MAGIC, VERSION, &forged);
+        let err = AnytimeEngine::restore_checkpoint(&mut forged.as_slice(), e.config().clone())
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("vertex count"), "{err}");
         // The pristine buffer still restores.
         assert!(AnytimeEngine::restore_checkpoint(&mut buf.as_slice(), e.config().clone()).is_ok());
     }

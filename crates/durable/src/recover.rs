@@ -294,7 +294,8 @@ pub fn recover(
 mod tests {
     use super::*;
     use crate::storage::SimStorage;
-    use crate::store::{DurabilityConfig, DurableLog};
+    use crate::store::{DurabilityConfig, DurableLog, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+    use aa_core::checkpoint::write_framed;
     use aa_core::EngineConfig;
     use aa_graph::generators;
     use aa_ingest::UpdateOp;
@@ -429,57 +430,87 @@ mod tests {
         assert!(r.engine.graph().edge_weight(2, 9).is_some());
     }
 
+    /// A durable checkpoint covering `covered` whose engine image passes
+    /// both CRC frames but declares 2^40 vertices.
+    fn forged_checkpoint(covered: u64) -> Vec<u8> {
+        let mut image = Vec::new();
+        image.extend_from_slice(&0u64.to_le_bytes()); // rc steps
+        image.extend_from_slice(&2u32.to_le_bytes()); // processors
+        image.extend_from_slice(&0u32.to_le_bytes()); // converged
+        image.extend_from_slice(&0u64.to_le_bytes()); // round-robin cursor
+        image.extend_from_slice(&(1u64 << 40).to_le_bytes()); // vertex capacity
+        let mut body = covered.to_le_bytes().to_vec();
+        body.extend_from_slice(&write_framed(b"AACP", 3, &image));
+        write_framed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &body)
+    }
+
     #[test]
     fn corrupt_checkpoint_quarantined_falls_back() {
-        let sim = SimStorage::new();
-        let mut s = sim.clone();
-        let mut engine = base();
-        let mut log = match DurableLog::open(
-            &mut s,
-            1,
-            DurabilityConfig {
-                keep_checkpoints: 2,
-                ..DurabilityConfig::default()
-            },
-        ) {
-            Ok(l) => l,
-            Err(e) => panic!("open: {e}"),
+        // A flipped body bit fails the CRC; a forged image passes it, and
+        // restore must refuse its vertex count before allocating for it.
+        let flip: fn(&SimStorage, &mut SimStorage, &str) = |sim, _, name| {
+            assert!(sim.flip_durable_bit(name, 200), "flip a body bit");
         };
-        let mut p = match IngestPipeline::new(IngestConfig::default()) {
-            Ok(p) => p,
-            Err(e) => panic!("pipeline: {e}"),
+        let forge: fn(&SimStorage, &mut SimStorage, &str) = |_, s, name| {
+            if let Err(e) = s.write_atomic(name, &forged_checkpoint(2)) {
+                panic!("forge: {e}");
+            }
         };
-        // Checkpoint at seq 1, then at seq 2; corrupt the newer one.
-        for op in [UpdateOp::AddEdge(0, 9, 1), UpdateOp::AddEdge(1, 9, 1)] {
-            log.append(&op);
-            p.push(&engine, op).ok();
-            log.commit(&mut s).ok();
-            p.flush(&mut engine).ok();
-            log.checkpoint(&mut s, &engine).ok();
-        }
-        let newest = crate::store::checkpoint_name(2);
-        assert!(sim.flip_durable_bit(&newest, 200), "flip a body bit");
-        sim.kill();
+        for (corrupt, why) in [(flip, "checksum"), (forge, "vertex count")] {
+            let sim = SimStorage::new();
+            let mut s = sim.clone();
+            let mut engine = base();
+            let mut log = match DurableLog::open(
+                &mut s,
+                1,
+                DurabilityConfig {
+                    keep_checkpoints: 2,
+                    ..DurabilityConfig::default()
+                },
+            ) {
+                Ok(l) => l,
+                Err(e) => panic!("open: {e}"),
+            };
+            let mut p = match IngestPipeline::new(IngestConfig::default()) {
+                Ok(p) => p,
+                Err(e) => panic!("pipeline: {e}"),
+            };
+            // Checkpoint at seq 1, then at seq 2; corrupt the newer one.
+            for op in [UpdateOp::AddEdge(0, 9, 1), UpdateOp::AddEdge(1, 9, 1)] {
+                log.append(&op);
+                p.push(&engine, op).ok();
+                log.commit(&mut s).ok();
+                p.flush(&mut engine).ok();
+                log.checkpoint(&mut s, &engine).ok();
+            }
+            corrupt(&sim, &mut s, &crate::store::checkpoint_name(2));
+            sim.kill();
 
-        let r = match recover(&mut s, base(), IngestConfig::default()) {
-            Ok(r) => r,
-            Err(e) => panic!("recover: {e}"),
-        };
-        assert_eq!(r.report.checkpoints_quarantined, 1);
-        assert!(r.report.used_checkpoint);
-        assert_eq!(r.report.checkpoint_seq, 1);
-        // Compaction only deletes WAL segments covered by the *oldest
-        // retained* checkpoint, so op 2's record survives the fallback and
-        // is replayed: no acknowledged op is lost to a single corrupt
-        // checkpoint.
-        assert_eq!(r.report.records_replayed, 1);
-        assert!(r.engine.graph().edge_weight(0, 9).is_some());
-        assert!(r.engine.graph().edge_weight(1, 9).is_some());
-        assert_eq!(
-            r.metrics
-                .counter_value("aa_checkpoint_quarantined_total", &[]),
-            1
-        );
+            let r = match recover(&mut s, base(), IngestConfig::default()) {
+                Ok(r) => r,
+                Err(e) => panic!("recover: {e}"),
+            };
+            assert_eq!(r.report.checkpoints_quarantined, 1);
+            assert!(
+                r.report.notes.iter().any(|n| n.contains(why)),
+                "{why}: {:?}",
+                r.report.notes
+            );
+            assert!(r.report.used_checkpoint);
+            assert_eq!(r.report.checkpoint_seq, 1);
+            // Compaction only deletes WAL segments covered by the *oldest
+            // retained* checkpoint, so op 2's record survives the fallback
+            // and is replayed: no acknowledged op is lost to a single
+            // corrupt checkpoint.
+            assert_eq!(r.report.records_replayed, 1);
+            assert!(r.engine.graph().edge_weight(0, 9).is_some());
+            assert!(r.engine.graph().edge_weight(1, 9).is_some());
+            assert_eq!(
+                r.metrics
+                    .counter_value("aa_checkpoint_quarantined_total", &[]),
+                1
+            );
+        }
     }
 
     #[test]

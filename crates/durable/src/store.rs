@@ -21,7 +21,7 @@ use aa_ingest::UpdateOp;
 use aa_obs::MetricsRegistry;
 use std::io;
 
-/// Durable-checkpoint frame magic (distinct from the engine's `AACK`).
+/// Durable-checkpoint frame magic (distinct from the engine's `AACP`).
 pub const CHECKPOINT_MAGIC: &[u8; 4] = b"AADC";
 /// Durable-checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 1;

@@ -34,8 +34,8 @@
 //!   stale-but-bounded frames (finite max-overestimate bound, epoch
 //!   consistency preserved) and the write budget tightens.
 //!
-//! [`LoadGen`] provides the deterministic mixed-workload generator used by
-//! the `figures serve` bench and the `aa serve` CLI subcommand.
+//! [`LoadGen`] provides the deterministic mixed-workload generator that the
+//! `aa serve` CLI subcommand and the serving tests drive.
 
 mod admission;
 mod request;

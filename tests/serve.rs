@@ -5,9 +5,12 @@
 
 use aa_core::{AnytimeEngine, EngineConfig, SnapshotMeta};
 use aa_durable::{DurabilityConfig, SimStorage, StorageFaultPlan, StorageFaults};
+use aa_graph::rmat::{rmat, RmatParams};
 use aa_graph::{algo, generators};
 use aa_ingest::Admission;
-use aa_serve::{ClientOp, LoadGen, ReadKind, ReadOutcome, ServeConfig, Server, WorkloadConfig};
+use aa_serve::{
+    ClientOp, LoadGen, ReadKind, ReadOutcome, ServeConfig, ServeStats, Server, WorkloadConfig,
+};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -306,10 +309,50 @@ fn snapshot_publication_is_allocation_stable_across_reads() {
     assert!(!Arc::ptr_eq(&b, &c), "mutation must invalidate the frame");
 }
 
+/// Drives 24 turns of `offered` generated requests per turn into a fresh
+/// default-config server over an R-MAT graph (n = 192, P = 4), drains it,
+/// and checks that every submitted read was served or shed. Returns the
+/// server's counters and its p99 read latency in virtual µs.
+fn load_cell(offered: usize, read_fraction: f64, topk_read_mix: f64) -> (ServeStats, f64) {
+    let seed = 0xC10_5EAE55;
+    let engine = AnytimeEngine::new(
+        rmat(8, 192 * 4, RmatParams::default(), 4, seed),
+        EngineConfig {
+            num_procs: 4,
+            seed,
+            ..Default::default()
+        },
+    );
+    let mut server = Server::new(engine, ServeConfig::default()).unwrap();
+    let mut gen = LoadGen::new(WorkloadConfig {
+        seed: seed ^ 0x5e47e,
+        offered_per_turn: offered,
+        read_fraction,
+        topk_read_mix,
+        top_k: 10,
+    });
+    for _ in 0..24 {
+        gen.offer(&mut server);
+        server.turn().unwrap();
+    }
+    server.drain(16 * 4 + 256).unwrap();
+    let stats = server.stats();
+    assert_eq!(
+        stats.reads_submitted,
+        stats.reads_served + stats.reads_shed_capacity + stats.reads_shed_deadline,
+        "unresolved reads: {stats:?}"
+    );
+    let (p50, p99) = server.latency_quantiles().unwrap_or((0.0, 0.0));
+    assert!(p50 <= p99, "quantiles out of order: {p50} > {p99}");
+    (stats, p99)
+}
+
 /// Read overload past the queue watermarks produces the full backpressure
 /// ladder — Accepted below the high watermark, Throttled with a usable
 /// retry hint above it, Shed at capacity — and every admitted read still
-/// resolves.
+/// resolves. Under generated traffic at 16× a light load the default config
+/// sheds or throttles, and p99 stays within the deadline instead of growing
+/// with the offered load; every served top-k read carries one confidence.
 #[test]
 fn read_overload_walks_the_backpressure_ladder() {
     let graph = generators::barabasi_albert(60, 2, 1, 7);
@@ -354,4 +397,32 @@ fn read_overload_walks_the_backpressure_ladder() {
     assert!(out
         .iter()
         .all(|o| matches!(o, ReadOutcome::Served { .. } | ReadOutcome::Shed { .. })));
+
+    let (light, _) = load_cell(16, 0.9, 0.7);
+    let pushed_back =
+        |st: &ServeStats| st.reads_shed_capacity + st.reads_shed_deadline + st.reads_throttled;
+    assert_eq!(pushed_back(&light), 0, "{light:?}");
+    let (heavy, p99) = load_cell(256, 0.9, 0.7);
+    assert!(
+        pushed_back(&heavy) > 0,
+        "overload exercised no backpressure: {heavy:?}"
+    );
+    let deadline = ServeConfig::default().default_deadline_us;
+    assert!(p99 <= deadline, "p99 {p99} exceeds deadline {deadline}");
+    if !cfg!(debug_assertions) {
+        assert!(
+            heavy.read_shed_rate() > 0.0,
+            "expected shedding at 16x load"
+        );
+    }
+
+    let (vertex_reads, _) = load_cell(16, 0.8, 0.0);
+    assert_eq!(vertex_reads.topk_exact + vertex_reads.topk_anytime, 0);
+    let (topk_reads, _) = load_cell(16, 0.8, 1.0);
+    assert!(topk_reads.reads_served > 0);
+    assert_eq!(
+        topk_reads.topk_exact + topk_reads.topk_anytime,
+        topk_reads.reads_served,
+        "{topk_reads:?}"
+    );
 }
