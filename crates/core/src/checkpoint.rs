@@ -26,7 +26,7 @@
 use crate::config::EngineConfig;
 use crate::engine::AnytimeEngine;
 use crate::proc_state::ProcState;
-use aa_graph::{Graph, VertexId, Weight};
+use aa_graph::{Graph, VertexId, Weight, INF};
 use aa_partition::partition::UNASSIGNED;
 use aa_partition::Partition;
 
@@ -210,9 +210,7 @@ impl AnytimeEngine {
                 write_u32(b, v)?;
                 let row = ps.dv.row(v);
                 write_u64(b, row.len() as u64)?;
-                for &d in row {
-                    write_u32(b, d)?;
-                }
+                row.iter().try_for_each(|d| write_u32(b, d))?;
             }
         }
 
@@ -263,6 +261,9 @@ impl AnytimeEngine {
             if u as usize >= cap || v as usize >= cap {
                 return Err(bad("edge endpoint out of range"));
             }
+            if weight == INF {
+                return Err(bad("edge weight is not finite"));
+            }
             world.add_edge(u, v, weight);
         }
         for (v, &a) in alive.iter().enumerate() {
@@ -285,16 +286,20 @@ impl AnytimeEngine {
             .validate(&world)
             .map_err(|e| bad(&format!("invalid partition: {e}")))?;
 
-        // Processor states with restored rows.
+        // Processor states with restored rows, as wide as the graph needs.
+        let max_weight = crate::engine::max_weight(&world);
         let mut states = Vec::with_capacity(procs);
         for rank in 0..procs {
-            let mut ps = ProcState::new(rank, cap);
+            let mut ps = ProcState::new(rank, cap, max_weight);
             ps.rebuild_view(&world, &partition);
             let rows = read_u64(r)? as usize;
             for _ in 0..rows {
                 let v = read_u32(r)?;
                 if partition.part_of(v) != Some(rank) {
                     return Err(bad("row owned by the wrong processor"));
+                }
+                if ps.dv.has_row(v) {
+                    return Err(bad("row listed twice"));
                 }
                 let len = read_u64(r)? as usize;
                 if len > cap {
@@ -304,6 +309,11 @@ impl AnytimeEngine {
                 for _ in 0..len {
                     row.push(read_u32(r)? as Weight);
                 }
+                // A narrow row stores an entry past its INF as INF. Under
+                // the bound every true distance lies below that, so such an
+                // entry is a stale overestimate, and the all-columns logs of
+                // an unconverged checkpoint's rows relax it again (a
+                // converged one holds none).
                 ps.dv.insert_row(v, row);
                 ps.dirty.insert(v);
             }
@@ -332,6 +342,7 @@ impl AnytimeEngine {
             initialized: true,
             rr_cursor,
             invalidation_epoch: 0,
+            max_weight,
             obs: crate::obs::EngineObs::default(),
         };
         engine
@@ -410,6 +421,49 @@ mod tests {
         let oracle = algo::apsp_dijkstra(restored.graph());
         for v in restored.graph().vertices() {
             assert_eq!(dense[v as usize], oracle[v as usize]);
+        }
+    }
+
+    /// An engine widened by a heavy edge whose weight then came back down,
+    /// saved before it reconverged: restore sizes the rows from the graph,
+    /// so they come back 16 bits wide, and an entry past the narrow bound
+    /// still relaxes to the exact distance.
+    #[test]
+    fn a_wide_engine_saved_back_under_the_bound_restores_narrow_and_exact() {
+        // A ring of 24 with a pendant vertex behind a bridge.
+        let mut g = generators::path(24);
+        g.add_edge(0, 23, 1);
+        let pendant = g.add_vertex();
+        g.add_edge(5, pendant, 2);
+        let config = EngineConfig {
+            num_procs: 3,
+            ..Default::default()
+        };
+        let mut e = AnytimeEngine::new(g, config.clone());
+        e.initialize();
+        e.run_to_convergence(256);
+        assert!(e.change_edge_weight(5, pendant, 1_000_000));
+        e.run_to_convergence(256);
+        assert!(e.change_edge_weight(5, pendant, 2));
+        assert!(!e.is_converged() && e.procs.iter().all(|ps| !ps.dv.is_narrow()));
+        // Lowering the bridge relaxes every entry it shortens at once, so a
+        // raw write stands in for a row that has not caught up yet: its
+        // distance to the pendant still runs over the heavy bridge.
+        let ps = &mut e.procs[0];
+        let x = *ps.dv.vertices().iter().find(|&&x| x != pendant).unwrap();
+        let via_heavy = ps.dv.row(x).get(5).unwrap() + 1_000_000;
+        ps.dv.set_entry(x, pendant as usize, via_heavy);
+        assert_eq!(e.distances_dense()[x as usize][pendant as usize], via_heavy);
+        let mut buf = Vec::new();
+        e.save_checkpoint(&mut buf).unwrap();
+        let mut restored = AnytimeEngine::restore_checkpoint(&mut buf.as_slice(), config).unwrap();
+        assert!(restored.procs.iter().all(|ps| ps.dv.is_narrow()));
+        restored.run_to_convergence(256);
+        assert!(restored.is_converged());
+        let dense = restored.distances_dense();
+        let oracle = algo::apsp_dijkstra(restored.graph());
+        for v in restored.graph().vertices() {
+            assert_eq!(dense[v as usize], oracle[v as usize], "row {v}");
         }
     }
 
@@ -575,6 +629,31 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         assert!(err.to_string().contains("vertex count"), "{err}");
+        // Bodies that frame and checksum cleanly but say what no engine
+        // writes: an infinite edge weight, and a row listed twice by its
+        // rank.
+        let body = read_framed(&buf, MAGIC, VERSION).unwrap();
+        let at = |pos: usize| u64::from_le_bytes(body[pos..pos + 8].try_into().unwrap()) as usize;
+        let cap = at(24);
+        let edges = 32 + cap + 8;
+        let rows = edges + 12 * at(edges - 8) + 4 * cap;
+        let first = rows + 8;
+        let second = first + 12 + 4 * at(first + 4);
+        assert!(at(rows) >= 2);
+        let forgeries: [(usize, u32, &str); 2] = [
+            (edges + 8, INF, "not finite"),
+            (second, e.procs[0].dv.vertices()[0], "listed twice"),
+        ];
+        for (pos, value, says) in forgeries {
+            let mut forged = body.to_vec();
+            forged[pos..pos + 4].copy_from_slice(&value.to_le_bytes());
+            let forged = write_framed(MAGIC, VERSION, &forged);
+            let err = AnytimeEngine::restore_checkpoint(&mut forged.as_slice(), e.config().clone())
+                .map(|_| ())
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(says), "{err}");
+        }
         // The pristine buffer still restores.
         assert!(AnytimeEngine::restore_checkpoint(&mut buf.as_slice(), e.config().clone()).is_ok());
     }

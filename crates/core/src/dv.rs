@@ -9,6 +9,17 @@
 //! is the anytime property's backbone. Columns grow when vertices are added,
 //! and whole rows migrate between processors during repartitioning.
 //!
+//! Rows are stored 16 bits wide, with `u16::MAX` as `INF`, whenever every
+//! shortest path of the graph fits: `(capacity − 1) · w_max < 0xFFFF`, a
+//! simple path having at most `capacity − 1` edges of at most the largest
+//! weight ever added. Otherwise they are `u32`, as `Weight` is everywhere
+//! outside this module. Under the bound the narrow kernels saturate at
+//! `u16::MAX`, and that is exact: every true distance lies below it, so a
+//! candidate that saturates is an overestimate, which lowers nothing — as
+//! `INF + w` lowers nothing at `u32`. A graph that outgrows the bound (more
+//! id slots, or a heavier edge) widens every row before the change applies
+//! (`DistanceMatrix::widen_for`); rows never narrow again.
+//!
 //! Column growth is the papers' amortized argument with ratio `1 + 1/16` in
 //! place of 2 (`grow`): a row of `n` columns carries fewer than `n/16 + 64`
 //! spare ones and is copied once per at least `n/16` arrivals — at most 16
@@ -23,8 +34,8 @@
 //! because of the *propagation invariant* `ProcState` maintains: **for every
 //! edge `(v, u, w)` between owned vertices and every column `c` outside
 //! `v`'s log, `row_u[c] <= row_v[c] + w`.** Whatever breaks the invariant
-//! without going through a logging write (raised entries, raw row access,
-//! new adjacency, a row installed from elsewhere) marks the row all-columns
+//! without going through a logging write (raised entries, raw writes, new
+//! adjacency, a row installed from elsewhere) marks the row all-columns
 //! instead. (Over a cut edge the same inequality holds against the row as
 //! its owner last sent it, which is what `ProcState::sent_to` vouches for.)
 //!
@@ -39,12 +50,13 @@
 //! is kept to diff against. The same lowering writes set it, and nothing
 //! else does: the marks that put a row back on the frontier because its
 //! *adjacency* changed say nothing about what the receivers of the row have
-//! been relaxed against, and must not reach it. Raw row access marks it
+//! been relaxed against, and must not reach it. A raw write marks it
 //! all-columns, which makes the next send a full row.
 
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
+use aa_graph::search::{Search, Settle};
 use aa_graph::{VertexId, Weight, INF};
 
 /// Relaxes `dst[t] = min(dst[t], src[t] + offset)` for every column.
@@ -58,15 +70,191 @@ pub fn relax_row(dst: &mut [Weight], src: &[Weight], offset: Weight) -> bool {
 /// Columns per change-log word.
 const WORD: usize = u64::BITS as usize;
 
+/// Whether every shortest path of a graph with `cols` id slots and no edge
+/// heavier than `max_weight` fits a 16-bit row (see the module docs).
+fn fits_narrow(cols: usize, max_weight: Weight) -> bool {
+    let edges = u64::try_from(cols.saturating_sub(1)).unwrap_or(u64::MAX);
+    edges.saturating_mul(u64::from(max_weight)) < u64::from(u16::MAX)
+}
+
+/// One distance as a row stores it: a `Weight`, or 16 bits with `u16::MAX`
+/// as `INF` (see the module docs).
+trait Cell: Copy + Ord + 'static {
+    const INF: Self;
+    /// `d` at this width; a `d` past what it holds is `INF`.
+    fn of(d: Weight) -> Self;
+    /// The cell as a `Weight`.
+    fn weight(self) -> Weight;
+    /// `self + offset`, saturating at `INF`.
+    fn plus(self, offset: Self) -> Self;
+    /// The row's cells, if it is stored at this width.
+    fn cells(row: Row<'_>) -> Option<&[Self]>;
+    /// The row at this width: moved if it is stored at it already.
+    fn owned(row: RowBuf) -> Vec<Self>;
+}
+
+impl Cell for Weight {
+    const INF: Self = INF;
+    fn of(d: Weight) -> Self {
+        d
+    }
+    fn weight(self) -> Weight {
+        self
+    }
+    fn plus(self, offset: Self) -> Self {
+        self.saturating_add(offset)
+    }
+    fn cells(row: Row<'_>) -> Option<&[Self]> {
+        match row.0 {
+            Width::Wide(cells) => Some(cells),
+            Width::Narrow(_) => None,
+        }
+    }
+    fn owned(row: RowBuf) -> Vec<Self> {
+        match row.0 {
+            Width::Wide(cells) => cells,
+            Width::Narrow(cells) => cells.iter().map(|&d| d.weight()).collect(),
+        }
+    }
+}
+
+impl Cell for u16 {
+    const INF: Self = u16::MAX;
+    fn of(d: Weight) -> Self {
+        u16::try_from(d).unwrap_or(u16::MAX)
+    }
+    fn weight(self) -> Weight {
+        match self {
+            u16::MAX => INF,
+            d => Weight::from(d),
+        }
+    }
+    fn plus(self, offset: Self) -> Self {
+        self.saturating_add(offset)
+    }
+    fn cells(row: Row<'_>) -> Option<&[Self]> {
+        match row.0 {
+            Width::Narrow(cells) => Some(cells),
+            Width::Wide(_) => None,
+        }
+    }
+    fn owned(row: RowBuf) -> Vec<Self> {
+        match row.0 {
+            Width::Narrow(cells) => cells,
+            Width::Wide(cells) => cells.iter().map(|&d| u16::of(d)).collect(),
+        }
+    }
+}
+
+/// One row, or the whole row table, at one of the two widths.
+#[derive(Debug, Clone, Copy)]
+enum Width<N, W> {
+    Narrow(N),
+    Wide(W),
+}
+
+/// Runs `$body` with `$bind` bound to what `$value` holds at its width: the
+/// body compiles once per width.
+macro_rules! by_width {
+    ($value:expr, $bind:ident => $body:expr) => {
+        match $value {
+            Width::Narrow($bind) => $body,
+            Width::Wide($bind) => $body,
+        }
+    };
+}
+
+/// [`by_width!`] whose result keeps the width of `$value`.
+macro_rules! map_width {
+    ($value:expr, $bind:ident => $body:expr) => {
+        match $value {
+            Width::Narrow($bind) => Width::Narrow($body),
+            Width::Wide($bind) => Width::Wide($body),
+        }
+    };
+}
+
+/// One distance row, read as `Weight`s whatever width it is stored at.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a>(Width<&'a [u16], &'a [Weight]>);
+
+impl<'a> Row<'a> {
+    /// Number of columns.
+    pub fn len(self) -> usize {
+        by_width!(self.0, cells => cells.len())
+    }
+
+    /// Whether the row has no column.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The entry in column `col`, if there is one.
+    pub fn get(self, col: usize) -> Option<Weight> {
+        by_width!(self.0, cells => cells.get(col).map(|&d| d.weight()))
+    }
+
+    /// The entries in column order. Folding over them (`fold`, `for_each`,
+    /// `try_for_each`) runs one loop over the stored width.
+    pub fn iter(self) -> impl Iterator<Item = Weight> + 'a {
+        let (narrow, wide) = match self.0 {
+            Width::Narrow(cells) => (cells, &[][..]),
+            Width::Wide(cells) => (&[][..], cells),
+        };
+        let narrow = narrow.iter().map(|&d| d.weight());
+        narrow.chain(wide.iter().copied())
+    }
+
+    /// The entries as `Weight`s.
+    pub fn to_vec(self) -> Vec<Weight> {
+        self.iter().collect()
+    }
+
+    /// An owned copy at the stored width.
+    pub fn to_buf(self) -> RowBuf {
+        RowBuf(map_width!(self.0, cells => cells.to_vec()))
+    }
+}
+
+impl Default for Row<'_> {
+    fn default() -> Self {
+        Row(Width::Wide(&[]))
+    }
+}
+
+/// One distance row owned at the width it was stored at: a migrated row, a
+/// broadcast row, a full row on the wire.
+#[derive(Debug, Clone)]
+pub struct RowBuf(Width<Vec<u16>, Vec<Weight>>);
+
+impl RowBuf {
+    /// The row as a [`Row`].
+    pub fn as_row(&self) -> Row<'_> {
+        Row(map_width!(&self.0, cells => &cells[..]))
+    }
+}
+
+impl Default for RowBuf {
+    fn default() -> Self {
+        RowBuf(Width::Wide(Vec::new()))
+    }
+}
+
+impl From<Vec<Weight>> for RowBuf {
+    fn from(row: Vec<Weight>) -> Self {
+        RowBuf(Width::Wide(row))
+    }
+}
+
 /// The dense kernel: `dst[c] = min(dst[c], src[c] + offset)` over every
 /// column, one change-log word (64 columns) at a time. `lowered(w, bits)` is
 /// told which columns of word `w` decreased, for the chunks where any did.
 /// Returns whether any entry decreased.
 #[inline]
-fn relax_chunks(
-    dst: &mut [Weight],
-    src: &[Weight],
-    offset: Weight,
+fn relax_chunks<C: Cell>(
+    dst: &mut [C],
+    src: &[C],
+    offset: C,
     mut lowered: impl FnMut(usize, u64),
 ) -> bool {
     debug_assert_eq!(dst.len(), src.len());
@@ -77,7 +265,7 @@ fn relax_chunks(
         let hit = d64
             .iter()
             .zip(s64)
-            .fold(false, |hit, (&d, &s)| hit | (s.saturating_add(offset) < d));
+            .fold(false, |hit, (&d, &s)| hit | (s.plus(offset) < d));
         if !hit {
             continue;
         }
@@ -88,7 +276,7 @@ fn relax_chunks(
         let mut flags = [[0u8; 8]; WORD / 8];
         let lanes = flags.as_flattened_mut().iter_mut();
         for ((d, &s), flag) in d64.iter_mut().zip(s64).zip(lanes) {
-            let cand = s.saturating_add(offset);
+            let cand = s.plus(offset);
             *flag = u8::from(cand < *d);
             *d = cand.min(*d);
         }
@@ -145,16 +333,15 @@ impl ColumnSet {
 
     /// The columns where `row` is finite — the only ones a relaxation
     /// through `row` can lower.
-    pub fn finite_of(row: &[Weight]) -> Self {
-        let words = row
-            .chunks(WORD)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |m, (bit, &d)| m | u64::from(d != INF) << bit)
-            })
-            .collect();
+    pub fn finite_of(row: Row<'_>) -> Self {
+        fn finite<C: Cell>(row: &[C]) -> Vec<u64> {
+            let word = |chunk: &[C]| {
+                let bits = chunk.iter().enumerate();
+                bits.fold(0u64, |m, (bit, &d)| m | u64::from(d != C::INF) << bit)
+            };
+            row.chunks(WORD).map(word).collect()
+        }
+        let words = by_width!(row.0, cells => finite(cells));
         ColumnSet {
             words,
             all: false,
@@ -313,11 +500,11 @@ pub(crate) mod reference {
     clippy::indexing_slicing,
     reason = "the sparse walk indexes dst/src/log/unsent at columns taken from cols, whose bits never reach the column count — every set is built over the matrix width and resized with it; the dense sweep is handed word indices below dst.len().div_ceil(64), the length of both logs"
 )]
-fn relax_on(
-    dst: &mut [Weight],
+fn relax_on<C: Cell>(
+    dst: &mut [C],
     (log, unsent): (&mut ColumnSet, &mut ColumnSet),
-    src: &[Weight],
-    offset: Weight,
+    src: &[C],
+    offset: C,
     cols: &ColumnSet,
 ) -> bool {
     debug_assert_eq!(dst.len(), src.len());
@@ -346,7 +533,7 @@ fn relax_on(
             let bit = rest.trailing_zeros() as usize;
             rest &= rest - 1;
             let c = wi * WORD + bit;
-            let cand = src[c].saturating_add(offset);
+            let cand = src[c].plus(offset);
             if cand < dst[c] {
                 dst[c] = cand;
                 log.words[wi] |= 1 << bit;
@@ -354,6 +541,101 @@ fn relax_on(
                 (log.marked, unsent.marked, changed) = (true, true, true);
             }
         }
+    }
+    changed
+}
+
+/// [`relax_on`] through a row stored at `dst`'s width, as every row a
+/// matrix is handed is: all ranks widen together, and a row keeps its width
+/// when it is broadcast, migrated or sent whole.
+fn relax_through<C: Cell>(
+    dst: &mut [C],
+    logs: (&mut ColumnSet, &mut ColumnSet),
+    src: Row<'_>,
+    offset: Weight,
+    cols: &ColumnSet,
+) -> bool {
+    let src = C::cells(src);
+    debug_assert!(src.is_some(), "a row of another width");
+    src.is_some_and(|src| relax_on(dst, logs, src, C::of(offset), cols))
+}
+
+/// `row[col] = min(row[col], d)`; whether it decreased.
+fn lower<C: Cell>(row: &mut [C], col: usize, d: Weight) -> bool {
+    let d = C::of(d);
+    match row.get_mut(col) {
+        Some(label) if d < *label => {
+            *label = d;
+            true
+        }
+        _ => false,
+    }
+}
+
+/// The initial approximation of one row: `row` reset to `INF` and searched
+/// from `s` (see [`DistanceMatrix::seed_row`]).
+fn seed<'g, C: Cell>(
+    row: &mut [C],
+    s: VertexId,
+    search: &mut Search,
+    neighbors: impl Fn(VertexId) -> &'g [(VertexId, Weight)],
+    expands: impl Fn(VertexId) -> bool,
+) {
+    row.fill(C::INF);
+    lower(row, s as usize, 0); // the source's label
+    let sink = |row: &mut [C], v: VertexId, d| lower(row, v as usize, d) && expands(v);
+    let settle = |row: &mut [C], v: VertexId, d| match row.get(v as usize) {
+        Some(&label) if d > label.weight() => Settle::Skip,
+        _ => Settle::Expand,
+    };
+    search.run(row, [(s, 0)], neighbors, sink, settle);
+}
+
+/// `row[c] = min(row[c], value + offset)` for each entry of `delta` on a
+/// column in `cols` (see [`DistanceMatrix::relax_with_delta`]).
+fn relax_delta<C: Cell>(
+    row: &mut [C],
+    (log, unsent): (&mut ColumnSet, &mut ColumnSet),
+    delta: &RowDelta,
+    offset: Weight,
+    cols: &ColumnSet,
+) -> bool {
+    // The values of word `wi` start at `first`: one per bit before it.
+    let (mut first, mut changed) = (0, false);
+    for (wi, &word) in delta.cols.words.iter().enumerate() {
+        let mask = match cols.all {
+            true => u64::MAX,
+            false => cols.words.get(wi).copied().unwrap_or(0),
+        };
+        let (mut rest, mut lowered, mut at) = (word & mask, 0u64, first);
+        while rest != 0 {
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            // Walking every bit, the values come in order; walking some,
+            // a bit's value follows one per lower bit of the word.
+            if mask != u64::MAX {
+                at = first + (word & ((1 << bit) - 1)).count_ones() as usize;
+            }
+            let Some(&value) = delta.values.get(at) else {
+                break; // one value per bit: never taken
+            };
+            at += 1;
+            let cand = C::of(value.saturating_add(offset));
+            if let Some(d) = row.get_mut(wi * WORD + bit).filter(|d| cand < **d) {
+                *d = cand;
+                lowered |= 1 << bit;
+            }
+        }
+        first += word.count_ones() as usize;
+        if lowered != 0 {
+            log.insert_word(wi, lowered);
+            unsent.insert_word(wi, lowered);
+            changed = true;
+        }
+    }
+    #[cfg(test)]
+    if changed && reference::is_dense() {
+        log.mark_all();
     }
     changed
 }
@@ -385,9 +667,10 @@ fn pair_mut<T>(s: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
 }
 
 /// Distance vectors held by one processor: those of the vertices it owns.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DistanceMatrix {
-    rows: Vec<Vec<Weight>>,
+    /// The rows, all at one width.
+    rows: Width<Vec<Vec<u16>>, Vec<Vec<Weight>>>,
     /// Change log of each row (see the module docs), parallel to `rows`.
     logs: Vec<ColumnSet>,
     /// Unsent log of each row (see the module docs), parallel to `rows`.
@@ -402,10 +685,11 @@ pub struct DistanceMatrix {
 const NO_ROW: u32 = u32::MAX;
 
 impl DistanceMatrix {
-    /// Creates an empty matrix with `cols` columns (one per vertex id slot).
+    /// Creates an empty matrix with `cols` columns (one per vertex id slot),
+    /// its rows `u32` wide: any distance fits.
     pub fn new(cols: usize) -> Self {
         DistanceMatrix {
-            rows: Vec::new(),
+            rows: Width::Wide(Vec::new()),
             logs: Vec::new(),
             unsent: Vec::new(),
             vertex_of_row: Vec::new(),
@@ -414,9 +698,37 @@ impl DistanceMatrix {
         }
     }
 
+    /// Creates an empty matrix with `cols` columns for a graph with no edge
+    /// heavier than `max_weight`: 16 bits wide if every shortest path fits
+    /// (see the module docs), else `u32`.
+    pub(crate) fn fitting(cols: usize, max_weight: Weight) -> Self {
+        let mut m = Self::new(cols);
+        if fits_narrow(cols, max_weight) {
+            m.rows = Width::Narrow(Vec::new());
+        }
+        m
+    }
+
+    /// Widens the rows to `u32` unless every shortest path of a graph with
+    /// `cols` id slots and no edge heavier than `max_weight` fits them. Call
+    /// it before such a graph's distances reach the matrix; rows never
+    /// narrow again.
+    pub(crate) fn widen_for(&mut self, cols: usize, max_weight: Weight) {
+        if let Width::Narrow(rows) = &mut self.rows {
+            if !fits_narrow(cols, max_weight) {
+                let wide = |row: Vec<u16>| {
+                    let mut wide = Vec::with_capacity(row.capacity());
+                    wide.extend(row.iter().map(|&d| d.weight()));
+                    wide
+                };
+                self.rows = Width::Wide(std::mem::take(rows).into_iter().map(wide).collect());
+            }
+        }
+    }
+
     /// Number of rows.
     pub fn row_count(&self) -> usize {
-        self.rows.len()
+        self.vertex_of_row.len()
     }
 
     /// Number of columns (vertex id slots).
@@ -439,35 +751,41 @@ impl DistanceMatrix {
     ///
     /// # Panics
     /// Panics if `v` already has a row or lies outside the column range.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "documented-panic constructor — the asserts above every index state the contract and fire before any index can miss"
-    )]
     pub fn add_row(&mut self, v: VertexId) {
         assert!((v as usize) < self.cols, "vertex {v} outside column range");
-        let mut row = vec![INF; self.cols];
-        row[v as usize] = 0;
-        self.insert_row(v, row);
+        let blank = map_width!(&self.rows, _rows => vec![Cell::INF; self.cols]);
+        self.insert_row(v, RowBuf(blank));
+        self.set_entry(v, v as usize, 0);
     }
 
     /// Inserts a row with explicit contents (migration, checkpoint restore,
-    /// recovery); both its logs start all-columns.
+    /// recovery), padded with `INF` to the column count and stored at the
+    /// matrix's width (narrow rows store an entry past their `INF` as `INF`).
+    /// Both its logs start all-columns.
     #[expect(
         clippy::indexing_slicing,
-        reason = "documented-panic constructor — same assert-first contract as add_row"
+        reason = "documented-panic constructor — the asserts above every index state the contract and fire before any index can miss"
     )]
     #[expect(
         clippy::cast_possible_truncation,
         reason = "row count is bounded by the u32 vertex-id space"
     )]
-    pub fn insert_row(&mut self, v: VertexId, mut row: Vec<Weight>) {
+    pub fn insert_row(&mut self, v: VertexId, row: impl Into<RowBuf>) {
         assert!((v as usize) < self.cols, "vertex {v} outside column range");
         assert!(!self.has_row(v), "vertex {v} already has a row");
+        let row = row.into();
         // A migrated row may predate recent column extensions.
-        assert!(row.len() <= self.cols, "row longer than column count");
-        grow(&mut row, self.cols, INF);
-        self.row_of[v as usize] = self.rows.len() as u32;
-        self.rows.push(row);
+        assert!(
+            row.as_row().len() <= self.cols,
+            "row longer than column count"
+        );
+        self.row_of[v as usize] = self.row_count() as u32;
+        let cols = self.cols;
+        by_width!(&mut self.rows, rows => {
+            let mut row = Cell::owned(row);
+            grow(&mut row, cols, Cell::INF);
+            rows.push(row);
+        });
         self.logs.push(ColumnSet::all(self.cols));
         self.unsent.push(ColumnSet::all(self.cols));
         self.vertex_of_row.push(v);
@@ -483,16 +801,16 @@ impl DistanceMatrix {
         clippy::cast_possible_truncation,
         reason = "idx indexes the row table, bounded by the u32 vertex-id space"
     )]
-    pub fn take_row(&mut self, v: VertexId) -> (Vec<Weight>, ColumnSet) {
+    pub fn take_row(&mut self, v: VertexId) -> (RowBuf, ColumnSet) {
         let idx = self.row_of[v as usize];
         assert!(idx != NO_ROW, "vertex {v} has no row here");
         let idx = idx as usize;
-        let row = self.rows.swap_remove(idx);
+        let row = RowBuf(map_width!(&mut self.rows, rows => rows.swap_remove(idx)));
         self.logs.swap_remove(idx);
         let unsent = self.unsent.swap_remove(idx);
         self.vertex_of_row.swap_remove(idx);
         self.row_of[v as usize] = NO_ROW;
-        if idx < self.rows.len() {
+        if idx < self.vertex_of_row.len() {
             let moved = self.vertex_of_row[idx];
             self.row_of[moved as usize] = idx as u32;
         }
@@ -519,9 +837,11 @@ impl DistanceMatrix {
         if new_cols <= self.cols {
             return;
         }
-        for row in &mut self.rows {
-            grow(row, new_cols, INF);
-        }
+        by_width!(&mut self.rows, rows => {
+            for row in rows {
+                grow(row, new_cols, Cell::INF);
+            }
+        });
         let words = new_cols.div_ceil(WORD);
         if words > self.cols.div_ceil(WORD) {
             for log in self.logs.iter_mut().chain(&mut self.unsent) {
@@ -545,21 +865,50 @@ impl DistanceMatrix {
         clippy::indexing_slicing,
         reason = "documented-panic accessor — callers hold the has_row/ownership invariant and the assert names the violation"
     )]
-    pub fn row(&self, v: VertexId) -> &[Weight] {
-        &self.rows[self.row_index(v)]
+    pub fn row(&self, v: VertexId) -> Row<'_> {
+        let idx = self.row_index(v);
+        Row(map_width!(&self.rows, rows => &rows[idx][..]))
     }
 
-    /// Mutable distance vector of vertex `v`. Raw access can write anything,
-    /// so the row is marked all-columns in both logs.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "documented-panic accessor — same contract as row"
-    )]
-    pub fn row_mut(&mut self, v: VertexId) -> &mut [Weight] {
+    /// Writes `row_v[col] = d` whatever was there (narrow rows store a `d`
+    /// past their `INF` as `INF`). A raw write can undo anything, so the row
+    /// is marked all-columns in both logs.
+    pub fn set_entry(&mut self, v: VertexId, col: usize, d: Weight) {
         let idx = self.row_index(v);
-        self.logs[idx].mark_all();
-        self.unsent[idx].mark_all();
-        &mut self.rows[idx]
+        by_width!(&mut self.rows, rows => {
+            if let Some(entry) = rows.get_mut(idx).and_then(|row| row.get_mut(col)) {
+                *entry = Cell::of(d);
+            }
+        });
+        self.mark_raw(idx);
+    }
+
+    /// Reruns the initial approximation of `s`'s row: reset to `INF`, then
+    /// labelled by a shortest-path search from `s` over `neighbors`, which
+    /// expands only the vertices `expands` accepts (the others are labelled
+    /// and left). The search writes the row raw, so both its logs are
+    /// marked all-columns.
+    pub(crate) fn seed_row<'g>(
+        &mut self,
+        s: VertexId,
+        search: &mut Search,
+        neighbors: impl Fn(VertexId) -> &'g [(VertexId, Weight)],
+        expands: impl Fn(VertexId) -> bool,
+    ) {
+        let idx = self.row_index(s);
+        by_width!(&mut self.rows, rows => {
+            if let Some(row) = rows.get_mut(idx) {
+                seed(row, s, search, neighbors, expands);
+            }
+        });
+        self.mark_raw(idx);
+    }
+
+    /// Marks row `idx` all-columns in both logs after a raw write.
+    fn mark_raw(&mut self, idx: usize) {
+        for log in [self.logs.get_mut(idx), self.unsent.get_mut(idx)] {
+            log.into_iter().for_each(ColumnSet::mark_all);
+        }
     }
 
     /// Whether `v`'s row is on the frontier: its log is non-empty, so some
@@ -578,6 +927,19 @@ impl DistanceMatrix {
         let idx = self.row_of[v as usize];
         assert!(idx != NO_ROW, "vertex {v} has no row here");
         idx as usize
+    }
+
+    /// Row `idx` with its change log and its unsent log.
+    fn row_logs<'a, C>(
+        rows: &'a mut [Vec<C>],
+        logs: &'a mut [ColumnSet],
+        unsent: &'a mut [ColumnSet],
+        idx: usize,
+    ) -> Option<(&'a mut Vec<C>, (&'a mut ColumnSet, &'a mut ColumnSet))> {
+        Some((
+            rows.get_mut(idx)?,
+            (logs.get_mut(idx)?, unsent.get_mut(idx)?),
+        ))
     }
 
     /// The columns of `v`'s row lowered since its log was last cleared.
@@ -604,24 +966,27 @@ impl DistanceMatrix {
     /// by one (its `all` flag aside), as one buffer — an `INF` lowers
     /// nothing. (An unsent column is always finite: a write that lowers an
     /// entry lowers it below `INF`.)
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "the one pragma the send side adds: the bit walk indexes the row at columns taken from a set built over the matrix width, whose bits never reach the column count — the argument relax_on's sparse walk already makes"
-    )]
     pub fn entries_on(&self, v: VertexId, mut cols: ColumnSet) -> RowDelta {
-        let row = &self.rows[self.row_index(v)];
-        let mut values = Vec::with_capacity(cols.logged());
-        for (wi, word) in cols.words.iter_mut().enumerate() {
-            let mut rest = *word;
-            while rest != 0 {
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                match row[wi * WORD + bit] {
-                    INF => *word &= !(1 << bit),
-                    d => values.push(d),
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the one pragma the send side adds: the bit walk indexes the row at columns taken from a set built over the matrix width, whose bits never reach the column count — the argument relax_on's sparse walk already makes"
+        )]
+        fn walk<C: Cell>(row: &[C], cols: &mut ColumnSet) -> Vec<Weight> {
+            let mut values = Vec::with_capacity(cols.logged());
+            for (wi, word) in cols.words.iter_mut().enumerate() {
+                let mut rest = *word;
+                while rest != 0 {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    match row[wi * WORD + bit] {
+                        d if d == C::INF => *word &= !(1 << bit),
+                        d => values.push(d.weight()),
+                    }
                 }
             }
+            values
         }
+        let values = by_width!(self.row(v).0, row => walk(row, &mut cols));
         cols.all = false;
         RowDelta { cols, values }
     }
@@ -658,16 +1023,23 @@ impl DistanceMatrix {
     /// on these columns both sides now read `INF` and nothing is owed until
     /// a write lowers the entry again — and logs it.
     pub fn raise_entries(&mut self, v: VertexId, cols: &[usize]) {
-        let idx = self.row_index(v);
-        let (Some(row), Some(unsent)) = (self.rows.get_mut(idx), self.unsent.get_mut(idx)) else {
-            return;
-        };
-        for &c in cols {
-            if let (Some(d), Some(word)) = (row.get_mut(c), unsent.words.get_mut(c / WORD)) {
-                *d = INF;
-                *word &= !(1 << (c % WORD));
+        fn raise<C: Cell>(row: &mut [C], unsent: &mut ColumnSet, cols: &[usize]) {
+            for &c in cols {
+                if let (Some(d), Some(word)) = (row.get_mut(c), unsent.words.get_mut(c / WORD)) {
+                    *d = C::INF;
+                    *word &= !(1 << (c % WORD));
+                }
             }
         }
+        let idx = self.row_index(v);
+        let Some(unsent) = self.unsent.get_mut(idx) else {
+            return;
+        };
+        by_width!(&mut self.rows, rows => {
+            if let Some(row) = rows.get_mut(idx) {
+                raise(row, unsent, cols);
+            }
+        });
     }
 
     /// Adds `cols` to `v`'s log: on these columns a local neighbour may sit
@@ -683,19 +1055,18 @@ impl DistanceMatrix {
     /// write. Returns whether the entry decreased.
     pub fn lower_entry(&mut self, v: VertexId, col: usize, value: Weight) -> bool {
         let idx = self.row_index(v);
-        let entry = self.rows.get_mut(idx).and_then(|row| row.get_mut(col));
-        let (Some(d), Some(log), Some(unsent)) =
-            (entry, self.logs.get_mut(idx), self.unsent.get_mut(idx))
-        else {
-            return false;
-        };
-        if value >= *d {
-            return false;
-        }
-        *d = value;
-        log.insert(col);
-        unsent.insert(col);
-        true
+        let lowered = by_width!(&mut self.rows, rows => {
+            let row = Self::row_logs(rows, &mut self.logs, &mut self.unsent, idx);
+            row.is_some_and(|(row, (log, unsent))| {
+                let lowered = lower(row, col, value);
+                if lowered {
+                    log.insert(col);
+                    unsent.insert(col);
+                }
+                lowered
+            })
+        });
+        lowered
     }
 
     /// `row_v[c] = min(row_v[c], value + offset)` for each entry of a
@@ -710,50 +1081,10 @@ impl DistanceMatrix {
         cols: &ColumnSet,
     ) -> bool {
         let idx = self.row_index(v);
-        let row = self.rows.get_mut(idx);
-        let (Some(row), Some(log), Some(unsent)) =
-            (row, self.logs.get_mut(idx), self.unsent.get_mut(idx))
-        else {
-            return false;
-        };
-        // The values of word `wi` start at `first`: one per bit before it.
-        let (mut first, mut changed) = (0, false);
-        for (wi, &word) in delta.cols.words.iter().enumerate() {
-            let mask = match cols.all {
-                true => u64::MAX,
-                false => cols.words.get(wi).copied().unwrap_or(0),
-            };
-            let (mut rest, mut lowered, mut at) = (word & mask, 0u64, first);
-            while rest != 0 {
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                // Walking every bit, the values come in order; walking some,
-                // a bit's value follows one per lower bit of the word.
-                if mask != u64::MAX {
-                    at = first + (word & ((1 << bit) - 1)).count_ones() as usize;
-                }
-                let Some(&value) = delta.values.get(at) else {
-                    break; // one value per bit: never taken
-                };
-                at += 1;
-                let cand = value.saturating_add(offset);
-                if let Some(d) = row.get_mut(wi * WORD + bit).filter(|d| cand < **d) {
-                    *d = cand;
-                    lowered |= 1 << bit;
-                }
-            }
-            first += word.count_ones() as usize;
-            if lowered != 0 {
-                log.insert_word(wi, lowered);
-                unsent.insert_word(wi, lowered);
-                changed = true;
-            }
-        }
-        #[cfg(test)]
-        if changed && reference::is_dense() {
-            log.mark_all();
-        }
-        changed
+        by_width!(&mut self.rows, rows => {
+            let row = Self::row_logs(rows, &mut self.logs, &mut self.unsent, idx);
+            row.is_some_and(|(row, logs)| relax_delta(row, logs, delta, offset, cols))
+        })
     }
 
     /// Marks every column of every row as possibly unpropagated.
@@ -806,37 +1137,33 @@ impl DistanceMatrix {
         let Some(dst_unsent) = self.unsent.get_mut(di) else {
             return false;
         };
-        let (dst_row, src_row) = pair_mut(&mut self.rows, di, si);
         let (dst_log, src_log) = pair_mut(&mut self.logs, di, si);
-        relax_on(dst_row, (dst_log, dst_unsent), src_row, offset, src_log)
+        by_width!(&mut self.rows, rows => {
+            let (dst_row, src_row) = pair_mut(rows, di, si);
+            let offset = Cell::of(offset);
+            relax_on(dst_row, (dst_log, dst_unsent), src_row, offset, src_log)
+        })
     }
 
     /// Relaxes every column of the row of `dst` against an external row.
-    pub fn relax_with_external(
-        &mut self,
-        dst: VertexId,
-        src_row: &[Weight],
-        offset: Weight,
-    ) -> bool {
+    pub fn relax_with_external(&mut self, dst: VertexId, src_row: Row<'_>, offset: Weight) -> bool {
         self.relax_with_external_on(dst, src_row, offset, &ColumnSet::EVERY)
     }
 
     /// Relaxes the columns `cols` of the row of `dst` against an external
     /// row.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "documented-panic accessor — same contract as row"
-    )]
     pub fn relax_with_external_on(
         &mut self,
         dst: VertexId,
-        src_row: &[Weight],
+        src_row: Row<'_>,
         offset: Weight,
         cols: &ColumnSet,
     ) -> bool {
         let idx = self.row_index(dst);
-        let logs = (&mut self.logs[idx], &mut self.unsent[idx]);
-        relax_on(&mut self.rows[idx], logs, src_row, offset, cols)
+        by_width!(&mut self.rows, rows => {
+            let row = Self::row_logs(rows, &mut self.logs, &mut self.unsent, idx);
+            row.is_some_and(|(row, logs)| relax_through(row, logs, src_row, offset, cols))
+        })
     }
 }
 
@@ -844,6 +1171,38 @@ impl DistanceMatrix {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A `Weight` slice as a wide row.
+    impl<'a, T: AsRef<[Weight]> + ?Sized> From<&'a T> for Row<'a> {
+        fn from(row: &'a T) -> Self {
+            Row(Width::Wide(row.as_ref()))
+        }
+    }
+
+    /// Rows are equal when they read as the same `Weight`s.
+    impl PartialEq for Row<'_> {
+        fn eq(&self, other: &Row<'_>) -> bool {
+            self.len() == other.len() && self.iter().eq(other.iter())
+        }
+    }
+
+    impl<T: AsRef<[Weight]> + ?Sized> PartialEq<&T> for Row<'_> {
+        fn eq(&self, other: &&T) -> bool {
+            *self == Row::from(*other)
+        }
+    }
+
+    impl DistanceMatrix {
+        /// Whether the rows are 16 bits wide.
+        pub(crate) fn is_narrow(&self) -> bool {
+            matches!(self.rows, Width::Narrow(_))
+        }
+
+        /// `row` stored at this matrix's width, to hand to its relaxations.
+        pub(crate) fn at_width(&self, row: &[Weight]) -> RowBuf {
+            RowBuf(map_width!(&self.rows, _rows => row.iter().map(|&d| Cell::of(d)).collect()))
+        }
+    }
 
     /// `v`'s unsent entries as wire pairs.
     fn pairs(m: &DistanceMatrix, v: VertexId) -> Option<Vec<(u32, Weight)>> {
@@ -859,8 +1218,128 @@ mod tests {
         }
     }
 
+    /// One write to a matrix, its rows and columns taken modulo the
+    /// matrix's.
+    #[derive(Debug, Clone)]
+    enum Write {
+        /// `relax_rows_on(dst, src, offset)`.
+        Rows(usize, usize, Weight),
+        /// `relax_with_external_on(dst, …, offset, every stride-th column)`
+        /// through a copy of row `src`, or through the generated external row.
+        External(usize, Option<usize>, Weight, usize),
+        /// `relax_with_delta(dst, entries, offset, every stride-th column)`.
+        Delta(usize, Vec<(usize, u32)>, Weight, usize),
+        Lower(usize, usize, u32),
+        Raise(usize, Vec<usize>),
+        Extend(usize),
+        /// `clear_log` and `clear_unsent`: the row was propagated and sent.
+        Sent(usize),
+    }
+
+    /// `0..1000` as a distance, `1000..1200` as `INF`: forty writes of
+    /// these, offsets included, stay below the narrow `INF`.
+    fn near(d: u32) -> Weight {
+        if d < 1000 {
+            d
+        } else {
+            INF
+        }
+    }
+
+    fn write() -> impl Strategy<Value = Write> {
+        let (row, col, d, offset) = (0usize..3, 0usize..4096, 0u32..1200, 0u32..1000);
+        let entries = proptest::collection::vec((col.clone(), d.clone()), 0..40);
+        prop_oneof![
+            (row.clone(), row.clone(), offset.clone()).prop_map(|(a, b, o)| Write::Rows(a, b, o)),
+            (row.clone(), 0usize..4, offset.clone(), 1usize..4)
+                .prop_map(|(a, b, o, k)| Write::External(a, (b < 3).then_some(b), o, k)),
+            (row.clone(), entries, offset, 1usize..4)
+                .prop_map(|(a, e, o, k)| Write::Delta(a, e, o, k)),
+            (row.clone(), col.clone(), d).prop_map(|(a, c, d)| Write::Lower(a, c, d)),
+            (row.clone(), proptest::collection::vec(col, 0..20))
+                .prop_map(|(a, cs)| Write::Raise(a, cs)),
+            (0usize..70).prop_map(Write::Extend),
+            row.prop_map(Write::Sent),
+        ]
+    }
+
+    /// Every `stride`-th of `cols` columns; stride 1 is [`ColumnSet::EVERY`].
+    fn strided(cols: usize, stride: usize) -> ColumnSet {
+        if stride == 1 {
+            return ColumnSet::EVERY;
+        }
+        let mut set = ColumnSet::empty(cols);
+        (0..cols).step_by(stride).for_each(|c| set.insert(c));
+        set
+    }
+
+    /// Applies `write` to `m`, whose external row is `ext` cycled; returns
+    /// what the write returned.
+    fn apply(m: &mut DistanceMatrix, write: &Write, ext: &[Weight]) -> bool {
+        let (rows, cols) = (m.row_count(), m.col_count());
+        let v = |i: &usize| (i % rows) as VertexId;
+        match write {
+            Write::Rows(a, b, o) => m.relax_rows_on(v(a), v(b), *o),
+            Write::External(a, src, o, k) => {
+                let row = match src {
+                    Some(b) => m.row(v(b)).to_buf(),
+                    None => m.at_width(&(0..cols).map(|c| ext[c % ext.len()]).collect::<Vec<_>>()),
+                };
+                m.relax_with_external_on(v(a), row.as_row(), *o, &strided(cols, *k))
+            }
+            Write::Delta(a, entries, o, k) => {
+                let finite = entries.iter().filter(|&&(_, d)| near(d) != INF);
+                let pairs: std::collections::BTreeMap<u32, Weight> =
+                    finite.map(|&(c, d)| ((c % cols) as u32, d)).collect();
+                let delta = RowDelta::from_pairs(&pairs.into_iter().collect::<Vec<_>>());
+                m.relax_with_delta(v(a), &delta, *o, &strided(cols, *k))
+            }
+            Write::Lower(a, c, d) => m.lower_entry(v(a), c % cols, near(*d)),
+            Write::Raise(a, cs) => {
+                m.raise_entries(v(a), &cs.iter().map(|c| c % cols).collect::<Vec<_>>());
+                false
+            }
+            Write::Extend(more) => {
+                m.extend_cols(cols + more);
+                false
+            }
+            Write::Sent(a) => {
+                m.clear_log(v(a));
+                m.clear_unsent(v(a));
+                false
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn narrow_and_wide_rows_take_every_write_alike(
+            width in (0usize..5).prop_map(|i| [1, 63, 64, 65, 130][i]),
+            ext in proptest::collection::vec(0u32..1200, 1..200),
+            writes in proptest::collection::vec(write(), 1..40),
+        ) {
+            let mut narrow = DistanceMatrix::fitting(width, 1);
+            let mut wide = DistanceMatrix::new(width);
+            prop_assert!(narrow.is_narrow() && !wide.is_narrow());
+            let rows = width.min(3) as VertexId;
+            for m in [&mut narrow, &mut wide] {
+                (0..rows).for_each(|v| m.add_row(v));
+            }
+            let ext: Vec<Weight> = ext.into_iter().map(near).collect();
+            for write in &writes {
+                let changed = apply(&mut narrow, write, &ext);
+                prop_assert_eq!(changed, apply(&mut wide, write, &ext), "{:?}", write);
+                for v in 0..rows {
+                    prop_assert_eq!(narrow.row(v), wide.row(v), "row {} after {:?}", v, write);
+                    prop_assert_eq!(narrow.log(v), wide.log(v), "log {}", v);
+                    prop_assert_eq!(narrow.unsent(v), wide.unsent(v), "unsent {}", v);
+                    prop_assert_eq!(narrow.unsent_entries(v), wide.unsent_entries(v));
+                }
+            }
+            prop_assert!(narrow.is_narrow());
+        }
 
         #[test]
         fn relax_with_delta_leaves_what_the_pair_reference_leaves(
@@ -882,7 +1361,8 @@ mod tests {
                 sender.lower_entry(0, c % width, distance(d));
             }
             let delta = sender.unsent_entries(0).expect("logged column by column");
-            let lowered = sender.row(0).iter().zip(&sent).enumerate();
+            let now = sender.row(0).to_vec();
+            let lowered = now.iter().zip(&sent).enumerate();
             let lowered = lowered.filter(|(_, (now, was))| now < was);
             let want: Vec<(u32, Weight)> = lowered.map(|(c, (&d, _))| (c as u32, d)).collect();
             prop_assert_eq!(delta.pairs(), want.clone());
@@ -892,7 +1372,8 @@ mod tests {
             // A neighbour's row at the receiver, its logs fresh from an
             // install or empty.
             let mut reference = DistanceMatrix::new(width);
-            reference.insert_row(0, held[..width].iter().map(|&d| distance(d)).collect());
+            let held: Vec<Weight> = held[..width].iter().map(|&d| distance(d)).collect();
+            reference.insert_row(0, held);
             if !logged {
                 reference.clear_logs();
                 reference.clear_unsent(0);
@@ -1051,7 +1532,7 @@ mod tests {
     #[test]
     fn finite_of_lists_exactly_the_finite_columns() {
         let row = noise(150, 9);
-        let cols = ColumnSet::finite_of(&row);
+        let cols = ColumnSet::finite_of(Row::from(&row));
         for (c, &d) in row.iter().enumerate() {
             assert_eq!(cols.contains(c), d != INF);
         }
@@ -1073,13 +1554,13 @@ mod tests {
         // A relaxation logs what it lowered, in the lowered row only.
         let mut ext = vec![INF; 8];
         ext[2] = 4;
-        assert!(m.relax_with_external(1, &ext, 0));
+        assert!(m.relax_with_external(1, Row::from(&ext), 0));
         assert!(m.log(1).contains(2) && !m.log(1).contains(1));
         assert!(m.log(0).is_empty());
         // Row 0 learns column 2 from row 1 and nothing else: column 1,
         // which row 1 could also improve, is not in row 1's log.
         assert!(m.relax_rows_on(0, 1, 1));
-        assert_eq!(m.row(0)[..3], [0, INF, 5]);
+        assert_eq!(m.row(0).to_vec()[..3], [0, INF, 5]);
         assert!(m.log(0).contains(2) && !m.log(0).contains(1));
         // The unsent log saw the same writes, and outlives the propagation.
         m.clear_log(1);
@@ -1097,7 +1578,7 @@ mod tests {
         assert!(m.lower_entry(0, 2, 6));
         assert_eq!(pairs(&m, 0), Some(vec![(2, 6), (5, 9)]));
         m.clear_log(1);
-        m.row_mut(1)[0] = 1; // raw access: anything may have changed
+        m.set_entry(1, 0, 1); // raw access: anything may have changed
         assert!(m.log(1).contains(0) && m.log(1).contains(7));
         assert!(pairs(&m, 1).is_none());
         // Both logs travel with their row: through a swap_remove, through
@@ -1134,13 +1615,13 @@ mod tests {
         assert!(m.log(0).is_empty() && m.frontier().next().is_none());
         // Both relaxation kernels mark what they lower, and only then.
         let mut src = vec![INF; 70];
-        assert!(!m.relax_with_external(0, &src, 1) && m.log(0).is_empty());
+        assert!(!m.relax_with_external(0, Row::from(&src), 1) && m.log(0).is_empty());
         src[3] = 2;
-        assert!(m.relax_with_external(0, &src, 1) && m.frontier().eq([0]));
+        assert!(m.relax_with_external(0, Row::from(&src), 1) && m.frontier().eq([0]));
         m.clear_log(0);
         src[4] = 2;
-        let sparse = ColumnSet::finite_of(&src);
-        assert!(m.relax_with_external_on(0, &src, 1, &sparse));
+        let sparse = ColumnSet::finite_of(Row::from(&src));
+        assert!(m.relax_with_external_on(0, Row::from(&src), 1, &sparse));
         assert!(m.log(0).contains(4) && !m.log(0).contains(3));
         assert!(!m.unsent(0).is_empty());
     }
@@ -1170,10 +1651,10 @@ mod tests {
         m.add_row(1);
         m.add_row(2);
         let (r, _) = m.take_row(0); // row 2 swaps into slot 0
-        assert_eq!(r[0], 0);
+        assert_eq!(r.as_row().get(0), Some(0));
         assert!(!m.has_row(0));
-        assert_eq!(m.row(2)[2], 0, "swapped row still reachable");
-        assert_eq!(m.row(1)[1], 0);
+        assert_eq!(m.row(2).to_vec()[2], 0, "swapped row still reachable");
+        assert_eq!(m.row(1).to_vec()[1], 0);
         assert_eq!(m.row_count(), 2);
     }
 
@@ -1181,7 +1662,7 @@ mod tests {
     fn migration_roundtrip() {
         let mut a = DistanceMatrix::new(3);
         a.add_row(1);
-        a.row_mut(1)[0] = 7;
+        a.set_entry(1, 0, 7);
         let (row, _) = a.take_row(1);
         let mut b = DistanceMatrix::new(3);
         b.insert_row(1, row);
@@ -1203,9 +1684,16 @@ mod tests {
         assert_eq!(m.col_count(), 4);
         assert_eq!(m.row(1), &[INF, 0, INF, INF]);
         m.add_row(3);
-        assert_eq!(m.row(3)[3], 0);
+        assert_eq!(m.row(3).to_vec()[3], 0);
         m.extend_cols(3); // shrink request is a no-op
         assert_eq!(m.col_count(), 4);
+    }
+
+    fn wide(m: &DistanceMatrix) -> &[Vec<Weight>] {
+        match &m.rows {
+            Width::Wide(rows) => rows,
+            Width::Narrow(_) => panic!("a matrix from `new` is wide"),
+        }
     }
 
     #[test]
@@ -1218,7 +1706,10 @@ mod tests {
         let bound = |cols: usize| (cols + cols / 16).next_multiple_of(WORD);
         let mut copies = 0;
         for cols in 131..=430 {
-            let rows: Vec<_> = m.rows.iter().map(|r| (r.as_ptr(), r.capacity())).collect();
+            let rows: Vec<_> = wide(&m)
+                .iter()
+                .map(|r| (r.as_ptr(), r.capacity()))
+                .collect();
             let logs: Vec<_> = m
                 .logs
                 .iter()
@@ -1226,7 +1717,7 @@ mod tests {
                 .map(|l| l.words.as_ptr())
                 .collect();
             m.extend_cols(cols);
-            for (row, (ptr, cap)) in m.rows.iter().zip(rows) {
+            for (row, (ptr, cap)) in wide(&m).iter().zip(rows) {
                 let spare = row.capacity() - cols;
                 assert!(
                     row.capacity() <= bound(cols),
@@ -1249,7 +1740,8 @@ mod tests {
         // 321 and 385 columns. Doubling copies less often, and leaves rows
         // up to twice as wide as they are.
         assert_eq!(copies, 14);
-        let (kept, padded) = m.row(1).split_at(40);
+        let row = m.row(1).to_vec();
+        let (kept, padded) = row.split_at(40);
         assert!(kept == [0; 40] && padded.iter().all(|&d| d == INF));
     }
 
@@ -1258,21 +1750,21 @@ mod tests {
         let mut m = DistanceMatrix::new(3);
         m.add_row(0);
         m.add_row(1);
-        m.row_mut(1)[2] = 4;
+        m.set_entry(1, 2, 4);
         // Fresh rows log every column, so every column is relaxed.
         assert!(m.relax_rows_on(0, 1, 1)); // d(0,*) <= 1 + d(1,*)
         assert_eq!(m.row(0), &[0, 1, 5]);
         assert!(!m.relax_rows_on(0, 0, 1), "self relax is a no-op");
         // Reverse direction with the dst stored after src.
         assert!(m.relax_rows_on(1, 0, 1));
-        assert_eq!(m.row(1)[0], 1);
+        assert_eq!(m.row(1).to_vec()[0], 1);
     }
 
     #[test]
     fn a_row_on_some_columns_relaxes_a_neighbour_on_those_only() {
         // The owner's row on three columns, as a kept-values answer carries it.
         let mut owner = DistanceMatrix::new(70);
-        owner.insert_row(3, (0..70).collect());
+        owner.insert_row(3, (0..70).collect::<Vec<Weight>>());
         let mut cols = ColumnSet::empty(70);
         [1, 5, 69].into_iter().for_each(|c| cols.insert(c));
         let kept = owner.entries_on(3, cols);
@@ -1286,8 +1778,15 @@ mod tests {
         assert!(dv.lower_entry(0, 5, 4));
         dv.clear_log(0);
         assert!(dv.relax_with_delta(0, &kept, 2, &ColumnSet::EVERY));
-        assert_eq!((dv.row(0)[1], dv.row(0)[5], dv.row(0)[69]), (3, 4, 71));
-        assert_eq!((dv.row(0)[0], dv.row(0)[2]), (0, INF));
+        assert_eq!(
+            (
+                dv.row(0).to_vec()[1],
+                dv.row(0).to_vec()[5],
+                dv.row(0).to_vec()[69]
+            ),
+            (3, 4, 71)
+        );
+        assert_eq!((dv.row(0).to_vec()[0], dv.row(0).to_vec()[2]), (0, INF));
         let log = dv.log(0);
         assert!(log.contains(1) && log.contains(69) && !log.contains(5));
         assert!(dv.owes(0) && dv.unsent(0).contains(69));
@@ -1299,7 +1798,7 @@ mod tests {
         let mut cols = ColumnSet::empty(70);
         cols.insert(69);
         assert!(dv.relax_with_delta(0, &kept, 2, &cols));
-        assert_eq!((dv.row(0)[1], dv.row(0)[69]), (INF, 71));
+        assert_eq!((dv.row(0).to_vec()[1], dv.row(0).to_vec()[69]), (INF, 71));
     }
 
     #[test]
@@ -1307,7 +1806,7 @@ mod tests {
         let mut m = DistanceMatrix::new(3);
         m.add_row(0);
         let ext = vec![2, 0, 9];
-        assert!(m.relax_with_external(0, &ext, 3));
+        assert!(m.relax_with_external(0, Row::from(&ext), 3));
         assert_eq!(m.row(0), &[0, 3, 12]);
     }
 }

@@ -23,7 +23,7 @@
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-use crate::dv::{ColumnSet, RowDelta};
+use crate::dv::{ColumnSet, DistanceMatrix, Row, RowBuf, RowDelta};
 use crate::engine::AnytimeEngine;
 use crate::obs::InvalidationTally;
 use crate::proc_state::ProcState;
@@ -120,6 +120,7 @@ impl AnytimeEngine {
         if !self.world.add_edge(u, v, w) {
             return false;
         }
+        self.admit(self.world.capacity(), w);
         let span = self.span_open();
         self.obs.note_mutation();
         self.view_add_edge(u, v, w);
@@ -139,13 +140,13 @@ impl AnytimeEngine {
 
     /// Tree-broadcasts the rows of `endpoints` from their owners and returns
     /// them, both in the order given: it feeds the virtual clocks.
-    fn broadcast_rows(&mut self, endpoints: &[VertexId]) -> Vec<Vec<Weight>> {
+    fn broadcast_rows(&mut self, endpoints: &[VertexId]) -> Vec<RowBuf> {
         let broadcast = endpoints.iter().map(|&e| {
             let owner = self.owner_of(e);
-            let row = self.procs.get(owner).map(|ps| ps.dv.row(e).to_vec());
+            let row = self.procs.get(owner).map(|ps| ps.dv.row(e).to_buf());
             let row = row.unwrap_or_default();
             self.cluster
-                .broadcast_cost(Phase::DynamicUpdate, owner, 4 + 4 * row.len());
+                .broadcast_cost(Phase::DynamicUpdate, owner, 4 + 4 * row.as_row().len());
             row
         });
         broadcast.collect()
@@ -181,7 +182,7 @@ impl AnytimeEngine {
                 }
             }
             for (&e, row) in endpoints.iter().zip(&rows) {
-                ps.relax_through_external(e, row);
+                ps.relax_through_external(e, row.as_row());
             }
             ps.propagate();
             self.cluster
@@ -200,6 +201,7 @@ impl AnytimeEngine {
         let mut inserted: Vec<(VertexId, VertexId, Weight)> = Vec::with_capacity(edges.len());
         for &(u, v, w) in edges {
             if self.world.add_edge(u, v, w) {
+                self.admit(self.world.capacity(), w);
                 self.view_add_edge(u, v, w);
                 inserted.push((u, v, w));
             }
@@ -361,6 +363,7 @@ impl AnytimeEngine {
         assert!(self.world.is_alive(v), "vertex {v} is not alive");
         let span = self.deletion_barrier();
         let row_v = self.broadcast_rows(&[v]).swap_remove(0);
+        let row_v = row_v.as_row();
 
         let removed = self.world.remove_vertex(v);
         let views = |ps: &mut ProcState| {
@@ -374,7 +377,7 @@ impl AnytimeEngine {
             }
             ps.is_local[v as usize] = false;
         };
-        self.invalidate_and_recompute(views, |row, x| affected_by_vertex(row, x, v, &row_v));
+        self.invalidate_and_recompute(views, |row, x| affected_by_vertex(row, x, v, row_v));
         // The ranks that bordered a neighbour of `v` only through `v`.
         self.forget_unbordered(removed.iter().map(|&(x, _)| x));
         self.partition.assignment[v as usize] = UNASSIGNED;
@@ -393,7 +396,7 @@ impl AnytimeEngine {
     /// the raised columns only, and propagates.
     fn invalidate_and_recompute<F>(&mut self, views: impl Fn(&mut ProcState), mut affected: F)
     where
-        F: FnMut(&[Weight], VertexId) -> Vec<usize>,
+        F: FnMut(Row<'_>, VertexId) -> Vec<usize>,
     {
         let mut raised = Vec::with_capacity(self.procs.len());
         for (rank, ps) in self.procs.iter_mut().enumerate() {
@@ -490,11 +493,11 @@ fn distinct_endpoints(edges: &[(VertexId, VertexId, Weight)]) -> Vec<VertexId> {
 fn rows_of_edges<'a>(
     edges: &[(VertexId, VertexId, Weight)],
     endpoints: &[VertexId],
-    rows: &'a [Vec<Weight>],
-) -> Vec<(&'a [Weight], &'a [Weight])> {
+    rows: &'a [RowBuf],
+) -> Vec<(Row<'a>, Row<'a>)> {
     let row_of = |x: VertexId| {
         let found = endpoints.iter().zip(rows).find(|&(&e, _)| e == x);
-        found.map(|(_, row)| row.as_slice()).unwrap_or_default()
+        found.map(|(_, row)| row.as_row()).unwrap_or_default()
     };
     let pairs = edges.iter().map(|&(u, v, _)| (row_of(u), row_of(v)));
     pairs.collect()
@@ -510,11 +513,11 @@ fn relax_row_through_edge(
     ps: &mut ProcState,
     x: VertexId,
     (u, v, w): (VertexId, VertexId, Weight),
-    row_u: &[Weight],
-    row_v: &[Weight],
+    row_u: Row<'_>,
+    row_v: Row<'_>,
 ) -> bool {
     let row = ps.dv.row(x);
-    let (Some(&a), Some(&b)) = (row.get(u as usize), row.get(v as usize)) else {
+    let (Some(a), Some(b)) = (row.get(u as usize), row.get(v as usize)) else {
         return false;
     };
     let (via_u, via_v) = (a.saturating_add(w), b.saturating_add(w));
@@ -543,7 +546,7 @@ struct DeletedEdge<'a> {
     edge: (VertexId, VertexId, Weight),
     /// `(row_u, row_v)`. Exact at the barrier, on an undirected graph they
     /// also give each row `x` its distances to the endpoints: `d(x,u) = row_u[x]`.
-    rows: (&'a [Weight], &'a [Weight]),
+    rows: (Row<'a>, Row<'a>),
     /// `B_uv` as `(t, row_u[t])`, ascending in `t`.
     beyond_v: Vec<(u32, Weight)>,
     /// `B_vu` as `(t, row_v[t])`, ascending in `t`.
@@ -551,14 +554,14 @@ struct DeletedEdge<'a> {
 }
 
 impl<'a> DeletedEdge<'a> {
-    fn new(edge: (VertexId, VertexId, Weight), row_u: &'a [Weight], row_v: &'a [Weight]) -> Self {
+    fn new(edge: (VertexId, VertexId, Weight), row_u: Row<'a>, row_v: Row<'a>) -> Self {
         let w = edge.2;
         // The columns `near` reaches over the edge, through `far`.
-        let beyond = |near: &[Weight], far: &[Weight]| {
-            let columns = near.iter().zip(far).enumerate();
+        let beyond = |near: Row, far: Row| {
+            let columns = near.iter().zip(far.iter()).enumerate();
             columns
-                .filter(|&(_, (&n, &f))| n != INF && n == f.saturating_add(w))
-                .filter_map(|(t, (&n, _))| Some((u32::try_from(t).ok()?, n)))
+                .filter(|&(_, (n, f))| n != INF && n == f.saturating_add(w))
+                .filter_map(|(t, (n, _))| Some((u32::try_from(t).ok()?, n)))
                 .collect()
         };
         DeletedEdge {
@@ -580,7 +583,7 @@ impl<'a> DeletedEdge<'a> {
     /// every `t` by the triangle inequality: two lookups into the endpoint
     /// rows say so, and `row` is not read. With `w ≥ 1` at most one direction
     /// is tight.
-    fn affected_targets(&self, row: &[Weight], x: VertexId, out: &mut Vec<usize>) -> u64 {
+    fn affected_targets(&self, row: Row<'_>, x: VertexId, out: &mut Vec<usize>) -> u64 {
         let (row_u, row_v) = self.rows;
         #[cfg(test)]
         if reference::is_whole_row() {
@@ -589,7 +592,7 @@ impl<'a> DeletedEdge<'a> {
             ));
             return 0;
         }
-        let at = |r: &[Weight]| r.get(x as usize).copied().unwrap_or(INF);
+        let at = |r: Row| r.get(x as usize).unwrap_or(INF);
         let (du, dv, w) = (at(row_u), at(row_v), self.edge.2);
         #[cfg(test)]
         reference::assert_row_agrees(row, x, &[(self.edge.0, du), (self.edge.1, dv)]);
@@ -600,7 +603,7 @@ impl<'a> DeletedEdge<'a> {
             }
             tested += beyond.len() as u64;
             for &(t, through) in beyond {
-                let reset = |&d: &Weight| d != INF && d >= near.saturating_add(through);
+                let reset = |d: Weight| d != INF && d >= near.saturating_add(through);
                 if t != x && row.get(t as usize).is_some_and(reset) {
                     out.push(t as usize);
                 }
@@ -614,17 +617,21 @@ impl<'a> DeletedEdge<'a> {
 /// itself plus every entry whose value routes through `v`. `d(x,v)` is
 /// `row_v[x]` (the graph is undirected), so a row that does not reach `v`
 /// is not read.
-fn affected_by_vertex(row: &[Weight], x: VertexId, v: VertexId, row_v: &[Weight]) -> Vec<usize> {
-    let a = row_v.get(x as usize).copied().unwrap_or(INF); // d(x, v)
+fn affected_by_vertex(row: Row<'_>, x: VertexId, v: VertexId, row_v: Row<'_>) -> Vec<usize> {
+    let a = row_v.get(x as usize).unwrap_or(INF); // d(x, v)
     #[cfg(test)]
     reference::assert_row_agrees(row, x, &[(v, a)]);
     if a == INF {
         return Vec::new();
     }
-    let through_v = row.iter().zip(row_v).enumerate().filter(|&(t, (&d, &dv))| {
-        let via = a.saturating_add(dv);
-        d != INF && via != INF && d >= via && t != x as usize && t != v as usize
-    });
+    let through_v = row
+        .iter()
+        .zip(row_v.iter())
+        .enumerate()
+        .filter(|&(t, (d, dv))| {
+            let via = a.saturating_add(dv);
+            d != INF && via != INF && d >= via && t != x as usize && t != v as usize
+        });
     [v as usize]
         .into_iter()
         .chain(through_v.map(|(t, _)| t))
@@ -639,7 +646,7 @@ fn affected_by_vertex(row: &[Weight], x: VertexId, v: VertexId, row_v: &[Weight]
 /// again logs it.
 fn raise<F>(ps: &mut ProcState, tally: &mut InvalidationTally, affected: &mut F) -> Raised
 where
-    F: FnMut(&[Weight], VertexId) -> Vec<usize>,
+    F: FnMut(Row<'_>, VertexId) -> Vec<usize>,
 {
     #[cfg(test)]
     if reference::is_whole_row() {
@@ -704,16 +711,16 @@ fn recompute(ps: &mut ProcState, raised: Raised, kept: &Kept) {
         for &t in &targets {
             let offers = ps.adj[t]
                 .iter()
-                .map(|&(y, w)| ps.dv.row(x)[y as usize].saturating_add(w));
+                .map(|&(y, w)| entry(&ps.dv, x, y as usize).saturating_add(w));
             ps.dv.lower_entry(x, t, offers.min().unwrap_or(INF));
-            seeds.extend(VertexId::try_from(t).map(|t| (t, ps.dv.row(x)[t as usize])));
+            seeds.extend(VertexId::try_from(t).map(|t| (t, entry(&ps.dv, x, t as usize))));
         }
         search.run(
             &mut ps.dv,
             seeds.drain(..),
             |t| &ps.adj[t as usize],
             |dv, y, d| cols.contains(y as usize) && dv.lower_entry(x, y as usize, d),
-            |dv, t, d| match d > dv.row(x)[t as usize] {
+            |dv, t, d| match d > entry(dv, x, t as usize) {
                 true => Settle::Skip,
                 false => Settle::Expand,
             },
@@ -721,6 +728,11 @@ fn recompute(ps: &mut ProcState, raised: Raised, kept: &Kept) {
         ps.dirty.insert(x);
     }
     ps.propagate();
+}
+
+/// `row_x[t]`, `INF` past the row.
+fn entry(dv: &DistanceMatrix, x: VertexId, t: usize) -> Weight {
+    dv.row(x).get(t).unwrap_or(INF)
 }
 
 #[cfg(test)]
@@ -1025,7 +1037,7 @@ mod tests {
         for &(u, v) in batch {
             let w = after.remove_edge(u, v).expect("an edge of g");
             let (row_u, row_v) = (&exact[u as usize], &exact[v as usize]);
-            let deleted = DeletedEdge::new((u, v, w), row_u, row_v);
+            let deleted = DeletedEdge::new((u, v, w), row_u.into(), row_v.into());
             let columns = deleted.beyond_v.iter().chain(&deleted.beyond_u);
             let candidates: HashSet<usize> = columns.map(|&(t, _)| t as usize).collect();
             // Brute force over the definition, not over the stored lists.
@@ -1036,8 +1048,9 @@ mod tests {
                 assert_eq!(candidates.contains(&t), expected, "edge {u}-{v} column {t}");
             }
             for x in g.vertices() {
-                let row = &exact[x as usize];
-                let whole = reference::affected_targets_edge(row, x, (u, v, w), row_u, row_v);
+                let row = Row::from(&exact[x as usize]);
+                let ends = (row_u.into(), row_v.into());
+                let whole = reference::affected_targets_edge(row, x, (u, v, w), ends.0, ends.1);
                 let mut ours = Vec::new();
                 deleted.affected_targets(row, x, &mut ours);
                 assert_eq!(ours, whole, "edge {u}-{v} row {x}");
@@ -1098,6 +1111,70 @@ mod tests {
         assert_eq!(e.add_edges(&[]), 0);
         assert_eq!(e.delete_edges(&[]), 0);
         assert!(e.is_converged(), "no-ops must not disturb convergence");
+    }
+
+    /// Oracle-exact distances and closeness, on rows as wide as `narrow`
+    /// says on every rank.
+    fn assert_exact_at_width(e: &mut AnytimeEngine, narrow: bool) {
+        assert!(e.procs.iter().all(|ps| ps.dv.is_narrow() == narrow));
+        e.run_to_convergence(256);
+        assert!(e.is_converged());
+        assert_oracle(e);
+        let dist = algo::apsp_dijkstra(e.graph());
+        let snapshot = e.snapshot();
+        for v in e.graph().vertices() {
+            let exact = algo::closeness_from_distances(&dist[v as usize], v);
+            assert_eq!(snapshot.closeness[v as usize], exact, "closeness of {v}");
+        }
+    }
+
+    #[test]
+    fn a_weight_past_the_narrow_bound_widens_the_rows_and_stays_exact() {
+        // A ring of 24 with a pendant vertex: the pendant edge is a bridge.
+        let mut g = generators::path(24);
+        g.add_edge(0, 23, 1);
+        let pendant = g.add_vertex();
+        g.add_edge(5, pendant, 2);
+        let mut e = engine(g, 3);
+        assert_exact_at_width(&mut e, true);
+        assert!(e.change_edge_weight(5, pendant, 1_000_000));
+        assert_exact_at_width(&mut e, false);
+        let far = e.distances_dense()[17][pendant as usize];
+        assert_eq!(far, 12 + 1_000_000, "read back past 0xFFFF exactly");
+        // Back down, the rows stay wide: the width never narrows.
+        assert!(e.change_edge_weight(5, pendant, 2));
+        assert!(e.delete_edge(5, pendant));
+        assert_exact_at_width(&mut e, false);
+    }
+
+    #[test]
+    fn vertex_additions_past_the_narrow_bound_widen_the_rows_and_stay_exact() {
+        use crate::strategy::AdditionStrategy;
+        // 40 slots at weights up to 1,000: 39 · 1,000 < 0xFFFF, and 67 slots
+        // are past it.
+        for strategy in [
+            AdditionStrategy::RoundRobinPs,
+            AdditionStrategy::CutEdgePs,
+            AdditionStrategy::RepartitionS,
+            AdditionStrategy::BaselineRestart,
+        ] {
+            let g = generators::erdos_renyi_gnm(40, 80, 1_000, 9);
+            let mut e = engine(g, 3);
+            assert_exact_at_width(&mut e, true);
+            while e.graph().capacity() < 70 {
+                let before = e.graph().capacity();
+                let mut batch = VertexBatch::new(10);
+                for i in 0..10 {
+                    let existing = Endpoint::Existing((before - 1 - 3 * i) as VertexId);
+                    batch.connect(i, existing, 1 + 97 * i as Weight);
+                    batch.connect(i, Endpoint::New((i + 1) % 10), 1_000);
+                }
+                e.add_vertices(&batch, strategy);
+                let narrow = (e.graph().capacity() - 1) * 1_000 < 0xFFFF;
+                assert_exact_at_width(&mut e, narrow);
+            }
+            assert!(e.procs.iter().all(|ps| !ps.dv.is_narrow()), "{strategy}");
+        }
     }
 
     #[test]

@@ -36,6 +36,9 @@ pub struct AnytimeEngine {
     /// Bumped by every deletion (and weight increase): estimates from an
     /// older epoch may be underestimates of the current graph.
     pub(crate) invalidation_epoch: u64,
+    /// The largest edge weight the world has held: with its capacity, what
+    /// sets the width of the distance rows. Never lowered by a deletion.
+    pub(crate) max_weight: Weight,
     /// Span log, progress-probe state and protocol counters (see
     /// [`crate::obs`]).
     pub(crate) obs: EngineObs,
@@ -60,6 +63,11 @@ pub(crate) fn build_cluster(config: &EngineConfig) -> Cluster {
     cluster
 }
 
+/// The heaviest edge of `graph`, 0 if it has none.
+pub(crate) fn max_weight(graph: &Graph) -> Weight {
+    graph.edges().map(|(_, _, w)| w).max().unwrap_or(0)
+}
+
 impl AnytimeEngine {
     /// Creates an engine over `graph`. Call [`Self::initialize`] before
     /// stepping.
@@ -69,6 +77,7 @@ impl AnytimeEngine {
         let cluster = build_cluster(&config);
         AnytimeEngine {
             partition: Partition::unassigned(graph.capacity(), p),
+            max_weight: max_weight(&graph),
             world: graph,
             procs: Vec::new(),
             cluster,
@@ -79,6 +88,17 @@ impl AnytimeEngine {
             rr_cursor: 0,
             invalidation_epoch: 0,
             obs: EngineObs::default(),
+        }
+    }
+
+    /// Makes room for a change that leaves the world with `capacity` id
+    /// slots and adds an edge of weight `w` (0 for none): every rank's rows
+    /// widen if the narrow store could no longer hold each shortest path.
+    /// Call it before the change reaches any row.
+    pub(crate) fn admit(&mut self, capacity: usize, w: Weight) {
+        self.max_weight = self.max_weight.max(w);
+        for ps in &mut self.procs {
+            ps.dv.widen_for(capacity, self.max_weight);
         }
     }
 
@@ -166,7 +186,7 @@ impl AnytimeEngine {
         // Build processor states.
         self.procs = (0..p)
             .map(|rank| {
-                let mut ps = ProcState::new(rank, self.world.capacity());
+                let mut ps = ProcState::new(rank, self.world.capacity(), self.max_weight);
                 ps.rebuild_view(&self.world, &self.partition);
                 for &v in &members[rank] {
                     ps.dv.add_row(v);
@@ -389,17 +409,16 @@ impl AnytimeEngine {
         for (rank, ps) in self.procs.iter().enumerate() {
             let t = Stopwatch::start();
             for &v in ps.dv.vertices() {
-                let row = ps.dv.row(v);
                 let mut sum = 0u64;
                 let mut h = 0.0f64;
                 let mut finite = 0u32;
-                for (t_idx, &d) in row.iter().enumerate() {
+                ps.dv.row(v).iter().enumerate().for_each(|(t_idx, d)| {
                     if t_idx != v as usize && d != INF && d > 0 {
-                        sum += d as u64;
-                        h += 1.0 / d as f64;
+                        sum += u64::from(d);
+                        h += 1.0 / f64::from(d);
                         finite += 1;
                     }
-                }
+                });
                 closeness[v as usize] = if sum == 0 { 0.0 } else { 1.0 / sum as f64 };
                 harmonic[v as usize] = h;
                 dist_sum[v as usize] = sum;
@@ -457,8 +476,11 @@ impl AnytimeEngine {
         let mut out = vec![vec![INF; cap]; cap];
         for ps in &self.procs {
             for &v in ps.dv.vertices() {
-                let row = ps.dv.row(v);
-                out[v as usize][..row.len()].copy_from_slice(row);
+                let row = ps.dv.row(v).iter();
+                out[v as usize]
+                    .iter_mut()
+                    .zip(row)
+                    .for_each(|(d, r)| *d = r);
             }
         }
         out

@@ -169,13 +169,12 @@ impl AnytimeEngine {
         let mut closeness = vec![0.0f64; self.world.capacity()];
         for ps in &self.procs {
             for &v in ps.dv.vertices() {
-                let row = ps.dv.row(v);
                 let mut sum = 0u64;
-                for (t, &d) in row.iter().enumerate() {
+                ps.dv.row(v).iter().enumerate().for_each(|(t, d)| {
                     if t != v as usize && d != INF && d > 0 {
                         sum += u64::from(d);
                     }
-                }
+                });
                 closeness[v as usize] = if sum == 0 { 0.0 } else { 1.0 / sum as f64 };
             }
         }

@@ -18,9 +18,11 @@
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-use crate::dv::{grow, ColumnSet, DistanceMatrix, RowDelta};
-use aa_graph::search::{lower, unless_stale, Search};
-use aa_graph::{Graph, VertexId, Weight, INF};
+use crate::dv::{grow, ColumnSet, DistanceMatrix, Row, RowBuf, RowDelta};
+use aa_graph::search::Search;
+#[cfg(test)]
+use aa_graph::INF;
+use aa_graph::{Graph, VertexId, Weight};
 use aa_partition::Partition;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -31,9 +33,10 @@ use std::sync::Arc;
 /// DVs" optimization.
 #[derive(Debug, Clone)]
 pub enum RowUpdate {
-    /// The complete row (first send to a given processor). One buffer per
-    /// row, shared by every destination the row goes to whole.
-    Full(Arc<[Weight]>),
+    /// The complete row (first send to a given processor), at the width
+    /// its matrix stores it. One buffer per row, shared by every destination
+    /// the row goes to whole.
+    Full(Arc<RowBuf>),
     /// The entries lowered since the row's last send. One buffer per row,
     /// shared by every destination the row's delta goes to.
     Delta(Arc<RowDelta>),
@@ -44,7 +47,7 @@ impl RowUpdate {
     /// modelled as `(column, value)` pairs, whatever it takes in memory.
     pub fn bytes(&self) -> usize {
         4 + match self {
-            RowUpdate::Full(row) => 4 * row.len(),
+            RowUpdate::Full(row) => 4 * row.as_row().len(),
             RowUpdate::Delta(d) => 8 * d.len(),
         }
     }
@@ -103,13 +106,15 @@ pub struct ProcState {
 }
 
 impl ProcState {
-    /// Creates an empty processor state for a graph with `capacity` id slots.
-    pub fn new(rank: usize, capacity: usize) -> Self {
+    /// Creates an empty processor state for a graph with `capacity` id slots
+    /// and no edge heavier than `max_weight`, which set the width of its
+    /// distance rows (see `dv.rs`).
+    pub fn new(rank: usize, capacity: usize, max_weight: Weight) -> Self {
         ProcState {
             rank,
             adj: vec![Vec::new(); capacity],
             is_local: vec![false; capacity],
-            dv: DistanceMatrix::new(capacity),
+            dv: DistanceMatrix::fitting(capacity, max_weight),
             dirty: HashSet::new(),
             sent_to: HashMap::new(),
             #[cfg(test)]
@@ -131,7 +136,8 @@ impl ProcState {
         let delta = self.dv.unsent_entries(u);
         #[cfg(test)]
         if let (Some(delta), Some(shadow)) = (&delta, self.shadow.get(&u)) {
-            assert_eq!(delta.pairs(), diff_rows(shadow, self.dv.row(u)), "row {u}");
+            let row = self.dv.row(u).to_vec();
+            assert_eq!(delta.pairs(), diff_rows(shadow, &row), "row {u}");
         }
         delta.map(Arc::new)
     }
@@ -144,7 +150,7 @@ impl ProcState {
     pub fn row_updates(&self, u: VertexId, ranks: &[usize]) -> Vec<(usize, RowUpdate)> {
         let delta = self.unsent_delta(u);
         let listed = |dst: &usize| self.sent_to.get(&u).is_some_and(|s| s.contains(dst));
-        let mut full: Option<Arc<[Weight]>> = None;
+        let mut full: Option<Arc<RowBuf>> = None;
         let mut updates = Vec::with_capacity(ranks.len());
         for &dst in ranks {
             let update = match &delta {
@@ -153,7 +159,7 @@ impl ProcState {
                     false => RowUpdate::Delta(Arc::clone(delta)),
                 },
                 _ => RowUpdate::Full(Arc::clone(
-                    full.get_or_insert_with(|| Arc::from(self.dv.row(u))),
+                    full.get_or_insert_with(|| Arc::new(self.dv.row(u).to_buf())),
                 )),
             };
             updates.push((dst, update));
@@ -321,9 +327,9 @@ impl ProcState {
     pub fn apply_row_update(&mut self, v: VertexId, update: RowUpdate) {
         match update {
             RowUpdate::Full(row) => {
-                let finite = ColumnSet::finite_of(&row);
+                let finite = ColumnSet::finite_of(row.as_row());
                 self.relax_neighbours_of(v, |dv, u, w| {
-                    dv.relax_with_external_on(u, &row, w, &finite)
+                    dv.relax_with_external_on(u, row.as_row(), w, &finite)
                 });
             }
             RowUpdate::Delta(delta) => {
@@ -337,7 +343,7 @@ impl ProcState {
     /// Relaxes the local neighbours here of `v`, if it is external, through
     /// its broadcast row on every column: a new edge's endpoint row is
     /// current, and may undercut what its neighbours were relaxed against.
-    pub fn relax_through_external(&mut self, v: VertexId, row: &[Weight]) {
+    pub fn relax_through_external(&mut self, v: VertexId, row: Row<'_>) {
         if self.is_local.get(v as usize) == Some(&false) {
             self.relax_neighbours_of(v, |dv, u, w| dv.relax_with_external(u, row, w));
         }
@@ -352,14 +358,9 @@ impl ProcState {
     pub fn seed_rows(&mut self, rows: &[VertexId]) {
         let mut search = Search::default();
         let neighbors = |v: VertexId| self.adj.get(v as usize).map_or(&[][..], Vec::as_slice);
-        let sink = |row: &mut [Weight], v: VertexId, d| {
-            lower(row, v, d) && self.is_local.get(v as usize) == Some(&true)
-        };
+        let expands = |v: VertexId| self.is_local.get(v as usize) == Some(&true);
         for &s in rows {
-            let row = self.dv.row_mut(s);
-            row.fill(INF);
-            lower(row, s, 0); // the source's label
-            search.run(row, [(s, 0)], neighbors, sink, unless_stale);
+            self.dv.seed_row(s, &mut search, neighbors, expands);
             self.dirty.insert(s);
         }
     }
@@ -418,6 +419,7 @@ impl ProcState {
 mod tests {
     use super::*;
     use crate::dynamic::reference::local_sssp;
+    use crate::engine::max_weight;
     use aa_graph::generators;
     use aa_partition::{Partitioner, RoundRobinPartitioner};
     use std::cmp::Reverse;
@@ -431,8 +433,8 @@ mod tests {
         part.assign(1, 0);
         part.assign(2, 1);
         part.assign(3, 1);
-        let mut p0 = ProcState::new(0, 4);
-        let mut p1 = ProcState::new(1, 4);
+        let mut p0 = ProcState::new(0, 4, max_weight(&g));
+        let mut p1 = ProcState::new(1, 4, max_weight(&g));
         p0.rebuild_view(&g, &part);
         p1.rebuild_view(&g, &part);
         for v in [0u32, 1] {
@@ -448,8 +450,8 @@ mod tests {
         ps.dv.frontier().collect()
     }
 
-    fn full(row: &[Weight]) -> RowUpdate {
-        RowUpdate::Full(Arc::from(row))
+    fn full<'r>(row: impl Into<Row<'r>>) -> RowUpdate {
+        RowUpdate::Full(Arc::new(row.into().to_buf()))
     }
 
     /// Rank 0 of [`split_path`] after its initial approximation, relaxed
@@ -522,7 +524,7 @@ mod tests {
     fn local_dijkstra_matches_the_enqueueing_reference_on_an_rmat_part() {
         let g = aa_graph::rmat::rmat(8, 1024, Default::default(), 4, 7);
         let part = RoundRobinPartitioner.partition(&g, 4);
-        let mut ps = ProcState::new(1, g.capacity());
+        let mut ps = ProcState::new(1, g.capacity(), max_weight(&g));
         ps.rebuild_view(&g, &part);
         let bordering = |v: &usize| !ps.is_local[*v] && !ps.adj[*v].is_empty();
         let externals: Vec<usize> = (0..g.capacity()).filter(bordering).collect();
@@ -590,7 +592,7 @@ mod tests {
         assert_eq!(p0.adj.len(), 6);
         assert_eq!(p0.is_local.len(), 6);
         assert_eq!(p0.dv.col_count(), 6);
-        assert_eq!(p0.dv.row(0)[5], INF);
+        assert_eq!(p0.dv.row(0).to_vec()[5], INF);
         assert_eq!(p0.shadow[&1], [1, 0, 1, INF, INF, INF]);
     }
 
@@ -600,10 +602,12 @@ mod tests {
         p0.initial_approximation();
         p0.dirty.clear();
         // A broadcast of the owned row 1 is nothing to relax here.
-        p0.relax_through_external(1, &[0, 0, 0, 0]);
+        let row = p0.dv.at_width(&[0, 0, 0, 0]);
+        p0.relax_through_external(1, row.as_row());
         assert!(p0.dirty.is_empty() && frontier(&p0).is_empty());
         // Row 2 as broadcast undercuts row 1 on every column it carries.
-        p0.relax_through_external(2, &[2, 1, 0, 1]);
+        let row = p0.dv.at_width(&[2, 1, 0, 1]);
+        p0.relax_through_external(2, row.as_row());
         assert_eq!(p0.dv.row(1), &[1, 0, 1, 2]);
         assert!(p0.dirty.contains(&1) && frontier(&p0) == [1]);
         p0.propagate();
@@ -614,10 +618,12 @@ mod tests {
     fn reseed_overwrites_and_offset_zero_relax_takes_the_minimum() {
         let (_, _, mut p0, _) = split_path();
         p0.initial_approximation();
-        p0.dv.row_mut(0)[1] = INF;
-        assert!(p0.dv.relax_with_external(0, &[9, 1, 9, 9], 0));
+        p0.dv.set_entry(0, 1, INF);
+        let row = p0.dv.at_width(&[9, 1, 9, 9]);
+        assert!(p0.dv.relax_with_external(0, row.as_row(), 0));
         assert_eq!(p0.dv.row(0), &[0, 1, 2, 9]);
-        assert!(!p0.dv.relax_with_external(0, &[9, 9, 9, 9], 0));
+        let row = p0.dv.at_width(&[9, 9, 9, 9]);
+        assert!(!p0.dv.relax_with_external(0, row.as_row(), 0));
         // A reseed is the local SSSP itself, not a merge into what was there.
         p0.dirty.clear();
         p0.seed_rows(&[0]);
@@ -666,12 +672,12 @@ mod tests {
         assert!(matches!(update(&p0, 1, 0).unwrap(), RowUpdate::Full(_)));
         match &p0.row_updates(1, &[0, 1, 2])[..] {
             [(0, RowUpdate::Full(a)), (1, RowUpdate::Delta(_)), (2, RowUpdate::Full(b))] => {
-                assert!(Arc::ptr_eq(a, b) && a[..] == *p0.dv.row(1));
+                assert!(Arc::ptr_eq(a, b) && a.as_row() == p0.dv.row(1));
             }
             other => panic!("expected full, delta, full, got {other:?}"),
         }
         // Raw access could have written anything: full rows all round.
-        p0.dv.row_mut(1)[3] = 1;
+        p0.dv.set_entry(1, 3, 1);
         assert!(matches!(update(&p0, 1, 1).unwrap(), RowUpdate::Full(_)));
     }
 
@@ -709,15 +715,15 @@ mod tests {
         p0.apply_row_update(2, RowUpdate::delta(&[(3, 0)]));
         assert_eq!(frontier(&p0), vec![1]);
         assert!(p0.propagate());
-        assert_eq!((p0.dv.row(1)[3], p0.dv.row(0)[3]), (1, 2));
+        assert_eq!((p0.dv.row(1).to_vec()[3], p0.dv.row(0).to_vec()[3]), (1, 2));
     }
 
     #[test]
     fn a_delta_logs_exactly_what_it_lowers_and_propagates_only_there() {
         let mut p0 = split_path_relaxed_against_2();
         assert_eq!(
-            (p0.dv.row(0), p0.dv.row(1)),
-            (&[0, 1, 2, 3][..], &[1, 0, 1, 2][..])
+            (p0.dv.row(0).to_vec(), p0.dv.row(1).to_vec()),
+            (vec![0, 1, 2, 3], vec![1, 0, 1, 2])
         );
         // Give the neighbour something to gain on two columns; a delta
         // carries one of them, and one entry above what it holds.
@@ -767,7 +773,7 @@ mod tests {
         let g = generators::barabasi_albert(60, 2, 1, 3);
         let part = RoundRobinPartitioner.partition(&g, 4);
         for rank in 0..4 {
-            let mut ps = ProcState::new(rank, g.capacity());
+            let mut ps = ProcState::new(rank, g.capacity(), max_weight(&g));
             ps.rebuild_view(&g, &part);
             // Every local vertex has its full world adjacency.
             for v in g.vertices() {

@@ -17,10 +17,10 @@
 //! * [`AdditionStrategy::BaselineRestart`] — discard everything and rerun the
 //!   full pipeline (the comparison baseline).
 
-use crate::dv::ColumnSet;
+use crate::dv::{ColumnSet, RowBuf};
 use crate::dynamic::{Endpoint, VertexBatch};
 use crate::engine::AnytimeEngine;
-use aa_graph::{Graph, VertexId, Weight};
+use aa_graph::{Graph, VertexId, Weight, INF};
 use aa_logp::Phase;
 use aa_obs::Stopwatch;
 use aa_partition::{MultilevelKWay, Partitioner};
@@ -70,6 +70,8 @@ impl AnytimeEngine {
         batch
             .validate(self.world.capacity())
             .expect("invalid vertex batch");
+        let heaviest = batch.edges.iter().map(|&(_, _, w)| w).max();
+        self.admit(self.world.capacity() + batch.count, heaviest.unwrap_or(0));
         let span = self.span_open();
         self.obs.note_mutation();
         let ids = match strategy {
@@ -302,8 +304,8 @@ impl AnytimeEngine {
                     payload: (),
                 });
             }
-            let row_u = self.procs[ou].dv.row(u).to_vec();
-            self.procs[ov].dv.relax_with_external(v, &row_u, w);
+            let row_u = self.procs[ou].dv.row(u).to_buf();
+            self.procs[ov].dv.relax_with_external(v, row_u.as_row(), w);
         }
         self.procs[ov].dirty.insert(v);
         self.cluster
@@ -313,7 +315,7 @@ impl AnytimeEngine {
         // Broadcast v's row; every processor folds v into its own rows —
         // v's neighbours among them through v's row plus at most the edge,
         // which is all a rank bordering v owes them.
-        let row_v = self.procs[ov].dv.row(v).to_vec();
+        let row_v = self.procs[ov].dv.row(v).to_buf();
         self.cluster
             .broadcast_cost(Phase::DynamicUpdate, ov, row_bytes);
         for rank in 0..self.procs.len() {
@@ -325,12 +327,13 @@ impl AnytimeEngine {
                 }
                 // D[x][v] = min over v's edges of D[x][u] + w, then relax
                 // x's row through v once.
-                let mut a = ps.dv.row(x)[v as usize];
+                let row = ps.dv.row(x);
+                let mut a = row.get(v as usize).unwrap_or(INF);
                 for &(u, w) in &attached {
-                    let du = ps.dv.row(x)[u as usize];
+                    let du = row.get(u as usize).unwrap_or(INF);
                     a = a.min(du.saturating_add(w));
                 }
-                if a != aa_graph::INF && ps.dv.relax_with_external(x, &row_v, a) {
+                if a != INF && ps.dv.relax_with_external(x, row_v.as_row(), a) {
                     ps.dirty.insert(x);
                 }
             }
@@ -408,7 +411,7 @@ impl AnytimeEngine {
             ps.extend_capacity(cap);
         }
         let unrelaxed = self.unrelaxed_receivers(&new_partition);
-        type Migrated = (VertexId, Vec<Weight>, ColumnSet, Option<HashSet<usize>>);
+        type Migrated = (VertexId, RowBuf, ColumnSet, Option<HashSet<usize>>);
         #[cfg(test)]
         let mut shadows = std::collections::HashMap::new();
         let mut outbox: Vec<Vec<TransferOut<Migrated>>> = (0..p).map(|_| Vec::new()).collect();
@@ -430,12 +433,13 @@ impl AnytimeEngine {
                     ps.dirty.remove(&v);
                     // The unsent log is one bit per column, and only worth
                     // shipping with a list of ranks it is about.
+                    let cols = row.as_row().len();
                     let send_state = sent_to
                         .as_ref()
-                        .map_or(0, |s| row.len().div_ceil(8) + 4 * s.len());
+                        .map_or(0, |s| cols.div_ceil(8) + 4 * s.len());
                     outbox[old_rank].push(TransferOut {
                         dst: new_rank,
-                        bytes: 4 + 4 * row.len() + send_state,
+                        bytes: 4 + 4 * cols + send_state,
                         payload: (v, row, unsent, sent_to),
                     });
                 }

@@ -13,7 +13,7 @@
 //!   raised columns.
 
 use super::{InvalidationTally, Kept, ProcState, Raised};
-use crate::dv::ColumnSet;
+use crate::dv::{ColumnSet, Row};
 use aa_graph::{VertexId, Weight, INF};
 use std::cell::{Cell, RefCell};
 
@@ -75,9 +75,9 @@ pub(crate) fn recording<R>(f: impl FnOnce() -> R) -> (R, Vec<Reset>) {
 
 /// The deletion filters' shadow check: each `d(x,e) = row_e[x]` read off
 /// a broadcast row is what row `x` holds, so both keep the same rows.
-pub(crate) fn assert_row_agrees(row: &[Weight], x: VertexId, ends: &[(VertexId, Weight)]) {
+pub(crate) fn assert_row_agrees(row: Row<'_>, x: VertexId, ends: &[(VertexId, Weight)]) {
     for &(e, d) in ends {
-        let held = row.get(e as usize).copied();
+        let held = row.get(e as usize);
         assert_eq!(Some(d), held, "row {x}: d({x},{e}) off the broadcast row");
     }
 }
@@ -85,17 +85,17 @@ pub(crate) fn assert_row_agrees(row: &[Weight], x: VertexId, ends: &[(VertexId, 
 /// The whole-row scan `DeletedEdge::affected_targets` replaced: every
 /// entry of the row held to both directions' thresholds, no filter.
 pub(crate) fn affected_targets_edge(
-    row: &[Weight],
+    row: Row<'_>,
     x: VertexId,
     (u, v, w): (VertexId, VertexId, Weight),
-    row_u: &[Weight],
-    row_v: &[Weight],
+    row_u: Row<'_>,
+    row_v: Row<'_>,
 ) -> Vec<usize> {
     // `d(x,u) + w`, `d(x,v) + w`.
     let plus_w = |e: VertexId| row.get(e as usize).map_or(INF, |d| d.saturating_add(w));
     let (a, b) = (plus_w(u), plus_w(v));
     let mut out = Vec::new();
-    for (t, ((&d, &du), &dv)) in row.iter().zip(row_u).zip(row_v).enumerate() {
+    for (t, ((d, du), dv)) in row.iter().zip(row_u.iter()).zip(row_v.iter()).enumerate() {
         if d == INF || t == x as usize {
             continue;
         }
@@ -114,7 +114,7 @@ pub(crate) fn raise<F>(
     affected: &mut F,
 ) -> Raised
 where
-    F: FnMut(&[Weight], VertexId) -> Vec<usize>,
+    F: FnMut(Row<'_>, VertexId) -> Vec<usize>,
 {
     let mut raised = Vec::new();
     for x in ps.dv.vertices().to_vec() {
@@ -124,9 +124,8 @@ where
             continue;
         }
         note_reset(ps.rank, x, &targets);
-        let row = ps.dv.row_mut(x);
         for &t in &targets {
-            row[t] = INF;
+            ps.dv.set_entry(x, t, INF);
         }
         raised.push((x, targets));
     }
@@ -156,8 +155,8 @@ pub(crate) fn local_sssp(ps: &ProcState, source: VertexId) -> Vec<Weight> {
 /// then swept through every external neighbour's row on every column.
 pub(crate) fn recompute(ps: &mut ProcState, raised: Raised, kept: &Kept) {
     for (x, _) in raised {
-        let fresh = local_sssp(ps, x);
-        ps.dv.relax_with_external(x, &fresh, 0);
+        let fresh = ps.dv.at_width(&local_sssp(ps, x));
+        ps.dv.relax_with_external(x, fresh.as_row(), 0);
         for &(b, w) in &ps.adj[x as usize] {
             if let Some((_, row)) = kept.iter().find(|&&(k, _)| k == b) {
                 ps.dv.relax_with_delta(x, row, w, &ColumnSet::EVERY);

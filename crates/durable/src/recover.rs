@@ -513,6 +513,69 @@ mod tests {
         }
     }
 
+    /// A ring of 24 with vertex 24 hanging off vertex 5 by a bridge.
+    fn bridged() -> AnytimeEngine {
+        let mut g = generators::path(24);
+        g.add_edge(0, 23, 1);
+        let pendant = g.add_vertex();
+        g.add_edge(5, pendant, 2);
+        let mut e = AnytimeEngine::new(
+            g,
+            EngineConfig {
+                num_procs: 3,
+                ..Default::default()
+            },
+        );
+        e.initialize();
+        e
+    }
+
+    #[test]
+    fn checkpoints_of_a_bridge_made_heavy_and_light_again_both_restore() {
+        // The first checkpoint's rows hold distances past 0xFFFF; the second
+        // is taken after the weight came back down, before reconverging.
+        let sim = SimStorage::new();
+        let mut s = sim.clone();
+        let mut engine = bridged();
+        converge(&mut engine);
+        let mut log = match DurableLog::open(&mut s, 1, DurabilityConfig::default()) {
+            Ok(l) => l,
+            Err(e) => panic!("open: {e}"),
+        };
+        let mut p = match IngestPipeline::new(IngestConfig::default()) {
+            Ok(p) => p,
+            Err(e) => panic!("pipeline: {e}"),
+        };
+        for (w, reconverge) in [(1_000_000, true), (2, false)] {
+            let op = UpdateOp::Reweight(5, 24, w);
+            log.append(&op);
+            p.push(&engine, op).ok();
+            log.commit(&mut s).ok();
+            p.flush(&mut engine).ok();
+            if reconverge {
+                converge(&mut engine);
+                assert_eq!(engine.distances_dense()[0][24], 5 + 1_000_000);
+            }
+            log.checkpoint(&mut s, &engine).ok();
+        }
+        sim.kill();
+
+        let r = match recover(&mut s, bridged(), IngestConfig::default()) {
+            Ok(r) => r,
+            Err(e) => panic!("recover: {e}"),
+        };
+        assert_eq!(r.report.checkpoints_quarantined, 0, "{:?}", r.report.notes);
+        assert_eq!(r.report.checkpoint_seq, 2);
+        assert_eq!(r.report.records_replayed, 0);
+        let mut recovered = r.engine;
+        converge(&mut recovered);
+        assert_eq!(
+            recovered.distances_dense(),
+            aa_graph::algo::apsp_dijkstra(engine.graph()),
+            "oracle-exact"
+        );
+    }
+
     #[test]
     fn torn_wal_tail_quarantined_in_metrics() {
         let sim = SimStorage::new();
