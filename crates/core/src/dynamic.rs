@@ -6,11 +6,13 @@
 //!   relaxation `D[x][t] > D[x][u] + w + D[v][t]` to its local rows, and
 //!   subsequent recombination steps propagate the improvements.
 //! * **Edge deletions** (the titled paper's contribution) invalidate the
-//!   entries supported by the deleted edge, recompute them from the entries
-//!   that were kept — a rank's own, and its external neighbours', which it
-//!   fetches from their owners — and reconverge. Deletions are applied at a
-//!   *quiesced* point: if the engine has pending updates it first converges,
-//!   so the equality-based support test is exact (see `DESIGN.md`).
+//!   entries the deleted edge *solely* supports — a shortest path runs over
+//!   it and no tied detour keeps the distance — recompute them from the
+//!   entries that were kept — a rank's own, and its external neighbours',
+//!   which it fetches from their owners — and reconverge. Deletions are
+//!   applied at a *quiesced* point: if the engine has pending updates it
+//!   first converges, so the equality-based support test and its tie check
+//!   are exact (see `DESIGN.md`).
 //! * **Vertex additions** extend every distance vector with new columns, add
 //!   an owner row, and then run the batch's edges through the edge-addition
 //!   kernel. The owning processor is chosen by an [`crate::AdditionStrategy`].
@@ -42,6 +44,9 @@ type Raised = Vec<(VertexId, Vec<usize>)>;
 /// What phase 2 fetched for one rank: each external neighbour of a raised
 /// row with its owner's values on the columns asked, ascending in vertex.
 type Kept = Vec<(VertexId, RowDelta)>;
+
+/// A vertex's edges: `(neighbour, weight)`.
+type Edges<'a> = &'a [(VertexId, Weight)];
 
 /// An endpoint of a batch edge: either another new vertex (by batch index) or
 /// an existing vertex (by id).
@@ -139,14 +144,22 @@ impl AnytimeEngine {
     }
 
     /// Tree-broadcasts the rows of `endpoints` from their owners and returns
-    /// them, both in the order given: it feeds the virtual clocks.
-    fn broadcast_rows(&mut self, endpoints: &[VertexId]) -> Vec<RowBuf> {
-        let broadcast = endpoints.iter().map(|&e| {
+    /// them, both in the order given: it feeds the virtual clocks. Where
+    /// `adjacency` is parallel to `endpoints`, each row travels with its
+    /// vertex's edges, 8 B each.
+    fn broadcast_rows(
+        &mut self,
+        endpoints: &[VertexId],
+        adjacency: &[Vec<(VertexId, Weight)>],
+    ) -> Vec<RowBuf> {
+        let broadcast = endpoints.iter().enumerate().map(|(i, &e)| {
             let owner = self.owner_of(e);
             let row = self.procs.get(owner).map(|ps| ps.dv.row(e).to_buf());
             let row = row.unwrap_or_default();
+            let edges = adjacency.get(i).map_or(0, Vec::len);
+            let bytes = 4 + 4 * row.as_row().len() + 8 * edges;
             self.cluster
-                .broadcast_cost(Phase::DynamicUpdate, owner, 4 + 4 * row.as_row().len());
+                .broadcast_cost(Phase::DynamicUpdate, owner, bytes);
             row
         });
         broadcast.collect()
@@ -167,8 +180,8 @@ impl AnytimeEngine {
         endpoints: &[VertexId],
         edges: &[(VertexId, VertexId, Weight)],
     ) {
-        let rows = self.broadcast_rows(endpoints);
-        let via = rows_of_edges(edges, endpoints, &rows);
+        let rows = self.broadcast_rows(endpoints, &[]);
+        let via = of_edges(edges, endpoints, &rows, RowBuf::as_row);
         for rank in 0..self.procs.len() {
             let t = Stopwatch::start();
             let ps = &mut self.procs[rank];
@@ -251,10 +264,11 @@ impl AnytimeEngine {
     }
 
     /// Deletes a batch of edges at once: one deletion barrier, one broadcast
-    /// per distinct endpoint, one combined invalidation sweep (a pair is
-    /// invalidated if *any* deleted edge supports its current value), one
-    /// fetch of kept values, one reseed. An edge named twice, in either
-    /// orientation, counts once. Returns the number of edges actually removed.
+    /// per distinct endpoint, one sole-support exchange, one combined
+    /// invalidation sweep (a pair is invalidated if *any* deleted edge
+    /// solely supports its current value), one fetch of kept values, one
+    /// reseed. An edge named twice, in either orientation, counts once.
+    /// Returns the number of edges actually removed.
     pub fn delete_edges(&mut self, edges: &[(VertexId, VertexId)]) -> usize {
         assert!(self.initialized, "call initialize() first");
         let present = edges.iter().filter_map(|&(u, v)| {
@@ -268,17 +282,24 @@ impl AnytimeEngine {
             return 0;
         }
         let span = self.deletion_barrier();
-        // Pre-deletion rows of every distinct endpoint (exact: converged),
-        // and from them each edge's candidate columns, once for all ranks.
-        let endpoints = distinct_endpoints(&present);
-        let rows = self.broadcast_rows(&endpoints);
-        let via = rows_of_edges(&present, &endpoints, &rows);
-        let deleted: Vec<DeletedEdge> = (present.iter().zip(&via))
-            .map(|(&edge, &(row_u, row_v))| DeletedEdge::new(edge, row_u, row_v))
-            .collect();
         for &(u, v, _) in &present {
             self.world.remove_edge(u, v);
         }
+        // Pre-deletion rows of every distinct endpoint (exact: converged),
+        // each with the endpoint's surviving edges, and from them each
+        // edge's candidate columns, once for all ranks.
+        let endpoints = distinct_endpoints(&present);
+        let adjacency: Vec<_> = (endpoints.iter())
+            .map(|&e| self.world.neighbors(e).to_vec())
+            .collect();
+        let rows = self.broadcast_rows(&endpoints, &adjacency);
+        let via = of_edges(&present, &endpoints, &rows, RowBuf::as_row);
+        let adj = of_edges(&present, &endpoints, &adjacency, Vec::as_slice);
+        let alone = present.len() == 1;
+        let mut deleted: Vec<DeletedEdge> = (present.iter().zip(via).zip(adj))
+            .map(|((&edge, rows), adj)| DeletedEdge::new(edge, rows, adj, alone))
+            .collect();
+        self.keep_sole_support(&mut deleted);
         let mut tested = 0u64;
         let views = |ps: &mut ProcState| {
             for &(u, v, _) in &present {
@@ -362,7 +383,7 @@ impl AnytimeEngine {
         assert!(self.initialized, "call initialize() first");
         assert!(self.world.is_alive(v), "vertex {v} is not alive");
         let span = self.deletion_barrier();
-        let row_v = self.broadcast_rows(&[v]).swap_remove(0);
+        let row_v = self.broadcast_rows(&[v], &[]).swap_remove(0);
         let row_v = row_v.as_row();
 
         let removed = self.world.remove_vertex(v);
@@ -385,6 +406,42 @@ impl AnytimeEngine {
         self.span_close(span, "dynamic-update", format!("delete-vertex {v}"));
         self.feed_capture(true);
         removed
+    }
+
+    /// The sole-support phase of an edge deletion: every rank decides, for
+    /// each candidate column it owns, whether the edge solely supports it
+    /// ([`sole_members`], on the rank's exact rows); one `DynamicUpdate`
+    /// exchange all-gathers the decisions, each rank's as a bitset over its
+    /// owned candidates or a list of the sole ones' positions among them (a
+    /// 4 B count, 4 B each), whichever is shorter; and each edge keeps the
+    /// candidates no detour keeps.
+    fn keep_sole_support(&mut self, deleted: &mut [DeletedEdge<'_>]) {
+        let batch: &[DeletedEdge] = deleted;
+        let decide = |_, ps: &mut ProcState, ()| {
+            let dv = &ps.dv;
+            sole_members(batch, move |t| dv.has_row(t).then(|| dv.row(t)))
+        };
+        let p = self.procs.len();
+        let ranks = vec![(); p];
+        let decisions =
+            (self.cluster).run_on_ranks(Phase::DynamicUpdate, &mut self.procs, ranks, decide);
+        let (mut sends, mut sole) = (Vec::with_capacity(p), Vec::new());
+        for (src, (members, decided)) in decisions.into_iter().enumerate() {
+            let bytes = (4 + 4 * members.len()).min(decided.div_ceil(8));
+            let to = (0..p).filter(|&dst| dst != src && decided > 0);
+            sends.push(
+                to.map(|dst| TransferOut {
+                    dst,
+                    bytes,
+                    payload: (),
+                })
+                .collect(),
+            );
+            sole.extend(members);
+        }
+        self.cluster.exchange(Phase::DynamicUpdate, sends);
+        sole.sort_unstable();
+        retain_sole(deleted, &sole);
     }
 
     /// What every deletion does, in three phases at a cost that follows the
@@ -488,18 +545,20 @@ fn distinct_endpoints(edges: &[(VertexId, VertexId, Weight)]) -> Vec<VertexId> {
     endpoints
 }
 
-/// The broadcast rows of each edge's two endpoints, where `rows` is parallel
-/// to `endpoints` and every endpoint of `edges` is among them.
-fn rows_of_edges<'a>(
+/// What `items` holds for each edge's two endpoints, read through `read`,
+/// where `items` is parallel to `endpoints` and every endpoint of `edges` is
+/// among them.
+fn of_edges<'a, T, R: Default>(
     edges: &[(VertexId, VertexId, Weight)],
     endpoints: &[VertexId],
-    rows: &'a [RowBuf],
-) -> Vec<(Row<'a>, Row<'a>)> {
-    let row_of = |x: VertexId| {
-        let found = endpoints.iter().zip(rows).find(|&(&e, _)| e == x);
-        found.map(|(_, row)| row.as_row()).unwrap_or_default()
+    items: &'a [T],
+    read: impl Fn(&'a T) -> R,
+) -> Vec<(R, R)> {
+    let item_of = |x: VertexId| {
+        let found = endpoints.iter().zip(items).find(|&(&e, _)| e == x);
+        found.map(|(_, item)| read(item)).unwrap_or_default()
     };
-    let pairs = edges.iter().map(|&(u, v, _)| (row_of(u), row_of(v)));
+    let pairs = edges.iter().map(|&(u, v, _)| (item_of(u), item_of(v)));
     pairs.collect()
 }
 
@@ -542,19 +601,39 @@ fn relax_row_through_edge(
 /// = w + row_v[t]}`, which the two broadcast rows give every rank once per
 /// edge; and on those columns the threshold `d(x,u) + w + d(v,t)` reads
 /// `d(x,u) + row_u[t]`, kept beside the column.
+///
+/// **Sole support** narrows `B_uv` to `S_uv`, the columns where `d(u,t)` can
+/// grow: [`retain_sole`] drops every `t` that has a detour, a surviving
+/// neighbour `y` of `u` with `w(u,y) + d(y,t) = d(u,t)` and no shortest
+/// `y → t` path over an edge of the batch ([`has_detour`]). If `d(x,t)`
+/// grows, let `u → v` be the first deleted edge on a shortest `x → t` path:
+/// its prefix `x → u` survives, so had `d(u,t)` kept its value, so would
+/// `d(x,t)`. Hence `t ∈ S_uv`. A lone deleted edge is also the *last* one on
+/// that path, and the same argument from `t`'s end puts `x` in `S_vu`: for
+/// it (`alone`), the rows are held to the far side's set too.
 struct DeletedEdge<'a> {
     edge: (VertexId, VertexId, Weight),
     /// `(row_u, row_v)`. Exact at the barrier, on an undirected graph they
     /// also give each row `x` its distances to the endpoints: `d(x,u) = row_u[x]`.
     rows: (Row<'a>, Row<'a>),
-    /// `B_uv` as `(t, row_u[t])`, ascending in `t`.
+    /// The edges `u` and `v` keep once the batch is gone.
+    adj: (Edges<'a>, Edges<'a>),
+    /// `S_uv` as `(t, row_u[t])`, ascending in `t` (`B_uv` until
+    /// [`retain_sole`]).
     beyond_v: Vec<(u32, Weight)>,
-    /// `B_vu` as `(t, row_v[t])`, ascending in `t`.
+    /// `S_vu` as `(t, row_v[t])`, ascending in `t`.
     beyond_u: Vec<(u32, Weight)>,
+    /// Whether the batch is this edge alone.
+    alone: bool,
 }
 
 impl<'a> DeletedEdge<'a> {
-    fn new(edge: (VertexId, VertexId, Weight), row_u: Row<'a>, row_v: Row<'a>) -> Self {
+    fn new(
+        edge: (VertexId, VertexId, Weight),
+        rows: (Row<'a>, Row<'a>),
+        adj: (Edges<'a>, Edges<'a>),
+        alone: bool,
+    ) -> Self {
         let w = edge.2;
         // The columns `near` reaches over the edge, through `far`.
         let beyond = |near: Row, far: Row| {
@@ -566,39 +645,57 @@ impl<'a> DeletedEdge<'a> {
         };
         DeletedEdge {
             edge,
-            rows: (row_u, row_v),
-            beyond_v: beyond(row_u, row_v),
-            beyond_u: beyond(row_v, row_u),
+            rows,
+            adj,
+            beyond_v: beyond(rows.0, rows.1),
+            beyond_u: beyond(rows.1, rows.0),
+            alone,
         }
     }
 
+    /// Whether some shortest `y → t` path, `d(y,t)` long, runs over the edge
+    /// in either direction.
+    fn carries(&self, y: VertexId, t: u32, d: Weight) -> bool {
+        let ((row_u, row_v), w) = (self.rows, self.edge.2);
+        let at = |r: Row, c: u32| r.get(c as usize).unwrap_or(INF);
+        let over = |a: Row, b: Row| at(a, y).saturating_add(w).saturating_add(at(b, t));
+        d >= over(row_u, row_v).min(over(row_v, row_u))
+    }
+
     /// Appends to `out` the targets of row `x` (owner vertex `x`) the
-    /// deletion invalidates — entries whose value is ≥ the best path through
-    /// the edge in either direction; `t == x` is never affected (`d(x,x) = 0
-    /// < w ≥ 1`) — and returns how many candidate entries it tested.
+    /// deletion invalidates — entries of the direction's sole-support set
+    /// whose value is ≥ the best path through the edge that way; `t == x`
+    /// is never affected (`d(x,x) = 0 < w ≥ 1`) — and returns how many
+    /// candidate entries it tested.
     ///
     /// Tightness filter: a direction can only find something if the edge is
     /// tight for `x` that way, `d(x,u) + w = d(x,v)`. Otherwise `d(x,u) + w >
     /// d(x,v)`, so `d(x,u) + w + d(v,t) > d(x,v) + d(v,t) >= d(x,t)` for
     /// every `t` by the triangle inequality: two lookups into the endpoint
     /// rows say so, and `row` is not read. With `w ≥ 1` at most one direction
-    /// is tight.
+    /// is tight. A lone edge also needs `x ∈ S_vu`, one binary search.
     fn affected_targets(&self, row: Row<'_>, x: VertexId, out: &mut Vec<usize>) -> u64 {
         let (row_u, row_v) = self.rows;
         #[cfg(test)]
         if reference::is_whole_row() {
-            out.extend(reference::affected_targets_edge(
-                row, x, self.edge, row_u, row_v,
-            ));
+            out.extend(reference::affected_targets_edge(row, x, self));
             return 0;
         }
         let at = |r: Row| r.get(x as usize).unwrap_or(INF);
         let (du, dv, w) = (at(row_u), at(row_v), self.edge.2);
         #[cfg(test)]
         reference::assert_row_agrees(row, x, &[(self.edge.0, du), (self.edge.1, dv)]);
+        // A lone edge's row side: `x` must lie in the far side's set.
+        let row_side = |back: &[(u32, Weight)]| {
+            !self.alone || back.binary_search_by_key(&x, |&(t, _)| t).is_ok()
+        };
         let mut tested = 0;
-        for (near, far, beyond) in [(du, dv, &self.beyond_v), (dv, du, &self.beyond_u)] {
-            if near == INF || near.saturating_add(w) > far {
+        let sides = [
+            (du, dv, &self.beyond_v, &self.beyond_u),
+            (dv, du, &self.beyond_u, &self.beyond_v),
+        ];
+        for (near, far, beyond, back) in sides {
+            if near == INF || near.saturating_add(w) > far || !row_side(back) {
                 continue;
             }
             tested += beyond.len() as u64;
@@ -610,6 +707,61 @@ impl<'a> DeletedEdge<'a> {
             }
         }
         tested
+    }
+}
+
+/// Whether `near` keeps `d(near,t) = d` once the batch is gone: some
+/// surviving neighbour `y` of `near` has `w(near,y) + d(y,t) = d` and no
+/// shortest `y → t` path runs over an edge of the batch. `row_t` is `t`'s
+/// exact row, so `d(y,t) = row_t[y]`; the deleted edge's far end is no
+/// surviving neighbour. The scan stops at the first such `y`.
+fn has_detour(
+    batch: &[DeletedEdge<'_>],
+    near_adj: Edges<'_>,
+    row_t: Row<'_>,
+    (t, d): (u32, Weight),
+) -> bool {
+    near_adj.iter().any(|&(y, w)| {
+        let to_t = row_t.get(y as usize).unwrap_or(INF);
+        let ties = to_t != INF && w.saturating_add(to_t) == d;
+        ties && !batch.iter().any(|e| e.carries(y, t, to_t))
+    })
+}
+
+/// One rank's sole-support decisions: `(side, t)` for each candidate column
+/// `t` that `row_of` gives a row for and that has no detour, where `side` is
+/// `2i` for edge `i`'s `u → v` and `2i + 1` for its `v → u`; and how many
+/// candidates it decided.
+fn sole_members<'r>(
+    batch: &[DeletedEdge<'_>],
+    row_of: impl Fn(u32) -> Option<Row<'r>>,
+) -> (Vec<(usize, u32)>, usize) {
+    let (mut sole, mut decided) = (Vec::new(), 0);
+    let sides = batch
+        .iter()
+        .flat_map(|e| [(e.adj.0, &e.beyond_v), (e.adj.1, &e.beyond_u)]);
+    for (side, (near_adj, beyond)) in sides.enumerate() {
+        for &(t, d) in beyond {
+            let Some(row_t) = row_of(t) else {
+                continue;
+            };
+            decided += 1;
+            if !has_detour(batch, near_adj, row_t, (t, d)) {
+                sole.push((side, t));
+            }
+        }
+    }
+    (sole, decided)
+}
+
+/// Narrows each edge's candidate columns to the sole-support sets: `sole`
+/// is every rank's [`sole_members`], sorted.
+fn retain_sole(batch: &mut [DeletedEdge<'_>], sole: &[(usize, u32)]) {
+    let sides = batch
+        .iter_mut()
+        .flat_map(|e| [&mut e.beyond_v, &mut e.beyond_u]);
+    for (side, beyond) in sides.enumerate() {
+        beyond.retain(|&(t, _)| sole.binary_search(&(side, t)).is_ok());
     }
 }
 
@@ -1023,36 +1175,59 @@ mod tests {
     }
 
     /// Every row of the exact APSP of `g` held to both paths for a `batch`
-    /// of deleted edges: per row and edge the candidate-column test and the
-    /// whole-row scan name the same targets, none outside `B_uv ∪ B_vu`; and
-    /// what no edge of the batch names is still exact once the batch is gone.
-    /// Returns how many entries the batch supports.
+    /// of deleted edges: each edge's candidate columns are `B_uv ∪ B_vu` by
+    /// definition, and its sole-support sets lie inside them; per row and
+    /// edge the candidate-column test and the whole-row scan, given the
+    /// same sole-support sets, name the same targets, none outside `B_uv ∪
+    /// B_vu`; and what no edge of the batch names is still exact once the
+    /// batch is gone. Returns how many entries the batch solely supports.
     fn candidate_columns_equal_the_whole_row_scan(
         g: &Graph,
         batch: &[(VertexId, VertexId)],
     ) -> usize {
         let exact = algo::apsp_dijkstra(g);
-        let mut reset = vec![HashSet::new(); g.capacity()];
         let mut after = g.clone();
-        for &(u, v) in batch {
-            let w = after.remove_edge(u, v).expect("an edge of g");
+        let batch: Vec<_> = (batch.iter())
+            .map(|&(u, v)| (u, v, after.remove_edge(u, v).expect("an edge of g")))
+            .collect();
+        let mut deleted: Vec<DeletedEdge> = (batch.iter())
+            .map(|&(u, v, w)| {
+                let rows = (
+                    exact[u as usize].as_slice().into(),
+                    exact[v as usize].as_slice().into(),
+                );
+                let adj = (after.neighbors(u), after.neighbors(v));
+                DeletedEdge::new((u, v, w), rows, adj, batch.len() == 1)
+            })
+            .collect();
+        let columns = |e: &DeletedEdge| -> HashSet<usize> {
+            let sides = e.beyond_v.iter().chain(&e.beyond_u);
+            sides.map(|&(t, _)| t as usize).collect()
+        };
+        let candidates: Vec<HashSet<usize>> = deleted.iter().map(columns).collect();
+        // Brute force over the definition, not over the stored lists.
+        for (&(u, v, w), candidates) in batch.iter().zip(&candidates) {
             let (row_u, row_v) = (&exact[u as usize], &exact[v as usize]);
-            let deleted = DeletedEdge::new((u, v, w), row_u.into(), row_v.into());
-            let columns = deleted.beyond_v.iter().chain(&deleted.beyond_u);
-            let candidates: HashSet<usize> = columns.map(|&(t, _)| t as usize).collect();
-            // Brute force over the definition, not over the stored lists.
             let on_a_path =
                 |near: Weight, far: Weight| near != INF && near == far.saturating_add(w);
             for t in 0..g.capacity() {
                 let expected = on_a_path(row_u[t], row_v[t]) || on_a_path(row_v[t], row_u[t]);
                 assert_eq!(candidates.contains(&t), expected, "edge {u}-{v} column {t}");
             }
+        }
+        let (sole, _) = sole_members(&deleted, |t| {
+            exact.get(t as usize).map(|r| r.as_slice().into())
+        });
+        retain_sole(&mut deleted, &sole);
+        let mut reset = vec![HashSet::new(); g.capacity()];
+        for (edge, candidates) in deleted.iter().zip(&candidates) {
+            let (u, v, _) = edge.edge;
+            assert!(columns(edge).is_subset(candidates), "edge {u}-{v}: S ⊄ B");
             for x in g.vertices() {
                 let row = Row::from(&exact[x as usize]);
-                let ends = (row_u.into(), row_v.into());
-                let whole = reference::affected_targets_edge(row, x, (u, v, w), ends.0, ends.1);
+                let whole = reference::affected_targets_edge(row, x, edge);
                 let mut ours = Vec::new();
-                deleted.affected_targets(row, x, &mut ours);
+                edge.affected_targets(row, x, &mut ours);
                 assert_eq!(ours, whole, "edge {u}-{v} row {x}");
                 let inside = whole.iter().all(|t| candidates.contains(t));
                 assert!(inside, "edge {u}-{v} row {x}: a target outside B_uv ∪ B_vu");
@@ -1100,6 +1275,62 @@ mod tests {
             let batch: Vec<_> = g.neighbors(hub).iter().map(|&(y, _)| (hub, y)).collect();
             assert!(batch.len() > 1, "{name}");
             candidate_columns_equal_the_whole_row_scan(&g, &batch);
+            let spread: Vec<_> = g
+                .edges()
+                .step_by(5)
+                .take(3)
+                .map(|(u, v, _)| (u, v))
+                .collect();
+            candidate_columns_equal_the_whole_row_scan(&g, &spread);
+        }
+        // Two deleted edges in series on the one shortest path of 0 → 3,
+        // apart and adjacent.
+        let mut series = generators::path(5);
+        series.add_edge(0, 4, 9);
+        for batch in [[(0, 1), (2, 3)], [(0, 1), (1, 2)]] {
+            assert!(candidate_columns_equal_the_whole_row_scan(&series, &batch) > 0);
+        }
+    }
+
+    #[test]
+    fn sole_support_resets_at_most_half_of_what_the_unrefined_rule_does_on_rmat() {
+        // R-MAT at scale 8, weights 1..=4: hubs, and ties around them. Each
+        // of the four highest-degree vertices loses its first three edges,
+        // one deletion at a time.
+        for seed in 1..=3 {
+            let g = aa_graph::rmat::rmat(8, 4 << 8, Default::default(), 4, seed);
+            let mut hubs: Vec<VertexId> = g.vertices().collect();
+            hubs.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
+            let mut victims: Vec<(VertexId, VertexId)> = (hubs.iter().take(4))
+                .flat_map(|&h| {
+                    g.neighbors(h)
+                        .iter()
+                        .take(3)
+                        .map(move |&(y, _)| (h.min(y), h.max(y)))
+                })
+                .collect();
+            victims.dedup();
+            let mut e = engine(g, 4);
+            e.run_to_convergence(256);
+            let (mut refined, mut unrefined) = (0, 0);
+            for (u, v) in victims {
+                let pre = algo::apsp_dijkstra(e.graph());
+                let Some(w) = e.graph().edge_weight(u, v) else {
+                    continue;
+                };
+                let (deleted, resets) = reference::recording(|| e.delete_edge(u, v));
+                assert!(deleted);
+                refined += resets.iter().map(|(_, _, cols)| cols.len()).sum::<usize>();
+                unrefined += reference::unrefined_resets(&pre, &[(u, v, w)]).len();
+                e.run_to_convergence(256);
+                assert!(e.is_converged());
+                assert_oracle(&e);
+            }
+            assert!(
+                2 * refined <= unrefined,
+                "seed {seed}: {refined} entries reset, {unrefined} by the unrefined rule"
+            );
+            eprintln!("seed {seed}: reset {refined} of the unrefined rule's {unrefined}");
         }
     }
 

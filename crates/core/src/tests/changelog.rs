@@ -18,7 +18,9 @@
 //! beside [`whole_row`], the scan-everything, local-Dijkstra invalidation it
 //! replaced. There the twins are allowed to differ, in one direction: both
 //! must reset the same entries, and what the production path rebuilds must
-//! lie between the oracle and what the reference rebuilds. And beside
+//! lie between the oracle and what the reference rebuilds. The reset sets
+//! are held to the oracle too: every entry a deleting call lengthened was
+//! reset, and none that the unrefined support test would keep. And beside
 //! [`copy_based`], the same invalidation reading each external neighbour's
 //! row whole from its owner, as a kept copy of it would have, production —
 //! which fetches only the raised columns — must leave the very same rows.
@@ -35,6 +37,7 @@ use aa_graph::{algo, generators, Graph, VertexId, Weight, INF};
 use aa_logp::Phase;
 use aa_partition::Partition;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// The engine under test and its row-granular twin.
 struct Pair {
@@ -528,13 +531,17 @@ impl DeletionPair {
 
     /// Applies a deleting call to both engines and holds the production path
     /// to the reference: equal results, reset sets and tallies, and no entry
-    /// below the oracle. Returns what the call returned and what it reset.
+    /// below the oracle; and to the graphs before and after: every entry the
+    /// call lengthened was reset, and nothing the unrefined support test
+    /// would have kept. Returns what the call returned and what it reset.
     fn delete<R: PartialEq + std::fmt::Debug>(
         &mut self,
         what: &str,
         f: impl Fn(&mut AnytimeEngine) -> R,
     ) -> (R, Vec<whole_row::Reset>) {
+        let before = self.bounded.graph().clone();
         let (got, resets) = whole_row::recording(|| f(&mut self.bounded));
+        self.assert_sound(what, &before, &resets);
         let (want, reference) =
             whole_row::recording(|| whole_row::whole_row(|| f(&mut self.whole)));
         assert_eq!(got, want, "{what}: results differ");
@@ -578,6 +585,42 @@ impl DeletionPair {
             }
         }
         (got, resets)
+    }
+
+    /// Soundness of the sole-support test for one deleting call, from the
+    /// graph `before` it: every live pair whose exact distance is longer
+    /// than it was before was reset, and the reset pairs lie inside what the
+    /// unrefined rule — every pair a shortest path runs over a deleted edge
+    /// — resets, by brute force on the pre-deletion oracle. The deleted
+    /// edges are those of `before` that are gone or heavier now, at their
+    /// old weights.
+    fn assert_sound(&self, what: &str, before: &Graph, resets: &[whole_row::Reset]) {
+        let (pre, post) = (
+            algo::apsp_dijkstra(before),
+            algo::apsp_dijkstra(self.bounded.graph()),
+        );
+        let after = self.bounded.graph();
+        let gone = before
+            .edges()
+            .filter(|&(u, v, w)| after.edge_weight(u, v).is_none_or(|now| now > w));
+        let gone: Vec<_> = gone.collect();
+        let unrefined = whole_row::unrefined_resets(&pre, &gone);
+        let reset: BTreeSet<(VertexId, usize)> = (resets.iter())
+            .flat_map(|(_, x, cols)| cols.iter().map(move |&t| (*x, t)))
+            .collect();
+        let outside: Vec<_> = reset.difference(&unrefined).collect();
+        assert!(
+            outside.is_empty(),
+            "{what}: reset outside the unrefined rule: {outside:?}"
+        );
+        for x in after.vertices() {
+            for (t, (&now, &was)) in post[x as usize].iter().zip(&pre[x as usize]).enumerate() {
+                assert!(
+                    now <= was || reset.contains(&(x, t)),
+                    "{what}: d({x},{t}) rose {was} → {now} and was not reset"
+                );
+            }
+        }
     }
 
     /// [`Self::delete`] for a call that only deletes, where the twins are
@@ -675,9 +718,24 @@ fn batch_sharing_an_endpoint(e: &AnytimeEngine) -> Vec<(VertexId, VertexId)> {
     batch
 }
 
+/// Tight edges spread over the edge list, about three, from the `pick`-th
+/// on: a batch whose edges need not share an endpoint, so that two of them
+/// can lie in series on a shortest path.
+fn scattered_batch(e: &AnytimeEngine, pick: u32) -> Vec<(VertexId, VertexId)> {
+    let oracle = algo::apsp_dijkstra(e.graph());
+    let tight = e.graph().edges();
+    let tight: Vec<_> = tight
+        .filter(|&(u, v, w)| oracle[u as usize][v as usize] == w)
+        .collect();
+    let every = (tight.len() / 3).max(1);
+    let spread = tight.iter().skip(pick as usize % every).step_by(every);
+    spread.map(|&(u, v, _)| (u, v)).collect()
+}
+
 /// Every deleting call once, each held to the reference and followed by a
 /// convergence to the oracle: a single edge (`first`, or a tight one), a
-/// batch sharing an endpoint, a weight increase, a vertex.
+/// batch sharing an endpoint, a scattered batch, a weight increase, a
+/// vertex.
 fn every_deletion_kind(graph: Graph, procs: usize, first: Option<(VertexId, VertexId)>) {
     let config = EngineConfig {
         num_procs: procs,
@@ -704,6 +762,10 @@ fn every_deletion_kind(graph: Graph, procs: usize, first: Option<(VertexId, Vert
         removed, distinct,
         "the repeat and the non-edge count for nothing"
     );
+    pair.converge_and_check_oracle();
+
+    let batch = scattered_batch(&pair.bounded, 0);
+    pair.delete_only("delete_edges", |e| e.delete_edges(&batch));
     pair.converge_and_check_oracle();
 
     if let Some((u, v, w)) = tight_edge(&pair.bounded, 1) {
@@ -786,17 +848,18 @@ fn deleting_an_edge_on_no_shortest_path_examines_every_row_and_resets_none() {
     assert_eq!(count("aa_invalidation_rows_examined_total"), 6);
     assert_eq!(count("aa_invalidation_rows_reset_total"), 0);
     assert_eq!(count("aa_invalidation_entries_reset_total"), 0);
-    // Nothing raised, nothing to fetch: the two endpoint rows' broadcast,
-    // one transfer each between two ranks, is all the update moved.
-    assert_eq!(updates(&pair.bounded) - updated, 2 * (4 + 4 * 6));
+    // No candidate column to decide, nothing raised, nothing to fetch: the
+    // two endpoint rows' broadcast, each with its one surviving edge and one
+    // transfer between two ranks, is all the update moved.
+    assert_eq!(updates(&pair.bounded) - updated, 2 * (4 + 4 * 6 + 8));
     pair.converge_and_check_oracle();
 }
 
 /// A 4-cycle `0-1-2-3-0` split 2 | 2: the local edge 0-1 goes, and row 0
-/// loses `d(0,2)` — both its shortest paths are tied at 2, and the one over
-/// the deleted edge counts — and `d(0,1)`. Neither comes back from rank 0's
-/// own rows: only remote neighbour 3's kept `d(3,2) = 1`, fetched, gives
-/// row 0 its column 2, and the bounded search then column 1 over 2-1.
+/// loses `d(0,1)` alone — `d(0,2)`'s two shortest paths are tied at 2, and
+/// the one over 3 keeps it. That does not come back from rank 0's own rows:
+/// only remote neighbour 3's kept `d(3,1) = 2`, fetched, gives row 0 its
+/// column 1.
 #[test]
 fn a_distance_lost_to_a_local_deletion_comes_back_through_a_remote_neighbour() {
     let mut g = Graph::with_vertices(4);
@@ -830,16 +893,20 @@ fn a_distance_lost_to_a_local_deletion_comes_back_through_a_remote_neighbour() {
         assert_eq!(ps.dirty, reference.dirty);
     }
     assert_eq!(e.distances_dense()[0], [0, 3, 2, 1]);
-    // Rows 0, 1 | 2, 3 raised {1, 2}, {0, 3} | {0}, {1}, and each has one
-    // external neighbour: four asks, each a vertex id and a one-byte bitset,
-    // and four answers, each a vertex id, a one-byte mask and the finite
-    // values — d(3,2) = 1 and d(2,3) = 1 — beside the two endpoint rows'
-    // broadcasts. The twin asks for whole rows, and is sent 3, 3, 2 and 2
-    // finite values.
-    let broadcasts = 2 * (4 + 4 * 4);
-    let asks = 4 * (4 + 1);
-    assert_eq!(updates(&e) - updated, broadcasts + asks + 4 * 5 + 2 * 4);
-    assert_eq!(updates(&twin) - updated, broadcasts + asks + 4 * 5 + 10 * 4);
+    // The edge is tight, so B_01 = {1, 2} and B_10 = {0, 3}; the detours
+    // 0-3-2 and 1-2-3 leave S_01 = {1} and S_10 = {0}. Each endpoint row is
+    // broadcast with its one surviving edge, and each rank all-gathers its
+    // decisions on the two candidates it owns as a one-byte bitset. Rows
+    // 0, 1 | 2, 3 raised {1}, {0} | -, -, and each raised row has one
+    // external neighbour: two asks, each a vertex id and a one-byte bitset,
+    // and two answers, each a vertex id, a one-byte mask and the finite
+    // values — d(3,1) = 2 and d(2,0) = 2. The twin asks for whole rows, and
+    // is sent 4 and 4 finite values.
+    let broadcasts = 2 * (4 + 4 * 4 + 8);
+    let (gather, asks) = (2, 2 * (4 + 1));
+    let sent = broadcasts + gather + asks + 2 * 5;
+    assert_eq!(updates(&e) - updated, sent + 2 * 4);
+    assert_eq!(updates(&twin) - updated, sent + 8 * 4);
 
     e.run_to_convergence(16);
     assert!(e.is_converged());
@@ -889,6 +956,10 @@ fn apply_deletion_op(pair: &mut DeletionPair, kind: u8, a: u32, b: u32, w: Weigh
         9 if pair.bounded.graph().vertex_count() > 8 => {
             pair.delete_only("delete_vertex", |e| e.delete_vertex(u));
         }
+        10 => {
+            let batch = scattered_batch(&pair.bounded, a);
+            pair.delete_only("delete_edges", |e| e.delete_edges(&batch));
+        }
         _ => {}
     }
 }
@@ -902,7 +973,7 @@ proptest! {
         graph_seed in 0u64..1000,
         max_weight in prop_oneof![1u32..5, Just(1_000_000)],
         procs in 1usize..5,
-        ops in proptest::collection::vec((0u8..10, 0u32..1000, 0u32..1000, 1u32..6), 4..20),
+        ops in proptest::collection::vec((0u8..11, 0u32..1000, 0u32..1000, 1u32..6), 4..20),
     ) {
         let case = format!(
             "n={n} graph_seed={graph_seed} max_weight={max_weight} procs={procs} ops={ops:?}"

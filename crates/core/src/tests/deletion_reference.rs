@@ -2,7 +2,8 @@
 //! deletions used to run, and a record of what either path reset, so tests
 //! can run them side by side (`changelog.rs`):
 //!
-//! * [`whole_row`]: the old invalidation — every owned row scanned whole,
+//! * [`whole_row`]: the old invalidation — every owned row scanned whole
+//!   (on the sole-support sets production computes for the same edges),
 //!   every raised row rebuilt by a full local Dijkstra and a dense sweep
 //!   through its external neighbours' rows, raised rows and their
 //!   neighbours marked all-columns (a raised row's next send is therefore a
@@ -12,10 +13,11 @@
 //!   read whole, as its owner holds it, where production fetches only the
 //!   raised columns.
 
-use super::{InvalidationTally, Kept, ProcState, Raised};
+use super::{DeletedEdge, InvalidationTally, Kept, ProcState, Raised};
 use crate::dv::{ColumnSet, Row};
 use aa_graph::{VertexId, Weight, INF};
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeSet;
 
 /// `(rank, owned row, reset columns)`.
 pub(crate) type Reset = (usize, VertexId, Vec<usize>);
@@ -83,27 +85,63 @@ pub(crate) fn assert_row_agrees(row: Row<'_>, x: VertexId, ends: &[(VertexId, We
 }
 
 /// The whole-row scan `DeletedEdge::affected_targets` replaced: every
-/// entry of the row held to both directions' thresholds, no filter.
-pub(crate) fn affected_targets_edge(
+/// entry of the row held to both directions' thresholds, no filter, on the
+/// same sole-support sets.
+pub(super) fn affected_targets_edge(
     row: Row<'_>,
     x: VertexId,
-    (u, v, w): (VertexId, VertexId, Weight),
-    row_u: Row<'_>,
-    row_v: Row<'_>,
+    edge: &DeletedEdge<'_>,
 ) -> Vec<usize> {
-    // `d(x,u) + w`, `d(x,v) + w`.
-    let plus_w = |e: VertexId| row.get(e as usize).map_or(INF, |d| d.saturating_add(w));
-    let (a, b) = (plus_w(u), plus_w(v));
+    let ((u, v, w), (row_u, row_v)) = (edge.edge, edge.rows);
+    let holds = |set: &[(u32, Weight)], t: usize| set.iter().any(|&(s, _)| s as usize == t);
+    // `d(x,u) + w`, `d(x,v) + w`; `INF` on the side of a lone edge whose
+    // far end keeps `x`.
+    let plus_w = |e: VertexId, back: &[(u32, Weight)]| {
+        let kept = edge.alone && !holds(back, x as usize);
+        let d = row.get(e as usize).filter(|_| !kept);
+        d.map_or(INF, |d| d.saturating_add(w))
+    };
+    let (a, b) = (plus_w(u, &edge.beyond_u), plus_w(v, &edge.beyond_v));
     let mut out = Vec::new();
     for (t, ((d, du), dv)) in row.iter().zip(row_u.iter()).zip(row_v.iter()).enumerate() {
         if d == INF || t == x as usize {
             continue;
         }
-        if d >= a.saturating_add(dv).min(b.saturating_add(du)) {
+        let over_uv = d >= a.saturating_add(dv) && holds(&edge.beyond_v, t);
+        let over_vu = d >= b.saturating_add(du) && holds(&edge.beyond_u, t);
+        if over_uv || over_vu {
             out.push(t);
         }
     }
     out
+}
+
+/// The support test before sole support, by brute force from its
+/// definition on the exact pre-deletion distances `pre`: the pairs `(x, t)`,
+/// `t ≠ x`, that some shortest path runs over an edge of `deleted`.
+pub(crate) fn unrefined_resets(
+    pre: &[Vec<Weight>],
+    deleted: &[(VertexId, VertexId, Weight)],
+) -> BTreeSet<(VertexId, usize)> {
+    let at = |a: VertexId, b: VertexId| pre[a as usize][b as usize];
+    let mut resets = BTreeSet::new();
+    for (x, row) in pre.iter().enumerate() {
+        let x = x as VertexId;
+        for (t, &d) in row.iter().enumerate() {
+            let over = |&(u, v, w): &(VertexId, VertexId, Weight)| {
+                let via = |a, b| {
+                    at(x, a)
+                        .saturating_add(w)
+                        .saturating_add(at(b, t as VertexId))
+                };
+                d == via(u, v).min(via(v, u))
+            };
+            if d != INF && t != x as usize && deleted.iter().any(over) {
+                resets.insert((x, t));
+            }
+        }
+    }
+    resets
 }
 
 /// The old phase 1: raised rows written through raw access, and their
