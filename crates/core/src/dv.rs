@@ -52,6 +52,13 @@
 //! *adjacency* changed say nothing about what the receivers of the row have
 //! been relaxed against, and must not reach it. A raw write marks it
 //! all-columns, which makes the next send a full row.
+//!
+//! Both logs empty at once, for every row of every rank, in one case only:
+//! a single insertion — one edge, one lighter edge, or one vertex placed by
+//! RoundRobin-PS or CutEdge-PS — that lands on a settled engine
+//! (`AnytimeEngine::end_insertion`). It leaves every row the exact APSP,
+//! which obeys the invariant over every edge, local or cut, against each
+//! row as it stands.
 
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
@@ -390,8 +397,12 @@ impl ColumnSet {
         }
     }
 
+    /// Empties the set; an unmarked set's words are zero already, so
+    /// emptying every row of a matrix costs what its marked rows hold.
     fn clear(&mut self) {
-        self.words.fill(0);
+        if self.marked {
+            self.words.fill(0);
+        }
         (self.all, self.marked) = (false, false);
     }
 

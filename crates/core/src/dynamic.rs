@@ -4,7 +4,10 @@
 //!   additions paper, originally from the edge-additions paper): the distance
 //!   vectors of both endpoints are tree-broadcast, every processor applies the
 //!   relaxation `D[x][t] > D[x][u] + w + D[v][t]` to its local rows, and
-//!   subsequent recombination steps propagate the improvements.
+//!   subsequent recombination steps propagate the improvements. One edge
+//!   (or one vertex) added to a settled engine needs none of them: a new
+//!   shortest path uses it at most once, so that relaxation is already the
+//!   new APSP (`AnytimeEngine::end_insertion`).
 //! * **Edge deletions** (the titled paper's contribution) invalidate the
 //!   entries the deleted edge *solely* supports — a shortest path runs over
 //!   it and no tied detour keeps the distance — recompute them from the
@@ -119,9 +122,11 @@ impl AnytimeEngine {
     /// Dynamically adds edge `(u, v, w)` during the analysis. Returns `false`
     /// if the edge already exists. The change is incorporated immediately
     /// (endpoint-row broadcast + relaxation) and fully propagated by
-    /// subsequent recombination steps.
+    /// subsequent recombination steps — on a settled engine by that
+    /// relaxation alone ([`Self::end_insertion`]).
     pub fn add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) -> bool {
         assert!(self.initialized, "call initialize() first");
+        let exact = self.is_settled();
         if !self.world.add_edge(u, v, w) {
             return false;
         }
@@ -129,11 +134,35 @@ impl AnytimeEngine {
         let span = self.span_open();
         self.obs.note_mutation();
         self.view_add_edge(u, v, w);
-        self.relax_through_edges(&[u, v], &[(u, v, w)]);
+        self.relax_through_edges(&[u, v], &[(u, v, w)], exact);
         self.converged = false;
         self.span_close(span, "dynamic-update", format!("add-edge {u}-{v}"));
         self.feed_capture(false);
+        self.end_insertion(exact);
         true
+    }
+
+    /// Whether every row is the exact APSP of the current graph and no rank
+    /// owes anything: the last recombination step reported convergence, and
+    /// since then no rank has put a row on its frontier or marked one to
+    /// send. The `converged` flag alone does not say it: a freshly restored
+    /// checkpoint reports converged while every row is marked dirty, so the
+    /// first recombination steps re-exchange boundary state.
+    pub(crate) fn is_settled(&self) -> bool {
+        self.converged && self.procs.iter().all(ProcState::is_quiescent)
+    }
+
+    /// Ends an insertion whose one-shot relaxation was `exact`: one new
+    /// edge, lighter edge or vertex on a settled engine ([`Self::is_settled`]),
+    /// which a new shortest path uses at most once. Every rank then owes
+    /// nothing, as exact rows obey the triangle inequality over every edge.
+    /// Call it after the insertion's [`Self::feed_capture`]. `converged`
+    /// stays false: the next recombination step runs empty and says so.
+    pub(crate) fn end_insertion(&mut self, exact: bool) {
+        if exact {
+            self.procs.iter_mut().for_each(ProcState::owe_nothing);
+            self.obs.settled_updates += 1;
+        }
     }
 
     /// Records a new world edge in the views of its endpoints' owners.
@@ -169,8 +198,9 @@ impl AnytimeEngine {
     /// and the views: broadcast the row of each of their distinct
     /// `endpoints` once; every processor relaxes every owned row through
     /// every edge — the owners learn the direct edge here too: `D[u][u] = 0`
-    /// — then the local neighbours of each endpoint it borders through that
-    /// endpoint's row, and propagates locally.
+    /// — then, unless that was `exact` ([`Self::end_insertion`]) and they
+    /// would lower nothing, the local neighbours of each endpoint it borders
+    /// through that endpoint's row, and propagates locally.
     #[expect(
         clippy::indexing_slicing,
         reason = "processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity"
@@ -179,6 +209,7 @@ impl AnytimeEngine {
         &mut self,
         endpoints: &[VertexId],
         edges: &[(VertexId, VertexId, Weight)],
+        exact: bool,
     ) {
         let rows = self.broadcast_rows(endpoints, &[]);
         let via = of_edges(edges, endpoints, &rows, RowBuf::as_row);
@@ -194,10 +225,12 @@ impl AnytimeEngine {
                     ps.dirty.insert(x);
                 }
             }
-            for (&e, row) in endpoints.iter().zip(&rows) {
-                ps.relax_through_external(e, row.as_row());
+            if !exact {
+                for (&e, row) in endpoints.iter().zip(&rows) {
+                    ps.relax_through_external(e, row.as_row());
+                }
+                ps.propagate();
             }
-            ps.propagate();
             self.cluster
                 .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
         }
@@ -208,9 +241,13 @@ impl AnytimeEngine {
     /// row is broadcast once (instead of twice per edge), every processor
     /// applies all relaxations in one sweep, and local propagation runs once
     /// at the end. Returns the number of edges actually inserted (duplicates
-    /// and self-loops are skipped).
+    /// and self-loops are skipped). One inserted edge on a settled engine is
+    /// exact at once ([`Self::end_insertion`]); two or more are not, as a
+    /// new shortest path may use several of them, and recombination
+    /// completes them.
     pub fn add_edges(&mut self, edges: &[(VertexId, VertexId, Weight)]) -> usize {
         assert!(self.initialized, "call initialize() first");
+        let settled = self.is_settled();
         let mut inserted: Vec<(VertexId, VertexId, Weight)> = Vec::with_capacity(edges.len());
         for &(u, v, w) in edges {
             if self.world.add_edge(u, v, w) {
@@ -222,9 +259,10 @@ impl AnytimeEngine {
         if inserted.is_empty() {
             return 0;
         }
+        let exact = settled && inserted.len() == 1;
         let span = self.span_open();
         self.obs.note_mutation();
-        self.relax_through_edges(&distinct_endpoints(&inserted), &inserted);
+        self.relax_through_edges(&distinct_endpoints(&inserted), &inserted, exact);
         self.converged = false;
         self.span_close(
             span,
@@ -232,19 +270,17 @@ impl AnytimeEngine {
             format!("add-edges n={}", inserted.len()),
         );
         self.feed_capture(false);
+        self.end_insertion(exact);
         inserted.len()
     }
 
     /// Deletion barrier, and the preamble every structural deletion shares:
-    /// bring the engine to a genuinely quiescent fixed point, then open the
-    /// update's span, note the mutation and start a new invalidation epoch.
-    /// The support test and its row filter are only exact at a fixed point —
-    /// the `converged` flag alone is not enough: a freshly restored checkpoint
-    /// reports converged while every row is marked dirty so the first
-    /// recombination steps re-exchange boundary state.
+    /// bring the engine to a settled fixed point ([`Self::is_settled`]),
+    /// then open the update's span, note the mutation and start a new
+    /// invalidation epoch. The support test and its row filter are only
+    /// exact there.
     fn deletion_barrier(&mut self) -> crate::obs::SpanStart {
-        let quiescent = self.converged && self.procs.iter().all(ProcState::is_quiescent);
-        if !quiescent {
+        if !self.is_settled() {
             let steps = self.run_to_convergence(self.deletion_barrier_budget());
             self.obs.barrier_steps += steps as u64;
             assert!(self.converged, "deletion barrier failed to converge");
@@ -332,9 +368,10 @@ impl AnytimeEngine {
     }
 
     /// Changes the weight of edge `(u, v)`. Decreases are incorporated like
-    /// additions (pure relaxation); increases like deletions (invalidate +
-    /// reseed, with the deletion barrier). Returns `false` if the edge is
-    /// absent or the weight unchanged.
+    /// additions (pure relaxation, exact at once on a settled engine);
+    /// increases like deletions (invalidate + reseed, with the deletion
+    /// barrier). Returns `false` if the edge is absent or the weight
+    /// unchanged.
     #[expect(
         clippy::indexing_slicing,
         reason = "processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity"
@@ -349,6 +386,7 @@ impl AnytimeEngine {
             return false;
         }
         if new_w < old_w {
+            let exact = self.is_settled();
             let span = self.span_open();
             self.obs.note_mutation();
             self.world.set_edge_weight(u, v, new_w);
@@ -356,10 +394,11 @@ impl AnytimeEngine {
                 self.procs[rank].view_remove_edge(u, v);
                 self.procs[rank].view_add_edge(u, v, new_w);
             }
-            self.relax_through_edges(&[u, v], &[(u, v, new_w)]);
+            self.relax_through_edges(&[u, v], &[(u, v, new_w)], exact);
             self.converged = false;
             self.span_close(span, "dynamic-update", format!("decrease-weight {u}-{v}"));
             self.feed_capture(false);
+            self.end_insertion(exact);
             return true;
         }
         // Increase: invalidate paths supported at the old weight, then make

@@ -123,7 +123,10 @@ impl AnytimeEngine {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::dynamic::{Endpoint, VertexBatch};
+    use crate::strategy::AdditionStrategy;
     use aa_graph::generators;
+    use std::collections::BTreeSet;
 
     fn engine(p: usize, seed: u64) -> AnytimeEngine {
         let g = generators::barabasi_albert(60, 2, 1, seed);
@@ -197,6 +200,58 @@ mod tests {
         }
         let all: Vec<VertexId> = deltas.iter().flat_map(|d| d.changed.clone()).collect();
         assert!(all.contains(&0) && all.contains(&40));
+    }
+
+    /// A vertex arrival whose anchors lie 10 apart shortens the paths
+    /// between their sides: every row that moves, by the arrival or by the
+    /// recombination after it, is listed in some delta — under every
+    /// strategy, exact at once or not.
+    #[test]
+    fn a_vertex_arrival_lists_every_row_it_moves() {
+        for strategy in [
+            AdditionStrategy::RoundRobinPs,
+            AdditionStrategy::CutEdgePs,
+            AdditionStrategy::RepartitionS,
+            AdditionStrategy::BaselineRestart,
+        ] {
+            let g = aa_graph::rmat::rmat(7, 4 << 7, Default::default(), 4, 3);
+            let config = EngineConfig {
+                num_procs: 4,
+                ..Default::default()
+            };
+            let mut e = AnytimeEngine::new(g, config);
+            e.initialize();
+            e.enable_bound_feed();
+            e.run_to_convergence(256);
+            e.drain_bound_deltas();
+            let before = e.distances_dense();
+            let ten_apart = |a: usize| (a + 1..before.len()).map(move |b| (a, b));
+            let (a, b) = (0..before.len())
+                .flat_map(ten_apart)
+                .find(|&(a, b)| before[a][b] == 10)
+                .expect("a pair 10 apart");
+            let mut batch = VertexBatch::new(1);
+            batch.connect(0, Endpoint::Existing(a as VertexId), 1);
+            batch.connect(0, Endpoint::Existing(b as VertexId), 1);
+            let arrival = e.add_vertices(&batch, strategy)[0];
+            e.run_to_convergence(256);
+            let after = e.distances_dense();
+            let deltas = e.drain_bound_deltas();
+            let listed: BTreeSet<VertexId> =
+                deltas.iter().flat_map(|d| d.changed.clone()).collect();
+            let moved = (0..before.len()).filter(|&v| before[v][..] != after[v][..before.len()]);
+            let moved: Vec<VertexId> = moved.map(|v| v as VertexId).collect();
+            assert!(moved.len() > 50, "{strategy}: {} rows moved", moved.len());
+            let unlisted: Vec<&VertexId> = moved.iter().filter(|v| !listed.contains(v)).collect();
+            assert!(
+                unlisted.is_empty(),
+                "{strategy}: moved, never listed: {unlisted:?}"
+            );
+            assert!(
+                listed.contains(&arrival),
+                "{strategy}: the arrival's own row"
+            );
+        }
     }
 
     #[test]

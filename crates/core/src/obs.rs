@@ -82,6 +82,8 @@ pub(crate) struct EngineObs {
     pub(crate) candidate_columns: u64,
     /// Recombination steps the deletion barrier ran to reach a fixed point.
     pub(crate) barrier_steps: u64,
+    /// Insertions that landed on a settled engine and were exact at once.
+    pub(crate) settled_updates: u64,
     oracle: Option<Oracle>,
     /// Dense estimate matrix at the previous sample, for regression counts.
     prev_dense: Option<Vec<Vec<Weight>>>,
@@ -311,6 +313,10 @@ impl AnytimeEngine {
             "Recombination steps the deletion barrier ran before a deletion could apply",
         );
         r.set_help(
+            "aa_dynamic_settled_updates_total",
+            "Insertions that landed on a settled engine and owed recombination nothing",
+        );
+        r.set_help(
             "aa_rc_full_rows_sent_total",
             "Boundary-row sends that carried the whole row",
         );
@@ -377,6 +383,11 @@ impl AnytimeEngine {
             "aa_deletion_barrier_steps_total",
             &[],
             self.obs.barrier_steps,
+        );
+        r.inc_counter(
+            "aa_dynamic_settled_updates_total",
+            &[],
+            self.obs.settled_updates,
         );
         r.inc_counter(
             "aa_snapshot_publications_total",

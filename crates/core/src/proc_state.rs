@@ -179,6 +179,22 @@ impl ProcState {
         self.sent_to.insert(u, ranks.iter().copied().collect());
     }
 
+    /// Forgets everything this rank owes — its frontier, its unsent logs,
+    /// its rows marked to send — where every row of every rank is exact
+    /// (`AnytimeEngine::end_insertion`): each receiver of a row already
+    /// stands where a send of it would put it.
+    pub(crate) fn owe_nothing(&mut self) {
+        self.dv.clear_logs();
+        self.dirty.clear();
+        for v in self.dv.vertices().to_vec() {
+            self.dv.clear_unsent(v);
+            #[cfg(test)]
+            if let Some(shadow) = self.shadow.get_mut(&v) {
+                *shadow = self.dv.row(v).to_vec();
+            }
+        }
+    }
+
     /// Mirrors [`DistanceMatrix::raise_entries`] in the shadow baseline: the
     /// row as last sent is raised on the same entries.
     #[cfg(test)]

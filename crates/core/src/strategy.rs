@@ -56,7 +56,9 @@ impl std::fmt::Display for AdditionStrategy {
 impl AnytimeEngine {
     /// Adds a batch of vertices (and their edges) during the analysis using
     /// the given strategy. Returns the ids assigned to the new vertices, in
-    /// batch order. Subsequent recombination steps propagate the changes.
+    /// batch order. Subsequent recombination steps propagate the changes,
+    /// unless RoundRobin-PS or CutEdge-PS attach one vertex to a settled
+    /// engine, which is exact at once (`AnytimeEngine::end_insertion`).
     pub fn add_vertices(
         &mut self,
         batch: &VertexBatch,
@@ -71,17 +73,22 @@ impl AnytimeEngine {
             .validate(self.world.capacity())
             .expect("invalid vertex batch");
         let heaviest = batch.edges.iter().map(|&(_, _, w)| w).max();
+        let incremental = matches!(
+            strategy,
+            AdditionStrategy::RoundRobinPs | AdditionStrategy::CutEdgePs
+        );
+        let exact = incremental && batch.count == 1 && self.is_settled();
         self.admit(self.world.capacity() + batch.count, heaviest.unwrap_or(0));
         let span = self.span_open();
         self.obs.note_mutation();
         let ids = match strategy {
             AdditionStrategy::RoundRobinPs => {
                 let assign = self.round_robin_assignment(batch.count);
-                self.incorporate_incremental(batch, &assign)
+                self.incorporate_incremental(batch, &assign, exact)
             }
             AdditionStrategy::CutEdgePs => {
                 let assign = self.cut_edge_assignment(batch);
-                self.incorporate_incremental(batch, &assign)
+                self.incorporate_incremental(batch, &assign, exact)
             }
             AdditionStrategy::RepartitionS => self.incorporate_repartition(batch),
             AdditionStrategy::BaselineRestart => self.incorporate_restart(batch),
@@ -91,6 +98,9 @@ impl AnytimeEngine {
             "dynamic-update",
             format!("add-vertices n={} {strategy:?}", batch.count),
         );
+        // A restart starts every row over, above where it stood.
+        self.feed_capture(strategy == AdditionStrategy::BaselineRestart);
+        self.end_insertion(exact);
         ids
     }
 
@@ -215,8 +225,15 @@ impl AnytimeEngine {
     /// relaxations as the per-edge `D[x][t] > D[x][u] + w + D[v][t]` test,
     /// applied in an order that avoids redundant full-matrix sweeps; any
     /// improvements it leaves for later are picked up by subsequent
-    /// recombination steps, exactly as in the paper.
-    fn incorporate_incremental(&mut self, batch: &VertexBatch, assign: &[usize]) -> Vec<VertexId> {
+    /// recombination steps, exactly as in the paper. Where it leaves none
+    /// (`exact`: one vertex on a settled engine), the closing local
+    /// propagation is skipped.
+    fn incorporate_incremental(
+        &mut self,
+        batch: &VertexBatch,
+        assign: &[usize],
+        exact: bool,
+    ) -> Vec<VertexId> {
         let p = self.config.num_procs;
         let ids: Vec<VertexId> = (0..batch.count).map(|_| self.world.add_vertex()).collect();
         let new_cap = self.world.capacity();
@@ -260,11 +277,13 @@ impl AnytimeEngine {
         }
         // One local propagation pass per processor closes the intra-partition
         // chains; recombination steps carry the rest across boundaries.
-        for rank in 0..p {
-            let t = Stopwatch::start();
-            self.procs[rank].propagate();
-            self.cluster
-                .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
+        if !exact {
+            for rank in 0..p {
+                let t = Stopwatch::start();
+                self.procs[rank].propagate();
+                self.cluster
+                    .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
+            }
         }
         self.converged = false;
         ids

@@ -5,7 +5,10 @@
 use aa_core::{
     AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, PartitionerKind, VertexBatch,
 };
-use aa_graph::{algo, generators, Graph, VertexId};
+use aa_graph::{algo, generators, Graph, VertexId, Weight};
+use aa_logp::Phase;
+use aa_runtime::BackendKind;
+use proptest::prelude::*;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -385,20 +388,26 @@ fn engine_with_one_cut_edge_to_b() -> AnytimeEngine {
     e
 }
 
-/// The only cut edge from rank `r` to `b` goes, `b`'s row changes twice, the
-/// edge comes back. `r` must leave the ranks `b`'s owner sends deltas to
-/// with the edge (`check_invariants` after every call: every listed rank
-/// borders the row), so that the returning edge brings `r` the full row
-/// rather than a delta onto neighbours never relaxed against the rest of it.
-#[test]
-fn a_returning_cut_edge_brings_the_evicted_rank_a_full_row() {
+/// Full-row sends so far.
+fn full_rows(e: &AnytimeEngine) -> u64 {
+    let r = e.metrics_registry();
+    r.counter_value("aa_rc_full_rows_sent_total", &[])
+}
+
+/// Insertions so far that were exact at once.
+fn settled_updates(e: &AnytimeEngine) -> u64 {
+    let r = e.metrics_registry();
+    r.counter_value("aa_dynamic_settled_updates_total", &[])
+}
+
+/// The only cut edge from rank `r` to `b` goes and `b`'s row changes twice:
+/// the engine that [`engine_with_one_cut_edge_to_b`] builds, with `r` out
+/// of the ranks `b`'s owner sends deltas to and the second change (a
+/// deletion) not yet reconverged. `check_invariants` after every call:
+/// every listed rank borders the row.
+fn b_evicted_from_r(what: &str) -> AnytimeEngine {
     let mut e = engine_with_one_cut_edge_to_b();
-    let what = "one cut edge to b";
     assert_converges_to_oracle(&mut e, what);
-    let full_rows = |e: &AnytimeEngine| {
-        let r = e.metrics_registry();
-        r.counter_value("aa_rc_full_rows_sent_total", &[])
-    };
     // b goes to r and to rank 2, x to rank 0 (over b–x) alone.
     assert_eq!((e.receivers(0), e.receivers(1)), (vec![1, 2], vec![0]));
 
@@ -419,12 +428,22 @@ fn a_returning_cut_edge_brings_the_evicted_rank_a_full_row() {
     e.rc_step();
     assert!(e.delete_edge(2, 5));
     e.check_invariants().unwrap();
-    assert_converges_to_oracle(&mut e, what);
     assert_eq!(e.receivers(0), [2], "{what}: nothing brought b back to r");
+    e
+}
 
+/// The evicted rank `r` must get the full row of `b` when its edge comes
+/// back, rather than a delta onto neighbours never relaxed against the rest
+/// of it. The edge lands while the deletion before it is still
+/// reconverging, so recombination carries it.
+#[test]
+fn a_returning_cut_edge_brings_the_evicted_rank_a_full_row() {
+    let what = "one cut edge to b, unsettled";
+    let mut e = b_evicted_from_r(what);
     let full = full_rows(&e);
     assert!(e.add_edge(0, 1, 1));
     e.check_invariants().unwrap();
+    assert_eq!(settled_updates(&e), 0, "{what}");
     assert_converges_to_oracle(&mut e, what);
     // b to r and x to rank 0, whole: neither rank had been relaxed against
     // them. Every other row that moved went as a delta to ranks that had.
@@ -433,6 +452,34 @@ fn a_returning_cut_edge_brings_the_evicted_rank_a_full_row() {
         2,
         "{what}: full rows after the edge came back"
     );
+    assert_eq!((e.receivers(0), e.receivers(1)), (vec![1, 2], vec![0]));
+}
+
+/// The settled twin: the edge comes back to an engine at its fixed point,
+/// which the one-shot relaxation leaves exact and owing nothing, so no row
+/// is sent and `r` stays off `b`'s list — its neighbour of `b` is exact
+/// already. `b`'s next change, which recombination carries, brings `r` the
+/// full row.
+#[test]
+fn a_cut_edge_returning_to_a_settled_engine_waits_for_b_to_change() {
+    let what = "one cut edge to b, settled";
+    let mut e = b_evicted_from_r(what);
+    assert_converges_to_oracle(&mut e, what);
+    let full = full_rows(&e);
+    assert!(e.add_edge(0, 1, 1));
+    e.check_invariants().unwrap();
+    assert_eq!(settled_updates(&e), 1, "{what}");
+    assert_converges_to_oracle(&mut e, what);
+    assert_eq!(full_rows(&e), full, "{what}: rows sent after the return");
+    assert_eq!((e.receivers(0), e.receivers(1)), (vec![2], vec![]));
+
+    // Two insertions at once lower b's row and x's (b-8 and b-7 beat
+    // b-x-4-7-8): recombination sends b to r and x to rank 0, whole.
+    assert_eq!(e.add_edges(&[(0, 8, 1), (0, 7, 1)]), 2);
+    e.check_invariants().unwrap();
+    assert_eq!(settled_updates(&e), 1, "{what}: a batch of two");
+    assert_converges_to_oracle(&mut e, what);
+    assert_eq!(full_rows(&e) - full, 2, "{what}: full rows after b moved");
     assert_eq!((e.receivers(0), e.receivers(1)), (vec![1, 2], vec![0]));
 }
 
@@ -523,4 +570,165 @@ fn a_migration_onto_a_rank_bordering_the_moved_vertexs_neighbour_reaches_the_ora
         }
     }
     assert!(seen.iter().all(|&n| n > 0), "no such move: {seen:?}");
+}
+
+/// Whether every live row equals the oracle's.
+fn rows_are_exact(e: &AnytimeEngine) -> bool {
+    let (dense, oracle) = (e.distances_dense(), algo::apsp_dijkstra(e.graph()));
+    e.graph()
+        .vertices()
+        .all(|v| dense[v as usize] == oracle[v as usize])
+}
+
+/// Row sends so far, whole or delta.
+fn rows_sent(e: &AnytimeEngine) -> u64 {
+    let r = e.metrics_registry();
+    let sent = |name| r.counter_value(name, &[]);
+    sent("aa_rc_full_rows_sent_total") + sent("aa_rc_delta_rows_sent_total")
+}
+
+/// Steps to convergence; returns the steps and the messages and bytes they
+/// added to the Recombination ledger.
+fn converge_costing(e: &mut AnytimeEngine) -> (usize, (u64, u64)) {
+    let ledger = |e: &AnytimeEngine| {
+        let s = e.cluster().ledger().phase(Phase::Recombination);
+        (s.messages, s.bytes)
+    };
+    let before = ledger(e);
+    let steps = e.run_to_convergence(400);
+    assert!(e.is_converged(), "did not converge");
+    let after = ledger(e);
+    (steps, (after.0 - before.0, after.1 - before.1))
+}
+
+/// One insertion of kind `kind`, which a settled engine takes exactly at
+/// once: a new edge; a batch naming one new edge twice; a lighter edge; one
+/// new vertex placed by RoundRobin-PS or by CutEdge-PS. `(a, b, w)` pick
+/// the vertices and the weight. `None` if the pick changed nothing.
+fn insert_one(e: &mut AnytimeEngine, kind: usize, (a, b, w): (u32, u32, Weight)) -> Option<String> {
+    let ids: Vec<VertexId> = e.graph().vertices().collect();
+    let (u, v) = (ids[a as usize % ids.len()], ids[b as usize % ids.len()]);
+    let done = match kind {
+        0 => u != v && e.add_edge(u, v, w),
+        1 => u != v && e.add_edges(&[(u, v, w), (v, u, w)]) == 1,
+        2 => {
+            let heavy: Vec<_> = e.graph().edges().filter(|&(_, _, x)| x > 1).collect();
+            let &(x, y, old) = heavy.get(a as usize % heavy.len().max(1))?;
+            return e
+                .change_edge_weight(x, y, 1 + w % (old - 1))
+                .then(|| format!("kind 2: {x}-{y} from {old}"));
+        }
+        _ => {
+            let strategy = [AdditionStrategy::RoundRobinPs, AdditionStrategy::CutEdgePs][kind % 2];
+            let mut batch = VertexBatch::new(1);
+            batch.connect(0, Endpoint::Existing(u), w);
+            if u != v {
+                batch.connect(0, Endpoint::Existing(v), 1);
+            }
+            e.add_vertices(&batch, strategy).len() == 1
+        }
+    };
+    done.then(|| format!("kind {kind}: {u}-{v} w={w}"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// A single insertion on a settled engine — one edge, one lighter edge,
+    /// one vertex under RoundRobin-PS or CutEdge-PS — uses what is new at
+    /// most once on any new shortest path, so its one-shot relaxation is
+    /// the new APSP: the rows equal the oracle before any step, and the
+    /// next convergence is one step that sends no row and costs what an
+    /// empty step costs. R-MAT and BA graphs, P 1–8, sim and threads.
+    #[test]
+    fn a_single_insertion_on_a_settled_engine_is_exact_at_once(
+        seed in 0u64..10_000,
+        rmat in 0u8..2,
+        procs in 1usize..9,
+        threads in 0u8..2,
+        picks in proptest::collection::vec((0u32..1000, 0u32..1000, 1u32..6), 5..6),
+    ) {
+        let graph = match rmat {
+            1 => aa_graph::rmat::rmat(6, 192, Default::default(), 4, seed),
+            _ => generators::barabasi_albert(64, 2, 4, seed),
+        };
+        let backend = [BackendKind::Sim, BackendKind::Threads][usize::from(threads)];
+        let mut e = AnytimeEngine::new(
+            graph,
+            EngineConfig {
+                num_procs: procs,
+                seed,
+                backend,
+                threads: 2 * usize::from(threads),
+                ..Default::default()
+            },
+        );
+        e.initialize();
+        converge_costing(&mut e);
+        // A step on a converged engine sends nothing: what it costs is the
+        // termination test alone.
+        let empty = converge_costing(&mut e);
+        prop_assert_eq!(empty.0, 1);
+        for (kind, &pick) in picks.iter().enumerate() {
+            let (settled, rows) = (settled_updates(&e), rows_sent(&e));
+            let Some(what) = insert_one(&mut e, kind, pick) else {
+                continue;
+            };
+            prop_assert_eq!(settled_updates(&e), settled + 1, "{}", what);
+            prop_assert!(rows_are_exact(&e), "{}: not exact before a step", what);
+            prop_assert!(!e.is_converged(), "{}", what);
+            prop_assert_eq!(converge_costing(&mut e), empty, "{}", what);
+            prop_assert_eq!(rows_sent(&e), rows, "{}", what);
+            prop_assert!(e.check_invariants().is_ok(), "{}", what);
+        }
+    }
+}
+
+/// Two new edges in series on one new shortest path: the batch's one-shot
+/// relaxation reads each endpoint row as it stood before either edge, so
+/// the far end learns only one of them, and with the middle vertex on
+/// another rank no local propagation makes up for it. Recombination
+/// completes it.
+#[test]
+fn two_new_edges_in_series_are_not_exact_at_once() {
+    for procs in 2..=4 {
+        let what = format!("path of 10, P={procs}");
+        let mut e = AnytimeEngine::new(
+            generators::path(10),
+            EngineConfig {
+                num_procs: procs,
+                partitioner: PartitionerKind::RoundRobin,
+                ..Default::default()
+            },
+        );
+        e.initialize();
+        assert_converges_to_oracle(&mut e, &what);
+        // 0 → 4 → 9 is the new shortest path from 0 to 9, over both edges.
+        assert_ne!(e.partition().part_of(4), e.partition().part_of(9));
+        assert_eq!(e.add_edges(&[(0, 4, 1), (4, 9, 1)]), 2);
+        assert!(!rows_are_exact(&e), "{what}: exact before any step");
+        assert_eq!(settled_updates(&e), 0, "{what}");
+        e.check_invariants().unwrap();
+        assert_converges_to_oracle(&mut e, &what);
+    }
+}
+
+/// An insertion on an engine still converging keeps every rank's logs:
+/// rows it did not relax through the edge still owe their neighbours and
+/// their receivers. Recombination completes it.
+#[test]
+fn an_insertion_mid_run_keeps_its_logs() {
+    for procs in 2..=4 {
+        let what = format!("mid-run, P={procs}");
+        let mut e = mid_run_engine(5, procs);
+        e.rc_step();
+        assert!(!e.is_converged(), "{what}: converged in one step");
+        let (u, v) = absent_edge(&e, 5);
+        assert!(e.add_edge(u, v, 1));
+        assert_eq!(settled_updates(&e), 0, "{what}");
+        let dirty = e.metrics_registry().gauge_value("aa_dirty_rows", &[]);
+        assert!(dirty > Some(0.0), "{what}: no row left to send");
+        e.check_invariants().unwrap();
+        assert_converges_to_oracle(&mut e, &what);
+    }
 }
