@@ -318,7 +318,6 @@ mod tests {
         ExperimentParams {
             n: 150,
             procs: 4,
-            ba_m: 2,
             seed: 42,
             compute_scale: 1.0,
         }
@@ -341,7 +340,6 @@ mod tests {
         let params = ExperimentParams {
             n: 600,
             procs: 8,
-            ba_m: 2,
             seed: 42,
             compute_scale: 1.0,
         };
@@ -410,7 +408,6 @@ mod tests {
         let params = ExperimentParams {
             n: 120,
             procs: 4,
-            ba_m: 2,
             seed: 9,
             compute_scale: 1.0,
         };

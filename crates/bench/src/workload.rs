@@ -22,8 +22,6 @@ pub struct ExperimentParams {
     pub n: usize,
     /// Virtual processors (the papers use 16).
     pub procs: usize,
-    /// Barabási–Albert attachment degree of the base graph.
-    pub ba_m: usize,
     /// RNG seed.
     pub seed: u64,
     /// Compute calibration factor (see `EngineConfig::compute_scale`).
@@ -35,17 +33,19 @@ impl Default for ExperimentParams {
         ExperimentParams {
             n: 2000,
             procs: 16,
-            ba_m: 2,
             seed: 0xC10_5EAE55,
             compute_scale: 1.0,
         }
     }
 }
 
+/// Barabási–Albert attachment degree of the base graph.
+const BA_M: usize = 2;
+
 impl ExperimentParams {
     /// The base scale-free graph.
     pub fn base_graph(&self) -> Graph {
-        generators::barabasi_albert(self.n, self.ba_m, 1, self.seed)
+        generators::barabasi_albert(self.n, BA_M, 1, self.seed)
     }
 
     /// The engine configuration every experiment starts from.

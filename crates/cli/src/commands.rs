@@ -513,7 +513,6 @@ pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
             .map_err(|e| format!("cannot open data dir {}: {e}", dir.display()))?;
         let durability = aa_durable::DurabilityConfig {
             checkpoint_every_turns: opts.checkpoint_every,
-            ..Default::default()
         };
         let (server, recovery) =
             Server::open_durable(Box::new(storage), base, serve_config, durability)

@@ -1,6 +1,5 @@
 //! Engine configuration.
 
-use aa_logp::LogPParams;
 use aa_partition::{
     BfsGrowPartitioner, HashPartitioner, MultilevelKWay, Partitioner, RoundRobinPartitioner,
 };
@@ -26,10 +25,7 @@ impl PartitionerKind {
             PartitionerKind::RoundRobin => Box::new(RoundRobinPartitioner),
             PartitionerKind::Hash => Box::new(HashPartitioner),
             PartitionerKind::BfsGrow => Box::new(BfsGrowPartitioner),
-            PartitionerKind::Multilevel => Box::new(MultilevelKWay {
-                seed,
-                ..MultilevelKWay::default()
-            }),
+            PartitionerKind::Multilevel => Box::new(MultilevelKWay { seed }),
         }
     }
 }
@@ -39,8 +35,6 @@ impl PartitionerKind {
 pub struct EngineConfig {
     /// Number of virtual processors `P`.
     pub num_procs: usize,
-    /// LogP parameters of the simulated interconnect.
-    pub logp: LogPParams,
     /// Domain-decomposition partitioner.
     pub partitioner: PartitionerKind,
     /// Compute calibration: measured wall time is multiplied by this before
@@ -63,7 +57,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             num_procs: 16,
-            logp: LogPParams::ethernet_1gbe(),
             partitioner: PartitionerKind::Multilevel,
             compute_scale: 1.0,
             seed: 0xA17A,

@@ -9,7 +9,7 @@ use crate::config::EngineConfig;
 use crate::obs::EngineObs;
 use crate::proc_state::{ProcState, RowUpdate};
 use aa_graph::{Graph, VertexId, Weight, INF};
-use aa_logp::Phase;
+use aa_logp::{LogPParams, Phase};
 use aa_obs::Stopwatch;
 use aa_partition::Partition;
 use aa_runtime::{Cluster, TransferOut};
@@ -44,8 +44,9 @@ pub struct AnytimeEngine {
     pub(crate) obs: EngineObs,
 }
 
-/// Builds the execution backend an [`EngineConfig`] asks for, with the
-/// configured compute calibration installed. Shared by
+/// Builds the execution backend an [`EngineConfig`] asks for, on the papers'
+/// network (1 Gb/s Ethernet), with the configured compute calibration
+/// installed. Shared by
 /// [`AnytimeEngine::new`] and the whole-cluster checkpoint restore path.
 pub(crate) fn build_cluster(config: &EngineConfig) -> Cluster {
     #[expect(
@@ -55,7 +56,7 @@ pub(crate) fn build_cluster(config: &EngineConfig) -> Cluster {
     let mut cluster = Cluster::build(
         config.backend,
         config.num_procs,
-        config.logp,
+        LogPParams::ethernet_1gbe(),
         config.threads,
     )
     .unwrap_or_else(|e| panic!("cannot build execution backend: {e}"));

@@ -13,7 +13,7 @@
 //! strategy based on a set of constraints".
 
 use crate::engine::AnytimeEngine;
-use aa_partition::{quality, AdaptiveMultilevel};
+use aa_partition::{quality, MultilevelKWay};
 
 /// Snapshot of the two load dimensions the papers call out.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,9 +69,8 @@ impl AnytimeEngine {
         assert!(self.initialized, "call initialize() first");
         let p = self.config.num_procs;
         let t = aa_obs::Stopwatch::start();
-        let new_partition = AdaptiveMultilevel {
+        let new_partition = MultilevelKWay {
             seed: self.config.seed ^ 0x4EBA,
-            ..Default::default()
         }
         .repartition(&self.world, &self.partition, p);
         let elapsed = t.elapsed();

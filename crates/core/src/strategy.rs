@@ -136,7 +136,6 @@ impl AnytimeEngine {
             let t = Stopwatch::start();
             let candidate = MultilevelKWay {
                 seed: self.config.seed ^ (0x9E37 + rank as u64 * 0x51_7C_C1),
-                ..MultilevelKWay::default()
             }
             .partition(&bg, p);
             let assign = self.map_parts_to_procs(batch, &candidate, p);
@@ -380,9 +379,8 @@ impl AnytimeEngine {
         // vertices move only for cut gain or balance. Parallel cost
         // approximation as in initialize().
         let t = Stopwatch::start();
-        let new_partition = aa_partition::AdaptiveMultilevel {
+        let new_partition = aa_partition::MultilevelKWay {
             seed: self.config.seed ^ 0xADA9,
-            ..Default::default()
         }
         .repartition(&self.world, &self.partition, p);
         let elapsed = t.elapsed();

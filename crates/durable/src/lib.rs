@@ -50,7 +50,7 @@ pub mod wal;
 pub use fault::{StorageFaultPlan, StorageFaults};
 pub use recover::{recover, Recovered, RecoveryReport};
 pub use storage::{atomic_write_file, DiskStorage, SimStats, SimStorage, Storage};
-pub use store::{DurabilityConfig, DurableLog};
+pub use store::{DurabilityConfig, DurableLog, KEEP_CHECKPOINTS};
 pub use wal::{
     decode_record, encode_commit, encode_record, scan_segment, SegmentScan, WalRecord, WalWriter,
     MAX_RECORD_BYTES,

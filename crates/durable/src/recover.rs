@@ -460,14 +460,7 @@ mod tests {
             let sim = SimStorage::new();
             let mut s = sim.clone();
             let mut engine = base();
-            let mut log = match DurableLog::open(
-                &mut s,
-                1,
-                DurabilityConfig {
-                    keep_checkpoints: 2,
-                    ..DurabilityConfig::default()
-                },
-            ) {
+            let mut log = match DurableLog::open(&mut s, 1, DurabilityConfig::default()) {
                 Ok(l) => l,
                 Err(e) => panic!("open: {e}"),
             };

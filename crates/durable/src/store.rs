@@ -9,9 +9,10 @@
 //! checkpoint intact, never a torn one.
 //!
 //! Taking a checkpoint rotates the WAL first, so every older segment holds
-//! only covered records and is deleted (compaction); older checkpoint files
-//! beyond a keep-count are deleted too. All mutation metrics are recorded in
-//! an owned [`MetricsRegistry`] the serve layer merges into its own.
+//! only covered records and is deleted (compaction); checkpoint files older
+//! than the newest [`KEEP_CHECKPOINTS`] are deleted too. All mutation
+//! metrics are recorded in an owned [`MetricsRegistry`] the serve layer
+//! merges into its own.
 
 use crate::storage::Storage;
 use crate::wal::{parse_segment_name, WalWriter};
@@ -68,26 +69,23 @@ pub fn decode_checkpoint(
     Ok((covered, engine))
 }
 
+/// Checkpoint files compaction retains in total, the newest included: the
+/// newest plus one older. The older one is the paranoia margin: if the
+/// newest is unreadable, recovery falls back to it plus a longer replay.
+pub const KEEP_CHECKPOINTS: usize = 2;
+
 /// Tuning for the durability layer.
 #[derive(Debug, Clone, Copy)]
 pub struct DurabilityConfig {
-    /// Rotate the active WAL segment once it exceeds this many bytes.
-    pub rotate_bytes: u64,
     /// Serve layer: take a checkpoint every this many turns (0 = only on
     /// shutdown). Stored here so one config travels through the stack.
     pub checkpoint_every_turns: usize,
-    /// Checkpoint files retained beyond the newest (paranoia margin: if the
-    /// newest is unreadable, recovery falls back to an older one plus a
-    /// longer replay).
-    pub keep_checkpoints: usize,
 }
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
         DurabilityConfig {
-            rotate_bytes: 256 * 1024,
             checkpoint_every_turns: 16,
-            keep_checkpoints: 2,
         }
     }
 }
@@ -109,7 +107,7 @@ impl DurableLog {
         next_seq: u64,
         config: DurabilityConfig,
     ) -> io::Result<DurableLog> {
-        let wal = WalWriter::open(storage, next_seq, config.rotate_bytes)?;
+        let wal = WalWriter::open(storage, next_seq)?;
         let mut metrics = MetricsRegistry::new();
         metrics.set_help("aa_wal_appends_total", "WAL records appended (buffered)");
         metrics.set_help("aa_wal_commits_total", "WAL group commits by outcome");
@@ -253,8 +251,9 @@ impl DurableLog {
         Ok(covered)
     }
 
-    /// Deletes checkpoints superseded beyond the keep-count and WAL segments
-    /// fully covered by the **oldest retained** checkpoint — not the newest:
+    /// Deletes all but the newest [`KEEP_CHECKPOINTS`] checkpoints, and WAL
+    /// segments fully covered by the **oldest retained** checkpoint — not the
+    /// newest:
     /// if the newest checkpoint is later quarantined (media corruption),
     /// recovery falls back to an older one and must still find every record
     /// past that older horizon in the WAL. Deletion failures are ignored —
@@ -269,15 +268,14 @@ impl DurableLog {
         ckpts.push(covered); // the one just written may not be in `names`
         ckpts.sort_unstable();
         ckpts.dedup();
-        let keep = self.config.keep_checkpoints.max(1);
-        if ckpts.len() > keep {
-            for seq in &ckpts[..ckpts.len() - keep] {
+        if ckpts.len() > KEEP_CHECKPOINTS {
+            for seq in &ckpts[..ckpts.len() - KEEP_CHECKPOINTS] {
                 if storage.remove(&checkpoint_name(*seq)).is_ok() {
                     self.metrics
                         .inc_counter("aa_checkpoints_deleted_total", &[], 1);
                 }
             }
-            ckpts.drain(..ckpts.len() - keep);
+            ckpts.drain(..ckpts.len() - KEEP_CHECKPOINTS);
         }
         // Replay-fallback horizon: every record <= horizon is baked into
         // every retained checkpoint.
@@ -387,14 +385,25 @@ mod tests {
             .iter()
             .filter(|n| parse_segment_name(n).is_some())
             .count();
-        let ckpts = names
+        let mut ckpts: Vec<u64> = names
             .iter()
-            .filter(|n| parse_checkpoint_name(n).is_some())
-            .count();
-        // Segments covered only by the newest checkpoint are retained for
-        // fallback; with keep=2 that leaves the active segment plus one.
-        assert_eq!(segments, 2, "active + fallback segment survive: {names:?}");
-        assert_eq!(ckpts, 2, "keep-count bounds checkpoints: {names:?}");
+            .filter_map(|n| parse_checkpoint_name(n))
+            .collect();
+        ckpts.sort_unstable();
+        // The keep-count is a total, the newest included: of the checkpoints
+        // covering 5, 10, 15 and 20, the newest `KEEP_CHECKPOINTS` survive.
+        let taken = [5, 10, 15, 20];
+        assert_eq!(
+            ckpts,
+            taken[taken.len() - KEEP_CHECKPOINTS..],
+            "keep-count bounds checkpoints: {names:?}"
+        );
+        // Segments past the oldest retained checkpoint stay for fallback:
+        // one per newer checkpoint, plus the active segment.
+        assert_eq!(
+            segments, KEEP_CHECKPOINTS,
+            "active + fallback segments survive: {names:?}"
+        );
         let m = log.metrics_registry();
         assert!(m.counter_value("aa_wal_segments_deleted_total", &[]) >= 3);
         assert!(m.counter_value("aa_checkpoints_deleted_total", &[]) >= 2);

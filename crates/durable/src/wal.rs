@@ -59,6 +59,9 @@ pub const SEGMENT_HEADER: usize = 16;
 pub const RECORD_OVERHEAD: usize = 8;
 /// Upper bound on a sane record payload; larger lengths mean corruption.
 pub const MAX_RECORD_BYTES: u32 = 1 << 20;
+/// The writer rotates to a fresh segment once the active one holds this
+/// many bytes.
+pub(crate) const ROTATE_BYTES: u64 = 256 * 1024;
 
 const TAG_ADD_EDGE: u8 = 0;
 const TAG_DELETE_EDGE: u8 = 1;
@@ -400,7 +403,6 @@ fn encode_segment_header(first_seq: u64) -> Vec<u8> {
 pub struct WalWriter {
     active: String,
     active_bytes: u64,
-    rotate_bytes: u64,
     next_seq: u64,
     committed: u64,
     pending: Vec<u8>,
@@ -413,15 +415,10 @@ impl WalWriter {
     /// `next_seq` (recovery passes `last replayed + 1`; a fresh log passes
     /// 1). Always starts a new segment — the previous tail's durability is
     /// unknown, and segments are cheap.
-    pub fn open(
-        storage: &mut dyn Storage,
-        next_seq: u64,
-        rotate_bytes: u64,
-    ) -> io::Result<WalWriter> {
+    pub fn open(storage: &mut dyn Storage, next_seq: u64) -> io::Result<WalWriter> {
         let mut w = WalWriter {
             active: String::new(),
             active_bytes: 0,
-            rotate_bytes: rotate_bytes.max(SEGMENT_HEADER as u64 + 1),
             next_seq: next_seq.max(1),
             committed: next_seq.max(1) - 1,
             pending: Vec::new(),
@@ -532,9 +529,9 @@ impl WalWriter {
         self.pending_count = 0;
     }
 
-    /// True if the active segment has grown past the rotation threshold.
+    /// True if the active segment has grown past [`ROTATE_BYTES`].
     pub fn wants_rotation(&self) -> bool {
-        self.active_bytes >= self.rotate_bytes
+        self.active_bytes >= ROTATE_BYTES
     }
 
     /// Starts a fresh segment whose first sequence is the next unassigned
@@ -611,7 +608,7 @@ mod tests {
     fn writer_commits_and_scan_reads_back() {
         let sim = SimStorage::new();
         let mut s = sim.clone();
-        let mut w = match WalWriter::open(&mut s, 1, 1 << 20) {
+        let mut w = match WalWriter::open(&mut s, 1) {
             Ok(w) => w,
             Err(e) => panic!("open: {e}"),
         };
@@ -646,7 +643,7 @@ mod tests {
     fn uncommitted_records_die_with_the_process() {
         let sim = SimStorage::new();
         let mut s = sim.clone();
-        let mut w = WalWriter::open(&mut s, 1, 1 << 20).expect("open failed");
+        let mut w = WalWriter::open(&mut s, 1).expect("open failed");
         w.append(&UpdateOp::AddEdge(1, 2, 1));
         w.commit(&mut s).ok();
         w.append(&UpdateOp::AddEdge(3, 4, 1)); // never committed
@@ -661,7 +658,7 @@ mod tests {
     fn torn_tail_is_quarantined_not_panicked() {
         let sim = SimStorage::new();
         let mut s = sim.clone();
-        let mut w = match WalWriter::open(&mut s, 1, 1 << 20) {
+        let mut w = match WalWriter::open(&mut s, 1) {
             Ok(w) => w,
             Err(e) => panic!("open: {e}"),
         };
@@ -721,7 +718,7 @@ mod tests {
         );
         let sim = SimStorage::with_faults(plan);
         let mut s = sim.clone();
-        let mut w = match WalWriter::open(&mut s, 1, 1 << 20) {
+        let mut w = match WalWriter::open(&mut s, 1) {
             Ok(w) => w,
             Err(_) => return, // header fsync failed on this seed; fine
         };
@@ -760,23 +757,42 @@ mod tests {
     fn rotation_by_size_creates_new_segments() {
         let sim = SimStorage::new();
         let mut s = sim.clone();
-        let mut w = match WalWriter::open(&mut s, 1, 64) {
+        let mut w = match WalWriter::open(&mut s, 1) {
             Ok(w) => w,
             Err(e) => panic!("open: {e}"),
         };
-        for i in 0..20u32 {
-            w.append(&UpdateOp::AddEdge(i, i + 1, 1));
+        // Group commits of 64 records, rotating when asked, until the log
+        // has written two and a half segments' worth.
+        let op = UpdateOp::AddEdge(1, 2, 1);
+        let per_commit = (64 * encode_record(1, &op).len() + encode_commit(1).len()) as u64;
+        let (mut written, mut rotations) = (0, 0);
+        while written < 5 * ROTATE_BYTES / 2 {
+            for _ in 0..64 {
+                w.append(&op);
+            }
             w.commit(&mut s).ok();
+            written += per_commit;
             if w.wants_rotation() {
                 w.rotate(&mut s).ok();
+                rotations += 1;
             }
         }
-        let segments = s
+        let mut sizes: Vec<(u64, u64)> = s
             .list()
             .unwrap_or_default()
             .into_iter()
-            .filter(|n| parse_segment_name(n).is_some())
-            .count();
-        assert!(segments > 1, "expected multiple segments, got {segments}");
+            .filter_map(|n| Some((parse_segment_name(&n)?, s.read(&n).ok()?.len() as u64)))
+            .collect();
+        sizes.sort_unstable();
+        assert_eq!(rotations, 2, "{sizes:?}");
+        assert_eq!(sizes.len(), 3, "two full segments and the active one");
+        // A full segment reached the threshold, and rotated at the first
+        // commit that did.
+        for &(first, len) in &sizes[..2] {
+            assert!(
+                (ROTATE_BYTES..ROTATE_BYTES + per_commit).contains(&len),
+                "segment {first}: {len} bytes"
+            );
+        }
     }
 }

@@ -43,19 +43,6 @@ impl LogPParams {
         }
     }
 
-    /// An InfiniBand-like fast interconnect: ~2 µs latency, 0.5 µs overhead,
-    /// ~10 GB/s. Used by ablations to show how the strategy crossovers move
-    /// with network speed.
-    pub fn infiniband() -> Self {
-        LogPParams {
-            latency_us: 2.0,
-            overhead_us: 0.5,
-            gap_us: 1.0,
-            gap_per_byte_us: 0.0001,
-            max_msg_bytes: 1024 * 1024,
-        }
-    }
-
     /// Number of model messages needed for a `bytes`-byte transfer.
     pub fn message_count(&self, bytes: usize) -> usize {
         if bytes == 0 {
@@ -128,14 +115,5 @@ mod tests {
         let t = p.transfer_us(bytes);
         let bandwidth_part = bytes as f64 * p.gap_per_byte_us;
         assert!(bandwidth_part / t > 0.9, "per-byte term should dominate");
-    }
-
-    #[test]
-    fn infiniband_faster_than_ethernet() {
-        let e = LogPParams::ethernet_1gbe();
-        let i = LogPParams::infiniband();
-        for bytes in [64usize, 4096, 1 << 20] {
-            assert!(i.transfer_us(bytes) < e.transfer_us(bytes));
-        }
     }
 }

@@ -4,53 +4,31 @@
 //! The papers' Repartition-S strategy repartitions the grown graph and then
 //! migrates the partial results of every relocated vertex; the repartitioner
 //! they reuse (ParMETIS) minimizes *migration* as well as cut when invoked
-//! adaptively. [`AdaptiveMultilevel`] reproduces that contract: it coarsens
-//! without mixing the current parts (an unassigned, new vertex merges into a
-//! labelled neighbour's coarse vertex), projects the current assignment onto
-//! the coarsest level, gives the all-new coarse vertices left over to the
-//! lightest part, and refines on the way back up under the balance
-//! constraint. Vertices move only when the refinement finds a cut gain or
+//! adaptively. [`MultilevelKWay::repartition`] reproduces that contract: it
+//! coarsens without mixing the current parts (an unassigned, new vertex
+//! merges into a labelled neighbour's coarse vertex), projects the current
+//! assignment onto the coarsest level, gives the all-new coarse vertices
+//! left over to the lightest part, and refines on the way back up under the
+//! balance constraint. Vertices move only when the refinement finds a cut gain or
 //! balance demands it, so migration volume stays proportional to how much
 //! the graph actually changed.
 
-use crate::multilevel::{build_base, contract, refine_pass};
+use crate::multilevel::{
+    build_base, contract, refine_pass, MultilevelKWay, COARSE_FACTOR, EPSILON, REFINE_PASSES,
+};
 use crate::partition::Partition;
 use aa_graph::Graph;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// ParMETIS-style adaptive multilevel repartitioning: coarsen the grown
-/// graph with heavy-edge matching, **project the current partition** onto the
-/// coarsest level (weighted majority per coarse vertex), then refine on the
-/// way back up. Produces multilevel-quality cuts while moving only the
-/// vertices the refinement actually wants to move — the scheme ParMETIS uses
-/// when invoked for repartitioning, which the papers' Repartition-S relies
-/// on.
-#[derive(Debug, Clone)]
-pub struct AdaptiveMultilevel {
-    /// Allowed imbalance ε.
-    pub epsilon: f64,
-    /// Coarsening stops at `max(coarse_factor · k, 200)` vertices.
-    pub coarse_factor: usize,
-    /// FM refinement passes per level.
-    pub refine_passes: usize,
-    /// Seed for the randomized matching order.
-    pub seed: u64,
-}
-
-impl Default for AdaptiveMultilevel {
-    fn default() -> Self {
-        AdaptiveMultilevel {
-            epsilon: 0.10,
-            coarse_factor: 30,
-            refine_passes: 4,
-            seed: 0xADA9,
-        }
-    }
-}
-
-impl AdaptiveMultilevel {
-    /// Repartitions `g` into `k` parts starting from `current`.
+impl MultilevelKWay {
+    /// Repartitions `g` into `k` parts starting from `current`, the way
+    /// ParMETIS repartitions: coarsen the grown graph with heavy-edge
+    /// matching, **project the current partition** onto the coarsest level
+    /// (weighted majority per coarse vertex), then refine on the way back
+    /// up. Produces multilevel-quality cuts while moving only the vertices
+    /// the refinement actually wants to move — the scheme the papers'
+    /// Repartition-S relies on.
     pub fn repartition(&self, g: &Graph, current: &Partition, k: usize) -> Partition {
         assert!(k >= 1);
         let mut out = Partition::unassigned(g.capacity(), k);
@@ -58,9 +36,7 @@ impl AdaptiveMultilevel {
         if n == 0 {
             return out;
         }
-        let max_weight = ((n as f64 / k as f64) * (1.0 + self.epsilon))
-            .ceil()
-            .max(1.0) as u64;
+        let max_weight = ((n as f64 / k as f64) * (1.0 + EPSILON)).ceil().max(1.0) as u64;
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let (base, orig_of) = build_base(g);
 
@@ -76,7 +52,7 @@ impl AdaptiveMultilevel {
         // same-label or unlabelled vertices merge, as ParMETIS does when
         // repartitioning), so the current partition projects exactly onto
         // every level of the hierarchy.
-        let stop_at = (self.coarse_factor * k).max(200);
+        let stop_at = (COARSE_FACTOR * k).max(200);
         let mut levels = vec![base];
         let mut part = fine_part.clone();
         #[expect(
@@ -140,7 +116,7 @@ impl AdaptiveMultilevel {
             reason = "levels is never emptied after its seeded first element"
         )]
         balance_pass(levels.last().unwrap(), &mut part, k, max_weight);
-        for _ in 0..self.refine_passes {
+        for _ in 0..REFINE_PASSES {
             #[expect(
                 clippy::unwrap_used,
                 reason = "levels is never emptied after its seeded first element"
@@ -157,7 +133,7 @@ impl AdaptiveMultilevel {
                 projected[v] = part[coarse_of[v] as usize];
             }
             balance_pass(fine, &mut projected, k, max_weight);
-            for _ in 0..self.refine_passes {
+            for _ in 0..REFINE_PASSES {
                 if !refine_pass(fine, &mut projected, k, max_weight) {
                     break;
                 }
@@ -253,7 +229,7 @@ fn balance_pass(level: &crate::multilevel::Level, part: &mut [usize], k: usize, 
 mod tests {
     use super::*;
     use crate::quality::balance;
-    use crate::{MultilevelKWay, Partitioner};
+    use crate::Partitioner;
     use aa_graph::{generators, VertexId};
 
     /// Number of vertices whose assignment differs between two partitions
@@ -273,7 +249,7 @@ mod tests {
     fn adaptive_multilevel_valid_and_stable() {
         let g = generators::barabasi_albert(600, 2, 1, 13);
         let current = MultilevelKWay::default().partition(&g, 8);
-        let new = AdaptiveMultilevel::default().repartition(&g, &current, 8);
+        let new = MultilevelKWay { seed: 0xADA9 }.repartition(&g, &current, 8);
         new.validate(&g).unwrap();
         assert!(balance(&new) <= 1.20, "balance {}", balance(&new));
         let moved = migration_count(&current, &new);
@@ -295,7 +271,7 @@ mod tests {
         for i in 0..30u32 {
             g.add_edge(base + i, if i == 0 { 0 } else { base + i - 1 }, 1);
         }
-        let new = AdaptiveMultilevel::default().repartition(&g, &current, 4);
+        let new = MultilevelKWay { seed: 0xADA9 }.repartition(&g, &current, 4);
         new.validate(&g).unwrap();
         assert!(balance(&new) <= 1.25, "balance {}", balance(&new));
     }
@@ -304,7 +280,7 @@ mod tests {
     fn adaptive_multilevel_from_empty_assignment() {
         let g = generators::planted_partition(4, 30, 0.4, 0.01, 1, 17);
         let empty = Partition::unassigned(g.capacity(), 4);
-        let new = AdaptiveMultilevel::default().repartition(&g, &empty, 4);
+        let new = MultilevelKWay { seed: 0xADA9 }.repartition(&g, &empty, 4);
         new.validate(&g).unwrap();
     }
 

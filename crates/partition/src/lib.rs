@@ -15,19 +15,20 @@
 //! * [`MultilevelKWay`] — the workhorse: heavy-edge-matching coarsening, greedy
 //!   graph-growing initial partition, Fiduccia–Mattheyses-style boundary
 //!   refinement during uncoarsening, with an explicit balance constraint;
+//!   its `repartition` is the adaptive, migration-aware variant ParMETIS
+//!   provides for the papers' Repartition-S;
 //! * [`RoundRobinPartitioner`], [`HashPartitioner`], [`BfsGrowPartitioner`] —
 //!   cheap baselines used in ablations;
 //! * [`quality`] — edge-cut, per-part cut size, balance factor, and the
 //!   "new cut edges introduced by a batch" metric plotted in the paper's
 //!   Figure 7.
 
-pub mod adaptive;
+mod adaptive;
 pub mod multilevel;
 pub mod partition;
 pub mod partitioners;
 pub mod quality;
 
-pub use adaptive::AdaptiveMultilevel;
 pub use multilevel::MultilevelKWay;
 pub use partition::Partition;
 pub use partitioners::{BfsGrowPartitioner, HashPartitioner, Partitioner, RoundRobinPartitioner};

@@ -20,7 +20,9 @@ use aa_graph::{Graph, VertexId};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-/// Multilevel k-way partitioner with a balance constraint.
+/// Multilevel k-way partitioner with a balance constraint. The same type
+/// repartitions adaptively from a current assignment
+/// ([`MultilevelKWay::repartition`], the ParMETIS substitute).
 ///
 /// ```
 /// use aa_partition::{MultilevelKWay, Partitioner, quality};
@@ -33,27 +35,23 @@ use rand_chacha::ChaCha8Rng;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultilevelKWay {
-    /// Allowed imbalance ε: part weight may reach `(1+ε)·total/k`.
-    pub epsilon: f64,
-    /// Coarsening stops once the graph has at most `max(coarse_factor · k,
-    /// 200)` vertices.
-    pub coarse_factor: usize,
-    /// FM refinement passes per level.
-    pub refine_passes: usize,
     /// Seed for the randomized matching order.
     pub seed: u64,
 }
 
 impl Default for MultilevelKWay {
     fn default() -> Self {
-        MultilevelKWay {
-            epsilon: 0.10,
-            coarse_factor: 30,
-            refine_passes: 4,
-            seed: 0x5EED,
-        }
+        MultilevelKWay { seed: 0x5EED }
     }
 }
+
+/// Allowed imbalance ε: a part's weight may reach `(1+ε)·total/k`.
+pub const EPSILON: f64 = 0.10;
+/// Coarsening stops once a level has at most `max(COARSE_FACTOR · k, 200)`
+/// vertices.
+pub(crate) const COARSE_FACTOR: usize = 30;
+/// FM refinement passes per level.
+pub(crate) const REFINE_PASSES: usize = 4;
 
 /// One level of the coarsening hierarchy: a weighted graph in dense indexing
 /// plus the mapping from the finer level's vertices to this level's.
@@ -332,12 +330,12 @@ impl Partitioner for MultilevelKWay {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let (base, orig_of) = build_base(g);
         let total: u64 = base.vw.iter().sum();
-        let max_weight = ((total as f64 / k as f64) * (1.0 + self.epsilon))
+        let max_weight = ((total as f64 / k as f64) * (1.0 + EPSILON))
             .ceil()
             .max(1.0) as u64;
 
         // Coarsen.
-        let stop_at = (self.coarse_factor * k).max(200);
+        let stop_at = (COARSE_FACTOR * k).max(200);
         let mut levels: Vec<Level> = vec![base];
         #[expect(
             clippy::unwrap_used,
@@ -364,7 +362,7 @@ impl Partitioner for MultilevelKWay {
         )]
         let coarsest = levels.last().unwrap();
         let mut part = initial_partition(coarsest, k, max_weight, &mut rng);
-        for _ in 0..self.refine_passes {
+        for _ in 0..REFINE_PASSES {
             if !refine_pass(coarsest, &mut part, k, max_weight) {
                 break;
             }
@@ -378,7 +376,7 @@ impl Partitioner for MultilevelKWay {
             for v in 0..fine.n() {
                 fine_part[v] = part[coarse_of[v] as usize];
             }
-            for _ in 0..self.refine_passes {
+            for _ in 0..REFINE_PASSES {
                 if !refine_pass(fine, &mut fine_part, k, max_weight) {
                     break;
                 }

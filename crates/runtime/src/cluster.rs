@@ -327,6 +327,41 @@ mod tests {
         );
     }
 
+    /// The same traffic on a faster network delivers the same payloads
+    /// and finishes sooner: the LogP parameters move time, never results.
+    #[test]
+    fn a_faster_network_gives_a_smaller_makespan() {
+        let fast = LogPParams {
+            latency_us: 2.0,
+            overhead_us: 0.5,
+            gap_us: 1.0,
+            gap_per_byte_us: 0.0001,
+            max_msg_bytes: 1024 * 1024,
+        };
+        let run = |params| {
+            let mut c = SimCluster::new(4, params);
+            let outbox = (0..4)
+                .map(|src| {
+                    vec![TransferOut {
+                        dst: (src + 1) % 4,
+                        bytes: 8 * 1024,
+                        payload: src,
+                    }]
+                })
+                .collect();
+            let inbox = c.exchange(Phase::Recombination, outbox);
+            c.broadcast_cost(Phase::DynamicUpdate, 0, 4096);
+            (inbox, c.makespan_us())
+        };
+        let (slow_inbox, slow) = run(LogPParams::ethernet_1gbe());
+        let (fast_inbox, fast) = run(fast);
+        assert_eq!(slow_inbox, fast_inbox);
+        assert!(
+            fast < slow,
+            "a faster network must produce a smaller makespan: {fast} vs {slow}"
+        );
+    }
+
     #[test]
     fn broadcast_cost_charges_p_minus_1_messages() {
         let mut c = cluster(8);

@@ -47,6 +47,6 @@ pub use admission::{ServeConfig, TokenBucket};
 pub use request::{
     ClientOp, ReadKind, ReadOutcome, ReadTicket, ReadValue, ShedReason, WriteOutcome,
 };
-pub use server::{ServeMode, ServeStats, Server, TurnReport};
+pub use server::{ServeMode, ServeStats, Server, TurnReport, READ_QUEUE_CAP, READ_QUEUE_HWM};
 pub use session::{Applied, Recovery, Session};
 pub use workload::{LoadGen, WorkloadConfig};

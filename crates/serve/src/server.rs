@@ -6,15 +6,14 @@
 //! The server advances in deterministic *turns* ([`Server::turn`]); a turn
 //!
 //! 1. refills the per-class token budgets (the write refill is divided by
-//!    [`ServeConfig::degraded_write_divisor`] in degraded mode),
+//!    [`DEGRADED_WRITE_DIVISOR`] in degraded mode),
 //! 2. lets the ingest pipeline drain if its policy is due,
-//! 3. runs up to [`ServeConfig::steps_per_turn`] recombination steps while
-//!    unconverged — and, when this turn's flush applied a deletion (the
-//!    delete half of a weight increase included), keeps stepping until the
-//!    engine converges or the deletion barrier's own budget runs out. Those
-//!    are the steps the next turn's barrier would have run anyway; run here,
-//!    the turn answers from a fresh frame and the barrier finds the engine
-//!    quiescent,
+//! 3. runs up to [`STEPS_PER_TURN`] recombination steps while unconverged —
+//!    and, when this turn's flush applied a deletion (the delete half of a
+//!    weight increase included), keeps stepping until the engine converges
+//!    or the deletion barrier's own budget runs out. Those are the steps
+//!    the next turn's barrier would have run anyway; run here, the turn
+//!    answers from a fresh frame and the barrier finds the engine quiescent,
 //! 4. updates the degraded-mode state machine,
 //! 5. publishes a snapshot frame (allocation-stable when nothing changed)
 //!    and folds it — together with the engine's drained bound-delta feed —
@@ -32,13 +31,12 @@
 //!
 //! # Degraded mode
 //!
-//! The server enters degraded mode after [`ServeConfig::overload_turns`]
-//! consecutive turns with the ingest queue or read queue above its high
-//! watermark, and leaves after [`ServeConfig::recovery_turns`] consecutive
-//! clear turns. Degraded mode never stops serving: reads are answered from
-//! the latest published frame (stale but epoch-consistent, with finite
-//! bounds) and the write budget is tightened so refinement work is not
-//! starved.
+//! The server enters degraded mode after [`OVERLOAD_TURNS`] consecutive
+//! turns with the ingest queue or read queue above its high watermark, and
+//! leaves after [`RECOVERY_TURNS`] consecutive clear turns. Degraded mode
+//! never stops serving: reads are answered from the latest published frame
+//! (stale but epoch-consistent, with finite bounds) and the write budget is
+//! tightened so refinement work is not starved.
 
 //! # Durability
 //!
@@ -61,6 +59,32 @@ use aa_obs::MetricsRegistry;
 use aa_query::{Confidence, TopKAnswer, TopKConfig, TopKTracker};
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Hard capacity of the read queue; reads beyond it are shed.
+pub const READ_QUEUE_CAP: usize = 1024;
+/// Read-queue high watermark: reads admitted above it are `Throttled`, and
+/// a turn that starts above it counts as pressured.
+pub const READ_QUEUE_HWM: usize = 768;
+/// Read tokens added per turn (reads served per turn, steady state).
+pub(crate) const READ_TOKENS_PER_TURN: u32 = 64;
+/// Read token burst cap; the bucket starts full.
+pub(crate) const READ_BURST: u32 = 128;
+/// Write tokens added per turn in normal mode.
+pub(crate) const WRITE_TOKENS_PER_TURN: u32 = 64;
+/// Write token burst cap; the bucket starts full.
+pub(crate) const WRITE_BURST: u32 = 128;
+/// In degraded mode the write refill is divided by this factor, so
+/// refinement work is not starved by update traffic.
+pub(crate) const DEGRADED_WRITE_DIVISOR: u32 = 4;
+/// Consecutive pressured turns before entering degraded mode.
+pub(crate) const OVERLOAD_TURNS: usize = 3;
+/// Consecutive clear turns before leaving degraded mode.
+pub(crate) const RECOVERY_TURNS: usize = 3;
+/// RC steps a turn attempts while unconverged. A turn whose flush applied a
+/// deletion steps on past this to convergence (bounded by the deletion
+/// barrier's budget): the next deletion barrier would run those steps
+/// anyway.
+pub(crate) const STEPS_PER_TURN: usize = 1;
 
 /// Serving state: normal, or degraded (overloaded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,7 +281,7 @@ impl Server {
         );
         metrics.set_help(
             "aa_serve_settle_steps_total",
-            "RC steps turns that applied a deletion ran past steps_per_turn",
+            "RC steps turns that applied a deletion ran past STEPS_PER_TURN",
         );
         metrics.set_help(
             "aa_serve_read_latency_p50_us",
@@ -268,8 +292,8 @@ impl Server {
             "99th-percentile served read latency (virtual µs)",
         );
         Server {
-            read_tokens: TokenBucket::new(config.read_tokens_per_turn, config.read_burst),
-            write_tokens: TokenBucket::new(config.write_tokens_per_turn, config.write_burst),
+            read_tokens: TokenBucket::new(READ_TOKENS_PER_TURN, READ_BURST),
+            write_tokens: TokenBucket::new(WRITE_TOKENS_PER_TURN, WRITE_BURST),
             session,
             config,
             read_q: VecDeque::new(),
@@ -319,7 +343,7 @@ impl Server {
         let id = self.next_id;
         self.next_id += 1;
         self.stats.reads_submitted += 1;
-        if self.read_q.len() >= self.config.read_queue_cap {
+        if self.read_q.len() >= READ_QUEUE_CAP {
             self.stats.reads_shed_capacity += 1;
             self.count_reads("shed-capacity", 1);
             return ReadTicket {
@@ -347,13 +371,13 @@ impl Server {
         let depth = self.read_q.len();
         self.metrics
             .set_gauge("aa_serve_read_queue_depth", &[], depth as f64);
-        if depth > self.config.read_queue_hwm {
+        if depth > READ_QUEUE_HWM {
             self.stats.reads_throttled += 1;
             self.count_reads("throttled", 1);
             ReadTicket {
                 id,
                 admission: Admission::Throttled {
-                    retry_after: (depth - self.config.read_queue_hwm) as u64,
+                    retry_after: (depth - READ_QUEUE_HWM) as u64,
                 },
             }
         } else {
@@ -420,15 +444,13 @@ impl Server {
         self.stats.turns += 1;
         self.read_tokens.refill();
         let write_refill = match self.mode {
-            ServeMode::Normal => self.config.write_tokens_per_turn,
-            ServeMode::Degraded => {
-                self.config.write_tokens_per_turn / self.config.degraded_write_divisor
-            }
+            ServeMode::Normal => WRITE_TOKENS_PER_TURN,
+            ServeMode::Degraded => WRITE_TOKENS_PER_TURN / DEGRADED_WRITE_DIVISOR,
         };
         self.write_tokens.refill_by(write_refill);
 
         let applied = self.session.apply_due()?;
-        let mut rc_steps = self.session.step(self.config.steps_per_turn);
+        let mut rc_steps = self.session.step(STEPS_PER_TURN);
         let deleted = applied
             .flushed
             .as_ref()
@@ -623,15 +645,14 @@ impl Server {
     /// `None` until a turn has run (no duration measurement yet).
     fn estimated_service_us(&self, now: f64) -> Option<f64> {
         if self.ewma_turn_us > 0.0 {
-            let per_turn = self.config.read_tokens_per_turn.max(1) as usize;
-            let turns_ahead = self.read_q.len() / per_turn + 1;
+            let turns_ahead = self.read_q.len() / READ_TOKENS_PER_TURN as usize + 1;
             Some(now + turns_ahead as f64 * self.ewma_turn_us)
         } else {
             None
         }
     }
 
-    /// Steps a turn that applied a deletion runs past `steps_per_turn`: on
+    /// Steps a turn that applied a deletion runs past [`STEPS_PER_TURN`]: on
     /// to convergence, so the turn publishes a fresh frame and the next
     /// deletion barrier finds nothing left to do. These are the steps that
     /// barrier would have run; the same budget bounds them.
@@ -646,14 +667,14 @@ impl Server {
 
     fn update_mode(&mut self) {
         let ingest_over = self.session.pending_ops() > self.config.ingest.high_watermark;
-        let read_over = self.read_q.len() > self.config.read_queue_hwm;
+        let read_over = self.read_q.len() > READ_QUEUE_HWM;
         let pressured = ingest_over || read_over;
         match self.mode {
             ServeMode::Normal => {
                 if pressured {
                     self.pressured_turns += 1;
                 }
-                if self.pressured_turns >= self.config.overload_turns {
+                if self.pressured_turns >= OVERLOAD_TURNS {
                     self.mode = ServeMode::Degraded;
                     self.clear_turns = 0;
                     self.stats.degraded_entries += 1;
@@ -669,7 +690,7 @@ impl Server {
                     self.clear_turns = 0;
                 } else {
                     self.clear_turns += 1;
-                    if self.clear_turns >= self.config.recovery_turns {
+                    if self.clear_turns >= RECOVERY_TURNS {
                         self.mode = ServeMode::Normal;
                         self.pressured_turns = 0;
                     }
@@ -819,20 +840,19 @@ mod tests {
         )
     }
 
-    fn server(n: usize, procs: usize, config: ServeConfig) -> Server {
-        Server::new(sim_engine(n, procs), config).unwrap()
+    fn server(n: usize, procs: usize) -> Server {
+        Server::new(sim_engine(n, procs), ServeConfig::default()).unwrap()
     }
 
     /// A server with a WAL over `sim`, checkpointing every 4 turns.
-    fn durable_server(n: usize, procs: usize, config: ServeConfig, sim: &SimStorage) -> Server {
+    fn durable_server(n: usize, procs: usize, sim: &SimStorage) -> Server {
         let durability = DurabilityConfig {
             checkpoint_every_turns: 4,
-            ..Default::default()
         };
         let (s, recovery) = Server::open_durable(
             Box::new(sim.clone()),
             sim_engine(n, procs),
-            config,
+            ServeConfig::default(),
             durability,
         )
         .unwrap();
@@ -842,7 +862,7 @@ mod tests {
 
     #[test]
     fn reads_resolve_within_a_drain_and_match_engine_state() {
-        let mut s = server(60, 3, ServeConfig::default());
+        let mut s = server(60, 3);
         s.drain(64).unwrap(); // converge first so the frame is fresh
         let t = s.submit_read(ReadKind::TopK(5));
         assert_eq!(t.admission, Admission::Accepted);
@@ -867,11 +887,7 @@ mod tests {
 
     #[test]
     fn topk_reads_carry_anytime_confidence_under_churn_and_settle_exact() {
-        let cfg = ServeConfig {
-            steps_per_turn: 1,
-            ..Default::default()
-        };
-        let mut s = server(120, 4, cfg);
+        let mut s = server(120, 4);
         s.drain(400).unwrap();
         // A deletion voids the converged state: the next frame is stale
         // (one rc_step cannot re-converge the reseeded rows), and the
@@ -932,20 +948,19 @@ mod tests {
     #[test]
     fn a_turn_that_deletes_settles_before_it_answers() {
         let sim = SimStorage::new();
-        let mut s = durable_server(60, 3, ServeConfig::default(), &sim);
+        let mut s = durable_server(60, 3, &sim);
         let count = |s: &Server, name: &str| s.metrics_registry().counter_value(name, &[]);
         let barrier = |s: &Server| count(s, "aa_deletion_barrier_steps_total");
         let settled = |s: &Server| count(s, "aa_serve_settle_steps_total");
-        let steps_per_turn = s.config().steps_per_turn;
 
         // Additions alone keep the anytime pace from the unconverged start:
-        // `steps_per_turn` steps, still unconverged, nothing settled.
+        // `STEPS_PER_TURN` steps, still unconverged, nothing settled.
         let g = s.engine().graph();
         let (a, b) = (0, g.vertices().last().unwrap());
         assert_eq!(g.edge_weight(a, b), None);
         assert!(s.submit_write(UpdateOp::AddEdge(a, b, 1)).is_admitted());
         let rep = s.turn().unwrap();
-        assert_eq!(rep.rc_steps, steps_per_turn);
+        assert_eq!(rep.rc_steps, STEPS_PER_TURN);
         assert!(!s.engine().is_converged());
         assert_eq!(settled(&s), 0);
 
@@ -960,10 +975,10 @@ mod tests {
         assert!(barrier(&s) > 0, "the barrier had the addition to finish");
         assert!(s.engine().is_converged());
         assert!(
-            rep.rc_steps > steps_per_turn,
+            rep.rc_steps > STEPS_PER_TURN,
             "one step does not reconverge"
         );
-        assert_eq!(settled(&s), (rep.rc_steps - steps_per_turn) as u64);
+        assert_eq!(settled(&s), (rep.rc_steps - STEPS_PER_TURN) as u64);
         let exact = algo::exact_closeness(s.engine().graph());
         let mut oracle: Vec<(VertexId, f64)> = (exact.iter().enumerate())
             .filter(|&(_, &c)| c > 0.0)
@@ -999,79 +1014,72 @@ mod tests {
 
     #[test]
     fn read_queue_capacity_sheds_and_hwm_throttles() {
-        let cfg = ServeConfig {
-            read_queue_cap: 4,
-            read_queue_hwm: 2,
-            ..Default::default()
-        };
-        let mut s = server(60, 3, cfg);
-        let mut admissions = Vec::new();
-        for _ in 0..6 {
-            admissions.push(s.submit_read(ReadKind::TopK(1)).admission);
-        }
-        assert_eq!(admissions[0], Admission::Accepted);
-        assert_eq!(admissions[1], Admission::Accepted);
-        assert!(matches!(admissions[2], Admission::Throttled { .. }));
-        assert!(matches!(admissions[3], Admission::Throttled { .. }));
-        assert_eq!(admissions[4], Admission::Shed);
-        assert_eq!(admissions[5], Admission::Shed);
+        let mut s = server(60, 3);
+        let admissions: Vec<Admission> = (0..READ_QUEUE_CAP + 2)
+            .map(|_| s.submit_read(ReadKind::TopK(1)).admission)
+            .collect();
+        let (accepted, rest) = admissions.split_at(READ_QUEUE_HWM);
+        let (throttled, shed) = rest.split_at(READ_QUEUE_CAP - READ_QUEUE_HWM);
+        assert!(accepted.iter().all(|&a| a == Admission::Accepted));
+        assert!(throttled
+            .iter()
+            .all(|a| matches!(a, Admission::Throttled { .. })));
+        assert_eq!(shed, [Admission::Shed; 2]);
         assert_eq!(s.stats().reads_shed_capacity, 2);
-        // The four queued reads all resolve.
+        // Every queued read resolves.
         let out = s.drain(64).unwrap();
-        assert_eq!(out.len(), 4);
+        assert_eq!(out.len(), READ_QUEUE_CAP);
     }
 
     #[test]
     fn write_budget_sheds_when_exhausted() {
-        let cfg = ServeConfig {
-            write_tokens_per_turn: 2,
-            write_burst: 2,
-            ..Default::default()
-        };
-        let mut s = server(60, 3, cfg);
+        let mut s = server(60, 3);
         let ids: Vec<u32> = s.engine().graph().vertices().collect();
-        let mut shed = 0;
-        for i in 0..4u32 {
-            let op = UpdateOp::AddEdge(ids[i as usize], ids[(i + 20) as usize], 1);
-            if matches!(
-                s.submit_write(op),
-                WriteOutcome::Shed(ShedReason::WriteBudget)
-            ) {
-                shed += 1;
-            }
-        }
-        assert_eq!(shed, 2, "two tokens, four writes");
+        // Submits `count` writes and returns how many the budget shed.
+        let shed_of = |s: &mut Server, count: u32| {
+            (0..count as usize)
+                .filter(|i| {
+                    let op = UpdateOp::AddEdge(ids[i % 30], ids[30 + i % 30], 1);
+                    matches!(
+                        s.submit_write(op),
+                        WriteOutcome::Shed(ShedReason::WriteBudget)
+                    )
+                })
+                .count()
+        };
+        assert_eq!(
+            shed_of(&mut s, WRITE_BURST + 2),
+            2,
+            "a full bucket, two over"
+        );
         s.turn().unwrap();
-        // Refill makes room again.
-        let op = UpdateOp::AddEdge(ids[40], ids[41], 1);
-        assert!(s.submit_write(op).is_admitted());
+        // The turn refills the per-turn budget, and no more.
+        assert_eq!(shed_of(&mut s, WRITE_TOKENS_PER_TURN + 2), 2);
     }
 
     #[test]
     fn sustained_read_pressure_enters_degraded_mode_and_clear_turns_leave_it() {
-        // One read served a turn, so a backlog stays above the watermark for
-        // as many turns as it is deep beyond it.
-        let cfg = ServeConfig {
-            read_queue_hwm: 2,
-            read_tokens_per_turn: 1,
-            read_burst: 1,
-            ..Default::default()
-        };
-        let (overload, recovery) = (cfg.overload_turns, cfg.recovery_turns);
-        let (hwm, backlog) = (cfg.read_queue_hwm, 12);
-        let mut s = server(60, 3, cfg);
-        for _ in 0..backlog {
+        // A full read queue loses a burst of reads the first turn and a
+        // turn's refill after, so it stays above the watermark for the
+        // first `pressured` turns.
+        let mut s = server(60, 3);
+        for _ in 0..READ_QUEUE_CAP {
             assert!(s.submit_read(ReadKind::TopK(3)).admission.is_admitted());
         }
-        // The mode is decided on the depth a turn starts with: above the
-        // watermark for the first `pressured` turns, clear after.
-        let pressured = backlog - hwm;
+        let (mut depth, mut served, mut pressured) = (READ_QUEUE_CAP, READ_BURST, 0);
+        while depth > READ_QUEUE_HWM {
+            pressured += 1;
+            depth -= served as usize;
+            served = READ_TOKENS_PER_TURN;
+        }
+        assert!(pressured >= OVERLOAD_TURNS, "{pressured} pressured turns");
+        // The mode is decided on the depth a turn starts with.
         let (mut modes, mut degraded_reads) = (Vec::new(), 0);
-        for turn in 0..pressured + recovery {
+        for turn in 0..pressured + RECOVERY_TURNS {
             let depth = s.read_queue_depth();
             let rep = s.turn().unwrap();
             modes.push(rep.mode);
-            let want = if turn + 1 < overload || turn + 1 >= pressured + recovery {
+            let want = if turn + 1 < OVERLOAD_TURNS || turn + 1 >= pressured + RECOVERY_TURNS {
                 ServeMode::Normal
             } else {
                 ServeMode::Degraded
@@ -1088,13 +1096,17 @@ mod tests {
         assert_eq!(stats.degraded_entries, 1, "{modes:?}");
         let degraded = modes.iter().filter(|&&m| m == ServeMode::Degraded).count();
         assert_eq!(stats.degraded_turns, degraded as u64);
-        assert_eq!(degraded_reads, degraded, "one read a turn, each flagged");
+        assert_eq!(
+            degraded_reads,
+            degraded * READ_TOKENS_PER_TURN as usize,
+            "a turn's refill of reads a turn, each flagged"
+        );
         assert_eq!(s.mode(), ServeMode::Normal);
     }
 
     #[test]
     fn unmeetable_deadline_is_shed_at_admission() {
-        let mut s = server(60, 3, ServeConfig::default());
+        let mut s = server(60, 3);
         s.submit_read(ReadKind::TopK(1));
         s.turn().unwrap(); // measure a turn duration
         let t = s.submit_read_with_deadline(ReadKind::TopK(1), 0.001);
@@ -1104,7 +1116,7 @@ mod tests {
 
     #[test]
     fn metrics_merge_engine_ingest_and_serve_families() {
-        let mut s = server(60, 3, ServeConfig::default());
+        let mut s = server(60, 3);
         s.submit_read(ReadKind::TopK(3));
         let ids: Vec<u32> = s.engine().graph().vertices().collect();
         s.submit_write(UpdateOp::AddEdge(ids[0], ids[30], 2));
@@ -1125,7 +1137,7 @@ mod tests {
     #[test]
     fn durable_writes_ack_at_commit_and_survive_kill() {
         let sim = SimStorage::new();
-        let mut s = durable_server(60, 3, ServeConfig::default(), &sim);
+        let mut s = durable_server(60, 3, &sim);
         let ids: Vec<u32> = s.engine().graph().vertices().collect();
         let mut seqs = Vec::new();
         for i in 0..3usize {
@@ -1175,12 +1187,7 @@ mod tests {
             },
         );
         let sim = SimStorage::with_faults(plan);
-        let cfg = ServeConfig {
-            write_tokens_per_turn: 64,
-            write_burst: 64,
-            ..Default::default()
-        };
-        let mut s = durable_server(60, 3, cfg, &sim);
+        let mut s = durable_server(60, 3, &sim);
         let ids: Vec<u32> = s.engine().graph().vertices().collect();
         // Existing edges resolve as never-enqueued noops; keep going until
         // two ops are actually logged.
@@ -1230,12 +1237,7 @@ mod tests {
     #[test]
     fn shutdown_takes_final_checkpoint_so_recovery_skips_replay() {
         let sim = SimStorage::new();
-        let cfg = ServeConfig {
-            write_tokens_per_turn: 64,
-            write_burst: 64,
-            ..Default::default()
-        };
-        let mut s = durable_server(60, 3, cfg, &sim);
+        let mut s = durable_server(60, 3, &sim);
         let ids: Vec<u32> = s.engine().graph().vertices().collect();
         let mut i = 0;
         let mut logged = 0;

@@ -40,25 +40,16 @@ fn fresh_engine() -> AnytimeEngine {
     )
 }
 
-fn serve_config() -> ServeConfig {
-    ServeConfig {
-        write_tokens_per_turn: 32,
-        write_burst: 32,
-        ..Default::default()
-    }
-}
-
 /// A durable server over `sim`, checkpointing every 3 turns so a multi-turn
 /// run exercises checkpoint + WAL-suffix recovery, not just replay.
 fn durable_server(sim: &SimStorage) -> Server {
     let durability = DurabilityConfig {
         checkpoint_every_turns: 3,
-        ..Default::default()
     };
     let (s, _) = Server::open_durable(
         Box::new(sim.clone()),
         fresh_engine(),
-        serve_config(),
+        ServeConfig::default(),
         durability,
     )
     .unwrap();

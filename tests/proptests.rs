@@ -13,6 +13,7 @@ use aa_core::dv::DistanceMatrix;
 use aa_core::{AdditionStrategy, AnytimeEngine, Endpoint, EngineConfig, VertexBatch};
 use aa_graph::{algo, Graph, VertexId, INF};
 use aa_logp::schedule;
+use aa_partition::multilevel::EPSILON;
 use aa_partition::{
     BfsGrowPartitioner, HashPartitioner, MultilevelKWay, Partitioner, RoundRobinPartitioner,
 };
@@ -164,11 +165,10 @@ proptest! {
 
     #[test]
     fn multilevel_respects_balance_bound(graph in arb_graph(60), k in 2usize..6) {
-        let ml = MultilevelKWay::default();
-        let p = ml.partition(&graph, k);
+        let p = MultilevelKWay::default().partition(&graph, k);
         let sizes = p.part_sizes();
         let total: usize = sizes.iter().sum();
-        let max_allowed = (((total as f64 / k as f64) * (1.0 + ml.epsilon)).ceil()) as usize;
+        let max_allowed = (((total as f64 / k as f64) * (1.0 + EPSILON)).ceil()) as usize;
         for (i, &s) in sizes.iter().enumerate() {
             prop_assert!(
                 s <= max_allowed,

@@ -17,7 +17,9 @@
 //! simulator or on real OS threads.
 
 use aa_core::{AnytimeEngine, EngineConfig};
-use aa_durable::{recover, DurabilityConfig, DurableLog, Recovered, SimStorage, Storage};
+use aa_durable::{
+    recover, DurabilityConfig, DurableLog, Recovered, SimStorage, Storage, KEEP_CHECKPOINTS,
+};
 use aa_graph::{algo, generators, VertexId};
 use aa_ingest::{IngestConfig, IngestPipeline, UpdateOp};
 use aa_runtime::BackendKind;
@@ -80,8 +82,9 @@ fn batch(e: &AnytimeEngine, i: usize) -> Vec<UpdateOp> {
 }
 
 /// Batches the dead process applied; the last was logged and committed
-/// but not yet checkpointed when it died.
-const BATCHES: usize = 3;
+/// but not yet checkpointed when it died. With the startup image that is
+/// one checkpoint per batch, as many as compaction retains.
+const BATCHES: usize = KEEP_CHECKPOINTS;
 /// Ops per batch (all enqueued: see `batch`).
 const OPS: u64 = 4;
 
@@ -95,11 +98,7 @@ fn run_and_kill(backend: BackendKind) -> (SimStorage, AnytimeEngine) {
     let mut live = base(backend);
     live.initialize();
     live.run_to_convergence(STEPS);
-    let durability = DurabilityConfig {
-        keep_checkpoints: BATCHES + 1,
-        ..Default::default()
-    };
-    let mut log = DurableLog::open(&mut s, 1, durability).unwrap();
+    let mut log = DurableLog::open(&mut s, 1, DurabilityConfig::default()).unwrap();
     let mut pipeline = IngestPipeline::new(IngestConfig::default()).unwrap();
     // The startup image covers no record, and every checkpoint is retained,
     // so compaction keeps the whole log behind the oldest one.

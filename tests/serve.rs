@@ -10,6 +10,7 @@ use aa_graph::{algo, generators};
 use aa_ingest::Admission;
 use aa_serve::{
     ClientOp, LoadGen, ReadKind, ReadOutcome, ServeConfig, ServeStats, Server, WorkloadConfig,
+    READ_QUEUE_CAP, READ_QUEUE_HWM,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -137,7 +138,6 @@ fn chaos_under_load_soak() {
     ));
     let durability = DurabilityConfig {
         checkpoint_every_turns: 5,
-        ..Default::default()
     };
     // A restart whose WAL cannot be opened (an injected rename failure)
     // tries again, as a supervisor restarting the process would.
@@ -363,21 +363,14 @@ fn read_overload_walks_the_backpressure_ladder() {
             ..Default::default()
         },
     );
-    let cfg = ServeConfig {
-        read_queue_cap: 32,
-        read_queue_hwm: 16,
-        read_tokens_per_turn: 8,
-        read_burst: 8,
-        ..Default::default()
-    };
-    let mut s = Server::new(engine, cfg).unwrap();
+    let mut s = Server::new(engine, ServeConfig::default()).unwrap();
     s.drain(64).unwrap();
 
     let mut accepted = 0;
     let mut throttled = 0;
     let mut shed = 0;
     let mut max_retry = 0u64;
-    for _ in 0..48 {
+    for _ in 0..READ_QUEUE_CAP + 16 {
         match s.submit_read(ReadKind::TopK(2)).admission {
             Admission::Accepted => accepted += 1,
             Admission::Throttled { retry_after } => {
@@ -387,13 +380,13 @@ fn read_overload_walks_the_backpressure_ladder() {
             Admission::Shed => shed += 1,
         }
     }
-    assert_eq!(accepted, 16, "up to the hwm");
-    assert_eq!(throttled, 16, "hwm..cap");
+    assert_eq!(accepted, READ_QUEUE_HWM, "up to the hwm");
+    assert_eq!(throttled, READ_QUEUE_CAP - READ_QUEUE_HWM, "hwm..cap");
     assert_eq!(shed, 16, "past cap");
     assert!(max_retry >= 1, "retry hint must tell the client how long");
 
     let out = s.drain(64).unwrap();
-    assert_eq!(out.len(), 32, "all admitted reads resolve");
+    assert_eq!(out.len(), READ_QUEUE_CAP, "all admitted reads resolve");
     assert!(out
         .iter()
         .all(|o| matches!(o, ReadOutcome::Served { .. } | ReadOutcome::Shed { .. })));

@@ -311,7 +311,6 @@ fn durable_session_and_server_write_the_same_wal_and_recover_to_live() {
     // Checkpoints only at close: the comparison is killed before either.
     let durability = DurabilityConfig {
         checkpoint_every_turns: 0,
-        ..Default::default()
     };
 
     let sim_a = SimStorage::new();

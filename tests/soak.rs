@@ -148,12 +148,6 @@ fn combined_adversity_soak() {
     ));
     let durability = DurabilityConfig {
         checkpoint_every_turns: 3,
-        ..Default::default()
-    };
-    let config = ServeConfig {
-        write_tokens_per_turn: 32,
-        write_burst: 32,
-        ..Default::default()
     };
     // A restart whose WAL cannot be opened (an injected rename failure)
     // tries again, as a supervisor restarting the process would.
@@ -168,7 +162,12 @@ fn combined_adversity_soak() {
                     ..Default::default()
                 },
             );
-            match Server::open_durable(Box::new(sim.clone()), engine, config, durability) {
+            match Server::open_durable(
+                Box::new(sim.clone()),
+                engine,
+                ServeConfig::default(),
+                durability,
+            ) {
                 Ok((s, _)) => return s,
                 Err(e) => why = e,
             }
