@@ -10,29 +10,9 @@ use aa_partition::{
     RoundRobinPartitioner,
 };
 use aa_query::TopKConfig;
-use aa_runtime::{threads_available, BackendKind};
+use aa_runtime::BackendKind;
 use aa_serve::{Server, Session};
 use std::path::{Path, PathBuf};
-
-/// Validates a `--backend`/`--threads` combination up front, so a
-/// misconfiguration fails with a clear CLI error instead of a
-/// construction-time panic deep inside the engine. Two loud failure modes:
-/// the simulator is single-threaded (`--threads N > 1` would silently run on
-/// one core), and the threads backend needs the host to actually spawn OS
-/// threads.
-pub fn validate_backend(backend: BackendKind, threads: usize) -> Result<(), String> {
-    match backend {
-        BackendKind::Sim if threads > 1 => Err(format!(
-            "--threads {threads} is incompatible with --backend sim: the simulator is \
-             single-threaded, so the run would silently execute sequentially; use \
-             --backend threads for real parallelism"
-        )),
-        BackendKind::Threads if !threads_available() => Err(
-            "--backend threads: this host cannot spawn OS threads; use --backend sim".to_string(),
-        ),
-        _ => Ok(()),
-    }
-}
 
 /// Validates the backend options every engine-building subcommand shares
 /// and assembles the engine configuration from them.
@@ -41,7 +21,7 @@ fn engine_config(
     backend: BackendKind,
     threads: usize,
 ) -> Result<EngineConfig, String> {
-    validate_backend(backend, threads)?;
+    backend.check(threads)?;
     Ok(EngineConfig {
         num_procs: procs,
         backend,
@@ -1097,7 +1077,7 @@ mod tests {
         assert!(err.contains("incompatible with --backend sim"), "{err}");
         // threads <= 1 is the sequential contract the sim satisfies.
         for threads in [0, 1] {
-            assert!(validate_backend(BackendKind::Sim, threads).is_ok());
+            assert!(BackendKind::Sim.check(threads).is_ok());
         }
     }
 

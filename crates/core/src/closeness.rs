@@ -6,9 +6,7 @@ use aa_graph::VertexId;
 /// from the current (possibly partial) distance vectors.
 ///
 /// Estimates are computed with the papers' definition
-/// `C(v) = 1 / Σ_{u reachable} d(v, u)` plus the harmonic variant
-/// `H(v) = Σ 1/d(v, u)`, which is robust when the partial state has not yet
-/// connected all components.
+/// `C(v) = 1 / Σ_{u reachable} d(v, u)`.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Recombination step at which the snapshot was taken.
@@ -17,8 +15,6 @@ pub struct Snapshot {
     pub makespan_us: f64,
     /// Closeness estimate per vertex id slot (0.0 for dead/isolated slots).
     pub closeness: Vec<f64>,
-    /// Harmonic closeness estimate per vertex id slot.
-    pub harmonic: Vec<f64>,
     /// Sum of the finite non-self distance estimates per vertex id slot —
     /// the exact integer denominator behind `closeness` (0 for dead or
     /// fully-unreached slots). Bound consumers need the integer sum, not the
@@ -39,16 +35,6 @@ impl Snapshot {
     /// by lower vertex id for determinism).
     pub fn top_k(&self, k: usize) -> Vec<(VertexId, f64)> {
         top_k_by_score(&self.closeness, k)
-    }
-
-    /// The `k` vertices with the highest harmonic closeness, descending.
-    pub fn top_k_harmonic(&self, k: usize) -> Vec<(VertexId, f64)> {
-        top_k_by_score(&self.harmonic, k)
-    }
-
-    /// Rows with no pending refinement work.
-    pub fn quiescent_rows(&self) -> usize {
-        self.row_quiescent.iter().filter(|&&q| q).count()
     }
 
     /// Mean absolute closeness error against a reference (e.g. the exact
@@ -102,7 +88,6 @@ mod tests {
         Snapshot {
             rc_step: 0,
             makespan_us: 0.0,
-            harmonic: closeness.clone(),
             dist_sum: vec![0; closeness.len()],
             finite_targets: vec![0; closeness.len()],
             row_quiescent: vec![true; closeness.len()],
@@ -115,7 +100,6 @@ mod tests {
         let s = snap(vec![0.1, 0.5, 0.0, 0.5, 0.3]);
         let top = s.top_k(3);
         assert_eq!(top, vec![(1, 0.5), (3, 0.5), (4, 0.3)]);
-        assert_eq!(s.top_k_harmonic(1), vec![(1, 0.5)]);
     }
 
     #[test]
@@ -133,7 +117,6 @@ mod tests {
         for k in 0..=full.len() + 5 {
             let want = &full[..k.min(full.len())];
             assert_eq!(s.top_k(k), want, "k = {k}");
-            assert_eq!(s.top_k_harmonic(k), want, "harmonic k = {k}");
         }
     }
 
@@ -141,14 +124,6 @@ mod tests {
     fn top_k_excludes_zero_scores() {
         let s = snap(vec![0.0, 0.2]);
         assert_eq!(s.top_k(10).len(), 1);
-    }
-
-    #[test]
-    fn quiescent_rows_counts_flags() {
-        let mut s = snap(vec![0.1, 0.2, 0.3]);
-        assert_eq!(s.quiescent_rows(), 3);
-        s.row_quiescent[1] = false;
-        assert_eq!(s.quiescent_rows(), 2);
     }
 
     #[test]

@@ -44,8 +44,8 @@ pub struct EngineConfig {
     /// Seed for all randomized components.
     pub seed: u64,
     /// Execution backend: the deterministic simulator (default, the
-    /// correctness oracle) or real OS threads with the same schedule and
-    /// accounting (see `aa_runtime::backend`).
+    /// correctness oracle) or the same simulator with its per-rank stages
+    /// on OS worker threads (see `aa_runtime::Cluster::run_on_ranks`).
     pub backend: BackendKind,
     /// Worker-thread cap for the threads backend (`0` = one worker per
     /// rank). Must be 0 or 1 on the sim backend, which is strictly

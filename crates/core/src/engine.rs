@@ -51,7 +51,7 @@ pub struct AnytimeEngine {
 pub(crate) fn build_cluster(config: &EngineConfig) -> Cluster {
     #[expect(
         clippy::panic,
-        reason = "backend availability is probed at CLI/config time via threads_available; failing here is construction-time misconfiguration, same contract as the num_procs assert"
+        reason = "front-ends run BackendKind::check on the config first; failing here is construction-time misconfiguration, same contract as the num_procs assert"
     )]
     let mut cluster = Cluster::build(
         config.backend,
@@ -398,7 +398,6 @@ impl AnytimeEngine {
         let snap_span = self.span_open();
         let cap = self.world.capacity();
         let mut closeness = vec![0.0f64; cap];
-        let mut harmonic = vec![0.0f64; cap];
         let mut dist_sum = vec![0u64; cap];
         let mut finite_targets = vec![0u32; cap];
         // A slot is quiescent when its owning row has no scheduled
@@ -411,17 +410,14 @@ impl AnytimeEngine {
             let t = Stopwatch::start();
             for &v in ps.dv.vertices() {
                 let mut sum = 0u64;
-                let mut h = 0.0f64;
                 let mut finite = 0u32;
                 ps.dv.row(v).iter().enumerate().for_each(|(t_idx, d)| {
                     if t_idx != v as usize && d != INF && d > 0 {
                         sum += u64::from(d);
-                        h += 1.0 / f64::from(d);
                         finite += 1;
                     }
                 });
                 closeness[v as usize] = if sum == 0 { 0.0 } else { 1.0 / sum as f64 };
-                harmonic[v as usize] = h;
                 dist_sum[v as usize] = sum;
                 finite_targets[v as usize] = finite;
                 row_quiescent[v as usize] = !ps.dirty.contains(&v);
@@ -429,7 +425,8 @@ impl AnytimeEngine {
             self.cluster
                 .compute_measured(rank, Phase::Recombination, t.elapsed());
             if rank != 0 {
-                // 16 bytes (two f64) per owned vertex to the master.
+                // 16 bytes per owned vertex to the master: the closeness and
+                // its integer distance sum, 8 bytes each.
                 outbox[rank].push(TransferOut {
                     dst: 0,
                     bytes: 16 * ps.dv.row_count(),
@@ -442,7 +439,6 @@ impl AnytimeEngine {
             rc_step: self.rc_steps_done,
             makespan_us: self.cluster.makespan_us(),
             closeness,
-            harmonic,
             dist_sum,
             finite_targets,
             row_quiescent,

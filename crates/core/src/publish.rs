@@ -238,7 +238,8 @@ mod tests {
             if !converged {
                 assert!(f.meta.max_overestimate_bound > 0.0);
             }
-            if f.snapshot.quiescent_rows() < e.graph().vertex_count() {
+            let quiescent = f.snapshot.row_quiescent.iter().filter(|&&q| q).count();
+            if quiescent < e.graph().vertex_count() {
                 assert!(!f.meta.converged, "a dirty row forbids convergence");
                 assert!(f.meta.quiescent_row_fraction < 1.0);
             }

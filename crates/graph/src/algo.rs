@@ -137,15 +137,6 @@ pub fn closeness_from_distances(dist: &[Weight], v: VertexId) -> f64 {
     }
 }
 
-/// Harmonic closeness `H(v) = Σ_{u≠v} 1/d(v, u)`; robust to disconnection.
-pub fn harmonic_from_distances(dist: &[Weight], v: VertexId) -> f64 {
-    dist.iter()
-        .enumerate()
-        .filter(|&(u, &d)| u != v as usize && d != INF && d > 0)
-        .map(|(_, &d)| 1.0 / d as f64)
-        .sum()
-}
-
 /// Exact closeness centrality of all vertices (sequential oracle).
 pub fn exact_closeness(g: &Graph) -> Vec<f64> {
     (0..g.capacity() as VertexId)
@@ -247,19 +238,12 @@ mod tests {
     }
 
     #[test]
-    fn harmonic_handles_disconnection() {
-        let mut g = Graph::with_vertices(3);
-        g.add_edge(0, 1, 2);
-        let d = dijkstra(&g, 0);
-        let h = harmonic_from_distances(&d, 0);
-        assert!((h - 0.5).abs() < 1e-12);
-        assert_eq!(closeness_from_distances(&d, 0), 0.5);
-    }
-
-    #[test]
     fn closeness_isolated_vertex_is_zero() {
-        let g = Graph::with_vertices(3);
+        let mut g = Graph::with_vertices(3);
         let c = exact_closeness(&g);
         assert_eq!(c, vec![0.0; 3]);
+        // Beside the isolated vertex 2, vertex 0 sums only what it reaches.
+        g.add_edge(0, 1, 2);
+        assert_eq!(closeness_from_distances(&dijkstra(&g, 0), 0), 0.5);
     }
 }

@@ -5,7 +5,7 @@
 //! batch, or a snapshot — and carries both the LogP-*modeled* cost (the
 //! virtual-clock makespan delta across the span) and the *measured* compute
 //! charged inside it, plus the ledger's byte and message deltas. This subsumes the
-//! event-level `SimCluster::TraceEvent` stream: events say what each rank
+//! event-level `aa_runtime::TraceEvent` stream: events say what each rank
 //! did, spans say what each engine phase cost.
 
 use crate::json::{escape, fmt_f64, num_field, parse_flat_object, uint_field};

@@ -1,9 +1,13 @@
-//! The [`SimCluster`]: byte-accounted collectives over LogP virtual clocks.
+//! The [`Cluster`]: byte-accounted collectives over LogP virtual clocks,
+//! with per-rank stages run inline or on a scoped worker pool.
 
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
+use crate::backend::BackendKind;
 use aa_logp::{schedule, CostLedger, LogPParams, Phase, VirtualClocks};
+use aa_obs::Stopwatch;
+use std::sync::mpsc;
 use std::time::Duration;
 
 /// One outgoing transfer: destination processor, payload, and its size in
@@ -17,7 +21,7 @@ pub struct TransferOut<T> {
 }
 
 /// One recorded communication event (tracing enabled via
-/// [`SimCluster::enable_trace`]).
+/// [`Cluster::enable_trace`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Sending processor.
@@ -35,13 +39,15 @@ pub struct TraceEvent {
 /// A simulated cluster of `P` virtual processors.
 ///
 /// All methods are collectives or per-processor charges; the algorithm layer
-/// owns the per-processor state and calls these to move data/time.
+/// owns the per-processor state and calls these to move data/time. Only
+/// [`Cluster::run_on_ranks`] looks at the worker count: every collective,
+/// clock and ledger entry is the simulator's on every backend.
 ///
 /// ```
-/// use aa_runtime::{SimCluster, TransferOut};
+/// use aa_runtime::{Cluster, TransferOut};
 /// use aa_logp::{LogPParams, Phase};
 ///
-/// let mut cluster = SimCluster::new(2, LogPParams::ethernet_1gbe());
+/// let mut cluster = Cluster::new(2, LogPParams::ethernet_1gbe());
 /// let inbox = cluster.exchange(
 ///     Phase::Recombination,
 ///     vec![vec![TransferOut { dst: 1, bytes: 64, payload: "hello" }], vec![]],
@@ -50,25 +56,128 @@ pub struct TraceEvent {
 /// assert!(cluster.makespan_us() > 0.0);
 /// ```
 #[derive(Debug, Clone)]
-pub struct SimCluster {
+pub struct Cluster {
     params: LogPParams,
     clocks: VirtualClocks,
     ledger: CostLedger,
     trace: Option<Vec<TraceEvent>>,
     compute_scale: f64,
+    /// Worker lanes per rank stage, in `1..=P`; 1 runs the ranks inline.
+    workers: usize,
 }
 
-impl SimCluster {
-    /// Creates a cluster of `p` processors with the given LogP parameters.
+impl Cluster {
+    /// Creates a sequential cluster of `p` processors with the given LogP
+    /// parameters.
     pub fn new(p: usize, params: LogPParams) -> Self {
         assert!(p >= 1, "cluster needs at least one processor");
-        SimCluster {
+        Cluster {
             params,
             clocks: VirtualClocks::new(p),
             ledger: CostLedger::new(),
             trace: None,
             compute_scale: 1.0,
+            workers: 1,
         }
+    }
+
+    /// Creates a cluster of the given backend kind after
+    /// [`BackendKind::check`]. `threads` caps the threads backend's worker
+    /// lanes (`0` = one per rank; more than `p` is clamped to `p`).
+    pub fn build(
+        kind: BackendKind,
+        p: usize,
+        params: LogPParams,
+        threads: usize,
+    ) -> Result<Self, String> {
+        kind.check(threads)?;
+        let mut cluster = Cluster::new(p, params);
+        if kind == BackendKind::Threads {
+            cluster.workers = if threads == 0 { p } else { threads.min(p) };
+        }
+        Ok(cluster)
+    }
+
+    /// Runs `f` once per rank with exclusive access to that rank's state
+    /// slot, charging each rank's measured wall time to its virtual clock.
+    /// With one worker the ranks run inline, in rank order; with more they
+    /// run on scoped worker lanes (rank `r` on lane `r % workers`). Either
+    /// way results and charges merge back in rank order 0..P, so downstream
+    /// state never observes completion order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "lanes has `workers` entries and is indexed modulo it; slots has one entry per rank and every rank sent is below p"
+    )]
+    pub fn run_on_ranks<S, I, R, F>(
+        &mut self,
+        phase: Phase,
+        states: &mut [S],
+        inputs: Vec<I>,
+        f: F,
+    ) -> Vec<R>
+    where
+        S: Send,
+        I: Send,
+        R: Send,
+        F: Fn(usize, &mut S, I) -> R + Sync,
+    {
+        let p = states.len();
+        assert_eq!(inputs.len(), p, "one input per rank");
+        let workers = self.workers.min(p);
+        if workers <= 1 {
+            return states
+                .iter_mut()
+                .zip(inputs)
+                .enumerate()
+                .map(|(rank, (state, input))| {
+                    let t = Stopwatch::start();
+                    let r = f(rank, state, input);
+                    self.compute_measured(rank, phase, t.elapsed());
+                    r
+                })
+                .collect();
+        }
+        let mut lanes: Vec<Vec<(usize, &mut S, I)>> = (0..workers).map(|_| Vec::new()).collect();
+        for (rank, (state, input)) in states.iter_mut().zip(inputs).enumerate() {
+            lanes[rank % workers].push((rank, state, input));
+        }
+        let mut slots: Vec<Option<(R, Duration)>> = (0..p).map(|_| None).collect();
+        let f = &f;
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::sync_channel(workers);
+            for lane in lanes {
+                let tx = tx.clone();
+                scope.spawn(move || {
+                    for (rank, state, input) in lane {
+                        let t = Stopwatch::start();
+                        let r = f(rank, state, input);
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the coordinator drains the channel until every worker hangs up; a dead receiver is a panic already in flight"
+                        )]
+                        tx.send((rank, (r, t.elapsed())))
+                            .expect("rank-stage receiver alive until workers finish");
+                    }
+                });
+            }
+            drop(tx);
+            for (rank, out) in rx {
+                slots[rank] = Some(out);
+            }
+        });
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(rank, slot)| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every rank 0..p was assigned to exactly one lane above, so every slot is filled once the scope joins"
+                )]
+                let (r, elapsed) = slot.expect("every rank ran exactly once");
+                self.compute_measured(rank, phase, elapsed);
+                r
+            })
+            .collect()
     }
 
     /// Sets the compute calibration factor: measured wall microseconds are
@@ -247,8 +356,97 @@ impl SimCluster {
 mod tests {
     use super::*;
 
-    fn cluster(p: usize) -> SimCluster {
-        SimCluster::new(p, LogPParams::ethernet_1gbe())
+    fn cluster(p: usize) -> Cluster {
+        Cluster::new(p, LogPParams::ethernet_1gbe())
+    }
+
+    #[test]
+    fn run_on_ranks_runs_every_rank_with_exclusive_state() {
+        let mut t = Cluster::build(BackendKind::Threads, 8, LogPParams::ethernet_1gbe(), 3)
+            .expect("test host spawns threads");
+        let mut states: Vec<u64> = vec![0; 8];
+        let inputs: Vec<u64> = (0..8).collect();
+        let out = t.run_on_ranks(
+            Phase::Recombination,
+            &mut states,
+            inputs,
+            |rank, state, input| {
+                *state = input * 10;
+                rank as u64 + input
+            },
+        );
+        assert_eq!(states, (0..8).map(|r| r * 10).collect::<Vec<_>>());
+        assert_eq!(out, (0..8).map(|r| 2 * r).collect::<Vec<_>>());
+        assert!(t.makespan_us() > 0.0, "measured compute was charged");
+    }
+
+    /// Inline (1 worker), lanes multiplexed (2 < P), one lane per rank
+    /// (P) and a cap past P (clamped): the same outputs, states, rank
+    /// coverage and exchange accounting at every worker count.
+    #[test]
+    fn run_on_ranks_agrees_at_every_worker_count() {
+        const P: usize = 5;
+        let caller = std::thread::current().id();
+        let mut runs = Vec::new();
+        for workers in [1, 2, 5, 8] {
+            let mut c = Cluster::build(
+                BackendKind::Threads,
+                P,
+                LogPParams::ethernet_1gbe(),
+                workers,
+            )
+            .expect("test host spawns threads");
+            assert_eq!(c.proc_count(), P);
+            assert_eq!(c.makespan_us(), 0.0);
+            let mut states: Vec<Vec<usize>> = vec![Vec::new(); P];
+            let out = c.run_on_ranks(
+                Phase::InitialApproximation,
+                &mut states,
+                (0..P).map(|r| r * 3).collect(),
+                |rank, state, input| {
+                    state.push(rank);
+                    (rank + input, std::thread::current().id())
+                },
+            );
+            let (values, lanes): (Vec<usize>, Vec<_>) = out.into_iter().unzip();
+            if workers == 1 {
+                assert!(
+                    lanes.iter().all(|&id| id == caller),
+                    "one worker runs inline"
+                );
+            } else {
+                assert!(
+                    lanes.iter().all(|&id| id != caller),
+                    "{workers} workers run on lanes"
+                );
+                let distinct = (0..P).filter(|&r| !lanes[..r].contains(&lanes[r])).count();
+                assert_eq!(
+                    distinct,
+                    workers.min(P),
+                    "lanes in use at {workers} workers"
+                );
+            }
+            let outbox = (0..P)
+                .map(|src| {
+                    vec![TransferOut {
+                        dst: (src + 1) % P,
+                        bytes: 100 * (src + 1),
+                        payload: values[src],
+                    }]
+                })
+                .collect();
+            let inbox = c.exchange(Phase::Recombination, outbox);
+            let ledger = c.ledger().phase(Phase::Recombination);
+            runs.push((values, states, inbox, ledger.messages, ledger.bytes));
+        }
+        assert_eq!(
+            runs[0].1,
+            (0..P).map(|r| vec![r]).collect::<Vec<_>>(),
+            "each rank once"
+        );
+        for run in &runs[1..] {
+            assert_eq!(*run, runs[0]);
+        }
     }
 
     #[test]
@@ -339,7 +537,7 @@ mod tests {
             max_msg_bytes: 1024 * 1024,
         };
         let run = |params| {
-            let mut c = SimCluster::new(4, params);
+            let mut c = Cluster::new(4, params);
             let outbox = (0..4)
                 .map(|src| {
                     vec![TransferOut {

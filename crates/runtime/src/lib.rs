@@ -10,7 +10,7 @@
 //! The papers run on a 32-node MPI cluster. This runtime replaces it with a
 //! *simulated* distributed-memory machine: `P` virtual processors advance in
 //! supersteps; the algorithm layer keeps one state object per processor and
-//! moves data between them exclusively through [`SimCluster`], which charges
+//! moves data between them exclusively through [`Cluster`], which charges
 //! every transfer to per-processor LogP virtual clocks and a cost ledger.
 //! The network is reliable, as MPI's is: every transfer arrives, once.
 //!
@@ -20,18 +20,16 @@
 //! run reproducible, and yields a hardware-independent "cluster time" (the
 //! LogP makespan) that the figure reproductions report — see DESIGN.md §2.
 //!
-//! Since ISSUE 9 there are two interchangeable [`backend::Cluster`]
-//! variants: the [`SimCluster`] oracle above, and a [`ThreadCluster`] that
-//! runs per-rank work on real OS threads with bounded channels while
-//! funnelling all accounting through the same simulator core — so real
-//! wall-clock parallelism and the deterministic replay contract coexist,
-//! proven equivalent by the cross-backend differential suite (DESIGN.md
-//! §16).
+//! The [`BackendKind`] only sets how many worker lanes
+//! [`Cluster::run_on_ranks`] uses for the per-rank stages: one on the sim
+//! backend, which runs the ranks inline, and up to `P` OS threads on the
+//! threads backend. Results and measured charges merge back in rank order
+//! either way, and every collective is the simulator's, so the two
+//! backends are interchangeable, as the cross-backend differential suite
+//! checks (DESIGN.md §16).
 
-pub mod backend;
-pub mod cluster;
-pub mod threads;
+mod backend;
+mod cluster;
 
-pub use backend::{BackendKind, Cluster, ExecutionBackend};
-pub use cluster::{SimCluster, TraceEvent, TransferOut};
-pub use threads::{threads_available, ThreadCluster};
+pub use backend::{threads_available, BackendKind};
+pub use cluster::{Cluster, TraceEvent, TransferOut};

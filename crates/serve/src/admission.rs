@@ -2,34 +2,27 @@
 
 use aa_ingest::IngestConfig;
 
-/// A per-turn token bucket: `refill` tokens are added at each turn
-/// boundary, capped at `burst`; serving one request takes one token.
-/// Integer arithmetic keeps replenishment deterministic.
+/// A per-turn token bucket: each turn boundary adds the turn's refill,
+/// capped at `burst`; serving one request takes one token. Integer
+/// arithmetic keeps replenishment deterministic.
 #[derive(Debug, Clone, Copy)]
 pub struct TokenBucket {
-    refill: u32,
     burst: u32,
     tokens: u32,
 }
 
 impl TokenBucket {
     /// A bucket starting full.
-    pub fn new(refill: u32, burst: u32) -> Self {
+    pub fn new(burst: u32) -> Self {
         TokenBucket {
-            refill,
             burst,
             tokens: burst,
         }
     }
 
     /// Adds `amount` tokens, capped at the burst size.
-    pub fn refill_by(&mut self, amount: u32) {
+    pub fn refill(&mut self, amount: u32) {
         self.tokens = (self.tokens.saturating_add(amount)).min(self.burst);
-    }
-
-    /// Adds the configured per-turn refill, capped at the burst size.
-    pub fn refill(&mut self) {
-        self.refill_by(self.refill);
     }
 
     /// Takes one token if available.
@@ -84,16 +77,16 @@ mod tests {
 
     #[test]
     fn bucket_refills_to_burst_and_drains_by_one() {
-        let mut b = TokenBucket::new(2, 3);
+        let mut b = TokenBucket::new(3);
         assert_eq!(b.available(), 3);
         assert!(b.take());
         assert!(b.take());
         assert!(b.take());
         assert!(!b.take());
-        b.refill();
+        b.refill(2);
         assert_eq!(b.available(), 2);
-        b.refill();
-        b.refill();
+        b.refill(2);
+        b.refill(2);
         assert_eq!(b.available(), 3, "burst caps the refill");
     }
 

@@ -18,7 +18,7 @@ use aa_query::TopKAnswer;
 pub enum ReadKind {
     /// The `k` highest-closeness vertices, descending.
     TopK(usize),
-    /// Closeness and harmonic closeness of one vertex.
+    /// The closeness estimate of one vertex.
     Vertex(VertexId),
 }
 
@@ -34,8 +34,6 @@ pub enum ReadValue {
     Vertex {
         /// Closeness estimate (0.0 for dead/unreached slots).
         closeness: f64,
-        /// Harmonic closeness estimate.
-        harmonic: f64,
     },
 }
 

@@ -292,8 +292,8 @@ impl Server {
             "99th-percentile served read latency (virtual µs)",
         );
         Server {
-            read_tokens: TokenBucket::new(READ_TOKENS_PER_TURN, READ_BURST),
-            write_tokens: TokenBucket::new(WRITE_TOKENS_PER_TURN, WRITE_BURST),
+            read_tokens: TokenBucket::new(READ_BURST),
+            write_tokens: TokenBucket::new(WRITE_BURST),
             session,
             config,
             read_q: VecDeque::new(),
@@ -442,12 +442,12 @@ impl Server {
     pub fn turn(&mut self) -> Result<TurnReport, String> {
         let t0 = self.session.engine().makespan_us();
         self.stats.turns += 1;
-        self.read_tokens.refill();
+        self.read_tokens.refill(READ_TOKENS_PER_TURN);
         let write_refill = match self.mode {
             ServeMode::Normal => WRITE_TOKENS_PER_TURN,
             ServeMode::Degraded => WRITE_TOKENS_PER_TURN / DEGRADED_WRITE_DIVISOR,
         };
-        self.write_tokens.refill_by(write_refill);
+        self.write_tokens.refill(write_refill);
 
         let applied = self.session.apply_due()?;
         let mut rc_steps = self.session.step(STEPS_PER_TURN);
@@ -807,7 +807,6 @@ fn answer(frame: &SnapshotFrame, session: &mut Session, kind: ReadKind) -> ReadV
             let slot = v as usize;
             ReadValue::Vertex {
                 closeness: snap.closeness.get(slot).copied().unwrap_or(0.0),
-                harmonic: snap.harmonic.get(slot).copied().unwrap_or(0.0),
             }
         }
     }
