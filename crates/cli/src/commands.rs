@@ -517,10 +517,6 @@ pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
             out.push_str(&format!("  recovery note: {note}\n"));
         }
         let mut metrics = recovery.metrics;
-        metrics.set_help(
-            "aa_recovery_duration_us",
-            "Wall-clock duration of the last startup recovery",
-        );
         metrics.set_gauge(
             "aa_recovery_duration_us",
             &[],
@@ -1013,12 +1009,37 @@ mod tests {
         );
         // Second run recovers the first run's state (its final checkpoint),
         // keeps serving, and still verifies.
-        let second = serve_cmd(&ServeOpts { seed: 43, ..opts }).unwrap();
+        let metrics = dir.join("durable_metrics.json");
+        let second = serve_cmd(&ServeOpts {
+            seed: 43,
+            metrics_out: Some(metrics.clone()),
+            ..opts
+        })
+        .unwrap();
         assert!(
             second.contains("(loaded)"),
             "second run must load the first run's checkpoint:\n{second}"
         );
         assert!(second.contains("recovery verified"), "{second}");
+        // The merged registry reaches the file: one series from each layer,
+        // the recovery's own included.
+        let json = std::fs::read_to_string(&metrics).unwrap();
+        for name in [
+            "aa_rc_steps_total",
+            "aa_ingest_flushes_total",
+            "aa_wal_commits_total",
+            "aa_checkpoint_writes_total",
+            "aa_recoveries_total",
+            "aa_recovery_duration_us",
+            "aa_serve_requests_total",
+            "aa_topk_observes_total",
+        ] {
+            assert!(
+                json.contains(&format!("\"{name}\"")) || json.contains(&format!("\"{name}{{")),
+                "{name} missing from:\n{json}"
+            );
+        }
+        assert!(json.contains("\"aa_recoveries_total\": 1"), "{json}");
         let wal_files = std::fs::read_dir(&data)
             .unwrap()
             .filter_map(|e| e.ok())

@@ -301,73 +301,6 @@ impl AnytimeEngine {
     /// spans), so it always reflects the state at the call.
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
-        r.set_help("aa_phase_messages_total", "Model messages sent, by phase");
-        r.set_help("aa_phase_bytes_total", "Payload bytes moved, by phase");
-        r.set_help(
-            "aa_phase_compute_us",
-            "Virtual compute charged, by phase (µs)",
-        );
-        r.set_help("aa_rc_steps_total", "Recombination steps executed");
-        r.set_help(
-            "aa_deletion_barrier_steps_total",
-            "Recombination steps the deletion barrier ran before a deletion could apply",
-        );
-        r.set_help(
-            "aa_dynamic_settled_updates_total",
-            "Insertions that landed on a settled engine and owed recombination nothing",
-        );
-        r.set_help(
-            "aa_rc_full_rows_sent_total",
-            "Boundary-row sends that carried the whole row",
-        );
-        r.set_help(
-            "aa_rc_delta_rows_sent_total",
-            "Boundary-row sends that carried only the entries lowered since the row's last send",
-        );
-        r.set_help(
-            "aa_rc_delta_entries_sent_total",
-            "(column, value) pairs carried by delta sends",
-        );
-        r.set_help(
-            "aa_rc_delta_buffer_bytes_max",
-            "Most delta buffer bytes one recombination step held, each buffer shared by a row's destinations counted once",
-        );
-        r.set_help(
-            "aa_invalidation_rows_examined_total",
-            "Owned rows a deletion asked whether it can have changed them",
-        );
-        r.set_help(
-            "aa_invalidation_rows_reset_total",
-            "Owned rows in which a deletion reset at least one entry",
-        );
-        r.set_help(
-            "aa_invalidation_entries_reset_total",
-            "Distance entries a deletion reset to INF",
-        );
-        r.set_help(
-            "aa_invalidation_candidate_columns_total",
-            "Candidate-column entries edge deletions tested in the rows a deleted edge was tight for",
-        );
-        r.set_help("aa_makespan_us", "LogP virtual cluster time (µs)");
-        r.set_help("aa_dirty_rows", "Rows scheduled for the next exchange");
-        r.set_help(
-            "aa_converged",
-            "1 when the last RC step reported convergence",
-        );
-        r.set_help("aa_graph_vertices", "Live vertices in the world graph");
-        r.set_help("aa_graph_edges", "Edges in the world graph");
-        r.set_help(
-            "aa_snapshot_publications_total",
-            "Snapshot frame publications, by kind (fresh rebuild vs reused Arc)",
-        );
-        r.set_help(
-            "aa_rc_step_bytes",
-            "Payload bytes per recombination step (from spans)",
-        );
-        r.set_help(
-            "aa_rc_step_span_us",
-            "Modeled duration per recombination step (from spans, µs)",
-        );
 
         let ledger = self.cluster.ledger();
         for phase in aa_logp::Phase::ALL {
@@ -540,9 +473,10 @@ mod tests {
         assert!(r.counter_value("aa_phase_bytes_total", &[("phase", "recombination")]) > 0);
         assert_eq!(r.gauge_value("aa_converged", &[]), Some(1.0));
         assert_eq!(r.gauge_value("aa_dirty_rows", &[]), Some(0.0));
-        let prom = r.to_prometheus_text();
-        assert!(prom.contains("aa_rc_step_bytes_bucket"));
-        assert!(prom.contains("# TYPE aa_rc_steps_total counter"));
+        let Some(aa_obs::MetricValue::Histogram(h)) = r.get("aa_rc_step_bytes", &[]) else {
+            panic!("aa_rc_step_bytes histogram missing");
+        };
+        assert!(h.count > 0);
     }
 
     #[test]

@@ -220,35 +220,6 @@ pub fn recover(
         .map_err(|e| format!("final replay flush: {e}"))?;
 
     let mut metrics = MetricsRegistry::new();
-    metrics.set_help("aa_recoveries_total", "Recovery runs completed");
-    metrics.set_help(
-        "aa_wal_replayed_records_total",
-        "WAL records replayed at recovery",
-    );
-    metrics.set_help(
-        "aa_wal_replay_skipped_total",
-        "Records already covered by the checkpoint",
-    );
-    metrics.set_help(
-        "aa_wal_uncommitted_records_total",
-        "Well-formed records dropped for lack of a commit marker",
-    );
-    metrics.set_help(
-        "aa_wal_quarantined_frames_total",
-        "Torn/corrupt WAL frame regions quarantined",
-    );
-    metrics.set_help(
-        "aa_wal_quarantined_bytes_total",
-        "Bytes inside quarantined WAL regions",
-    );
-    metrics.set_help(
-        "aa_checkpoint_quarantined_total",
-        "Checkpoint files that failed validation",
-    );
-    metrics.set_help(
-        "aa_recovery_checkpoint_seq",
-        "Covered seq of the checkpoint recovery used",
-    );
     metrics.inc_counter("aa_recoveries_total", &[], 1);
     metrics.inc_counter(
         "aa_wal_replayed_records_total",

@@ -108,40 +108,10 @@ impl DurableLog {
         config: DurabilityConfig,
     ) -> io::Result<DurableLog> {
         let wal = WalWriter::open(storage, next_seq)?;
-        let mut metrics = MetricsRegistry::new();
-        metrics.set_help("aa_wal_appends_total", "WAL records appended (buffered)");
-        metrics.set_help("aa_wal_commits_total", "WAL group commits by outcome");
-        metrics.set_help("aa_wal_bytes_total", "Bytes made durable via WAL commits");
-        metrics.set_help("aa_wal_fsyncs_total", "fsync calls issued by WAL commits");
-        metrics.set_help(
-            "aa_wal_records_aborted_total",
-            "Records discarded by failed commits",
-        );
-        metrics.set_help("aa_wal_rotations_total", "WAL segment rotations by outcome");
-        metrics.set_help(
-            "aa_wal_segments_deleted_total",
-            "WAL segments removed by compaction",
-        );
-        metrics.set_help(
-            "aa_checkpoint_writes_total",
-            "Durable checkpoint writes by outcome",
-        );
-        metrics.set_help(
-            "aa_checkpoint_bytes_total",
-            "Bytes written to durable checkpoints",
-        );
-        metrics.set_help(
-            "aa_checkpoints_deleted_total",
-            "Old checkpoints removed by compaction",
-        );
-        metrics.set_help(
-            "aa_wal_committed_seq",
-            "Highest durable WAL sequence number",
-        );
         Ok(DurableLog {
             wal,
             config,
-            metrics,
+            metrics: MetricsRegistry::new(),
         })
     }
 

@@ -503,25 +503,20 @@ impl WalWriter {
         // resurrect records whose commit — and therefore whose ack — never
         // happened.
         batch.extend_from_slice(&encode_commit(self.next_seq - 1));
-        let count = self.pending_count;
         self.pending_count = 0;
+        // On failure the discarded records' sequence numbers stay burned:
+        // monotonic, not contiguous, is the log invariant.
         if let Err(e) = storage.append(&self.active, &batch) {
-            self.poison(count);
+            self.poisoned = true;
             return Err(e);
         }
         if let Err(e) = storage.sync(&self.active) {
-            self.poison(count);
+            self.poisoned = true;
             return Err(e);
         }
         self.active_bytes += batch.len() as u64;
         self.committed = self.next_seq - 1;
         Ok(self.committed)
-    }
-
-    fn poison(&mut self, _burned: u64) {
-        // Sequence numbers of the discarded records stay burned: monotonic,
-        // not contiguous, is the log invariant.
-        self.poisoned = true;
     }
 
     fn discard_pending(&mut self) {

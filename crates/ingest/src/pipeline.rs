@@ -146,36 +146,11 @@ impl IngestPipeline {
         config.policy.validate()?;
         let queue = IngestQueue::new(config.queue_cap, config.high_watermark)?;
         let mut metrics = MetricsRegistry::new();
-        metrics.set_help(
-            "aa_ingest_ops_total",
-            "Ops pushed into the ingest pipeline, by admission outcome",
-        );
-        metrics.set_help(
-            "aa_ingest_flushes_total",
-            "Coalesced batch flushes, by drain trigger",
-        );
-        metrics.set_help(
-            "aa_ingest_applied_total",
-            "Materialized engine operations, by kind",
-        );
-        metrics.set_help(
-            "aa_ingest_queue_depth",
-            "Raw ops buffered since the last flush",
-        );
-        metrics.set_help(
-            "aa_ingest_coalesce_ratio",
-            "Fraction of drained raw ops absorbed by coalescing",
-        );
-        metrics.set_help("aa_ingest_batch_size", "Raw ops drained per flush");
         metrics.declare_histogram(
             "aa_ingest_batch_size",
             &[
                 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
             ],
-        );
-        metrics.set_help(
-            "aa_ingest_apply_latency_us",
-            "End-to-end enqueue-to-applied latency in LogP virtual microseconds",
         );
         metrics.declare_histogram(
             "aa_ingest_apply_latency_us",

@@ -11,8 +11,8 @@
 //!
 //! * [`registry`] — a typed metrics registry: monotone counters, gauges and
 //!   fixed-bucket histograms, each addressed by a name plus a sorted label
-//!   set. Exports as a human table, machine JSON and Prometheus-style text,
-//!   all with stable ordering so outputs can be golden-file tested.
+//!   set. Exports as JSON with stable ordering, so the output can be
+//!   golden-file tested.
 //! * [`trace`] — span-style phase tracing: one [`trace::SpanRecord`] per
 //!   engine activity (domain decomposition, initial approximation, each
 //!   recombination step, dynamic updates, snapshots) carrying the

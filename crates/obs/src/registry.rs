@@ -1,8 +1,8 @@
 //! Typed metrics registry: counters, gauges and fixed-bucket histograms with
-//! labels, exported as a human table, machine JSON and Prometheus-style text.
+//! labels, exported as JSON.
 //!
-//! All storage is `BTreeMap`-backed so every export walks metrics in a fixed
-//! (name, labels) order — outputs are byte-stable and golden-file testable.
+//! All storage is `BTreeMap`-backed so the export walks metrics in a fixed
+//! (name, labels) order — the JSON is byte-stable and golden-file testable.
 //! Nothing in here reads a clock or an RNG; values only change when a caller
 //! records them.
 
@@ -99,7 +99,6 @@ pub enum MetricValue {
 /// The registry. Cheap to create; every engine run gets a fresh one.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    help: BTreeMap<String, String>,
     hist_bounds: BTreeMap<String, Vec<f64>>,
     metrics: BTreeMap<MetricKey, MetricValue>,
 }
@@ -108,12 +107,6 @@ impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Attaches help text to a metric name (shown in table and Prometheus
-    /// exports).
-    pub fn set_help(&mut self, name: &str, help: &str) {
-        self.help.insert(name.to_string(), help.to_string());
     }
 
     /// Increments a counter, creating it at zero first if absent. A key
@@ -159,7 +152,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Looks up a metric value (tests and the table renderer use this).
+    /// Looks up a metric value.
     pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
         self.metrics.get(&MetricKey::new(name, labels))
     }
@@ -180,16 +173,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Iterates all metrics in stable (name, labels) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&MetricKey, &MetricValue)> {
-        self.metrics.iter()
-    }
-
-    /// Number of recorded series.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
     /// Whether the registry holds no series.
     pub fn is_empty(&self) -> bool {
         self.metrics.is_empty()
@@ -199,11 +182,6 @@ impl MetricsRegistry {
     /// other side's value, histograms merge bucket-wise when bounds match
     /// (and are replaced otherwise).
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, help) in &other.help {
-            self.help
-                .entry(name.clone())
-                .or_insert_with(|| help.clone());
-        }
         for (name, bounds) in &other.hist_bounds {
             self.hist_bounds
                 .entry(name.clone())
@@ -272,111 +250,6 @@ impl MetricsRegistry {
         out.push_str("\n}\n");
         out
     }
-
-    /// Prometheus-style text exposition: `# HELP` / `# TYPE` headers per
-    /// metric name, then one sample line per series; histograms expand to
-    /// `_bucket{le=...}` / `_sum` / `_count` lines.
-    pub fn to_prometheus_text(&self) -> String {
-        let mut out = String::new();
-        let mut last_name = "";
-        for (key, value) in &self.metrics {
-            if key.name != last_name {
-                if let Some(help) = self.help.get(&key.name) {
-                    let _ = writeln!(out, "# HELP {} {}", key.name, help);
-                }
-                let kind = match value {
-                    MetricValue::Counter(_) => "counter",
-                    MetricValue::Gauge(_) => "gauge",
-                    MetricValue::Histogram(_) => "histogram",
-                };
-                let _ = writeln!(out, "# TYPE {} {}", key.name, kind);
-                last_name = &key.name;
-            }
-            match value {
-                MetricValue::Counter(c) => {
-                    let _ = writeln!(out, "{} {}", key.render(), c);
-                }
-                MetricValue::Gauge(g) => {
-                    let _ = writeln!(out, "{} {}", key.render(), fmt_f64(*g));
-                }
-                MetricValue::Histogram(h) => {
-                    let mut cumulative = 0u64;
-                    for (bound, count) in h.bounds.iter().zip(&h.counts) {
-                        cumulative += count;
-                        let _ = writeln!(
-                            out,
-                            "{} {}",
-                            bucket_series(key, &fmt_f64(*bound)),
-                            cumulative
-                        );
-                    }
-                    let _ = writeln!(out, "{} {}", bucket_series(key, "+Inf"), h.count);
-                    let _ = writeln!(
-                        out,
-                        "{}_sum{} {}",
-                        key.name,
-                        label_block(key),
-                        fmt_f64(h.sum)
-                    );
-                    let _ = writeln!(out, "{}_count{} {}", key.name, label_block(key), h.count);
-                }
-            }
-        }
-        out
-    }
-
-    /// Human-readable table: one row per series, aligned columns.
-    pub fn render_table(&self) -> String {
-        let mut rows: Vec<(String, String)> = Vec::new();
-        for (key, value) in &self.metrics {
-            let rendered = match value {
-                MetricValue::Counter(c) => c.to_string(),
-                MetricValue::Gauge(g) => fmt_f64(*g),
-                MetricValue::Histogram(h) => {
-                    let mean = if h.count > 0 {
-                        h.sum / h.count as f64
-                    } else {
-                        0.0
-                    };
-                    format!(
-                        "count={} sum={} mean={}",
-                        h.count,
-                        fmt_f64(h.sum),
-                        fmt_f64(mean)
-                    )
-                }
-            };
-            rows.push((key.render(), rendered));
-        }
-        let width = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-        let mut out = String::new();
-        for (k, v) in rows {
-            let _ = writeln!(out, "{k:width$}  {v}");
-        }
-        out
-    }
-}
-
-fn label_block(key: &MetricKey) -> String {
-    if key.labels.is_empty() {
-        return String::new();
-    }
-    let inner: Vec<String> = key
-        .labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape(v)))
-        .collect();
-    format!("{{{}}}", inner.join(","))
-}
-
-fn bucket_series(key: &MetricKey, le: &str) -> String {
-    let mut labels: Vec<String> = key
-        .labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape(v)))
-        .collect();
-    labels.push(format!("le=\"{le}\""));
-    format!("{}_bucket{{{}}}", key.name, labels.join(","))
 }
 
 #[cfg(test)]
@@ -385,7 +258,6 @@ mod tests {
 
     fn sample() -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
-        r.set_help("aa_rc_steps_total", "Recombination steps executed");
         r.inc_counter("aa_rc_steps_total", &[], 3);
         r.inc_counter("aa_phase_bytes_total", &[("phase", "recombination")], 100);
         r.inc_counter(
@@ -450,19 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_text_has_headers_and_cumulative_buckets() {
-        let text = sample().to_prometheus_text();
-        assert!(text.contains("# HELP aa_rc_steps_total Recombination steps executed"));
-        assert!(text.contains("# TYPE aa_phase_bytes_total counter"));
-        assert!(text.contains("aa_phase_bytes_total{phase=\"recombination\"} 100"));
-        assert!(text.contains("aa_rc_step_bytes_bucket{le=\"10\"} 1"));
-        assert!(text.contains("aa_rc_step_bytes_bucket{le=\"100\"} 2"));
-        assert!(text.contains("aa_rc_step_bytes_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("aa_rc_step_bytes_sum 555"));
-        assert!(text.contains("aa_rc_step_bytes_count 3"));
-    }
-
-    #[test]
     fn merge_adds_counters_and_buckets() {
         let mut a = sample();
         let b = sample();
@@ -473,13 +332,5 @@ mod tests {
         };
         assert_eq!(h.counts, vec![2, 2, 2]);
         assert_eq!(a.gauge_value("aa_dirty_rows", &[]), Some(2.0));
-    }
-
-    #[test]
-    fn table_renders_every_series() {
-        let table = sample().render_table();
-        assert_eq!(table.lines().count(), sample().len());
-        assert!(table.contains("aa_rc_step_bytes"));
-        assert!(table.contains("count=3 sum=555 mean=185"));
     }
 }

@@ -254,42 +254,9 @@ impl Server {
         // bounds behind it.
         session.publish();
         let mut metrics = MetricsRegistry::new();
-        metrics.set_help(
-            "aa_serve_requests_total",
-            "Requests by class and admission/resolution outcome",
-        );
-        metrics.set_help(
-            "aa_serve_read_latency_us",
-            "Submit-to-serve read latency in LogP virtual microseconds",
-        );
         metrics.declare_histogram(
             "aa_serve_read_latency_us",
             &[10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8],
-        );
-        metrics.set_help(
-            "aa_serve_read_queue_depth",
-            "Admitted reads awaiting service",
-        );
-        metrics.set_help("aa_serve_mode", "Serving mode (0 = normal, 1 = degraded)");
-        metrics.set_help(
-            "aa_serve_degraded_turns_total",
-            "Turns spent in degraded mode",
-        );
-        metrics.set_help(
-            "aa_serve_degraded_entries_total",
-            "Transitions into degraded mode",
-        );
-        metrics.set_help(
-            "aa_serve_settle_steps_total",
-            "RC steps turns that applied a deletion ran past STEPS_PER_TURN",
-        );
-        metrics.set_help(
-            "aa_serve_read_latency_p50_us",
-            "Median served read latency (virtual µs)",
-        );
-        metrics.set_help(
-            "aa_serve_read_latency_p99_us",
-            "99th-percentile served read latency (virtual µs)",
         );
         Server {
             read_tokens: TokenBucket::new(READ_BURST),
