@@ -24,6 +24,7 @@
 //! pairs.
 
 use crate::config::EngineConfig;
+use crate::dv::DistanceMatrix;
 use crate::engine::AnytimeEngine;
 use crate::proc_state::ProcState;
 use aa_graph::{Graph, VertexId, Weight, INF};
@@ -286,35 +287,50 @@ impl AnytimeEngine {
             .validate(&world)
             .map_err(|e| bad(&format!("invalid partition: {e}")))?;
 
-        // Processor states with restored rows, as wide as the graph needs.
-        let max_weight = crate::engine::max_weight(&world);
-        let mut states = Vec::with_capacity(procs);
+        // The rows of every processor, still as bytes: the narrowest width
+        // that holds the largest finite entry holds them all.
+        fn entries(bytes: &[u8]) -> impl Iterator<Item = Weight> + '_ {
+            let chunks = bytes.chunks_exact(4);
+            chunks.map(|d| d.try_into().map_or(INF, Weight::from_le_bytes))
+        }
+        let mut blobs = Vec::with_capacity(procs);
+        let mut seen = vec![false; cap];
+        let mut largest = 0;
         for rank in 0..procs {
-            let mut ps = ProcState::new(rank, cap, max_weight);
-            ps.rebuild_view(&world, &partition);
             let rows = read_u64(r)? as usize;
+            let mut blob = Vec::with_capacity(rows.min(cap));
             for _ in 0..rows {
                 let v = read_u32(r)?;
                 if partition.part_of(v) != Some(rank) {
                     return Err(bad("row owned by the wrong processor"));
                 }
-                if ps.dv.has_row(v) {
+                if std::mem::replace(&mut seen[v as usize], true) {
                     return Err(bad("row listed twice"));
                 }
                 let len = read_u64(r)? as usize;
                 if len > cap {
                     return Err(bad("row longer than the graph"));
                 }
-                let mut row = Vec::with_capacity(len);
-                for _ in 0..len {
-                    row.push(read_u32(r)? as Weight);
-                }
-                // A narrow row stores an entry past its INF as INF. Under
-                // the bound every true distance lies below that, so such an
-                // entry is a stale overestimate, and the all-columns logs of
-                // an unconverged checkpoint's rows relax it again (a
-                // converged one holds none).
-                ps.dv.insert_row(v, row);
+                let (bytes, rest) = r
+                    .split_at_checked(4 * len)
+                    .ok_or_else(|| bad("row past the body"))?;
+                *r = rest;
+                let finite = entries(bytes).filter(|&d| d != INF);
+                largest = finite.fold(largest, Weight::max);
+                blob.push((v, bytes));
+            }
+            blobs.push(blob);
+        }
+        if !r.is_empty() {
+            return Err(bad("checkpoint has trailing bytes"));
+        }
+        let mut states = Vec::with_capacity(procs);
+        for (rank, blob) in blobs.into_iter().enumerate() {
+            let mut ps = ProcState::new(rank, cap);
+            ps.dv = DistanceMatrix::holding(cap, largest);
+            ps.rebuild_view(&world, &partition);
+            for (v, bytes) in blob {
+                ps.dv.insert_row(v, entries(bytes).collect::<Vec<Weight>>());
                 ps.dirty.insert(v);
             }
             if converged {
@@ -325,9 +341,6 @@ impl AnytimeEngine {
                 ps.dv.clear_logs();
             }
             states.push(ps);
-        }
-        if !r.is_empty() {
-            return Err(bad("checkpoint has trailing bytes"));
         }
 
         let cluster = crate::engine::build_cluster(&config);
@@ -342,7 +355,6 @@ impl AnytimeEngine {
             initialized: true,
             rr_cursor,
             invalidation_epoch: 0,
-            max_weight,
             obs: crate::obs::EngineObs::default(),
         };
         engine
@@ -425,9 +437,10 @@ mod tests {
     }
 
     /// An engine widened by a heavy edge whose weight then came back down,
-    /// saved before it reconverged: restore sizes the rows from the graph,
-    /// so they come back 16 bits wide, and an entry past the narrow bound
-    /// still relaxes to the exact distance.
+    /// saved before it reconverged: restore sizes the rows from the largest
+    /// distance the checkpoint holds, so they come back 32 bits wide, and
+    /// the stale entry past 16 bits relaxes to the exact distance. Saved
+    /// again once exact, they come back 8 bits wide.
     #[test]
     fn a_wide_engine_saved_back_under_the_bound_restores_narrow_and_exact() {
         // A ring of 24 with a pendant vertex behind a bridge.
@@ -445,7 +458,7 @@ mod tests {
         assert!(e.change_edge_weight(5, pendant, 1_000_000));
         e.run_to_convergence(256);
         assert!(e.change_edge_weight(5, pendant, 2));
-        assert!(!e.is_converged() && e.procs.iter().all(|ps| !ps.dv.is_narrow()));
+        assert!(!e.is_converged() && e.procs.iter().all(|ps| ps.dv.bits() == 32));
         // Lowering the bridge relaxes every entry it shortens at once, so a
         // raw write stands in for a row that has not caught up yet: its
         // distance to the pendant still runs over the heavy bridge.
@@ -456,8 +469,9 @@ mod tests {
         assert_eq!(e.distances_dense()[x as usize][pendant as usize], via_heavy);
         let mut buf = Vec::new();
         e.save_checkpoint(&mut buf).unwrap();
-        let mut restored = AnytimeEngine::restore_checkpoint(&mut buf.as_slice(), config).unwrap();
-        assert!(restored.procs.iter().all(|ps| ps.dv.is_narrow()));
+        let restore = |buf: &[u8]| AnytimeEngine::restore_checkpoint(&mut &buf[..], config.clone());
+        let mut restored = restore(&buf).unwrap();
+        assert!(restored.procs.iter().all(|ps| ps.dv.bits() == 32));
         restored.run_to_convergence(256);
         assert!(restored.is_converged());
         let dense = restored.distances_dense();
@@ -465,6 +479,11 @@ mod tests {
         for v in restored.graph().vertices() {
             assert_eq!(dense[v as usize], oracle[v as usize], "row {v}");
         }
+        buf.clear();
+        restored.save_checkpoint(&mut buf).unwrap();
+        let narrow = restore(&buf).unwrap();
+        assert!(narrow.procs.iter().all(|ps| ps.dv.bits() == 8));
+        assert_eq!(narrow.distances_dense(), dense);
     }
 
     #[test]

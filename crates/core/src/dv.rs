@@ -9,16 +9,21 @@
 //! is the anytime property's backbone. Columns grow when vertices are added,
 //! and whole rows migrate between processors during repartitioning.
 //!
-//! Rows are stored 16 bits wide, with `u16::MAX` as `INF`, whenever every
-//! shortest path of the graph fits: `(capacity − 1) · w_max < 0xFFFF`, a
-//! simple path having at most `capacity − 1` edges of at most the largest
-//! weight ever added. Otherwise they are `u32`, as `Weight` is everywhere
-//! outside this module. Under the bound the narrow kernels saturate at
-//! `u16::MAX`, and that is exact: every true distance lies below it, so a
-//! candidate that saturates is an overestimate, which lowers nothing — as
-//! `INF + w` lowers nothing at `u32`. A graph that outgrows the bound (more
-//! id slots, or a heavier edge) widens every row before the change applies
-//! (`DistanceMatrix::widen_for`); rows never narrow again.
+//! Rows are as narrow as the distances they hold: an engine's matrices start
+//! at 8 bits, with `u8::MAX` as `INF`, and widen one step at a time — to 16
+//! bits, then to `u32`, as `Weight` is everywhere outside this module. No
+//! write stores a finite distance at or past its width's `INF`: a relaxation
+//! whose candidate saturates from a finite source onto an `INF` entry, a
+//! lowering write, a row converted to the width (`insert_row`) or an offset
+//! the width cannot hold leaves the entry `INF` — an upper bound, so every
+//! estimate stays sound — and sets the matrix's **overflow flag**. (Onto a
+//! finite entry nothing is lost: it lies below every distance the width
+//! cannot hold.) The engine reads the flags after every call that writes
+//! rows and, if any rank raised one, widens every rank
+//! ([`DistanceMatrix::widen`]) and marks every row all-columns in both logs,
+//! so recombination re-derives what was withheld. Rows never narrow again.
+//! At `u32` nothing is guarded: a candidate that saturates at `u32::MAX` is
+//! `INF`, as it always was.
 //!
 //! Column growth is the papers' amortized argument with ratio `1 + 1/16` in
 //! place of 2 (`grow`): a row of `n` columns carries fewer than `n/16 + 64`
@@ -71,93 +76,104 @@ use aa_graph::{VertexId, Weight, INF};
 /// kernel recombination runs, without the change-log bookkeeping.
 #[inline]
 pub fn relax_row(dst: &mut [Weight], src: &[Weight], offset: Weight) -> bool {
-    relax_chunks(dst, src, offset, |_, _| {})
+    relax_chunks(dst, src, offset, &mut false, |_, _| {})
 }
 
 /// Columns per change-log word.
 const WORD: usize = u64::BITS as usize;
 
-/// Whether every shortest path of a graph with `cols` id slots and no edge
-/// heavier than `max_weight` fits a 16-bit row (see the module docs).
-fn fits_narrow(cols: usize, max_weight: Weight) -> bool {
-    let edges = u64::try_from(cols.saturating_sub(1)).unwrap_or(u64::MAX);
-    edges.saturating_mul(u64::from(max_weight)) < u64::from(u16::MAX)
-}
-
-/// One distance as a row stores it: a `Weight`, or 16 bits with `u16::MAX`
-/// as `INF` (see the module docs).
-trait Cell: Copy + Ord + 'static {
+/// One distance as a row stores it: 8, 16 or 32 bits, the type's `MAX` as
+/// `INF` (see the module docs).
+trait Cell: Copy + Ord + Into<Weight> + 'static {
     const INF: Self;
+    /// Bits per cell.
+    const BITS: u32;
+    /// Whether a finite distance can be past what the width holds: every
+    /// width but `u32`'s.
+    const GUARDED: bool = Self::BITS < Weight::BITS;
     /// `d` at this width; a `d` past what it holds is `INF`.
     fn of(d: Weight) -> Self;
     /// The cell as a `Weight`.
     fn weight(self) -> Weight;
     /// `self + offset`, saturating at `INF`.
     fn plus(self, offset: Self) -> Self;
+    /// `self + 1`, wrapping: `INF` to 0.
+    fn succ(self) -> Self;
     /// The row's cells, if it is stored at this width.
     fn cells(row: Row<'_>) -> Option<&[Self]>;
-    /// The row at this width: moved if it is stored at it already.
-    fn owned(row: RowBuf) -> Vec<Self>;
+    /// The row's buffer, if it is stored at this width; else the row.
+    fn buffer(row: RowBuf) -> Result<Vec<Self>, RowBuf>;
 }
 
-impl Cell for Weight {
-    const INF: Self = INF;
-    fn of(d: Weight) -> Self {
-        d
-    }
-    fn weight(self) -> Weight {
-        self
-    }
-    fn plus(self, offset: Self) -> Self {
-        self.saturating_add(offset)
-    }
-    fn cells(row: Row<'_>) -> Option<&[Self]> {
-        match row.0 {
-            Width::Wide(cells) => Some(cells),
-            Width::Narrow(_) => None,
+macro_rules! cell {
+    ($t:ty, $width:ident) => {
+        impl Cell for $t {
+            const INF: Self = <$t>::MAX;
+            const BITS: u32 = <$t>::BITS;
+            fn of(d: Weight) -> Self {
+                <$t>::try_from(d).unwrap_or(Self::INF)
+            }
+            fn weight(self) -> Weight {
+                match self {
+                    Self::INF => INF,
+                    d => Weight::from(d),
+                }
+            }
+            fn plus(self, offset: Self) -> Self {
+                self.saturating_add(offset)
+            }
+            fn succ(self) -> Self {
+                self.wrapping_add(1)
+            }
+            fn cells(row: Row<'_>) -> Option<&[Self]> {
+                match row.0 {
+                    Width::$width(cells) => Some(cells),
+                    _ => None,
+                }
+            }
+            fn buffer(row: RowBuf) -> Result<Vec<Self>, RowBuf> {
+                match row.0 {
+                    Width::$width(cells) => Ok(cells),
+                    other => Err(RowBuf(other)),
+                }
+            }
         }
-    }
-    fn owned(row: RowBuf) -> Vec<Self> {
-        match row.0 {
-            Width::Wide(cells) => cells,
-            Width::Narrow(cells) => cells.iter().map(|&d| d.weight()).collect(),
-        }
-    }
+    };
+}
+cell!(u8, U8);
+cell!(u16, U16);
+cell!(u32, U32);
+
+/// Whether storing the distance `d` as `cell` withholds it: `d` is finite
+/// and the width has no room for it.
+#[inline(always)]
+fn withheld<C: Cell>(d: Weight, cell: C) -> bool {
+    C::GUARDED & (d != INF) & (cell == C::INF)
 }
 
-impl Cell for u16 {
-    const INF: Self = u16::MAX;
-    fn of(d: Weight) -> Self {
-        u16::try_from(d).unwrap_or(u16::MAX)
-    }
-    fn weight(self) -> Weight {
-        match self {
-            u16::MAX => INF,
-            d => Weight::from(d),
-        }
-    }
-    fn plus(self, offset: Self) -> Self {
-        self.saturating_add(offset)
-    }
-    fn cells(row: Row<'_>) -> Option<&[Self]> {
-        match row.0 {
-            Width::Narrow(cells) => Some(cells),
-            Width::Wide(_) => None,
-        }
-    }
-    fn owned(row: RowBuf) -> Vec<Self> {
-        match row.0 {
-            Width::Narrow(cells) => cells,
-            Width::Wide(cells) => cells.iter().map(|&d| u16::of(d)).collect(),
-        }
-    }
+/// Whether relaxing entry `d` through the cell `s` to `cand = s + offset`
+/// withholds a distance: `cand` saturated from a finite `s` at a narrow
+/// `INF`, onto an `INF` entry.
+#[inline(always)]
+fn spills<C: Cell>(s: C, cand: C, d: C) -> bool {
+    C::GUARDED & (s != C::INF) & (cand == C::INF) & (d == C::INF)
 }
 
-/// One row, or the whole row table, at one of the two widths.
+/// Whether a finite entry of `src` plus `offset` is past what the width
+/// holds: the only way a relaxation through `src` can withhold a distance.
+/// One pass that vectorizes, `INF + 1` wrapping to 0.
+fn saturates<C: Cell>(src: &[C], offset: C) -> bool {
+    let top = src.iter().fold(C::of(0), |top, &s| top.max(s.succ()));
+    let (top, offset, inf): (Weight, Weight, Weight) = (top.into(), offset.into(), C::INF.into());
+    C::GUARDED && top > 0 && top + offset > inf
+}
+
+/// One row, or the whole row table, at one of the three widths.
 #[derive(Debug, Clone, Copy)]
-enum Width<N, W> {
-    Narrow(N),
-    Wide(W),
+enum Width<A, B, C> {
+    U8(A),
+    U16(B),
+    U32(C),
 }
 
 /// Runs `$body` with `$bind` bound to what `$value` holds at its width: the
@@ -165,8 +181,9 @@ enum Width<N, W> {
 macro_rules! by_width {
     ($value:expr, $bind:ident => $body:expr) => {
         match $value {
-            Width::Narrow($bind) => $body,
-            Width::Wide($bind) => $body,
+            Width::U8($bind) => $body,
+            Width::U16($bind) => $body,
+            Width::U32($bind) => $body,
         }
     };
 }
@@ -175,15 +192,30 @@ macro_rules! by_width {
 macro_rules! map_width {
     ($value:expr, $bind:ident => $body:expr) => {
         match $value {
-            Width::Narrow($bind) => Width::Narrow($body),
-            Width::Wide($bind) => Width::Wide($body),
+            Width::U8($bind) => Width::U8($body),
+            Width::U16($bind) => Width::U16($body),
+            Width::U32($bind) => Width::U32($body),
         }
     };
 }
 
+/// The row at `C`'s width: moved if it is stored at it already. A finite
+/// entry the width cannot hold is stored as `INF` and sets `lost`.
+fn owned<C: Cell>(row: RowBuf, lost: &mut bool) -> Vec<C> {
+    fn convert<S: Cell, C: Cell>(cells: &[S], lost: &mut bool) -> Vec<C> {
+        let cell = |&d: &S| {
+            let cell = C::of(d.weight());
+            *lost |= withheld(d.weight(), cell);
+            cell
+        };
+        cells.iter().map(cell).collect()
+    }
+    C::buffer(row).unwrap_or_else(|row| by_width!(row.0, cells => convert(&cells, lost)))
+}
+
 /// One distance row, read as `Weight`s whatever width it is stored at.
 #[derive(Debug, Clone, Copy)]
-pub struct Row<'a>(Width<&'a [u16], &'a [Weight]>);
+pub struct Row<'a>(Width<&'a [u8], &'a [u16], &'a [Weight]>);
 
 impl<'a> Row<'a> {
     /// Number of columns.
@@ -204,12 +236,32 @@ impl<'a> Row<'a> {
     /// The entries in column order. Folding over them (`fold`, `for_each`,
     /// `try_for_each`) runs one loop over the stored width.
     pub fn iter(self) -> impl Iterator<Item = Weight> + 'a {
-        let (narrow, wide) = match self.0 {
-            Width::Narrow(cells) => (cells, &[][..]),
-            Width::Wide(cells) => (&[][..], cells),
+        let (bytes, narrow, wide) = match self.0 {
+            Width::U8(cells) => (cells, &[][..], &[][..]),
+            Width::U16(cells) => (&[][..], cells, &[][..]),
+            Width::U32(cells) => (&[][..], &[][..], cells),
         };
+        let bytes = bytes.iter().map(|&d| d.weight());
         let narrow = narrow.iter().map(|&d| d.weight());
-        narrow.chain(wide.iter().copied())
+        bytes.chain(narrow).chain(wide.iter().copied())
+    }
+
+    /// The sum of the row's finite entries outside column `skip`, and how
+    /// many of them are above 0: a vertex's distance sum and how many
+    /// vertices it reaches. One loop at the stored width.
+    pub fn reach(self, skip: usize) -> (u64, u32) {
+        fn reach<C: Cell>(cells: &[C]) -> (u64, u32) {
+            cells.iter().fold((0, 0), |(sum, n), &d| {
+                let counted = d != C::INF && d != C::of(0);
+                let d: Weight = if counted { d.into() } else { 0 };
+                (sum + u64::from(d), n + u32::from(counted))
+            })
+        }
+        let (sum, n) = by_width!(self.0, cells => reach(cells));
+        match self.get(skip) {
+            Some(d) if d != INF && d > 0 => (sum - u64::from(d), n - 1),
+            _ => (sum, n),
+        }
     }
 
     /// The entries as `Weight`s.
@@ -225,14 +277,14 @@ impl<'a> Row<'a> {
 
 impl Default for Row<'_> {
     fn default() -> Self {
-        Row(Width::Wide(&[]))
+        Row(Width::U32(&[]))
     }
 }
 
 /// One distance row owned at the width it was stored at: a migrated row, a
 /// broadcast row, a full row on the wire.
 #[derive(Debug, Clone)]
-pub struct RowBuf(Width<Vec<u16>, Vec<Weight>>);
+pub struct RowBuf(Width<Vec<u8>, Vec<u16>, Vec<Weight>>);
 
 impl RowBuf {
     /// The row as a [`Row`].
@@ -243,28 +295,47 @@ impl RowBuf {
 
 impl Default for RowBuf {
     fn default() -> Self {
-        RowBuf(Width::Wide(Vec::new()))
+        RowBuf(Width::U32(Vec::new()))
     }
 }
 
 impl From<Vec<Weight>> for RowBuf {
     fn from(row: Vec<Weight>) -> Self {
-        RowBuf(Width::Wide(row))
+        RowBuf(Width::U32(row))
     }
+}
+
+/// One flag byte (0 or 1) per column of a word, as the word's bits: eight
+/// lanes packed into eight bits by one multiply (byte `i` of the lane lands
+/// on bit `56 + i` of the product, and no two partial products share a bit).
+fn pack(flags: &[[u8; 8]; WORD / 8]) -> u64 {
+    flags.iter().rev().fold(0u64, |bits, &lane| {
+        bits << 8 | u64::from_le_bytes(lane).wrapping_mul(0x0102_0408_1020_4080) >> 56
+    })
 }
 
 /// The dense kernel: `dst[c] = min(dst[c], src[c] + offset)` over every
 /// column, one change-log word (64 columns) at a time. `lowered(w, bits)` is
-/// told which columns of word `w` decreased, for the chunks where any did.
+/// told which columns of word `w` decreased, for the chunks where any did;
+/// a candidate withheld onto an `INF` entry ([`spills`]) sets `lost`.
 /// Returns whether any entry decreased.
 #[inline]
 fn relax_chunks<C: Cell>(
     dst: &mut [C],
     src: &[C],
     offset: C,
+    lost: &mut bool,
     mut lowered: impl FnMut(usize, u64),
 ) -> bool {
     debug_assert_eq!(dst.len(), src.len());
+    // Where no source entry comes within `offset` of `INF`, nothing can be
+    // withheld, and the sweep below runs unguarded.
+    if C::GUARDED && saturates(src, offset) {
+        *lost |= dst
+            .iter()
+            .zip(src)
+            .any(|(&d, &s)| spills(s, s.plus(offset), d));
+    }
     let mut changed = false;
     for (w, (d64, s64)) in dst.chunks_mut(WORD).zip(src.chunks(WORD)).enumerate() {
         // Nine sweeps in ten lower nothing: probe read-only first, and write
@@ -277,9 +348,7 @@ fn relax_chunks<C: Cell>(
             continue;
         }
         // No branch on the comparison, so this loop vectorizes like the
-        // probe: a flag byte per lane, eight lanes packed into eight bits by
-        // one multiply (byte `i` of the lane lands on bit `56 + i` of the
-        // product, and no two partial products share a bit).
+        // probe: a flag byte per lane, packed into a word afterwards.
         let mut flags = [[0u8; 8]; WORD / 8];
         let lanes = flags.as_flattened_mut().iter_mut();
         for ((d, &s), flag) in d64.iter_mut().zip(s64).zip(lanes) {
@@ -287,10 +356,7 @@ fn relax_chunks<C: Cell>(
             *flag = u8::from(cand < *d);
             *d = cand.min(*d);
         }
-        let bits = flags.iter().rev().fold(0u64, |bits, &lane| {
-            bits << 8 | u64::from_le_bytes(lane).wrapping_mul(0x0102_0408_1020_4080) >> 56
-        });
-        lowered(w, bits);
+        lowered(w, pack(&flags));
         changed = true;
     }
     changed
@@ -343,8 +409,10 @@ impl ColumnSet {
     pub fn finite_of(row: Row<'_>) -> Self {
         fn finite<C: Cell>(row: &[C]) -> Vec<u64> {
             let word = |chunk: &[C]| {
-                let bits = chunk.iter().enumerate();
-                bits.fold(0u64, |m, (bit, &d)| m | u64::from(d != C::INF) << bit)
+                let mut flags = [[0u8; 8]; WORD / 8];
+                let lanes = flags.as_flattened_mut().iter_mut().zip(chunk);
+                lanes.for_each(|(flag, &d)| *flag = u8::from(d != C::INF));
+                pack(&flags)
             };
             row.chunks(WORD).map(word).collect()
         }
@@ -503,10 +571,11 @@ pub(crate) mod reference {
 }
 
 /// `dst[c] = min(dst[c], src[c] + offset)` for every column `c` in `cols`,
-/// recording each lowered column in `log` and in `unsent`. Returns whether
-/// any entry decreased. Dense sets take a whole-row sweep, sparse ones a walk
-/// over the set bits; both visit a superset of the columns that can change,
-/// so the rows they leave are identical.
+/// recording each lowered column in `log` and in `unsent`, and a withheld
+/// candidate in `lost`. Returns whether any entry decreased. Dense sets take
+/// a whole-row sweep, sparse ones a walk over the set bits; both visit a
+/// superset of the columns that can change, so the rows they leave are
+/// identical.
 #[expect(
     clippy::indexing_slicing,
     reason = "the sparse walk indexes dst/src/log/unsent at columns taken from cols, whose bits never reach the column count — every set is built over the matrix width and resized with it; the dense sweep is handed word indices below dst.len().div_ceil(64), the length of both logs"
@@ -517,13 +586,14 @@ fn relax_on<C: Cell>(
     src: &[C],
     offset: C,
     cols: &ColumnSet,
+    lost: &mut bool,
 ) -> bool {
     debug_assert_eq!(dst.len(), src.len());
     debug_assert_eq!(log.words.len(), dst.len().div_ceil(WORD));
     debug_assert_eq!(unsent.words.len(), log.words.len());
     #[cfg(test)]
     if reference::is_dense() {
-        let changed = relax_chunks(dst, src, offset, |w, bits| unsent.words[w] |= bits);
+        let changed = relax_chunks(dst, src, offset, lost, |w, bits| unsent.words[w] |= bits);
         if changed {
             log.mark_all();
             unsent.marked = true;
@@ -531,13 +601,13 @@ fn relax_on<C: Cell>(
         return changed;
     }
     if cols.is_dense(dst.len()) {
-        return relax_chunks(dst, src, offset, |w, bits| {
+        return relax_chunks(dst, src, offset, lost, |w, bits| {
             log.words[w] |= bits;
             unsent.words[w] |= bits;
             (log.marked, unsent.marked) = (true, true);
         });
     }
-    let mut changed = false;
+    let (mut changed, mut spilt) = (false, false);
     for (wi, &members) in cols.words.iter().enumerate() {
         let mut rest = members;
         while rest != 0 {
@@ -550,69 +620,117 @@ fn relax_on<C: Cell>(
                 log.words[wi] |= 1 << bit;
                 unsent.words[wi] |= 1 << bit;
                 (log.marked, unsent.marked, changed) = (true, true, true);
+            } else if cand == C::INF {
+                // Rare: only a candidate at `INF` can be withheld, and a
+                // logged column was lowered to a finite value.
+                spilt |= spills(src[c], cand, dst[c]);
             }
         }
     }
+    *lost |= spilt;
     changed
 }
 
 /// [`relax_on`] through a row stored at `dst`'s width, as every row a
 /// matrix is handed is: all ranks widen together, and a row keeps its width
-/// when it is broadcast, migrated or sent whole.
+/// when it is broadcast, migrated or sent whole. An offset the width cannot
+/// hold is `INF`, which withholds every candidate from a finite source.
 fn relax_through<C: Cell>(
     dst: &mut [C],
     logs: (&mut ColumnSet, &mut ColumnSet),
     src: Row<'_>,
     offset: Weight,
     cols: &ColumnSet,
+    lost: &mut bool,
 ) -> bool {
     let src = C::cells(src);
     debug_assert!(src.is_some(), "a row of another width");
-    src.is_some_and(|src| relax_on(dst, logs, src, C::of(offset), cols))
+    src.is_some_and(|src| relax_on(dst, logs, src, C::of(offset), cols, lost))
 }
 
-/// `row[col] = min(row[col], d)`; whether it decreased.
-fn lower<C: Cell>(row: &mut [C], col: usize, d: Weight) -> bool {
-    let d = C::of(d);
-    match row.get_mut(col) {
-        Some(label) if d < *label => {
-            *label = d;
-            true
-        }
-        _ => false,
+/// `row[col] = min(row[col], d)`; whether it decreased. Under `GUARD`, a
+/// `d` withheld onto an `INF` entry sets `lost`.
+#[inline(always)]
+fn lower<C: Cell, const GUARD: bool>(
+    row: &mut [C],
+    col: usize,
+    d: Weight,
+    lost: &mut bool,
+) -> bool {
+    let cell = C::of(d);
+    let Some(label) = row.get_mut(col) else {
+        return false;
+    };
+    if cell < *label {
+        *label = cell;
+        return true;
     }
+    // Rare: a candidate at the width's `INF`.
+    if GUARD && cell == C::INF {
+        *lost |= withheld(d, cell) & (*label == C::INF);
+    }
+    false
 }
 
 /// The initial approximation of one row: `row` reset to `INF` and searched
-/// from `s` (see [`DistanceMatrix::seed_row`]).
+/// from `s` (see [`DistanceMatrix::seed_row`]). A label withheld is not
+/// expanded.
 fn seed<'g, C: Cell>(
     row: &mut [C],
     s: VertexId,
     search: &mut Search,
     neighbors: impl Fn(VertexId) -> &'g [(VertexId, Weight)],
     expands: impl Fn(VertexId) -> bool,
+    lost: &mut bool,
 ) {
     row.fill(C::INF);
-    lower(row, s as usize, 0); // the source's label
-    let sink = |row: &mut [C], v: VertexId, d| lower(row, v as usize, d) && expands(v);
+    let mut spilt = false;
+    lower::<C, true>(row, s as usize, 0, &mut spilt); // the source's label
+    let sink = |row: &mut [C], v: VertexId, d| {
+        lower::<C, true>(row, v as usize, d, &mut spilt) && expands(v)
+    };
     let settle = |row: &mut [C], v: VertexId, d| match row.get(v as usize) {
         Some(&label) if d > label.weight() => Settle::Skip,
         _ => Settle::Expand,
     };
     search.run(row, [(s, 0)], neighbors, sink, settle);
+    *lost |= spilt;
 }
 
 /// `row[c] = min(row[c], value + offset)` for each entry of `delta` on a
-/// column in `cols` (see [`DistanceMatrix::relax_with_delta`]).
+/// column in `cols` (see [`DistanceMatrix::relax_with_delta`]); a candidate
+/// withheld onto an `INF` entry sets `lost`.
 fn relax_delta<C: Cell>(
     row: &mut [C],
     (log, unsent): (&mut ColumnSet, &mut ColumnSet),
     delta: &RowDelta,
     offset: Weight,
     cols: &ColumnSet,
+    lost: &mut bool,
 ) -> bool {
+    // Only a candidate as large as the largest the walk offered can have
+    // been withheld. Where that one fits, none was; else the walk runs again
+    // guarded, and what the first one lowered stays lowered.
+    let logs = (&mut *log, &mut *unsent);
+    let (changed, top) = walk_delta::<C, false>(row, logs, delta, offset, cols, lost);
+    if withheld(top, C::of(top)) {
+        walk_delta::<C, true>(row, (log, unsent), delta, offset, cols, lost);
+    }
+    changed
+}
+
+/// [`relax_delta`]'s walk, guarded or not: whether it lowered anything, and
+/// the largest candidate it offered.
+fn walk_delta<C: Cell, const GUARD: bool>(
+    row: &mut [C],
+    (log, unsent): (&mut ColumnSet, &mut ColumnSet),
+    delta: &RowDelta,
+    offset: Weight,
+    cols: &ColumnSet,
+    lost: &mut bool,
+) -> (bool, Weight) {
     // The values of word `wi` start at `first`: one per bit before it.
-    let (mut first, mut changed) = (0, false);
+    let (mut first, mut changed, mut spilt, mut top) = (0, false, false, 0);
     for (wi, &word) in delta.cols.words.iter().enumerate() {
         let mask = match cols.all {
             true => u64::MAX,
@@ -631,9 +749,9 @@ fn relax_delta<C: Cell>(
                 break; // one value per bit: never taken
             };
             at += 1;
-            let cand = C::of(value.saturating_add(offset));
-            if let Some(d) = row.get_mut(wi * WORD + bit).filter(|d| cand < **d) {
-                *d = cand;
+            let cand = value.saturating_add(offset);
+            top = top.max(cand);
+            if lower::<C, GUARD>(row, wi * WORD + bit, cand, &mut spilt) {
                 lowered |= 1 << bit;
             }
         }
@@ -644,11 +762,12 @@ fn relax_delta<C: Cell>(
             changed = true;
         }
     }
+    *lost |= spilt;
     #[cfg(test)]
     if changed && reference::is_dense() {
         log.mark_all();
     }
-    changed
+    (changed, top)
 }
 
 /// Grows `v` to `len` elements of `fill`: in place while its buffer has
@@ -677,11 +796,14 @@ fn pair_mut<T>(s: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
     }
 }
 
+/// A row table at one width.
+type Rows<C> = Vec<Vec<C>>;
+
 /// Distance vectors held by one processor: those of the vertices it owns.
 #[derive(Debug, Clone)]
 pub struct DistanceMatrix {
     /// The rows, all at one width.
-    rows: Width<Vec<Vec<u16>>, Vec<Vec<Weight>>>,
+    rows: Width<Rows<u8>, Rows<u16>, Rows<Weight>>,
     /// Change log of each row (see the module docs), parallel to `rows`.
     logs: Vec<ColumnSet>,
     /// Unsent log of each row (see the module docs), parallel to `rows`.
@@ -691,6 +813,9 @@ pub struct DistanceMatrix {
     /// Row index of each global vertex id slot (`u32::MAX` if not held here).
     row_of: Vec<u32>,
     cols: usize,
+    /// Whether a write withheld a finite distance the rows cannot hold
+    /// since the last [`Self::widen`] (see the module docs).
+    overflow: bool,
 }
 
 const NO_ROW: u32 = u32::MAX;
@@ -700,41 +825,65 @@ impl DistanceMatrix {
     /// its rows `u32` wide: any distance fits.
     pub fn new(cols: usize) -> Self {
         DistanceMatrix {
-            rows: Width::Wide(Vec::new()),
+            rows: Width::U32(Vec::new()),
             logs: Vec::new(),
             unsent: Vec::new(),
             vertex_of_row: Vec::new(),
             row_of: vec![NO_ROW; cols],
             cols,
+            overflow: false,
         }
     }
 
-    /// Creates an empty matrix with `cols` columns for a graph with no edge
-    /// heavier than `max_weight`: 16 bits wide if every shortest path fits
-    /// (see the module docs), else `u32`.
-    pub(crate) fn fitting(cols: usize, max_weight: Weight) -> Self {
-        let mut m = Self::new(cols);
-        if fits_narrow(cols, max_weight) {
-            m.rows = Width::Narrow(Vec::new());
+    /// Creates an empty matrix with `cols` columns at the narrowest width
+    /// that holds the distance `largest`: 8 bits for anything below 255.
+    pub(crate) fn holding(cols: usize, largest: Weight) -> Self {
+        let rows = match largest {
+            d if d < Weight::from(u8::MAX) => Width::U8(Vec::new()),
+            d if d < Weight::from(u16::MAX) => Width::U16(Vec::new()),
+            _ => Width::U32(Vec::new()),
+        };
+        DistanceMatrix {
+            rows,
+            ..Self::new(cols)
         }
-        m
     }
 
-    /// Widens the rows to `u32` unless every shortest path of a graph with
-    /// `cols` id slots and no edge heavier than `max_weight` fits them. Call
-    /// it before such a graph's distances reach the matrix; rows never
-    /// narrow again.
-    pub(crate) fn widen_for(&mut self, cols: usize, max_weight: Weight) {
-        if let Width::Narrow(rows) = &mut self.rows {
-            if !fits_narrow(cols, max_weight) {
-                let wide = |row: Vec<u16>| {
-                    let mut wide = Vec::with_capacity(row.capacity());
-                    wide.extend(row.iter().map(|&d| d.weight()));
-                    wide
-                };
-                self.rows = Width::Wide(std::mem::take(rows).into_iter().map(wide).collect());
-            }
+    /// Whether a write withheld a distance since the last [`Self::widen`].
+    pub(crate) fn overflowed(&self) -> bool {
+        self.overflow
+    }
+
+    /// Widens the rows one step, 8 bits to 16 or 16 to 32, after a write
+    /// withheld a distance they could not hold, and marks every row
+    /// all-columns in both logs: relaxing and sending every row whole
+    /// re-derives what was withheld. Clears the overflow flag.
+    pub(crate) fn widen(&mut self) {
+        fn widened<N: Cell, W: Cell>(rows: Vec<Vec<N>>) -> Vec<Vec<W>> {
+            let wide = |row: Vec<N>| {
+                let mut wide = Vec::with_capacity(row.capacity());
+                wide.extend(row.iter().map(|&d| W::of(d.weight())));
+                wide
+            };
+            rows.into_iter().map(wide).collect()
         }
+        self.rows = match std::mem::replace(&mut self.rows, Width::U32(Vec::new())) {
+            Width::U8(rows) => Width::U16(widened(rows)),
+            Width::U16(rows) => Width::U32(widened(rows)),
+            wide => wide,
+        };
+        self.overflow = false;
+        for idx in 0..self.row_count() {
+            self.mark_raw(idx);
+        }
+    }
+
+    /// Bits per stored distance: 8, 16 or 32.
+    pub fn bits(&self) -> u32 {
+        fn bits<C: Cell>(_: &[Vec<C>]) -> u32 {
+            C::BITS
+        }
+        by_width!(&self.rows, rows => bits(rows))
     }
 
     /// Number of rows.
@@ -771,8 +920,8 @@ impl DistanceMatrix {
 
     /// Inserts a row with explicit contents (migration, checkpoint restore,
     /// recovery), padded with `INF` to the column count and stored at the
-    /// matrix's width (narrow rows store an entry past their `INF` as `INF`).
-    /// Both its logs start all-columns.
+    /// matrix's width (an entry the width cannot hold is withheld). Both
+    /// its logs start all-columns.
     #[expect(
         clippy::indexing_slicing,
         reason = "documented-panic constructor — the asserts above every index state the contract and fire before any index can miss"
@@ -791,9 +940,9 @@ impl DistanceMatrix {
             "row longer than column count"
         );
         self.row_of[v as usize] = self.row_count() as u32;
-        let cols = self.cols;
+        let (cols, lost) = (self.cols, &mut self.overflow);
         by_width!(&mut self.rows, rows => {
-            let mut row = Cell::owned(row);
+            let mut row = owned(row, lost);
             grow(&mut row, cols, Cell::INF);
             rows.push(row);
         });
@@ -881,14 +1030,16 @@ impl DistanceMatrix {
         Row(map_width!(&self.rows, rows => &rows[idx][..]))
     }
 
-    /// Writes `row_v[col] = d` whatever was there (narrow rows store a `d`
-    /// past their `INF` as `INF`). A raw write can undo anything, so the row
-    /// is marked all-columns in both logs.
+    /// Writes `row_v[col] = d` whatever was there (a `d` the width cannot
+    /// hold is withheld). A raw write can undo anything, so the row is
+    /// marked all-columns in both logs.
     pub fn set_entry(&mut self, v: VertexId, col: usize, d: Weight) {
         let idx = self.row_index(v);
+        let lost = &mut self.overflow;
         by_width!(&mut self.rows, rows => {
             if let Some(entry) = rows.get_mut(idx).and_then(|row| row.get_mut(col)) {
                 *entry = Cell::of(d);
+                *lost |= withheld(d, *entry);
             }
         });
         self.mark_raw(idx);
@@ -907,9 +1058,10 @@ impl DistanceMatrix {
         expands: impl Fn(VertexId) -> bool,
     ) {
         let idx = self.row_index(s);
+        let lost = &mut self.overflow;
         by_width!(&mut self.rows, rows => {
             if let Some(row) = rows.get_mut(idx) {
-                seed(row, s, search, neighbors, expands);
+                seed(row, s, search, neighbors, expands, lost);
             }
         });
         self.mark_raw(idx);
@@ -1066,18 +1218,18 @@ impl DistanceMatrix {
     /// write. Returns whether the entry decreased.
     pub fn lower_entry(&mut self, v: VertexId, col: usize, value: Weight) -> bool {
         let idx = self.row_index(v);
-        let lowered = by_width!(&mut self.rows, rows => {
+        let lost = &mut self.overflow;
+        by_width!(&mut self.rows, rows => {
             let row = Self::row_logs(rows, &mut self.logs, &mut self.unsent, idx);
             row.is_some_and(|(row, (log, unsent))| {
-                let lowered = lower(row, col, value);
+                let lowered = lower::<_, true>(row, col, value, lost);
                 if lowered {
                     log.insert(col);
                     unsent.insert(col);
                 }
                 lowered
             })
-        });
-        lowered
+        })
     }
 
     /// `row_v[c] = min(row_v[c], value + offset)` for each entry of a
@@ -1092,9 +1244,10 @@ impl DistanceMatrix {
         cols: &ColumnSet,
     ) -> bool {
         let idx = self.row_index(v);
+        let lost = &mut self.overflow;
         by_width!(&mut self.rows, rows => {
             let row = Self::row_logs(rows, &mut self.logs, &mut self.unsent, idx);
-            row.is_some_and(|(row, logs)| relax_delta(row, logs, delta, offset, cols))
+            row.is_some_and(|(row, logs)| relax_delta(row, logs, delta, offset, cols, lost))
         })
     }
 
@@ -1149,10 +1302,11 @@ impl DistanceMatrix {
             return false;
         };
         let (dst_log, src_log) = pair_mut(&mut self.logs, di, si);
+        let lost = &mut self.overflow;
         by_width!(&mut self.rows, rows => {
             let (dst_row, src_row) = pair_mut(rows, di, si);
-            let offset = Cell::of(offset);
-            relax_on(dst_row, (dst_log, dst_unsent), src_row, offset, src_log)
+            let (logs, offset) = ((dst_log, dst_unsent), Cell::of(offset));
+            relax_on(dst_row, logs, src_row, offset, src_log, lost)
         })
     }
 
@@ -1171,9 +1325,10 @@ impl DistanceMatrix {
         cols: &ColumnSet,
     ) -> bool {
         let idx = self.row_index(dst);
+        let lost = &mut self.overflow;
         by_width!(&mut self.rows, rows => {
             let row = Self::row_logs(rows, &mut self.logs, &mut self.unsent, idx);
-            row.is_some_and(|(row, logs)| relax_through(row, logs, src_row, offset, cols))
+            row.is_some_and(|(row, logs)| relax_through(row, logs, src_row, offset, cols, lost))
         })
     }
 }
@@ -1186,7 +1341,7 @@ mod tests {
     /// A `Weight` slice as a wide row.
     impl<'a, T: AsRef<[Weight]> + ?Sized> From<&'a T> for Row<'a> {
         fn from(row: &'a T) -> Self {
-            Row(Width::Wide(row.as_ref()))
+            Row(Width::U32(row.as_ref()))
         }
     }
 
@@ -1204,14 +1359,15 @@ mod tests {
     }
 
     impl DistanceMatrix {
-        /// Whether the rows are 16 bits wide.
-        pub(crate) fn is_narrow(&self) -> bool {
-            matches!(self.rows, Width::Narrow(_))
-        }
-
-        /// `row` stored at this matrix's width, to hand to its relaxations.
-        pub(crate) fn at_width(&self, row: &[Weight]) -> RowBuf {
-            RowBuf(map_width!(&self.rows, _rows => row.iter().map(|&d| Cell::of(d)).collect()))
+        /// `row` stored at this matrix's width, to hand to its relaxations,
+        /// as a sender at that width would hold it: an entry the width
+        /// cannot hold is withheld, and flags this matrix.
+        pub(crate) fn at_width(&mut self, row: &[Weight]) -> RowBuf {
+            fn at<C: Cell>(_: &[Vec<C>], row: &[Weight], lost: &mut bool) -> Vec<C> {
+                owned(RowBuf::from(row.to_vec()), lost)
+            }
+            let lost = &mut self.overflow;
+            RowBuf(map_width!(&self.rows, rows => at(rows, row, lost)))
         }
     }
 
@@ -1248,12 +1404,28 @@ mod tests {
     }
 
     /// `0..1000` as a distance, `1000..1200` as `INF`: forty writes of
-    /// these, offsets included, stay below the narrow `INF`.
+    /// these, offsets included, stay below 16 bits' `INF`.
     fn near(d: u32) -> Weight {
         if d < 1000 {
             d
         } else {
             INF
+        }
+    }
+
+    /// `write` with its distances below 1,000 and its offsets divided by
+    /// `scale`: at 200, forty writes stay below 8 bits' `INF` too.
+    fn scaled(write: &Write, scale: u32) -> Write {
+        let d = |d: u32| if d < 1000 { d / scale } else { d };
+        match write.clone() {
+            Write::Rows(a, b, o) => Write::Rows(a, b, o / scale),
+            Write::External(a, b, o, k) => Write::External(a, b, o / scale, k),
+            Write::Delta(a, e, o, k) => {
+                let e = e.into_iter().map(|(c, v)| (c, d(v))).collect();
+                Write::Delta(a, e, o / scale, k)
+            }
+            Write::Lower(a, c, v) => Write::Lower(a, c, d(v)),
+            other => other,
         }
     }
 
@@ -1328,28 +1500,49 @@ mod tests {
         #[test]
         fn narrow_and_wide_rows_take_every_write_alike(
             width in (0usize..5).prop_map(|i| [1, 63, 64, 65, 130][i]),
+            scale in prop_oneof![Just(1u32), Just(200)],
             ext in proptest::collection::vec(0u32..1200, 1..200),
             writes in proptest::collection::vec(write(), 1..40),
         ) {
-            let mut narrow = DistanceMatrix::fitting(width, 1);
+            let mut narrow = [DistanceMatrix::holding(width, 0), DistanceMatrix::holding(width, 255)];
             let mut wide = DistanceMatrix::new(width);
-            prop_assert!(narrow.is_narrow() && !wide.is_narrow());
+            prop_assert_eq!([narrow[0].bits(), narrow[1].bits(), wide.bits()], [8, 16, 32]);
             let rows = width.min(3) as VertexId;
-            for m in [&mut narrow, &mut wide] {
+            for m in narrow.iter_mut().chain([&mut wide]) {
                 (0..rows).for_each(|v| m.add_row(v));
             }
-            let ext: Vec<Weight> = ext.into_iter().map(near).collect();
-            for write in &writes {
-                let changed = apply(&mut narrow, write, &ext);
-                prop_assert_eq!(changed, apply(&mut wide, write, &ext), "{:?}", write);
-                for v in 0..rows {
-                    prop_assert_eq!(narrow.row(v), wide.row(v), "row {} after {:?}", v, write);
-                    prop_assert_eq!(narrow.log(v), wide.log(v), "log {}", v);
-                    prop_assert_eq!(narrow.unsent(v), wide.unsent(v), "unsent {}", v);
-                    prop_assert_eq!(narrow.unsent_entries(v), wide.unsent_entries(v));
+            let d = |d: u32| if d < 1000 { d / scale } else { d };
+            let ext: Vec<Weight> = ext.into_iter().map(|e| near(d(e))).collect();
+            for write in writes.iter().map(|w| scaled(w, scale)) {
+                let changed = apply(&mut wide, &write, &ext);
+                for m in &mut narrow {
+                    let narrow_changed = apply(m, &write, &ext);
+                    // Every width takes every write alike until one withholds
+                    // a distance; from then on it reads at or above the wide
+                    // rows, and `INF` wherever they differ — never a finite
+                    // value of its own.
+                    if m.overflowed() {
+                        for v in 0..rows {
+                            let both = m.row(v).iter().zip(wide.row(v).iter());
+                            for (n, w) in both {
+                                prop_assert!(n == w || n == INF, "{} vs {} after {:?}", n, w, write);
+                            }
+                        }
+                        continue;
+                    }
+                    prop_assert_eq!(narrow_changed, changed, "{:?}", write);
+                    for v in 0..rows {
+                        prop_assert_eq!(m.row(v), wide.row(v), "row {} after {:?}", v, write);
+                        prop_assert_eq!(m.log(v), wide.log(v), "log {}", v);
+                        prop_assert_eq!(m.unsent(v), wide.unsent(v), "unsent {}", v);
+                        prop_assert_eq!(m.unsent_entries(v), wide.unsent_entries(v));
+                    }
                 }
             }
-            prop_assert!(narrow.is_narrow());
+            // Sixteen bits hold every distance here, and so do eight once
+            // scaled down; a width keeps its bits whatever it was handed.
+            prop_assert!(!narrow[1].overflowed() && (scale == 1 || !narrow[0].overflowed()));
+            prop_assert_eq!([narrow[0].bits(), narrow[1].bits(), wide.bits()], [8, 16, 32]);
         }
 
         #[test]
@@ -1462,7 +1655,10 @@ mod tests {
             }
             let mut got = before.clone();
             let (mut log, mut unsent) = (ColumnSet::empty(n), ColumnSet::empty(n));
-            let changed = relax_on(&mut got, (&mut log, &mut unsent), &src, offset, &cols);
+            let mut lost = false;
+            let logs = (&mut log, &mut unsent);
+            let changed = relax_on(&mut got, logs, &src, offset, &cols, &mut lost);
+            assert!(!lost, "nothing is withheld at 32 bits");
             assert_eq!(got, want, "stride {stride}");
             assert_eq!(changed, got != before);
             for c in 0..n {
@@ -1510,7 +1706,8 @@ mod tests {
             assert_eq!(want_bits.iter().any(|&w| w != 0), hit_pct > 0);
 
             let (mut got, mut got_bits) = (dst.clone(), vec![0u64; n.div_ceil(WORD)]);
-            let changed = relax_chunks(&mut got, &src, offset, |w, bits| got_bits[w] |= bits);
+            let lowered = |w, bits| got_bits[w] |= bits;
+            let changed = relax_chunks(&mut got, &src, offset, &mut false, lowered);
             assert_eq!(got, want, "{hit_pct} %: rows");
             assert_eq!(got_bits, want_bits, "{hit_pct} %: bits");
             assert_eq!(changed, hit_pct > 0);
@@ -1524,7 +1721,8 @@ mod tests {
                 let mut row = dst.clone();
                 let (mut log, mut unsent) = (ColumnSet::empty(n), ColumnSet::empty(n));
                 let logs = (&mut log, &mut unsent);
-                let relax = || relax_on(&mut row, logs, &src, offset, &ColumnSet::EVERY);
+                let every = &ColumnSet::EVERY;
+                let relax = || relax_on(&mut row, logs, &src, offset, every, &mut false);
                 let changed = if dense_twin {
                     reference::dense(relax)
                 } else {
@@ -1536,6 +1734,27 @@ mod tests {
                 assert_eq!(unsent.words, want_bits);
                 assert_eq!(log.all, dense_twin && changed);
                 assert!(dense_twin || log.words == want_bits);
+            }
+        }
+    }
+
+    #[test]
+    fn reach_sums_the_finite_entries_outside_one_column_at_every_width() {
+        let row = noise(150, 3);
+        for skip in [0, 7, 149, 150] {
+            let others = row
+                .iter()
+                .enumerate()
+                .filter(|&(t, &d)| t != skip && d != INF && d > 0);
+            let want = others.fold((0, 0), |(sum, n), (_, &d)| (sum + u64::from(d), n + 1));
+            for largest in [0, 255, 65_535] {
+                let mut m = DistanceMatrix::holding(150, largest);
+                let buf = m.at_width(&row);
+                assert_eq!(
+                    buf.as_row().reach(skip),
+                    want,
+                    "skip {skip}, largest {largest}"
+                );
             }
         }
     }
@@ -1702,8 +1921,8 @@ mod tests {
 
     fn wide(m: &DistanceMatrix) -> &[Vec<Weight>] {
         match &m.rows {
-            Width::Wide(rows) => rows,
-            Width::Narrow(_) => panic!("a matrix from `new` is wide"),
+            Width::U32(rows) => rows,
+            _ => panic!("a matrix from `new` is wide"),
         }
     }
 
@@ -1819,5 +2038,79 @@ mod tests {
         let ext = vec![2, 0, 9];
         assert!(m.relax_with_external(0, Row::from(&ext), 3));
         assert_eq!(m.row(0), &[0, 3, 12]);
+    }
+
+    #[test]
+    fn a_distance_the_width_cannot_hold_is_withheld_and_flagged() {
+        // Rows 0 and 1 of an 8-bit matrix, row 1 at 200 on column 5 and 0 on
+        // column 1; each write below offers column 5 (or 2) a distance of
+        // 255 or more.
+        let fresh = |col5: Weight| {
+            let mut m = DistanceMatrix::holding(130, 0);
+            (0..2).for_each(|v| m.add_row(v));
+            m.set_entry(1, 5, 200);
+            m.set_entry(0, 5, col5);
+            assert!(!m.overflowed() && m.bits() == 8);
+            m
+        };
+        let delta = RowDelta::from_pairs(&[(5, 200)]);
+        let path = [vec![(1, 200)], vec![(0, 200), (2, 200)], vec![(1, 200)]];
+        type Offer<'a> = (&'a str, &'a dyn Fn(&mut DistanceMatrix));
+        let writes: [Offer; 8] = [
+            ("set_entry", &|m| m.set_entry(0, 5, 300)),
+            ("lower_entry", &|m| assert!(!m.lower_entry(0, 5, 255))),
+            ("insert_row", &|m| {
+                m.take_row(0);
+                m.insert_row(0, vec![0, 1, INF, 3, 4, 999]);
+            }),
+            ("relax_rows_on", &|m| {
+                m.relax_rows_on(0, 1, 60);
+            }),
+            ("an offset past the width", &|m| {
+                m.set_entry(1, 5, 0);
+                assert!(!m.relax_rows_on(0, 1, 300));
+            }),
+            ("relax_with_external_on", &|m| {
+                let row = m.row(1).to_buf();
+                m.relax_with_external_on(0, row.as_row(), 60, &ColumnSet::EVERY);
+            }),
+            ("relax_with_delta", &|m| {
+                assert!(!m.relax_with_delta(0, &delta, 60, &ColumnSet::EVERY));
+            }),
+            ("seed_row", &|m| {
+                let neighbors = |v: VertexId| &path[v as usize][..];
+                m.seed_row(0, &mut Search::default(), neighbors, |_| true);
+                m.set_entry(0, 5, INF);
+            }),
+        ];
+        for (what, write) in writes {
+            // Onto an `INF` entry the write is withheld and flagged; the
+            // search's is on column 2, the others' on column 5.
+            let mut m = fresh(INF);
+            write(&mut m);
+            assert!(m.overflowed(), "{what}");
+            assert_eq!(m.row(0).get(5), Some(INF), "{what}");
+            assert_eq!(m.row(0).get(2), Some(INF), "{what}");
+            // Widening keeps every value, clears the flag and owes every row
+            // whole.
+            let before = [m.row(0).to_vec(), m.row(1).to_vec()];
+            m.widen();
+            assert!(!m.overflowed() && m.bits() == 16, "{what}");
+            assert!(m.log(0).contains(129) && m.unsent_entries(1).is_none());
+            assert_eq!([m.row(0).to_vec(), m.row(1).to_vec()], before, "{what}");
+            // Onto a finite entry the same write loses nothing (the writes
+            // that offer column 5 alone).
+            let wider = [
+                "set_entry",
+                "insert_row",
+                "seed_row",
+                "an offset past the width",
+            ];
+            if !wider.contains(&what) {
+                let mut m = fresh(7);
+                write(&mut m);
+                assert!(!m.overflowed() && m.row(0).get(5) == Some(7), "{what}");
+            }
+        }
     }
 }

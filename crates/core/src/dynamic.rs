@@ -130,7 +130,6 @@ impl AnytimeEngine {
         if !self.world.add_edge(u, v, w) {
             return false;
         }
-        self.admit(self.world.capacity(), w);
         let span = self.span_open();
         self.obs.note_mutation();
         self.view_add_edge(u, v, w);
@@ -155,11 +154,13 @@ impl AnytimeEngine {
     /// Ends an insertion whose one-shot relaxation was `exact`: one new
     /// edge, lighter edge or vertex on a settled engine ([`Self::is_settled`]),
     /// which a new shortest path uses at most once. Every rank then owes
-    /// nothing, as exact rows obey the triangle inequality over every edge.
-    /// Call it after the insertion's [`Self::feed_capture`]. `converged`
-    /// stays false: the next recombination step runs empty and says so.
+    /// nothing, as exact rows obey the triangle inequality over every edge —
+    /// unless a rank withheld a distance its rows could not hold, and the
+    /// rows widen instead ([`Self::widen_after_overflow`]). Call it after
+    /// the insertion's [`Self::feed_capture`]. `converged` stays false: the
+    /// next recombination step runs empty and says so.
     pub(crate) fn end_insertion(&mut self, exact: bool) {
-        if exact {
+        if !self.widen_after_overflow() && exact {
             self.procs.iter_mut().for_each(ProcState::owe_nothing);
             self.obs.settled_updates += 1;
         }
@@ -251,7 +252,6 @@ impl AnytimeEngine {
         let mut inserted: Vec<(VertexId, VertexId, Weight)> = Vec::with_capacity(edges.len());
         for &(u, v, w) in edges {
             if self.world.add_edge(u, v, w) {
-                self.admit(self.world.capacity(), w);
                 self.view_add_edge(u, v, w);
                 inserted.push((u, v, w));
             }
@@ -355,6 +355,7 @@ impl AnytimeEngine {
         });
         self.forget_unbordered(endpoints);
         self.obs.candidate_columns += tested;
+        self.widen_after_overflow();
         self.converged = false;
         let n = present.len();
         self.span_close(span, "dynamic-update", format!("delete-edges n={n}"));
@@ -441,6 +442,7 @@ impl AnytimeEngine {
         // The ranks that bordered a neighbour of `v` only through `v`.
         self.forget_unbordered(removed.iter().map(|&(x, _)| x));
         self.partition.assignment[v as usize] = UNASSIGNED;
+        self.widen_after_overflow();
         self.converged = false;
         self.span_close(span, "dynamic-update", format!("delete-vertex {v}"));
         self.feed_capture(true);
@@ -1383,12 +1385,12 @@ mod tests {
         assert!(e.is_converged(), "no-ops must not disturb convergence");
     }
 
-    /// Oracle-exact distances and closeness, on rows as wide as `narrow`
-    /// says on every rank.
-    fn assert_exact_at_width(e: &mut AnytimeEngine, narrow: bool) {
-        assert!(e.procs.iter().all(|ps| ps.dv.is_narrow() == narrow));
+    /// Oracle-exact distances and closeness at convergence, on rows `bits`
+    /// wide on every rank.
+    fn assert_exact_at_width(e: &mut AnytimeEngine, bits: u32) {
         e.run_to_convergence(256);
         assert!(e.is_converged());
+        assert!(e.procs.iter().all(|ps| ps.dv.bits() == bits));
         assert_oracle(e);
         let dist = algo::apsp_dijkstra(e.graph());
         let snapshot = e.snapshot();
@@ -1406,31 +1408,31 @@ mod tests {
         let pendant = g.add_vertex();
         g.add_edge(5, pendant, 2);
         let mut e = engine(g, 3);
-        assert_exact_at_width(&mut e, true);
+        assert_exact_at_width(&mut e, 8);
         assert!(e.change_edge_weight(5, pendant, 1_000_000));
-        assert_exact_at_width(&mut e, false);
+        assert_exact_at_width(&mut e, 32);
         let far = e.distances_dense()[17][pendant as usize];
         assert_eq!(far, 12 + 1_000_000, "read back past 0xFFFF exactly");
         // Back down, the rows stay wide: the width never narrows.
         assert!(e.change_edge_weight(5, pendant, 2));
         assert!(e.delete_edge(5, pendant));
-        assert_exact_at_width(&mut e, false);
+        assert_exact_at_width(&mut e, 32);
     }
 
     #[test]
     fn vertex_additions_past_the_narrow_bound_widen_the_rows_and_stay_exact() {
         use crate::strategy::AdditionStrategy;
-        // 40 slots at weights up to 1,000: 39 · 1,000 < 0xFFFF, and 67 slots
-        // are past it.
+        // 40 vertices at weights up to 4 fit 8 bits; every batch hangs its
+        // ten vertices on edges up to 1,000, whose distances do not.
         for strategy in [
             AdditionStrategy::RoundRobinPs,
             AdditionStrategy::CutEdgePs,
             AdditionStrategy::RepartitionS,
             AdditionStrategy::BaselineRestart,
         ] {
-            let g = generators::erdos_renyi_gnm(40, 80, 1_000, 9);
+            let g = generators::erdos_renyi_gnm(40, 80, 4, 9);
             let mut e = engine(g, 3);
-            assert_exact_at_width(&mut e, true);
+            assert_exact_at_width(&mut e, 8);
             while e.graph().capacity() < 70 {
                 let before = e.graph().capacity();
                 let mut batch = VertexBatch::new(10);
@@ -1440,10 +1442,12 @@ mod tests {
                     batch.connect(i, Endpoint::New((i + 1) % 10), 1_000);
                 }
                 e.add_vertices(&batch, strategy);
-                let narrow = (e.graph().capacity() - 1) * 1_000 < 0xFFFF;
-                assert_exact_at_width(&mut e, narrow);
+                assert_exact_at_width(&mut e, 16);
             }
-            assert!(e.procs.iter().all(|ps| !ps.dv.is_narrow()), "{strategy}");
+            let widened = e
+                .metrics_registry()
+                .counter_value("aa_dv_widenings_total", &[]);
+            assert!(widened >= 1, "{strategy}");
         }
     }
 

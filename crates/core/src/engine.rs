@@ -36,9 +36,6 @@ pub struct AnytimeEngine {
     /// Bumped by every deletion (and weight increase): estimates from an
     /// older epoch may be underestimates of the current graph.
     pub(crate) invalidation_epoch: u64,
-    /// The largest edge weight the world has held: with its capacity, what
-    /// sets the width of the distance rows. Never lowered by a deletion.
-    pub(crate) max_weight: Weight,
     /// Span log, progress-probe state and protocol counters (see
     /// [`crate::obs`]).
     pub(crate) obs: EngineObs,
@@ -64,11 +61,6 @@ pub(crate) fn build_cluster(config: &EngineConfig) -> Cluster {
     cluster
 }
 
-/// The heaviest edge of `graph`, 0 if it has none.
-pub(crate) fn max_weight(graph: &Graph) -> Weight {
-    graph.edges().map(|(_, _, w)| w).max().unwrap_or(0)
-}
-
 impl AnytimeEngine {
     /// Creates an engine over `graph`. Call [`Self::initialize`] before
     /// stepping.
@@ -78,7 +70,6 @@ impl AnytimeEngine {
         let cluster = build_cluster(&config);
         AnytimeEngine {
             partition: Partition::unassigned(graph.capacity(), p),
-            max_weight: max_weight(&graph),
             world: graph,
             procs: Vec::new(),
             cluster,
@@ -92,15 +83,22 @@ impl AnytimeEngine {
         }
     }
 
-    /// Makes room for a change that leaves the world with `capacity` id
-    /// slots and adds an edge of weight `w` (0 for none): every rank's rows
-    /// widen if the narrow store could no longer hold each shortest path.
-    /// Call it before the change reaches any row.
-    pub(crate) fn admit(&mut self, capacity: usize, w: Weight) {
-        self.max_weight = self.max_weight.max(w);
-        for ps in &mut self.procs {
-            ps.dv.widen_for(capacity, self.max_weight);
+    /// Ends a call that wrote rows: if a rank withheld a distance its rows
+    /// cannot hold (`dv.rs`), every rank widens its rows one step and owes
+    /// every row whole — relaxed, marked dirty and sent in full — so
+    /// recombination re-derives what was withheld. The engine is then
+    /// neither converged nor settled. Returns whether it widened.
+    pub(crate) fn widen_after_overflow(&mut self) -> bool {
+        if !self.procs.iter().any(|ps| ps.dv.overflowed()) {
+            return false;
         }
+        for ps in &mut self.procs {
+            ps.dv.widen();
+            ps.dirty.extend(ps.dv.vertices());
+        }
+        self.obs.widenings += 1;
+        self.converged = false;
+        true
     }
 
     /// The partition rank owning `v`. Every vertex that reaches a mutation
@@ -187,7 +185,7 @@ impl AnytimeEngine {
         // Build processor states.
         self.procs = (0..p)
             .map(|rank| {
-                let mut ps = ProcState::new(rank, self.world.capacity(), self.max_weight);
+                let mut ps = ProcState::new(rank, self.world.capacity());
                 ps.rebuild_view(&self.world, &self.partition);
                 for &v in &members[rank] {
                     ps.dv.add_row(v);
@@ -214,6 +212,7 @@ impl AnytimeEngine {
         );
         self.cluster.barrier();
         self.span_close(ia_span, "initial-approximation", format!("p={p}"));
+        self.widen_after_overflow();
 
         self.rc_steps_done = 0;
         self.converged = false;
@@ -311,7 +310,9 @@ impl AnytimeEngine {
             },
         );
 
-        // 4. Global termination test.
+        // 4. Global termination test. A rank whose rows withheld a distance
+        // votes on: widening marks every row.
+        self.widen_after_overflow();
         let flags: Vec<bool> = self.procs.iter().map(|ps| !ps.is_quiescent()).collect();
         let any = self.cluster.all_reduce_or(Phase::Recombination, &flags);
         self.converged = !any;
@@ -409,14 +410,7 @@ impl AnytimeEngine {
         for (rank, ps) in self.procs.iter().enumerate() {
             let t = Stopwatch::start();
             for &v in ps.dv.vertices() {
-                let mut sum = 0u64;
-                let mut finite = 0u32;
-                ps.dv.row(v).iter().enumerate().for_each(|(t_idx, d)| {
-                    if t_idx != v as usize && d != INF && d > 0 {
-                        sum += u64::from(d);
-                        finite += 1;
-                    }
-                });
+                let (sum, finite) = ps.dv.row(v).reach(v as usize);
                 closeness[v as usize] = if sum == 0 { 0.0 } else { 1.0 / sum as f64 };
                 dist_sum[v as usize] = sum;
                 finite_targets[v as usize] = finite;

@@ -71,6 +71,9 @@ mod changelog_tests;
 #[cfg(test)]
 #[path = "tests/resilience.rs"]
 mod resilience;
+#[cfg(test)]
+#[path = "tests/widening.rs"]
+mod widening;
 
 pub use aa_obs::{
     decode_jsonl, encode_jsonl, kendall_tau, MetricsRegistry, ProgressSample, SpanLog, SpanRecord,

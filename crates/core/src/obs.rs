@@ -84,6 +84,8 @@ pub(crate) struct EngineObs {
     pub(crate) barrier_steps: u64,
     /// Insertions that landed on a settled engine and were exact at once.
     pub(crate) settled_updates: u64,
+    /// Calls after which every rank widened its rows one step.
+    pub(crate) widenings: u64,
     oracle: Option<Oracle>,
     /// Dense estimate matrix at the previous sample, for regression counts.
     prev_dense: Option<Vec<Vec<Weight>>>,
@@ -171,12 +173,7 @@ impl AnytimeEngine {
         let mut closeness = vec![0.0f64; self.world.capacity()];
         for ps in &self.procs {
             for &v in ps.dv.vertices() {
-                let mut sum = 0u64;
-                ps.dv.row(v).iter().enumerate().for_each(|(t, d)| {
-                    if t != v as usize && d != INF && d > 0 {
-                        sum += u64::from(d);
-                    }
-                });
+                let (sum, _) = ps.dv.row(v).reach(v as usize);
                 closeness[v as usize] = if sum == 0 { 0.0 } else { 1.0 / sum as f64 };
             }
         }
@@ -322,6 +319,9 @@ impl AnytimeEngine {
             &[],
             self.obs.settled_updates,
         );
+        r.inc_counter("aa_dv_widenings_total", &[], self.obs.widenings);
+        let bits = self.procs.iter().map(|ps| ps.dv.bits()).max().unwrap_or(8);
+        r.set_gauge("aa_dv_row_bits", &[], f64::from(bits));
         r.inc_counter(
             "aa_snapshot_publications_total",
             &[("kind", "fresh")],

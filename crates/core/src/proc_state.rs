@@ -106,15 +106,15 @@ pub struct ProcState {
 }
 
 impl ProcState {
-    /// Creates an empty processor state for a graph with `capacity` id slots
-    /// and no edge heavier than `max_weight`, which set the width of its
-    /// distance rows (see `dv.rs`).
-    pub fn new(rank: usize, capacity: usize, max_weight: Weight) -> Self {
+    /// Creates an empty processor state for a graph with `capacity` id
+    /// slots, its distance rows 8 bits wide until a distance needs more
+    /// (see `dv.rs`).
+    pub fn new(rank: usize, capacity: usize) -> Self {
         ProcState {
             rank,
             adj: vec![Vec::new(); capacity],
             is_local: vec![false; capacity],
-            dv: DistanceMatrix::fitting(capacity, max_weight),
+            dv: DistanceMatrix::holding(capacity, 0),
             dirty: HashSet::new(),
             sent_to: HashMap::new(),
             #[cfg(test)]
@@ -435,7 +435,6 @@ impl ProcState {
 mod tests {
     use super::*;
     use crate::dynamic::reference::local_sssp;
-    use crate::engine::max_weight;
     use aa_graph::generators;
     use aa_partition::{Partitioner, RoundRobinPartitioner};
     use std::cmp::Reverse;
@@ -449,8 +448,8 @@ mod tests {
         part.assign(1, 0);
         part.assign(2, 1);
         part.assign(3, 1);
-        let mut p0 = ProcState::new(0, 4, max_weight(&g));
-        let mut p1 = ProcState::new(1, 4, max_weight(&g));
+        let mut p0 = ProcState::new(0, 4);
+        let mut p1 = ProcState::new(1, 4);
         p0.rebuild_view(&g, &part);
         p1.rebuild_view(&g, &part);
         for v in [0u32, 1] {
@@ -540,7 +539,7 @@ mod tests {
     fn local_dijkstra_matches_the_enqueueing_reference_on_an_rmat_part() {
         let g = aa_graph::rmat::rmat(8, 1024, Default::default(), 4, 7);
         let part = RoundRobinPartitioner.partition(&g, 4);
-        let mut ps = ProcState::new(1, g.capacity(), max_weight(&g));
+        let mut ps = ProcState::new(1, g.capacity());
         ps.rebuild_view(&g, &part);
         let bordering = |v: &usize| !ps.is_local[*v] && !ps.adj[*v].is_empty();
         let externals: Vec<usize> = (0..g.capacity()).filter(bordering).collect();
@@ -789,7 +788,7 @@ mod tests {
         let g = generators::barabasi_albert(60, 2, 1, 3);
         let part = RoundRobinPartitioner.partition(&g, 4);
         for rank in 0..4 {
-            let mut ps = ProcState::new(rank, g.capacity(), max_weight(&g));
+            let mut ps = ProcState::new(rank, g.capacity());
             ps.rebuild_view(&g, &part);
             // Every local vertex has its full world adjacency.
             for v in g.vertices() {

@@ -72,13 +72,11 @@ impl AnytimeEngine {
         batch
             .validate(self.world.capacity())
             .expect("invalid vertex batch");
-        let heaviest = batch.edges.iter().map(|&(_, _, w)| w).max();
         let incremental = matches!(
             strategy,
             AdditionStrategy::RoundRobinPs | AdditionStrategy::CutEdgePs
         );
         let exact = incremental && batch.count == 1 && self.is_settled();
-        self.admit(self.world.capacity() + batch.count, heaviest.unwrap_or(0));
         let span = self.span_open();
         self.obs.note_mutation();
         let ids = match strategy {

@@ -339,7 +339,7 @@ fn delta_after_a_broadcast_still_reaches_the_neighbours() {
     for (v, rank) in [(0, 0), (1, 0), (2, 1), (3, 1)] {
         part.assign(v, rank);
     }
-    let mut p0 = crate::proc_state::ProcState::new(0, 4, crate::engine::max_weight(&g));
+    let mut p0 = crate::proc_state::ProcState::new(0, 4);
     p0.rebuild_view(&g, &part);
     p0.dv.add_row(0);
     p0.dv.add_row(1);

@@ -14,7 +14,7 @@
 //!   raised columns.
 
 use super::{DeletedEdge, InvalidationTally, Kept, ProcState, Raised};
-use crate::dv::{ColumnSet, Row};
+use crate::dv::{ColumnSet, DistanceMatrix, Row};
 use aa_graph::{VertexId, Weight, INF};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
@@ -182,9 +182,9 @@ where
 /// reachable sinks.
 pub(crate) fn local_sssp(ps: &ProcState, source: VertexId) -> Vec<Weight> {
     let mut scratch = ps.clone();
-    if !scratch.dv.has_row(source) {
-        scratch.dv.add_row(source);
-    }
+    // At 32 bits, which withhold nothing.
+    scratch.dv = DistanceMatrix::new(ps.dv.col_count());
+    scratch.dv.add_row(source);
     scratch.seed_rows(&[source]);
     scratch.dv.row(source).to_vec()
 }
@@ -193,8 +193,9 @@ pub(crate) fn local_sssp(ps: &ProcState, source: VertexId) -> Vec<Weight> {
 /// then swept through every external neighbour's row on every column.
 pub(crate) fn recompute(ps: &mut ProcState, raised: Raised, kept: &Kept) {
     for (x, _) in raised {
-        let fresh = ps.dv.at_width(&local_sssp(ps, x));
-        ps.dv.relax_with_external(x, fresh.as_row(), 0);
+        for (t, d) in local_sssp(ps, x).into_iter().enumerate() {
+            ps.dv.lower_entry(x, t, d);
+        }
         for &(b, w) in &ps.adj[x as usize] {
             if let Some((_, row)) = kept.iter().find(|&&(k, _)| k == b) {
                 ps.dv.relax_with_delta(x, row, w, &ColumnSet::EVERY);
