@@ -58,12 +58,12 @@
 //! been relaxed against, and must not reach it. A raw write marks it
 //! all-columns, which makes the next send a full row.
 //!
-//! Both logs empty at once, for every row of every rank, in one case only:
+//! Both logs empty at once, for every row of every rank, in two cases only:
 //! a single insertion — one edge, one lighter edge, or one vertex placed by
-//! RoundRobin-PS or CutEdge-PS — that lands on a settled engine
-//! (`AnytimeEngine::end_insertion`). It leaves every row the exact APSP,
-//! which obeys the invariant over every edge, local or cut, against each
-//! row as it stands.
+//! RoundRobin-PS or CutEdge-PS — that lands on a settled engine, and a
+//! deletion (`AnytimeEngine::end_update`). Each leaves every row the exact
+//! APSP, which obeys the invariant over every edge, local or cut, against
+//! each row as it stands.
 
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
@@ -264,6 +264,28 @@ impl<'a> Row<'a> {
         }
     }
 
+    /// The columns `t` at which the entry is finite and at least `via[t] +
+    /// offset`, with `via[t]` finite, each with its entry, ascending. One
+    /// loop at the stored width when both rows share it, as an engine's
+    /// rows do.
+    pub fn at_least(self, via: Row<'_>, offset: Weight) -> Vec<(u32, Weight)> {
+        fn scan<C: Cell>(row: &[C], via: &[C], offset: C) -> Vec<(u32, Weight)> {
+            let columns = row.iter().zip(via).enumerate();
+            let hits = columns.filter(|&(_, (&d, &v))| {
+                let through = v.plus(offset);
+                d != C::INF && through != C::INF && d >= through
+            });
+            let hit = |(t, (&d, _)): (usize, (&C, &C))| Some((u32::try_from(t).ok()?, d.weight()));
+            hits.filter_map(hit).collect()
+        }
+        match (self.0, via.0) {
+            (Width::U8(row), Width::U8(via)) => scan(row, via, u8::of(offset)),
+            (Width::U16(row), Width::U16(via)) => scan(row, via, u16::of(offset)),
+            (Width::U32(row), Width::U32(via)) => scan(row, via, offset),
+            _ => scan(&self.to_vec(), &via.to_vec(), offset),
+        }
+    }
+
     /// The entries as `Weight`s.
     pub fn to_vec(self) -> Vec<Weight> {
         self.iter().collect()
@@ -439,6 +461,7 @@ impl ColumnSet {
     }
 
     /// Whether `col` is a member.
+    #[cfg(test)]
     pub(crate) fn contains(&self, col: usize) -> bool {
         self.all
             || self
@@ -454,15 +477,6 @@ impl ColumnSet {
 
     fn mark_all(&mut self) {
         self.all = true;
-    }
-
-    /// Adds every member of `other`, a set over the same columns.
-    fn merge(&mut self, other: &ColumnSet) {
-        self.all |= other.all;
-        self.marked |= other.marked;
-        for (word, &more) in self.words.iter_mut().zip(&other.words) {
-            *word |= more;
-        }
     }
 
     /// Empties the set; an unmarked set's words are zero already, so
@@ -1166,7 +1180,7 @@ impl DistanceMatrix {
     /// Marks every column of `v`'s row as possibly unpropagated. This is a
     /// statement about `v`'s local neighbours (new adjacency, say), not
     /// about the row's values: the unsent log is not touched, here or in
-    /// [`Self::mark_columns`] and [`Self::mark_all_rows`].
+    /// [`Self::mark_all_rows`].
     #[expect(
         clippy::indexing_slicing,
         reason = "documented-panic accessor — same contract as row"
@@ -1179,12 +1193,12 @@ impl DistanceMatrix {
     /// Raises the entries `cols` of `v`'s row to `INF` (deletion
     /// invalidation). The log stays as it is: with `v` on the right of
     /// `row_u[c] <= row_v[c] + w` a raised entry keeps the inequality, and
-    /// with `v` on the left it is the neighbour's log that has to hold the
-    /// column — [`Self::mark_columns`] on each local neighbour of `v`. The
-    /// unsent log loses the raised columns: every rank that holds the row
-    /// takes the same decision on the same values (the deletion barrier), so
-    /// on these columns both sides now read `INF` and nothing is owed until
-    /// a write lowers the entry again — and logs it.
+    /// with `v` on the left the deletion's repair restores it, as it ends
+    /// with every row exact (`AnytimeEngine::end_update`). The unsent log
+    /// loses the raised columns: every rank that holds the row takes the
+    /// same decision on the same values (the deletion barrier), so on these
+    /// columns both sides now read `INF` and nothing is owed until a write
+    /// lowers the entry again — and logs it.
     pub fn raise_entries(&mut self, v: VertexId, cols: &[usize]) {
         fn raise<C: Cell>(row: &mut [C], unsent: &mut ColumnSet, cols: &[usize]) {
             for &c in cols {
@@ -1203,15 +1217,6 @@ impl DistanceMatrix {
                 raise(row, unsent, cols);
             }
         });
-    }
-
-    /// Adds `cols` to `v`'s log: on these columns a local neighbour may sit
-    /// above what `v`'s row offers it.
-    pub fn mark_columns(&mut self, v: VertexId, cols: &ColumnSet) {
-        let idx = self.row_index(v);
-        if let Some(log) = self.logs.get_mut(idx) {
-            log.merge(cols);
-        }
     }
 
     /// `row_v[col] = min(row_v[col], value)`, logged like any lowering
@@ -1798,7 +1803,6 @@ mod tests {
         assert_eq!(pairs(&m, 0), Some(vec![(2, 5)]));
         // Marks about the neighbourhood leave it alone.
         m.mark_all_columns(0);
-        m.mark_columns(0, &ColumnSet::EVERY);
         m.mark_all_rows();
         assert_eq!(pairs(&m, 0), Some(vec![(2, 5)]));
         // A raised entry leaves it, and comes back when lowered again.

@@ -7,15 +7,16 @@
 //!   subsequent recombination steps propagate the improvements. One edge
 //!   (or one vertex) added to a settled engine needs none of them: a new
 //!   shortest path uses it at most once, so that relaxation is already the
-//!   new APSP (`AnytimeEngine::end_insertion`).
+//!   new APSP (`AnytimeEngine::end_update`).
 //! * **Edge deletions** (the titled paper's contribution) invalidate the
 //!   entries the deleted edge *solely* supports — a shortest path runs over
-//!   it and no tied detour keeps the distance — recompute them from the
-//!   entries that were kept — a rank's own, and its external neighbours',
-//!   which it fetches from their owners — and reconverge. Deletions are
-//!   applied at a *quiesced* point: if the engine has pending updates it
-//!   first converges, so the equality-based support test and its tie check
-//!   are exact (see `DESIGN.md`).
+//!   it and no tied detour keeps the distance — and repair them exactly from
+//!   the entries that were kept and the edges of the invalidated columns,
+//!   which a rank fetches from their owners where it does not own them.
+//!   Deletions are applied at a *quiesced* point: if the engine has pending
+//!   updates it first converges, so the equality-based support test and its
+//!   tie check are exact (see `DESIGN.md`), and the deletion ends exact,
+//!   owing recombination nothing.
 //! * **Vertex additions** extend every distance vector with new columns, add
 //!   an owner row, and then run the batch's edges through the edge-addition
 //!   kernel. The owning processor is chosen by an [`crate::AdditionStrategy`].
@@ -28,7 +29,7 @@
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-use crate::dv::{ColumnSet, DistanceMatrix, Row, RowBuf, RowDelta};
+use crate::dv::{Row, RowBuf};
 use crate::engine::AnytimeEngine;
 use crate::obs::InvalidationTally;
 use crate::proc_state::ProcState;
@@ -44,9 +45,9 @@ use std::collections::BTreeMap;
 /// raised columns, ascending, in row order.
 type Raised = Vec<(VertexId, Vec<usize>)>;
 
-/// What phase 2 fetched for one rank: each external neighbour of a raised
-/// row with its owner's values on the columns asked, ascending in vertex.
-type Kept = Vec<(VertexId, RowDelta)>;
+/// What phase 2 fetched for one rank: each raised column it does not own,
+/// with that column's edges as its owner holds them, ascending in column.
+type Fetched = Vec<(VertexId, Vec<(VertexId, Weight)>)>;
 
 /// A vertex's edges: `(neighbour, weight)`.
 type Edges<'a> = &'a [(VertexId, Weight)];
@@ -123,7 +124,7 @@ impl AnytimeEngine {
     /// if the edge already exists. The change is incorporated immediately
     /// (endpoint-row broadcast + relaxation) and fully propagated by
     /// subsequent recombination steps — on a settled engine by that
-    /// relaxation alone ([`Self::end_insertion`]).
+    /// relaxation alone ([`Self::end_update`]).
     pub fn add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) -> bool {
         assert!(self.initialized, "call initialize() first");
         let exact = self.is_settled();
@@ -137,7 +138,7 @@ impl AnytimeEngine {
         self.converged = false;
         self.span_close(span, "dynamic-update", format!("add-edge {u}-{v}"));
         self.feed_capture(false);
-        self.end_insertion(exact);
+        self.end_update(exact);
         true
     }
 
@@ -151,15 +152,16 @@ impl AnytimeEngine {
         self.converged && self.procs.iter().all(ProcState::is_quiescent)
     }
 
-    /// Ends an insertion whose one-shot relaxation was `exact`: one new
-    /// edge, lighter edge or vertex on a settled engine ([`Self::is_settled`]),
-    /// which a new shortest path uses at most once. Every rank then owes
+    /// Ends an update that left every row `exact`: one new edge, lighter
+    /// edge or vertex on a settled engine ([`Self::is_settled`]), which a new
+    /// shortest path uses at most once, or any deletion, which the barrier
+    /// settles first and the repair ends exact. Every rank then owes
     /// nothing, as exact rows obey the triangle inequality over every edge —
     /// unless a rank withheld a distance its rows could not hold, and the
     /// rows widen instead ([`Self::widen_after_overflow`]). Call it after
-    /// the insertion's [`Self::feed_capture`]. `converged` stays false: the
+    /// the update's [`Self::feed_capture`]. `converged` stays false: the
     /// next recombination step runs empty and says so.
-    pub(crate) fn end_insertion(&mut self, exact: bool) {
+    pub(crate) fn end_update(&mut self, exact: bool) {
         if !self.widen_after_overflow() && exact {
             self.procs.iter_mut().for_each(ProcState::owe_nothing);
             self.obs.settled_updates += 1;
@@ -199,7 +201,7 @@ impl AnytimeEngine {
     /// and the views: broadcast the row of each of their distinct
     /// `endpoints` once; every processor relaxes every owned row through
     /// every edge — the owners learn the direct edge here too: `D[u][u] = 0`
-    /// — then, unless that was `exact` ([`Self::end_insertion`]) and they
+    /// — then, unless that was `exact` ([`Self::end_update`]) and they
     /// would lower nothing, the local neighbours of each endpoint it borders
     /// through that endpoint's row, and propagates locally.
     #[expect(
@@ -243,7 +245,7 @@ impl AnytimeEngine {
     /// applies all relaxations in one sweep, and local propagation runs once
     /// at the end. Returns the number of edges actually inserted (duplicates
     /// and self-loops are skipped). One inserted edge on a settled engine is
-    /// exact at once ([`Self::end_insertion`]); two or more are not, as a
+    /// exact at once ([`Self::end_update`]); two or more are not, as a
     /// new shortest path may use several of them, and recombination
     /// completes them.
     pub fn add_edges(&mut self, edges: &[(VertexId, VertexId, Weight)]) -> usize {
@@ -270,7 +272,7 @@ impl AnytimeEngine {
             format!("add-edges n={}", inserted.len()),
         );
         self.feed_capture(false);
-        self.end_insertion(exact);
+        self.end_update(exact);
         inserted.len()
     }
 
@@ -302,9 +304,10 @@ impl AnytimeEngine {
     /// Deletes a batch of edges at once: one deletion barrier, one broadcast
     /// per distinct endpoint, one sole-support exchange, one combined
     /// invalidation sweep (a pair is invalidated if *any* deleted edge
-    /// solely supports its current value), one fetch of kept values, one
-    /// reseed. An edge named twice, in either orientation, counts once.
-    /// Returns the number of edges actually removed.
+    /// solely supports its current value), one fetch of the invalidated
+    /// columns' edges, one exact repair. An edge named twice, in either
+    /// orientation, counts once. Returns the number of edges actually
+    /// removed.
     pub fn delete_edges(&mut self, edges: &[(VertexId, VertexId)]) -> usize {
         assert!(self.initialized, "call initialize() first");
         let present = edges.iter().filter_map(|&(u, v)| {
@@ -331,9 +334,8 @@ impl AnytimeEngine {
         let rows = self.broadcast_rows(&endpoints, &adjacency);
         let via = of_edges(&present, &endpoints, &rows, RowBuf::as_row);
         let adj = of_edges(&present, &endpoints, &adjacency, Vec::as_slice);
-        let alone = present.len() == 1;
         let mut deleted: Vec<DeletedEdge> = (present.iter().zip(via).zip(adj))
-            .map(|((&edge, rows), adj)| DeletedEdge::new(edge, rows, adj, alone))
+            .map(|((&edge, rows), adj)| DeletedEdge::new(edge, rows, adj))
             .collect();
         self.keep_sole_support(&mut deleted);
         let mut tested = 0u64;
@@ -342,7 +344,7 @@ impl AnytimeEngine {
                 ps.view_remove_edge(u, v);
             }
         };
-        self.invalidate_and_recompute(views, |row, x| {
+        self.invalidate_and_repair(views, |row, x| {
             let mut targets = Vec::new();
             for edge in &deleted {
                 tested += edge.affected_targets(row, x, &mut targets);
@@ -355,11 +357,11 @@ impl AnytimeEngine {
         });
         self.forget_unbordered(endpoints);
         self.obs.candidate_columns += tested;
-        self.widen_after_overflow();
         self.converged = false;
         let n = present.len();
         self.span_close(span, "dynamic-update", format!("delete-edges n={n}"));
         self.feed_capture(true);
+        self.end_update(true);
         n
     }
 
@@ -370,9 +372,9 @@ impl AnytimeEngine {
 
     /// Changes the weight of edge `(u, v)`. Decreases are incorporated like
     /// additions (pure relaxation, exact at once on a settled engine);
-    /// increases like deletions (invalidate + reseed, with the deletion
-    /// barrier). Returns `false` if the edge is absent or the weight
-    /// unchanged.
+    /// increases as a deletion (exact at once, with the deletion barrier)
+    /// and a re-add at the new weight, which recombination completes.
+    /// Returns `false` if the edge is absent or the weight unchanged.
     #[expect(
         clippy::indexing_slicing,
         reason = "processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity"
@@ -399,7 +401,7 @@ impl AnytimeEngine {
             self.converged = false;
             self.span_close(span, "dynamic-update", format!("decrease-weight {u}-{v}"));
             self.feed_capture(false);
-            self.end_insertion(exact);
+            self.end_update(exact);
             return true;
         }
         // Increase: invalidate paths supported at the old weight, then make
@@ -413,7 +415,7 @@ impl AnytimeEngine {
 
     /// Dynamically deletes vertex `v` and all its incident edges (the papers'
     /// named future work). Applies the deletion barrier, invalidates every
-    /// pair whose path ran through `v`, and recomputes them like an edge
+    /// pair whose path ran through `v`, and repairs them like an edge
     /// deletion does. Returns the removed incident edges.
     #[expect(
         clippy::indexing_slicing,
@@ -427,6 +429,8 @@ impl AnytimeEngine {
         let row_v = row_v.as_row();
 
         let removed = self.world.remove_vertex(v);
+        // Nobody owns `v` now: no rank asks for its edges.
+        self.partition.assignment[v as usize] = UNASSIGNED;
         let views = |ps: &mut ProcState| {
             for &(x, _) in &removed {
                 ps.view_remove_edge(v, x);
@@ -438,14 +442,13 @@ impl AnytimeEngine {
             }
             ps.is_local[v as usize] = false;
         };
-        self.invalidate_and_recompute(views, |row, x| affected_by_vertex(row, x, v, row_v));
+        self.invalidate_and_repair(views, |row, x| affected_by_vertex(row, x, v, row_v));
         // The ranks that bordered a neighbour of `v` only through `v`.
         self.forget_unbordered(removed.iter().map(|&(x, _)| x));
-        self.partition.assignment[v as usize] = UNASSIGNED;
-        self.widen_after_overflow();
         self.converged = false;
         self.span_close(span, "dynamic-update", format!("delete-vertex {v}"));
         self.feed_capture(true);
+        self.end_update(true);
         removed
     }
 
@@ -488,11 +491,11 @@ impl AnytimeEngine {
     /// What every deletion does, in three phases at a cost that follows the
     /// affected set: every rank takes the deletion into its view (`views`)
     /// and raises, in each owned row `x`, the entries `affected(row, x)`
-    /// names; one exchange fetches the external values the raised columns
-    /// can be re-derived from ([`Self::fetch_kept_values`]), since no rank
-    /// keeps a copy of its external neighbours' rows; every rank recomputes
-    /// the raised columns only, and propagates.
-    fn invalidate_and_recompute<F>(&mut self, views: impl Fn(&mut ProcState), mut affected: F)
+    /// names; one exchange fetches the edges of the raised columns a rank
+    /// does not own ([`Self::fetch_column_edges`]), since a rank's view holds
+    /// only the edges of its own vertices; and every rank repairs the raised
+    /// columns exactly ([`repair`]).
+    fn invalidate_and_repair<F>(&mut self, views: impl Fn(&mut ProcState), mut affected: F)
     where
         F: FnMut(Row<'_>, VertexId) -> Vec<usize>,
     {
@@ -504,46 +507,43 @@ impl AnytimeEngine {
             self.cluster
                 .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
         }
-        let kept = self.fetch_kept_values(&raised);
-        let work = raised.into_iter().zip(kept).collect();
-        let recompute = |_, ps: &mut ProcState, (raised, kept)| recompute(ps, raised, &kept);
+        let fetched = self.fetch_column_edges(&raised);
+        let work = raised.into_iter().zip(fetched).collect();
+        let repair = |_, ps: &mut ProcState, (raised, fetched)| repair(ps, raised, &fetched);
         self.cluster
-            .run_on_ranks(Phase::DynamicUpdate, &mut self.procs, work, recompute);
+            .run_on_ranks(Phase::DynamicUpdate, &mut self.procs, work, repair);
     }
 
     /// Phase 2 of a deletion, one `DynamicUpdate` exchange there and back:
-    /// each rank asks the owner of every external neighbour `b` of a row it
-    /// raised for `b`'s values on the columns raised there, and the owner
-    /// answers from its row, raised already — what a copy of `b` kept at the
-    /// barrier would hold now, less the `INF`s, which lower nothing. An ask
-    /// is a vertex id and the columns as a list or a bitset, whichever is
-    /// shorter; an answer a vertex id, a finite-or-not bit per column asked,
-    /// and the finite values.
-    fn fetch_kept_values(&mut self, raised: &[Raised]) -> Vec<Kept> {
+    /// each rank asks the owner of every raised column it does not own for
+    /// that column's edges, and the owner answers from its view, where the
+    /// deletion is applied already. Topology does not change during the
+    /// repair, so one round is all it takes. An ask is the columns as a list
+    /// (a 4 B count, 4 B each) or a bitset, whichever is shorter; an answer,
+    /// per column asked and in the order asked, a 4 B degree and 8 B per edge.
+    fn fetch_column_edges(&mut self, raised: &[Raised]) -> Vec<Fetched> {
         let (cols, partition) = (self.world.capacity(), &self.partition);
         let ask = |_, ps: &mut ProcState, rows: &Raised| {
-            let mut wanted: BTreeMap<VertexId, ColumnSet> = BTreeMap::new();
-            for (x, targets) in rows {
-                for &(b, _) in ps.adj.get(*x as usize).into_iter().flatten() {
-                    if ps.is_local.get(b as usize) == Some(&false) {
-                        let want = wanted.entry(b).or_insert_with(|| ColumnSet::empty(cols));
-                        targets.iter().for_each(|&t| want.insert(t));
-                    }
+            let remote = |&&t: &&usize| ps.is_local.get(t) == Some(&false);
+            let columns = rows
+                .iter()
+                .flat_map(|(_, targets)| targets.iter().filter(remote));
+            let mut columns: Vec<usize> = columns.copied().collect();
+            columns.sort_unstable();
+            columns.dedup();
+            let mut wanted: BTreeMap<usize, Vec<VertexId>> = BTreeMap::new();
+            for t in columns
+                .into_iter()
+                .filter_map(|t| VertexId::try_from(t).ok())
+            {
+                if let Some(owner) = partition.part_of(t) {
+                    wanted.entry(owner).or_default().push(t);
                 }
             }
-            #[cfg(test)]
-            if reference::reads_whole_rows() {
-                let every = |want: &mut ColumnSet| (0..cols).for_each(|c| want.insert(c));
-                wanted.values_mut().for_each(every);
-            }
-            let asks = wanted.into_iter().filter_map(|(b, want)| {
-                let bytes = 4 + (4 * want.logged()).min(cols.div_ceil(8));
-                let payload = (b, want);
-                Some(TransferOut {
-                    dst: partition.part_of(b)?,
-                    bytes,
-                    payload,
-                })
+            let asks = wanted.into_iter().map(|(dst, columns)| TransferOut {
+                dst,
+                bytes: (4 + 4 * columns.len()).min(cols.div_ceil(8)),
+                payload: columns,
             });
             asks.collect::<Vec<_>>()
         };
@@ -552,11 +552,11 @@ impl AnytimeEngine {
             .cluster
             .run_on_ranks(Phase::DynamicUpdate, &mut self.procs, rows, ask);
         let asked = self.cluster.exchange(Phase::DynamicUpdate, asks);
-        let answer = |_, ps: &mut ProcState, asked: Vec<(usize, (VertexId, ColumnSet))>| {
-            let answers = asked.into_iter().map(|(dst, (b, want))| {
-                let mask = want.logged().div_ceil(8);
-                let payload = (b, ps.dv.entries_on(b, want));
-                let bytes = 4 + mask + 4 * payload.1.len();
+        let answer = |_, ps: &mut ProcState, asked: Vec<(usize, Vec<VertexId>)>| {
+            let answers = asked.into_iter().map(|(dst, columns)| {
+                let edges = |t: VertexId| ps.adj.get(t as usize).cloned().unwrap_or_default();
+                let payload: Fetched = columns.into_iter().map(|t| (t, edges(t))).collect();
+                let bytes = payload.iter().map(|(_, edges)| 4 + 8 * edges.len()).sum();
                 TransferOut {
                     dst,
                     bytes,
@@ -570,9 +570,9 @@ impl AnytimeEngine {
                 .run_on_ranks(Phase::DynamicUpdate, &mut self.procs, asked, answer);
         let fetched = self.cluster.exchange(Phase::DynamicUpdate, answers);
         let sorted = fetched.into_iter().map(|inbox| {
-            let mut kept: Kept = inbox.into_iter().map(|(_, answer)| answer).collect();
-            kept.sort_unstable_by_key(|&(b, _)| b);
-            kept
+            let mut fetched: Fetched = inbox.into_iter().flat_map(|(_, answer)| answer).collect();
+            fetched.sort_unstable_by_key(|&(t, _)| t);
+            fetched
         });
         sorted.collect()
     }
@@ -646,12 +646,14 @@ fn relax_row_through_edge(
 /// **Sole support** narrows `B_uv` to `S_uv`, the columns where `d(u,t)` can
 /// grow: [`retain_sole`] drops every `t` that has a detour, a surviving
 /// neighbour `y` of `u` with `w(u,y) + d(y,t) = d(u,t)` and no shortest
-/// `y → t` path over an edge of the batch ([`has_detour`]). If `d(x,t)`
-/// grows, let `u → v` be the first deleted edge on a shortest `x → t` path:
-/// its prefix `x → u` survives, so had `d(u,t)` kept its value, so would
-/// `d(x,t)`. Hence `t ∈ S_uv`. A lone deleted edge is also the *last* one on
-/// that path, and the same argument from `t`'s end puts `x` in `S_vu`: for
-/// it (`alone`), the rows are held to the far side's set too.
+/// `y → t` path over an edge of the batch ([`has_detour`]). A row `x` is
+/// held to the far side's set as well, `x ∈ S_vu`. Why that keeps every
+/// entry that can grow: if `d(x,t)` grows, take a shortest `x → t` path and
+/// its first deleted edge `u → v`. The prefix `x → u` survives, so had
+/// `d(u,t)` kept its value, so would `d(x,t)`: `t ∈ S_uv`. Should `x` have a
+/// detour at `v`, replace the prefix up to `v` by it: that is a shortest
+/// path whose first deleted edge lies farther on. The detour avoids every
+/// edge of the batch, so the walk ends at an edge that passes both sides.
 struct DeletedEdge<'a> {
     edge: (VertexId, VertexId, Weight),
     /// `(row_u, row_v)`. Exact at the barrier, on an undirected graph they
@@ -664,33 +666,24 @@ struct DeletedEdge<'a> {
     beyond_v: Vec<(u32, Weight)>,
     /// `S_vu` as `(t, row_v[t])`, ascending in `t`.
     beyond_u: Vec<(u32, Weight)>,
-    /// Whether the batch is this edge alone.
-    alone: bool,
 }
 
 impl<'a> DeletedEdge<'a> {
+    /// `B_uv` is where `row_u[t] ≥ w + row_v[t]`: on exact rows `row_u[t] ≤
+    /// w + row_v[t]` by the edge, so that is equality. Read at the rows'
+    /// stored width.
     fn new(
         edge: (VertexId, VertexId, Weight),
         rows: (Row<'a>, Row<'a>),
         adj: (Edges<'a>, Edges<'a>),
-        alone: bool,
     ) -> Self {
         let w = edge.2;
-        // The columns `near` reaches over the edge, through `far`.
-        let beyond = |near: Row, far: Row| {
-            let columns = near.iter().zip(far.iter()).enumerate();
-            columns
-                .filter(|&(_, (n, f))| n != INF && n == f.saturating_add(w))
-                .filter_map(|(t, (n, _))| Some((u32::try_from(t).ok()?, n)))
-                .collect()
-        };
         DeletedEdge {
             edge,
             rows,
             adj,
-            beyond_v: beyond(rows.0, rows.1),
-            beyond_u: beyond(rows.1, rows.0),
-            alone,
+            beyond_v: rows.0.at_least(rows.1, w),
+            beyond_u: rows.1.at_least(rows.0, w),
         }
     }
 
@@ -714,7 +707,7 @@ impl<'a> DeletedEdge<'a> {
     /// d(x,v)`, so `d(x,u) + w + d(v,t) > d(x,v) + d(v,t) >= d(x,t)` for
     /// every `t` by the triangle inequality: two lookups into the endpoint
     /// rows say so, and `row` is not read. With `w ≥ 1` at most one direction
-    /// is tight. A lone edge also needs `x ∈ S_vu`, one binary search.
+    /// is tight. The row side, `x ∈ S_vu`, is one binary search.
     fn affected_targets(&self, row: Row<'_>, x: VertexId, out: &mut Vec<usize>) -> u64 {
         let (row_u, row_v) = self.rows;
         #[cfg(test)]
@@ -726,10 +719,8 @@ impl<'a> DeletedEdge<'a> {
         let (du, dv, w) = (at(row_u), at(row_v), self.edge.2);
         #[cfg(test)]
         reference::assert_row_agrees(row, x, &[(self.edge.0, du), (self.edge.1, dv)]);
-        // A lone edge's row side: `x` must lie in the far side's set.
-        let row_side = |back: &[(u32, Weight)]| {
-            !self.alone || back.binary_search_by_key(&x, |&(t, _)| t).is_ok()
-        };
+        // The row side: `x` must lie in the far side's set.
+        let row_side = |back: &[(u32, Weight)]| back.binary_search_by_key(&x, |&(t, _)| t).is_ok();
         let mut tested = 0;
         let sides = [
             (du, dv, &self.beyond_v, &self.beyond_u),
@@ -807,9 +798,9 @@ fn retain_sole(batch: &mut [DeletedEdge<'_>], sole: &[(usize, u32)]) {
 }
 
 /// Targets of row `x` invalidated by deleting vertex `v`: the column `v`
-/// itself plus every entry whose value routes through `v`. `d(x,v)` is
-/// `row_v[x]` (the graph is undirected), so a row that does not reach `v`
-/// is not read.
+/// itself plus every entry whose value routes through `v`, read at the rows'
+/// stored width. `d(x,v)` is `row_v[x]` (the graph is undirected), so a row
+/// that does not reach `v` is not read.
 fn affected_by_vertex(row: Row<'_>, x: VertexId, v: VertexId, row_v: Row<'_>) -> Vec<usize> {
     let a = row_v.get(x as usize).unwrap_or(INF); // d(x, v)
     #[cfg(test)]
@@ -817,26 +808,17 @@ fn affected_by_vertex(row: Row<'_>, x: VertexId, v: VertexId, row_v: Row<'_>) ->
     if a == INF {
         return Vec::new();
     }
-    let through_v = row
-        .iter()
-        .zip(row_v.iter())
-        .enumerate()
-        .filter(|&(t, (d, dv))| {
-            let via = a.saturating_add(dv);
-            d != INF && via != INF && d >= via && t != x as usize && t != v as usize
-        });
-    [v as usize]
-        .into_iter()
-        .chain(through_v.map(|(t, _)| t))
-        .collect()
+    let through_v = (row.at_least(row_v, a).into_iter())
+        .map(|(t, _)| t as usize)
+        .filter(|&t| t != x as usize && t != v as usize);
+    [v as usize].into_iter().chain(through_v).collect()
 }
 
 /// Phase 1 of a deletion on one rank: asks `affected(row, x)` once per owned
 /// row `x`, on the exact row the barrier left, and raises those entries. A
 /// raised entry leaves the row's unsent log: the row as last sent is the row
-/// itself at the barrier, the receivers' neighbours are recomputed against
-/// it raised (phase 2 fetches it so), and the write that lowers the entry
-/// again logs it.
+/// itself at the barrier, every rank repairs the rows it owns alike, and the
+/// deletion ends owing nothing ([`AnytimeEngine::end_update`]).
 fn raise<F>(ps: &mut ProcState, tally: &mut InvalidationTally, affected: &mut F) -> Raised
 where
     F: FnMut(Row<'_>, VertexId) -> Vec<usize>,
@@ -862,70 +844,72 @@ where
     raised
 }
 
-/// Phase 3 of a deletion on one rank: repairs the raised rows on their
-/// raised columns only, from `kept` — the external neighbours' values
-/// phase 2 fetched — and the rows' own kept entries, and only those columns
-/// join the frontier.
+/// Phase 3 of a deletion on one rank: repairs each raised row `x` exactly,
+/// by one search over its raised columns (SSSP-Del's re-derivation, carried
+/// to the end). Each raised column `t` is seeded with `min (row_x[y] + w)`
+/// over its edges `(y, t, w)` — its own view's for a column the rank owns,
+/// the `fetched` ones for any other — and the search relaxes raised columns
+/// only. That is exact: every kept entry is exact on the graph as it now is
+/// (no deleted edge solely supported it), and on a shortest `x → t` path
+/// the last vertex with a kept entry is a seed's neighbour, after which
+/// every vertex is a raised column.
 #[expect(
     clippy::indexing_slicing,
-    reason = "rows are full-width (world capacity) and every indexed id comes from the same world"
+    reason = "rows are full-width (world capacity), the view's tables are sized to it, and every indexed id comes from the same world"
 )]
-fn recompute(ps: &mut ProcState, raised: Raised, kept: &Kept) {
+fn repair(ps: &mut ProcState, raised: Raised, fetched: &Fetched) {
     #[cfg(test)]
     if reference::is_whole_row() {
-        return reference::recompute(ps, raised, kept);
+        reference::rebuild(ps, &raised);
     }
-    // Bounded recompute (SSSP-Del): the kept entries of a raised row are
-    // exact on the graph as it is now — no deleted edge supported them — and
-    // every `adj` edge exists in it, so `row[t] = min(row[y] + w)` over the
-    // edges `(y, t, w)` known here, settled Dijkstra-style among the raised
-    // columns, is an upper bound; and at most what a local Dijkstra from `x`
-    // finds (follow its path back from `t` to the last kept vertex). Nothing
-    // lowers an exact entry: the search relaxes raised columns only.
-    let (mut search, mut seeds) = (Search::default(), Vec::new());
+    if raised.is_empty() {
+        return;
+    }
+    let ProcState {
+        adj,
+        is_local,
+        dv,
+        dirty,
+        ..
+    } = ps;
+    let edges_of = |t: usize| -> Edges {
+        if is_local[t] {
+            return &adj[t];
+        }
+        let found = fetched.binary_search_by_key(&t, |&(c, _)| c as usize);
+        found.map_or(&[], |i| &fetched[i].1)
+    };
+    let (mut search, mut is_raised) = (Search::default(), vec![false; adj.len()]);
     for (x, targets) in raised {
-        let mut cols = ColumnSet::empty(ps.dv.col_count());
-        targets.iter().for_each(|&t| cols.insert(t));
-        // A raised entry can sit above what a local neighbour's row offers
-        // over their edge: the neighbour owes the row those columns again.
-        for &(u, _) in &ps.adj[x as usize] {
-            if ps.is_local[u as usize] {
-                ps.dv.mark_columns(u, &cols);
-            }
-        }
-        // Through each external neighbour, on `x`'s raised columns among
-        // those fetched for it.
-        for &(b, w) in &ps.adj[x as usize] {
-            let found = kept.binary_search_by_key(&b, |&(b, _)| b);
-            if let Some((_, values)) = found.ok().and_then(|i| kept.get(i)) {
-                ps.dv.relax_with_delta(x, values, w, &cols);
-            }
-        }
-        for &t in &targets {
-            let offers = ps.adj[t]
-                .iter()
-                .map(|&(y, w)| entry(&ps.dv, x, y as usize).saturating_add(w));
-            ps.dv.lower_entry(x, t, offers.min().unwrap_or(INF));
-            seeds.extend(VertexId::try_from(t).map(|t| (t, entry(&ps.dv, x, t as usize))));
+        let row = dv.row(x);
+        let offer = |t: usize| {
+            let through = edges_of(t).iter().map(|&(y, w)| {
+                let d = row.get(y as usize).unwrap_or(INF);
+                d.saturating_add(w)
+            });
+            through.min().unwrap_or(INF)
+        };
+        let seeds: Vec<(VertexId, Weight)> = (targets.iter())
+            .filter_map(|&t| Some((VertexId::try_from(t).ok()?, offer(t))))
+            .filter(|&(_, d)| d != INF)
+            .collect();
+        targets.iter().for_each(|&t| is_raised[t] = true);
+        for &(t, d) in &seeds {
+            dv.lower_entry(x, t as usize, d);
         }
         search.run(
-            &mut ps.dv,
-            seeds.drain(..),
-            |t| &ps.adj[t as usize],
-            |dv, y, d| cols.contains(y as usize) && dv.lower_entry(x, y as usize, d),
-            |dv, t, d| match d > entry(dv, x, t as usize) {
+            &mut *dv,
+            seeds,
+            |t| edges_of(t as usize),
+            |dv, y, d| is_raised[y as usize] && dv.lower_entry(x, y as usize, d),
+            |dv, t, d| match d > dv.row(x).get(t as usize).unwrap_or(INF) {
                 true => Settle::Skip,
                 false => Settle::Expand,
             },
         );
-        ps.dirty.insert(x);
+        targets.iter().for_each(|&t| is_raised[t] = false);
+        dirty.insert(x);
     }
-    ps.propagate();
-}
-
-/// `row_x[t]`, `INF` past the row.
-fn entry(dv: &DistanceMatrix, x: VertexId, t: usize) -> Weight {
-    dv.row(x).get(t).unwrap_or(INF)
 }
 
 #[cfg(test)]
@@ -1238,7 +1222,7 @@ mod tests {
                     exact[v as usize].as_slice().into(),
                 );
                 let adj = (after.neighbors(u), after.neighbors(v));
-                DeletedEdge::new((u, v, w), rows, adj, batch.len() == 1)
+                DeletedEdge::new((u, v, w), rows, adj)
             })
             .collect();
         let columns = |e: &DeletedEdge| -> HashSet<usize> {

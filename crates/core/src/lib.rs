@@ -69,6 +69,9 @@ pub mod strategy;
 #[path = "tests/changelog.rs"]
 mod changelog_tests;
 #[cfg(test)]
+#[path = "tests/exact_deletion.rs"]
+mod exact_deletion;
+#[cfg(test)]
 #[path = "tests/resilience.rs"]
 mod resilience;
 #[cfg(test)]

@@ -181,7 +181,7 @@ impl ProcState {
 
     /// Forgets everything this rank owes — its frontier, its unsent logs,
     /// its rows marked to send — where every row of every rank is exact
-    /// (`AnytimeEngine::end_insertion`): each receiver of a row already
+    /// (`AnytimeEngine::end_update`): each receiver of a row already
     /// stands where a send of it would put it.
     pub(crate) fn owe_nothing(&mut self) {
         self.dv.clear_logs();

@@ -58,7 +58,7 @@ impl AnytimeEngine {
     /// the given strategy. Returns the ids assigned to the new vertices, in
     /// batch order. Subsequent recombination steps propagate the changes,
     /// unless RoundRobin-PS or CutEdge-PS attach one vertex to a settled
-    /// engine, which is exact at once (`AnytimeEngine::end_insertion`).
+    /// engine, which is exact at once (`AnytimeEngine::end_update`).
     pub fn add_vertices(
         &mut self,
         batch: &VertexBatch,
@@ -98,7 +98,7 @@ impl AnytimeEngine {
         );
         // A restart starts every row over, above where it stood.
         self.feed_capture(strategy == AdditionStrategy::BaselineRestart);
-        self.end_insertion(exact);
+        self.end_update(exact);
         ids
     }
 

@@ -14,21 +14,18 @@
 //! `diff_rows` against it (`ProcState::unsent_delta`).
 //!
 //! The second half does the same for deletions: the production path (row
-//! filter, one decision per row, bounded recompute of the raised columns)
-//! beside [`whole_row`], the scan-everything, local-Dijkstra invalidation it
-//! replaced. There the twins are allowed to differ, in one direction: both
-//! must reset the same entries, and what the production path rebuilds must
-//! lie between the oracle and what the reference rebuilds. The reset sets
-//! are held to the oracle too: every entry a deleting call lengthened was
-//! reset, and none that the unrefined support test would keep. And beside
-//! [`copy_based`], the same invalidation reading each external neighbour's
-//! row whole from its owner, as a kept copy of it would have, production —
-//! which fetches only the raised columns — must leave the very same rows.
+//! filter, one decision per row, exact repair of the raised columns) beside
+//! [`whole_row`], the scan-everything, local-Dijkstra invalidation it
+//! replaced. Both must reset the same entries, in the same order, with the
+//! same tallies; the production path must end every deleting call with rows
+//! equal to the oracle and nothing owed, and the reference may only lie
+//! above it. The reset sets are held to the oracle too: every entry a
+//! deleting call lengthened was reset, and none that the unrefined support
+//! test would keep.
 
 use crate::config::{EngineConfig, PartitionerKind};
 use crate::dv::reference;
 use crate::dynamic::reference as whole_row;
-use crate::dynamic::reference::copy_based;
 use crate::dynamic::{Endpoint, VertexBatch};
 use crate::proc_state::ProcState;
 use crate::strategy::AdditionStrategy;
@@ -623,23 +620,29 @@ impl DeletionPair {
         }
     }
 
-    /// [`Self::delete`] for a call that only deletes, where the twins are
-    /// ordered afterwards: what the production path rebuilt is no higher than
-    /// what the reference rebuilt, both frontiers are drained, the same rows
-    /// wait to be sent, and every entry that was raised and lowered again is
-    /// in its row's unsent log. (A weight increase ends in an
-    /// insertion, whose level filter withholds shortcuts by the state it
-    /// finds — after it neither twin need be the lower one.)
+    /// [`Self::delete`] for a call that only deletes, which ends exact: the
+    /// production path's rows equal the oracle, no rank of either twin has a
+    /// row on its frontier or in its dirty set, no production row has an
+    /// unsent column, and the reference's rows lie no lower — unless the call
+    /// widened the rows, which leaves what it withheld to recombination. (A
+    /// weight increase ends in an insertion, which recombination completes.)
     fn delete_only<R: PartialEq + std::fmt::Debug>(
         &mut self,
         what: &str,
         f: impl Fn(&mut AnytimeEngine) -> R,
     ) -> (R, Vec<whole_row::Reset>) {
+        let widenings = |e: &AnytimeEngine| e.obs.widenings;
+        let before = widenings(&self.bounded);
         let (got, resets) = self.delete(what, f);
+        if widenings(&self.bounded) > before {
+            return (got, resets);
+        }
+        let oracle = algo::apsp_dijkstra(self.bounded.graph());
         for (a, b) in self.bounded.procs.iter().zip(&self.whole.procs) {
             let rank = a.rank;
             assert_eq!(a.dv.vertices(), b.dv.vertices(), "{what}: rank {rank} rows");
             for &v in a.dv.vertices() {
+                assert_eq!(a.dv.row(v).to_vec(), oracle[v as usize], "{what}: row {v}");
                 let rows = a.dv.row(v).iter().zip(b.dv.row(v).iter());
                 for (t, (new, old)) in rows.enumerate() {
                     assert!(
@@ -647,20 +650,13 @@ impl DeletionPair {
                         "{what}: row {v}[{t}] {new} above reference {old}"
                     );
                 }
-                // The receivers raised the same entries: what the row holds
-                // there now, they have yet to hear.
-                for &c in raised_columns(&resets, rank, v) {
-                    assert!(
-                        a.dv.row(v).to_vec()[c] == INF || a.dv.unsent(v).contains(c),
-                        "{what}: row {v}[{c}] lowered again and not logged as unsent"
-                    );
-                }
+                assert!(a.dv.unsent(v).is_empty(), "{what}: row {v} owes a send");
             }
-            // Trailing or not, a baseline is an upper bound of its row, and
-            // the unsent columns are where they differ.
+            // Every baseline is its row again.
             check_shadow(a, what);
             let drained = a.dv.frontier().chain(b.dv.frontier()).next();
             assert_eq!(drained, None, "{what}: rank {rank} frontier");
+            assert!(a.dirty.is_empty(), "{what}: rank {rank} dirty set");
             assert_eq!(a.dirty, b.dirty, "{what}: rank {rank} dirty set");
         }
         (got, resets)
@@ -678,14 +674,6 @@ impl DeletionPair {
             }
         }
     }
-}
-
-/// The columns reset in the owned row `v` of `rank`.
-fn raised_columns(resets: &[whole_row::Reset], rank: usize, v: VertexId) -> &[usize] {
-    let mut reset = resets.iter();
-    reset
-        .find(|r| r.0 == rank && r.1 == v)
-        .map_or(&[], |r| &r.2)
 }
 
 /// An edge on the shortest path between its endpoints, the `pick`-th such.
@@ -855,11 +843,13 @@ fn deleting_an_edge_on_no_shortest_path_examines_every_row_and_resets_none() {
     pair.converge_and_check_oracle();
 }
 
-/// A 4-cycle `0-1-2-3-0` split 2 | 2: the local edge 0-1 goes, and row 0
-/// loses `d(0,1)` alone — `d(0,2)`'s two shortest paths are tied at 2, and
-/// the one over 3 keeps it. That does not come back from rank 0's own rows:
-/// only remote neighbour 3's kept `d(3,1) = 2`, fetched, gives row 0 its
-/// column 1.
+/// A 4-cycle `0-1-2-3-0` split 2 | 2. First the local edge 0-1 goes, and
+/// row 0 loses `d(0,1)` alone — `d(0,2)`'s two shortest paths are tied at
+/// 2, and the one over 3 keeps it. It comes back inside the call, through
+/// remote neighbour 3's side of the ring: row 0's kept `d(0,2) = 2` and
+/// 1's edge to 2, both on rank 0, so nothing is fetched. Then, on a fresh
+/// ring, the cut edge 1-2 goes: the raised columns are remote, and each
+/// rank fetches their edges from the other.
 #[test]
 fn a_distance_lost_to_a_local_deletion_comes_back_through_a_remote_neighbour() {
     let mut g = Graph::with_vertices(4);
@@ -877,41 +867,45 @@ fn a_distance_lost_to_a_local_deletion_comes_back_through_a_remote_neighbour() {
         e.run_to_convergence(16);
         e
     };
-    let (mut e, mut twin) = (build(), build());
-    assert_eq!(e.procs[0].dv.vertices(), &[0, 1], "split 2 | 2");
     let updates = |e: &AnytimeEngine| e.cluster().ledger().phase(Phase::DynamicUpdate).bytes;
-    let updated = updates(&e);
-
-    assert!(e.delete_edge(0, 1));
-    assert!(copy_based(|| twin.delete_edge(0, 1)));
-    for (ps, reference) in e.procs.iter().zip(&twin.procs) {
-        for &v in ps.dv.vertices() {
-            assert_eq!(ps.dv.row(v), reference.dv.row(v), "row {v}");
-            assert_eq!(ps.dv.unsent(v), reference.dv.unsent(v), "row {v}");
+    // Each endpoint row is broadcast with its one surviving edge, and each
+    // rank all-gathers its decisions on the two candidates it owns as a
+    // one-byte bitset.
+    let (broadcasts, gather) = (2 * (4 + 4 * 4 + 8), 2);
+    let exact = |e: &AnytimeEngine| {
+        assert_eq!(e.distances_dense(), algo::apsp_dijkstra(e.graph()));
+        for ps in &e.procs {
+            assert!(ps.is_quiescent(), "rank {} owes something", ps.rank);
+            for &v in ps.dv.vertices() {
+                assert!(ps.dv.unsent(v).is_empty(), "row {v} owes a send");
+            }
         }
-        assert!(ps.dv.frontier().eq(reference.dv.frontier()));
-        assert_eq!(ps.dirty, reference.dirty);
-    }
-    assert_eq!(e.distances_dense()[0], [0, 3, 2, 1]);
-    // The edge is tight, so B_01 = {1, 2} and B_10 = {0, 3}; the detours
-    // 0-3-2 and 1-2-3 leave S_01 = {1} and S_10 = {0}. Each endpoint row is
-    // broadcast with its one surviving edge, and each rank all-gathers its
-    // decisions on the two candidates it owns as a one-byte bitset. Rows
-    // 0, 1 | 2, 3 raised {1}, {0} | -, -, and each raised row has one
-    // external neighbour: two asks, each a vertex id and a one-byte bitset,
-    // and two answers, each a vertex id, a one-byte mask and the finite
-    // values — d(3,1) = 2 and d(2,0) = 2. The twin asks for whole rows, and
-    // is sent 4 and 4 finite values.
-    let broadcasts = 2 * (4 + 4 * 4 + 8);
-    let (gather, asks) = (2, 2 * (4 + 1));
-    let sent = broadcasts + gather + asks + 2 * 5;
-    assert_eq!(updates(&e) - updated, sent + 2 * 4);
-    assert_eq!(updates(&twin) - updated, sent + 8 * 4);
+        e.check_invariants().expect("invariants");
+    };
 
-    e.run_to_convergence(16);
-    assert!(e.is_converged());
-    assert_eq!(e.distances_dense(), algo::apsp_dijkstra(e.graph()));
-    e.check_invariants().expect("invariants");
+    let mut e = build();
+    assert_eq!(e.procs[0].dv.vertices(), &[0, 1], "split 2 | 2");
+    let updated = updates(&e);
+    assert!(e.delete_edge(0, 1));
+    // The edge is tight, so B_01 = {1, 2} and B_10 = {0, 3}; the detours
+    // 0-3-2 and 1-2-3 leave S_01 = {1} and S_10 = {0}. Rows 0, 1 | 2, 3
+    // raised {1}, {0} | -, -: columns rank 0 owns, so no ask and no answer.
+    assert_eq!(updates(&e) - updated, broadcasts + gather);
+    assert_eq!(e.distances_dense()[0], [0, 3, 2, 1]);
+    exact(&e);
+
+    let mut e = build();
+    let updated = updates(&e);
+    assert!(e.delete_edge(1, 2));
+    // B_12 = {2, 3} and B_21 = {1, 0}; the detours 1-0-3 and 2-3-0 leave
+    // S_12 = {2} and S_21 = {1}. Row 1 lies in S_21 and row 2 in S_12, row 0
+    // in neither: rows 0, 1 | 2, 3 raised -, {2} | {1}, -. Rank 0 asks rank
+    // 1 for the edges of 2 as a one-byte bitset, and is answered a 4 B
+    // degree and 2's one surviving edge, 8 B; rank 1 asks for 1's alike.
+    let fetch = 2 * (1 + 4 + 8);
+    assert_eq!(updates(&e) - updated, broadcasts + gather + fetch);
+    assert_eq!(e.distances_dense()[1], [1, 0, 3, 2]);
+    exact(&e);
 }
 
 /// One random call of the deletion property. Additions and steps keep the

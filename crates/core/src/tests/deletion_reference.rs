@@ -1,20 +1,16 @@
-//! Deletion references: test-only switches back to what `dynamic.rs`'s
+//! Deletion references: a test-only switch back to what `dynamic.rs`'s
 //! deletions used to run, and a record of what either path reset, so tests
 //! can run them side by side (`changelog.rs`):
 //!
 //! * [`whole_row`]: the old invalidation — every owned row scanned whole
 //!   (on the sole-support sets production computes for the same edges),
-//!   every raised row rebuilt by a full local Dijkstra and a dense sweep
-//!   through its external neighbours' rows, raised rows and their
-//!   neighbours marked all-columns (a raised row's next send is therefore a
-//!   full row);
-//! * [`copy_based`]: the production invalidation as it ran while every rank
-//!   kept copies of its external neighbours' rows — each neighbour's row
-//!   read whole, as its owner holds it, where production fetches only the
-//!   raised columns.
+//!   raised rows written through raw access and their neighbours marked
+//!   all-columns, and every raised row rebuilt by a full local Dijkstra
+//!   before the repair, which only the fetched edges let reach past the
+//!   rank's view.
 
-use super::{DeletedEdge, InvalidationTally, Kept, ProcState, Raised};
-use crate::dv::{ColumnSet, DistanceMatrix, Row};
+use super::{DeletedEdge, InvalidationTally, ProcState, Raised};
+use crate::dv::{DistanceMatrix, Row};
 use aa_graph::{VertexId, Weight, INF};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
@@ -24,7 +20,6 @@ pub(crate) type Reset = (usize, VertexId, Vec<usize>);
 
 thread_local! {
     static WHOLE_ROW: Cell<bool> = const { Cell::new(false) };
-    static COPY_BASED: Cell<bool> = const { Cell::new(false) };
     static RESETS: RefCell<Option<Vec<Reset>>> = const { RefCell::new(None) };
 }
 
@@ -32,27 +27,12 @@ pub(crate) fn is_whole_row() -> bool {
     WHOLE_ROW.with(Cell::get)
 }
 
-/// Whether phase 2 fetches external neighbours' rows whole.
-pub(crate) fn reads_whole_rows() -> bool {
-    is_whole_row() || COPY_BASED.with(Cell::get)
-}
-
-fn with_flag<R>(flag: &'static std::thread::LocalKey<Cell<bool>>, f: impl FnOnce() -> R) -> R {
-    let before = flag.with(|w| w.replace(true));
-    let out = f();
-    flag.with(|w| w.set(before));
-    out
-}
-
 /// Runs `f` with every deletion on this thread invalidating the old way.
 pub(crate) fn whole_row<R>(f: impl FnOnce() -> R) -> R {
-    with_flag(&WHOLE_ROW, f)
-}
-
-/// Runs `f` with every deletion on this thread reading its external
-/// neighbours' rows whole, as a kept copy of each would have held them.
-pub(crate) fn copy_based<R>(f: impl FnOnce() -> R) -> R {
-    with_flag(&COPY_BASED, f)
+    let before = WHOLE_ROW.with(|w| w.replace(true));
+    let out = f();
+    WHOLE_ROW.with(|w| w.set(before));
+    out
 }
 
 /// Records a row's reset columns, if it has any and [`recording`] is on.
@@ -94,10 +74,10 @@ pub(super) fn affected_targets_edge(
 ) -> Vec<usize> {
     let ((u, v, w), (row_u, row_v)) = (edge.edge, edge.rows);
     let holds = |set: &[(u32, Weight)], t: usize| set.iter().any(|&(s, _)| s as usize == t);
-    // `d(x,u) + w`, `d(x,v) + w`; `INF` on the side of a lone edge whose
-    // far end keeps `x`.
+    // `d(x,u) + w`, `d(x,v) + w`; `INF` on the side whose far end keeps
+    // `x`.
     let plus_w = |e: VertexId, back: &[(u32, Weight)]| {
-        let kept = edge.alone && !holds(back, x as usize);
+        let kept = !holds(back, x as usize);
         let d = row.get(e as usize).filter(|_| !kept);
         d.map_or(INF, |d| d.saturating_add(w))
     };
@@ -189,19 +169,14 @@ pub(crate) fn local_sssp(ps: &ProcState, source: VertexId) -> Vec<Weight> {
     scratch.dv.row(source).to_vec()
 }
 
-/// The old phase 3: each raised row rebuilt whole by a local Dijkstra,
-/// then swept through every external neighbour's row on every column.
-pub(crate) fn recompute(ps: &mut ProcState, raised: Raised, kept: &Kept) {
-    for (x, _) in raised {
+/// The old phase 3: each raised row rebuilt whole by a local Dijkstra
+/// (which the exact repair then completes, since only the fetched edges
+/// reach past the rank's view) and marked dirty.
+pub(crate) fn rebuild(ps: &mut ProcState, raised: &Raised) {
+    for &(x, _) in raised {
         for (t, d) in local_sssp(ps, x).into_iter().enumerate() {
             ps.dv.lower_entry(x, t, d);
         }
-        for &(b, w) in &ps.adj[x as usize] {
-            if let Some((_, row)) = kept.iter().find(|&&(k, _)| k == b) {
-                ps.dv.relax_with_delta(x, row, w, &ColumnSet::EVERY);
-            }
-        }
         ps.dirty.insert(x);
     }
-    ps.propagate();
 }

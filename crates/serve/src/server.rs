@@ -851,19 +851,31 @@ mod tests {
         assert_eq!(s.stats().reads_served, 1);
     }
 
+    /// New edges chaining `len + 1` of the highest-numbered vertices, none
+    /// of which an edge joins yet: a batch of insertions in series, which
+    /// the one-shot relaxation does not make exact and recombination owes.
+    fn edges_in_series(g: &aa_graph::Graph, len: usize) -> Vec<(VertexId, VertexId, u32)> {
+        let mut chain: Vec<VertexId> = g.vertices().collect();
+        chain.drain(..chain.len() - (len + 1));
+        let edges: Vec<_> = chain.windows(2).map(|p| (p[0], p[1], 1)).collect();
+        assert!(edges.iter().all(|&(a, b, _)| !g.has_edge(a, b)));
+        edges
+    }
+
     #[test]
     fn topk_reads_carry_anytime_confidence_under_churn_and_settle_exact() {
         let mut s = server(120, 4);
         s.drain(400).unwrap();
-        // A deletion voids the converged state: the next frame is stale
-        // (one rc_step cannot re-converge the reseeded rows), and the
-        // tracker must answer with an honest anytime confidence. k is
-        // chosen above the tracker's pivot budget so the member scores
-        // cannot all be structurally exact — exactness can then only come
-        // from a fresh frame or fully reconverged rows.
+        // A batch of new edges in series voids the converged state: the
+        // next frame is stale (one rc_step cannot carry the chain's far
+        // ends to each other), and the tracker must answer with an honest
+        // anytime confidence. k is chosen above the tracker's pivot budget
+        // so the member scores cannot all be structurally exact —
+        // exactness can then only come from a fresh frame or fully
+        // reconverged rows.
         let k = s.topk_tracker().unwrap().config().max_pivots + 4;
-        let (u, v, _) = s.engine().graph().edges().next().unwrap();
-        assert!(s.engine_mut().delete_edge(u, v));
+        let batch = edges_in_series(s.engine().graph(), 4);
+        assert_eq!(s.engine_mut().add_edges(&batch), batch.len());
         s.submit_read(ReadKind::TopK(k));
         let rep = s.turn().unwrap();
         let served: Vec<_> = rep
@@ -878,7 +890,7 @@ mod tests {
         let (meta, value) = &served[0];
         assert!(
             !meta.converged,
-            "frame right after a deletion cannot be converged"
+            "frame right after a batch in series cannot be converged"
         );
         match value {
             ReadValue::TopK(ans) => {
@@ -931,7 +943,8 @@ mod tests {
         assert_eq!(settled(&s), 0);
 
         // A deletion: its barrier first finishes what the addition left,
-        // then the turn settles and answers from a fresh frame.
+        // and the deletion ends exact, so the turn's one step converges,
+        // the settle takes none, and the turn answers from a fresh frame.
         let k = 5;
         let (u, v, _) = s.engine().graph().edges().nth(3).unwrap();
         assert!(s.submit_write(UpdateOp::DeleteEdge(u, v)).is_admitted());
@@ -940,11 +953,46 @@ mod tests {
         assert_eq!(rep.flushed.as_ref().map(|f| f.edge_deletes), Some(1));
         assert!(barrier(&s) > 0, "the barrier had the addition to finish");
         assert!(s.engine().is_converged());
+        assert_eq!(rep.rc_steps, STEPS_PER_TURN, "the one step converges");
+        assert_eq!(settled(&s), 0);
+        assert_exact_top_k(&s, &rep, k);
+
+        // The next deletion's barrier finds the engine quiescent.
+        let before = barrier(&s);
+        let (u, v, _) = s.engine().graph().edges().nth(7).unwrap();
+        assert!(s.submit_write(UpdateOp::DeleteEdge(u, v)).is_admitted());
+        let rep = s.turn().unwrap();
+        assert_eq!(rep.flushed.as_ref().map(|f| f.edge_deletes), Some(1));
+        assert_eq!(barrier(&s), before, "the barrier took no step");
+        assert!(s.engine().is_converged());
+        assert_eq!(settled(&s), 0);
+
+        // A deletion and, in the same flush, a batch of insertions in
+        // series after it: the batch owes recombination, so the turn settles
+        // past its one step before it answers, exact all the same.
+        let (u, v, _) = s.engine().graph().edges().nth(11).unwrap();
+        let batch = edges_in_series(s.engine().graph(), 4);
+        assert!(s.submit_write(UpdateOp::DeleteEdge(u, v)).is_admitted());
+        for &(a, b, w) in &batch {
+            assert!(s.submit_write(UpdateOp::AddEdge(a, b, w)).is_admitted());
+        }
+        s.submit_read(ReadKind::TopK(k));
+        let rep = s.turn().unwrap();
+        let flushed = rep.flushed.as_ref().map(|f| (f.edge_deletes, f.edge_adds));
+        assert_eq!(flushed, Some((1, batch.len())));
+        assert_eq!(barrier(&s), before, "the barrier took no step");
+        assert!(s.engine().is_converged());
         assert!(
             rep.rc_steps > STEPS_PER_TURN,
             "one step does not reconverge"
         );
         assert_eq!(settled(&s), (rep.rc_steps - STEPS_PER_TURN) as u64);
+        assert_exact_top_k(&s, &rep, k);
+    }
+
+    /// The turn served one top-k read from a converged frame, exact and bit
+    /// for bit the oracle's.
+    fn assert_exact_top_k(s: &Server, rep: &TurnReport, k: usize) {
         let exact = algo::exact_closeness(s.engine().graph());
         let mut oracle: Vec<(VertexId, f64)> = (exact.iter().enumerate())
             .filter(|&(_, &c)| c > 0.0)
@@ -967,15 +1015,6 @@ mod tests {
             }
             other => panic!("expected one served top-k read, got {other:?}"),
         }
-
-        // The next deletion's barrier finds the engine quiescent.
-        let before = barrier(&s);
-        let (u, v, _) = s.engine().graph().edges().nth(7).unwrap();
-        assert!(s.submit_write(UpdateOp::DeleteEdge(u, v)).is_admitted());
-        let rep = s.turn().unwrap();
-        assert_eq!(rep.flushed.as_ref().map(|f| f.edge_deletes), Some(1));
-        assert_eq!(barrier(&s), before, "the barrier took no step");
-        assert!(s.engine().is_converged());
     }
 
     #[test]

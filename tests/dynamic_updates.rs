@@ -394,7 +394,8 @@ fn full_rows(e: &AnytimeEngine) -> u64 {
     r.counter_value("aa_rc_full_rows_sent_total", &[])
 }
 
-/// Insertions so far that were exact at once.
+/// Updates so far that were exact at once: settled insertions and every
+/// deletion.
 fn settled_updates(e: &AnytimeEngine) -> u64 {
     let r = e.metrics_registry();
     r.counter_value("aa_dynamic_settled_updates_total", &[])
@@ -403,7 +404,7 @@ fn settled_updates(e: &AnytimeEngine) -> u64 {
 /// The only cut edge from rank `r` to `b` goes and `b`'s row changes twice:
 /// the engine that [`engine_with_one_cut_edge_to_b`] builds, with `r` out
 /// of the ranks `b`'s owner sends deltas to and the second change (a
-/// deletion) not yet reconverged. `check_invariants` after every call:
+/// deletion, exact in its own call) not yet stepped past. `check_invariants` after every call:
 /// every listed rank borders the row.
 fn b_evicted_from_r(what: &str) -> AnytimeEngine {
     let mut e = engine_with_one_cut_edge_to_b();
@@ -434,16 +435,17 @@ fn b_evicted_from_r(what: &str) -> AnytimeEngine {
 
 /// The evicted rank `r` must get the full row of `b` when its edge comes
 /// back, rather than a delta onto neighbours never relaxed against the rest
-/// of it. The edge lands while the deletion before it is still
-/// reconverging, so recombination carries it.
+/// of it. The edge lands before any step has reported the deletion before
+/// it converged, so recombination carries it.
 #[test]
 fn a_returning_cut_edge_brings_the_evicted_rank_a_full_row() {
     let what = "one cut edge to b, unsettled";
     let mut e = b_evicted_from_r(what);
+    assert_eq!(settled_updates(&e), 2, "{what}: the two deletions");
     let full = full_rows(&e);
     assert!(e.add_edge(0, 1, 1));
     e.check_invariants().unwrap();
-    assert_eq!(settled_updates(&e), 0, "{what}");
+    assert_eq!(settled_updates(&e), 2, "{what}");
     assert_converges_to_oracle(&mut e, what);
     // b to r and x to rank 0, whole: neither rank had been relaxed against
     // them. Every other row that moved went as a delta to ranks that had.
@@ -465,10 +467,11 @@ fn a_cut_edge_returning_to_a_settled_engine_waits_for_b_to_change() {
     let what = "one cut edge to b, settled";
     let mut e = b_evicted_from_r(what);
     assert_converges_to_oracle(&mut e, what);
+    assert_eq!(settled_updates(&e), 2, "{what}: the two deletions");
     let full = full_rows(&e);
     assert!(e.add_edge(0, 1, 1));
     e.check_invariants().unwrap();
-    assert_eq!(settled_updates(&e), 1, "{what}");
+    assert_eq!(settled_updates(&e), 3, "{what}");
     assert_converges_to_oracle(&mut e, what);
     assert_eq!(full_rows(&e), full, "{what}: rows sent after the return");
     assert_eq!((e.receivers(0), e.receivers(1)), (vec![2], vec![]));
@@ -477,7 +480,7 @@ fn a_cut_edge_returning_to_a_settled_engine_waits_for_b_to_change() {
     // b-x-4-7-8): recombination sends b to r and x to rank 0, whole.
     assert_eq!(e.add_edges(&[(0, 8, 1), (0, 7, 1)]), 2);
     e.check_invariants().unwrap();
-    assert_eq!(settled_updates(&e), 1, "{what}: a batch of two");
+    assert_eq!(settled_updates(&e), 3, "{what}: a batch of two");
     assert_converges_to_oracle(&mut e, what);
     assert_eq!(full_rows(&e) - full, 2, "{what}: full rows after b moved");
     assert_eq!((e.receivers(0), e.receivers(1)), (vec![1, 2], vec![0]));
