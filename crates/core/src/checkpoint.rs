@@ -352,6 +352,7 @@ impl AnytimeEngine {
             config,
             rc_steps_done: rc_steps,
             converged,
+            exact: false,
             initialized: true,
             rr_cursor,
             invalidation_epoch: 0,

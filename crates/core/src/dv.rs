@@ -59,11 +59,12 @@
 //! all-columns, which makes the next send a full row.
 //!
 //! Both logs empty at once, for every row of every rank, in two cases only:
-//! a single insertion — one edge, one lighter edge, or one vertex placed by
-//! RoundRobin-PS or CutEdge-PS — that lands on a settled engine, and a
-//! deletion (`AnytimeEngine::end_update`). Each leaves every row the exact
-//! APSP, which obeys the invariant over every edge, local or cut, against
-//! each row as it stands.
+//! an insertion that lands on a settled engine — a batch of edges or
+//! lighter edges, relaxed one at a time, or one vertex placed by
+//! RoundRobin-PS or CutEdge-PS — and a deletion
+//! (`AnytimeEngine::end_update`). Each leaves every row the exact APSP,
+//! which obeys the invariant over every edge, local or cut, against each
+//! row as it stands.
 
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
@@ -703,32 +704,80 @@ fn seed<'g, C: Cell>(
     let sink = |row: &mut [C], v: VertexId, d| {
         lower::<C, true>(row, v as usize, d, &mut spilt) && expands(v)
     };
-    let settle = |row: &mut [C], v: VertexId, d| match row.get(v as usize) {
-        Some(&label) if d > label.weight() => Settle::Skip,
-        _ => Settle::Expand,
-    };
-    search.run(row, [(s, 0)], neighbors, sink, settle);
+    search.run(row, [(s, 0)], neighbors, sink, unless_stale);
     *lost |= spilt;
 }
 
-/// `row[c] = min(row[c], value + offset)` for each entry of `delta` on a
-/// column in `cols` (see [`DistanceMatrix::relax_with_delta`]); a candidate
-/// withheld onto an `INF` entry sets `lost`.
+/// A search's settle hook on a row of cells: expands a vertex popped at its
+/// label, skips one popped above it.
+fn unless_stale<C: Cell>(row: &mut [C], v: VertexId, d: Weight) -> Settle {
+    match row.get(v as usize) {
+        Some(&label) if d > label.weight() => Settle::Skip,
+        _ => Settle::Expand,
+    }
+}
+
+/// [`DistanceMatrix::repair_row`] on the row's cells: each raised column
+/// `t` of `targets` is seeded with `min (row[y] + w)` over its edges `(y, t,
+/// w)`, all read before any is written, and the search relaxes raised
+/// columns only. `is_raised` is all false on entry and on return. A label
+/// withheld sets `lost`.
+fn repair_cells<C: Cell>(
+    row: &mut [C],
+    targets: &[usize],
+    edges: &[&[(VertexId, Weight)]],
+    is_raised: &mut [bool],
+    search: &mut Search,
+    lost: &mut bool,
+) {
+    let edges_of = |t: usize| edges.get(t).copied().unwrap_or_default();
+    let offer = |t: usize| {
+        let at = |y: VertexId| row.get(y as usize).map_or(INF, |d| d.weight());
+        let through = edges_of(t).iter().map(|&(y, w)| at(y).saturating_add(w));
+        through.min().unwrap_or(INF)
+    };
+    let seeds: Vec<(VertexId, Weight)> = (targets.iter())
+        .filter_map(|&t| Some((VertexId::try_from(t).ok()?, offer(t))))
+        .filter(|&(_, d)| d != INF)
+        .collect();
+    let mark = |is_raised: &mut [bool], on: bool| {
+        for &t in targets {
+            if let Some(raised) = is_raised.get_mut(t) {
+                *raised = on;
+            }
+        }
+    };
+    mark(is_raised, true);
+    let mut spilt = false;
+    for &(t, d) in &seeds {
+        lower::<C, true>(row, t as usize, d, &mut spilt);
+    }
+    let raised: &[bool] = is_raised;
+    let sink = |row: &mut [C], y: VertexId, d| {
+        raised.get(y as usize) == Some(&true) && lower::<C, true>(row, y as usize, d, &mut spilt)
+    };
+    search.run(row, seeds, |t| edges_of(t as usize), sink, unless_stale);
+    mark(is_raised, false);
+    *lost |= spilt;
+}
+
+/// `row[c] = min(row[c], value + offset)` for each entry of `delta` (see
+/// [`DistanceMatrix::relax_with_delta`]); a candidate withheld onto an `INF`
+/// entry sets `lost`.
 fn relax_delta<C: Cell>(
     row: &mut [C],
     (log, unsent): (&mut ColumnSet, &mut ColumnSet),
     delta: &RowDelta,
     offset: Weight,
-    cols: &ColumnSet,
     lost: &mut bool,
 ) -> bool {
     // Only a candidate as large as the largest the walk offered can have
     // been withheld. Where that one fits, none was; else the walk runs again
     // guarded, and what the first one lowered stays lowered.
     let logs = (&mut *log, &mut *unsent);
-    let (changed, top) = walk_delta::<C, false>(row, logs, delta, offset, cols, lost);
+    let (changed, top) = walk_delta::<C, false>(row, logs, delta, offset, lost);
     if withheld(top, C::of(top)) {
-        walk_delta::<C, true>(row, (log, unsent), delta, offset, cols, lost);
+        walk_delta::<C, true>(row, (log, unsent), delta, offset, lost);
     }
     changed
 }
@@ -740,36 +789,25 @@ fn walk_delta<C: Cell, const GUARD: bool>(
     (log, unsent): (&mut ColumnSet, &mut ColumnSet),
     delta: &RowDelta,
     offset: Weight,
-    cols: &ColumnSet,
     lost: &mut bool,
 ) -> (bool, Weight) {
-    // The values of word `wi` start at `first`: one per bit before it.
-    let (mut first, mut changed, mut spilt, mut top) = (0, false, false, 0);
+    // The values come in bit order, one per bit.
+    let mut values = delta.values.iter();
+    let (mut changed, mut spilt, mut top) = (false, false, 0);
     for (wi, &word) in delta.cols.words.iter().enumerate() {
-        let mask = match cols.all {
-            true => u64::MAX,
-            false => cols.words.get(wi).copied().unwrap_or(0),
-        };
-        let (mut rest, mut lowered, mut at) = (word & mask, 0u64, first);
+        let (mut rest, mut lowered) = (word, 0u64);
         while rest != 0 {
             let bit = rest.trailing_zeros() as usize;
             rest &= rest - 1;
-            // Walking every bit, the values come in order; walking some,
-            // a bit's value follows one per lower bit of the word.
-            if mask != u64::MAX {
-                at = first + (word & ((1 << bit) - 1)).count_ones() as usize;
-            }
-            let Some(&value) = delta.values.get(at) else {
+            let Some(&value) = values.next() else {
                 break; // one value per bit: never taken
             };
-            at += 1;
             let cand = value.saturating_add(offset);
             top = top.max(cand);
             if lower::<C, GUARD>(row, wi * WORD + bit, cand, &mut spilt) {
                 lowered |= 1 << bit;
             }
         }
-        first += word.count_ones() as usize;
         if lowered != 0 {
             log.insert_word(wi, lowered);
             unsent.insert_word(wi, lowered);
@@ -1237,22 +1275,39 @@ impl DistanceMatrix {
         })
     }
 
-    /// `row_v[c] = min(row_v[c], value + offset)` for each entry of a
-    /// received delta on a column in `cols`, walking its column bits in step
-    /// with its values, and logged like any lowering write. Returns whether
-    /// any entry decreased.
-    pub fn relax_with_delta(
+    /// Repairs the raised entries `targets` of `v`'s row exactly, by one
+    /// search over them at the row's stored width: `edges[t]` lists the
+    /// edges of column `t` (any raised one), and `is_raised` is all false,
+    /// as it is left. No log bit is written: the deletion that calls it
+    /// ends by clearing every log or, should the rows widen, marking every
+    /// one whole (`AnytimeEngine::end_update`). A distance the width cannot
+    /// hold is withheld and flagged.
+    pub(crate) fn repair_row(
         &mut self,
         v: VertexId,
-        delta: &RowDelta,
-        offset: Weight,
-        cols: &ColumnSet,
-    ) -> bool {
+        targets: &[usize],
+        edges: &[&[(VertexId, Weight)]],
+        is_raised: &mut [bool],
+        search: &mut Search,
+    ) {
+        let idx = self.row_index(v);
+        let lost = &mut self.overflow;
+        by_width!(&mut self.rows, rows => {
+            if let Some(row) = rows.get_mut(idx) {
+                repair_cells(row, targets, edges, is_raised, search, lost);
+            }
+        });
+    }
+
+    /// `row_v[c] = min(row_v[c], value + offset)` for each entry of a
+    /// received delta, walking its column bits in step with its values, and
+    /// logged like any lowering write. Returns whether any entry decreased.
+    pub fn relax_with_delta(&mut self, v: VertexId, delta: &RowDelta, offset: Weight) -> bool {
         let idx = self.row_index(v);
         let lost = &mut self.overflow;
         by_width!(&mut self.rows, rows => {
             let row = Self::row_logs(rows, &mut self.logs, &mut self.unsent, idx);
-            row.is_some_and(|(row, logs)| relax_delta(row, logs, delta, offset, cols, lost))
+            row.is_some_and(|(row, logs)| relax_delta(row, logs, delta, offset, lost))
         })
     }
 
@@ -1399,8 +1454,8 @@ mod tests {
         /// `relax_with_external_on(dst, …, offset, every stride-th column)`
         /// through a copy of row `src`, or through the generated external row.
         External(usize, Option<usize>, Weight, usize),
-        /// `relax_with_delta(dst, entries, offset, every stride-th column)`.
-        Delta(usize, Vec<(usize, u32)>, Weight, usize),
+        /// `relax_with_delta(dst, entries, offset)`.
+        Delta(usize, Vec<(usize, u32)>, Weight),
         Lower(usize, usize, u32),
         Raise(usize, Vec<usize>),
         Extend(usize),
@@ -1425,9 +1480,9 @@ mod tests {
         match write.clone() {
             Write::Rows(a, b, o) => Write::Rows(a, b, o / scale),
             Write::External(a, b, o, k) => Write::External(a, b, o / scale, k),
-            Write::Delta(a, e, o, k) => {
+            Write::Delta(a, e, o) => {
                 let e = e.into_iter().map(|(c, v)| (c, d(v))).collect();
-                Write::Delta(a, e, o / scale, k)
+                Write::Delta(a, e, o / scale)
             }
             Write::Lower(a, c, v) => Write::Lower(a, c, d(v)),
             other => other,
@@ -1441,8 +1496,7 @@ mod tests {
             (row.clone(), row.clone(), offset.clone()).prop_map(|(a, b, o)| Write::Rows(a, b, o)),
             (row.clone(), 0usize..4, offset.clone(), 1usize..4)
                 .prop_map(|(a, b, o, k)| Write::External(a, (b < 3).then_some(b), o, k)),
-            (row.clone(), entries, offset, 1usize..4)
-                .prop_map(|(a, e, o, k)| Write::Delta(a, e, o, k)),
+            (row.clone(), entries, offset).prop_map(|(a, e, o)| Write::Delta(a, e, o)),
             (row.clone(), col.clone(), d).prop_map(|(a, c, d)| Write::Lower(a, c, d)),
             (row.clone(), proptest::collection::vec(col, 0..20))
                 .prop_map(|(a, cs)| Write::Raise(a, cs)),
@@ -1475,12 +1529,12 @@ mod tests {
                 };
                 m.relax_with_external_on(v(a), row.as_row(), *o, &strided(cols, *k))
             }
-            Write::Delta(a, entries, o, k) => {
+            Write::Delta(a, entries, o) => {
                 let finite = entries.iter().filter(|&&(_, d)| near(d) != INF);
                 let pairs: std::collections::BTreeMap<u32, Weight> =
                     finite.map(|&(c, d)| ((c % cols) as u32, d)).collect();
                 let delta = RowDelta::from_pairs(&pairs.into_iter().collect::<Vec<_>>());
-                m.relax_with_delta(v(a), &delta, *o, &strided(cols, *k))
+                m.relax_with_delta(v(a), &delta, *o)
             }
             Write::Lower(a, c, d) => m.lower_entry(v(a), c % cols, near(*d)),
             Write::Raise(a, cs) => {
@@ -1558,7 +1612,6 @@ mod tests {
             held in proptest::collection::vec(0u32..48, 199..200),
             logged in proptest::bool::ANY,
             offset in 0u32..3,
-            stride in 1usize..4,
         ) {
             // The sender's row, as its holders have it, then lowered at
             // random: the delta is what it logged.
@@ -1588,19 +1641,14 @@ mod tests {
                 reference.clear_unsent(0);
             }
             let (mut walked, mut rebuilt) = (reference.clone(), reference.clone());
-            // Every column, or every `stride`-th one.
-            let mut cols = ColumnSet::empty(width);
-            (0..width).step_by(stride).for_each(|c| cols.insert(c));
-            let cols = if stride == 1 { ColumnSet::EVERY } else { cols };
-            // The reference: one lowering write per wire pair on those.
+            // The reference: one lowering write per wire pair.
             let lower = |changed, &(c, d): &(u32, Weight)| {
-                let on = cols.contains(c as usize);
-                (on && reference.lower_entry(0, c as usize, d.saturating_add(offset))) | changed
+                reference.lower_entry(0, c as usize, d.saturating_add(offset)) | changed
             };
             let changed = want.iter().fold(false, lower);
-            prop_assert_eq!(walked.relax_with_delta(0, &delta, offset, &cols), changed);
+            prop_assert_eq!(walked.relax_with_delta(0, &delta, offset), changed);
             let rebuilt_delta = RowDelta::from_pairs(&want);
-            prop_assert_eq!(rebuilt.relax_with_delta(0, &rebuilt_delta, offset, &cols), changed);
+            prop_assert_eq!(rebuilt.relax_with_delta(0, &rebuilt_delta, offset), changed);
             for m in [&walked, &rebuilt] {
                 prop_assert_eq!(m.row(0), reference.row(0));
                 prop_assert_eq!(m.log(0), reference.log(0));
@@ -2011,7 +2059,7 @@ mod tests {
         dv.clear_unsent(0);
         assert!(dv.lower_entry(0, 5, 4));
         dv.clear_log(0);
-        assert!(dv.relax_with_delta(0, &kept, 2, &ColumnSet::EVERY));
+        assert!(dv.relax_with_delta(0, &kept, 2));
         assert_eq!(
             (
                 dv.row(0).to_vec()[1],
@@ -2026,13 +2074,7 @@ mod tests {
         assert!(dv.owes(0) && dv.unsent(0).contains(69));
         // The same buffer again lowers nothing.
         dv.clear_log(0);
-        assert!(!dv.relax_with_delta(0, &kept, 2, &ColumnSet::EVERY) && !dv.owes(0));
-        // On some columns only: column 69 lowers, column 1 is not asked.
-        dv.raise_entries(0, &[1, 69]);
-        let mut cols = ColumnSet::empty(70);
-        cols.insert(69);
-        assert!(dv.relax_with_delta(0, &kept, 2, &cols));
-        assert_eq!((dv.row(0).to_vec()[1], dv.row(0).to_vec()[69]), (INF, 71));
+        assert!(!dv.relax_with_delta(0, &kept, 2) && !dv.owes(0));
     }
 
     #[test]
@@ -2079,7 +2121,7 @@ mod tests {
                 m.relax_with_external_on(0, row.as_row(), 60, &ColumnSet::EVERY);
             }),
             ("relax_with_delta", &|m| {
-                assert!(!m.relax_with_delta(0, &delta, 60, &ColumnSet::EVERY));
+                assert!(!m.relax_with_delta(0, &delta, 60));
             }),
             ("seed_row", &|m| {
                 let neighbors = |v: VertexId| &path[v as usize][..];

@@ -4,10 +4,10 @@
 //!   additions paper, originally from the edge-additions paper): the distance
 //!   vectors of both endpoints are tree-broadcast, every processor applies the
 //!   relaxation `D[x][t] > D[x][u] + w + D[v][t]` to its local rows, and
-//!   subsequent recombination steps propagate the improvements. One edge
-//!   (or one vertex) added to a settled engine needs none of them: a new
-//!   shortest path uses it at most once, so that relaxation is already the
-//!   new APSP (`AnytimeEngine::end_update`).
+//!   subsequent recombination steps propagate the improvements. A settled
+//!   engine needs none of them for one vertex, or for edges relaxed one at
+//!   a time: a new shortest path uses each at most once, so each
+//!   relaxation is already the new APSP (`AnytimeEngine::end_update`).
 //! * **Edge deletions** (the titled paper's contribution) invalidate the
 //!   entries the deleted edge *solely* supports — a shortest path runs over
 //!   it and no tied detour keeps the distance — and repair them exactly from
@@ -33,7 +33,7 @@ use crate::dv::{Row, RowBuf};
 use crate::engine::AnytimeEngine;
 use crate::obs::InvalidationTally;
 use crate::proc_state::ProcState;
-use aa_graph::search::{Search, Settle};
+use aa_graph::search::Search;
 use aa_graph::{VertexId, Weight, INF};
 use aa_logp::Phase;
 use aa_obs::Stopwatch;
@@ -143,26 +143,31 @@ impl AnytimeEngine {
     }
 
     /// Whether every row is the exact APSP of the current graph and no rank
-    /// owes anything: the last recombination step reported convergence, and
-    /// since then no rank has put a row on its frontier or marked one to
-    /// send. The `converged` flag alone does not say it: a freshly restored
-    /// checkpoint reports converged while every row is marked dirty, so the
-    /// first recombination steps re-exchange boundary state.
+    /// owes anything: the last recombination step reported convergence, or
+    /// the last update ended exact ([`Self::end_update`]), and since then no
+    /// rank has put a row on its frontier or marked one to send. The
+    /// `converged` flag alone does not say it: a freshly restored checkpoint
+    /// reports converged while every row is marked dirty, so the first
+    /// recombination steps re-exchange boundary state.
     pub(crate) fn is_settled(&self) -> bool {
-        self.converged && self.procs.iter().all(ProcState::is_quiescent)
+        (self.converged || self.exact) && self.procs.iter().all(ProcState::is_quiescent)
     }
 
-    /// Ends an update that left every row `exact`: one new edge, lighter
-    /// edge or vertex on a settled engine ([`Self::is_settled`]), which a new
-    /// shortest path uses at most once, or any deletion, which the barrier
+    /// Ends an update, and records whether it left every row `exact`: a
+    /// chain of new edges or lighter ones on a settled engine
+    /// ([`Self::is_settled`]), each of which a new shortest path uses at
+    /// most once, one new vertex there, or any deletion, which the barrier
     /// settles first and the repair ends exact. Every rank then owes
     /// nothing, as exact rows obey the triangle inequality over every edge —
     /// unless a rank withheld a distance its rows could not hold, and the
     /// rows widen instead ([`Self::widen_after_overflow`]). Call it after
     /// the update's [`Self::feed_capture`]. `converged` stays false: the
-    /// next recombination step runs empty and says so.
+    /// next recombination step runs empty and says so, and until then the
+    /// engine is settled all the same.
     pub(crate) fn end_update(&mut self, exact: bool) {
-        if !self.widen_after_overflow() && exact {
+        let widened = self.widen_after_overflow();
+        self.exact = exact && !widened;
+        if self.exact {
             self.procs.iter_mut().for_each(ProcState::owe_nothing);
             self.obs.settled_updates += 1;
         }
@@ -240,14 +245,19 @@ impl AnytimeEngine {
     }
 
     /// Adds a batch of edges at once — the edge-additions paper's "new
-    /// relationship formations" arrive in batches. Each distinct endpoint's
-    /// row is broadcast once (instead of twice per edge), every processor
-    /// applies all relaxations in one sweep, and local propagation runs once
-    /// at the end. Returns the number of edges actually inserted (duplicates
-    /// and self-loops are skipped). One inserted edge on a settled engine is
-    /// exact at once ([`Self::end_update`]); two or more are not, as a
-    /// new shortest path may use several of them, and recombination
-    /// completes them.
+    /// relationship formations" arrive in batches. Returns the number of
+    /// edges actually inserted (duplicates and self-loops are skipped).
+    ///
+    /// On a settled engine the batch is a chain of single insertions: each
+    /// inserted edge in turn broadcasts its endpoint rows as the edges
+    /// before it left them and relaxes every row through itself alone. One
+    /// new edge on exact rows leaves them exact, as a new shortest path uses
+    /// it at most once, so every link starts from exact rows and the batch
+    /// ends exact ([`Self::end_update`]). Elsewhere each distinct endpoint's
+    /// row is broadcast once, every processor applies all relaxations in one
+    /// sweep, local propagation runs once at the end, and recombination
+    /// completes the rest: a new shortest path may use several new edges,
+    /// which rows read before any of them cannot tell.
     pub fn add_edges(&mut self, edges: &[(VertexId, VertexId, Weight)]) -> usize {
         assert!(self.initialized, "call initialize() first");
         let settled = self.is_settled();
@@ -261,10 +271,15 @@ impl AnytimeEngine {
         if inserted.is_empty() {
             return 0;
         }
-        let exact = settled && inserted.len() == 1;
         let span = self.span_open();
         self.obs.note_mutation();
-        self.relax_through_edges(&distinct_endpoints(&inserted), &inserted, exact);
+        if settled {
+            for &(u, v, w) in &inserted {
+                self.relax_through_edges(&[u, v], &[(u, v, w)], true);
+            }
+        } else {
+            self.relax_through_edges(&distinct_endpoints(&inserted), &inserted, false);
+        }
         self.converged = false;
         self.span_close(
             span,
@@ -272,7 +287,7 @@ impl AnytimeEngine {
             format!("add-edges n={}", inserted.len()),
         );
         self.feed_capture(false);
-        self.end_update(exact);
+        self.end_update(settled);
         inserted.len()
     }
 
@@ -846,17 +861,14 @@ where
 
 /// Phase 3 of a deletion on one rank: repairs each raised row `x` exactly,
 /// by one search over its raised columns (SSSP-Del's re-derivation, carried
-/// to the end). Each raised column `t` is seeded with `min (row_x[y] + w)`
-/// over its edges `(y, t, w)` — its own view's for a column the rank owns,
-/// the `fetched` ones for any other — and the search relaxes raised columns
-/// only. That is exact: every kept entry is exact on the graph as it now is
-/// (no deleted edge solely supported it), and on a shortest `x → t` path
-/// the last vertex with a kept entry is a seed's neighbour, after which
-/// every vertex is a raised column.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "rows are full-width (world capacity), the view's tables are sized to it, and every indexed id comes from the same world"
-)]
+/// to the end, [`crate::dv::DistanceMatrix::repair_row`]). Each raised
+/// column `t` is seeded with `min (row_x[y] + w)` over its edges `(y, t, w)`
+/// — its own view's for a column the rank owns, the `fetched` ones for any
+/// other — and the search relaxes raised columns only. That is exact: every
+/// kept entry is exact on the graph as it now is (no deleted edge solely
+/// supported it), and on a shortest `x → t` path the last vertex with a
+/// kept entry is a seed's neighbour, after which every vertex is a raised
+/// column.
 fn repair(ps: &mut ProcState, raised: Raised, fetched: &Fetched) {
     #[cfg(test)]
     if reference::is_whole_row() {
@@ -872,42 +884,20 @@ fn repair(ps: &mut ProcState, raised: Raised, fetched: &Fetched) {
         dirty,
         ..
     } = ps;
-    let edges_of = |t: usize| -> Edges {
-        if is_local[t] {
-            return &adj[t];
+    // Column → edges, once for every row: a rank's view holds every edge of
+    // the columns it owns, `fetched` those of the others it raised.
+    let local = adj.iter().zip(is_local.iter());
+    let mut edges: Vec<Edges> = local
+        .map(|(a, &own)| if own { a.as_slice() } else { &[] })
+        .collect();
+    for (t, fetched) in fetched {
+        if let Some(slot) = edges.get_mut(*t as usize) {
+            *slot = fetched;
         }
-        let found = fetched.binary_search_by_key(&t, |&(c, _)| c as usize);
-        found.map_or(&[], |i| &fetched[i].1)
-    };
+    }
     let (mut search, mut is_raised) = (Search::default(), vec![false; adj.len()]);
     for (x, targets) in raised {
-        let row = dv.row(x);
-        let offer = |t: usize| {
-            let through = edges_of(t).iter().map(|&(y, w)| {
-                let d = row.get(y as usize).unwrap_or(INF);
-                d.saturating_add(w)
-            });
-            through.min().unwrap_or(INF)
-        };
-        let seeds: Vec<(VertexId, Weight)> = (targets.iter())
-            .filter_map(|&t| Some((VertexId::try_from(t).ok()?, offer(t))))
-            .filter(|&(_, d)| d != INF)
-            .collect();
-        targets.iter().for_each(|&t| is_raised[t] = true);
-        for &(t, d) in &seeds {
-            dv.lower_entry(x, t as usize, d);
-        }
-        search.run(
-            &mut *dv,
-            seeds,
-            |t| edges_of(t as usize),
-            |dv, y, d| is_raised[y as usize] && dv.lower_entry(x, y as usize, d),
-            |dv, t, d| match d > dv.row(x).get(t as usize).unwrap_or(INF) {
-                true => Settle::Skip,
-                false => Settle::Expand,
-            },
-        );
-        targets.iter().for_each(|&t| is_raised[t] = false);
+        dv.repair_row(x, &targets, &edges, &mut is_raised, &mut search);
         dirty.insert(x);
     }
 }

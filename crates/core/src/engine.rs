@@ -30,6 +30,12 @@ pub struct AnytimeEngine {
     pub(crate) config: EngineConfig,
     pub(crate) rc_steps_done: usize,
     pub(crate) converged: bool,
+    /// Whether the last update left every row the exact APSP of the current
+    /// graph and every rank owing nothing (`AnytimeEngine::end_update`):
+    /// settled without the recombination step that would say so. An update
+    /// that widens the rows, any step, (re)initialization and restore clear
+    /// it.
+    pub(crate) exact: bool,
     pub(crate) initialized: bool,
     /// Cursor for round-robin processor assignment of new vertices.
     pub(crate) rr_cursor: usize,
@@ -76,6 +82,7 @@ impl AnytimeEngine {
             config,
             rc_steps_done: 0,
             converged: false,
+            exact: false,
             initialized: false,
             rr_cursor: 0,
             invalidation_epoch: 0,
@@ -215,7 +222,7 @@ impl AnytimeEngine {
         self.widen_after_overflow();
 
         self.rc_steps_done = 0;
-        self.converged = false;
+        (self.converged, self.exact) = (false, false);
         self.initialized = true;
     }
 
@@ -231,6 +238,7 @@ impl AnytimeEngine {
         let rc_span = self.span_open();
         let p = self.config.num_procs;
         self.rc_steps_done += 1;
+        self.exact = false;
         let now = self.rc_steps_done as u64;
 
         // 1. Assemble and record boundary-row sends: full rows on first

@@ -75,6 +75,9 @@ mod exact_deletion;
 #[path = "tests/resilience.rs"]
 mod resilience;
 #[cfg(test)]
+#[path = "tests/settled_flush.rs"]
+mod settled_flush;
+#[cfg(test)]
 #[path = "tests/widening.rs"]
 mod widening;
 

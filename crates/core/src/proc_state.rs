@@ -349,9 +349,7 @@ impl ProcState {
                 });
             }
             RowUpdate::Delta(delta) => {
-                self.relax_neighbours_of(v, |dv, u, w| {
-                    dv.relax_with_delta(u, &delta, w, &ColumnSet::EVERY)
-                });
+                self.relax_neighbours_of(v, |dv, u, w| dv.relax_with_delta(u, &delta, w));
             }
         }
     }

@@ -22,19 +22,19 @@ use std::collections::BTreeSet;
 
 /// 24 cases in the tier-1 run; the nightly workflow asks for 3,000 through
 /// `PROPTEST_CASES`, which the vendored runner does not read by itself.
-fn cases() -> u32 {
+pub(crate) fn cases() -> u32 {
     let asked = std::env::var("PROPTEST_CASES").ok();
     asked.and_then(|n| n.parse().ok()).unwrap_or(24)
 }
 
 /// The engine's messages and bytes so far.
-fn traffic(e: &AnytimeEngine) -> (u64, u64) {
+pub(crate) fn traffic(e: &AnytimeEngine) -> (u64, u64) {
     let totals = e.cluster().ledger().totals();
     (totals.messages, totals.bytes)
 }
 
 /// The rows equal the oracle, and the invariants hold.
-fn assert_exact(e: &AnytimeEngine, what: &str) {
+pub(crate) fn assert_exact(e: &AnytimeEngine, what: &str) {
     let oracle = algo::apsp_dijkstra(e.graph());
     let dense = e.distances_dense();
     for v in e.graph().vertices() {
@@ -87,13 +87,13 @@ fn delete<R>(
 }
 
 /// The `pick`-th edge, if there is one.
-fn nth_edge(g: &Graph, pick: u32) -> Option<(VertexId, VertexId, Weight)> {
+pub(crate) fn nth_edge(g: &Graph, pick: u32) -> Option<(VertexId, VertexId, Weight)> {
     let edges: Vec<_> = g.edges().collect();
     edges.get(pick as usize % edges.len().max(1)).copied()
 }
 
 /// The `pick`-th live vertex.
-fn live(g: &Graph, pick: u32) -> VertexId {
+pub(crate) fn live(g: &Graph, pick: u32) -> VertexId {
     let ids: Vec<VertexId> = g.vertices().collect();
     ids[pick as usize % ids.len()]
 }

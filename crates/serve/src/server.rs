@@ -853,7 +853,8 @@ mod tests {
 
     /// New edges chaining `len + 1` of the highest-numbered vertices, none
     /// of which an edge joins yet: a batch of insertions in series, which
-    /// the one-shot relaxation does not make exact and recombination owes.
+    /// recombination owes on an unsettled engine, and which a settled one
+    /// takes exactly as a chain of single insertions.
     fn edges_in_series(g: &aa_graph::Graph, len: usize) -> Vec<(VertexId, VertexId, u32)> {
         let mut chain: Vec<VertexId> = g.vertices().collect();
         chain.drain(..chain.len() - (len + 1));
@@ -865,14 +866,15 @@ mod tests {
     #[test]
     fn topk_reads_carry_anytime_confidence_under_churn_and_settle_exact() {
         let mut s = server(120, 4);
-        s.drain(400).unwrap();
-        // A batch of new edges in series voids the converged state: the
-        // next frame is stale (one rc_step cannot carry the chain's far
-        // ends to each other), and the tracker must answer with an honest
-        // anytime confidence. k is chosen above the tracker's pivot budget
-        // so the member scores cannot all be structurally exact —
-        // exactness can then only come from a fresh frame or fully
-        // reconverged rows.
+        // A batch of new edges in series on an engine still converging
+        // (one turn's step past the initial approximation): the next frame
+        // is stale (one rc_step cannot carry the chain's far ends to each
+        // other), and the tracker must answer with an honest anytime
+        // confidence. k is chosen above the tracker's pivot budget so the
+        // member scores cannot all be structurally exact — exactness can
+        // then only come from a fresh frame or fully reconverged rows.
+        s.turn().unwrap();
+        assert!(!s.engine().is_converged());
         let k = s.topk_tracker().unwrap().config().max_pivots + 4;
         let batch = edges_in_series(s.engine().graph(), 4);
         assert_eq!(s.engine_mut().add_edges(&batch), batch.len());
@@ -968,8 +970,11 @@ mod tests {
         assert_eq!(settled(&s), 0);
 
         // A deletion and, in the same flush, a batch of insertions in
-        // series after it: the batch owes recombination, so the turn settles
-        // past its one step before it answers, exact all the same.
+        // series after it: the deletion leaves the engine settled, so the
+        // batch chains, exact in its own call too. The turn's one step runs
+        // empty and converges, the settle takes none, and the answer is
+        // exact.
+        let exact = |s: &Server| count(s, "aa_dynamic_settled_updates_total");
         let (u, v, _) = s.engine().graph().edges().nth(11).unwrap();
         let batch = edges_in_series(s.engine().graph(), 4);
         assert!(s.submit_write(UpdateOp::DeleteEdge(u, v)).is_admitted());
@@ -977,16 +982,15 @@ mod tests {
             assert!(s.submit_write(UpdateOp::AddEdge(a, b, w)).is_admitted());
         }
         s.submit_read(ReadKind::TopK(k));
+        let settled_updates = exact(&s);
         let rep = s.turn().unwrap();
         let flushed = rep.flushed.as_ref().map(|f| (f.edge_deletes, f.edge_adds));
         assert_eq!(flushed, Some((1, batch.len())));
+        assert_eq!(exact(&s), settled_updates + 2, "the deletion, the batch");
         assert_eq!(barrier(&s), before, "the barrier took no step");
         assert!(s.engine().is_converged());
-        assert!(
-            rep.rc_steps > STEPS_PER_TURN,
-            "one step does not reconverge"
-        );
-        assert_eq!(settled(&s), (rep.rc_steps - STEPS_PER_TURN) as u64);
+        assert_eq!(rep.rc_steps, STEPS_PER_TURN, "the one step converges");
+        assert_eq!(settled(&s), 0);
         assert_exact_top_k(&s, &rep, k);
     }
 

@@ -401,11 +401,27 @@ fn settled_updates(e: &AnytimeEngine) -> u64 {
     r.counter_value("aa_dynamic_settled_updates_total", &[])
 }
 
+/// Two new vertices and no edge, placed by RoundRobin-PS: a vertex batch of
+/// more than one is not exact at once, so the engine is left unsettled,
+/// owing recombination the new rows — which border no rank, so nobody is
+/// sent them.
+fn unsettle(e: &mut AnytimeEngine) {
+    let settled = settled_updates(e);
+    assert_eq!(
+        e.add_vertices(&VertexBatch::new(2), AdditionStrategy::RoundRobinPs)
+            .len(),
+        2
+    );
+    assert_eq!(settled_updates(e), settled);
+    let dirty = e.metrics_registry().gauge_value("aa_dirty_rows", &[]);
+    assert_eq!(dirty, Some(2.0), "the two new rows are owed");
+}
+
 /// The only cut edge from rank `r` to `b` goes and `b`'s row changes twice:
 /// the engine that [`engine_with_one_cut_edge_to_b`] builds, with `r` out
-/// of the ranks `b`'s owner sends deltas to and the second change (a
-/// deletion, exact in its own call) not yet stepped past. `check_invariants` after every call:
-/// every listed rank borders the row.
+/// of the ranks `b`'s owner sends deltas to. Each change lands on a settled
+/// engine and is exact in its own call, so no step is run or owed.
+/// `check_invariants` after every call: every listed rank borders the row.
 fn b_evicted_from_r(what: &str) -> AnytimeEngine {
     let mut e = engine_with_one_cut_edge_to_b();
     assert_converges_to_oracle(&mut e, what);
@@ -423,29 +439,32 @@ fn b_evicted_from_r(what: &str) -> AnytimeEngine {
     );
 
     // An insertion lowers b's row (b-6 beats b-3-6), a deletion raises part
-    // of it (b reached 5 over 2-5); rank 2 hears both as b's receiver.
+    // of it (b reached 5 over 2-5); rank 2 stays b's receiver.
+    let rows = rows_sent(&e);
     assert!(e.add_edge(0, 6, 1));
     e.check_invariants().unwrap();
-    e.rc_step();
     assert!(e.delete_edge(2, 5));
     e.check_invariants().unwrap();
+    assert!(rows_are_exact(&e), "{what}: not exact before a step");
+    assert_eq!(rows_sent(&e), rows, "{what}: a row was sent");
     assert_eq!(e.receivers(0), [2], "{what}: nothing brought b back to r");
+    assert_eq!(settled_updates(&e), 3, "{what}: all three changes");
     e
 }
 
 /// The evicted rank `r` must get the full row of `b` when its edge comes
 /// back, rather than a delta onto neighbours never relaxed against the rest
-/// of it. The edge lands before any step has reported the deletion before
-/// it converged, so recombination carries it.
+/// of it. The edge lands on an engine that owes recombination, which
+/// carries it.
 #[test]
 fn a_returning_cut_edge_brings_the_evicted_rank_a_full_row() {
     let what = "one cut edge to b, unsettled";
     let mut e = b_evicted_from_r(what);
-    assert_eq!(settled_updates(&e), 2, "{what}: the two deletions");
+    unsettle(&mut e);
     let full = full_rows(&e);
     assert!(e.add_edge(0, 1, 1));
     e.check_invariants().unwrap();
-    assert_eq!(settled_updates(&e), 2, "{what}");
+    assert_eq!(settled_updates(&e), 3, "{what}");
     assert_converges_to_oracle(&mut e, what);
     // b to r and x to rank 0, whole: neither rank had been relaxed against
     // them. Every other row that moved went as a delta to ranks that had.
@@ -460,29 +479,42 @@ fn a_returning_cut_edge_brings_the_evicted_rank_a_full_row() {
 /// The settled twin: the edge comes back to an engine at its fixed point,
 /// which the one-shot relaxation leaves exact and owing nothing, so no row
 /// is sent and `r` stays off `b`'s list — its neighbour of `b` is exact
-/// already. `b`'s next change, which recombination carries, brings `r` the
-/// full row.
+/// already. `b`'s next change that recombination carries brings `r` the
+/// full row; a batch on the settled engine chains and sends none.
 #[test]
 fn a_cut_edge_returning_to_a_settled_engine_waits_for_b_to_change() {
     let what = "one cut edge to b, settled";
     let mut e = b_evicted_from_r(what);
     assert_converges_to_oracle(&mut e, what);
-    assert_eq!(settled_updates(&e), 2, "{what}: the two deletions");
     let full = full_rows(&e);
     assert!(e.add_edge(0, 1, 1));
     e.check_invariants().unwrap();
-    assert_eq!(settled_updates(&e), 3, "{what}");
+    assert_eq!(settled_updates(&e), 4, "{what}");
     assert_converges_to_oracle(&mut e, what);
     assert_eq!(full_rows(&e), full, "{what}: rows sent after the return");
     assert_eq!((e.receivers(0), e.receivers(1)), (vec![2], vec![]));
 
-    // Two insertions at once lower b's row and x's (b-8 and b-7 beat
-    // b-x-4-7-8): recombination sends b to r and x to rank 0, whole.
+    // Two insertions at once on an unsettled engine lower b's row and x's
+    // (b-8 and b-7 beat b-6-7-8 and b-6-7): recombination sends b to r and
+    // x to rank 0, whole.
+    unsettle(&mut e);
     assert_eq!(e.add_edges(&[(0, 8, 1), (0, 7, 1)]), 2);
     e.check_invariants().unwrap();
-    assert_eq!(settled_updates(&e), 3, "{what}: a batch of two");
+    assert_eq!(settled_updates(&e), 4, "{what}: an unsettled batch of two");
     assert_converges_to_oracle(&mut e, what);
     assert_eq!(full_rows(&e) - full, 2, "{what}: full rows after b moved");
+    assert_eq!((e.receivers(0), e.receivers(1)), (vec![1, 2], vec![0]));
+
+    // Two more lower b's row again (b-4 beats b-x-4 and b-7-4, b-5 beats
+    // b-8-5): on the settled engine they chain, exact at once, and no row
+    // is sent.
+    let rows = rows_sent(&e);
+    assert_eq!(e.add_edges(&[(0, 4, 1), (0, 5, 1)]), 2);
+    e.check_invariants().unwrap();
+    assert!(rows_are_exact(&e), "{what}: a settled batch, before a step");
+    assert_eq!(settled_updates(&e), 5, "{what}: a settled batch of two");
+    assert_converges_to_oracle(&mut e, what);
+    assert_eq!(rows_sent(&e), rows, "{what}: rows sent after the batch");
     assert_eq!((e.receivers(0), e.receivers(1)), (vec![1, 2], vec![0]));
 }
 
@@ -687,32 +719,62 @@ proptest! {
     }
 }
 
-/// Two new edges in series on one new shortest path: the batch's one-shot
-/// relaxation reads each endpoint row as it stood before either edge, so
-/// the far end learns only one of them, and with the middle vertex on
-/// another rank no local propagation makes up for it. Recombination
-/// completes it.
+/// The path of 10 over `procs` round-robin ranks, converged: 4 and 9 on
+/// different ranks, and 0 → 4 → 9 is the new shortest path from 0 to 9 once
+/// `(0, 4)` and `(4, 9)` come.
+fn converged_path_of_10(procs: usize, what: &str) -> AnytimeEngine {
+    let mut e = AnytimeEngine::new(
+        generators::path(10),
+        EngineConfig {
+            num_procs: procs,
+            partitioner: PartitionerKind::RoundRobin,
+            ..Default::default()
+        },
+    );
+    e.initialize();
+    assert_converges_to_oracle(&mut e, what);
+    assert_ne!(e.partition().part_of(4), e.partition().part_of(9));
+    e
+}
+
+/// Two new edges in series on one new shortest path, on an engine that
+/// owes recombination: the batch's one-shot relaxation reads each endpoint
+/// row as it stood before either edge, so the far end learns only one of
+/// them, and with the middle vertex on another rank no local propagation
+/// makes up for it. Recombination completes it.
 #[test]
 fn two_new_edges_in_series_are_not_exact_at_once() {
     for procs in 2..=4 {
-        let what = format!("path of 10, P={procs}");
-        let mut e = AnytimeEngine::new(
-            generators::path(10),
-            EngineConfig {
-                num_procs: procs,
-                partitioner: PartitionerKind::RoundRobin,
-                ..Default::default()
-            },
-        );
-        e.initialize();
-        assert_converges_to_oracle(&mut e, &what);
-        // 0 → 4 → 9 is the new shortest path from 0 to 9, over both edges.
-        assert_ne!(e.partition().part_of(4), e.partition().part_of(9));
+        let what = format!("path of 10, unsettled, P={procs}");
+        let mut e = converged_path_of_10(procs, &what);
+        unsettle(&mut e);
+        assert!(rows_are_exact(&e), "{what}");
         assert_eq!(e.add_edges(&[(0, 4, 1), (4, 9, 1)]), 2);
         assert!(!rows_are_exact(&e), "{what}: exact before any step");
         assert_eq!(settled_updates(&e), 0, "{what}");
         e.check_invariants().unwrap();
         assert_converges_to_oracle(&mut e, &what);
+    }
+}
+
+/// The settled twin: on a settled engine the batch is a chain of single
+/// insertions, each link relaxing through the rows the link before it left,
+/// so the far end learns both edges. The rows are exact before any step,
+/// and the next convergence is one step that sends no row.
+#[test]
+fn two_new_edges_in_series_chain_exactly_on_a_settled_engine() {
+    for procs in 2..=4 {
+        let what = format!("path of 10, settled, P={procs}");
+        let mut e = converged_path_of_10(procs, &what);
+        let (rows, empty) = (rows_sent(&e), converge_costing(&mut e));
+        assert_eq!(e.add_edges(&[(0, 4, 1), (4, 9, 1)]), 2);
+        assert!(rows_are_exact(&e), "{what}: not exact before a step");
+        assert_eq!(e.distances_dense()[0][9], 2, "{what}");
+        assert_eq!(settled_updates(&e), 1, "{what}");
+        assert!(!e.is_converged(), "{what}");
+        e.check_invariants().unwrap();
+        assert_eq!(converge_costing(&mut e), empty, "{what}");
+        assert_eq!(rows_sent(&e), rows, "{what}: a row was sent");
     }
 }
 
