@@ -249,7 +249,9 @@ impl<'a> Row<'a> {
 
     /// The sum of the row's finite entries outside column `skip`, and how
     /// many of them are above 0: a vertex's distance sum and how many
-    /// vertices it reaches. One loop at the stored width.
+    /// vertices it reaches. One loop at the stored width; 8-bit rows sum
+    /// each 256 cells in 16-bit lanes first, which cannot overflow: 256 ·
+    /// 254 < 2^16.
     pub fn reach(self, skip: usize) -> (u64, u32) {
         fn reach<C: Cell>(cells: &[C]) -> (u64, u32) {
             cells.iter().fold((0, 0), |(sum, n), &d| {
@@ -258,7 +260,20 @@ impl<'a> Row<'a> {
                 (sum + u64::from(d), n + u32::from(counted))
             })
         }
-        let (sum, n) = by_width!(self.0, cells => reach(cells));
+        fn reach_bytes(cells: &[u8]) -> (u64, u32) {
+            cells.chunks(256).fold((0, 0), |(sum, n), chunk| {
+                let (s, c) = chunk.iter().fold((0u16, 0u16), |(s, c), &d| {
+                    let finite = u16::from(d != u8::INF);
+                    (s + finite * u16::from(d), c + finite * u16::from(d != 0))
+                });
+                (sum + u64::from(s), n + u32::from(c))
+            })
+        }
+        let (sum, n) = match self.0 {
+            Width::U8(cells) => reach_bytes(cells),
+            Width::U16(cells) => reach(cells),
+            Width::U32(cells) => reach(cells),
+        };
         match self.get(skip) {
             Some(d) if d != INF && d > 0 => (sum - u64::from(d), n - 1),
             _ => (sum, n),
@@ -399,6 +414,10 @@ pub struct ColumnSet {
     /// `false` only while every word is zero: an empty set — most change
     /// logs, between steps — says so without a walk over its words.
     marked: bool,
+    /// Whether relaxing on the set sweeps every column, decided once where
+    /// a fixed set is built ([`Self::lowered`]); `None` for a set that
+    /// changes, a change log above all, which is counted at each relaxation.
+    dense: Option<bool>,
 }
 
 impl ColumnSet {
@@ -408,6 +427,7 @@ impl ColumnSet {
             words: vec![0; cols.div_ceil(WORD)],
             all: false,
             marked: false,
+            dense: None,
         }
     }
 
@@ -416,6 +436,7 @@ impl ColumnSet {
         words: Vec::new(),
         all: true,
         marked: false,
+        dense: None,
     };
 
     /// Every one of `cols` columns, with room to log single columns again
@@ -444,7 +465,46 @@ impl ColumnSet {
             words,
             all: false,
             marked: true,
+            dense: None,
         }
+    }
+
+    /// The columns `t` where `via[t] + offset < row[t]`, `via[t]` finite,
+    /// compared as `Weight`s whatever the width — a sum past the width's
+    /// `INF` still undercuts an `INF` entry. On exact rows, with `row` and
+    /// `via` the rows of `a` and of `b` and `offset` an edge `(a, b)`, these
+    /// are the columns where `d(a,t)` falls through `b`. Whether relaxing on
+    /// it sweeps every column is decided here, once: more than a quarter of
+    /// them.
+    pub fn lowered(row: Row<'_>, via: Row<'_>, offset: Weight) -> Self {
+        fn scan<C: Cell>(row: &[C], via: &[C], offset: Weight) -> Vec<u64> {
+            let word = |(row, via): (&[C], &[C])| {
+                let mut flags = [[0u8; 8]; WORD / 8];
+                let lanes = flags.as_flattened_mut().iter_mut().zip(row.iter().zip(via));
+                lanes.for_each(|(flag, (&d, &s))| {
+                    let (raw_d, raw_s): (Weight, Weight) = (d.into(), s.into());
+                    let through = u64::from(raw_s) + u64::from(offset);
+                    let d = if d == C::INF { u64::MAX } else { raw_d.into() };
+                    *flag = u8::from((s != C::INF) & (through < d));
+                });
+                pack(&flags)
+            };
+            row.chunks(WORD).zip(via.chunks(WORD)).map(word).collect()
+        }
+        let words = match (row.0, via.0) {
+            (Width::U8(row), Width::U8(via)) => scan(row, via, offset),
+            (Width::U16(row), Width::U16(via)) => scan(row, via, offset),
+            (Width::U32(row), Width::U32(via)) => scan(row, via, offset),
+            _ => scan(&row.to_vec(), &via.to_vec(), offset),
+        };
+        let mut set = ColumnSet {
+            words,
+            all: false,
+            marked: true,
+            dense: None,
+        };
+        set.dense = Some(set.is_dense(row.len()));
+        set
     }
 
     /// Adds column `col`; columns beyond the set's width are ignored.
@@ -462,7 +522,6 @@ impl ColumnSet {
     }
 
     /// Whether `col` is a member.
-    #[cfg(test)]
     pub(crate) fn contains(&self, col: usize) -> bool {
         self.all
             || self
@@ -495,9 +554,17 @@ impl ColumnSet {
     }
 
     /// Whether walking the members one by one would cost more than a dense
-    /// sweep: all columns, or more than a quarter of them.
+    /// sweep: all columns, or more than a quarter of them — counted, unless
+    /// the set was built fixed and decided then.
     fn is_dense(&self, cols: usize) -> bool {
-        self.all || 4 * self.logged() > cols
+        self.all || self.dense.unwrap_or_else(|| 4 * self.logged() > cols)
+    }
+
+    /// Bytes a set of single columns takes on the wire over `cols` columns:
+    /// a list of its members (a 4 B count, 4 B each) or a bitset, whichever
+    /// is shorter.
+    pub(crate) fn wire_bytes(&self, cols: usize) -> usize {
+        (4 + 4 * self.logged()).min(cols.div_ceil(8))
     }
 }
 
@@ -1808,6 +1875,45 @@ mod tests {
                     want,
                     "skip {skip}, largest {largest}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn reach_equals_the_per_cell_fold_at_every_width_and_length() {
+        let fold = |row: Row<'_>, skip: usize| {
+            let counted = row.iter().enumerate();
+            let counted = counted.filter(|&(t, d)| t != skip && d != INF && d > 0);
+            counted.fold((0, 0), |(sum, n), (_, d)| (sum + u64::from(d), n + 1))
+        };
+        for largest in [0, 255, 65_535] {
+            let top = match largest {
+                0 => 254,
+                255 => 65_534,
+                _ => 1 << 30,
+            };
+            for len in [0, 1, 255, 256, 257, 700] {
+                // INF, 0 and the width's largest finite distance, which fills
+                // a 16-bit lane closest to its limit, among smaller ones.
+                let cell = |t: usize| match (t * 2_654_435_761) >> 7 & 7 {
+                    0 => INF,
+                    1 => 0,
+                    2..=4 => top,
+                    h => (t as Weight + h as Weight) % top,
+                };
+                for row in [(0..len).map(cell).collect(), vec![top; len]] {
+                    let mut m = DistanceMatrix::holding(len, largest);
+                    let buf = m.at_width(&row);
+                    assert!(!m.overflowed(), "the width holds every entry");
+                    let inf = row.iter().position(|&d| d == INF);
+                    let zero = row.iter().position(|&d| d == 0);
+                    let finite = row.iter().position(|&d| d == top);
+                    let skips = [inf, zero, finite, Some(len)].into_iter().flatten();
+                    for skip in skips {
+                        let what = format!("largest {largest}, {len} columns, skip {skip}");
+                        assert_eq!(buf.as_row().reach(skip), fold(buf.as_row(), skip), "{what}");
+                    }
+                }
             }
         }
     }

@@ -29,7 +29,7 @@
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-use crate::dv::{Row, RowBuf};
+use crate::dv::{ColumnSet, Row, RowBuf};
 use crate::engine::AnytimeEngine;
 use crate::obs::InvalidationTally;
 use crate::proc_state::ProcState;
@@ -209,6 +209,11 @@ impl AnytimeEngine {
     /// — then, unless that was `exact` ([`Self::end_update`]) and they
     /// would lower nothing, the local neighbours of each endpoint it borders
     /// through that endpoint's row, and propagates locally.
+    ///
+    /// An `exact` call names one edge, on a settled engine, and relaxes
+    /// only its candidate columns ([`relax_row_on_candidates`]): the two
+    /// broadcast rows give every rank, at no extra byte, the columns where
+    /// either endpoint's distance falls through the other.
     #[expect(
         clippy::indexing_slicing,
         reason = "processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity"
@@ -219,15 +224,28 @@ impl AnytimeEngine {
         edges: &[(VertexId, VertexId, Weight)],
         exact: bool,
     ) {
+        debug_assert!(!exact || edges.len() == 1, "an exact call names one edge");
         let rows = self.broadcast_rows(endpoints, &[]);
         let via = of_edges(edges, endpoints, &rows, RowBuf::as_row);
+        let narrow = exact;
+        #[cfg(test)]
+        let narrow = narrow && !reference::is_whole_row();
+        let candidates: Vec<_> = (via.iter().zip(edges))
+            .map(|(&(row_u, row_v), &(_, _, w))| {
+                let lowered = |row, via| ColumnSet::lowered(row, via, w);
+                narrow.then(|| (lowered(row_u, row_v), lowered(row_v, row_u)))
+            })
+            .collect();
         for rank in 0..self.procs.len() {
             let t = Stopwatch::start();
             let ps = &mut self.procs[rank];
             for x in ps.dv.vertices().to_vec() {
                 let mut changed = false;
-                for (&edge, &(row_u, row_v)) in edges.iter().zip(&via) {
-                    changed |= relax_row_through_edge(ps, x, edge, row_u, row_v);
+                for ((&edge, &rows), sets) in edges.iter().zip(&via).zip(&candidates) {
+                    changed |= match sets {
+                        Some(sets) => relax_row_on_candidates(ps, x, edge.2, rows, sets),
+                        None => relax_row_through_edge(ps, x, edge, rows),
+                    };
                 }
                 if changed {
                     ps.dirty.insert(x);
@@ -628,8 +646,7 @@ fn relax_row_through_edge(
     ps: &mut ProcState,
     x: VertexId,
     (u, v, w): (VertexId, VertexId, Weight),
-    row_u: Row<'_>,
-    row_v: Row<'_>,
+    (row_u, row_v): (Row<'_>, Row<'_>),
 ) -> bool {
     let row = ps.dv.row(x);
     let (Some(a), Some(b)) = (row.get(u as usize), row.get(v as usize)) else {
@@ -645,6 +662,35 @@ fn relax_row_through_edge(
         changed |= ps.dv.relax_with_external(x, row_u, via_v);
     }
     changed
+}
+
+/// Relaxes owned row `x` through a new edge of weight `w` on a settled
+/// engine, on the edge's **candidate columns** only: `A_uv = {t : w +
+/// row_v[t] < row_u[t]}`, where `d(u,t)` falls through `v`, and its mirror
+/// `A_vu`, both [`ColumnSet::lowered`] off the endpoint rows. Row `x`
+/// relaxes through `row_v` at `row_u[x] + w` on `A_uv`, and only if `x ∈
+/// A_vu`; the other way round is the mirror. That is exact on exact rows:
+/// if `d(x,t)` falls, its new shortest path runs over the edge once, say
+/// `x → u → v → t`, and then `w + d(v,t) < d(u,t)`, as `d(x,t) ≤ d(x,u) +
+/// d(u,t)` held before, and `d(x,u) + w < d(x,v)`, as `d(x,t) ≤ d(x,v) +
+/// d(v,t)` did: `t ∈ A_uv`, `x ∈ A_vu`. With `w ≥ 1`, `x` lies in at most
+/// one of the two; on an undirected graph `row_u[x]` is `d(x,u)`.
+fn relax_row_on_candidates(
+    ps: &mut ProcState,
+    x: VertexId,
+    w: Weight,
+    (row_u, row_v): (Row<'_>, Row<'_>),
+    (beyond_v, beyond_u): &(ColumnSet, ColumnSet),
+) -> bool {
+    let (col, dv) = (x as usize, &mut ps.dv);
+    let offset = |row: Row<'_>| row.get(col).map_or(INF, |d| d.saturating_add(w));
+    if beyond_u.contains(col) {
+        return dv.relax_with_external_on(x, row_v, offset(row_u), beyond_v);
+    }
+    if beyond_v.contains(col) {
+        return dv.relax_with_external_on(x, row_u, offset(row_v), beyond_u);
+    }
+    false
 }
 
 /// A deleted edge `(u, v, w)` with the pre-deletion rows of its endpoints

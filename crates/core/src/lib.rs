@@ -66,6 +66,9 @@ pub mod rebalance;
 pub mod strategy;
 
 #[cfg(test)]
+#[path = "tests/candidate_insertion.rs"]
+mod candidate_insertion;
+#[cfg(test)]
 #[path = "tests/changelog.rs"]
 mod changelog_tests;
 #[cfg(test)]

@@ -270,7 +270,7 @@ impl AnytimeEngine {
         }
 
         for (idx, &v) in ids.iter().enumerate() {
-            self.attach_new_vertex(v, &incident[idx]);
+            self.attach_new_vertex(v, &incident[idx], exact);
         }
         // One local propagation pass per processor closes the intra-partition
         // chains; recombination steps carry the rest across boundaries.
@@ -288,7 +288,22 @@ impl AnytimeEngine {
 
     /// Attaches one new vertex `v` with its incident edges (endpoints already
     /// present in the world).
-    fn attach_new_vertex(&mut self, v: VertexId, edges: &[(VertexId, Weight)]) {
+    ///
+    /// On a settled engine (`exact`) each row relaxes only the columns the
+    /// vertex can lower. `v`'s owner holds every anchor's row from the
+    /// gather, and derives for each anchor `a_i`, edge weight `w_i`, the
+    /// columns where `d(a_i,t)` falls through `v`: `A_i = {t : w_i +
+    /// row_v[t] < row_(a_i)[t]}` ([`ColumnSet::lowered`]), `v` itself among
+    /// them, as the anchor's row is read before it learns column `v`. The
+    /// sets travel with `v`'s row, each as a list or a bitset, whichever is
+    /// shorter. A row `x` relaxes through `v`'s row at `d(x,v)` on the set
+    /// of the first anchor attaining `d(x,v) = min_i (d(x,a_i) + w_i)`.
+    /// That is exact on exact rows: if `d(x,t)` falls, its new shortest path
+    /// runs through `v` once, `d(x,v) + d(v,t)`, and were `t` outside `A_i`,
+    /// `d(a_i,t) ≤ w_i + d(v,t)` would have kept `d(x,t) ≤ d(x,a_i) +
+    /// d(a_i,t) ≤ d(x,v) + d(v,t)` before `v` came. A leaf's one set is
+    /// `{v}`: `row_v` is its anchor's row plus `w`.
+    fn attach_new_vertex(&mut self, v: VertexId, edges: &[(VertexId, Weight)], exact: bool) {
         let ov = self.owner_of(v);
         let mut attached: Vec<(VertexId, Weight)> = Vec::with_capacity(edges.len());
         for &(u, w) in edges {
@@ -311,6 +326,7 @@ impl AnytimeEngine {
         let t = Stopwatch::start();
         let mut gather: Vec<Vec<TransferOut<()>>> =
             (0..self.procs.len()).map(|_| Vec::new()).collect();
+        let mut anchors = Vec::with_capacity(attached.len());
         for &(u, w) in &attached {
             let ou = self.owner_of(u);
             if ou != ov {
@@ -322,18 +338,29 @@ impl AnytimeEngine {
             }
             let row_u = self.procs[ou].dv.row(u).to_buf();
             self.procs[ov].dv.relax_with_external(v, row_u.as_row(), w);
+            anchors.push(row_u);
         }
         self.procs[ov].dirty.insert(v);
+        let row_v = self.procs[ov].dv.row(v).to_buf();
+        #[cfg(test)]
+        let exact = exact && !crate::dynamic::reference::is_whole_row();
+        let sets: Vec<ColumnSet> = match exact {
+            true => (anchors.iter().zip(&attached))
+                .map(|(row_a, &(_, w))| ColumnSet::lowered(row_a.as_row(), row_v.as_row(), w))
+                .collect(),
+            false => Vec::new(),
+        };
         self.cluster
             .compute_measured(ov, Phase::DynamicUpdate, t.elapsed());
         self.cluster.exchange(Phase::DynamicUpdate, gather);
 
-        // Broadcast v's row; every processor folds v into its own rows —
-        // v's neighbours among them through v's row plus at most the edge,
-        // which is all a rank bordering v owes them.
-        let row_v = self.procs[ov].dv.row(v).to_buf();
+        // Broadcast v's row, with the anchors' sets; every processor folds v
+        // into its own rows — v's neighbours among them through v's row plus
+        // at most the edge, which is all a rank bordering v owes them.
+        let set_bytes: usize = sets.iter().map(|set| set.wire_bytes(row_len)).sum();
         self.cluster
-            .broadcast_cost(Phase::DynamicUpdate, ov, row_bytes);
+            .broadcast_cost(Phase::DynamicUpdate, ov, row_bytes + set_bytes);
+        let every = ColumnSet::EVERY;
         for rank in 0..self.procs.len() {
             let t = Stopwatch::start();
             let ps = &mut self.procs[rank];
@@ -341,15 +368,18 @@ impl AnytimeEngine {
                 if x == v {
                     continue;
                 }
-                // D[x][v] = min over v's edges of D[x][u] + w, then relax
-                // x's row through v once.
+                // D[x][v] = min over v's edges of D[x][u] + w, and the first
+                // anchor that attains it; then relax x's row through v once.
                 let row = ps.dv.row(x);
-                let mut a = row.get(v as usize).unwrap_or(INF);
-                for &(u, w) in &attached {
-                    let du = row.get(u as usize).unwrap_or(INF);
-                    a = a.min(du.saturating_add(w));
+                let (mut a, mut first) = (row.get(v as usize).unwrap_or(INF), None);
+                for (i, &(u, w)) in attached.iter().enumerate() {
+                    let du = row.get(u as usize).unwrap_or(INF).saturating_add(w);
+                    if du < a {
+                        (a, first) = (du, Some(i));
+                    }
                 }
-                if a != INF && ps.dv.relax_with_external(x, row_v.as_row(), a) {
+                let cols = first.and_then(|i| sets.get(i)).unwrap_or(&every);
+                if a != INF && ps.dv.relax_with_external_on(x, row_v.as_row(), a, cols) {
                     ps.dirty.insert(x);
                 }
             }

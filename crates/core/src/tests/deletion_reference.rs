@@ -7,7 +7,9 @@
 //!   raised rows written through raw access and their neighbours marked
 //!   all-columns, and every raised row rebuilt by a full local Dijkstra
 //!   before the repair, which only the fetched edges let reach past the
-//!   rank's view.
+//!   rank's view. Settled insertions, the mirror rule, relax every owned
+//!   row over every column under it, not on their candidate columns
+//!   (`candidate_insertion.rs`).
 
 use super::{DeletedEdge, InvalidationTally, ProcState, Raised};
 use crate::dv::{DistanceMatrix, Row};
@@ -27,7 +29,8 @@ pub(crate) fn is_whole_row() -> bool {
     WHOLE_ROW.with(Cell::get)
 }
 
-/// Runs `f` with every deletion on this thread invalidating the old way.
+/// Runs `f` with every deletion on this thread invalidating the old way,
+/// and every settled insertion relaxing whole rows.
 pub(crate) fn whole_row<R>(f: impl FnOnce() -> R) -> R {
     let before = WHOLE_ROW.with(|w| w.replace(true));
     let out = f();

@@ -47,7 +47,7 @@ fn step(e: &mut AnytimeEngine, what: &str) -> bool {
 
 /// Steps to convergence, within the deletion barrier's budget, and holds
 /// the rows to the oracle.
-fn converge(e: &mut AnytimeEngine, what: &str) {
+pub(crate) fn converge(e: &mut AnytimeEngine, what: &str) {
     let budget = e.deletion_barrier_budget();
     assert!((0..budget).any(|_| step(e, what)), "{what}: no convergence");
     assert_exact(e, what);

@@ -778,6 +778,74 @@ fn two_new_edges_in_series_chain_exactly_on_a_settled_engine() {
     }
 }
 
+/// One new vertex on a settled engine, placed by RoundRobin-PS or by
+/// CutEdge-PS, with `anchors` as its edges; asserts the arrival was exact at
+/// once — rows equal to the oracle before any step, one more settled
+/// update, and a next convergence that is one empty step sending no row —
+/// and returns the rows from before it beside the rows after it.
+fn arrive_settled(
+    e: &mut AnytimeEngine,
+    strategy: AdditionStrategy,
+    anchors: &[(VertexId, Weight)],
+    what: &str,
+) -> (Vec<Vec<Weight>>, Vec<Vec<Weight>>) {
+    let (rows, empty) = (rows_sent(e), converge_costing(e));
+    let (before, settled) = (e.distances_dense(), settled_updates(e));
+    let mut batch = VertexBatch::new(1);
+    for &(a, w) in anchors {
+        batch.connect(0, Endpoint::Existing(a), w);
+    }
+    assert_eq!(e.add_vertices(&batch, strategy).len(), 1, "{what}");
+    let after = e.distances_dense();
+    assert!(rows_are_exact(e), "{what}: not exact before a step");
+    assert_eq!(settled_updates(e), settled + 1, "{what}");
+    e.check_invariants().unwrap();
+    assert_eq!(converge_costing(e), empty, "{what}");
+    assert_eq!(rows_sent(e), rows, "{what}: a row was sent");
+    (before, after)
+}
+
+/// A leaf — one new vertex with one edge — arriving on a settled engine
+/// lowers nothing but its own column: every shortest path through it ends
+/// there. Every other row changes at column `v` only, to `d(x,a) + w`.
+#[test]
+fn a_settled_leaf_arrival_changes_other_rows_at_its_own_column_only() {
+    for procs in 1..=4 {
+        for strategy in [AdditionStrategy::RoundRobinPs, AdditionStrategy::CutEdgePs] {
+            let what = format!("leaf, P={procs}, {strategy}");
+            let mut e = engine(64, procs, 11);
+            assert_converges_to_oracle(&mut e, &what);
+            let (a, w) = (17, 3);
+            let (before, after) = arrive_settled(&mut e, strategy, &[(a, w)], &what);
+            let v = before.len();
+            for (x, (old, new)) in before.iter().zip(&after).enumerate() {
+                assert_eq!(old[..], new[..v], "{what}: row {x} outside column {v}");
+                assert_eq!(new[v], old[a as usize] + w, "{what}: d({x},{v})");
+            }
+        }
+    }
+}
+
+/// A vertex arriving on a settled engine with two far-apart anchors is a
+/// shortcut: on the path of 10, a vertex joined to 0 and to 9 brings them
+/// within 2 of each other, so rows change outside column `v`, and the
+/// per-anchor candidate columns still leave the oracle's rows.
+#[test]
+fn a_settled_two_anchor_arrival_lowers_entries_beyond_its_own_column() {
+    for procs in 2..=4 {
+        for strategy in [AdditionStrategy::RoundRobinPs, AdditionStrategy::CutEdgePs] {
+            let what = format!("two anchors on the path of 10, P={procs}, {strategy}");
+            let mut e = converged_path_of_10(procs, &what);
+            let (before, after) = arrive_settled(&mut e, strategy, &[(0, 1), (9, 1)], &what);
+            assert_eq!((before[0][9], after[0][9]), (9, 2), "{what}");
+            let lowered = (before.iter().zip(&after))
+                .flat_map(|(old, new)| old.iter().zip(new).filter(|(o, n)| n < o))
+                .count();
+            assert!(lowered > 2, "{what}: {lowered} entries lowered");
+        }
+    }
+}
+
 /// An insertion on an engine still converging keeps every rank's logs:
 /// rows it did not relax through the edge still owe their neighbours and
 /// their receivers. Recombination completes it.
