@@ -40,7 +40,6 @@ usage:
               [--offered N]       (requests offered per turn, default 32)
               [--read-fraction R] (read share of offered load, default 0.8)
               [--topk-read-mix R] (top-k share of reads, default 0.7)
-              [--deadline-us D]   (read deadline in virtual microseconds)
               [--seed S]          (workload seed)
               [--metrics-out JSON]
               [--data-dir DIR]    (crash-consistent: recover, WAL, checkpoints)
@@ -250,7 +249,6 @@ fn run_serve(args: &[String]) -> Result<String, String> {
             "--offered" => opts.offered = parsed(flag, value)?,
             "--read-fraction" => opts.read_fraction = parsed(flag, value)?,
             "--topk-read-mix" => opts.topk_read_mix = parsed(flag, value)?,
-            "--deadline-us" => opts.deadline_us = parsed(flag, value)?,
             "--seed" => opts.seed = parsed(flag, value)?,
             "--data-dir" => opts.data_dir = Some(PathBuf::from(value(flag))),
             "--checkpoint-every" => opts.checkpoint_every = parsed(flag, value)?,

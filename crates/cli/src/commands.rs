@@ -412,8 +412,6 @@ pub struct ServeOpts {
     /// Fraction of reads that are top-k queries (the rest are single-vertex
     /// lookups).
     pub topk_read_mix: f64,
-    /// Read deadline relative to submission (virtual µs).
-    pub deadline_us: f64,
     /// Workload seed.
     pub seed: u64,
     /// Optional JSON file for the merged engine + ingest + serve metrics.
@@ -443,7 +441,6 @@ impl Default for ServeOpts {
             offered: 32,
             read_fraction: 0.8,
             topk_read_mix: 0.7,
-            deadline_us: 5_000_000.0,
             seed: 42,
             metrics_out: None,
             data_dir: None,
@@ -456,9 +453,9 @@ impl Default for ServeOpts {
 }
 
 /// `aa serve`: run the resident server under a deterministic mixed
-/// read/write workload — snapshot-isolated reads, admission-controlled
-/// writes, degraded-mode service under overload — then report
-/// latency quantiles, outcome totals, and the final ranking.
+/// read/write workload — snapshot-isolated reads served every turn,
+/// budget-admitted writes — then report latency quantiles, outcome totals,
+/// and the final ranking.
 pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
     if !(0.0..=1.0).contains(&opts.read_fraction) {
         return Err(format!(
@@ -476,10 +473,7 @@ pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
         return Err("--verify-recovery requires --data-dir".to_string());
     }
     let config = engine_config(opts.procs, opts.backend, opts.threads)?;
-    let serve_config = aa_serve::ServeConfig {
-        default_deadline_us: opts.deadline_us,
-        ..Default::default()
-    };
+    let serve_config = aa_serve::ServeConfig::default();
     // Left uninitialized: a restart that loads a checkpoint never needs the
     // base's domain decomposition or initial approximation.
     let base = AnytimeEngine::new(load_graph(&opts.input, opts.format)?, config.clone());
@@ -543,12 +537,9 @@ pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
         opts.offered,
         (opts.read_fraction * 100.0).round()
     ));
-    let mut degraded_turns = 0usize;
     for _ in 0..opts.turns {
         gen.offer(&mut server);
-        if server.turn()?.mode == aa_serve::ServeMode::Degraded {
-            degraded_turns += 1;
-        }
+        server.turn()?;
     }
     // Resolve everything still queued; nothing may hang. A durable server
     // additionally commits stragglers and takes a final covering checkpoint.
@@ -557,13 +548,8 @@ pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
 
     let stats = server.stats();
     out.push_str(&format!(
-        "reads:  {} submitted, {} served, {} throttled, {} shed (capacity {}, deadline {})\n",
-        stats.reads_submitted,
-        stats.reads_served,
-        stats.reads_throttled,
-        stats.reads_shed_capacity + stats.reads_shed_deadline,
-        stats.reads_shed_capacity,
-        stats.reads_shed_deadline
+        "reads:  {} submitted, {} served, {} shed\n",
+        stats.reads_submitted, stats.reads_served, stats.reads_shed_capacity
     ));
     if stats.topk_exact + stats.topk_anytime > 0 {
         out.push_str(&format!(
@@ -603,10 +589,6 @@ pub fn serve_cmd(opts: &ServeOpts) -> Result<String, String> {
             stats.read_shed_rate()
         ));
     }
-    out.push_str(&format!(
-        "mode: {} degraded turns over {} total; {} degraded entries\n",
-        degraded_turns, stats.turns, stats.degraded_entries
-    ));
     let frame = server.frame();
     out.push_str(&format!(
         "final frame: epoch {}, converged {}, quiescent rows {:.2}, bound {:.1}\n",
@@ -970,7 +952,11 @@ mod tests {
             report.contains("converged true"),
             "drain must end converged:\n{report}"
         );
-        assert!(report.contains("degraded entries"), "{report}");
+        // "reads:  N submitted, N served, 0 shed": every read answered.
+        let reads = report.lines().find(|l| l.starts_with("reads:")).unwrap();
+        let words: Vec<&str> = reads.split_whitespace().collect();
+        assert_eq!(words[1], words[3], "{reads}");
+        assert_eq!(words[5], "0", "{reads}");
         let json = std::fs::read_to_string(&metrics).unwrap();
         assert!(json.contains("aa_serve_requests_total"));
         assert!(json.contains("aa_snapshot_publications_total"));

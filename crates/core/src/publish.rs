@@ -66,7 +66,7 @@ pub struct SnapshotMeta {
     /// sit above the true distance. Zero when converged; otherwise the
     /// structural bound `(live vertices − 1) · w_max − 1` (a finite estimate
     /// is the length of a real path, and a true distance is at least 1).
-    /// Always finite: degraded service stays bounded.
+    /// Always finite: a read served from a stale frame stays bounded.
     pub max_overestimate_bound: f64,
 }
 

@@ -5,8 +5,7 @@
     clippy::unreachable
 )]
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
-//! `aa-serve` — an overload-safe resident query/update server over the
-//! anytime engine.
+//! `aa-serve` — a resident query/update server over the anytime engine.
 //!
 //! The paper's *anytime* property promises centrality estimates with
 //! bounded error at any point mid-computation; this crate is where that
@@ -15,8 +14,8 @@
 //! [`IngestPipeline`](aa_ingest::IngestPipeline), the top-k tracker and the
 //! write-ahead log, and is the one place that orders their calls; every
 //! front-end (`aa analyze`, `aa stream`, the benches) drives it. A
-//! [`Server`] is a session plus a read queue, token budgets and a mode
-//! machine, advancing in deterministic turns with three guarantees:
+//! [`Server`] is a session plus a bounded read queue and a per-turn write
+//! budget, advancing in deterministic turns with two guarantees:
 //!
 //! * **Snapshot isolation** — every read is answered from a published
 //!   [`SnapshotFrame`](aa_core::SnapshotFrame): an `Arc`-shared, epoch-
@@ -24,15 +23,12 @@
 //!   buffered publication, allocation-stable on reuse). A reader can never
 //!   observe a torn mid-`rc_step` state or a frame claiming convergence
 //!   while rows are dirty.
-//! * **Admission control** — reads and writes share the aa-ingest
-//!   `Accepted / Throttled{retry_after} / Shed` backpressure contract,
-//!   with per-class token budgets, queue watermarks, and deadline-aware
-//!   shedding. Every admitted request resolves at a turn boundary;
-//!   nothing hangs.
-//! * **Graceful degradation** — under sustained overload the server
-//!   enters an explicit degraded mode: reads keep being served from
-//!   stale-but-bounded frames (finite max-overestimate bound, epoch
-//!   consistency preserved) and the write budget tightens.
+//! * **Every read answered at the next turn** — each turn serves every
+//!   queued read from the frame it publishes, converged or not: the
+//!   anytime estimate is always there to answer from. A read is shed only
+//!   at submission, when the queue holds [`READ_QUEUE_CAP`] reads; writes
+//!   pass a per-turn token budget and then the aa-ingest
+//!   `Accepted / Throttled{retry_after} / Shed` contract. Nothing hangs.
 //!
 //! [`LoadGen`] provides the deterministic mixed-workload generator that the
 //! `aa serve` CLI subcommand and the serving tests drive.
@@ -44,9 +40,7 @@ mod session;
 mod workload;
 
 pub use admission::{ServeConfig, TokenBucket};
-pub use request::{
-    ClientOp, ReadKind, ReadOutcome, ReadTicket, ReadValue, ShedReason, WriteOutcome,
-};
-pub use server::{ServeMode, ServeStats, Server, TurnReport, READ_QUEUE_CAP, READ_QUEUE_HWM};
+pub use request::{ClientOp, ReadKind, ReadOutcome, ReadTicket, ReadValue, WriteOutcome};
+pub use server::{ServeStats, Server, TurnReport, READ_QUEUE_CAP};
 pub use session::{Applied, Recovery, Session};
 pub use workload::{LoadGen, WorkloadConfig};

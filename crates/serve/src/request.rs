@@ -1,12 +1,10 @@
 //! Request and response types for the resident server.
 //!
-//! Reads and writes share one backpressure vocabulary: every submission
-//! resolves to `Accepted` / `Throttled{retry_after}` / `Shed` (the
-//! aa-ingest contract, extended to the query path), and every admitted read
-//! later resolves to exactly one [`ReadOutcome`] — served against a
-//! published [`SnapshotFrame`](aa_core::SnapshotFrame), or shed with a
-//! reason. Nothing ever hangs: resolution happens at a turn boundary, and
-//! deadline expiry sheds a request the server can no longer serve in time.
+//! Reads and writes share one backpressure vocabulary, the aa-ingest
+//! `Accepted` / `Throttled{retry_after}` / `Shed` contract: a read is
+//! `Accepted` into the bounded read queue or `Shed` at its capacity, and
+//! every accepted read is served at the next turn boundary against a
+//! published [`SnapshotFrame`](aa_core::SnapshotFrame). Nothing ever hangs.
 
 use aa_core::SnapshotMeta;
 use aa_graph::VertexId;
@@ -37,29 +35,6 @@ pub enum ReadValue {
     },
 }
 
-/// Why a request was shed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedReason {
-    /// The read queue was at hard capacity.
-    Capacity,
-    /// The deadline passed (or provably could not be met at admission).
-    Deadline,
-    /// The per-turn write token budget was exhausted (tightened further in
-    /// degraded mode).
-    WriteBudget,
-}
-
-impl ShedReason {
-    /// Metric label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ShedReason::Capacity => "capacity",
-            ShedReason::Deadline => "deadline",
-            ShedReason::WriteBudget => "write-budget",
-        }
-    }
-}
-
 /// Admission ticket returned by `submit_read`: the request id plus the
 /// backpressure decision. A `Shed` ticket means the read was **not** queued
 /// and will never produce a [`ReadOutcome`].
@@ -80,20 +55,16 @@ pub enum ReadOutcome {
         id: u64,
         /// Virtual µs between submission and service.
         latency_us: f64,
-        /// True when the server was in degraded mode at service time; the
-        /// `meta` stamp then carries the (finite) staleness bounds.
-        degraded: bool,
         /// Consistency stamp of the frame the value was computed from.
         meta: SnapshotMeta,
         /// The requested value.
         value: ReadValue,
     },
-    /// Shed after admission (deadline expiry while queued).
+    /// Never produced: every admitted read is served at the next turn.
+    /// Kept so the benchmark harness's match on outcomes still compiles.
     Shed {
         /// Request id from the [`ReadTicket`].
         id: u64,
-        /// Why it was shed.
-        reason: ShedReason,
     },
 }
 
@@ -126,8 +97,9 @@ pub enum WriteOutcome {
         /// The ingest queue's admission decision.
         admission: Admission,
     },
-    /// Shed by the server before reaching the queue (token budget).
-    Shed(ShedReason),
+    /// Shed by the server before reaching the queue: the per-turn write
+    /// token budget was exhausted.
+    Shed,
     /// Invalid op, rejected with an error; nothing was buffered.
     Rejected(String),
 }
@@ -138,7 +110,7 @@ impl WriteOutcome {
     pub fn is_admitted(&self) -> bool {
         match self {
             WriteOutcome::Ingest(a) | WriteOutcome::Logged { admission: a, .. } => a.is_admitted(),
-            WriteOutcome::Shed(_) | WriteOutcome::Rejected(_) => false,
+            WriteOutcome::Shed | WriteOutcome::Rejected(_) => false,
         }
     }
 

@@ -5,8 +5,7 @@
 //!
 //! The server advances in deterministic *turns* ([`Server::turn`]); a turn
 //!
-//! 1. refills the per-class token budgets (the write refill is divided by
-//!    [`DEGRADED_WRITE_DIVISOR`] in degraded mode),
+//! 1. refills the per-turn write budget,
 //! 2. lets the ingest pipeline drain if its policy is due,
 //! 3. runs up to [`STEPS_PER_TURN`] recombination steps while unconverged —
 //!    and, when this turn's flush applied a deletion (the delete half of a
@@ -14,29 +13,21 @@
 //!    or the deletion barrier's own budget runs out. Those are the steps
 //!    the next turn's barrier would have run anyway; run here, the turn
 //!    answers from a fresh frame and the barrier finds the engine quiescent,
-//! 4. updates the degraded-mode state machine,
-//! 5. publishes a snapshot frame (allocation-stable when nothing changed)
+//! 4. publishes a snapshot frame (allocation-stable when nothing changed)
 //!    and folds it — together with the engine's drained bound-delta feed —
 //!    into the resident [`TopKTracker`], keeping sound anytime top-k
 //!    bounds current across supersteps,
-//! 6. sheds queued reads whose deadline passed, then serves the front of
-//!    the read queue from the published frame under the read token budget;
+//! 5. serves every queued read from the published frame;
 //!    [`ReadKind::TopK`] reads are answered by the tracker with an explicit
 //!    exact/anytime confidence.
 //!
-//! Every admitted request resolves at a turn boundary — served or shed —
-//! so nothing ever hangs, and every served response carries the frame's
+//! A read is queued at submission unless the queue already holds
+//! [`READ_QUEUE_CAP`] reads, in which case it is shed there. Every queued
+//! read is served at the next turn boundary, so nothing ever hangs, and
+//! every served response carries the frame's
 //! [`SnapshotMeta`](aa_core::SnapshotMeta) stamp (epoch, convergence,
-//! quiescent-row fraction, finite max-overestimate bound).
-//!
-//! # Degraded mode
-//!
-//! The server enters degraded mode after [`OVERLOAD_TURNS`] consecutive
-//! turns with the ingest queue or read queue above its high watermark, and
-//! leaves after [`RECOVERY_TURNS`] consecutive clear turns. Degraded mode
-//! never stops serving: reads are answered from the latest published frame
-//! (stale but epoch-consistent, with finite bounds) and the write budget is
-//! tightened so refinement work is not starved.
+//! quiescent-row fraction, finite max-overestimate bound). Writes pass a
+//! per-turn token budget before the ingest pipeline's own admission.
 
 //! # Durability
 //!
@@ -50,7 +41,7 @@
 //! `checkpoint_every_turns` turns and on [`Server::shutdown`].
 
 use crate::admission::{ServeConfig, TokenBucket};
-use crate::request::{ReadKind, ReadOutcome, ReadTicket, ReadValue, ShedReason, WriteOutcome};
+use crate::request::{ReadKind, ReadOutcome, ReadTicket, ReadValue, WriteOutcome};
 use crate::session::{Recovery, Session};
 use aa_core::{AnytimeEngine, SnapshotFrame};
 use aa_durable::{DurabilityConfig, DurableLog, Storage};
@@ -60,60 +51,26 @@ use aa_query::{Confidence, TopKAnswer, TopKConfig, TopKTracker};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Hard capacity of the read queue; reads beyond it are shed.
+/// Hard capacity of the read queue; reads submitted beyond it are shed.
 pub const READ_QUEUE_CAP: usize = 1024;
-/// Read-queue high watermark: reads admitted above it are `Throttled`, and
-/// a turn that starts above it counts as pressured.
-pub const READ_QUEUE_HWM: usize = 768;
-/// Read tokens added per turn (reads served per turn, steady state).
-pub(crate) const READ_TOKENS_PER_TURN: u32 = 64;
-/// Read token burst cap; the bucket starts full.
-pub(crate) const READ_BURST: u32 = 128;
-/// Write tokens added per turn in normal mode.
+/// Write tokens added per turn.
 pub(crate) const WRITE_TOKENS_PER_TURN: u32 = 64;
 /// Write token burst cap; the bucket starts full.
 pub(crate) const WRITE_BURST: u32 = 128;
-/// In degraded mode the write refill is divided by this factor, so
-/// refinement work is not starved by update traffic.
-pub(crate) const DEGRADED_WRITE_DIVISOR: u32 = 4;
-/// Consecutive pressured turns before entering degraded mode.
-pub(crate) const OVERLOAD_TURNS: usize = 3;
-/// Consecutive clear turns before leaving degraded mode.
-pub(crate) const RECOVERY_TURNS: usize = 3;
 /// RC steps a turn attempts while unconverged. A turn whose flush applied a
 /// deletion steps on past this to convergence (bounded by the deletion
 /// barrier's budget): the next deletion barrier would run those steps
 /// anyway.
 pub(crate) const STEPS_PER_TURN: usize = 1;
 
-/// Serving state: normal, or degraded (overloaded).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Full service.
-    Normal,
-    /// Stale-but-bounded service under overload.
-    Degraded,
-}
-
-impl ServeMode {
-    /// Metric/report label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ServeMode::Normal => "normal",
-            ServeMode::Degraded => "degraded",
-        }
-    }
-}
-
 /// Lifetime counters, one per admission/resolution outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Turns executed.
     pub turns: u64,
-    /// Turns spent in degraded mode.
+    /// Always 0: the server has no degraded mode. Kept because the
+    /// benchmark harness reports it.
     pub degraded_turns: u64,
-    /// Times the server entered degraded mode.
-    pub degraded_entries: u64,
     /// Reads submitted.
     pub reads_submitted: u64,
     /// Reads served from a published frame.
@@ -122,12 +79,10 @@ pub struct ServeStats {
     pub topk_exact: u64,
     /// Served top-k reads answered with an anytime confidence.
     pub topk_anytime: u64,
-    /// Reads admitted above the read-queue high watermark.
-    pub reads_throttled: u64,
     /// Reads shed at read-queue hard capacity.
     pub reads_shed_capacity: u64,
-    /// Reads shed because the deadline passed (or provably could not be
-    /// met at admission).
+    /// Always 0: reads carry no deadline. Kept because the benchmark
+    /// harness reads it.
     pub reads_shed_deadline: u64,
     /// Writes submitted.
     pub writes_submitted: u64,
@@ -152,13 +107,12 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Fraction of submitted reads shed (any reason).
+    /// Fraction of submitted reads shed at the read queue's capacity.
     pub fn read_shed_rate(&self) -> f64 {
         if self.reads_submitted == 0 {
             0.0
         } else {
-            (self.reads_shed_capacity + self.reads_shed_deadline) as f64
-                / self.reads_submitted as f64
+            self.reads_shed_capacity as f64 / self.reads_submitted as f64
         }
     }
 }
@@ -166,12 +120,10 @@ impl ServeStats {
 /// What one turn did.
 #[derive(Debug, Clone)]
 pub struct TurnReport {
-    /// Reads resolved this turn (served or deadline-shed), in order.
+    /// Every read queued before the turn, served in submission order.
     pub served: Vec<ReadOutcome>,
     /// The ingest flush this turn performed, if its policy was due.
     pub flushed: Option<FlushReport>,
-    /// Mode after the turn's state-machine update.
-    pub mode: ServeMode,
     /// Recombination steps run this turn, settling steps included.
     pub rc_steps: usize,
     /// Highest WAL sequence made durable by this turn's group commit
@@ -192,13 +144,12 @@ pub struct TurnReport {
 /// a metrics scrape stay bounded.
 const LATENCY_WINDOW: usize = 1 << 16;
 
-/// A queued (admitted, not yet resolved) read.
+/// A queued (admitted, not yet served) read.
 #[derive(Debug, Clone, Copy)]
 struct QueuedRead {
     id: u64,
     kind: ReadKind,
     submitted_us: f64,
-    deadline_us: f64,
 }
 
 /// The resident query/update server. See the module docs.
@@ -206,15 +157,8 @@ pub struct Server {
     session: Session,
     config: ServeConfig,
     read_q: VecDeque<QueuedRead>,
-    read_tokens: TokenBucket,
     write_tokens: TokenBucket,
-    mode: ServeMode,
-    pressured_turns: usize,
-    clear_turns: usize,
     next_id: u64,
-    /// EWMA of per-turn virtual duration, for deadline feasibility
-    /// estimates; zero until the first turn completes.
-    ewma_turn_us: f64,
     /// Latency of the most recent `LATENCY_WINDOW` served reads.
     latencies: VecDeque<f64>,
     stats: ServeStats,
@@ -224,9 +168,8 @@ pub struct Server {
 
 impl Server {
     /// Builds a server around an engine, initializing it if the caller has
-    /// not. Validates the configuration.
+    /// not.
     pub fn new(engine: AnytimeEngine, config: ServeConfig) -> Result<Self, String> {
-        config.validate()?;
         let session = Session::new(engine, config.ingest, Some(TopKConfig::default()))?;
         Ok(Server::over(session, config))
     }
@@ -241,7 +184,6 @@ impl Server {
         config: ServeConfig,
         durability: DurabilityConfig,
     ) -> Result<(Self, Recovery), String> {
-        config.validate()?;
         let topk = Some(TopKConfig::default());
         let (session, recovery) =
             Session::open_durable(storage, base, config.ingest, topk, durability)?;
@@ -259,16 +201,11 @@ impl Server {
             &[10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8],
         );
         Server {
-            read_tokens: TokenBucket::new(READ_BURST),
             write_tokens: TokenBucket::new(WRITE_BURST),
             session,
             config,
             read_q: VecDeque::new(),
-            mode: ServeMode::Normal,
-            pressured_turns: 0,
-            clear_turns: 0,
             next_id: 0,
-            ewma_turn_us: 0.0,
             latencies: VecDeque::new(),
             stats: ServeStats::default(),
             metrics,
@@ -296,17 +233,10 @@ impl Server {
         self.session.durable_log().map(DurableLog::committed_seq)
     }
 
-    /// Submits a read with the default deadline.
+    /// Submits a read. It is queued and served at the next turn, unless
+    /// the queue already holds [`READ_QUEUE_CAP`] reads: then it is shed
+    /// here and never produces a [`ReadOutcome`].
     pub fn submit_read(&mut self, kind: ReadKind) -> ReadTicket {
-        self.submit_read_with_deadline(kind, self.config.default_deadline_us)
-    }
-
-    /// Submits a read that must be served within `deadline_us` virtual µs
-    /// of now. Admission control may shed it immediately (queue at hard
-    /// capacity, or the deadline is provably unmeetable given the queue
-    /// depth and the measured turn duration); a shed read is never queued.
-    pub fn submit_read_with_deadline(&mut self, kind: ReadKind, deadline_us: f64) -> ReadTicket {
-        let now = self.session.engine().makespan_us();
         let id = self.next_id;
         self.next_id += 1;
         self.stats.reads_submitted += 1;
@@ -318,48 +248,24 @@ impl Server {
                 admission: Admission::Shed,
             };
         }
-        let deadline = now + deadline_us.max(0.0);
-        if let Some(est) = self.estimated_service_us(now) {
-            if est > deadline {
-                self.stats.reads_shed_deadline += 1;
-                self.count_reads("shed-deadline", 1);
-                return ReadTicket {
-                    id,
-                    admission: Admission::Shed,
-                };
-            }
-        }
         self.read_q.push_back(QueuedRead {
             id,
             kind,
-            submitted_us: now,
-            deadline_us: deadline,
+            submitted_us: self.session.engine().makespan_us(),
         });
-        let depth = self.read_q.len();
         self.metrics
-            .set_gauge("aa_serve_read_queue_depth", &[], depth as f64);
-        if depth > READ_QUEUE_HWM {
-            self.stats.reads_throttled += 1;
-            self.count_reads("throttled", 1);
-            ReadTicket {
-                id,
-                admission: Admission::Throttled {
-                    retry_after: (depth - READ_QUEUE_HWM) as u64,
-                },
-            }
-        } else {
-            self.count_reads("accepted", 1);
-            ReadTicket {
-                id,
-                admission: Admission::Accepted,
-            }
+            .set_gauge("aa_serve_read_queue_depth", &[], self.read_q.len() as f64);
+        self.count_reads("accepted", 1);
+        ReadTicket {
+            id,
+            admission: Admission::Accepted,
         }
     }
 
     /// Submits a write. The op first passes the per-turn write token budget
-    /// (shed on exhaustion — tightened in degraded mode), then the ingest
-    /// pipeline's own admission queue. On a durable server every enqueued
-    /// op is also recorded in the WAL and resolves to
+    /// (shed on exhaustion), then the ingest pipeline's own admission
+    /// queue. On a durable server every enqueued op is also recorded in the
+    /// WAL and resolves to
     /// [`WriteOutcome::Logged`]; it is crash-safe once a later turn reports
     /// `durable_seq >= seq`.
     pub fn submit_write(&mut self, op: UpdateOp) -> WriteOutcome {
@@ -367,7 +273,7 @@ impl Server {
         if !self.write_tokens.take() {
             self.stats.writes_shed_budget += 1;
             self.count_write("shed-budget");
-            return WriteOutcome::Shed(ShedReason::WriteBudget);
+            return WriteOutcome::Shed;
         }
         match self.session.push(op) {
             Ok((outcome, seq)) => {
@@ -407,14 +313,8 @@ impl Server {
 
     /// Runs one turn; see the module docs for the sequence.
     pub fn turn(&mut self) -> Result<TurnReport, String> {
-        let t0 = self.session.engine().makespan_us();
         self.stats.turns += 1;
-        self.read_tokens.refill(READ_TOKENS_PER_TURN);
-        let write_refill = match self.mode {
-            ServeMode::Normal => WRITE_TOKENS_PER_TURN,
-            ServeMode::Degraded => WRITE_TOKENS_PER_TURN / DEGRADED_WRITE_DIVISOR,
-        };
-        self.write_tokens.refill(write_refill);
+        self.write_tokens.refill(WRITE_TOKENS_PER_TURN);
 
         let applied = self.session.apply_due()?;
         let mut rc_steps = self.session.step(STEPS_PER_TURN);
@@ -427,13 +327,6 @@ impl Server {
             rc_steps += settled;
             self.metrics
                 .inc_counter("aa_serve_settle_steps_total", &[], settled as u64);
-        }
-
-        self.update_mode();
-        if self.mode == ServeMode::Degraded {
-            self.stats.degraded_turns += 1;
-            self.metrics
-                .inc_counter("aa_serve_degraded_turns_total", &[], 1);
         }
 
         let frame = self.session.publish();
@@ -460,26 +353,11 @@ impl Server {
             }
         }
 
-        let dt = (self.session.engine().makespan_us() - t0).max(0.0);
-        self.ewma_turn_us = if self.ewma_turn_us > 0.0 {
-            0.75 * self.ewma_turn_us + 0.25 * dt
-        } else {
-            dt
-        };
         self.metrics
             .set_gauge("aa_serve_read_queue_depth", &[], self.read_q.len() as f64);
-        self.metrics.set_gauge(
-            "aa_serve_mode",
-            &[],
-            match self.mode {
-                ServeMode::Normal => 0.0,
-                ServeMode::Degraded => 1.0,
-            },
-        );
         Ok(TurnReport {
             served,
             flushed: applied.flushed,
-            mode: self.mode,
             rc_steps,
             durable_seq: applied.durable_seq,
             commit_error: applied.commit_error,
@@ -531,11 +409,6 @@ impl Server {
     /// Publishes (or reuses) the current snapshot frame.
     pub fn frame(&mut self) -> Arc<SnapshotFrame> {
         self.session.publish()
-    }
-
-    /// Current serving mode.
-    pub fn mode(&self) -> ServeMode {
-        self.mode
     }
 
     /// Lifetime serve counters. Aborts are counted where they happen: the
@@ -607,18 +480,6 @@ impl Server {
         r
     }
 
-    /// Estimated virtual time at which a read submitted now would be
-    /// served, given the queue ahead of it and the measured turn duration.
-    /// `None` until a turn has run (no duration measurement yet).
-    fn estimated_service_us(&self, now: f64) -> Option<f64> {
-        if self.ewma_turn_us > 0.0 {
-            let turns_ahead = self.read_q.len() / READ_TOKENS_PER_TURN as usize + 1;
-            Some(now + turns_ahead as f64 * self.ewma_turn_us)
-        } else {
-            None
-        }
-    }
-
     /// Steps a turn that applied a deletion runs past [`STEPS_PER_TURN`]: on
     /// to convergence, so the turn publishes a fresh frame and the next
     /// deletion barrier finds nothing left to do. These are the steps that
@@ -632,87 +493,34 @@ impl Server {
         steps
     }
 
-    fn update_mode(&mut self) {
-        let ingest_over = self.session.pending_ops() > self.config.ingest.high_watermark;
-        let read_over = self.read_q.len() > READ_QUEUE_HWM;
-        let pressured = ingest_over || read_over;
-        match self.mode {
-            ServeMode::Normal => {
-                if pressured {
-                    self.pressured_turns += 1;
-                }
-                if self.pressured_turns >= OVERLOAD_TURNS {
-                    self.mode = ServeMode::Degraded;
-                    self.clear_turns = 0;
-                    self.stats.degraded_entries += 1;
-                    self.metrics
-                        .inc_counter("aa_serve_degraded_entries_total", &[], 1);
-                }
-                if !pressured {
-                    self.pressured_turns = 0;
-                }
-            }
-            ServeMode::Degraded => {
-                if pressured {
-                    self.clear_turns = 0;
-                } else {
-                    self.clear_turns += 1;
-                    if self.clear_turns >= RECOVERY_TURNS {
-                        self.mode = ServeMode::Normal;
-                        self.pressured_turns = 0;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Sheds expired reads, then serves the queue front under the token
-    /// budget, all from the one published frame.
+    /// Serves every queued read from the one published frame.
     fn serve_reads(&mut self, frame: &SnapshotFrame) -> Vec<ReadOutcome> {
         let now = self.session.engine().makespan_us();
-        let mut out = Vec::new();
-        self.read_q.retain(|req| {
-            let live = req.deadline_us >= now;
-            if !live {
-                out.push(ReadOutcome::Shed {
-                    id: req.id,
-                    reason: ShedReason::Deadline,
-                });
+        let mut out = Vec::with_capacity(self.read_q.len());
+        while let Some(req) = self.read_q.pop_front() {
+            let latency_us = (now - req.submitted_us).max(0.0);
+            self.metrics
+                .observe("aa_serve_read_latency_us", &[], latency_us);
+            if self.latencies.len() == LATENCY_WINDOW {
+                self.latencies.pop_front();
             }
-            live
-        });
-        let expired = out.len() as u64;
-        self.stats.reads_shed_deadline += expired;
-        self.count_reads("shed-deadline", expired);
-        let degraded = self.mode == ServeMode::Degraded;
-        let mut served = 0;
-        while !self.read_q.is_empty() && self.read_tokens.take() {
-            if let Some(req) = self.read_q.pop_front() {
-                let latency_us = (now - req.submitted_us).max(0.0);
-                served += 1;
-                self.metrics
-                    .observe("aa_serve_read_latency_us", &[], latency_us);
-                if self.latencies.len() == LATENCY_WINDOW {
-                    self.latencies.pop_front();
+            self.latencies.push_back(latency_us);
+            let value = answer(frame, &mut self.session, req.kind);
+            if let ReadValue::TopK(ans) = &value {
+                if ans.is_exact() {
+                    self.stats.topk_exact += 1;
+                } else {
+                    self.stats.topk_anytime += 1;
                 }
-                self.latencies.push_back(latency_us);
-                let value = answer(frame, &mut self.session, req.kind);
-                if let ReadValue::TopK(ans) = &value {
-                    if ans.is_exact() {
-                        self.stats.topk_exact += 1;
-                    } else {
-                        self.stats.topk_anytime += 1;
-                    }
-                }
-                out.push(ReadOutcome::Served {
-                    id: req.id,
-                    latency_us,
-                    degraded,
-                    meta: frame.meta,
-                    value,
-                });
             }
+            out.push(ReadOutcome::Served {
+                id: req.id,
+                latency_us,
+                meta: frame.meta,
+                value,
+            });
         }
+        let served = out.len() as u64;
         self.stats.reads_served += served;
         self.count_reads("served", served);
         out
@@ -1022,17 +830,13 @@ mod tests {
     }
 
     #[test]
-    fn read_queue_capacity_sheds_and_hwm_throttles() {
+    fn read_queue_capacity_sheds_at_submission() {
         let mut s = server(60, 3);
         let admissions: Vec<Admission> = (0..READ_QUEUE_CAP + 2)
             .map(|_| s.submit_read(ReadKind::TopK(1)).admission)
             .collect();
-        let (accepted, rest) = admissions.split_at(READ_QUEUE_HWM);
-        let (throttled, shed) = rest.split_at(READ_QUEUE_CAP - READ_QUEUE_HWM);
+        let (accepted, shed) = admissions.split_at(READ_QUEUE_CAP);
         assert!(accepted.iter().all(|&a| a == Admission::Accepted));
-        assert!(throttled
-            .iter()
-            .all(|a| matches!(a, Admission::Throttled { .. })));
         assert_eq!(shed, [Admission::Shed; 2]);
         assert_eq!(s.stats().reads_shed_capacity, 2);
         // Every queued read resolves.
@@ -1049,10 +853,7 @@ mod tests {
             (0..count as usize)
                 .filter(|i| {
                     let op = UpdateOp::AddEdge(ids[i % 30], ids[30 + i % 30], 1);
-                    matches!(
-                        s.submit_write(op),
-                        WriteOutcome::Shed(ShedReason::WriteBudget)
-                    )
+                    matches!(s.submit_write(op), WriteOutcome::Shed)
                 })
                 .count()
         };
@@ -1064,63 +865,6 @@ mod tests {
         s.turn().unwrap();
         // The turn refills the per-turn budget, and no more.
         assert_eq!(shed_of(&mut s, WRITE_TOKENS_PER_TURN + 2), 2);
-    }
-
-    #[test]
-    fn sustained_read_pressure_enters_degraded_mode_and_clear_turns_leave_it() {
-        // A full read queue loses a burst of reads the first turn and a
-        // turn's refill after, so it stays above the watermark for the
-        // first `pressured` turns.
-        let mut s = server(60, 3);
-        for _ in 0..READ_QUEUE_CAP {
-            assert!(s.submit_read(ReadKind::TopK(3)).admission.is_admitted());
-        }
-        let (mut depth, mut served, mut pressured) = (READ_QUEUE_CAP, READ_BURST, 0);
-        while depth > READ_QUEUE_HWM {
-            pressured += 1;
-            depth -= served as usize;
-            served = READ_TOKENS_PER_TURN;
-        }
-        assert!(pressured >= OVERLOAD_TURNS, "{pressured} pressured turns");
-        // The mode is decided on the depth a turn starts with.
-        let (mut modes, mut degraded_reads) = (Vec::new(), 0);
-        for turn in 0..pressured + RECOVERY_TURNS {
-            let depth = s.read_queue_depth();
-            let rep = s.turn().unwrap();
-            modes.push(rep.mode);
-            let want = if turn + 1 < OVERLOAD_TURNS || turn + 1 >= pressured + RECOVERY_TURNS {
-                ServeMode::Normal
-            } else {
-                ServeMode::Degraded
-            };
-            assert_eq!(rep.mode, want, "turn {turn} at depth {depth}: {modes:?}");
-            for out in &rep.served {
-                if let ReadOutcome::Served { degraded, .. } = out {
-                    assert_eq!(*degraded, rep.mode == ServeMode::Degraded);
-                    degraded_reads += usize::from(*degraded);
-                }
-            }
-        }
-        let stats = s.stats();
-        assert_eq!(stats.degraded_entries, 1, "{modes:?}");
-        let degraded = modes.iter().filter(|&&m| m == ServeMode::Degraded).count();
-        assert_eq!(stats.degraded_turns, degraded as u64);
-        assert_eq!(
-            degraded_reads,
-            degraded * READ_TOKENS_PER_TURN as usize,
-            "a turn's refill of reads a turn, each flagged"
-        );
-        assert_eq!(s.mode(), ServeMode::Normal);
-    }
-
-    #[test]
-    fn unmeetable_deadline_is_shed_at_admission() {
-        let mut s = server(60, 3);
-        s.submit_read(ReadKind::TopK(1));
-        s.turn().unwrap(); // measure a turn duration
-        let t = s.submit_read_with_deadline(ReadKind::TopK(1), 0.001);
-        assert_eq!(t.admission, Admission::Shed);
-        assert!(s.stats().reads_shed_deadline >= 1);
     }
 
     #[test]
@@ -1140,7 +884,6 @@ mod tests {
         );
         assert!(r.counter_value("aa_snapshot_publications_total", &[("kind", "fresh")]) >= 1);
         assert!(r.gauge_value("aa_serve_read_latency_p50_us", &[]).is_some());
-        assert_eq!(r.gauge_value("aa_serve_mode", &[]), Some(0.0));
     }
 
     #[test]

@@ -71,10 +71,7 @@ fn ingest() -> IngestConfig {
 }
 
 fn serve_config() -> ServeConfig {
-    ServeConfig {
-        ingest: ingest(),
-        ..Default::default()
-    }
+    ServeConfig { ingest: ingest() }
 }
 
 /// `ROUNDS` rounds of `BATCH` updates, every one effective against the
