@@ -3,8 +3,8 @@
 //! how early the top-k answer settles relative to full convergence.
 //!
 //! For each R-MAT scale the sweep runs the engine to static convergence
-//! while a `TopKTracker` observes every RC step through the bound-delta
-//! feed. Two step counts matter: the step at which the tracker's answer
+//! while a `TopKTracker` observes the frame published after every RC step.
+//! Two step counts matter: the step at which the tracker's answer
 //! became provably exact (every non-member pruned or dominated, member
 //! scores pivot-exact) and the step at which the *engine* finished all
 //! rows. Their gap — plus the fraction of non-member candidates the

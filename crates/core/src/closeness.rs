@@ -23,11 +23,6 @@ pub struct Snapshot {
     /// Number of finite non-self targets per vertex id slot: how many
     /// vertices this row has found *some* path to so far.
     pub finite_targets: Vec<u32>,
-    /// Per vertex id slot: the row has no scheduled (dirty) refinement work.
-    /// Unlike the frame-global `max_overestimate_bound`, this lets a bound
-    /// consumer widen only the rows that are actually still moving instead
-    /// of widening every row whenever anything in the cluster is busy.
-    pub row_quiescent: Vec<bool>,
 }
 
 impl Snapshot {
@@ -90,7 +85,6 @@ mod tests {
             makespan_us: 0.0,
             dist_sum: vec![0; closeness.len()],
             finite_targets: vec![0; closeness.len()],
-            row_quiescent: vec![true; closeness.len()],
             closeness,
         }
     }

@@ -137,7 +137,6 @@ impl AnytimeEngine {
         self.relax_through_edges(&[u, v], &[(u, v, w)], exact);
         self.converged = false;
         self.span_close(span, "dynamic-update", format!("add-edge {u}-{v}"));
-        self.feed_capture(false);
         self.end_update(exact);
         true
     }
@@ -160,10 +159,9 @@ impl AnytimeEngine {
     /// settles first and the repair ends exact. Every rank then owes
     /// nothing, as exact rows obey the triangle inequality over every edge —
     /// unless a rank withheld a distance its rows could not hold, and the
-    /// rows widen instead ([`Self::widen_after_overflow`]). Call it after
-    /// the update's [`Self::feed_capture`]. `converged` stays false: the
-    /// next recombination step runs empty and says so, and until then the
-    /// engine is settled all the same.
+    /// rows widen instead ([`Self::widen_after_overflow`]). Call it last.
+    /// `converged` stays false: the next recombination step runs empty and
+    /// says so, and until then the engine is settled all the same.
     pub(crate) fn end_update(&mut self, exact: bool) {
         let widened = self.widen_after_overflow();
         self.exact = exact && !widened;
@@ -304,7 +302,6 @@ impl AnytimeEngine {
             "dynamic-update",
             format!("add-edges n={}", inserted.len()),
         );
-        self.feed_capture(false);
         self.end_update(settled);
         inserted.len()
     }
@@ -328,9 +325,8 @@ impl AnytimeEngine {
     }
 
     /// Recombination steps the deletion barrier runs at most before it gives
-    /// up on reaching a fixed point: `64·P + 256`. A front-end that settles
-    /// the engine after a deletion holds itself to the same bound.
-    pub fn deletion_barrier_budget(&self) -> usize {
+    /// up on reaching a fixed point: `64·P + 256`.
+    pub(crate) fn deletion_barrier_budget(&self) -> usize {
         64 * self.procs.len() + 256
     }
 
@@ -393,7 +389,6 @@ impl AnytimeEngine {
         self.converged = false;
         let n = present.len();
         self.span_close(span, "dynamic-update", format!("delete-edges n={n}"));
-        self.feed_capture(true);
         self.end_update(true);
         n
     }
@@ -433,7 +428,6 @@ impl AnytimeEngine {
             self.relax_through_edges(&[u, v], &[(u, v, new_w)], exact);
             self.converged = false;
             self.span_close(span, "dynamic-update", format!("decrease-weight {u}-{v}"));
-            self.feed_capture(false);
             self.end_update(exact);
             return true;
         }
@@ -480,7 +474,6 @@ impl AnytimeEngine {
         self.forget_unbordered(removed.iter().map(|&(x, _)| x));
         self.converged = false;
         self.span_close(span, "dynamic-update", format!("delete-vertex {v}"));
-        self.feed_capture(true);
         self.end_update(true);
         removed
     }

@@ -326,7 +326,6 @@ impl AnytimeEngine {
         self.converged = !any;
         self.span_close(rc_span, "recombination", format!("step {now}"));
         self.record_progress_sample();
-        self.feed_capture(false);
         self.converged
     }
 
@@ -409,10 +408,6 @@ impl AnytimeEngine {
         let mut closeness = vec![0.0f64; cap];
         let mut dist_sum = vec![0u64; cap];
         let mut finite_targets = vec![0u32; cap];
-        // A slot is quiescent when its owning row has no scheduled
-        // refinement work; dead/unowned slots stay non-quiescent so consumers
-        // never treat them as settled.
-        let mut row_quiescent = vec![false; cap];
         let p = self.config.num_procs;
         let mut outbox: Vec<Vec<TransferOut<()>>> = (0..p).map(|_| Vec::new()).collect();
         for (rank, ps) in self.procs.iter().enumerate() {
@@ -422,7 +417,6 @@ impl AnytimeEngine {
                 closeness[v as usize] = if sum == 0 { 0.0 } else { 1.0 / sum as f64 };
                 dist_sum[v as usize] = sum;
                 finite_targets[v as usize] = finite;
-                row_quiescent[v as usize] = !ps.dirty.contains(&v);
             }
             self.cluster
                 .compute_measured(rank, Phase::Recombination, t.elapsed());
@@ -443,7 +437,6 @@ impl AnytimeEngine {
             closeness,
             dist_sum,
             finite_targets,
-            row_quiescent,
         };
         self.span_close(
             snap_span,

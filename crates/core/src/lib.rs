@@ -58,7 +58,6 @@ pub mod config;
 pub mod dv;
 pub mod dynamic;
 pub mod engine;
-pub mod feed;
 pub mod obs;
 pub mod proc_state;
 pub mod publish;
@@ -91,7 +90,6 @@ pub use closeness::Snapshot;
 pub use config::{EngineConfig, PartitionerKind};
 pub use dynamic::{Endpoint, VertexBatch};
 pub use engine::AnytimeEngine;
-pub use feed::BoundDelta;
-pub use publish::{SnapshotFrame, SnapshotMeta};
+pub use publish::{BoundDelta, SnapshotFrame, SnapshotMeta};
 pub use rebalance::ImbalanceReport;
 pub use strategy::AdditionStrategy;

@@ -99,10 +99,6 @@ pub(crate) struct EngineObs {
     pub(crate) publish_fresh: u64,
     /// Publications served from the cached frame (allocation-stable).
     pub(crate) publish_reused: u64,
-    /// Whether the bound-delta feed records row changes (see `feed.rs`).
-    pub(crate) feed_enabled: bool,
-    /// Pending bound deltas awaiting a consumer drain.
-    pub(crate) feed: Vec<crate::feed::BoundDelta>,
 }
 
 impl EngineObs {

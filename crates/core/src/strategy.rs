@@ -96,8 +96,6 @@ impl AnytimeEngine {
             "dynamic-update",
             format!("add-vertices n={} {strategy:?}", batch.count),
         );
-        // A restart starts every row over, above where it stood.
-        self.feed_capture(strategy == AdditionStrategy::BaselineRestart);
         self.end_update(exact);
         ids
     }

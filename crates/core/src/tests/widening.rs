@@ -159,6 +159,25 @@ fn a_leaf_arriving_at_the_end_of_a_254_long_path_does_not_settle() {
     }
 }
 
+/// A unit cycle of 300 holds no distance past 150; losing one edge leaves
+/// a path 299 long, so the deletion's repair withholds the distances past
+/// 254 and widens the rows: the deletion does not settle, and recombination
+/// finishes it.
+#[test]
+fn a_deletion_whose_repair_passes_254_widens_and_does_not_settle() {
+    for config in configs() {
+        let what = format!("{config:?}");
+        let mut e = engine(generators::cycle(300), config);
+        converge_exact(&mut e, 8, &what);
+        assert!(e.is_settled(), "{what}");
+        assert!(e.delete_edge(0, 299));
+        assert!(!e.is_settled(), "{what}: d(0, 299) = 299 was withheld");
+        assert_eq!(widenings(&e), 1, "{what}");
+        converge_exact(&mut e, 16, &what);
+        assert_eq!(e.distances_dense()[0][299], 299, "{what}");
+    }
+}
+
 #[test]
 fn a_checkpoint_holding_a_distance_past_254_restores_wide() {
     for config in configs() {

@@ -20,9 +20,8 @@
 //!
 //! [`TopKTracker`] is the first consumer that reads engine state
 //! *incrementally across supersteps* rather than from a terminal snapshot:
-//! it observes published [`SnapshotFrame`]s plus the engine's
-//! [`BoundDelta`] feed (which rows moved, and whether a deletion voided
-//! previous bounds), retightens only the rows that changed, and answers
+//! it observes each published [`SnapshotFrame`], keeps every row's bound as
+//! the running minimum over the frames of one graph generation, and answers
 //! [`TopKAnswer`]s whose [`Confidence`] states precisely how settled the
 //! ranking is:
 //!
@@ -167,8 +166,8 @@ impl Standing<'_> {
 }
 
 /// Maintains sound per-vertex closeness bounds from published snapshot
-/// frames and the engine's bound-delta feed, and answers anytime top-k
-/// queries. See the crate docs for the bound derivation.
+/// frames, and answers anytime top-k queries. See the crate docs for the
+/// bound derivation.
 ///
 /// Candidates are ranked **once per observation**: [`TopKTracker::observe`]
 /// sorts them by lower bound, and every ranking asked for until the next
@@ -220,62 +219,45 @@ impl TopKTracker {
         self.config
     }
 
-    /// Folds one published frame (and the bound deltas drained since the
-    /// previous observation) into the tracker. Bounds are built only for a
-    /// stale frame: one with no bounds for its graph generation — the
-    /// frame's `(epoch, state_version)` moved, or a widened delta arrived —
-    /// gets structural bounds built from the graph and every row
-    /// retightened, while a fresh frame in that position is answered from
-    /// its own exact snapshot and builds nothing (the first stale frame of
-    /// the generation builds, if one ever comes). With bounds in place only
-    /// the rows the deltas name (plus rows the frame flags as still moving)
-    /// are touched. Handed the frame it already holds and no deltas — an
-    /// idle engine reuses its publication — it only counts the observation.
-    pub fn observe(&mut self, frame: &Arc<SnapshotFrame>, graph: &Graph, deltas: &[BoundDelta]) {
+    /// Folds one published frame into the tracker. Bounds are built only
+    /// for a stale frame: one with no bounds for its graph generation — the
+    /// frame's `(epoch, state_version)` stamp moved — gets structural bounds
+    /// built from the graph, while a fresh frame in that position is
+    /// answered from its own exact snapshot and builds nothing (the first
+    /// stale frame of the generation builds, if one ever comes). Every stale
+    /// frame then retightens every row: a row's ceiling is the running
+    /// minimum of sums that only fall within a generation, and every
+    /// operation that can raise one moves the stamp, so an unmoved row is
+    /// left as it was. Handed the frame it already holds — an idle engine
+    /// reuses its publication — it only counts the observation. `_deltas`
+    /// is ignored, kept only because the benchmark harness still passes it;
+    /// callers pass `&[]`.
+    pub fn observe(&mut self, frame: &Arc<SnapshotFrame>, graph: &Graph, _deltas: &[BoundDelta]) {
         self.observes += 1;
-        if deltas.is_empty() && self.last.as_ref().is_some_and(|l| Arc::ptr_eq(l, frame)) {
+        if self.last.as_ref().is_some_and(|l| Arc::ptr_eq(l, frame)) {
             return;
         }
         let meta = frame.meta;
-        let widened = deltas.iter().any(|d| d.widened);
-        let overflowed = deltas.iter().any(|d| d.full);
         let stamp = |m: &SnapshotMeta| (m.epoch, m.state_version);
-        if widened || self.last.as_ref().map(|l| stamp(&l.meta)) != Some(stamp(&meta)) {
+        if self.last.as_ref().map(|l| stamp(&l.meta)) != Some(stamp(&meta)) {
             self.resolution_step = None;
         }
-        let unbounded = widened
-            || self
-                .structural
-                .as_ref()
-                .is_none_or(|s| (s.epoch, s.state_version) != stamp(&meta));
-        let snap = &frame.snapshot;
+        let unbounded = self
+            .structural
+            .as_ref()
+            .is_none_or(|s| (s.epoch, s.state_version) != stamp(&meta));
         if unbounded && meta.converged {
             // Ceilings are running minima of sums that only fall within a
             // generation, so bounds a later stale frame of this generation
             // builds from its own sums equal bounds built here and tightened
             // since.
             self.structural = None;
-        } else if unbounded || overflowed {
+        } else {
             if unbounded {
                 self.build(graph, meta);
             }
             for v in graph.vertices() {
-                self.update_row(v, snap);
-            }
-        } else {
-            let mut rows: Vec<VertexId> = deltas
-                .iter()
-                .flat_map(|d| d.changed.iter().copied())
-                .collect();
-            for (v, &q) in snap.row_quiescent.iter().enumerate() {
-                if !q {
-                    rows.push(v as VertexId);
-                }
-            }
-            rows.sort_unstable();
-            rows.dedup();
-            for v in rows {
-                self.update_row(v, snap);
+                self.update_row(v, &frame.snapshot);
             }
         }
         self.last = Some(Arc::clone(frame));
@@ -614,15 +596,13 @@ mod tests {
     #[test]
     fn converged_engine_yields_exact_answer_matching_oracle() {
         let mut e = engine(80, 4, 7);
-        e.enable_bound_feed();
         let mut t = TopKTracker::new(TopKConfig {
             k: 5,
             max_pivots: 8,
         });
         e.run_to_convergence(64);
         let frame = e.publish_snapshot();
-        let deltas = e.drain_bound_deltas();
-        t.observe(&frame, e.graph(), &deltas);
+        t.observe(&frame, e.graph(), &[]);
         let ans = t.answer(5).unwrap();
         assert!(ans.is_exact());
         assert_eq!(ans.ids(), oracle_top_k(e.graph(), 5));
@@ -642,7 +622,6 @@ mod tests {
     #[test]
     fn anytime_invariant_holds_every_superstep() {
         let mut e = engine(100, 5, 13);
-        e.enable_bound_feed();
         let mut t = TopKTracker::new(TopKConfig {
             k: 4,
             max_pivots: 8,
@@ -651,8 +630,7 @@ mod tests {
         for _ in 0..64 {
             let converged = e.rc_step();
             let frame = e.publish_snapshot();
-            let deltas = e.drain_bound_deltas();
-            t.observe(&frame, e.graph(), &deltas);
+            t.observe(&frame, e.graph(), &[]);
             let ans = t.answer(4).unwrap();
             // True top-k ⊆ members ∪ unresolved: every true member is
             // either reported or not yet pruned.
@@ -689,59 +667,97 @@ mod tests {
         }
         e.run_to_convergence(64);
         let frame = e.publish_snapshot();
-        let deltas = e.drain_bound_deltas();
-        t.observe(&frame, e.graph(), &deltas);
+        t.observe(&frame, e.graph(), &[]);
         assert_eq!(t.answer(4).unwrap().ids(), truth);
     }
 
     #[test]
     fn deletion_invalidates_and_tracker_recovers() {
         let mut e = engine(70, 4, 21);
-        e.enable_bound_feed();
         let mut t = TopKTracker::new(TopKConfig::default());
         e.run_to_convergence(64);
         let frame = e.publish_snapshot();
-        let deltas = e.drain_bound_deltas();
-        t.observe(&frame, e.graph(), &deltas);
+        t.observe(&frame, e.graph(), &[]);
         assert!(t.answer(8).unwrap().is_exact());
 
         let (u, v, _) = e.graph().edges().next().unwrap();
         assert!(e.delete_edge(u, v));
         let frame = e.publish_snapshot();
-        let deltas = e.drain_bound_deltas();
-        assert!(deltas.iter().any(|d| d.widened));
-        t.observe(&frame, e.graph(), &deltas);
+        assert_eq!(frame.meta.epoch, 1, "the deletion opened an epoch");
+        t.observe(&frame, e.graph(), &[]);
         let mid = t.answer(8).unwrap();
         assert!(!mid.is_exact(), "post-deletion frame cannot be exact");
 
         e.run_to_convergence(64);
         let frame = e.publish_snapshot();
-        let deltas = e.drain_bound_deltas();
-        t.observe(&frame, e.graph(), &deltas);
+        t.observe(&frame, e.graph(), &[]);
         let ans = t.answer(8).unwrap();
         assert!(ans.is_exact());
         assert_eq!(ans.ids(), oracle_top_k(e.graph(), 8));
     }
 
+    /// A vertex arrival moves rows all over the graph, under every
+    /// strategy: the tracker, reading every row of each stale frame, stays
+    /// sound at every step after it and ends exact.
+    #[test]
+    fn the_tracker_stays_sound_across_a_vertex_arrival() {
+        use aa_core::{AdditionStrategy, Endpoint, VertexBatch};
+        for strategy in [
+            AdditionStrategy::RoundRobinPs,
+            AdditionStrategy::CutEdgePs,
+            AdditionStrategy::RepartitionS,
+            AdditionStrategy::BaselineRestart,
+        ] {
+            let mut e = engine(90, 4, 17);
+            let mut t = TopKTracker::new(TopKConfig {
+                k: 4,
+                max_pivots: 8,
+            });
+            e.run_to_convergence(64);
+            t.observe(&e.publish_snapshot(), e.graph(), &[]);
+            // Anchors far apart, so the arrival shortens many paths.
+            let mut batch = VertexBatch::new(1);
+            batch.connect(0, Endpoint::Existing(3), 1);
+            batch.connect(0, Endpoint::Existing(88), 1);
+            e.add_vertices(&batch, strategy);
+            loop {
+                let frame = e.publish_snapshot();
+                t.observe(&frame, e.graph(), &[]);
+                let truth = oracle_top_k(e.graph(), 4);
+                let (members, unresolved, _) = t.partition(4).unwrap();
+                for v in &truth {
+                    let kept = members.contains(v) || unresolved.contains(v);
+                    assert!(kept, "{strategy}: true member {v} pruned");
+                }
+                let ans = t.answer(4).unwrap();
+                if ans.is_exact() {
+                    assert_eq!(ans.ids(), truth, "{strategy}");
+                }
+                if frame.meta.converged {
+                    assert!(ans.is_exact(), "{strategy}");
+                    break;
+                }
+                e.rc_step();
+            }
+        }
+    }
+
     #[test]
     fn pruning_bites_before_convergence_on_larger_graphs() {
         let mut e = engine(300, 6, 33);
-        e.enable_bound_feed();
         let mut t = TopKTracker::new(TopKConfig {
             k: 5,
             max_pivots: 24,
         });
         // Observe the very first published frame, before any rc_step.
         let frame = e.publish_snapshot();
-        let deltas = e.drain_bound_deltas();
-        t.observe(&frame, e.graph(), &deltas);
+        t.observe(&frame, e.graph(), &[]);
         let truth = oracle_top_k(e.graph(), 5);
         let mut peak = 0.0f64;
         for _ in 0..64 {
             let converged = e.rc_step();
             let frame = e.publish_snapshot();
-            let deltas = e.drain_bound_deltas();
-            t.observe(&frame, e.graph(), &deltas);
+            t.observe(&frame, e.graph(), &[]);
             peak = peak.max(t.pruned_fraction());
             // Pruned vertices never include true members.
             let ans = t.answer(5).unwrap();
@@ -801,7 +817,6 @@ mod tests {
                 ..Default::default()
             },
         );
-        e.enable_bound_feed();
         e.initialize();
         e.run_to_convergence(64);
         let frame = e.publish_snapshot();
@@ -821,8 +836,7 @@ mod tests {
             max_pivots: 8,
         };
         let mut t = TopKTracker::new(config);
-        let deltas = e.drain_bound_deltas();
-        t.observe(&frame, e.graph(), &deltas);
+        t.observe(&frame, e.graph(), &[]);
         // Ascending, so n and n + 5 each raise the tracked k and reselect;
         // config.k again at the end reads a prefix of the larger selection.
         for k in [0, 1, config.k, n, n + 5, config.k] {
@@ -836,14 +850,12 @@ mod tests {
     #[test]
     fn observing_a_reused_frame_only_counts_the_observation() {
         let mut e = engine(60, 3, 5);
-        e.enable_bound_feed();
         let mut t = TopKTracker::new(TopKConfig::default());
-        // Mid-run, so some rows are still flagged as moving: those are the
-        // rows a re-observation used to retighten to no effect.
+        // Mid-run, so the frame is stale and its observation retightens
+        // every row; observing it again retightens none.
         e.rc_step();
         let frame = e.publish_snapshot();
-        let deltas = e.drain_bound_deltas();
-        t.observe(&frame, e.graph(), &deltas);
+        t.observe(&frame, e.graph(), &[]);
         let before = t.metrics_registry();
         let answer = t.answer(8);
         let again = e.publish_snapshot();
@@ -851,9 +863,7 @@ mod tests {
             Arc::ptr_eq(&frame, &again),
             "an idle engine reuses its frame"
         );
-        let deltas = e.drain_bound_deltas();
-        assert!(deltas.is_empty());
-        t.observe(&again, e.graph(), &deltas);
+        t.observe(&again, e.graph(), &[]);
         let after = t.metrics_registry();
         let rows = |r: &MetricsRegistry| r.counter_value("aa_topk_rows_updated_total", &[]);
         assert!(rows(&before) > 0);
@@ -865,12 +875,10 @@ mod tests {
     #[test]
     fn metrics_export_families() {
         let mut e = engine(60, 3, 5);
-        e.enable_bound_feed();
         let mut t = TopKTracker::new(TopKConfig::default());
         e.run_to_convergence(64);
         let frame = e.publish_snapshot();
-        let deltas = e.drain_bound_deltas();
-        t.observe(&frame, e.graph(), &deltas);
+        t.observe(&frame, e.graph(), &[]);
         let r = t.metrics_registry();
         assert_eq!(r.counter_value("aa_topk_observes_total", &[]), 1);
         // The only frame is fresh: it answers from its own snapshot, so no

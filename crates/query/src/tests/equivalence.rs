@@ -212,7 +212,6 @@ impl Rig {
                 ..Default::default()
             },
         );
-        engine.enable_bound_feed();
         engine.initialize();
         Rig {
             engine,
@@ -230,14 +229,13 @@ impl Rig {
     /// (opening a generation when the frame does), and runs both checks.
     fn observe_and_check(&mut self, at: &str) -> Result<(), String> {
         let frame = self.engine.publish_snapshot();
-        let deltas = self.engine.drain_bound_deltas();
         let rebuilds = self.tracker.rebuilds;
         let g = self.engine.graph();
-        self.tracker.observe(&frame, g, &deltas);
+        self.tracker.observe(&frame, g, &[]);
         let TopKConfig { k, max_pivots } = self.tracker.config();
         let meta = frame.meta;
         let stamp = (meta.epoch, meta.state_version);
-        if deltas.iter().any(|d| d.widened) || self.generation != Some(stamp) {
+        if self.generation != Some(stamp) {
             let uncut = StructuralBounds::build_cut(g, stamp.0, stamp.1, k, max_pivots, UNCUT);
             self.lb_den = vec![u64::MAX; g.capacity()];
             for &p in &uncut.pivots {

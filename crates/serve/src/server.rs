@@ -7,16 +7,12 @@
 //!
 //! 1. refills the per-turn write budget,
 //! 2. lets the ingest pipeline drain if its policy is due,
-//! 3. runs up to [`STEPS_PER_TURN`] recombination steps while unconverged —
-//!    and, when this turn's flush applied a deletion (the delete half of a
-//!    weight increase included), keeps stepping until the engine converges
-//!    or the deletion barrier's own budget runs out. Those are the steps
-//!    the next turn's barrier would have run anyway; run here, the turn
-//!    answers from a fresh frame and the barrier finds the engine quiescent,
+//! 3. runs up to [`STEPS_PER_TURN`] recombination steps while unconverged
+//!    (a deletion ends exact in its own call, so a turn that deleted
+//!    converges in its one step — unless the repair widened the rows),
 //! 4. publishes a snapshot frame (allocation-stable when nothing changed)
-//!    and folds it — together with the engine's drained bound-delta feed —
-//!    into the resident [`TopKTracker`], keeping sound anytime top-k
-//!    bounds current across supersteps,
+//!    and folds it into the resident [`TopKTracker`], keeping sound anytime
+//!    top-k bounds current across supersteps,
 //! 5. serves every queued read from the published frame;
 //!    [`ReadKind::TopK`] reads are answered by the tracker with an explicit
 //!    exact/anytime confidence.
@@ -57,10 +53,7 @@ pub const READ_QUEUE_CAP: usize = 1024;
 pub(crate) const WRITE_TOKENS_PER_TURN: u32 = 64;
 /// Write token burst cap; the bucket starts full.
 pub(crate) const WRITE_BURST: u32 = 128;
-/// RC steps a turn attempts while unconverged. A turn whose flush applied a
-/// deletion steps on past this to convergence (bounded by the deletion
-/// barrier's budget): the next deletion barrier would run those steps
-/// anyway.
+/// RC steps a turn attempts while unconverged.
 pub(crate) const STEPS_PER_TURN: usize = 1;
 
 /// Lifetime counters, one per admission/resolution outcome.
@@ -317,17 +310,7 @@ impl Server {
         self.write_tokens.refill(WRITE_TOKENS_PER_TURN);
 
         let applied = self.session.apply_due()?;
-        let mut rc_steps = self.session.step(STEPS_PER_TURN);
-        let deleted = applied
-            .flushed
-            .as_ref()
-            .is_some_and(|f| f.edge_deletes + f.vertex_deletes > 0);
-        if deleted {
-            let settled = self.settle();
-            rc_steps += settled;
-            self.metrics
-                .inc_counter("aa_serve_settle_steps_total", &[], settled as u64);
-        }
+        let rc_steps = self.session.step(STEPS_PER_TURN);
 
         let frame = self.session.publish();
         let served = self.serve_reads(&frame);
@@ -480,19 +463,6 @@ impl Server {
         r
     }
 
-    /// Steps a turn that applied a deletion runs past [`STEPS_PER_TURN`]: on
-    /// to convergence, so the turn publishes a fresh frame and the next
-    /// deletion barrier finds nothing left to do. These are the steps that
-    /// barrier would have run; the same budget bounds them.
-    fn settle(&mut self) -> usize {
-        let budget = self.session.engine().deletion_barrier_budget();
-        let mut steps = 0;
-        while steps < budget && self.session.step(1) == 1 {
-            steps += 1;
-        }
-        steps
-    }
-
     /// Serves every queued read from the one published frame.
     fn serve_reads(&mut self, frame: &SnapshotFrame) -> Vec<ReadOutcome> {
         let now = self.session.engine().makespan_us();
@@ -620,12 +590,16 @@ mod tests {
 
     /// A server with a WAL over `sim`, checkpointing every 4 turns.
     fn durable_server(n: usize, procs: usize, sim: &SimStorage) -> Server {
+        durable_server_over(sim_engine(n, procs), sim)
+    }
+
+    fn durable_server_over(engine: AnytimeEngine, sim: &SimStorage) -> Server {
         let durability = DurabilityConfig {
             checkpoint_every_turns: 4,
         };
         let (s, recovery) = Server::open_durable(
             Box::new(sim.clone()),
-            sim_engine(n, procs),
+            engine,
             ServeConfig::default(),
             durability,
         )
@@ -739,10 +713,9 @@ mod tests {
         let mut s = durable_server(60, 3, &sim);
         let count = |s: &Server, name: &str| s.metrics_registry().counter_value(name, &[]);
         let barrier = |s: &Server| count(s, "aa_deletion_barrier_steps_total");
-        let settled = |s: &Server| count(s, "aa_serve_settle_steps_total");
 
         // Additions alone keep the anytime pace from the unconverged start:
-        // `STEPS_PER_TURN` steps, still unconverged, nothing settled.
+        // `STEPS_PER_TURN` steps, still unconverged.
         let g = s.engine().graph();
         let (a, b) = (0, g.vertices().last().unwrap());
         assert_eq!(g.edge_weight(a, b), None);
@@ -750,11 +723,10 @@ mod tests {
         let rep = s.turn().unwrap();
         assert_eq!(rep.rc_steps, STEPS_PER_TURN);
         assert!(!s.engine().is_converged());
-        assert_eq!(settled(&s), 0);
 
         // A deletion: its barrier first finishes what the addition left,
-        // and the deletion ends exact, so the turn's one step converges,
-        // the settle takes none, and the turn answers from a fresh frame.
+        // and the deletion ends exact, so the turn's one step converges and
+        // the turn answers from a fresh frame.
         let k = 5;
         let (u, v, _) = s.engine().graph().edges().nth(3).unwrap();
         assert!(s.submit_write(UpdateOp::DeleteEdge(u, v)).is_admitted());
@@ -764,7 +736,6 @@ mod tests {
         assert!(barrier(&s) > 0, "the barrier had the addition to finish");
         assert!(s.engine().is_converged());
         assert_eq!(rep.rc_steps, STEPS_PER_TURN, "the one step converges");
-        assert_eq!(settled(&s), 0);
         assert_exact_top_k(&s, &rep, k);
 
         // The next deletion's barrier finds the engine quiescent.
@@ -775,13 +746,11 @@ mod tests {
         assert_eq!(rep.flushed.as_ref().map(|f| f.edge_deletes), Some(1));
         assert_eq!(barrier(&s), before, "the barrier took no step");
         assert!(s.engine().is_converged());
-        assert_eq!(settled(&s), 0);
 
         // A deletion and, in the same flush, a batch of insertions in
         // series after it: the deletion leaves the engine settled, so the
         // batch chains, exact in its own call too. The turn's one step runs
-        // empty and converges, the settle takes none, and the answer is
-        // exact.
+        // empty and converges, and the answer is exact.
         let exact = |s: &Server| count(s, "aa_dynamic_settled_updates_total");
         let (u, v, _) = s.engine().graph().edges().nth(11).unwrap();
         let batch = edges_in_series(s.engine().graph(), 4);
@@ -798,20 +767,78 @@ mod tests {
         assert_eq!(barrier(&s), before, "the barrier took no step");
         assert!(s.engine().is_converged());
         assert_eq!(rep.rc_steps, STEPS_PER_TURN, "the one step converges");
-        assert_eq!(settled(&s), 0);
         assert_exact_top_k(&s, &rep, k);
     }
 
-    /// The turn served one top-k read from a converged frame, exact and bit
-    /// for bit the oracle's.
-    fn assert_exact_top_k(s: &Server, rep: &TurnReport, k: usize) {
+    /// A deletion whose repair passes 254 widens the rows and leaves the
+    /// engine unsettled: the turn's one step does not converge, the turn
+    /// answers a sound anytime top-k, and draining ends exact.
+    #[test]
+    fn a_deletion_that_widens_answers_anytime_and_drains_exact() {
+        let sim = SimStorage::new();
+        let config = EngineConfig {
+            num_procs: 3,
+            ..Default::default()
+        };
+        let engine = AnytimeEngine::new(generators::cycle(300), config);
+        let mut s = durable_server_over(engine, &sim);
+        s.drain(4096).unwrap();
+        assert!(s.engine().is_converged());
+
+        let k = 5;
+        assert!(s.submit_write(UpdateOp::DeleteEdge(0, 299)).is_admitted());
+        s.submit_read(ReadKind::TopK(k));
+        let rep = s.turn().unwrap();
+        assert_eq!(rep.flushed.as_ref().map(|f| f.edge_deletes), Some(1));
+        assert_eq!(rep.rc_steps, STEPS_PER_TURN);
+        assert!(!s.engine().is_converged(), "the widened rows owe steps");
+        let truth = oracle_top_k(s.engine().graph(), k);
         let exact = algo::exact_closeness(s.engine().graph());
+        match &rep.served[..] {
+            [ReadOutcome::Served {
+                meta,
+                value: ReadValue::TopK(ans),
+                ..
+            }] => {
+                assert!(!meta.converged);
+                assert!(!ans.is_exact(), "{:?}", ans.confidence);
+                for &(v, score) in &ans.members {
+                    assert!(score <= exact[v as usize], "{v}: {score} above exact");
+                }
+            }
+            other => panic!("expected one served top-k read, got {other:?}"),
+        }
+        let tracker = s.topk_tracker().unwrap();
+        let (members, unresolved, _) = tracker.partition(k).unwrap();
+        for (v, _) in &truth {
+            assert!(members.contains(v) || unresolved.contains(v), "{v} pruned");
+        }
+
+        s.drain(4096).unwrap();
+        assert!(s.engine().is_converged());
+        let oracle = algo::apsp_dijkstra(s.engine().graph());
+        assert_eq!(s.engine().distances_dense(), oracle);
+        s.submit_read(ReadKind::TopK(k));
+        let rep = s.turn().unwrap();
+        assert_exact_top_k(&s, &rep, k);
+    }
+
+    /// The oracle's top-k of `g`: score descending, ties by id.
+    fn oracle_top_k(g: &aa_graph::Graph, k: usize) -> Vec<(VertexId, f64)> {
+        let exact = algo::exact_closeness(g);
         let mut oracle: Vec<(VertexId, f64)> = (exact.iter().enumerate())
             .filter(|&(_, &c)| c > 0.0)
             .map(|(v, &c)| (v as VertexId, c))
             .collect();
         oracle.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
         oracle.truncate(k);
+        oracle
+    }
+
+    /// The turn served one top-k read from a converged frame, exact and bit
+    /// for bit the oracle's.
+    fn assert_exact_top_k(s: &Server, rep: &TurnReport, k: usize) {
+        let oracle = oracle_top_k(s.engine().graph(), k);
         match &rep.served[..] {
             [ReadOutcome::Served {
                 meta,

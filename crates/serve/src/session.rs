@@ -4,7 +4,7 @@
 //! are called. `aa analyze`, `aa stream`, `aa serve`, the [`Server`] turn
 //! loop and the ingest/top-k benches are front-ends over it.
 //!
-//! # The four ordering rules
+//! # The three ordering rules
 //!
 //! 1. **Durable before applied.** A pushed op is appended to the WAL iff the
 //!    pipeline enqueued it, and the WAL is group-committed *before* the
@@ -12,15 +12,12 @@
 //!    the commit, so the pipeline buffer equals the uncommitted tail and a
 //!    failed commit can abort exactly the ops nobody was promised
 //!    ([`IngestPipeline::abort_pending`]).
-//! 2. **Feed before tracker.** The engine's bound-delta feed is switched on
-//!    where the tracker is created, so no row movement can precede the
-//!    tracker's first observation unrecorded.
-//! 3. **Publish, drain, observe.** After any mutation or RC step the tracker
-//!    is refreshed from the published frame *and* the deltas drained since
-//!    the last refresh, in that order: bounds are only ever tightened or
-//!    voided against the state they describe (the update-then-refresh
-//!    ordering Bisenius et al.'s top-k bounds need under churn).
-//! 4. **No tracker, no publication.** `snapshot()` charges a gather, so
+//! 2. **Publish, then observe.** After any mutation or RC step the tracker
+//!    is refreshed from the frame published after it: bounds are only ever
+//!    tightened or voided against the state they describe (the
+//!    update-then-refresh ordering Bisenius et al.'s top-k bounds need under
+//!    churn).
+//! 3. **No tracker, no publication.** `snapshot()` charges a gather, so
 //!    [`Session::observe`] and [`Session::converge`] publish nothing when no
 //!    tracker is attached.
 //!
@@ -70,8 +67,8 @@ pub struct Session {
 
 impl Session {
     /// Assembles a session around `engine`, initializing it if the caller
-    /// has not. With `topk` set, a tracker is attached and the bound feed
-    /// enabled; its first observation happens at the first
+    /// has not. With `topk` set, a tracker is attached; its first
+    /// observation happens at the first
     /// [`publish`](Session::publish) / [`observe`](Session::observe).
     pub fn new(
         mut engine: AnytimeEngine,
@@ -82,10 +79,7 @@ impl Session {
         if !engine.is_initialized() {
             engine.initialize();
         }
-        let tracker = topk.map(|config| {
-            engine.enable_bound_feed();
-            TopKTracker::new(config)
-        });
+        let tracker = topk.map(TopKTracker::new);
         Ok(Session {
             engine,
             pipeline,
@@ -192,18 +186,17 @@ impl Session {
     }
 
     /// Publishes (or reuses) the current snapshot frame and refreshes the
-    /// tracker from it and the deltas drained since the last refresh.
+    /// tracker from it.
     pub fn publish(&mut self) -> Arc<SnapshotFrame> {
         let frame = self.engine.publish_snapshot();
         if let Some(tracker) = &mut self.tracker {
-            let deltas = self.engine.drain_bound_deltas();
-            tracker.observe(&frame, self.engine.graph(), &deltas);
+            tracker.observe(&frame, self.engine.graph(), &[]);
         }
         frame
     }
 
     /// Refreshes the tracker after a mutation or step; does nothing — and
-    /// charges no gather — without one (rule 4).
+    /// charges no gather — without one (rule 3).
     pub fn observe(&mut self) {
         if self.tracker.is_some() {
             self.publish();
@@ -408,7 +401,6 @@ mod tests {
     #[test]
     fn without_a_tracker_nothing_is_published() {
         let mut s = Session::new(base(), IngestConfig::default(), None).unwrap();
-        assert!(!s.engine().bound_feed_enabled());
         s.converge(1000);
         s.observe();
         assert!(s.engine().is_converged());
@@ -416,7 +408,6 @@ mod tests {
 
         let mut t =
             Session::new(base(), IngestConfig::default(), Some(TopKConfig::default())).unwrap();
-        assert!(t.engine().bound_feed_enabled());
         assert!(t.top_k(3).is_none());
         let steps = t.converge(1000);
         let (fresh, _) = t.engine().snapshot_publication_counts();

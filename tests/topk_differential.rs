@@ -132,12 +132,11 @@ fn oracle_ranking(g: &Graph, k: usize) -> Vec<(VertexId, f64)> {
     scored
 }
 
-/// Publishes a frame and folds it plus the drained bound-delta feed into
-/// the tracker — the same observation path the server's turn loop uses.
+/// Publishes a frame and folds it into the tracker — the same observation
+/// path the server's turn loop uses.
 fn observe(e: &mut AnytimeEngine, tracker: &mut TopKTracker) {
     let frame = e.publish_snapshot();
-    let deltas = e.drain_bound_deltas();
-    tracker.observe(&frame, e.graph(), &deltas);
+    tracker.observe(&frame, e.graph(), &[]);
 }
 
 /// The every-superstep soundness check. `where_` names the superstep for
@@ -182,7 +181,6 @@ fn superstep_check(
 /// the first soundness failure, if any.
 fn run_case(case: &Case) -> Option<String> {
     let mut e = engine_for(case);
-    e.enable_bound_feed();
     e.initialize();
     let mut tracker = TopKTracker::new(TopKConfig {
         k: case.k,
