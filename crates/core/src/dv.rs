@@ -58,13 +58,22 @@
 //! been relaxed against, and must not reach it. A raw write marks it
 //! all-columns, which makes the next send a full row.
 //!
-//! Both logs empty at once, for every row of every rank, in two cases only:
-//! an insertion that lands on a settled engine — a batch of edges or
-//! lighter edges, relaxed one at a time, or one vertex placed by
-//! RoundRobin-PS or CutEdge-PS — and a deletion
-//! (`AnytimeEngine::end_update`). Each leaves every row the exact APSP,
-//! which obeys the invariant over every edge, local or cut, against each
-//! row as it stands.
+//! Both logs are empty, for every row of every rank, after every update that
+//! ends exact (`AnytimeEngine::end_update`): an insertion that lands on a
+//! settled engine — a batch of edges or lighter edges, relaxed one at a
+//! time, or one vertex placed by RoundRobin-PS or CutEdge-PS — and every
+//! deletion or heavier edge. Each leaves every row the exact APSP, which
+//! obeys the invariant over every edge, local or cut, against each row as
+//! it stands, and owes nothing. So its writes log nothing: the candidate
+//! relax, the arrival relax and each chain link go through the one kernel
+//! with logging off (`relax_on::<_, false>`), and the repair writes no log
+//! bit either. A matrix's **marked** flag says whether any log may hold a
+//! column since the last clear; while it is down, clearing the logs and
+//! asking for the frontier cost nothing. It goes up where recombination or
+//! an unsettled update logs, so the first exact update after convergence
+//! by recombination clears every row once, and the ones after it clear
+//! nothing. A write the width withholds is not logged either: the widening
+//! that follows marks every row whole.
 
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
@@ -653,16 +662,17 @@ pub(crate) mod reference {
 }
 
 /// `dst[c] = min(dst[c], src[c] + offset)` for every column `c` in `cols`,
-/// recording each lowered column in `log` and in `unsent`, and a withheld
-/// candidate in `lost`. Returns whether any entry decreased. Dense sets take
-/// a whole-row sweep, sparse ones a walk over the set bits; both visit a
-/// superset of the columns that can change, so the rows they leave are
-/// identical.
+/// recording each lowered column in `log` and in `unsent` under `LOG`, and
+/// a withheld candidate in `lost` either way. Returns whether any entry
+/// decreased. Dense sets take a whole-row sweep, sparse ones a walk over the
+/// set bits; both visit a superset of the columns that can change, so the
+/// rows they leave are identical. A write that ends exact passes `LOG =
+/// false`: it owes nothing, so a log bit would only be cleared again.
 #[expect(
     clippy::indexing_slicing,
     reason = "the sparse walk indexes dst/src/log/unsent at columns taken from cols, whose bits never reach the column count — every set is built over the matrix width and resized with it; the dense sweep is handed word indices below dst.len().div_ceil(64), the length of both logs"
 )]
-fn relax_on<C: Cell>(
+fn relax_on<C: Cell, const LOG: bool>(
     dst: &mut [C],
     (log, unsent): (&mut ColumnSet, &mut ColumnSet),
     src: &[C],
@@ -675,8 +685,12 @@ fn relax_on<C: Cell>(
     debug_assert_eq!(unsent.words.len(), log.words.len());
     #[cfg(test)]
     if reference::is_dense() {
-        let changed = relax_chunks(dst, src, offset, lost, |w, bits| unsent.words[w] |= bits);
-        if changed {
+        let changed = relax_chunks(dst, src, offset, lost, |w, bits| {
+            if LOG {
+                unsent.words[w] |= bits;
+            }
+        });
+        if changed && LOG {
             log.mark_all();
             unsent.marked = true;
         }
@@ -684,9 +698,11 @@ fn relax_on<C: Cell>(
     }
     if cols.is_dense(dst.len()) {
         return relax_chunks(dst, src, offset, lost, |w, bits| {
-            log.words[w] |= bits;
-            unsent.words[w] |= bits;
-            (log.marked, unsent.marked) = (true, true);
+            if LOG {
+                log.words[w] |= bits;
+                unsent.words[w] |= bits;
+                (log.marked, unsent.marked) = (true, true);
+            }
         });
     }
     let (mut changed, mut spilt) = (false, false);
@@ -699,9 +715,12 @@ fn relax_on<C: Cell>(
             let cand = src[c].plus(offset);
             if cand < dst[c] {
                 dst[c] = cand;
-                log.words[wi] |= 1 << bit;
-                unsent.words[wi] |= 1 << bit;
-                (log.marked, unsent.marked, changed) = (true, true, true);
+                if LOG {
+                    log.words[wi] |= 1 << bit;
+                    unsent.words[wi] |= 1 << bit;
+                    (log.marked, unsent.marked) = (true, true);
+                }
+                changed = true;
             } else if cand == C::INF {
                 // Rare: only a candidate at `INF` can be withheld, and a
                 // logged column was lowered to a finite value.
@@ -717,7 +736,7 @@ fn relax_on<C: Cell>(
 /// matrix is handed is: all ranks widen together, and a row keeps its width
 /// when it is broadcast, migrated or sent whole. An offset the width cannot
 /// hold is `INF`, which withholds every candidate from a finite source.
-fn relax_through<C: Cell>(
+fn relax_through<C: Cell, const LOG: bool>(
     dst: &mut [C],
     logs: (&mut ColumnSet, &mut ColumnSet),
     src: Row<'_>,
@@ -727,7 +746,7 @@ fn relax_through<C: Cell>(
 ) -> bool {
     let src = C::cells(src);
     debug_assert!(src.is_some(), "a row of another width");
-    src.is_some_and(|src| relax_on(dst, logs, src, C::of(offset), cols, lost))
+    src.is_some_and(|src| relax_on::<C, LOG>(dst, logs, src, C::of(offset), cols, lost))
 }
 
 /// `row[col] = min(row[col], d)`; whether it decreased. Under `GUARD`, a
@@ -784,29 +803,52 @@ fn unless_stale<C: Cell>(row: &mut [C], v: VertexId, d: Weight) -> Settle {
     }
 }
 
+/// What [`DistanceMatrix::repair_row`] reuses from row to row and from call
+/// to call, so that a repair allocates nothing once warm: a flag per column,
+/// all false between rows, the seeds, and the search's queue.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct RowRepair {
+    is_raised: Vec<bool>,
+    seeds: Vec<(VertexId, Weight)>,
+    search: Search,
+}
+
 /// [`DistanceMatrix::repair_row`] on the row's cells: each raised column
 /// `t` of `targets` is seeded with `min (row[y] + w)` over its edges `(y, t,
 /// w)`, all read before any is written, and the search relaxes raised
-/// columns only. `is_raised` is all false on entry and on return. A label
-/// withheld sets `lost`.
-fn repair_cells<C: Cell>(
+/// columns only. A label withheld sets `lost`. Returns how many edges the
+/// seeds and the search read.
+fn repair_cells<'g, C: Cell>(
     row: &mut [C],
     targets: &[usize],
-    edges: &[&[(VertexId, Weight)]],
-    is_raised: &mut [bool],
-    search: &mut Search,
+    edges_of: impl Fn(usize) -> &'g [(VertexId, Weight)],
+    scratch: &mut RowRepair,
     lost: &mut bool,
-) {
-    let edges_of = |t: usize| edges.get(t).copied().unwrap_or_default();
+) -> u64 {
+    let RowRepair {
+        is_raised,
+        seeds,
+        search,
+    } = scratch;
+    if is_raised.len() < row.len() {
+        is_raised.resize(row.len(), false);
+    }
+    let reads = std::cell::Cell::new(0u64);
+    let edges_of = |t: usize| {
+        let edges = edges_of(t);
+        reads.set(reads.get() + edges.len() as u64);
+        edges
+    };
     let offer = |t: usize| {
         let at = |y: VertexId| row.get(y as usize).map_or(INF, |d| d.weight());
         let through = edges_of(t).iter().map(|&(y, w)| at(y).saturating_add(w));
         through.min().unwrap_or(INF)
     };
-    let seeds: Vec<(VertexId, Weight)> = (targets.iter())
-        .filter_map(|&t| Some((VertexId::try_from(t).ok()?, offer(t))))
-        .filter(|&(_, d)| d != INF)
-        .collect();
+    seeds.clear();
+    let offers = targets
+        .iter()
+        .filter_map(|&t| Some((VertexId::try_from(t).ok()?, offer(t))));
+    seeds.extend(offers.filter(|&(_, d)| d != INF));
     let mark = |is_raised: &mut [bool], on: bool| {
         for &t in targets {
             if let Some(raised) = is_raised.get_mut(t) {
@@ -816,16 +858,18 @@ fn repair_cells<C: Cell>(
     };
     mark(is_raised, true);
     let mut spilt = false;
-    for &(t, d) in &seeds {
+    for &(t, d) in seeds.iter() {
         lower::<C, true>(row, t as usize, d, &mut spilt);
     }
     let raised: &[bool] = is_raised;
     let sink = |row: &mut [C], y: VertexId, d| {
         raised.get(y as usize) == Some(&true) && lower::<C, true>(row, y as usize, d, &mut spilt)
     };
-    search.run(row, seeds, |t| edges_of(t as usize), sink, unless_stale);
+    let neighbors = |t: VertexId| edges_of(t as usize);
+    search.run(row, seeds.iter().copied(), neighbors, sink, unless_stale);
     mark(is_raised, false);
     *lost |= spilt;
+    reads.get()
 }
 
 /// `row[c] = min(row[c], value + offset)` for each entry of `delta` (see
@@ -935,6 +979,10 @@ pub struct DistanceMatrix {
     /// Whether a write withheld a finite distance the rows cannot hold
     /// since the last [`Self::widen`] (see the module docs).
     overflow: bool,
+    /// Whether some change or unsent log may hold a column: set by every
+    /// write or mark that can add one, cleared by [`Self::clear_all_logs`].
+    /// While it is false every log is empty.
+    marked: bool,
 }
 
 const NO_ROW: u32 = u32::MAX;
@@ -951,6 +999,7 @@ impl DistanceMatrix {
             row_of: vec![NO_ROW; cols],
             cols,
             overflow: false,
+            marked: false,
         }
     }
 
@@ -1068,6 +1117,7 @@ impl DistanceMatrix {
         self.logs.push(ColumnSet::all(self.cols));
         self.unsent.push(ColumnSet::all(self.cols));
         self.vertex_of_row.push(v);
+        self.marked = true;
     }
 
     /// Removes and returns the row of vertex `v` with its unsent log (used
@@ -1104,6 +1154,7 @@ impl DistanceMatrix {
         let idx = self.row_index(v);
         if let Some(slot) = self.unsent.get_mut(idx) {
             *slot = unsent;
+            self.marked = true;
         }
     }
 
@@ -1191,6 +1242,7 @@ impl DistanceMatrix {
         for log in [self.logs.get_mut(idx), self.unsent.get_mut(idx)] {
             log.into_iter().for_each(ColumnSet::mark_all);
         }
+        self.marked = true;
     }
 
     /// Whether `v`'s row is on the frontier: its log is non-empty, so some
@@ -1293,6 +1345,7 @@ impl DistanceMatrix {
     pub fn mark_all_columns(&mut self, v: VertexId) {
         let idx = self.row_index(v);
         self.logs[idx].mark_all();
+        self.marked = true;
     }
 
     /// Raises the entries `cols` of `v`'s row to `INF` (deletion
@@ -1328,6 +1381,7 @@ impl DistanceMatrix {
     /// write. Returns whether the entry decreased.
     pub fn lower_entry(&mut self, v: VertexId, col: usize, value: Weight) -> bool {
         let idx = self.row_index(v);
+        self.marked = true;
         let lost = &mut self.overflow;
         by_width!(&mut self.rows, rows => {
             let row = Self::row_logs(rows, &mut self.logs, &mut self.unsent, idx);
@@ -1343,27 +1397,25 @@ impl DistanceMatrix {
     }
 
     /// Repairs the raised entries `targets` of `v`'s row exactly, by one
-    /// search over them at the row's stored width: `edges[t]` lists the
-    /// edges of column `t` (any raised one), and `is_raised` is all false,
-    /// as it is left. No log bit is written: the deletion that calls it
-    /// ends by clearing every log or, should the rows widen, marking every
-    /// one whole (`AnytimeEngine::end_update`). A distance the width cannot
-    /// hold is withheld and flagged.
-    pub(crate) fn repair_row(
+    /// search over them at the row's stored width: `edges_of(t)` lists the
+    /// edges of column `t` (any raised one). No log bit is written: the
+    /// deletion that calls it ends owing nothing or, should the rows widen,
+    /// with every row marked whole (`AnytimeEngine::end_update`). A
+    /// distance the width cannot hold is withheld and flagged. Returns how
+    /// many edges the repair read.
+    pub(crate) fn repair_row<'g>(
         &mut self,
         v: VertexId,
         targets: &[usize],
-        edges: &[&[(VertexId, Weight)]],
-        is_raised: &mut [bool],
-        search: &mut Search,
-    ) {
+        edges_of: impl Fn(usize) -> &'g [(VertexId, Weight)],
+        scratch: &mut RowRepair,
+    ) -> u64 {
         let idx = self.row_index(v);
         let lost = &mut self.overflow;
         by_width!(&mut self.rows, rows => {
-            if let Some(row) = rows.get_mut(idx) {
-                repair_cells(row, targets, edges, is_raised, search, lost);
-            }
-        });
+            rows.get_mut(idx)
+                .map_or(0, |row| repair_cells(row, targets, edges_of, scratch, lost))
+        })
     }
 
     /// `row_v[c] = min(row_v[c], value + offset)` for each entry of a
@@ -1371,6 +1423,7 @@ impl DistanceMatrix {
     /// logged like any lowering write. Returns whether any entry decreased.
     pub fn relax_with_delta(&mut self, v: VertexId, delta: &RowDelta, offset: Weight) -> bool {
         let idx = self.row_index(v);
+        self.marked = true;
         let lost = &mut self.overflow;
         by_width!(&mut self.rows, rows => {
             let row = Self::row_logs(rows, &mut self.logs, &mut self.unsent, idx);
@@ -1383,6 +1436,7 @@ impl DistanceMatrix {
         for log in &mut self.logs {
             log.mark_all();
         }
+        self.marked = true;
     }
 
     /// Empties `v`'s log: the row has been propagated to its local
@@ -1396,12 +1450,25 @@ impl DistanceMatrix {
         self.logs[idx].clear();
     }
 
-    /// Empties every log. Sound only when the propagation invariant holds
-    /// on all columns, e.g. right after the rows were set to the exact APSP
-    /// of the local sub-graph.
+    /// Empties every change log. Sound only when the propagation invariant
+    /// holds on all columns, e.g. right after the rows were set to the exact
+    /// APSP of the local sub-graph.
     pub fn clear_logs(&mut self) {
         for log in &mut self.logs {
             log.clear();
+        }
+    }
+
+    /// Empties every change log and every unsent log, where every row is
+    /// exact and every receiver of a row holds it as it stands
+    /// (`AnytimeEngine::end_update`). Costs nothing unless some write or
+    /// mark logged a column since the last call: an engine that stays
+    /// settled walks its rows here once per convergence, not per update.
+    pub(crate) fn clear_all_logs(&mut self) {
+        if std::mem::take(&mut self.marked) {
+            for log in self.logs.iter_mut().chain(&mut self.unsent) {
+                log.clear();
+            }
         }
     }
 
@@ -1410,9 +1477,11 @@ impl DistanceMatrix {
         &self.vertex_of_row
     }
 
-    /// The frontier: vertices whose log is non-empty, in row order.
+    /// The frontier: vertices whose log is non-empty, in row order. While
+    /// no log is marked it is empty, and says so without a walk.
     pub fn frontier(&self) -> impl Iterator<Item = VertexId> + '_ {
-        let logged = self.logs.iter().zip(&self.vertex_of_row);
+        let rows = if self.marked { self.row_count() } else { 0 };
+        let logged = self.logs.iter().zip(&self.vertex_of_row).take(rows);
         logged.filter(|(log, _)| !log.is_empty()).map(|(_, &v)| v)
     }
 
@@ -1429,11 +1498,12 @@ impl DistanceMatrix {
             return false;
         };
         let (dst_log, src_log) = pair_mut(&mut self.logs, di, si);
+        self.marked = true;
         let lost = &mut self.overflow;
         by_width!(&mut self.rows, rows => {
             let (dst_row, src_row) = pair_mut(rows, di, si);
             let (logs, offset) = ((dst_log, dst_unsent), Cell::of(offset));
-            relax_on(dst_row, logs, src_row, offset, src_log, lost)
+            relax_on::<_, true>(dst_row, logs, src_row, offset, src_log, lost)
         })
     }
 
@@ -1443,7 +1513,7 @@ impl DistanceMatrix {
     }
 
     /// Relaxes the columns `cols` of the row of `dst` against an external
-    /// row.
+    /// row, logging what it lowers.
     pub fn relax_with_external_on(
         &mut self,
         dst: VertexId,
@@ -1451,12 +1521,52 @@ impl DistanceMatrix {
         offset: Weight,
         cols: &ColumnSet,
     ) -> bool {
+        self.relax_external::<true>(dst, src_row, offset, cols)
+    }
+
+    /// [`Self::relax_with_external_on`] for a write that ends exact: it
+    /// logs nothing, as the update owes nothing (`AnytimeEngine::end_update`).
+    /// A candidate withheld still sets the overflow flag, and the widening
+    /// that follows marks every row whole.
+    pub(crate) fn relax_exact_on(
+        &mut self,
+        dst: VertexId,
+        src_row: Row<'_>,
+        offset: Weight,
+        cols: &ColumnSet,
+    ) -> bool {
+        self.relax_external::<false>(dst, src_row, offset, cols)
+    }
+
+    /// The row of `dst` relaxed on `cols` through an external row, logged
+    /// under `LOG`.
+    fn relax_external<const LOG: bool>(
+        &mut self,
+        dst: VertexId,
+        src_row: Row<'_>,
+        offset: Weight,
+        cols: &ColumnSet,
+    ) -> bool {
         let idx = self.row_index(dst);
+        self.marked |= LOG;
         let lost = &mut self.overflow;
         by_width!(&mut self.rows, rows => {
             let row = Self::row_logs(rows, &mut self.logs, &mut self.unsent, idx);
-            row.is_some_and(|(row, logs)| relax_through(row, logs, src_row, offset, cols, lost))
+            row.is_some_and(|(row, logs)| {
+                relax_through::<_, LOG>(row, logs, src_row, offset, cols, lost)
+            })
         })
+    }
+
+    /// The vertices of `of` that have a row here, in row order.
+    pub(crate) fn rows_among(&self, of: &[VertexId]) -> Vec<VertexId> {
+        let held = of.iter().filter_map(|&v| self.row_of.get(v as usize));
+        let mut idx: Vec<u32> = held.copied().filter(|&i| i != NO_ROW).collect();
+        idx.sort_unstable();
+        let rows = idx
+            .iter()
+            .filter_map(|&i| self.vertex_of_row.get(i as usize));
+        rows.copied().collect()
     }
 }
 
@@ -1777,7 +1887,7 @@ mod tests {
             let (mut log, mut unsent) = (ColumnSet::empty(n), ColumnSet::empty(n));
             let mut lost = false;
             let logs = (&mut log, &mut unsent);
-            let changed = relax_on(&mut got, logs, &src, offset, &cols, &mut lost);
+            let changed = relax_on::<_, true>(&mut got, logs, &src, offset, &cols, &mut lost);
             assert!(!lost, "nothing is withheld at 32 bits");
             assert_eq!(got, want, "stride {stride}");
             assert_eq!(changed, got != before);
@@ -1842,7 +1952,7 @@ mod tests {
                 let (mut log, mut unsent) = (ColumnSet::empty(n), ColumnSet::empty(n));
                 let logs = (&mut log, &mut unsent);
                 let every = &ColumnSet::EVERY;
-                let relax = || relax_on(&mut row, logs, &src, offset, every, &mut false);
+                let relax = || relax_on::<_, true>(&mut row, logs, &src, offset, every, &mut false);
                 let changed = if dense_twin {
                     reference::dense(relax)
                 } else {
@@ -2181,6 +2291,37 @@ mod tests {
         // The same buffer again lowers nothing.
         dv.clear_log(0);
         assert!(!dv.relax_with_delta(0, &kept, 2) && !dv.owes(0));
+    }
+
+    #[test]
+    fn a_logging_write_after_a_clear_puts_its_row_back_on_the_frontier() {
+        // After `clear_all_logs` the frontier reads empty without a walk;
+        // a write that logs must mark the matrix again, or the row it
+        // lowered would never reach its local neighbours.
+        let delta = RowDelta::from_pairs(&[(2, 1)]);
+        type Write<'a> = (&'a str, &'a dyn Fn(&mut DistanceMatrix));
+        let writes: [Write; 4] = [
+            ("lower_entry", &|m| assert!(m.lower_entry(0, 2, 3))),
+            ("relax_with_external_on", &|m| {
+                let row = m.row(1).to_buf();
+                assert!(m.relax_with_external_on(0, row.as_row(), 1, &ColumnSet::EVERY));
+            }),
+            ("relax_with_delta", &|m| {
+                assert!(m.relax_with_delta(0, &delta, 1))
+            }),
+            ("mark_all_columns", &|m| m.mark_all_columns(0)),
+        ];
+        for (what, write) in writes {
+            let mut m = DistanceMatrix::new(3);
+            (0..2).for_each(|v| m.add_row(v));
+            m.set_entry(1, 2, 1);
+            m.clear_all_logs();
+            assert_eq!(m.frontier().count(), 0, "{what}");
+            write(&mut m);
+            assert_eq!(m.frontier().collect::<Vec<_>>(), [0], "{what}");
+            m.clear_all_logs();
+            assert!(!m.owes(0) && m.unsent(0).is_empty(), "{what}");
+        }
     }
 
     #[test]

@@ -29,25 +29,53 @@
 #![deny(clippy::indexing_slicing)]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-use crate::dv::{ColumnSet, Row, RowBuf};
+use crate::dv::{ColumnSet, Row, RowBuf, RowRepair};
 use crate::engine::AnytimeEngine;
 use crate::obs::InvalidationTally;
 use crate::proc_state::ProcState;
-use aa_graph::search::Search;
 use aa_graph::{VertexId, Weight, INF};
 use aa_logp::Phase;
 use aa_obs::Stopwatch;
 use aa_partition::partition::UNASSIGNED;
 use aa_runtime::TransferOut;
-use std::collections::BTreeMap;
 
 /// What phase 1 of a deletion raised on one rank: each owned row with its
 /// raised columns, ascending, in row order.
 type Raised = Vec<(VertexId, Vec<usize>)>;
 
-/// What phase 2 fetched for one rank: each raised column it does not own,
-/// with that column's edges as its owner holds them, ascending in column.
-type Fetched = Vec<(VertexId, Vec<(VertexId, Weight)>)>;
+/// One owner's answer to a rank's ask in phase 2 of a deletion: each column
+/// asked, ascending, with its degree, and the edges of all of them in one
+/// buffer, column after column in that order, as the owner holds them.
+#[derive(Debug, Default)]
+struct Answer {
+    columns: Vec<(VertexId, usize)>,
+    edges: Vec<(VertexId, Weight)>,
+}
+
+/// A slot of [`RepairScratch`]'s column table that names nothing.
+const UNFETCHED: u32 = u32::MAX;
+
+/// What a deletion's repair reuses on one rank from call to call, so that a
+/// call costs what it raised and fetched, not what the graph holds: a
+/// table over the columns and the per-row scratch.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct RepairScratch {
+    /// Per column: [`UNFETCHED`] between calls; while the asks are built,
+    /// anything else marks a column asked; during the repair, the index of
+    /// its edges among the fetched ones.
+    fetched_at: Vec<u32>,
+    row: RowRepair,
+}
+
+impl RepairScratch {
+    /// The column table, at least `cols` long.
+    fn columns(&mut self, cols: usize) -> &mut Vec<u32> {
+        if self.fetched_at.len() < cols {
+            self.fetched_at.resize(cols, UNFETCHED);
+        }
+        &mut self.fetched_at
+    }
+}
 
 /// A vertex's edges: `(neighbour, weight)`.
 type Edges<'a> = &'a [(VertexId, Weight)];
@@ -133,7 +161,7 @@ impl AnytimeEngine {
         }
         let span = self.span_open();
         self.obs.note_mutation();
-        self.view_add_edge(u, v, w);
+        self.view_add_edge(u, v, w, exact);
         self.relax_through_edges(&[u, v], &[(u, v, w)], exact);
         self.converged = false;
         self.span_close(span, "dynamic-update", format!("add-edge {u}-{v}"));
@@ -148,7 +176,7 @@ impl AnytimeEngine {
     /// `converged` flag alone does not say it: a freshly restored checkpoint
     /// reports converged while every row is marked dirty, so the first
     /// recombination steps re-exchange boundary state.
-    pub(crate) fn is_settled(&self) -> bool {
+    pub fn is_settled(&self) -> bool {
         (self.converged || self.exact) && self.procs.iter().all(ProcState::is_quiescent)
     }
 
@@ -168,14 +196,31 @@ impl AnytimeEngine {
         if self.exact {
             self.procs.iter_mut().for_each(ProcState::owe_nothing);
             self.obs.settled_updates += 1;
+            // Each log read itself, not through the `marked` flag that
+            // `owe_nothing` and the frontier trust.
+            #[cfg(test)]
+            for ps in &self.procs {
+                let logged = |&v: &VertexId| ps.dv.owes(v) || !ps.dv.unsent(v).is_empty();
+                let owes = ps.dv.vertices().iter().any(logged) || !ps.dirty.is_empty();
+                let rank = ps.rank;
+                assert!(!owes, "rank {rank} owes something after an exact update");
+            }
         }
     }
 
-    /// Records a new world edge in the views of its endpoints' owners.
-    pub(crate) fn view_add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
+    /// Records a new world edge in the views of its endpoints' owners, and
+    /// marks their rows of its endpoints all-columns — unless the update
+    /// ends `exact`, after which every row obeys the propagation invariant
+    /// over every edge.
+    pub(crate) fn view_add_edge(&mut self, u: VertexId, v: VertexId, w: Weight, exact: bool) {
         let owners = [self.owner_of(u), self.owner_of(v)];
         let views = self.procs.iter_mut().filter(|ps| owners.contains(&ps.rank));
-        views.for_each(|ps| ps.view_add_edge(u, v, w));
+        for ps in views {
+            match exact {
+                true => _ = ps.view_record_edge(u, v, w),
+                false => ps.view_add_edge(u, v, w),
+            }
+        }
     }
 
     /// Tree-broadcasts the rows of `endpoints` from their owners and returns
@@ -211,7 +256,8 @@ impl AnytimeEngine {
     /// An `exact` call names one edge, on a settled engine, and relaxes
     /// only its candidate columns ([`relax_row_on_candidates`]): the two
     /// broadcast rows give every rank, at no extra byte, the columns where
-    /// either endpoint's distance falls through the other.
+    /// either endpoint's distance falls through the other. It logs nothing
+    /// and marks no row to send: it owes nothing.
     #[expect(
         clippy::indexing_slicing,
         reason = "processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity"
@@ -245,7 +291,7 @@ impl AnytimeEngine {
                         None => relax_row_through_edge(ps, x, edge, rows),
                     };
                 }
-                if changed {
+                if changed && !exact {
                     ps.dirty.insert(x);
                 }
             }
@@ -280,7 +326,7 @@ impl AnytimeEngine {
         let mut inserted: Vec<(VertexId, VertexId, Weight)> = Vec::with_capacity(edges.len());
         for &(u, v, w) in edges {
             if self.world.add_edge(u, v, w) {
-                self.view_add_edge(u, v, w);
+                self.view_add_edge(u, v, w, settled);
                 inserted.push((u, v, w));
             }
         }
@@ -338,23 +384,43 @@ impl AnytimeEngine {
     /// orientation, counts once. Returns the number of edges actually
     /// removed.
     pub fn delete_edges(&mut self, edges: &[(VertexId, VertexId)]) -> usize {
+        let deleted: Vec<_> = edges.iter().map(|&(u, v)| (u, v, INF)).collect();
+        self.increase_edge_weights(&deleted)
+    }
+
+    /// Makes each edge `(u, v, w')` of a batch heavier at once: to `w'`, or
+    /// gone where `w'` is `INF`. That is [`Self::delete_edges`]'s one call,
+    /// with each heavier edge a deletion whose edge survives at `w'`: the
+    /// world and the views take `w'`, every entry the edge solely supported
+    /// at its old weight is raised, and the repair's seeds read the edge at
+    /// its new weight among the others. Sole support needs no change: a
+    /// path over the edge at `w' > w` cannot tie `d(u,t) = w + d(v,t)`. The
+    /// call ends exact and owes nothing ([`Self::end_update`]). An edge
+    /// named twice, in either orientation, counts once, at the first weight
+    /// named; an absent edge, or one named no heavier than it is, is
+    /// skipped. Returns the number of edges changed.
+    pub fn increase_edge_weights(&mut self, edges: &[(VertexId, VertexId, Weight)]) -> usize {
         assert!(self.initialized, "call initialize() first");
-        let present = edges.iter().filter_map(|&(u, v)| {
+        let heavier = edges.iter().filter_map(|&(u, v, heavier)| {
             let w = self.world.edge_weight(u, v)?;
-            Some((u.min(v), u.max(v), w))
+            (heavier > w).then_some(((u.min(v), u.max(v), w), heavier))
         });
-        let mut present: Vec<(VertexId, VertexId, Weight)> = present.collect();
-        present.sort_unstable();
-        present.dedup();
-        if present.is_empty() {
+        let mut changed: Vec<((VertexId, VertexId, Weight), Weight)> = heavier.collect();
+        changed.sort_by_key(|&((u, v, _), _)| (u, v));
+        changed.dedup_by_key(|&mut ((u, v, _), _)| (u, v));
+        if changed.is_empty() {
             return 0;
         }
         let span = self.deletion_barrier();
-        for &(u, v, _) in &present {
-            self.world.remove_edge(u, v);
+        for &((u, v, _), heavier) in &changed {
+            match heavier {
+                INF => _ = self.world.remove_edge(u, v),
+                w => _ = self.world.set_edge_weight(u, v, w),
+            }
         }
+        let present: Vec<_> = changed.iter().map(|&(edge, _)| edge).collect();
         // Pre-deletion rows of every distinct endpoint (exact: converged),
-        // each with the endpoint's surviving edges, and from them each
+        // each with the endpoint's edges as they now are, and from them each
         // edge's candidate columns, once for all ranks.
         let endpoints = distinct_endpoints(&present);
         let adjacency: Vec<_> = (endpoints.iter())
@@ -367,13 +433,24 @@ impl AnytimeEngine {
             .map(|((&edge, rows), adj)| DeletedEdge::new(edge, rows, adj))
             .collect();
         self.keep_sole_support(&mut deleted);
+        // The row side: only a member of some edge's far-side set can lose
+        // an entry.
+        let sides = deleted
+            .iter()
+            .flat_map(|e| e.beyond_v.iter().chain(&e.beyond_u));
+        let mut row_side: Vec<VertexId> = sides.map(|&(t, _)| t).collect();
+        row_side.sort_unstable();
+        row_side.dedup();
         let mut tested = 0u64;
         let views = |ps: &mut ProcState| {
-            for &(u, v, _) in &present {
+            for &((u, v, _), heavier) in &changed {
                 ps.view_remove_edge(u, v);
+                if heavier != INF {
+                    ps.view_record_edge(u, v, heavier);
+                }
             }
         };
-        self.invalidate_and_repair(views, |row, x| {
+        self.invalidate_and_repair(views, Some(&row_side), |row, x| {
             let mut targets = Vec::new();
             for edge in &deleted {
                 tested += edge.affected_targets(row, x, &mut targets);
@@ -387,7 +464,7 @@ impl AnytimeEngine {
         self.forget_unbordered(endpoints);
         self.obs.candidate_columns += tested;
         self.converged = false;
-        let n = present.len();
+        let n = changed.len();
         self.span_close(span, "dynamic-update", format!("delete-edges n={n}"));
         self.end_update(true);
         n
@@ -400,43 +477,33 @@ impl AnytimeEngine {
 
     /// Changes the weight of edge `(u, v)`. Decreases are incorporated like
     /// additions (pure relaxation, exact at once on a settled engine);
-    /// increases as a deletion (exact at once, with the deletion barrier)
-    /// and a re-add at the new weight, which recombination completes.
-    /// Returns `false` if the edge is absent or the weight unchanged.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "processor ranks come from owner_of or enumerate procs, which has one entry per rank from initialize; vertex ids are below world capacity"
-    )]
+    /// increases as a deletion whose edge survives at the new weight
+    /// ([`Self::increase_edge_weights`]), exact at once. Returns `false` if
+    /// the edge is absent or the weight unchanged.
     pub fn change_edge_weight(&mut self, u: VertexId, v: VertexId, new_w: Weight) -> bool {
         assert!(self.initialized, "call initialize() first");
         assert!(new_w != INF, "weight must be finite");
         let Some(old_w) = self.world.edge_weight(u, v) else {
             return false;
         };
+        if new_w > old_w {
+            return self.increase_edge_weights(&[(u, v, new_w)]) == 1;
+        }
         if old_w == new_w {
             return false;
         }
-        if new_w < old_w {
-            let exact = self.is_settled();
-            let span = self.span_open();
-            self.obs.note_mutation();
-            self.world.set_edge_weight(u, v, new_w);
-            for rank in 0..self.procs.len() {
-                self.procs[rank].view_remove_edge(u, v);
-                self.procs[rank].view_add_edge(u, v, new_w);
-            }
-            self.relax_through_edges(&[u, v], &[(u, v, new_w)], exact);
-            self.converged = false;
-            self.span_close(span, "dynamic-update", format!("decrease-weight {u}-{v}"));
-            self.end_update(exact);
-            return true;
+        let exact = self.is_settled();
+        let span = self.span_open();
+        self.obs.note_mutation();
+        self.world.set_edge_weight(u, v, new_w);
+        for ps in &mut self.procs {
+            ps.view_remove_edge(u, v);
         }
-        // Increase: invalidate paths supported at the old weight, then make
-        // the new weight known.
-        let deleted = self.delete_edge(u, v);
-        debug_assert!(deleted);
-        let added = self.add_edge(u, v, new_w);
-        debug_assert!(added);
+        self.view_add_edge(u, v, new_w, exact);
+        self.relax_through_edges(&[u, v], &[(u, v, new_w)], exact);
+        self.converged = false;
+        self.span_close(span, "dynamic-update", format!("decrease-weight {u}-{v}"));
+        self.end_update(exact);
         true
     }
 
@@ -469,7 +536,7 @@ impl AnytimeEngine {
             }
             ps.is_local[v as usize] = false;
         };
-        self.invalidate_and_repair(views, |row, x| affected_by_vertex(row, x, v, row_v));
+        self.invalidate_and_repair(views, None, |row, x| affected_by_vertex(row, x, v, row_v));
         // The ranks that bordered a neighbour of `v` only through `v`.
         self.forget_unbordered(removed.iter().map(|&(x, _)| x));
         self.converged = false;
@@ -516,28 +583,38 @@ impl AnytimeEngine {
 
     /// What every deletion does, in three phases at a cost that follows the
     /// affected set: every rank takes the deletion into its view (`views`)
-    /// and raises, in each owned row `x`, the entries `affected(row, x)`
-    /// names; one exchange fetches the edges of the raised columns a rank
-    /// does not own ([`Self::fetch_column_edges`]), since a rank's view holds
-    /// only the edges of its own vertices; and every rank repairs the raised
-    /// columns exactly ([`repair`]).
-    fn invalidate_and_repair<F>(&mut self, views: impl Fn(&mut ProcState), mut affected: F)
-    where
+    /// and raises, in each owned row `x` among `rows` (every owned row if
+    /// `None`), the entries `affected(row, x)` names; one exchange fetches
+    /// the edges of the raised columns a rank does not own
+    /// ([`Self::fetch_column_edges`]), since a rank's view holds only the
+    /// edges of its own vertices; and every rank repairs the raised columns
+    /// exactly ([`repair`]).
+    fn invalidate_and_repair<F>(
+        &mut self,
+        views: impl Fn(&mut ProcState),
+        rows: Option<&[VertexId]>,
+        mut affected: F,
+    ) where
         F: FnMut(Row<'_>, VertexId) -> Vec<usize>,
     {
         let mut raised = Vec::with_capacity(self.procs.len());
         for (rank, ps) in self.procs.iter_mut().enumerate() {
             let t = Stopwatch::start();
             views(ps);
-            raised.push(raise(ps, &mut self.obs.invalidation, &mut affected));
+            raised.push(raise(ps, &mut self.obs.invalidation, rows, &mut affected));
             self.cluster
                 .compute_measured(rank, Phase::DynamicUpdate, t.elapsed());
         }
         let fetched = self.fetch_column_edges(&raised);
+        let edges: usize = fetched.iter().flatten().map(|a| a.edges.len()).sum();
+        self.obs.fetched_edges += edges as u64;
         let work = raised.into_iter().zip(fetched).collect();
-        let repair = |_, ps: &mut ProcState, (raised, fetched)| repair(ps, raised, &fetched);
-        self.cluster
-            .run_on_ranks(Phase::DynamicUpdate, &mut self.procs, work, repair);
+        let repair = |_, ps: &mut ProcState, (raised, fetched): (Raised, Vec<Answer>)| {
+            repair(ps, raised, &fetched)
+        };
+        let reads =
+            (self.cluster).run_on_ranks(Phase::DynamicUpdate, &mut self.procs, work, repair);
+        self.obs.repair_edge_reads += reads.iter().sum::<u64>();
     }
 
     /// Phase 2 of a deletion, one `DynamicUpdate` exchange there and back:
@@ -545,31 +622,45 @@ impl AnytimeEngine {
     /// that column's edges, and the owner answers from its view, where the
     /// deletion is applied already. Topology does not change during the
     /// repair, so one round is all it takes. An ask is the columns as a list
-    /// (a 4 B count, 4 B each) or a bitset, whichever is shorter; an answer,
-    /// per column asked and in the order asked, a 4 B degree and 8 B per edge.
-    fn fetch_column_edges(&mut self, raised: &[Raised]) -> Vec<Fetched> {
+    /// (a 4 B count, 4 B each) or a bitset, whichever is shorter; an
+    /// [`Answer`], per column asked and in the order asked, a 4 B degree and
+    /// 8 B per edge.
+    fn fetch_column_edges(&mut self, raised: &[Raised]) -> Vec<Vec<Answer>> {
         let (cols, partition) = (self.world.capacity(), &self.partition);
         let ask = |_, ps: &mut ProcState, rows: &Raised| {
-            let remote = |&&t: &&usize| ps.is_local.get(t) == Some(&false);
-            let columns = rows
-                .iter()
-                .flat_map(|(_, targets)| targets.iter().filter(remote));
-            let mut columns: Vec<usize> = columns.copied().collect();
-            columns.sort_unstable();
-            columns.dedup();
-            let mut wanted: BTreeMap<usize, Vec<VertexId>> = BTreeMap::new();
-            for t in columns
-                .into_iter()
-                .filter_map(|t| VertexId::try_from(t).ok())
-            {
-                if let Some(owner) = partition.part_of(t) {
-                    wanted.entry(owner).or_default().push(t);
+            // Each remote raised column once, marked in the column table.
+            let (is_local, asked) = (&ps.is_local, ps.repair.columns(cols));
+            let mut wanted: Vec<(usize, VertexId)> = Vec::new();
+            for &t in rows.iter().flat_map(|(_, targets)| targets) {
+                let remote = is_local.get(t) == Some(&false);
+                let Some(mark) = asked
+                    .get_mut(t)
+                    .filter(|mark| remote && **mark == UNFETCHED)
+                else {
+                    continue;
+                };
+                let owned = VertexId::try_from(t)
+                    .ok()
+                    .and_then(|t| Some((partition.part_of(t)?, t)));
+                if let Some(owned) = owned {
+                    *mark = 0;
+                    wanted.push(owned);
                 }
             }
-            let asks = wanted.into_iter().map(|(dst, columns)| TransferOut {
-                dst,
-                bytes: (4 + 4 * columns.len()).min(cols.div_ceil(8)),
-                payload: columns,
+            for &(_, t) in &wanted {
+                if let Some(mark) = asked.get_mut(t as usize) {
+                    *mark = UNFETCHED;
+                }
+            }
+            // By owner, then ascending.
+            wanted.sort_unstable();
+            let asks = wanted.chunk_by(|a, b| a.0 == b.0).map(|asked| {
+                let columns: Vec<VertexId> = asked.iter().map(|&(_, t)| t).collect();
+                TransferOut {
+                    dst: asked.first().map_or(0, |&(dst, _)| dst),
+                    bytes: (4 + 4 * columns.len()).min(cols.div_ceil(8)),
+                    payload: columns,
+                }
             });
             asks.collect::<Vec<_>>()
         };
@@ -580,12 +671,15 @@ impl AnytimeEngine {
         let asked = self.cluster.exchange(Phase::DynamicUpdate, asks);
         let answer = |_, ps: &mut ProcState, asked: Vec<(usize, Vec<VertexId>)>| {
             let answers = asked.into_iter().map(|(dst, columns)| {
-                let edges = |t: VertexId| ps.adj.get(t as usize).cloned().unwrap_or_default();
-                let payload: Fetched = columns.into_iter().map(|t| (t, edges(t))).collect();
-                let bytes = payload.iter().map(|(_, edges)| 4 + 8 * edges.len()).sum();
+                let mut payload = Answer::default();
+                for t in columns {
+                    let edges = ps.adj.get(t as usize).map_or(&[][..], Vec::as_slice);
+                    payload.columns.push((t, edges.len()));
+                    payload.edges.extend_from_slice(edges);
+                }
                 TransferOut {
                     dst,
-                    bytes,
+                    bytes: 4 * payload.columns.len() + 8 * payload.edges.len(),
                     payload,
                 }
             });
@@ -595,12 +689,10 @@ impl AnytimeEngine {
             self.cluster
                 .run_on_ranks(Phase::DynamicUpdate, &mut self.procs, asked, answer);
         let fetched = self.cluster.exchange(Phase::DynamicUpdate, answers);
-        let sorted = fetched.into_iter().map(|inbox| {
-            let mut fetched: Fetched = inbox.into_iter().flat_map(|(_, answer)| answer).collect();
-            fetched.sort_unstable_by_key(|&(t, _)| t);
-            fetched
-        });
-        sorted.collect()
+        let answers = fetched
+            .into_iter()
+            .map(|inbox| inbox.into_iter().map(|(_, a)| a));
+        answers.map(Iterator::collect).collect()
     }
 }
 
@@ -678,10 +770,10 @@ fn relax_row_on_candidates(
     let (col, dv) = (x as usize, &mut ps.dv);
     let offset = |row: Row<'_>| row.get(col).map_or(INF, |d| d.saturating_add(w));
     if beyond_u.contains(col) {
-        return dv.relax_with_external_on(x, row_v, offset(row_u), beyond_v);
+        return dv.relax_exact_on(x, row_v, offset(row_u), beyond_v);
     }
     if beyond_v.contains(col) {
-        return dv.relax_with_external_on(x, row_u, offset(row_v), beyond_u);
+        return dv.relax_exact_on(x, row_u, offset(row_v), beyond_u);
     }
     false
 }
@@ -869,11 +961,17 @@ fn affected_by_vertex(row: Row<'_>, x: VertexId, v: VertexId, row_v: Row<'_>) ->
 }
 
 /// Phase 1 of a deletion on one rank: asks `affected(row, x)` once per owned
-/// row `x`, on the exact row the barrier left, and raises those entries. A
-/// raised entry leaves the row's unsent log: the row as last sent is the row
-/// itself at the barrier, every rank repairs the rows it owns alike, and the
-/// deletion ends owing nothing ([`AnytimeEngine::end_update`]).
-fn raise<F>(ps: &mut ProcState, tally: &mut InvalidationTally, affected: &mut F) -> Raised
+/// row `x` among `rows` (every owned row if `None`), in row order, on the
+/// exact row the barrier left, and raises those entries. A raised entry
+/// leaves the row's unsent log: the row as last sent is the row itself at
+/// the barrier, every rank repairs the rows it owns alike, and the deletion
+/// ends owing nothing ([`AnytimeEngine::end_update`]).
+fn raise<F>(
+    ps: &mut ProcState,
+    tally: &mut InvalidationTally,
+    rows: Option<&[VertexId]>,
+    affected: &mut F,
+) -> Raised
 where
     F: FnMut(Row<'_>, VertexId) -> Vec<usize>,
 {
@@ -881,8 +979,12 @@ where
     if reference::is_whole_row() {
         return reference::raise(ps, tally, affected);
     }
+    let rows = match rows {
+        Some(rows) => ps.dv.rows_among(rows),
+        None => ps.dv.vertices().to_vec(),
+    };
     let mut raised = Vec::new();
-    for x in ps.dv.vertices().to_vec() {
+    for x in rows {
         let targets = affected(ps.dv.row(x), x);
         tally.note(targets.len());
         if targets.is_empty() {
@@ -907,38 +1009,59 @@ where
 /// kept entry is exact on the graph as it now is (no deleted edge solely
 /// supported it), and on a shortest `x → t` path the last vertex with a
 /// kept entry is a seed's neighbour, after which every vertex is a raised
-/// column.
-fn repair(ps: &mut ProcState, raised: Raised, fetched: &Fetched) {
+/// column. Returns how many edges the seeds and the searches read.
+fn repair(ps: &mut ProcState, raised: Raised, fetched: &[Answer]) -> u64 {
     #[cfg(test)]
     if reference::is_whole_row() {
         reference::rebuild(ps, &raised);
     }
     if raised.is_empty() {
-        return;
+        return 0;
     }
     let ProcState {
         adj,
         is_local,
         dv,
-        dirty,
+        repair,
         ..
     } = ps;
-    // Column → edges, once for every row: a rank's view holds every edge of
-    // the columns it owns, `fetched` those of the others it raised.
-    let local = adj.iter().zip(is_local.iter());
-    let mut edges: Vec<Edges> = local
-        .map(|(a, &own)| if own { a.as_slice() } else { &[] })
-        .collect();
-    for (t, fetched) in fetched {
-        if let Some(slot) = edges.get_mut(*t as usize) {
-            *slot = fetched;
+    let fetched_at = repair.columns(adj.len());
+    // The fetched columns' edges, each where its slot says.
+    let mut slices: Vec<Edges> = Vec::new();
+    for answer in fetched {
+        let mut rest = answer.edges.as_slice();
+        for &(t, degree) in &answer.columns {
+            let (edges, tail) = rest.split_at(degree.min(rest.len()));
+            rest = tail;
+            if let (Some(slot), Ok(at)) = (fetched_at.get_mut(t as usize), slices.len().try_into())
+            {
+                *slot = at;
+            }
+            slices.push(edges);
         }
     }
-    let (mut search, mut is_raised) = (Search::default(), vec![false; adj.len()]);
+    // A rank's view holds every edge of the columns it owns, `fetched`
+    // those of the others it raised.
+    let (fetched_at, slices) = (&repair.fetched_at, &slices);
+    let edges_of = |t: usize| -> Edges {
+        if is_local.get(t) == Some(&true) {
+            return adj.get(t).map_or(&[], Vec::as_slice);
+        }
+        let at = fetched_at.get(t).map_or(UNFETCHED, |&at| at);
+        slices.get(at as usize).copied().unwrap_or_default()
+    };
+    let mut reads = 0;
     for (x, targets) in raised {
-        dv.repair_row(x, &targets, &edges, &mut is_raised, &mut search);
-        dirty.insert(x);
+        reads += dv.repair_row(x, &targets, edges_of, &mut repair.row);
     }
+    for answer in fetched {
+        for &(t, _) in &answer.columns {
+            if let Some(slot) = repair.fetched_at.get_mut(t as usize) {
+                *slot = UNFETCHED;
+            }
+        }
+    }
+    reads
 }
 
 #[cfg(test)]

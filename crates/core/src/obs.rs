@@ -80,9 +80,14 @@ pub(crate) struct EngineObs {
     /// Candidate-column entries edge deletions tested in the rows a deleted
     /// edge was tight for — what the sweep read instead of those rows whole.
     pub(crate) candidate_columns: u64,
+    /// Edges deletions' repairs read, seeding raised columns and expanding
+    /// them: the same at every P.
+    pub(crate) repair_edge_reads: u64,
+    /// Edges deletions fetched for raised columns a rank does not own.
+    pub(crate) fetched_edges: u64,
     /// Recombination steps the deletion barrier ran to reach a fixed point.
     pub(crate) barrier_steps: u64,
-    /// Insertions that landed on a settled engine and were exact at once.
+    /// Updates that ended exact in their own call ([`AnytimeEngine::end_update`]).
     pub(crate) settled_updates: u64,
     /// Calls after which every rank widened its rows one step.
     pub(crate) widenings: u64,
@@ -353,6 +358,13 @@ impl AnytimeEngine {
             &[],
             self.obs.candidate_columns,
         );
+        let work = [
+            ("aa_repair_edge_reads_total", self.obs.repair_edge_reads),
+            ("aa_repair_fetched_edges_total", self.obs.fetched_edges),
+        ];
+        for (name, count) in work {
+            r.inc_counter(name, &[], count);
+        }
 
         r.set_gauge("aa_makespan_us", &[], self.cluster.makespan_us());
         let dirty_rows: usize = self.procs.iter().map(|ps| ps.dirty.len()).sum();

@@ -19,6 +19,7 @@
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use crate::dv::{grow, ColumnSet, DistanceMatrix, Row, RowBuf, RowDelta};
+use crate::dynamic::RepairScratch;
 use aa_graph::search::Search;
 #[cfg(test)]
 use aa_graph::INF;
@@ -98,6 +99,8 @@ pub struct ProcState {
     /// (`AnytimeEngine::forget_unbordered`), and so does a rank a migration
     /// gives a local neighbour of `v` not relaxed against that row.
     pub sent_to: HashMap<VertexId, HashSet<usize>>,
+    /// What a deletion's repair reuses from call to call.
+    pub(crate) repair: RepairScratch,
     /// What `sent_snapshot` used to be: a copy of each boundary row as of
     /// the send that last emptied its unsent log. Every delta is checked
     /// against the diff with it.
@@ -117,6 +120,7 @@ impl ProcState {
             dv: DistanceMatrix::holding(capacity, 0),
             dirty: HashSet::new(),
             sent_to: HashMap::new(),
+            repair: RepairScratch::default(),
             #[cfg(test)]
             shadow: HashMap::new(),
         }
@@ -182,13 +186,14 @@ impl ProcState {
     /// Forgets everything this rank owes — its frontier, its unsent logs,
     /// its rows marked to send — where every row of every rank is exact
     /// (`AnytimeEngine::end_update`): each receiver of a row already
-    /// stands where a send of it would put it.
+    /// stands where a send of it would put it. An exact write logs nothing
+    /// and marks no row to send, so after one exact update this costs
+    /// nothing more than a look at two flags.
     pub(crate) fn owe_nothing(&mut self) {
-        self.dv.clear_logs();
         self.dirty.clear();
-        for v in self.dv.vertices().to_vec() {
-            self.dv.clear_unsent(v);
-            #[cfg(test)]
+        self.dv.clear_all_logs();
+        #[cfg(test)]
+        for &v in self.dv.vertices() {
             if let Some(shadow) = self.shadow.get_mut(&v) {
                 *shadow = self.dv.row(v).to_vec();
             }
@@ -262,21 +267,30 @@ impl ProcState {
     /// relaxed over the new edge yet, so an owned endpoint is marked
     /// all-columns; an external one owes its new neighbour what its broadcast
     /// row brings ([`Self::relax_through_external`]).
+    pub fn view_add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
+        if self.view_record_edge(u, v, w) {
+            for x in [u, v] {
+                if self.dv.has_row(x) {
+                    self.dv.mark_all_columns(x);
+                }
+            }
+        }
+    }
+
+    /// [`Self::view_add_edge`] for an update that ends exact, whose rows
+    /// obey the propagation invariant over every edge: the edge is recorded
+    /// and no row is marked. Returns whether the view took it.
     #[expect(
         clippy::indexing_slicing,
         reason = "vertex ids are allocated below world capacity and every table here (adj, is_local, dist rows) is sized to that capacity at rebuild/extend time"
     )]
-    pub fn view_add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
+    pub(crate) fn view_record_edge(&mut self, u: VertexId, v: VertexId, w: Weight) -> bool {
         if !self.is_local[u as usize] && !self.is_local[v as usize] {
-            return;
+            return false;
         }
         self.adj[u as usize].push((v, w));
         self.adj[v as usize].push((u, w));
-        for x in [u, v] {
-            if self.dv.has_row(x) {
-                self.dv.mark_all_columns(x);
-            }
-        }
+        true
     }
 
     /// Removes an edge from the adjacency view (no-op if absent).

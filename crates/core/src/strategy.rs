@@ -300,7 +300,8 @@ impl AnytimeEngine {
     /// runs through `v` once, `d(x,v) + d(v,t)`, and were `t` outside `A_i`,
     /// `d(a_i,t) ≤ w_i + d(v,t)` would have kept `d(x,t) ≤ d(x,a_i) +
     /// d(a_i,t) ≤ d(x,v) + d(v,t)` before `v` came. A leaf's one set is
-    /// `{v}`: `row_v` is its anchor's row plus `w`.
+    /// `{v}`: `row_v` is its anchor's row plus `w`. Those writes log nothing
+    /// and mark no row to send: the update owes nothing.
     fn attach_new_vertex(&mut self, v: VertexId, edges: &[(VertexId, Weight)], exact: bool) {
         let ov = self.owner_of(v);
         let mut attached: Vec<(VertexId, Weight)> = Vec::with_capacity(edges.len());
@@ -309,7 +310,7 @@ impl AnytimeEngine {
                 continue; // duplicate inside the batch
             }
             attached.push((u, w));
-            self.view_add_edge(v, u, w);
+            self.view_add_edge(v, u, w, exact);
         }
         if attached.is_empty() {
             return;
@@ -377,7 +378,12 @@ impl AnytimeEngine {
                     }
                 }
                 let cols = first.and_then(|i| sets.get(i)).unwrap_or(&every);
-                if a != INF && ps.dv.relax_with_external_on(x, row_v.as_row(), a, cols) {
+                if a == INF {
+                    continue;
+                }
+                if exact {
+                    ps.dv.relax_exact_on(x, row_v.as_row(), a, cols);
+                } else if ps.dv.relax_with_external_on(x, row_v.as_row(), a, cols) {
                     ps.dirty.insert(x);
                 }
             }

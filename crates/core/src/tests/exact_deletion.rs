@@ -142,13 +142,11 @@ fn apply(e: &mut AnytimeEngine, kind: u8, a: u32, b: u32, k: usize) {
             let v = live(&g, a);
             delete(e, "delete_vertex", Some(v), |e| e.delete_vertex(v));
         }
-        // A heavier edge is a deletion and a re-add, which owes
-        // recombination: its rows are exact at once all the same.
+        // A heavier edge is a deletion whose edge survives.
         5 => {
             if let Some((u, v, w)) = nth_edge(&g, b) {
-                e.change_edge_weight(u, v, w + k as Weight);
-                assert_exact(e, "weight increase");
-                e.run_to_convergence(256);
+                let heavier = |e: &mut AnytimeEngine| e.change_edge_weight(u, v, w + k as Weight);
+                delete(e, "weight increase", None, heavier);
             }
         }
         _ => {}
@@ -199,5 +197,67 @@ proptest! {
             eprintln!("failing case: {case}");
             std::panic::resume_unwind(panic);
         }
+    }
+}
+
+/// A deletion's work counters on one run of deleting calls — edges at the
+/// hubs, a scattered batch, weight increases, a vertex — at P = `procs` on
+/// `backend`: rows reset, entries reset, repair edge reads and fetched
+/// edges.
+fn repair_work(procs: usize, backend: BackendKind) -> [u64; 4] {
+    let graph = rmat::rmat(7, 4 << 7, Default::default(), 4, 11);
+    let mut hubs: Vec<VertexId> = graph.vertices().collect();
+    hubs.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
+    let at_hubs: Vec<_> = (hubs.iter().take(3))
+        .flat_map(|&h| graph.neighbors(h).iter().take(2).map(move |&(y, _)| (h, y)))
+        .collect();
+    let edges: Vec<_> = graph.edges().collect();
+    let config = EngineConfig {
+        num_procs: procs,
+        backend,
+        threads: if backend == BackendKind::Threads {
+            2
+        } else {
+            0
+        },
+        ..Default::default()
+    };
+    let mut e = AnytimeEngine::new(graph, config);
+    e.initialize();
+    e.run_to_convergence(256);
+    for &(u, v) in &at_hubs {
+        e.delete_edge(u, v);
+    }
+    let spread: Vec<_> = edges.iter().step_by(37).map(|&(u, v, _)| (u, v)).collect();
+    e.delete_edges(&spread);
+    for &(u, v, w) in edges.iter().skip(5).step_by(41) {
+        e.change_edge_weight(u, v, w + 3);
+    }
+    e.delete_vertex(hubs[3]);
+    assert_exact(&e, "after the run");
+    let r = e.metrics_registry();
+    let owned = |name: &str| r.counter_value(name, &[("rows", "owned")]);
+    [
+        owned("aa_invalidation_rows_reset_total"),
+        owned("aa_invalidation_entries_reset_total"),
+        r.counter_value("aa_repair_edge_reads_total", &[]),
+        r.counter_value("aa_repair_fetched_edges_total", &[]),
+    ]
+}
+
+#[test]
+fn repair_work_is_the_same_at_every_p_and_on_both_backends() {
+    let [rows, entries, reads, _] = repair_work(1, BackendKind::Sim);
+    assert!(
+        rows > 0 && entries > 0 && reads > 0,
+        "the run repairs something"
+    );
+    for procs in [1, 3, 8] {
+        let sim = repair_work(procs, BackendKind::Sim);
+        assert_eq!(sim, repair_work(procs, BackendKind::Threads), "P = {procs}");
+        let [r, n, e, fetched] = sim;
+        assert_eq!([r, n, e], [rows, entries, reads], "P = {procs}");
+        // Only a rank that does not own a raised column fetches its edges.
+        assert_eq!(fetched == 0, procs == 1, "P = {procs}: {fetched} fetched");
     }
 }

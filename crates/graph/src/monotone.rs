@@ -18,7 +18,7 @@ const BUCKETS: usize = u32::BITS as usize + 1;
 
 /// A monotone min-queue of `(key, vertex)` pairs. Entries with equal keys pop
 /// in no particular order.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct MonotoneQueue {
     buckets: [Vec<(u32, VertexId)>; BUCKETS],
     /// Bit `i` is set iff bucket `i` is non-empty.

@@ -19,7 +19,7 @@ pub enum Settle {
 
 /// The queue of a shortest-path search, kept between runs for its
 /// allocations.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Search(MonotoneQueue);
 
 impl Search {

@@ -16,7 +16,7 @@
 //! needs to know whether the edge currently exists when an op arrives.
 
 use crate::op::EdgeKey;
-use aa_graph::{Graph, VertexId, Weight};
+use aa_graph::{Graph, VertexId, Weight, INF};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Outcome for an edge that existed (with some weight `w0`) before the batch.
@@ -111,29 +111,36 @@ pub struct PendingVertex {
 }
 
 /// Concrete ops an [`EdgeNet`] resolves to against a live graph, in flush
-/// order. Weight increases are expressed as delete + re-add because that is
-/// what the engine's `change_edge_weight` does internally, and the delete
-/// half then shares the single batched invalidation sweep.
+/// order. Deletions and weight increases go to the engine as one batch
+/// (`increase_edge_weights`): an increase is a deletion whose edge survives
+/// at its new weight, so it shares the single invalidation sweep and ends
+/// exact in the same call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResolvedBatch {
-    /// Edges to remove via `delete_edges` (includes the delete half of
-    /// weight increases).
+    /// Edges to remove.
     pub deletes: Vec<(VertexId, VertexId)>,
-    /// Edges to insert via `add_edges` (includes the re-add half of weight
-    /// increases).
+    /// Edges that get heavier, at their new weights.
+    pub increases: Vec<(VertexId, VertexId, Weight)>,
+    /// Edges to insert via `add_edges`.
     pub adds: Vec<(VertexId, VertexId, Weight)>,
     /// Pure weight decreases, applied via `change_edge_weight` (a relaxation
     /// with no invalidation cost).
     pub decreases: Vec<(VertexId, VertexId, Weight)>,
-    /// Number of edge keys that resolved to any action at all. A weight
-    /// increase lands in both `deletes` and `adds` but counts once here.
+    /// Number of edge keys that resolved to any action at all.
     pub actions: usize,
 }
 
 impl ResolvedBatch {
     /// Total number of materialized edge operations.
     pub fn len(&self) -> usize {
-        self.deletes.len() + self.adds.len() + self.decreases.len()
+        self.deletes.len() + self.increases.len() + self.adds.len() + self.decreases.len()
+    }
+
+    /// The deletions, at `INF`, and the weight increases: the one batch
+    /// `increase_edge_weights` takes.
+    pub fn heavier(&self) -> Vec<(VertexId, VertexId, Weight)> {
+        let deletes = self.deletes.iter().map(|&(u, v)| (u, v, INF));
+        deletes.chain(self.increases.iter().copied()).collect()
     }
 
     /// True when the batch resolves to nothing.
@@ -276,8 +283,7 @@ impl Coalescer {
                     out.actions += 1;
                 }
                 (Some(w0), Some(w)) if w > w0 => {
-                    out.deletes.push((key.lo, key.hi));
-                    out.adds.push((key.lo, key.hi, w));
+                    out.increases.push((key.lo, key.hi, w));
                     out.actions += 1;
                 }
                 (None, Some(w)) => {

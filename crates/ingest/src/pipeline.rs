@@ -6,8 +6,9 @@
 //! the driver calls [`IngestPipeline::maybe_flush`] at its serving cadence
 //! (and [`IngestPipeline::flush`] at barriers such as `converge` or end of
 //! stream). A flush drains the coalescing buffer through the engine's
-//! *batched* kernels — one `add_vertices`, one `delete_edges`, one
-//! `add_edges`, then per-edge relaxing reweights and per-vertex deletions —
+//! *batched* kernels — one `add_vertices`, one `increase_edge_weights`
+//! (deletions and heavier edges), one `add_edges`, then per-edge relaxing
+//! reweights and per-vertex deletions —
 //! so a burst of updates pays one IA/RC disturbance per batch instead of
 //! per change.
 //!
@@ -112,10 +113,12 @@ pub struct FlushReport {
     pub raw_ops: usize,
     /// Vertices created (one batched `add_vertices` call).
     pub vertex_adds: usize,
-    /// Edges inserted (includes the re-add half of weight increases).
+    /// Edges inserted.
     pub edge_adds: usize,
-    /// Edges removed (includes the delete half of weight increases).
+    /// Edges removed.
     pub edge_deletes: usize,
+    /// Edges made heavier, in the deletions' call.
+    pub edge_increases: usize,
     /// Pure relaxing weight decreases.
     pub reweights: usize,
     /// Vertices deleted.
@@ -340,11 +343,13 @@ impl IngestPipeline {
         }
 
         // Phase 2: edge nets resolved against the post-addition graph, then
-        // applied through the batched kernels: deletes first (one combined
-        // invalidation sweep), inserts second, relaxing decreases last.
+        // applied through the batched kernels: deletes and weight increases
+        // first (one combined invalidation sweep), inserts second, relaxing
+        // decreases last.
         let resolved = self.coalescer.resolve(engine.graph());
-        if !resolved.deletes.is_empty() {
-            engine.delete_edges(&resolved.deletes);
+        let heavier = resolved.heavier();
+        if !heavier.is_empty() {
+            engine.increase_edge_weights(&heavier);
         }
         if !resolved.adds.is_empty() {
             engine.add_edges(&resolved.adds);
@@ -379,9 +384,10 @@ impl IngestPipeline {
             self.metrics
                 .observe("aa_ingest_apply_latency_us", &[], (t1 - ts).max(0.0));
         }
-        let kinds: [(&str, usize); 5] = [
+        let kinds: [(&str, usize); 6] = [
             ("vertex-add", vertex_adds),
             ("edge-delete", resolved.deletes.len()),
+            ("weight-increase", resolved.increases.len()),
             ("edge-add", resolved.adds.len()),
             ("reweight", resolved.decreases.len()),
             ("vertex-delete", vertex_deletes.len()),
@@ -402,6 +408,7 @@ impl IngestPipeline {
             vertex_adds,
             edge_adds: resolved.adds.len(),
             edge_deletes: resolved.deletes.len(),
+            edge_increases: resolved.increases.len(),
             reweights: resolved.decreases.len(),
             vertex_deletes: vertex_deletes.len(),
             actions,
